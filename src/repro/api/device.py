@@ -136,7 +136,6 @@ class Device:
             self.config.backend,
             self.machine,
             self.memory,
-            mode=self.config.interpreter_mode,
             sanitizer=self.sanitizer,
         )
         self.cache = TranslationCache(

@@ -4,7 +4,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -73,20 +72,6 @@ def main(argv=None) -> int:
         default="interpreter",
         help="execution backend for the Table-1 runs (modeled "
         "GFLOP/s are backend-invariant; host wall-clock is not)",
-    )
-    parser.add_argument(
-        "--perf-baseline",
-        metavar="JSON",
-        default=None,
-        help="compare Table-1 host wall-clock against a committed "
-        "baseline JSON; exit non-zero on a >2x regression",
-    )
-    parser.add_argument(
-        "--write-perf-baseline",
-        metavar="JSON",
-        default=None,
-        help="write the measured Table-1 host wall-clock to a "
-        "baseline JSON (for --perf-baseline)",
     )
     parser.add_argument(
         "--serve",
@@ -196,37 +181,6 @@ def main(argv=None) -> int:
             scale=arguments.scale, backend=arguments.backend
         )
         sections.append(format_table1(table1))
-        if arguments.write_perf_baseline:
-            with open(arguments.write_perf_baseline, "w") as handle:
-                json.dump(
-                    {
-                        "experiment": "table1",
-                        "scale": arguments.scale,
-                        "backend": arguments.backend,
-                        "host_seconds": round(
-                            table1.total_host_seconds, 3
-                        ),
-                    },
-                    handle,
-                    indent=2,
-                )
-                handle.write("\n")
-        if arguments.perf_baseline:
-            with open(arguments.perf_baseline) as handle:
-                baseline = json.load(handle)
-            allowed = 2.0 * float(baseline["host_seconds"])
-            measured = table1.total_host_seconds
-            verdict = "ok" if measured <= allowed else "REGRESSION"
-            sections.append(
-                f"perf smoke: table1 host {measured:.2f}s vs baseline "
-                f"{baseline['host_seconds']:.2f}s "
-                f"(bound {allowed:.2f}s) -> {verdict}"
-            )
-            if measured > allowed:
-                failures.append(
-                    f"table1 host wall-clock {measured:.2f}s exceeds "
-                    f"2x baseline ({allowed:.2f}s)"
-                )
     runner = None
     if any(
         wants(name)

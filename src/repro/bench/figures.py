@@ -45,10 +45,6 @@ class Table1Result:
             ws: value / self.peak for ws, value in self.gflops.items()
         }
 
-    @property
-    def total_host_seconds(self) -> float:
-        return sum(self.host_seconds.values())
-
 
 def run_table1(
     scale: float = 1.0,

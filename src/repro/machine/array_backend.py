@@ -76,15 +76,15 @@ from .interpreter import (
     _DEADLINE_CHECK_STRIDE,
     _INTRINSIC_IMPL,
     _REDUCE_IMPL,
-    _ROUNDING_FNS,
+    _UNARY_IMPL,
     Continuation,
     ExecutableFunction,
     ExecutionStats,
     Interpreter,
     _annotate_fault,
+    _convert_impl,
     _machine_constant,
     _mulhi,
-    _saturating_float_to_int,
     _typed_constant,
     guest_errstate,
 )
@@ -371,68 +371,36 @@ def _acompile_binary(inst: BinaryOp, slots):
 
 
 def _acompile_unary(inst: UnaryOp, slots):
+    impl = _UNARY_IMPL.get(inst.op)
+    if impl is None:
+        raise _Unsupported()
     dtype = inst.dtype
     read_a = _abatch_typed(inst.a, slots, dtype)
     dst = slots[inst.dst.name]
-    operation = inst.op
-    if operation == "mov":
-        if inst.dst.width > 1:
-            width = inst.dst.width
-            numpy_dtype = dtype.numpy_dtype
-
-            def op(bstate):
-                value = read_a(bstate)
-                if getattr(value, "ndim", 0) != 2:
-                    out = np.empty(
-                        (bstate.size, width), dtype=numpy_dtype
-                    )
-                    if getattr(value, "ndim", 0) == 1:
-                        out[...] = value.reshape(-1, 1)
-                    else:
-                        out[...] = value
-                    value = out
-                bstate.regs[dst] = value
-
-        else:
-
-            def op(bstate):
-                bstate.regs[dst] = _ensure_batched(
-                    read_a(bstate), bstate
-                )
-
-    elif operation == "neg":
+    if inst.op == "mov" and inst.dst.width > 1:
+        # A per-warp scalar moved into a vector register splats to
+        # ``(batch, width)``.
+        width = inst.dst.width
+        numpy_dtype = dtype.numpy_dtype
 
         def op(bstate):
-            bstate.regs[dst] = _ensure_batched(
-                np.negative(read_a(bstate)), bstate
-            )
-
-    elif operation == "abs":
-
-        def op(bstate):
-            bstate.regs[dst] = _ensure_batched(
-                np.abs(read_a(bstate)), bstate
-            )
-
-    elif operation == "not":
-        invert = np.logical_not if dtype.is_predicate else np.invert
-
-        def op(bstate):
-            bstate.regs[dst] = _ensure_batched(
-                invert(read_a(bstate)), bstate
-            )
-
-    elif operation == "cnot":
-        one = dtype.numpy_dtype.type(1)
-        zero = dtype.numpy_dtype.type(0)
-
-        def op(bstate):
-            bstate.regs[dst] = _ensure_batched(
-                np.where(read_a(bstate) == 0, one, zero), bstate
-            )
+            value = read_a(bstate)
+            if getattr(value, "ndim", 0) != 2:
+                out = np.empty((bstate.size, width), dtype=numpy_dtype)
+                if getattr(value, "ndim", 0) == 1:
+                    out[...] = value.reshape(-1, 1)
+                else:
+                    out[...] = value
+                value = out
+            bstate.regs[dst] = value
 
     else:
-        raise _Unsupported()
+
+        def op(bstate):
+            bstate.regs[dst] = _ensure_batched(
+                impl(read_a(bstate), dtype), bstate
+            )
+
     return op
 
 
@@ -539,23 +507,11 @@ def _acompile_select(inst: Select, slots):
 
 def _acompile_convert(inst: Convert, slots):
     read = _abatch_typed(inst.src, slots, inst.src_type)
-    numpy_dtype = inst.dst_type.numpy_dtype
+    convert = _convert_impl(inst)
     dst = slots[inst.dst.name]
-    if inst.dst_type.is_float or not inst.src_type.is_float:
 
-        def op(bstate):
-            result = np.asarray(read(bstate)).astype(numpy_dtype)
-            bstate.regs[dst] = _ensure_batched(result, bstate)
-
-    else:
-        rounding = inst.rounding or "rzi"
-        round_fn = _ROUNDING_FNS.get(rounding, np.trunc)
-
-        def op(bstate):
-            result = _saturating_float_to_int(
-                read(bstate), round_fn, numpy_dtype
-            )
-            bstate.regs[dst] = _ensure_batched(result, bstate)
+    def op(bstate):
+        bstate.regs[dst] = _ensure_batched(convert(read(bstate)), bstate)
 
     return op
 
@@ -1050,7 +1006,7 @@ class ArrayBackend(Interpreter):
 
     def load_function(self, function: IRFunction) -> ExecutableFunction:
         executable = super().load_function(function)
-        if self.mode == "closure" and self.sanitizer is None:
+        if self.sanitizer is None:
             executable.array_blocks = compile_array_blocks(
                 function, executable.register_slots
             )

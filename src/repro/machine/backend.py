@@ -24,12 +24,15 @@ from .memory import MemorySystem
 
 #: Selectable execution backends (``ExecutionConfig.backend``).
 #:
-#: - ``"interpreter"`` — one warp at a time through the closure (or
-#:   dispatch) lowering. The reference semantics.
+#: - ``"interpreter"`` — one warp at a time through the closure
+#:   lowering.
 #: - ``"array"`` — uniform block runs execute batched across every
 #:   resident warp as numpy array operations; divergent or yielding
 #:   warps fall back to the closure path mid-kernel.
-BACKENDS = ("interpreter", "array")
+#: - ``"reference"`` — the test-side oracle
+#:   (:mod:`repro.testing.reference`): a per-instruction interpreter
+#:   of the IR that lowers nothing. Slow; cannot sanitize.
+BACKENDS = ("interpreter", "array", "reference")
 
 
 def create_backend(
@@ -37,7 +40,6 @@ def create_backend(
     machine: MachineDescription,
     memory: MemorySystem,
     instruction_limit: int = _DEFAULT_INSTRUCTION_LIMIT,
-    mode: str = "closure",
     sanitizer=None,
 ) -> Interpreter:
     """Construct the execution backend ``name``.
@@ -49,23 +51,25 @@ def create_backend(
     feature test rather than by name.
     """
     if name == "interpreter":
-        return Interpreter(
-            machine,
-            memory,
-            instruction_limit=instruction_limit,
-            mode=mode,
-            sanitizer=sanitizer,
-        )
-    if name == "array":
+        backend = Interpreter
+    elif name == "array":
         from .array_backend import ArrayBackend
 
-        return ArrayBackend(
-            machine,
-            memory,
-            instruction_limit=instruction_limit,
-            mode=mode,
-            sanitizer=sanitizer,
+        backend = ArrayBackend
+    elif name == "reference":
+        # Imported on request only: the oracle is test support, not
+        # part of the product's execution path.
+        from ..testing.reference import ReferenceInterpreter
+
+        backend = ReferenceInterpreter
+    else:
+        raise ValueError(
+            f"unknown execution backend {name!r}; "
+            f"expected one of {BACKENDS}"
         )
-    raise ValueError(
-        f"unknown execution backend {name!r}; expected one of {BACKENDS}"
+    return backend(
+        machine,
+        memory,
+        instruction_limit=instruction_limit,
+        sanitizer=sanitizer,
     )

@@ -14,10 +14,15 @@ costmodel.aggregate_block_cost`), so the interpreter inner loop is
 ``execute`` then runs a warp of thread contexts through the lowered
 function, starting at the scheduler block, until the function yields
 back to the execution manager with a resume status (§3's subkernel
-execution). The pre-lowering dynamic-dispatch interpreter is retained
-as the ``"dispatch"`` mode: it is the executable reference the
-closure path is A/B-tested against (modeled statistics must be
-bit-identical between the two).
+execution).
+
+There is one ALU tier: an instruction lowers to a closure over typed
+operand readers, and the only generated code is run fusion
+(:func:`_try_fuse_run`), which compiles a run of consecutive simple
+ALU instructions into one function. The opcode semantics live in the
+``_*_IMPL`` tables below; the array backend and the test-side oracle
+(``backend="reference"``, the per-instruction interpreter the
+differential tests compare against) index the same tables.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from ..ir.instructions import (
     VectorStore,
     Yield,
 )
-from ..ir.values import Constant, VirtualRegister
+from ..ir.values import Constant
 from ..ptx.types import AddressSpace, DataType
 from .costmodel import (
     FunctionCostTable,
@@ -135,10 +140,6 @@ class ExecutionStats:
 class ExecutableFunction:
     """A lowered function.
 
-    ``blocks`` holds the dynamic-dispatch form consumed by the legacy
-    reference interpreter: per block, a tuple of (instruction, cycles,
-    flops, overhead) records plus the terminator and its cost.
-
     ``compiled_blocks`` holds the closure-specialized form: per block,
     ``(ops, kernel_cycles, yield_cycles, flops, instructions,
     terminator, precise, op_indices)`` where ``ops`` is a tuple of
@@ -153,7 +154,6 @@ class ExecutableFunction:
 
     function: IRFunction
     cost_table: FunctionCostTable
-    blocks: Dict[str, tuple] = field(default_factory=dict)
     compiled_blocks: Dict[str, tuple] = field(default_factory=dict)
     #: register name -> slot in the flat per-warp register file
     register_slots: Dict[str, int] = field(default_factory=dict)
@@ -162,7 +162,7 @@ class ExecutableFunction:
     #: Batched array lowering (``machine.array_backend``): per block,
     #: ``(ops, terminator)`` operating on all resident warps at once.
     #: ``None`` when the loading backend does not build one (plain
-    #: interpreter, sanitized/dispatch modes, or a function the array
+    #: interpreter, a sanitized device, or a function the array
     #: translator excludes, e.g. one containing atomics).
     array_blocks: Optional[Dict[str, tuple]] = None
 
@@ -184,7 +184,7 @@ class Continuation:
     builds one Continuation per warp: the label to continue from, the
     warp's register rows extracted from the batched register file, and
     the counters the batched prefix already accumulated. ``execute``
-    seeds a warp state with them and resumes ``run_compiled`` from the
+    seeds a warp state with them and resumes ``run`` from the
     label — with ``at_terminator`` set, the block body already ran
     batched and only the terminator remains to evaluate.
     """
@@ -199,42 +199,19 @@ class Continuation:
     registers: Tuple = ()
 
 
-#: Lowering/execution strategies of :class:`Interpreter`.
-INTERPRETER_MODES = ("closure", "dispatch")
-
-
 class Interpreter:
-    """Executes lowered IR functions against a memory system.
-
-    ``mode`` selects the execution strategy: ``"closure"`` (default)
-    runs the closure-specialized fast path produced at load time;
-    ``"dispatch"`` runs the legacy per-instruction dynamic-dispatch
-    reference path. Both are lowered by :meth:`load_function` and
-    produce bit-identical modeled statistics and memory effects.
-    """
+    """Executes lowered IR functions against a memory system."""
 
     def __init__(
         self,
         machine: MachineDescription,
         memory: MemorySystem,
         instruction_limit: int = _DEFAULT_INSTRUCTION_LIMIT,
-        mode: str = "closure",
         sanitizer=None,
     ):
-        if mode not in INTERPRETER_MODES:
-            raise ValueError(
-                f"unknown interpreter mode {mode!r}; "
-                f"expected one of {INTERPRETER_MODES}"
-            )
-        if sanitizer is not None and mode != "closure":
-            raise ValueError(
-                "the sanitizer is a closure-lowering variant; "
-                "dispatch mode cannot sanitize"
-            )
         self.machine = machine
         self.memory = memory
         self.instruction_limit = instruction_limit
-        self.mode = mode
         #: Attached :class:`~repro.sanitizer.KernelSanitizer`. When set,
         #: :meth:`load_function` lowers memory instructions to checked
         #: closures; ``None`` keeps the fast path untouched.
@@ -243,13 +220,10 @@ class Interpreter:
     # -- lowering ("code generation") ------------------------------------
 
     def load_function(self, function: IRFunction) -> ExecutableFunction:
-        """Lower ``function`` for execution.
-
-        Builds both executable forms (see :class:`ExecutableFunction`):
-        the closure-specialized fast path and the dynamic-dispatch
-        reference path, sharing one static cost table. Lowering happens
-        once per specialization — the translation cache keeps the
-        returned executable, so launches never re-lower.
+        """Lower ``function`` for execution (see
+        :class:`ExecutableFunction`). Lowering happens once per
+        specialization — the translation cache keeps the returned
+        executable, so launches never re-lower.
         """
         cost_table = build_cost_table(function, self.machine)
         slots = function.register_slots(refresh=True)
@@ -261,25 +235,6 @@ class Interpreter:
             entry_label=function.entry_label,
         )
         for block in function.ordered_blocks():
-            body = []
-            for instruction in block.instructions:
-                cost = cost_table.cost_of(instruction)
-                body.append(
-                    (
-                        instruction,
-                        cost.cycles,
-                        cost.flops,
-                        bool(getattr(instruction, "overhead", False)),
-                    )
-                )
-            terminator = block.terminator
-            terminator_cost = cost_table.cost_of(terminator)
-            executable.blocks[block.label] = (
-                tuple(body),
-                terminator,
-                terminator_cost.cycles,
-                bool(getattr(terminator, "overhead", False)),
-            )
             executable.compiled_blocks[block.label] = _compile_block(
                 block, cost_table, slots, self.memory, self.sanitizer
             )
@@ -313,16 +268,14 @@ class Interpreter:
         ``continuation`` resumes the closure fast path mid-kernel: the
         array backend hands over a :class:`Continuation` when a batched
         warp leaves the uniform region, carrying the register rows and
-        accumulated counters of the batched prefix (closure mode only).
+        accumulated counters of the batched prefix.
         """
         if state is None:
-            state = _WarpState(self)
+            state = self.new_state()
         state.reset(executable, warp, param_base)
         with guest_errstate():
             if continuation is not None:
                 status = state.run_continuation(continuation)
-            elif self.mode == "closure":
-                status = state.run_compiled()
             else:
                 status = state.run()
         if stats is not None:
@@ -336,13 +289,11 @@ class _WarpState:
     Instances are reusable: :meth:`reset` rebinds them to a new
     (executable, warp) pair, so execution managers pool one state
     object instead of reallocating registers and statistics per warp.
-    The closure fast path reads/writes ``regs`` (a flat list indexed by
-    the executable's register slots); the dispatch reference path uses
-    the name-keyed ``registers`` dict.
+    The lowered closures read/write ``regs``, a flat list indexed by
+    the executable's register slots.
     """
 
     __slots__ = (
-        "machine",
         "memory",
         "limit",
         "deadline",
@@ -352,16 +303,11 @@ class _WarpState:
         "contexts",
         "param_base",
         "warp_size",
-        "registers",
         "regs",
         "stats",
-        "_constants",
     )
 
-    def __init__(
-        self, interpreter, executable=None, warp=None, param_base=0
-    ):
-        self.machine = interpreter.machine
+    def __init__(self, interpreter):
         self.memory = interpreter.memory
         self.limit = interpreter.instruction_limit
         #: Optional wall-clock deadline (``time.monotonic`` value) the
@@ -370,17 +316,13 @@ class _WarpState:
         #: ``ExecutionConfig.launch_timeout_s``.
         self.deadline = None
         self.stats = ExecutionStats()
-        self.registers: Dict[str, object] = {}
         self.regs: List[object] = []
-        self._constants: Dict[int, object] = {}
         self.executable = None
         self.function = None
         self.warp = None
         self.contexts = ()
         self.param_base = 0
         self.warp_size = 0
-        if executable is not None:
-            self.reset(executable, warp, param_base)
 
     def reset(self, executable, warp, param_base) -> None:
         """Rebind this state to a fresh warp execution."""
@@ -391,8 +333,6 @@ class _WarpState:
         self.param_base = param_base
         self.warp_size = executable.warp_size
         self.stats.reset()
-        self.registers = {}
-        self._constants = {}
         self.regs = [None] * executable.register_count
         if len(self.contexts) != self.warp_size:
             raise ExecutionError(
@@ -400,113 +340,7 @@ class _WarpState:
                 f"given to a warp-size-{self.warp_size} specialization"
             )
 
-    # -- value plumbing ------------------------------------------------------
-
-    def fetch(self, value):
-        if isinstance(value, VirtualRegister):
-            current = self.registers.get(value.name)
-            if current is None:
-                current = self._default(value)
-                self.registers[value.name] = current
-            return current
-        cached = self._constants.get(id(value))
-        if cached is None:
-            cached = value.dtype.numpy_dtype.type(value.value)
-            self._constants[id(value)] = cached
-        return cached
-
-    def fetch_typed(self, value, dtype):
-        """Fetch and bit-reinterpret to the instruction's type (PTX
-        registers are untyped bit containers; instructions impose the
-        interpretation, e.g. ``max.s32`` on a ``.u32`` register)."""
-        fetched = self.fetch(value)
-        wanted = dtype.numpy_dtype
-        current = getattr(fetched, "dtype", None)
-        if current is None or current == wanted:
-            return fetched
-        if dtype.is_predicate or current == np.bool_:
-            return fetched
-        if current.itemsize == wanted.itemsize:
-            return fetched.view(wanted)
-        return fetched.astype(wanted)
-
-    def _default(self, register: VirtualRegister):
-        dtype = register.dtype.numpy_dtype
-        if register.width > 1:
-            return np.zeros(register.width, dtype=dtype)
-        return dtype.type(0)
-
-    def set(self, register: VirtualRegister, value) -> None:
-        self.registers[register.name] = value
-
-    # -- address resolution ----------------------------------------------
-
-    def resolve_address(self, space, base, offset: int, lane: int) -> int:
-        address = int(base) + offset
-        if space is AddressSpace.global_:
-            return address
-        if space is AddressSpace.param:
-            return self.param_base + address
-        if space is AddressSpace.shared:
-            return self.contexts[lane].shared_base + address
-        if space is AddressSpace.local:
-            return self.contexts[lane].local_base + address
-        raise ExecutionError(f"unresolvable address space {space}")
-
     # -- main loop ---------------------------------------------------------
-
-    def run(self) -> int:
-        blocks = self.executable.blocks
-        label = self.function.entry_label
-        executed = 0
-        stats = self.stats
-        deadline = self.deadline
-        next_deadline_check = _DEADLINE_CHECK_STRIDE
-        position = -1
-        try:
-            while True:
-                body, terminator, terminator_cycles, terminator_overhead = (
-                    blocks[label]
-                )
-                position = -1
-                for position, (
-                    instruction, cycles, flops, overhead
-                ) in enumerate(body):
-                    _HANDLERS[type(instruction)](self, instruction)
-                    if overhead:
-                        stats.yield_cycles += cycles
-                    else:
-                        stats.kernel_cycles += cycles
-                    stats.flops += flops
-                position = len(body)
-                executed += len(body) + 1
-                if executed > self.limit:
-                    raise InstructionLimitExceeded(
-                        f"{self.executable.name}: instruction limit "
-                        f"exceeded ({self.limit}); possible infinite loop"
-                    )
-                if deadline is not None and executed >= next_deadline_check:
-                    if time.monotonic() > deadline:
-                        raise DeadlineExceeded(
-                            f"{self.executable.name}: wall-clock deadline "
-                            f"exceeded mid-warp"
-                        )
-                    next_deadline_check = executed + _DEADLINE_CHECK_STRIDE
-                stats.instructions = executed
-                if terminator_overhead:
-                    stats.yield_cycles += terminator_cycles
-                else:
-                    stats.kernel_cycles += terminator_cycles
-                next_label = _TERMINATORS[type(terminator)](
-                    self, terminator
-                )
-                if isinstance(next_label, int):
-                    stats.instructions = executed
-                    return next_label
-                label = next_label
-        except ExecutionError as fault:
-            _annotate_fault(fault, label, position)
-            raise
 
     def run_continuation(self, continuation: "Continuation") -> int:
         """Resume the closure fast path mid-kernel (the array backend's
@@ -538,11 +372,11 @@ class _WarpState:
             if type(result) is int:
                 return result
             label = result
-        return self.run_compiled(
+        return self.run(
             start_label=label, start_executed=continuation.executed
         )
 
-    def run_compiled(
+    def run(
         self,
         start_label: Optional[str] = None,
         start_executed: int = 0,
@@ -636,307 +470,6 @@ class _WarpState:
             stats.instructions = executed
             raise
 
-    # -- instruction implementations ---------------------------------------
-
-    def _binary(self, inst: BinaryOp) -> None:
-        a = self.fetch_typed(inst.a, inst.dtype)
-        b = self.fetch_typed(inst.b, inst.dtype)
-        self.set(inst.dst, _BINARY_IMPL[inst.op](a, b, inst.dtype))
-
-    def _unary(self, inst: UnaryOp) -> None:
-        a = self.fetch_typed(inst.a, inst.dtype)
-        op = inst.op
-        if op == "mov":
-            result = a
-            if (
-                inst.dst.width > 1
-                and not (isinstance(a, np.ndarray) and a.ndim == 1)
-            ):
-                result = np.full(
-                    inst.dst.width, a, dtype=inst.dtype.numpy_dtype
-                )
-        elif op == "neg":
-            result = np.negative(a)
-        elif op == "abs":
-            result = np.abs(a)
-        elif op == "not":
-            if inst.dtype.is_predicate:
-                result = np.logical_not(a)
-            else:
-                result = np.invert(a)
-        elif op == "cnot":
-            result = np.where(
-                a == 0, inst.dtype.numpy_dtype.type(1),
-                inst.dtype.numpy_dtype.type(0),
-            )
-        else:
-            raise ExecutionError(f"unknown unary op {op}")
-        self.set(inst.dst, result)
-
-    def _fma(self, inst: FusedMultiplyAdd) -> None:
-        a = self.fetch_typed(inst.a, inst.dtype)
-        b = self.fetch_typed(inst.b, inst.dtype)
-        c = self.fetch_typed(inst.c, inst.dtype)
-        self.set(inst.dst, a * b + c)
-
-    def _compare(self, inst: Compare) -> None:
-        a = self.fetch_typed(inst.a, inst.dtype)
-        b = self.fetch_typed(inst.b, inst.dtype)
-        self.set(inst.dst, _COMPARE_IMPL[inst.op](a, b))
-
-    def _select(self, inst: Select) -> None:
-        predicate = self.fetch(inst.predicate)
-        a = self.fetch(inst.a)
-        b = self.fetch(inst.b)
-        if inst.dst.width > 1:
-            result = np.where(predicate, a, b).astype(
-                inst.dtype.numpy_dtype
-            )
-        else:
-            result = a if bool(predicate) else b
-            result = inst.dtype.numpy_dtype.type(result)
-        self.set(inst.dst, result)
-
-    def _convert(self, inst: Convert) -> None:
-        source = self.fetch_typed(inst.src, inst.src_type)
-        destination_dtype = inst.dst_type
-        numpy_dtype = destination_dtype.numpy_dtype
-        if destination_dtype.is_float or not inst.src_type.is_float:
-            result = np.asarray(source).astype(numpy_dtype)
-        else:
-            round_fn = _ROUNDING_FNS.get(
-                inst.rounding or "rzi", np.trunc
-            )
-            result = _saturating_float_to_int(
-                source, round_fn, numpy_dtype
-            )
-        if result.ndim == 0:
-            result = result[()]
-        self.set(inst.dst, result)
-
-    def _intrinsic(self, inst: Intrinsic) -> None:
-        argument = self.fetch(inst.args[0])
-        name = inst.name
-        if name == "sqrt":
-            result = np.sqrt(argument)
-        elif name == "rsqrt":
-            result = 1.0 / np.sqrt(argument)
-        elif name == "rcp":
-            result = 1.0 / np.asarray(argument)
-        elif name == "sin":
-            result = np.sin(argument)
-        elif name == "cos":
-            result = np.cos(argument)
-        elif name == "ex2":
-            result = np.exp2(argument)
-        elif name == "lg2":
-            result = np.log2(argument)
-        else:
-            raise ExecutionError(f"unknown intrinsic {name}")
-        numpy_dtype = inst.dtype.numpy_dtype
-        result = np.asarray(result).astype(numpy_dtype)
-        if result.ndim == 0:
-            result = result[()]
-        self.set(inst.dst, result)
-
-    def _load(self, inst: Load) -> None:
-        address = self.resolve_address(
-            inst.space, self.fetch(inst.base), inst.offset, inst.lane
-        )
-        self.set(inst.dst, self.memory.load(inst.dtype, address))
-
-    def _store(self, inst: Store) -> None:
-        address = self.resolve_address(
-            inst.space, self.fetch(inst.base), inst.offset, inst.lane
-        )
-        self.memory.store(inst.dtype, address, self.fetch(inst.value))
-
-    def _vector_load(self, inst: VectorLoad) -> None:
-        address = self.resolve_address(
-            inst.space, self.fetch(inst.base), inst.offset, inst.lane
-        )
-        self.set(
-            inst.dst,
-            self.memory.read_array(
-                address, inst.dtype.numpy_dtype, inst.dst.width
-            ),
-        )
-
-    def _vector_store(self, inst: VectorStore) -> None:
-        address = self.resolve_address(
-            inst.space, self.fetch(inst.base), inst.offset, inst.lane
-        )
-        value = self.fetch(inst.value)
-        width = self.warp_size
-        array = np.asarray(value, dtype=inst.dtype.numpy_dtype)
-        if array.ndim == 0:
-            array = np.full(
-                width, array, dtype=inst.dtype.numpy_dtype
-            )
-        self.memory.write_array(address, array)
-
-    def _atomic(self, inst: AtomicRMW) -> None:
-        address = self.resolve_address(
-            inst.space, self.fetch(inst.base), inst.offset, inst.lane
-        )
-        old = self.memory.load(inst.dtype, address)
-        operand = self.fetch(inst.value)
-        op = inst.op
-        if op == "add":
-            new = old + operand
-        elif op == "min":
-            new = min(old, operand)
-        elif op == "max":
-            new = max(old, operand)
-        elif op == "exch":
-            new = operand
-        elif op == "and":
-            new = old & operand
-        elif op == "or":
-            new = old | operand
-        elif op == "xor":
-            new = old ^ operand
-        elif op == "inc":
-            new = 0 if old >= operand else old + 1
-        elif op == "dec":
-            new = operand if (old == 0 or old > operand) else old - 1
-        elif op == "cas":
-            compare = self.fetch(inst.compare)
-            new = operand if old == compare else old
-        else:
-            raise ExecutionError(f"unknown atomic op {op}")
-        self.memory.store(inst.dtype, address, new)
-        if inst.dst is not None:
-            self.set(inst.dst, old)
-
-    def _context_read(self, inst: ContextRead) -> None:
-        context = self.contexts[inst.lane]
-        field_name = inst.field_name
-        value = _CONTEXT_GETTERS[field_name](context, self, inst.lane)
-        self.set(inst.dst, inst.dtype.numpy_dtype.type(value))
-
-    def _context_write(self, inst: ContextWrite) -> None:
-        context = self.contexts[inst.lane]
-        if inst.field_name == "resume_point":
-            context.resume_point = int(self.fetch(inst.value))
-        else:
-            raise ExecutionError(
-                f"unwritable context field {inst.field_name}"
-            )
-
-    def _insert(self, inst: InsertElement) -> None:
-        if inst.src is None:
-            vector = np.zeros(
-                inst.dst.width, dtype=inst.dst.dtype.numpy_dtype
-            )
-        else:
-            vector = np.array(
-                self.fetch(inst.src), dtype=inst.dst.dtype.numpy_dtype
-            )
-            if vector.ndim == 0:
-                vector = np.full(
-                    inst.dst.width, vector,
-                    dtype=inst.dst.dtype.numpy_dtype,
-                )
-        vector[inst.index] = self.fetch(inst.scalar)
-        self.set(inst.dst, vector)
-
-    def _extract(self, inst: ExtractElement) -> None:
-        vector = self.fetch(inst.src)
-        if isinstance(vector, np.ndarray) and vector.ndim == 1:
-            self.set(inst.dst, vector[inst.index])
-        else:
-            self.set(inst.dst, vector)
-
-    def _broadcast(self, inst: Broadcast) -> None:
-        scalar = self.fetch(inst.src)
-        self.set(
-            inst.dst,
-            np.full(
-                inst.dst.width, scalar, dtype=inst.dst.dtype.numpy_dtype
-            ),
-        )
-
-    def _reduce(self, inst: Reduce) -> None:
-        source = np.asarray(self.fetch(inst.src))
-        op = inst.op
-        if op == "add":
-            result = int(np.count_nonzero(source)) if (
-                source.dtype == np.bool_
-            ) else int(source.sum())
-        elif op == "any":
-            result = bool(source.any())
-        elif op == "all":
-            result = bool(source.all())
-        elif op == "uni":
-            result = bool((source == source.flat[0]).all())
-        elif op == "ballot":
-            bits = 0
-            for index, value in enumerate(np.atleast_1d(source)):
-                if value:
-                    bits |= 1 << index
-            result = bits
-        else:
-            raise ExecutionError(f"unknown reduction {op}")
-        self.set(inst.dst, inst.dst.dtype.numpy_dtype.type(result))
-
-    # -- terminators -------------------------------------------------------
-
-    def _branch(self, inst: Branch):
-        return inst.target
-
-    def _cond_branch(self, inst: CondBranch):
-        predicate = self.fetch(inst.predicate)
-        return inst.taken if bool(predicate) else inst.fallthrough
-
-    def _switch(self, inst: Switch):
-        value = int(self.fetch(inst.value))
-        return inst.cases.get(value, inst.default)
-
-    def _yield(self, inst: Yield):
-        return inst.status
-
-    def _exit(self, inst: Exit):
-        return ResumeStatus.THREAD_EXIT
-
-    def _barrier_term(self, inst: BarrierTerm):
-        raise ExecutionError(
-            "raw barrier terminator reached the machine; kernels must be "
-            "specialized through the vectorizer first"
-        )
-
-
-# -- context field getters ----------------------------------------------
-
-
-def _context_getter(attribute, axis):
-    def getter(context, state, lane):
-        return getattr(context, attribute)[axis]
-
-    return getter
-
-
-_CONTEXT_GETTERS = {
-    "tid.x": _context_getter("tid", 0),
-    "tid.y": _context_getter("tid", 1),
-    "tid.z": _context_getter("tid", 2),
-    "ntid.x": _context_getter("ntid", 0),
-    "ntid.y": _context_getter("ntid", 1),
-    "ntid.z": _context_getter("ntid", 2),
-    "ctaid.x": _context_getter("ctaid", 0),
-    "ctaid.y": _context_getter("ctaid", 1),
-    "ctaid.z": _context_getter("ctaid", 2),
-    "nctaid.x": _context_getter("nctaid", 0),
-    "nctaid.y": _context_getter("nctaid", 1),
-    "nctaid.z": _context_getter("nctaid", 2),
-    "laneid": lambda context, state, lane: lane,
-    "warpid": lambda context, state, lane: state.warp.warp_id,
-    "clock": lambda context, state, lane: (
-        state.stats.kernel_cycles + state.stats.yield_cycles
-    ),
-    "resume_point": lambda context, state, lane: context.resume_point,
-}
-
 
 # -- conversion helpers ----------------------------------------------------
 
@@ -984,6 +517,19 @@ def _saturating_float_to_int(source, round_fn, numpy_dtype):
         )
         result = result.astype(numpy_dtype)
     return result
+
+
+def _convert_impl(inst: Convert):
+    """``f(source) -> ndarray`` of one ``cvt`` (0-d for scalar input):
+    a plain cast, except float→integer, which rounds in the
+    instruction's mode (default ``rzi``) and saturates."""
+    numpy_dtype = inst.dst_type.numpy_dtype
+    if inst.dst_type.is_float or not inst.src_type.is_float:
+        return lambda source: np.asarray(source).astype(numpy_dtype)
+    round_fn = _ROUNDING_FNS.get(inst.rounding or "rzi", np.trunc)
+    return lambda source: _saturating_float_to_int(
+        source, round_fn, numpy_dtype
+    )
 
 
 # -- binary operator implementations -------------------------------------
@@ -1079,7 +625,9 @@ def _mulhi(a, b, dtype):
         ((int(x) * int(y)) >> bits) & ((1 << bits) - 1)
         for x, y in zip(a_list, b_list)
     ]
-    result = np.array(values).astype(dtype.numpy_dtype)
+    # The masked values fit uint64 exactly; left to infer a dtype,
+    # numpy promotes lanes on either side of 2**63 to float64.
+    result = np.array(values, dtype=np.uint64).astype(dtype.numpy_dtype)
     return result if len(values) > 1 else result[0]
 
 
@@ -1110,6 +658,26 @@ _BINARY_IMPL = {
 }
 
 
+def _unary_not(a, dtype):
+    return np.logical_not(a) if dtype.is_predicate else np.invert(a)
+
+
+def _unary_cnot(a, dtype):
+    scalar = dtype.numpy_dtype.type
+    return np.where(a == 0, scalar(1), scalar(0))
+
+
+#: ``op -> f(a, dtype)``. ``mov`` is the identity here; splatting a
+#: scalar into a vector destination is each lowering's shape concern.
+_UNARY_IMPL = {
+    "mov": lambda a, dt: a,
+    "neg": lambda a, dt: np.negative(a),
+    "abs": lambda a, dt: np.abs(a),
+    "not": _unary_not,
+    "cnot": _unary_cnot,
+}
+
+
 def _unordered(op):
     def implementation(a, b):
         nan = np.isnan(a) | np.isnan(b)
@@ -1134,37 +702,6 @@ _COMPARE_IMPL = {
 }
 
 
-_HANDLERS = {
-    BinaryOp: _WarpState._binary,
-    UnaryOp: _WarpState._unary,
-    FusedMultiplyAdd: _WarpState._fma,
-    Compare: _WarpState._compare,
-    Select: _WarpState._select,
-    Convert: _WarpState._convert,
-    Intrinsic: _WarpState._intrinsic,
-    Load: _WarpState._load,
-    Store: _WarpState._store,
-    VectorLoad: _WarpState._vector_load,
-    VectorStore: _WarpState._vector_store,
-    AtomicRMW: _WarpState._atomic,
-    ContextRead: _WarpState._context_read,
-    ContextWrite: _WarpState._context_write,
-    InsertElement: _WarpState._insert,
-    ExtractElement: _WarpState._extract,
-    Broadcast: _WarpState._broadcast,
-    Reduce: _WarpState._reduce,
-}
-
-_TERMINATORS = {
-    Branch: _WarpState._branch,
-    CondBranch: _WarpState._cond_branch,
-    Switch: _WarpState._switch,
-    Yield: _WarpState._yield,
-    Exit: _WarpState._exit,
-    BarrierTerm: _WarpState._barrier_term,
-}
-
-
 # ---------------------------------------------------------------------------
 # Closure-specialized lowering (the fast path built by load_function)
 # ---------------------------------------------------------------------------
@@ -1183,7 +720,7 @@ def _machine_constant(value: Constant):
 
 
 def _typed_constant(value: Constant, dtype: DataType):
-    """A constant as seen through ``fetch_typed``'s bit
+    """A constant as seen through :func:`_typed_reader`'s bit
     reinterpretation, computed once at lowering time."""
     fetched = _machine_constant(value)
     wanted = dtype.numpy_dtype
@@ -1230,10 +767,11 @@ def _raw_reader(value, slots):
 
 
 def _typed_reader(value, slots, dtype: DataType):
-    """Compile a typed operand accessor replicating ``fetch_typed``:
-    registers are untyped bit containers, the instruction's dtype
-    imposes the interpretation. Single-layer closures: the register
-    lookup, lazy default, and bit reinterpretation are one call."""
+    """Compile a typed operand accessor: PTX registers are untyped bit
+    containers, the instruction's dtype imposes the interpretation
+    (e.g. ``max.s32`` on a ``.u32`` register). Single-layer closures:
+    the register lookup, lazy default, and bit reinterpretation are
+    one call."""
     if isinstance(value, Constant):
         constant = _typed_constant(value, dtype)
 
@@ -1323,52 +861,6 @@ def _address_reader(inst, slots):
 # -- per-type instruction compilers ---------------------------------------
 
 
-def _fused_op(dst, operands, slots, dtype, expr, fallback, extra=None):
-    """Generate a fused fast-path closure for an ALU instruction.
-
-    ``operands`` is a list of ``(varname, value)`` pairs; constants are
-    pre-converted and bound into the generated code's namespace,
-    register operands become inline ``regs[slot]`` reads guarded by a
-    dtype-identity check. On any guard failure (lazy default still
-    ``None``, a reinterpreting read, a Python ``bool`` predicate) the
-    generated code defers to ``fallback``, which routes through the
-    full ``fetch_typed`` readers. Returns ``None`` when no register
-    operand exists to guard (all-constant operands).
-    """
-    namespace = {"wanted": dtype.numpy_dtype, "fallback": fallback}
-    if extra:
-        namespace.update(extra)
-    assigns = []
-    guards = []
-    for varname, value in operands:
-        if isinstance(value, Constant):
-            namespace[f"const_{varname}"] = _typed_constant(
-                value, dtype
-            )
-            assigns.append(f"{varname} = const_{varname}")
-        else:
-            assigns.append(f"{varname} = regs[{slots[value.name]}]")
-            guards.append(f"{varname}.dtype is wanted")
-    if not guards:
-        return None
-    body = "\n        ".join(assigns)
-    guard = " and ".join(guards)
-    source = (
-        "def op(state):\n"
-        "    regs = state.regs\n"
-        "    try:\n"
-        f"        {body}\n"
-        f"        if {guard}:\n"
-        f"            regs[{dst}] = {expr}\n"
-        "            return\n"
-        "    except AttributeError:\n"
-        "        pass\n"
-        "    fallback(state)\n"
-    )
-    exec(compile(source, "<fused-lowering>", "exec"), namespace)
-    return namespace["op"]
-
-
 def _compile_binary(inst: BinaryOp, slots, memory):
     impl = _BINARY_IMPL[inst.op]
     dtype = inst.dtype
@@ -1376,76 +868,38 @@ def _compile_binary(inst: BinaryOp, slots, memory):
     read_b = _typed_reader(inst.b, slots, dtype)
     dst = slots[inst.dst.name]
 
-    def fallback(state):
+    def op(state):
         regs = state.regs
         regs[dst] = impl(read_a(regs), read_b(regs), dtype)
 
-    fused = _fused_op(
-        dst,
-        [("a", inst.a), ("b", inst.b)],
-        slots,
-        dtype,
-        "impl(a, b, dtype)",
-        fallback,
-        extra={"impl": impl, "dtype": dtype},
-    )
-    return fused if fused is not None else fallback
+    return op
 
 
 def _compile_unary(inst: UnaryOp, slots, memory):
+    impl = _UNARY_IMPL.get(inst.op)
+    if impl is None:
+        raise ExecutionError(f"unknown unary op {inst.op}")
     dtype = inst.dtype
     read_a = _typed_reader(inst.a, slots, dtype)
     dst = slots[inst.dst.name]
-    operation = inst.op
-    if operation == "mov":
-        if inst.dst.width > 1:
-            width = inst.dst.width
-            numpy_dtype = dtype.numpy_dtype
-
-            def op(state):
-                regs = state.regs
-                value = read_a(regs)
-                if not (
-                    isinstance(value, np.ndarray) and value.ndim == 1
-                ):
-                    value = np.full(width, value, dtype=numpy_dtype)
-                regs[dst] = value
-
-        else:
-
-            def op(state):
-                regs = state.regs
-                regs[dst] = read_a(regs)
-
-    elif operation == "neg":
+    if inst.op == "mov" and inst.dst.width > 1:
+        # A scalar moved into a vector register splats to its width.
+        width = inst.dst.width
+        numpy_dtype = dtype.numpy_dtype
 
         def op(state):
             regs = state.regs
-            regs[dst] = np.negative(read_a(regs))
-
-    elif operation == "abs":
-
-        def op(state):
-            regs = state.regs
-            regs[dst] = np.abs(read_a(regs))
-
-    elif operation == "not":
-        invert = np.logical_not if dtype.is_predicate else np.invert
-
-        def op(state):
-            regs = state.regs
-            regs[dst] = invert(read_a(regs))
-
-    elif operation == "cnot":
-        one = dtype.numpy_dtype.type(1)
-        zero = dtype.numpy_dtype.type(0)
-
-        def op(state):
-            regs = state.regs
-            regs[dst] = np.where(read_a(regs) == 0, one, zero)
+            value = read_a(regs)
+            if not (isinstance(value, np.ndarray) and value.ndim == 1):
+                value = np.full(width, value, dtype=numpy_dtype)
+            regs[dst] = value
 
     else:
-        raise ExecutionError(f"unknown unary op {operation}")
+
+        def op(state):
+            regs = state.regs
+            regs[dst] = impl(read_a(regs), dtype)
+
     return op
 
 
@@ -1456,19 +910,11 @@ def _compile_fma(inst: FusedMultiplyAdd, slots, memory):
     read_c = _typed_reader(inst.c, slots, dtype)
     dst = slots[inst.dst.name]
 
-    def fallback(state):
+    def op(state):
         regs = state.regs
         regs[dst] = read_a(regs) * read_b(regs) + read_c(regs)
 
-    fused = _fused_op(
-        dst,
-        [("a", inst.a), ("b", inst.b), ("c", inst.c)],
-        slots,
-        dtype,
-        "a * b + c",
-        fallback,
-    )
-    return fused if fused is not None else fallback
+    return op
 
 
 def _compile_compare(inst: Compare, slots, memory):
@@ -1477,20 +923,11 @@ def _compile_compare(inst: Compare, slots, memory):
     read_b = _typed_reader(inst.b, slots, inst.dtype)
     dst = slots[inst.dst.name]
 
-    def fallback(state):
+    def op(state):
         regs = state.regs
         regs[dst] = impl(read_a(regs), read_b(regs))
 
-    fused = _fused_op(
-        dst,
-        [("a", inst.a), ("b", inst.b)],
-        slots,
-        inst.dtype,
-        "impl(a, b)",
-        fallback,
-        extra={"impl": impl},
-    )
-    return fused if fused is not None else fallback
+    return op
 
 
 def _compile_select(inst: Select, slots, memory):
@@ -1523,25 +960,13 @@ def _compile_select(inst: Select, slots, memory):
 
 def _compile_convert(inst: Convert, slots, memory):
     read = _typed_reader(inst.src, slots, inst.src_type)
-    numpy_dtype = inst.dst_type.numpy_dtype
+    convert = _convert_impl(inst)
     dst = slots[inst.dst.name]
-    if inst.dst_type.is_float or not inst.src_type.is_float:
 
-        def op(state):
-            regs = state.regs
-            result = np.asarray(read(regs)).astype(numpy_dtype)
-            regs[dst] = result[()] if result.ndim == 0 else result
-
-    else:
-        rounding = inst.rounding or "rzi"
-        round_fn = _ROUNDING_FNS.get(rounding, np.trunc)
-
-        def op(state):
-            regs = state.regs
-            result = _saturating_float_to_int(
-                read(regs), round_fn, numpy_dtype
-            )
-            regs[dst] = result[()] if result.ndim == 0 else result
+    def op(state):
+        regs = state.regs
+        result = convert(read(regs))
+        regs[dst] = result[()] if result.ndim == 0 else result
 
     return op
 
@@ -1633,46 +1058,47 @@ def _compile_vector_store(inst: VectorStore, slots, memory):
     return op
 
 
+#: ``op -> f(old, operand, compare)``: the value an atomic
+#: read-modify-write stores back (``compare`` is ``None`` except for
+#: ``cas``). Operands are numpy scalars of the instruction's type.
+_ATOMIC_IMPL = {
+    "add": lambda old, operand, compare: old + operand,
+    "min": lambda old, operand, compare: min(old, operand),
+    "max": lambda old, operand, compare: max(old, operand),
+    "exch": lambda old, operand, compare: operand,
+    "and": lambda old, operand, compare: old & operand,
+    "or": lambda old, operand, compare: old | operand,
+    "xor": lambda old, operand, compare: old ^ operand,
+    "inc": lambda old, operand, compare: (
+        0 if old >= operand else old + 1
+    ),
+    "dec": lambda old, operand, compare: (
+        operand if (old == 0 or old > operand) else old - 1
+    ),
+    "cas": lambda old, operand, compare: (
+        operand if old == compare else old
+    ),
+}
+
+
 def _atomic_compute(inst: AtomicRMW, slots):
     """The read-modify-write combining function of one atomic, shared
     by the fast and checked lowerings: ``compute(old, operand, regs)``
     returns the value to store back."""
-    operation = inst.op
-    if operation == "cas":
+    impl = _ATOMIC_IMPL.get(inst.op)
+    if impl is None:
+        raise ExecutionError(f"unknown atomic op {inst.op}")
+    if inst.op == "cas":
         read_compare = _raw_reader(inst.compare, slots)
 
         def compute(old, operand, regs):
-            return operand if old == read_compare(regs) else old
+            return impl(old, operand, read_compare(regs))
 
-    elif operation == "add":
-        def compute(old, operand, regs):
-            return old + operand
-    elif operation == "min":
-        def compute(old, operand, regs):
-            return min(old, operand)
-    elif operation == "max":
-        def compute(old, operand, regs):
-            return max(old, operand)
-    elif operation == "exch":
-        def compute(old, operand, regs):
-            return operand
-    elif operation == "and":
-        def compute(old, operand, regs):
-            return old & operand
-    elif operation == "or":
-        def compute(old, operand, regs):
-            return old | operand
-    elif operation == "xor":
-        def compute(old, operand, regs):
-            return old ^ operand
-    elif operation == "inc":
-        def compute(old, operand, regs):
-            return 0 if old >= operand else old + 1
-    elif operation == "dec":
-        def compute(old, operand, regs):
-            return operand if (old == 0 or old > operand) else old - 1
     else:
-        raise ExecutionError(f"unknown atomic op {operation}")
+
+        def compute(old, operand, regs):
+            return impl(old, operand, None)
+
     return compute
 
 
@@ -2074,8 +1500,8 @@ _TERMINATOR_COMPILERS = {
 def _wrap_precise(op, cycles: int, flops: int, overhead: bool):
     """Per-instruction accounting wrapper for blocks that observe the
     cycle counter mid-block (``%clock``): the aggregated per-block sums
-    would lag the reference interpreter's view, so such blocks charge
-    each instruction as it executes, exactly like the dispatch path."""
+    would lag what the guest should observe, so such blocks charge
+    each instruction as it executes."""
     if overhead:
 
         def wrapped(state):
@@ -2103,7 +1529,7 @@ def _wrap_precise(op, cycles: int, flops: int, overhead: bool):
 # register file, dtype guards are hoisted to the run entry (one per
 # upward-exposed register), and the register file is written once per
 # defined register at the end. Any guard failure falls back to the
-# per-instruction closures, which replicate ``fetch_typed`` exactly.
+# per-instruction closures and their typed readers.
 
 _FUSABLE_BINARY_EXPR = {
     "add": "{a} + {b}",
@@ -2146,7 +1572,7 @@ def _try_fuse_run(run, slots, fallback_ops):
         if produced is not None:
             # Defined earlier in the run: the local carries the
             # producer's dtype; a reinterpreting consumer needs the
-            # full fetch_typed path, so refuse to fuse.
+            # typed reader, so refuse to fuse.
             return None if produced != wanted else f"v{slot}"
         guarded = preload.get(slot)
         if guarded is None:

@@ -70,11 +70,6 @@ class ExecutionConfig:
     #: Directory of the persistent tier. ``None`` falls back to
     #: ``$REPRO_CACHE_DIR``, then ``~/.cache/repro``.
     cache_dir: Optional[str] = None
-    #: How the machine executes lowered specializations: ``"closure"``
-    #: (the specializing lowering — pre-bound closures, default) or
-    #: ``"dispatch"`` (the per-instruction reference interpreter, kept
-    #: for A/B validation of modeled statistics).
-    interpreter_mode: str = "closure"
     #: Watchdog: per-worker modeled-cycle budget for one launch. When a
     #: launch's kernel+yield+EM cycles exceed this, it is terminated
     #: with :class:`~repro.errors.LaunchTimeout` naming every live
@@ -92,7 +87,7 @@ class ExecutionConfig:
     #: default, leaving the lowered fast path byte-for-byte untouched),
     #: ``True`` (all checks), or an iterable drawn from
     #: ``("memcheck", "racecheck", "initcheck")``. Normalized to a
-    #: tuple of check names. Requires the closure interpreter mode
+    #: tuple of check names. Not available on ``backend="reference"``
     #: (the checked lowering is a closure-path variant). Can also be
     #: forced from the environment with ``REPRO_SANITIZE=1`` (resolved
     #: at Device construction).
@@ -103,12 +98,13 @@ class ExecutionConfig:
     #: ``SanitizerReport``s on ``LaunchStatistics.sanitizer`` instead.
     sanitize_fatal: bool = True
     #: Execution backend (:data:`repro.machine.backend.BACKENDS`):
-    #: ``"interpreter"`` runs one warp at a time through the selected
-    #: ``interpreter_mode``; ``"array"`` batches every resident warp
-    #: of an entry point into numpy array programs over uniform block
-    #: runs, falling back to the closure path on divergence. Can also
-    #: be selected with ``REPRO_BACKEND=array`` in the environment
-    #: (resolved at Device construction).
+    #: ``"interpreter"`` runs one warp at a time through the closure
+    #: lowering; ``"array"`` batches every resident warp of an entry
+    #: point into numpy array programs over uniform block runs, falling
+    #: back to the closure path on divergence; ``"reference"`` is the
+    #: per-instruction oracle the differential tests compare the other
+    #: two against. Can also be selected with ``REPRO_BACKEND=array``
+    #: in the environment (resolved at Device construction).
     backend: str = "interpreter"
 
     def __post_init__(self):
@@ -118,20 +114,6 @@ class ExecutionConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
                 f"(expected one of {BACKENDS})"
-            )
-        if (
-            self.backend == "array"
-            and self.interpreter_mode != "closure"
-        ):
-            raise ValueError(
-                "the array backend extends the closure lowering "
-                "(its fallback path resumes compiled blocks); "
-                "interpreter_mode='dispatch' cannot batch"
-            )
-        if self.interpreter_mode not in ("closure", "dispatch"):
-            raise ValueError(
-                f"unknown interpreter_mode {self.interpreter_mode!r} "
-                f"(expected 'closure' or 'dispatch')"
             )
         if not self.warp_sizes:
             raise ValueError("warp_sizes must not be empty")
@@ -150,10 +132,10 @@ class ExecutionConfig:
 
         checks = normalize_checks(self.sanitize)
         object.__setattr__(self, "sanitize", checks)
-        if checks and self.interpreter_mode != "closure":
+        if checks and self.backend == "reference":
             raise ValueError(
-                "the sanitizer is a closure-lowering variant; "
-                "interpreter_mode='dispatch' cannot sanitize"
+                "backend='reference' cannot sanitize: the checked "
+                "lowering is a closure-path variant"
             )
 
     @property
@@ -195,19 +177,18 @@ class ExecutionConfig:
         specialization digest, so two configs differing in any of these
         can never exchange cache entries. ``persistent_cache`` /
         ``cache_dir`` / ``cta_window`` / ``allow_cross_cta_warps`` /
-        ``interpreter_mode`` / ``max_kernel_cycles`` /
-        ``launch_timeout_s`` are deliberately absent: they affect where
-        code is stored or how warps are formed/executed/bounded at
-        runtime, not the code itself (both interpreter modes consume
-        the same vectorized IR and produce bit-identical
-        statistics). ``sanitize`` participates only when ON (checked
+        ``max_kernel_cycles`` / ``launch_timeout_s`` are deliberately
+        absent: they affect where code is stored or how warps are
+        formed/bounded at runtime, not the code itself.
+        ``sanitize`` participates only when ON (checked
         closures replace the memory closures), as an appended entry —
         the off-mode key is byte-identical to pre-sanitizer releases so
         persistent-cache digests stay stable. ``backend`` follows the
-        same pattern: the non-default backend attaches an extra
-        lowering (the array translation table) to its executables, so
-        it gets its own cache namespace, while the default backend's
-        key stays byte-identical to earlier releases.
+        same pattern: a non-default backend builds different
+        executables (the array translation table; the reference's
+        unlowered form), so it gets its own cache namespace, while the
+        default backend's key stays byte-identical to earlier
+        releases.
         ``sanitize_fatal`` is runtime report routing, not codegen, and
         stays out."""
         key = (
@@ -234,9 +215,7 @@ def apply_backend_env(config: ExecutionConfig) -> ExecutionConfig:
     """Resolve the ``REPRO_BACKEND`` environment override.
 
     A config that already selects a non-default backend wins over the
-    environment. Dispatch-mode configs are left untouched (the array
-    backend requires the closure lowering; CI's backend matrix still
-    exercises dispatch-mode tests under their configured backend)."""
+    environment."""
     import os
     from dataclasses import replace
 
@@ -244,8 +223,6 @@ def apply_backend_env(config: ExecutionConfig) -> ExecutionConfig:
     if not override or override == config.backend:
         return config
     if config.backend != "interpreter":
-        return config
-    if config.interpreter_mode != "closure":
         return config
     from ..machine.backend import BACKENDS
 

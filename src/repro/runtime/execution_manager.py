@@ -286,12 +286,10 @@ class ExecutionManager:
         #: instance reused by every warp this manager runs.
         self._warp_state = interpreter.new_state()
         #: Batched execution (array backend): discovered by feature
-        #: test, and only meaningful for dynamic formation on the
-        #: unsanitized closure path — the lowering the batch runner's
-        #: fallback continuations resume into.
+        #: test, and only meaningful for dynamic formation on an
+        #: unsanitized device (checked closures run one warp at a time).
         self._batching = bool(
             getattr(interpreter, "supports_batching", False)
-            and getattr(interpreter, "mode", None) == "closure"
             and interpreter.sanitizer is None
             and not config.static_warps
             # Cross-CTA formation keys mix CTAs inside one chunk;

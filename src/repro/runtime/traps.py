@@ -116,8 +116,8 @@ def _render_value(value) -> str:
 
 def snapshot_registers(state, limit: int = SNAPSHOT_LIMIT) -> Dict[str, str]:
     """A bounded name -> rendered-value snapshot of a warp state's
-    register file. Works for both interpreter modes: the closure path's
-    flat slot file and the dispatch path's name-keyed dictionary."""
+    register file (``state.regs``, indexed by the executable's
+    register slots)."""
     rendered: Dict[str, str] = {}
     executable = getattr(state, "executable", None)
     slots = getattr(executable, "register_slots", None) or {}
@@ -132,12 +132,6 @@ def snapshot_registers(state, limit: int = SNAPSHOT_LIMIT) -> Dict[str, str]:
         rendered[name] = _render_value(value)
         if len(rendered) >= limit:
             return rendered
-    for name in sorted(getattr(state, "registers", None) or {}):
-        if name in rendered:
-            continue
-        rendered[name] = _render_value(state.registers[name])
-        if len(rendered) >= limit:
-            break
     return rendered
 
 

@@ -74,13 +74,12 @@ def normalize_checks(sanitize) -> Tuple[str, ...]:
 def apply_sanitize_env(config):
     """Resolve the ``REPRO_SANITIZE`` environment alias onto a config:
     ``1``/``true``/``all`` enables every check, a comma-separated list
-    enables a subset. A config that already sanitizes, or that runs the
-    dispatch-mode reference interpreter (which has no checked lowering),
-    is returned unchanged."""
+    enables a subset. A config that already sanitizes is returned
+    unchanged."""
     value = os.environ.get("REPRO_SANITIZE", "").strip().lower()
     if not value or value == "0":
         return config
-    if config.sanitize or config.interpreter_mode != "closure":
+    if config.sanitize:
         return config
     if value in ("1", "true", "on", "all"):
         checks = True

@@ -43,18 +43,11 @@ def _pin_backend(monkeypatch):
 
 class TestBackendConfig:
     def test_known_backends(self):
-        assert "interpreter" in BACKENDS
-        assert "array" in BACKENDS
+        assert BACKENDS == ("interpreter", "array", "reference")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             ExecutionConfig(backend="cuda")
-
-    def test_array_requires_closure_lowering(self):
-        with pytest.raises(ValueError, match="closure"):
-            ExecutionConfig(
-                backend="array", interpreter_mode="dispatch"
-            )
 
     def test_cache_key_namespaces_array_backend(self):
         base = vectorized_config(4)
@@ -95,19 +88,14 @@ class TestBackendConfig:
         with pytest.raises(ValueError, match="REPRO_BACKEND"):
             apply_backend_env(vectorized_config(4))
 
-    def test_env_override_leaves_dispatch_alone(self, monkeypatch):
-        # dispatch mode cannot batch; the override must not break a
-        # dispatch-mode config when CI exports REPRO_BACKEND=array
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        config = replace(
-            vectorized_config(4), interpreter_mode="dispatch"
-        )
-        assert apply_backend_env(config).backend == "interpreter"
-
     def test_explicit_backend_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "interpreter")
         config = replace(vectorized_config(4), backend="array")
         assert apply_backend_env(config).backend == "array"
+        # the oracle stays the oracle under CI's REPRO_BACKEND=array
+        monkeypatch.setenv("REPRO_BACKEND", "array")
+        config = replace(vectorized_config(4), backend="reference")
+        assert apply_backend_env(config).backend == "reference"
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +123,15 @@ class TestArrayBackendEquivalence:
     def test_modeled_statistics_bit_identical(self, name):
         workload = get_workload(name)
         observed = {}
-        for backend in ("interpreter", "array"):
+        for backend in BACKENDS:
             config = replace(
                 vectorized_config(4), backend=backend
             )
             run = workload.run_on(config, scale=0.25)
             assert run.correct, f"{name} incorrect under {backend}"
             observed[backend] = _modeled_statistics(run.statistics)
-        assert observed["array"] == observed["interpreter"]
+        assert observed["array"] == observed["reference"]
+        assert observed["interpreter"] == observed["reference"]
 
     def test_batching_engages_on_uniform_kernels(self):
         workload = get_workload("throughput")

@@ -117,3 +117,14 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert "Table 1" in captured.out
         assert "completed" in captured.out
+
+
+class TestDocsQuoteResults:
+    def test_experiments_table1_is_the_committed_result(self):
+        # EXPERIMENTS.md quotes benchmarks/results/table1.txt verbatim;
+        # regenerating one without the other is the drift this pins.
+        import pathlib
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        table = (root / "benchmarks/results/table1.txt").read_text()
+        assert table.strip() in (root / "EXPERIMENTS.md").read_text()

@@ -114,18 +114,27 @@ class TestKernelTrap:
         assert info.cause_type == "MemoryFault"
 
     def test_trap_in_dispatch_mode_matches(self):
-        device = _oob_device(
-            ExecutionConfig(
-                warp_sizes=(1, 2, 4), interpreter_mode="dispatch"
+        # The reference (per-instruction dispatch) interpreter must
+        # attribute the fault exactly like the lowered closures do:
+        # same program counter, same lane, same register snapshot.
+        observed = {}
+        for backend in ("interpreter", "reference"):
+            device = _oob_device(
+                ExecutionConfig(warp_sizes=(1, 2, 4), backend=backend)
             )
-        )
-        buffer = device.malloc(16)
-        with pytest.raises(KernelTrap) as excinfo:
-            device.launch("oob", grid=1, block=64, args=[buffer])
-        info = excinfo.value.info
-        assert info.block_label is not None
-        assert info.instruction_index >= 0
-        assert info.faulting_lanes[0].tid == (1, 0, 0)
+            buffer = device.malloc(16)
+            with pytest.raises(KernelTrap) as excinfo:
+                device.launch("oob", grid=1, block=64, args=[buffer])
+            info = excinfo.value.info
+            assert info.instruction_index >= 0
+            assert info.faulting_lanes[0].tid == (1, 0, 0)
+            observed[backend] = (
+                info.block_label,
+                info.instruction_index,
+                info.instruction,
+                info.registers,
+            )
+        assert observed["interpreter"] == observed["reference"]
 
     def test_format_trap_renders_report(self):
         device = _oob_device()

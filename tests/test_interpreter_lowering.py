@@ -1,12 +1,14 @@
 """Closure-specialized lowering and runtime correctness regressions.
 
-The interpreter's closure mode (the lowering fast path) must be a pure
-host-side optimization: every *modeled* statistic has to stay
-bit-identical to the legacy dict-dispatch interpreter. These tests pin
-that A/B equivalence on divergent, barrier-heavy and %clock-reading
-workloads, plus the satellite fixes that rode along (static warp
-formation, arena free validation, spill-layout caching, ready-pool
-fairness, warp-size specialization selection).
+The closure lowering must be a pure host-side optimization: every
+*modeled* statistic has to stay bit-identical to the dispatch
+reference interpreter (``backend="reference"``). These tests pin that
+A/B equivalence on divergent, barrier-heavy and %clock-reading
+workloads, the shape of the lowering itself (one ALU tier: closures,
+plus one generated function per fused run), and the satellite fixes
+that rode along (static warp formation, arena free validation,
+spill-layout caching, ready-pool fairness, warp-size specialization
+selection).
 """
 
 from __future__ import annotations
@@ -18,9 +20,15 @@ import pytest
 
 from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import MemoryFault
-from repro.machine.interpreter import INTERPRETER_MODES
+from repro.ir import BinaryOp, Compare, IRFunction, Load, UnaryOp, Yield
+from repro.ir.instructions import FusedMultiplyAdd
+from repro.ir.values import Constant, VirtualRegister
+from repro.machine import Interpreter, sandybridge
+from repro.machine import interpreter as lowering
 from repro.machine.memory import MemorySystem
+from repro.ptx.types import AddressSpace, DataType
 from repro.runtime import ThreadContext
+from repro.runtime.context import Warp
 from repro.runtime.config import static_tie_config
 from repro.runtime.execution_manager import ExecutionManager, _ReadyPool
 from repro.workloads.registry import get_workload
@@ -28,7 +36,7 @@ from tests.conftest import VECADD_PTX
 
 
 # ---------------------------------------------------------------------------
-# A/B: closure lowering vs dict dispatch — bit-identical statistics
+# A/B: closure lowering vs dispatch reference — bit-identical statistics
 # ---------------------------------------------------------------------------
 
 
@@ -60,31 +68,19 @@ class TestInterpreterModeEquivalence:
     def test_modes_bit_identical(self, name):
         workload = get_workload(name)
         observed = {}
-        for mode in INTERPRETER_MODES:
-            config = replace(
-                vectorized_config(4), interpreter_mode=mode
-            )
+        for backend in ("interpreter", "reference"):
+            config = replace(vectorized_config(4), backend=backend)
             run = workload.run_on(config, scale=0.25)
-            assert run.correct, f"{name} incorrect under {mode}"
-            observed[mode] = _modeled_statistics(run.statistics)
-        assert observed["closure"] == observed["dispatch"]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(interpreter_mode="jit")
-
-    def test_mode_absent_from_cache_key(self):
-        # Both modes execute the same specialization artifacts, so the
-        # persistent cache must be shared between them.
-        base = vectorized_config(4)
-        other = replace(base, interpreter_mode="dispatch")
-        assert base.cache_key() == other.cache_key()
+            assert run.correct, f"{name} incorrect under {backend}"
+            observed[backend] = _modeled_statistics(run.statistics)
+        assert observed["interpreter"] == observed["reference"]
 
     def test_dispatch_mode_end_to_end(self, rng):
-        config = replace(
-            vectorized_config(4), interpreter_mode="dispatch"
-        )
+        from repro.testing.reference import ReferenceInterpreter
+
+        config = replace(vectorized_config(4), backend="reference")
         device = Device(config=config)
+        assert isinstance(device.interpreter, ReferenceInterpreter)
         device.register_module(VECADD_PTX)
         n = 64
         a = rng.standard_normal(n).astype(np.float32)
@@ -97,6 +93,155 @@ class TestInterpreterModeEquivalence:
         np.testing.assert_array_equal(
             device.memcpy_dtoh(c, np.float32, n), a + b
         )
+
+
+# ---------------------------------------------------------------------------
+# The shape of the lowering: one ALU tier, code generated per fused run
+# ---------------------------------------------------------------------------
+
+
+def _reg(name, dtype=DataType.f32):
+    return VirtualRegister(name=name, dtype=dtype)
+
+
+def _fma(dst, a):
+    return FusedMultiplyAdd(
+        dtype=DataType.f32, dst=_reg(dst), a=_reg(a),
+        b=Constant(0.5, DataType.f32), c=Constant(1.0, DataType.f32),
+    )
+
+
+def _add(dst, a):
+    return BinaryOp(
+        op="add", dtype=DataType.f32, dst=_reg(dst), a=_reg(a),
+        b=Constant(2.0, DataType.f32),
+    )
+
+
+def _div(dst, a):  # an ALU op run fusion does not absorb
+    return BinaryOp(
+        op="div", dtype=DataType.f32, dst=_reg(dst), a=_reg(a),
+        b=Constant(2.0, DataType.f32),
+    )
+
+
+class TestOneTierLowering:
+    def _lower(self, monkeypatch, instructions, memory=None):
+        """Lower one block; returns (interpreter, executable, compiled
+        block, number of ``compile()`` calls load_function made)."""
+        compiles = []
+        monkeypatch.setattr(
+            lowering,
+            "compile",
+            lambda *args: compiles.append(args[1]) or compile(*args),
+            raising=False,
+        )
+        interpreter = Interpreter(
+            sandybridge(), memory or MemorySystem(1 << 16)
+        )
+        function = IRFunction("t", warp_size=1)
+        block = function.add_block("entry")
+        for instruction in instructions:
+            block.append(instruction)
+        block.append(Yield(status=3))
+        executable = interpreter.load_function(function)
+        return (
+            interpreter,
+            executable,
+            executable.compiled_blocks["entry"],
+            len(compiles),
+        )
+
+    def test_isolated_alu_ops_generate_no_code(self, monkeypatch):
+        # Every ALU family, none adjacent to a second fusable op: each
+        # lowers to a plain closure and load time compiles nothing.
+        _, _, compiled, compiles = self._lower(
+            monkeypatch,
+            [
+                _fma("a", "x"),
+                _div("b", "a"),
+                _add("c", "b"),
+                Compare(
+                    op="lt", dtype=DataType.f32,
+                    dst=_reg("p", DataType.pred), a=_reg("c"),
+                    b=_reg("a"),
+                ),
+                UnaryOp(
+                    op="neg", dtype=DataType.f32, dst=_reg("d"),
+                    a=_reg("c"),
+                ),
+            ],
+        )
+        ops, op_indices = compiled[0], compiled[7]
+        assert compiles == 0
+        assert op_indices == (0, 1, 2, 3, 4)
+        assert {op.__code__.co_filename for op in ops} == {
+            lowering.__file__
+        }
+
+    def test_fusable_run_generates_exactly_one_function(
+        self, monkeypatch
+    ):
+        _, _, compiled, compiles = self._lower(
+            monkeypatch,
+            [_fma("a", "x"), _add("b", "a"), _fma("c", "b"),
+             _div("d", "c")],
+        )
+        ops, op_indices = compiled[0], compiled[7]
+        assert compiles == 1
+        assert op_indices == (0, 3)
+        assert [op.__code__.co_filename for op in ops] == [
+            "<fused-run>", lowering.__file__,
+        ]
+
+    def test_throughput_fma_block_is_a_single_fused_op(self):
+        # Table 1's inner loop: 160 FMAs + the trip-count add fuse
+        # into one generated function; the compare and the context
+        # write stay closures.
+        workload = get_workload("throughput")
+        device = Device(config=vectorized_config(4))
+        device.register_module(workload.module_source())
+        executable, width = device.cache.get_or_degrade("throughput", 4)
+        assert width == 4
+        loop = executable.function.blocks["LOOP"]
+        fmas = sum(
+            isinstance(instruction, FusedMultiplyAdd)
+            for instruction in loop.instructions
+        )
+        assert fmas == 160
+        ops, op_indices = (
+            executable.compiled_blocks["LOOP"][0],
+            executable.compiled_blocks["LOOP"][7],
+        )
+        assert op_indices == (0, 161, 162)
+        assert [op.__code__.co_filename for op in ops] == [
+            "<fused-run>", lowering.__file__, lowering.__file__,
+        ]
+
+    def test_fault_after_fused_run_keeps_its_pc(self, monkeypatch):
+        # Instructions 0-2 fuse into op 0; the faulting load is op 1
+        # but must still report block instruction index 3.
+        memory = MemorySystem(1 << 12)
+        interpreter, executable, compiled, _ = self._lower(
+            monkeypatch,
+            [
+                _fma("a", "x"),
+                _add("b", "a"),
+                _fma("c", "b"),
+                Load(
+                    dtype=DataType.f32, space=AddressSpace.global_,
+                    dst=_reg("v"),
+                    base=Constant(1 << 20, DataType.u64),
+                ),
+            ],
+            memory=memory,
+        )
+        assert compiled[7] == (0, 3)
+        warp = Warp(contexts=[_context(0)])
+        with pytest.raises(MemoryFault) as excinfo:
+            interpreter.execute(executable, warp, param_base=0)
+        assert excinfo.value.trap_label == "entry"
+        assert excinfo.value.trap_index == 3
 
 
 # ---------------------------------------------------------------------------

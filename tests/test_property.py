@@ -24,6 +24,7 @@ from repro import (
 from repro.machine import MemorySystem
 from repro.ptx.types import DataType
 from tests.conftest import COLLATZ_PTX, collatz_steps
+from tests.test_interpreter_lowering import _modeled_statistics
 
 _SETTINGS = settings(
     max_examples=25,
@@ -201,12 +202,208 @@ class TestVectorizationEquivalence:
             assert np.array_equal(dst.read(np.uint32, n), expected)
 
 
+# -- random kernels over the shared semantic tables -------------------------
+#
+# One op of each family the ``_*_IMPL`` tables serve. Registers: %r0-3
+# (u32; %r3 is ``%r0 & 3``, so it is zero in a quarter of the lanes and a
+# frequent zero divisor), %rd6-7 (u64), %f0-3 (f32, some negative, some
+# zero), %p2. Every op reads and writes that pool only.
+
+_UNARY_INT = ("neg.s32", "abs.s32", "not.b32", "cnot.b32")
+_UNARY_FLOAT = ("neg.f32", "abs.f32")
+_DIVIDES = ("div.u32", "div.s32", "rem.u32", "rem.s32")
+_MULHI_32 = ("mul.hi.u32", "mul.hi.s32")
+_MULHI_64 = ("mul.hi.u64", "mul.hi.s64")
+_TRANSCENDENTALS = ("rcp", "sqrt", "rsqrt", "sin", "cos", "ex2", "lg2")
+_VARIABLE_SHIFTS = ("shl.b32", "shr.u32", "shr.s32")
+
+_register = st.integers(0, 3)
+table_op = st.one_of(
+    st.tuples(st.sampled_from(_UNARY_INT), _register, _register).map(
+        lambda t: f"  {t[0]} %r{t[1]}, %r{t[2]};"
+    ),
+    st.tuples(st.sampled_from(_UNARY_FLOAT), _register, _register).map(
+        lambda t: f"  {t[0]} %f{t[1]}, %f{t[2]};"
+    ),
+    st.tuples(
+        st.sampled_from(_DIVIDES + _MULHI_32 + _VARIABLE_SHIFTS),
+        _register, _register, _register,
+    ).map(lambda t: f"  {t[0]} %r{t[1]}, %r{t[2]}, %r{t[3]};"),
+    st.tuples(
+        st.sampled_from(_MULHI_64), st.integers(6, 7), st.integers(6, 7)
+    ).map(lambda t: f"  {t[0]} %rd{t[1]}, %rd{t[1]}, %rd{t[2]};"),
+    st.tuples(_register, _register, _register).map(
+        lambda t: f"  div.rn.f32 %f{t[0]}, %f{t[1]}, %f{t[2]};"
+    ),
+    st.tuples(
+        st.sampled_from(_TRANSCENDENTALS), _register, _register
+    ).map(lambda t: f"  {t[0]}.approx.f32 %f{t[1]}, %f{t[2]};"),
+    st.tuples(_register, _register, _register, _register).map(
+        lambda t: (
+            f"  setp.lt.u32 %p2, %r{t[2]}, %r{t[3]};\n"
+            f"  selp.u32 %r{t[0]}, %r{t[1]}, %r{t[2]}, %p2;\n"
+            f"  selp.f32 %f{t[0]}, %f{t[1]}, %f{t[3]}, %p2;"
+        )
+    ),
+)
+
+#: Bytes each thread stores: 4 x u32, 4 x f32, 2 x u64.
+_TABLE_RECORD = 48
+
+
+def render_table_kernel(ops):
+    body = "\n".join(ops)
+    return f"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{{
+  .reg .u32 %r<12>;
+  .reg .u64 %rd<8>;
+  .reg .f32 %f<4>;
+  .reg .pred %p<3>;
+  mov.u32 %r8, %tid.x;
+  mov.u32 %r9, %ntid.x;
+  mov.u32 %r10, %ctaid.x;
+  mad.lo.u32 %r11, %r10, %r9, %r8;
+  ld.param.u32 %r7, [n];
+  setp.ge.u32 %p1, %r11, %r7;
+  @%p1 bra DONE;
+  mul.wide.u32 %rd1, %r11, 4;
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.global.u32 %r0, [%rd3];
+  xor.b32 %r1, %r0, 0x5bd1e995;
+  add.u32 %r2, %r0, %r11;
+  and.b32 %r3, %r0, 3;
+  mul.wide.u32 %rd6, %r0, %r1;
+  mul.wide.u32 %rd7, %r1, %r2;
+  sub.u64 %rd7, %rd7, %rd6;
+  cvt.rn.f32.u32 %f0, %r3;
+  cvt.rn.f32.s32 %f1, %r1;
+  cvt.rn.f32.u32 %f2, %r2;
+  cvt.rn.f32.u32 %f3, %r11;
+  mul.f32 %f1, %f1, 0.000001;
+  mul.f32 %f2, %f2, 0.000001;
+{body}
+  mul.wide.u32 %rd1, %r11, {_TABLE_RECORD};
+  ld.param.u64 %rd4, [out];
+  add.u64 %rd5, %rd4, %rd1;
+  st.global.u32 [%rd5], %r0;
+  st.global.u32 [%rd5+4], %r1;
+  st.global.u32 [%rd5+8], %r2;
+  st.global.u32 [%rd5+12], %r3;
+  st.global.f32 [%rd5+16], %f0;
+  st.global.f32 [%rd5+20], %f1;
+  st.global.f32 [%rd5+24], %f2;
+  st.global.f32 [%rd5+28], %f3;
+  st.global.u64 [%rd5+32], %rd6;
+  st.global.u64 [%rd5+40], %rd7;
+DONE:
+  exit;
+}}
+"""
+
+
+# One op of each kind the array backend has no lowering for: atomics
+# (every operator, shared and global, colliding addresses), %clock
+# reads, and the barriers that order them. %r0 is the thread's datum,
+# %r2 a running digest, %r12 this thread's shared slot address, %r13 a
+# shared slot four threads collide on, %rd4 a global cell all collide on.
+
+_ATOMIC_OPS = ("add.u32", "min.u32", "max.u32", "exch.b32", "and.b32",
+               "or.b32", "xor.b32", "inc.u32", "dec.u32")
+
+_CELLS = (("shared", "[%r12]"), ("shared", "[%r13]"), ("global", "[%rd4]"))
+
+
+def _atomic(space, operator, operands):
+    return (
+        f"  atom.{space}.{operator} %r3, {operands};\n"
+        "  xor.b32 %r2, %r2, %r3;"
+    )
+
+
+sync_op = st.one_of(
+    st.tuples(
+        st.sampled_from(_ATOMIC_OPS),
+        st.sampled_from(_CELLS),
+        st.sampled_from(("%r0", "%r2", "7")),
+    ).map(lambda t: _atomic(t[1][0], t[0], f"{t[1][1]}, {t[2]}")),
+    st.sampled_from(_CELLS[1:]).map(
+        lambda cell: _atomic(cell[0], "cas.b32", f"{cell[1]}, %r2, %r0")
+    ),
+    st.just("  mov.u32 %r3, %clock;\n  add.u32 %r2, %r2, %r3;"),
+    st.just("  bar.sync 0;"),
+    st.just(
+        "  bar.sync 0;\n  ld.shared.u32 %r3, [%r13];\n"
+        "  xor.b32 %r2, %r2, %r3;\n  bar.sync 0;"
+    ),
+)
+
+
+def render_sync_kernel(ops):
+    body = "\n".join(ops)
+    return f"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{{
+  .reg .u32 %r<16>;
+  .reg .u64 %rd<8>;
+  .shared .u32 slots[32];
+  mov.u32 %r8, %tid.x;
+  mov.u32 %r9, %ntid.x;
+  mov.u32 %r10, %ctaid.x;
+  mad.lo.u32 %r11, %r10, %r9, %r8;
+  mul.wide.u32 %rd1, %r11, 4;
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.global.u32 %r0, [%rd3];
+  mov.u32 %r2, %r0;
+  mov.u32 %r14, slots;
+  shl.b32 %r12, %r8, 2;
+  add.u32 %r12, %r14, %r12;
+  and.b32 %r13, %r8, 28;
+  add.u32 %r13, %r14, %r13;
+  st.shared.u32 [%r12], %r0;
+  ld.param.u64 %rd4, [out];
+  bar.sync 0;
+{body}
+  bar.sync 0;
+  ld.shared.u32 %r3, [%r12];
+  xor.b32 %r2, %r2, %r3;
+  add.u64 %rd5, %rd4, %rd1;
+  st.global.u32 [%rd5+4], %r2;
+  exit;
+}}
+"""
+
+
+def run_with_statistics(source, data, config, out_bytes):
+    """Launch ``prop`` over 2 x 32 threads; returns the whole output
+    buffer (zero-initialized, so untouched bytes compare equal) and
+    the modeled statistics."""
+    device = Device(config=config)
+    device.register_module(source)
+    src = device.upload(data)
+    dst = device.upload(np.zeros(out_bytes, dtype=np.uint8))
+    result = device.launch(
+        "prop", grid=(2, 1, 1), block=(32, 1, 1),
+        args=[src, dst, len(data)],
+    )
+    return (
+        dst.read(np.uint8, out_bytes),
+        _modeled_statistics(result.statistics),
+    )
+
+
 class TestBackendDifferential:
     """Differential testing across the three execution paths: the
-    dict-dispatch reference, the closure lowering, and the array
-    backend must agree bit-for-bit on random kernels — including
-    clamped shifts and saturating converts, the scalar-semantics
-    corners this release fixed."""
+    dispatch reference interpreter, the closure lowering, and the
+    array backend must agree bit-for-bit on random kernels — including
+    clamped shifts and saturating converts, and every op family the
+    shared semantic tables serve."""
 
     @_SETTINGS
     @given(
@@ -233,12 +430,64 @@ class TestBackendDifferential:
         closure = vectorized_config(4)
         for config in (
             closure,
-            replace(closure, interpreter_mode="dispatch"),
+            replace(closure, backend="reference"),
             replace(closure, backend="array"),
         ):
             assert np.array_equal(
                 run_config(source, data, config), reference
             )
+
+    @_SETTINGS
+    @given(
+        ops=st.lists(table_op, min_size=1, max_size=12),
+        seed=st.integers(0, 2**31),
+    )
+    def test_backends_agree_on_table_op_families(self, ops, seed):
+        # neg/abs/not/cnot, div/rem by zero, mul.hi 32/64-bit
+        # signed/unsigned, selp, the transcendentals, register-count
+        # shifts: guest memory and modeled statistics, all three legs.
+        source = render_table_kernel(ops)
+        data = np.random.default_rng(seed).integers(
+            0, 1 << 32, 64, dtype=np.uint32
+        )
+        base = vectorized_config(4)
+        reference = run_with_statistics(
+            source, data, replace(base, backend="reference"),
+            64 * _TABLE_RECORD,
+        )
+        for backend in ("interpreter", "array"):
+            memory, statistics = run_with_statistics(
+                source, data, replace(base, backend=backend),
+                64 * _TABLE_RECORD,
+            )
+            assert np.array_equal(memory, reference[0]), backend
+            assert statistics == reference[1], backend
+
+    @_SETTINGS
+    @given(
+        ops=st.lists(sync_op, min_size=1, max_size=8),
+        seed=st.integers(0, 2**31),
+    )
+    def test_interpreter_matches_reference_on_atomics_and_clock(
+        self, ops, seed
+    ):
+        # atom.* / %clock kernels have no array lowering, so the
+        # reference is their only oracle: memory (atomic results,
+        # clock readings folded into the digest) and statistics.
+        source = render_sync_kernel(ops)
+        data = np.random.default_rng(seed).integers(
+            0, 1 << 32, 64, dtype=np.uint32
+        )
+        base = vectorized_config(4)
+        out_bytes = 64 * 4 + 4
+        observed = [
+            run_with_statistics(
+                source, data, replace(base, backend=backend), out_bytes
+            )
+            for backend in ("interpreter", "reference")
+        ]
+        assert np.array_equal(observed[0][0], observed[1][0])
+        assert observed[0][1] == observed[1][1]
 
 
 class TestMemoryProperties:
@@ -559,16 +808,11 @@ DONE:
             0, 1 << 32, 64, dtype=np.uint32
         )
         base = vectorized_config(4)
-        backends = (
-            {"interpreter_mode": "closure"},
-            {"interpreter_mode": "dispatch"},
-            {"backend": "array"},
-        )
         reference = {}
         for meld in (False, True):
             stats_reference = None
-            for backend_kwargs in backends:
-                config = replace(base, meld=meld, **backend_kwargs)
+            for backend in ("interpreter", "reference", "array"):
+                config = replace(base, meld=meld, backend=backend)
                 values, stats = self.run_with_stats(
                     source, data, config
                 )

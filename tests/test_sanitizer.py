@@ -182,9 +182,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown sanitizer check"):
             ExecutionConfig(sanitize=("memchk",))
 
-    def test_dispatch_mode_cannot_sanitize(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            ExecutionConfig(sanitize=True, interpreter_mode="dispatch")
+    def test_dispatch_mode_cannot_sanitize(self, monkeypatch):
+        # The one rejected combination: the reference (dispatch)
+        # interpreter has no checked lowering. The message names the
+        # backend, and the env alias does not paper over it.
+        with pytest.raises(ValueError, match="backend='reference'"):
+            ExecutionConfig(sanitize=True, backend="reference")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(ValueError, match="backend='reference'"):
+            apply_sanitize_env(ExecutionConfig(backend="reference"))
 
     def test_cache_key_off_is_byte_identical_to_pre_sanitizer(self):
         # The off-mode key must stay the exact historical 7-tuple so
@@ -228,11 +234,6 @@ class TestConfig:
         device = Device(config=scalar_config())
         assert device.sanitizer is not None
         assert device.memory.sanitizer is device.sanitizer
-
-    def test_env_alias_skips_dispatch_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        config = ExecutionConfig(interpreter_mode="dispatch")
-        assert apply_sanitize_env(config) is config
 
 
 # -- shadow state / allocation registry ------------------------------------

@@ -5,8 +5,9 @@ rounding mode (NaN converts to 0, out-of-range saturates to the
 destination bounds), and scoped numpy error state (importing and
 running repro must never mutate the host process's ``np.geterr()``).
 
-Every semantics case runs in both interpreter modes — the closure
-lowering and the dict-dispatch reference must agree bit-for-bit.
+Every semantics case runs on both the closure lowering and the
+dispatch reference interpreter (``repro.testing.reference``) — they
+must agree bit-for-bit.
 """
 
 import numpy as np
@@ -15,9 +16,14 @@ import pytest
 from repro.ir import BinaryOp, Convert, Exit, IRFunction, Store, Yield
 from repro.ir.values import Constant, VirtualRegister
 from repro.machine import Interpreter, MemorySystem, sandybridge
-from repro.machine.interpreter import INTERPRETER_MODES, guest_errstate
+from repro.machine.interpreter import guest_errstate
 from repro.ptx.types import AddressSpace, DataType
 from repro.runtime.context import ThreadContext, Warp
+from repro.testing.reference import ReferenceInterpreter
+
+#: The two scalar executors, by the strategy each one is.
+EXECUTORS = {"closure": Interpreter, "dispatch": ReferenceInterpreter}
+INTERPRETER_MODES = tuple(EXECUTORS)
 
 
 def reg(name, dtype=DataType.u32, width=1):
@@ -41,9 +47,9 @@ def make_context(tid=0):
 
 def run_block(build, mode, memory):
     """Build one block with ``build(block)``, execute one scalar warp
-    under the given interpreter mode."""
+    on the executor named ``mode``."""
     machine = sandybridge()
-    interpreter = Interpreter(machine, memory, mode=mode)
+    interpreter = EXECUTORS[mode](machine, memory)
     function = IRFunction("t", warp_size=1)
     block = function.add_block("entry")
     build(block)
@@ -260,3 +266,34 @@ class TestGuestErrstate:
         run_block(build, mode, memory)
         assert np.geterr() == before
         assert memory.load(DataType.u32, out) == 1
+
+
+# ---------------------------------------------------------------------------
+# 64-bit mul.hi over vectors
+# ---------------------------------------------------------------------------
+
+
+class TestMulHi64:
+    """``mul.hi`` on a vector whose lanes' high words fall on both
+    sides of 2**63 (left to infer a dtype, numpy promoted such a lane
+    mix to float64 and the cast back destroyed every lane)."""
+
+    @pytest.mark.parametrize("dtype", [DataType.u64, DataType.s64])
+    def test_mixed_magnitude_lanes_are_exact(self, dtype):
+        from repro.machine.interpreter import _BINARY_IMPL
+
+        numpy_dtype = dtype.numpy_dtype
+        a = np.array(
+            [2**64 - 3, 5, 2**63 + 11, 2**40], dtype=np.uint64
+        ).view(numpy_dtype)
+        b = np.array(
+            [2**64 - 7, 9, 2**62 + 1, 2**41], dtype=np.uint64
+        ).view(numpy_dtype)
+        with guest_errstate():
+            result = _BINARY_IMPL["mulhi"](a, b, dtype)
+        expected = [
+            ((int(x) * int(y)) >> 64) & (2**64 - 1)
+            for x, y in zip(a.tolist(), b.tolist())
+        ]
+        assert result.dtype == numpy_dtype
+        assert result.view(np.uint64).tolist() == expected

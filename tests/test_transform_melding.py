@@ -270,31 +270,26 @@ def test_launch_statistics_surface_meld_decisions(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "backend_kwargs",
-    [
-        {"interpreter_mode": "closure"},
-        {"interpreter_mode": "dispatch"},
-        {"backend": "array"},
-    ],
+    "backend",
+    ["interpreter", "reference", "array"],
     ids=["closure", "dispatch", "array"],
 )
-def test_meld_differential_per_backend(backend_kwargs, monkeypatch):
+def test_meld_differential_per_backend(backend, monkeypatch):
     """Melding preserves guest results bit-for-bit on every backend,
     and the modeled statistics of a fixed meld setting are identical
     across backends."""
     monkeypatch.delenv("REPRO_MELD", raising=False)
     base = vectorized_config(4)
-    off_values, off_stats = _run_collatz(
-        replace(base, **backend_kwargs)
-    )
+    off_values, off_stats = _run_collatz(replace(base, backend=backend))
     on_values, on_stats = _run_collatz(
-        replace(base, meld=True, **backend_kwargs)
+        replace(base, meld=True, backend=backend)
     )
     assert np.array_equal(off_values, on_values)
     assert on_stats.divergent_yields <= off_stats.divergent_yields
     # and against the reference interpreter:
-    _, reference_off = _run_collatz(base)
-    _, reference_on = _run_collatz(replace(base, meld=True))
+    reference = replace(base, backend="reference")
+    _, reference_off = _run_collatz(reference)
+    _, reference_on = _run_collatz(replace(reference, meld=True))
     for mine, reference in (
         (off_stats, reference_off),
         (on_stats, reference_on),
