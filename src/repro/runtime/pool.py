@@ -56,8 +56,9 @@ so callers' existing :class:`RemoteAllocation` handles keep working.
 Launches caught by the loss — even delivered ones, which the restore
 rewinds past — are parked and transparently re-dispatched, surfacing
 ``restored=True`` on their results instead of DeviceLost.
-``durability="none"`` (the default) keeps the original epoch-stamped
-fail-fast semantics and an unchanged hot path.
+``durability="none"`` (the default) runs the same handle table and
+op applier but journals nothing, so a respawn can only drop the table:
+pre-loss handles fail fast as stale and DeviceLost is surfaced.
 """
 
 from __future__ import annotations
@@ -199,34 +200,30 @@ def _pool_worker_main(
                 resolved.append(value)
         return resolved
 
+    def allot(allocation) -> dict:
+        nonlocal next_handle
+        handle = next_handle
+        next_handle += 1
+        allocations[handle] = allocation
+        return {
+            "handle": handle,
+            "address": allocation.address,
+            "size": allocation.size,
+        }
+
     def handle_request(op: str, payload: dict):
-        nonlocal next_handle, injector
+        nonlocal injector
         if op == "register":
             module = device.register_module(payload["source"])
             return sorted(module.kernels)
         if op == "malloc":
-            allocation = device.malloc(
+            return allot(device.malloc(
                 int(payload["size"]), label=payload.get("label")
-            )
-            handle = next_handle
-            next_handle += 1
-            allocations[handle] = allocation
-            return {
-                "handle": handle,
-                "address": allocation.address,
-                "size": allocation.size,
-            }
+            ))
         if op == "upload":
-            array = np.asarray(payload["data"])
-            allocation = device.upload(array, label=payload.get("label"))
-            handle = next_handle
-            next_handle += 1
-            allocations[handle] = allocation
-            return {
-                "handle": handle,
-                "address": allocation.address,
-                "size": allocation.size,
-            }
+            return allot(device.upload(
+                np.asarray(payload["data"]), label=payload.get("label")
+            ))
         if op == "write":
             allocations[payload["handle"]].write(
                 np.asarray(payload["data"])
@@ -476,10 +473,8 @@ class _Worker:
         self._lost: Optional[DeviceLost] = None
         self._swept: Optional[DeviceLost] = None
         self._needs_reap = False
-        self.process = None
-        self.conn = None
+        self.process, self.conn = self._start_process()
         self.last_seen = time.monotonic()
-        self._spawn()
 
     # -- chaos hooks (patched by testing.FaultInjector) -------------------
 
@@ -492,9 +487,11 @@ class _Worker:
 
     # -- process lifecycle -------------------------------------------------
 
-    def _spawn(self) -> None:
+    def _start_process(self):
+        """Start one worker process on a fresh pipe; returns
+        ``(process, parent end of the pipe)``."""
         parent_conn, child_conn = self._context.Pipe()
-        self.process = self._context.Process(
+        process = self._context.Process(
             target=_pool_worker_main,
             args=(
                 child_conn, self._config, self._machine,
@@ -503,10 +500,9 @@ class _Worker:
             name=f"repro-pool-worker-{self.index}",
             daemon=True,
         )
-        self.process.start()
+        process.start()
         child_conn.close()
-        self.conn = parent_conn
-        self.last_seen = time.monotonic()
+        return process, parent_conn
 
     @property
     def lost(self) -> bool:
@@ -583,21 +579,10 @@ class _Worker:
         """Start a replacement process in this slot at the next device
         epoch. The caller (supervisor) must have reaped the old
         process first."""
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_pool_worker_main,
-            args=(
-                child_conn, self._config, self._machine,
-                self._memory_size, list(self.journal), self._warm,
-            ),
-            name=f"repro-pool-worker-{self.index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
+        process, conn = self._start_process()
         with self.lock:
             self.process = process
-            self.conn = parent_conn
+            self.conn = conn
             self.epoch += 1
             self.respawns += 1
             # Keep the loss that invalidated the swept pending set:
@@ -911,11 +896,14 @@ class TenantStatistics:
 class RemoteAllocation:
     """A tenant's handle to a buffer living in its worker's arena.
 
-    ``epoch`` stamps the device epoch the buffer was allocated at; a
-    worker lost and respawned runs at a later epoch, and using a
-    stale-epoch allocation fails fast with
+    ``handle`` is tenant-local: the session's slot table maps it to
+    the worker's handle, so it survives a restore onto a respawned
+    worker. ``address`` and ``epoch`` record where and at which device
+    epoch the buffer was allocated; a checkpoint restore may place it
+    elsewhere (the slot table tracks the live address). A session
+    with nothing to restore from fails a pre-loss handle fast with
     :class:`~repro.errors.DeviceLost` instead of aliasing whatever the
-    replacement worker put at the same handle."""
+    replacement worker put there."""
 
     tenant: str
     handle: int
@@ -929,23 +917,18 @@ class RemoteAllocation:
 
 class _LaunchJob:
     __slots__ = (
-        "future", "kernel", "grid", "block", "args", "allocations",
-        "submitted_at", "deadline", "attempts", "restore_attempts",
-        "restored",
+        "future", "kernel", "grid", "block", "args", "submitted_at",
+        "deadline", "attempts", "restore_attempts", "restored",
     )
 
-    def __init__(
-        self, future, kernel, grid, block, args, allocations,
-        deadline=None,
-    ):
+    def __init__(self, future, kernel, grid, block, args, deadline=None):
         self.future = future
         self.kernel = kernel
         self.grid = grid
         self.block = block
+        #: Marshalled args: RemoteAllocations already replaced by
+        #: tenant-local ``__handle__`` markers.
         self.args = args
-        #: RemoteAllocations referenced by args — epoch-checked at
-        #: every dispatch attempt.
-        self.allocations = allocations
         self.submitted_at = time.monotonic()
         #: Absolute queue deadline (monotonic), or None.
         self.deadline = (
@@ -966,12 +949,21 @@ class TenantSession:
     its own quotas, weight, retry policy, sticky-error state, and
     statistics.
 
-    ``durability`` selects what a worker loss costs this tenant:
+    Every session hands out *tenant-local* allocation handles backed
+    by one slot table (local handle -> the worker's handle, address,
+    size, label) and runs each operation through one applier
+    (:meth:`_apply`) under its state lock, held across the worker
+    RPC. ``durability`` selects what a worker loss costs this tenant;
+    it decides three things — whether an applied op is journaled
+    (:meth:`_record`), how the session catches up to a respawned
+    worker's epoch (:meth:`_restore`), and whether a DeviceLost is
+    absorbed or surfaced (:attr:`_rides_out_loss`):
 
     ``"none"``
-        The default and the original semantics — allocations are
-        epoch-stamped and fail fast with DeviceLost after a respawn;
-        the hot launch path carries no journaling.
+        The default. Nothing is journaled, so a respawn can only drop
+        the slot table: allocations made before the loss fail fast
+        with ``DeviceLost(cause="stale allocation epoch")``, and an
+        operation on a lost worker raises DeviceLost without waiting.
     ``"journal"``
         Every state-mutating op is journaled in the parent; after a
         respawn the supervisor replays the full journal onto the
@@ -986,10 +978,10 @@ class TenantSession:
         truncated to the store's retention floor, so restore replays
         only the tail.
 
-    Durable sessions serialize their own state-mutating operations
-    (journal order must match worker execution order); tenants on the
-    same worker are unaffected — RPCs are multiplexed and each session
-    has its own journal lock."""
+    A session serializes its own operations (journal order must match
+    worker execution order, and a worker serves one request at a time
+    anyway); tenants on the same worker are unaffected — RPCs are
+    multiplexed and each session has its own state lock."""
 
     def __init__(
         self,
@@ -1034,37 +1026,36 @@ class TenantSession:
         self.last_error: Optional[BaseException] = None
         self._pending = 0
         self._condition = threading.Condition()
-        #: Durability state. ``_durable`` gates every journaling
-        #: branch, so durability="none" sessions run the original
-        #: code paths unchanged.
-        self._durable = durability != "none"
         self._store = store if durability == "checkpoint" else None
         self._restore_timeout = restore_timeout
-        if self._durable:
-            #: Operation journal: tuples in worker execution order.
-            #: ("malloc", local, size, label) / ("upload", local,
-            #: data, label) / ("write", local, data) / ("free", local)
-            #: / ("launch", kernel, grid, block, args) — args carry
-            #: tenant-local ``__handle__`` markers.
-            self._journal: List[tuple] = []
-            #: Absolute index of journal entry 0 (grows as checkpoints
-            #: truncate the journal).
-            self._journal_base = 0
-            #: Tenant-local handle -> {"handle" (worker), "size",
-            #: "label"} — rebuilt by restore, so RemoteAllocations
-            #: stamped with the local handle survive respawns.
-            self._slots: Dict[int, dict] = {}
-            self._next_local = 1
-            #: Worker epoch the slot map is valid for; a respawn bumps
-            #: the worker epoch and restore catches this up.
-            self._ready_epoch = worker.epoch
-            #: Serializes mutating ops + journal appends + restore.
-            self._state_lock = threading.RLock()
-            self._restored = threading.Condition(self._state_lock)
-            #: Launches caught by a worker loss, waiting for restore.
-            self._parked_lock = threading.Lock()
-            self._parked: List[_LaunchJob] = []
-            self._launches_since_checkpoint = 0
+        #: Operation journal: tuples in worker execution order.
+        #: ("malloc", local, size, label) / ("upload", local, data,
+        #: label) / ("write", local, data) / ("free", local) /
+        #: ("launch", kernel, grid, block, args) — args carry
+        #: tenant-local ``__handle__`` markers. These are the entries
+        #: :meth:`_apply` runs; durability="none" never appends.
+        self._journal: List[tuple] = []
+        #: Absolute index of journal entry 0 (grows as checkpoints
+        #: truncate the journal).
+        self._journal_base = 0
+        #: Tenant-local handle -> {"handle" (worker), "address",
+        #: "size", "label"} — rebuilt by restore, so RemoteAllocations
+        #: stamped with the local handle survive respawns.
+        self._slots: Dict[int, dict] = {}
+        self._next_local = 1
+        #: Local handles below this were lost with a worker epoch
+        #: that nothing could rebuild (durability="none").
+        self._stale_below = 1
+        #: Worker epoch the slot table is valid for; a respawn bumps
+        #: the worker epoch and :meth:`_restore` catches this up.
+        self._ready_epoch = worker.epoch
+        #: Serializes operations + journal appends + restore.
+        self._state_lock = threading.RLock()
+        self._restored = threading.Condition(self._state_lock)
+        #: Launches caught by a worker loss, waiting for restore.
+        self._parked_lock = threading.Lock()
+        self._parked: List[_LaunchJob] = []
+        self._launches_since_checkpoint = 0
 
     @property
     def worker_index(self) -> int:
@@ -1092,162 +1083,201 @@ class TenantSession:
     def malloc(
         self, size: int, label: Optional[str] = None
     ) -> RemoteAllocation:
-        if not self._durable:
-            epoch = self._worker.epoch
-            reply = self._worker.call("malloc", size=size, label=label)
-            return RemoteAllocation(self.tenant, epoch=epoch, **reply)
-        with self._state_lock:
-            self._await_ready_locked()
-            reply = self._retry_lost(
-                lambda: self._worker.call(
-                    "malloc", size=size, label=label
-                )
-            )
-            local = self._next_local
-            self._next_local += 1
-            self._slots[local] = {
-                "handle": reply["handle"],
-                "size": reply["size"],
-                "label": label,
-            }
-            self._journal.append(("malloc", local, int(size), label))
-            return RemoteAllocation(
-                self.tenant,
-                handle=local,
-                address=reply["address"],
-                size=reply["size"],
-                epoch=self._worker.epoch,
-            )
+        return self._allocate("malloc", int(size), label)
 
     def upload(
         self, array: np.ndarray, label: Optional[str] = None
     ) -> RemoteAllocation:
-        if not self._durable:
-            epoch = self._worker.epoch
-            reply = self._worker.call(
-                "upload", data=np.asarray(array), label=label
-            )
-            return RemoteAllocation(self.tenant, epoch=epoch, **reply)
-        data = np.array(array, copy=True)
+        return self._allocate("upload", np.array(array, copy=True), label)
+
+    def _allocate(self, kind: str, payload, label) -> RemoteAllocation:
         with self._state_lock:
-            self._await_ready_locked()
-            reply = self._retry_lost(
-                lambda: self._worker.call(
-                    "upload", data=data, label=label
-                )
-            )
             local = self._next_local
+            self._mutate((kind, local, payload, label))
             self._next_local += 1
-            self._slots[local] = {
-                "handle": reply["handle"],
-                "size": reply["size"],
-                "label": label,
-            }
-            self._journal.append(("upload", local, data, label))
+            slot = self._slots[local]
             return RemoteAllocation(
                 self.tenant,
                 handle=local,
-                address=reply["address"],
-                size=reply["size"],
-                epoch=self._worker.epoch,
-            )
-
-    def _check_epoch(self, allocation: RemoteAllocation) -> None:
-        current = self._worker.epoch
-        if allocation.epoch != current:
-            raise DeviceLost(
-                f"allocation handle {allocation.handle} of tenant "
-                f"{self.tenant!r} was created at device epoch "
-                f"{allocation.epoch}, but worker {self._worker.index} "
-                f"was lost and respawned (now epoch {current}); its "
-                f"memory is gone — re-allocate and re-upload",
-                worker=self._worker.index,
-                cause="stale allocation epoch",
-                epoch=allocation.epoch,
-                delivered=False,
+                address=slot["address"],
+                size=slot["size"],
+                epoch=self._ready_epoch,
             )
 
     def write(self, allocation: RemoteAllocation, array) -> None:
-        if not self._durable:
-            self._check_epoch(allocation)
-            self._worker.call(
-                "write", handle=allocation.handle,
-                data=np.asarray(array),
-            )
-            return
-        data = np.array(array, copy=True)
-        with self._state_lock:
-            self._await_ready_locked()
-            self._retry_lost(
-                lambda: self._worker.call(
-                    "write",
-                    handle=self._slot_handle(allocation),
-                    data=data,
-                )
-            )
-            self._journal.append(("write", allocation.handle, data))
+        self._mutate(
+            ("write", self._local(allocation), np.array(array, copy=True))
+        )
 
     def read(
         self, allocation: RemoteAllocation, dtype, count: int
     ) -> np.ndarray:
-        if not self._durable:
-            self._check_epoch(allocation)
-            return self._worker.call(
-                "read",
-                handle=allocation.handle,
-                dtype=np.dtype(dtype).str,
-                count=count,
-            )
-        with self._state_lock:
-            self._await_ready_locked()
-            return self._retry_lost(
-                lambda: self._worker.call(
-                    "read",
-                    handle=self._slot_handle(allocation),
-                    dtype=np.dtype(dtype).str,
-                    count=count,
-                )
-            )
+        return self._run(
+            ("read", self._local(allocation), np.dtype(dtype).str, count)
+        )
 
     def free(self, allocation: RemoteAllocation) -> None:
-        if not self._durable:
-            self._check_epoch(allocation)
-            self._worker.call("free", handle=allocation.handle)
-            return
+        self._mutate(("free", self._local(allocation)))
+
+    # -- the one state path -------------------------------------------------
+
+    @property
+    def _rides_out_loss(self) -> bool:
+        """Whether a worker loss is absorbed (memory ops wait for the
+        restore and retry, launches park) or surfaced as DeviceLost."""
+        return self.durability != "none"
+
+    def _absorbs(self, error: BaseException) -> bool:
+        return (
+            self._rides_out_loss
+            and isinstance(error, DeviceLost)
+            and error.cause != "restore failed"
+        )
+
+    def _record(self, entry: tuple) -> None:
+        """Journal an op that is now known to have executed."""
+        if self.durability != "none":
+            self._journal.append(entry)
+
+    def _local(self, allocation: RemoteAllocation) -> int:
+        if allocation.tenant != self.tenant:
+            raise LaunchError(
+                f"allocation belongs to tenant "
+                f"{allocation.tenant!r}, not {self.tenant!r}"
+            )
+        return allocation.handle
+
+    def _slot(self, local: int, slots: Dict[int, dict]) -> dict:
+        """The one handle resolver: the slot behind a tenant-local
+        handle, or why there is none."""
+        slot = slots.get(local)
+        if slot is not None:
+            return slot
+        if local < self._stale_below:
+            worker = self._worker
+            raise DeviceLost(
+                f"allocation handle {local} of tenant {self.tenant!r} "
+                f"was created before device epoch {self._ready_epoch}, "
+                f"but worker {worker.index} was lost and respawned; "
+                f"its memory is gone — re-allocate and re-upload",
+                worker=worker.index,
+                cause="stale allocation epoch",
+                epoch=self._ready_epoch - 1,
+                delivered=False,
+            )
+        raise LaunchError(
+            f"allocation handle {local} of tenant {self.tenant!r} "
+            f"was freed (or never existed)"
+        )
+
+    def _apply(self, worker: _Worker, entry: tuple, slots: Dict[int, dict]):
+        """The one op applier: run ``entry`` (a journal tuple, or a
+        ``("read", local, dtype, count)``) on ``worker`` against the
+        slot table ``slots`` — the live table for the public methods
+        and the dispatcher, the one under construction for
+        :meth:`_restore`. ``slots`` changes only once the RPC
+        succeeded, so a failed attempt leaves nothing to undo."""
+        kind = entry[0]
+        if kind in ("malloc", "upload"):
+            _, local, payload, label = entry
+            if kind == "malloc":
+                reply = worker.call("malloc", size=payload, label=label)
+            else:
+                reply = worker.call("upload", data=payload, label=label)
+            # reply: the worker's handle, address and size.
+            slots[local] = dict(reply, label=label)
+            return None
+        if kind == "launch":
+            _, kernel, grid, block, args = entry
+            translated = []
+            for value in args:
+                if isinstance(value, dict) and "__handle__" in value:
+                    slot = self._slot(value["__handle__"], slots)
+                    value = {"__handle__": slot["handle"]}
+                translated.append(value)
+            return worker.call(
+                "launch", kernel=kernel, grid=grid, block=block,
+                args=translated,
+            )
+        local = entry[1]
+        handle = self._slot(local, slots)["handle"]
+        if kind == "read":
+            return worker.call(
+                "read", handle=handle, dtype=entry[2], count=entry[3]
+            )
+        if kind == "write":
+            worker.call("write", handle=handle, data=entry[2])
+        else:
+            worker.call("free", handle=handle)
+            del slots[local]
+        return None
+
+    def _run(self, entry: tuple):
+        """Apply one memory op to the live worker. A DeviceLost the
+        session absorbs is waited out and retried — safe because the
+        failed attempt was never journaled: the restore rewinds the
+        worker to the journaled state, and the retry re-applies the
+        op exactly once."""
         with self._state_lock:
             self._await_ready_locked()
-            self._retry_lost(
-                lambda: self._worker.call(
-                    "free", handle=self._slot_handle(allocation)
-                )
-            )
-            self._slots.pop(allocation.handle, None)
-            self._journal.append(("free", allocation.handle))
+            attempts = 0
+            while True:
+                try:
+                    return self._apply(self._worker, entry, self._slots)
+                except DeviceLost as error:
+                    attempts += 1
+                    if (
+                        not self._absorbs(error)
+                        or attempts >= _RESTORE_DISPATCH_LIMIT
+                    ):
+                        raise
+                    self._await_ready_locked()
 
-    # -- durability internals ----------------------------------------------
+    def _mutate(self, entry: tuple) -> None:
+        """Apply a state-mutating op, then journal it — in that order,
+        under one hold of the lock, so the journal lists exactly the
+        ops the worker executed, in the order it executed them."""
+        with self._state_lock:
+            self._run(entry)
+            self._record(entry)
 
     def _ready_now(self) -> bool:
-        """True when the slot map matches the worker's live epoch (no
-        restore pending). Lock-free: reads of these fields are atomic
-        and restore publishes ``_ready_epoch`` last."""
+        """True when the slot table matches the worker's live epoch
+        (no restore pending). Lock-free: reads of these fields are
+        atomic and restore publishes ``_ready_epoch`` last."""
         worker = self._worker
         return not worker.lost and self._ready_epoch == worker.epoch
 
-    def _await_ready_locked(self, timeout: Optional[float] = None):
-        """Wait (under ``_state_lock``, released while waiting) until
-        the supervisor has restored this tenant onto the worker's
-        current epoch."""
-        deadline = time.monotonic() + (
-            self._restore_timeout if timeout is None else timeout
-        )
-        while True:
-            if self._ready_now():
-                return
+    def _await_ready_locked(self, block: bool = True) -> None:
+        """Bring the slot table up to the worker's live epoch (under
+        ``_state_lock``). A session that surfaces losses never waits:
+        it catches up inline, and if the worker is still lost the RPC
+        that follows fails fast. One that rides them out waits (lock
+        released) for the supervisor's restore — or, with
+        ``block=False``, raises ``restore pending`` so the launch
+        parks: the per-worker dispatcher is shared and must never
+        block on a restore."""
+        if self._ready_now():
+            return
+        worker = self._worker
+        if not self._rides_out_loss:
+            self._restore(worker)
+            return
+        if not block:
+            raise DeviceLost(
+                f"tenant {self.tenant!r} is not yet restored onto "
+                f"worker {worker.index}",
+                worker=worker.index,
+                cause="restore pending",
+                epoch=worker.epoch,
+                delivered=False,
+            )
+        deadline = time.monotonic() + self._restore_timeout
+        while not self._ready_now():
             if self.pool._closed:
                 raise LaunchError("device pool is shut down")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                worker = self._worker
                 raise DeviceLost(
                     f"tenant {self.tenant!r} was not restored onto "
                     f"worker {worker.index} within "
@@ -1258,30 +1288,6 @@ class TenantSession:
                     delivered=False,
                 )
             self._restored.wait(min(0.05, remaining))
-
-    def _retry_lost(self, operation):
-        """Run one durable memory RPC; on DeviceLost wait out the
-        restore and retry. Safe because the failed attempt was never
-        journaled: the restore rewinds the worker to the journaled
-        state, and the retry re-applies the op exactly once."""
-        attempts = 0
-        while True:
-            try:
-                return operation()
-            except DeviceLost:
-                attempts += 1
-                if attempts >= _RESTORE_DISPATCH_LIMIT:
-                    raise
-                self._await_ready_locked()
-
-    def _slot_handle(self, allocation: RemoteAllocation) -> int:
-        slot = self._slots.get(allocation.handle)
-        if slot is None:
-            raise LaunchError(
-                f"allocation handle {allocation.handle} of tenant "
-                f"{self.tenant!r} was freed (or never existed)"
-            )
-        return slot["handle"]
 
     # -- launches ----------------------------------------------------------
 
@@ -1310,20 +1316,7 @@ class TenantSession:
                 f"({type(self.last_error).__name__}: {self.last_error}); "
                 f"call TenantSession.reset() to clear it"
             )
-        serialized, allocations = self._serialize_args(args)
-        if self._durable:
-            # Handles are tenant-local and survive respawns; reject
-            # only references to buffers this session already freed.
-            for allocation in allocations:
-                if allocation.handle not in self._slots:
-                    raise LaunchError(
-                        f"allocation handle {allocation.handle} of "
-                        f"tenant {self.tenant!r} was freed (or never "
-                        f"existed)"
-                    )
-        else:
-            for allocation in allocations:
-                self._check_epoch(allocation)
+        serialized = self._serialize_args(args)
         with self._condition:
             if (
                 self.max_launches is not None
@@ -1348,8 +1341,7 @@ class TenantSession:
             self._pending += 1
         future = LaunchFuture(kernel)
         job = _LaunchJob(
-            future, kernel, grid, block, serialized, allocations,
-            deadline=deadline,
+            future, kernel, grid, block, serialized, deadline=deadline
         )
         try:
             self.pool._submit(self, job)
@@ -1365,23 +1357,19 @@ class TenantSession:
         """Synchronous launch: submit + wait."""
         return self.launch_async(kernel, grid, block, args).result()
 
-    def _serialize_args(
-        self, args: Sequence[object]
-    ) -> Tuple[List[object], List[RemoteAllocation]]:
+    def _serialize_args(self, args: Sequence[object]) -> List[object]:
+        """Replace RemoteAllocations by tenant-local ``__handle__``
+        markers (:meth:`_apply` translates them at dispatch, whatever
+        epoch that happens at). A handle already known to be foreign,
+        freed or stale is rejected here rather than from the queue."""
         serialized: List[object] = []
-        allocations: List[RemoteAllocation] = []
         for value in args:
             if isinstance(value, RemoteAllocation):
-                if value.tenant != self.tenant:
-                    raise LaunchError(
-                        f"allocation belongs to tenant "
-                        f"{value.tenant!r}, not {self.tenant!r}"
-                    )
-                allocations.append(value)
-                serialized.append({"__handle__": value.handle})
-            else:
-                serialized.append(value)
-        return serialized, allocations
+                local = self._local(value)
+                self._slot(local, self._slots)
+                value = {"__handle__": local}
+            serialized.append(value)
+        return serialized
 
     def synchronize(self, timeout: Optional[float] = None) -> None:
         """Block until every submitted launch has completed."""
@@ -1417,20 +1405,24 @@ class TenantSession:
         """Arm a :class:`repro.testing.FaultInjector` site on this
         tenant's *worker device* (device-scoped, like real hardware
         faults — tenants sharing the worker may observe it too).
-        RemoteAllocation options are translated to worker handles."""
-        translated = {}
-        for key, value in options.items():
-            if isinstance(value, RemoteAllocation):
-                translated[key] = (value.address, value.size)
-            else:
+        RemoteAllocation options are translated to the byte range the
+        buffer occupies on the worker *now* — a checkpoint restore
+        may have moved it since the handle was issued."""
+        with self._state_lock:
+            self._await_ready_locked()
+            translated = {}
+            for key, value in options.items():
+                if isinstance(value, RemoteAllocation):
+                    slot = self._slot(self._local(value), self._slots)
+                    value = (slot["address"], slot["size"])
                 translated[key] = value
-        self._worker.call(
-            "arm_fault",
-            site=site,
-            probability=probability,
-            seed=seed,
-            options=translated,
-        )
+            self._worker.call(
+                "arm_fault",
+                site=site,
+                probability=probability,
+                seed=seed,
+                options=translated,
+            )
 
     def disarm_faults(self) -> None:
         self._worker.call("disarm_faults")
@@ -1447,7 +1439,7 @@ class TenantSession:
         the snapshot was abandoned (disk error, or the worker was lost
         mid-snapshot) — the previous checkpoint stays intact either
         way. Requires ``durability="checkpoint"``."""
-        if self.durability != "checkpoint" or self._store is None:
+        if self._store is None:
             raise LaunchError(
                 f"tenant {self.tenant!r} has durability="
                 f"{self.durability!r}; checkpoints need "
@@ -1459,16 +1451,15 @@ class TenantSession:
             try:
                 for local in sorted(self._slots):
                     slot = self._slots[local]
-                    data = self._worker.call(
-                        "read",
-                        handle=slot["handle"],
-                        dtype="|u1",
-                        count=slot["size"],
+                    data = self._apply(
+                        self._worker,
+                        ("read", local, "|u1", slot["size"]),
+                        self._slots,
                     )
                     snapshot.append({
                         "local": local,
                         "size": slot["size"],
-                        "label": slot.get("label"),
+                        "label": slot["label"],
                         "data": np.asarray(
                             data, dtype=np.uint8
                         ).tobytes(),
@@ -1500,7 +1491,7 @@ class TenantSession:
     def _maybe_checkpoint(self) -> None:
         """Auto-checkpoint trigger, fired by the dispatcher after a
         completed launch (outside the session's accounting locks)."""
-        if self.durability != "checkpoint" or self._store is None:
+        if self._store is None:
             return
         if self._launches_since_checkpoint < self.checkpoint_interval:
             return
@@ -1512,76 +1503,29 @@ class TenantSession:
     # -- dispatch & restore (called by pool threads) ------------------------
 
     def _launch_on_worker(self, worker: _Worker, job: _LaunchJob):
-        """Run one launch RPC for the pool dispatcher. Durable
-        sessions translate tenant-local handles to the worker's
-        current handles and journal the launch once it is known to
-        have executed (success or contained fault). A launch that
-        fails with DeviceLost is *not* journaled — the restore rewinds
-        guest state to before it ran, which is what makes re-
-        dispatching even a delivered casualty safe."""
-        if not self._durable:
-            return worker.call(
-                "launch",
-                kernel=job.kernel,
-                grid=job.grid,
-                block=job.block,
-                args=job.args,
-            )
+        """Run one launch RPC for the pool dispatcher, and journal it
+        once it is known to have executed (success or contained
+        fault). A launch that fails with DeviceLost is *not*
+        journaled — the restore rewinds guest state to before it ran,
+        which is what makes re-dispatching even a delivered casualty
+        safe."""
+        entry = ("launch", job.kernel, job.grid, job.block, job.args)
         with self._state_lock:
             if worker.lost:
                 raise worker.lost_error(job.kernel, delivered=False)
-            if self._ready_epoch != worker.epoch:
-                # Never block the (shared, per-worker) dispatcher on a
-                # restore: park and re-dispatch afterwards.
-                raise DeviceLost(
-                    f"launch of {job.kernel!r} for tenant "
-                    f"{self.tenant!r} arrived before the tenant was "
-                    f"restored onto worker {worker.index}",
-                    worker=worker.index,
-                    cause="restore pending",
-                    epoch=worker.epoch,
-                    delivered=False,
-                )
-            args = self._translate_args_locked(job.args, job.kernel)
+            self._await_ready_locked(block=False)
+            fault = None
             try:
-                result = worker.call(
-                    "launch",
-                    kernel=job.kernel,
-                    grid=job.grid,
-                    block=job.block,
-                    args=args,
-                )
-            except _FAULT_TYPES:
+                result = self._apply(worker, entry, self._slots)
+            except _FAULT_TYPES as error:
                 # A contained fault still executed (deterministically,
                 # partial writes included): replay must reproduce it.
-                self._journal.append(
-                    ("launch", job.kernel, job.grid, job.block,
-                     list(job.args))
-                )
-                self._launches_since_checkpoint += 1
-                raise
-            self._journal.append(
-                ("launch", job.kernel, job.grid, job.block,
-                 list(job.args))
-            )
+                fault = error
+            self._record(entry)
             self._launches_since_checkpoint += 1
+            if fault is not None:
+                raise fault
             return result
-
-    def _translate_args_locked(self, args, kernel: str) -> List[object]:
-        translated: List[object] = []
-        for value in args:
-            if isinstance(value, dict) and "__handle__" in value:
-                slot = self._slots.get(value["__handle__"])
-                if slot is None:
-                    raise LaunchError(
-                        f"launch of {kernel!r} references allocation "
-                        f"handle {value['__handle__']} of tenant "
-                        f"{self.tenant!r} that was freed"
-                    )
-                translated.append({"__handle__": slot["handle"]})
-            else:
-                translated.append(value)
-        return translated
 
     def _park_job(self, job: _LaunchJob) -> bool:
         """Park a launch caught by a worker loss until the restore
@@ -1608,65 +1552,71 @@ class TenantSession:
             self.pool._requeue(self, job)
 
     def _restore(self, worker: _Worker) -> None:
-        """Rebuild this tenant's guest state on a respawned worker
-        (supervisor thread): newest valid checkpoint (torn/corrupt
-        ones are discarded by the store — fall back to the previous,
-        or to a full journal replay), then the journal tail, in
-        original order — deterministic execution guarantees the
-        rebuilt guest memory is bit-identical. Tenant-local handles
-        are re-mapped onto the new worker handles, readiness is
-        published, and parked launches are re-queued. Raises
-        DeviceLost when the worker dies mid-restore; the next
-        supervision pass retries on the following epoch."""
+        """Catch this session up to a respawned worker's epoch.
+
+        With nothing journaled (durability="none") there is nothing
+        to rebuild from: the slot table is dropped inline — no RPC —
+        and every handle issued so far goes stale.
+
+        Otherwise (supervisor thread) the guest state is rebuilt by
+        running the same entries through the same applier the live
+        methods use: the newest valid checkpoint as one ``upload`` per
+        saved allocation (torn/corrupt ones are discarded by the
+        store — fall back to the previous, or to a full journal
+        replay), then the journal tail, in original order —
+        deterministic execution guarantees the rebuilt guest memory
+        is bit-identical. Tenant-local handles are re-mapped onto the
+        new worker handles, readiness is published, and parked
+        launches are re-queued. Raises DeviceLost when the worker
+        dies mid-restore; the next supervision pass retries on the
+        following epoch."""
         with self._state_lock:
             if self._ready_now() or worker.lost:
                 return
-            started = time.monotonic()
             epoch = worker.epoch
-            slots: Dict[int, dict] = {}
+            if self.durability == "none":
+                self._stale_below = self._next_local
+                self._slots = {}
+                self._ready_epoch = epoch
+                return
+            started = time.monotonic()
+            snapshot: List[tuple] = []
             start_index = 0
-            replayed = 0
             checkpoint = None
-            if self.durability == "checkpoint" and self._store is not None:
+            if self._store is not None:
                 checkpoint = self._store.load_latest(self.tenant)
-            try:
-                if checkpoint is not None:
-                    for entry in checkpoint.allocations:
-                        self.pool._hook_restore_step(
-                            worker, "checkpoint"
-                        )
-                        reply = worker.call(
-                            "malloc",
-                            size=entry["size"],
-                            label=entry.get("label"),
-                        )
-                        worker.call(
-                            "write",
-                            handle=reply["handle"],
-                            data=np.frombuffer(
-                                entry["data"], dtype=np.uint8
-                            ),
-                        )
-                        slots[entry["local"]] = {
-                            "handle": reply["handle"],
-                            "size": entry["size"],
-                            "label": entry.get("label"),
-                        }
-                    start_index = checkpoint.journal_index
-                if start_index < self._journal_base:
-                    self._restore_failed(
-                        worker,
-                        "the journal was truncated below the newest "
-                        "valid checkpoint (no retained checkpoint "
-                        "verifies)",
+            if checkpoint is not None:
+                snapshot = [
+                    (
+                        "upload",
+                        saved["local"],
+                        np.frombuffer(saved["data"], dtype=np.uint8),
+                        saved.get("label"),
                     )
-                    return
-                for entry in self._journal[
-                    start_index - self._journal_base:
-                ]:
+                    for saved in checkpoint.allocations
+                ]
+                start_index = checkpoint.journal_index
+            if start_index < self._journal_base:
+                self._restore_failed(
+                    worker,
+                    "the journal was truncated below the newest "
+                    "valid checkpoint (no retained checkpoint "
+                    "verifies)",
+                )
+                return
+            tail = self._journal[start_index - self._journal_base:]
+            slots: Dict[int, dict] = {}
+            try:
+                for entry in snapshot + tail:
                     self.pool._hook_restore_step(worker, entry[0])
-                    self._replay_locked(worker, entry, slots)
-                    replayed += 1
+                    try:
+                        self._apply(worker, entry, slots)
+                    except _FAULT_TYPES:
+                        # Deterministic replay reproduces a launch's
+                        # original contained fault (partial writes
+                        # included); the worker device already reset
+                        # itself.
+                        pass
             except DeviceLost:
                 raise
             except Exception as error:
@@ -1681,62 +1631,12 @@ class TenantSession:
             elapsed = time.monotonic() - started
             self.stats.restores += 1
             self.stats.restore_seconds += elapsed
-            self.stats.replayed_ops += replayed
+            self.stats.replayed_ops += len(tail)
             with worker.lock:
                 worker.restores += 1
                 worker.last_restore_seconds = elapsed
             self._restored.notify_all()
         self._release_parked()
-
-    def _replay_locked(
-        self, worker: _Worker, entry: tuple, slots: Dict[int, dict]
-    ) -> None:
-        kind = entry[0]
-        if kind == "malloc":
-            _, local, size, label = entry
-            reply = worker.call("malloc", size=size, label=label)
-            slots[local] = {
-                "handle": reply["handle"],
-                "size": reply["size"],
-                "label": label,
-            }
-        elif kind == "upload":
-            _, local, data, label = entry
-            reply = worker.call("upload", data=data, label=label)
-            slots[local] = {
-                "handle": reply["handle"],
-                "size": reply["size"],
-                "label": label,
-            }
-        elif kind == "write":
-            _, local, data = entry
-            worker.call(
-                "write", handle=slots[local]["handle"], data=data
-            )
-        elif kind == "free":
-            _, local = entry
-            worker.call("free", handle=slots[local]["handle"])
-            del slots[local]
-        elif kind == "launch":
-            _, kernel, grid, block, args = entry
-            translated = []
-            for value in args:
-                if isinstance(value, dict) and "__handle__" in value:
-                    translated.append(
-                        {"__handle__": slots[value["__handle__"]]["handle"]}
-                    )
-                else:
-                    translated.append(value)
-            try:
-                worker.call(
-                    "launch", kernel=kernel, grid=grid, block=block,
-                    args=translated,
-                )
-            except _FAULT_TYPES:
-                # Deterministic replay reproduces the original
-                # contained fault (partial writes included); the
-                # worker device already reset itself.
-                pass
 
     def _restore_failed(self, worker: _Worker, reason: str) -> None:
         """Give up restoring (no valid state survived): publish an
@@ -1965,8 +1865,6 @@ class DevicePool:
         # ... and whatever was parked behind a restore that will now
         # never run.
         for session in self.sessions():
-            if not session._durable:
-                continue
             for job in session._drain_parked():
                 error = LaunchError("device pool was shut down")
                 job.future._fail(error)
@@ -2147,48 +2045,17 @@ class DevicePool:
             job.future._fail(error)
             session._complete(job, None, error)
             return
-        stale = None
-        if not session._durable:
-            # Durable sessions re-map handles across epochs; the
-            # stale-epoch fail-fast only applies to durability="none".
-            stale = next(
-                (
-                    allocation
-                    for allocation in job.allocations
-                    if allocation.epoch != worker.epoch
-                ),
-                None,
-            )
-        if stale is not None:
-            error = DeviceLost(
-                f"launch of {job.kernel!r} for tenant "
-                f"{session.tenant!r} references allocation handle "
-                f"{stale.handle} from device epoch {stale.epoch}, but "
-                f"worker {worker.index} was respawned (now epoch "
-                f"{worker.epoch}); its memory is gone",
-                worker=worker.index,
-                cause="stale allocation epoch",
-                epoch=stale.epoch,
-                delivered=False,
-            )
-            job.future._fail(error)
-            session._complete(job, None, error)
-            return
         try:
-            if worker.lost:
-                raise worker.lost_error(job.kernel, delivered=False)
             result = session._launch_on_worker(worker, job)
         except Exception as error:
             if (
-                session._durable
-                and isinstance(error, DeviceLost)
-                and error.cause != "restore failed"
+                session._absorbs(error)
                 and job.restore_attempts < _RESTORE_DISPATCH_LIMIT
             ):
-                # The durability layer absorbs the loss: restore
-                # rewinds guest state to before any un-journaled
-                # launch, so even a delivered casualty is safe to
-                # re-dispatch once the tenant is restored.
+                # The session absorbs the loss: restore rewinds
+                # guest state to before any un-journaled launch, so
+                # even a delivered casualty is safe to re-dispatch
+                # once the tenant is restored.
                 job.restore_attempts += 1
                 if session._park_job(job):
                     return
@@ -2235,18 +2102,18 @@ class DevicePool:
         self._supervisor_wake.set()
 
     def _hook_restore_step(self, worker: _Worker, op: str) -> None:
-        """No-op seam fired before every restore step (checkpoint
-        re-materialization and each journal replay op); the testing
-        FaultInjector's ``kill_during_restore`` site patches this."""
+        """No-op seam fired before every restore step (each saved
+        allocation of a checkpoint and each journal replay op); the
+        testing FaultInjector's ``kill_during_restore`` site patches
+        this."""
 
     def _restore_tenants(self, worker: _Worker) -> None:
-        """Restore every durable tenant pinned to a (healthy) worker
-        whose slot map lags the worker's epoch. Idempotent; a worker
-        lost mid-restore is retried on the next supervision pass."""
+        """Catch up every tenant pinned to a (healthy) worker whose
+        slot table lags the worker's epoch. Idempotent; a worker lost
+        mid-restore is retried on the next supervision pass."""
         for session in self.sessions():
             if (
-                not session._durable
-                or session.worker_index != worker.index
+                session.worker_index != worker.index
                 or session._ready_now()
             ):
                 continue
@@ -2331,9 +2198,9 @@ class DevicePool:
                     f"of respawn"
                 )
         if not worker.lost:
-            # Durable tenants whose slot map lags the live epoch are
-            # restored here — right after a successful respawn probe,
-            # and again on later passes if a restore was interrupted.
+            # Tenants whose slot table lags the live epoch are caught
+            # up here — right after a successful respawn probe, and
+            # again on later passes if a restore was interrupted.
             self._restore_tenants(worker)
 
     # -- reporting ---------------------------------------------------------

@@ -3,15 +3,18 @@ checkpoints (StateStore), transparent restore after DeviceLost,
 torn/corrupt-checkpoint fallback, restore-crash retry, the liveness/
 readiness health split, and ServeClient idempotent-request retry."""
 
+import ast
+import inspect
 import os
+import textwrap
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import DeviceLost, LaunchError
-from repro.runtime.pool import DevicePool
+from repro.errors import DeviceLost, KernelTrap, LaunchError
+from repro.runtime.pool import DevicePool, TenantSession
 from repro.runtime.service import KernelServer, ServeClient
 from repro.runtime.state_store import StateStore
 from repro.testing.fault_injection import FaultInjector
@@ -270,7 +273,7 @@ class TestJournalRestore:
             pool.ready(timeout=300.0)
             session = pool.session("plain")  # durability="none"
             a, b, c = _buffers(session)
-            assert not session._durable
+            assert session.durability == "none"
             pool._workers[0].process.kill()
             _wait_recovered(pool)
             # Pre-kill allocations are stale: fail fast, no restore.
@@ -471,6 +474,140 @@ class TestCheckpointRestore:
             assert not result.statistics.sanitizer
             assert session.stats.restores == 1
 
+    def test_inject_fault_follows_restored_buffer(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint restore re-creates only the live buffers, in
+        handle order, so they can land at new addresses: after
+        ``free(b)`` the restored ``c`` sits where ``b`` was. A fault
+        armed on ``c`` must target the bytes ``c`` occupies now, not
+        the range its handle was issued with."""
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        words = 64
+        with DevicePool(
+            workers=1, modules=[VECADD_PTX],
+            state_dir=str(tmp_path),
+        ) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "moved", durability="checkpoint",
+                checkpoint_interval=1000,
+            )
+            a = session.upload(np.arange(words, dtype=np.float32))
+            b = session.upload(np.ones(words, dtype=np.float32))
+            c = session.upload(np.full(words, 2.0, dtype=np.float32))
+            session.free(b)
+            assert session.checkpoint() is not None
+            pool._workers[0].process.kill()
+            assert np.array_equal(
+                session.read(c, np.float32, words),
+                np.full(words, 2.0, dtype=np.float32),
+            )
+            assert session.stats.restores == 1
+            # Every store into c is pushed past its end, into the
+            # sanitizer's redzone — if the armed range is where c
+            # lives now.
+            session.inject_fault(
+                "oob_within_arena", probability=1.0, allocation=c
+            )
+            with pytest.raises(KernelTrap):
+                session.launch(
+                    "vecAdd", (1, 1, 1), (words, 1, 1),
+                    [a, a, c, words],
+                )
+
+
+def _call_sites(function, method):
+    """String first-arguments of every ``<x>.<method>(...)`` call in
+    ``function``'s source."""
+    return [
+        node.args[0].value
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == method
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    ]
+
+
+class TestOneStatePath:
+    """Every durability mode runs the same handle table and the same
+    op applier; the mode only decides journaling, epoch catch-up and
+    loss absorption."""
+
+    @pytest.mark.parametrize(
+        "durability", ["none", "journal", "checkpoint"]
+    )
+    def test_same_ops_same_answers_in_every_mode(
+        self, durability, tmp_path
+    ):
+        with DevicePool(
+            workers=1, modules=[VECADD_PTX],
+            state_dir=str(tmp_path),
+        ) as pool:
+            pool.ready(timeout=300.0)
+            # A co-tenant allocates first, so worker handles and
+            # tenant-local handles cannot coincide by accident.
+            other = pool.session("other")
+            foreign = other.upload(np.zeros(N, dtype=np.float32))
+            other.upload(np.zeros(N, dtype=np.float32))
+            session = pool.session("subject", durability=durability)
+            a, b, c = (
+                session.upload(np.full(N, value, dtype=np.float32))
+                for value in (1.0, 2.0, 0.0)
+            )
+            assert [a.handle, b.handle, c.handle] == [1, 2, 3]
+            session.write(b, np.arange(N, dtype=np.float32))
+            result = _vecadd(session, a, b, c)
+            assert result.restored is False
+            assert np.array_equal(
+                session.read(c, np.float32, N), _expected()
+            )
+            session.free(b)
+            with pytest.raises(LaunchError, match="freed") as info:
+                session.read(b, np.float32, N)
+            assert not isinstance(info.value, DeviceLost)
+            with pytest.raises(LaunchError, match="freed"):
+                session.free(b)
+            with pytest.raises(LaunchError, match="freed"):
+                _vecadd(session, a, b, c)
+            with pytest.raises(LaunchError, match="belongs to tenant"):
+                session.read(foreign, np.float32, N)
+            with pytest.raises(LaunchError, match="belongs to tenant"):
+                _vecadd(session, a, foreign, c)
+            # None of the rejected ops disturbed the live buffers,
+            # and the next handle continues the tenant's own count.
+            assert np.array_equal(
+                session.read(c, np.float32, N), _expected()
+            )
+            assert session.malloc(4 * N).handle == 4
+            assert session.stats.restores == 0
+
+    def test_each_op_and_the_handle_translation_are_written_once(self):
+        """Pin the structure: within TenantSession every RPC op name
+        reaches ``.call(`` from at most one site, and the
+        ``__handle__`` marker is translated in exactly one function —
+        so replay cannot drift from the live path again."""
+        tree = ast.parse(
+            textwrap.dedent(inspect.getsource(TenantSession))
+        )
+        called = _call_sites(tree, "call")
+        for op in ("malloc", "upload", "write", "free", "launch"):
+            assert called.count(op) <= 1, (op, called)
+        readers = [
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and any(
+                isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)
+                and node.slice.value == "__handle__"
+                for node in ast.walk(function)
+            )
+        ]
+        assert readers == ["_apply"]
+
 
 class TestServeDurability:
     @pytest.fixture()
@@ -511,7 +648,7 @@ class TestServeDurability:
             durability="none",
         )
         session = server.pool.session("http-plain")
-        assert not session._durable
+        assert session.durability == "none"
         client.close()
 
     def test_collect_is_idempotent(self, server):
