@@ -211,6 +211,15 @@ def _error_payload(error: BaseException) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # A reply is two writes, headers then body. On the stdlib's
+    # unbuffered wfile with Nagle on that is write-write-read: the
+    # body segment waits for the ACK of the header segment, which the
+    # client's delayed-ACK timer sends ~40 ms later. Buffer the reply
+    # so handle_one_request's flush hands both to the socket at once,
+    # and turn Nagle off so a body larger than the buffer (written
+    # through, after the headers are flushed) does not stall either.
+    wbufsize = -1
+    disable_nagle_algorithm = True
     state: _ServiceState = None  # patched onto the subclass per server
 
     # -- plumbing ----------------------------------------------------------
@@ -522,6 +531,13 @@ class _Handler(BaseHTTPRequestHandler):
         return {"ok": True}
 
 
+class _Server(ThreadingHTTPServer):
+    # socketserver's listen backlog is 5: a burst of connecting
+    # clients overflows the accept queue and the losers wait out SYN
+    # retransmits (1 s, 3 s, ...) before they are served.
+    request_queue_size = 128
+
+
 class KernelServer:
     """Threaded HTTP server in front of a DevicePool.
 
@@ -557,7 +573,7 @@ class KernelServer:
             checkpoint_interval=checkpoint_interval,
         )
         handler = type("BoundHandler", (_Handler,), {"state": self._state})
-        self._httpd = ThreadingHTTPServer((host, port), handler)
+        self._httpd = _Server((host, port), handler)
         self._httpd.daemon_threads = True
         self.host, self.port = self._httpd.server_address[:2]
         self._thread: Optional[threading.Thread] = None

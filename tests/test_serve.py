@@ -2,7 +2,9 @@
 concurrent-clients bench harness."""
 
 import json
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -93,6 +95,88 @@ class TestServeRoundtrip:
         assert len(results) == 4
         for out in results.values():
             assert np.allclose(out, np.arange(N) * 2)
+
+    def test_burst_of_connecting_clients(self, server):
+        """32 clients connecting in the same instant all get through
+        the accept queue: one that overflows the listen backlog waits
+        out a SYN retransmit, 1 s at the least."""
+        clients = 32
+        barrier = threading.Barrier(clients)
+        seconds = {}
+        errors = []
+
+        def connect(name):
+            try:
+                barrier.wait(timeout=30)
+                start = time.perf_counter()
+                ServeClient(server.host, server.port, name).close()
+                seconds[name] = time.perf_counter() - start
+            except Exception as error:  # pragma: no cover - diagnostic
+                errors.append((name, error))
+
+        threads = [
+            threading.Thread(target=connect, args=(f"burst-{index}",))
+            for index in range(clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        slow = {n: s for n, s in seconds.items() if s >= 1.0}
+        assert not slow
+
+
+class TestServeLatency:
+    def test_round_trips_do_not_wait_on_delayed_ack(self, server):
+        """No reply may sit in the server's socket until the client's
+        delayed-ACK timer (40 ms) fires: every kind of round trip —
+        200 replies small and large, a 400, a GET — has a median far
+        under it on one keep-alive connection."""
+        rounds = 20
+        with ServeClient(server.host, server.port, "latency") as client:
+            small = np.arange(16, dtype=np.float32)
+            large = np.arange(1024, dtype=np.float32)
+            small_buffer = client.upload(small)
+            large_buffer = client.upload(large)
+            out = client.malloc(small.nbytes)
+            args = [
+                {"allocation": small_buffer},
+                {"allocation": small_buffer},
+                {"allocation": out},
+                small.size,
+            ]
+
+            def unknown_allocation():
+                with pytest.raises(LaunchError, match="allocation"):
+                    client.read(987654, np.float32, 1)
+
+            f32 = np.float32
+            # name -> (call, HTTP round trips the call makes)
+            calls = {
+                "health": (client.health, 1),
+                "ready": (client.ready, 1),
+                "write 16": (lambda: client.write(small_buffer, small), 1),
+                "read 16": (lambda: client.read(small_buffer, f32, 16), 1),
+                "write 1024": (lambda: client.write(large_buffer, large), 1),
+                "read 1024": (lambda: client.read(large_buffer, f32, 1024), 1),
+                "launch+collect": (
+                    lambda: client.run("vecAdd", 1, small.size, args), 2),
+                "error 400": (unknown_allocation, 1),
+            }
+            medians = {}
+            for name, (call, round_trips) in calls.items():
+                samples = []
+                for _ in range(rounds):
+                    start = time.perf_counter()
+                    call()
+                    samples.append(
+                        (time.perf_counter() - start) / round_trips
+                    )
+                medians[name] = statistics.median(samples) * 1e3
+        slow = {n: ms for n, ms in medians.items() if ms >= 20.0}
+        assert not slow, f"round-trip medians in ms: {medians}"
 
 
 class TestServeErrors:
