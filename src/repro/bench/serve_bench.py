@@ -71,8 +71,8 @@ DONE:
 }
 """
 
-#: Private module of the chaos tenant — registered *after* the pool
-#: warms so its translation happens with the fault site armed.
+#: Private module of the chaos tenant (its fault site is armed only
+#: around its own launches, so the kernel needs no special timing).
 _CHAOS_PTX = _VECADD_PTX.replace("serveVecAdd", "chaosVecAdd")
 
 #: The process-chaos victim's kernel: no pointer arguments, so its
@@ -193,8 +193,8 @@ def _collect(entry, result: "_TenantResult") -> float:
 
 
 def _setup_chaos(pool):
-    """The trapping tenant: private module translated after arming
-    memory_fault, so every one of its launches traps."""
+    """The trapping tenant: ``memory_fault`` armed at probability 1
+    for this tenant's launches, so every one of them traps."""
     session = pool.session("chaos", weight=1.0, worker=0)
     session.register_module(_CHAOS_PTX)
     session.inject_fault("memory_fault", probability=1.0, seed=7)

@@ -59,7 +59,7 @@ class SanitizerError(ExecutionError):
     (out-of-bounds access into a redzone, use-after-free, read of
     uninitialized memory, or an unsynchronized shared-memory race).
 
-    Raised inside the checked memory closures when
+    Raised inside checked guest memory access when
     ``ExecutionConfig(sanitize=..., sanitize_fatal=True)``, so it is
     contained at the warp-execution boundary like any other
     :class:`ExecutionError` and surfaces as a :class:`KernelTrap`. The

@@ -1,6 +1,6 @@
 """Array-vectorized execution backend.
 
-The closure interpreter runs one warp at a time; this backend runs
+The sequential interpreter runs one warp at a time; this backend runs
 *every resident warp at once*. At load time each basic block is given
 a second, batched lowering — a per-opcode translation table emitting
 numpy array operations, structured like a staged binary translator:
@@ -15,13 +15,16 @@ batch. The points where control leaves the region are explicit exits:
 - a divergent CondBranch/Switch, or a successor block with no array
   lowering (atomics, ``%clock``, an injected-fault harness), hands
   each warp a :class:`~repro.machine.interpreter.Continuation` and the
-  closure path finishes it sequentially — correctness is inherited,
+  sequential path finishes it sequentially — correctness is inherited,
   the array region only ever *accelerates* uniform prefixes.
 
 Costs are not recomputed: the batched walk charges the same per-block
-aggregates (``compiled_blocks[label][1:5]``) the closure path charges,
-once per block, and each warp in the batch absorbs an identical copy —
-so every modeled statistic is bit-identical to sequential execution.
+aggregates (``ExecutableFunction.block_cost``) the sequential path
+charges, once per block, and each warp in the batch absorbs an
+identical copy — so every modeled statistic is bit-identical to
+sequential execution. Asking for a block's cost generates no
+sequential code for it: a block that only ever runs batched is never
+lowered for the sequential path.
 
 Known deviation: within one batched block, an instruction's memory
 accesses complete for *all* warps before the next instruction runs.
@@ -85,6 +88,7 @@ from .interpreter import (
     _convert_impl,
     _machine_constant,
     _mulhi,
+    _reads_clock,
     _typed_constant,
     guest_errstate,
 )
@@ -93,7 +97,7 @@ from .interpreter import (
 class _Unsupported(Exception):
     """Raised by the translation table for an instruction (or block)
     with no batched lowering; the block is simply left out of
-    ``array_blocks`` and the closure path executes it."""
+    ``array_blocks`` and the sequential path executes it."""
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +174,7 @@ class _BatchState:
 
 
 # ---------------------------------------------------------------------------
-# Operand readers (the batched twins of _raw_reader / _typed_reader)
+# Operand readers (the batched twins of the emitter's raw / typed reads)
 # ---------------------------------------------------------------------------
 
 
@@ -280,7 +284,7 @@ def _align3(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# Address computation (batched _address_reader)
+# Address computation (batched twin of the emitter's address())
 # ---------------------------------------------------------------------------
 
 
@@ -910,12 +914,7 @@ def compile_array_blocks(
                 return None
     array_blocks: Dict[str, tuple] = {}
     for block in function.ordered_blocks():
-        precise = any(
-            isinstance(instruction, ContextRead)
-            and instruction.field_name == "clock"
-            for instruction in block.instructions
-        )
-        if precise:
+        if _reads_clock(block):
             continue
         try:
             ops = []
@@ -946,7 +945,7 @@ class BatchOutcome:
     ``kind == "fallback"``: the region ended before a yield (divergent
     terminator, untranslated block, or a conservative instruction-
     limit/deadline exit); ``continuations`` carries one per-warp
-    :class:`Continuation` for the closure path to finish.
+    :class:`Continuation` for the sequential path to finish.
     """
 
     kind: str
@@ -993,8 +992,8 @@ def _continuations(
 class ArrayBackend(Interpreter):
     """The batched execution backend.
 
-    Inherits the complete sequential machinery — ``load_function``'s
-    closure lowering, ``execute``'s per-warp run loop — and adds the
+    Inherits the complete sequential machinery — the block emitter,
+    ``execute``'s per-warp run loop — and adds the
     array lowering plus :meth:`execute_batch`. The sequential path
     stays available on the same instance: it is the fallback target
     for continuations and for warps the execution manager cannot
@@ -1022,7 +1021,7 @@ class ArrayBackend(Interpreter):
     ) -> BatchOutcome:
         """Run a batch of same-entry-point warps through the array
         region, starting at the scheduler block. Modeled costs are
-        charged per block from the same aggregates the closure path
+        charged per block from the same aggregates the sequential path
         uses; instruction-limit and deadline exits are *conservative*
         (the region is left before the offending block, and each
         warp's sequential resume re-detects the condition with
@@ -1033,7 +1032,6 @@ class ArrayBackend(Interpreter):
 
     def _run_batch(self, executable, bstate, limit, deadline):
         array_blocks = executable.array_blocks
-        compiled_blocks = executable.compiled_blocks
         label = executable.entry_label
         executed = 0
         kernel_cycles = yield_cycles = flops = 0
@@ -1049,8 +1047,8 @@ class ArrayBackend(Interpreter):
                         kernel_cycles, yield_cycles, flops,
                     ),
                 )
-            block_cost = compiled_blocks[label]
-            count = block_cost[4]
+            block_cost = executable.block_cost(label)
+            count = block_cost.instructions
             if executed + count > limit:
                 return BatchOutcome(
                     "fallback",
@@ -1090,17 +1088,17 @@ class ArrayBackend(Interpreter):
                         else -1
                     )
                 else:
-                    # Array ops are 1:1 with block instructions (no
-                    # run fusion), so the loop position is the PC.
+                    # Array ops are 1:1 with block instructions, so
+                    # the loop position is the PC.
                     index = position
                 # The execution manager abandons a faulting batch and
                 # re-runs its warps sequentially (exact trap
                 # attribution); the annotation serves direct callers.
                 _annotate_fault(fault, label, index)
                 raise
-            kernel_cycles += block_cost[1]
-            yield_cycles += block_cost[2]
-            flops += block_cost[3]
+            kernel_cycles += block_cost.kernel_cycles
+            yield_cycles += block_cost.yield_cycles
+            flops += block_cost.flops
             executed += count
             if result is None:
                 # Divergent terminator: the block body ran batched;

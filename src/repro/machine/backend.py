@@ -24,11 +24,11 @@ from .memory import MemorySystem
 
 #: Selectable execution backends (``ExecutionConfig.backend``).
 #:
-#: - ``"interpreter"`` — one warp at a time through the closure
-#:   lowering.
+#: - ``"interpreter"`` — one warp at a time through generated block
+#:   functions.
 #: - ``"array"`` — uniform block runs execute batched across every
 #:   resident warp as numpy array operations; divergent or yielding
-#:   warps fall back to the closure path mid-kernel.
+#:   warps fall back to the sequential path mid-kernel.
 #: - ``"reference"`` — the test-side oracle
 #:   (:mod:`repro.testing.reference`): a per-instruction interpreter
 #:   of the IR that lowers nothing. Slow; cannot sanitize.

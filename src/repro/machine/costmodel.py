@@ -1,8 +1,9 @@
 """Issue-slot cost model of the simulated vector processor.
 
-Per-instruction charges are computed *statically* when a function is
-lowered (our analogue of code generation): the interpreter then simply
-accumulates precomputed cycle counts. Costs depend on the machine
+Per-instruction charges are *static*: priced once, when the block
+holding the instruction is first lowered (our analogue of code
+generation), after which the interpreter simply accumulates
+precomputed cycle counts. Costs depend on the machine
 description and on the function's register pressure — live vector state
 beyond the physical vector register file injects spill/fill traffic,
 which is the mechanism behind Table 1's performance cliff at warp
@@ -92,21 +93,30 @@ class InstructionCost:
 
 @dataclass
 class FunctionCostTable:
-    """Per-instruction costs for one lowered function."""
+    """Per-instruction costs for one lowered function. Only the
+    function-level inputs (register pressure, hence spilling) are
+    computed up front; an instruction is priced the first time it is
+    asked for, so a block that never executes costs nothing."""
 
     pressure: int
     spilling: bool
+    machine: MachineDescription
     costs: Dict[int, InstructionCost] = field(default_factory=dict)
 
     def cost_of(self, instruction) -> InstructionCost:
-        return self.costs[id(instruction)]
+        cost = self.costs.get(id(instruction))
+        if cost is None:
+            cost = self.costs[id(instruction)] = _instruction_cost(
+                instruction, self.machine, self.spilling
+            )
+        return cost
 
 
 @dataclass(frozen=True)
 class BlockCost:
     """Aggregated static cost of one basic block (body + terminator).
 
-    The closure-specialized lowering folds per-instruction charges into
+    The block lowering folds per-instruction charges into
     these per-block sums so the interpreter performs a single statistics
     update per block executed instead of one per instruction. Kernel and
     yield cycles are kept apart (the ``overhead`` flag placed by the
@@ -167,16 +177,14 @@ def _width_of(instruction) -> int:
 def build_cost_table(
     function: IRFunction, machine: MachineDescription
 ) -> FunctionCostTable:
-    """Assign a static cycle cost to every instruction of ``function``."""
+    """The static cycle costs of ``function``'s instructions on
+    ``machine`` (see :class:`FunctionCostTable`)."""
     pressure = vector_register_pressure(function, machine)
-    spilling = pressure > machine.vector_registers
-    table = FunctionCostTable(pressure=pressure, spilling=spilling)
-    for block in function.ordered_blocks():
-        for instruction in block.all_instructions():
-            table.costs[id(instruction)] = _instruction_cost(
-                instruction, machine, spilling
-            )
-    return table
+    return FunctionCostTable(
+        pressure=pressure,
+        spilling=pressure > machine.vector_registers,
+        machine=machine,
+    )
 
 
 def scalar_instruction_cycles(

@@ -1,35 +1,53 @@
 """Executable lowering and interpretation of IR functions.
 
-``load_function`` is this simulator's stand-in for JIT code generation.
-It is a *specializing lowering pass*: every IR instruction is compiled
-once, at load time, into a pre-bound Python closure — the handler is
-resolved per instruction type, operand registers are renumbered to
-integer slots of a flat per-warp register file, constants are
-pre-converted to machine values, and the address-space dispatch of
-memory operations is resolved statically. Per-instruction cycle/flop
-charges are folded into per-block sums (:func:`~repro.machine.
-costmodel.aggregate_block_cost`), so the interpreter inner loop is
-``for op in body: op(state)`` plus one statistics update per block.
+This module is the simulator's stand-in for JIT code generation, and
+like the paper's translation cache (§5.1) it generates code *when a
+warp first needs it*. ``load_function`` only numbers the function's
+registers into the slots of a flat per-warp register file. The first
+time a warp reaches a block label, :class:`_BlockEmitter` prints that
+block as ONE Python function — the body and the terminator — and the
+block's static cost is aggregated; a block no warp enters (the cold
+arm of a divergent kernel, a width nobody forms) is never priced or
+compiled, and ``warm()`` costs IR only.
 
-``execute`` then runs a warp of thread contexts through the lowered
-function, starting at the scheduler block, until the function yields
-back to the execution manager with a resume status (§3's subkernel
-execution).
+Inside a generated function registers are locals (written through to
+the register file, so a trap dump is exact at every instruction), the
+bit reinterpretation PTX's untyped registers need (``max.s32`` on a
+``.u32`` value) is resolved statically where the producer's dtype is
+known in the block and is one inline guard where it is not, the
+address-space dispatch is resolved per instruction, and memory
+instructions are printed against one of three access templates: inline
+against typed views of the arena (bounds check and
+``load_count``/``store_count`` kept), late-bound ``memory.load(...)``
+calls while a fault injector has the memory system patched, or the
+sanitizer's checked ``guest_*`` entry points. Cycle and flop charges
+are per-block sums added by the run loop — except in blocks that read
+``%clock``, which charge per instruction, inline. A line →
+instruction-index table per function recovers the trap PC from the
+traceback, and the source is registered with :mod:`linecache` under
+``<repro:kernel/wsN/label>`` (each line ends in the IR instruction it
+came from), so tracebacks and ``pdb`` show it;
+:meth:`ExecutableFunction.block_source` returns it.
 
-There is one ALU tier: an instruction lowers to a closure over typed
-operand readers, and the only generated code is run fusion
-(:func:`_try_fuse_run`), which compiles a run of consecutive simple
-ALU instructions into one function. The opcode semantics live in the
-``_*_IMPL`` tables below; the array backend and the test-side oracle
-(``backend="reference"``, the per-instruction interpreter the
-differential tests compare against) index the same tables.
+``execute`` runs a warp of thread contexts through the function,
+starting at the scheduler block, until the function yields back to the
+execution manager with a resume status (§3's subkernel execution).
+
+The opcode semantics live in the ``_*_IMPL`` tables below — for the
+operators that are a single expression, as the template the emitter
+inlines, from which the table's callable is built — and the array
+backend and the test-side oracle (``backend="reference"``, the
+per-instruction interpreter the differential tests compare against)
+index the same tables.
 """
 
 from __future__ import annotations
 
+import linecache
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,12 +87,13 @@ from ..ir.instructions import (
 from ..ir.values import Constant
 from ..ptx.types import AddressSpace, DataType
 from .costmodel import (
+    BlockCost,
     FunctionCostTable,
     aggregate_block_cost,
     build_cost_table,
 )
 from .descriptor import MachineDescription
-from .memory import MemorySystem
+from .memory import _NULL_GUARD, MemorySystem
 
 # NumPy integer wraparound is the desired machine semantics, but only
 # while guest code is executing: the error-state switch is scoped with
@@ -138,33 +157,46 @@ class ExecutionStats:
 
 @dataclass
 class ExecutableFunction:
-    """A lowered function.
+    """A loaded function: the IR, its register numbering, and what has
+    been lowered of it so far.
 
-    ``compiled_blocks`` holds the closure-specialized form: per block,
-    ``(ops, kernel_cycles, yield_cycles, flops, instructions,
-    terminator, precise, op_indices)`` where ``ops`` is a tuple of
-    pre-bound closures taking the warp state, the middle fields are the
-    block's aggregated static cost, ``terminator`` is a closure
-    returning either the next block label (str) or a resume status
-    (int), ``precise`` marks blocks whose ops carry their own
-    per-instruction accounting (``%clock`` readers), and ``op_indices``
-    maps each op back to the block instruction index it starts at (the
-    trap PC — fused runs cover several instructions).
+    Block *cost* and block *code* are separate and both lazy:
+    :meth:`block_cost` prices a block on first request (the array
+    backend charges a batched walk from it without generating any
+    sequential-path code), and :meth:`blocks` returns the table that
+    generates a block's function when a warp first reaches its label.
     """
 
     function: IRFunction
-    cost_table: FunctionCostTable
-    compiled_blocks: Dict[str, tuple] = field(default_factory=dict)
+    #: The interpreter that loaded the function: generated code binds
+    #: its memory system and sanitizer, costs are priced for its
+    #: machine.
+    target: "Interpreter" = field(repr=False)
     #: register name -> slot in the flat per-warp register file
-    register_slots: Dict[str, int] = field(default_factory=dict)
+    register_slots: Dict[str, int] = field(repr=False)
     register_count: int = 0
     entry_label: str = ""
+    #: access template name -> the :class:`_BlockTable` of code
+    #: generated with it (one per executable unless a fault injector
+    #: patched the memory system at some point)
+    code: Dict[str, "_BlockTable"] = field(default_factory=dict, repr=False)
+    #: label -> aggregated static cost, for blocks asked about so far
+    block_costs: Dict[str, BlockCost] = field(
+        default_factory=dict, repr=False
+    )
+    #: label -> generated terminator-only function (see
+    #: :meth:`terminator`)
+    terminators: Dict[str, Callable] = field(
+        default_factory=dict, repr=False
+    )
     #: Batched array lowering (``machine.array_backend``): per block,
     #: ``(ops, terminator)`` operating on all resident warps at once.
     #: ``None`` when the loading backend does not build one (plain
     #: interpreter, a sanitized device, or a function the array
     #: translator excludes, e.g. one containing atomics).
-    array_blocks: Optional[Dict[str, tuple]] = None
+    array_blocks: Optional[Dict[str, tuple]] = field(
+        default=None, repr=False
+    )
 
     @property
     def name(self) -> str:
@@ -174,10 +206,51 @@ class ExecutableFunction:
     def warp_size(self) -> int:
         return self.function.warp_size
 
+    @cached_property
+    def cost_table(self) -> FunctionCostTable:
+        return build_cost_table(self.function, self.target.machine)
+
+    def block_cost(self, label: str) -> BlockCost:
+        """Aggregated static cost of block ``label`` (body plus
+        terminator), priced on first request."""
+        cost = self.block_costs.get(label)
+        if cost is None:
+            cost = self.block_costs[label] = aggregate_block_cost(
+                self.function.blocks[label], self.cost_table
+            )
+        return cost
+
+    def blocks(self, access: str) -> "_BlockTable":
+        """The lazily filled ``label -> (code, costs...)`` table of
+        code generated with memory-access template ``access``."""
+        table = self.code.get(access)
+        if table is None:
+            table = self.code[access] = _BlockTable(self, access)
+        return table
+
+    def terminator(self, label: str) -> Callable:
+        """Generated function evaluating only block ``label``'s
+        terminator (the array backend runs a body batched and hands
+        each warp here when the terminator diverges)."""
+        code = self.terminators.get(label)
+        if code is None:
+            # No terminator touches memory: any access template does.
+            code = self.terminators[label] = self.target.lower_block(
+                self, label, "inline", body=False
+            )
+        return code
+
+    def block_source(self, label: str) -> str:
+        """Source of the function generated for block ``label`` (which
+        is lowered now if no warp has reached it yet): one or more
+        lines per IR instruction, the first ending in the instruction
+        as a comment."""
+        return self.blocks(self.target.access())[label][0].source
+
 
 @dataclass
 class Continuation:
-    """Mid-kernel hand-off from the array backend to the closure path.
+    """Mid-kernel hand-off from the array backend to the sequential path.
 
     When a batched warp leaves the uniform array region (a divergent
     terminator, or a block with no array lowering), the batch runner
@@ -200,7 +273,8 @@ class Continuation:
 
 
 class Interpreter:
-    """Executes lowered IR functions against a memory system."""
+    """Executes IR functions against a memory system, generating each
+    block's code on its first entry."""
 
     def __init__(
         self,
@@ -213,32 +287,67 @@ class Interpreter:
         self.memory = memory
         self.instruction_limit = instruction_limit
         #: Attached :class:`~repro.sanitizer.KernelSanitizer`. When set,
-        #: :meth:`load_function` lowers memory instructions to checked
-        #: closures; ``None`` keeps the fast path untouched.
+        #: memory instructions are printed against its checked
+        #: ``guest_*`` entry points (see :meth:`access`).
         self.sanitizer = sanitizer
+        self._namespace = _code_namespace(memory, sanitizer)
 
     # -- lowering ("code generation") ------------------------------------
 
     def load_function(self, function: IRFunction) -> ExecutableFunction:
-        """Lower ``function`` for execution (see
-        :class:`ExecutableFunction`). Lowering happens once per
-        specialization — the translation cache keeps the returned
-        executable, so launches never re-lower.
-        """
-        cost_table = build_cost_table(function, self.machine)
+        """Number ``function``'s registers; nothing is lowered until a
+        warp enters a block (see :class:`ExecutableFunction`). The
+        translation cache keeps the returned executable, so a block is
+        lowered once per specialization, not per launch."""
         slots = function.register_slots(refresh=True)
-        executable = ExecutableFunction(
+        return ExecutableFunction(
             function=function,
-            cost_table=cost_table,
+            target=self,
             register_slots=slots,
             register_count=len(slots),
             entry_label=function.entry_label,
         )
-        for block in function.ordered_blocks():
-            executable.compiled_blocks[block.label] = _compile_block(
-                block, cost_table, slots, self.memory, self.sanitizer
-            )
-        return executable
+
+    def access(self) -> str:
+        """The memory-access template generated code must run with
+        *right now*: ``"checked"`` on a sanitized device; ``"late"``
+        (calls looked up on the memory system per access) while a
+        fault injector has one of ``MemorySystem.PATCH_POINTS``
+        patched; ``"inline"`` otherwise. Asked per warp execution, so
+        arming or restoring an injector takes effect whenever it
+        happens relative to lowering — inline code never captures a
+        patched method, late code is only run while a patch exists."""
+        if self.sanitizer is not None:
+            return "checked"
+        return "late" if self.memory.patched() else "inline"
+
+    def lower_block(
+        self,
+        executable: ExecutableFunction,
+        label: str,
+        access: str,
+        body: bool = True,
+    ) -> Callable:
+        """Generate the Python function of block ``label`` (with
+        ``body=False``, of its terminator alone): ``code(state)``
+        returns the next block label (str) or a resume status (int).
+        ``code.line_index[lineno]`` is the index of the instruction a
+        source line belongs to, ``code.source`` the text."""
+        block = executable.function.blocks[label]
+        emitter = _BlockEmitter(
+            executable, block, access, dict(self._namespace)
+        )
+        if body:
+            for index, instruction in enumerate(block.instructions):
+                emitter.instruction(index, instruction)
+        emitter.instruction(len(block.instructions), block.terminator)
+        suffix = ("" if access == "inline" else f":{access}") + (
+            "" if body else ":terminator"
+        )
+        return emitter.function(
+            f"<repro:{executable.name}/ws{executable.warp_size}/"
+            f"{label}{suffix}>"
+        )
 
     # -- execution ---------------------------------------------------------
 
@@ -265,7 +374,7 @@ class Interpreter:
         across executions; per-warp results are then available on
         ``state.stats`` (also merged into ``stats`` when given).
 
-        ``continuation`` resumes the closure fast path mid-kernel: the
+        ``continuation`` resumes sequential execution mid-kernel: the
         array backend hands over a :class:`Continuation` when a batched
         warp leaves the uniform region, carrying the register rows and
         accumulated counters of the batched prefix.
@@ -273,6 +382,7 @@ class Interpreter:
         if state is None:
             state = self.new_state()
         state.reset(executable, warp, param_base)
+        state.access = self.access()
         with guest_errstate():
             if continuation is not None:
                 status = state.run_continuation(continuation)
@@ -289,8 +399,8 @@ class _WarpState:
     Instances are reusable: :meth:`reset` rebinds them to a new
     (executable, warp) pair, so execution managers pool one state
     object instead of reallocating registers and statistics per warp.
-    The lowered closures read/write ``regs``, a flat list indexed by
-    the executable's register slots.
+    Generated block functions read and write ``regs``, a flat list
+    indexed by the executable's register slots.
     """
 
     __slots__ = (
@@ -305,6 +415,7 @@ class _WarpState:
         "warp_size",
         "regs",
         "stats",
+        "access",
     )
 
     def __init__(self, interpreter):
@@ -323,6 +434,9 @@ class _WarpState:
         self.contexts = ()
         self.param_base = 0
         self.warp_size = 0
+        #: Memory-access template of the code to run (set per
+        #: execution from :meth:`Interpreter.access`).
+        self.access = "inline"
 
     def reset(self, executable, warp, param_base) -> None:
         """Rebind this state to a fresh warp execution."""
@@ -342,8 +456,26 @@ class _WarpState:
 
     # -- main loop ---------------------------------------------------------
 
+    def _locate_fault(self, fault, label, code) -> None:
+        """Annotate ``fault`` with its program counter: the block label
+        and the index of the instruction whose generated line was
+        executing, read off the traceback (the frame below the run
+        loop's is ``code``'s). A fault the run loop raised itself — the
+        instruction limit, the deadline — sits past the body, at the
+        terminator; one from anywhere else (lowering the block failed)
+        has no instruction."""
+        frame = fault.__traceback__.tb_next
+        if frame is None:
+            block = self.function.blocks.get(label)
+            index = len(block.instructions) if block is not None else -1
+        elif code is not None and frame.tb_frame.f_code is code.__code__:
+            index = code.line_index[frame.tb_lineno]
+        else:
+            index = -1
+        _annotate_fault(fault, label, index)
+
     def run_continuation(self, continuation: "Continuation") -> int:
-        """Resume the closure fast path mid-kernel (the array backend's
+        """Resume sequential execution mid-kernel (the array backend's
         fallback): seed the statistics with the batched prefix's
         counters, transplant the warp's register rows, then continue
         from the continuation's label. With ``at_terminator`` set the
@@ -359,15 +491,12 @@ class _WarpState:
             regs[slot] = value
         label = continuation.label
         if continuation.at_terminator:
-            compiled = self.executable.compiled_blocks[label]
+            code = None
             try:
-                result = compiled[5](self)
+                code = self.executable.terminator(label)
+                result = code(self)
             except ExecutionError as fault:
-                block = self.function.blocks.get(label)
-                index = (
-                    len(block.instructions) if block is not None else -1
-                )
-                _annotate_fault(fault, label, index)
+                self._locate_fault(fault, label, code)
                 raise
             if type(result) is int:
                 return result
@@ -381,18 +510,19 @@ class _WarpState:
         start_label: Optional[str] = None,
         start_executed: int = 0,
     ) -> int:
-        """The closure fast path: one pre-bound closure per instruction
-        and one statistics update per block executed. Cycle/flop sums
-        accumulate in locals and flush to ``stats`` lazily — before any
-        precise block (whose ops observe the counters mid-block via
-        ``%clock``) and at exit. ``start_label``/``start_executed``
-        resume mid-kernel (array-backend fallback); counters already in
-        ``stats`` are kept and accumulated onto."""
-        blocks = self.executable.compiled_blocks
+        """The run loop: one generated function call and one statistics
+        update per block executed; looking a label up generates its
+        function the first time. Cycle/flop sums accumulate in locals
+        and flush to ``stats`` lazily — before any precise block (whose
+        code observes the counters mid-block via ``%clock`` and charges
+        its instructions itself) and at exit.
+        ``start_label``/``start_executed`` resume mid-kernel
+        (array-backend fallback); counters already in ``stats`` are
+        kept and accumulated onto."""
+        executable = self.executable
+        blocks = executable.blocks(self.access)
         label = (
-            self.executable.entry_label
-            if start_label is None
-            else start_label
+            executable.entry_label if start_label is None else start_label
         )
         executed = start_executed
         stats = self.stats
@@ -400,49 +530,41 @@ class _WarpState:
         deadline = self.deadline
         next_deadline_check = _DEADLINE_CHECK_STRIDE
         kernel_cycles = yield_cycles = flops = 0
-        op_position = -1
-        op_indices = ()
+        code = None
         try:
             while True:
                 (
-                    ops,
+                    code,
                     block_kernel_cycles,
                     block_yield_cycles,
                     block_flops,
                     count,
-                    terminator,
                     precise,
-                    op_indices,
                 ) = blocks[label]
                 if precise:
                     stats.kernel_cycles += kernel_cycles
                     stats.yield_cycles += yield_cycles
                     stats.flops += flops
                     kernel_cycles = yield_cycles = flops = 0
-                op_position = -1
-                for op_position, op in enumerate(ops):
-                    op(self)
-                op_position = -2  # past the body: faults are in the
-                # terminator (or the bookkeeping) below
+                result = code(self)
                 kernel_cycles += block_kernel_cycles
                 yield_cycles += block_yield_cycles
                 flops += block_flops
                 executed += count
                 if executed > limit:
                     raise InstructionLimitExceeded(
-                        f"{self.executable.name}: instruction limit "
+                        f"{executable.name}: instruction limit "
                         f"exceeded ({limit}); possible infinite loop"
                     )
                 if deadline is not None and executed >= next_deadline_check:
                     if time.monotonic() > deadline:
                         raise DeadlineExceeded(
-                            f"{self.executable.name}: wall-clock deadline "
+                            f"{executable.name}: wall-clock deadline "
                             f"exceeded mid-warp"
                         )
                     next_deadline_check = (
                         executed + _DEADLINE_CHECK_STRIDE
                     )
-                result = terminator(self)
                 if type(result) is int:
                     stats.kernel_cycles += kernel_cycles
                     stats.yield_cycles += yield_cycles
@@ -451,16 +573,7 @@ class _WarpState:
                     return result
                 label = result
         except ExecutionError as fault:
-            if op_position == -2:
-                block = self.function.blocks.get(label)
-                index = (
-                    len(block.instructions) if block is not None else -1
-                )
-            elif 0 <= op_position < len(op_indices):
-                index = op_indices[op_position]
-            else:
-                index = -1
-            _annotate_fault(fault, label, index)
+            self._locate_fault(fault, label, code)
             # Counters accumulated in locals would otherwise be lost;
             # flush them so a trapped launch still reports its partial
             # cycle/instruction work.
@@ -631,6 +744,35 @@ def _mulhi(a, b, dtype):
     return result if len(values) > 1 else result[0]
 
 
+def _expression_impl(template: str, parameters: str):
+    """The callable of an operator whose semantics are one expression:
+    built from the same template the block emitter inlines, so the two
+    cannot drift apart."""
+    return eval(
+        f"lambda {parameters}: " + template.format(a="a", b="b"),
+        {"np": np},
+    )
+
+
+#: Binary operators that are a single expression over typed operands.
+_BINARY_EXPR = {
+    "add": "{a} + {b}",
+    "sub": "{a} - {b}",
+    "mul": "{a} * {b}",
+    "min": "np.minimum({a}, {b})",
+    "max": "np.maximum({a}, {b})",
+}
+
+#: ``op -> (bitwise ufunc, logical ufunc)``: ``and``/``or``/``xor``
+#: are logical on predicates and bitwise on everything else, which
+#: every lowering but the reference decides statically.
+_BITWISE = {
+    "and": (np.bitwise_and, np.logical_and),
+    "or": (np.bitwise_or, np.logical_or),
+    "xor": (np.bitwise_xor, np.logical_xor),
+}
+
+
 def _logical_or_bitwise(numpy_bitop, numpy_logicalop):
     def implementation(a, b, dtype):
         if dtype.is_predicate:
@@ -641,17 +783,14 @@ def _logical_or_bitwise(numpy_bitop, numpy_logicalop):
 
 
 _BINARY_IMPL = {
-    "add": lambda a, b, dt: a + b,
-    "sub": lambda a, b, dt: a - b,
-    "mul": lambda a, b, dt: a * b,
+    **{
+        op: _expression_impl(template, "a, b, dt")
+        for op, template in _BINARY_EXPR.items()
+    },
+    **{op: _logical_or_bitwise(*pair) for op, pair in _BITWISE.items()},
     "mulhi": _mulhi,
     "div": _int_div,
     "rem": _int_rem,
-    "min": lambda a, b, dt: np.minimum(a, b),
-    "max": lambda a, b, dt: np.maximum(a, b),
-    "and": _logical_or_bitwise(np.bitwise_and, np.logical_and),
-    "or": _logical_or_bitwise(np.bitwise_or, np.logical_or),
-    "xor": _logical_or_bitwise(np.bitwise_xor, np.logical_xor),
     "shl": _clamped_shl,
     "lshr": _clamped_lshr,
     "ashr": _clamped_ashr,
@@ -686,13 +825,21 @@ def _unordered(op):
     return implementation
 
 
+#: Comparisons that are a single expression over typed operands.
+_COMPARE_EXPR = {
+    "eq": "{a} == {b}",
+    "ne": "{a} != {b}",
+    "lt": "{a} < {b}",
+    "le": "{a} <= {b}",
+    "gt": "{a} > {b}",
+    "ge": "{a} >= {b}",
+}
+
 _COMPARE_IMPL = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    **{
+        op: _expression_impl(template, "a, b")
+        for op, template in _COMPARE_EXPR.items()
+    },
     "ltu": _unordered(lambda a, b: a < b),
     "leu": _unordered(lambda a, b: a <= b),
     "gtu": _unordered(lambda a, b: a > b),
@@ -700,275 +847,6 @@ _COMPARE_IMPL = {
     "num": lambda a, b: ~(np.isnan(a) | np.isnan(b)),
     "nan": lambda a, b: np.isnan(a) | np.isnan(b),
 }
-
-
-# ---------------------------------------------------------------------------
-# Closure-specialized lowering (the fast path built by load_function)
-# ---------------------------------------------------------------------------
-#
-# Everything static about an instruction is resolved here, once, at
-# load time: the handler (one compile function per instruction type),
-# operand register slots, machine-value constants, dtype objects, and
-# the address-space dispatch of memory operations. What remains per
-# execution is only what genuinely varies per warp: the register file,
-# the thread contexts, and the parameter segment base.
-
-
-def _machine_constant(value: Constant):
-    """Pre-convert an IR constant to its machine (NumPy) value."""
-    return value.dtype.numpy_dtype.type(value.value)
-
-
-def _typed_constant(value: Constant, dtype: DataType):
-    """A constant as seen through :func:`_typed_reader`'s bit
-    reinterpretation, computed once at lowering time."""
-    fetched = _machine_constant(value)
-    wanted = dtype.numpy_dtype
-    current = fetched.dtype
-    if current == wanted:
-        return fetched
-    if dtype.is_predicate or current == np.bool_:
-        return fetched
-    if current.itemsize == wanted.itemsize:
-        return fetched.view(wanted)
-    return fetched.astype(wanted)
-
-
-def _raw_reader(value, slots):
-    """Compile an untyped operand accessor: ``read(regs) -> value``."""
-    if isinstance(value, Constant):
-        constant = _machine_constant(value)
-
-        def read(regs, constant=constant):
-            return constant
-
-        return read
-    slot = slots[value.name]
-    if value.width > 1:
-        width = value.width
-        numpy_dtype = value.dtype.numpy_dtype
-
-        def read(regs):
-            current = regs[slot]
-            if current is None:
-                current = regs[slot] = np.zeros(width, dtype=numpy_dtype)
-            return current
-
-    else:
-        zero = value.dtype.numpy_dtype.type(0)
-
-        def read(regs):
-            current = regs[slot]
-            if current is None:
-                current = regs[slot] = zero
-            return current
-
-    return read
-
-
-def _typed_reader(value, slots, dtype: DataType):
-    """Compile a typed operand accessor: PTX registers are untyped bit
-    containers, the instruction's dtype imposes the interpretation
-    (e.g. ``max.s32`` on a ``.u32`` register). Single-layer closures:
-    the register lookup, lazy default, and bit reinterpretation are
-    one call."""
-    if isinstance(value, Constant):
-        constant = _typed_constant(value, dtype)
-
-        def read(regs, constant=constant):
-            return constant
-
-        return read
-    slot = slots[value.name]
-    wanted = dtype.numpy_dtype
-    predicate = dtype.is_predicate
-    if value.width > 1:
-        width = value.width
-        stored_dtype = value.dtype.numpy_dtype
-
-        def default(regs):
-            fetched = regs[slot] = np.zeros(width, dtype=stored_dtype)
-            return fetched
-
-    else:
-        zero = value.dtype.numpy_dtype.type(0)
-
-        def default(regs):
-            regs[slot] = zero
-            return zero
-
-    def read(regs):
-        fetched = regs[slot]
-        if fetched is None:
-            fetched = default(regs)
-        current = getattr(fetched, "dtype", None)
-        if current is wanted or current is None or current == wanted:
-            return fetched
-        if predicate or current == np.bool_:
-            return fetched
-        if current.itemsize == wanted.itemsize:
-            return fetched.view(wanted)
-        return fetched.astype(wanted)
-
-    return read
-
-
-def _address_reader(inst, slots):
-    """Compile the address computation of a memory instruction with the
-    address-space dispatch resolved statically (and the whole address
-    folded to a constant when the base is one)."""
-    space = inst.space
-    offset = inst.offset
-    lane = inst.lane
-    base = inst.base
-    if isinstance(base, Constant):
-        static = int(_machine_constant(base)) + offset
-        if space is AddressSpace.global_:
-            return lambda state: static
-        if space is AddressSpace.param:
-            return lambda state: state.param_base + static
-        if space is AddressSpace.shared:
-            return lambda state: (
-                state.contexts[lane].shared_base + static
-            )
-        if space is AddressSpace.local:
-            return lambda state: (
-                state.contexts[lane].local_base + static
-            )
-        raise ExecutionError(f"unresolvable address space {space}")
-    read = _raw_reader(base, slots)
-    if space is AddressSpace.global_:
-        return lambda state: int(read(state.regs)) + offset
-    if space is AddressSpace.param:
-        return lambda state: (
-            state.param_base + int(read(state.regs)) + offset
-        )
-    if space is AddressSpace.shared:
-        return lambda state: (
-            state.contexts[lane].shared_base
-            + int(read(state.regs))
-            + offset
-        )
-    if space is AddressSpace.local:
-        return lambda state: (
-            state.contexts[lane].local_base
-            + int(read(state.regs))
-            + offset
-        )
-    raise ExecutionError(f"unresolvable address space {space}")
-
-
-# -- per-type instruction compilers ---------------------------------------
-
-
-def _compile_binary(inst: BinaryOp, slots, memory):
-    impl = _BINARY_IMPL[inst.op]
-    dtype = inst.dtype
-    read_a = _typed_reader(inst.a, slots, dtype)
-    read_b = _typed_reader(inst.b, slots, dtype)
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        regs[dst] = impl(read_a(regs), read_b(regs), dtype)
-
-    return op
-
-
-def _compile_unary(inst: UnaryOp, slots, memory):
-    impl = _UNARY_IMPL.get(inst.op)
-    if impl is None:
-        raise ExecutionError(f"unknown unary op {inst.op}")
-    dtype = inst.dtype
-    read_a = _typed_reader(inst.a, slots, dtype)
-    dst = slots[inst.dst.name]
-    if inst.op == "mov" and inst.dst.width > 1:
-        # A scalar moved into a vector register splats to its width.
-        width = inst.dst.width
-        numpy_dtype = dtype.numpy_dtype
-
-        def op(state):
-            regs = state.regs
-            value = read_a(regs)
-            if not (isinstance(value, np.ndarray) and value.ndim == 1):
-                value = np.full(width, value, dtype=numpy_dtype)
-            regs[dst] = value
-
-    else:
-
-        def op(state):
-            regs = state.regs
-            regs[dst] = impl(read_a(regs), dtype)
-
-    return op
-
-
-def _compile_fma(inst: FusedMultiplyAdd, slots, memory):
-    dtype = inst.dtype
-    read_a = _typed_reader(inst.a, slots, dtype)
-    read_b = _typed_reader(inst.b, slots, dtype)
-    read_c = _typed_reader(inst.c, slots, dtype)
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        regs[dst] = read_a(regs) * read_b(regs) + read_c(regs)
-
-    return op
-
-
-def _compile_compare(inst: Compare, slots, memory):
-    impl = _COMPARE_IMPL[inst.op]
-    read_a = _typed_reader(inst.a, slots, inst.dtype)
-    read_b = _typed_reader(inst.b, slots, inst.dtype)
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        regs[dst] = impl(read_a(regs), read_b(regs))
-
-    return op
-
-
-def _compile_select(inst: Select, slots, memory):
-    read_predicate = _raw_reader(inst.predicate, slots)
-    read_a = _raw_reader(inst.a, slots)
-    read_b = _raw_reader(inst.b, slots)
-    dst = slots[inst.dst.name]
-    numpy_dtype = inst.dtype.numpy_dtype
-    if inst.dst.width > 1:
-
-        def op(state):
-            regs = state.regs
-            regs[dst] = np.where(
-                read_predicate(regs), read_a(regs), read_b(regs)
-            ).astype(numpy_dtype)
-
-    else:
-        scalar = numpy_dtype.type
-
-        def op(state):
-            regs = state.regs
-            regs[dst] = scalar(
-                read_a(regs)
-                if bool(read_predicate(regs))
-                else read_b(regs)
-            )
-
-    return op
-
-
-def _compile_convert(inst: Convert, slots, memory):
-    read = _typed_reader(inst.src, slots, inst.src_type)
-    convert = _convert_impl(inst)
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        result = convert(read(regs))
-        regs[dst] = result[()] if result.ndim == 0 else result
-
-    return op
 
 
 def _rsqrt(argument):
@@ -988,75 +866,6 @@ _INTRINSIC_IMPL = {
     "ex2": np.exp2,
     "lg2": np.log2,
 }
-
-
-def _compile_intrinsic(inst: Intrinsic, slots, memory):
-    impl = _INTRINSIC_IMPL.get(inst.name)
-    if impl is None:
-        raise ExecutionError(f"unknown intrinsic {inst.name}")
-    read = _raw_reader(inst.args[0], slots)
-    numpy_dtype = inst.dtype.numpy_dtype
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        result = np.asarray(impl(read(regs))).astype(numpy_dtype)
-        regs[dst] = result[()] if result.ndim == 0 else result
-
-    return op
-
-
-def _compile_load(inst: Load, slots, memory):
-    address = _address_reader(inst, slots)
-    load = memory.load
-    dtype = inst.dtype
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        state.regs[dst] = load(dtype, address(state))
-
-    return op
-
-
-def _compile_store(inst: Store, slots, memory):
-    address = _address_reader(inst, slots)
-    read_value = _raw_reader(inst.value, slots)
-    store = memory.store
-    dtype = inst.dtype
-
-    def op(state):
-        store(dtype, address(state), read_value(state.regs))
-
-    return op
-
-
-def _compile_vector_load(inst: VectorLoad, slots, memory):
-    address = _address_reader(inst, slots)
-    read_array = memory.read_array
-    numpy_dtype = inst.dtype.numpy_dtype
-    width = inst.dst.width
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        state.regs[dst] = read_array(address(state), numpy_dtype, width)
-
-    return op
-
-
-def _compile_vector_store(inst: VectorStore, slots, memory):
-    address = _address_reader(inst, slots)
-    read_value = _raw_reader(inst.value, slots)
-    write_array = memory.write_array
-    numpy_dtype = inst.dtype.numpy_dtype
-
-    def op(state):
-        array = np.asarray(read_value(state.regs), dtype=numpy_dtype)
-        if array.ndim == 0:
-            array = np.full(state.warp_size, array, dtype=numpy_dtype)
-        write_array(address(state), array)
-
-    return op
-
 
 #: ``op -> f(old, operand, compare)``: the value an atomic
 #: read-modify-write stores back (``compare`` is ``None`` except for
@@ -1080,162 +889,6 @@ _ATOMIC_IMPL = {
     ),
 }
 
-
-def _atomic_compute(inst: AtomicRMW, slots):
-    """The read-modify-write combining function of one atomic, shared
-    by the fast and checked lowerings: ``compute(old, operand, regs)``
-    returns the value to store back."""
-    impl = _ATOMIC_IMPL.get(inst.op)
-    if impl is None:
-        raise ExecutionError(f"unknown atomic op {inst.op}")
-    if inst.op == "cas":
-        read_compare = _raw_reader(inst.compare, slots)
-
-        def compute(old, operand, regs):
-            return impl(old, operand, read_compare(regs))
-
-    else:
-
-        def compute(old, operand, regs):
-            return impl(old, operand, None)
-
-    return compute
-
-
-def _compile_atomic(inst: AtomicRMW, slots, memory):
-    address = _address_reader(inst, slots)
-    read_value = _raw_reader(inst.value, slots)
-    load = memory.load
-    store = memory.store
-    dtype = inst.dtype
-    dst = slots[inst.dst.name] if inst.dst is not None else None
-    compute = _atomic_compute(inst, slots)
-
-    def op(state):
-        regs = state.regs
-        location = address(state)
-        old = load(dtype, location)
-        store(dtype, location, compute(old, read_value(regs), regs))
-        if dst is not None:
-            regs[dst] = old
-
-    return op
-
-
-# -- checked (sanitized) memory compilers ----------------------------------
-#
-# The sanitizer variant of the memory lowering: identical address
-# computation and register plumbing, but every access routes through
-# the sanitizer's guest_* entry points, which classify it against the
-# shadow state (and feed shared accesses to the race detector) before
-# touching the arena. These compilers are only selected when a
-# sanitizer is attached, so the unchecked fast path above stays
-# byte-for-byte what PR 2 shipped. ``sanitizer.guest_*`` is looked up
-# per call (late binding) so fault-injection harnesses can patch the
-# sanitizer instance even after translation.
-
-
-def _compile_checked_load(inst: Load, slots, memory, sanitizer, label, index):
-    address = _address_reader(inst, slots)
-    dtype = inst.dtype
-    dst = slots[inst.dst.name]
-    lane = inst.lane
-    shared = inst.space is AddressSpace.shared
-
-    def op(state):
-        state.regs[dst] = sanitizer.guest_load(
-            state, lane, address(state), dtype, shared, label, index
-        )
-
-    return op
-
-
-def _compile_checked_store(
-    inst: Store, slots, memory, sanitizer, label, index
-):
-    address = _address_reader(inst, slots)
-    read_value = _raw_reader(inst.value, slots)
-    dtype = inst.dtype
-    lane = inst.lane
-    shared = inst.space is AddressSpace.shared
-
-    def op(state):
-        sanitizer.guest_store(
-            state, lane, address(state), dtype,
-            read_value(state.regs), shared, label, index,
-        )
-
-    return op
-
-
-def _compile_checked_vector_load(
-    inst: VectorLoad, slots, memory, sanitizer, label, index
-):
-    address = _address_reader(inst, slots)
-    numpy_dtype = inst.dtype.numpy_dtype
-    width = inst.dst.width
-    dst = slots[inst.dst.name]
-    lane = getattr(inst, "lane", 0)
-    shared = inst.space is AddressSpace.shared
-
-    def op(state):
-        state.regs[dst] = sanitizer.guest_read_vector(
-            state, lane, address(state), numpy_dtype, width, shared,
-            label, index,
-        )
-
-    return op
-
-
-def _compile_checked_vector_store(
-    inst: VectorStore, slots, memory, sanitizer, label, index
-):
-    address = _address_reader(inst, slots)
-    read_value = _raw_reader(inst.value, slots)
-    numpy_dtype = inst.dtype.numpy_dtype
-    lane = getattr(inst, "lane", 0)
-    shared = inst.space is AddressSpace.shared
-
-    def op(state):
-        array = np.asarray(read_value(state.regs), dtype=numpy_dtype)
-        if array.ndim == 0:
-            array = np.full(state.warp_size, array, dtype=numpy_dtype)
-        sanitizer.guest_write_vector(
-            state, lane, address(state), array, shared, label, index
-        )
-
-    return op
-
-
-def _compile_checked_atomic(
-    inst: AtomicRMW, slots, memory, sanitizer, label, index
-):
-    address = _address_reader(inst, slots)
-    read_value = _raw_reader(inst.value, slots)
-    dtype = inst.dtype
-    dst = slots[inst.dst.name] if inst.dst is not None else None
-    lane = inst.lane
-    shared = inst.space is AddressSpace.shared
-    compute = _atomic_compute(inst, slots)
-
-    def op(state):
-        regs = state.regs
-        location = address(state)
-        old = sanitizer.guest_load(
-            state, lane, location, dtype, shared, label, index,
-            atomic=True,
-        )
-        sanitizer.guest_store(
-            state, lane, location, dtype,
-            compute(old, read_value(regs), regs), shared, label, index,
-            atomic=True,
-        )
-        if dst is not None:
-            regs[dst] = old
-
-    return op
-
-
 #: Context fields that read a plain (attribute, axis) coordinate.
 _CONTEXT_COORDINATES = {
     "tid.x": ("tid", 0),
@@ -1251,121 +904,6 @@ _CONTEXT_COORDINATES = {
     "nctaid.y": ("nctaid", 1),
     "nctaid.z": ("nctaid", 2),
 }
-
-
-def _compile_context_read(inst: ContextRead, slots, memory):
-    lane = inst.lane
-    convert = inst.dtype.numpy_dtype.type
-    dst = slots[inst.dst.name]
-    field_name = inst.field_name
-    if field_name == "laneid":
-        value = convert(lane)
-
-        def op(state):
-            state.regs[dst] = value
-
-    elif field_name == "warpid":
-
-        def op(state):
-            state.regs[dst] = convert(state.warp.warp_id)
-
-    elif field_name == "clock":
-
-        def op(state):
-            stats = state.stats
-            state.regs[dst] = convert(
-                stats.kernel_cycles + stats.yield_cycles
-            )
-
-    elif field_name == "resume_point":
-
-        def op(state):
-            state.regs[dst] = convert(
-                state.contexts[lane].resume_point
-            )
-
-    elif field_name in _CONTEXT_COORDINATES:
-        attribute, axis = _CONTEXT_COORDINATES[field_name]
-
-        def op(state):
-            state.regs[dst] = convert(
-                getattr(state.contexts[lane], attribute)[axis]
-            )
-
-    else:
-        raise ExecutionError(f"unknown context field {field_name}")
-    return op
-
-
-def _compile_context_write(inst: ContextWrite, slots, memory):
-    if inst.field_name != "resume_point":
-        raise ExecutionError(
-            f"unwritable context field {inst.field_name}"
-        )
-    lane = inst.lane
-    read = _raw_reader(inst.value, slots)
-
-    def op(state):
-        state.contexts[lane].resume_point = int(read(state.regs))
-
-    return op
-
-
-def _compile_insert(inst: InsertElement, slots, memory):
-    dst = slots[inst.dst.name]
-    numpy_dtype = inst.dst.dtype.numpy_dtype
-    width = inst.dst.width
-    index = inst.index
-    read_scalar = _raw_reader(inst.scalar, slots)
-    if inst.src is None:
-
-        def op(state):
-            regs = state.regs
-            vector = np.zeros(width, dtype=numpy_dtype)
-            vector[index] = read_scalar(regs)
-            regs[dst] = vector
-
-    else:
-        read_src = _raw_reader(inst.src, slots)
-
-        def op(state):
-            regs = state.regs
-            vector = np.array(read_src(regs), dtype=numpy_dtype)
-            if vector.ndim == 0:
-                vector = np.full(width, vector, dtype=numpy_dtype)
-            vector[index] = read_scalar(regs)
-            regs[dst] = vector
-
-    return op
-
-
-def _compile_extract(inst: ExtractElement, slots, memory):
-    read = _raw_reader(inst.src, slots)
-    index = inst.index
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        vector = read(regs)
-        if isinstance(vector, np.ndarray) and vector.ndim == 1:
-            regs[dst] = vector[index]
-        else:
-            regs[dst] = vector
-
-    return op
-
-
-def _compile_broadcast(inst: Broadcast, slots, memory):
-    read = _raw_reader(inst.src, slots)
-    width = inst.dst.width
-    numpy_dtype = inst.dst.dtype.numpy_dtype
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        regs[dst] = np.full(width, read(regs), dtype=numpy_dtype)
-
-    return op
 
 
 def _reduce_add(source):
@@ -1395,349 +933,760 @@ _REDUCE_IMPL = {
 }
 
 
-def _compile_reduce(inst: Reduce, slots, memory):
-    impl = _REDUCE_IMPL.get(inst.op)
-    if impl is None:
-        raise ExecutionError(f"unknown reduction {inst.op}")
-    read = _raw_reader(inst.src, slots)
-    convert = inst.dst.dtype.numpy_dtype.type
-    dst = slots[inst.dst.name]
-
-    def op(state):
-        regs = state.regs
-        regs[dst] = convert(impl(np.asarray(read(regs))))
-
-    return op
+# -- operand values ----------------------------------------------------------
 
 
-# -- terminator compilers --------------------------------------------------
+def _machine_constant(value: Constant):
+    """Pre-convert an IR constant to its machine (NumPy) value."""
+    return value.dtype.numpy_dtype.type(value.value)
 
 
-def _compile_branch(inst: Branch, slots):
-    target = inst.target
-    return lambda state: target
+def _coerce(fetched, wanted):
+    """A register value as an instruction of numpy dtype ``wanted``
+    sees it. PTX registers are untyped bit containers and the
+    instruction's type imposes the interpretation (``max.s32`` on a
+    ``.u32`` register): same-width values are reinterpreted, others
+    converted; booleans and values with no dtype pass through. (An
+    instruction typed ``.pred`` reads its operands raw.)"""
+    current = getattr(fetched, "dtype", None)
+    if current is None or current == wanted or current == np.bool_:
+        return fetched
+    if current.itemsize == wanted.itemsize:
+        return fetched.view(wanted)
+    return fetched.astype(wanted)
 
 
-def _compile_cond_branch(inst: CondBranch, slots):
-    read = _raw_reader(inst.predicate, slots)
-    taken = inst.taken
-    fallthrough = inst.fallthrough
-    return lambda state: (
-        taken if bool(read(state.regs)) else fallthrough
-    )
+def _typed_constant(value: Constant, dtype: DataType):
+    """A constant as an instruction typed ``dtype`` sees it, computed
+    once at lowering time."""
+    fetched = _machine_constant(value)
+    if dtype.is_predicate:
+        return fetched
+    return _coerce(fetched, dtype.numpy_dtype)
 
 
-def _compile_switch(inst: Switch, slots):
-    read = _raw_reader(inst.value, slots)
-    cases = dict(inst.cases)
-    default = inst.default
-    return lambda state: cases.get(int(read(state.regs)), default)
-
-
-def _compile_yield(inst: Yield, slots):
-    status = inst.status
-    return lambda state: status
-
-
-def _compile_exit(inst: Exit, slots):
-    status = ResumeStatus.THREAD_EXIT
-    return lambda state: status
-
-
-def _compile_barrier_term(inst: BarrierTerm, slots):
-    def terminate(state):
-        raise ExecutionError(
-            "raw barrier terminator reached the machine; kernels must "
-            "be specialized through the vectorizer first"
-        )
-
-    return terminate
-
-
-_COMPILERS = {
-    BinaryOp: _compile_binary,
-    UnaryOp: _compile_unary,
-    FusedMultiplyAdd: _compile_fma,
-    Compare: _compile_compare,
-    Select: _compile_select,
-    Convert: _compile_convert,
-    Intrinsic: _compile_intrinsic,
-    Load: _compile_load,
-    Store: _compile_store,
-    VectorLoad: _compile_vector_load,
-    VectorStore: _compile_vector_store,
-    AtomicRMW: _compile_atomic,
-    ContextRead: _compile_context_read,
-    ContextWrite: _compile_context_write,
-    InsertElement: _compile_insert,
-    ExtractElement: _compile_extract,
-    Broadcast: _compile_broadcast,
-    Reduce: _compile_reduce,
-}
-
-#: The sanitizer-aware lowering variant: memory instructions whose
-#: closures route through the attached sanitizer. Signature
-#: ``(inst, slots, memory, sanitizer, block_label, instruction_index)``
-#: — label/index pin every finding to its exact program point.
-_CHECKED_COMPILERS = {
-    Load: _compile_checked_load,
-    Store: _compile_checked_store,
-    VectorLoad: _compile_checked_vector_load,
-    VectorStore: _compile_checked_vector_store,
-    AtomicRMW: _compile_checked_atomic,
-}
-
-_TERMINATOR_COMPILERS = {
-    Branch: _compile_branch,
-    CondBranch: _compile_cond_branch,
-    Switch: _compile_switch,
-    Yield: _compile_yield,
-    Exit: _compile_exit,
-    BarrierTerm: _compile_barrier_term,
-}
-
-
-def _wrap_precise(op, cycles: int, flops: int, overhead: bool):
-    """Per-instruction accounting wrapper for blocks that observe the
-    cycle counter mid-block (``%clock``): the aggregated per-block sums
-    would lag what the guest should observe, so such blocks charge
-    each instruction as it executes."""
-    if overhead:
-
-        def wrapped(state):
-            op(state)
-            stats = state.stats
-            stats.yield_cycles += cycles
-            stats.flops += flops
-
-    else:
-
-        def wrapped(state):
-            op(state)
-            stats = state.stats
-            stats.kernel_cycles += cycles
-            stats.flops += flops
-
-    return wrapped
-
-
-# -- run fusion ------------------------------------------------------------
-#
-# Consecutive simple ALU instructions (FMA and the pure binary ops whose
-# implementation is a single expression) compile into ONE generated
-# closure per run: values flow through Python locals instead of the
-# register file, dtype guards are hoisted to the run entry (one per
-# upward-exposed register), and the register file is written once per
-# defined register at the end. Any guard failure falls back to the
-# per-instruction closures and their typed readers.
-
-_FUSABLE_BINARY_EXPR = {
-    "add": "{a} + {b}",
-    "sub": "{a} - {b}",
-    "mul": "{a} * {b}",
-    "min": "np.minimum({a}, {b})",
-    "max": "np.maximum({a}, {b})",
-}
-
-
-def _is_fusable(instruction) -> bool:
-    if isinstance(instruction, FusedMultiplyAdd):
-        return True
-    return (
-        isinstance(instruction, BinaryOp)
-        and instruction.op in _FUSABLE_BINARY_EXPR
-    )
-
-
-def _try_fuse_run(run, slots, fallback_ops):
-    """Compile a run of fusable instructions into one closure, or
-    return ``None`` when the run's dataflow cannot be proven
-    dtype-consistent statically (the per-op closures then stay)."""
-    namespace = {"np": np, "fallback_ops": fallback_ops}
-    preload: Dict[int, object] = {}  # slot -> guarded np.dtype
-    written: Dict[int, object] = {}  # slot -> producing np.dtype
-    lines = []
-    counter = 0
-
-    def operand(value, dtype):
-        nonlocal counter
-        if isinstance(value, Constant):
-            name = f"k{counter}"
-            counter += 1
-            namespace[name] = _typed_constant(value, dtype)
-            return name
-        slot = slots[value.name]
-        wanted = dtype.numpy_dtype
-        produced = written.get(slot)
-        if produced is not None:
-            # Defined earlier in the run: the local carries the
-            # producer's dtype; a reinterpreting consumer needs the
-            # typed reader, so refuse to fuse.
-            return None if produced != wanted else f"v{slot}"
-        guarded = preload.get(slot)
-        if guarded is None:
-            preload[slot] = wanted
-        elif guarded != wanted:
-            return None
-        return f"v{slot}"
-
-    for instruction in run:
-        if isinstance(instruction, FusedMultiplyAdd):
-            dtype = instruction.dtype
-            a = operand(instruction.a, dtype)
-            b = operand(instruction.b, dtype)
-            c = operand(instruction.c, dtype)
-            if a is None or b is None or c is None:
-                return None
-            expression = f"{a} * {b} + {c}"
-        else:
-            dtype = instruction.dtype
-            a = operand(instruction.a, dtype)
-            b = operand(instruction.b, dtype)
-            if a is None or b is None:
-                return None
-            expression = _FUSABLE_BINARY_EXPR[instruction.op].format(
-                a=a, b=b
-            )
-        dst = slots[instruction.dst.name]
-        lines.append(f"v{dst} = {expression}")
-        written[dst] = dtype.numpy_dtype
-
-    loads = []
-    guards = []
-    for slot, wanted in preload.items():
-        loads.append(f"v{slot} = regs[{slot}]")
-        guards.append(f"v{slot}.dtype is w{slot}")
-        namespace[f"w{slot}"] = wanted
-    flush = [f"regs[{slot}] = v{slot}" for slot in written]
-    indent = "\n            "
-    guard = " and ".join(guards) if guards else "True"
-    source = (
-        "def run_ops(state):\n"
-        "    regs = state.regs\n"
-        "    try:\n"
-        f"        {(chr(10) + '        ').join(loads)}\n"
-        f"        if {guard}:\n"
-        f"            {indent.join(lines)}\n"
-        f"            {indent.join(flush)}\n"
-        "            return\n"
-        "    except AttributeError:\n"
-        "        pass\n"
-        "    for op in fallback_ops:\n"
-        "        op(state)\n"
-    )
-    exec(compile(source, "<fused-run>", "exec"), namespace)
-    return namespace["run_ops"]
-
-
-def _fuse_block_ops(block, slots, ops):
-    """Replace runs of >=2 consecutive fusable instruction closures in
-    ``ops`` with single generated run closures. Statistics are per
-    block, so fusion never changes modeled accounting. Returns
-    ``(fused_ops, op_indices)`` where ``op_indices[i]`` is the block
-    instruction index of the first instruction ``fused_ops[i]`` covers
-    (the trap PC of a fault inside a fused run points at its head)."""
-    fused = []
-    indices = []
-    instructions = block.instructions
-    index = 0
-    total = len(instructions)
-    while index < total:
-        if not _is_fusable(instructions[index]):
-            fused.append(ops[index])
-            indices.append(index)
-            index += 1
-            continue
-        end = index + 1
-        while end < total and _is_fusable(instructions[end]):
-            end += 1
-        if end - index < 2:
-            fused.append(ops[index])
-            indices.append(index)
-        else:
-            run = instructions[index:end]
-            fallback_ops = tuple(ops[index:end])
-            run_op = _try_fuse_run(run, slots, fallback_ops)
-            if run_op is None:
-                fused.extend(fallback_ops)
-                indices.extend(range(index, end))
-            else:
-                fused.append(run_op)
-                indices.append(index)
-        index = end
-    return fused, indices
-
-
-def _compile_block(block, cost_table, slots, memory, sanitizer=None):
-    """Lower one basic block to its compiled tuple (see
-    :class:`ExecutableFunction.compiled_blocks`). With a ``sanitizer``,
-    memory instructions lower to checked closures instead of the
-    pre-bound fast-path ones."""
-    precise = any(
+def _reads_clock(block) -> bool:
+    """Blocks that observe the cycle counter mid-block (``%clock``)
+    are *precise*: the per-block cost sums would lag what the guest
+    should see, so their code charges each instruction as it executes
+    (and they have no batched array lowering)."""
+    return any(
         isinstance(instruction, ContextRead)
         and instruction.field_name == "clock"
         for instruction in block.instructions
     )
-    ops = []
-    label = block.label
-    for index, instruction in enumerate(block.instructions):
-        checked_fn = (
-            _CHECKED_COMPILERS.get(type(instruction))
-            if sanitizer is not None
-            else None
+
+
+# ---------------------------------------------------------------------------
+# The block emitter (the lowering, run on a block's first entry)
+# ---------------------------------------------------------------------------
+#
+# Everything static about a block is resolved while it is printed:
+# register slots, machine-value constants, the dtype each operand is
+# read as, the address-space dispatch and the memory-access template.
+# What remains per execution is what genuinely varies per warp: the
+# register file, the thread contexts and the parameter segment base.
+
+
+def _code(numpy_dtype) -> str:
+    """Short name of a numpy dtype inside generated identifiers
+    (``f4``, ``u8``, ``b1``)."""
+    return numpy_dtype.str[1:]
+
+
+def _code_namespace(memory: MemorySystem, sanitizer) -> dict:
+    """The globals every function generated against ``memory`` starts
+    from — the accessors its memory templates are printed against. Per
+    :class:`DataType`: ``D_<name>`` the type itself; per numpy dtype
+    ``W_<code>`` the dtype, ``T_<code>`` its scalar type and
+    ``V_<code>`` a typed view of the arena, so an aligned guest access
+    is one element index."""
+    data = memory.data
+
+    def load_unaligned(address, numpy_dtype):
+        return data[address : address + numpy_dtype.itemsize].view(
+            numpy_dtype
+        )[0]
+
+    def store_unaligned(address, value):
+        data[address : address + value.nbytes] = np.frombuffer(
+            value.tobytes(), dtype=np.uint8
         )
-        if checked_fn is not None:
-            op = checked_fn(
-                instruction, slots, memory, sanitizer, label, index
-            )
-        else:
-            compile_fn = _COMPILERS.get(type(instruction))
-            if compile_fn is None:
-                raise ExecutionError(
-                    f"no lowering for instruction {instruction!r}"
-                )
-            op = compile_fn(instruction, slots, memory)
+
+    namespace = {
+        "np": np,
+        "ndarray": np.ndarray,
+        "coerce": _coerce,
+        "ExecutionError": ExecutionError,
+        "memory": memory,
+        "san": sanitizer,
+        "DATA": data,
+        "load_unaligned": load_unaligned,
+        "store_unaligned": store_unaligned,
+    }
+    for dtype in DataType:
+        numpy_dtype = dtype.numpy_dtype
+        code = _code(numpy_dtype)
+        usable = memory.size - memory.size % numpy_dtype.itemsize
+        namespace[f"D_{dtype.name}"] = dtype
+        namespace[f"W_{code}"] = numpy_dtype
+        namespace[f"T_{code}"] = numpy_dtype.type
+        namespace[f"V_{code}"] = data[:usable].view(numpy_dtype)
+    return namespace
+
+
+class _BlockTable(dict):
+    """``label -> (code, kernel_cycles, yield_cycles, flops,
+    instructions, precise)`` for one executable and access template,
+    filled as warps first reach each label: ``code`` is the block's
+    generated function, the middle fields the aggregated static cost
+    the run loop adds per execution, ``precise`` marks blocks whose
+    code charges its body instructions itself (then only the
+    terminator's cycles are block-level)."""
+
+    def __init__(self, executable: ExecutableFunction, access: str):
+        super().__init__()
+        self.executable = executable
+        self.access = access
+
+    def __missing__(self, label: str) -> tuple:
+        executable = self.executable
+        block = executable.function.blocks[label]
+        code = executable.target.lower_block(executable, label, self.access)
+        cost = executable.block_cost(label)
+        precise = _reads_clock(block)
         if precise:
-            cost = cost_table.cost_of(instruction)
-            op = _wrap_precise(
-                op,
-                cost.cycles,
-                cost.flops,
-                bool(getattr(instruction, "overhead", False)),
-            )
-        ops.append(op)
-    op_indices = list(range(len(ops)))
-    if not precise:
-        # Precise blocks need per-op accounting; every other block may
-        # fuse runs of simple ALU ops into single generated closures.
-        ops, op_indices = _fuse_block_ops(block, slots, ops)
-    terminator = block.terminator
-    compile_terminator = _TERMINATOR_COMPILERS.get(type(terminator))
-    if compile_terminator is None:
-        raise ExecutionError(
-            f"no lowering for terminator {terminator!r}"
-        )
-    cost = aggregate_block_cost(block, cost_table)
-    if precise:
-        # Body charges were folded into the per-op wrappers; only the
-        # terminator's cycles remain block-level.
-        terminator_cost = cost_table.cost_of(terminator)
-        if getattr(terminator, "overhead", False):
-            kernel_cycles, yield_cycles = 0, terminator_cost.cycles
+            terminator = block.terminator
+            cycles = executable.cost_table.cost_of(terminator).cycles
+            overhead = getattr(terminator, "overhead", False)
+            charged = (0, cycles, 0) if overhead else (cycles, 0, 0)
         else:
-            kernel_cycles, yield_cycles = terminator_cost.cycles, 0
-        flops = 0
-    else:
-        kernel_cycles = cost.kernel_cycles
-        yield_cycles = cost.yield_cycles
-        flops = cost.flops
-    return (
-        tuple(ops),
-        kernel_cycles,
-        yield_cycles,
-        flops,
-        cost.instructions,
-        compile_terminator(terminator, slots),
-        precise,
-        tuple(op_indices),
-    )
+            charged = (cost.kernel_cycles, cost.yield_cycles, cost.flops)
+        entry = self[label] = (code, *charged, cost.instructions, precise)
+        return entry
+
+
+class _BlockEmitter:
+    """Prints one basic block as a Python function.
+
+    One opcode table (:data:`_EMITTERS`) is driven over the block; the
+    emitter is the variable manager between the instructions: which
+    registers already live in a local (``r<slot>``), what dtype each
+    local is known to carry, which derived values (``int()`` of an
+    address register, a reinterpreted view, a segment base) were
+    already computed in this straight-line code and can be reused.
+    """
+
+    def __init__(self, executable, block, access: str, namespace: dict):
+        self.executable = executable
+        self.slots = executable.register_slots
+        self.label = block.label
+        self.access = access
+        self.namespace = namespace
+        self.precise = _reads_clock(block)
+        self.lines: List[str] = []
+        #: per source line, the index of the instruction it belongs to
+        self.line_index: List[int] = []
+        self.index = 0
+        self.comment = ""
+        #: slots whose register already has a local in this block
+        self.loaded: set = set()
+        #: slot -> (numpy dtype, exact). The local *passes as* that
+        #: dtype — an instruction of the type reads it as it is — and
+        #: when ``exact`` it is known to carry exactly it, so a
+        #: differently typed reader is resolved statically.
+        self.known: Dict[int, tuple] = {}
+        #: names of locals bound so far by :meth:`bind`
+        self.bound: set = set()
+        #: slot -> bound names derived from the slot's current value
+        self.derived: Dict[int, List[str]] = {}
+        self.constants: Dict[object, str] = {}
+
+    # -- source ------------------------------------------------------------
+
+    def instruction(self, index: int, instruction) -> None:
+        """Print ``instruction`` (``index`` is its trap PC)."""
+        emit = _EMITTERS.get(type(instruction))
+        if emit is None:
+            raise ExecutionError(
+                f"no lowering for instruction {instruction!r}"
+            )
+        self.index = index
+        self.comment = f"  # {index}: {instruction}"
+        emit(self, instruction)
+        if self.precise and not instruction.is_terminator:
+            cost = self.executable.cost_table.cost_of(instruction)
+            stats = self.bind("stats", "state.stats")
+            bucket = (
+                "yield_cycles"
+                if getattr(instruction, "overhead", False)
+                else "kernel_cycles"
+            )
+            self.emit(f"{stats}.{bucket} += {cost.cycles}")
+            if cost.flops:
+                self.emit(f"{stats}.flops += {cost.flops}")
+
+    def emit(self, text: str) -> None:
+        self.lines.append(f"    {text}{self.comment}")
+        self.line_index.append(self.index)
+        self.comment = ""
+
+    def function(self, filename: str) -> Callable:
+        """Compile the printed block; see ``Interpreter.lower_block``."""
+        source = "\n".join(
+            ["def block(state):", "    regs = state.regs", *self.lines, ""]
+        )
+        exec(compile(source, filename, "exec"), self.namespace)
+        code = self.namespace["block"]
+        # Line numbers are 1-based and the two header lines belong to
+        # no instruction.
+        code.line_index = (-1, -1, -1, *self.line_index)
+        code.source = source
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        return code
+
+    # -- the variable manager ---------------------------------------------
+
+    def constant(self, value) -> str:
+        """Name of ``value`` in the generated function's globals."""
+        if isinstance(value, np.generic):
+            key = (value.dtype, value.tobytes())
+        else:
+            key = id(value)
+        name = self.constants.get(key)
+        if name is None:
+            name = self.constants[key] = f"k{len(self.constants)}"
+            self.namespace[name] = value
+        return name
+
+    def bind(self, name: str, expression: str, slot=None) -> str:
+        """Local ``name`` holding ``expression``, computed at its first
+        use in the block; with ``slot``, until that register is
+        redefined."""
+        if name not in self.bound:
+            self.emit(f"{name} = {expression}")
+            self.bound.add(name)
+            if slot is not None:
+                self.derived.setdefault(slot, []).append(name)
+        return name
+
+    def raw(self, value) -> str:
+        """Operand as stored (no reinterpretation)."""
+        if isinstance(value, Constant):
+            return self.constant(_machine_constant(value))
+        slot = self.slots[value.name]
+        name = f"r{slot}"
+        if slot not in self.loaded:
+            # Live into the block: read the register file once; a
+            # register nobody wrote yet reads as a typed zero.
+            self.loaded.add(slot)
+            self.emit(f"{name} = regs[{slot}]")
+            code = _code(value.dtype.numpy_dtype)
+            zero = (
+                f"np.zeros({value.width}, dtype=W_{code})"
+                if value.width > 1
+                else self.constant(value.dtype.numpy_dtype.type(0))
+            )
+            self.emit(f"if {name} is None: {name} = regs[{slot}] = {zero}")
+        return name
+
+    def typed(self, value, dtype: DataType) -> Tuple[str, bool]:
+        """Operand as an instruction typed ``dtype`` reads it, and
+        whether it is then known to carry exactly that dtype (see
+        :func:`_coerce` for the rule this resolves ahead of time)."""
+        wanted = dtype.numpy_dtype
+        if isinstance(value, Constant):
+            constant = _typed_constant(value, dtype)
+            return self.constant(constant), constant.dtype == wanted
+        name = self.raw(value)
+        if dtype.is_predicate:
+            return name, False
+        slot = self.slots[value.name]
+        current, exact = self.known.get(slot, (None, False))
+        if current is not None and current == wanted:
+            return name, exact
+        code = _code(wanted)
+        if exact and current == np.bool_:
+            return name, False
+        if exact:
+            cast = "view" if current.itemsize == wanted.itemsize else "astype"
+            expression = f"{name}.{cast}(W_{code})"
+        elif value.width > 1:
+            expression = (
+                f"{name} if type({name}) is ndarray and "
+                f"{name}.dtype is W_{code} else coerce({name}, W_{code})"
+            )
+        else:
+            expression = (
+                f"{name} if type({name}) is T_{code} "
+                f"else coerce({name}, W_{code})"
+            )
+        return self.bind(f"{name}_{code}", expression, slot), exact
+
+    def exactly(self, value, wanted) -> bool:
+        """True when ``value`` is known to carry exactly ``wanted``."""
+        if isinstance(value, Constant):
+            return value.dtype.numpy_dtype == wanted
+        return self.known.get(self.slots[value.name]) == (wanted, True)
+
+    def integer(self, value) -> str:
+        """Operand as a Python int (addresses, switch values)."""
+        if isinstance(value, Constant):
+            return f"({int(_machine_constant(value))})"
+        slot = self.slots[value.name]
+        return self.bind(f"i{slot}", f"int({self.raw(value)})", slot)
+
+    def define(self, register, expression, dtype=None, exact=False) -> None:
+        """Assign ``register``: the local, and through to the register
+        file so a trap at any later instruction dumps it. ``dtype``
+        (with ``exact``) is what the value is known to carry."""
+        slot = self.slots[register.name]
+        self.emit(f"regs[{slot}] = r{slot} = {expression}")
+        self.loaded.add(slot)
+        for name in self.derived.pop(slot, ()):
+            self.bound.discard(name)
+        if dtype is None:
+            self.known.pop(slot, None)
+        else:
+            self.known[slot] = (dtype, exact)
+
+    def result(self, dtype: DataType, exact: bool) -> tuple:
+        """``define``'s dtype arguments for a value produced as
+        ``dtype`` (predicate-typed instructions read raw and load
+        Python bools, so they promise nothing)."""
+        if dtype.is_predicate:
+            return None, False
+        return dtype.numpy_dtype, exact
+
+    # -- ALU ------------------------------------------------------------------
+
+    def binary(self, inst: BinaryOp) -> None:
+        dtype = inst.dtype
+        a, exact_a = self.typed(inst.a, dtype)
+        b, exact_b = self.typed(inst.b, dtype)
+        if inst.op in _BINARY_EXPR:
+            expression = _BINARY_EXPR[inst.op].format(a=a, b=b)
+        elif inst.op in _BITWISE:
+            ufunc = _BITWISE[inst.op][dtype.is_predicate]
+            expression = f"{self.constant(ufunc)}({a}, {b})"
+        else:
+            impl = self.constant(_BINARY_IMPL[inst.op])
+            expression = f"{impl}({a}, {b}, D_{dtype.name})"
+        self.define(
+            inst.dst, expression, *self.result(dtype, exact_a and exact_b)
+        )
+
+    def unary(self, inst: UnaryOp) -> None:
+        impl = _UNARY_IMPL.get(inst.op)
+        if impl is None:
+            raise ExecutionError(f"unknown unary op {inst.op}")
+        dtype = inst.dtype
+        a, exact = self.typed(inst.a, dtype)
+        if inst.op != "mov":
+            expression = f"{self.constant(impl)}({a}, D_{dtype.name})"
+        elif inst.dst.width > 1:
+            # A scalar moved into a vector register splats to its width.
+            expression = (
+                f"{a} if isinstance({a}, ndarray) and {a}.ndim == 1 else "
+                f"np.full({inst.dst.width}, {a}, "
+                f"dtype=W_{_code(dtype.numpy_dtype)})"
+            )
+        else:
+            expression = a
+        self.define(inst.dst, expression, *self.result(dtype, exact))
+
+    def fma(self, inst: FusedMultiplyAdd) -> None:
+        dtype = inst.dtype
+        a, exact_a = self.typed(inst.a, dtype)
+        b, exact_b = self.typed(inst.b, dtype)
+        c, exact_c = self.typed(inst.c, dtype)
+        exact = exact_a and exact_b and exact_c
+        expression = f"{a} * {b} + {c}"
+        if exact and inst.dst.width > 1:
+            # One dtype throughout, so adding into the fresh product
+            # rounds exactly like the expression and saves an array.
+            self.emit(f"t = {a} * {b}")
+            self.emit(f"t += {c}")
+            expression = "t"
+        self.define(inst.dst, expression, *self.result(dtype, exact))
+
+    def compare(self, inst: Compare) -> None:
+        a, _ = self.typed(inst.a, inst.dtype)
+        b, _ = self.typed(inst.b, inst.dtype)
+        if inst.op in _COMPARE_EXPR:
+            expression = _COMPARE_EXPR[inst.op].format(a=a, b=b)
+        else:
+            impl = self.constant(_COMPARE_IMPL[inst.op])
+            expression = f"{impl}({a}, {b})"
+        self.define(inst.dst, expression)
+
+    def select(self, inst: Select) -> None:
+        wanted = inst.dtype.numpy_dtype
+        predicate = self.raw(inst.predicate)
+        a, b = self.raw(inst.a), self.raw(inst.b)
+        if inst.dst.width > 1:
+            expression = (
+                f"np.where({predicate}, {a}, {b})"
+                f".astype(W_{_code(wanted)})"
+            )
+        else:
+            expression = f"{a} if {predicate} else {b}"
+            if not (
+                self.exactly(inst.a, wanted) and self.exactly(inst.b, wanted)
+            ):
+                expression = f"T_{_code(wanted)}({expression})"
+        self.define(inst.dst, expression, wanted, True)
+
+    def convert(self, inst: Convert) -> None:
+        source, _ = self.typed(inst.src, inst.src_type)
+        impl = self.constant(_convert_impl(inst))
+        self.define(
+            inst.dst,
+            f"{impl}({source})[()]",
+            inst.dst_type.numpy_dtype,
+            True,
+        )
+
+    def intrinsic(self, inst: Intrinsic) -> None:
+        impl = _INTRINSIC_IMPL.get(inst.name)
+        if impl is None:
+            raise ExecutionError(f"unknown intrinsic {inst.name}")
+        wanted = inst.dtype.numpy_dtype
+        argument = self.raw(inst.args[0])
+        self.define(
+            inst.dst,
+            f"np.asarray({self.constant(impl)}({argument}))"
+            f".astype(W_{_code(wanted)})[()]",
+            wanted,
+            True,
+        )
+
+    # -- memory ---------------------------------------------------------------
+    #
+    # Every memory instruction first computes its address into local
+    # ``a``; the guest_* methods then print the access itself against
+    # the block's access template (see ``Interpreter.access``).
+
+    def address(self, inst) -> None:
+        term = self.integer(inst.base)
+        if inst.offset:
+            term = f"{term} + {inst.offset}"
+        space = inst.space
+        if space is AddressSpace.param:
+            term = f"{self.bind('param_base', 'state.param_base')} + {term}"
+        elif space in (AddressSpace.shared, AddressSpace.local):
+            contexts = self.bind("contexts", "state.contexts")
+            base = self.bind(
+                f"{space.value}_base{inst.lane}",
+                f"{contexts}[{inst.lane}].{space.value}_base",
+            )
+            term = f"{base} + {term}"
+        elif space is not AddressSpace.global_:
+            raise ExecutionError(f"unresolvable address space {space}")
+        self.emit(f"a = {term}")
+
+    def checked_arguments(self, inst) -> str:
+        """The program-point arguments every sanitizer entry point
+        takes after the access itself: shared?, label, index."""
+        shared = inst.space is AddressSpace.shared
+        return f"{shared}, {self.label!r}, {self.index}"
+
+    def bounds(self, size) -> None:
+        self.emit(
+            f"if a < {_NULL_GUARD} or a + {size} > "
+            f"{self.executable.target.memory.size}: memory._check(a, {size})"
+        )
+
+    def guest_load(self, inst, atomic: bool = False) -> str:
+        """Expression of the scalar at ``a`` (after printing its check
+        and count where the template has them inline)."""
+        dtype = inst.dtype
+        if self.access == "checked":
+            return (
+                f"san.guest_load(state, {inst.lane}, a, D_{dtype.name}, "
+                f"{self.checked_arguments(inst)}"
+                + (", atomic=True)" if atomic else ")")
+            )
+        if self.access == "late":
+            return f"memory.load(D_{dtype.name}, a)"
+        size = dtype.size
+        self.bounds(size)
+        self.emit("memory.load_count += 1")
+        if dtype.is_predicate:
+            return "bool(DATA[a])"
+        code = _code(dtype.numpy_dtype)
+        if size == 1:
+            return f"V_{code}[a]"
+        return (
+            f"V_{code}[a >> {size.bit_length() - 1}] if not a & {size - 1} "
+            f"else load_unaligned(a, W_{code})"
+        )
+
+    def guest_store(
+        self, inst, value: str, exact: bool, atomic: bool = False
+    ) -> None:
+        """Print the scalar store of ``value`` to ``a``."""
+        dtype = inst.dtype
+        if self.access == "checked":
+            self.emit(
+                f"san.guest_store(state, {inst.lane}, a, D_{dtype.name}, "
+                f"{value}, {self.checked_arguments(inst)}"
+                + (", atomic=True)" if atomic else ")")
+            )
+            return
+        if self.access == "late":
+            self.emit(f"memory.store(D_{dtype.name}, a, {value})")
+            return
+        size = dtype.size
+        self.bounds(size)
+        self.emit("memory.store_count += 1")
+        if dtype.is_predicate:
+            self.emit(f"DATA[a] = 1 if {value} else 0")
+            return
+        code = _code(dtype.numpy_dtype)
+        if not exact:
+            self.emit(f"t = {value}")
+            self.emit(
+                f"if type(t) is not T_{code}: "
+                f"t = np.asarray(t).astype(W_{code})"
+            )
+            value = "t"
+        if size == 1:
+            self.emit(f"V_{code}[a] = {value}")
+            return
+        self.emit(f"if a & {size - 1}: store_unaligned(a, {value})")
+        self.emit(f"else: V_{code}[a >> {size.bit_length() - 1}] = {value}")
+
+    def load(self, inst: Load) -> None:
+        self.address(inst)
+        # A load returns exactly its dtype (a predicate, a Python bool).
+        self.define(
+            inst.dst, self.guest_load(inst), *self.result(inst.dtype, True)
+        )
+
+    def store(self, inst: Store) -> None:
+        value = self.raw(inst.value)
+        self.address(inst)
+        self.guest_store(
+            inst, value, self.exactly(inst.value, inst.dtype.numpy_dtype)
+        )
+
+    def atomic(self, inst: AtomicRMW) -> None:
+        impl = _ATOMIC_IMPL.get(inst.op)
+        if impl is None:
+            raise ExecutionError(f"unknown atomic op {inst.op}")
+        operand = self.raw(inst.value)
+        compare = self.raw(inst.compare) if inst.op == "cas" else "None"
+        self.address(inst)
+        self.emit(f"o = {self.guest_load(inst, atomic=True)}")
+        self.guest_store(
+            inst,
+            f"{self.constant(impl)}(o, {operand}, {compare})",
+            False,
+            atomic=True,
+        )
+        if inst.dst is not None:
+            self.define(inst.dst, "o", *self.result(inst.dtype, True))
+
+    def vector_load(self, inst: VectorLoad) -> None:
+        wanted = inst.dtype.numpy_dtype
+        code, size, width = _code(wanted), wanted.itemsize, inst.dst.width
+        self.address(inst)
+        if self.access == "checked":
+            expression = (
+                f"san.guest_read_vector(state, {inst.lane}, a, W_{code}, "
+                f"{width}, {self.checked_arguments(inst)})"
+            )
+        elif self.access == "late":
+            expression = f"memory.read_array(a, W_{code}, {width})"
+        else:
+            self.bounds(size * width)
+            self.emit(f"memory.load_count += {width}")
+            expression = (
+                f"DATA[a:a + {size * width}].view(W_{code}).copy()"
+            )
+            if size > 1:
+                shift = size.bit_length() - 1
+                expression = (
+                    f"V_{code}[a >> {shift}:(a >> {shift}) + {width}].copy() "
+                    f"if not a & {size - 1} else {expression}"
+                )
+        self.define(inst.dst, expression, wanted, True)
+
+    def vector_store(self, inst: VectorStore) -> None:
+        wanted = inst.dtype.numpy_dtype
+        code, size = _code(wanted), wanted.itemsize
+        self.emit(f"t = np.asarray({self.raw(inst.value)}, dtype=W_{code})")
+        self.emit(
+            f"if t.ndim == 0: t = np.full({self.executable.warp_size}, t, "
+            f"dtype=W_{code})"
+        )
+        self.address(inst)
+        if self.access == "checked":
+            self.emit(
+                f"san.guest_write_vector(state, {inst.lane}, a, t, "
+                f"{self.checked_arguments(inst)})"
+            )
+        elif self.access == "late":
+            self.emit("memory.write_array(a, t)")
+        else:
+            self.bounds("t.nbytes")
+            shift = size.bit_length() - 1
+            self.emit(f"if a & {size - 1}: store_unaligned(a, t)")
+            self.emit(
+                f"else: V_{code}[a >> {shift}:(a >> {shift}) + t.size] = t"
+            )
+            self.emit("memory.store_count += t.size")
+
+    # -- thread context -------------------------------------------------------
+
+    def context_read(self, inst: ContextRead) -> None:
+        wanted = inst.dtype.numpy_dtype
+        convert = f"T_{_code(wanted)}"
+        lane, field_name = inst.lane, inst.field_name
+        if field_name == "laneid":
+            expression = self.constant(wanted.type(lane))
+        elif field_name == "warpid":
+            expression = f"{convert}(state.warp.warp_id)"
+        elif field_name == "clock":
+            stats = self.bind("stats", "state.stats")
+            expression = (
+                f"{convert}({stats}.kernel_cycles + {stats}.yield_cycles)"
+            )
+        elif field_name == "resume_point":
+            contexts = self.bind("contexts", "state.contexts")
+            expression = f"{convert}({contexts}[{lane}].resume_point)"
+        elif field_name in _CONTEXT_COORDINATES:
+            attribute, axis = _CONTEXT_COORDINATES[field_name]
+            contexts = self.bind("contexts", "state.contexts")
+            expression = f"{convert}({contexts}[{lane}].{attribute}[{axis}])"
+        else:
+            raise ExecutionError(f"unknown context field {field_name}")
+        self.define(inst.dst, expression, wanted, True)
+
+    def context_write(self, inst: ContextWrite) -> None:
+        if inst.field_name != "resume_point":
+            raise ExecutionError(
+                f"unwritable context field {inst.field_name}"
+            )
+        value = self.integer(inst.value)
+        contexts = self.bind("contexts", "state.contexts")
+        self.emit(f"{contexts}[{inst.lane}].resume_point = {value}")
+
+    # -- vector packing -------------------------------------------------------
+
+    def insert(self, inst: InsertElement) -> None:
+        wanted = inst.dst.dtype.numpy_dtype
+        code, width = _code(wanted), inst.dst.width
+        if inst.src is None:
+            self.emit(f"t = np.zeros({width}, dtype=W_{code})")
+        else:
+            source = self.raw(inst.src)
+            copy = (
+                f"{source}.copy()"
+                if self.exactly(inst.src, wanted)
+                else f"np.array({source}, dtype=W_{code})"
+            )
+            self.emit(f"t = {copy}")
+            self.emit(
+                f"if t.ndim == 0: t = np.full({width}, t, dtype=W_{code})"
+            )
+        self.emit(f"t[{inst.index}] = {self.raw(inst.scalar)}")
+        self.define(inst.dst, "t", wanted, True)
+
+    def extract(self, inst: ExtractElement) -> None:
+        vector = self.raw(inst.src)
+        known = (None, False)
+        if not isinstance(inst.src, Constant):
+            known = self.known.get(self.slots[inst.src.name], known)
+        self.define(
+            inst.dst,
+            f"{vector}[{inst.index}] if isinstance({vector}, ndarray) "
+            f"and {vector}.ndim == 1 else {vector}",
+            *known,
+        )
+
+    def broadcast(self, inst: Broadcast) -> None:
+        wanted = inst.dst.dtype.numpy_dtype
+        self.define(
+            inst.dst,
+            f"np.full({inst.dst.width}, {self.raw(inst.src)}, "
+            f"dtype=W_{_code(wanted)})",
+            wanted,
+            True,
+        )
+
+    def reduce(self, inst: Reduce) -> None:
+        impl = _REDUCE_IMPL.get(inst.op)
+        if impl is None:
+            raise ExecutionError(f"unknown reduction {inst.op}")
+        wanted = inst.dst.dtype.numpy_dtype
+        self.define(
+            inst.dst,
+            f"T_{_code(wanted)}({self.constant(impl)}"
+            f"(np.asarray({self.raw(inst.src)})))",
+            wanted,
+            True,
+        )
+
+    # -- terminators ----------------------------------------------------------
+
+    def branch(self, inst: Branch) -> None:
+        self.emit(f"return {inst.target!r}")
+
+    def cond_branch(self, inst: CondBranch) -> None:
+        self.emit(
+            f"return {inst.taken!r} if {self.raw(inst.predicate)} "
+            f"else {inst.fallthrough!r}"
+        )
+
+    def switch(self, inst: Switch) -> None:
+        cases = self.constant(dict(inst.cases))
+        self.emit(
+            f"return {cases}.get({self.integer(inst.value)}, "
+            f"{inst.default!r})"
+        )
+
+    def yield_(self, inst: Yield) -> None:
+        self.emit(f"return {int(inst.status)}")
+
+    def exit(self, inst: Exit) -> None:
+        self.emit(f"return {ResumeStatus.THREAD_EXIT}")
+
+    def barrier(self, inst: BarrierTerm) -> None:
+        self.emit(
+            "raise ExecutionError('raw barrier terminator reached the "
+            "machine; kernels must be specialized through the vectorizer "
+            "first')"
+        )
+
+
+#: The opcode table: instruction type -> the emitter method printing it.
+_EMITTERS = {
+    BinaryOp: _BlockEmitter.binary,
+    UnaryOp: _BlockEmitter.unary,
+    FusedMultiplyAdd: _BlockEmitter.fma,
+    Compare: _BlockEmitter.compare,
+    Select: _BlockEmitter.select,
+    Convert: _BlockEmitter.convert,
+    Intrinsic: _BlockEmitter.intrinsic,
+    Load: _BlockEmitter.load,
+    Store: _BlockEmitter.store,
+    VectorLoad: _BlockEmitter.vector_load,
+    VectorStore: _BlockEmitter.vector_store,
+    AtomicRMW: _BlockEmitter.atomic,
+    ContextRead: _BlockEmitter.context_read,
+    ContextWrite: _BlockEmitter.context_write,
+    InsertElement: _BlockEmitter.insert,
+    ExtractElement: _BlockEmitter.extract,
+    Broadcast: _BlockEmitter.broadcast,
+    Reduce: _BlockEmitter.reduce,
+    Branch: _BlockEmitter.branch,
+    CondBranch: _BlockEmitter.cond_branch,
+    Switch: _BlockEmitter.switch,
+    Yield: _BlockEmitter.yield_,
+    Exit: _BlockEmitter.exit,
+    BarrierTerm: _BlockEmitter.barrier,
+}

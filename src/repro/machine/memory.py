@@ -209,11 +209,21 @@ class MemorySystem:
 
     # -- batched guest access (the array backend's gather/scatter) --------
 
+    #: The guest-access entry points a fault-injection harness may
+    #: override on an *instance*. Everything that touches the arena
+    #: without calling them (generated block code, the batched paths
+    #: below) asks :meth:`patched` first and goes through the methods
+    #: while a patch is in place, so injected faults fire — and stop
+    #: firing — whenever the harness arms and restores.
+    PATCH_POINTS = ("load", "store", "read_array", "write_array")
+
+    def patched(self) -> bool:
+        """True while any of :attr:`PATCH_POINTS` is overridden."""
+        return not self.__dict__.keys().isdisjoint(self.PATCH_POINTS)
+
     def _patched(self, name: str) -> bool:
-        """True when ``name`` has been overridden on this *instance*
-        (fault-injection harnesses patch ``load``/``store`` that way).
-        The batched paths then delegate per element so injected faults
-        keep firing."""
+        """True when ``name`` has been overridden on this *instance*;
+        the batched paths then delegate per element."""
         return name in self.__dict__
 
     def _check_batch(self, addresses: np.ndarray, size: int) -> None:

@@ -12,8 +12,37 @@ import enum
 import numpy as np
 
 
+#: suffix -> (size in bytes, machine scalar type). Predicates occupy one
+#: byte in local storage.
+_LAYOUT = {
+    "u8": (1, np.uint8),
+    "s8": (1, np.int8),
+    "u16": (2, np.uint16),
+    "s16": (2, np.int16),
+    "u32": (4, np.uint32),
+    "s32": (4, np.int32),
+    "u64": (8, np.uint64),
+    "s64": (8, np.int64),
+    "f32": (4, np.float32),
+    "f64": (8, np.float64),
+    "b8": (1, np.uint8),
+    "b16": (2, np.uint16),
+    "b32": (4, np.uint32),
+    "b64": (8, np.uint64),
+    "pred": (1, np.bool_),
+}
+
+
 class DataType(enum.Enum):
-    """A PTX scalar type (the ``.xNN`` opcode suffix)."""
+    """A PTX scalar type (the ``.xNN`` opcode suffix).
+
+    Members carry their layout and classification as plain attributes,
+    set once when the enum is built — ``size`` (bytes), ``numpy_dtype``
+    (the dtype the machine holds registers of this type in) and the
+    ``is_*`` flags are read on every simulated memory access, where a
+    property doing an enum-keyed dict lookup per call showed up in
+    profiles.
+    """
 
     u8 = "u8"
     s8 = "s8"
@@ -31,89 +60,24 @@ class DataType(enum.Enum):
     b64 = "b64"
     pred = "pred"
 
+    def __init__(self, suffix: str):
+        size, scalar = _LAYOUT[suffix]
+        self.size: int = size
+        self.numpy_dtype: np.dtype = np.dtype(scalar)
+        self.is_float: bool = suffix[0] == "f"
+        self.is_signed: bool = suffix[0] == "s"
+        self.is_unsigned: bool = suffix[0] == "u"
+        self.is_untyped_bits: bool = suffix[0] == "b"
+        self.is_predicate: bool = suffix == "pred"
+        self.is_integer: bool = suffix[0] in "sub"
+
     def __str__(self):
         return f".{self.value}"
-
-    @property
-    def size(self) -> int:
-        """Size in bytes (predicates occupy one byte in local storage)."""
-        return _SIZES[self]
-
-    @property
-    def is_float(self) -> bool:
-        return self in (DataType.f32, DataType.f64)
-
-    @property
-    def is_signed(self) -> bool:
-        return self in (DataType.s8, DataType.s16, DataType.s32, DataType.s64)
-
-    @property
-    def is_unsigned(self) -> bool:
-        return self in (
-            DataType.u8,
-            DataType.u16,
-            DataType.u32,
-            DataType.u64,
-        )
-
-    @property
-    def is_integer(self) -> bool:
-        return self.is_signed or self.is_unsigned or self.is_untyped_bits
-
-    @property
-    def is_untyped_bits(self) -> bool:
-        return self in (DataType.b8, DataType.b16, DataType.b32, DataType.b64)
-
-    @property
-    def is_predicate(self) -> bool:
-        return self is DataType.pred
-
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        """The numpy dtype the machine uses for registers of this type."""
-        return _NUMPY[self]
 
     @classmethod
     def parse(cls, text: str) -> "DataType":
         """Parse a suffix with or without the leading dot."""
         return cls(text.lstrip("."))
-
-
-_SIZES = {
-    DataType.u8: 1,
-    DataType.s8: 1,
-    DataType.b8: 1,
-    DataType.u16: 2,
-    DataType.s16: 2,
-    DataType.b16: 2,
-    DataType.u32: 4,
-    DataType.s32: 4,
-    DataType.b32: 4,
-    DataType.f32: 4,
-    DataType.u64: 8,
-    DataType.s64: 8,
-    DataType.b64: 8,
-    DataType.f64: 8,
-    DataType.pred: 1,
-}
-
-_NUMPY = {
-    DataType.u8: np.dtype(np.uint8),
-    DataType.s8: np.dtype(np.int8),
-    DataType.b8: np.dtype(np.uint8),
-    DataType.u16: np.dtype(np.uint16),
-    DataType.s16: np.dtype(np.int16),
-    DataType.b16: np.dtype(np.uint16),
-    DataType.u32: np.dtype(np.uint32),
-    DataType.s32: np.dtype(np.int32),
-    DataType.b32: np.dtype(np.uint32),
-    DataType.f32: np.dtype(np.float32),
-    DataType.u64: np.dtype(np.uint64),
-    DataType.s64: np.dtype(np.int64),
-    DataType.b64: np.dtype(np.uint64),
-    DataType.f64: np.dtype(np.float64),
-    DataType.pred: np.dtype(np.bool_),
-}
 
 
 class AddressSpace(enum.Enum):

@@ -1,9 +1,14 @@
 """On-disk tier of the translation cache.
 
 Specializations survive the process that compiled them: the vectorized
-IR (post-cleanup, pre-lowering — lowering is machine-local and cheap)
-is pickled under a content-addressed file name, so repeated benchmark
-runs skip translation entirely. Design points:
+IR (post-cleanup, pre-lowering) is pickled under a content-addressed
+file name, so repeated benchmark runs skip translation entirely.
+Lowering is not cheap — it was the larger half of a cold compile when
+it ran at load time — but it now happens per basic block, when a warp
+first enters the block, so a warm-disk start does none of it before
+launch and never lowers a block no warp reaches. Storing the generated
+code next to the IR, so a warm start does none at all, is an open
+ROADMAP item. Design points:
 
 - **Content addressing.** The file name is the specialization digest
   computed by :class:`~repro.runtime.translation_cache.TranslationCache`

@@ -88,7 +88,7 @@ class ExecutionConfig:
     #: ``True`` (all checks), or an iterable drawn from
     #: ``("memcheck", "racecheck", "initcheck")``. Normalized to a
     #: tuple of check names. Not available on ``backend="reference"``
-    #: (the checked lowering is a closure-path variant). Can also be
+    #: (checked access is a template of the block emitter). Can also be
     #: forced from the environment with ``REPRO_SANITIZE=1`` (resolved
     #: at Device construction).
     sanitize: object = False
@@ -98,10 +98,10 @@ class ExecutionConfig:
     #: ``SanitizerReport``s on ``LaunchStatistics.sanitizer`` instead.
     sanitize_fatal: bool = True
     #: Execution backend (:data:`repro.machine.backend.BACKENDS`):
-    #: ``"interpreter"`` runs one warp at a time through the closure
-    #: lowering; ``"array"`` batches every resident warp of an entry
+    #: ``"interpreter"`` runs one warp at a time through generated
+    #: block functions; ``"array"`` batches every resident warp of an entry
     #: point into numpy array programs over uniform block runs, falling
-    #: back to the closure path on divergence; ``"reference"`` is the
+    #: back to the sequential path on divergence; ``"reference"`` is the
     #: per-instruction oracle the differential tests compare the other
     #: two against. Can also be selected with ``REPRO_BACKEND=array``
     #: in the environment (resolved at Device construction).
@@ -134,8 +134,8 @@ class ExecutionConfig:
         object.__setattr__(self, "sanitize", checks)
         if checks and self.backend == "reference":
             raise ValueError(
-                "backend='reference' cannot sanitize: the checked "
-                "lowering is a closure-path variant"
+                "backend='reference' cannot sanitize: checked access "
+                "is a template of the block emitter"
             )
 
     @property
@@ -180,8 +180,8 @@ class ExecutionConfig:
         ``max_kernel_cycles`` / ``launch_timeout_s`` are deliberately
         absent: they affect where code is stored or how warps are
         formed/bounded at runtime, not the code itself.
-        ``sanitize`` participates only when ON (checked
-        closures replace the memory closures), as an appended entry —
+        ``sanitize`` participates only when ON (checked calls
+        replace the inline memory access), as an appended entry —
         the off-mode key is byte-identical to pre-sanitizer releases so
         persistent-cache digests stay stable. ``backend`` follows the
         same pattern: a non-default backend builds different

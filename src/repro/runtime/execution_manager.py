@@ -287,7 +287,7 @@ class ExecutionManager:
         self._warp_state = interpreter.new_state()
         #: Batched execution (array backend): discovered by feature
         #: test, and only meaningful for dynamic formation on an
-        #: unsanitized device (checked closures run one warp at a time).
+        #: unsanitized device (checked code runs one warp at a time).
         self._batching = bool(
             getattr(interpreter, "supports_batching", False)
             and interpreter.sanitizer is None
@@ -679,8 +679,6 @@ class ExecutionManager:
 
     # -- batched execution (array backend) -----------------------------------
 
-    _BATCH_PATCH_POINTS = ("load", "store", "read_array", "write_array")
-
     def _execute_batch_round(
         self,
         kernel_name: str,
@@ -719,8 +717,7 @@ class ExecutionManager:
             return False
         if "execute" in self.interpreter.__dict__:
             return False
-        memory_dict = self.memory.__dict__
-        if any(name in memory_dict for name in self._BATCH_PATCH_POINTS):
+        if self.memory.patched():
             return False
         if self.cache.degraded_widths(kernel_name):
             return False
@@ -790,7 +787,7 @@ class ExecutionManager:
         else:
             # Fallback: the batch stopped short of a yield (divergence,
             # a precise/untranslated block, or a conservative limit/
-            # deadline exit). Each warp resumes on the closure path
+            # deadline exit). Each warp resumes on the sequential path
             # exactly where the array program left it — when its
             # round-robin turn comes.
             items = [

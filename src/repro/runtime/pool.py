@@ -184,7 +184,11 @@ def _pool_worker_main(
 
     allocations: Dict[int, object] = {}
     next_handle = 1
-    injector: Optional[FaultInjector] = None
+    #: tenant -> (injector, [(site, probability, options), ...]). A
+    #: tenant's fault sites are armed for the duration of that
+    #: tenant's launches and restored after each, so tenants sharing
+    #: this device never run under another tenant's faults.
+    faults: Dict[str, tuple] = {}
 
     def resolve_args(raw_args):
         resolved = []
@@ -212,7 +216,6 @@ def _pool_worker_main(
         }
 
     def handle_request(op: str, payload: dict):
-        nonlocal injector
         if op == "register":
             module = device.register_module(payload["source"])
             return sorted(module.kernels)
@@ -238,6 +241,9 @@ def _pool_worker_main(
             device.free(allocations.pop(payload["handle"]))
             return None
         if op == "launch":
+            injector, sites = faults.get(payload.get("tenant"), (None, ()))
+            for site, probability, options in sites:
+                injector.arm(site, probability=probability, **options)
             try:
                 return device.launch(
                     payload["kernel"],
@@ -251,6 +257,9 @@ def _pool_worker_main(
                 # tenants on this worker must keep launching.
                 device.reset()
                 raise
+            finally:
+                if injector is not None:
+                    injector.restore()
         if op == "warm":
             return device.warm()
         if op == "reset":
@@ -274,21 +283,26 @@ def _pool_worker_main(
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
             return {"pid": os.getpid()}
         if op == "arm_fault":
-            if injector is None:
-                injector = FaultInjector(
-                    device, seed=payload.get("seed")
+            if payload["tenant"] not in faults:
+                faults[payload["tenant"]] = (
+                    FaultInjector(device, seed=payload.get("seed")), []
                 )
-            options = dict(payload.get("options", {}))
-            injector.arm(
+            injector, sites = faults[payload["tenant"]]
+            site = (
                 payload["site"],
-                probability=payload.get("probability", 1.0),
-                **options,
+                payload.get("probability", 1.0),
+                dict(payload.get("options", {})),
             )
+            # Armed once here so a bad site or option fails this call,
+            # not the tenant's next launch.
+            try:
+                injector.arm(site[0], probability=site[1], **site[2])
+            finally:
+                injector.restore()
+            sites.append(site)
             return None
         if op == "disarm_faults":
-            if injector is not None:
-                injector.restore()
-                injector = None
+            faults.pop(payload["tenant"], None)
             return None
         if op == "statistics":
             return device.statistics_report()
@@ -1197,7 +1211,7 @@ class TenantSession:
                 translated.append(value)
             return worker.call(
                 "launch", kernel=kernel, grid=grid, block=block,
-                args=translated,
+                args=translated, tenant=self.tenant,
             )
         local = entry[1]
         handle = self._slot(local, slots)["handle"]
@@ -1403,9 +1417,10 @@ class TenantSession:
         **options,
     ) -> None:
         """Arm a :class:`repro.testing.FaultInjector` site on this
-        tenant's *worker device* (device-scoped, like real hardware
-        faults — tenants sharing the worker may observe it too).
-        RemoteAllocation options are translated to the byte range the
+        tenant's worker device *for this tenant's launches*: the
+        worker arms the site as one of the tenant's launches starts
+        and restores it as the launch ends, so tenants sharing the
+        worker never run under it. RemoteAllocation options are translated to the byte range the
         buffer occupies on the worker *now* — a checkpoint restore
         may have moved it since the handle was issued."""
         with self._state_lock:
@@ -1418,6 +1433,7 @@ class TenantSession:
                 translated[key] = value
             self._worker.call(
                 "arm_fault",
+                tenant=self.tenant,
                 site=site,
                 probability=probability,
                 seed=seed,
@@ -1425,7 +1441,7 @@ class TenantSession:
             )
 
     def disarm_faults(self) -> None:
-        self._worker.call("disarm_faults")
+        self._worker.call("disarm_faults", tenant=self.tenant)
 
     def statistics(self) -> TenantStatistics:
         return self.stats

@@ -6,8 +6,9 @@ its :class:`~repro.machine.interpreter.Interpreter`. When attached:
 
 - ``MemorySystem.allocate``/``free`` route through the shadow layer
   (redzones, registry, quarantine — :mod:`repro.sanitizer.shadow`);
-- the interpreter lowers memory instructions to *checked* closures
-  that call :meth:`guest_load` / :meth:`guest_store` etc., which
+- the interpreter prints memory instructions against its *checked*
+  access template — calls of :meth:`guest_load` / :meth:`guest_store`
+  etc. with the program point as arguments — which
   classify every access before performing it and feed shared accesses
   to the race detector (:mod:`repro.sanitizer.racecheck`);
 - findings become :class:`~repro.errors.SanitizerError` (fatal mode —

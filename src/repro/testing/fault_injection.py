@@ -166,10 +166,13 @@ class FaultInjector:
         self.restore()
 
     def restore(self) -> None:
-        """Undo every patch, most recent first. Also disarms the
-        injector outright: kernels lowered while armed hold pre-bound
-        references to the patched methods, and those must stop firing
-        too."""
+        """Undo every patch, most recent first, and disarm the
+        injector outright, so a wrapper somebody still holds a
+        reference to stops firing too. Nothing the device generates
+        holds one: block code inlines its memory access only while
+        ``MemorySystem.patched()`` is false and otherwise looks the
+        methods up per call, so a restore takes effect with the next
+        warp whatever was lowered in between."""
         self._armed = False
         while self._restores:
             target, name, had_instance_attr, original = self._restores.pop()
@@ -212,9 +215,10 @@ class FaultInjector:
     def _arm_memory_fault(
         self, probability: float, kind: str = "both"
     ) -> None:
-        """``kind``: "load", "store", or "both". Must be armed before
-        the kernel is translated: the lowered closures pre-bind the
-        memory system's load/store methods."""
+        """``kind``: "load", "store", or "both". Takes effect with the
+        next warp execution, for kernels launched before as well as
+        after arming: the interpreter asks ``MemorySystem.patched()``
+        per warp and runs late-bound memory code while it holds."""
         memory = self.device.memory
         if kind in ("load", "both"):
             original_load = memory.load
@@ -314,10 +318,10 @@ class FaultInjector:
         """Redirect stores aimed inside ``allocation`` (an
         :class:`~repro.machine.memory.Allocation` or ``(base, size)``)
         to ``delta`` bytes past its end. On a sanitized device the
-        checked store path is patched (works even after translation:
-        checked closures late-bind the sanitizer); on an unsanitized
-        device the raw ``memory.store`` is patched, which — like
-        ``memory_fault`` — must happen before translation."""
+        checked store path is patched (checked block code looks the
+        sanitizer's entry points up per call); on an unsanitized
+        device the raw ``memory.store`` is patched. Either way it may
+        be armed at any time, like ``memory_fault``."""
         if allocation is None:
             raise ValueError("oob_within_arena needs allocation=")
         base, size = _region(allocation)
@@ -361,8 +365,7 @@ class FaultInjector:
     ) -> None:
         """Redirect loads aimed inside ``allocation`` to the matching
         offset of ``freed`` — a buffer the test has already freed.
-        Same patch points and arming caveats as ``oob_within_arena``,
-        on the load side."""
+        Same patch points as ``oob_within_arena``, on the load side."""
         if allocation is None or freed is None:
             raise ValueError(
                 "use_after_free needs allocation= and freed="

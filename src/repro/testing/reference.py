@@ -1,20 +1,22 @@
 """The reference interpreter: the oracle differential tests compare
 the product backends against.
 
-``ExecutionConfig(backend="reference")`` selects it. It does no
-lowering at all: it walks the IR one instruction at a time, looks the
+``ExecutionConfig(backend="reference")`` selects it. It generates
+no code: it walks the IR one instruction at a time, looks the
 handler up by instruction type, keeps registers in a dictionary keyed
 by name, fetches and bit-reinterprets operands on every use, resolves
 address spaces on every access and charges every instruction's cost as
-it executes. Everything the closure lowering and the array backend
-specialize ahead of time — register slots, pre-converted constants,
-folded addresses, per-block cost sums, fused runs, batched walks — is
+it executes. Everything the block emitter and the array backend
+specialize ahead of time — registers as locals, pre-converted
+constants, statically resolved reinterpretation, folded addresses,
+inlined memory access, per-block cost sums, batched walks — is
 therefore checked against code that does none of it. What it shares
 with them is the opcode semantics (the ``_*_IMPL`` tables of
 :mod:`repro.machine.interpreter`), so those are stated once.
 
-It cannot sanitize (the checked lowering is a closure-path variant)
-and never batches.
+It cannot sanitize (checked access is one of the emitter's memory
+templates) and never batches; ``load_function`` is inherited — it only
+numbers the registers trap snapshots are keyed by.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from ..errors import (
     ExecutionError,
     InstructionLimitExceeded,
 )
-from ..ir.function import IRFunction
 from ..ir.instructions import (
     AtomicRMW,
     BarrierTerm,
@@ -58,7 +59,6 @@ from ..ir.instructions import (
     Yield,
 )
 from ..ir.values import VirtualRegister
-from ..machine.costmodel import build_cost_table
 from ..machine.descriptor import MachineDescription
 from ..machine.interpreter import (
     _ATOMIC_IMPL,
@@ -70,7 +70,6 @@ from ..machine.interpreter import (
     _INTRINSIC_IMPL,
     _REDUCE_IMPL,
     _UNARY_IMPL,
-    ExecutableFunction,
     Interpreter,
     _annotate_fault,
     _convert_impl,
@@ -95,18 +94,6 @@ class ReferenceInterpreter(Interpreter):
         if sanitizer is not None:
             raise ValueError("backend='reference' cannot sanitize")
         super().__init__(machine, memory, instruction_limit)
-
-    def load_function(self, function: IRFunction) -> ExecutableFunction:
-        """Price ``function`` and number its registers (the slots trap
-        snapshots are keyed by); nothing is lowered."""
-        slots = function.register_slots(refresh=True)
-        return ExecutableFunction(
-            function=function,
-            cost_table=build_cost_table(function, self.machine),
-            register_slots=slots,
-            register_count=len(slots),
-            entry_label=function.entry_label,
-        )
 
     def new_state(self) -> "_ReferenceState":
         return _ReferenceState(self)

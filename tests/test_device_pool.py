@@ -212,7 +212,8 @@ class TestFaultIsolation:
         other = pool.session("healthy-other", worker=1)
         sa, sb, sc = _session_buffers(same)
         oa, ob, oc = _session_buffers(other)
-        # Translate the healthy tenants' kernel before arming.
+        # The healthy tenants run before, while and after the chaos
+        # tenant's fault is armed (it is scoped to that tenant).
         same.launch("vecAdd", 1, N, [sa, sb, sc, N])
         other.launch("vecAdd", 1, N, [oa, ob, oc, N])
 

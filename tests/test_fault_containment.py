@@ -520,6 +520,47 @@ class TestFaultInjection:
         assert device.interpreter.execute == original_execute
         _vecadd_launch(device)
 
+    @pytest.mark.parametrize("backend", ["interpreter", "array"])
+    def test_arming_after_the_first_launch_takes_effect(self, backend):
+        """Blocks are lowered when a warp first enters them, so an
+        injector may be armed before, between or after that: generated
+        code never captures a patched accessor. Armed after a kernel
+        already ran (its blocks hold inline memory code): the fault
+        fires. Restored (the faulting launch lowered late-bound code
+        meanwhile): it stops. Re-armed: it fires again."""
+        device = Device(
+            config=ExecutionConfig(warp_sizes=(1, 2, 4), backend=backend)
+        )
+        device.register_module(VECADD_PTX)
+        _vecadd_launch(device)
+        for _ in range(2):
+            with FaultInjector(device, seed=0) as injector:
+                injector.arm("memory_fault", probability=1.0, kind="load")
+                with pytest.raises(KernelTrap, match="injected fault"):
+                    _vecadd_launch(device)
+                assert injector.fired["memory_fault"] >= 1
+            device.reset()
+            _vecadd_launch(device)
+            assert injector.fired["memory_fault"] == 1
+
+    def test_blocks_first_entered_while_armed_keep_no_patch(self):
+        # The mirror image (a co-tenant's situation): every block is
+        # first entered, i.e. lowered, while an injector is armed. The
+        # code generated then calls through the memory system and is
+        # only run while a patch exists; afterwards the same blocks
+        # are lowered again, inline.
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        with FaultInjector(device, seed=0) as injector:
+            injector.arm("memory_fault", probability=0.0)
+            _vecadd_launch(device)
+        executable, _ = device.cache.get_or_degrade("vecAdd", 4)
+        assert set(executable.code) == {"late"}
+        assert "memory.load(" in executable.code["late"]["entry"][0].source
+        _vecadd_launch(device)
+        assert "memory.load(" not in executable.block_source("entry")
+        assert set(executable.code) == {"late", "inline"}
+
 
 class TestRobustnessReporting:
     def test_device_report_includes_degradations(self):

@@ -4,8 +4,9 @@ The closure lowering must be a pure host-side optimization: every
 *modeled* statistic has to stay bit-identical to the dispatch
 reference interpreter (``backend="reference"``). These tests pin that
 A/B equivalence on divergent, barrier-heavy and %clock-reading
-workloads, the shape of the lowering itself (one ALU tier: closures,
-plus one generated function per fused run), and the satellite fixes
+workloads, the shape of the lowering itself (one generated function
+per entered block, nothing for blocks no warp reaches), and the
+satellite fixes
 that rode along (static warp formation, arena free validation,
 spill-layout caching, ready-pool fairness, warp-size specialization
 selection).
@@ -19,9 +20,15 @@ import numpy as np
 import pytest
 
 from repro import Device, ExecutionConfig, vectorized_config
-from repro.errors import MemoryFault
+from repro.errors import ExecutionError, MemoryFault
 from repro.ir import BinaryOp, Compare, IRFunction, Load, UnaryOp, Yield
-from repro.ir.instructions import FusedMultiplyAdd
+from repro.ir.instructions import (
+    Branch,
+    CondBranch,
+    FusedMultiplyAdd,
+    Select,
+    Store,
+)
 from repro.ir.values import Constant, VirtualRegister
 from repro.machine import Interpreter, sandybridge
 from repro.machine import interpreter as lowering
@@ -96,12 +103,12 @@ class TestInterpreterModeEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# The shape of the lowering: one ALU tier, code generated per fused run
+# The shape of the lowering: one generated function per entered block
 # ---------------------------------------------------------------------------
 
 
-def _reg(name, dtype=DataType.f32):
-    return VirtualRegister(name=name, dtype=dtype)
+def _reg(name, dtype=DataType.f32, width=1):
+    return VirtualRegister(name=name, dtype=dtype, width=width)
 
 
 def _fma(dst, a):
@@ -118,130 +125,283 @@ def _add(dst, a):
     )
 
 
-def _div(dst, a):  # an ALU op run fusion does not absorb
-    return BinaryOp(
-        op="div", dtype=DataType.f32, dst=_reg(dst), a=_reg(a),
-        b=Constant(2.0, DataType.f32),
+def _store(value, address, dtype):
+    return Store(
+        dtype=dtype, space=AddressSpace.global_,
+        base=Constant(address, DataType.u64), value=value,
     )
 
 
-class TestOneTierLowering:
-    def _lower(self, monkeypatch, instructions, memory=None):
-        """Lower one block; returns (interpreter, executable, compiled
-        block, number of ``compile()`` calls load_function made)."""
-        compiles = []
-        monkeypatch.setattr(
-            lowering,
-            "compile",
-            lambda *args: compiles.append(args[1]) or compile(*args),
-            raising=False,
-        )
-        interpreter = Interpreter(
-            sandybridge(), memory or MemorySystem(1 << 16)
-        )
-        function = IRFunction("t", warp_size=1)
-        block = function.add_block("entry")
-        for instruction in instructions:
-            block.append(instruction)
-        block.append(Yield(status=3))
-        executable = interpreter.load_function(function)
-        return (
-            interpreter,
-            executable,
-            executable.compiled_blocks["entry"],
-            len(compiles),
-        )
+def _function(blocks, warp_size=1):
+    """``blocks``: label -> instructions (the last one a terminator)."""
+    function = IRFunction("t", warp_size=warp_size)
+    for label, instructions in blocks.items():
+        function.add_block(label).extend(instructions)
+    return function
 
-    def test_isolated_alu_ops_generate_no_code(self, monkeypatch):
-        # Every ALU family, none adjacent to a second fusable op: each
-        # lowers to a plain closure and load time compiles nothing.
-        _, _, compiled, compiles = self._lower(
-            monkeypatch,
-            [
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Filenames of every ``compile()`` call the lowering makes (on
+    the sequential interpreter: a batched walk lowers nothing)."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    seen = []
+    monkeypatch.setattr(
+        lowering,
+        "compile",
+        lambda *args: seen.append(args[1]) or compile(*args),
+        raising=False,
+    )
+    return seen
+
+
+class TestBlockEmitter:
+    def test_one_generated_function_per_entered_block(self, compiles):
+        # entry branches on a constant predicate: "cold" is never
+        # entered, so it has neither code nor a cost entry.
+        interpreter = Interpreter(sandybridge(), MemorySystem(1 << 16))
+        function = _function({
+            "entry": [
                 _fma("a", "x"),
-                _div("b", "a"),
-                _add("c", "b"),
-                Compare(
-                    op="lt", dtype=DataType.f32,
-                    dst=_reg("p", DataType.pred), a=_reg("c"),
-                    b=_reg("a"),
-                ),
-                UnaryOp(
-                    op="neg", dtype=DataType.f32, dst=_reg("d"),
-                    a=_reg("c"),
-                ),
+                CondBranch(Constant(True, DataType.pred), "hot", "cold"),
             ],
-        )
-        ops, op_indices = compiled[0], compiled[7]
-        assert compiles == 0
-        assert op_indices == (0, 1, 2, 3, 4)
-        assert {op.__code__.co_filename for op in ops} == {
-            lowering.__file__
+            "hot": [_add("b", "a"), Yield(status=3)],
+            "cold": [_add("b", "x"), Yield(status=3)],
+        })
+        executable = interpreter.load_function(function)
+        assert compiles == [] and executable.code == {}
+        assert executable.block_costs == {}
+        warp = Warp(contexts=[_context(0)])
+        for _ in range(3):  # lowered on the first entry only
+            assert interpreter.execute(executable, warp, 0) == 3
+        assert compiles == ["<repro:t/ws1/entry>", "<repro:t/ws1/hot>"]
+        table = executable.code["inline"]
+        assert set(table) == set(executable.block_costs) == {"entry", "hot"}
+        for label, entry in table.items():
+            assert entry[0].__code__.co_filename == f"<repro:t/ws1/{label}>"
+            # body and terminator are one function
+            assert entry[4] == len(function.blocks[label].instructions) + 1
+
+    def test_warm_lowers_nothing_and_launch_only_what_runs(self, compiles):
+        device = Device(config=ExecutionConfig(warp_sizes=(1, 2, 4)))
+        device.register_module(VECADD_PTX)
+        device.warm()
+        executables = {
+            width: device.cache.get("vecAdd", width) for width in (1, 2, 4)
         }
-
-    def test_fusable_run_generates_exactly_one_function(
-        self, monkeypatch
-    ):
-        _, _, compiled, compiles = self._lower(
-            monkeypatch,
-            [_fma("a", "x"), _add("b", "a"), _fma("c", "b"),
-             _div("d", "c")],
+        assert compiles == []
+        assert all(
+            executable.code == {} and executable.block_costs == {}
+            for executable in executables.values()
         )
-        ops, op_indices = compiled[0], compiled[7]
-        assert compiles == 1
-        assert op_indices == (0, 3)
-        assert [op.__code__.co_filename for op in ops] == [
-            "<fused-run>", lowering.__file__,
-        ]
+        n = 64  # whole warps only: no thread fails the bounds check
+        c = device.malloc(n * 4)
+        ones = device.upload(np.ones(n, dtype=np.float32))
+        device.launch(
+            "vecAdd", grid=(1, 1, 1), block=(n, 1, 1), args=[ones, ones, c, n]
+        )
+        np.testing.assert_array_equal(c.read(np.float32, n), np.full(n, 2.0))
+        # Unused widths stay IR; at width 4 the divergence handler of
+        # the bounds check (its cold arm) was never entered.
+        assert executables[1].code == {} and executables[2].code == {}
+        entered = set(executables[4].code["inline"])
+        assert entered == set(executables[4].block_costs)
+        assert "entry" in entered
+        assert entered < set(executables[4].function.blocks)
+        assert len(compiles) == len(entered)
 
-    def test_throughput_fma_block_is_a_single_fused_op(self):
-        # Table 1's inner loop: 160 FMAs + the trip-count add fuse
-        # into one generated function; the compare and the context
-        # write stay closures.
+    def test_throughput_loop_is_one_function(self):
+        # Table 1's inner loop — 160 FMAs, the trip-count add, the
+        # compare, the context writes and the branch — is one call.
         workload = get_workload("throughput")
         device = Device(config=vectorized_config(4))
         device.register_module(workload.module_source())
         executable, width = device.cache.get_or_degrade("throughput", 4)
         assert width == 4
+        source = executable.block_source("LOOP")
         loop = executable.function.blocks["LOOP"]
-        fmas = sum(
+        assert sum(
             isinstance(instruction, FusedMultiplyAdd)
             for instruction in loop.instructions
+        ) == 160
+        assert source.count(" * ") >= 160 and source.count("def ") == 1
+        # every line ends in the IR instruction it starts
+        assert f"# 0: {loop.instructions[0]}" in source
+        assert f"# {len(loop.instructions)}: {loop.terminator}" in source
+
+    def _mixed_dtype_function(self, out):
+        """Registers written with one dtype and read with another:
+        in the defining block (resolved statically) and in a successor
+        (resolved by the inline guard)."""
+        u32, s32, f32, u64, pred = (
+            DataType.u32, DataType.s32, DataType.f32, DataType.u64,
+            DataType.pred,
         )
-        assert fmas == 160
-        ops, op_indices = (
-            executable.compiled_blocks["LOOP"][0],
-            executable.compiled_blocks["LOOP"][7],
+        big = Constant(0xFFFFFFF0, u32)
+
+        def readers(suffix, base):
+            x, f, w, p = (
+                _reg("x", u32), _reg("f", f32), _reg("w", u64),
+                _reg("p", pred),
+            )
+            results = [
+                # max.s32 on a .u32 value: -16 vs 5
+                BinaryOp("max", s32, _reg(f"m{suffix}", s32), x,
+                         Constant(5, s32)),
+                # the bits of 1.5f, as an integer
+                BinaryOp("add", u32, _reg(f"b{suffix}", u32), f,
+                         Constant(1, u32)),
+                # a 64-bit value read by a 32-bit instruction converts
+                BinaryOp("add", u32, _reg(f"n{suffix}", u32), w,
+                         Constant(1, u32)),
+                # predicates pass through whatever reads them
+                BinaryOp("and", pred, _reg(f"q{suffix}", pred), p,
+                         Constant(True, pred)),
+                Select(u32, _reg(f"s{suffix}", u32), Constant(7, u32),
+                       Constant(9, u32), _reg(f"q{suffix}", pred)),
+                BinaryOp("add", s32, _reg(f"t{suffix}", s32), p,
+                         Constant(1, s32)),
+            ]
+            stores = [
+                _store(instruction.dst, base + 8 * index, instruction.dtype)
+                for index, instruction in enumerate(results)
+                if instruction.dtype is not pred
+            ]
+            return results + stores
+
+        return _function({
+            "entry": [
+                UnaryOp("mov", u32, _reg("x", u32), big),
+                UnaryOp("mov", f32, _reg("f", f32), Constant(1.5, f32)),
+                UnaryOp("mov", u64, _reg("w", u64),
+                        Constant((1 << 40) + 3, u64)),
+                Compare("lt", s32, _reg("p", pred), Constant(1, s32),
+                        Constant(2, s32)),
+                *readers("0", out),
+                Branch("next"),
+            ],
+            "next": [*readers("1", out + 64), Yield(status=3)],
+        })
+
+    def test_mixed_dtype_reads_match_the_reference(self):
+        from repro.testing.reference import ReferenceInterpreter
+
+        images = {}
+        for backend in (Interpreter, ReferenceInterpreter):
+            memory = MemorySystem(1 << 16)
+            out = memory.allocate(128)
+            interpreter = backend(sandybridge(), memory)
+            executable = interpreter.load_function(
+                self._mixed_dtype_function(out)
+            )
+            interpreter.execute(
+                executable, Warp(contexts=[_context(0)]), param_base=0
+            )
+            images[backend] = memory.read_array(out, np.uint8, 128)
+            if backend is Interpreter:
+                assert memory.load(DataType.s32, out) == 5
+                assert memory.load(DataType.u32, out + 8) == 0x3FC00001
+                assert memory.load(DataType.u32, out + 16) == 4
+                assert memory.load(DataType.u32, out + 32) == 7
+                first = executable.block_source("entry")
+                second = executable.block_source("next")
+        np.testing.assert_array_equal(
+            images[Interpreter], images[ReferenceInterpreter]
         )
-        assert op_indices == (0, 161, 162)
-        assert [op.__code__.co_filename for op in ops] == [
-            "<fused-run>", lowering.__file__, lowering.__file__,
+        np.testing.assert_array_equal(
+            images[Interpreter][:64], images[Interpreter][64:]
+        )
+        # Same block: where the producer's dtype is known the read is
+        # resolved statically (a compare's result is not tracked).
+        assert first.count("coerce(") == 1
+        assert ".view(W_i4)" in first and ".astype(W_u4)" in first
+        # Successor: one guard per (register, dtype) read.
+        assert second.count("coerce(") == 4
+
+    def _faulting_block(self):
+        return [
+            _fma("a", "x"),
+            _add("b", "a"),
+            _fma("c", "b"),
+            Load(
+                dtype=DataType.f32, space=AddressSpace.global_,
+                dst=_reg("v"), base=Constant(1 << 20, DataType.u64),
+            ),
+            _add("d", "c"),
+            Yield(status=3),
         ]
 
-    def test_fault_after_fused_run_keeps_its_pc(self, monkeypatch):
-        # Instructions 0-2 fuse into op 0; the faulting load is op 1
-        # but must still report block instruction index 3.
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_fault_mid_block_reports_its_own_index(self, sanitize):
+        # Instruction 3 of one generated function faults: the trap PC
+        # is read off the traceback line, and every register defined
+        # before it is in the dump — none after.
+        from repro.runtime.traps import snapshot_registers
+        from repro.sanitizer import KernelSanitizer
+
         memory = MemorySystem(1 << 12)
-        interpreter, executable, compiled, _ = self._lower(
-            monkeypatch,
-            [
-                _fma("a", "x"),
-                _add("b", "a"),
-                _fma("c", "b"),
-                Load(
-                    dtype=DataType.f32, space=AddressSpace.global_,
-                    dst=_reg("v"),
-                    base=Constant(1 << 20, DataType.u64),
-                ),
-            ],
-            memory=memory,
+        sanitizer = KernelSanitizer(memory) if sanitize else None
+        if sanitize:
+            memory.sanitizer = sanitizer
+        interpreter = Interpreter(sandybridge(), memory, sanitizer=sanitizer)
+        executable = interpreter.load_function(
+            _function({"entry": self._faulting_block()})
         )
-        assert compiled[7] == (0, 3)
-        warp = Warp(contexts=[_context(0)])
-        with pytest.raises(MemoryFault) as excinfo:
-            interpreter.execute(executable, warp, param_base=0)
+        state = interpreter.new_state()
+        with pytest.raises(ExecutionError) as excinfo:
+            interpreter.execute(
+                executable, Warp(contexts=[_context(0)]), 0, state=state
+            )
         assert excinfo.value.trap_label == "entry"
         assert excinfo.value.trap_index == 3
+        assert snapshot_registers(state) == {
+            "x": "0.0", "a": "1.0", "b": "3.0", "c": "2.5",
+        }
+
+    def test_fault_line_is_in_the_traceback(self):
+        # The generated source is registered with linecache, so the
+        # traceback shows the faulting line and the IR it came from.
+        import traceback
+
+        interpreter = Interpreter(sandybridge(), MemorySystem(1 << 12))
+        executable = interpreter.load_function(
+            _function({"entry": self._faulting_block()})
+        )
+        with pytest.raises(MemoryFault) as excinfo:
+            interpreter.execute(executable, Warp(contexts=[_context(0)]), 0)
+        rendered = "".join(traceback.format_exception(excinfo.value))
+        assert 'File "<repro:t/ws1/entry>"' in rendered
+        assert "memory._check(a, 4)" in rendered
+        assert "load.global.f32" in executable.block_source("entry")
+
+    def test_terminator_alone(self):
+        # The array backend runs a body batched and hands each warp to
+        # the block's terminator when it diverges.
+        interpreter = Interpreter(sandybridge(), MemorySystem(1 << 12))
+        executable = interpreter.load_function(_function({
+            "entry": [
+                _fma("a", "x"),
+                CondBranch(_reg("p", DataType.pred), "yes", "no"),
+            ],
+            "yes": [Yield(status=1)],
+            "no": [Yield(status=3)],
+        }))
+        for value, status in ((True, 1), (False, 3)):
+            continuation = lowering.Continuation(
+                label="entry", at_terminator=True, executed=2,
+                kernel_cycles=2, yield_cycles=0, flops=2,
+                registers=(
+                    (executable.register_slots["p"], np.bool_(value)),
+                ),
+            )
+            state = interpreter.new_state()
+            assert interpreter.execute(
+                executable, Warp(contexts=[_context(0)]), 0, state=state,
+                continuation=continuation,
+            ) == status
+            assert state.regs[executable.register_slots["a"]] is None
+            assert state.stats.instructions == 3
+        assert "entry" not in executable.code.get("inline", {})
 
 
 # ---------------------------------------------------------------------------

@@ -399,11 +399,12 @@ def run_with_statistics(source, data, config, out_bytes):
 
 
 class TestBackendDifferential:
-    """Differential testing across the three execution paths: the
-    dispatch reference interpreter, the closure lowering, and the
-    array backend must agree bit-for-bit on random kernels — including
-    clamped shifts and saturating converts, and every op family the
-    shared semantic tables serve."""
+    """Differential testing across the execution paths: the dispatch
+    reference interpreter, the block emitter (with inline and with
+    sanitizer-checked memory access) and the array backend must agree
+    bit-for-bit on random kernels — including clamped shifts and
+    saturating converts, and every op family the shared semantic
+    tables serve."""
 
     @_SETTINGS
     @given(
@@ -430,6 +431,7 @@ class TestBackendDifferential:
         closure = vectorized_config(4)
         for config in (
             closure,
+            replace(closure, sanitize=True),
             replace(closure, backend="reference"),
             replace(closure, backend="array"),
         ):
@@ -455,13 +457,18 @@ class TestBackendDifferential:
             source, data, replace(base, backend="reference"),
             64 * _TABLE_RECORD,
         )
-        for backend in ("interpreter", "array"):
+        # The emitter with each of its memory templates (inline and the
+        # sanitizer's checked access), and the array backend.
+        for backend, sanitize in (
+            ("interpreter", False), ("interpreter", True), ("array", False),
+        ):
             memory, statistics = run_with_statistics(
-                source, data, replace(base, backend=backend),
+                source, data,
+                replace(base, backend=backend, sanitize=sanitize),
                 64 * _TABLE_RECORD,
             )
-            assert np.array_equal(memory, reference[0]), backend
-            assert statistics == reference[1], backend
+            assert np.array_equal(memory, reference[0]), (backend, sanitize)
+            assert statistics == reference[1], (backend, sanitize)
 
     @_SETTINGS
     @given(
@@ -480,14 +487,15 @@ class TestBackendDifferential:
         )
         base = vectorized_config(4)
         out_bytes = 64 * 4 + 4
-        observed = [
-            run_with_statistics(
-                source, data, replace(base, backend=backend), out_bytes
+        reference = run_with_statistics(
+            source, data, replace(base, backend="reference"), out_bytes
+        )
+        for sanitize in (False, True):
+            memory, statistics = run_with_statistics(
+                source, data, replace(base, sanitize=sanitize), out_bytes
             )
-            for backend in ("interpreter", "reference")
-        ]
-        assert np.array_equal(observed[0][0], observed[1][0])
-        assert observed[0][1] == observed[1][1]
+            assert np.array_equal(memory, reference[0]), sanitize
+            assert statistics == reference[1], sanitize
 
 
 class TestMemoryProperties:
