@@ -1,0 +1,249 @@
+#!/usr/bin/env python
+"""Hot blocks: where the generated code of an app spends host time.
+
+The interpreter prints one Python function per basic block when a warp
+first enters it (``ExecutableFunction.blocks(access)``). This script
+wraps each of those functions *as its table entry is created* — from
+outside, nothing under ``src/`` knows — to count entries and host time
+per block, runs the app, and prints per kernel
+
+- the hottest blocks: label, entries, instructions per entry, µs per
+  entry, share of the kernel's generated-code time, and whether the
+  block is handler or body — handler when most of its instructions are
+  what the vectorizer added to yield (scheduler, entry and exit
+  handlers: spill, restore, resume-point bookkeeping);
+- the dynamic opcode mix (instructions executed, by opcode);
+
+and, over every block measured, what one instruction of each opcode
+costs: a non-negative least-squares fit of per-block host time on
+block composition (plus one term per block entry). With few distinct
+blocks the fit is loose — name several apps, or ``all``, to pool them.
+
+Only the sequential path is measured: on ``--backend array`` that is
+the warps the batch runner hands back (a batched walk calls no block
+function). The wrapper costs ≈ 0.2 µs an entry and hides the block
+from the trap PC lookup, so this is a measuring script, not a mode.
+
+Run:  python examples/hot_blocks.py Collatz
+      python examples/hot_blocks.py BitonicSort Reduction --scale 0.25
+      python examples/hot_blocks.py all --backend array --top 3
+"""
+
+import argparse
+from collections import Counter, defaultdict
+from dataclasses import replace
+from time import perf_counter
+
+import numpy as np
+
+from repro import Device, vectorized_config
+from repro.ir import instructions as ir
+from repro.machine import interpreter as lowering
+from repro.workloads.registry import get_workload, workload_names
+
+_MEMORY = (ir.Load, ir.Store, ir.VectorLoad, ir.VectorStore, ir.AtomicRMW)
+_NAMES = {
+    ir.FusedMultiplyAdd: "fma", ir.Compare: "cmp", ir.Select: "select",
+    ir.Convert: "convert", ir.ContextRead: "ctx.read",
+    ir.ContextWrite: "ctx.write", ir.InsertElement: "insertelement",
+    ir.ExtractElement: "extractelement", ir.Broadcast: "broadcast",
+    ir.Reduce: "reduce", ir.Branch: "br", ir.CondBranch: "cbr",
+    ir.Switch: "switch", ir.Yield: "yield", ir.Exit: "exit",
+}
+
+
+def opcode(instruction) -> str:
+    if isinstance(instruction, _MEMORY):
+        kind = type(instruction).__name__.lower().replace("rmw", "")
+        return f"{kind}.{instruction.space.value}"
+    if isinstance(instruction, (ir.BinaryOp, ir.UnaryOp)):
+        return instruction.op
+    if isinstance(instruction, ir.Intrinsic):
+        return instruction.name
+    return _NAMES.get(type(instruction), type(instruction).__name__)
+
+
+class BlockRecord:
+    """Entries and host seconds of one generated block function."""
+
+    def __init__(self, executable, label):
+        block = executable.function.blocks[label]
+        self.kernel = f"{executable.name}/ws{executable.warp_size}"
+        self.label = label
+        self.opcodes = Counter(map(opcode, block.all_instructions()))
+        self.instructions = sum(self.opcodes.values())
+        overhead = sum(
+            getattr(instruction, "overhead", False)
+            for instruction in block.all_instructions()
+        )
+        self.handler = 2 * overhead > self.instructions
+        self.entries = 0
+        self.seconds = 0.0
+
+
+def install(records: list) -> None:
+    """Wrap every block function created from now on."""
+    lower = lowering._BlockTable.__missing__
+
+    def measured(table, label):
+        code, *costs = lower(table, label)
+        record = BlockRecord(table.executable, label)
+        records.append(record)
+
+        def block(state):
+            start = perf_counter()
+            try:
+                return code(state)
+            finally:
+                record.seconds += perf_counter() - start
+                record.entries += 1
+
+        entry = table[label] = (block, *costs)
+        return entry
+
+    lowering._BlockTable.__missing__ = measured
+
+
+def non_negative_fit(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Least squares with coefficients >= 0 (Lawson-Hanson active set:
+    free the coefficient the residual pulls hardest, solve over the
+    free ones, step back to the boundary whenever one turns negative)."""
+    scale = np.linalg.norm(design, axis=0)
+    scale[scale == 0] = 1.0
+    scaled = design / scale
+    count = design.shape[1]
+    solution = np.zeros(count)
+    free = np.zeros(count, dtype=bool)
+    for _ in range(3 * count):
+        pull = scaled.T @ (target - scaled @ solution)
+        pull[free] = -np.inf
+        candidate = int(np.argmax(pull))
+        if pull[candidate] <= 1e-12 * max(target.max(), 1e-300):
+            break
+        free[candidate] = True
+        while True:
+            trial = np.zeros(count)
+            trial[free] = np.linalg.lstsq(
+                scaled[:, free], target, rcond=None
+            )[0]
+            negative = free & (trial <= 0)
+            if not negative.any():
+                break
+            step = (
+                solution[negative] / (solution[negative] - trial[negative])
+            ).min()
+            solution += step * (trial - solution)
+            free &= solution > 1e-15
+            solution[~free] = 0.0
+        solution = trial
+    return solution / scale
+
+
+def report_kernels(records: list, top: int) -> None:
+    by_kernel = defaultdict(list)
+    for record in records:
+        if record.entries:
+            by_kernel[record.kernel].append(record)
+    for kernel, blocks in sorted(by_kernel.items()):
+        total = sum(block.seconds for block in blocks)
+        executed = sum(block.entries * block.instructions for block in blocks)
+        print(
+            f"\n== {kernel}: {1e3 * total:.1f} ms in generated code, "
+            f"{executed} instructions, "
+            f"{executed / total / 1e3:.0f} kinstr/s =="
+        )
+        print(
+            f"  {'block':<28}{'entries':>8}{'instr':>7}{'us/entry':>10}"
+            f"{'share':>7}  kind"
+        )
+        blocks.sort(key=lambda block: -block.seconds)
+        for block in blocks[:top]:
+            print(
+                f"  {block.label:<28}{block.entries:>8}"
+                f"{block.instructions:>7}"
+                f"{1e6 * block.seconds / block.entries:>10.1f}"
+                f"{block.seconds / total:>7.0%}  "
+                f"{'handler' if block.handler else 'body'}"
+            )
+        mix = Counter()
+        for block in blocks:
+            for name, count in block.opcodes.items():
+                mix[name] += count * block.entries
+        handler = sum(
+            block.entries * block.instructions
+            for block in blocks if block.handler
+        )
+        print(
+            f"  opcode mix ({handler / executed:.0%} of the instructions "
+            f"are in handlers): "
+            + ", ".join(
+                f"{name} {count / executed:.1%}"
+                for name, count in mix.most_common(8)
+            )
+        )
+
+
+def report_fit(records: list) -> None:
+    measured = [record for record in records if record.entries]
+    names = sorted({name for record in measured for name in record.opcodes})
+    design = np.array([
+        [record.entries * record.opcodes[name] for name in names]
+        + [record.entries]
+        for record in measured
+    ], dtype=float)
+    seconds = np.array([record.seconds for record in measured])
+    cost = non_negative_fit(design, seconds)
+    explained = 1 - np.abs(design @ cost - seconds).sum() / seconds.sum()
+    print(
+        f"\n== per-opcode host cost, fitted over {len(measured)} blocks "
+        f"({explained:.0%} of {1e3 * seconds.sum():.1f} ms explained) =="
+    )
+    print(f"  {'opcode':<18}{'executed':>10}{'us each':>9}{'ms':>8}")
+    rows = sorted(
+        zip(names + ["(block entry)"], design.sum(axis=0), cost),
+        key=lambda row: -row[1] * row[2],
+    )
+    for name, count, each in rows:
+        if count * each > 0:
+            print(
+                f"  {name:<18}{int(count):>10}{1e6 * each:>9.2f}"
+                f"{1e3 * count * each:>8.1f}"
+            )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument(
+        "apps", nargs="+", metavar="app",
+        help="registered workload names, or 'all'",
+    )
+    parser.add_argument(
+        "--backend", choices=("interpreter", "array"), default="interpreter"
+    )
+    parser.add_argument("--scale", type=float, default=0.25)
+    parser.add_argument(
+        "--top", type=int, default=6, help="blocks listed per kernel"
+    )
+    arguments = parser.parse_args()
+    names = workload_names() if arguments.apps == ["all"] else arguments.apps
+    records: list = []
+    install(records)
+    config = replace(vectorized_config(4), backend=arguments.backend)
+    for name in names:
+        app = get_workload(name)
+        device = Device(config=config)
+        device.register_module(app.module_source())
+        first = len(records)
+        # The first run lowers what it enters (and pays for it); the
+        # second is the one measured.
+        app.execute(device, arguments.scale, check=True)
+        for record in records[first:]:
+            record.entries, record.seconds = 0, 0.0
+        run = app.execute(device, arguments.scale, check=True)
+        print(f"\n{name}: correct={run.correct} at scale {arguments.scale}")
+        report_kernels(records[first:], arguments.top)
+    report_fit(records)
+
+
+if __name__ == "__main__":
+    main()

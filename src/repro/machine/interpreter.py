@@ -45,8 +45,9 @@ from __future__ import annotations
 
 import linecache
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -97,9 +98,10 @@ from .memory import _NULL_GUARD, MemorySystem
 
 # NumPy integer wraparound is the desired machine semantics, but only
 # while guest code is executing: the error-state switch is scoped with
-# ``np.errstate`` around the run loops (and the array backend's batch
-# walk) instead of mutated globally, so importing repro never changes
-# the host process's ``np.geterr()`` settings.
+# ``np.errstate`` — by an execution manager around its run, else
+# around the run loop (and always around the array backend's batch
+# walk) — instead of mutated globally, so importing repro never
+# changes the host process's ``np.geterr()`` settings.
 _GUEST_ERRSTATE = {
     "over": "ignore",
     "invalid": "ignore",
@@ -209,6 +211,24 @@ class ExecutableFunction:
     @cached_property
     def cost_table(self) -> FunctionCostTable:
         return build_cost_table(self.function, self.target.machine)
+
+    @cached_property
+    def read_once(self) -> frozenset:
+        """Slots of the registers defined once and read once in the
+        whole function (the IR is not SSA, so both are counted): what
+        such a register holds concerns its one reader only. Counted
+        when the first block that asks is lowered."""
+        defined, used = Counter(), Counter()
+        for instruction in self.function.instructions():
+            defined[getattr(instruction.defined(), "name", None)] += 1
+            used.update(
+                getattr(value, "name", None) for value in instruction.uses()
+            )
+        return frozenset(
+            self.register_slots[name]
+            for name, count in defined.items()
+            if name is not None and count == 1 and used[name] == 1
+        )
 
     def block_cost(self, label: str) -> BlockCost:
         """Aggregated static cost of block ``label`` (body plus
@@ -382,12 +402,15 @@ class Interpreter:
         if state is None:
             state = self.new_state()
         state.reset(executable, warp, param_base)
-        state.access = self.access()
-        with guest_errstate():
-            if continuation is not None:
-                status = state.run_continuation(continuation)
-            else:
-                status = state.run()
+        run = state.run
+        if continuation is not None:
+            run = partial(state.run_continuation, continuation)
+        if state.scoped:
+            status = run()
+        else:
+            state.access = self.access()
+            with guest_errstate():
+                status = run()
         if stats is not None:
             stats.merge(state.stats)
         return status
@@ -416,6 +439,7 @@ class _WarpState:
         "regs",
         "stats",
         "access",
+        "scoped",
     )
 
     def __init__(self, interpreter):
@@ -437,6 +461,10 @@ class _WarpState:
         #: Memory-access template of the code to run (set per
         #: execution from :meth:`Interpreter.access`).
         self.access = "inline"
+        #: True while the state's owner (an execution manager, for a
+        #: run) holds :func:`guest_errstate` and has settled ``access``:
+        #: :meth:`Interpreter.execute` then does neither per warp.
+        self.scoped = False
 
     def reset(self, executable, warp, param_base) -> None:
         """Rebind this state to a fresh warp execution."""
@@ -657,41 +685,42 @@ def _shift_amount(b):
     return b.astype(np.uint64)
 
 
-def _clamped_shl(a, b, dtype: DataType):
-    """PTX ``shl``: shift amounts >= the type width yield 0 (no modulo
-    reduction). The hardware shifter clamps, it does not wrap."""
-    bits = dtype.size * 8
-    amount = _shift_amount(b)
-    safe = np.minimum(amount, np.uint64(bits - 1))
-    shifted = a << safe.astype(dtype.numpy_dtype)
-    result = np.where(amount >= bits, np.zeros_like(shifted), shifted)
-    return result if result.ndim else result[()]
+#: The PTX shift clamp, stated once (the hardware shifter clamps, it
+#: does not wrap): ``op -> (kind, operator, flush)``. The operand is
+#: shifted as the ``kind`` integer of its width ("": as typed) by
+#: ``min(amount, width - 1)``, amounts being unsigned; an amount >= the
+#: width then gives 0 where ``flush`` — for ``ashr`` the clamped shift
+#: already is the answer, the sign fill. Applied lane by lane by
+#: :func:`_clamped_shift` (register amounts; the array and reference
+#: lowerings) and ahead of time by :meth:`_BlockEmitter.constant_shift`.
+_SHIFT_RULE = {
+    "shl": ("", "<<", True),
+    "lshr": ("u", ">>", True),
+    "ashr": ("i", ">>", False),
+}
 
 
-def _clamped_lshr(a, b, dtype: DataType):
-    """PTX logical ``shr``: amounts >= the type width yield 0."""
-    bits = dtype.size * 8
-    unsigned = np.dtype(f"u{dtype.size}")
-    amount = _shift_amount(b)
-    safe = np.minimum(amount, np.uint64(bits - 1))
-    shifted = np.asarray(a).view(unsigned) >> safe.astype(unsigned)
-    result = np.where(
-        amount >= bits, np.zeros_like(shifted), shifted
-    ).view(dtype.numpy_dtype)
-    return result if result.ndim else result[()]
+def _shifted_as(kind: str, dtype: DataType):
+    """The numpy dtype a ``dtype`` operand is shifted as."""
+    return np.dtype(f"{kind}{dtype.size}") if kind else dtype.numpy_dtype
 
 
-def _clamped_ashr(a, b, dtype: DataType):
-    """PTX arithmetic ``shr``: amounts >= the type width fill with the
-    sign bit — identical to shifting by width-1, so clamping the
-    amount is the whole fix."""
-    bits = dtype.size * 8
-    signed = np.dtype(f"i{dtype.size}")
-    safe = np.minimum(_shift_amount(b), np.uint64(bits - 1))
-    result = (
-        np.asarray(a).view(signed) >> safe.astype(signed)
-    ).view(dtype.numpy_dtype)
-    return result if result.ndim else result[()]
+def _clamped_shift(op: str):
+    """``f(a, b, dtype)`` applying :data:`_SHIFT_RULE` lane by lane."""
+    kind, operator, flush = _SHIFT_RULE[op]
+    shift = _expression_impl("{a} " + operator + " {b}", "a, b")
+
+    def implementation(a, b, dtype: DataType):
+        bits, shifted_as = dtype.size * 8, _shifted_as(kind, dtype)
+        amount = _shift_amount(b)
+        safe = np.minimum(amount, np.uint64(bits - 1)).astype(shifted_as)
+        result = shift(np.asarray(a).view(shifted_as) if kind else a, safe)
+        if flush:
+            result = np.where(amount >= bits, np.zeros_like(result), result)
+        result = result.view(dtype.numpy_dtype)
+        return result if result.ndim else result[()]
+
+    return implementation
 
 
 def _int_div(a, b, dtype):
@@ -791,9 +820,7 @@ _BINARY_IMPL = {
     "mulhi": _mulhi,
     "div": _int_div,
     "rem": _int_rem,
-    "shl": _clamped_shl,
-    "lshr": _clamped_lshr,
-    "ashr": _clamped_ashr,
+    **{op: _clamped_shift(op) for op in _SHIFT_RULE},
 }
 
 
@@ -1096,6 +1123,10 @@ class _BlockEmitter:
         #: when ``exact`` it is known to carry exactly it, so a
         #: differently typed reader is resolved statically.
         self.known: Dict[int, tuple] = {}
+        #: slots whose local is known to be a 1-d array, and of those
+        #: the ones an ``insertelement`` of this block allocated
+        self.vectors: set = set()
+        self.fresh: set = set()
         #: names of locals bound so far by :meth:`bind`
         self.bound: set = set()
         #: slot -> bound names derived from the slot's current value
@@ -1231,6 +1262,10 @@ class _BlockEmitter:
             return value.dtype.numpy_dtype == wanted
         return self.known.get(self.slots[value.name]) == (wanted, True)
 
+    def slot(self, value) -> Optional[int]:
+        """Slot of a register operand; None for a constant or undef."""
+        return self.slots.get(getattr(value, "name", None))
+
     def integer(self, value) -> str:
         """Operand as a Python int (addresses, switch values)."""
         if isinstance(value, Constant):
@@ -1238,27 +1273,34 @@ class _BlockEmitter:
         slot = self.slots[value.name]
         return self.bind(f"i{slot}", f"int({self.raw(value)})", slot)
 
-    def define(self, register, expression, dtype=None, exact=False) -> None:
+    def define(
+        self, register, expression, dtype=None, exact=False, vector=False
+    ) -> None:
         """Assign ``register``: the local, and through to the register
         file so a trap at any later instruction dumps it. ``dtype``
-        (with ``exact``) is what the value is known to carry."""
+        (with ``exact``) is what the value is known to carry,
+        ``vector`` that it is a 1-d array."""
         slot = self.slots[register.name]
         self.emit(f"regs[{slot}] = r{slot} = {expression}")
         self.loaded.add(slot)
         for name in self.derived.pop(slot, ()):
             self.bound.discard(name)
+        self.fresh.discard(slot)
+        (self.vectors.add if vector else self.vectors.discard)(slot)
         if dtype is None:
             self.known.pop(slot, None)
         else:
             self.known[slot] = (dtype, exact)
 
-    def result(self, dtype: DataType, exact: bool) -> tuple:
-        """``define``'s dtype arguments for a value produced as
-        ``dtype`` (predicate-typed instructions read raw and load
-        Python bools, so they promise nothing)."""
+    def result(self, dtype: DataType, exact: bool, *operands) -> tuple:
+        """``define``'s arguments for a value produced as ``dtype``
+        (predicate-typed instructions read raw and load Python bools,
+        so they promise none) by an elementwise operator over
+        ``operands``: a 1-d array when one of them is."""
+        vector = any(self.slot(value) in self.vectors for value in operands)
         if dtype.is_predicate:
-            return None, False
-        return dtype.numpy_dtype, exact
+            return None, False, vector
+        return dtype.numpy_dtype, exact, vector
 
     # -- ALU ------------------------------------------------------------------
 
@@ -1266,7 +1308,9 @@ class _BlockEmitter:
         dtype = inst.dtype
         a, exact_a = self.typed(inst.a, dtype)
         b, exact_b = self.typed(inst.b, dtype)
-        if inst.op in _BINARY_EXPR:
+        if inst.op in _SHIFT_RULE and isinstance(inst.b, Constant):
+            expression = self.constant_shift(inst, a)
+        elif inst.op in _BINARY_EXPR:
             expression = _BINARY_EXPR[inst.op].format(a=a, b=b)
         elif inst.op in _BITWISE:
             ufunc = _BITWISE[inst.op][dtype.is_predicate]
@@ -1275,8 +1319,24 @@ class _BlockEmitter:
             impl = self.constant(_BINARY_IMPL[inst.op])
             expression = f"{impl}({a}, {b}, D_{dtype.name})"
         self.define(
-            inst.dst, expression, *self.result(dtype, exact_a and exact_b)
+            inst.dst,
+            expression,
+            *self.result(dtype, exact_a and exact_b, inst.a, inst.b),
         )
+
+    def constant_shift(self, inst: BinaryOp, a: str) -> str:
+        """:data:`_SHIFT_RULE` resolved now, for a constant amount."""
+        kind, operator, flush = _SHIFT_RULE[inst.op]
+        bits, code = inst.dtype.size * 8, _code(inst.dtype.numpy_dtype)
+        amount = int(_shift_amount(_typed_constant(inst.b, inst.dtype)))
+        if flush and amount >= bits:
+            return f"np.zeros_like({a}, dtype=W_{code})[()]"
+        shifted_as = _shifted_as(kind, inst.dtype)
+        by = self.constant(shifted_as.type(min(amount, bits - 1)))
+        if shifted_as == inst.dtype.numpy_dtype:
+            return f"{a} {operator} {by}"
+        viewed = f"{a}.view(W_{_code(shifted_as)})"
+        return f"({viewed} {operator} {by}).view(W_{code})"
 
     def unary(self, inst: UnaryOp) -> None:
         impl = _UNARY_IMPL.get(inst.op)
@@ -1295,7 +1355,7 @@ class _BlockEmitter:
             )
         else:
             expression = a
-        self.define(inst.dst, expression, *self.result(dtype, exact))
+        self.define(inst.dst, expression, *self.result(dtype, exact, inst.a))
 
     def fma(self, inst: FusedMultiplyAdd) -> None:
         dtype = inst.dtype
@@ -1310,7 +1370,11 @@ class _BlockEmitter:
             self.emit(f"t = {a} * {b}")
             self.emit(f"t += {c}")
             expression = "t"
-        self.define(inst.dst, expression, *self.result(dtype, exact))
+        self.define(
+            inst.dst,
+            expression,
+            *self.result(dtype, exact, inst.a, inst.b, inst.c),
+        )
 
     def compare(self, inst: Compare) -> None:
         a, _ = self.typed(inst.a, inst.dtype)
@@ -1345,8 +1409,7 @@ class _BlockEmitter:
         self.define(
             inst.dst,
             f"{impl}({source})[()]",
-            inst.dst_type.numpy_dtype,
-            True,
+            *self.result(inst.dst_type, True, inst.src),
         )
 
     def intrinsic(self, inst: Intrinsic) -> None:
@@ -1513,7 +1576,7 @@ class _BlockEmitter:
                     f"V_{code}[a >> {shift}:(a >> {shift}) + {width}].copy() "
                     f"if not a & {size - 1} else {expression}"
                 )
-        self.define(inst.dst, expression, wanted, True)
+        self.define(inst.dst, expression, wanted, True, vector=True)
 
     def vector_store(self, inst: VectorStore) -> None:
         wanted = inst.dtype.numpy_dtype
@@ -1580,8 +1643,17 @@ class _BlockEmitter:
     def insert(self, inst: InsertElement) -> None:
         wanted = inst.dst.dtype.numpy_dtype
         code, width = _code(wanted), inst.dst.width
+        target, slot = "t", self.slot(inst.src)
         if inst.src is None:
             self.emit(f"t = np.zeros({width}, dtype=W_{code})")
+        elif (
+            slot in self.fresh
+            and slot in self.executable.read_once
+            and self.exactly(inst.src, wanted)
+        ):
+            # An array this execution of the block allocated, in a
+            # register only this instruction reads: build on in place.
+            target = self.raw(inst.src)
         else:
             source = self.raw(inst.src)
             copy = (
@@ -1593,20 +1665,26 @@ class _BlockEmitter:
             self.emit(
                 f"if t.ndim == 0: t = np.full({width}, t, dtype=W_{code})"
             )
-        self.emit(f"t[{inst.index}] = {self.raw(inst.scalar)}")
-        self.define(inst.dst, "t", wanted, True)
+        self.emit(f"{target}[{inst.index}] = {self.raw(inst.scalar)}")
+        self.define(inst.dst, target, wanted, True, vector=True)
+        self.fresh.add(self.slots[inst.dst.name])
 
     def extract(self, inst: ExtractElement) -> None:
         vector = self.raw(inst.src)
-        known = (None, False)
-        if not isinstance(inst.src, Constant):
-            known = self.known.get(self.slots[inst.src.name], known)
-        self.define(
-            inst.dst,
-            f"{vector}[{inst.index}] if isinstance({vector}, ndarray) "
-            f"and {vector}.ndim == 1 else {vector}",
-            *known,
-        )
+        slot = self.slot(inst.src)
+        lane = f"{vector}[{inst.index}]"
+        if slot is None:  # a constant: the same scalar in every lane
+            lane = vector
+        elif slot not in self.vectors:
+            # A vector register may hold a scalar: one shape guard per
+            # value of the register, not one per lane.
+            guard = self.bind(
+                f"v{slot}",
+                f"isinstance({vector}, ndarray) and {vector}.ndim == 1",
+                slot,
+            )
+            lane = f"{lane} if {guard} else {vector}"
+        self.define(inst.dst, lane, *self.known.get(slot, (None, False)))
 
     def broadcast(self, inst: Broadcast) -> None:
         wanted = inst.dst.dtype.numpy_dtype
@@ -1616,6 +1694,7 @@ class _BlockEmitter:
             f"dtype=W_{_code(wanted)})",
             wanted,
             True,
+            vector=True,
         )
 
     def reduce(self, inst: Reduce) -> None:

@@ -9,10 +9,8 @@ collection of contexts entering the same block (§3, "warp formation").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
-
-from ..ir.instructions import ResumeStatus
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -30,19 +28,21 @@ class ThreadContext:
     local_base: int = 0
     #: Entry-point ID at which the thread resumes (0 = kernel entry).
     resume_point: int = 0
-    #: Last resume status observed for this thread.
-    status: int = ResumeStatus.RUNNING
+    #: ``ctaid`` linearised over the grid: the execution manager's key
+    #: for the thread's CTA. Derived once, here, unless the creator of
+    #: a whole CTA's contexts passes what it already has.
+    linear_ctaid: Optional[int] = None
+
+    def __post_init__(self):
+        if self.linear_ctaid is None:
+            x, y, z = self.ctaid
+            nx, ny, _ = self.nctaid
+            self.linear_ctaid = x + nx * (y + ny * z)
 
     @property
     def linear_tid(self) -> int:
         x, y, z = self.tid
         nx, ny, _ = self.ntid
-        return x + nx * (y + ny * z)
-
-    @property
-    def linear_ctaid(self) -> int:
-        x, y, z = self.ctaid
-        nx, ny, _ = self.nctaid
         return x + nx * (y + ny * z)
 
     @property

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -43,7 +44,7 @@ from ..errors import (
 )
 from ..ir.instructions import ResumeStatus
 from ..machine.descriptor import MachineDescription
-from ..machine.interpreter import Interpreter
+from ..machine.interpreter import Interpreter, guest_errstate
 from ..machine.memory import MemorySystem
 from .config import ExecutionConfig
 from .context import ThreadContext, Warp
@@ -105,11 +106,6 @@ class _ReadyPool:
         self._cross_cta = cross_cta
         self.size = 0
 
-    def _key(self, context: ThreadContext) -> tuple:
-        if self._cross_cta:
-            return (context.resume_point,)
-        return (context.resume_point, context.linear_ctaid)
-
     def _prune(self) -> Optional[tuple]:
         """Drop emptied head keys; return the live head key or None."""
         while self._queues:
@@ -121,7 +117,11 @@ class _ReadyPool:
         return None
 
     def push(self, context: ThreadContext) -> None:
-        key = self._key(context)
+        key = (
+            (context.resume_point,)
+            if self._cross_cta
+            else (context.resume_point, context.linear_ctaid)
+        )
         queue = self._queues.get(key)
         if queue is None:
             queue = deque()
@@ -231,9 +231,9 @@ class _ReadyPool:
                     return []
                 del self._queues[key]
                 continue
-            members = []
-            while queue and len(members) < limit:
-                members.append(queue.popleft())
+            members = [
+                queue.popleft() for _ in range(min(limit, len(queue)))
+            ]
             self.size -= len(members)
             if not queue and not self._pending.get(key):
                 del self._queues[key]
@@ -256,6 +256,21 @@ class _ReadyPool:
 
     def __bool__(self):
         return self.size > 0
+
+
+@dataclass
+class _Window:
+    """What the warp executions of one window of CTAs share."""
+
+    kernel_name: str
+    geometry: LaunchGeometry
+    param_base: int
+    #: entry-point ID -> block label (for watchdog/deadlock reports)
+    entry_labels: Dict[int, str]
+    ready: _ReadyPool
+    #: per CTA: threads not yet exited / threads parked at the barrier
+    live_counts: Dict[int, int]
+    barrier_pools: Dict[int, List[ThreadContext]]
 
 
 class ExecutionManager:
@@ -282,6 +297,7 @@ class ExecutionManager:
         #: Set through KernelLauncher.trace; None disables tracing.
         self.trace = None
         self._warp_counter = 0
+        self._max_warp_size = config.max_warp_size
         #: Pooled warp-execution state: one register file + statistics
         #: instance reused by every warp this manager runs.
         self._warp_state = interpreter.new_state()
@@ -354,15 +370,30 @@ class ExecutionManager:
                 sanitizer.shadow.resegment(
                     self._local_slab, local_bytes, local_stride
                 )
-        for start in range(0, len(cta_ids), window):
-            self._run_window(
-                kernel_name,
-                geometry,
-                cta_ids[start : start + window],
-                param_base,
-                shared_bytes,
-                local_stride,
-            )
+        # What no warp of this run can change is settled here, not per
+        # warp: the watchdog's limits and — unless a trace callback
+        # runs between warps (it may do anything, in the host's numpy
+        # error state) — the guest error state and the inline access
+        # template. Checked and late-bound access stay per warp: a
+        # sanitizer report is host code, an injector may disarm itself.
+        state = self._warp_state
+        state.deadline = deadline
+        state.limit = self.interpreter.instruction_limit
+        state.access = self.interpreter.access()
+        state.scoped = self.trace is None and state.access == "inline"
+        try:
+            with guest_errstate() if state.scoped else nullcontext():
+                for start in range(0, len(cta_ids), window):
+                    self._run_window(
+                        kernel_name,
+                        geometry,
+                        cta_ids[start : start + window],
+                        param_base,
+                        shared_bytes,
+                        local_stride,
+                    )
+        finally:
+            state.scoped = False
         return self.stats
 
     def recover(self) -> None:
@@ -433,7 +464,6 @@ class ExecutionManager:
         ready = _ReadyPool(cross_cta=self.config.allow_cross_cta_warps)
         live_counts: Dict[int, int] = {}
         barrier_pools: Dict[int, List[ThreadContext]] = {}
-        cta_of: Dict[int, int] = {}
         threads_per_cta = geometry.threads_per_cta
 
         # Clear only the regions this window will actually use (the
@@ -447,76 +477,70 @@ class ExecutionManager:
             self.memory.fill(self._local_slab, live_local, 0)
 
         local_cursor = self._local_slab
+        tids = list(map(geometry.thread_coordinates, range(threads_per_cta)))
         for slot, cta_linear in enumerate(cta_ids):
             ctaid = geometry.cta_coordinates(cta_linear)
             shared_base = self._shared_slabs[slot]
             live_counts[cta_linear] = threads_per_cta
             barrier_pools[cta_linear] = []
-            for thread_linear in range(threads_per_cta):
+            for tid in tids:
                 context = ThreadContext(
-                    tid=geometry.thread_coordinates(thread_linear),
+                    tid=tid,
                     ntid=geometry.block,
                     ctaid=ctaid,
                     nctaid=geometry.grid,
                     shared_base=shared_base,
                     local_base=local_cursor,
                     resume_point=0,
+                    linear_ctaid=cta_linear,
                 )
                 local_cursor += local_stride
-                cta_of[id(context)] = cta_linear
                 ready.push(context)
-                self.stats.threads_launched += 1
+        self.stats.threads_launched += threads_per_cta * len(cta_ids)
 
         entry_labels = self.cache.scalar_ir(kernel_name).entry_points
-
-        while ready:
+        window = _Window(
+            kernel_name,
+            geometry,
+            param_base,
+            entry_labels,
+            ready,
+            live_counts,
+            barrier_pools,
+        )
+        stats = self.stats
+        watched = (
+            self._cycle_budget is not None or self._deadline is not None
+        )
+        while ready.size:
             if self._batching:
                 deferred = ready.pop_deferred()
                 if deferred is not None:
-                    self._finish_batch_item(
-                        kernel_name,
-                        geometry,
-                        deferred,
-                        param_base,
-                        entry_labels,
-                        ready,
-                        live_counts,
-                        barrier_pools,
-                        cta_of,
-                    )
+                    self._finish_batch_item(window, deferred)
                     continue
-                if self._execute_batch_round(
-                    kernel_name,
-                    geometry,
-                    ready,
-                    live_counts,
-                    barrier_pools,
-                    cta_of,
-                    param_base,
-                    entry_labels,
-                ):
+                if self._execute_batch_round(window):
                     continue
             warp = self._form_warp(kernel_name, ready)
-            executable, width = self.cache.get_or_degrade(
-                kernel_name, warp.size
-            )
-            if width < warp.size:
+            size = len(warp.contexts)
+            executable, width = self.cache.get_or_degrade(kernel_name, size)
+            if width < size:
                 # The wider build failed and was degraded mid-launch:
                 # shrink to the width that did build and re-queue the
                 # excess threads for later (narrower) warps.
-                self.stats.degraded_warps += 1
+                stats.degraded_warps += 1
                 for extra in warp.contexts[width:]:
                     ready.push(extra)
                 warp = Warp(
                     contexts=warp.contexts[:width], warp_id=warp.warp_id
                 )
+                size = width
             restored = executable.function.restore_counts.get(
                 warp.entry_point, 0
             )
-            self.stats.record_entry(self.worker_id, warp.size, restored)
-            self.stats.em_cycles += (
+            stats.record_entry(self.worker_id, size, restored)
+            stats.em_cycles += (
                 self.machine.em_event_cost
-                + self.machine.em_per_thread_cost * warp.size
+                + self.machine.em_per_thread_cost * size
             )
             if self.trace is not None:
                 self.trace(
@@ -524,23 +548,14 @@ class ExecutionManager:
                     {
                         "worker": self.worker_id,
                         "warp_id": warp.warp_id,
-                        "size": warp.size,
+                        "size": size,
                         "entry": warp.entry_point,
                         "kernel": kernel_name,
                     },
                 )
-            status = self._execute_warp(
-                kernel_name,
-                geometry,
-                warp,
-                executable,
-                param_base,
-                entry_labels,
-                ready,
-                barrier_pools,
-            )
+            status = self._execute_warp(window, warp, executable)
             self._absorb_execution(self._warp_state.stats)
-            self.stats.record_yield(status)
+            stats.record_yield(status)
             if self.trace is not None:
                 self.trace(
                     "yield",
@@ -550,12 +565,9 @@ class ExecutionManager:
                         "status": ResumeStatus.NAMES.get(status, status),
                     },
                 )
-            self._handle_yield(
-                status, warp, ready, live_counts, barrier_pools, cta_of
-            )
-            self._check_watchdog(
-                kernel_name, entry_labels, ready, barrier_pools
-            )
+            self._handle_yield(window, status, warp)
+            if watched:
+                self._check_watchdog(window)
 
         leftovers = {
             cta: waiting
@@ -596,16 +608,7 @@ class ExecutionManager:
         self.stats.flops += execution.flops
 
     def _execute_warp(
-        self,
-        kernel_name: str,
-        geometry: LaunchGeometry,
-        warp: Warp,
-        executable,
-        param_base: int,
-        entry_labels: Dict[int, str],
-        ready: _ReadyPool,
-        barrier_pools: Dict[int, List[ThreadContext]],
-        continuation=None,
+        self, window: _Window, warp: Warp, executable, continuation=None
     ) -> int:
         """Run one warp with the watchdog armed; any escaping
         ExecutionError is re-raised as a structured KernelTrap (or a
@@ -613,13 +616,12 @@ class ExecutionManager:
         resumes a warp mid-kernel where the array backend's batch
         runner left it."""
         state = self._warp_state
-        state.deadline = self._deadline
-        state.limit = self.interpreter.instruction_limit
         budget_clamped = False
         if self._cycle_budget is not None:
             # Every kernel instruction costs at least one modeled
             # cycle, so the remaining cycle budget bounds the
             # instruction cap of a warp that never yields.
+            state.limit = self.interpreter.instruction_limit
             remaining = self._cycle_budget - self.total_cycles
             if remaining < state.limit:
                 state.limit = max(remaining, 1)
@@ -628,7 +630,7 @@ class ExecutionManager:
             return self.interpreter.execute(
                 executable,
                 warp,
-                param_base,
+                window.param_base,
                 state=state,
                 continuation=continuation,
             )
@@ -639,16 +641,7 @@ class ExecutionManager:
             ):
                 # The interpreter's own global runaway cap fired with
                 # no cycle budget configured: contain it as a trap.
-                self.stats.traps += 1
-                raise build_trap(
-                    kernel_name,
-                    geometry,
-                    warp,
-                    executable,
-                    state,
-                    fault,
-                    self.worker_id,
-                ) from fault
+                raise self._trap(window, warp, executable, fault) from fault
             self.stats.watchdog_timeouts += 1
             if isinstance(fault, DeadlineExceeded):
                 reason = (
@@ -660,36 +653,30 @@ class ExecutionManager:
                     f"modeled cycle budget of {self._cycle_budget} "
                     f"cycles exceeded"
                 )
-            points = self._program_points(
-                entry_labels, ready, barrier_pools, running=warp
-            )
-            raise build_timeout(kernel_name, reason, points) from fault
+            points = self._program_points(window, running=warp)
+            raise build_timeout(
+                window.kernel_name, reason, points
+            ) from fault
         except ExecutionError as fault:
             self._absorb_execution(state.stats)
-            self.stats.traps += 1
-            raise build_trap(
-                kernel_name,
-                geometry,
-                warp,
-                executable,
-                state,
-                fault,
-                self.worker_id,
-            ) from fault
+            raise self._trap(window, warp, executable, fault) from fault
+
+    def _trap(self, window: _Window, warp: Warp, executable, fault):
+        """The structured KernelTrap for ``fault`` escaping ``warp``."""
+        self.stats.traps += 1
+        return build_trap(
+            window.kernel_name,
+            window.geometry,
+            warp,
+            executable,
+            self._warp_state,
+            fault,
+            self.worker_id,
+        )
 
     # -- batched execution (array backend) -----------------------------------
 
-    def _execute_batch_round(
-        self,
-        kernel_name: str,
-        geometry: LaunchGeometry,
-        ready: _ReadyPool,
-        live_counts: Dict[int, int],
-        barrier_pools: Dict[int, List[ThreadContext]],
-        cta_of: Dict[int, int],
-        param_base: int,
-        entry_labels: Dict[int, str],
-    ) -> bool:
+    def _execute_batch_round(self, window: _Window) -> bool:
         """One batched round: form every full maximal-width warp of the
         head ready-pool key and run them all at once through the array
         backend.
@@ -711,17 +698,16 @@ class ExecutionManager:
         budget (whose per-warp clamp is inherently sequential), or a
         kernel with no array lowering — so the caller falls through to
         the one-warp-at-a-time loop."""
-        if self.trace is not None or self._cycle_budget is not None:
-            return False
+        kernel_name, ready = window.kernel_name, window.ready
+        if not self._warp_state.scoped or self._cycle_budget is not None:
+            return False  # a trace callback or a patched memory system
         if self._batchable_kernels.get(kernel_name) is False:
             return False
         if "execute" in self.interpreter.__dict__:
             return False
-        if self.memory.patched():
-            return False
         if self.cache.degraded_widths(kernel_name):
             return False
-        limit = self.config.max_warp_size
+        limit = self._max_warp_size
         peek = ready.head_batch(limit)
         if peek is None:
             return False
@@ -753,7 +739,7 @@ class ExecutionManager:
             outcome = self.interpreter.execute_batch(
                 executable,
                 warps,
-                param_base,
+                window.param_base,
                 self.interpreter.instruction_limit,
                 self._deadline,
             )
@@ -799,70 +785,31 @@ class ExecutionManager:
         # The first item stands in for the pop this round replaced; the
         # rest drain one per later visit to this key.
         ready.defer(items[1:])
-        self._finish_batch_item(
-            kernel_name,
-            geometry,
-            items[0],
-            param_base,
-            entry_labels,
-            ready,
-            live_counts,
-            barrier_pools,
-            cta_of,
-        )
+        self._finish_batch_item(window, items[0])
         return True
 
-    def _finish_batch_item(
-        self,
-        kernel_name: str,
-        geometry: LaunchGeometry,
-        item,
-        param_base: int,
-        entry_labels: Dict[int, str],
-        ready: _ReadyPool,
-        live_counts: Dict[int, int],
-        barrier_pools: Dict[int, List[ThreadContext]],
-        cta_of: Dict[int, int],
-    ) -> None:
+    def _finish_batch_item(self, window: _Window, item) -> None:
         """Complete one deferred batch warp at its round-robin turn:
         resume it sequentially when the batch fell back mid-kernel
         (``continuation``), or just apply its precomputed yield."""
         warp, executable, continuation, status, stats = item
         if continuation is not None:
             status = self._execute_warp(
-                kernel_name,
-                geometry,
-                warp,
-                executable,
-                param_base,
-                entry_labels,
-                ready,
-                barrier_pools,
-                continuation=continuation,
+                window, warp, executable, continuation
             )
             stats = self._warp_state.stats
         self._absorb_execution(stats)
         self.stats.record_yield(status)
-        self._handle_yield(
-            status, warp, ready, live_counts, barrier_pools, cta_of
-        )
-        self._check_watchdog(
-            kernel_name, entry_labels, ready, barrier_pools
-        )
+        self._handle_yield(window, status, warp)
+        self._check_watchdog(window)
 
     # -- watchdog ------------------------------------------------------------
 
-    def _check_watchdog(
-        self,
-        kernel_name: str,
-        entry_labels: Dict[int, str],
-        ready: _ReadyPool,
-        barrier_pools: Dict[int, List[ThreadContext]],
-    ) -> None:
+    def _check_watchdog(self, window: _Window) -> None:
         """Between-warp watchdog: terminate the launch when the modeled
         cycle budget or the wall-clock deadline has been exhausted and
         threads are still live."""
-        if not ready and not any(barrier_pools.values()):
+        if not window.ready and not any(window.barrier_pools.values()):
             return
         reason = None
         if (
@@ -884,17 +831,11 @@ class ExecutionManager:
             return
         self.stats.watchdog_timeouts += 1
         raise build_timeout(
-            kernel_name,
-            reason,
-            self._program_points(entry_labels, ready, barrier_pools),
+            window.kernel_name, reason, self._program_points(window)
         )
 
     def _program_points(
-        self,
-        entry_labels: Dict[int, str],
-        ready: _ReadyPool,
-        barrier_pools: Dict[int, List[ThreadContext]],
-        running: Optional[Warp] = None,
+        self, window: _Window, running: Optional[Warp] = None
     ) -> List[ProgramPoint]:
         """Every live thread's program point, for watchdog reports."""
         points: List[ProgramPoint] = []
@@ -906,31 +847,32 @@ class ExecutionManager:
                         ctaid=context.ctaid,
                         tid=context.tid,
                         entry_point=context.resume_point,
-                        label=entry_labels.get(context.resume_point),
+                        label=window.entry_labels.get(context.resume_point),
                         state=state,
                     )
                 )
 
         if running is not None:
             _collect(running.contexts, "running")
-        _collect(ready.contexts(), "ready")
-        for waiting in barrier_pools.values():
+        _collect(window.ready.contexts(), "ready")
+        for waiting in window.barrier_pools.values():
             _collect(waiting, "barrier")
         return points
 
     # -- warp formation ------------------------------------------------------
 
     def _form_warp(self, kernel_name: str, ready: _ReadyPool) -> Warp:
-        limit = self.config.max_warp_size
+        limit = self._max_warp_size
         degraded = self.cache.degraded_widths(kernel_name)
         if self.config.static_warps:
             members = self._form_static(ready, limit, degraded)
         else:
-            group = ready.pop_group(limit)
-            size = self._choose_width(len(group), degraded)
-            members = group[:size]
-            for extra in group[size:]:
-                ready.push(extra)
+            members = ready.pop_group(limit)
+            if degraded or len(members) < limit:  # else: the widest fits
+                size = self._choose_width(len(members), degraded)
+                for extra in members[size:]:
+                    ready.push(extra)
+                del members[size:]
         warp = Warp(contexts=members, warp_id=self._warp_counter)
         self._warp_counter += 1
         return warp
@@ -986,58 +928,31 @@ class ExecutionManager:
 
     # -- yield handling ------------------------------------------------------
 
-    def _handle_yield(
-        self,
-        status: int,
-        warp: Warp,
-        ready: _ReadyPool,
-        live_counts: Dict[int, int],
-        barrier_pools: Dict[int, List[ThreadContext]],
-        cta_of: Dict[int, int],
-    ) -> None:
+    def _handle_yield(self, window: _Window, status: int, warp: Warp) -> None:
         if status == ResumeStatus.THREAD_BRANCH:
+            push = window.ready.push
             for context in warp.contexts:
-                context.status = status
-                ready.push(context)
+                push(context)
             return
         if status == ResumeStatus.THREAD_EXIT:
-            released: List[int] = []
             for context in warp.contexts:
-                context.status = status
-                cta = cta_of[id(context)]
-                live_counts[cta] -= 1
-                released.append(cta)
-            for cta in set(released):
-                self._maybe_release_barrier(
-                    cta, ready, live_counts, barrier_pools
-                )
-            return
-        if status == ResumeStatus.THREAD_BARRIER:
+                window.live_counts[context.linear_ctaid] -= 1
+        elif status == ResumeStatus.THREAD_BARRIER:
             self.stats.em_cycles += (
                 self.machine.em_barrier_cost * warp.size
             )
-            arrived: List[int] = []
             for context in warp.contexts:
-                context.status = status
-                cta = cta_of[id(context)]
-                barrier_pools[cta].append(context)
-                arrived.append(cta)
-            for cta in set(arrived):
-                self._maybe_release_barrier(
-                    cta, ready, live_counts, barrier_pools
-                )
-            return
-        raise LaunchError(f"kernel yielded unknown status {status}")
+                window.barrier_pools[context.linear_ctaid].append(context)
+        else:
+            raise LaunchError(f"kernel yielded unknown status {status}")
+        # An exit may leave, and an arrival may make, every live thread
+        # of a CTA wait at the barrier.
+        for cta in {context.linear_ctaid for context in warp.contexts}:
+            self._maybe_release_barrier(window, cta)
 
-    def _maybe_release_barrier(
-        self,
-        cta: int,
-        ready: _ReadyPool,
-        live_counts: Dict[int, int],
-        barrier_pools: Dict[int, List[ThreadContext]],
-    ) -> None:
-        waiting = barrier_pools[cta]
-        if waiting and len(waiting) == live_counts[cta]:
+    def _maybe_release_barrier(self, window: _Window, cta: int) -> None:
+        waiting = window.barrier_pools[cta]
+        if waiting and len(waiting) == window.live_counts[cta]:
             self.stats.em_cycles += (
                 self.machine.em_barrier_cost * len(waiting)
             )
@@ -1057,7 +972,7 @@ class ExecutionManager:
                     },
                 )
             for context in waiting:
-                ready.push(context)
+                window.ready.push(context)
             waiting.clear()
 
     @property

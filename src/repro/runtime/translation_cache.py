@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_right
 import time
 from dataclasses import astuple, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import (
     ExecutionError,
@@ -182,6 +183,9 @@ class CacheStatistics:
         return {name: getattr(self, name) for name in self._COUNTERS}
 
 
+_NO_WIDTHS: frozenset = frozenset()
+
+
 @dataclass
 class _Specialization:
     """One cached executable plus the digest it was built under."""
@@ -233,6 +237,10 @@ class TranslationCache:
             str, Tuple[str, Tuple[Dict[str, int], int]]
         ] = {}
         self._specializations: Dict[Tuple[str, int], _Specialization] = {}
+        #: Entries :meth:`get` has checked since the last registration
+        #: or invalidation. Only those move a digest, so until the next
+        #: one a lookup (one per warp execution) revalidates nothing.
+        self._validated: Dict[Tuple[str, int], ExecutableFunction] = {}
         self._digest_memo: Dict[Tuple[str, int], str] = {}
         #: Per-kernel widths whose build failed and was degraded away;
         #: warp formation avoids them and :meth:`get_or_degrade` never
@@ -264,6 +272,7 @@ class TranslationCache:
         references — invalidates the affected scalar IR and
         specializations so stale code is never served.
         """
+        self._validated.clear()
         changed_symbols = set()
         if global_symbols:
             for name, address in global_symbols.items():
@@ -362,6 +371,7 @@ class TranslationCache:
         untouched: its entries are content-addressed, so stale code is
         unreachable once the fingerprint moves."""
         dropped = 0
+        self._validated.clear()
         if self._scalar_ir.pop(kernel_name, None) is not None:
             dropped += 1
         self._spill_layouts.pop(kernel_name, None)
@@ -445,40 +455,49 @@ class TranslationCache:
         """Executable specialization of ``kernel_name`` for
         ``warp_size`` threads. Lookup order: in-memory entry (validated
         by digest), persistent tier, full translation."""
+        key = (kernel_name, warp_size)
+        executable = self._validated.get(key)
+        if executable is not None:
+            self.statistics.hits += 1
+            return executable
         if warp_size not in self.config.warp_sizes:
             raise TranslationCacheError(
                 f"no warp-size-{warp_size} specialization configured "
                 f"(have {self.config.warp_sizes})"
             )
-        key = (kernel_name, warp_size)
         digest = self.specialization_digest(kernel_name, warp_size)
         entry = self._specializations.get(key)
-        if entry is not None:
-            if entry.digest == digest:
-                self.statistics.hits += 1
-                return entry.executable
+        if entry is not None and entry.digest != digest:
             # Safety net: a stale entry that escaped invalidation.
             del self._specializations[key]
             self.statistics.invalidations += 1
-        self.statistics.misses += 1
-        executable = self._load_from_store(key, digest)
-        if executable is None:
-            executable = self._compile(key, digest)
-        self._specializations[key] = _Specialization(digest, executable)
+            entry = None
+        if entry is not None:
+            self.statistics.hits += 1
+            executable = entry.executable
+        else:
+            self.statistics.misses += 1
+            executable = self._load_from_store(key, digest)
+            if executable is None:
+                executable = self._compile(key, digest)
+            self._specializations[key] = _Specialization(digest, executable)
+        self._validated[key] = executable
         return executable
 
     def specialization_for(
-        self, available_threads: int, exclude: Iterable[int] = ()
+        self, available_threads: int, exclude: Collection[int] = ()
     ) -> int:
         """Largest configured warp size not exceeding
         ``available_threads`` (§5.2's warp formation query).
         ``exclude`` skips widths known to fail (degraded); width 1 is
         never excluded — it is the guaranteed scalar fallback."""
-        excluded = set(exclude)
+        sizes = self.config.warp_sizes  # ascending, 1 among them
+        if not exclude:
+            return sizes[bisect_right(sizes, max(available_threads, 1)) - 1]
         chosen = 1
-        for size in self.config.warp_sizes:
+        for size in sizes:
             if size <= available_threads and (
-                size == 1 or size not in excluded
+                size == 1 or size not in exclude
             ):
                 chosen = size
         return chosen
@@ -487,8 +506,9 @@ class TranslationCache:
 
     def degraded_widths(self, kernel_name: str):
         """Widths of ``kernel_name`` whose build failed and was degraded
-        away. Cleared by :meth:`invalidate`."""
-        return frozenset(self._degraded.get(kernel_name, ()))
+        away (the cache's own set — read, don't modify). Cleared by
+        :meth:`invalidate`."""
+        return self._degraded.get(kernel_name, _NO_WIDTHS)
 
     def get_or_degrade(
         self, kernel_name: str, warp_size: int

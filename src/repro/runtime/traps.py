@@ -16,6 +16,7 @@ of :class:`ProgramPoint` — one per live thread — rendered by
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -117,12 +118,22 @@ def _render_value(value) -> str:
 def snapshot_registers(state, limit: int = SNAPSHOT_LIMIT) -> Dict[str, str]:
     """A bounded name -> rendered-value snapshot of a warp state's
     register file (``state.regs``, indexed by the executable's
-    register slots)."""
+    register slots): the registers the PTX source names, in natural
+    order. Compiler temporaries are left out (every ``fresh_register``
+    name contains a ``.``, which no PTX register name can): the bound
+    goes to what the user wrote, and a lowering may leave anything in
+    a dead temporary (a partial vector built in place aliases the
+    finished one)."""
+    def natural(name: str) -> list:  # r2 before r10
+        parts = re.split("([0-9]+)", name)  # text, digits, text, ...
+        parts[1::2] = map(int, parts[1::2])
+        return parts
+
     rendered: Dict[str, str] = {}
     executable = getattr(state, "executable", None)
     slots = getattr(executable, "register_slots", None) or {}
     regs = getattr(state, "regs", None) or []
-    for name in sorted(slots):
+    for name in sorted((n for n in slots if "." not in n), key=natural):
         slot = slots[name]
         if slot >= len(regs):
             continue
@@ -228,7 +239,9 @@ def _render_pc(info: TrapInfo) -> str:
 
 def format_trap(trap) -> str:
     """Render a :class:`~repro.errors.KernelTrap` (or a bare
-    :class:`TrapInfo`) as a multi-line diagnostic report."""
+    :class:`TrapInfo`) as a multi-line diagnostic report. The
+    ``registers`` section lists PTX-named registers only, in natural
+    order (see :func:`snapshot_registers`)."""
     info = trap.info if isinstance(trap, KernelTrap) else trap
     if info is None:
         return f"KernelTrap (no structured payload): {trap}"

@@ -451,12 +451,10 @@ class FaultInjector:
         for manager in self.device.launcher.managers:
             original = manager._maybe_release_barrier
 
-            def released(
-                cta, ready, live_counts, barrier_pools, _original=original
-            ):
+            def released(window, cta, _original=original):
                 if self._fires("barrier_starvation", probability):
                     return
-                _original(cta, ready, live_counts, barrier_pools)
+                _original(window, cta)
 
             self._patch(manager, "_maybe_release_barrier", released)
 

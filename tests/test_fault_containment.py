@@ -386,6 +386,153 @@ class TestBarrierDeadlock:
         assert isinstance(deadlock, LaunchError)  # hierarchy preserved
 
 
+class TestHostErrorState:
+    """The guest's numpy error state (overflow, invalid, divide
+    ignored: machine arithmetic wraps) is held once per execution-
+    manager run, not per warp. It must end with the launch however the
+    launch ends, and host code running between warps must never see
+    it."""
+
+    @pytest.fixture(autouse=True)
+    def host_state(self):
+        # A state that equals neither numpy's default nor the guest's,
+        # so a leak in either direction shows.
+        with np.errstate(
+            over="raise", invalid="raise", divide="raise", under="warn"
+        ):
+            self.host = np.geterr()
+            yield
+            assert np.geterr() == self.host
+
+    def _overflowing_launch(self, device):
+        """vecAdd over values whose sums overflow f32: raises
+        FloatingPointError unless the guest state is in force."""
+        n = 64
+        big = device.upload(np.full(n, 3e38, dtype=np.float32))
+        out = device.malloc(n * 4)
+        device.launch(
+            "vecAdd", grid=(2, 1, 1), block=(32, 1, 1),
+            args=[big, big, out, n],
+        )
+        assert np.isinf(out.read(np.float32, n)).all()
+
+    @pytest.mark.parametrize("backend", ["interpreter", "array"])
+    def test_completed_launch(self, backend):
+        device = Device(
+            config=ExecutionConfig(warp_sizes=(1, 2, 4), backend=backend)
+        )
+        device.register_module(VECADD_PTX)
+        self._overflowing_launch(device)
+        assert np.geterr() == self.host
+
+    def test_trapped_launch(self):
+        device = _oob_device()
+        with pytest.raises(KernelTrap):
+            device.launch("oob", grid=1, block=64, args=[device.malloc(16)])
+        assert np.geterr() == self.host
+
+    @pytest.mark.parametrize(
+        "limit", [{"max_kernel_cycles": 50_000}, {"launch_timeout_s": 0.1}]
+    )
+    def test_timed_out_launch(self, limit):
+        device = Device(
+            config=ExecutionConfig(warp_sizes=(1, 2, 4), **limit)
+        )
+        device.register_module(SPIN_PTX)
+        with pytest.raises(LaunchTimeout):
+            device.launch(
+                "spin", grid=1, block=4, args=[FOREVER, device.malloc(16)]
+            )
+        assert np.geterr() == self.host
+
+    def test_deadlocked_launch(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(REDUCE_PTX)
+        src = device.upload(np.ones(64, dtype=np.float32))
+        with FaultInjector(device, seed=0) as injector:
+            injector.arm("barrier_starvation")
+            with pytest.raises(BarrierDeadlock):
+                device.launch(
+                    "reduceK", grid=1, block=64, args=[src, device.malloc(4)]
+                )
+        assert np.geterr() == self.host
+
+    def test_trace_callback_runs_in_the_host_state(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        seen = []
+        device.launcher.trace = lambda kind, payload: seen.append(
+            (kind, np.geterr())
+        )
+        self._overflowing_launch(device)
+        assert {kind for kind, _ in seen} >= {"warp", "yield"}
+        assert all(state == self.host for _, state in seen)
+
+    def test_sanitizer_host_side_runs_in_the_host_state(self):
+        # Non-fatal checked execution: what the sanitizer does between
+        # warps and after the launch is host code.
+        device = Device(
+            config=ExecutionConfig(
+                warp_sizes=(1, 2, 4), sanitize=True, sanitize_fatal=False
+            )
+        )
+        device.register_module(REDUCE_PTX)
+        device.register_module(VECADD_PTX)
+        seen = []
+        for name in ("barrier_released", "take_reports"):
+            original = getattr(device.sanitizer, name)
+
+            def recording(*args, _original=original):
+                seen.append(np.geterr())
+                return _original(*args)
+
+            setattr(device.sanitizer, name, recording)
+        src = device.upload(np.ones(64, dtype=np.float32))
+        device.launch("reduceK", grid=1, block=64, args=[src, device.malloc(4)])
+        self._overflowing_launch(device)
+        assert len(seen) > 2 and all(state == self.host for state in seen)
+
+    def test_direct_execute_calls_scope_their_own(self):
+        # No execution manager around: Interpreter.execute and
+        # ArrayBackend.execute_batch hold the guest state themselves.
+        from repro.ir import BinaryOp, IRFunction, UnaryOp, Yield
+        from repro.ir.values import Constant, VirtualRegister
+        from repro.machine import Interpreter, sandybridge
+        from repro.machine.array_backend import ArrayBackend
+        from repro.machine.memory import MemorySystem
+        from repro.ptx.types import DataType
+        from repro.runtime import ThreadContext, Warp
+
+        f32 = DataType.f32
+        x, y = VirtualRegister("x", f32), VirtualRegister("y", f32)
+        function = IRFunction("t", warp_size=1)
+        function.add_block("entry").extend([
+            UnaryOp("mov", f32, x, Constant(3e38, f32)),
+            BinaryOp("mul", f32, y, x, x),
+            Yield(status=3),
+        ])
+        warps = [
+            Warp(contexts=[ThreadContext(
+                tid=(lane, 0, 0), ntid=(2, 1, 1),
+                ctaid=(0, 0, 0), nctaid=(1, 1, 1),
+            )])
+            for lane in range(2)
+        ]
+        interpreter = Interpreter(sandybridge(), MemorySystem(1 << 12))
+        state = interpreter.new_state()
+        assert interpreter.execute(
+            interpreter.load_function(function), warps[0], 0, state=state
+        ) == 3
+        assert not state.scoped
+        assert np.isinf(state.regs[1]) and np.geterr() == self.host
+        backend = ArrayBackend(sandybridge(), MemorySystem(1 << 12))
+        outcome = backend.execute_batch(
+            backend.load_function(function), warps, 0, 1000
+        )
+        assert outcome.kind == "yield" and outcome.status == 3
+        assert np.geterr() == self.host
+
+
 class TestFaultInjection:
     def test_seed_defaults_to_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SEED", "1234")

@@ -229,6 +229,17 @@ table_op = st.one_of(
         st.sampled_from(_DIVIDES + _MULHI_32 + _VARIABLE_SHIFTS),
         _register, _register, _register,
     ).map(lambda t: f"  {t[0]} %r{t[1]}, %r{t[2]}, %r{t[3]};"),
+    # Constant amounts around the clamp (the emitter prints these as
+    # one inline shift): >= the width, and "negative" — all ones as an
+    # unsigned immediate, a real negative where the type is signed.
+    st.tuples(
+        st.sampled_from(("shl.b32", "shr.u32")), _register, _register,
+        st.sampled_from((0, 1, 31, 32, 33, 2**31, 2**32 - 1)),
+    ).map(lambda t: f"  {t[0]} %r{t[1]}, %r{t[2]}, {t[3]};"),
+    st.tuples(
+        _register, _register,
+        st.sampled_from((0, 1, 31, 32, 33, -1, -(2**31))),
+    ).map(lambda t: f"  shr.s32 %r{t[0]}, %r{t[1]}, {t[2]};"),
     st.tuples(
         st.sampled_from(_MULHI_64), st.integers(6, 7), st.integers(6, 7)
     ).map(lambda t: f"  {t[0]} %rd{t[1]}, %rd{t[1]}, %rd{t[2]};"),
@@ -446,8 +457,9 @@ class TestBackendDifferential:
     )
     def test_backends_agree_on_table_op_families(self, ops, seed):
         # neg/abs/not/cnot, div/rem by zero, mul.hi 32/64-bit
-        # signed/unsigned, selp, the transcendentals, register-count
-        # shifts: guest memory and modeled statistics, all three legs.
+        # signed/unsigned, selp, the transcendentals, shifts by a
+        # register and by a constant (in range, >= the width,
+        # negative): guest memory and modeled statistics, all legs.
         source = render_table_kernel(ops)
         data = np.random.default_rng(seed).integers(
             0, 1 << 32, 64, dtype=np.uint32

@@ -83,6 +83,15 @@ class TestContexts:
         assert context.linear_tid == 9
         assert context.linear_ctaid == 1
         assert context.global_linear_id == 16 + 9
+        # a plain attribute: the creator of a whole CTA's contexts may
+        # pass what it has already computed
+        assert "linear_ctaid" in vars(context)
+        assert ThreadContext(
+            tid=(0, 0, 0), ntid=(4, 4, 1), ctaid=(1, 0, 0),
+            nctaid=(2, 1, 1), linear_ctaid=1,
+        ) == ThreadContext(
+            tid=(0, 0, 0), ntid=(4, 4, 1), ctaid=(1, 0, 0), nctaid=(2, 1, 1),
+        )
 
     def test_warp_validation(self):
         contexts = [
@@ -230,6 +239,39 @@ class TestWarpFormationStatistics:
             args=[a, b, c, 64],
         )
         assert result.statistics.threads_launched == 64
+
+    @pytest.mark.parametrize("backend", ["interpreter", "array"])
+    def test_divergent_launch_counts_are_pinned(self, backend, monkeypatch):
+        # What the execution manager does once per warp — the cache
+        # lookup, the entry record, the yield record — counted on a
+        # sustained-divergence launch. The literals are PR 16's: hoists
+        # in the per-warp path may make these cheaper, never different.
+        from dataclasses import replace
+
+        from tests.conftest import COLLATZ_PTX, collatz_steps
+
+        for variable in ("REPRO_BACKEND", "REPRO_MELD", "REPRO_SANITIZE"):
+            monkeypatch.delenv(variable, raising=False)
+        device = Device(config=replace(vectorized_config(4), backend=backend))
+        device.register_module(COLLATZ_PTX)
+        n = 96
+        values = np.arange(n, dtype=np.uint32) * 7 + 1
+        dst = device.malloc(n * 4)
+        statistics = device.launch(
+            "collatz", grid=(3, 1, 1), block=(32, 1, 1),
+            args=[device.upload(values), dst, n],
+        ).statistics
+        assert list(dst.read(np.uint32, n)) == [
+            collatz_steps(int(value)) for value in values
+        ]
+        assert (statistics.cache.hits, statistics.cache.misses) == (1240, 3)
+        assert statistics.warp_size_histogram == {1: 210, 2: 254, 4: 779}
+        assert statistics.yields_by_status == {
+            ResumeStatus.THREAD_BRANCH: 1167, ResumeStatus.THREAD_EXIT: 76,
+        }
+        assert statistics.values_restored == 11118
+        assert statistics.warp_executions == 1243
+        assert statistics.batched_warps == (565 if backend == "array" else 0)
 
 
 class TestLaunchStatistics:

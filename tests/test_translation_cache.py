@@ -123,6 +123,34 @@ class TestStalenessInvalidation:
         assert device.cache.statistics.invalidations == 0
         assert device.cache.cached_specializations() == specializations
 
+    def test_lookups_revalidate_once_per_registration(self, monkeypatch):
+        # get() is asked once per warp execution: the digest of an
+        # entry is recomputed on the first lookup after a registration
+        # or invalidation (nothing else can move it), not on every hit.
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        cache = device.cache
+        executable = cache.get("vecAdd", 4)
+        digests = []
+        original = cache.specialization_digest
+        monkeypatch.setattr(
+            cache, "specialization_digest",
+            lambda *key: digests.append(key) or original(*key),
+        )
+        hits = cache.statistics.hits
+        assert all(cache.get("vecAdd", 4) is executable for _ in range(3))
+        assert cache.statistics.hits == hits + 3 and digests == []
+        device.register_module(VECADD_PTX)  # identical: nothing dropped
+        assert all(cache.get("vecAdd", 4) is executable for _ in range(3))
+        assert cache.statistics.hits == hits + 6 and len(digests) == 1
+        # ... which is when the safety net looks: an entry whose digest
+        # no longer matches is dropped and rebuilt, never served.
+        cache._specializations[("vecAdd", 4)].digest = "stale"
+        device.register_module(VECADD_PTX)
+        assert cache.get("vecAdd", 4) is not executable
+        assert cache.statistics.invalidations == 1
+        assert cache.statistics.hits == hits + 6
+
     def test_explicit_invalidate(self):
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
