@@ -19,10 +19,16 @@ costs: a non-negative least-squares fit of per-block host time on
 block composition (plus one term per block entry). With few distinct
 blocks the fit is loose — name several apps, or ``all``, to pool them.
 
-Only the sequential path is measured: on ``--backend array`` that is
-the warps the batch runner hands back (a batched walk calls no block
-function). The wrapper costs ≈ 0.2 µs an entry and hides the block
-from the trap PC lookup, so this is a measuring script, not a mode.
+The block tables measure the sequential path only: on ``--backend
+array`` that is the warps the batch runner hands back or was never
+given (a batched walk calls no block function). What the batches did
+is a second table, per kernel and entry point, from a wrapper around
+``ArrayBackend.execute_batch``: batches, warps, instructions and µs
+per batch, how many reached their yield and how many left through
+continuations, and how many formation opportunities the executable's
+admission record still refuses there. The wrappers cost ≈ 0.2 µs an
+entry and hide the block from the trap PC lookup, so this is a
+measuring script, not a mode.
 
 Run:  python examples/hot_blocks.py Collatz
       python examples/hot_blocks.py BitonicSort Reduction --scale 0.25
@@ -39,6 +45,7 @@ import numpy as np
 from repro import Device, vectorized_config
 from repro.ir import instructions as ir
 from repro.machine import interpreter as lowering
+from repro.machine.array_backend import ArrayBackend
 from repro.workloads.registry import get_workload, workload_names
 
 _MEMORY = (ir.Load, ir.Store, ir.VectorLoad, ir.VectorStore, ir.AtomicRMW)
@@ -102,6 +109,71 @@ def install(records: list) -> None:
         return entry
 
     lowering._BlockTable.__missing__ = measured
+
+
+class BatchRecord:
+    """What the batches from one entry point of one executable did."""
+
+    def __init__(self, executable, entry_point):
+        self.kernel = f"{executable.name}/ws{executable.warp_size}"
+        self.entry_point = entry_point
+        self.label = executable.function.entry_points.get(entry_point, "?")
+        self.admission = executable.array_blocks.outcomes
+        self.batches = self.warps = self.instructions = 0
+        self.completed = self.aborted = 0
+        self.seconds = 0.0
+
+    @property
+    def refused(self) -> int:
+        return self.admission.get(self.entry_point, (0, 0))[1]
+
+
+def install_batches(records: dict) -> None:
+    """Wrap ``ArrayBackend.execute_batch``; ``records`` fills per
+    (executable, entry point)."""
+    run = ArrayBackend.execute_batch
+
+    def measured(backend, executable, warps, *args, **kwargs):
+        entry_point = warps[0].entry_point
+        start = perf_counter()
+        outcome = run(backend, executable, warps, *args, **kwargs)
+        seconds = perf_counter() - start
+        key = (id(executable), entry_point)
+        record = records.get(key)
+        if record is None:
+            record = records[key] = BatchRecord(executable, entry_point)
+        record.batches += 1
+        record.warps += len(warps)
+        record.seconds += seconds
+        if outcome.kind == "yield":
+            record.completed += 1
+            record.instructions += outcome.stats.instructions
+        else:
+            record.aborted += outcome.conclusive
+            record.instructions += outcome.continuations[0].executed
+        return outcome
+
+    ArrayBackend.execute_batch = measured
+
+
+def report_batches(records: list) -> None:
+    by_kernel = defaultdict(list)
+    for record in records:
+        by_kernel[record.kernel].append(record)
+    for kernel, entries in sorted(by_kernel.items()):
+        print(f"\n== {kernel}: batches by entry point ==")
+        print(
+            f"  {'entry':<28}{'batches':>8}{'warps':>7}{'instr':>7}"
+            f"{'us/batch':>10}{'done':>6}{'aborted':>8}{'refusing':>9}"
+        )
+        for entry in sorted(entries, key=lambda entry: entry.entry_point):
+            name = f"{entry.entry_point} {entry.label}"
+            print(
+                f"  {name:<28}{entry.batches:>8}{entry.warps:>7}"
+                f"{entry.instructions / max(entry.batches, 1):>7.0f}"
+                f"{1e6 * entry.seconds / max(entry.batches, 1):>10.1f}"
+                f"{entry.completed:>6}{entry.aborted:>8}{entry.refused:>9}"
+            )
 
 
 def non_negative_fit(design: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -228,6 +300,8 @@ def main() -> None:
     names = workload_names() if arguments.apps == ["all"] else arguments.apps
     records: list = []
     install(records)
+    batches: dict = {}
+    install_batches(batches)
     config = replace(vectorized_config(4), backend=arguments.backend)
     for name in names:
         app = get_workload(name)
@@ -239,9 +313,11 @@ def main() -> None:
         app.execute(device, arguments.scale, check=True)
         for record in records[first:]:
             record.entries, record.seconds = 0, 0.0
+        batches.clear()
         run = app.execute(device, arguments.scale, check=True)
         print(f"\n{name}: correct={run.correct} at scale {arguments.scale}")
         report_kernels(records[first:], arguments.top)
+        report_batches(list(batches.values()))
     report_fit(records)
 
 

@@ -1,13 +1,14 @@
 """Array-vectorized execution backend.
 
 The sequential interpreter runs one warp at a time; this backend runs
-*every resident warp at once*. At load time each basic block is given
-a second, batched lowering — a per-opcode translation table emitting
-numpy array operations, structured like a staged binary translator:
-registers become ``(n_warps,)`` / ``(n_warps, warp_size)`` ndarrays,
-loads and stores become gather/scatter on the arena, and control flow
-stays in the batched region only while it is *uniform* across the
-batch. The points where control leaves the region are explicit exits:
+*every resident warp at once*. When a batch first reaches a basic
+block the block is given a second, batched lowering — a per-opcode
+translation table emitting numpy array operations, structured like a
+staged binary translator: registers become ``(n_warps,)`` /
+``(n_warps, warp_size)`` ndarrays, loads and stores become
+gather/scatter on the arena, and control flow stays in the batched
+region only while it is *uniform* across the batch. The points where
+control leaves the region are explicit exits:
 
 - a Yield/Exit terminator ends the batch with one status for all warps
   (every warp took the same exit handler, so one batched walk modeled
@@ -29,9 +30,11 @@ lowered for the sequential path.
 Known deviation: within one batched block, an instruction's memory
 accesses complete for *all* warps before the next instruction runs.
 Programs where warps race on shared addresses can observe a different
-(but equally legal) interleaving than the sequential schedule; such
-programs are racy on real hardware too. Atomics therefore disable the
-array lowering for the whole function.
+(but equally legal) interleaving than the sequential schedule — and
+whether a block runs batched depends on what earlier batches from its
+entry point did (admission, below), so also on the launch history;
+such programs are racy on real hardware too. Atomics therefore disable
+the array lowering for the whole function.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ from .interpreter import (
 
 class _Unsupported(Exception):
     """Raised by the translation table for an instruction (or block)
-    with no batched lowering; the block is simply left out of
-    ``array_blocks`` and the sequential path executes it."""
+    with no batched lowering; ``array_blocks`` caches the absence and
+    the sequential path executes the block."""
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +574,7 @@ def _acompile_vector_load(inst: VectorLoad, slots):
     numpy_dtype = np.dtype(inst.dtype.numpy_dtype)
     width = inst.dst.width
     size = numpy_dtype.itemsize
+    shift = size.bit_length() - 1
     row = np.arange(width)
     dst = slots[inst.dst.name]
 
@@ -587,8 +591,8 @@ def _acompile_vector_load(inst: VectorLoad, slots):
             return
         memory._check_batch(base, size * width)
         memory.load_count += base.size * width
-        if not (base % size).any():
-            index = (base // size)[:, None] + row
+        if not np.bitwise_or.reduce(base) & (size - 1):
+            index = (base >> shift)[:, None] + row
             bstate.regs[dst] = memory.data.view(numpy_dtype)[index]
             return
         out = np.empty((bstate.size, width), dtype=numpy_dtype)
@@ -606,6 +610,7 @@ def _acompile_vector_store(inst: VectorStore, slots):
     read_value = _abatch_raw(inst.value, slots)
     numpy_dtype = np.dtype(inst.dtype.numpy_dtype)
     size = numpy_dtype.itemsize
+    shift = size.bit_length() - 1
 
     def op(bstate):
         memory = bstate.memory
@@ -632,8 +637,8 @@ def _acompile_vector_store(inst: VectorStore, slots):
             return
         memory._check_batch(base, size * width)
         memory.store_count += base.size * width
-        if not (base % size).any():
-            index = (base // size)[:, None] + np.arange(width)
+        if not np.bitwise_or.reduce(base) & (size - 1):
+            index = (base >> shift)[:, None] + np.arange(width)
             memory.data.view(numpy_dtype)[index] = out
             return
         for position, address in enumerate(base):
@@ -784,6 +789,7 @@ def _acompile_reduce(inst: Reduce, slots):
     read = _abatch_raw(inst.src, slots)
     convert = inst.dst.dtype.numpy_dtype.type
     dst = slots[inst.dst.name]
+    counts = inst.op == "add"
 
     def op(bstate):
         # Row-wise through the *scalar* reduction implementations:
@@ -791,7 +797,10 @@ def _acompile_reduce(inst: Reduce, slots):
         # truncated on conversion) are part of the reference
         # behavior and must match bit for bit.
         source = np.asarray(read(bstate))
-        if source.ndim == 2:
+        if counts and source.ndim == 2 and source.dtype == np.bool_:
+            # _reduce_add of a predicate row, for all rows at once.
+            values = np.count_nonzero(source, axis=1).astype(convert)
+        elif source.ndim == 2:
             values = [
                 convert(impl(source[position]))
                 for position in range(bstate.size)
@@ -827,7 +836,7 @@ _ACOMPILERS = {
     ExtractElement: _acompile_extract,
     Broadcast: _acompile_broadcast,
     Reduce: _acompile_reduce,
-    # AtomicRMW deliberately absent: see compile_array_blocks.
+    # AtomicRMW deliberately absent: see ArrayBackend.load_function.
 }
 
 
@@ -893,41 +902,85 @@ def _acompile_terminator(terminator, slots):
 
 
 # ---------------------------------------------------------------------------
-# Block translation
+# Block translation (on first batched entry) and batch admission
 # ---------------------------------------------------------------------------
 
+#: Admission back-off: after ``k`` consecutive batches from an entry
+#: point left through continuations, its next ``_REFUSALS ** k``
+#: formation opportunities go to the sequential former (``k`` at most
+#: ``_LONGEST``); one batch that reaches its yield resets ``k``.
+#: Measured on the 43 apps at PR 18's parent: a batched op costs
+#: 5.6-7.7 us whatever the batch size and no ready-pool key (entry
+#: point x CTA) held more than 16 warps, so an aborted batch ran its
+#: prefix at 1.0-3.3 us per warp-instruction against 0.36 us
+#: sequentially, then paid 222 us of register transplant and 20 us a
+#: warp to resume: none was cheaper than not batching. Base 4: a
+#: bounds-guarded uniform kernel aborts once a launch (the mixed warp
+#: of its last CTA) and gives up 4 of ~128 warps for it, not its
+#: batching. Cap 5: an entry point that always diverges is tried again
+#: once per 1 024 opportunities, so a change of behaviour is found.
+_REFUSALS = 4
+_LONGEST = 5
 
-def compile_array_blocks(
-    function: IRFunction, slots
-) -> Optional[Dict[str, tuple]]:
-    """Build the batched lowering: ``{label: (ops, terminator)}``.
 
-    Blocks the translation table cannot express are left out (the
-    runner exits the region when the walk reaches one). A function
-    containing atomics gets no array lowering at all: an atomic's
-    sequential read-modify-write interleaving across warps is exactly
-    what batching cannot preserve.
+class _ArrayBlocks(dict):
+    """The batched lowering of one executable, ``label -> (ops,
+    terminator)``, filled as batches first reach each label (the shape
+    of the interpreter's ``_BlockTable``); ``None`` is the cached
+    answer for a block that reads ``%clock`` or that the translation
+    table cannot express, where the runner leaves the region.
+
+    ``outcomes`` keeps what the batches did, per entry point, as ``[k,
+    refusals left]``. Admission reads nothing else — outcomes, never
+    the host clock — so which warps batch is a function of the launch
+    history; and the record, living here, is shared by every execution
+    manager and dropped with the translation it describes.
     """
-    for block in function.ordered_blocks():
-        for instruction in block.instructions:
-            if isinstance(instruction, AtomicRMW):
-                return None
-    array_blocks: Dict[str, tuple] = {}
-    for block in function.ordered_blocks():
-        if _reads_clock(block):
-            continue
-        try:
-            ops = []
-            for instruction in block.instructions:
-                compile_fn = _ACOMPILERS.get(type(instruction))
-                if compile_fn is None:
-                    raise _Unsupported()
-                ops.append(compile_fn(instruction, slots))
-            terminator = _acompile_terminator(block.terminator, slots)
-        except _Unsupported:
-            continue
-        array_blocks[block.label] = (tuple(ops), terminator)
-    return array_blocks
+
+    def __init__(self, function: IRFunction, slots):
+        super().__init__()
+        self.function = function
+        self.slots = slots
+        self.outcomes: Dict[int, List[int]] = {}
+
+    def __missing__(self, label: str) -> Optional[tuple]:
+        block = self.function.blocks[label]
+        entry = None
+        if not _reads_clock(block) and all(
+            type(instruction) in _ACOMPILERS
+            for instruction in block.instructions
+        ):
+            try:
+                entry = (
+                    tuple(
+                        _ACOMPILERS[type(instruction)](instruction, self.slots)
+                        for instruction in block.instructions
+                    ),
+                    _acompile_terminator(block.terminator, self.slots),
+                )
+            except _Unsupported:
+                pass
+        self[label] = entry
+        return entry
+
+    def admits(self, entry_point: int) -> bool:
+        """Whether to form a batch at ``entry_point`` now; a refusal
+        uses up one of the opportunities the record still refuses."""
+        record = self.outcomes.get(entry_point)
+        if record is None or not record[1]:
+            return True
+        record[1] -= 1
+        return False
+
+    def record(self, entry_point: int, completed: bool) -> None:
+        """A batch from ``entry_point`` reached its yield, or left at a
+        divergent terminator or an untranslated block."""
+        if completed:
+            self.outcomes.pop(entry_point, None)
+            return
+        record = self.outcomes.setdefault(entry_point, [0, 0])
+        record[0] = min(record[0] + 1, _LONGEST)
+        record[1] = _REFUSALS ** record[0]
 
 
 # ---------------------------------------------------------------------------
@@ -952,6 +1005,9 @@ class BatchOutcome:
     status: int = 0
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     continuations: Tuple[Continuation, ...] = ()
+    #: False for a conservative limit/deadline exit, which would have
+    #: happened wherever the warps ran: not recorded for admission.
+    conclusive: bool = True
 
 
 def _warp_registers(bstate, position):
@@ -1004,9 +1060,16 @@ class ArrayBackend(Interpreter):
     supports_batching = True
 
     def load_function(self, function: IRFunction) -> ExecutableFunction:
+        """Attach an empty :class:`_ArrayBlocks` and lower nothing. A
+        function containing atomics gets none at all: an atomic's
+        sequential read-modify-write interleaving across warps is
+        exactly what batching cannot preserve."""
         executable = super().load_function(function)
-        if self.sanitizer is None:
-            executable.array_blocks = compile_array_blocks(
+        if self.sanitizer is None and not any(
+            isinstance(instruction, AtomicRMW)
+            for instruction in function.instructions()
+        ):
+            executable.array_blocks = _ArrayBlocks(
                 function, executable.register_slots
             )
         return executable
@@ -1025,10 +1088,18 @@ class ArrayBackend(Interpreter):
         uses; instruction-limit and deadline exits are *conservative*
         (the region is left before the offending block, and each
         warp's sequential resume re-detects the condition with
-        byte-identical accounting)."""
+        byte-identical accounting). What the batch did is recorded for
+        admission, except a conservative exit and a fault, which say
+        nothing about the entry point."""
         bstate = _BatchState(executable, warps, param_base, self.memory)
+        # Read first: the kernel's context writes update it in place.
+        entry_point = warps[0].entry_point
         with guest_errstate():
-            return self._run_batch(executable, bstate, limit, deadline)
+            outcome = self._run_batch(executable, bstate, limit, deadline)
+        if outcome.conclusive:
+            reached_yield = outcome.kind == "yield"
+            executable.array_blocks.record(entry_point, reached_yield)
+        return outcome
 
     def _run_batch(self, executable, bstate, limit, deadline):
         array_blocks = executable.array_blocks
@@ -1037,38 +1108,22 @@ class ArrayBackend(Interpreter):
         kernel_cycles = yield_cycles = flops = 0
         next_deadline_check = _DEADLINE_CHECK_STRIDE
         while True:
-            entry = array_blocks.get(label)
-            if entry is None:
-                # Untranslated block: leave the region at its entry.
-                return BatchOutcome(
-                    "fallback",
-                    continuations=_continuations(
-                        bstate, label, False, executed,
-                        kernel_cycles, yield_cycles, flops,
-                    ),
-                )
+            entry = array_blocks[label]
+            at_terminator = False
+            # An untranslated block: leave the region at its entry.
+            conclusive = entry is None
+            if conclusive:
+                break
             block_cost = executable.block_cost(label)
             count = block_cost.instructions
             if executed + count > limit:
-                return BatchOutcome(
-                    "fallback",
-                    continuations=_continuations(
-                        bstate, label, False, executed,
-                        kernel_cycles, yield_cycles, flops,
-                    ),
-                )
+                break
             if (
                 deadline is not None
                 and executed + count >= next_deadline_check
             ):
                 if time.monotonic() > deadline:
-                    return BatchOutcome(
-                        "fallback",
-                        continuations=_continuations(
-                            bstate, label, False, executed,
-                            kernel_cycles, yield_cycles, flops,
-                        ),
-                    )
+                    break
                 next_deadline_check = (
                     executed + count + _DEADLINE_CHECK_STRIDE
                 )
@@ -1080,21 +1135,14 @@ class ArrayBackend(Interpreter):
                 position = -2
                 result = terminator(bstate)
             except ExecutionError as fault:
-                if position == -2:
-                    block = executable.function.blocks.get(label)
-                    index = (
-                        len(block.instructions)
-                        if block is not None
-                        else -1
-                    )
-                else:
-                    # Array ops are 1:1 with block instructions, so
-                    # the loop position is the PC.
-                    index = position
-                # The execution manager abandons a faulting batch and
-                # re-runs its warps sequentially (exact trap
+                # Array ops are 1:1 with block instructions, so the
+                # loop position is the PC (the terminator's: one past
+                # the body). The execution manager abandons a faulting
+                # batch and re-runs its warps sequentially (exact trap
                 # attribution); the annotation serves direct callers.
-                _annotate_fault(fault, label, index)
+                _annotate_fault(
+                    fault, label, len(ops) if position == -2 else position
+                )
                 raise
             kernel_cycles += block_cost.kernel_cycles
             yield_cycles += block_cost.yield_cycles
@@ -1103,13 +1151,8 @@ class ArrayBackend(Interpreter):
             if result is None:
                 # Divergent terminator: the block body ran batched;
                 # each warp evaluates its own terminator sequentially.
-                return BatchOutcome(
-                    "fallback",
-                    continuations=_continuations(
-                        bstate, label, True, executed,
-                        kernel_cycles, yield_cycles, flops,
-                    ),
-                )
+                at_terminator = conclusive = True
+                break
             if isinstance(result, str):
                 label = result
                 continue
@@ -1119,3 +1162,11 @@ class ArrayBackend(Interpreter):
             stats.flops = flops
             stats.instructions = executed
             return BatchOutcome("yield", status=int(result), stats=stats)
+        return BatchOutcome(
+            "fallback",
+            continuations=_continuations(
+                bstate, label, at_terminator, executed,
+                kernel_cycles, yield_cycles, flops,
+            ),
+            conclusive=conclusive,
+        )

@@ -191,11 +191,11 @@ class ExecutableFunction:
     terminators: Dict[str, Callable] = field(
         default_factory=dict, repr=False
     )
-    #: Batched array lowering (``machine.array_backend``): per block,
-    #: ``(ops, terminator)`` operating on all resident warps at once.
-    #: ``None`` when the loading backend does not build one (plain
-    #: interpreter, a sanitized device, or a function the array
-    #: translator excludes, e.g. one containing atomics).
+    #: Batched array lowering (``machine.array_backend``): per block
+    #: a batch has reached, ``(ops, terminator)`` operating on all
+    #: resident warps at once, plus what the batches did. ``None``
+    #: when the loading backend does not batch (plain interpreter, a
+    #: sanitized device) or the function contains atomics.
     array_blocks: Optional[Dict[str, tuple]] = field(
         default=None, repr=False
     )

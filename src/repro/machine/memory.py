@@ -227,12 +227,16 @@ class MemorySystem:
         return name in self.__dict__
 
     def _check_batch(self, addresses: np.ndarray, size: int) -> None:
-        bad = (addresses < _NULL_GUARD) | (
-            addresses + size > self.size
-        )
-        if bad.any():
-            # Re-raise through the scalar check so the fault carries
-            # the same payload the scalar path would produce.
+        """:meth:`_check` over a batch: its extremes decide, and only a
+        batch with an address out looks for the first one in index
+        order — the fault the scalar path would have raised."""
+        if (
+            addresses.min(initial=_NULL_GUARD) < _NULL_GUARD
+            or addresses.max(initial=0) + size > self.size
+        ):
+            bad = (addresses < _NULL_GUARD) | (
+                addresses + size > self.size
+            )
             self._check(int(addresses[int(np.argmax(bad))]), size)
 
     def gather(self, dtype: DataType, addresses: np.ndarray):
@@ -254,8 +258,11 @@ class MemorySystem:
         numpy_dtype = dtype.numpy_dtype
         if size == 1:
             return self.data[addresses].view(numpy_dtype)
-        if not (addresses % size).any():
-            return self.data.view(numpy_dtype)[addresses // size]
+        # Sizes are powers of two: a stray low bit is a misalignment.
+        if not np.bitwise_or.reduce(addresses, axis=None) & (size - 1):
+            return self.data.view(numpy_dtype)[
+                addresses >> (size.bit_length() - 1)
+            ]
         out = np.empty(addresses.shape, dtype=numpy_dtype)
         flat = out.reshape(-1)
         for position, address in enumerate(addresses.reshape(-1)):
@@ -281,25 +288,25 @@ class MemorySystem:
         if dtype.is_predicate:
             self._check_batch(addresses, 1)
             self.store_count += addresses.size
-            flags = np.broadcast_to(
-                np.asarray(values), addresses.shape
+            self.data[addresses] = (np.asarray(values) != 0).astype(
+                np.uint8
             )
-            self.data[addresses] = (flags != 0).astype(np.uint8)
             return
         size = dtype.size
         self._check_batch(addresses, size)
         self.store_count += addresses.size
         numpy_dtype = dtype.numpy_dtype
-        converted = np.broadcast_to(
-            np.asarray(values).astype(numpy_dtype), addresses.shape
-        )
-        if not (addresses % size).any():
-            self.data.view(numpy_dtype)[addresses // size] = converted
+        # One value per address or one for all: assignment broadcasts.
+        converted = np.asarray(values).astype(numpy_dtype, copy=False)
+        if not np.bitwise_or.reduce(addresses, axis=None) & (size - 1):
+            self.data.view(numpy_dtype)[
+                addresses >> (size.bit_length() - 1)
+            ] = converted
             return
+        flat = np.broadcast_to(converted, addresses.shape).reshape(-1)
         for position, address in enumerate(addresses.reshape(-1)):
             self.data[address : address + size] = np.frombuffer(
-                converted.reshape(-1)[position].tobytes(),
-                dtype=np.uint8,
+                flat[position].tobytes(), dtype=np.uint8
             )
 
     # -- bulk host access (the cudaMemcpy analogues) ----------------------

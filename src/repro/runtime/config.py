@@ -101,7 +101,9 @@ class ExecutionConfig:
     #: ``"interpreter"`` runs one warp at a time through generated
     #: block functions; ``"array"`` batches every resident warp of an entry
     #: point into numpy array programs over uniform block runs, falling
-    #: back to the sequential path on divergence; ``"reference"`` is the
+    #: back to the sequential path on divergence — and, from what its
+    #: batches did before, no longer forming them at entry points where
+    #: they kept falling back; ``"reference"`` is the
     #: per-instruction oracle the differential tests compare the other
     #: two against. Can also be selected with ``REPRO_BACKEND=array``
     #: in the environment (resolved at Device construction).

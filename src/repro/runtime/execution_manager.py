@@ -313,10 +313,6 @@ class ExecutionManager:
             # confined to a single CTA.
             and not config.allow_cross_cta_warps
         )
-        #: Per-kernel memo: False once a kernel's maximal-width
-        #: executable proves to have no usable array lowering, so
-        #: later rounds skip the formation attempt entirely.
-        self._batchable_kernels: Dict[str, bool] = {}
         self._shared_slabs: List[int] = []
         self._shared_slab_bytes = 0
         self._local_slab: Optional[int] = None
@@ -692,49 +688,36 @@ class ExecutionManager:
         the deferred queue, exactly when the sequential former would
         have popped that chunk.
 
-        Returns False (having consumed nothing) whenever the batched
-        path cannot reproduce the sequential path exactly — tracing,
-        instance-patched fault injectors, degraded widths, a cycle
-        budget (whose per-warp clamp is inherently sequential), or a
-        kernel with no array lowering — so the caller falls through to
-        the one-warp-at-a-time loop."""
+        Returns False, having consumed nothing (no pop, no cache
+        lookup), whenever the batched path cannot reproduce the
+        sequential one exactly — tracing, instance-patched fault
+        injectors, degraded widths, a cycle budget (whose per-warp
+        clamp is inherently sequential), no maximal-width executable
+        in the cache yet or none with an array lowering — or its
+        record of past batches refuses the entry point
+        (``_ArrayBlocks.admits``); the caller then forms one warp."""
         kernel_name, ready = window.kernel_name, window.ready
         if not self._warp_state.scoped or self._cycle_budget is not None:
             return False  # a trace callback or a patched memory system
-        if self._batchable_kernels.get(kernel_name) is False:
-            return False
-        if "execute" in self.interpreter.__dict__:
-            return False
-        if self.cache.degraded_widths(kernel_name):
-            return False
         limit = self._max_warp_size
-        peek = ready.head_batch(limit)
-        if peek is None:
-            return False
-        # Nothing has been consumed yet; this lookup doubles as warp
-        # 0's cache access (the loop below issues one per additional
-        # warp so hit counters track the sequential path).
-        executable, width = self.cache.get_or_degrade(kernel_name, limit)
-        if width != limit or executable.array_blocks is None or (
-            executable.entry_label not in executable.array_blocks
+        executable = self.cache.resident(kernel_name, limit)
+        if (
+            executable is None
+            or executable.array_blocks is None
+            or "execute" in self.interpreter.__dict__
+            or self.cache.degraded_widths(kernel_name)
         ):
-            if width == limit:
-                self._batchable_kernels[kernel_name] = False
             return False
-        self._batchable_kernels[kernel_name] = True
+        peek = ready.head_batch(limit)
+        if peek is None or not executable.array_blocks.admits(peek[0]):
+            return False
         chunks = ready.pop_chunks(limit)
-        if not chunks:
-            return False
         warps = []
-        for position, chunk in enumerate(chunks):
-            if position:
-                self.cache.get_or_degrade(kernel_name, limit)
-            warp = Warp(contexts=chunk, warp_id=self._warp_counter)
+        for chunk in chunks:
+            # One cache access per warp, as the sequential path makes.
+            self.cache.get_or_degrade(kernel_name, limit)
+            warps.append(Warp(contexts=chunk, warp_id=self._warp_counter))
             self._warp_counter += 1
-            warps.append(warp)
-        # Entry points are read before execution: context writes inside
-        # the kernel update resume_point in place.
-        entry_points = [warp.entry_point for warp in warps]
         try:
             outcome = self.interpreter.execute_batch(
                 executable,
@@ -755,33 +738,23 @@ class ExecutionManager:
             # the attempt, so nothing needs undoing.
             ready.restore(chunks)
             return False
-        for warp, entry_point in zip(warps, entry_points):
-            restored = executable.function.restore_counts.get(
-                entry_point, 0
-            )
-            self.stats.record_entry(self.worker_id, warp.size, restored)
-            self.stats.em_cycles += (
-                self.machine.em_event_cost
-                + self.machine.em_per_thread_cost * warp.size
-            )
         self.stats.batched_warps += len(warps)
-        if outcome.kind == "yield":
-            items = [
-                (warp, executable, None, outcome.status, outcome.stats)
-                for warp in warps
-            ]
-        else:
-            # Fallback: the batch stopped short of a yield (divergence,
-            # a precise/untranslated block, or a conservative limit/
-            # deadline exit). Each warp resumes on the sequential path
-            # exactly where the array program left it — when its
-            # round-robin turn comes.
-            items = [
-                (warp, executable, continuation, None, None)
-                for warp, continuation in zip(
-                    warps, outcome.continuations
-                )
-            ]
+        if outcome.kind != "yield":
+            self.stats.batch_fallbacks += len(warps)
+        # A warp of a batch that stopped short of a yield (divergence,
+        # a precise/untranslated block, a conservative limit/deadline
+        # exit) carries a continuation: it resumes on the sequential
+        # path exactly where the array program left it, when its
+        # round-robin turn comes. The key is the entry point, so one
+        # restore count serves the batch.
+        restored = executable.function.restore_counts.get(peek[0], 0)
+        items = [
+            (warp, executable, restored, continuation, outcome.status,
+             outcome.stats)
+            for warp, continuation in zip(
+                warps, outcome.continuations or [None] * len(warps)
+            )
+        ]
         # The first item stands in for the pop this round replaced; the
         # rest drain one per later visit to this key.
         ready.defer(items[1:])
@@ -790,9 +763,16 @@ class ExecutionManager:
 
     def _finish_batch_item(self, window: _Window, item) -> None:
         """Complete one deferred batch warp at its round-robin turn:
-        resume it sequentially when the batch fell back mid-kernel
+        record its entry (here, like the sequential loop, so a launch
+        that traps part-way has counted the warps that ran), resume it
+        sequentially when the batch fell back mid-kernel
         (``continuation``), or just apply its precomputed yield."""
-        warp, executable, continuation, status, stats = item
+        warp, executable, restored, continuation, status, stats = item
+        self.stats.record_entry(self.worker_id, warp.size, restored)
+        self.stats.em_cycles += (
+            self.machine.em_event_cost
+            + self.machine.em_per_thread_cost * warp.size
+        )
         if continuation is not None:
             status = self._execute_warp(
                 window, warp, executable, continuation

@@ -99,6 +99,9 @@ class LaunchStatistics:
     #: path (a host-efficiency counter — it does not participate in
     #: modeled-statistics equivalence between backends)
     batched_warps: int = 0
+    #: of those, warps that left their batch through a continuation
+    #: and finished sequentially (a host counter like it)
+    batch_fallbacks: int = 0
     #: divergent-branch diamonds the melding pass removed from this
     #: launch's kernel (static per-kernel count attached by the
     #: KernelLauncher; the dynamic effect shows up as fewer
@@ -151,6 +154,7 @@ class LaunchStatistics:
         self.watchdog_timeouts += other.watchdog_timeouts
         self.degraded_warps += other.degraded_warps
         self.batched_warps += other.batched_warps
+        self.batch_fallbacks += other.batch_fallbacks
         self.melded_regions += other.melded_regions
         self.meld_rejections += other.meld_rejections
         self.meld_predicted_saving += other.meld_predicted_saving
@@ -258,6 +262,11 @@ class LaunchStatistics:
             f"watchdog={self.watchdog_timeouts} "
             f"degraded warps={self.degraded_warps}",
         ]
+        if self.batched_warps:
+            lines.append(
+                f"batching             warps={self.batched_warps} "
+                f"fell back={self.batch_fallbacks}"
+            )
         if self.melded_regions or self.meld_rejections:
             lines.append(
                 f"melding              regions={self.melded_regions} "

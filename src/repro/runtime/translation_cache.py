@@ -484,6 +484,11 @@ class TranslationCache:
         self._validated[key] = executable
         return executable
 
+    def resident(self, kernel_name: str, warp_size: int):
+        """The specialization a :meth:`get` would hit right now, or
+        None — not a lookup: nothing is counted, validated or built."""
+        return self._validated.get((kernel_name, warp_size))
+
     def specialization_for(
         self, available_threads: int, exclude: Collection[int] = ()
     ) -> int:

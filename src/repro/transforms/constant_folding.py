@@ -24,6 +24,7 @@ from ..ir.instructions import (
     UnaryOp,
 )
 from ..ir.values import Constant, VirtualRegister
+from ..machine.interpreter import _SHIFT_RULE, _shifted_as
 from ..ptx.types import DataType
 
 _COMPARES = {
@@ -52,11 +53,13 @@ def _wrap(value, dtype: DataType):
         return float(np.dtype(dtype.numpy_dtype).type(value))
     if dtype.is_predicate:
         return bool(value)
-    info = np.iinfo(dtype.numpy_dtype)
+    return _wrap_integer(value, dtype.numpy_dtype)
+
+
+def _wrap_integer(value, numpy_dtype) -> int:
+    info = np.iinfo(numpy_dtype)
     span = info.max - info.min + 1
-    value = int(value)
-    value = (value - info.min) % span + info.min
-    return value
+    return (int(value) - info.min) % span + info.min
 
 
 def _binary_result(op: str, a, b, dtype: DataType) -> Optional[object]:
@@ -98,13 +101,16 @@ def _binary_result(op: str, a, b, dtype: DataType) -> Optional[object]:
             return (int(a) ^ int(b)) if not dtype.is_predicate else (
                 bool(a) != bool(b)
             )
-        if op == "shl":
-            return int(a) << (int(b) % (dtype.size * 8))
-        if op == "lshr":
-            mask = (1 << (dtype.size * 8)) - 1
-            return (int(a) & mask) >> (int(b) % (dtype.size * 8))
-        if op == "ashr":
-            return int(a) >> (int(b) % (dtype.size * 8))
+        if op in _SHIFT_RULE:
+            # The shifter clamps the (unsigned) amount, it does not wrap.
+            kind, operator, flush = _SHIFT_RULE[op]
+            bits = dtype.size * 8
+            amount = int(b) % (1 << bits)
+            if flush and amount >= bits:
+                return 0
+            a = _wrap_integer(a, _shifted_as(kind, dtype))
+            amount = min(amount, bits - 1)
+            return a << amount if operator == "<<" else a >> amount
     except (OverflowError, ZeroDivisionError, ValueError):
         return None
     return None

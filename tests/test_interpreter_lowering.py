@@ -685,10 +685,8 @@ class TestBlockEmitter:
             assert ".copy()" not in entry[0].source, label
             assert "ndim" not in entry[0].source, label
 
-    def test_hot_blocks_script_still_finds_its_hook(self):
-        # examples/hot_blocks.py measures per-block host time by
-        # wrapping _BlockTable.__missing__ from outside; nothing under
-        # src/ knows, so this is what notices when the hook moves.
+    @staticmethod
+    def _hot_blocks(*arguments) -> str:
         import os
         import subprocess
         import sys
@@ -701,14 +699,34 @@ class TestBlockEmitter:
         environment["PYTHONPATH"] = str(root / "src")
         done = subprocess.run(
             [sys.executable, str(root / "examples" / "hot_blocks.py"),
-             "Collatz", "--scale", "0.1", "--top", "2"],
+             "Collatz", "--scale", "0.1", "--top", "2", *arguments],
             capture_output=True, text=True, timeout=120, env=environment,
         )
         assert done.returncode == 0, done.stderr
-        assert "collatzSteps.w4/ws4" in done.stdout
-        assert re.search(r"handler|body", done.stdout)
-        fit = done.stdout.split("per-opcode host cost")[1]
+        return done.stdout
+
+    def test_hot_blocks_script_still_finds_its_hook(self):
+        # examples/hot_blocks.py measures per-block host time by
+        # wrapping _BlockTable.__missing__ from outside; nothing under
+        # src/ knows, so this is what notices when the hook moves.
+        printed = self._hot_blocks()
+        assert "collatzSteps.w4/ws4" in printed
+        assert re.search(r"handler|body", printed)
+        assert "batches by entry point" not in printed
+        fit = printed.split("per-opcode host cost")[1]
         assert re.search(r"^  \S+ +\d+ +\d+\.\d+ +\d+\.\d+$", fit, re.M)
+
+    def test_hot_blocks_script_reports_what_the_batches_did(self):
+        # Likewise for its wrapper around ArrayBackend.execute_batch
+        # and its reading of the admission record.
+        printed = self._hot_blocks("--backend", "array")
+        table = printed.split("collatzSteps.w4/ws4: batches by entry point")[1]
+        # entry id and label, batches, warps, instructions and us per
+        # batch, completed, aborted, refusals left
+        assert re.search(
+            r"^  \d+ \S+ +\d+ +\d+ +\d+ +\d+\.\d+ +\d+ +\d+ +\d+$",
+            table, re.M,
+        )
 
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_fault_after_a_chain_reports_its_own_index(self, sanitize):

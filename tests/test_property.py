@@ -316,6 +316,62 @@ DONE:
 """
 
 
+# Shifts with *both* operands constant: what constant folding computes
+# at compile time (scalar destinations only, so the kernels run at
+# width 1) against what the machine's shifter does with the same
+# operands when folding is off. Amounts sit around the clamp: >= the
+# width, 2**31, and "negative" — all ones where the type is unsigned.
+
+_CONSTANT_SHIFTS = {
+    "shl.b16": "h", "shl.b32": "r", "shl.b64": "rd", "shr.u32": "r",
+    "shr.s32": "r", "shr.u64": "rd", "shr.s64": "rd",
+}
+
+
+@st.composite
+def constant_shift(draw):
+    op = draw(st.sampled_from(sorted(_CONSTANT_SHIFTS)))
+    width = int(op[-2:])
+    if op[-3] == "s":
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+    else:
+        low, high = 0, (1 << width) - 1
+    amounts = (0, 1, width - 1, width, width + 1, 2**31, -1, low, high)
+    amount = draw(
+        st.sampled_from([a for a in amounts if low <= a <= high])
+    )
+    value = draw(
+        st.sampled_from((1, 5, low, high, high >> 1))
+        | st.integers(low, high)
+    )
+    return op, value, amount
+
+
+def render_constant_shift_kernel(shifts):
+    """Each shift's result, widened to 64 bits, in its own slot."""
+    lines = []
+    for slot, (op, value, amount) in enumerate(shifts):
+        register = f"%{_CONSTANT_SHIFTS[op]}5"
+        lines.append(f"  {op} {register}, {value}, {amount};")
+        if register != "%rd5":
+            lines.append(f"  cvt.u64.u{op[-2:]} %rd5, {register};")
+        lines.append(f"  st.global.u64 [%rd4+{8 * slot}], %rd5;")
+    body = "\n".join(lines)
+    return f"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{{
+  .reg .u16 %h<8>;
+  .reg .u32 %r<8>;
+  .reg .u64 %rd<8>;
+  ld.param.u64 %rd4, [out];
+{body}
+  exit;
+}}
+"""
+
+
 # One op of each kind the array backend has no lowering for: atomics
 # (every operator, shared and global, colliding addresses), %clock
 # reads, and the barriers that order them. %r0 is the thread's datum,
@@ -481,6 +537,33 @@ class TestBackendDifferential:
             )
             assert np.array_equal(memory, reference[0]), (backend, sanitize)
             assert statistics == reference[1], (backend, sanitize)
+
+    @_SETTINGS
+    @given(shifts=st.lists(constant_shift(), min_size=1, max_size=8))
+    def test_folded_constant_shifts_match_the_machine(self, shifts):
+        # Folding used to reduce the amount modulo the width; the
+        # machine clamps it. The oracle is the reference interpreter
+        # running the unfolded IR.
+        source = render_constant_shift_kernel(shifts)
+        data = np.zeros(64, dtype=np.uint32)
+        scalar = baseline_config()
+        reference = run_with_statistics(
+            source, data,
+            replace(scalar, backend="reference", optimize=False),
+            8 * len(shifts),
+        )
+        for backend in ("interpreter", "array", "reference"):
+            for optimize in (False, True):
+                memory, statistics = run_with_statistics(
+                    source, data,
+                    replace(scalar, backend=backend, optimize=optimize),
+                    8 * len(shifts),
+                )
+                assert np.array_equal(memory, reference[0]), (
+                    backend, optimize, memory.view(np.uint64),
+                )
+                if not optimize:
+                    assert statistics == reference[1], backend
 
     @_SETTINGS
     @given(
