@@ -167,8 +167,9 @@ def format_cache_statistics(
     title: str = "Translation-cache activity",
     slowest: int = 8,
 ) -> str:
-    """Render the cache counters plus the slowest specializations
-    (compile-time hot spots). Accepts ``None`` (no launches yet)."""
+    """Render the cache counters, the time per pipeline stage and the
+    slowest specializations (compile-time hot spots). Accepts ``None``
+    (no launches yet)."""
     lines = [title, _rule()]
     if stats is None:
         lines.append("  (no cache activity recorded)")
@@ -193,6 +194,16 @@ def format_cache_statistics(
     lines.append(
         f"  translation time: {stats.translation_seconds * 1e3:.1f} ms"
     )
+    if stats.stage_seconds:
+        # Where the translation time went, in pipeline order, with what
+        # each pass reported changing.
+        lines.append("  stages:")
+        for stage, seconds in stats.stage_seconds.items():
+            changes = stats.stage_changes.get(stage)
+            lines.append(
+                f"    {stage:<28} {seconds * 1e3:11.2f} ms"
+                + (f"  {changes} changes" if changes else "")
+            )
     timed = sorted(
         stats.compile_seconds.items(), key=lambda item: -item[1]
     )[:slowest]

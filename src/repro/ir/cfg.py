@@ -27,18 +27,9 @@ class ControlFlowGraph:
                 self.predecessors.setdefault(target, [])
                 self.predecessors[target].append(label)
 
-    def reachable(self, start: str = None) -> Set[str]:
-        if start is None:
-            start = self.function.entry_label
-        seen: Set[str] = set()
-        stack = [start]
-        while stack:
-            label = stack.pop()
-            if label in seen:
-                continue
-            seen.add(label)
-            stack.extend(self.successors.get(label, []))
-        return seen
+    def reachable(self) -> Set[str]:
+        """Labels reachable from the entry block."""
+        return _reachable(self.function, [self.function.entry_label])
 
     def reverse_postorder(self) -> List[str]:
         """Blocks in reverse postorder from the entry — the traversal
@@ -110,18 +101,33 @@ class ControlFlowGraph:
         return edges
 
 
+def _reachable(function: IRFunction, roots: List[str]) -> Set[str]:
+    """Labels of the blocks reachable from ``roots``: one walk over the
+    terminators, whatever the number of roots."""
+    blocks = function.blocks
+    seen: Set[str] = set()
+    stack = list(roots)
+    while stack:
+        label = stack.pop()
+        if label in seen or label not in blocks:
+            continue
+        seen.add(label)
+        stack.extend(blocks[label].successors())
+    return seen
+
+
+def addressable_labels(function: IRFunction) -> Set[str]:
+    """Labels of the blocks control can reach: from the entry, or from
+    any registered entry point (a warp may resume at each of them)."""
+    return _reachable(
+        function, [function.entry_label, *function.entry_points.values()]
+    )
+
+
 def remove_unreachable_blocks(function: IRFunction) -> int:
     """Delete blocks unreachable from the entry (and from any registered
     entry point). Returns the number removed."""
-    cfg = ControlFlowGraph(function)
-    live: Set[str] = set()
-    roots = [function.entry_label] + list(function.entry_points.values())
-    for root in roots:
-        if root in function.blocks:
-            live |= cfg.reachable(root)
-    removed = 0
-    for label in list(function.blocks):
-        if label not in live:
-            function.remove_block(label)
-            removed += 1
-    return removed
+    live = addressable_labels(function)
+    dead = [label for label in function.blocks if label not in live]
+    function.remove_blocks(dead)
+    return len(dead)

@@ -8,7 +8,7 @@ scheduler block.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..errors import IRVerificationError
 from ..ptx.types import DataType
@@ -100,10 +100,15 @@ class IRFunction:
         self.entry_label = label
         return block
 
-    def remove_block(self, label: str) -> None:
-        del self.blocks[label]
-        self._order.remove(label)
-        if self.entry_label == label:
+    def remove_blocks(self, labels: Iterable[str]) -> None:
+        """Delete the named blocks with one pass over the layout (a
+        transform that drops many pays for the layout once)."""
+        for label in labels:
+            del self.blocks[label]
+        self._order = [
+            label for label in self._order if label in self.blocks
+        ]
+        if self.entry_label not in self.blocks:
             self.entry_label = self._order[0] if self._order else None
 
     def fresh_label(self, hint: str) -> str:
@@ -135,7 +140,7 @@ class IRFunction:
     def registers(self) -> List[VirtualRegister]:
         seen = {}
         for instruction in self.instructions():
-            defined = instruction.defined()
+            defined = instruction.dst
             if defined is not None:
                 seen[defined.name] = defined
             for used in instruction.uses():

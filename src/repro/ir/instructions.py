@@ -2,7 +2,9 @@
 
 Every instruction exposes:
 
-- ``defined()`` — the register it writes (or ``None``),
+- ``dst`` / ``defined()`` — the register it writes (or ``None``; the
+  classes that never write one say so with a class attribute, so a
+  pass reads ``instruction.dst`` whatever the instruction is),
 - ``uses()`` — the values it reads,
 - ``replace_uses(mapping)`` — substitute used values (for CSE etc.).
 
@@ -56,18 +58,16 @@ class IRInstruction:
 
     __slots__ = ()
 
+    is_terminator = False
+
     def defined(self) -> Optional[VirtualRegister]:
-        return getattr(self, "dst", None)
+        return self.dst
 
     def uses(self) -> List[object]:
         return []
 
     def replace_uses(self, mapping: Dict[object, object]) -> None:
         """Substitute used values according to ``mapping``."""
-
-    @property
-    def is_terminator(self) -> bool:
-        return False
 
 
 def _subst(value, mapping):
@@ -304,6 +304,8 @@ class Store(IRInstruction):
     lane: int = 0
     volatile: bool = False
 
+    dst = None
+
     def uses(self):
         return [self.base, self.value]
 
@@ -358,6 +360,8 @@ class VectorStore(IRInstruction):
     value: object  # vector register (or scalar broadcast)
     offset: int = 0
     lane: int = 0
+
+    dst = None
 
     def uses(self):
         return [self.base, self.value]
@@ -454,6 +458,8 @@ class ContextWrite(IRInstruction):
     field_name: str  # resume_point
     value: object
     lane: int = 0
+
+    dst = None
 
     def uses(self):
         return [self.value]
@@ -560,9 +566,8 @@ class Broadcast(IRInstruction):
 class Terminator(IRInstruction):
     __slots__ = ()
 
-    @property
-    def is_terminator(self):
-        return True
+    is_terminator = True
+    dst = None
 
     def successors(self) -> List[str]:
         return []

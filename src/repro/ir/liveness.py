@@ -4,13 +4,19 @@ Backward may-dataflow over virtual registers. The vectorizer's exit
 handlers spill exactly the registers live *out* of a divergence site,
 and entry handlers restore the registers live *in* to a resumption block
 (Algorithms 3/4; Figure 8 measures the restored counts).
+
+The instructions are read once, block by block (:meth:`summarize`);
+the dataflow (:meth:`solve`) then works on the per-block name sets
+alone, so a transform that edits a few blocks — dead-code elimination
+— re-summarizes those and solves again without another walk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from functools import cached_property
+from typing import Dict, List, Set
 
-from .cfg import ControlFlowGraph
+from .basicblock import BasicBlock
 from .function import IRFunction
 from .values import VirtualRegister
 
@@ -24,57 +30,75 @@ class LivenessInfo:
         self.define: Dict[str, Set[str]] = {}
         self.live_in: Dict[str, Set[str]] = {}
         self.live_out: Dict[str, Set[str]] = {}
-        self._types: Dict[str, VirtualRegister] = {}
-        self._compute()
-
-    def _compute(self) -> None:
-        function = self.function
-        cfg = ControlFlowGraph(function)
         for block in function.ordered_blocks():
-            upward_exposed: Set[str] = set()
-            killed: Set[str] = set()
-            for instruction in block.all_instructions():
-                for value in instruction.uses():
-                    if isinstance(value, VirtualRegister):
-                        self._types.setdefault(value.name, value)
-                        if value.name not in killed:
-                            upward_exposed.add(value.name)
-                defined = instruction.defined()
-                if defined is not None:
-                    self._types.setdefault(defined.name, defined)
-                    killed.add(defined.name)
-            self.use[block.label] = upward_exposed
-            self.define[block.label] = killed
-            self.live_in[block.label] = set()
-            self.live_out[block.label] = set()
+            self.summarize(block)
+        self.solve()
 
+    def summarize(self, block: BasicBlock) -> None:
+        """(Re)compute the block's upward-exposed uses and its
+        definitions from its instructions."""
+        exposed: Set[str] = set()
+        killed: Set[str] = set()
+        for instruction in block.all_instructions():
+            for value in instruction.uses():
+                if (
+                    isinstance(value, VirtualRegister)
+                    and value.name not in killed
+                ):
+                    exposed.add(value.name)
+            defined = instruction.dst
+            if defined is not None:
+                killed.add(defined.name)
+        self.use[block.label] = exposed
+        self.define[block.label] = killed
+
+    def solve(self) -> None:
+        """Iterate live-in/live-out to the fixed point of the current
+        block summaries."""
+        blocks = self.function.ordered_blocks()[::-1]
+        successors = {
+            block.label: block.successors() for block in blocks
+        }
+        use, define = self.use, self.define
+        live_in = self.live_in = {block.label: set() for block in blocks}
+        live_out = self.live_out = {block.label: set() for block in blocks}
         changed = True
         while changed:
             changed = False
-            for block in reversed(function.ordered_blocks()):
+            for block in blocks:
                 label = block.label
                 out: Set[str] = set()
-                for successor in cfg.successors.get(label, []):
-                    out |= self.live_in.get(successor, set())
-                new_in = self.use[label] | (out - self.define[label])
-                if out != self.live_out[label] or (
-                    new_in != self.live_in[label]
-                ):
-                    self.live_out[label] = out
-                    self.live_in[label] = new_in
+                for successor in successors[label]:
+                    out.update(live_in.get(successor, ()))
+                if out != live_out[label]:
+                    live_out[label] = out
                     changed = True
+                new_in = use[label] | (out - define[label])
+                if new_in != live_in[label]:
+                    live_in[label] = new_in
+                    changed = True
+
+    @cached_property
+    def _types(self) -> Dict[str, VirtualRegister]:
+        """Name -> register, for the callers that turn names back into
+        registers (the vectorizer's handlers, the cost model's register
+        pressure); dead-code elimination never asks."""
+        return {
+            register.name: register
+            for register in self.function.registers()
+        }
 
     def register(self, name: str) -> VirtualRegister:
         return self._types[name]
 
-    def live_in_registers(self, label: str):
+    def live_in_registers(self, label: str) -> List[VirtualRegister]:
         """Live-in registers sorted by name for deterministic handler
         emission order."""
         return [
             self._types[name] for name in sorted(self.live_in[label])
         ]
 
-    def live_out_registers(self, label: str):
+    def live_out_registers(self, label: str) -> List[VirtualRegister]:
         return [
             self._types[name] for name in sorted(self.live_out[label])
         ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Set
 
 from ..errors import IRVerificationError
-from .cfg import ControlFlowGraph
+from .cfg import addressable_labels
 from .function import IRFunction
 from .instructions import (
     Broadcast,
@@ -23,11 +23,14 @@ from .instructions import (
 )
 from .values import VirtualRegister
 
+_LANE_INDEXED = (InsertElement, ExtractElement)
+_VECTOR_ONLY = (Reduce, Broadcast)
+
 
 def verify_function(function: IRFunction) -> None:
     if function.entry_label is None:
         raise IRVerificationError(f"{function.name}: no entry block")
-    labels: Set[str] = set(function.blocks)
+    labels = function.blocks
     for block in function.ordered_blocks():
         if not block.is_terminated:
             raise IRVerificationError(
@@ -45,58 +48,65 @@ def verify_function(function: IRFunction) -> None:
                 f"{function.name}: entry point {entry_id} targets unknown "
                 f"label {label!r}"
             )
-    _verify_widths(function)
-    _verify_definitions(function)
+    _verify_registers(function)
 
 
-def _verify_widths(function: IRFunction) -> None:
-    warp_size = function.warp_size
-    for block in function.ordered_blocks():
-        for instruction in block.all_instructions():
-            defined = instruction.defined()
-            values = list(instruction.uses())
-            if defined is not None:
-                values.append(defined)
-            for value in values:
-                if (
-                    isinstance(value, VirtualRegister)
-                    and value.width not in (1, warp_size)
-                ):
-                    raise IRVerificationError(
-                        f"{function.name}: register {value} has width "
-                        f"{value.width}, expected 1 or {warp_size} "
-                        f"(in {instruction})"
-                    )
-            if isinstance(instruction, (InsertElement, ExtractElement)):
-                if instruction.index >= warp_size:
-                    raise IRVerificationError(
-                        f"{function.name}: lane index {instruction.index} "
-                        f">= warp size {warp_size} in {instruction}"
-                    )
-            if isinstance(instruction, (Reduce, Broadcast)):
-                if warp_size == 0:
-                    raise IRVerificationError(
-                        f"{function.name}: vector op in zero-width function"
-                    )
-
-
-def _verify_definitions(function: IRFunction) -> None:
-    """Every used register must be defined somewhere in the function.
+def _verify_registers(function: IRFunction) -> None:
+    """One walk over the instructions: every register is scalar or
+    warp-wide, lane indices fit the warp, and every register used in a
+    block control can reach is defined somewhere in the function.
 
     (Path-sensitivity is not enforced: the translator may produce
     registers defined on one path and used after a merge, matching PTX
     semantics where registers are function-scoped storage.)
     """
+    warp_size = function.warp_size
+    widths = (1, warp_size)
+    reachable = addressable_labels(function)
     defined: Set[str] = set()
-    for instruction in function.instructions():
-        target = instruction.defined()
-        if target is not None:
-            defined.add(target.name)
-    cfg = ControlFlowGraph(function)
-    reachable = set()
-    roots = [function.entry_label] + list(function.entry_points.values())
-    for root in roots:
-        reachable |= cfg.reachable(root)
+    used: Set[str] = set()
+    for block in function.ordered_blocks():
+        # Uses in a block nothing reaches are not held to definedness.
+        reached = block.label in reachable
+        for instruction in block.all_instructions():
+            for value in instruction.uses():
+                if isinstance(value, VirtualRegister):
+                    if value.width not in widths:
+                        _bad_width(function, value, instruction)
+                    if reached:
+                        used.add(value.name)
+            target = instruction.dst
+            if target is not None:
+                if target.width not in widths:
+                    _bad_width(function, target, instruction)
+                defined.add(target.name)
+            if isinstance(instruction, _LANE_INDEXED):
+                if instruction.index >= warp_size:
+                    raise IRVerificationError(
+                        f"{function.name}: lane index {instruction.index} "
+                        f">= warp size {warp_size} in {instruction}"
+                    )
+            elif isinstance(instruction, _VECTOR_ONLY) and warp_size == 0:
+                raise IRVerificationError(
+                    f"{function.name}: vector op in zero-width function"
+                )
+    if not used <= defined:
+        _undefined_use(function, used - defined, reachable)
+
+
+def _bad_width(function: IRFunction, register, instruction) -> None:
+    raise IRVerificationError(
+        f"{function.name}: register {register} has width "
+        f"{register.width}, expected 1 or {function.warp_size} "
+        f"(in {instruction})"
+    )
+
+
+def _undefined_use(
+    function: IRFunction, missing: Set[str], reachable: Set[str]
+) -> None:
+    """Report the first use, in layout order, of a register nothing
+    defines."""
     for block in function.ordered_blocks():
         if block.label not in reachable:
             continue
@@ -104,7 +114,7 @@ def _verify_definitions(function: IRFunction) -> None:
             for value in instruction.uses():
                 if (
                     isinstance(value, VirtualRegister)
-                    and value.name not in defined
+                    and value.name in missing
                 ):
                     raise IRVerificationError(
                         f"{function.name}: register %{value.name} used in "

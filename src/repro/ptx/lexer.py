@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Iterator, List
+import struct
+from operator import itemgetter
+from typing import List, NamedTuple
 
 from ..errors import PTXSyntaxError
 
@@ -25,8 +26,7 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: object
@@ -56,13 +56,25 @@ _TOKEN_RE = re.compile(
 
 
 def _decode_hex_float(text: str) -> float:
-    import struct
-
-    if text[1] in "fF":
-        (value,) = struct.unpack("<f", bytes.fromhex(text[2:])[::-1])
-    else:
-        (value,) = struct.unpack("<d", bytes.fromhex(text[2:])[::-1])
+    (value,) = struct.unpack(
+        ">f" if text[1] in "fF" else ">d", bytes.fromhex(text[2:])
+    )
     return float(value)
+
+
+_tail = itemgetter(slice(1, None))  # a name without its "." or "%"
+
+#: Pattern group -> (token kind, text -> value).
+_DECODE = {
+    "directive": (TokenKind.DIRECTIVE, _tail),
+    "register": (TokenKind.REGISTER, _tail),
+    "ident": (TokenKind.IDENT, str),
+    "hexfloat": (TokenKind.FLOAT, _decode_hex_float),
+    "float": (TokenKind.FLOAT, lambda text: float(text.rstrip("fF"))),
+    "hex": (TokenKind.INTEGER, lambda text: int(text.rstrip("uU"), 16)),
+    "int": (TokenKind.INTEGER, lambda text: int(text.rstrip("uU"))),
+    "punct": (TokenKind.PUNCT, str),
+}
 
 
 def tokenize(source: str) -> List[Token]:
@@ -72,89 +84,39 @@ def tokenize(source: str) -> List[Token]:
     line = 1
     line_start = 0
     position = 0
-    length = len(source)
-    while position < length:
-        match = _TOKEN_RE.match(source, position)
-        if match is None:
-            column = position - line_start + 1
-            raise PTXSyntaxError(
-                f"unexpected character {source[position]!r}", line, column
-            )
-        kind = match.lastgroup
-        text = match.group()
-        column = position - line_start + 1
-        if kind in ("ws", "comment"):
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = position + text.rfind("\n") + 1
-        elif kind == "directive":
-            tokens.append(
-                Token(TokenKind.DIRECTIVE, text, text[1:], line, column)
-            )
-        elif kind == "register":
-            tokens.append(
-                Token(TokenKind.REGISTER, text, text[1:], line, column)
-            )
-        elif kind == "ident":
-            tokens.append(Token(TokenKind.IDENT, text, text, line, column))
-        elif kind == "hexfloat":
-            tokens.append(
-                Token(
-                    TokenKind.FLOAT,
-                    text,
-                    _decode_hex_float(text),
-                    line,
-                    column,
-                )
-            )
-        elif kind == "float":
-            tokens.append(
-                Token(
-                    TokenKind.FLOAT,
-                    text,
-                    float(text.rstrip("fF")),
-                    line,
-                    column,
-                )
-            )
-        elif kind == "hex":
-            tokens.append(
-                Token(
-                    TokenKind.INTEGER,
-                    text,
-                    int(text.rstrip("uU"), 16),
-                    line,
-                    column,
-                )
-            )
-        elif kind == "int":
-            tokens.append(
-                Token(
-                    TokenKind.INTEGER,
-                    text,
-                    int(text.rstrip("uU")),
-                    line,
-                    column,
-                )
-            )
-        elif kind == "punct":
-            tokens.append(Token(TokenKind.PUNCT, text, text, line, column))
+    for match in _TOKEN_RE.finditer(source):
+        start = match.start()
+        if start != position:
+            break  # the pattern skipped something it cannot match
         position = match.end()
+        text = match.group()
+        decode = _DECODE.get(match.lastgroup)
+        if decode is None:  # whitespace or a comment
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rfind("\n") + 1
+            continue
+        kind, value_of = decode
+        token = (kind, text, value_of(text), line, start - line_start + 1)
+        tokens.append(tuple.__new__(Token, token))  # Token(*token), direct
+    if position != len(source):
+        raise PTXSyntaxError(
+            f"unexpected character {source[position]!r}",
+            line,
+            position - line_start + 1,
+        )
     tokens.append(Token(TokenKind.EOF, "", None, line, 0))
     return tokens
 
 
 class TokenStream:
-    """Cursor over a token list with one-token lookahead helpers."""
+    """Cursor over a token list with one-token lookahead helpers.
+    ``current`` is the token under the cursor."""
 
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._index = 0
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._index]
+        self.current = tokens[0]
 
     def peek(self, offset: int = 1) -> Token:
         index = min(self._index + offset, len(self._tokens) - 1)
@@ -164,22 +126,24 @@ class TokenStream:
         token = self.current
         if token.kind is not TokenKind.EOF:
             self._index += 1
+            self.current = self._tokens[self._index]
         return token
 
     def at(self, kind: TokenKind, text: str = None) -> bool:
         token = self.current
-        if token.kind is not kind:
-            return False
-        return text is None or token.text == text
+        return token.kind is kind and (text is None or token.text == text)
 
     def accept(self, kind: TokenKind, text: str = None):
-        if self.at(kind, text):
+        token = self.current
+        if token.kind is kind and (text is None or token.text == text):
             return self.advance()
         return None
 
     def expect(self, kind: TokenKind, text: str = None) -> Token:
-        if not self.at(kind, text):
-            token = self.current
+        token = self.current
+        if token.kind is not kind or (
+            text is not None and token.text != text
+        ):
             expected = text if text is not None else kind.value
             raise PTXSyntaxError(
                 f"expected {expected!r}, found {token.text!r}",
@@ -187,6 +151,3 @@ class TokenStream:
                 token.column,
             )
         return self.advance()
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self._tokens[self._index :])

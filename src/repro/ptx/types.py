@@ -41,7 +41,9 @@ class DataType(enum.Enum):
     (the dtype the machine holds registers of this type in) and the
     ``is_*`` flags are read on every simulated memory access, where a
     property doing an enum-keyed dict lookup per call showed up in
-    profiles.
+    profiles. ``suffix`` is ``value`` without the enum's property call
+    (and hashes as a string, where a member hashes through Python):
+    what the compile passes key their tables by.
     """
 
     u8 = "u8"
@@ -62,6 +64,7 @@ class DataType(enum.Enum):
 
     def __init__(self, suffix: str):
         size, scalar = _LAYOUT[suffix]
+        self.suffix: str = suffix
         self.size: int = size
         self.numpy_dtype: np.dtype = np.dtype(scalar)
         self.is_float: bool = suffix[0] == "f"

@@ -40,8 +40,10 @@ import tempfile
 from typing import List, Optional
 
 #: Bump whenever the pickled payload layout or the IR representation
-#: changes incompatibly; old entries are then discarded on load.
-SCHEMA_VERSION = 1
+#: changes incompatibly, or the same source compiles to different IR
+#: (2: constant folding and CSE stopped merging what the machine keeps
+#: apart); old entries are then discarded on load.
+SCHEMA_VERSION = 2
 
 #: Default location of the persistent tier.
 DEFAULT_CACHE_DIR = "~/.cache/repro"

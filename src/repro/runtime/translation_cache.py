@@ -56,8 +56,8 @@ from ..transforms.pass_manager import (
     standard_cleanup_pipeline,
 )
 from ..transforms.vectorize import (
+    ScalarAnalyses,
     VectorizeOptions,
-    assign_spill_slots,
     vectorize_kernel,
 )
 from .cache_store import SCHEMA_VERSION, CacheStore
@@ -113,6 +113,13 @@ class CacheStatistics:
     meld_decisions: Dict[str, Tuple[int, int]] = field(
         default_factory=dict
     )
+    #: wall seconds per pipeline stage, summed over every compile:
+    #: ``translate``, the scalar pre-passes, ``vectorize``, each
+    #: cleanup pass and ``verify`` (the pass managers' own record)
+    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    #: what each pass reported changing (folds, replacements,
+    #: removals, merges), summed likewise
+    stage_changes: Dict[str, int] = field(default_factory=dict)
 
     _COUNTERS = (
         "translations",
@@ -129,13 +136,8 @@ class CacheStatistics:
     def snapshot(self) -> "CacheStatistics":
         """An independent copy (for before/after deltas)."""
         copy = CacheStatistics()
-        for name in self._COUNTERS:
-            setattr(copy, name, getattr(self, name))
-        copy.translation_seconds = self.translation_seconds
-        copy.instruction_counts = dict(self.instruction_counts)
-        copy.compile_seconds = dict(self.compile_seconds)
-        copy.degradation_events = list(self.degradation_events)
-        copy.meld_decisions = dict(self.meld_decisions)
+        for name, value in vars(self).items():
+            setattr(copy, name, type(value)(value))  # numbers, containers
         return copy
 
     def delta(self, before: "CacheStatistics") -> "CacheStatistics":
@@ -166,6 +168,15 @@ class CacheStatistics:
             for key, value in self.meld_decisions.items()
             if before.meld_decisions.get(key) != value
         }
+        if self.stage_seconds != before.stage_seconds:  # a compile ran
+            for name, seconds in self.stage_seconds.items():
+                if seconds != before.stage_seconds.get(name):
+                    diff.record_stage(
+                        name,
+                        seconds - before.stage_seconds.get(name, 0.0),
+                        self.stage_changes.get(name, 0)
+                        - before.stage_changes.get(name, 0),
+                    )
         return diff
 
     def merge(self, other: "CacheStatistics") -> None:
@@ -178,6 +189,12 @@ class CacheStatistics:
         self.compile_seconds.update(other.compile_seconds)
         self.degradation_events.extend(other.degradation_events)
         self.meld_decisions.update(other.meld_decisions)
+        for name, seconds in other.stage_seconds.items():
+            self.record_stage(name, seconds, other.stage_changes[name])
+
+    def record_stage(self, name: str, seconds: float, changes: int = 0):
+        self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
+        self.stage_changes[name] = self.stage_changes.get(name, 0) + changes
 
     def counters(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self._COUNTERS}
@@ -225,17 +242,15 @@ class TranslationCache:
         #: Monotonic generation per kernel, bumped by every
         #: invalidation (observability + staleness assertions).
         self._generations: Dict[str, int] = {}
-        self._scalar_ir: Dict[str, Tuple[str, IRFunction]] = {}
+        #: Per kernel ``(fingerprint, scalar IR, its analyses)``: what
+        #: every width is specialized from. The analyses (liveness,
+        #: uniformity, spill layout ...) run once here, not per width.
+        self._scalar_ir: Dict[
+            str, Tuple[str, IRFunction, ScalarAnalyses]
+        ] = {}
         #: Meld-pass reports per kernel (populated by scalar_ir when
         #: ``config.meld``; dropped with the scalar IR on invalidation).
         self._meld_reports: Dict[str, object] = {}
-        #: (fingerprint, (slots, size)) per kernel — the spill-area
-        #: layout is a pure function of the scalar IR, so it is cached
-        #: alongside it instead of being recomputed by every
-        #: ``ExecutionManager.run`` (once per worker per launch).
-        self._spill_layouts: Dict[
-            str, Tuple[str, Tuple[Dict[str, int], int]]
-        ] = {}
         self._specializations: Dict[Tuple[str, int], _Specialization] = {}
         #: Entries :meth:`get` has checked since the last registration
         #: or invalidation. Only those move a digest, so until the next
@@ -374,7 +389,6 @@ class TranslationCache:
         self._validated.clear()
         if self._scalar_ir.pop(kernel_name, None) is not None:
             dropped += 1
-        self._spill_layouts.pop(kernel_name, None)
         self._meld_reports.pop(kernel_name, None)
         for key in [
             key for key in self._specializations if key[0] == kernel_name
@@ -408,20 +422,27 @@ class TranslationCache:
     def scalar_ir(self, kernel_name: str) -> IRFunction:
         """The scalar IR translation (shared by all specializations),
         revalidated against the kernel's current fingerprint."""
+        return self._scalar(kernel_name)[1]
+
+    def _scalar(
+        self, kernel_name: str
+    ) -> Tuple[str, IRFunction, ScalarAnalyses]:
         fingerprint = self.fingerprint(kernel_name)
         entry = self._scalar_ir.get(kernel_name)
         if entry is not None and entry[0] == fingerprint:
-            return entry[1]
+            return entry
         kernel = self.kernel(kernel_name)
+        start = time.perf_counter()
         translated = translate_kernel(
             kernel, global_symbols=self._global_symbols
         )
+        self.statistics.record_stage("translate", time.perf_counter() - start)
         # Scalar-stage transforms (if-conversion, control-flow
         # melding): must happen before entry points are assigned so
         # every specialization sees the same control structure.
         prepass = scalar_prepass_pipeline(self.config, self.machine)
         if prepass is not None:
-            prepass.run(translated)
+            self._run_passes(prepass, translated)
             meld_report = getattr(translated, "meld_report", None)
             if meld_report is not None:
                 self._meld_reports[kernel_name] = meld_report
@@ -429,8 +450,19 @@ class TranslationCache:
                     meld_report.melded_regions,
                     meld_report.rejected_regions,
                 )
-        self._scalar_ir[kernel_name] = (fingerprint, translated)
-        return translated
+        analyses = ScalarAnalyses(translated, self._vectorize_options(1))
+        entry = (fingerprint, translated, analyses)
+        self._scalar_ir[kernel_name] = entry
+        return entry
+
+    def _run_passes(self, manager, function: IRFunction) -> IRFunction:
+        """Run a pass manager and keep its per-pass record."""
+        function = manager.run(function)
+        for applied in manager.statistics.results:
+            self.statistics.record_stage(
+                applied.name, applied.seconds, applied.changes
+            )
+        return function
 
     def meld_report(self, kernel_name: str):
         """The melding pass's :class:`~repro.transforms.melding.
@@ -441,15 +473,9 @@ class TranslationCache:
     def spill_layout(
         self, kernel_name: str
     ) -> Tuple[Dict[str, int], int]:
-        """``(slots, total_bytes)`` of the per-thread spill area,
-        computed once per scalar IR and revalidated by fingerprint."""
-        fingerprint = self.fingerprint(kernel_name)
-        entry = self._spill_layouts.get(kernel_name)
-        if entry is not None and entry[0] == fingerprint:
-            return entry[1]
-        layout = assign_spill_slots(self.scalar_ir(kernel_name))
-        self._spill_layouts[kernel_name] = (fingerprint, layout)
-        return layout
+        """``(slots, total_bytes)`` of the per-thread spill area: one
+        of the scalar IR's analyses, so computed once per scalar IR."""
+        return self._scalar(kernel_name)[2].spill_layout
 
     def get(self, kernel_name: str, warp_size: int) -> ExecutableFunction:
         """Executable specialization of ``kernel_name`` for
@@ -627,13 +653,8 @@ class TranslationCache:
             )
         return self.interpreter.load_function(function)
 
-    def _build_specialization(
-        self, kernel_name: str, warp_size: int
-    ) -> IRFunction:
-        """The translation pipeline proper: scalar IR -> vectorized,
-        cleaned IR for one warp size (not yet lowered)."""
-        scalar = self.scalar_ir(kernel_name)
-        options = VectorizeOptions(
+    def _vectorize_options(self, warp_size: int) -> VectorizeOptions:
+        return VectorizeOptions(
             warp_size=warp_size,
             yield_at_branches=self.config.yields_at_branches(warp_size),
             static_warps=self.config.static_warps,
@@ -642,10 +663,24 @@ class TranslationCache:
             ),
             vector_memory=self.config.vector_memory,
         )
-        function = vectorize_kernel(scalar, options)
+
+    def _build_specialization(
+        self, kernel_name: str, warp_size: int
+    ) -> IRFunction:
+        """The translation pipeline proper: scalar IR -> vectorized,
+        cleaned IR for one warp size (not yet lowered)."""
+        _, scalar, analyses = self._scalar(kernel_name)
+        start = time.perf_counter()
+        function = vectorize_kernel(
+            scalar, self._vectorize_options(warp_size), analyses
+        )
+        self.statistics.record_stage("vectorize", time.perf_counter() - start)
         if self.config.optimize:
-            pipeline = standard_cleanup_pipeline(verify=True)
-            function = pipeline.run(function)
+            # Verified on every compile: a function the verifier
+            # rejects is what get_or_degrade degrades on.
+            function = self._run_passes(
+                standard_cleanup_pipeline(verify=True), function
+            )
         return function
 
     # -- introspection -------------------------------------------------------

@@ -10,40 +10,44 @@ handler, or resume target).
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, Set
 
-from ..ir.cfg import ControlFlowGraph
 from ..ir.function import IRFunction
 from ..ir.instructions import Branch
 
 
 def merge_blocks(function: IRFunction) -> int:
-    """Fuse trivially linear block chains. Returns merges performed."""
-    merged = 0
+    """Fuse trivially linear block chains. Returns merges performed.
+
+    A merge moves the successor's edges to the merged block and takes
+    one edge (the branch between the two) away with the successor, so
+    the number of edges into every surviving block — counted once —
+    stays what it was, and a block that could not merge before one
+    cannot after it: one pass in layout order, following each chain to
+    its end, finds every merge.
+    """
     protected: Set[str] = {function.entry_label}
     protected.update(function.entry_points.values())
-    while True:
-        cfg = ControlFlowGraph(function)
-        change = False
-        for block in function.ordered_blocks():
-            terminator = block.terminator
-            if not isinstance(terminator, Branch):
-                continue
-            successor_label = terminator.target
-            if successor_label in protected:
-                continue
-            if successor_label == block.label:
-                continue
-            predecessors = cfg.predecessors.get(successor_label, [])
-            if len(predecessors) != 1:
-                continue
-            successor = function.blocks[successor_label]
-            block.terminator = None
+    blocks = function.blocks
+    incoming: Dict[str, int] = {}
+    for block in blocks.values():
+        for successor in block.successors():
+            incoming[successor] = incoming.get(successor, 0) + 1
+    merged: Set[str] = set()
+    for block in function.ordered_blocks():
+        if block.label in merged:
+            continue
+        while isinstance(block.terminator, Branch):
+            label = block.terminator.target
+            if (
+                label in protected
+                or label == block.label
+                or incoming.get(label) != 1
+            ):
+                break
+            successor = blocks[label]
             block.instructions.extend(successor.instructions)
             block.terminator = successor.terminator
-            function.remove_block(successor_label)
-            merged += 1
-            change = True
-            break
-        if not change:
-            return merged
+            merged.add(label)
+    function.remove_blocks(merged)
+    return len(merged)

@@ -17,7 +17,8 @@ function more than once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.dominance import DominatorTree
 from ..ir.function import IRFunction
@@ -38,115 +39,82 @@ from ..ir.values import Constant, VirtualRegister
 
 _COMMUTATIVE = {"add", "mul", "and", "or", "xor", "min", "max"}
 
+#: Context fields whose value changes between two reads.
+_VOLATILE_FIELDS = ("clock", "resume_point")
 
-def _value_key(value) -> Optional[tuple]:
-    if isinstance(value, Constant):
-        return ("const", value.value, value.dtype.value)
-    if isinstance(value, VirtualRegister):
-        return ("reg", value.name, value.width)
-    if value is None:
-        return ("none",)
-    return None
-
-
-def _expression_key(instruction) -> Optional[tuple]:
-    """Hashable identity of a pure computation, or None if the
-    instruction is not CSE-able."""
-    if isinstance(instruction, BinaryOp):
-        a = _value_key(instruction.a)
-        b = _value_key(instruction.b)
-        if a is None or b is None:
-            return None
-        if instruction.op in _COMMUTATIVE and b < a:
-            a, b = b, a
-        return ("bin", instruction.op, instruction.dtype.value, a, b)
-    if isinstance(instruction, UnaryOp):
-        a = _value_key(instruction.a)
-        if a is None:
-            return None
-        return ("un", instruction.op, instruction.dtype.value, a)
-    if isinstance(instruction, FusedMultiplyAdd):
-        keys = tuple(
-            _value_key(v)
-            for v in (instruction.a, instruction.b, instruction.c)
-        )
-        if any(k is None for k in keys):
-            return None
-        return ("fma", instruction.dtype.value) + keys
-    if isinstance(instruction, Compare):
-        a = _value_key(instruction.a)
-        b = _value_key(instruction.b)
-        if a is None or b is None:
-            return None
-        return ("cmp", instruction.op, instruction.dtype.value, a, b)
-    if isinstance(instruction, Select):
-        keys = tuple(
-            _value_key(v)
-            for v in (instruction.a, instruction.b, instruction.predicate)
-        )
-        if any(k is None for k in keys):
-            return None
-        return ("sel", instruction.dtype.value) + keys
-    if isinstance(instruction, Convert):
-        src = _value_key(instruction.src)
-        if src is None:
-            return None
-        return (
-            "cvt",
-            instruction.dst_type.value,
-            instruction.src_type.value,
-            instruction.rounding,
-            src,
-        )
-    if isinstance(instruction, Intrinsic):
-        keys = tuple(_value_key(v) for v in instruction.args)
-        if any(k is None for k in keys):
-            return None
-        return ("call", instruction.name, instruction.dtype.value) + keys
-    if isinstance(instruction, ContextRead):
-        if instruction.field_name in ("clock", "resume_point"):
-            return None
-        return ("ctx", instruction.field_name, instruction.lane)
-    if isinstance(instruction, ExtractElement):
-        src = _value_key(instruction.src)
-        if src is None:
-            return None
-        return ("ext", src, instruction.index)
-    if isinstance(instruction, InsertElement):
-        src = _value_key(instruction.src)
-        scalar = _value_key(instruction.scalar)
-        if scalar is None:
-            return None
-        return ("ins", src, scalar, instruction.index)
-    if isinstance(instruction, Broadcast):
-        src = _value_key(instruction.src)
-        if src is None:
-            return None
-        return ("bcast", src)
-    return None
+#: Pure instruction class -> what identifies its computation: the
+#: fields that are not operands (behind a tag, so two classes cannot
+#: collide) and the operands, in the positions that tell them apart;
+#: None where this instance of the class is not pure.
+_PURE = {
+    BinaryOp: lambda i: (("bin", i.op, i.dtype.suffix), (i.a, i.b)),
+    UnaryOp: lambda i: (("un", i.op, i.dtype.suffix), (i.a,)),
+    FusedMultiplyAdd: lambda i: (
+        ("fma", i.dtype.suffix), (i.a, i.b, i.c)
+    ),
+    Compare: lambda i: (("cmp", i.op, i.dtype.suffix), (i.a, i.b)),
+    Select: lambda i: (
+        ("sel", i.dtype.suffix), (i.a, i.b, i.predicate)
+    ),
+    Convert: lambda i: (
+        ("cvt", i.dst_type.suffix, i.src_type.suffix, i.rounding),
+        (i.src,),
+    ),
+    Intrinsic: lambda i: (("call", i.name, i.dtype.suffix), i.args),
+    ContextRead: lambda i: (
+        None
+        if i.field_name in _VOLATILE_FIELDS
+        else (("ctx", i.field_name, i.lane), ())
+    ),
+    ExtractElement: lambda i: (("ext", i.index), (i.src,)),
+    InsertElement: lambda i: (("ins", i.index), (i.src, i.scalar)),
+    Broadcast: lambda i: (("bcast",), (i.src,)),
+}
 
 
-def _key_registers(key: tuple) -> List[str]:
-    """Register names an expression key depends on."""
+def _expression_key(instruction) -> Optional[Tuple[tuple, List[str]]]:
+    """``(key, names)`` of a pure computation — a hashable identity and
+    the registers it reads — or None if the instruction is not
+    CSE-able.
+
+    A register is keyed by its name (the storage it names, whatever
+    the width), a constant by type and *bit pattern*: ``0.0 == -0.0``
+    and they hash alike, but ``x * 0.0`` and ``x * -0.0`` are different
+    values.
+    """
+    describe = _PURE.get(instruction.__class__)
+    described = describe and describe(instruction)
+    if described is None:
+        return None
+    head, operands = described
     names: List[str] = []
-    stack = list(key)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, tuple):
-            if len(item) == 3 and item[0] == "reg":
-                names.append(item[1])
-            else:
-                stack.extend(item)
-    return names
+    atoms = []
+    for value in operands:
+        if isinstance(value, VirtualRegister):
+            names.append(value.name)
+            atoms.append(value.name)
+        elif isinstance(value, Constant):
+            pattern = value.value
+            if value.dtype.is_float:
+                pattern = float(pattern).hex()
+            atoms.append((value.dtype.suffix, pattern))
+        elif value is None:  # insertelement into a fresh vector
+            atoms.append(None)
+        else:
+            return None
+    if head[0] == "bin" and head[1] in _COMMUTATIVE:
+        return head + (frozenset(atoms),), names
+    return head + tuple(atoms), names
 
 
-def _definition_counts(function: IRFunction) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for instruction in function.instructions():
-        target = instruction.defined()
-        if target is not None:
-            counts[target.name] = counts.get(target.name, 0) + 1
-    return counts
+def _multiply_defined(function: IRFunction) -> Set[str]:
+    """Names of the registers written by more than one instruction."""
+    written = Counter(
+        instruction.dst.name
+        for instruction in function.instructions()
+        if instruction.dst is not None
+    )
+    return {name for name, times in written.items() if times > 1}
 
 
 def eliminate_common_subexpressions(function: IRFunction) -> int:
@@ -154,115 +122,91 @@ def eliminate_common_subexpressions(function: IRFunction) -> int:
 
     Replaced instructions become copies (``mov``) from the equivalent
     register so downstream DCE can drop them when unused.
+
+    One table, ``inherited``, holds what the blocks dominating the
+    current one computed (the nearest wins): a block adds its
+    expressions when it is done and takes them back when its subtree
+    of the dominator tree is, so a lookup costs the same at any depth.
     """
     replaced = 0
     dominators = DominatorTree(function)
-    definition_counts = _definition_counts(function)
+    children: Dict[str, List[str]] = {}
+    for label in function.blocks:
+        parent = dominators.immediate_dominator(label)
+        if parent is not None:
+            children.setdefault(parent, []).append(label)
+    unstable = _multiply_defined(function)
+    inherited: Dict[tuple, VirtualRegister] = {}
+    visited = set()
 
-    def stable(name: str) -> bool:
-        return definition_counts.get(name, 0) <= 1
-
-    # Scope tables: block label -> available expressions defined there.
-    available_per_block: Dict[str, Dict[tuple, VirtualRegister]] = {}
-
-    def lookup(label: str, key: tuple) -> Optional[VirtualRegister]:
-        current = label
-        while True:
-            table = available_per_block.get(current)
-            if table is not None and key in table:
-                return table[key]
-            parent = dominators.immediate_dominator(current)
-            if parent is None or parent == current:
-                return None
-            current = parent
-
-    for label in _domtree_preorder(dominators, function):
-        block = function.blocks[label]
+    def number(label: str) -> Dict[tuple, VirtualRegister]:
+        """Value-number one block; returns what it leaves available."""
+        nonlocal replaced
+        visited.add(label)
+        instructions = function.blocks[label].instructions
         local: Dict[tuple, VirtualRegister] = {}
-        available_per_block[label] = local
-        # Map expr keys defined locally; invalidate on redefinition.
+        # Expression keys by the registers they depend on (operands
+        # and result): a definition invalidates exactly those.
         by_register: Dict[str, List[tuple]] = {}
-        new_instructions = []
-        for instruction in block.instructions:
-            key = _expression_key(instruction)
-            target = instruction.defined()
-            if key is not None:
-                existing = None
-                if key in local:
-                    existing = local[key]
-                else:
-                    candidate = lookup(label, key)
-                    if candidate is not None and all(
-                        stable(name) for name in _key_registers(key)
-                    ) and stable(candidate.name):
-                        existing = candidate
+        for index, instruction in enumerate(instructions):
+            target = instruction.dst
+            if target is None:
+                continue
+            expression = _expression_key(instruction)
+            if expression is not None:
+                key, names = expression
+                existing = local.get(key)
+                if existing is None:
+                    existing = inherited.get(key)
+                    if existing is not None and (
+                        existing.name in unstable
+                        or not unstable.isdisjoint(names)
+                    ):
+                        existing = None
                 if (
                     existing is not None
-                    and target is not None
                     and existing.dtype == target.dtype
                     and existing.width == target.width
                 ):
-                    new_instructions.append(
-                        UnaryOp(
-                            op="mov",
-                            dtype=target.dtype,
-                            dst=target,
-                            a=existing,
-                        )
+                    instructions[index] = UnaryOp(
+                        op="mov", dtype=target.dtype, dst=target, a=existing
                     )
                     replaced += 1
-                    _invalidate(local, by_register, target.name)
-                    continue
-            new_instructions.append(instruction)
-            if target is not None:
-                _invalidate(local, by_register, target.name)
-                # Self-referential computations (x = fma(x, m, c)) must
-                # not be recorded: the expression reads the value the
-                # instruction itself just destroyed.
-                if key is not None and target.name not in _key_registers(
-                    key
-                ):
-                    local[key] = target
-                    for name in _key_registers(key) + [target.name]:
-                        by_register.setdefault(name, []).append(key)
-        block.instructions = new_instructions
-    return replaced
+                    expression = None
+            for stale in by_register.pop(target.name, ()):
+                local.pop(stale, None)
+            # Self-referential computations (x = fma(x, m, c)) must
+            # not be recorded: the expression reads the value the
+            # instruction itself just destroyed.
+            if expression is not None and target.name not in names:
+                local[key] = target
+                names.append(target.name)
+                for name in names:
+                    by_register.setdefault(name, []).append(key)
+        return local
 
-
-def _invalidate(
-    local: Dict[tuple, VirtualRegister],
-    by_register: Dict[str, List[tuple]],
-    name: str,
-) -> None:
-    for key in by_register.pop(name, []):
-        local.pop(key, None)
-    # Also drop expressions whose *result* register is being renamed.
-    stale = [key for key, reg in local.items() if reg.name == name]
-    for key in stale:
-        local.pop(key, None)
-
-
-def _domtree_preorder(
-    dominators: DominatorTree, function: IRFunction
-) -> List[str]:
-    children: Dict[str, List[str]] = {}
-    entry = function.entry_label
-    for label in function.blocks:
-        parent = dominators.immediate_dominator(label)
-        if parent is not None and parent != label:
-            children.setdefault(parent, []).append(label)
-    order: List[str] = []
-    stack = [entry]
-    seen = set()
+    # Preorder over the dominator tree; a block's second visit (its
+    # subtree is done) takes its expressions out of ``inherited``.
+    stack: List[tuple] = [(function.entry_label, None)]
     while stack:
-        label = stack.pop()
-        if label in seen:
+        label, shadowed = stack.pop()
+        if shadowed is not None:
+            for key, previous in shadowed:
+                if previous is None:
+                    del inherited[key]
+                else:
+                    inherited[key] = previous
             continue
-        seen.add(label)
-        order.append(label)
-        stack.extend(reversed(children.get(label, [])))
+        local = number(label)
+        stack.append(
+            (label, [(key, inherited.get(key)) for key in local])
+        )
+        inherited.update(local)
+        stack.extend(
+            (child, None) for child in reversed(children.get(label, ()))
+        )
     # Unreachable blocks still get a local pass.
     for label in function.blocks:
-        if label not in seen:
-            order.append(label)
-    return order
+        if label not in visited:
+            number(label)
+    return replaced

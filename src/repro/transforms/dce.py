@@ -12,69 +12,82 @@ from __future__ import annotations
 
 from typing import Set
 
+from ..ir.basicblock import BasicBlock
 from ..ir.function import IRFunction
-from ..ir.instructions import (
-    AtomicRMW,
-    ContextWrite,
-    Load,
-    Store,
-    VectorStore,
-)
+from ..ir.instructions import AtomicRMW, Load
 from ..ir.liveness import LivenessInfo
 from ..ir.values import VirtualRegister
 
-#: Instructions that must be preserved regardless of use.
-_SIDE_EFFECTS = (Store, VectorStore, AtomicRMW, ContextWrite)
-
 
 def _has_side_effects(instruction) -> bool:
-    if isinstance(instruction, _SIDE_EFFECTS):
-        return True
-    if isinstance(instruction, Load) and instruction.volatile:
-        return True
-    return False
+    """Of the instructions that write a register, the ones that must
+    stay whether or not it is read (stores and context writes write
+    none, so the sweep never asks about them)."""
+    return isinstance(instruction, AtomicRMW) or (
+        isinstance(instruction, Load) and instruction.volatile
+    )
 
 
 def eliminate_dead_code(function: IRFunction) -> int:
     """Remove dead instructions. Returns the number removed.
 
     Iterates to a fixed point because removing one dead instruction can
-    make its operands' definitions dead too.
+    make its operands' definitions dead too. Within a block the
+    backward sweep already follows such chains; across blocks they
+    show as a smaller live-out set, so after a sweep that removed
+    something only the blocks whose live-out shrank are swept again.
     """
-    total_removed = 0
-    while True:
-        removed = _sweep_once(function)
-        total_removed += removed
-        if removed == 0:
-            return total_removed
-
-
-def _sweep_once(function: IRFunction) -> int:
     liveness = LivenessInfo(function)
-    removed = 0
-    for block in function.ordered_blocks():
-        live: Set[str] = set(liveness.live_out[block.label])
-        if block.terminator is not None:
-            for value in block.terminator.uses():
-                if isinstance(value, VirtualRegister):
-                    live.add(value.name)
-        kept = []
-        for instruction in reversed(block.instructions):
-            target = instruction.defined()
-            dead = (
-                target is not None
-                and target.name not in live
-                and not _has_side_effects(instruction)
-            )
-            if dead:
-                removed += 1
+    pending = blocks = function.ordered_blocks()
+    total_removed = 0
+    while pending:
+        shrunk = []
+        for block in pending:
+            removed = _sweep(block, liveness.live_out[block.label])
+            if removed:
+                total_removed += removed
+                shrunk.append(block)
+        if not shrunk:
+            break
+        before = liveness.live_out
+        for block in shrunk:
+            liveness.summarize(block)
+        liveness.solve()
+        pending = [
+            block
+            for block in blocks
+            if liveness.live_out[block.label] != before[block.label]
+        ]
+    return total_removed
+
+
+def _sweep(block: BasicBlock, live_out: Set[str]) -> int:
+    """Drop the block's dead instructions given what is live after it.
+    Returns the number removed."""
+    live = set(live_out)
+    if block.terminator is not None:
+        for value in block.terminator.uses():
+            if isinstance(value, VirtualRegister):
+                live.add(value.name)
+    dead = set()
+    instructions = block.instructions
+    for index in range(len(instructions) - 1, -1, -1):
+        instruction = instructions[index]
+        target = instruction.dst
+        if target is not None:
+            if target.name not in live and not _has_side_effects(
+                instruction
+            ):
+                dead.add(index)
                 continue
-            kept.append(instruction)
-            if target is not None:
-                live.discard(target.name)
-            for value in instruction.uses():
-                if isinstance(value, VirtualRegister):
-                    live.add(value.name)
-        kept.reverse()
-        block.instructions = kept
-    return removed
+            live.discard(target.name)
+        for value in instruction.uses():
+            if isinstance(value, VirtualRegister):
+                live.add(value.name)
+    if dead:
+        block.instructions = [
+            instruction
+            for index, instruction in enumerate(instructions)
+            if index not in dead
+        ]
+    return len(dead)

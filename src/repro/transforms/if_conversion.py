@@ -257,6 +257,6 @@ def _apply(function, block, terminator, taken, fallthrough, join):
             )
         )
     block.append(Branch(join))
-    for arm in (taken, fallthrough):
-        if arm is not None:
-            function.remove_block(arm.label)
+    function.remove_blocks(
+        arm.label for arm in (taken, fallthrough) if arm is not None
+    )

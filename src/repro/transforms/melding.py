@@ -638,8 +638,7 @@ def _apply_meld(
             )
         )
     block.append(Branch(join))
-    function.remove_block(taken.label)
-    function.remove_block(fallthrough.label)
+    function.remove_blocks((taken.label, fallthrough.label))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..ir.cfg import remove_unreachable_blocks
 from ..ir.function import IRFunction
@@ -33,25 +33,10 @@ class PassStatistics:
 
     results: List[PassResult] = field(default_factory=list)
 
-    def total_changes(self, name: Optional[str] = None) -> int:
-        return sum(
-            r.changes
-            for r in self.results
-            if name is None or r.name == name
-        )
-
-    def report(self) -> str:
-        lines = ["pass                      changes   seconds"]
-        for result in self.results:
-            lines.append(
-                f"{result.name:<25} {result.changes:>7} "
-                f"{result.seconds:>9.4f}"
-            )
-        return "\n".join(lines)
-
 
 class PassManager:
-    """Runs named function passes in order."""
+    """Runs named function passes in order, then (unless told not to)
+    the verifier, timed like a pass of its own."""
 
     def __init__(self, verify: bool = True):
         self.verify = verify
@@ -65,15 +50,16 @@ class PassManager:
         return self
 
     def run(self, function: IRFunction) -> IRFunction:
-        for name, function_pass in self._passes:
+        passes = self._passes
+        if self.verify:
+            passes = passes + [("verify", verify_function)]
+        for name, function_pass in passes:
             start = time.perf_counter()
             changes = function_pass(function) or 0
             elapsed = time.perf_counter() - start
             self.statistics.results.append(
                 PassResult(name=name, changes=changes, seconds=elapsed)
             )
-        if self.verify:
-            verify_function(function)
         return function
 
 
@@ -115,11 +101,3 @@ def standard_cleanup_pipeline(verify: bool = True) -> PassManager:
     manager.add("unreachable-elim", remove_unreachable_blocks)
     return manager
 
-
-DEFAULT_PASSES: Dict[str, Callable[[IRFunction], int]] = {
-    "constant-folding": fold_constants,
-    "cse": eliminate_common_subexpressions,
-    "dce": eliminate_dead_code,
-    "block-merge": merge_blocks,
-    "unreachable-elim": remove_unreachable_blocks,
-}

@@ -32,6 +32,7 @@ formation the per-lane ``tid.x`` reads are rewritten as ``lane0 + i``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import VectorizationError
@@ -60,6 +61,7 @@ from ..ir.instructions import (
     Store,
     Switch,
     UnaryOp,
+    VECTORIZABLE,
     VectorLoad,
     VectorStore,
     Yield,
@@ -68,16 +70,6 @@ from ..ir.liveness import LivenessInfo
 from ..ir.values import Constant, VirtualRegister
 from ..ptx.types import AddressSpace, DataType
 from .uniformity import UniformityInfo, analyze_affine, analyze_uniformity
-
-_VECTORIZABLE_TYPES = (
-    BinaryOp,
-    UnaryOp,
-    FusedMultiplyAdd,
-    Compare,
-    Select,
-    Convert,
-    Intrinsic,
-)
 
 
 @dataclass
@@ -156,11 +148,62 @@ def assign_spill_slots(
     return slots, offset
 
 
+def _once(analysis):
+    """A property running ``analysis`` on the scalar function when it
+    is first asked for, and keeping the answer."""
+    return cached_property(lambda self: analysis(self.function))
+
+
+class ScalarAnalyses:
+    """What vectorization asks of the *scalar* function. None of it
+    depends on the warp size, so one instance serves every width of a
+    kernel: the translation cache keeps it beside the scalar IR. Of
+    ``options`` only the fields no width changes are read, and the
+    function must not be edited once an analysis has run."""
+
+    def __init__(
+        self, scalar_function: IRFunction, options: VectorizeOptions
+    ):
+        self.function = scalar_function
+        self.options = options
+
+    liveness = _once(LivenessInfo)
+    #: block label -> resume-point ID
+    entry_ids = _once(compute_entry_points)
+    #: ``(slots, total_bytes)`` of the per-thread spill area
+    spill_layout = _once(assign_spill_slots)
+
+    @cached_property
+    def uniformity(self) -> UniformityInfo:
+        if not self.options.thread_invariant_elimination:
+            return UniformityInfo()
+        return analyze_uniformity(
+            self.function, static_warps=self.options.static_warps
+        )
+
+    @cached_property
+    def affine_strides(self) -> Dict[str, int]:
+        """Register name -> per-lane address stride; empty unless
+        vector memory operations are enabled."""
+        options = self.options
+        if not (options.vector_memory and options.static_warps):
+            return {}
+        affinity_base = (
+            self.uniformity
+            if options.thread_invariant_elimination
+            else analyze_uniformity(self.function, static_warps=True)
+        )
+        return analyze_affine(self.function, affinity_base)
+
+
 class Vectorizer:
     """Produces one specialization of a scalar kernel function."""
 
     def __init__(
-        self, scalar_function: IRFunction, options: VectorizeOptions
+        self,
+        scalar_function: IRFunction,
+        options: VectorizeOptions,
+        analyses: Optional[ScalarAnalyses] = None,
     ):
         self.scalar = scalar_function
         self.options = options
@@ -169,27 +212,13 @@ class Vectorizer:
             raise VectorizationError(
                 f"invalid warp size {self.ws}"
             )
-        self.liveness = LivenessInfo(scalar_function)
-        if options.thread_invariant_elimination:
-            self.uniformity = analyze_uniformity(
-                scalar_function, static_warps=options.static_warps
-            )
-        else:
-            self.uniformity = UniformityInfo()
-        if options.vector_memory and options.static_warps:
-            affinity_base = (
-                self.uniformity
-                if options.thread_invariant_elimination
-                else analyze_uniformity(scalar_function,
-                                        static_warps=True)
-            )
-            self.affine_strides = analyze_affine(
-                scalar_function, affinity_base
-            )
-        else:
-            self.affine_strides = {}
-        self.entry_ids = compute_entry_points(scalar_function)
-        slots, spill_size = assign_spill_slots(scalar_function)
+        if analyses is None:
+            analyses = ScalarAnalyses(scalar_function, options)
+        self.liveness = analyses.liveness
+        self.uniformity = analyses.uniformity
+        self.affine_strides = analyses.affine_strides
+        self.entry_ids = analyses.entry_ids
+        slots, spill_size = analyses.spill_layout
         suffix = f"w{self.ws}"
         if options.static_warps:
             suffix += ".static"
@@ -202,7 +231,7 @@ class Vectorizer:
             base = base[: -len(".scalar")]
         self.out = IRFunction(name=f"{base}.{suffix}", warp_size=self.ws)
         self.out.source_kernel = scalar_function.source_kernel
-        self.out.spill_slots = slots
+        self.out.spill_slots = dict(slots)
         self.out.spill_size = spill_size
         self.out.local_segment_size = scalar_function.local_segment_size
         #: scalar register name -> specialized register
@@ -215,15 +244,11 @@ class Vectorizer:
 
     # -- register mapping --------------------------------------------------
 
-    def _is_uniform_register(self, register: VirtualRegister) -> bool:
-        return register.name in self.uniformity.uniform_registers
-
     def map_register(self, register: VirtualRegister) -> VirtualRegister:
         mapped = self.register_map.get(register.name)
         if mapped is None:
-            width = (
-                1 if self._is_uniform_register(register) else self.ws
-            )
+            uniform = register.name in self.uniformity.uniform_registers
+            width = 1 if uniform else self.ws
             mapped = VirtualRegister(
                 name=register.name, dtype=register.dtype, width=width
             )
@@ -306,7 +331,7 @@ class Vectorizer:
     # -- Algorithm 1: instruction vectorization -----------------------------
 
     def _vectorize_instruction(self, instruction) -> None:
-        if isinstance(instruction, _VECTORIZABLE_TYPES):
+        if isinstance(instruction, VECTORIZABLE):
             self._promote(instruction)
         elif isinstance(instruction, ContextRead):
             self._replicate_context_read(instruction)
@@ -906,14 +931,18 @@ def _clone_with(instruction, destination, operands):
 
 
 def vectorize_kernel(
-    scalar_function: IRFunction, options: VectorizeOptions
+    scalar_function: IRFunction,
+    options: VectorizeOptions,
+    analyses: Optional[ScalarAnalyses] = None,
 ) -> IRFunction:
     """Produce the ``options.warp_size`` specialization of a scalar
-    kernel function."""
-    return Vectorizer(scalar_function, options).run()
+    kernel function; ``analyses`` (of the same function and options)
+    saves recomputing them for each width."""
+    return Vectorizer(scalar_function, options, analyses).run()
 
 
 __all__ = [
+    "ScalarAnalyses",
     "VectorizeOptions",
     "Vectorizer",
     "assign_spill_slots",

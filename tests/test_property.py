@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -372,6 +372,250 @@ def render_constant_shift_kernel(shifts):
 """
 
 
+# Everything constant folding and CSE decide at compile time, against
+# the machine deciding it at run time. Destinations fold only where
+# they are scalar, so a 1-thread launch runs the folded code and an
+# 8-thread launch (two 4-wide warps) the operators themselves: which
+# of the two a thread gets depends on the warps the manager happens to
+# form, and must not show. Operands come from where floating point and
+# two's complement stop being algebra: signed zeros, infinities, NaN,
+# a denormal, a literal f32 cannot hold (2**24 + 1), the integer
+# extremes. ``{d}`` is the op's destination; its kind picks the
+# register and the store.
+
+_FOLD_REGISTERS = {"f32": "%f5", "f64": "%fd5", "u32": "%r5", "u64": "%rd5"}
+#: 0.0, -0.0, 1, -1, inf, -inf, NaN, the smallest denormal, 0.1.
+_F32_BITS = (0x00000000, 0x80000000, 0x3F800000, 0xBF800000, 0x7F800000,
+             0xFF800000, 0x7FC00000, 0x00000001, 0x3DCCCCCD)
+_F64_BITS = (0x0, 0x8000000000000000, 0x3FF0000000000000,
+             0xBFF0000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+             0x7FF8000000000000, 0x1, 0x3FB999999999999A)
+
+
+def _float_immediates(width):
+    bits, letter, edges = (
+        (32, "f", _F32_BITS) if width == 32 else (64, "d", _F64_BITS)
+    )
+    digits = bits // 4
+    finite = st.floats(width=width, allow_nan=False).map(
+        lambda value: int.from_bytes(
+            np.array(value, dtype=f"f{bits // 8}").tobytes(), "little"
+        )
+    )
+    return (st.sampled_from(edges) | finite).map(
+        lambda pattern: f"0{letter}{pattern:0{digits}X}"
+    ) | st.just("16777217.0")
+
+
+def _int_immediates(dtype):
+    width, signed = int(dtype[1:]), dtype[0] == "s"
+    low = -(1 << (width - 1)) if signed else 0
+    high = (1 << (width - 1)) - 1 if signed else (1 << width) - 1
+    edges = [0, 1, 5, low, high, high >> 1] + ([-1] if signed else [])
+    return (st.sampled_from(edges) | st.integers(low, high)).map(str)
+
+
+def _fold_ops():
+    f32, f64 = _float_immediates(32), _float_immediates(64)
+    floats = st.sampled_from((("f32", f32), ("f64", f64)))
+    ints = st.sampled_from(("s32", "u32", "s64", "u64"))
+    compared = st.sampled_from(("f32", "f64", "s32", "u32"))
+
+    def immediates(dtype):
+        if dtype[0] == "f":
+            return f32 if dtype == "f32" else f64
+        return _int_immediates(dtype)
+
+    def kind_of(dtype):
+        return dtype if dtype[0] == "f" else f"u{dtype[1:]}"
+
+    @st.composite
+    def float_binary(draw):
+        dtype, values = draw(floats)
+        op = draw(st.sampled_from(
+            ("add", "sub", "mul", "min", "max", "div.rn")
+        ))
+        a, b = draw(values), draw(values)
+        return [(f"{op}.{dtype} {{d}}, {a}, {b};", dtype)]
+
+    @st.composite
+    def int_binary(draw):
+        dtype = draw(ints)
+        op = draw(st.sampled_from(
+            ("add", "sub", "mul.lo", "mul.hi", "min", "max", "div", "rem")
+        ))
+        a, b = draw(immediates(dtype)), draw(immediates(dtype))
+        return [(f"{op}.{dtype} {{d}}, {a}, {b};", kind_of(dtype))]
+
+    @st.composite
+    def bitwise(draw):
+        op = draw(st.sampled_from(
+            ("and.b32", "or.b32", "xor.b32", "shl.b32", "shr.u32")
+        ))
+        a, b = draw(immediates("u32")), draw(immediates("u32"))
+        return [(f"{op} {{d}}, {a}, {b};", "u32")]
+
+    @st.composite
+    def unary(draw):
+        op = draw(st.sampled_from((
+            "neg.f32", "abs.f32", "neg.f64", "abs.f64", "neg.s32",
+            "abs.s32", "not.b32", "cnot.b32",
+        )))
+        dtype = op[4:] if op[4] != "b" else "u32"
+        if op.startswith("cnot"):
+            dtype = "u32"
+        return [(f"{op} {{d}}, {draw(immediates(dtype))};", kind_of(dtype))]
+
+    @st.composite
+    def compare(draw):
+        dtype = draw(compared)
+        names = ("eq", "ne", "lt", "le", "gt", "ge")
+        if dtype[0] == "f":
+            names += ("ltu", "leu", "gtu", "geu", "num", "nan")
+        op = draw(st.sampled_from(names))
+        a, b = draw(immediates(dtype)), draw(immediates(dtype))
+        return [(
+            f"setp.{op}.{dtype} %p1, {a}, {b};\n"
+            "  selp.u32 {d}, 1, 0, %p1;",
+            "u32",
+        )]
+
+    @st.composite
+    def select(draw):
+        dtype = draw(st.sampled_from(("f32", "f64", "u32", "s32")))
+        a, b = draw(immediates(dtype)), draw(immediates(dtype))
+        which = draw(st.integers(0, 1))
+        return [(f"selp.{dtype} {{d}}, {a}, {b}, {which};", kind_of(dtype))]
+
+    @st.composite
+    def convert(draw):
+        # Conversions of a constant as the translator makes them: the
+        # widening of mul.wide's operands, and cvt of an immediate (the
+        # parser types it as the destination, so only forms where that
+        # is the same number).
+        form, source, kind = draw(st.sampled_from((
+            ("mul.wide.s32", "s32", "u64"),
+            ("mul.wide.u32", "u32", "u64"),
+            ("cvt.s64.s32", "s32", "u64"),
+            ("cvt.u64.u32", "u32", "u64"),
+            ("cvt.rn.f64.s32", "s32", "f64"),
+            ("cvt.f64.f32", "f32", "f64"),
+        )))
+        operands = draw(immediates(source))
+        if form.startswith("mul"):
+            operands += ", " + draw(immediates(source))
+        return [(f"{form} {{d}}, {operands};", kind)]
+
+    @st.composite
+    def fma(draw):
+        dtype, values = draw(floats)
+        op = draw(st.sampled_from(("fma.rn", "mad")))
+        a, b, c = draw(values), draw(values), draw(values)
+        return [(f"{op}.{dtype} {{d}}, {a}, {b}, {c};", dtype)]
+
+    @st.composite
+    def intrinsic(draw):
+        name = draw(st.sampled_from(
+            ("sqrt", "rsqrt", "rcp", "sin", "cos", "ex2", "lg2")
+        ))
+        return [(f"{name}.approx.f32 {{d}}, {draw(f32)};", "f32")]
+
+    @st.composite
+    def half_constant(draw):
+        # x op c and c op x, x this thread's datum: the identities.
+        dtype, values = draw(floats)
+        op = draw(st.sampled_from(("add", "sub", "mul", "div.rn")))
+        x = "%f0" if dtype == "f32" else "%fd0"
+        operands = [x, draw(values)]
+        if draw(st.booleans()):
+            operands.reverse()
+        return [(f"{op}.{dtype} {{d}}, {operands[0]}, {operands[1]};", dtype)]
+
+    @st.composite
+    def half_constant_int(draw):
+        op = draw(st.sampled_from(
+            ("add.u32", "sub.u32", "mul.lo.u32", "div.u32", "shl.b32",
+             "shr.u32", "shr.s32")
+        ))
+        operands = ["%r0", draw(st.sampled_from(("0", "1")))]
+        if op[:3] in ("add", "mul") and draw(st.booleans()):
+            operands.reverse()
+        return [(f"{op} {{d}}, {operands[0]}, {operands[1]};", "u32")]
+
+    @st.composite
+    def zero_sign_pair(draw):
+        # Two computations that differ in the sign of a zero constant
+        # only: equal keys to a CSE that compares constants with ==.
+        dtype = draw(st.sampled_from(("f32", "f64")))
+        x = "%f0" if dtype == "f32" else "%fd0"
+        plus, minus = (
+            ("0f00000000", "0f80000000") if dtype == "f32"
+            else ("0d0000000000000000", "0d8000000000000000")
+        )
+        form = draw(st.sampled_from((
+            "mul.{t} {{d}}, {x}, {z};", "div.rn.{t} {{d}}, {x}, {z};",
+            "fma.rn.{t} {{d}}, {x}, {z}, {z};", "add.{t} {{d}}, {z}, {x};",
+            "max.{t} {{d}}, {z}, {z};",
+        )))
+        zeros = [plus, minus]
+        if draw(st.booleans()):
+            zeros.reverse()
+        return [(form.format(t=dtype, x=x, z=zero), dtype) for zero in zeros]
+
+    return st.one_of(
+        float_binary(), int_binary(), bitwise(), unary(), compare(),
+        select(), convert(), fma(), intrinsic(), half_constant(),
+        half_constant_int(), zero_sign_pair(),
+    )
+
+
+def render_fold_kernel(ops):
+    """Each op's result in its own 8-byte slot of the thread's record."""
+    lines = []
+    for slot, (text, kind) in enumerate(ops):
+        register = _FOLD_REGISTERS[kind]
+        lines.append("  " + text.format(d=register))
+        lines.append(f"  st.global.{kind} [%rd4+{8 * slot}], {register};")
+    body = "\n".join(lines)
+    return f"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{{
+  .reg .u32 %r<10>;
+  .reg .u64 %rd<8>;
+  .reg .f32 %f<8>;
+  .reg .f64 %fd<8>;
+  .reg .pred %p<2>;
+  mov.u32 %r8, %tid.x;
+  mul.wide.u32 %rd1, %r8, 4;
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.global.u32 %r0, [%rd3];
+  ld.global.f32 %f0, [%rd3];
+  cvt.f64.f32 %fd0, %f0;
+  mul.wide.u32 %rd1, %r8, {8 * len(ops)};
+  ld.param.u64 %rd4, [out];
+  add.u64 %rd4, %rd4, %rd1;
+{body}
+  exit;
+}}
+"""
+
+
+def run_fold_kernel(source, data, config, threads, record):
+    """``prop`` over one CTA of ``threads`` threads; the output bytes."""
+    device = Device(config=config)
+    device.register_module(source)
+    src = device.upload(data)
+    dst = device.upload(np.zeros(threads * record, dtype=np.uint8))
+    device.launch(
+        "prop", grid=(1, 1, 1), block=(threads, 1, 1),
+        args=[src, dst, len(data)],
+    )
+    return dst.read(np.uint8, threads * record)
+
+
 # One op of each kind the array backend has no lowering for: atomics
 # (every operator, shared and global, colliding addresses), %clock
 # reads, and the barriers that order them. %r0 is the thread's datum,
@@ -564,6 +808,61 @@ class TestBackendDifferential:
                 )
                 if not optimize:
                     assert statistics == reference[1], backend
+
+    @_SETTINGS
+    @given(
+        ops=st.lists(_fold_ops(), min_size=1, max_size=8),
+        data=st.lists(
+            st.sampled_from(_F32_BITS) | st.integers(0, 2**32 - 1),
+            min_size=8, max_size=8,
+        ),
+    )
+    # The reproductions this was written from: x + 0.0 and x - (-0.0)
+    # with x = -0.0; an fma whose product needs more than f32; ex2 of
+    # a constant (double vs f32 arithmetic); +0.0 / -0.0 under CSE.
+    @example(
+        ops=[[("add.f32 {d}, %f0, 0f00000000;", "f32")],
+             [("sub.f32 {d}, %f0, 0f80000000;", "f32")]],
+        data=[0x80000000] * 8,
+    )
+    @example(
+        ops=[[("fma.rn.f32 {d}, 0f3F800800, 0f3F800800, 0fBF801000;",
+               "f32")]],
+        data=[0] * 8,
+    )
+    @example(
+        ops=[[("ex2.approx.f32 {d}, 0f41159F3B;", "f32")]], data=[0] * 8
+    )
+    @example(
+        ops=[[("mul.f32 {d}, %f0, 0f00000000;", "f32"),
+              ("mul.f32 {d}, %f0, 0f80000000;", "f32")]],
+        data=[0x3F800000] * 8,
+    )
+    def test_optimizer_computes_what_the_machine_computes(self, ops, data):
+        # The oracle is the reference interpreter running the IR as
+        # vectorized, at the same launch width.
+        ops = [op for group in ops for op in group]
+        source = render_fold_kernel(ops)
+        data = np.array(data, dtype=np.uint32)
+        base = vectorized_config(4)
+        record = 8 * len(ops)
+        for threads in (1, 8):
+            expected = run_fold_kernel(
+                source, data,
+                replace(base, backend="reference", optimize=False),
+                threads, record,
+            )
+            for backend in ("interpreter", "array", "reference"):
+                for optimize in (False, True):
+                    memory = run_fold_kernel(
+                        source, data,
+                        replace(base, backend=backend, optimize=optimize),
+                        threads, record,
+                    )
+                    assert np.array_equal(memory, expected), (
+                        threads, backend, optimize,
+                        memory.view(np.uint64), expected.view(np.uint64),
+                    )
 
     @_SETTINGS
     @given(

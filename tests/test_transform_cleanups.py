@@ -238,6 +238,130 @@ class TestCSE:
         assert eliminate_common_subexpressions(function) == 1
 
 
+    # -- what must invalidate an available expression ----------------------
+
+    def _mov(self, name, value, dtype=DataType.u32):
+        return UnaryOp(op="mov", dtype=dtype, dst=reg(name, dtype),
+                       a=const(value, dtype))
+
+    def test_result_redefinition_invalidates(self):
+        # a = x + 1; a = 5; b = x + 1 — `a` no longer holds x + 1.
+        function = single_block(
+            self._mov("x", 7),
+            add(reg("a"), reg("x"), const(1)),
+            self._mov("a", 5),
+            add(reg("b"), reg("x"), const(1)),
+            self._store(reg("a")),
+            self._store(reg("b")),
+        )
+        assert eliminate_common_subexpressions(function) == 0
+
+    def test_self_referential_fma_not_recorded(self):
+        from repro.ir import FusedMultiplyAdd
+
+        f32 = DataType.f32
+
+        def step():
+            return FusedMultiplyAdd(
+                dtype=f32, dst=reg("x", f32), a=reg("x", f32),
+                b=reg("m", f32), c=reg("c", f32),
+            )
+
+        function = single_block(
+            self._mov("x", 1.0, f32), self._mov("m", 2.0, f32),
+            self._mov("c", 3.0, f32), step(), step(),
+            self._store(reg("x", f32)),
+        )
+        assert eliminate_common_subexpressions(function) == 0
+
+    def test_rebound_key_dies_with_either_register(self):
+        # tid.x read as u32 into a, then as s32 into b: one key, two
+        # result types, so the second read is kept and the key now
+        # names b. Redefining b must kill it (c may not copy a stale
+        # b); redefining a kills it as well — it is still listed under
+        # the register that first held it — which only costs a copy.
+        s32 = DataType.s32
+
+        def read(name, dtype):
+            return ContextRead(field_name="tid.x", dtype=dtype,
+                               dst=reg(name, dtype))
+
+        for redefined in ("b", "a"):
+            function = single_block(
+                read("a", DataType.u32),
+                read("b", s32),
+                self._mov(redefined, 9, s32 if redefined == "b"
+                          else DataType.u32),
+                read("c", s32),
+                self._store(reg("a")), self._store(reg("b", s32)),
+                self._store(reg("c", s32)),
+            )
+            assert eliminate_common_subexpressions(function) == 0
+            kept = function.blocks["entry"].instructions[3]
+            assert isinstance(kept, ContextRead), redefined
+
+    @pytest.mark.parametrize("twice", ["x", "a"])
+    def test_dominating_expression_refused_when_multiply_defined(
+        self, twice
+    ):
+        # An expression from a dominating block is reused only while
+        # every register it involves — operand or result — has a
+        # single definition in the whole function.
+        function = IRFunction("f")
+        entry = function.add_block("entry")
+        entry.append(self._mov("x", 7))
+        entry.append(add(reg("a"), reg("x"), const(1)))
+        entry.append(Branch("next"))
+        next_block = function.add_block("next")
+        next_block.append(add(reg("b"), reg("x"), const(1)))
+        next_block.append(self._store(reg("a")))
+        next_block.append(self._store(reg("b")))
+        next_block.append(Branch("last"))
+        last = function.add_block("last")
+        last.append(self._mov(twice, 8))
+        last.append(Exit())
+        assert eliminate_common_subexpressions(function) == 0
+
+    def test_sibling_blocks_do_not_share_expressions(self):
+        # Neither arm dominates the other: what one computed is gone
+        # from the table when the other is numbered.
+        function = IRFunction("f")
+        entry = function.add_block("entry")
+        entry.append(self._mov("x", 7))
+        entry.append(self._mov("p", True, DataType.pred))
+        entry.append(CondBranch(predicate=reg("p", DataType.pred),
+                                taken="left", fallthrough="right"))
+        for label, name in (("left", "a"), ("right", "b")):
+            block = function.add_block(label)
+            block.append(add(reg(name), reg("x"), const(1)))
+            block.append(self._store(reg(name)))
+            block.append(Branch("join"))
+        join = function.add_block("join")
+        join.append(add(reg("c"), reg("x"), const(1)))
+        join.append(self._store(reg("c")))
+        join.append(Exit())
+        assert eliminate_common_subexpressions(function) == 0
+
+    def test_constants_keyed_by_bit_pattern(self):
+        # 0.0 == -0.0 and they hash alike; x * 0.0 and x * -0.0 differ.
+        f32 = DataType.f32
+
+        def times(name, zero):
+            return BinaryOp(op="mul", dtype=f32, dst=reg(name, f32),
+                            a=reg("x", f32), b=const(zero, f32))
+
+        function = single_block(
+            self._mov("x", 1.0, f32),
+            times("a", 0.0), times("b", -0.0), times("c", 0.0),
+            self._store(reg("a", f32)), self._store(reg("b", f32)),
+            self._store(reg("c", f32)),
+        )
+        assert eliminate_common_subexpressions(function) == 1
+        a, b, c = function.blocks["entry"].instructions[1:4]
+        assert (a.op, b.op, c.op) == ("mul", "mul", "mov")
+        assert c.a == reg("a", f32)
+
+
 class TestConstantFolding:
     def _fold_single(self, instruction):
         function = single_block(instruction)
@@ -311,6 +435,50 @@ class TestConstantFolding:
         )
         assert folds == 0
 
+    @pytest.mark.parametrize(
+        "op, zero, folds",
+        [
+            # x + 0.0 turns -0.0 into 0.0; the additive identity is -0.0
+            # (and 0.0 is what leaves x - 0.0 alone).
+            ("add", 0.0, 0), ("add", -0.0, 1),
+            ("sub", 0.0, 1), ("sub", -0.0, 0),
+        ],
+    )
+    def test_float_identities_mind_the_sign_of_zero(self, op, zero, folds):
+        f32 = DataType.f32
+        function = single_block(
+            BinaryOp(op=op, dtype=f32, dst=reg("a", f32),
+                     a=reg("x", f32), b=const(zero, f32))
+        )
+        assert fold_constants(function) == folds
+
+    def test_fma_rounds_twice_like_the_machine(self):
+        # (1 + 2**-12)**2 - (1 + 2**-11): the product's 2**-24 term is
+        # lost when the product is rounded to f32 before the sum.
+        from repro.ir import FusedMultiplyAdd
+
+        f32 = DataType.f32
+        folds, folded = self._fold_single(
+            FusedMultiplyAdd(
+                dtype=f32, dst=reg("a", f32), a=const(1 + 2**-12, f32),
+                b=const(1 + 2**-12, f32), c=const(-(1 + 2**-11), f32),
+            )
+        )
+        assert folds == 1
+        assert folded.a.value == 0.0
+
+    def test_intrinsics_fold_in_the_instruction_type(self):
+        import numpy as np
+
+        argument = np.float32(9.351374)
+        folds, folded = self._fold_single(
+            Intrinsic(name="ex2", dtype=DataType.f32,
+                      dst=reg("a", DataType.f32),
+                      args=[const(float(argument), DataType.f32)])
+        )
+        assert folds == 1
+        assert folded.a.value == float(np.exp2(argument))
+
     def test_vector_destinations_untouched(self):
         function = single_block(
             BinaryOp(op="add", dtype=DataType.u32,
@@ -362,15 +530,163 @@ class TestBlockMerge:
         assert merge_blocks(function) == 0
 
 
+    def test_chain_merges_in_execution_order(self):
+        # b2 comes first in the layout; the chain entry -> b1 -> b2
+        # still ends up in entry, in the order control flows.
+        function = IRFunction("f")
+        entry = function.add_block("entry")
+        b2 = function.add_block("b2")
+        b1 = function.add_block("b1")
+        entry.append(add(reg("a"), const(1), const(2)))
+        entry.append(Branch("b1"))
+        b1.append(add(reg("b"), const(3), const(4)))
+        b1.append(Branch("b2"))
+        b2.append(add(reg("c"), const(5), const(6)))
+        b2.append(Exit())
+        assert merge_blocks(function) == 2
+        assert list(function.blocks) == ["entry"]
+        names = [i.dst.name for i in function.blocks["entry"].instructions]
+        assert names == ["a", "b", "c"]
+        verify_function(function)
+
+
 class TestPipeline:
     def test_pipeline_runs_and_verifies(self, vecadd_scalar_ir):
         pipeline = standard_cleanup_pipeline()
         pipeline.run(vecadd_scalar_ir)
-        report = pipeline.statistics.report()
-        assert "dce" in report
+        # The verifier is the pipeline's last stage, timed like a pass.
+        names = [result.name for result in pipeline.statistics.results]
+        assert "dce" in names
+        assert names[-1] == "verify"
 
     def test_pipeline_statistics_accumulate(self, vecadd_scalar_ir):
         pipeline = standard_cleanup_pipeline()
         pipeline.run(vecadd_scalar_ir)
-        assert pipeline.statistics.total_changes() >= 0
-        assert len(pipeline.statistics.results) == 5
+        assert all(r.changes >= 0 for r in pipeline.statistics.results)
+        assert len(pipeline.statistics.results) == 6  # 5 passes + verify
+        unverified = standard_cleanup_pipeline(verify=False)
+        unverified.run(vecadd_scalar_ir)
+        assert len(unverified.statistics.results) == 5
+
+
+class TestPassCensus:
+    """What the pipeline finds in the registered applications, pinned:
+    a pass that silently stops finding things fails here, not in a
+    benchmark months later."""
+
+    def test_registered_apps(self, monkeypatch):
+        from dataclasses import replace
+
+        # The pipeline as configured here, whatever the CI leg: no
+        # melding pre-pass, nothing served from a warm disk tier.
+        for name in ("REPRO_MELD", "REPRO_CACHE"):
+            monkeypatch.delenv(name, raising=False)
+
+        from repro import Device, vectorized_config
+        from repro.workloads.registry import all_workloads
+
+        changes = {}
+        instructions = {True: 0, False: 0}
+        for registered in all_workloads():
+            for optimize in (True, False):
+                device = Device(
+                    config=replace(vectorized_config(4), optimize=optimize)
+                )
+                device.register_module(type(registered)().module_source())
+                device.warm()
+                statistics = device.cache.statistics
+                instructions[optimize] += sum(
+                    statistics.instruction_counts.values()
+                )
+                for name, count in statistics.stage_changes.items():
+                    changes[name] = changes.get(name, 0) + count
+        assert instructions == {False: 27069, True: 26608}
+        assert changes == {
+            "translate": 0,
+            "vectorize": 0,
+            "constant-folding": 67,
+            "cse": 54,
+            "dce": 194,
+            "block-merge": 267,
+            "unreachable-elim": 0,
+            "verify": 0,
+        }
+
+
+def _straight_line(n):
+    """One block: a chain of n adds, every other one also feeding a
+    value nothing reads, then a store of the chain's end."""
+    instructions = [
+        UnaryOp(op="mov", dtype=DataType.u32, dst=reg("r0"), a=const(7))
+    ]
+    for index in range(1, n):
+        instructions.append(
+            add(reg(f"r{index}"), reg(f"r{index - 1}"), const(index))
+        )
+        if index % 2:
+            instructions.append(
+                add(reg(f"dead{index}"), reg(f"r{index}"), const(1))
+            )
+    instructions.append(
+        Store(dtype=DataType.u32, space=AddressSpace.global_,
+              base=const(0x100, DataType.u64), value=reg(f"r{n - 1}"))
+    )
+    return single_block(*instructions)
+
+
+def _block_chain(n):
+    """n blocks, each computing from its predecessor's value and
+    branching to the next."""
+    function = IRFunction("f")
+    for index in range(n):
+        block = function.add_block(f"b{index}")
+        source = reg(f"r{index - 1}") if index else const(7)
+        block.append(add(reg(f"r{index}"), source, const(index)))
+        block.append(Branch(f"b{index + 1}") if index < n - 1 else Exit())
+    return function
+
+
+class TestPassScaling:
+    """The cleanup passes are linear in the IR: 8x the input may not
+    cost 16x the time (a scan of the available expressions per
+    definition, a CFG per merge or a dominator-chain climb per lookup
+    costs 64x)."""
+
+    @pytest.mark.parametrize(
+        "transform, build",
+        [
+            (eliminate_common_subexpressions, _straight_line),
+            (eliminate_common_subexpressions, _block_chain),
+            (eliminate_dead_code, _straight_line),
+            (merge_blocks, _block_chain),
+        ],
+    )
+    def test_eight_times_the_input_under_sixteen_times_the_time(
+        self, transform, build
+    ):
+        import gc
+        import time
+
+        def best_of_three(n):
+            best = float("inf")
+            for _ in range(3):
+                function = build(n)
+                gc.collect()
+                gc.disable()  # a collection scans the whole heap
+                try:
+                    start = time.perf_counter()
+                    transform(function)
+                    best = min(best, time.perf_counter() - start)
+                finally:
+                    gc.enable()
+            return best
+
+        # Milliseconds on a shared machine: linear code reads 5-14x
+        # here, quadratic 50x and up, so one quiet attempt settles it.
+        readings = []
+        for _ in range(3):
+            readings.append((best_of_three(500), best_of_three(4000)))
+            small, large = readings[-1]
+            if large < 16 * small:
+                return
+        pytest.fail(f"(500, 4000) seconds, three attempts: {readings}")

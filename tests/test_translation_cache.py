@@ -207,6 +207,79 @@ class TestStalenessInvalidation:
         assert device.cache.statistics.invalidations == 0
 
 
+class TestScalarAnalyses:
+    """Liveness, uniformity, entry ids and the spill layout belong to
+    the scalar IR, not to a width: one object per kernel, kept and
+    dropped with the scalar IR."""
+
+    def _record_analyses(self, monkeypatch):
+        from repro.runtime import translation_cache as module
+
+        seen = []
+        original = module.vectorize_kernel
+
+        def recording(scalar, options, analyses):
+            seen.append((options.warp_size, analyses))
+            return original(scalar, options, analyses)
+
+        monkeypatch.setattr(module, "vectorize_kernel", recording)
+        return seen
+
+    def test_widths_share_one_analysis_object(self, monkeypatch):
+        seen = self._record_analyses(monkeypatch)
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        device.warm("vecAdd")
+        assert [width for width, _ in seen] == [1, 2, 4]
+        first = seen[0][1]
+        assert first is not None
+        assert all(analyses is first for _, analyses in seen)
+        assert first.function is device.cache.scalar_ir("vecAdd")
+        # ... and the manager's question is answered from it.
+        assert device.cache.spill_layout("vecAdd") is first.spill_layout
+        assert first.spill_layout == assign_spill_slots(first.function)
+
+    def test_reregistering_a_modified_kernel_drops_it(self, monkeypatch):
+        seen = self._record_analyses(monkeypatch)
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        device.warm("vecAdd")
+        device.register_module(VECMUL_PTX)
+        device.warm("vecAdd")
+        before, after = seen[0][1], seen[3][1]
+        assert after is not before
+        assert after.function is device.cache.scalar_ir("vecAdd")
+        assert all(analyses is after for _, analyses in seen[3:])
+        # Identical content again: nothing is recomputed.
+        device.register_module(VECMUL_PTX)
+        device.warm("vecAdd")
+        assert len(seen) == 6
+
+    def test_moving_a_referenced_symbol_drops_it(self, monkeypatch):
+        seen = self._record_analyses(monkeypatch)
+        device = Device(config=vectorized_config(4))
+        device.register_module(GLOBAL_SCALE_PTX)
+        layout = device.cache.spill_layout("scaled")
+        device.warm("scaled")
+        assert seen[0][1].spill_layout is layout
+        device.register_module(GLOBAL_SCALE_PTX)  # `scale` moves
+        assert device.cache.generation("scaled") == 2
+        device.warm("scaled")
+        assert seen[3][1] is not seen[0][1]
+        assert device.cache.spill_layout("scaled") == layout
+        assert device.cache.spill_layout("scaled") is not layout
+
+    def test_nothing_outlives_the_device(self, monkeypatch):
+        # A second Device compiling the same source analyses it again.
+        seen = self._record_analyses(monkeypatch)
+        for _ in range(2):
+            device = Device(config=vectorized_config(4))
+            device.register_module(VECADD_PTX)
+            device.warm("vecAdd")
+        assert seen[0][1] is not seen[3][1]
+        assert seen[0][1].function is not seen[3][1].function
+
+
 class TestContentAddressedKeys:
     def test_digest_depends_on_warp_size(self):
         device = Device(config=vectorized_config(4))
@@ -511,6 +584,43 @@ class TestObservability:
         assert "Translation-cache activity" in text
         assert "translations" in text
         assert format_cache_statistics(None)  # no-activity rendering
+
+    def test_stage_record_is_kept(self):
+        from repro.bench.reporting import format_cache_statistics
+
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        _, first = _run_vecadd(device)  # compiles the 4-wide kernel
+        cache = first.statistics.cache
+        # (REPRO_MELD=1 adds the scalar pre-pass and its verify.)
+        stages = [s for s in cache.stage_seconds if s != "meld"]
+        assert sorted(stages) == sorted([
+            "translate", "vectorize", "constant-folding", "cse", "dce",
+            "block-merge", "unreachable-elim", "verify",
+        ])
+        assert stages[0] == "translate"
+        assert all(seconds > 0 for seconds in cache.stage_seconds.values())
+        assert set(cache.stage_changes) <= set(cache.stage_seconds)
+        text = format_cache_statistics(cache)
+        assert "stages:" in text and "block-merge" in text
+        # Per launch it is a delta like the counters: no compile, no row.
+        _, second = _run_vecadd(device)
+        assert second.statistics.cache.stage_seconds == {}
+        merged = cache.snapshot()
+        merged.merge(cache)
+        assert merged.stage_seconds["cse"] == 2 * cache.stage_seconds["cse"]
+        assert merged.stage_changes == {
+            stage: 2 * count for stage, count in cache.stage_changes.items()
+        }
+        # The cache's own record keeps accumulating.
+        device.warm()
+        total = device.cache.statistics
+        assert total.stage_seconds["vectorize"] > (
+            cache.stage_seconds["vectorize"]
+        )
+        assert total.stage_changes["block-merge"] > 0
+        assert total.stage_changes["verify"] == 0
+        assert "2 changes" in format_cache_statistics(total)
 
     def test_statistics_merge_accumulates_cache(self):
         device = Device(config=vectorized_config(4))
