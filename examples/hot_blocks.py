@@ -1,43 +1,44 @@
 #!/usr/bin/env python
 """Hot blocks: where the generated code of an app spends host time.
 
-The interpreter prints one Python function per basic block when a warp
-first enters it (``ExecutableFunction.blocks(access)``). This script
-wraps each of those functions *as its table entry is created* — from
+The executor lowers a basic block when a warp first enters it: to one
+Python function for the sequential path
+(``ExecutableFunction.blocks(access)``), and to a tuple of array ops
+when a batch of warps enters it (``ExecutableFunction.array_blocks``).
+This script wraps both *as their table entries are created* — from
 outside, nothing under ``src/`` knows — to count entries and host time
-per block, runs the app, and prints per kernel
+per block on each path, runs the app, and prints per kernel
 
-- the hottest blocks: label, entries, instructions per entry, µs per
-  entry, share of the kernel's generated-code time, and whether the
-  block is handler or body — handler when most of its instructions are
-  what the vectorizer added to yield (scheduler, entry and exit
-  handlers: spill, restore, resume-point bookkeeping);
-- the dynamic opcode mix (instructions executed, by opcode);
+- the hottest blocks of both paths in one ranking: label, path (``seq``
+  or ``batch``), entries, warps served per entry, instructions per
+  entry, µs per entry, share of the kernel's generated-code time, and
+  whether the block is handler or body — handler when most of its
+  instructions are what the vectorizer added to yield (scheduler,
+  entry and exit handlers: spill, restore, resume-point bookkeeping);
+- the dynamic opcode mix (warp-instructions executed, by opcode);
 
 and, over every block measured, what one instruction of each opcode
-costs: a non-negative least-squares fit of per-block host time on
-block composition (plus one term per block entry). With few distinct
-blocks the fit is loose — name several apps, or ``all``, to pool them.
+costs on each path: a non-negative least-squares fit of per-block host
+time on block composition (plus one term per block entry) — per
+warp-instruction for ``seq`` blocks, per batched op whatever the batch
+size for ``batch`` blocks. With few distinct blocks the fit is loose —
+name several apps, or ``all``, to pool them.
 
-The block tables measure the sequential path only: on ``--backend
-array`` that is the warps the batch runner hands back or was never
-given (a batched walk calls no block function). What the batches did
-is a second table, per kernel and entry point, from a wrapper around
-``ArrayBackend.execute_batch``: batches, warps, instructions and µs
-per batch, how many reached their yield and how many left through
-continuations, and how many formation opportunities the executable's
-admission record still refuses there. The wrappers cost ≈ 0.2 µs an
-entry and hide the block from the trap PC lookup, so this is a
-measuring script, not a mode.
+What the batches did is a second table, per kernel and entry point,
+from a wrapper around ``ArrayBackend.execute_batch``: batches, warps,
+instructions and µs per batch, how many reached their yield and how
+many left through continuations, and how many formation opportunities
+the executable's admission record still refuses there. The wrappers
+cost ≈ 0.2 µs an entry and hide the block from the trap PC lookup, so
+this is a measuring script, not a mode.
 
 Run:  python examples/hot_blocks.py Collatz
       python examples/hot_blocks.py BitonicSort Reduction --scale 0.25
-      python examples/hot_blocks.py all --backend array --top 3
+      python examples/hot_blocks.py all --top 3
 """
 
 import argparse
 from collections import Counter, defaultdict
-from dataclasses import replace
 from time import perf_counter
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from repro import Device, vectorized_config
 from repro.ir import instructions as ir
 from repro.machine import interpreter as lowering
-from repro.machine.array_backend import ArrayBackend
+from repro.machine.array_backend import ArrayBackend, _ArrayBlocks
 from repro.workloads.registry import get_workload, workload_names
 
 _MEMORY = (ir.Load, ir.Store, ir.VectorLoad, ir.VectorStore, ir.AtomicRMW)
@@ -71,12 +72,13 @@ def opcode(instruction) -> str:
 
 
 class BlockRecord:
-    """Entries and host seconds of one generated block function."""
+    """Entries and host seconds of one lowered block on one path."""
 
-    def __init__(self, executable, label):
-        block = executable.function.blocks[label]
-        self.kernel = f"{executable.name}/ws{executable.warp_size}"
+    def __init__(self, function, label, batched=False):
+        block = function.blocks[label]
+        self.kernel = f"{function.name}/ws{function.warp_size}"
         self.label = label
+        self.path = "batch" if batched else "seq"
         self.opcodes = Counter(map(opcode, block.all_instructions()))
         self.instructions = sum(self.opcodes.values())
         overhead = sum(
@@ -85,16 +87,18 @@ class BlockRecord:
         )
         self.handler = 2 * overhead > self.instructions
         self.entries = 0
+        #: warps served, over all entries (one each on the ``seq`` path)
+        self.warps = 0
         self.seconds = 0.0
 
 
 def install(records: list) -> None:
-    """Wrap every block function created from now on."""
+    """Wrap every block lowered from now on, for either path."""
     lower = lowering._BlockTable.__missing__
 
     def measured(table, label):
         code, *costs = lower(table, label)
-        record = BlockRecord(table.executable, label)
+        record = BlockRecord(table.executable.function, label)
         records.append(record)
 
         def block(state):
@@ -104,11 +108,42 @@ def install(records: list) -> None:
             finally:
                 record.seconds += perf_counter() - start
                 record.entries += 1
+                record.warps += 1
 
         entry = table[label] = (block, *costs)
         return entry
 
     lowering._BlockTable.__missing__ = measured
+    translate = _ArrayBlocks.__missing__
+
+    def measured_batched(blocks, label):
+        entry = translate(blocks, label)
+        if entry is None:  # no batched form: the runner leaves here
+            return None
+        ops, terminator = entry
+        record = BlockRecord(blocks.function, label, batched=True)
+        records.append(record)
+        started = [0.0]
+
+        def first(bstate, head=ops[0] if ops else None):
+            started[0] = perf_counter()
+            return head(bstate)
+
+        def last(bstate):
+            if not ops:  # an empty body: the terminator is the block
+                started[0] = perf_counter()
+            result = terminator(bstate)
+            record.seconds += perf_counter() - started[0]
+            record.entries += 1
+            record.warps += bstate.size
+            return result
+
+        # Still one op per instruction: the runner's loop position is
+        # the fault PC.
+        entry = blocks[label] = ((first, *ops[1:]) if ops else ops, last)
+        return entry
+
+    _ArrayBlocks.__missing__ = measured_batched
 
 
 class BatchRecord:
@@ -218,20 +253,22 @@ def report_kernels(records: list, top: int) -> None:
             by_kernel[record.kernel].append(record)
     for kernel, blocks in sorted(by_kernel.items()):
         total = sum(block.seconds for block in blocks)
-        executed = sum(block.entries * block.instructions for block in blocks)
+        batched = sum(b.seconds for b in blocks if b.path == "batch")
+        executed = sum(block.warps * block.instructions for block in blocks)
         print(
-            f"\n== {kernel}: {1e3 * total:.1f} ms in generated code, "
-            f"{executed} instructions, "
+            f"\n== {kernel}: {1e3 * total:.1f} ms in generated code "
+            f"({1e3 * batched:.1f} batched), {executed} warp-instructions, "
             f"{executed / total / 1e3:.0f} kinstr/s =="
         )
         print(
-            f"  {'block':<28}{'entries':>8}{'instr':>7}{'us/entry':>10}"
-            f"{'share':>7}  kind"
+            f"  {'block':<28}{'path':>6}{'entries':>8}{'warps':>7}"
+            f"{'instr':>7}{'us/entry':>10}{'share':>7}  kind"
         )
         blocks.sort(key=lambda block: -block.seconds)
         for block in blocks[:top]:
             print(
-                f"  {block.label:<28}{block.entries:>8}"
+                f"  {block.label:<28}{block.path:>6}{block.entries:>8}"
+                f"{block.warps / block.entries:>7.0f}"
                 f"{block.instructions:>7}"
                 f"{1e6 * block.seconds / block.entries:>10.1f}"
                 f"{block.seconds / total:>7.0%}  "
@@ -240,9 +277,9 @@ def report_kernels(records: list, top: int) -> None:
         mix = Counter()
         for block in blocks:
             for name, count in block.opcodes.items():
-                mix[name] += count * block.entries
+                mix[name] += count * block.warps
         handler = sum(
-            block.entries * block.instructions
+            block.warps * block.instructions
             for block in blocks if block.handler
         )
         print(
@@ -255,8 +292,10 @@ def report_kernels(records: list, top: int) -> None:
         )
 
 
-def report_fit(records: list) -> None:
-    measured = [record for record in records if record.entries]
+def report_fit(records: list, path: str, unit: str) -> None:
+    measured = [r for r in records if r.entries and r.path == path]
+    if not measured:
+        return
     names = sorted({name for record in measured for name in record.opcodes})
     design = np.array([
         [record.entries * record.opcodes[name] for name in names]
@@ -267,8 +306,9 @@ def report_fit(records: list) -> None:
     cost = non_negative_fit(design, seconds)
     explained = 1 - np.abs(design @ cost - seconds).sum() / seconds.sum()
     print(
-        f"\n== per-opcode host cost, fitted over {len(measured)} blocks "
-        f"({explained:.0%} of {1e3 * seconds.sum():.1f} ms explained) =="
+        f"\n== per-opcode host cost, {path} path ({unit}), fitted over "
+        f"{len(measured)} blocks ({explained:.0%} of "
+        f"{1e3 * seconds.sum():.1f} ms explained) =="
     )
     print(f"  {'opcode':<18}{'executed':>10}{'us each':>9}{'ms':>8}")
     rows = sorted(
@@ -289,9 +329,6 @@ def main() -> None:
         "apps", nargs="+", metavar="app",
         help="registered workload names, or 'all'",
     )
-    parser.add_argument(
-        "--backend", choices=("interpreter", "array"), default="interpreter"
-    )
     parser.add_argument("--scale", type=float, default=0.25)
     parser.add_argument(
         "--top", type=int, default=6, help="blocks listed per kernel"
@@ -302,7 +339,7 @@ def main() -> None:
     install(records)
     batches: dict = {}
     install_batches(batches)
-    config = replace(vectorized_config(4), backend=arguments.backend)
+    config = vectorized_config(4)
     for name in names:
         app = get_workload(name)
         device = Device(config=config)
@@ -312,13 +349,14 @@ def main() -> None:
         # second is the one measured.
         app.execute(device, arguments.scale, check=True)
         for record in records[first:]:
-            record.entries, record.seconds = 0, 0.0
+            record.entries, record.warps, record.seconds = 0, 0, 0.0
         batches.clear()
         run = app.execute(device, arguments.scale, check=True)
         print(f"\n{name}: correct={run.correct} at scale {arguments.scale}")
         report_kernels(records[first:], arguments.top)
         report_batches(list(batches.values()))
-    report_fit(records)
+    report_fit(records, "seq", "per warp-instruction")
+    report_fit(records, "batch", "per batched op")
 
 
 if __name__ == "__main__":

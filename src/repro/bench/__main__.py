@@ -67,13 +67,6 @@ def main(argv=None) -> int:
         "ablation section itself always compares both settings",
     )
     parser.add_argument(
-        "--backend",
-        choices=["interpreter", "array"],
-        default="interpreter",
-        help="execution backend for the Table-1 runs (modeled "
-        "GFLOP/s are backend-invariant; host wall-clock is not)",
-    )
-    parser.add_argument(
         "--serve",
         action="store_true",
         help="run the concurrent-clients serving bench (DevicePool "
@@ -177,9 +170,7 @@ def main(argv=None) -> int:
     wants = lambda name: arguments.only in (None, name)  # noqa: E731
 
     if wants("table1"):
-        table1 = run_table1(
-            scale=arguments.scale, backend=arguments.backend
-        )
+        table1 = run_table1(scale=arguments.scale)
         sections.append(format_table1(table1))
     runner = None
     if any(

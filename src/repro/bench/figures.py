@@ -50,19 +50,15 @@ def run_table1(
     scale: float = 1.0,
     machine: MachineDescription = None,
     warp_sizes: Tuple[int, ...] = (1, 2, 4, 8),
-    backend: str = "interpreter",
 ) -> Table1Result:
-    """Peak FP throughput of the microbenchmark per maximum warp size.
-
-    ``backend`` selects the execution backend; the modeled GFLOP/s are
-    backend-invariant, only ``host_seconds`` changes."""
+    """Peak FP throughput of the microbenchmark per maximum warp size."""
     machine = machine or sandybridge()
     workload = get_workload("throughput")
     gflops: Dict[int, float] = {}
     host_seconds: Dict[int, float] = {}
     for max_ws in warp_sizes:
         sizes = tuple(s for s in (1, 2, 4, 8, 16) if s <= max_ws)
-        config = ExecutionConfig(warp_sizes=sizes, backend=backend)
+        config = ExecutionConfig(warp_sizes=sizes)
         run = workload.run_on(config, scale=scale, machine=machine)
         gflops[max_ws] = run.statistics.gflops(machine.clock_hz)
         host_seconds[max_ws] = run.host_seconds

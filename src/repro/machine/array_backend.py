@@ -1,7 +1,10 @@
-"""Array-vectorized execution backend.
+"""Batched execution: the array lowering of the one executor.
 
-The sequential interpreter runs one warp at a time; this backend runs
-*every resident warp at once*. When a batch first reaches a basic
+The sequential path runs one warp at a time; where the execution
+manager sees enough same-entry-point warps waiting (``MIN_BATCH_WARPS``)
+and the record of earlier batches does not refuse, :class:`ArrayBackend`
+— the executor every ``Device`` builds — runs *all of them at once*.
+When a batch first reaches a basic
 block the block is given a second, batched lowering — a per-opcode
 translation table emitting numpy array operations, structured like a
 staged binary translator: registers become ``(n_warps,)`` /
@@ -31,9 +34,10 @@ Known deviation: within one batched block, an instruction's memory
 accesses complete for *all* warps before the next instruction runs.
 Programs where warps race on shared addresses can observe a different
 (but equally legal) interleaving than the sequential schedule — and
-whether a block runs batched depends on what earlier batches from its
-entry point did (admission, below), so also on the launch history;
-such programs are racy on real hardware too. Atomics therefore disable
+whether a block runs batched depends on how many warps wait and on
+what earlier batches from its entry point did (admission, below), so
+also on the launch history; such programs are racy on real hardware
+too. Atomics therefore disable
 the array lowering for the whole function.
 """
 
@@ -836,7 +840,7 @@ _ACOMPILERS = {
     ExtractElement: _acompile_extract,
     Broadcast: _acompile_broadcast,
     Reduce: _acompile_reduce,
-    # AtomicRMW deliberately absent: see ArrayBackend.load_function.
+    # AtomicRMW deliberately absent: see ArrayBackend.array_lowering.
 }
 
 
@@ -905,20 +909,33 @@ def _acompile_terminator(terminator, slots):
 # Block translation (on first batched entry) and batch admission
 # ---------------------------------------------------------------------------
 
-#: Admission back-off: after ``k`` consecutive batches from an entry
-#: point left through continuations, its next ``_REFUSALS ** k``
-#: formation opportunities go to the sequential former (``k`` at most
-#: ``_LONGEST``); one batch that reaches its yield resets ``k``.
-#: Measured on the 43 apps at PR 18's parent: a batched op costs
-#: 5.6-7.7 us whatever the batch size and no ready-pool key (entry
-#: point x CTA) held more than 16 warps, so an aborted batch ran its
-#: prefix at 1.0-3.3 us per warp-instruction against 0.36 us
-#: sequentially, then paid 222 us of register transplant and 20 us a
-#: warp to resume: none was cheaper than not batching. Base 4: a
-#: bounds-guarded uniform kernel aborts once a launch (the mixed warp
-#: of its last CTA) and gives up 4 of ~128 warps for it, not its
-#: batching. Cap 5: an entry point that always diverges is tried again
-#: once per 1 024 opportunities, so a change of behaviour is found.
+#: Size rule: a batch is formed only when this many full warps wait at
+#: one ready-pool key. Measured per batch on the 43 apps at PR 21's
+#: parent (``execute_batch`` timed, warm, batches of two warps up;
+#: benchmarks/results/one_executor/README.md): a completed batch costs
+#: 4.3-5.5 us per batched op whatever its size, i.e. 2.2 us per
+#: warp-instruction at 2-3 warps, 1.2 at 4-7, 0.55 at 8-15 and 0.27 at
+#: 16, against 0.31-0.47 us on the sequential path (the 24 yield apps;
+#: up to 1.15 on FMA chains): 16 is the smallest size that wins.
+MIN_BATCH_WARPS = 16
+
+#: Outcome rule: per entry point a score, +``_ABORT_WEIGHT`` for a
+#: batch that left through continuations, -1 for one that reached its
+#: yield (an aborted 16-warp batch runs its prefix at 0.95 us per
+#: warp-instruction, transplant included, and loses ~3 x what a
+#: completed one saves), kept within
+#: ``-_CREDIT .. _ABORT_WEIGHT * _LONGEST``. An abort that leaves the
+#: score at ``s > 0`` sends the next ``_REFUSALS ** ceil(s /
+#: _ABORT_WEIGHT)`` formation opportunities to the sequential former.
+#: So an entry point that alternates (a tree reduction: ``tid < s`` is
+#: uniform per warp, not across the batch) backs off as one that always
+#: diverges does, only later, while a bounds-guarded uniform kernel
+#: (one abort a launch, the mixed warp of its last CTA, after seven
+#: completions) never leaves credit. Cap 5: an entry point that always
+#: diverges is tried again once per 1 024 opportunities, so a change of
+#: behaviour is found.
+_ABORT_WEIGHT = 3
+_CREDIT = 8
 _REFUSALS = 4
 _LONGEST = 5
 
@@ -930,11 +947,12 @@ class _ArrayBlocks(dict):
     answer for a block that reads ``%clock`` or that the translation
     table cannot express, where the runner leaves the region.
 
-    ``outcomes`` keeps what the batches did, per entry point, as ``[k,
-    refusals left]``. Admission reads nothing else — outcomes, never
-    the host clock — so which warps batch is a function of the launch
-    history; and the record, living here, is shared by every execution
-    manager and dropped with the translation it describes.
+    ``outcomes`` keeps what the batches did, per entry point, as
+    ``[score, refusals left]``. Admission reads nothing else —
+    outcomes, never the host clock — so which warps batch is a
+    function of the launch history; and the record, living here, is
+    shared by every execution manager and dropped with the
+    translation it describes.
     """
 
     def __init__(self, function: IRFunction, slots):
@@ -975,12 +993,14 @@ class _ArrayBlocks(dict):
     def record(self, entry_point: int, completed: bool) -> None:
         """A batch from ``entry_point`` reached its yield, or left at a
         divergent terminator or an untranslated block."""
-        if completed:
-            self.outcomes.pop(entry_point, None)
-            return
         record = self.outcomes.setdefault(entry_point, [0, 0])
-        record[0] = min(record[0] + 1, _LONGEST)
-        record[1] = _REFUSALS ** record[0]
+        if completed:
+            record[0] = max(record[0] - 1, -_CREDIT)
+            return
+        score = min(record[0] + _ABORT_WEIGHT, _ABORT_WEIGHT * _LONGEST)
+        record[0] = score
+        if score > 0:
+            record[1] = _REFUSALS ** -(-score // _ABORT_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,33 +1066,31 @@ def _continuations(
 
 
 class ArrayBackend(Interpreter):
-    """The batched execution backend.
+    """The executor of every ``Device``.
 
     Inherits the complete sequential machinery — the block emitter,
     ``execute``'s per-warp run loop — and adds the
-    array lowering plus :meth:`execute_batch`. The sequential path
-    stays available on the same instance: it is the fallback target
-    for continuations and for warps the execution manager cannot
-    batch (degraded widths, traced runs, static formation).
+    array lowering plus :meth:`execute_batch`. The sequential path is
+    where every warp runs that admission does not put in a batch, the
+    fallback target for continuations, and all there is for launches
+    the execution manager cannot batch (degraded widths, traced or
+    sanitized runs, static formation).
     """
 
     #: Feature-tested by the execution manager.
     supports_batching = True
 
-    def load_function(self, function: IRFunction) -> ExecutableFunction:
-        """Attach an empty :class:`_ArrayBlocks` and lower nothing. A
-        function containing atomics gets none at all: an atomic's
-        sequential read-modify-write interleaving across warps is
-        exactly what batching cannot preserve."""
-        executable = super().load_function(function)
-        if self.sanitizer is None and not any(
+    def array_lowering(self, executable: ExecutableFunction):
+        """An empty :class:`_ArrayBlocks` — nothing is lowered until a
+        batch enters a block. A function containing atomics gets none
+        at all: an atomic's sequential read-modify-write interleaving
+        across warps is exactly what batching cannot preserve."""
+        if self.sanitizer is not None or any(
             isinstance(instruction, AtomicRMW)
-            for instruction in function.instructions()
+            for instruction in executable.function.instructions()
         ):
-            executable.array_blocks = _ArrayBlocks(
-                function, executable.register_slots
-            )
-        return executable
+            return None
+        return _ArrayBlocks(executable.function, executable.register_slots)
 
     def execute_batch(
         self,

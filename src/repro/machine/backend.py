@@ -1,38 +1,43 @@
 """The execution-backend seam.
 
-:class:`~repro.machine.interpreter.Interpreter` defines the contract a
-backend fulfils — ``load_function`` lowers an IR specialization to an
+:class:`~repro.machine.interpreter.Interpreter` defines the contract an
+executor fulfils — ``load_function`` turns an IR specialization into an
 :class:`~repro.machine.interpreter.ExecutableFunction`, ``execute``
-runs one warp through it — and is itself the default implementation.
-:class:`~repro.machine.array_backend.ArrayBackend` extends it with a
-batched lowering that executes *all resident warps at once* as numpy
-array programs (the paper's "run the specialized kernel as a wide
-vector program" executed literally, host-side).
+runs one warp through it. There are two executors:
 
-``ExecutionConfig(backend=...)`` selects the implementation; the
-:func:`create_backend` factory is the single construction point used
-by :class:`~repro.api.device.Device`.
+- the one every ``Device`` runs on,
+  :class:`~repro.machine.array_backend.ArrayBackend`: generated block
+  functions one warp at a time, and — where the execution manager sees
+  enough same-entry-point warps waiting and the record of earlier
+  batches there does not refuse — all of them at once as numpy array
+  programs (batching is something it does where it pays, not a name a
+  user picks);
+- the test oracle (:mod:`repro.testing.reference`).
+
+:func:`create_backend` is the single construction point used by
+:class:`~repro.api.device.Device`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
+from .array_backend import ArrayBackend
 from .descriptor import MachineDescription
 from .interpreter import _DEFAULT_INSTRUCTION_LIMIT, Interpreter
 from .memory import MemorySystem
 
-#: Selectable execution backends (``ExecutionConfig.backend``).
+#: The executors (``ExecutionConfig.backend``).
 #:
-#: - ``"interpreter"`` — one warp at a time through generated block
-#:   functions.
-#: - ``"array"`` — uniform block runs execute batched across every
-#:   resident warp as numpy array operations; divergent or yielding
-#:   warps fall back to the sequential path mid-kernel.
+#: - ``"interpreter"`` — the executor: generated block functions, with
+#:   same-entry-point warps batched into numpy array programs where the
+#:   observed batch size and outcomes say a batch pays.
 #: - ``"reference"`` — the test-side oracle
 #:   (:mod:`repro.testing.reference`): a per-instruction interpreter
 #:   of the IR that lowers nothing. Slow; cannot sanitize.
-BACKENDS = ("interpreter", "array", "reference")
+BACKENDS = ("interpreter", "reference")
+
+#: Names still accepted for the default executor: ``"array"`` selected
+#: the batched path while it was a separate backend.
+BACKEND_ALIASES = {"array": "interpreter"}
 
 
 def create_backend(
@@ -42,19 +47,11 @@ def create_backend(
     instruction_limit: int = _DEFAULT_INSTRUCTION_LIMIT,
     sanitizer=None,
 ) -> Interpreter:
-    """Construct the execution backend ``name``.
-
-    Every backend satisfies the :class:`Interpreter` interface
-    (``load_function`` / ``execute`` / ``new_state``); the array
-    backend additionally advertises ``supports_batching`` and
-    ``execute_batch``, which the execution manager discovers by
-    feature test rather than by name.
-    """
+    """Construct the executor ``name``; both satisfy the
+    :class:`Interpreter` interface (``load_function`` / ``execute`` /
+    ``new_state``)."""
+    name = BACKEND_ALIASES.get(name, name)
     if name == "interpreter":
-        backend = Interpreter
-    elif name == "array":
-        from .array_backend import ArrayBackend
-
         backend = ArrayBackend
     elif name == "reference":
         # Imported on request only: the oracle is test support, not

@@ -191,14 +191,6 @@ class ExecutableFunction:
     terminators: Dict[str, Callable] = field(
         default_factory=dict, repr=False
     )
-    #: Batched array lowering (``machine.array_backend``): per block
-    #: a batch has reached, ``(ops, terminator)`` operating on all
-    #: resident warps at once, plus what the batches did. ``None``
-    #: when the loading backend does not batch (plain interpreter, a
-    #: sanitized device) or the function contains atomics.
-    array_blocks: Optional[Dict[str, tuple]] = field(
-        default=None, repr=False
-    )
 
     @property
     def name(self) -> str:
@@ -211,6 +203,19 @@ class ExecutableFunction:
     @cached_property
     def cost_table(self) -> FunctionCostTable:
         return build_cost_table(self.function, self.target.machine)
+
+    @cached_property
+    def array_blocks(self) -> Optional[Dict[str, tuple]]:
+        """Batched array lowering (``machine.array_backend``): per block
+        a batch has reached, ``(ops, terminator)`` operating on all
+        resident warps at once, plus what the batches did. ``None``
+        when the loading executor does not batch (the bare
+        :class:`Interpreter`, a sanitized device) or the function
+        contains atomics. Settled when the execution manager first
+        asks, not at load: a compile loads every width of every
+        kernel, batches only ever ask for the widest of a launched
+        one."""
+        return self.target.array_lowering(self)
 
     @cached_property
     def read_once(self) -> frozenset:
@@ -327,6 +332,10 @@ class Interpreter:
             register_count=len(slots),
             entry_label=function.entry_label,
         )
+
+    def array_lowering(self, executable: ExecutableFunction):
+        """``executable.array_blocks``: none on the sequential base."""
+        return None
 
     def access(self) -> str:
         """The memory-access template generated code must run with

@@ -97,21 +97,24 @@ class ExecutionConfig:
     #: KernelTrap); ``False`` accumulates non-fatal
     #: ``SanitizerReport``s on ``LaunchStatistics.sanitizer`` instead.
     sanitize_fatal: bool = True
-    #: Execution backend (:data:`repro.machine.backend.BACKENDS`):
-    #: ``"interpreter"`` runs one warp at a time through generated
-    #: block functions; ``"array"`` batches every resident warp of an entry
-    #: point into numpy array programs over uniform block runs, falling
-    #: back to the sequential path on divergence — and, from what its
-    #: batches did before, no longer forming them at entry points where
-    #: they kept falling back; ``"reference"`` is the
-    #: per-instruction oracle the differential tests compare the other
-    #: two against. Can also be selected with ``REPRO_BACKEND=array``
-    #: in the environment (resolved at Device construction).
+    #: Executor (:data:`repro.machine.backend.BACKENDS`):
+    #: ``"interpreter"`` runs generated block functions one warp at a
+    #: time and, where enough same-entry-point warps wait and earlier
+    #: batches there mostly reached their yield, all of them at once
+    #: as numpy array programs — it decides that itself, from queue
+    #: lengths and batch outcomes; ``"reference"`` is the
+    #: per-instruction oracle the differential tests compare it
+    #: against. ``"array"`` (and ``REPRO_BACKEND=array``), once the
+    #: name of the batched path, is accepted and means the default.
     backend: str = "interpreter"
 
     def __post_init__(self):
-        from ..machine.backend import BACKENDS
+        from ..machine.backend import BACKEND_ALIASES, BACKENDS
 
+        alias = BACKEND_ALIASES.get(self.backend)
+        if alias is not None:
+            # Before cache_key() can be taken: one executor, one key.
+            object.__setattr__(self, "backend", alias)
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r} "
@@ -186,11 +189,10 @@ class ExecutionConfig:
         replace the inline memory access), as an appended entry —
         the off-mode key is byte-identical to pre-sanitizer releases so
         persistent-cache digests stay stable. ``backend`` follows the
-        same pattern: a non-default backend builds different
-        executables (the array translation table; the reference's
-        unlowered form), so it gets its own cache namespace, while the
-        default backend's key stays byte-identical to earlier
-        releases.
+        same pattern: the reference oracle builds different
+        executables (its unlowered form), so it gets its own cache
+        namespace, while the default executor's key stays
+        byte-identical to earlier releases (under any of its names).
         ``sanitize_fatal`` is runtime report routing, not codegen, and
         stays out."""
         key = (
@@ -217,17 +219,18 @@ def apply_backend_env(config: ExecutionConfig) -> ExecutionConfig:
     """Resolve the ``REPRO_BACKEND`` environment override.
 
     A config that already selects a non-default backend wins over the
-    environment."""
+    environment; ``REPRO_BACKEND=array`` means the default."""
     import os
     from dataclasses import replace
 
+    from ..machine.backend import BACKEND_ALIASES, BACKENDS
+
     override = os.environ.get("REPRO_BACKEND", "").strip()
+    override = BACKEND_ALIASES.get(override, override)
     if not override or override == config.backend:
         return config
     if config.backend != "interpreter":
         return config
-    from ..machine.backend import BACKENDS
-
     if override not in BACKENDS:
         raise ValueError(
             f"REPRO_BACKEND={override!r} is not a known backend "

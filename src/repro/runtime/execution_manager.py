@@ -29,6 +29,7 @@ via the interpreter's per-warp instruction cap and wall-clock deadline
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import OrderedDict, deque
 from contextlib import nullcontext
@@ -43,6 +44,7 @@ from ..errors import (
     LaunchError,
 )
 from ..ir.instructions import ResumeStatus
+from ..machine.array_backend import MIN_BATCH_WARPS
 from ..machine.descriptor import MachineDescription
 from ..machine.interpreter import Interpreter, guest_errstate
 from ..machine.memory import MemorySystem
@@ -51,6 +53,10 @@ from .context import ThreadContext, Warp
 from .statistics import LaunchStatistics
 from .translation_cache import TranslationCache
 from .traps import ProgramPoint, build_timeout, build_trap
+
+
+#: A batch floor no ready pool reaches: the window does not batch.
+_NEVER = sys.maxsize
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,8 @@ class _ReadyPool:
         #: the round-robin would have reached them, so downstream
         #: re-formation sees the exact sequential arrival order.
         self._pending: Dict[tuple, deque] = {}
+        #: How many such results wait, over all keys.
+        self.deferred = 0
         self._cross_cta = cross_cta
         self.size = 0
 
@@ -129,18 +137,18 @@ class _ReadyPool:
         queue.append(context)
         self.size += 1
 
-    def head_batch(self, limit: int) -> Optional[tuple]:
+    def head_batch(self, floor: int) -> Optional[tuple]:
         """Peek at the head key without consuming anything:
         ``(entry_point, linear_ctaid, queue_length)``, or None when
-        its queue holds fewer than two full ``limit``-sized warps (a
-        lone warp gains nothing from the batched path) or deferred
+        fewer than ``floor`` threads wait there (the size rule: below
+        it a batch costs more than the warps it replaces) or deferred
         batch results are still draining. Lets the batch runner decide
         eligibility before committing to a pop."""
         key = self._prune()
-        if key is None or self._pending.get(key):
+        if key is None:
             return None
         queue = self._queues[key]
-        if len(queue) < 2 * limit:
+        if len(queue) < floor or self._pending.get(key):
             return None
         head = queue[0]
         return (head.resume_point, head.linear_ctaid, len(queue))
@@ -153,13 +161,12 @@ class _ReadyPool:
         chunk memberships are interleaving-independent). The remainder
         (fewer than ``limit`` threads) stays queued for the sequential
         former. The key keeps its round-robin position: the caller
-        must follow up with :meth:`defer`."""
+        has asked :meth:`head_batch` and must follow up with
+        :meth:`defer`."""
         key = self._prune()
         if key is None:
             return []
         queue = self._queues[key]
-        if len(queue) < 2 * limit:
-            return []
         chunks = []
         while len(queue) >= limit:
             chunks.append([queue.popleft() for _ in range(limit)])
@@ -181,6 +188,7 @@ class _ReadyPool:
             for item in items:
                 pending.append(item)
                 self.size += len(item[0].contexts)
+            self.deferred += len(items)
         if self._queues[key] or self._pending.get(key):
             self._queues.move_to_end(key)
         else:
@@ -212,6 +220,7 @@ class _ReadyPool:
             return None
         item = pending.popleft()
         self.size -= len(item[0].contexts)
+        self.deferred -= 1
         if not pending:
             del self._pending[key]
         if self._queues[key] or self._pending.get(key):
@@ -508,22 +517,42 @@ class ExecutionManager:
         watched = (
             self._cycle_budget is not None or self._deadline is not None
         )
+        # What decides against batching for the whole window is asked
+        # once, here: a loop iteration that cannot batch compares one
+        # length. ``threshold`` is ``floor`` (the size rule: no key
+        # holds that many threads unless the pool does), or 0 while
+        # batch results wait to be drained at their round-robin turn.
+        batchable = self._batchable(kernel_name)
+        floor = (
+            _NEVER if batchable is None
+            else MIN_BATCH_WARPS * self._max_warp_size
+        )
+        threshold = floor
         while ready.size:
-            if self._batching:
-                deferred = ready.pop_deferred()
+            if ready.size >= threshold:
+                deferred = ready.pop_deferred() if ready.deferred else None
                 if deferred is not None:
                     self._finish_batch_item(window, deferred)
                     continue
-                if self._execute_batch_round(window):
+                if ready.size >= floor and self._execute_batch_round(
+                    window, batchable
+                ):
+                    threshold = 0
                     continue
+                if not ready.deferred:
+                    threshold = floor
             warp = self._form_warp(kernel_name, ready)
             size = len(warp.contexts)
             executable, width = self.cache.get_or_degrade(kernel_name, size)
             if width < size:
                 # The wider build failed and was degraded mid-launch:
                 # shrink to the width that did build and re-queue the
-                # excess threads for later (narrower) warps.
+                # excess threads for later (narrower) warps. Formation
+                # now skips a width, which a batch's full-width chunks
+                # would not: none is formed for the rest of the window
+                # (the next iteration drains what waits, if anything).
                 stats.degraded_warps += 1
+                floor, threshold = _NEVER, 0
                 for extra in warp.contexts[width:]:
                     ready.push(extra)
                 warp = Warp(
@@ -670,12 +699,37 @@ class ExecutionManager:
             self.worker_id,
         )
 
-    # -- batched execution (array backend) -----------------------------------
+    # -- batched execution ---------------------------------------------------
 
-    def _execute_batch_round(self, window: _Window) -> bool:
+    def _batchable(self, kernel_name: str):
+        """The maximal-width executable whose warps this window may
+        batch, or None when the batched path cannot reproduce the
+        sequential one exactly: a sanitized device, static or
+        cross-CTA formation (``_batching``), a trace callback or a
+        patched memory system (``scoped``), a cycle budget (whose
+        per-warp clamp is inherently sequential), an instance-patched
+        ``execute`` (a fault injector), a degraded width, no
+        maximal-width executable in the cache yet, or none with an
+        array lowering. None of these changes while a window runs,
+        except a width degrading, which the loop sees where it counts
+        the degraded warp."""
+        if (
+            not self._batching
+            or not self._warp_state.scoped
+            or self._cycle_budget is not None
+            or "execute" in self.interpreter.__dict__
+            or self.cache.degraded_widths(kernel_name)
+        ):
+            return None
+        executable = self.cache.resident(kernel_name, self._max_warp_size)
+        if executable is None or executable.array_blocks is None:
+            return None
+        return executable
+
+    def _execute_batch_round(self, window: _Window, executable) -> bool:
         """One batched round: form every full maximal-width warp of the
         head ready-pool key and run them all at once through the array
-        backend.
+        lowering of ``executable`` (:meth:`_batchable`).
 
         Scheduling parity with the sequential round-robin is preserved
         by *deferring* the results: the chunk compositions are FIFO-
@@ -689,26 +743,15 @@ class ExecutionManager:
         have popped that chunk.
 
         Returns False, having consumed nothing (no pop, no cache
-        lookup), whenever the batched path cannot reproduce the
-        sequential one exactly — tracing, instance-patched fault
-        injectors, degraded widths, a cycle budget (whose per-warp
-        clamp is inherently sequential), no maximal-width executable
-        in the cache yet or none with an array lowering — or its
-        record of past batches refuses the entry point
-        (``_ArrayBlocks.admits``); the caller then forms one warp."""
+        lookup), when fewer than ``MIN_BATCH_WARPS`` full warps wait
+        at the head key or the record of past batches refuses its entry
+        point
+        (``_ArrayBlocks.admits``); the caller then forms one warp.
+        Both read modeled state only — a queue length, batch outcomes
+        — so which warps batch is a function of the launch history."""
         kernel_name, ready = window.kernel_name, window.ready
-        if not self._warp_state.scoped or self._cycle_budget is not None:
-            return False  # a trace callback or a patched memory system
         limit = self._max_warp_size
-        executable = self.cache.resident(kernel_name, limit)
-        if (
-            executable is None
-            or executable.array_blocks is None
-            or "execute" in self.interpreter.__dict__
-            or self.cache.degraded_widths(kernel_name)
-        ):
-            return False
-        peek = ready.head_batch(limit)
+        peek = ready.head_batch(MIN_BATCH_WARPS * limit)
         if peek is None or not executable.array_blocks.admits(peek[0]):
             return False
         chunks = ready.pop_chunks(limit)

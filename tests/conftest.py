@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import os
 import random
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -59,6 +60,7 @@ from repro import (
     vectorized_config,
 )
 from repro.frontend import translate_kernel
+from repro.machine.array_backend import _ArrayBlocks
 from repro.ptx import parse
 
 #: Guarded element-wise add: one potential divergence site (the bounds
@@ -227,6 +229,29 @@ def any_config(request) -> ExecutionConfig:
         "vectorized": vectorized_config(4),
         "static-tie": static_tie_config(4),
     }[request.param]
+
+
+@contextmanager
+def sequential_only():
+    """The forced-sequential leg (test support only — the product has
+    no such switch): while active, admission refuses every batch, so
+    every Device in this process runs one warp at a time. What a
+    differential compares the default (batching) leg against; modeled
+    statistics and guest memory must not be able to tell."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            _ArrayBlocks, "admits", lambda self, entry_point: False
+        )
+        yield
+
+
+@pytest.fixture(params=["batching", "sequential"])
+def execution_leg(request):
+    """Run the test on both paths of the one executor: as admission
+    decides, and under :func:`sequential_only`."""
+    leg = sequential_only if request.param == "sequential" else nullcontext
+    with leg():
+        yield request.param
 
 
 @pytest.fixture

@@ -1,14 +1,18 @@
-"""Array-vectorized execution backend tests.
+"""Batched execution inside the one executor.
 
-The array backend batches every resident warp of an entry point into
-numpy array programs over uniform block runs; divergent or yielding
-warps fall back to the closure path mid-kernel. Because it is a pure
-host-side optimization, every *modeled* statistic must stay
-bit-identical to the sequential closure interpreter — these tests pin
-that A/B equivalence on divergent, barrier-heavy and precise-mode
-workloads, the backend selection surface (config validation, cache-key
-namespacing, ``REPRO_BACKEND``), and the ready-pool's deferred-result
-injection that keeps warp formation order exactly sequential.
+Every default ``Device`` runs :class:`ArrayBackend`: generated block
+functions one warp at a time and, where at least ``MIN_BATCH_WARPS``
+full warps wait at one entry point and the record of earlier batches
+there does not refuse, all of them at once as numpy array programs;
+divergent or yielding warps fall back to the sequential path
+mid-kernel. Batching is a pure host-side optimization, so every
+*modeled* statistic and every guest byte must be what the sequential
+path (``tests.conftest.sequential_only``) and the reference oracle
+produce — these tests pin that, the admission rules as counts (size
+rule, outcome rule, no host clock), the selection surface (``"array"``
+is an alias of the default with the default's cache key), and the
+ready pool's deferred-result injection that keeps warp formation order
+exactly sequential.
 """
 
 from __future__ import annotations
@@ -20,54 +24,76 @@ import pytest
 
 from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import KernelTrap
-from repro.machine.array_backend import ArrayBackend
+from repro.machine.array_backend import MIN_BATCH_WARPS, ArrayBackend
 from repro.machine.backend import BACKENDS, create_backend
 from repro.runtime.config import apply_backend_env
 from repro.runtime.context import ThreadContext, Warp
 from repro.runtime.execution_manager import _ReadyPool
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import all_workloads, get_workload
+from tests.conftest import VECADD_PTX, sequential_only
 from tests.test_interpreter_lowering import _modeled_statistics
 
 
 @pytest.fixture(autouse=True)
-def _pin_backend(monkeypatch):
-    """This module tests backend selection itself: the CI matrix's
-    ``REPRO_BACKEND`` override must not redirect the configs built
-    here (the env-override tests set the variable explicitly)."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def _plain_kernels(monkeypatch):
+    """The tests below count batches of the kernels as written, on the
+    executor a default Device builds: no environment override, no
+    melded diamonds, no sanitizer (which never batches)."""
+    for variable in ("REPRO_BACKEND", "REPRO_MELD", "REPRO_SANITIZE"):
+        monkeypatch.delenv(variable, raising=False)
 
 
 # ---------------------------------------------------------------------------
-# Backend selection surface
+# Selection surface: one executor, one name, one key
 # ---------------------------------------------------------------------------
 
 
 class TestBackendConfig:
     def test_known_backends(self):
-        assert BACKENDS == ("interpreter", "array", "reference")
+        assert BACKENDS == ("interpreter", "reference")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             ExecutionConfig(backend="cuda")
 
-    def test_cache_key_namespaces_array_backend(self):
+    def test_array_is_the_default_under_its_old_name(self):
         base = vectorized_config(4)
         array = replace(base, backend="array")
-        assert base.cache_key() != array.cache_key()
-        assert ("backend", "array") in array.cache_key()
-        # the default backend's key stays byte-identical to releases
-        # that predate the backend axis
+        assert array.backend == "interpreter" and array == base
+        assert array.cache_key() == base.cache_key()
+        assert (
+            ExecutionConfig(backend="array").cache_key()
+            == ExecutionConfig().cache_key()
+        )
+        # the default's key stays byte-identical to releases that
+        # predate the backend axis; the oracle keeps its own namespace
         assert not any(
             isinstance(entry, tuple) and entry[:1] == ("backend",)
             for entry in base.cache_key()
         )
+        reference = replace(base, backend="reference")
+        assert ("backend", "reference") in reference.cache_key()
 
-    def test_device_builds_array_backend(self):
-        device = Device(
-            config=replace(vectorized_config(4), backend="array")
+    def test_array_device_hits_what_a_default_device_stored(self, tmp_path):
+        on_disk = replace(
+            vectorized_config(4),
+            persistent_cache=True, cache_dir=str(tmp_path),
         )
-        assert isinstance(device.interpreter, ArrayBackend)
-        assert device.interpreter.supports_batching
+        writer = Device(config=on_disk)
+        writer.register_module(VECADD_PTX)
+        writer.warm()
+        assert writer.cache.statistics.disk_misses == 3
+        reader = Device(config=replace(on_disk, backend="array"))
+        reader.register_module(VECADD_PTX)
+        reader.warm()
+        assert reader.cache.statistics.disk_hits == 3
+        assert reader.cache.statistics.disk_misses == 0
+
+    def test_every_device_builds_the_batching_executor(self):
+        for config in (None, replace(vectorized_config(4), backend="array")):
+            device = Device(config=config)
+            assert type(device.interpreter) is ArrayBackend
+            assert device.interpreter.supports_batching
 
     def test_create_backend_rejects_unknown(self):
         from repro.machine import sandybridge
@@ -78,11 +104,12 @@ class TestBackendConfig:
                 "jit", sandybridge(), MemorySystem(1 << 12)
             )
 
-    def test_env_override_selects_array(self, monkeypatch):
+    def test_env_array_means_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "array")
-        assert apply_backend_env(
-            vectorized_config(4)
-        ).backend == "array"
+        config = vectorized_config(4)
+        assert apply_backend_env(config) is config
+        monkeypatch.setenv("REPRO_BACKEND", "reference")
+        assert apply_backend_env(config).backend == "reference"
 
     def test_env_override_rejects_unknown(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "jit")
@@ -90,31 +117,29 @@ class TestBackendConfig:
             apply_backend_env(vectorized_config(4))
 
     def test_explicit_backend_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "interpreter")
-        config = replace(vectorized_config(4), backend="array")
-        assert apply_backend_env(config).backend == "array"
-        # the oracle stays the oracle under CI's REPRO_BACKEND=array
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        config = replace(vectorized_config(4), backend="reference")
-        assert apply_backend_env(config).backend == "reference"
+        # the oracle stays the oracle whatever the environment says
+        for override in ("interpreter", "array"):
+            monkeypatch.setenv("REPRO_BACKEND", override)
+            config = replace(vectorized_config(4), backend="reference")
+            assert apply_backend_env(config).backend == "reference"
 
 
 # ---------------------------------------------------------------------------
-# A/B: array batching vs sequential closure path
+# A/B: batching vs the forced-sequential leg vs the oracle
 # ---------------------------------------------------------------------------
 
 
 # BitonicSort: data-dependent branching (mid-kernel fallback);
 # Reduction: bar.sync tree (warps park at barriers between batches);
 # Clock: %clock forces precise accounting, which cannot batch;
-# BinomialOptions / ScanLargeArray: loop-heavy, the biggest batch
-# consumers; throughput: the Table-1 FMA microbenchmark.
+# MatrixMul / FastWalshTransform: the biggest batch consumers among
+# the barrier apps; throughput: the Table-1 FMA microbenchmark.
 AB_WORKLOADS = [
     "BitonicSort",
     "Reduction",
     "Clock",
-    "BinomialOptions",
-    "ScanLargeArray",
+    "MatrixMul",
+    "FastWalshTransform",
     "throughput",
 ]
 
@@ -123,67 +148,93 @@ class TestArrayBackendEquivalence:
     @pytest.mark.parametrize("name", AB_WORKLOADS)
     def test_modeled_statistics_bit_identical(self, name):
         workload = get_workload(name)
-        observed = {}
-        for backend in BACKENDS:
-            config = replace(
-                vectorized_config(4), backend=backend
-            )
-            run = workload.run_on(config, scale=0.25)
-            assert run.correct, f"{name} incorrect under {backend}"
-            observed[backend] = _modeled_statistics(run.statistics)
-        assert observed["array"] == observed["reference"]
-        assert observed["interpreter"] == observed["reference"]
+        config = vectorized_config(4)
+        reference = workload.run_on(
+            replace(config, backend="reference"), scale=0.25
+        )
+        batching = workload.run_on(config, scale=0.25)
+        with sequential_only():
+            sequential = workload.run_on(config, scale=0.25)
+        assert reference.correct and batching.correct and sequential.correct
+        expected = _modeled_statistics(reference.statistics)
+        assert _modeled_statistics(batching.statistics) == expected
+        assert _modeled_statistics(sequential.statistics) == expected
+        assert sequential.statistics.batched_warps == 0
+        assert reference.statistics.batched_warps == 0
 
     def test_batching_engages_on_uniform_kernels(self):
         workload = get_workload("throughput")
-        run = workload.run_on(
-            replace(vectorized_config(4), backend="array"),
-            scale=0.25,
-        )
+        run = workload.run_on(vectorized_config(4), scale=0.25)
         assert run.correct
         assert run.statistics.batched_warps > 0
 
     def test_sequential_backend_never_batches(self):
+        # What forces the sequential path on a launch that would batch:
+        # the test-side leg, the sanitizer, a cycle budget, static or
+        # cross-CTA formation, a trace callback.
         workload = get_workload("throughput")
-        run = workload.run_on(vectorized_config(4), scale=0.25)
-        assert run.correct
-        assert run.statistics.batched_warps == 0
+        base = vectorized_config(4)
+        assert workload.run_on(base, scale=0.25).statistics.batched_warps
+        with sequential_only():
+            run = workload.run_on(base, scale=0.25)
+        assert run.correct and run.statistics.batched_warps == 0
+        for config in (
+            replace(base, sanitize=True),
+            replace(base, max_kernel_cycles=1 << 40),
+            replace(base, static_warps=True),
+            replace(base, allow_cross_cta_warps=True),
+        ):
+            run = workload.run_on(config, scale=0.25)
+            assert run.correct and run.statistics.batched_warps == 0, config
+        device = Device(config=base)
+        device.launcher.trace = lambda event, payload: None
+        workload.prepare(device)
+        run = workload.execute(device, scale=0.25)
+        assert run.correct and run.statistics.batched_warps == 0
 
-    def test_batch_fault_traps_like_sequential(self):
+    def test_batch_fault_traps_like_sequential(self, monkeypatch):
         # A fault inside a batch is re-executed sequentially, so the
-        # structured trap names the same thread the sequential backend
+        # structured trap names the same thread the sequential path
         # would have blamed.
-        from repro.errors import KernelTrap
         from tests.test_fault_containment import _oob_device
 
-        observed = {}
-        for backend in ("interpreter", "array"):
-            device = _oob_device(
-                replace(vectorized_config(4), backend=backend)
-            )
+        batches = []
+        run = ArrayBackend.execute_batch
+        monkeypatch.setattr(
+            ArrayBackend, "execute_batch",
+            lambda *arguments: batches.append(1) or run(*arguments),
+        )
+
+        def observe():
+            device = _oob_device()
+            device.warm()
             buffer = device.malloc(16)
             with pytest.raises(KernelTrap) as excinfo:
                 device.launch("oob", grid=1, block=64, args=[buffer])
             info = excinfo.value.info
-            assert info.faulting_lanes, backend
-            observed[backend] = (
+            assert info.faulting_lanes
+            return (
                 info.faulting_lanes[0].tid,
                 info.block_label,
                 info.instruction_index,
             )
-        assert observed["array"] == observed["interpreter"]
+
+        batching = observe()
+        assert batches == [1]
+        with sequential_only():
+            assert observe() == batching
+        assert batches == [1]
 
     def test_divergent_workload_batches_and_falls_back(self):
-        # BinomialOptions both batches (uniform loop bodies) and
-        # yields (barriers): the deferred results must re-enter the
-        # scheduler in sequential order
-        workload = get_workload("BinomialOptions")
-        run = workload.run_on(
-            replace(vectorized_config(4), backend="array"),
-            scale=0.25,
+        # FastWalshTransform batches (uniform butterfly stages), falls
+        # back (stages whose partner test splits the batch) and yields
+        # at barriers: the deferred results must re-enter the scheduler
+        # in sequential order
+        run = get_workload("FastWalshTransform").run_on(
+            vectorized_config(4), scale=0.25
         )
         assert run.correct
-        assert run.statistics.batched_warps > 0
+        assert 0 < run.statistics.batch_fallbacks < run.statistics.batched_warps
         assert run.statistics.barrier_yields > 0
 
 
@@ -287,25 +338,17 @@ LOOP:
 """
 
 
-@pytest.fixture
-def _plain_kernels(monkeypatch):
-    """The tests below count batches of the kernels as written: no
-    melded diamonds, no sanitizer (which never batches)."""
-    for variable in ("REPRO_MELD", "REPRO_SANITIZE"):
-        monkeypatch.delenv(variable, raising=False)
-
-
 def _table(device):
     return device.upload(np.arange(8, dtype=np.uint32) + 3)
 
 
 def _walk_args(device):
-    values = np.arange(96, dtype=np.uint32) * 7 + 1
-    return [device.upload(values), _table(device), device.malloc(96 * 4), 96]
+    values = np.arange(192, dtype=np.uint32) * 7 + 1
+    return [device.upload(values), _table(device), device.malloc(192 * 4), 192]
 
 
 def _observe(backend, ptx, kernel, grid, block, make_args, limit=None):
-    """One launch on a fresh, compiled Device (so the first warp can
+    """One launch on a fresh, compiled Device (so the first warps can
     already batch and no history hides a path): the device, the
     launch's statistics, the trap PC if it trapped, the arena."""
     device = Device(config=replace(vectorized_config(4), backend=backend))
@@ -329,19 +372,25 @@ def _observe(backend, ptx, kernel, grid, block, make_args, limit=None):
     return device, statistics, trap, arena
 
 
-@pytest.mark.usefixtures("_plain_kernels")
 class TestBatchFallback:
     """Each way a batch hands its warps to the sequential path, on a
-    kernel with in-place vector chains on both sides of the hand-off:
-    guest memory and modeled statistics must not be able to tell."""
+    kernel with in-place vector chains on both sides of the hand-off
+    and CTAs of 64 threads (one full batch each): guest memory and
+    modeled statistics must not be able to tell."""
 
     def _agree(self, oracle, *arguments, **options):
         device, statistics, trap, arena = _observe(
-            "array", *arguments, **options
+            "interpreter", *arguments, **options
         )
-        _, expected, expected_trap, expected_arena = _observe(
-            oracle, *arguments, **options
-        )
+        if oracle == "sequential":
+            with sequential_only():
+                _, expected, expected_trap, expected_arena = _observe(
+                    "interpreter", *arguments, **options
+                )
+        else:
+            _, expected, expected_trap, expected_arena = _observe(
+                oracle, *arguments, **options
+            )
         assert _modeled_statistics(statistics) == _modeled_statistics(
             expected
         )
@@ -352,10 +401,12 @@ class TestBatchFallback:
 
     def test_divergent_switch(self):
         device, statistics, trap = self._agree(
-            "reference", WALK_PTX, "walk", 3, 32, _walk_args
+            "reference", WALK_PTX, "walk", 3, 64, _walk_args
         )
         assert trap is None
-        assert 0 < statistics.batch_fallbacks < statistics.batched_warps
+        # the first CTA's batch runs into the loop's divergent Switch;
+        # that is on record when the other two CTAs ask
+        assert statistics.batch_fallbacks == statistics.batched_warps == 16
         # only what a batch entered was lowered for batches
         executable = device.cache.resident("walk", 4)
         assert set(executable.array_blocks) < set(executable.function.blocks)
@@ -364,27 +415,27 @@ class TestBatchFallback:
 
     def test_untranslated_clock_block(self):
         device, statistics, trap = self._agree(
-            "reference", CLOCKED_PTX, "clocked", 2, 32,
-            lambda device: [_table(device), device.malloc(64 * 4), 5],
+            "reference", CLOCKED_PTX, "clocked", 2, 64,
+            lambda device: [_table(device), device.malloc(128 * 4), 5],
         )
         assert trap is None
-        # every batch ends there (the second CTA's is formed late: the
+        # every batch ends there (the second CTA's is not formed: the
         # first one's abort is already on record)
-        assert statistics.batch_fallbacks == statistics.batched_warps >= 8
+        assert statistics.batch_fallbacks == statistics.batched_warps == 16
         blocks = device.cache.resident("clocked", 4).array_blocks
         assert [label for label, entry in blocks.items() if entry is None]
 
     def test_conservative_instruction_limit_exit(self):
         # The runaway cap ends the launch in a trap either way. Partial
-        # statistics are compared with the block emitter's (the
+        # statistics are compared with the sequential leg's (the
         # reference stops mid-block, the generated code after it).
         device, statistics, trap = self._agree(
-            "interpreter", CLOCKED_PTX, "clocked", 2, 32,
-            lambda device: [_table(device), device.malloc(64 * 4), 1000],
+            "sequential", CLOCKED_PTX, "clocked", 2, 64,
+            lambda device: [_table(device), device.malloc(128 * 4), 1000],
             limit=300,
         )
         assert trap[0] == "InstructionLimitExceeded"
-        assert statistics.batch_fallbacks == statistics.batched_warps == 8
+        assert statistics.batch_fallbacks == statistics.batched_warps == 16
         # it says nothing about the entry point: not recorded
         assert device.cache.resident("clocked", 4).array_blocks.outcomes == {}
 
@@ -460,23 +511,52 @@ ATOMIC_K = _TOUCH_PTX.replace(
 )
 
 
-def _array_device(ptx):
-    device = Device(config=replace(vectorized_config(4), backend="array"))
+#: The tree-reduction shape: one entry point (after the barrier) whose
+#: batches alternate. On even trips every warp agrees and the batch
+#: reaches the next barrier; on odd trips neighbouring warps disagree
+#: (each uniform in itself, as ``tid < s`` is in a tree reduction) and
+#: the batch runs into a divergent ``Switch``.
+ALTERNATING_PTX = ZIGZAG_PTX.replace("zigzag", "alternating").replace(
+    "add.u32 %r8, %r10, %r6;", "and.b32 %r8, %r10, %r6;"
+)
+
+
+def _device(ptx):
+    """A compiled Device: its very first window can batch."""
+    device = Device(config=vectorized_config(4))
     device.register_module(ptx)
+    device.warm()
     return device
 
 
-def _zigzag(device):
+def _barrier_loop(device, kernel="zigzag", trips=4):
     dst = device.malloc(4 * 64 * 4)
     statistics = device.launch(
-        "zigzag", grid=4, block=64, args=[dst, 4]
+        kernel, grid=4, block=64, args=[dst, trips]
     ).statistics
     values = dst.read(np.uint32, 4 * 64)
     device.free(dst)
     return statistics, values
 
 
+def _vecadd(device, grid, block, n):
+    total = grid * block
+    a = np.arange(total, dtype=np.float32)
+    b = np.ones(total, dtype=np.float32)
+    buffers = [device.upload(a), device.upload(b), device.malloc(total * 4)]
+    statistics = device.launch(
+        "vecAdd", grid=grid, block=block, args=[*buffers, n]
+    ).statistics
+    assert np.array_equal(
+        buffers[2].read(np.float32, total)[:n], (a + b)[:n]
+    )
+    for buffer in buffers:
+        device.free(buffer)
+    return statistics
+
+
 def _touch(device):
+    device.warm()
     out = device.malloc(65 * 4)
     statistics = device.launch("k", grid=1, block=64, args=[out]).statistics
     values = out.read(np.uint32, 64)
@@ -484,69 +564,103 @@ def _touch(device):
     return statistics, values
 
 
-@pytest.mark.usefixtures("_plain_kernels")
+def _histories(ptx, kernel, launches):
+    """``(batched_warps, batch_fallbacks)`` per launch on two Devices
+    given the same history, every launch checked against the oracle."""
+    reference = Device(
+        config=replace(vectorized_config(4), backend="reference")
+    )
+    reference.register_module(ptx)
+    expected, expected_values = _barrier_loop(reference, kernel)
+    histories = []
+    for _ in range(2):
+        device = _device(ptx)
+        history = []
+        for _ in range(launches):
+            statistics, values = _barrier_loop(device, kernel)
+            # which path a warp took never shows in what it computed
+            assert np.array_equal(values, expected_values)
+            assert _modeled_statistics(statistics) == (
+                _modeled_statistics(expected)
+            )
+            history.append(
+                (statistics.batched_warps, statistics.batch_fallbacks)
+            )
+        histories.append(history)
+    # a function of the launch history, never of the host's clock
+    assert histories[0] == histories[1]
+    return histories[0]
+
+
 class TestBatchAdmission:
+    def test_fewer_than_the_floor_never_batch(self):
+        # The size rule. 8 CTAs of 15 full warps (and of 15 and a
+        # half): no key ever holds MIN_BATCH_WARPS full warps. One more
+        # warp per CTA and every CTA is one batch.
+        assert MIN_BATCH_WARPS == 16
+        device = _device(VECADD_PTX)
+        for block in (60, 62):
+            statistics = _vecadd(device, 8, block, 8 * block)
+            assert statistics.batched_warps == 0
+            with sequential_only():
+                sequential = _vecadd(device, 8, block, 8 * block)
+            assert _modeled_statistics(statistics) == (
+                _modeled_statistics(sequential)
+            )
+            assert statistics.cache.hits == sequential.cache.hits
+            assert device.cache.resident("vecAdd", 4).array_blocks == {}
+        assert _vecadd(device, 8, 64, 8 * 64).batched_warps == 8 * 16
+
     def test_consistent_divergence_stops_being_batched(self):
-        reference = Device(
-            config=replace(vectorized_config(4), backend="reference")
-        )
-        reference.register_module(ZIGZAG_PTX)
-        expected, expected_values = _zigzag(reference)
-        histories = []
-        for _ in range(2):
-            device = _array_device(ZIGZAG_PTX)
-            history = []
-            for _ in range(5):
-                statistics, values = _zigzag(device)
-                # which path a warp took never shows in what it computed
-                assert np.array_equal(values, expected_values)
-                assert _modeled_statistics(statistics) == (
-                    _modeled_statistics(expected)
-                )
-                history.append(
-                    (statistics.batched_warps, statistics.batch_fallbacks)
-                )
-            histories.append(history)
-        # a function of the launch history, not of the host
-        assert histories[0] == histories[1]
-        fallbacks = [fell_back for _, fell_back in histories[0]]
-        assert fallbacks[0] >= 40
-        assert max(fallbacks[2:]) <= 0.1 * fallbacks[0]
+        history = _histories(ZIGZAG_PTX, "zigzag", launches=10)
+        fallbacks = [fell_back for _, fell_back in history]
+        # The entry point after the barrier is asked 16 times a launch
+        # and aborts whenever it is admitted: at its 1st and 6th
+        # opportunity (launch 0), its 23rd (launch 1), its 88th
+        # (launch 5) and not again before its 345th.
+        assert fallbacks == [32, 16, 0, 0, 0, 16, 0, 0, 0, 0]
         # the entry point that completes (the run up to the first
         # barrier) is batched in every launch
-        assert all(batched >= 4 * 15 for batched, _ in histories[0])
+        assert all(
+            batched - fell_back == 4 * 16 for batched, fell_back in history
+        )
+
+    def test_alternating_entry_point_backs_off(self):
+        # The outcome rule weighs an abort above a completion: one
+        # completed batch between two aborted ones does not reset the
+        # back-off (it did, so this shape kept batching at a loss).
+        history = _histories(ALTERNATING_PTX, "alternating", launches=12)
+        aborted = [fell_back // 16 for _, fell_back in history]
+        assert aborted[0] >= 2
+        assert sum(aborted[6:]) <= 1
+        device = _device(ALTERNATING_PTX)
+        for _ in range(12):
+            _barrier_loop(device, "alternating")
+        outcomes = device.cache.resident("alternating", 4).array_blocks.outcomes
+        entry, (score, refusals) = max(
+            outcomes.items(), key=lambda item: item[1][0]
+        )
+        assert score >= 9 and refusals >= 64
+        # and the straight run up to the first barrier keeps its credit
+        assert min(record[0] for record in outcomes.values()) < 0
 
     def test_guarded_uniform_kernel_keeps_batching(self):
         # 8 CTAs of 16 warps; in the last one warps 0-6 are in bounds,
         # warp 7 is mixed, the rest are out: its batch aborts in every
-        # launch, and costs the next launch four warps of batching.
-        from tests.conftest import VECADD_PTX
-
-        device = _array_device(VECADD_PTX)
-        total, n = 8 * 64, 7 * 64 + 30
-        a = np.arange(total, dtype=np.float32)
-        b = np.ones(total, dtype=np.float32)
-        batched = []
+        # launch. Seven completions to one abort never leave credit,
+        # so it costs the next launch nothing.
+        device = _device(VECADD_PTX)
         for _ in range(10):
-            buffers = [device.upload(a), device.upload(b),
-                       device.malloc(total * 4)]
-            statistics = device.launch(
-                "vecAdd", grid=8, block=64, args=[*buffers, n]
-            ).statistics
-            assert np.array_equal(
-                buffers[2].read(np.float32, total)[:n], (a + b)[:n]
-            )
-            for buffer in buffers:
-                device.free(buffer)
+            statistics = _vecadd(device, 8, 64, 7 * 64 + 30)
             assert statistics.batch_fallbacks == 16
-            batched.append(statistics.batched_warps)
-        assert batched[0] >= 8 * 16 - 1
-        assert batched[9] >= 0.75 * batched[0]
+            assert statistics.batched_warps == 8 * 16
+        outcomes = device.cache.resident("vecAdd", 4).array_blocks.outcomes
+        assert outcomes == {0: [-5, 0]}
 
     def test_faulting_batch_is_not_recorded(self, monkeypatch):
         from tests.test_fault_containment import _oob_device
 
-        device = _oob_device(replace(vectorized_config(4), backend="array"))
+        device = _oob_device()
         device.warm()
         raised = []
         run = ArrayBackend.execute_batch
@@ -566,11 +680,17 @@ class TestBatchAdmission:
 
     def test_batchability_is_forgotten_with_the_translation(self):
         # The answer used to be remembered per kernel *name*.
-        fresh, expected = _touch(_array_device(PLAIN_K))
-        assert fresh.batched_warps >= 15
-        device = _array_device(ATOMIC_K)
+        def registered(ptx):
+            device = Device(config=vectorized_config(4))
+            device.register_module(ptx)
+            return device
+
+        fresh, expected = _touch(registered(PLAIN_K))
+        assert fresh.batched_warps == 16
+        device = registered(ATOMIC_K)
         statistics, _ = _touch(device)
         assert statistics.batched_warps == 0
+        assert device.cache.resident("k", 4).array_blocks is None
         device.register_module(PLAIN_K)
         statistics, values = _touch(device)
         assert statistics.batched_warps == fresh.batched_warps
@@ -581,6 +701,100 @@ class TestBatchAdmission:
         statistics, values = _touch(device)
         assert statistics.batched_warps == 0
         assert sorted(values) == list(range(64))
+
+    def test_a_cold_window_does_not_batch(self):
+        # Batching is settled per window from what is in the cache
+        # when it starts: the first launch of an unwarmed kernel runs
+        # its (only) window sequentially, the second one batches.
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        assert _vecadd(device, 1, 64, 64).batched_warps == 0
+        assert _vecadd(device, 1, 64, 64).batched_warps == 16
+
+
+#: ``(batched_warps, batch_fallbacks)`` of every registered app's first
+#: run (default seed, scale 0.25) on a compiled Device under
+#: ``vectorized_config(4)``. Admission reads queue lengths and batch
+#: outcomes only, so these repeat exactly; a change to a rule, a
+#: constant or the formation order shows up here as a diff. (A
+#: divergent app's lone ``(16, 16)`` is the one batch its entry block
+#: is given before the record refuses it.)
+CENSUS = {
+    "AbsDiff": (16, 16),
+    "AlignedTypes": (32, 0),
+    "AsyncAPI": (32, 0),
+    "BicubicTexture": (32, 0),
+    "BinomialOptions": (0, 0),
+    "Bisect": (16, 16),
+    "BitonicSort": (0, 0),
+    "BlackScholes": (32, 0),
+    "BoxFilter": (64, 0),
+    "Clock": (0, 0),
+    "Collatz": (16, 16),
+    "ConvolutionSeparable": (64, 0),
+    "DwtHaar1D": (32, 0),
+    "Eigenvalues": (16, 16),
+    "FastWalshTransform": (144, 32),
+    "GradClamp": (16, 16),
+    "Histogram256": (0, 0),
+    "Histogram64": (0, 0),
+    "ImageDenoising": (32, 0),
+    "MatrixMul": (320, 0),
+    "MersenneTwister": (16, 16),
+    "MonteCarlo": (32, 0),
+    "Nbody": (0, 0),
+    "OptionPayoff": (64, 0),
+    "QuasirandomGenerator": (32, 0),
+    "RecursiveGaussian": (16, 0),
+    "Reduction": (128, 64),
+    "ScalarProd": (0, 0),
+    "Scan": (128, 80),
+    "ScanLargeArray": (0, 0),
+    "SharedToggle": (32, 0),
+    "SimpleAtomicIntrinsics": (0, 0),
+    "SimpleVoteIntrinsics": (0, 0),
+    "SobelFilter": (16, 16),
+    "SobolQRNG": (32, 0),
+    "Template": (64, 0),
+    "ThreadFenceReduction": (0, 0),
+    "Transpose": (128, 0),
+    "TransposeNew": (64, 0),
+    "cp": (32, 0),
+    "mri-fhd": (16, 16),
+    "mri-q": (16, 16),
+    "throughput": (144, 0),
+}
+
+
+class TestAdmissionCensus:
+    @staticmethod
+    def _first_run(name):
+        device = Device(config=vectorized_config(4))
+        workload = type(get_workload(name))()
+        workload.prepare(device)
+        device.warm()
+        statistics = workload.execute(device, scale=0.25).statistics
+        used = device.memory.bytes_allocated
+        return statistics, device.memory.data[:used].copy()
+
+    def test_census_covers_every_registered_app(self):
+        assert sorted(CENSUS) == sorted(
+            workload.name for workload in all_workloads()
+        )
+
+    @pytest.mark.parametrize("name", sorted(CENSUS))
+    def test_batches_are_pinned_and_invisible(self, name):
+        statistics, arena = self._first_run(name)
+        assert (
+            statistics.batched_warps, statistics.batch_fallbacks
+        ) == CENSUS[name]
+        with sequential_only():
+            sequential, sequential_arena = self._first_run(name)
+        assert sequential.batched_warps == 0
+        assert _modeled_statistics(statistics) == (
+            _modeled_statistics(sequential)
+        )
+        assert np.array_equal(arena, sequential_arena)
 
 
 # ---------------------------------------------------------------------------
@@ -609,14 +823,24 @@ class TestReadyPoolDeferral:
         pool = _ReadyPool()
         for tid in range(4):
             pool.push(_context(tid))
-        assert pool.head_batch(2) == (0, 0, 4)
+        assert pool.head_batch(4) == (0, 0, 4)
         assert pool.size == 4
 
-    def test_head_batch_requires_two_full_chunks(self):
+    def test_head_batch_requires_the_floor(self):
+        # the size rule, in threads: one short and nothing is formed
         pool = _ReadyPool()
-        for tid in range(3):
+        for tid in range(7):
             pool.push(_context(tid))
-        assert pool.head_batch(2) is None
+        assert pool.head_batch(8) is None
+        pool.push(_context(7))
+        assert pool.head_batch(8) == (0, 0, 8)
+        # only the head key is asked: a long queue behind it waits for
+        # its round-robin turn
+        pool = _ReadyPool()
+        pool.push(_context(0, entry=1))
+        for tid in range(1, 9):
+            pool.push(_context(tid, entry=2))
+        assert pool.head_batch(8) is None
 
     def test_pop_chunks_and_defer_roundtrip(self):
         pool = _ReadyPool()
@@ -629,9 +853,11 @@ class TestReadyPoolDeferral:
         assert pool.size == 0
         items = [_item(chunk, i) for i, chunk in enumerate(chunks)]
         pool.defer(items)
-        assert pool.size == 4
+        assert pool.size == 4 and pool.deferred == 2
         # pending results block further batching at this key
-        assert pool.head_batch(2) is None
+        for tid in range(4, 8):
+            pool.push(_context(tid))
+        assert pool.head_batch(4) is None
         drained = []
         while True:
             item = pool.pop_deferred()
@@ -639,7 +865,9 @@ class TestReadyPoolDeferral:
                 break
             drained.append(item[1])
         assert drained == [0, 1]
-        assert pool.size == 0
+        assert pool.size == 4 and pool.deferred == 0
+        assert pool.head_batch(4) == (0, 0, 4)
+        assert [c.tid[0] for c in pool.pop_group(4)] == [4, 5, 6, 7]
         assert pool.pop_group(4) == []
 
     def test_defer_advances_round_robin_one_step(self):

@@ -311,6 +311,89 @@ class TestCheckpointRestore:
             assert session.stats.checkpoints >= 1
             assert session.stats.checkpoint_bytes > 0
 
+    def test_replay_on_an_empty_admission_record_restores_equal_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        # Which warps run batched depends on what earlier batches of
+        # the kernel did *on that worker*. A respawned worker starts
+        # with no record, so the journal tail replays onto different
+        # batching than the launches first ran with — and must leave
+        # the same bytes (and, for the next launch, the same modeled
+        # statistics).
+        from repro import Device
+        from tests.test_array_backend import ZIGZAG_PTX
+
+        # The kernel as written, here and in the workers (which
+        # inherit the environment): melded, its batches never abort;
+        # sanitized, none is formed.
+        for variable in ("REPRO_MELD", "REPRO_SANITIZE", "REPRO_BACKEND"):
+            monkeypatch.delenv(variable, raising=False)
+        from tests.test_interpreter_lowering import _modeled_statistics
+
+        shape = ((4, 1, 1), (64, 1, 1))
+        count = 4 * 64
+
+        def history(launches):
+            """Batching of ``launches`` zigzag launches on a compiled
+            in-process Device with no record."""
+            device = Device()
+            device.register_module(ZIGZAG_PTX)
+            device.warm()
+            dst = device.malloc(4 * count)
+            return [
+                device.launch("zigzag", *shape, args=[dst, 4]).statistics
+                for _ in range(launches)
+            ]
+
+        with DevicePool(
+            workers=1, modules=[ZIGZAG_PTX], warm=True,
+            state_dir=str(tmp_path),
+        ) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "zigzag", durability="checkpoint", checkpoint_interval=1000
+            )
+            buffers = [session.malloc(4 * count) for _ in range(5)]
+            ran = [
+                session.launch("zigzag", *shape, [buffer, 4]).statistics
+                for buffer in buffers[:3]
+            ]
+            assert session.checkpoint() is not None
+            ran += [
+                session.launch("zigzag", *shape, [buffer, 4]).statistics
+                for buffer in buffers[3:]
+            ]
+            before = [
+                session.read(buffer, np.uint32, count) for buffer in buffers
+            ]
+            pool._workers[0].process.kill()
+            after = [
+                session.read(buffer, np.uint32, count) for buffer in buffers
+            ]
+            assert session.stats.restores == 1
+            assert session.stats.replayed_ops >= 2
+            for restored, original in zip(after, before):
+                assert np.array_equal(restored, original)
+            again = session.launch(
+                "zigzag", *shape, [buffers[0], 4]
+            ).statistics
+            assert np.array_equal(
+                session.read(buffers[0], np.uint32, count), before[0]
+            )
+        uninterrupted = history(6)
+        for statistics, expected in zip(ran + [again], uninterrupted):
+            assert _modeled_statistics(statistics) == (
+                _modeled_statistics(expected)
+            )
+        batching = lambda s: (s.batched_warps, s.batch_fallbacks)  # noqa: E731
+        assert [batching(s) for s in ran] == [
+            batching(s) for s in uninterrupted[:5]
+        ]
+        # the sixth launch ran as the third on the respawned worker's
+        # record (the two replayed launches of the tail came first)
+        assert batching(again) == batching(history(3)[2])
+        assert batching(again) != batching(uninterrupted[5])
+
     def test_auto_checkpoint_fires_on_interval(self, tmp_path):
         with DevicePool(
             workers=1, modules=[VECADD_PTX],

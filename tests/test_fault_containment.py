@@ -115,26 +115,35 @@ class TestKernelTrap:
 
     def test_trap_in_dispatch_mode_matches(self):
         # The reference (per-instruction dispatch) interpreter must
-        # attribute the fault exactly like the lowered closures do:
-        # same program counter, same lane, same register snapshot.
-        observed = {}
-        for backend in ("interpreter", "reference"):
+        # attribute the fault exactly like the generated code does —
+        # whether the faulting warp was first tried in a batch (the
+        # compiled default Device: the batch is abandoned and its
+        # warps re-run one at a time) or never was: same program
+        # counter, same lane, same register snapshot.
+        from tests.conftest import sequential_only
+
+        def observe(backend="interpreter"):
             device = _oob_device(
                 ExecutionConfig(warp_sizes=(1, 2, 4), backend=backend)
             )
+            device.warm()
             buffer = device.malloc(16)
             with pytest.raises(KernelTrap) as excinfo:
                 device.launch("oob", grid=1, block=64, args=[buffer])
             info = excinfo.value.info
             assert info.instruction_index >= 0
             assert info.faulting_lanes[0].tid == (1, 0, 0)
-            observed[backend] = (
+            return (
                 info.block_label,
                 info.instruction_index,
                 info.instruction,
                 info.registers,
             )
-        assert observed["interpreter"] == observed["reference"]
+
+        reference = observe("reference")
+        assert observe() == reference
+        with sequential_only():
+            assert observe() == reference
 
     def test_format_trap_renders_report(self):
         device = _oob_device()
@@ -404,25 +413,29 @@ class TestHostErrorState:
             yield
             assert np.geterr() == self.host
 
-    def _overflowing_launch(self, device):
+    def _overflowing_launch(self, device, grid=2):
         """vecAdd over values whose sums overflow f32: raises
         FloatingPointError unless the guest state is in force."""
         n = 64
         big = device.upload(np.full(n, 3e38, dtype=np.float32))
         out = device.malloc(n * 4)
-        device.launch(
-            "vecAdd", grid=(2, 1, 1), block=(32, 1, 1),
+        statistics = device.launch(
+            "vecAdd", grid=(grid, 1, 1), block=(n // grid, 1, 1),
             args=[big, big, out, n],
-        )
+        ).statistics
         assert np.isinf(out.read(np.float32, n)).all()
+        return statistics
 
-    @pytest.mark.parametrize("backend", ["interpreter", "array"])
-    def test_completed_launch(self, backend):
-        device = Device(
-            config=ExecutionConfig(warp_sizes=(1, 2, 4), backend=backend)
-        )
+    def test_completed_launch(self, execution_leg):
+        # one CTA of 16 warps on a compiled Device: a batch, which
+        # holds the guest state itself, or 16 warps under the run's
+        device = Device(config=ExecutionConfig(warp_sizes=(1, 2, 4)))
         device.register_module(VECADD_PTX)
-        self._overflowing_launch(device)
+        device.warm()
+        statistics = self._overflowing_launch(device, grid=1)
+        assert statistics.batched_warps == (
+            16 if execution_leg == "batching" else 0
+        )
         assert np.geterr() == self.host
 
     def test_trapped_launch(self):
@@ -667,17 +680,18 @@ class TestFaultInjection:
         assert device.interpreter.execute == original_execute
         _vecadd_launch(device)
 
-    @pytest.mark.parametrize("backend", ["interpreter", "array"])
-    def test_arming_after_the_first_launch_takes_effect(self, backend):
+    def test_arming_after_the_first_launch_takes_effect(
+        self, execution_leg
+    ):
         """Blocks are lowered when a warp first enters them, so an
         injector may be armed before, between or after that: generated
         code never captures a patched accessor. Armed after a kernel
         already ran (its blocks hold inline memory code): the fault
         fires. Restored (the faulting launch lowered late-bound code
-        meanwhile): it stops. Re-armed: it fires again."""
-        device = Device(
-            config=ExecutionConfig(warp_sizes=(1, 2, 4), backend=backend)
-        )
+        meanwhile): it stops. Re-armed: it fires again. (CTAs of 32
+        warps: one leg batches them whenever no injector is armed — an
+        armed one forces the sequential path.)"""
+        device = Device(config=ExecutionConfig(warp_sizes=(1, 2, 4)))
         device.register_module(VECADD_PTX)
         _vecadd_launch(device)
         for _ in range(2):

@@ -43,7 +43,7 @@ from repro.runtime.context import Warp
 from repro.runtime.config import static_tie_config
 from repro.runtime.execution_manager import ExecutionManager, _ReadyPool
 from repro.workloads.registry import get_workload
-from tests.conftest import VECADD_PTX
+from tests.conftest import VECADD_PTX, sequential_only
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,11 @@ class TestInterpreterModeEquivalence:
             run = workload.run_on(config, scale=0.25)
             assert run.correct, f"{name} incorrect under {backend}"
             observed[backend] = _modeled_statistics(run.statistics)
+        with sequential_only():
+            run = workload.run_on(vectorized_config(4), scale=0.25)
+        assert run.correct and run.statistics.batched_warps == 0
         assert observed["interpreter"] == observed["reference"]
+        assert _modeled_statistics(run.statistics) == observed["reference"]
 
     def test_dispatch_mode_end_to_end(self, rng):
         from repro.testing.reference import ReferenceInterpreter
@@ -146,8 +150,8 @@ def _function(blocks, warp_size=1):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Filenames of every ``compile()`` call the lowering makes (on
-    the sequential interpreter: a batched walk lowers nothing)."""
+    """Filenames of every ``compile()`` call the lowering makes (for
+    the sequential path: a batched walk compiles nothing)."""
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     seen = []
     monkeypatch.setattr(
@@ -198,18 +202,32 @@ class TestBlockEmitter:
             executable.code == {} and executable.block_costs == {}
             for executable in executables.values()
         )
-        n = 64  # whole warps only: no thread fails the bounds check
-        c = device.malloc(n * 4)
-        ones = device.upload(np.ones(n, dtype=np.float32))
-        device.launch(
-            "vecAdd", grid=(1, 1, 1), block=(n, 1, 1), args=[ones, ones, c, n]
-        )
-        np.testing.assert_array_equal(c.read(np.float32, n), np.full(n, 2.0))
-        # Unused widths stay IR; at width 4 the divergence handler of
-        # the bounds check (its cold arm) was never entered.
+        def launch(n):  # whole warps only: none fails the bounds check
+            c = device.malloc(n * 4)
+            ones = device.upload(np.ones(n, dtype=np.float32))
+            statistics = device.launch(
+                "vecAdd", grid=(1, 1, 1), block=(n, 1, 1),
+                args=[ones, ones, c, n],
+            ).statistics
+            np.testing.assert_array_equal(
+                c.read(np.float32, n), np.full(n, 2.0)
+            )
+            return statistics
+
+        # 16 warps are one batch: what it enters is priced and given
+        # its batched form; a block that only ever runs batched is
+        # never lowered for the sequential path.
+        assert launch(64).batched_warps == 16
+        assert compiles == [] and executables[4].code == {}
+        batched = set(executables[4].array_blocks)
+        assert batched == set(executables[4].block_costs)
+        # 15 warps are not. Unused widths stay IR; at width 4 the
+        # divergence handler of the bounds check (its cold arm) was
+        # never entered.
+        assert launch(60).batched_warps == 0
         assert executables[1].code == {} and executables[2].code == {}
         entered = set(executables[4].code["inline"])
-        assert entered == set(executables[4].block_costs)
+        assert entered == batched == set(executables[4].block_costs)
         assert "entry" in entered
         assert entered < set(executables[4].function.blocks)
         assert len(compiles) == len(entered)
@@ -659,9 +677,10 @@ class TestBlockEmitter:
 
     def test_served_vecadd_blocks_copy_nothing(self, monkeypatch):
         # The launch benchmarks/perf/serve.py times: 64 threads of its
-        # vecAdd at width 4 (on the sequential path: a batched walk
-        # lowers nothing). No block it enters copies a partial vector
-        # or tests a shape.
+        # vecAdd at width 4 (on the sequential path, which the first
+        # launch of an uncompiled kernel takes: a batched walk lowers
+        # nothing). No block it enters copies a partial vector or
+        # tests a shape.
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         serve = Path(__file__).parents[1] / "benchmarks" / "perf" / "serve.py"
         if not serve.exists():
@@ -686,7 +705,7 @@ class TestBlockEmitter:
             assert "ndim" not in entry[0].source, label
 
     @staticmethod
-    def _hot_blocks(*arguments) -> str:
+    def _hot_blocks(*apps) -> str:
         import os
         import subprocess
         import sys
@@ -699,34 +718,52 @@ class TestBlockEmitter:
         environment["PYTHONPATH"] = str(root / "src")
         done = subprocess.run(
             [sys.executable, str(root / "examples" / "hot_blocks.py"),
-             "Collatz", "--scale", "0.1", "--top", "2", *arguments],
+             *apps, "--scale", "0.1", "--top", "2"],
             capture_output=True, text=True, timeout=120, env=environment,
         )
         assert done.returncode == 0, done.stderr
         return done.stdout
 
+    @staticmethod
+    def _block_row(path, warps):
+        """A ranked block: label, path, entries, warps per entry,
+        instructions, us per entry, share, handler or body."""
+        return re.compile(
+            rf"^  \S+ +{path} +\d+ +{warps} +\d+ +\d+\.\d+ +\d+% +"
+            r"(handler|body)$", re.M,
+        )
+
     def test_hot_blocks_script_still_finds_its_hook(self):
         # examples/hot_blocks.py measures per-block host time by
         # wrapping _BlockTable.__missing__ from outside; nothing under
         # src/ knows, so this is what notices when the hook moves.
-        printed = self._hot_blocks()
-        assert "collatzSteps.w4/ws4" in printed
-        assert re.search(r"handler|body", printed)
-        assert "batches by entry point" not in printed
-        fit = printed.split("per-opcode host cost")[1]
+        # Collatz at this scale runs all but one batch's worth of its
+        # warps one at a time.
+        printed = self._hot_blocks("Collatz")
+        kernel = printed.split("== collatzSteps.w4/ws4:")[1]
+        assert self._block_row("seq", 1).search(kernel)
+        fit = printed.split("per-opcode host cost, seq path")[1]
         assert re.search(r"^  \S+ +\d+ +\d+\.\d+ +\d+\.\d+$", fit, re.M)
 
     def test_hot_blocks_script_reports_what_the_batches_did(self):
-        # Likewise for its wrapper around ArrayBackend.execute_batch
-        # and its reading of the admission record.
-        printed = self._hot_blocks("--backend", "array")
-        table = printed.split("collatzSteps.w4/ws4: batches by entry point")[1]
+        # Likewise for its wrappers around _ArrayBlocks.__missing__ and
+        # ArrayBackend.execute_batch and its reading of the admission
+        # record. Transpose only ever runs batched: its blocks must
+        # still be ranked, or the default path would vanish from the
+        # script.
+        printed = self._hot_blocks("Transpose")
+        kernel, table = printed.split("== transposeTiled.w4/ws4:")[1:3]
+        assert self._block_row("batch", 16).search(kernel)
+        assert not self._block_row("seq", 1).search(kernel)
         # entry id and label, batches, warps, instructions and us per
         # batch, completed, aborted, refusals left
+        assert "batches by entry point" in table
         assert re.search(
             r"^  \d+ \S+ +\d+ +\d+ +\d+ +\d+\.\d+ +\d+ +\d+ +\d+$",
             table, re.M,
         )
+        assert "per-opcode host cost, batch path" in printed
+        assert "per-opcode host cost, seq path" not in printed
 
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_fault_after_a_chain_reports_its_own_index(self, sanitize):

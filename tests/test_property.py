@@ -8,6 +8,7 @@ scalar baseline's output is the reference, and every vectorized
 configuration must reproduce it bit-for-bit.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro import (
 )
 from repro.machine import MemorySystem
 from repro.ptx.types import DataType
-from tests.conftest import COLLATZ_PTX, collatz_steps
+from tests.conftest import COLLATZ_PTX, collatz_steps, sequential_only
 from tests.test_interpreter_lowering import _modeled_statistics
 
 _SETTINGS = settings(
@@ -142,16 +143,33 @@ def render_kernel(int_ops, float_ops, shift_counts=(), cvt_mode=None):
     return "\n".join(lines)
 
 
-def run_config(source, data, config):
+def run_config(source, data, config, block=32):
+    """``prop`` over ``len(data)`` threads in CTAs of ``block``. On a
+    compiled Device, so a CTA of 16 full warps is a batch from the
+    very first window."""
     n = len(data)
     device = Device(config=config)
     device.register_module(source)
+    device.warm()
     src = device.upload(data)
     dst = device.malloc(n * 4)
     device.launch(
-        "prop", grid=(2, 1, 1), block=(32, 1, 1), args=[src, dst, n]
+        "prop", grid=(n // block, 1, 1), block=(block, 1, 1),
+        args=[src, dst, n],
     )
     return dst.read(np.uint32, n)
+
+
+def execution_legs(base):
+    """The paths one kernel can take through the product, as ``(name,
+    config, context)``: the executor as admission decides (batching),
+    with every batch refused, and sanitized (checked access; never
+    batches). The oracle is ``backend="reference"``."""
+    return (
+        ("batching", base, nullcontext),
+        ("sequential", base, sequential_only),
+        ("sanitized", replace(base, sanitize=True), nullcontext),
+    )
 
 
 class TestVectorizationEquivalence:
@@ -604,10 +622,12 @@ def render_fold_kernel(ops):
 
 
 def run_fold_kernel(source, data, config, threads, record):
-    """``prop`` over one CTA of ``threads`` threads; the output bytes."""
+    """``prop`` over one CTA of ``threads`` threads (on a compiled
+    Device: 64 threads are one batch); the output bytes."""
     device = Device(config=config)
     device.register_module(source)
-    src = device.upload(data)
+    device.warm()
+    src = device.upload(np.resize(data, max(threads, len(data))))
     dst = device.upload(np.zeros(threads * record, dtype=np.uint8))
     device.launch(
         "prop", grid=(1, 1, 1), block=(threads, 1, 1),
@@ -691,31 +711,36 @@ def render_sync_kernel(ops):
 """
 
 
-def run_with_statistics(source, data, config, out_bytes):
-    """Launch ``prop`` over 2 x 32 threads; returns the whole output
-    buffer (zero-initialized, so untouched bytes compare equal) and
-    the modeled statistics."""
+def run_with_statistics(source, data, config, out_bytes, block=32):
+    """Launch ``prop`` over 64 threads in CTAs of ``block`` on a
+    compiled Device; returns the whole output buffer (zero-initialized,
+    so untouched bytes compare equal), the modeled statistics and how
+    many warps ran batched."""
     device = Device(config=config)
     device.register_module(source)
+    device.warm()
     src = device.upload(data)
     dst = device.upload(np.zeros(out_bytes, dtype=np.uint8))
     result = device.launch(
-        "prop", grid=(2, 1, 1), block=(32, 1, 1),
+        "prop", grid=(64 // block, 1, 1), block=(block, 1, 1),
         args=[src, dst, len(data)],
     )
     return (
         dst.read(np.uint8, out_bytes),
         _modeled_statistics(result.statistics),
+        result.statistics.batched_warps,
     )
 
 
 class TestBackendDifferential:
     """Differential testing across the execution paths: the dispatch
     reference interpreter, the block emitter (with inline and with
-    sanitizer-checked memory access) and the array backend must agree
-    bit-for-bit on random kernels — including clamped shifts and
-    saturating converts, and every op family the shared semantic
-    tables serve."""
+    sanitizer-checked memory access) and the batched array lowering
+    must agree bit-for-bit on random kernels — including clamped
+    shifts and saturating converts, and every op family the shared
+    semantic tables serve. Launches are one CTA of 16 warps, the
+    smallest the executor batches; ``sequential_only`` keeps the
+    one-warp-at-a-time leg."""
 
     @_SETTINGS
     @given(
@@ -740,15 +765,17 @@ class TestBackendDifferential:
         )
         reference = run_config(source, data, baseline_config())
         closure = vectorized_config(4)
-        for config in (
-            closure,
-            replace(closure, sanitize=True),
-            replace(closure, backend="reference"),
-            replace(closure, backend="array"),
-        ):
-            assert np.array_equal(
-                run_config(source, data, config), reference
-            )
+        assert np.array_equal(
+            run_config(
+                source, data, replace(closure, backend="reference"), 64
+            ),
+            reference,
+        )
+        for name, config, leg in execution_legs(closure):
+            with leg():
+                assert np.array_equal(
+                    run_config(source, data, config, 64), reference
+                ), name
 
     @_SETTINGS
     @given(
@@ -767,20 +794,18 @@ class TestBackendDifferential:
         base = vectorized_config(4)
         reference = run_with_statistics(
             source, data, replace(base, backend="reference"),
-            64 * _TABLE_RECORD,
+            64 * _TABLE_RECORD, block=64,
         )
-        # The emitter with each of its memory templates (inline and the
-        # sanitizer's checked access), and the array backend.
-        for backend, sanitize in (
-            ("interpreter", False), ("interpreter", True), ("array", False),
-        ):
-            memory, statistics = run_with_statistics(
-                source, data,
-                replace(base, backend=backend, sanitize=sanitize),
-                64 * _TABLE_RECORD,
-            )
-            assert np.array_equal(memory, reference[0]), (backend, sanitize)
-            assert statistics == reference[1], (backend, sanitize)
+        # The batched lowering, and the emitter with each of its
+        # memory templates (inline and the sanitizer's checked access).
+        for name, config, leg in execution_legs(base):
+            with leg():
+                memory, statistics, batched = run_with_statistics(
+                    source, data, config, 64 * _TABLE_RECORD, block=64
+                )
+            assert np.array_equal(memory, reference[0]), name
+            assert statistics == reference[1], name
+            assert batched == (16 if name == "batching" else 0), name
 
     @_SETTINGS
     @given(shifts=st.lists(constant_shift(), min_size=1, max_size=8))
@@ -796,18 +821,27 @@ class TestBackendDifferential:
             replace(scalar, backend="reference", optimize=False),
             8 * len(shifts),
         )
-        for backend in ("interpreter", "array", "reference"):
+        # (At width 1 a CTA of 32 threads is 32 warps: batched.)
+        for backend, leg in (
+            ("interpreter", nullcontext), ("interpreter", sequential_only),
+            ("reference", nullcontext),
+        ):
             for optimize in (False, True):
-                memory, statistics = run_with_statistics(
-                    source, data,
-                    replace(scalar, backend=backend, optimize=optimize),
-                    8 * len(shifts),
-                )
+                with leg():
+                    memory, statistics, batched = run_with_statistics(
+                        source, data,
+                        replace(scalar, backend=backend, optimize=optimize),
+                        8 * len(shifts),
+                    )
                 assert np.array_equal(memory, reference[0]), (
-                    backend, optimize, memory.view(np.uint64),
+                    backend, leg, optimize, memory.view(np.uint64),
+                )
+                assert batched == (
+                    64 if (backend, leg) == ("interpreter", nullcontext)
+                    else 0
                 )
                 if not optimize:
-                    assert statistics == reference[1], backend
+                    assert statistics == reference[1], (backend, leg)
 
     @_SETTINGS
     @given(
@@ -846,21 +880,28 @@ class TestBackendDifferential:
         data = np.array(data, dtype=np.uint32)
         base = vectorized_config(4)
         record = 8 * len(ops)
-        for threads in (1, 8):
+        # 1 thread: scalar destinations fold; 8: two warps; 64: one
+        # batch (the only width where the sequential leg is a second
+        # path).
+        for threads in (1, 8, 64):
             expected = run_fold_kernel(
                 source, data,
                 replace(base, backend="reference", optimize=False),
                 threads, record,
             )
-            for backend in ("interpreter", "array", "reference"):
+            legs = [("interpreter", nullcontext), ("reference", nullcontext)]
+            if threads == 64:
+                legs.append(("interpreter", sequential_only))
+            for backend, leg in legs:
                 for optimize in (False, True):
-                    memory = run_fold_kernel(
-                        source, data,
-                        replace(base, backend=backend, optimize=optimize),
-                        threads, record,
-                    )
+                    with leg():
+                        memory = run_fold_kernel(
+                            source, data,
+                            replace(base, backend=backend, optimize=optimize),
+                            threads, record,
+                        )
                     assert np.array_equal(memory, expected), (
-                        threads, backend, optimize,
+                        threads, backend, leg, optimize,
                         memory.view(np.uint64), expected.view(np.uint64),
                     )
 
@@ -872,7 +913,7 @@ class TestBackendDifferential:
     def test_interpreter_matches_reference_on_atomics_and_clock(
         self, ops, seed
     ):
-        # atom.* / %clock kernels have no array lowering, so the
+        # atom.* / %clock kernels have no batched lowering, so the
         # reference is their only oracle: memory (atomic results,
         # clock readings folded into the digest) and statistics.
         source = render_sync_kernel(ops)
@@ -885,7 +926,7 @@ class TestBackendDifferential:
             source, data, replace(base, backend="reference"), out_bytes
         )
         for sanitize in (False, True):
-            memory, statistics = run_with_statistics(
+            memory, statistics, _ = run_with_statistics(
                 source, data, replace(base, sanitize=sanitize), out_bytes
             )
             assert np.array_equal(memory, reference[0]), sanitize
@@ -1082,7 +1123,7 @@ class TestMeldingProperty:
             return "\n".join(lines)
 
         shared = variant in ("shared-both", "shared-one")
-        shared_decl = "  .shared .u32 slots[32];" if shared else ""
+        shared_decl = "  .shared .u32 slots[64];" if shared else ""
         taken_extra = []
         fall_extra = []
         join_extra = []
@@ -1177,16 +1218,18 @@ DONE:
 """
 
     @staticmethod
-    def run_with_stats(source, data, config):
+    def run_with_stats(source, data, config, block=32):
         n = len(data)
         device = Device(config=config)
         device.register_module(source)
+        device.warm()
         src = device.upload(data)
         # upload zeros (not malloc) so side-exit lanes that skip the
         # final store read back a defined value in every run
         dst = device.upload(np.zeros(n, dtype=np.uint32))
         result = device.launch(
-            "prop", grid=(2, 1, 1), block=(32, 1, 1), args=[src, dst, n]
+            "prop", grid=(n // block, 1, 1), block=(block, 1, 1),
+            args=[src, dst, n],
         )
         return dst.read(np.uint32, n), result.statistics
 
@@ -1213,11 +1256,19 @@ DONE:
         reference = {}
         for meld in (False, True):
             stats_reference = None
-            for backend in ("interpreter", "reference", "array"):
+            # one CTA of 16 warps: batched, refused, the oracle
+            for backend, leg in (
+                ("interpreter", nullcontext), ("reference", nullcontext),
+                ("interpreter", sequential_only),
+            ):
                 config = replace(base, meld=meld, backend=backend)
-                values, stats = self.run_with_stats(
-                    source, data, config
-                )
+                with leg():
+                    values, stats = self.run_with_stats(
+                        source, data, config, block=64
+                    )
+                assert (stats.batched_warps >= 16) == (
+                    (backend, leg) == ("interpreter", nullcontext)
+                ) and stats.batched_warps in (0, 16, 32)
                 if meld in reference:
                     # meld on and off agree bit-for-bit on guest memory
                     assert np.array_equal(values, reference[meld])

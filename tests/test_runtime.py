@@ -240,33 +240,40 @@ class TestWarpFormationStatistics:
         )
         assert result.statistics.threads_launched == 64
 
-    @pytest.mark.parametrize("backend", ["interpreter", "array"])
-    def test_divergent_launch_counts_are_pinned(self, backend, monkeypatch):
+    def test_divergent_launch_counts_are_pinned(
+        self, execution_leg, monkeypatch
+    ):
         # What the execution manager does once per warp — the cache
         # lookup, the entry record, the yield record — counted on a
         # sustained-divergence launch. The literals are PR 16's: hoists
-        # in the per-warp path may make these cheaper, never different.
-        # Only ``batched_warps`` was re-pinned when batch admission
-        # came (565 before): the hits did not move with it, so a
-        # refused batch costs no cache lookup.
-        from dataclasses import replace
-
+        # in the per-warp path may make these cheaper, never different,
+        # and neither may the path a warp takes. CTAs of 8 warps are
+        # below the batch floor; the second launch's CTAs of 16 warps
+        # are one batch each on the batching leg (the first aborts in
+        # the loop, the record then refuses the second) — the hits do
+        # not move with it, so a batch costs the lookups its warps
+        # would have made and a refused one none.
         from tests.conftest import COLLATZ_PTX, collatz_steps
 
         for variable in ("REPRO_BACKEND", "REPRO_MELD", "REPRO_SANITIZE"):
             monkeypatch.delenv(variable, raising=False)
-        device = Device(config=replace(vectorized_config(4), backend=backend))
+        device = Device(config=vectorized_config(4))
         device.register_module(COLLATZ_PTX)
-        n = 96
-        values = np.arange(n, dtype=np.uint32) * 7 + 1
-        dst = device.malloc(n * 4)
-        statistics = device.launch(
-            "collatz", grid=(3, 1, 1), block=(32, 1, 1),
-            args=[device.upload(values), dst, n],
-        ).statistics
-        assert list(dst.read(np.uint32, n)) == [
-            collatz_steps(int(value)) for value in values
-        ]
+
+        def launch(grid, block):
+            n = grid * block
+            values = np.arange(n, dtype=np.uint32) * 7 + 1
+            dst = device.malloc(n * 4)
+            statistics = device.launch(
+                "collatz", grid=(grid, 1, 1), block=(block, 1, 1),
+                args=[device.upload(values), dst, n],
+            ).statistics
+            assert list(dst.read(np.uint32, n)) == [
+                collatz_steps(int(value)) for value in values
+            ]
+            return statistics
+
+        statistics = launch(3, 32)
         assert (statistics.cache.hits, statistics.cache.misses) == (1240, 3)
         assert statistics.warp_size_histogram == {1: 210, 2: 254, 4: 779}
         assert statistics.yields_by_status == {
@@ -274,7 +281,18 @@ class TestWarpFormationStatistics:
         }
         assert statistics.values_restored == 11118
         assert statistics.warp_executions == 1243
-        assert statistics.batched_warps == (134 if backend == "array" else 0)
+        assert statistics.batched_warps == 0
+        statistics = launch(2, 64)
+        assert (statistics.cache.hits, statistics.cache.misses) == (1379, 0)
+        assert statistics.warp_size_histogram == {1: 158, 2: 154, 4: 1067}
+        assert statistics.yields_by_status == {
+            ResumeStatus.THREAD_BRANCH: 1282, ResumeStatus.THREAD_EXIT: 97,
+        }
+        assert statistics.values_restored == 13690
+        assert statistics.warp_executions == 1379
+        assert (statistics.batched_warps, statistics.batch_fallbacks) == (
+            (16, 16) if execution_leg == "batching" else (0, 0)
+        )
 
 
 class TestLaunchStatistics:

@@ -2,6 +2,7 @@
 profitability, config/cache-key plumbing, statistics surfacing, and
 meld-on/off differential conformance across backends."""
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from repro.machine.descriptor import sandybridge
 from repro.ptx import parse
 from repro.runtime.config import apply_meld_env
 from repro.transforms import meld_function
-from tests.conftest import COLLATZ_PTX, collatz_steps
+from tests.conftest import COLLATZ_PTX, collatz_steps, sequential_only
 
 HEADER = ".version 2.3\n.target sim\n"
 
@@ -235,17 +236,18 @@ def test_repro_meld_env_enables(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _run_collatz(config):
+def _run_collatz(config, block=32):
     device = Device(config=config)
     device.register_module(COLLATZ_PTX)
+    device.warm()
     rng = np.random.default_rng(7)
     data = rng.integers(1, 400, size=64, dtype=np.uint32)
     source = device.upload(data)
     destination = device.malloc(64 * 4)
     result = device.launch(
         "collatz",
-        grid=(2, 1, 1),
-        block=(32, 1, 1),
+        grid=(64 // block, 1, 1),
+        block=(block, 1, 1),
         args=[source, destination, 64],
     )
     values = destination.read(np.uint32, 64)
@@ -269,27 +271,29 @@ def test_launch_statistics_surface_meld_decisions(monkeypatch):
     assert stats_on.total_cycles < stats_off.total_cycles
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["interpreter", "reference", "array"],
-    ids=["closure", "dispatch", "array"],
-)
-def test_meld_differential_per_backend(backend, monkeypatch):
-    """Melding preserves guest results bit-for-bit on every backend,
-    and the modeled statistics of a fixed meld setting are identical
-    across backends."""
+@pytest.mark.parametrize("leg", ["batching", "sequential", "dispatch"])
+def test_meld_differential_per_backend(leg, monkeypatch):
+    """Melding preserves guest results bit-for-bit on every execution
+    path — the one executor batching its one CTA of 16 warps, the same
+    with every batch refused, the reference oracle — and the modeled
+    statistics of a fixed meld setting are identical across them."""
     monkeypatch.delenv("REPRO_MELD", raising=False)
     base = vectorized_config(4)
-    off_values, off_stats = _run_collatz(replace(base, backend=backend))
-    on_values, on_stats = _run_collatz(
-        replace(base, meld=True, backend=backend)
-    )
+    if leg == "dispatch":
+        base = replace(base, backend="reference")
+    with sequential_only() if leg == "sequential" else nullcontext():
+        off_values, off_stats = _run_collatz(base, block=64)
+        on_values, on_stats = _run_collatz(
+            replace(base, meld=True), block=64
+        )
+    for statistics in (off_stats, on_stats):
+        assert statistics.batched_warps == (16 if leg == "batching" else 0)
     assert np.array_equal(off_values, on_values)
     assert on_stats.divergent_yields <= off_stats.divergent_yields
     # and against the reference interpreter:
     reference = replace(base, backend="reference")
-    _, reference_off = _run_collatz(reference)
-    _, reference_on = _run_collatz(replace(reference, meld=True))
+    _, reference_off = _run_collatz(reference, block=64)
+    _, reference_on = _run_collatz(replace(reference, meld=True), block=64)
     for mine, reference in (
         (off_stats, reference_off),
         (on_stats, reference_on),
