@@ -3,8 +3,9 @@
 
 The executor lowers a basic block when a warp first enters it: to one
 Python function for the sequential path
-(``ExecutableFunction.blocks(access)``), and to a tuple of array ops
-when a batch of warps enters it (``ExecutableFunction.array_blocks``).
+(``ExecutableFunction.blocks(access)``), and to one function over all
+warps of a batch when a batch enters it
+(``ExecutableFunction.array_blocks``).
 This script wraps both *as their table entries are created* — from
 outside, nothing under ``src/`` knows — to count entries and host time
 per block on each path, runs the app, and prints per kernel
@@ -32,9 +33,17 @@ the executable's admission record still refuses there. The wrappers
 cost ≈ 0.2 µs an entry and hide the block from the trap PC lookup, so
 this is a measuring script, not a mode.
 
+``--batch-sizes`` prints instead the measurement ``MIN_BATCH_WARPS``
+(``machine/array_backend.py``) is set from: every app run once with
+every batch refused and once with batches of two warps up admitted,
+``execute`` and ``execute_batch`` timed — host µs per warp-instruction
+on the sequential path, and by batch size for batches that reached
+their yield and for those that left early.
+
 Run:  python examples/hot_blocks.py Collatz
       python examples/hot_blocks.py BitonicSort Reduction --scale 0.25
       python examples/hot_blocks.py all --top 3
+      python examples/hot_blocks.py all --batch-sizes
 """
 
 import argparse
@@ -93,12 +102,15 @@ class BlockRecord:
 
 
 def install(records: list) -> None:
-    """Wrap every block lowered from now on, for either path."""
+    """Wrap every block lowered from now on. Both paths fill the same
+    kind of table, ``label -> (function, *static costs)``; the batched
+    one is the table of access template ``"batch"``."""
     lower = lowering._BlockTable.__missing__
 
     def measured(table, label):
         code, *costs = lower(table, label)
-        record = BlockRecord(table.executable.function, label)
+        batched = table.access == "batch"
+        record = BlockRecord(table.executable.function, label, batched)
         records.append(record)
 
         def block(state):
@@ -108,42 +120,12 @@ def install(records: list) -> None:
             finally:
                 record.seconds += perf_counter() - start
                 record.entries += 1
-                record.warps += 1
+                record.warps += state.size if batched else 1
 
         entry = table[label] = (block, *costs)
         return entry
 
     lowering._BlockTable.__missing__ = measured
-    translate = _ArrayBlocks.__missing__
-
-    def measured_batched(blocks, label):
-        entry = translate(blocks, label)
-        if entry is None:  # no batched form: the runner leaves here
-            return None
-        ops, terminator = entry
-        record = BlockRecord(blocks.function, label, batched=True)
-        records.append(record)
-        started = [0.0]
-
-        def first(bstate, head=ops[0] if ops else None):
-            started[0] = perf_counter()
-            return head(bstate)
-
-        def last(bstate):
-            if not ops:  # an empty body: the terminator is the block
-                started[0] = perf_counter()
-            result = terminator(bstate)
-            record.seconds += perf_counter() - started[0]
-            record.entries += 1
-            record.warps += bstate.size
-            return result
-
-        # Still one op per instruction: the runner's loop position is
-        # the fault PC.
-        entry = blocks[label] = ((first, *ops[1:]) if ops else ops, last)
-        return entry
-
-    _ArrayBlocks.__missing__ = measured_batched
 
 
 class BatchRecord:
@@ -323,6 +305,77 @@ def report_fit(records: list, path: str, unit: str) -> None:
             )
 
 
+_SIZES = (2, 4, 8, 16, 32, 64)
+
+
+def batch_sizes(names: list, scale: float) -> None:
+    """What a warp-instruction costs the host one warp at a time and in
+    batches of each size (see the module docstring)."""
+    from repro.runtime import execution_manager
+
+    #: (path, smallest batch size of the row) -> [calls,
+    #: warp-instructions, seconds]; filled, for the ``path`` being
+    #: measured, while ``recording``
+    rows = defaultdict(lambda: [0, 0, 0.0])
+    path, recording = None, False
+    run_batch, run_warp = ArrayBackend.execute_batch, ArrayBackend.execute
+
+    def batch(backend, executable, warps, *args, **kwargs):
+        start = perf_counter()
+        outcome = run_batch(backend, executable, warps, *args, **kwargs)
+        seconds = perf_counter() - start
+        if recording and path == "batched":
+            size = max(size for size in _SIZES if size <= len(warps))
+            if outcome.kind == "yield":
+                row = rows["completed", size]
+                row[1] += len(warps) * outcome.stats.instructions
+            else:
+                row = rows["left early", size]
+                row[1] += len(warps) * outcome.continuations[0].executed
+            row[0] += 1
+            row[2] += seconds
+        return outcome
+
+    def warp(backend, executable, *args, state=None, **kwargs):
+        start = perf_counter()
+        status = run_warp(backend, executable, *args, state=state, **kwargs)
+        if recording and path == "sequential":
+            row = rows["sequential", 1]
+            row[0] += 1
+            row[1] += state.stats.instructions
+            row[2] += perf_counter() - start
+        return status
+
+    ArrayBackend.execute_batch, ArrayBackend.execute = batch, warp
+    admits = _ArrayBlocks.admits
+    for name in names:
+        app = get_workload(name)
+        for path in ("sequential", "batched"):
+            if path == "sequential":
+                _ArrayBlocks.admits = lambda blocks, entry_point: False
+            else:
+                _ArrayBlocks.admits = admits
+                execution_manager.MIN_BATCH_WARPS = 2
+            device = Device(config=vectorized_config(4))
+            device.register_module(app.module_source())
+            device.warm()
+            # The first run lowers what it enters; the second counts.
+            app.execute(device, scale, check=True)
+            recording = True
+            app.execute(device, scale, check=True)
+            recording = False
+    print(
+        f"  {'path':<12}{'warps':>6}{'calls':>8}{'warp-instr':>12}"
+        f"{'us each':>9}"
+    )
+    for (path, size), (calls, executed, seconds) in sorted(rows.items()):
+        warps = f"{size}+" if size > 1 else "1"
+        print(
+            f"  {path:<12}{warps:>6}{calls:>8}{executed:>12}"
+            f"{1e6 * seconds / max(executed, 1):>9.2f}"
+        )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -333,8 +386,15 @@ def main() -> None:
     parser.add_argument(
         "--top", type=int, default=6, help="blocks listed per kernel"
     )
+    parser.add_argument(
+        "--batch-sizes", action="store_true",
+        help="print host cost per warp-instruction by batch size",
+    )
     arguments = parser.parse_args()
     names = workload_names() if arguments.apps == ["all"] else arguments.apps
+    if arguments.batch_sizes:
+        batch_sizes(names, arguments.scale)
+        return
     records: list = []
     install(records)
     batches: dict = {}

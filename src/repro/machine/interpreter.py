@@ -4,18 +4,25 @@ This module is the simulator's stand-in for JIT code generation, and
 like the paper's translation cache (§5.1) it generates code *when a
 warp first needs it*. ``load_function`` only numbers the function's
 registers into the slots of a flat per-warp register file. The first
-time a warp reaches a block label, :class:`_BlockEmitter` prints that
-block as ONE Python function — the body and the terminator — and the
-block's static cost is aggregated; a block no warp enters (the cold
-arm of a divergent kernel, a width nobody forms) is never priced or
-compiled, and ``warm()`` costs IR only.
+time a warp reaches a block label, the block is printed as ONE Python
+function — the body and the terminator — and its static cost is
+aggregated; a block no warp enters (the cold arm of a divergent kernel,
+a width nobody forms) is never priced or compiled, and ``warm()`` costs
+IR only.
+
+One opcode table (``_EMITTERS``) is printed by two printers that share
+:class:`_BlockEmitter` — what an instruction computes: its operands,
+the dtype each is read as, the result's dtype, the constant pool, the
+address, the inline memory template. :class:`_WarpPrinter` prints the
+block for one warp; ``array_backend._BatchPrinter`` for every warp of a
+batch at once.
 
 Inside a generated function registers are locals (written through to
 the register file, so a trap dump is exact at every instruction), the
 bit reinterpretation PTX's untyped registers need (``max.s32`` on a
 ``.u32`` value) is resolved statically where the producer's dtype is
 known in the block and is one inline guard where it is not, the
-address-space dispatch is resolved per instruction, and memory
+address-space dispatch is resolved per instruction, and a warp's memory
 instructions are printed against one of three access templates: inline
 against typed views of the arena (bounds check and
 ``load_count``/``store_count`` kept), late-bound ``memory.load(...)``
@@ -34,18 +41,16 @@ starting at the scheduler block, until the function yields back to the
 execution manager with a resume status (§3's subkernel execution).
 
 The opcode semantics live in the ``_*_IMPL`` tables below — for the
-operators that are a single expression, as the template the emitter
-inlines, from which the table's callable is built — and the array
-backend and the test-side oracle (``backend="reference"``, the
-per-instruction interpreter the differential tests compare against)
-index the same tables.
+operators that are a single expression, as the template the printers
+inline, from which the table's callable is built — and the test-side
+oracle (``backend="reference"``, the per-instruction interpreter the
+differential tests compare against) indexes the same tables.
 """
 
 from __future__ import annotations
 
 import linecache
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple
@@ -134,6 +139,26 @@ def _annotate_fault(fault, label, index) -> None:
         pass
 
 
+def _locate_fault(fault, function, label, code) -> None:
+    """Annotate ``fault``, caught by a run loop around generated block
+    function ``code``, with its program counter: the block label and
+    the index of the instruction whose generated line was executing,
+    read off the traceback (the frame below the run loop's is
+    ``code``'s). A fault the run loop raised itself — the instruction
+    limit, the deadline — sits past the body, at the terminator; one
+    from anywhere else (lowering the block failed) has no
+    instruction."""
+    frame = fault.__traceback__.tb_next
+    if frame is None:
+        block = function.blocks.get(label)
+        index = len(block.instructions) if block is not None else -1
+    elif code is not None and frame.tb_frame.f_code is code.__code__:
+        index = code.line_index[frame.tb_lineno]
+    else:
+        index = -1
+    _annotate_fault(fault, label, index)
+
+
 @dataclass
 class ExecutionStats:
     """Per-execution accounting consumed by the runtime statistics."""
@@ -186,11 +211,6 @@ class ExecutableFunction:
     block_costs: Dict[str, BlockCost] = field(
         default_factory=dict, repr=False
     )
-    #: label -> generated terminator-only function (see
-    #: :meth:`terminator`)
-    terminators: Dict[str, Callable] = field(
-        default_factory=dict, repr=False
-    )
 
     @property
     def name(self) -> str:
@@ -206,15 +226,15 @@ class ExecutableFunction:
 
     @cached_property
     def array_blocks(self) -> Optional[Dict[str, tuple]]:
-        """Batched array lowering (``machine.array_backend``): per block
-        a batch has reached, ``(ops, terminator)`` operating on all
-        resident warps at once, plus what the batches did. ``None``
-        when the loading executor does not batch (the bare
-        :class:`Interpreter`, a sanitized device) or the function
-        contains atomics. Settled when the execution manager first
-        asks, not at load: a compile loads every width of every
-        kernel, batches only ever ask for the widest of a launched
-        one."""
+        """Batched lowering (``machine.array_backend``): per block a
+        batch has reached, the function printed for all its warps at
+        once with its static cost (the shape of :meth:`blocks`), plus
+        what the batches did. ``None`` when the loading executor does
+        not batch (the bare :class:`Interpreter`, a sanitized device)
+        or the function contains atomics. Settled when the execution
+        manager first asks, not at load: a compile loads every width
+        of every kernel, batches only ever ask for the widest of a
+        launched one."""
         return self.target.array_lowering(self)
 
     @cached_property
@@ -223,16 +243,18 @@ class ExecutableFunction:
         whole function (the IR is not SSA, so both are counted): what
         such a register holds concerns its one reader only. Counted
         when the first block that asks is lowered."""
-        defined, used = Counter(), Counter()
+        defined: Dict[str, int] = {}
+        used: Dict[str, int] = {}
         for instruction in self.function.instructions():
-            defined[getattr(instruction.defined(), "name", None)] += 1
-            used.update(
-                getattr(value, "name", None) for value in instruction.uses()
-            )
+            name = getattr(instruction.defined(), "name", None)
+            defined[name] = defined.get(name, 0) + 1
+            for value in instruction.uses():
+                name = getattr(value, "name", None)
+                used[name] = used.get(name, 0) + 1
         return frozenset(
             self.register_slots[name]
             for name, count in defined.items()
-            if name is not None and count == 1 and used[name] == 1
+            if name is not None and count == 1 and used.get(name) == 1
         )
 
     def block_cost(self, label: str) -> BlockCost:
@@ -253,18 +275,6 @@ class ExecutableFunction:
             table = self.code[access] = _BlockTable(self, access)
         return table
 
-    def terminator(self, label: str) -> Callable:
-        """Generated function evaluating only block ``label``'s
-        terminator (the array backend runs a body batched and hands
-        each warp here when the terminator diverges)."""
-        code = self.terminators.get(label)
-        if code is None:
-            # No terminator touches memory: any access template does.
-            code = self.terminators[label] = self.target.lower_block(
-                self, label, "inline", body=False
-            )
-        return code
-
     def block_source(self, label: str) -> str:
         """Source of the function generated for block ``label`` (which
         is lowered now if no warp has reached it yet): one or more
@@ -272,23 +282,30 @@ class ExecutableFunction:
         as a comment."""
         return self.blocks(self.target.access())[label][0].source
 
+    def batch_source(self, label: str) -> Optional[str]:
+        """Source of the function block ``label`` runs a batch of
+        warps through (printed now if no batch has reached it), or
+        None where there is none: the batch printer declines the block
+        or the executable has no batched lowering."""
+        blocks = self.array_blocks
+        entry = None if blocks is None else blocks[label]
+        return None if entry is None else entry[0].source
+
 
 @dataclass
 class Continuation:
     """Mid-kernel hand-off from the array backend to the sequential path.
 
-    When a batched warp leaves the uniform array region (a divergent
-    terminator, or a block with no array lowering), the batch runner
-    builds one Continuation per warp: the label to continue from, the
-    warp's register rows extracted from the batched register file, and
-    the counters the batched prefix already accumulated. ``execute``
-    seeds a warp state with them and resumes ``run`` from the
-    label — with ``at_terminator`` set, the block body already ran
-    batched and only the terminator remains to evaluate.
+    When a batched warp leaves the uniform array region (at a
+    terminator the batch's warps disagree on, or at a block the batch
+    printer declines), the batch runner builds one Continuation per
+    warp: the label the warp continues from, its register rows
+    extracted from the batched register file, and the counters the
+    batched prefix already accumulated. ``execute`` seeds a warp state
+    with them and resumes ``run`` from the label.
     """
 
     label: str
-    at_terminator: bool
     executed: int
     kernel_cycles: int
     yield_cycles: int
@@ -351,32 +368,29 @@ class Interpreter:
         return "late" if self.memory.patched() else "inline"
 
     def lower_block(
-        self,
-        executable: ExecutableFunction,
-        label: str,
-        access: str,
-        body: bool = True,
+        self, executable: ExecutableFunction, label: str, access: str
     ) -> Callable:
-        """Generate the Python function of block ``label`` (with
-        ``body=False``, of its terminator alone): ``code(state)``
-        returns the next block label (str) or a resume status (int).
+        """Generate the Python function of block ``label`` with
+        template ``access``: ``code(state)`` returns the next block
+        label (str) or a resume status (int).
         ``code.line_index[lineno]`` is the index of the instruction a
         source line belongs to, ``code.source`` the text."""
         block = executable.function.blocks[label]
-        emitter = _BlockEmitter(
-            executable, block, access, dict(self._namespace)
-        )
-        if body:
-            for index, instruction in enumerate(block.instructions):
-                emitter.instruction(index, instruction)
-        emitter.instruction(len(block.instructions), block.terminator)
-        suffix = ("" if access == "inline" else f":{access}") + (
-            "" if body else ":terminator"
-        )
-        return emitter.function(
+        printer = self.printer(executable, block, access)
+        # (a block without a terminator has no lowering: None has none)
+        for index, instruction in enumerate(
+            [*block.instructions, block.terminator]
+        ):
+            printer.instruction(index, instruction)
+        suffix = "" if access == "inline" else f":{access}"
+        return printer.function(
             f"<repro:{executable.name}/ws{executable.warp_size}/"
             f"{label}{suffix}>"
         )
+
+    def printer(self, executable, block, access: str) -> "_BlockEmitter":
+        """The printer of ``block`` for template ``access``."""
+        return _WarpPrinter(executable, block, access, dict(self._namespace))
 
     # -- execution ---------------------------------------------------------
 
@@ -493,31 +507,11 @@ class _WarpState:
 
     # -- main loop ---------------------------------------------------------
 
-    def _locate_fault(self, fault, label, code) -> None:
-        """Annotate ``fault`` with its program counter: the block label
-        and the index of the instruction whose generated line was
-        executing, read off the traceback (the frame below the run
-        loop's is ``code``'s). A fault the run loop raised itself — the
-        instruction limit, the deadline — sits past the body, at the
-        terminator; one from anywhere else (lowering the block failed)
-        has no instruction."""
-        frame = fault.__traceback__.tb_next
-        if frame is None:
-            block = self.function.blocks.get(label)
-            index = len(block.instructions) if block is not None else -1
-        elif code is not None and frame.tb_frame.f_code is code.__code__:
-            index = code.line_index[frame.tb_lineno]
-        else:
-            index = -1
-        _annotate_fault(fault, label, index)
-
     def run_continuation(self, continuation: "Continuation") -> int:
         """Resume sequential execution mid-kernel (the array backend's
         fallback): seed the statistics with the batched prefix's
         counters, transplant the warp's register rows, then continue
-        from the continuation's label. With ``at_terminator`` set the
-        block body already ran batched, so only its terminator is
-        evaluated before the walk continues."""
+        from the continuation's label."""
         stats = self.stats
         stats.kernel_cycles = continuation.kernel_cycles
         stats.yield_cycles = continuation.yield_cycles
@@ -526,20 +520,9 @@ class _WarpState:
         regs = self.regs
         for slot, value in continuation.registers:
             regs[slot] = value
-        label = continuation.label
-        if continuation.at_terminator:
-            code = None
-            try:
-                code = self.executable.terminator(label)
-                result = code(self)
-            except ExecutionError as fault:
-                self._locate_fault(fault, label, code)
-                raise
-            if type(result) is int:
-                return result
-            label = result
         return self.run(
-            start_label=label, start_executed=continuation.executed
+            start_label=continuation.label,
+            start_executed=continuation.executed,
         )
 
     def run(
@@ -610,7 +593,7 @@ class _WarpState:
                     return result
                 label = result
         except ExecutionError as fault:
-            self._locate_fault(fault, label, code)
+            _locate_fault(fault, self.function, label, code)
             # Counters accumulated in locals would otherwise be lost;
             # flush them so a trapped launch still reports its partial
             # cycle/instruction work.
@@ -700,8 +683,8 @@ def _shift_amount(b):
 #: ``min(amount, width - 1)``, amounts being unsigned; an amount >= the
 #: width then gives 0 where ``flush`` — for ``ashr`` the clamped shift
 #: already is the answer, the sign fill. Applied lane by lane by
-#: :func:`_clamped_shift` (register amounts; the array and reference
-#: lowerings) and ahead of time by :meth:`_BlockEmitter.constant_shift`.
+#: :func:`_clamped_shift` (register amounts; the reference oracle) and
+#: ahead of time by :meth:`_BlockEmitter.constant_shift`.
 _SHIFT_RULE = {
     "shl": ("", "<<", True),
     "lshr": ("u", ">>", True),
@@ -765,21 +748,17 @@ def _mulhi(a, b, dtype):
         product = np.asarray(a).astype(wide) * np.asarray(b).astype(wide)
         result = (product >> bits).astype(dtype.numpy_dtype)
         return result if result.ndim else result[()]
-    # 64-bit: exact Python integers.
-    a_list = np.atleast_1d(np.asarray(a)).tolist()
-    b_list = np.atleast_1d(np.asarray(b)).tolist()
-    if len(a_list) == 1 and len(b_list) > 1:
-        a_list = a_list * len(b_list)
-    if len(b_list) == 1 and len(a_list) > 1:
-        b_list = b_list * len(a_list)
+    # 64-bit: exact Python integers, over operands of any (broadcast)
+    # shape.
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
     values = [
-        ((int(x) * int(y)) >> bits) & ((1 << bits) - 1)
-        for x, y in zip(a_list, b_list)
+        ((x * y) >> bits) & ((1 << bits) - 1)
+        for x, y in zip(a.ravel().tolist(), b.ravel().tolist())
     ]
     # The masked values fit uint64 exactly; left to infer a dtype,
     # numpy promotes lanes on either side of 2**63 to float64.
     result = np.array(values, dtype=np.uint64).astype(dtype.numpy_dtype)
-    return result if len(values) > 1 else result[0]
+    return result.reshape(a.shape) if a.size > 1 else result[0]
 
 
 def _expression_impl(template: str, parameters: str):
@@ -1036,7 +1015,10 @@ def _code_namespace(memory: MemorySystem, sanitizer) -> dict:
     :class:`DataType`: ``D_<name>`` the type itself; per numpy dtype
     ``W_<code>`` the dtype, ``T_<code>`` its scalar type and
     ``V_<code>`` a typed view of the arena, so an aligned guest access
-    is one element index."""
+    is one element index (one fancy index for a batch, whose inline
+    check reduces its addresses with ``lowest`` and ``union``); the
+    ``*_unaligned`` functions are the byte-wise paths of an access that
+    is not."""
     data = memory.data
 
     def load_unaligned(address, numpy_dtype):
@@ -1049,6 +1031,19 @@ def _code_namespace(memory: MemorySystem, sanitizer) -> dict:
             value.tobytes(), dtype=np.uint8
         )
 
+    def gather_unaligned(addresses, numpy_dtype):
+        return np.array([
+            load_unaligned(address, numpy_dtype)
+            for address in addresses.tolist()
+        ])
+
+    def scatter_unaligned(addresses, values):
+        # In index order: the last writer of an address wins, as the
+        # warps of the batch would have stored in sequence.
+        values = np.broadcast_to(values, addresses.shape)
+        for address, value in zip(addresses.tolist(), values):
+            store_unaligned(address, value)
+
     namespace = {
         "np": np,
         "ndarray": np.ndarray,
@@ -1059,6 +1054,10 @@ def _code_namespace(memory: MemorySystem, sanitizer) -> dict:
         "DATA": data,
         "load_unaligned": load_unaligned,
         "store_unaligned": store_unaligned,
+        "gather_unaligned": gather_unaligned,
+        "scatter_unaligned": scatter_unaligned,
+        "lowest": np.minimum.reduce,
+        "union": np.bitwise_or.reduce,
     }
     for dtype in DataType:
         numpy_dtype = dtype.numpy_dtype
@@ -1103,23 +1102,41 @@ class _BlockTable(dict):
 
 
 class _BlockEmitter:
-    """Prints one basic block as a Python function.
+    """What the instructions of one basic block compute, printed as a
+    Python function by one of two printers.
 
-    One opcode table (:data:`_EMITTERS`) is driven over the block; the
-    emitter is the variable manager between the instructions: which
-    registers already live in a local (``r<slot>``), what dtype each
-    local is known to carry, which derived values (``int()`` of an
-    address register, a reinterpreted view, a segment base) were
-    already computed in this straight-line code and can be reused.
+    One opcode table (:data:`_EMITTERS`) is driven over the block. This
+    class is what the printers share: the variable manager between the
+    instructions — which registers already live in a local
+    (``r<slot>``), what dtype each local is known to carry, which
+    derived values (``int()`` of an address register, a reinterpreted
+    view, a segment base) were already computed in this straight-line
+    code and can be reused — the typed-read rule of :func:`_coerce`
+    resolved ahead of time, the constant pool, and every operator that
+    is an expression over its operands (the ALU, the address, the
+    scalar memory template). How a *value* is laid out is the
+    printer's: :class:`_WarpPrinter` prints one warp (numpy scalars and
+    ``(ws,)`` arrays), ``array_backend._BatchPrinter`` every warp of a
+    batch at once (``(B,)`` and ``(B, ws)`` arrays).
     """
 
-    def __init__(self, executable, block, access: str, namespace: dict):
+    #: the generated function's first lines (they belong to no
+    #: instruction), set by each printer
+    header: Tuple[str, ...] = ()
+    #: How the inline memory template reads for one warp: what one
+    #: scalar access adds to ``load_count``/``store_count``, the local
+    #: holding the address's low bits, the byte-wise accessors of an
+    #: unaligned address, a loaded predicate.
+    count = "1"
+    low = "a"
+    unaligned = ("load_unaligned", "store_unaligned")
+    loaded_flag = "bool(DATA[a])"
+
+    def __init__(self, executable, block, namespace: dict):
         self.executable = executable
         self.slots = executable.register_slots
         self.label = block.label
-        self.access = access
         self.namespace = namespace
-        self.precise = _reads_clock(block)
         self.lines: List[str] = []
         #: per source line, the index of the instruction it belongs to
         self.line_index: List[int] = []
@@ -1146,25 +1163,14 @@ class _BlockEmitter:
 
     def instruction(self, index: int, instruction) -> None:
         """Print ``instruction`` (``index`` is its trap PC)."""
-        emit = _EMITTERS.get(type(instruction))
+        emit = getattr(self, _EMITTERS.get(type(instruction), ""), None)
         if emit is None:
             raise ExecutionError(
                 f"no lowering for instruction {instruction!r}"
             )
         self.index = index
         self.comment = f"  # {index}: {instruction}"
-        emit(self, instruction)
-        if self.precise and not instruction.is_terminator:
-            cost = self.executable.cost_table.cost_of(instruction)
-            stats = self.bind("stats", "state.stats")
-            bucket = (
-                "yield_cycles"
-                if getattr(instruction, "overhead", False)
-                else "kernel_cycles"
-            )
-            self.emit(f"{stats}.{bucket} += {cost.cycles}")
-            if cost.flops:
-                self.emit(f"{stats}.flops += {cost.flops}")
+        emit(instruction)
 
     def emit(self, text: str) -> None:
         self.lines.append(f"    {text}{self.comment}")
@@ -1173,14 +1179,12 @@ class _BlockEmitter:
 
     def function(self, filename: str) -> Callable:
         """Compile the printed block; see ``Interpreter.lower_block``."""
-        source = "\n".join(
-            ["def block(state):", "    regs = state.regs", *self.lines, ""]
-        )
+        source = "\n".join([*self.header, *self.lines, ""])
         exec(compile(source, filename, "exec"), self.namespace)
         code = self.namespace["block"]
-        # Line numbers are 1-based and the two header lines belong to
-        # no instruction.
-        code.line_index = (-1, -1, -1, *self.line_index)
+        # Line numbers are 1-based and the header lines belong to no
+        # instruction.
+        code.line_index = (-1, *(-1 for _ in self.header), *self.line_index)
         code.source = source
         linecache.cache[filename] = (
             len(source), None, source.splitlines(True), filename
@@ -1217,20 +1221,16 @@ class _BlockEmitter:
         if isinstance(value, Constant):
             return self.constant(_machine_constant(value))
         slot = self.slots[value.name]
-        name = f"r{slot}"
         if slot not in self.loaded:
             # Live into the block: read the register file once; a
             # register nobody wrote yet reads as a typed zero.
             self.loaded.add(slot)
-            self.emit(f"{name} = regs[{slot}]")
-            code = _code(value.dtype.numpy_dtype)
-            zero = (
-                f"np.zeros({value.width}, dtype=W_{code})"
-                if value.width > 1
-                else self.constant(value.dtype.numpy_dtype.type(0))
-            )
-            self.emit(f"if {name} is None: {name} = regs[{slot}] = {zero}")
-        return name
+            self.live_in(f"r{slot}", slot, value)
+        return f"r{slot}"
+
+    def operand(self, value) -> str:
+        """Operand of an elementwise operator that reads it as stored."""
+        return self.raw(value)
 
     def typed(self, value, dtype: DataType) -> Tuple[str, bool]:
         """Operand as an instruction typed ``dtype`` reads it, and
@@ -1253,14 +1253,9 @@ class _BlockEmitter:
         if exact:
             cast = "view" if current.itemsize == wanted.itemsize else "astype"
             expression = f"{name}.{cast}(W_{code})"
-        elif value.width > 1:
-            expression = (
-                f"{name} if type({name}) is ndarray and "
-                f"{name}.dtype is W_{code} else coerce({name}, W_{code})"
-            )
         else:
             expression = (
-                f"{name} if type({name}) is T_{code} "
+                f"{name} if {self.carries(name, value, code)} "
                 f"else coerce({name}, W_{code})"
             )
         return self.bind(f"{name}_{code}", expression, slot), exact
@@ -1357,11 +1352,7 @@ class _BlockEmitter:
             expression = f"{self.constant(impl)}({a}, D_{dtype.name})"
         elif inst.dst.width > 1:
             # A scalar moved into a vector register splats to its width.
-            expression = (
-                f"{a} if isinstance({a}, ndarray) and {a}.ndim == 1 else "
-                f"np.full({inst.dst.width}, {a}, "
-                f"dtype=W_{_code(dtype.numpy_dtype)})"
-            )
+            expression = self.splat(a, inst.dst.width, dtype.numpy_dtype)
         else:
             expression = a
         self.define(inst.dst, expression, *self.result(dtype, exact, inst.a))
@@ -1373,7 +1364,7 @@ class _BlockEmitter:
         c, exact_c = self.typed(inst.c, dtype)
         exact = exact_a and exact_b and exact_c
         expression = f"{a} * {b} + {c}"
-        if exact and inst.dst.width > 1:
+        if exact and self.array_of(inst, inst.a, inst.b):
             # One dtype throughout, so adding into the fresh product
             # rounds exactly like the expression and saves an array.
             self.emit(f"t = {a} * {b}")
@@ -1397,9 +1388,9 @@ class _BlockEmitter:
 
     def select(self, inst: Select) -> None:
         wanted = inst.dtype.numpy_dtype
-        predicate = self.raw(inst.predicate)
-        a, b = self.raw(inst.a), self.raw(inst.b)
-        if inst.dst.width > 1:
+        predicate = self.operand(inst.predicate)
+        a, b = self.operand(inst.a), self.operand(inst.b)
+        if self.array_of(inst, inst.predicate, inst.a, inst.b):
             expression = (
                 f"np.where({predicate}, {a}, {b})"
                 f".astype(W_{_code(wanted)})"
@@ -1426,7 +1417,7 @@ class _BlockEmitter:
         if impl is None:
             raise ExecutionError(f"unknown intrinsic {inst.name}")
         wanted = inst.dtype.numpy_dtype
-        argument = self.raw(inst.args[0])
+        argument = self.operand(inst.args[0])
         self.define(
             inst.dst,
             f"np.asarray({self.constant(impl)}({argument}))"
@@ -1438,8 +1429,7 @@ class _BlockEmitter:
     # -- memory ---------------------------------------------------------------
     #
     # Every memory instruction first computes its address into local
-    # ``a``; the guest_* methods then print the access itself against
-    # the block's access template (see ``Interpreter.access``).
+    # ``a``; the printer's guest_* methods then print the access itself.
 
     def address(self, inst) -> None:
         term = self.integer(inst.base)
@@ -1449,27 +1439,212 @@ class _BlockEmitter:
         if space is AddressSpace.param:
             term = f"{self.bind('param_base', 'state.param_base')} + {term}"
         elif space in (AddressSpace.shared, AddressSpace.local):
-            contexts = self.bind("contexts", "state.contexts")
-            base = self.bind(
-                f"{space.value}_base{inst.lane}",
-                f"{contexts}[{inst.lane}].{space.value}_base",
-            )
-            term = f"{base} + {term}"
+            term = f"{self.segment_base(space.value, inst.lane)} + {term}"
         elif space is not AddressSpace.global_:
             raise ExecutionError(f"unresolvable address space {space}")
         self.emit(f"a = {term}")
-
-    def checked_arguments(self, inst) -> str:
-        """The program-point arguments every sanitizer entry point
-        takes after the access itself: shared?, label, index."""
-        shared = inst.space is AddressSpace.shared
-        return f"{shared}, {self.label!r}, {self.index}"
 
     def bounds(self, size) -> None:
         self.emit(
             f"if a < {_NULL_GUARD} or a + {size} > "
             f"{self.executable.target.memory.size}: memory._check(a, {size})"
         )
+
+    def inline_load(self, inst) -> str:
+        """The inline template of a scalar load from ``a``: its check
+        and count printed, the value's expression returned."""
+        dtype = inst.dtype
+        size = dtype.size
+        self.bounds(size)
+        self.emit(f"memory.load_count += {self.count}")
+        if dtype.is_predicate:
+            return self.loaded_flag
+        code = _code(dtype.numpy_dtype)
+        if size == 1:
+            return f"V_{code}[a]"
+        return (
+            f"V_{code}[a >> {size.bit_length() - 1}] "
+            f"if not {self.low} & {size - 1} "
+            f"else {self.unaligned[0]}(a, W_{code})"
+        )
+
+    def inline_store(self, inst, value: str, exact: bool) -> None:
+        """The inline template of the scalar store of ``value`` (known
+        to carry the instruction's dtype when ``exact``) to ``a``."""
+        dtype = inst.dtype
+        size = dtype.size
+        self.bounds(size)
+        self.emit(f"memory.store_count += {self.count}")
+        if dtype.is_predicate:
+            self.emit(f"DATA[a] = {self.stored_flag(value)}")
+            return
+        code = _code(dtype.numpy_dtype)
+        if not exact:
+            value = self.converted(value, code)
+        if size == 1:
+            self.emit(f"V_{code}[a] = {value}")
+            return
+        self.emit(
+            f"if {self.low} & {size - 1}: {self.unaligned[1]}(a, {value})"
+        )
+        self.emit(f"else: V_{code}[a >> {size.bit_length() - 1}] = {value}")
+
+    def load(self, inst: Load) -> None:
+        self.address(inst)
+        # A load returns exactly its dtype (a predicate, a Python bool).
+        self.define(
+            inst.dst, self.guest_load(inst), *self.result(inst.dtype, True)
+        )
+
+    def store(self, inst: Store) -> None:
+        value = self.raw(inst.value)
+        self.address(inst)
+        self.guest_store(
+            inst, value, self.exactly(inst.value, inst.dtype.numpy_dtype)
+        )
+
+    # -- thread context -------------------------------------------------------
+
+    def context_read(self, inst: ContextRead) -> None:
+        wanted = inst.dtype.numpy_dtype
+        if inst.field_name == "laneid":
+            expression = self.constant(wanted.type(inst.lane))
+        else:
+            # A launch coordinate is (attribute, axis); anything else
+            # the printer knows by its name.
+            name, axis = _CONTEXT_COORDINATES.get(
+                inst.field_name, (inst.field_name, None)
+            )
+            expression = self.context_field(
+                name, axis, inst.lane, _code(wanted)
+            )
+        self.define(inst.dst, expression, wanted, True)
+
+    # -- vector packing -------------------------------------------------------
+
+    def insert(self, inst: InsertElement) -> None:
+        wanted = inst.dst.dtype.numpy_dtype
+        code, width = _code(wanted), inst.dst.width
+        target, slot = "t", self.slot(inst.src)
+        if inst.src is None:
+            self.emit(f"t = np.zeros({self.shape(width)}, dtype=W_{code})")
+        elif (
+            slot in self.fresh
+            and slot in self.executable.read_once
+            and self.exactly(inst.src, wanted)
+        ):
+            # An array this execution of the block allocated, in a
+            # register only this instruction reads: build on in place.
+            target = self.raw(inst.src)
+        else:
+            self.copy_of(inst.src, width, wanted)
+        self.emit(
+            f"{self.lane(target, inst.index)} = {self.raw(inst.scalar)}"
+        )
+        self.define(inst.dst, target, wanted, True, vector=True)
+        self.fresh.add(self.slots[inst.dst.name])
+
+    # -- terminators ----------------------------------------------------------
+
+    def branch(self, inst: Branch) -> None:
+        self.emit(f"return {inst.target!r}")
+
+    def yield_(self, inst: Yield) -> None:
+        self.emit(f"return {int(inst.status)}")
+
+    def exit(self, inst: Exit) -> None:
+        self.emit(f"return {ResumeStatus.THREAD_EXIT}")
+
+
+class _WarpPrinter(_BlockEmitter):
+    """Prints a block as ``block(state)`` over one warp: a register is
+    a numpy scalar or a ``(ws,)`` array (a vector register may hold
+    either), written through to the register file so a trap dump is
+    exact at every instruction, and memory goes through the access
+    template the warp must run with (``Interpreter.access``)."""
+
+    header = ("def block(state):", "    regs = state.regs")
+
+    def __init__(self, executable, block, access: str, namespace: dict):
+        super().__init__(executable, block, namespace)
+        self.access = access
+        self.precise = _reads_clock(block)
+
+    def instruction(self, index: int, instruction) -> None:
+        super().instruction(index, instruction)
+        if self.precise and not instruction.is_terminator:
+            cost = self.executable.cost_table.cost_of(instruction)
+            stats = self.bind("stats", "state.stats")
+            bucket = (
+                "yield_cycles"
+                if getattr(instruction, "overhead", False)
+                else "kernel_cycles"
+            )
+            self.emit(f"{stats}.{bucket} += {cost.cycles}")
+            if cost.flops:
+                self.emit(f"{stats}.flops += {cost.flops}")
+
+    # -- how one warp's values are laid out ---------------------------------
+
+    def live_in(self, name: str, slot: int, value) -> None:
+        self.emit(f"{name} = regs[{slot}]")
+        code = _code(value.dtype.numpy_dtype)
+        zero = (
+            f"np.zeros({value.width}, dtype=W_{code})"
+            if value.width > 1
+            else self.constant(value.dtype.numpy_dtype.type(0))
+        )
+        self.emit(f"if {name} is None: {name} = regs[{slot}] = {zero}")
+
+    def carries(self, name: str, value, code: str) -> str:
+        """Condition under which local ``name`` already carries dtype
+        ``code`` (the typed read's one inline guard)."""
+        if value.width > 1:
+            return f"type({name}) is ndarray and {name}.dtype is W_{code}"
+        return f"type({name}) is T_{code}"
+
+    def array_of(self, inst, *operands) -> bool:
+        """Whether an operator over ``operands`` gives an array of the
+        shape of ``inst``'s result (else a scalar)."""
+        return inst.dst.width > 1
+
+    def splat(self, name: str, width: int, wanted) -> str:
+        return (
+            f"{name} if isinstance({name}, ndarray) and {name}.ndim == 1 "
+            f"else np.full({width}, {name}, dtype=W_{_code(wanted)})"
+        )
+
+    def shape(self, width: int) -> str:
+        return str(width)
+
+    def lane(self, name: str, index: int) -> str:
+        return f"{name}[{index}]"
+
+    def copy_of(self, source, width: int, wanted) -> None:
+        """``t``: a fresh ``wanted`` array of what vector register
+        ``source`` holds."""
+        name, code = self.raw(source), _code(wanted)
+        copy = (
+            f"{name}.copy()"
+            if self.exactly(source, wanted)
+            else f"np.array({name}, dtype=W_{code})"
+        )
+        self.emit(f"t = {copy}")
+        self.emit(f"if t.ndim == 0: t = np.full({width}, t, dtype=W_{code})")
+
+    def segment_base(self, segment: str, lane: int) -> str:
+        contexts = self.bind("contexts", "state.contexts")
+        return self.bind(
+            f"{segment}_base{lane}", f"{contexts}[{lane}].{segment}_base"
+        )
+
+    # -- memory, against the block's access template ------------------------
+
+    def checked_arguments(self, inst) -> str:
+        """The program-point arguments every sanitizer entry point
+        takes after the access itself: shared?, label, index."""
+        shared = inst.space is AddressSpace.shared
+        return f"{shared}, {self.label!r}, {self.index}"
 
     def guest_load(self, inst, atomic: bool = False) -> str:
         """Expression of the scalar at ``a`` (after printing its check
@@ -1483,18 +1658,7 @@ class _BlockEmitter:
             )
         if self.access == "late":
             return f"memory.load(D_{dtype.name}, a)"
-        size = dtype.size
-        self.bounds(size)
-        self.emit("memory.load_count += 1")
-        if dtype.is_predicate:
-            return "bool(DATA[a])"
-        code = _code(dtype.numpy_dtype)
-        if size == 1:
-            return f"V_{code}[a]"
-        return (
-            f"V_{code}[a >> {size.bit_length() - 1}] if not a & {size - 1} "
-            f"else load_unaligned(a, W_{code})"
-        )
+        return self.inline_load(inst)
 
     def guest_store(
         self, inst, value: str, exact: bool, atomic: bool = False
@@ -1511,39 +1675,17 @@ class _BlockEmitter:
         if self.access == "late":
             self.emit(f"memory.store(D_{dtype.name}, a, {value})")
             return
-        size = dtype.size
-        self.bounds(size)
-        self.emit("memory.store_count += 1")
-        if dtype.is_predicate:
-            self.emit(f"DATA[a] = 1 if {value} else 0")
-            return
-        code = _code(dtype.numpy_dtype)
-        if not exact:
-            self.emit(f"t = {value}")
-            self.emit(
-                f"if type(t) is not T_{code}: "
-                f"t = np.asarray(t).astype(W_{code})"
-            )
-            value = "t"
-        if size == 1:
-            self.emit(f"V_{code}[a] = {value}")
-            return
-        self.emit(f"if a & {size - 1}: store_unaligned(a, {value})")
-        self.emit(f"else: V_{code}[a >> {size.bit_length() - 1}] = {value}")
+        self.inline_store(inst, value, exact)
 
-    def load(self, inst: Load) -> None:
-        self.address(inst)
-        # A load returns exactly its dtype (a predicate, a Python bool).
-        self.define(
-            inst.dst, self.guest_load(inst), *self.result(inst.dtype, True)
-        )
+    def stored_flag(self, value: str) -> str:
+        return f"1 if {value} else 0"
 
-    def store(self, inst: Store) -> None:
-        value = self.raw(inst.value)
-        self.address(inst)
-        self.guest_store(
-            inst, value, self.exactly(inst.value, inst.dtype.numpy_dtype)
+    def converted(self, value: str, code: str) -> str:
+        self.emit(f"t = {value}")
+        self.emit(
+            f"if type(t) is not T_{code}: t = np.asarray(t).astype(W_{code})"
         )
+        return "t"
 
     def atomic(self, inst: AtomicRMW) -> None:
         impl = _ATOMIC_IMPL.get(inst.op)
@@ -1614,29 +1756,18 @@ class _BlockEmitter:
 
     # -- thread context -------------------------------------------------------
 
-    def context_read(self, inst: ContextRead) -> None:
-        wanted = inst.dtype.numpy_dtype
-        convert = f"T_{_code(wanted)}"
-        lane, field_name = inst.lane, inst.field_name
-        if field_name == "laneid":
-            expression = self.constant(wanted.type(lane))
-        elif field_name == "warpid":
-            expression = f"{convert}(state.warp.warp_id)"
-        elif field_name == "clock":
+    def context_field(self, name: str, axis, lane: int, code: str) -> str:
+        convert = f"T_{code}"
+        if name == "warpid":
+            return f"{convert}(state.warp.warp_id)"
+        if name == "clock":
             stats = self.bind("stats", "state.stats")
-            expression = (
-                f"{convert}({stats}.kernel_cycles + {stats}.yield_cycles)"
-            )
-        elif field_name == "resume_point":
-            contexts = self.bind("contexts", "state.contexts")
-            expression = f"{convert}({contexts}[{lane}].resume_point)"
-        elif field_name in _CONTEXT_COORDINATES:
-            attribute, axis = _CONTEXT_COORDINATES[field_name]
-            contexts = self.bind("contexts", "state.contexts")
-            expression = f"{convert}({contexts}[{lane}].{attribute}[{axis}])"
-        else:
-            raise ExecutionError(f"unknown context field {field_name}")
-        self.define(inst.dst, expression, wanted, True)
+            return f"{convert}({stats}.kernel_cycles + {stats}.yield_cycles)"
+        if name != "resume_point" and axis is None:
+            raise ExecutionError(f"unknown context field {name}")
+        contexts = self.bind("contexts", "state.contexts")
+        component = "" if axis is None else f"[{axis}]"
+        return f"{convert}({contexts}[{lane}].{name}{component})"
 
     def context_write(self, inst: ContextWrite) -> None:
         if inst.field_name != "resume_point":
@@ -1648,35 +1779,6 @@ class _BlockEmitter:
         self.emit(f"{contexts}[{inst.lane}].resume_point = {value}")
 
     # -- vector packing -------------------------------------------------------
-
-    def insert(self, inst: InsertElement) -> None:
-        wanted = inst.dst.dtype.numpy_dtype
-        code, width = _code(wanted), inst.dst.width
-        target, slot = "t", self.slot(inst.src)
-        if inst.src is None:
-            self.emit(f"t = np.zeros({width}, dtype=W_{code})")
-        elif (
-            slot in self.fresh
-            and slot in self.executable.read_once
-            and self.exactly(inst.src, wanted)
-        ):
-            # An array this execution of the block allocated, in a
-            # register only this instruction reads: build on in place.
-            target = self.raw(inst.src)
-        else:
-            source = self.raw(inst.src)
-            copy = (
-                f"{source}.copy()"
-                if self.exactly(inst.src, wanted)
-                else f"np.array({source}, dtype=W_{code})"
-            )
-            self.emit(f"t = {copy}")
-            self.emit(
-                f"if t.ndim == 0: t = np.full({width}, t, dtype=W_{code})"
-            )
-        self.emit(f"{target}[{inst.index}] = {self.raw(inst.scalar)}")
-        self.define(inst.dst, target, wanted, True, vector=True)
-        self.fresh.add(self.slots[inst.dst.name])
 
     def extract(self, inst: ExtractElement) -> None:
         vector = self.raw(inst.src)
@@ -1721,9 +1823,6 @@ class _BlockEmitter:
 
     # -- terminators ----------------------------------------------------------
 
-    def branch(self, inst: Branch) -> None:
-        self.emit(f"return {inst.target!r}")
-
     def cond_branch(self, inst: CondBranch) -> None:
         self.emit(
             f"return {inst.taken!r} if {self.raw(inst.predicate)} "
@@ -1737,12 +1836,6 @@ class _BlockEmitter:
             f"{inst.default!r})"
         )
 
-    def yield_(self, inst: Yield) -> None:
-        self.emit(f"return {int(inst.status)}")
-
-    def exit(self, inst: Exit) -> None:
-        self.emit(f"return {ResumeStatus.THREAD_EXIT}")
-
     def barrier(self, inst: BarrierTerm) -> None:
         self.emit(
             "raise ExecutionError('raw barrier terminator reached the "
@@ -1751,30 +1844,32 @@ class _BlockEmitter:
         )
 
 
-#: The opcode table: instruction type -> the emitter method printing it.
+#: The opcode table: instruction type -> name of the method printing
+#: it. A printer without the method has no form for the instruction
+#: (the batch printer: atomics, barriers).
 _EMITTERS = {
-    BinaryOp: _BlockEmitter.binary,
-    UnaryOp: _BlockEmitter.unary,
-    FusedMultiplyAdd: _BlockEmitter.fma,
-    Compare: _BlockEmitter.compare,
-    Select: _BlockEmitter.select,
-    Convert: _BlockEmitter.convert,
-    Intrinsic: _BlockEmitter.intrinsic,
-    Load: _BlockEmitter.load,
-    Store: _BlockEmitter.store,
-    VectorLoad: _BlockEmitter.vector_load,
-    VectorStore: _BlockEmitter.vector_store,
-    AtomicRMW: _BlockEmitter.atomic,
-    ContextRead: _BlockEmitter.context_read,
-    ContextWrite: _BlockEmitter.context_write,
-    InsertElement: _BlockEmitter.insert,
-    ExtractElement: _BlockEmitter.extract,
-    Broadcast: _BlockEmitter.broadcast,
-    Reduce: _BlockEmitter.reduce,
-    Branch: _BlockEmitter.branch,
-    CondBranch: _BlockEmitter.cond_branch,
-    Switch: _BlockEmitter.switch,
-    Yield: _BlockEmitter.yield_,
-    Exit: _BlockEmitter.exit,
-    BarrierTerm: _BlockEmitter.barrier,
+    BinaryOp: "binary",
+    UnaryOp: "unary",
+    FusedMultiplyAdd: "fma",
+    Compare: "compare",
+    Select: "select",
+    Convert: "convert",
+    Intrinsic: "intrinsic",
+    Load: "load",
+    Store: "store",
+    VectorLoad: "vector_load",
+    VectorStore: "vector_store",
+    AtomicRMW: "atomic",
+    ContextRead: "context_read",
+    ContextWrite: "context_write",
+    InsertElement: "insert",
+    ExtractElement: "extract",
+    Broadcast: "broadcast",
+    Reduce: "reduce",
+    Branch: "branch",
+    CondBranch: "cond_branch",
+    Switch: "switch",
+    Yield: "yield_",
+    Exit: "exit",
+    BarrierTerm: "barrier",
 }

@@ -207,29 +207,25 @@ class MemorySystem:
             scalar.tobytes(), dtype=np.uint8
         )
 
-    # -- batched guest access (the array backend's gather/scatter) --------
+    # -- guest access outside the typed entry points ------------------------
 
     #: The guest-access entry points a fault-injection harness may
-    #: override on an *instance*. Everything that touches the arena
-    #: without calling them (generated block code, the batched paths
-    #: below) asks :meth:`patched` first and goes through the methods
-    #: while a patch is in place, so injected faults fire — and stop
-    #: firing — whenever the harness arms and restores.
+    #: override on an *instance*. Generated block code touches the
+    #: arena without calling them, so it asks :meth:`patched` first
+    #: and goes through the methods while a patch is in place (and the
+    #: execution manager forms no batch then): injected faults fire —
+    #: and stop firing — whenever the harness arms and restores.
     PATCH_POINTS = ("load", "store", "read_array", "write_array")
 
     def patched(self) -> bool:
         """True while any of :attr:`PATCH_POINTS` is overridden."""
         return not self.__dict__.keys().isdisjoint(self.PATCH_POINTS)
 
-    def _patched(self, name: str) -> bool:
-        """True when ``name`` has been overridden on this *instance*;
-        the batched paths then delegate per element."""
-        return name in self.__dict__
-
     def _check_batch(self, addresses: np.ndarray, size: int) -> None:
-        """:meth:`_check` over a batch: its extremes decide, and only a
-        batch with an address out looks for the first one in index
-        order — the fault the scalar path would have raised."""
+        """:meth:`_check` over a batch (the slow path of the batch
+        printer's inline check): its extremes decide, and only a batch
+        with an address out looks for the first one in index order —
+        the fault the scalar path would have raised."""
         if (
             addresses.min(initial=_NULL_GUARD) < _NULL_GUARD
             or addresses.max(initial=0) + size > self.size
@@ -238,76 +234,6 @@ class MemorySystem:
                 addresses + size > self.size
             )
             self._check(int(addresses[int(np.argmax(bad))]), size)
-
-    def gather(self, dtype: DataType, addresses: np.ndarray):
-        """Batched :meth:`load`: one element per address, identical
-        bounds checks and ``load_count`` accounting."""
-        if self._patched("load"):
-            values = [self.load(dtype, int(a)) for a in addresses]
-            if dtype.is_predicate:
-                return np.array(values, dtype=bool)
-            return np.array(values, dtype=dtype.numpy_dtype)
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if dtype.is_predicate:
-            self._check_batch(addresses, 1)
-            self.load_count += addresses.size
-            return self.data[addresses] != 0
-        size = dtype.size
-        self._check_batch(addresses, size)
-        self.load_count += addresses.size
-        numpy_dtype = dtype.numpy_dtype
-        if size == 1:
-            return self.data[addresses].view(numpy_dtype)
-        # Sizes are powers of two: a stray low bit is a misalignment.
-        if not np.bitwise_or.reduce(addresses, axis=None) & (size - 1):
-            return self.data.view(numpy_dtype)[
-                addresses >> (size.bit_length() - 1)
-            ]
-        out = np.empty(addresses.shape, dtype=numpy_dtype)
-        flat = out.reshape(-1)
-        for position, address in enumerate(addresses.reshape(-1)):
-            flat[position] = self.data[
-                address : address + size
-            ].view(numpy_dtype)[0]
-        return out
-
-    def scatter(
-        self, dtype: DataType, addresses: np.ndarray, values
-    ) -> None:
-        """Batched :meth:`store`: duplicate addresses resolve to the
-        highest value index (numpy fancy assignment), matching the
-        sequential last-writer-wins order of the warps in a batch."""
-        if self._patched("store"):
-            broadcast = np.broadcast_to(
-                np.asarray(values), np.asarray(addresses).shape
-            )
-            for address, value in zip(addresses, broadcast):
-                self.store(dtype, int(address), value)
-            return
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if dtype.is_predicate:
-            self._check_batch(addresses, 1)
-            self.store_count += addresses.size
-            self.data[addresses] = (np.asarray(values) != 0).astype(
-                np.uint8
-            )
-            return
-        size = dtype.size
-        self._check_batch(addresses, size)
-        self.store_count += addresses.size
-        numpy_dtype = dtype.numpy_dtype
-        # One value per address or one for all: assignment broadcasts.
-        converted = np.asarray(values).astype(numpy_dtype, copy=False)
-        if not np.bitwise_or.reduce(addresses, axis=None) & (size - 1):
-            self.data.view(numpy_dtype)[
-                addresses >> (size.bit_length() - 1)
-            ] = converted
-            return
-        flat = np.broadcast_to(converted, addresses.shape).reshape(-1)
-        for position, address in enumerate(addresses.reshape(-1)):
-            self.data[address : address + size] = np.frombuffer(
-                flat[position].tobytes(), dtype=np.uint8
-            )
 
     # -- bulk host access (the cudaMemcpy analogues) ----------------------
 

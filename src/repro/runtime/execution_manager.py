@@ -280,6 +280,9 @@ class _Window:
     #: per CTA: threads not yet exited / threads parked at the barrier
     live_counts: Dict[int, int]
     barrier_pools: Dict[int, List[ThreadContext]]
+    #: a cycle budget or a deadline is set: the watchdog is asked after
+    #: every warp (and not at all otherwise)
+    watched: bool
 
 
 class ExecutionManager:
@@ -512,11 +515,9 @@ class ExecutionManager:
             ready,
             live_counts,
             barrier_pools,
+            self._cycle_budget is not None or self._deadline is not None,
         )
         stats = self.stats
-        watched = (
-            self._cycle_budget is not None or self._deadline is not None
-        )
         # What decides against batching for the whole window is asked
         # once, here: a loop iteration that cannot batch compares one
         # length. ``threshold`` is ``floor`` (the size rule: no key
@@ -591,7 +592,7 @@ class ExecutionManager:
                     },
                 )
             self._handle_yield(window, status, warp)
-            if watched:
+            if window.watched:
                 self._check_watchdog(window)
 
         leftovers = {
@@ -809,7 +810,8 @@ class ExecutionManager:
         record its entry (here, like the sequential loop, so a launch
         that traps part-way has counted the warps that ran), resume it
         sequentially when the batch fell back mid-kernel
-        (``continuation``), or just apply its precomputed yield."""
+        (``continuation``), or just apply its precomputed yield; then,
+        as after every warp of a ``watched`` window, ask the watchdog."""
         warp, executable, restored, continuation, status, stats = item
         self.stats.record_entry(self.worker_id, warp.size, restored)
         self.stats.em_cycles += (
@@ -824,7 +826,8 @@ class ExecutionManager:
         self._absorb_execution(stats)
         self.stats.record_yield(status)
         self._handle_yield(window, status, warp)
-        self._check_watchdog(window)
+        if window.watched:
+            self._check_watchdog(window)
 
     # -- watchdog ------------------------------------------------------------
 

@@ -82,6 +82,10 @@ class Workload(abc.ABC):
     category: str = Category.COMPUTE_UNIFORM
     #: One-line description of what the app computes.
     description: str = ""
+    #: ``"paper"`` for the applications the paper's figures are drawn
+    #: over, ``"extension"`` for the ones added here to stress what
+    #: those are light on (the paper's bounds are not claimed of them).
+    suite: str = "paper"
     #: RNG seed for deterministic inputs.
     seed: int = 2012
 

@@ -24,6 +24,7 @@ class Collatz(Workload):
 
     name = "Collatz"
     category = Category.DIVERGENT
+    suite = "extension"
     description = "3n+1 step counts (loop around an odd/even diamond)"
 
     def module_source(self) -> str:
@@ -111,6 +112,7 @@ class AbsDiff(Workload):
 
     name = "AbsDiff"
     category = Category.DIVERGENT
+    suite = "extension"
     description = "elementwise |a-b| via a diamond with stores in arms"
 
     def module_source(self) -> str:
@@ -185,6 +187,7 @@ class OptionPayoff(Workload):
 
     name = "OptionPayoff"
     category = Category.DIVERGENT
+    suite = "extension"
     description = "call/put payoff diamond with unbalanced arms"
 
     STRIKE = 1.0
@@ -268,6 +271,7 @@ class GradClamp(Workload):
 
     name = "GradClamp"
     category = Category.DIVERGENT
+    suite = "extension"
     description = "clamped gradient step via an fma diamond"
 
     def module_source(self) -> str:
@@ -357,6 +361,7 @@ class SharedToggle(Workload):
 
     name = "SharedToggle"
     category = Category.DIVERGENT
+    suite = "extension"
     description = "diamond with shared stores, barrier, neighbour read"
 
     def module_source(self) -> str:
@@ -441,6 +446,7 @@ class Bisect(Workload):
 
     name = "Bisect"
     category = Category.DIVERGENT
+    suite = "extension"
     description = "sqrt via bisection (per-iteration lo/hi diamond)"
 
     ITERATIONS = 24

@@ -375,8 +375,9 @@ def _observe(backend, ptx, kernel, grid, block, make_args, limit=None):
 class TestBatchFallback:
     """Each way a batch hands its warps to the sequential path, on a
     kernel with in-place vector chains on both sides of the hand-off
-    and CTAs of 64 threads (one full batch each): guest memory and
-    modeled statistics must not be able to tell."""
+    and CTAs of 32 threads (one batch of ``MIN_BATCH_WARPS`` each, so
+    what leaves a batch cannot form another): guest memory and modeled
+    statistics must not be able to tell."""
 
     def _agree(self, oracle, *arguments, **options):
         device, statistics, trap, arena = _observe(
@@ -401,12 +402,12 @@ class TestBatchFallback:
 
     def test_divergent_switch(self):
         device, statistics, trap = self._agree(
-            "reference", WALK_PTX, "walk", 3, 64, _walk_args
+            "reference", WALK_PTX, "walk", 3, 32, _walk_args
         )
         assert trap is None
         # the first CTA's batch runs into the loop's divergent Switch;
         # that is on record when the other two CTAs ask
-        assert statistics.batch_fallbacks == statistics.batched_warps == 16
+        assert statistics.batch_fallbacks == statistics.batched_warps == 8
         # only what a batch entered was lowered for batches
         executable = device.cache.resident("walk", 4)
         assert set(executable.array_blocks) < set(executable.function.blocks)
@@ -415,13 +416,13 @@ class TestBatchFallback:
 
     def test_untranslated_clock_block(self):
         device, statistics, trap = self._agree(
-            "reference", CLOCKED_PTX, "clocked", 2, 64,
+            "reference", CLOCKED_PTX, "clocked", 2, 32,
             lambda device: [_table(device), device.malloc(128 * 4), 5],
         )
         assert trap is None
         # every batch ends there (the second CTA's is not formed: the
         # first one's abort is already on record)
-        assert statistics.batch_fallbacks == statistics.batched_warps == 16
+        assert statistics.batch_fallbacks == statistics.batched_warps == 8
         blocks = device.cache.resident("clocked", 4).array_blocks
         assert [label for label, entry in blocks.items() if entry is None]
 
@@ -430,12 +431,12 @@ class TestBatchFallback:
         # statistics are compared with the sequential leg's (the
         # reference stops mid-block, the generated code after it).
         device, statistics, trap = self._agree(
-            "sequential", CLOCKED_PTX, "clocked", 2, 64,
+            "sequential", CLOCKED_PTX, "clocked", 2, 32,
             lambda device: [_table(device), device.malloc(128 * 4), 1000],
             limit=300,
         )
         assert trap[0] == "InstructionLimitExceeded"
-        assert statistics.batch_fallbacks == statistics.batched_warps == 16
+        assert statistics.batch_fallbacks == statistics.batched_warps == 8
         # it says nothing about the entry point: not recorded
         assert device.cache.resident("clocked", 4).array_blocks.outcomes == {}
 
@@ -530,11 +531,11 @@ def _device(ptx):
 
 
 def _barrier_loop(device, kernel="zigzag", trips=4):
-    dst = device.malloc(4 * 64 * 4)
+    dst = device.malloc(4 * 32 * 4)
     statistics = device.launch(
-        kernel, grid=4, block=64, args=[dst, trips]
+        kernel, grid=4, block=32, args=[dst, trips]
     ).statistics
-    values = dst.read(np.uint32, 4 * 64)
+    values = dst.read(np.uint32, 4 * 32)
     device.free(dst)
     return statistics, values
 
@@ -594,12 +595,12 @@ def _histories(ptx, kernel, launches):
 
 class TestBatchAdmission:
     def test_fewer_than_the_floor_never_batch(self):
-        # The size rule. 8 CTAs of 15 full warps (and of 15 and a
+        # The size rule. 8 CTAs of 7 full warps (and of 7 and a
         # half): no key ever holds MIN_BATCH_WARPS full warps. One more
         # warp per CTA and every CTA is one batch.
-        assert MIN_BATCH_WARPS == 16
+        assert MIN_BATCH_WARPS == 8
         device = _device(VECADD_PTX)
-        for block in (60, 62):
+        for block in (28, 30):
             statistics = _vecadd(device, 8, block, 8 * block)
             assert statistics.batched_warps == 0
             with sequential_only():
@@ -609,7 +610,7 @@ class TestBatchAdmission:
             )
             assert statistics.cache.hits == sequential.cache.hits
             assert device.cache.resident("vecAdd", 4).array_blocks == {}
-        assert _vecadd(device, 8, 64, 8 * 64).batched_warps == 8 * 16
+        assert _vecadd(device, 8, 32, 8 * 32).batched_warps == 8 * 8
 
     def test_consistent_divergence_stops_being_batched(self):
         history = _histories(ZIGZAG_PTX, "zigzag", launches=10)
@@ -618,11 +619,11 @@ class TestBatchAdmission:
         # and aborts whenever it is admitted: at its 1st and 6th
         # opportunity (launch 0), its 23rd (launch 1), its 88th
         # (launch 5) and not again before its 345th.
-        assert fallbacks == [32, 16, 0, 0, 0, 16, 0, 0, 0, 0]
+        assert fallbacks == [16, 8, 0, 0, 0, 8, 0, 0, 0, 0]
         # the entry point that completes (the run up to the first
         # barrier) is batched in every launch
         assert all(
-            batched - fell_back == 4 * 16 for batched, fell_back in history
+            batched - fell_back == 4 * 8 for batched, fell_back in history
         )
 
     def test_alternating_entry_point_backs_off(self):
@@ -630,7 +631,7 @@ class TestBatchAdmission:
         # completed batch between two aborted ones does not reset the
         # back-off (it did, so this shape kept batching at a loss).
         history = _histories(ALTERNATING_PTX, "alternating", launches=12)
-        aborted = [fell_back // 16 for _, fell_back in history]
+        aborted = [fell_back // 8 for _, fell_back in history]
         assert aborted[0] >= 2
         assert sum(aborted[6:]) <= 1
         device = _device(ALTERNATING_PTX)
@@ -645,15 +646,15 @@ class TestBatchAdmission:
         assert min(record[0] for record in outcomes.values()) < 0
 
     def test_guarded_uniform_kernel_keeps_batching(self):
-        # 8 CTAs of 16 warps; in the last one warps 0-6 are in bounds,
-        # warp 7 is mixed, the rest are out: its batch aborts in every
+        # 8 CTAs of 8 warps; in the last one warps 0-2 are in bounds,
+        # warp 3 is mixed, the rest are out: its batch aborts in every
         # launch. Seven completions to one abort never leave credit,
         # so it costs the next launch nothing.
         device = _device(VECADD_PTX)
         for _ in range(10):
-            statistics = _vecadd(device, 8, 64, 7 * 64 + 30)
-            assert statistics.batch_fallbacks == 16
-            assert statistics.batched_warps == 8 * 16
+            statistics = _vecadd(device, 8, 32, 7 * 32 + 14)
+            assert statistics.batch_fallbacks == 8
+            assert statistics.batched_warps == 8 * 8
         outcomes = device.cache.resident("vecAdd", 4).array_blocks.outcomes
         assert outcomes == {0: [-5, 0]}
 
@@ -712,57 +713,159 @@ class TestBatchAdmission:
         assert _vecadd(device, 1, 64, 64).batched_warps == 16
 
 
+class TestWatchdogParity:
+    """A batch's warps finish one per round-robin visit, like the
+    sequential loop's: the between-warp watchdog is asked after each
+    exactly when it is there — a cycle budget or a deadline is set."""
+
+    def test_unwatched_launch_never_asks_the_watchdog(self, monkeypatch):
+        from repro.runtime.execution_manager import ExecutionManager
+
+        asked = []
+        monkeypatch.setattr(
+            ExecutionManager, "_check_watchdog",
+            lambda self, window: asked.append(window),
+        )
+        device = _device(VECADD_PTX)
+        assert _vecadd(device, 2, 32, 64).batched_warps == 16
+        assert asked == []
+
+    def test_deadline_fires_at_the_same_program_points(self):
+        # The deadline has passed when the first warp's yield has been
+        # handled: the batching leg has run the whole first CTA by
+        # then, the sequential one its first warp — and both report
+        # the CTA's other threads ready at the kernel's entry.
+        from repro.errors import LaunchTimeout
+
+        def timed_out():
+            device = Device(config=replace(
+                vectorized_config(4), launch_timeout_s=1e-6
+            ))
+            device.register_module(VECADD_PTX)
+            device.warm()
+            buffers = [device.malloc(64 * 4) for _ in range(3)]
+            with pytest.raises(LaunchTimeout) as excinfo:
+                device.launch(
+                    "vecAdd", grid=2, block=32, args=[*buffers, 64]
+                )
+            return (
+                str(excinfo.value),
+                [str(point) for point in excinfo.value.program_points],
+                excinfo.value.statistics.batched_warps,
+            )
+
+        message, points, batched = timed_out()
+        # (a window is one CTA: its other seven warps)
+        assert "wall-clock deadline" in message and len(points) == 28
+        assert batched == 8
+        with sequential_only():
+            assert timed_out() == (message, points, 0)
+
+
 #: ``(batched_warps, batch_fallbacks)`` of every registered app's first
 #: run (default seed, scale 0.25) on a compiled Device under
 #: ``vectorized_config(4)``. Admission reads queue lengths and batch
 #: outcomes only, so these repeat exactly; a change to a rule, a
 #: constant or the formation order shows up here as a diff. (A
-#: divergent app's lone ``(16, 16)`` is the one batch its entry block
-#: is given before the record refuses it.)
+#: divergent app's ``(n, n)`` are the batches its entry points are
+#: given before the record refuses them.)
 CENSUS = {
-    "AbsDiff": (16, 16),
+    "AbsDiff": (37, 37),
     "AlignedTypes": (32, 0),
     "AsyncAPI": (32, 0),
     "BicubicTexture": (32, 0),
-    "BinomialOptions": (0, 0),
-    "Bisect": (16, 16),
-    "BitonicSort": (0, 0),
+    "BinomialOptions": (80, 80),
+    "Bisect": (97, 81),
+    "BitonicSort": (208, 48),
     "BlackScholes": (32, 0),
     "BoxFilter": (64, 0),
-    "Clock": (0, 0),
-    "Collatz": (16, 16),
+    "Clock": (8, 8),
+    "Collatz": (88, 70),
     "ConvolutionSeparable": (64, 0),
     "DwtHaar1D": (32, 0),
     "Eigenvalues": (16, 16),
-    "FastWalshTransform": (144, 32),
-    "GradClamp": (16, 16),
+    "FastWalshTransform": (190, 53),
+    "GradClamp": (37, 37),
     "Histogram256": (0, 0),
     "Histogram64": (0, 0),
     "ImageDenoising": (32, 0),
     "MatrixMul": (320, 0),
-    "MersenneTwister": (16, 16),
+    "MersenneTwister": (28, 28),
     "MonteCarlo": (32, 0),
-    "Nbody": (0, 0),
+    "Nbody": (8, 0),
     "OptionPayoff": (64, 0),
     "QuasirandomGenerator": (32, 0),
     "RecursiveGaussian": (16, 0),
-    "Reduction": (128, 64),
-    "ScalarProd": (0, 0),
-    "Scan": (128, 80),
-    "ScanLargeArray": (0, 0),
+    "Reduction": (185, 100),
+    "ScalarProd": (56, 24),
+    "Scan": (165, 94),
+    "ScanLargeArray": (128, 56),
     "SharedToggle": (32, 0),
     "SimpleAtomicIntrinsics": (0, 0),
     "SimpleVoteIntrinsics": (0, 0),
-    "SobelFilter": (16, 16),
+    "SobelFilter": (37, 37),
     "SobolQRNG": (32, 0),
     "Template": (64, 0),
     "ThreadFenceReduction": (0, 0),
     "Transpose": (128, 0),
     "TransposeNew": (64, 0),
     "cp": (32, 0),
-    "mri-fhd": (16, 16),
-    "mri-q": (16, 16),
+    "mri-fhd": (41, 33),
+    "mri-q": (41, 33),
     "throughput": (144, 0),
+}
+
+#: ``(blocks printed for a batch, blocks the batch printer declined)``
+#: of the same runs: every block a batch entered is one or the other. A
+#: block moving right is coverage lost — its batches leave there and
+#: the warps finish one at a time, correctly and silently — so that is
+#: a diff here, not a slowdown somewhere. (Clock's one is its
+#: ``%clock`` block; the all-zero apps hold atomics, which get no
+#: batched lowering at all, or never gather ``MIN_BATCH_WARPS`` warps.)
+COVERAGE = {
+    "AbsDiff": (3, 0),
+    "AlignedTypes": (4, 0),
+    "AsyncAPI": (4, 0),
+    "BicubicTexture": (4, 0),
+    "BinomialOptions": (6, 0),
+    "Bisect": (10, 0),
+    "BitonicSort": (8, 0),
+    "BlackScholes": (4, 0),
+    "BoxFilter": (6, 0),
+    "Clock": (1, 1),
+    "Collatz": (11, 0),
+    "ConvolutionSeparable": (6, 0),
+    "DwtHaar1D": (2, 0),
+    "Eigenvalues": (4, 0),
+    "FastWalshTransform": (7, 0),
+    "GradClamp": (3, 0),
+    "Histogram256": (0, 0),
+    "Histogram64": (0, 0),
+    "ImageDenoising": (6, 0),
+    "MatrixMul": (8, 0),
+    "MersenneTwister": (4, 0),
+    "MonteCarlo": (6, 0),
+    "Nbody": (6, 0),
+    "OptionPayoff": (4, 0),
+    "QuasirandomGenerator": (6, 0),
+    "RecursiveGaussian": (6, 0),
+    "Reduction": (7, 0),
+    "ScalarProd": (8, 0),
+    "Scan": (11, 0),
+    "ScanLargeArray": (10, 0),
+    "SharedToggle": (4, 0),
+    "SimpleAtomicIntrinsics": (0, 0),
+    "SimpleVoteIntrinsics": (0, 0),
+    "SobelFilter": (3, 0),
+    "SobolQRNG": (6, 0),
+    "Template": (4, 0),
+    "ThreadFenceReduction": (0, 0),
+    "Transpose": (3, 0),
+    "TransposeNew": (4, 0),
+    "cp": (4, 0),
+    "mri-fhd": (8, 0),
+    "mri-q": (8, 0),
+    "throughput": (4, 0),
 }
 
 
@@ -775,7 +878,19 @@ class TestAdmissionCensus:
         device.warm()
         statistics = workload.execute(device, scale=0.25).statistics
         used = device.memory.bytes_allocated
-        return statistics, device.memory.data[:used].copy()
+        tables = [
+            device.cache.resident(*specialization).array_blocks
+            for specialization in device.cache.cached_specializations()
+        ]
+        entries = [
+            entry for table in tables if table for entry in table.values()
+        ]
+        declined = entries.count(None)
+        return (
+            statistics,
+            device.memory.data[:used].copy(),
+            (len(entries) - declined, declined),
+        )
 
     def test_census_covers_every_registered_app(self):
         assert sorted(CENSUS) == sorted(
@@ -784,12 +899,13 @@ class TestAdmissionCensus:
 
     @pytest.mark.parametrize("name", sorted(CENSUS))
     def test_batches_are_pinned_and_invisible(self, name):
-        statistics, arena = self._first_run(name)
+        statistics, arena, coverage = self._first_run(name)
         assert (
             statistics.batched_warps, statistics.batch_fallbacks
         ) == CENSUS[name]
+        assert coverage == COVERAGE[name]
         with sequential_only():
-            sequential, sequential_arena = self._first_run(name)
+            sequential, sequential_arena, _ = self._first_run(name)
         assert sequential.batched_warps == 0
         assert _modeled_statistics(statistics) == (
             _modeled_statistics(sequential)

@@ -150,8 +150,8 @@ def _function(blocks, warp_size=1):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Filenames of every ``compile()`` call the lowering makes (for
-    the sequential path: a batched walk compiles nothing)."""
+    """Filenames of every ``compile()`` call the lowering makes (the
+    batch printer's end in ``:batch``)."""
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     seen = []
     monkeypatch.setattr(
@@ -214,17 +214,22 @@ class TestBlockEmitter:
             )
             return statistics
 
-        # 16 warps are one batch: what it enters is priced and given
+        # 8 warps are one batch: what it enters is priced and given
         # its batched form; a block that only ever runs batched is
         # never lowered for the sequential path.
-        assert launch(64).batched_warps == 16
-        assert compiles == [] and executables[4].code == {}
+        assert launch(32).batched_warps == 8
+        assert executables[4].code == {}
         batched = set(executables[4].array_blocks)
         assert batched == set(executables[4].block_costs)
-        # 15 warps are not. Unused widths stay IR; at width 4 the
+        assert compiles == [
+            f"<repro:vecAdd.w4/ws4/{label}:batch>"
+            for label in executables[4].array_blocks
+        ]
+        del compiles[:]
+        # 7 warps are not. Unused widths stay IR; at width 4 the
         # divergence handler of the bounds check (its cold arm) was
         # never entered.
-        assert launch(60).batched_warps == 0
+        assert launch(28).batched_warps == 0
         assert executables[1].code == {} and executables[2].code == {}
         entered = set(executables[4].code["inline"])
         assert entered == batched == set(executables[4].block_costs)
@@ -395,35 +400,6 @@ class TestBlockEmitter:
         assert 'File "<repro:t/ws1/entry>"' in rendered
         assert "memory._check(a, 4)" in rendered
         assert "load.global.f32" in executable.block_source("entry")
-
-    def test_terminator_alone(self):
-        # The array backend runs a body batched and hands each warp to
-        # the block's terminator when it diverges.
-        interpreter = Interpreter(sandybridge(), MemorySystem(1 << 12))
-        executable = interpreter.load_function(_function({
-            "entry": [
-                _fma("a", "x"),
-                CondBranch(_reg("p", DataType.pred), "yes", "no"),
-            ],
-            "yes": [Yield(status=1)],
-            "no": [Yield(status=3)],
-        }))
-        for value, status in ((True, 1), (False, 3)):
-            continuation = lowering.Continuation(
-                label="entry", at_terminator=True, executed=2,
-                kernel_cycles=2, yield_cycles=0, flops=2,
-                registers=(
-                    (executable.register_slots["p"], np.bool_(value)),
-                ),
-            )
-            state = interpreter.new_state()
-            assert interpreter.execute(
-                executable, Warp(contexts=[_context(0)]), 0, state=state,
-                continuation=continuation,
-            ) == status
-            assert state.regs[executable.register_slots["a"]] is None
-            assert state.stats.instructions == 3
-        assert "entry" not in executable.code.get("inline", {})
 
     # -- the handler idioms: constant shifts, in-place chains, extracts ------
 
@@ -764,6 +740,15 @@ class TestBlockEmitter:
         )
         assert "per-opcode host cost, batch path" in printed
         assert "per-opcode host cost, seq path" not in printed
+
+    def test_hot_blocks_script_prints_the_batch_size_table(self):
+        # The provenance of MIN_BATCH_WARPS is this command: a row for
+        # the sequential path and one per batch size that occurred,
+        # each calls, warp-instructions, us per warp-instruction.
+        printed = self._hot_blocks("Transpose", "--batch-sizes")
+        row = r"^  {} +{} +\d+ +\d+ +\d+\.\d+$"
+        assert re.search(row.format("sequential", "1"), printed, re.M)
+        assert re.search(row.format("completed", r"\d+\+"), printed, re.M)
 
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_fault_after_a_chain_reports_its_own_index(self, sanitize):

@@ -128,111 +128,6 @@ class TestMemorySystem:
         assert memory.load_count == 1
 
 
-class TestBatchedMemoryAccess:
-    """``gather``/``scatter`` are ``load``/``store`` over a batch: same
-    values, same counters, and a fault names the address the scalar
-    path — walking the batch in index order — would have named."""
-
-    SIZE = 1 << 12
-
-    def _scalar_fault(self, dtype, addresses):
-        memory = MemorySystem(self.SIZE)
-        with pytest.raises(MemoryFault) as caught:
-            for address in addresses:
-                memory.load(dtype, address)
-        return caught.value.address, caught.value.size
-
-    @pytest.mark.parametrize(
-        "addresses",
-        [
-            [256, 8, 512, 0],            # low: below the null guard
-            [256, SIZE - 2, SIZE, 512],  # high: past the arena end
-            [256, SIZE, 512, 8],         # mixed: the high one is first
-            [256, -8, SIZE, 512],        # negative
-        ],
-        ids=["low", "high", "mixed", "negative"],
-    )
-    @pytest.mark.parametrize("dtype", [DataType.u32, DataType.pred])
-    def test_out_of_bounds_names_the_scalar_paths_address(
-        self, addresses, dtype
-    ):
-        expected = self._scalar_fault(dtype, addresses)
-        for access in ("gather", "scatter"):
-            memory = MemorySystem(self.SIZE)
-            batch = np.array(addresses, dtype=np.int64)
-            with pytest.raises(MemoryFault) as caught:
-                if access == "gather":
-                    memory.gather(dtype, batch)
-                else:
-                    memory.scatter(dtype, batch, np.ones(4, dtype=np.uint32))
-            assert (caught.value.address, caught.value.size) == expected
-            # the whole batch is checked before any of it is touched
-            assert memory.load_count == memory.store_count == 0
-            assert not memory.data.any()
-
-    @pytest.mark.parametrize("offset", [0, 1, 2], ids=["aligned", "+1", "+2"])
-    @pytest.mark.parametrize(
-        "dtype", [DataType.u8, DataType.u16, DataType.f32, DataType.u64]
-    )
-    def test_roundtrip_matches_scalar_access(self, dtype, offset):
-        memory = MemorySystem(self.SIZE)
-        # one misaligned address is enough to leave the typed view
-        addresses = np.array([512, 128 + offset, 1024, 128 + offset + 64])
-        values = np.arange(4).astype(dtype.numpy_dtype) + 3
-        memory.scatter(dtype, addresses, values)
-        assert memory.store_count == 4
-        assert [memory.load(dtype, int(a)) for a in addresses] == list(values)
-        memory.load_count = 0
-        loaded = memory.gather(dtype, addresses)
-        assert loaded.dtype == dtype.numpy_dtype
-        assert np.array_equal(loaded, values) and memory.load_count == 4
-
-    def test_predicates_and_last_writer_wins(self):
-        memory = MemorySystem(self.SIZE)
-        addresses = np.array([100, 101, 100])
-        memory.scatter(DataType.pred, addresses, np.array([1, 5, 0]))
-        assert list(memory.data[100:102]) == [0, 1]
-        loaded = memory.gather(DataType.pred, addresses)
-        assert loaded.dtype == np.bool_ and list(loaded) == [False, True, False]
-
-    def test_empty_batch(self):
-        memory = MemorySystem(self.SIZE)
-        nothing = np.array([], dtype=np.int64)
-        for dtype in (DataType.u32, DataType.pred):
-            assert memory.gather(dtype, nothing).shape == (0,)
-            memory.scatter(dtype, nothing, np.array([], dtype=np.uint32))
-        assert memory.load_count == memory.store_count == 0
-
-    def test_patched_access_goes_through_the_patch(self):
-        # What FaultInjector("memory_fault") does: override the scalar
-        # entry points on the instance; the batched paths must then
-        # call them per element.
-        memory = MemorySystem(self.SIZE)
-        memory.scatter(DataType.u32, np.array([256, 260]), np.array([7, 9]))
-        seen = []
-        load, store = memory.load, memory.store
-
-        def watched_load(dtype, address):
-            seen.append(("load", address))
-            return load(dtype, address)
-
-        def failing_store(dtype, address, value):
-            seen.append(("store", address))
-            if address == 260:
-                raise MemoryFault(address, 4, "injected fault")
-            store(dtype, address, value)
-
-        memory.load, memory.store = watched_load, failing_store
-        assert list(memory.gather(DataType.u32, np.array([260, 256]))) == [9, 7]
-        with pytest.raises(MemoryFault, match="injected"):
-            memory.scatter(DataType.u32, np.array([256, 260]), np.array([1, 2]))
-        assert seen == [
-            ("load", 260), ("load", 256), ("store", 256), ("store", 260),
-        ]
-        del memory.load, memory.store
-        assert list(memory.gather(DataType.u32, np.array([256, 260]))) == [1, 9]
-
-
 class TestDescriptor:
     def test_sandybridge_peak_matches_paper(self):
         machine = sandybridge()

@@ -236,7 +236,7 @@ def test_repro_meld_env_enables(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _run_collatz(config, block=32):
+def _run_collatz(config):
     device = Device(config=config)
     device.register_module(COLLATZ_PTX)
     device.warm()
@@ -246,8 +246,8 @@ def _run_collatz(config, block=32):
     destination = device.malloc(64 * 4)
     result = device.launch(
         "collatz",
-        grid=(64 // block, 1, 1),
-        block=(block, 1, 1),
+        grid=(2, 1, 1),
+        block=(32, 1, 1),
         args=[source, destination, 64],
     )
     values = destination.read(np.uint32, 64)
@@ -274,26 +274,24 @@ def test_launch_statistics_surface_meld_decisions(monkeypatch):
 @pytest.mark.parametrize("leg", ["batching", "sequential", "dispatch"])
 def test_meld_differential_per_backend(leg, monkeypatch):
     """Melding preserves guest results bit-for-bit on every execution
-    path — the one executor batching its one CTA of 16 warps, the same
-    with every batch refused, the reference oracle — and the modeled
+    path — the one executor batching a CTA of 8 warps, the same with
+    every batch refused, the reference oracle — and the modeled
     statistics of a fixed meld setting are identical across them."""
     monkeypatch.delenv("REPRO_MELD", raising=False)
     base = vectorized_config(4)
     if leg == "dispatch":
         base = replace(base, backend="reference")
     with sequential_only() if leg == "sequential" else nullcontext():
-        off_values, off_stats = _run_collatz(base, block=64)
-        on_values, on_stats = _run_collatz(
-            replace(base, meld=True), block=64
-        )
+        off_values, off_stats = _run_collatz(base)
+        on_values, on_stats = _run_collatz(replace(base, meld=True))
     for statistics in (off_stats, on_stats):
-        assert statistics.batched_warps == (16 if leg == "batching" else 0)
+        assert statistics.batched_warps == (8 if leg == "batching" else 0)
     assert np.array_equal(off_values, on_values)
     assert on_stats.divergent_yields <= off_stats.divergent_yields
     # and against the reference interpreter:
     reference = replace(base, backend="reference")
-    _, reference_off = _run_collatz(reference, block=64)
-    _, reference_on = _run_collatz(replace(reference, meld=True), block=64)
+    _, reference_off = _run_collatz(reference)
+    _, reference_on = _run_collatz(replace(reference, meld=True))
     for mine, reference in (
         (off_stats, reference_off),
         (on_stats, reference_on),
