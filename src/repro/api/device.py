@@ -44,7 +44,6 @@ from ..ptx.validator import validate_module
 from ..runtime.cache_store import CacheStore
 from ..runtime.config import (
     ExecutionConfig,
-    apply_backend_env,
     apply_meld_env,
 )
 from ..sanitizer.core import KernelSanitizer, apply_sanitize_env
@@ -116,8 +115,8 @@ class Device:
         cache_store: Optional[CacheStore] = None,
     ):
         self.machine = machine or sandybridge()
-        self.config = apply_backend_env(
-            apply_meld_env(apply_sanitize_env(config or ExecutionConfig()))
+        self.config = apply_meld_env(
+            apply_sanitize_env(config or ExecutionConfig())
         )
         self.memory = MemorySystem(size=memory_size)
         #: Checked-execution services (``config.sanitize``); None when

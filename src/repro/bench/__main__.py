@@ -66,103 +66,7 @@ def main(argv=None) -> int:
         "pass enabled (--no-meld restores the default); the meld "
         "ablation section itself always compares both settings",
     )
-    parser.add_argument(
-        "--serve",
-        action="store_true",
-        help="run the concurrent-clients serving bench (DevicePool "
-        "vs a single synchronous Device) instead of the paper suite",
-    )
-    parser.add_argument(
-        "--serve-clients",
-        type=int,
-        default=4,
-        help="concurrent healthy tenants (default %(default)s)",
-    )
-    parser.add_argument(
-        "--serve-workers",
-        type=int,
-        default=2,
-        help="pool worker processes (default %(default)s)",
-    )
-    parser.add_argument(
-        "--serve-launches",
-        type=int,
-        default=8,
-        help="launches per tenant (default %(default)s)",
-    )
-    parser.add_argument(
-        "--no-chaos",
-        action="store_true",
-        help="skip the trapping chaos tenant in the serving bench",
-    )
-    parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="serving bench: kill worker 0 mid-run (seeded "
-        "kill_worker injection) and report supervisor recovery",
-    )
-    parser.add_argument(
-        "--assert-recovery",
-        action="store_true",
-        help="with --chaos: fail unless the killed worker respawned "
-        "within the recovery SLO",
-    )
-    parser.add_argument(
-        "--recovery-slo",
-        type=float,
-        default=15.0,
-        metavar="SECONDS",
-        help="recovery SLO bound for --assert-recovery "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--durability",
-        choices=("none", "journal", "checkpoint"),
-        default="none",
-        help="with --chaos: make the victim tenant durable — the "
-        "kill must be invisible (state restored, no DeviceLost, "
-        "pre-kill buffers bit-identical through original handles)",
-    )
-    parser.add_argument(
-        "--assert-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help="fail unless pool throughput is at least X times the "
-        "single-device baseline (CI gate; needs a multi-core host)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="JSON",
-        default=None,
-        help="write the serving-bench record to this JSON file",
-    )
     arguments = parser.parse_args(argv)
-
-    if arguments.serve:
-        from .serve_bench import format_serve, run_serve_bench
-
-        start = time.time()
-        try:
-            record = run_serve_bench(
-                clients=arguments.serve_clients,
-                workers=arguments.serve_workers,
-                launches=arguments.serve_launches,
-                scale=arguments.scale,
-                chaos=not arguments.no_chaos,
-                process_chaos=arguments.chaos,
-                recovery_slo=arguments.recovery_slo,
-                assert_recovery=arguments.assert_recovery,
-                assert_speedup=arguments.assert_speedup,
-                output=arguments.output,
-                durability=arguments.durability,
-            )
-        except AssertionError as failure:
-            print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(format_serve(record))
-        print(f"\n[completed in {time.time() - start:.1f}s]")
-        return 0
 
     start = time.time()
     sections = []

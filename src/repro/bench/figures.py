@@ -83,14 +83,6 @@ class Figure6Result:
         return average(self.speedups.values())
 
     @property
-    def slowdown_apps(self) -> List[str]:
-        return sorted(
-            name
-            for name, speed in self.speedups.items()
-            if speed < 0.95
-        )
-
-    @property
     def best(self) -> Tuple[str, float]:
         name = max(self.speedups, key=self.speedups.get)
         return name, self.speedups[name]

@@ -16,7 +16,7 @@ from ..runtime.config import (
     static_tie_config,
     vectorized_config,
 )
-from ..workloads.base import Category, Workload, WorkloadRun
+from ..workloads.base import Workload, WorkloadRun
 from ..workloads.registry import all_workloads
 
 #: Config labels used throughout the harness.
@@ -132,12 +132,6 @@ class SuiteRunner:
             ).statistics.cycle_fractions()
             for workload in application_workloads()
         }
-
-    def category_of(self, name: str) -> str:
-        for workload in all_workloads():
-            if workload.name == name:
-                return workload.category
-        return Category.COMPUTE_UNIFORM
 
     def cache_statistics(self):
         """Translation-cache activity aggregated over every run this

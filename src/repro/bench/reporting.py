@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..runtime.translation_cache import CacheStatistics
-from ..sanitizer.reports import format_sanitizer_report
 from . import paper_reference as paper
 from .figures import (
     Figure6Result,
@@ -213,28 +212,6 @@ def format_cache_statistics(
         lines.append(
             f"    {kernel:<28} ws={warp_size}  {seconds * 1e3:7.2f} ms"
         )
-    return "\n".join(lines)
-
-
-def format_sanitizer_findings(
-    reports,
-    title: str = "Sanitizer findings",
-    limit: int = 16,
-) -> str:
-    """Render non-fatal sanitizer findings gathered on
-    ``LaunchStatistics.sanitizer`` (checked execution with
-    ``sanitize_fatal=False``); the full rendering lives in
-    :mod:`repro.sanitizer.reports`."""
-    reports = list(reports or ())
-    lines = [title, _rule()]
-    if not reports:
-        lines.append("  (clean: no findings)")
-        return "\n".join(lines)
-    for report in reports[:limit]:
-        for line in format_sanitizer_report(report).splitlines():
-            lines.append(f"  {line}")
-    if len(reports) > limit:
-        lines.append(f"  ... +{len(reports) - limit} more findings")
     return "\n".join(lines)
 
 

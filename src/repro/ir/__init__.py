@@ -8,7 +8,6 @@ from .cfg import ControlFlowGraph, remove_unreachable_blocks
 from .dominance import DominatorTree
 from .function import IRFunction
 from .instructions import (
-    REPLICATED,
     VECTORIZABLE,
     AtomicRMW,
     BarrierTerm,
@@ -67,7 +66,6 @@ __all__ = [
     "IRInstruction",
     "LivenessInfo",
     "Load",
-    "REPLICATED",
     "Reduce",
     "ResumeStatus",
     "Select",

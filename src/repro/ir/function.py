@@ -177,14 +177,6 @@ class IRFunction:
         self.entry_points[entry_id] = block_label
         return entry_id
 
-    def entry_id_for(self, block_label: str) -> int:
-        for entry_id, label in self.entry_points.items():
-            if label == block_label:
-                return entry_id
-        raise IRVerificationError(
-            f"{block_label!r} is not an entry point of {self.name}"
-        )
-
     def __str__(self):
         header = f"function {self.name} (warp_size={self.warp_size})"
         if self.entry_points:

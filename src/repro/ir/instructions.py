@@ -2,11 +2,18 @@
 
 Every instruction exposes:
 
-- ``dst`` / ``defined()`` — the register it writes (or ``None``; the
-  classes that never write one say so with a class attribute, so a
-  pass reads ``instruction.dst`` whatever the instruction is),
+- ``dst`` — the register it writes (or ``None``; the classes that
+  never write one say so with a class attribute, so a pass reads
+  ``instruction.dst`` whatever the instruction is),
 - ``uses()`` — the values it reads,
-- ``replace_uses(mapping)`` — substitute used values (for CSE etc.).
+- ``rebuilt(dst, operands)`` — a copy onto another destination and
+  other operands (how Algorithm 1 promotes an instruction, how
+  if-conversion and melding rename one),
+- ``signature()`` — what two instructions must share to be the same
+  computation on different registers (CSE, melding's alignment).
+
+The last three are derived from one declaration per class, its
+``OPERANDS``.
 
 Terminators additionally expose ``successors()``.
 
@@ -21,11 +28,11 @@ through which threads observe their identity (§4, Fig. 3/5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..ptx.types import AddressSpace, DataType
-from .values import Constant, VirtualRegister
+from .values import VirtualRegister
 
 # ---------------------------------------------------------------------------
 # Resume statuses (§4.1: "three classes of kernel yields")
@@ -54,24 +61,111 @@ class ResumeStatus:
 
 
 class IRInstruction:
-    """Base class. Subclasses are small mutable records."""
+    """Base class. Subclasses are small mutable records, each declared
+    once: its dataclass fields, and in ``OPERANDS`` which of them hold
+    the values it reads. :func:`_instruction` prints the three methods
+    below from that declaration; no pass restates it."""
 
     __slots__ = ()
 
     is_terminator = False
 
-    def defined(self) -> Optional[VirtualRegister]:
-        return self.dst
+    #: Names of the fields that hold read values, in ``uses()`` order.
+    #: A field typed ``List[...]`` (last, if any) contributes all its
+    #: elements; one typed ``Optional[...]`` (last, if any) is absent
+    #: from ``uses()`` while it is ``None``.
+    OPERANDS: Tuple[str, ...] = ()
 
     def uses(self) -> List[object]:
-        return []
+        """The values read, as a new list."""
+        raise NotImplementedError
 
-    def replace_uses(self, mapping: Dict[object, object]) -> None:
-        """Substitute used values according to ``mapping``."""
+    def rebuilt(self, dst, operands) -> "IRInstruction":
+        """A copy writing ``dst`` (ignored by a class that writes
+        nothing) and reading ``operands``, given in ``uses()`` order;
+        every other field is this instruction's."""
+        raise NotImplementedError
+
+    def signature(self) -> tuple:
+        """Hashable identity of everything but the registers: the
+        class, each field that is neither ``dst`` nor an operand, the
+        number of list operands and which optional parts are present.
+        Two instructions with equal signatures differ only in where
+        they read and write."""
+        raise NotImplementedError
 
 
-def _subst(value, mapping):
-    return mapping.get(value, value)
+def _instruction(cls):
+    """``@dataclass``, then ``uses``/``rebuilt``/``signature`` printed
+    for the class from its fields and ``OPERANDS`` — straight-line
+    code, so a call costs what a hand-written method did."""
+    cls = dataclass(cls)
+    types = {field.name: field.type for field in fields(cls)}
+    operands = cls.OPERANDS
+    assert set(operands) <= set(types) and "dst" not in operands, cls
+    assert not {"self", "operands"} & set(types), cls
+    last = types[operands[-1]] if operands else ""
+    listed = operands[-1:] if last.startswith("List[") else ()
+    optional = operands[-1:] if last.startswith("Optional[") else ()
+    fixed = operands[: len(operands) - len(listed + optional)]
+    assert not any(
+        types[name].startswith(("List[", "Optional[")) for name in fixed
+    ), cls
+
+    read = ", ".join(
+        [f"self.{name}" for name in fixed]
+        + [f"*self.{name}" for name in listed]
+    )
+    unpack = "".join(
+        [f"{name}, " for name in fixed] + [f"*{name}, " for name in listed]
+    )
+    lines = ["def uses(self):"]
+    if optional:
+        (name,) = optional
+        lines += [
+            f"    used = [{read}]",
+            f"    if self.{name} is not None:",
+            f"        used.append(self.{name})",
+            "    return used",
+            "def rebuilt(self, dst, operands):",
+            f"    if self.{name} is None:",
+            f"        {unpack}{name} = *operands, None",
+            "    else:",
+            f"        {unpack}{name} = operands",
+        ]
+    else:
+        lines += [f"    return [{read}]", "def rebuilt(self, dst, operands):"]
+        if operands:
+            lines.append(f"    {unpack}= operands")
+    copied, identity = [], [cls.__name__]
+    for name, kind in types.items():
+        if name == "dst" or name in operands:
+            copied.append(name)
+        elif kind.startswith("Dict["):
+            copied.append(f"dict(self.{name})")
+            identity.append(f"tuple(sorted(self.{name}.items()))")
+        else:
+            copied.append(f"self.{name}")
+            # A DataType hashes through Python, its suffix does not.
+            identity.append(
+                f"self.{name}.suffix" if kind == "DataType" else copied[-1]
+            )
+    identity += [f"len(self.{name})" for name in listed]
+    identity += [
+        f"self.{name} is None"
+        for name in optional + ("dst",)
+        if types.get(name, "").startswith("Optional[")
+    ]
+    lines += [
+        f"    return {cls.__name__}({', '.join(copied)})",
+        "def signature(self):",
+        f"    return ({', '.join(identity)},)",
+    ]
+    namespace = {cls.__name__: cls}
+    exec("\n".join(lines), namespace)
+    for method in ("uses", "rebuilt", "signature"):
+        setattr(cls, method, namespace[method])
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +173,7 @@ def _subst(value, mapping):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@_instruction
 class BinaryOp(IRInstruction):
     """Element-wise binary operator; vectorizable."""
 
@@ -89,35 +183,13 @@ class BinaryOp(IRInstruction):
     a: object
     b: object
 
-    OPS = (
-        "add",
-        "sub",
-        "mul",
-        "mulhi",
-        "div",
-        "rem",
-        "min",
-        "max",
-        "and",
-        "or",
-        "xor",
-        "shl",
-        "lshr",
-        "ashr",
-    )
-
-    def uses(self):
-        return [self.a, self.b]
-
-    def replace_uses(self, mapping):
-        self.a = _subst(self.a, mapping)
-        self.b = _subst(self.b, mapping)
+    OPERANDS = ("a", "b")
 
     def __str__(self):
         return f"{self.dst} = {self.op}.{self.dtype.value} {self.a}, {self.b}"
 
 
-@dataclass
+@_instruction
 class UnaryOp(IRInstruction):
     """Element-wise unary operator; vectorizable."""
 
@@ -126,17 +198,13 @@ class UnaryOp(IRInstruction):
     dst: VirtualRegister
     a: object
 
-    def uses(self):
-        return [self.a]
-
-    def replace_uses(self, mapping):
-        self.a = _subst(self.a, mapping)
+    OPERANDS = ("a",)
 
     def __str__(self):
         return f"{self.dst} = {self.op}.{self.dtype.value} {self.a}"
 
 
-@dataclass
+@_instruction
 class FusedMultiplyAdd(IRInstruction):
     """a * b + c, element-wise; vectorizable."""
 
@@ -146,13 +214,7 @@ class FusedMultiplyAdd(IRInstruction):
     b: object
     c: object
 
-    def uses(self):
-        return [self.a, self.b, self.c]
-
-    def replace_uses(self, mapping):
-        self.a = _subst(self.a, mapping)
-        self.b = _subst(self.b, mapping)
-        self.c = _subst(self.c, mapping)
+    OPERANDS = ("a", "b", "c")
 
     def __str__(self):
         return (
@@ -161,7 +223,7 @@ class FusedMultiplyAdd(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class Compare(IRInstruction):
     """Element-wise comparison producing a predicate; vectorizable."""
 
@@ -171,12 +233,7 @@ class Compare(IRInstruction):
     a: object
     b: object
 
-    def uses(self):
-        return [self.a, self.b]
-
-    def replace_uses(self, mapping):
-        self.a = _subst(self.a, mapping)
-        self.b = _subst(self.b, mapping)
+    OPERANDS = ("a", "b")
 
     def __str__(self):
         return (
@@ -185,7 +242,7 @@ class Compare(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class Select(IRInstruction):
     """Conditional per-lane select — the vector unit's only masking
     primitive (§2: "conditional select operators may choose between two
@@ -197,13 +254,7 @@ class Select(IRInstruction):
     b: object
     predicate: object
 
-    def uses(self):
-        return [self.a, self.b, self.predicate]
-
-    def replace_uses(self, mapping):
-        self.a = _subst(self.a, mapping)
-        self.b = _subst(self.b, mapping)
-        self.predicate = _subst(self.predicate, mapping)
+    OPERANDS = ("a", "b", "predicate")
 
     def __str__(self):
         return (
@@ -212,7 +263,7 @@ class Select(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class Convert(IRInstruction):
     """Type conversion; vectorizable."""
 
@@ -222,11 +273,7 @@ class Convert(IRInstruction):
     src: object
     rounding: Optional[str] = None
 
-    def uses(self):
-        return [self.src]
-
-    def replace_uses(self, mapping):
-        self.src = _subst(self.src, mapping)
+    OPERANDS = ("src",)
 
     def __str__(self):
         mode = f".{self.rounding}" if self.rounding else ""
@@ -236,7 +283,7 @@ class Convert(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class Intrinsic(IRInstruction):
     """Call to a built-in math function with vector support in both the
     IR and the machine (§4: "calls to transcendental functions for which
@@ -247,13 +294,7 @@ class Intrinsic(IRInstruction):
     dst: VirtualRegister
     args: List[object] = field(default_factory=list)
 
-    NAMES = ("sqrt", "rsqrt", "rcp", "sin", "cos", "ex2", "lg2")
-
-    def uses(self):
-        return list(self.args)
-
-    def replace_uses(self, mapping):
-        self.args = [_subst(a, mapping) for a in self.args]
+    OPERANDS = ("args",)
 
     def __str__(self):
         args = ", ".join(str(a) for a in self.args)
@@ -266,7 +307,7 @@ class Intrinsic(IRInstruction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@_instruction
 class Load(IRInstruction):
     """Scalar load. ``lane`` selects whose thread-private segments
     (local) / CTA segments (shared) the address resolves against."""
@@ -279,11 +320,7 @@ class Load(IRInstruction):
     lane: int = 0
     volatile: bool = False
 
-    def uses(self):
-        return [self.base]
-
-    def replace_uses(self, mapping):
-        self.base = _subst(self.base, mapping)
+    OPERANDS = ("base",)
 
     def __str__(self):
         return (
@@ -292,7 +329,7 @@ class Load(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class Store(IRInstruction):
     """Scalar store; see :class:`Load` for lane semantics."""
 
@@ -306,12 +343,7 @@ class Store(IRInstruction):
 
     dst = None
 
-    def uses(self):
-        return [self.base, self.value]
-
-    def replace_uses(self, mapping):
-        self.base = _subst(self.base, mapping)
-        self.value = _subst(self.value, mapping)
+    OPERANDS = ("base", "value")
 
     def __str__(self):
         return (
@@ -320,7 +352,7 @@ class Store(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class VectorLoad(IRInstruction):
     """Contiguous vector load: lane i reads ``base + offset + i*size``.
 
@@ -337,11 +369,7 @@ class VectorLoad(IRInstruction):
     offset: int = 0
     lane: int = 0  # segment resolution lane (static warps: lane 0)
 
-    def uses(self):
-        return [self.base]
-
-    def replace_uses(self, mapping):
-        self.base = _subst(self.base, mapping)
+    OPERANDS = ("base",)
 
     def __str__(self):
         return (
@@ -350,7 +378,7 @@ class VectorLoad(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class VectorStore(IRInstruction):
     """Contiguous vector store; see :class:`VectorLoad`."""
 
@@ -363,12 +391,7 @@ class VectorStore(IRInstruction):
 
     dst = None
 
-    def uses(self):
-        return [self.base, self.value]
-
-    def replace_uses(self, mapping):
-        self.base = _subst(self.base, mapping)
-        self.value = _subst(self.value, mapping)
+    OPERANDS = ("base", "value")
 
     def __str__(self):
         return (
@@ -377,7 +400,7 @@ class VectorStore(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class AtomicRMW(IRInstruction):
     """Atomic read-modify-write; serialized per lane by the machine."""
 
@@ -387,21 +410,11 @@ class AtomicRMW(IRInstruction):
     space: AddressSpace
     base: object
     value: object
-    compare: object = None  # for cas
+    compare: Optional[object] = None  # for cas
     offset: int = 0
     lane: int = 0
 
-    def uses(self):
-        used = [self.base, self.value]
-        if self.compare is not None:
-            used.append(self.compare)
-        return used
-
-    def replace_uses(self, mapping):
-        self.base = _subst(self.base, mapping)
-        self.value = _subst(self.value, mapping)
-        if self.compare is not None:
-            self.compare = _subst(self.compare, mapping)
+    OPERANDS = ("base", "value", "compare")
 
     def __str__(self):
         dst = f"{self.dst} = " if self.dst is not None else ""
@@ -436,7 +449,7 @@ CONTEXT_FIELDS = (
 )
 
 
-@dataclass
+@_instruction
 class ContextRead(IRInstruction):
     """Read a field of lane ``lane``'s thread context object."""
 
@@ -451,7 +464,7 @@ class ContextRead(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class ContextWrite(IRInstruction):
     """Write a field of lane ``lane``'s context (resume point, §4.1)."""
 
@@ -461,11 +474,7 @@ class ContextWrite(IRInstruction):
 
     dst = None
 
-    def uses(self):
-        return [self.value]
-
-    def replace_uses(self, mapping):
-        self.value = _subst(self.value, mapping)
+    OPERANDS = ("value",)
 
     def __str__(self):
         return f"ctx.{self.field_name} lane={self.lane} = {self.value}"
@@ -476,7 +485,7 @@ class ContextWrite(IRInstruction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@_instruction
 class InsertElement(IRInstruction):
     """dst = vector ``src`` with lane ``index`` replaced by ``scalar``.
     ``src`` may be ``None`` for a fresh (undef) vector."""
@@ -486,16 +495,7 @@ class InsertElement(IRInstruction):
     scalar: object
     index: int
 
-    def uses(self):
-        used = [self.scalar]
-        if self.src is not None:
-            used.append(self.src)
-        return used
-
-    def replace_uses(self, mapping):
-        self.scalar = _subst(self.scalar, mapping)
-        if self.src is not None:
-            self.src = _subst(self.src, mapping)
+    OPERANDS = ("scalar", "src")
 
     def __str__(self):
         src = self.src if self.src is not None else "undef"
@@ -504,7 +504,7 @@ class InsertElement(IRInstruction):
         )
 
 
-@dataclass
+@_instruction
 class ExtractElement(IRInstruction):
     """dst = lane ``index`` of vector ``src``."""
 
@@ -512,17 +512,13 @@ class ExtractElement(IRInstruction):
     src: object
     index: int
 
-    def uses(self):
-        return [self.src]
-
-    def replace_uses(self, mapping):
-        self.src = _subst(self.src, mapping)
+    OPERANDS = ("src",)
 
     def __str__(self):
         return f"{self.dst} = extractelement {self.src}, {self.index}"
 
 
-@dataclass
+@_instruction
 class Reduce(IRInstruction):
     """Horizontal reduction over a vector register (used for the branch
     predicate sums of Algorithm 2 and for votes)."""
@@ -531,28 +527,20 @@ class Reduce(IRInstruction):
     dst: VirtualRegister
     src: object
 
-    def uses(self):
-        return [self.src]
-
-    def replace_uses(self, mapping):
-        self.src = _subst(self.src, mapping)
+    OPERANDS = ("src",)
 
     def __str__(self):
         return f"{self.dst} = reduce.{self.op} {self.src}"
 
 
-@dataclass
+@_instruction
 class Broadcast(IRInstruction):
     """dst = vector with every lane equal to scalar ``src`` (splat)."""
 
     dst: VirtualRegister
     src: object
 
-    def uses(self):
-        return [self.src]
-
-    def replace_uses(self, mapping):
-        self.src = _subst(self.src, mapping)
+    OPERANDS = ("src",)
 
     def __str__(self):
         return f"{self.dst} = broadcast {self.src}"
@@ -573,7 +561,7 @@ class Terminator(IRInstruction):
         return []
 
 
-@dataclass
+@_instruction
 class Branch(Terminator):
     """Unconditional jump."""
 
@@ -586,7 +574,7 @@ class Branch(Terminator):
         return f"br {self.target}"
 
 
-@dataclass
+@_instruction
 class CondBranch(Terminator):
     """Two-way conditional branch (scalar IR only; Algorithm 2 replaces
     it with predicate-sum + Switch in vectorized functions)."""
@@ -595,11 +583,7 @@ class CondBranch(Terminator):
     taken: str
     fallthrough: str
 
-    def uses(self):
-        return [self.predicate]
-
-    def replace_uses(self, mapping):
-        self.predicate = _subst(self.predicate, mapping)
+    OPERANDS = ("predicate",)
 
     def successors(self):
         return [self.taken, self.fallthrough]
@@ -608,7 +592,7 @@ class CondBranch(Terminator):
         return f"br {self.predicate}, {self.taken}, {self.fallthrough}"
 
 
-@dataclass
+@_instruction
 class Switch(Terminator):
     """Multi-way branch on an integer value (scheduler block and
     divergence checks)."""
@@ -617,11 +601,7 @@ class Switch(Terminator):
     cases: Dict[int, str]
     default: str
 
-    def uses(self):
-        return [self.value]
-
-    def replace_uses(self, mapping):
-        self.value = _subst(self.value, mapping)
+    OPERANDS = ("value",)
 
     def successors(self):
         seen = []
@@ -635,7 +615,7 @@ class Switch(Terminator):
         return f"switch {self.value} [{cases}] default->{self.default}"
 
 
-@dataclass
+@_instruction
 class BarrierTerm(Terminator):
     """CTA-wide barrier; the frontend splits blocks so barriers always
     terminate one. The vectorizer rewrites it into an exit handler with
@@ -650,7 +630,7 @@ class BarrierTerm(Terminator):
         return f"barrier -> {self.successor}"
 
 
-@dataclass
+@_instruction
 class Exit(Terminator):
     """Thread termination (scalar IR)."""
 
@@ -658,7 +638,7 @@ class Exit(Terminator):
         return "exit"
 
 
-@dataclass
+@_instruction
 class Yield(Terminator):
     """Return control to the execution manager with a resume status
     (the paper's compiler-inserted kernel exit point)."""
@@ -670,9 +650,13 @@ class Yield(Terminator):
 
 
 # ---------------------------------------------------------------------------
-# Classification used by the vectorizer (Algorithm 1's "is vectorizable")
+# Classification (Algorithm 1's "is vectorizable")
 # ---------------------------------------------------------------------------
 
+#: Element-wise and pure: the vectorizer promotes these to one
+#: ``ws``-wide instruction; if-conversion and melding may execute them
+#: on a path that did not ask for them (no side effects, no faults
+#: beyond the machine's defined div-by-zero/NaN behaviour).
 VECTORIZABLE = (
     BinaryOp,
     UnaryOp,
@@ -682,7 +666,3 @@ VECTORIZABLE = (
     Convert,
     Intrinsic,
 )
-
-REPLICATED = (Load, Store, AtomicRMW, ContextRead, ContextWrite)
-
-VECTOR_MEMORY = (VectorLoad, VectorStore)

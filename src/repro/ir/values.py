@@ -32,9 +32,6 @@ class VirtualRegister:
     def is_vector(self) -> bool:
         return self.width > 1
 
-    def with_name(self, name: str) -> "VirtualRegister":
-        return VirtualRegister(name=name, dtype=self.dtype, width=self.width)
-
     def with_width(self, width: int) -> "VirtualRegister":
         return VirtualRegister(name=self.name, dtype=self.dtype, width=width)
 

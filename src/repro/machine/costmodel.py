@@ -161,7 +161,7 @@ def aggregate_block_cost(block, table: FunctionCostTable) -> BlockCost:
 
 
 def _width_of(instruction) -> int:
-    target = instruction.defined()
+    target = instruction.dst
     candidates = []
     if target is not None:
         candidates.append(target)

@@ -246,7 +246,7 @@ class ExecutableFunction:
         defined: Dict[str, int] = {}
         used: Dict[str, int] = {}
         for instruction in self.function.instructions():
-            name = getattr(instruction.defined(), "name", None)
+            name = getattr(instruction.dst, "name", None)
             defined[name] = defined.get(name, 0) + 1
             for value in instruction.uses():
                 name = getattr(value, "name", None)

@@ -213,10 +213,6 @@ class PTXInstruction:
     def is_terminator(self) -> bool:
         return self.opcode in TERMINATORS
 
-    @property
-    def is_barrier(self) -> bool:
-        return self.opcode in BARRIERS
-
     def modifier_string(self) -> str:
         """All dot-modifiers between the opcode and the operands."""
         parts = []

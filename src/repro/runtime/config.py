@@ -104,8 +104,8 @@ class ExecutionConfig:
     #: as numpy array programs — it decides that itself, from queue
     #: lengths and batch outcomes; ``"reference"`` is the
     #: per-instruction oracle the differential tests compare it
-    #: against. ``"array"`` (and ``REPRO_BACKEND=array``), once the
-    #: name of the batched path, is accepted and means the default.
+    #: against. ``"array"``, once the name of the batched path, is
+    #: accepted and means the default.
     backend: str = "interpreter"
 
     def __post_init__(self):
@@ -213,30 +213,6 @@ class ExecutionConfig:
             # byte-identical to pre-melding releases.
             key += (("meld",),)
         return key
-
-
-def apply_backend_env(config: ExecutionConfig) -> ExecutionConfig:
-    """Resolve the ``REPRO_BACKEND`` environment override.
-
-    A config that already selects a non-default backend wins over the
-    environment; ``REPRO_BACKEND=array`` means the default."""
-    import os
-    from dataclasses import replace
-
-    from ..machine.backend import BACKEND_ALIASES, BACKENDS
-
-    override = os.environ.get("REPRO_BACKEND", "").strip()
-    override = BACKEND_ALIASES.get(override, override)
-    if not override or override == config.backend:
-        return config
-    if config.backend != "interpreter":
-        return config
-    if override not in BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND={override!r} is not a known backend "
-            f"(expected one of {BACKENDS})"
-        )
-    return replace(config, backend=override)
 
 
 def apply_meld_env(config: ExecutionConfig) -> ExecutionConfig:

@@ -23,53 +23,32 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ir.dominance import DominatorTree
 from ..ir.function import IRFunction
 from ..ir.instructions import (
+    VECTORIZABLE,
     BinaryOp,
     Broadcast,
-    Compare,
     ContextRead,
-    Convert,
     ExtractElement,
-    FusedMultiplyAdd,
     InsertElement,
-    Intrinsic,
-    Select,
     UnaryOp,
 )
 from ..ir.values import Constant, VirtualRegister
 
-_COMMUTATIVE = {"add", "mul", "and", "or", "xor", "min", "max"}
+#: Instruction classes whose result depends on their operands (and
+#: their :meth:`signature`) alone.
+_PURE = frozenset(
+    VECTORIZABLE + (ContextRead, ExtractElement, InsertElement, Broadcast)
+)
+
+#: Binary operators whose operands may be exchanged bit for bit.
+_COMMUTATIVE = {"add", "mul", "and", "or", "xor"}
+
+#: ... and those that may on integers only: the machine's
+#: ``np.minimum``/``np.maximum`` return the *second* operand on a tie,
+#: and ``0.0`` ties with ``-0.0``.
+_COMMUTATIVE_ON_INTEGERS = {"min", "max"}
 
 #: Context fields whose value changes between two reads.
 _VOLATILE_FIELDS = ("clock", "resume_point")
-
-#: Pure instruction class -> what identifies its computation: the
-#: fields that are not operands (behind a tag, so two classes cannot
-#: collide) and the operands, in the positions that tell them apart;
-#: None where this instance of the class is not pure.
-_PURE = {
-    BinaryOp: lambda i: (("bin", i.op, i.dtype.suffix), (i.a, i.b)),
-    UnaryOp: lambda i: (("un", i.op, i.dtype.suffix), (i.a,)),
-    FusedMultiplyAdd: lambda i: (
-        ("fma", i.dtype.suffix), (i.a, i.b, i.c)
-    ),
-    Compare: lambda i: (("cmp", i.op, i.dtype.suffix), (i.a, i.b)),
-    Select: lambda i: (
-        ("sel", i.dtype.suffix), (i.a, i.b, i.predicate)
-    ),
-    Convert: lambda i: (
-        ("cvt", i.dst_type.suffix, i.src_type.suffix, i.rounding),
-        (i.src,),
-    ),
-    Intrinsic: lambda i: (("call", i.name, i.dtype.suffix), i.args),
-    ContextRead: lambda i: (
-        None
-        if i.field_name in _VOLATILE_FIELDS
-        else (("ctx", i.field_name, i.lane), ())
-    ),
-    ExtractElement: lambda i: (("ext", i.index), (i.src,)),
-    InsertElement: lambda i: (("ins", i.index), (i.src, i.scalar)),
-    Broadcast: lambda i: (("bcast",), (i.src,)),
-}
 
 
 def _expression_key(instruction) -> Optional[Tuple[tuple, List[str]]]:
@@ -82,14 +61,14 @@ def _expression_key(instruction) -> Optional[Tuple[tuple, List[str]]]:
     and they hash alike, but ``x * 0.0`` and ``x * -0.0`` are different
     values.
     """
-    describe = _PURE.get(instruction.__class__)
-    described = describe and describe(instruction)
-    if described is None:
+    kind = instruction.__class__
+    if kind not in _PURE or (
+        kind is ContextRead and instruction.field_name in _VOLATILE_FIELDS
+    ):
         return None
-    head, operands = described
     names: List[str] = []
     atoms = []
-    for value in operands:
+    for value in instruction.uses():
         if isinstance(value, VirtualRegister):
             names.append(value.name)
             atoms.append(value.name)
@@ -98,13 +77,15 @@ def _expression_key(instruction) -> Optional[Tuple[tuple, List[str]]]:
             if value.dtype.is_float:
                 pattern = float(pattern).hex()
             atoms.append((value.dtype.suffix, pattern))
-        elif value is None:  # insertelement into a fresh vector
-            atoms.append(None)
         else:
             return None
-    if head[0] == "bin" and head[1] in _COMMUTATIVE:
-        return head + (frozenset(atoms),), names
-    return head + tuple(atoms), names
+    if kind is BinaryOp and (
+        instruction.op in _COMMUTATIVE
+        or instruction.op in _COMMUTATIVE_ON_INTEGERS
+        and instruction.dtype.is_integer
+    ):
+        return instruction.signature() + (frozenset(atoms),), names
+    return instruction.signature() + tuple(atoms), names
 
 
 def _multiply_defined(function: IRFunction) -> Set[str]:

@@ -29,87 +29,12 @@ from typing import Dict, List, Optional, Tuple
 from ..ir.basicblock import BasicBlock
 from ..ir.cfg import ControlFlowGraph
 from ..ir.function import IRFunction
-from ..ir.instructions import (
-    BinaryOp,
-    Branch,
-    Compare,
-    CondBranch,
-    Convert,
-    FusedMultiplyAdd,
-    Intrinsic,
-    Select,
-    UnaryOp,
-)
+from ..ir.instructions import VECTORIZABLE, Branch, CondBranch, Select
 from ..ir.values import VirtualRegister
-
-#: Instructions safe to execute unconditionally (no faults beyond the
-#: machine's defined div-by-zero/NaN behaviour, no side effects).
-_PURE = (
-    BinaryOp,
-    UnaryOp,
-    FusedMultiplyAdd,
-    Compare,
-    Select,
-    Convert,
-    Intrinsic,
-)
 
 #: Default maximum arm length: beyond this, executing both arms on
 #: every lane costs more than an occasional divergence yield.
 DEFAULT_MAX_ARM_INSTRUCTIONS = 12
-
-
-def _clone_pure(instruction, substitutions: Dict[str, object]):
-    """Copy a pure instruction, remapping register uses."""
-
-    def subst(value):
-        if isinstance(value, VirtualRegister):
-            return substitutions.get(value.name, value)
-        return value
-
-    if isinstance(instruction, BinaryOp):
-        return BinaryOp(
-            op=instruction.op, dtype=instruction.dtype,
-            dst=instruction.dst, a=subst(instruction.a),
-            b=subst(instruction.b),
-        )
-    if isinstance(instruction, UnaryOp):
-        return UnaryOp(
-            op=instruction.op, dtype=instruction.dtype,
-            dst=instruction.dst, a=subst(instruction.a),
-        )
-    if isinstance(instruction, FusedMultiplyAdd):
-        return FusedMultiplyAdd(
-            dtype=instruction.dtype, dst=instruction.dst,
-            a=subst(instruction.a), b=subst(instruction.b),
-            c=subst(instruction.c),
-        )
-    if isinstance(instruction, Compare):
-        return Compare(
-            op=instruction.op, dtype=instruction.dtype,
-            dst=instruction.dst, a=subst(instruction.a),
-            b=subst(instruction.b),
-        )
-    if isinstance(instruction, Select):
-        return Select(
-            dtype=instruction.dtype, dst=instruction.dst,
-            a=subst(instruction.a), b=subst(instruction.b),
-            predicate=subst(instruction.predicate),
-        )
-    if isinstance(instruction, Convert):
-        return Convert(
-            dst_type=instruction.dst_type,
-            src_type=instruction.src_type, dst=instruction.dst,
-            src=subst(instruction.src),
-            rounding=instruction.rounding,
-        )
-    if isinstance(instruction, Intrinsic):
-        return Intrinsic(
-            name=instruction.name, dtype=instruction.dtype,
-            dst=instruction.dst,
-            args=[subst(a) for a in instruction.args],
-        )
-    raise AssertionError(f"not a pure instruction: {instruction!r}")
 
 
 class _Arm:
@@ -126,15 +51,19 @@ class _Arm:
             return
         renames: Dict[str, object] = {}
         for instruction in block.instructions:
-            clone = _clone_pure(instruction, renames)
-            target = clone.defined()
+            operands = [
+                renames.get(value.name, value)
+                if isinstance(value, VirtualRegister)
+                else value
+                for value in instruction.uses()
+            ]
+            target = instruction.dst
             fresh = function.fresh_register(
                 target.dtype, width=target.width, hint="ifcvt"
             )
-            clone.dst = fresh
             renames[target.name] = fresh
             self.final[target.name] = (target, fresh)
-            self.instructions.append(clone)
+            self.instructions.append(instruction.rebuilt(fresh, operands))
 
 
 def _arm_convertible(
@@ -148,8 +77,9 @@ def _arm_convertible(
         return False
     if len(block.instructions) > limit:
         return False
+    # Both arms will execute on every lane: pure instructions only.
     return all(
-        isinstance(instruction, _PURE)
+        isinstance(instruction, VECTORIZABLE)
         for instruction in block.instructions
     )
 

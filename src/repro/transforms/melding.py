@@ -58,15 +58,11 @@ from ..ir.cfg import ControlFlowGraph
 from ..ir.dominance import DominatorTree
 from ..ir.function import IRFunction
 from ..ir.instructions import (
+    VECTORIZABLE,
     AtomicRMW,
-    BinaryOp,
     Branch,
-    Compare,
     CondBranch,
     ContextRead,
-    Convert,
-    FusedMultiplyAdd,
-    Intrinsic,
     Load,
     Select,
     Store,
@@ -78,22 +74,14 @@ from ..machine.descriptor import MachineDescription
 from .block_merge import merge_blocks
 from .uniformity import analyze_uniformity
 
-#: Pure instructions: safe to execute speculatively on the not-taken
-#: path (the if-conversion argument — no side effects, no faults beyond
-#: the machine's defined arithmetic behaviour).
-_SPECULABLE = (
-    BinaryOp,
-    UnaryOp,
-    FusedMultiplyAdd,
-    Compare,
-    Select,
-    Convert,
-    Intrinsic,
-)
-
 #: Side-effecting / faulting instructions: meldable, but only as an
 #: aligned pair (each thread then issues exactly its own arm's access).
 _ALIGN_ONLY = (Load, Store, AtomicRMW)
+
+#: Everything a meldable arm may hold. What is not ``_ALIGN_ONLY`` is
+#: pure and may stay unpaired, running speculatively on the not-taken
+#: path (the if-conversion argument).
+_MELDABLE = VECTORIZABLE + _ALIGN_ONLY + (ContextRead,)
 
 #: Arms longer than this are never considered (alignment is quadratic).
 DEFAULT_MAX_ARM_INSTRUCTIONS = 48
@@ -149,167 +137,21 @@ class MeldReport:
 
 
 # ---------------------------------------------------------------------------
-# Compatibility signatures and operand access
+# Compatibility signatures
 # ---------------------------------------------------------------------------
 
 
 def _signature(instruction) -> Optional[tuple]:
     """Opcode/type compatibility class; ``None`` = never meldable."""
-    if isinstance(instruction, BinaryOp):
-        return ("bin", instruction.op, instruction.dtype)
-    if isinstance(instruction, UnaryOp):
-        return ("un", instruction.op, instruction.dtype)
-    if isinstance(instruction, FusedMultiplyAdd):
-        return ("fma", instruction.dtype)
-    if isinstance(instruction, Compare):
-        return ("cmp", instruction.op, instruction.dtype)
-    if isinstance(instruction, Select):
-        return ("sel", instruction.dtype)
-    if isinstance(instruction, Convert):
-        return (
-            "cvt",
-            instruction.dst_type,
-            instruction.src_type,
-            instruction.rounding,
-        )
-    if isinstance(instruction, Intrinsic):
-        return (
-            "call",
-            instruction.name,
-            instruction.dtype,
-            len(instruction.args),
-        )
-    if isinstance(instruction, Load):
-        return (
-            "ld",
-            instruction.space,
-            instruction.dtype,
-            instruction.offset,
-            instruction.lane,
-            instruction.volatile,
-        )
-    if isinstance(instruction, Store):
-        return (
-            "st",
-            instruction.space,
-            instruction.dtype,
-            instruction.offset,
-            instruction.lane,
-            instruction.volatile,
-        )
-    if isinstance(instruction, AtomicRMW):
-        return (
-            "atom",
-            instruction.op,
-            instruction.space,
-            instruction.dtype,
-            instruction.offset,
-            instruction.lane,
-            instruction.compare is None,
-            instruction.dst is None,
-        )
-    if isinstance(instruction, ContextRead):
-        # ctx.clock observes the schedule itself; melding changes the
-        # schedule, so regions reading it are left alone.
-        if instruction.field_name == "clock":
-            return None
-        return ("ctx", instruction.field_name, instruction.dtype)
-    return None
-
-
-def _operands(instruction) -> List[object]:
-    """Used values in the canonical order :func:`_rebuild` consumes."""
-    if isinstance(instruction, BinaryOp):
-        return [instruction.a, instruction.b]
-    if isinstance(instruction, UnaryOp):
-        return [instruction.a]
-    if isinstance(instruction, FusedMultiplyAdd):
-        return [instruction.a, instruction.b, instruction.c]
-    if isinstance(instruction, Compare):
-        return [instruction.a, instruction.b]
-    if isinstance(instruction, Select):
-        return [instruction.a, instruction.b, instruction.predicate]
-    if isinstance(instruction, Convert):
-        return [instruction.src]
-    if isinstance(instruction, Intrinsic):
-        return list(instruction.args)
-    if isinstance(instruction, Load):
-        return [instruction.base]
-    if isinstance(instruction, Store):
-        return [instruction.base, instruction.value]
-    if isinstance(instruction, AtomicRMW):
-        operands = [instruction.base, instruction.value]
-        if instruction.compare is not None:
-            operands.append(instruction.compare)
-        return operands
-    if isinstance(instruction, ContextRead):
-        return []
-    raise AssertionError(f"not meldable: {instruction!r}")
-
-
-def _rebuild(template, operands: List[object], dst):
-    """A copy of ``template`` with new operands and destination."""
-    if isinstance(template, BinaryOp):
-        return BinaryOp(
-            op=template.op, dtype=template.dtype, dst=dst,
-            a=operands[0], b=operands[1],
-        )
-    if isinstance(template, UnaryOp):
-        return UnaryOp(
-            op=template.op, dtype=template.dtype, dst=dst,
-            a=operands[0],
-        )
-    if isinstance(template, FusedMultiplyAdd):
-        return FusedMultiplyAdd(
-            dtype=template.dtype, dst=dst,
-            a=operands[0], b=operands[1], c=operands[2],
-        )
-    if isinstance(template, Compare):
-        return Compare(
-            op=template.op, dtype=template.dtype, dst=dst,
-            a=operands[0], b=operands[1],
-        )
-    if isinstance(template, Select):
-        return Select(
-            dtype=template.dtype, dst=dst,
-            a=operands[0], b=operands[1], predicate=operands[2],
-        )
-    if isinstance(template, Convert):
-        return Convert(
-            dst_type=template.dst_type, src_type=template.src_type,
-            dst=dst, src=operands[0], rounding=template.rounding,
-        )
-    if isinstance(template, Intrinsic):
-        return Intrinsic(
-            name=template.name, dtype=template.dtype, dst=dst,
-            args=list(operands),
-        )
-    if isinstance(template, Load):
-        return Load(
-            dtype=template.dtype, dst=dst, space=template.space,
-            base=operands[0], offset=template.offset,
-            lane=template.lane, volatile=template.volatile,
-        )
-    if isinstance(template, Store):
-        return Store(
-            dtype=template.dtype, space=template.space,
-            base=operands[0], value=operands[1],
-            offset=template.offset, lane=template.lane,
-            volatile=template.volatile,
-        )
-    if isinstance(template, AtomicRMW):
-        return AtomicRMW(
-            op=template.op, dtype=template.dtype, dst=dst,
-            space=template.space, base=operands[0], value=operands[1],
-            compare=operands[2] if template.compare is not None else None,
-            offset=template.offset, lane=template.lane,
-        )
-    if isinstance(template, ContextRead):
-        return ContextRead(
-            field_name=template.field_name, dtype=template.dtype,
-            dst=dst, lane=template.lane,
-        )
-    raise AssertionError(f"not meldable: {template!r}")
+    if not isinstance(instruction, _MELDABLE):
+        return None
+    # ctx.clock observes the schedule itself; melding changes the
+    # schedule, so regions reading it are left alone.
+    if isinstance(instruction, ContextRead) and (
+        instruction.field_name == "clock"
+    ):
+        return None
+    return instruction.signature()
 
 
 def _value_dtype(value):
@@ -392,8 +234,8 @@ def _pair_benefit(
     signature = _signature(left)
     if signature is None or signature != _signature(right):
         return None
-    left_ops = _operands(left)
-    right_ops = _operands(right)
+    left_ops = left.uses()
+    right_ops = right.uses()
     if len(left_ops) != len(right_ops):
         return None
     selects = 0
@@ -494,7 +336,7 @@ def _estimate(
         if kind == "pair":
             melded += scalar_instruction_cycles(left[l_index], machine)
             for a, b in zip(
-                _operands(left[l_index]), _operands(right[r_index])
+                left[l_index].uses(), right[r_index].uses()
             ):
                 if not _values_equal(a, b):
                     melded += machine.alu_cost
@@ -549,18 +391,18 @@ def _apply_meld(
         )
 
     def emit_gap(instruction, state: _ArmState) -> None:
-        operands = [state.subst(v) for v in _operands(instruction)]
-        target = instruction.defined()
+        operands = [state.subst(v) for v in instruction.uses()]
+        target = instruction.dst
         dst = None
         if target is not None:
             dst = fresh_like(target)
             state.renames[target.name] = dst
             state.final[target.name] = (target, dst)
-        out.append(_rebuild(instruction, operands, dst))
+        out.append(instruction.rebuilt(dst, operands))
 
     def emit_pair(l_instruction, r_instruction) -> None:
-        l_ops = [left_state.subst(v) for v in _operands(l_instruction)]
-        r_ops = [right_state.subst(v) for v in _operands(r_instruction)]
+        l_ops = [left_state.subst(v) for v in l_instruction.uses()]
+        r_ops = [right_state.subst(v) for v in r_instruction.uses()]
         merged: List[object] = []
         for a, b in zip(l_ops, r_ops):
             if _values_equal(a, b):
@@ -576,8 +418,8 @@ def _apply_meld(
                 )
             )
             merged.append(selected)
-        l_target = l_instruction.defined()
-        r_target = r_instruction.defined()
+        l_target = l_instruction.dst
+        r_target = r_instruction.dst
         dst = None
         if l_target is not None:
             dst = fresh_like(l_target)
@@ -588,7 +430,7 @@ def _apply_meld(
                 dst = fresh_like(r_target)
             right_state.renames[r_target.name] = dst
             right_state.final[r_target.name] = (r_target, dst)
-        out.append(_rebuild(l_instruction, merged, dst))
+        out.append(l_instruction.rebuilt(dst, merged))
 
     for kind, l_index, r_index in alignment.plan:
         if kind == "pair":
@@ -669,9 +511,9 @@ def meld_function(
         dominators = DominatorTree(function)
         block_definitions = {
             candidate.label: {
-                instruction.defined().name
+                instruction.dst.name
                 for instruction in candidate.instructions
-                if instruction.defined() is not None
+                if instruction.dst is not None
             }
             for candidate in function.ordered_blocks()
         }
@@ -730,9 +572,9 @@ def meld_function(
                 continue
             join_registers = len(
                 {
-                    instruction.defined().name
+                    instruction.dst.name
                     for instruction in arms
-                    if instruction.defined() is not None
+                    if instruction.dst is not None
                 }
             )
             est_divergent, est_melded = _estimate(

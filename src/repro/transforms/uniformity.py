@@ -100,7 +100,7 @@ def analyze_uniformity(
     definitions: Dict[str, List[tuple]] = {}
     for block in function.ordered_blocks():
         for instruction in block.all_instructions():
-            target = instruction.defined()
+            target = instruction.dst
             if target is not None:
                 definitions.setdefault(target.name, []).append(
                     (block.label, instruction)
@@ -218,7 +218,7 @@ def analyze_affine(
     definitions: Dict[str, List[object]] = {}
     for block in function.ordered_blocks():
         for instruction in block.all_instructions():
-            target = instruction.defined()
+            target = instruction.dst
             if target is not None:
                 definitions.setdefault(target.name, []).append(
                     instruction

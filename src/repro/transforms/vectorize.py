@@ -44,16 +44,12 @@ from ..ir.instructions import (
     BinaryOp,
     Branch,
     Broadcast,
-    Compare,
     CondBranch,
     ContextRead,
     ContextWrite,
-    Convert,
     Exit,
     ExtractElement,
-    FusedMultiplyAdd,
     InsertElement,
-    Intrinsic,
     Load,
     Reduce,
     ResumeStatus,
@@ -337,13 +333,7 @@ class Vectorizer:
             self._replicate_context_read(instruction)
         elif isinstance(instruction, ContextWrite):
             for lane in range(self.ws):
-                self.block.append(
-                    ContextWrite(
-                        field_name=instruction.field_name,
-                        value=self.lane_value(instruction.value, lane),
-                        lane=lane,
-                    )
-                )
+                self.block.append(self._for_lane(instruction, lane))
         elif isinstance(instruction, Load):
             self._replicate_load(instruction)
         elif isinstance(instruction, Store):
@@ -360,19 +350,7 @@ class Vectorizer:
                 )
             else:
                 for lane in range(self.ws):
-                    self.block.append(
-                        Store(
-                            dtype=instruction.dtype,
-                            space=instruction.space,
-                            base=self.lane_value(instruction.base, lane),
-                            value=self.lane_value(
-                                instruction.value, lane
-                            ),
-                            offset=instruction.offset,
-                            lane=lane,
-                            volatile=instruction.volatile,
-                        )
-                    )
+                    self.block.append(self._for_lane(instruction, lane))
         elif isinstance(instruction, AtomicRMW):
             self._replicate_atomic(instruction)
         elif isinstance(instruction, Reduce):
@@ -385,33 +363,31 @@ class Vectorizer:
     def _promote(self, instruction) -> None:
         """Promote a vectorizable instruction (or keep it scalar when
         its destination is uniform — §6.2's scalarization)."""
-        destination = self.map_register(instruction.defined())
-        if destination.width == 1:
-            # Uniform: single scalar instruction on uniform operands.
-            clone = _clone_with(
-                instruction,
+        destination = self.map_register(instruction.dst)
+        self.block.append(
+            instruction.rebuilt(
                 destination,
                 [self.map_value(v) for v in instruction.uses()],
             )
-            self.block.append(clone)
-            return
-        operands = [self.map_value(v) for v in instruction.uses()]
-        clone = _clone_with(instruction, destination, operands)
-        self.block.append(clone)
-        self._invalidate_lanes(destination)
+        )
+        if destination.width > 1:
+            self._invalidate_lanes(destination)
+
+    def _for_lane(self, instruction, lane: int, destination=None):
+        """The copy of a non-vectorizable instruction that one lane
+        executes (§4: such instructions are replicated per lane)."""
+        clone = instruction.rebuilt(
+            destination,
+            [self.lane_value(v, lane) for v in instruction.uses()],
+        )
+        clone.lane = lane
+        return clone
 
     def _replicate_context_read(self, instruction: ContextRead) -> None:
-        destination = self.map_register(instruction.defined())
+        destination = self.map_register(instruction.dst)
         field = instruction.field_name
         if destination.width == 1:
-            self.block.append(
-                ContextRead(
-                    field_name=field,
-                    dtype=instruction.dtype,
-                    dst=destination,
-                    lane=0,
-                )
-            )
+            self.block.append(instruction.rebuilt(destination, []))
             return
         lanes: List[VirtualRegister] = []
         if field == "laneid":
@@ -434,14 +410,7 @@ class Vectorizer:
         ):
             # Affine rewrite: lane i's tid.x = lane 0's tid.x + i.
             base = self._temp(instruction.dtype)
-            self.block.append(
-                ContextRead(
-                    field_name=field,
-                    dtype=instruction.dtype,
-                    dst=base,
-                    lane=0,
-                )
-            )
+            self.block.append(instruction.rebuilt(base, []))
             lanes.append(base)
             for lane in range(1, self.ws):
                 scalar = self._temp(instruction.dtype)
@@ -458,14 +427,7 @@ class Vectorizer:
         else:
             for lane in range(self.ws):
                 scalar = self._temp(instruction.dtype)
-                self.block.append(
-                    ContextRead(
-                        field_name=field,
-                        dtype=instruction.dtype,
-                        dst=scalar,
-                        lane=lane,
-                    )
-                )
+                self.block.append(self._for_lane(instruction, lane, scalar))
                 lanes.append(scalar)
         self._pack_lanes(destination, lanes)
 
@@ -487,7 +449,7 @@ class Vectorizer:
         return stride == instruction.dtype.size
 
     def _replicate_load(self, instruction: Load) -> None:
-        destination = self.map_register(instruction.defined())
+        destination = self.map_register(instruction.dst)
         if destination.width > 1 and self._contiguous_across_warp(
             instruction
         ):
@@ -505,31 +467,15 @@ class Vectorizer:
             return
         if destination.width == 1:
             self.block.append(
-                Load(
-                    dtype=instruction.dtype,
-                    dst=destination,
-                    space=instruction.space,
-                    base=self.map_value(instruction.base),
-                    offset=instruction.offset,
-                    lane=0,
-                    volatile=instruction.volatile,
+                instruction.rebuilt(
+                    destination, [self.map_value(instruction.base)]
                 )
             )
             return
         lanes = []
         for lane in range(self.ws):
             scalar = self._temp(instruction.dtype)
-            self.block.append(
-                Load(
-                    dtype=instruction.dtype,
-                    dst=scalar,
-                    space=instruction.space,
-                    base=self.lane_value(instruction.base, lane),
-                    offset=instruction.offset,
-                    lane=lane,
-                    volatile=instruction.volatile,
-                )
-            )
+            self.block.append(self._for_lane(instruction, lane, scalar))
             lanes.append(scalar)
         self._pack_lanes(destination, lanes)
 
@@ -546,23 +492,7 @@ class Vectorizer:
                 if destination is not None
                 else None
             )
-            self.block.append(
-                AtomicRMW(
-                    op=instruction.op,
-                    dtype=instruction.dtype,
-                    dst=scalar,
-                    space=instruction.space,
-                    base=self.lane_value(instruction.base, lane),
-                    value=self.lane_value(instruction.value, lane),
-                    compare=(
-                        self.lane_value(instruction.compare, lane)
-                        if instruction.compare is not None
-                        else None
-                    ),
-                    offset=instruction.offset,
-                    lane=lane,
-                )
-            )
+            self.block.append(self._for_lane(instruction, lane, scalar))
             if scalar is not None:
                 lanes.append(scalar)
         if destination is not None:
@@ -579,7 +509,7 @@ class Vectorizer:
 
     def _vectorize_vote(self, instruction: Reduce) -> None:
         source = self.map_value(instruction.src)
-        destination = self.map_register(instruction.defined())
+        destination = self.map_register(instruction.dst)
         if self.ws == 1 and destination.width == 1:
             self.block.append(
                 Reduce(op=instruction.op, dst=destination, src=source)
@@ -869,65 +799,6 @@ class Vectorizer:
                 )
                 lanes.append(scalar)
             self._pack_lanes(mapped, lanes)
-
-
-def _clone_with(instruction, destination, operands):
-    """Copy a vectorizable instruction with new destination/operands."""
-    if isinstance(instruction, BinaryOp):
-        return BinaryOp(
-            op=instruction.op,
-            dtype=instruction.dtype,
-            dst=destination,
-            a=operands[0],
-            b=operands[1],
-        )
-    if isinstance(instruction, UnaryOp):
-        return UnaryOp(
-            op=instruction.op,
-            dtype=instruction.dtype,
-            dst=destination,
-            a=operands[0],
-        )
-    if isinstance(instruction, FusedMultiplyAdd):
-        return FusedMultiplyAdd(
-            dtype=instruction.dtype,
-            dst=destination,
-            a=operands[0],
-            b=operands[1],
-            c=operands[2],
-        )
-    if isinstance(instruction, Compare):
-        return Compare(
-            op=instruction.op,
-            dtype=instruction.dtype,
-            dst=destination,
-            a=operands[0],
-            b=operands[1],
-        )
-    if isinstance(instruction, Select):
-        return Select(
-            dtype=instruction.dtype,
-            dst=destination,
-            a=operands[0],
-            b=operands[1],
-            predicate=operands[2],
-        )
-    if isinstance(instruction, Convert):
-        return Convert(
-            dst_type=instruction.dst_type,
-            src_type=instruction.src_type,
-            dst=destination,
-            src=operands[0],
-            rounding=instruction.rounding,
-        )
-    if isinstance(instruction, Intrinsic):
-        return Intrinsic(
-            name=instruction.name,
-            dtype=instruction.dtype,
-            dst=destination,
-            args=list(operands),
-        )
-    raise VectorizationError(f"cannot clone {instruction!r}")
 
 
 def vectorize_kernel(

@@ -15,9 +15,9 @@ import pytest
 @pytest.fixture(autouse=True)
 def _repro_env_guard():
     """Snapshot and restore every ``REPRO_*`` environment variable
-    around each test: the runtime reads REPRO_BACKEND / REPRO_CACHE /
-    REPRO_SANITIZE / REPRO_MELD at Device construction, so a test that
-    leaks one silently reconfigures every later Device in the run."""
+    around each test: the runtime reads REPRO_CACHE / REPRO_SANITIZE /
+    REPRO_MELD at Device construction, so a test that leaks one
+    silently reconfigures every later Device in the run."""
     saved = {
         key: value
         for key, value in os.environ.items()

@@ -26,7 +26,6 @@ from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import KernelTrap
 from repro.machine.array_backend import MIN_BATCH_WARPS, ArrayBackend
 from repro.machine.backend import BACKENDS, create_backend
-from repro.runtime.config import apply_backend_env
 from repro.runtime.context import ThreadContext, Warp
 from repro.runtime.execution_manager import _ReadyPool
 from repro.workloads.registry import all_workloads, get_workload
@@ -39,7 +38,7 @@ def _plain_kernels(monkeypatch):
     """The tests below count batches of the kernels as written, on the
     executor a default Device builds: no environment override, no
     melded diamonds, no sanitizer (which never batches)."""
-    for variable in ("REPRO_BACKEND", "REPRO_MELD", "REPRO_SANITIZE"):
+    for variable in ("REPRO_MELD", "REPRO_SANITIZE"):
         monkeypatch.delenv(variable, raising=False)
 
 
@@ -103,25 +102,6 @@ class TestBackendConfig:
             create_backend(
                 "jit", sandybridge(), MemorySystem(1 << 12)
             )
-
-    def test_env_array_means_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "array")
-        config = vectorized_config(4)
-        assert apply_backend_env(config) is config
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        assert apply_backend_env(config).backend == "reference"
-
-    def test_env_override_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "jit")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            apply_backend_env(vectorized_config(4))
-
-    def test_explicit_backend_wins_over_env(self, monkeypatch):
-        # the oracle stays the oracle whatever the environment says
-        for override in ("interpreter", "array"):
-            monkeypatch.setenv("REPRO_BACKEND", override)
-            config = replace(vectorized_config(4), backend="reference")
-            assert apply_backend_env(config).backend == "reference"
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,6 @@ def _function(blocks, warp_size=1):
 def compiles(monkeypatch):
     """Filenames of every ``compile()`` call the lowering makes (the
     batch printer's end in ``:batch``)."""
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     seen = []
     monkeypatch.setattr(
         lowering,
@@ -651,13 +650,12 @@ class TestBlockEmitter:
         last = executable.block_source("last")
         assert last.count("isinstance") == 1 and last.count(" if v") == 4
 
-    def test_served_vecadd_blocks_copy_nothing(self, monkeypatch):
+    def test_served_vecadd_blocks_copy_nothing(self):
         # The launch benchmarks/perf/serve.py times: 64 threads of its
         # vecAdd at width 4 (on the sequential path, which the first
         # launch of an uncompiled kernel takes: a batched walk lowers
         # nothing). No block it enters copies a partial vector or
         # tests a shape.
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         serve = Path(__file__).parents[1] / "benchmarks" / "perf" / "serve.py"
         if not serve.exists():
             pytest.skip("benchmarks/perf is not part of this checkout")

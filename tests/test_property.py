@@ -865,7 +865,8 @@ class TestBackendDifferential:
     )
     # The reproductions this was written from: x + 0.0 and x - (-0.0)
     # with x = -0.0; an fma whose product needs more than f32; ex2 of
-    # a constant (double vs f32 arithmetic); +0.0 / -0.0 under CSE.
+    # a constant (double vs f32 arithmetic); +0.0 / -0.0 under CSE;
+    # min(0.0, -0.0) and min(-0.0, 0.0), which the machine tells apart.
     @example(
         ops=[[("add.f32 {d}, %f0, 0f00000000;", "f32")],
              [("sub.f32 {d}, %f0, 0f80000000;", "f32")]],
@@ -883,6 +884,11 @@ class TestBackendDifferential:
         ops=[[("mul.f32 {d}, %f0, 0f00000000;", "f32"),
               ("mul.f32 {d}, %f0, 0f80000000;", "f32")]],
         data=[0x3F800000] * 8,
+    )
+    @example(
+        ops=[[("min.f32 {d}, %f0, 0f80000000;", "f32"),
+              ("min.f32 {d}, 0f80000000, %f0;", "f32")]],
+        data=[0] * 8,
     )
     def test_optimizer_computes_what_the_machine_computes(self, ops, data):
         # The oracle is the reference interpreter running the IR as

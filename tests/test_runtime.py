@@ -256,7 +256,7 @@ class TestWarpFormationStatistics:
         # would have made and a refused one none.
         from tests.conftest import COLLATZ_PTX, collatz_steps
 
-        for variable in ("REPRO_BACKEND", "REPRO_MELD", "REPRO_SANITIZE"):
+        for variable in ("REPRO_MELD", "REPRO_SANITIZE"):
             monkeypatch.delenv(variable, raising=False)
         device = Device(config=vectorized_config(4))
         device.register_module(COLLATZ_PTX)

@@ -1,7 +1,5 @@
-"""The HTTP serving front-end (`python -m repro.serve`) and the
-concurrent-clients bench harness."""
+"""The HTTP serving front-end (`python -m repro.serve`)."""
 
-import json
 import statistics
 import threading
 import time
@@ -256,30 +254,3 @@ class TestServeFaultIsolation:
         finally:
             healthy.close()
 
-
-class TestServeBench:
-    def test_bench_smoke_writes_json(self, tmp_path):
-        from repro.bench.serve_bench import format_serve, run_serve_bench
-
-        output = tmp_path / "BENCH_serve.json"
-        record = run_serve_bench(
-            clients=2,
-            workers=2,
-            launches=2,
-            scale=0.25,
-            chaos=True,
-            assert_speedup=None,
-            output=str(output),
-        )
-        written = json.loads(output.read_text())
-        assert written["experiment"] == "serve"
-        assert written["clients"] == 2
-        assert written["speedup"] > 0
-        assert written["chaos"]["trapped_launches"] >= 1
-        assert written["chaos"]["outcomes"] == ["KernelTrap"]
-        for tenant, stats in written["tenants"].items():
-            if tenant.startswith("client-"):
-                assert stats["failed"] == 0
-        text = format_serve(record)
-        assert "serving bench" in text
-        assert "speedup" in text

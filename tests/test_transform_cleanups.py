@@ -275,30 +275,72 @@ class TestCSE:
         assert eliminate_common_subexpressions(function) == 0
 
     def test_rebound_key_dies_with_either_register(self):
-        # tid.x read as u32 into a, then as s32 into b: one key, two
-        # result types, so the second read is kept and the key now
-        # names b. Redefining b must kill it (c may not copy a stale
-        # b); redefining a kills it as well — it is still listed under
-        # the register that first held it — which only costs a copy.
+        # x + 1 (one add.u32) written to a typed u32, then to b typed
+        # s32: one key, two result types, so the second add is kept
+        # and the key now names b. Redefining b must kill it (c may
+        # not copy a stale b); redefining a kills it as well — it is
+        # still listed under the register that first held it — which
+        # only costs a copy.
+        s32 = DataType.s32
+
+        def compute(name, dtype):
+            return add(reg(name, dtype), reg("x"), const(1))
+
+        for redefined in ("b", "a"):
+            function = single_block(
+                self._mov("x", 7),
+                compute("a", DataType.u32),
+                compute("b", s32),
+                self._mov(redefined, 9, s32 if redefined == "b"
+                          else DataType.u32),
+                compute("c", s32),
+                self._store(reg("a")), self._store(reg("b", s32)),
+                self._store(reg("c", s32)),
+            )
+            assert eliminate_common_subexpressions(function) == 0
+            kept = function.blocks["entry"].instructions[4]
+            assert kept.op == "add", redefined
+
+    def test_context_read_key_names_its_dtype(self):
+        # The key is the instruction's signature, and a ContextRead's
+        # dtype is part of it: tid.x read as u32 and as s32 are two
+        # expressions, so redefining a leaves the s32 one standing and
+        # c is a copy of b.
         s32 = DataType.s32
 
         def read(name, dtype):
             return ContextRead(field_name="tid.x", dtype=dtype,
                                dst=reg(name, dtype))
 
-        for redefined in ("b", "a"):
-            function = single_block(
-                read("a", DataType.u32),
-                read("b", s32),
-                self._mov(redefined, 9, s32 if redefined == "b"
-                          else DataType.u32),
-                read("c", s32),
-                self._store(reg("a")), self._store(reg("b", s32)),
-                self._store(reg("c", s32)),
-            )
-            assert eliminate_common_subexpressions(function) == 0
-            kept = function.blocks["entry"].instructions[3]
-            assert isinstance(kept, ContextRead), redefined
+        function = single_block(
+            read("a", DataType.u32), read("b", s32), self._mov("a", 9),
+            read("c", s32),
+            self._store(reg("a")), self._store(reg("b", s32)),
+            self._store(reg("c", s32)),
+        )
+        assert eliminate_common_subexpressions(function) == 1
+        copy = function.blocks["entry"].instructions[3]
+        assert (copy.op, copy.a) == ("mov", reg("b", s32))
+
+    def test_float_min_max_keep_their_operand_order(self):
+        # The machine's np.minimum/np.maximum return the second operand
+        # on a tie and 0.0 ties with -0.0, so min(x, y) and min(y, x)
+        # are different values on floats; on integers a tie is one
+        # bit pattern and the two orders are one expression.
+        for dtype, merged in ((DataType.f32, 0), (DataType.s32, 1)):
+            for op in ("min", "max"):
+                function = single_block(
+                    self._mov("x", 0, dtype), self._mov("y", 1, dtype),
+                    BinaryOp(op=op, dtype=dtype, dst=reg("a", dtype),
+                             a=reg("x", dtype), b=reg("y", dtype)),
+                    BinaryOp(op=op, dtype=dtype, dst=reg("b", dtype),
+                             a=reg("y", dtype), b=reg("x", dtype)),
+                    self._store(reg("a", dtype)),
+                    self._store(reg("b", dtype)),
+                )
+                assert (
+                    eliminate_common_subexpressions(function) == merged
+                ), (op, dtype)
 
     @pytest.mark.parametrize("twice", ["x", "a"])
     def test_dominating_expression_refused_when_multiply_defined(
