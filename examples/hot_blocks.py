@@ -164,10 +164,9 @@ def install_batches(records: dict) -> None:
         record.seconds += seconds
         if outcome.kind == "yield":
             record.completed += 1
-            record.instructions += outcome.stats.instructions
         else:
             record.aborted += outcome.conclusive
-            record.instructions += outcome.continuations[0].executed
+        record.instructions += outcome.stats.instructions
         return outcome
 
     ArrayBackend.execute_batch = measured
@@ -326,12 +325,9 @@ def batch_sizes(names: list, scale: float) -> None:
         seconds = perf_counter() - start
         if recording and path == "batched":
             size = max(size for size in _SIZES if size <= len(warps))
-            if outcome.kind == "yield":
-                row = rows["completed", size]
-                row[1] += len(warps) * outcome.stats.instructions
-            else:
-                row = rows["left early", size]
-                row[1] += len(warps) * outcome.continuations[0].executed
+            kind = "completed" if outcome.kind == "yield" else "left early"
+            row = rows[kind, size]
+            row[1] += len(warps) * outcome.stats.instructions
             row[0] += 1
             row[2] += seconds
         return outcome

@@ -451,14 +451,6 @@ class Device:
     # -- introspection -------------------------------------------------------
 
     def statistics_report(self) -> str:
-        cache = self.cache.statistics
-        return (
-            f"modules={len(self.modules)} "
-            f"translations={cache.translations} "
-            f"cache hits={cache.hits} misses={cache.misses} "
-            f"invalidations={cache.invalidations} "
-            f"degradations={cache.degradations} "
-            f"disk hits={cache.disk_hits} misses={cache.disk_misses} "
-            f"errors={cache.disk_errors} evictions={cache.evictions} "
-            f"translation time={cache.translation_seconds:.3f}s"
-        )
+        """One line: the module count and the cache's report rows."""
+        cache = " ".join(self.cache.statistics.report().split())
+        return f"modules={len(self.modules)} {cache}"

@@ -16,6 +16,7 @@ from ..runtime.config import (
     static_tie_config,
     vectorized_config,
 )
+from ..runtime.statistics import LaunchStatistics
 from ..workloads.base import Workload, WorkloadRun
 from ..workloads.registry import all_workloads
 
@@ -137,16 +138,10 @@ class SuiteRunner:
         """Translation-cache activity aggregated over every run this
         harness has executed (None before the first run). With the
         persistent tier enabled, disk hits show up here."""
-        merged = None
+        merged = LaunchStatistics()
         for run in self._cache.values():
-            cache = run.statistics.cache
-            if cache is None:
-                continue
-            if merged is None:
-                merged = cache.snapshot()
-            else:
-                merged.merge(cache)
-        return merged
+            merged.merge(run.statistics)
+        return merged.cache
 
 
 def average(values) -> float:

@@ -173,26 +173,11 @@ def format_cache_statistics(
     if stats is None:
         lines.append("  (no cache activity recorded)")
         return "\n".join(lines)
-    lines.append(
-        f"  memory: {stats.hits} hits / {stats.misses} misses, "
-        f"{stats.translations} translations, "
-        f"{stats.invalidations} invalidations"
-    )
-    lines.append(
-        f"  disk:   {stats.disk_hits} hits / {stats.disk_misses} misses, "
-        f"{stats.disk_errors} errors, {stats.evictions} evictions"
-    )
-    if stats.degradations:
+    lines += [f"  {line}" for line in stats.report().splitlines()]
+    for kernel, failed, fallback, reason in stats.degradation_events:
         lines.append(
-            f"  degradations: {stats.degradations}"
+            f"    {kernel:<28} ws={failed} -> ws={fallback}  ({reason})"
         )
-        for kernel, failed, fallback, reason in stats.degradation_events:
-            lines.append(
-                f"    {kernel:<28} ws={failed} -> ws={fallback}  ({reason})"
-            )
-    lines.append(
-        f"  translation time: {stats.translation_seconds * 1e3:.1f} ms"
-    )
     if stats.stage_seconds:
         # Where the translation time went, in pipeline order, with what
         # each pass reported changing.

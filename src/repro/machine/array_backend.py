@@ -47,7 +47,7 @@ function.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -571,19 +571,21 @@ class _ArrayBlocks(_BlockTable):
 class BatchOutcome:
     """Result of one batched region walk.
 
-    ``kind == "yield"``: every warp took the same exit; ``status`` and
-    ``stats`` apply identically to each warp in the batch.
+    ``stats`` is what the walk accumulated, once for the batch: it
+    applies identically to each warp.
+
+    ``kind == "yield"``: every warp took the same exit, ``status``.
 
     ``kind == "fallback"``: the region ended before a yield (a
     terminator the warps disagree on, a declined block, or a
     conservative instruction-limit/deadline exit); ``continuations``
-    carries one per-warp :class:`Continuation` for the sequential path
-    to finish.
+    carries one per-warp :class:`Continuation` (each holding ``stats``)
+    for the sequential path to finish.
     """
 
     kind: str
+    stats: ExecutionStats
     status: int = 0
-    stats: ExecutionStats = field(default_factory=ExecutionStats)
     continuations: Tuple[Continuation, ...] = ()
     #: False for a conservative limit/deadline exit, which would have
     #: happened wherever the warps ran: not recorded for admission.
@@ -676,8 +678,7 @@ class ArrayBackend(Interpreter):
         generated function call and one cost bump per block."""
         blocks = executable.array_blocks
         label = executable.entry_label
-        executed = 0
-        kernel_cycles = yield_cycles = flops = 0
+        stats = ExecutionStats()
         next_deadline_check = _DEADLINE_CHECK_STRIDE
         #: where each warp continues when the batch leaves the region
         labels = None
@@ -687,29 +688,16 @@ class ArrayBackend(Interpreter):
             if entry is None:
                 # A declined block: leave the region at its entry.
                 break
-            (
-                code,
-                block_kernel_cycles,
-                block_yield_cycles,
-                block_flops,
-                count,
-                _,
-            ) = entry
-            due = (
-                deadline is not None
-                and executed + count >= next_deadline_check
-            )
-            if executed + count > limit or (
-                due and time.monotonic() > deadline
-            ):
+            code, kernel_cycles, yield_cycles, flops, count, _ = entry
+            executed = stats.instructions + count
+            due = deadline is not None and executed >= next_deadline_check
+            if executed > limit or (due and time.monotonic() > deadline):
                 # Conservative: each warp's sequential resume finds
                 # the limit (or the deadline) where it would have.
                 conclusive = False
                 break
             if due:
-                next_deadline_check = (
-                    executed + count + _DEADLINE_CHECK_STRIDE
-                )
+                next_deadline_check = executed + _DEADLINE_CHECK_STRIDE
             try:
                 result = code(bstate)
             except ExecutionError as fault:
@@ -722,10 +710,10 @@ class ArrayBackend(Interpreter):
                 # A live-in the block was not printed for: nothing of
                 # it ran.
                 break
-            kernel_cycles += block_kernel_cycles
-            yield_cycles += block_yield_cycles
-            flops += block_flops
-            executed += count
+            stats.kernel_cycles += kernel_cycles
+            stats.yield_cycles += yield_cycles
+            stats.flops += flops
+            stats.instructions = executed
             if type(result) is list:
                 if len(set(result)) > 1:
                     # The block ran; its warps go different ways.
@@ -735,22 +723,13 @@ class ArrayBackend(Interpreter):
             if type(result) is str:
                 label = result
                 continue
-            stats = ExecutionStats()
-            stats.kernel_cycles = kernel_cycles
-            stats.yield_cycles = yield_cycles
-            stats.flops = flops
-            stats.instructions = executed
-            return BatchOutcome("yield", status=result, stats=stats)
+            return BatchOutcome("yield", stats, status=result)
         return BatchOutcome(
             "fallback",
+            stats,
             continuations=tuple(
                 Continuation(
-                    label=warp_label,
-                    executed=executed,
-                    kernel_cycles=kernel_cycles,
-                    yield_cycles=yield_cycles,
-                    flops=flops,
-                    registers=_warp_registers(bstate, position),
+                    warp_label, stats, _warp_registers(bstate, position)
                 )
                 for position, warp_label in enumerate(
                     labels or [label] * bstate.size

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..counting import added, counted
 from ..ir.function import IRFunction
 from ..ir.instructions import (
     AtomicRMW,
@@ -112,52 +113,46 @@ class FunctionCostTable:
         return cost
 
 
-@dataclass(frozen=True)
-class BlockCost:
-    """Aggregated static cost of one basic block (body + terminator).
+@counted
+class ExecutionStats:
+    """What executing counts. Per warp execution it is the accounting
+    the runtime statistics consume (pooled warp states ``reset`` one
+    instance per warp). Per basic block it is the block's static cost
+    (:func:`aggregate_block_cost`): the block lowering folds
+    per-instruction charges into these sums so the interpreter performs
+    a single statistics update per block executed instead of one per
+    instruction. Kernel and yield cycles are kept apart (the
+    ``overhead`` flag placed by the vectorizer decides which bucket an
+    instruction charges — Fig. 9's categories); a block's ``flops``
+    cover its body only, its ``instructions`` the body plus the
+    terminator."""
 
-    The block lowering folds per-instruction charges into
-    these per-block sums so the interpreter performs a single statistics
-    update per block executed instead of one per instruction. Kernel and
-    yield cycles are kept apart (the ``overhead`` flag placed by the
-    vectorizer decides which bucket an instruction charges — Fig. 9's
-    categories); ``flops`` covers body instructions only, matching the
-    per-instruction accounting it replaces.
-    """
-
-    kernel_cycles: int
-    yield_cycles: int
-    flops: int
-    #: dynamic instruction count charged per execution of the block
-    #: (body instructions plus the terminator)
-    instructions: int
+    kernel_cycles: int = added()
+    yield_cycles: int = added()
+    instructions: int = added()
+    flops: int = added()
 
 
-def aggregate_block_cost(block, table: FunctionCostTable) -> BlockCost:
+def aggregate_block_cost(
+    block, table: FunctionCostTable
+) -> ExecutionStats:
     """Fold ``table``'s per-instruction charges over ``block``."""
-    kernel_cycles = 0
-    yield_cycles = 0
-    flops = 0
+    total = ExecutionStats(instructions=len(block.instructions) + 1)
     for instruction in block.instructions:
         cost = table.cost_of(instruction)
         if getattr(instruction, "overhead", False):
-            yield_cycles += cost.cycles
+            total.yield_cycles += cost.cycles
         else:
-            kernel_cycles += cost.cycles
-        flops += cost.flops
+            total.kernel_cycles += cost.cycles
+        total.flops += cost.flops
     terminator = block.terminator
     if terminator is not None:
         cost = table.cost_of(terminator)
         if getattr(terminator, "overhead", False):
-            yield_cycles += cost.cycles
+            total.yield_cycles += cost.cycles
         else:
-            kernel_cycles += cost.cycles
-    return BlockCost(
-        kernel_cycles=kernel_cycles,
-        yield_cycles=yield_cycles,
-        flops=flops,
-        instructions=len(block.instructions) + 1,
-    )
+            total.kernel_cycles += cost.cycles
+    return total
 
 
 def _width_of(instruction) -> int:

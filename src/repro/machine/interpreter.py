@@ -52,7 +52,7 @@ from __future__ import annotations
 import linecache
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -93,7 +93,7 @@ from ..ir.instructions import (
 from ..ir.values import Constant
 from ..ptx.types import AddressSpace, DataType
 from .costmodel import (
-    BlockCost,
+    ExecutionStats,
     FunctionCostTable,
     aggregate_block_cost,
     build_cost_table,
@@ -160,29 +160,6 @@ def _locate_fault(fault, function, label, code) -> None:
 
 
 @dataclass
-class ExecutionStats:
-    """Per-execution accounting consumed by the runtime statistics."""
-
-    kernel_cycles: int = 0
-    yield_cycles: int = 0
-    instructions: int = 0
-    flops: int = 0
-
-    def merge(self, other: "ExecutionStats") -> None:
-        self.kernel_cycles += other.kernel_cycles
-        self.yield_cycles += other.yield_cycles
-        self.instructions += other.instructions
-        self.flops += other.flops
-
-    def reset(self) -> None:
-        """Zero all counters (pooled warp states reuse one instance)."""
-        self.kernel_cycles = 0
-        self.yield_cycles = 0
-        self.instructions = 0
-        self.flops = 0
-
-
-@dataclass
 class ExecutableFunction:
     """A loaded function: the IR, its register numbering, and what has
     been lowered of it so far.
@@ -208,7 +185,7 @@ class ExecutableFunction:
     #: patched the memory system at some point)
     code: Dict[str, "_BlockTable"] = field(default_factory=dict, repr=False)
     #: label -> aggregated static cost, for blocks asked about so far
-    block_costs: Dict[str, BlockCost] = field(
+    block_costs: Dict[str, ExecutionStats] = field(
         default_factory=dict, repr=False
     )
 
@@ -257,7 +234,7 @@ class ExecutableFunction:
             if name is not None and count == 1 and used.get(name) == 1
         )
 
-    def block_cost(self, label: str) -> BlockCost:
+    def block_cost(self, label: str) -> ExecutionStats:
         """Aggregated static cost of block ``label`` (body plus
         terminator), priced on first request."""
         cost = self.block_costs.get(label)
@@ -306,10 +283,9 @@ class Continuation:
     """
 
     label: str
-    executed: int
-    kernel_cycles: int
-    yield_cycles: int
-    flops: int
+    #: What the batched prefix accumulated (one record per batch,
+    #: shared by its warps' continuations).
+    stats: ExecutionStats
     #: ``(slot, value)`` pairs to transplant into the register file.
     registers: Tuple = ()
 
@@ -425,15 +401,12 @@ class Interpreter:
         if state is None:
             state = self.new_state()
         state.reset(executable, warp, param_base)
-        run = state.run
-        if continuation is not None:
-            run = partial(state.run_continuation, continuation)
         if state.scoped:
-            status = run()
+            status = state.run(continuation)
         else:
             state.access = self.access()
             with guest_errstate():
-                status = run()
+                status = state.run(continuation)
         if stats is not None:
             stats.merge(state.stats)
         return status
@@ -507,45 +480,28 @@ class _WarpState:
 
     # -- main loop ---------------------------------------------------------
 
-    def run_continuation(self, continuation: "Continuation") -> int:
-        """Resume sequential execution mid-kernel (the array backend's
-        fallback): seed the statistics with the batched prefix's
-        counters, transplant the warp's register rows, then continue
-        from the continuation's label."""
-        stats = self.stats
-        stats.kernel_cycles = continuation.kernel_cycles
-        stats.yield_cycles = continuation.yield_cycles
-        stats.flops = continuation.flops
-        stats.instructions = continuation.executed
-        regs = self.regs
-        for slot, value in continuation.registers:
-            regs[slot] = value
-        return self.run(
-            start_label=continuation.label,
-            start_executed=continuation.executed,
-        )
-
-    def run(
-        self,
-        start_label: Optional[str] = None,
-        start_executed: int = 0,
-    ) -> int:
+    def run(self, continuation: Optional["Continuation"] = None) -> int:
         """The run loop: one generated function call and one statistics
         update per block executed; looking a label up generates its
         function the first time. Cycle/flop sums accumulate in locals
         and flush to ``stats`` lazily — before any precise block (whose
         code observes the counters mid-block via ``%clock`` and charges
         its instructions itself) and at exit.
-        ``start_label``/``start_executed`` resume mid-kernel
-        (array-backend fallback); counters already in ``stats`` are
-        kept and accumulated onto."""
+        ``continuation`` resumes mid-kernel (the array backend's
+        fallback): the statistics start from the batched prefix's, the
+        warp's register rows are transplanted, and the loop enters at
+        the continuation's label."""
         executable = self.executable
         blocks = executable.blocks(self.access)
-        label = (
-            executable.entry_label if start_label is None else start_label
-        )
-        executed = start_executed
+        label = executable.entry_label
         stats = self.stats
+        if continuation is not None:
+            stats.merge(continuation.stats)  # onto zero: a copy
+            regs = self.regs
+            for slot, value in continuation.registers:
+                regs[slot] = value
+            label = continuation.label
+        executed = stats.instructions
         limit = self.limit
         deadline = self.deadline
         next_deadline_check = _DEADLINE_CHECK_STRIDE
@@ -586,22 +542,18 @@ class _WarpState:
                         executed + _DEADLINE_CHECK_STRIDE
                     )
                 if type(result) is int:
-                    stats.kernel_cycles += kernel_cycles
-                    stats.yield_cycles += yield_cycles
-                    stats.flops += flops
-                    stats.instructions = executed
                     return result
                 label = result
         except ExecutionError as fault:
             _locate_fault(fault, self.function, label, code)
-            # Counters accumulated in locals would otherwise be lost;
-            # flush them so a trapped launch still reports its partial
-            # cycle/instruction work.
+            raise
+        finally:
+            # On a fault too: a trapped launch still reports its
+            # partial cycle/instruction work.
             stats.kernel_cycles += kernel_cycles
             stats.yield_cycles += yield_cycles
             stats.flops += flops
             stats.instructions = executed
-            raise
 
 
 # -- conversion helpers ----------------------------------------------------

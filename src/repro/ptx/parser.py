@@ -440,17 +440,21 @@ class Parser:
         return AddressOperand(base=base, offset=offset)
 
     def _infer_operand_dtypes(self, instruction: PTXInstruction) -> None:
-        """Stamp untyped immediates with the instruction's type."""
+        """Stamp untyped immediates with the type the instruction reads
+        them as: its source type where it names one (``cvt``'s source,
+        ``set``'s compared pair, ``slct``'s selector — its two data
+        operands are of the instruction type), else its type."""
         dtype = instruction.dtype
         if dtype is None:
             return
+        source = instruction.source_type or dtype
+        slct = instruction.opcode is Opcode.slct
         operands = instruction.operands
         for index, operand in enumerate(operands):
             if isinstance(operand, ImmediateOperand) and operand.dtype is None:
-                # selp/slct condition operands keep their own types; the
-                # final operand of selp is a predicate register anyway.
                 operands[index] = ImmediateOperand(
-                    value=operand.value, dtype=dtype
+                    value=operand.value,
+                    dtype=dtype if slct and index < 3 else source,
                 )
 
 

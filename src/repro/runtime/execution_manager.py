@@ -46,7 +46,11 @@ from ..errors import (
 from ..ir.instructions import ResumeStatus
 from ..machine.array_backend import MIN_BATCH_WARPS
 from ..machine.descriptor import MachineDescription
-from ..machine.interpreter import Interpreter, guest_errstate
+from ..machine.interpreter import (
+    ExecutionStats,
+    Interpreter,
+    guest_errstate,
+)
 from ..machine.memory import MemorySystem
 from .config import ExecutionConfig
 from .context import ThreadContext, Warp
@@ -517,7 +521,6 @@ class ExecutionManager:
             barrier_pools,
             self._cycle_budget is not None or self._deadline is not None,
         )
-        stats = self.stats
         # What decides against batching for the whole window is asked
         # once, here: a loop iteration that cannot batch compares one
         # length. ``threshold`` is ``floor`` (the size rule: no key
@@ -533,7 +536,7 @@ class ExecutionManager:
             if ready.size >= threshold:
                 deferred = ready.pop_deferred() if ready.deferred else None
                 if deferred is not None:
-                    self._finish_batch_item(window, deferred)
+                    self._run_warp(window, *deferred)
                     continue
                 if ready.size >= floor and self._execute_batch_round(
                     window, batchable
@@ -552,48 +555,17 @@ class ExecutionManager:
                 # now skips a width, which a batch's full-width chunks
                 # would not: none is formed for the rest of the window
                 # (the next iteration drains what waits, if anything).
-                stats.degraded_warps += 1
+                self.stats.degraded_warps += 1
                 floor, threshold = _NEVER, 0
                 for extra in warp.contexts[width:]:
                     ready.push(extra)
                 warp = Warp(
                     contexts=warp.contexts[:width], warp_id=warp.warp_id
                 )
-                size = width
             restored = executable.function.restore_counts.get(
                 warp.entry_point, 0
             )
-            stats.record_entry(self.worker_id, size, restored)
-            stats.em_cycles += (
-                self.machine.em_event_cost
-                + self.machine.em_per_thread_cost * size
-            )
-            if self.trace is not None:
-                self.trace(
-                    "warp",
-                    {
-                        "worker": self.worker_id,
-                        "warp_id": warp.warp_id,
-                        "size": size,
-                        "entry": warp.entry_point,
-                        "kernel": kernel_name,
-                    },
-                )
-            status = self._execute_warp(window, warp, executable)
-            self._absorb_execution(self._warp_state.stats)
-            stats.record_yield(status)
-            if self.trace is not None:
-                self.trace(
-                    "yield",
-                    {
-                        "worker": self.worker_id,
-                        "warp_id": warp.warp_id,
-                        "status": ResumeStatus.NAMES.get(status, status),
-                    },
-                )
-            self._handle_yield(window, status, warp)
-            if window.watched:
-                self._check_watchdog(window)
+            self._run_warp(window, warp, executable, restored)
 
         leftovers = {
             cta: waiting
@@ -625,13 +597,70 @@ class ExecutionManager:
 
     # -- warp execution (the fault-containment boundary) ---------------------
 
-    def _absorb_execution(self, execution) -> None:
-        """Fold one warp execution's counters into the launch totals
-        (also called on the partial counters of a trapped warp)."""
-        self.stats.kernel_cycles += execution.kernel_cycles
-        self.stats.yield_cycles += execution.yield_cycles
-        self.stats.instructions += execution.instructions
-        self.stats.flops += execution.flops
+    def _run_warp(
+        self,
+        window: _Window,
+        warp: Warp,
+        executable,
+        restored: int,
+        continuation=None,
+        batch=None,
+    ) -> None:
+        """One warp execution, accounted: its entry and the execution
+        manager's charge for it (before it runs, so a launch that traps
+        part-way has counted the warps that ran), what it executed, its
+        yield and the scheduling consequences of that; then, in a
+        ``watched`` window, the watchdog. The warp runs here, unless a
+        ``batch`` already ran it to its yield (its outcome is passed);
+        one that a batch left mid-kernel resumes from its
+        ``continuation``."""
+        stats = self.stats
+        size = warp.size
+        stats.warp_executions += 1
+        histogram = stats.warp_size_histogram
+        histogram[size] = histogram.get(size, 0) + 1
+        stats.thread_entries += size
+        stats.values_restored += restored * size
+        stats.em_cycles += (
+            self.machine.em_event_cost
+            + self.machine.em_per_thread_cost * size
+        )
+        trace = self.trace
+        if trace is not None:
+            trace(
+                "warp",
+                {
+                    "worker": self.worker_id,
+                    "warp_id": warp.warp_id,
+                    "size": size,
+                    "entry": warp.entry_point,
+                    "kernel": window.kernel_name,
+                },
+            )
+        if batch is None or continuation is not None:
+            status = self._execute_warp(
+                window, warp, executable, continuation
+            )
+            execution = self._warp_state.stats
+        else:
+            status, execution = batch.status, batch.stats
+        # (the inherited merge: a launch record is an execution record
+        # and more)
+        ExecutionStats.merge(stats, execution)
+        yields = stats.yields_by_status
+        yields[status] = yields.get(status, 0) + 1
+        if trace is not None:
+            trace(
+                "yield",
+                {
+                    "worker": self.worker_id,
+                    "warp_id": warp.warp_id,
+                    "status": ResumeStatus.NAMES.get(status, status),
+                },
+            )
+        self._handle_yield(window, status, warp)
+        if window.watched:
+            self._check_watchdog(window)
 
     def _execute_warp(
         self, window: _Window, warp: Warp, executable, continuation=None
@@ -648,7 +677,7 @@ class ExecutionManager:
             # cycle, so the remaining cycle budget bounds the
             # instruction cap of a warp that never yields.
             state.limit = self.interpreter.instruction_limit
-            remaining = self._cycle_budget - self.total_cycles
+            remaining = self._cycle_budget - self.stats.total_cycles
             if remaining < state.limit:
                 state.limit = max(remaining, 1)
                 budget_clamped = True
@@ -660,45 +689,26 @@ class ExecutionManager:
                 state=state,
                 continuation=continuation,
             )
-        except (DeadlineExceeded, InstructionLimitExceeded) as fault:
-            self._absorb_execution(state.stats)
-            if isinstance(fault, InstructionLimitExceeded) and (
-                not budget_clamped
-            ):
-                # The interpreter's own global runaway cap fired with
-                # no cycle budget configured: contain it as a trap.
-                raise self._trap(window, warp, executable, fault) from fault
-            self.stats.watchdog_timeouts += 1
-            if isinstance(fault, DeadlineExceeded):
-                reason = (
-                    f"wall-clock deadline of "
-                    f"{self.config.launch_timeout_s}s exceeded"
-                )
-            else:
-                reason = (
-                    f"modeled cycle budget of {self._cycle_budget} "
-                    f"cycles exceeded"
-                )
-            points = self._program_points(window, running=warp)
-            raise build_timeout(
-                window.kernel_name, reason, points
-            ) from fault
         except ExecutionError as fault:
-            self._absorb_execution(state.stats)
-            raise self._trap(window, warp, executable, fault) from fault
-
-    def _trap(self, window: _Window, warp: Warp, executable, fault):
-        """The structured KernelTrap for ``fault`` escaping ``warp``."""
-        self.stats.traps += 1
-        return build_trap(
-            window.kernel_name,
-            window.geometry,
-            warp,
-            executable,
-            self._warp_state,
-            fault,
-            self.worker_id,
-        )
+            # The partial counters of the faulted warp still count.
+            ExecutionStats.merge(self.stats, state.stats)
+            deadline = isinstance(fault, DeadlineExceeded)
+            if deadline or (
+                budget_clamped and isinstance(fault, InstructionLimitExceeded)
+            ):
+                raise self._timeout(window, deadline, warp) from fault
+            # A guest fault — or the interpreter's own global runaway
+            # cap firing with no cycle budget configured: a trap.
+            self.stats.traps += 1
+            raise build_trap(
+                window.kernel_name,
+                window.geometry,
+                warp,
+                executable,
+                state,
+                fault,
+                self.worker_id,
+            ) from fault
 
     # -- batched execution ---------------------------------------------------
 
@@ -793,8 +803,7 @@ class ExecutionManager:
         # restore count serves the batch.
         restored = executable.function.restore_counts.get(peek[0], 0)
         items = [
-            (warp, executable, restored, continuation, outcome.status,
-             outcome.stats)
+            (warp, executable, restored, continuation, outcome)
             for warp, continuation in zip(
                 warps, outcome.continuations or [None] * len(warps)
             )
@@ -802,32 +811,8 @@ class ExecutionManager:
         # The first item stands in for the pop this round replaced; the
         # rest drain one per later visit to this key.
         ready.defer(items[1:])
-        self._finish_batch_item(window, items[0])
+        self._run_warp(window, *items[0])
         return True
-
-    def _finish_batch_item(self, window: _Window, item) -> None:
-        """Complete one deferred batch warp at its round-robin turn:
-        record its entry (here, like the sequential loop, so a launch
-        that traps part-way has counted the warps that ran), resume it
-        sequentially when the batch fell back mid-kernel
-        (``continuation``), or just apply its precomputed yield; then,
-        as after every warp of a ``watched`` window, ask the watchdog."""
-        warp, executable, restored, continuation, status, stats = item
-        self.stats.record_entry(self.worker_id, warp.size, restored)
-        self.stats.em_cycles += (
-            self.machine.em_event_cost
-            + self.machine.em_per_thread_cost * warp.size
-        )
-        if continuation is not None:
-            status = self._execute_warp(
-                window, warp, executable, continuation
-            )
-            stats = self._warp_state.stats
-        self._absorb_execution(stats)
-        self.stats.record_yield(status)
-        self._handle_yield(window, status, warp)
-        if window.watched:
-            self._check_watchdog(window)
 
     # -- watchdog ------------------------------------------------------------
 
@@ -837,27 +822,26 @@ class ExecutionManager:
         threads are still live."""
         if not window.ready and not any(window.barrier_pools.values()):
             return
-        reason = None
         if (
             self._cycle_budget is not None
-            and self.total_cycles >= self._cycle_budget
+            and self.stats.total_cycles >= self._cycle_budget
         ):
-            reason = (
-                f"modeled cycle budget of {self._cycle_budget} "
-                f"cycles exceeded"
-            )
-        elif self._deadline is not None and (
-            time.monotonic() > self._deadline
-        ):
-            reason = (
-                f"wall-clock deadline of "
-                f"{self.config.launch_timeout_s}s exceeded"
-            )
-        if reason is None:
-            return
+            raise self._timeout(window, False)
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            raise self._timeout(window, True)
+
+    def _timeout(self, window: _Window, deadline: bool, running=None):
+        """The counted LaunchTimeout of an expired wall-clock
+        ``deadline`` (else: modeled cycle budget), listing every live
+        thread (``running``: the warp it interrupted)."""
         self.stats.watchdog_timeouts += 1
-        raise build_timeout(
-            window.kernel_name, reason, self._program_points(window)
+        reason = (
+            f"wall-clock deadline of {self.config.launch_timeout_s}s"
+            if deadline
+            else f"modeled cycle budget of {self._cycle_budget} cycles"
+        ) + " exceeded"
+        return build_timeout(
+            window.kernel_name, reason, self._program_points(window, running)
         )
 
     def _program_points(
@@ -1000,14 +984,6 @@ class ExecutionManager:
             for context in waiting:
                 window.ready.push(context)
             waiting.clear()
-
-    @property
-    def total_cycles(self) -> int:
-        return (
-            self.stats.kernel_cycles
-            + self.stats.yield_cycles
-            + self.stats.em_cycles
-        )
 
 
 def _align(value: int, alignment: int) -> int:

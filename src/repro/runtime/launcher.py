@@ -99,19 +99,6 @@ class KernelLauncher:
             for worker in range(machine.cores)
         ]
 
-    def _attach_meld(
-        self, statistics: LaunchStatistics, kernel_name: str
-    ) -> None:
-        """Surface the melding pass's per-kernel decisions on the
-        launch statistics (no-op when melding is off or the kernel
-        never reached the scalar-IR stage)."""
-        report = self.cache.meld_report(kernel_name)
-        if report is None:
-            return
-        statistics.melded_regions = report.melded_regions
-        statistics.meld_rejections = report.rejected_regions
-        statistics.meld_predicted_saving = report.predicted_saving
-
     def launch(
         self,
         kernel_name: str,
@@ -137,12 +124,13 @@ class KernelLauncher:
             sanitizer.begin_launch(kernel_name)
         cache_before = self.cache.statistics.snapshot()
         total = LaunchStatistics()
-        manager = None
+        ran = []
         try:
             for manager, cta_ids in zip(self.managers, partitions):
                 if not cta_ids:
                     continue
                 manager.stats = LaunchStatistics()
+                ran.append(manager)
                 manager.run(
                     kernel_name,
                     geometry,
@@ -150,31 +138,10 @@ class KernelLauncher:
                     param_base,
                     deadline=deadline,
                 )
-                worker_stats = manager.stats
-                total.merge(worker_stats)
-                total.worker_cycles[manager.worker_id] = (
-                    worker_stats.kernel_cycles
-                    + worker_stats.yield_cycles
-                    + worker_stats.em_cycles
-                )
         except Exception as error:
-            # Containment: the faulting worker's partial statistics
-            # still count (they carry the trap/watchdog tallies), every
-            # manager's pooled state is restored to launch-ready, and
-            # the partial launch statistics ride on the exception.
-            if manager is not None:
-                total.merge(manager.stats)
-                total.worker_cycles[manager.worker_id] = (
-                    manager.stats.kernel_cycles
-                    + manager.stats.yield_cycles
-                    + manager.stats.em_cycles
-                )
-            total.cache = self.cache.statistics.delta(cache_before)
-            self._attach_meld(total, kernel_name)
-            if sanitizer is not None:
-                # Non-fatal findings gathered before the fault still
-                # ride on the exception's statistics.
-                total.sanitizer = sanitizer.take_reports()
+            # Containment: every manager's pooled state is restored to
+            # launch-ready and the partial launch statistics ride on
+            # the exception.
             for survivor in self.managers:
                 survivor.recover()
             try:
@@ -182,10 +149,24 @@ class KernelLauncher:
             except (AttributeError, TypeError):  # pragma: no cover
                 pass
             raise
-        total.cache = self.cache.statistics.delta(cache_before)
-        self._attach_meld(total, kernel_name)
-        if sanitizer is not None:
-            total.sanitizer = sanitizer.take_reports()
+        finally:
+            # One tail for a launch that finished and one that faulted:
+            # the faulting worker's partial statistics still count (they
+            # carry the trap/watchdog tallies), as do the non-fatal
+            # sanitizer findings gathered before the fault.
+            for manager in ran:
+                total.merge(manager.stats)
+                total.worker_cycles[manager.worker_id] = (
+                    manager.stats.total_cycles
+                )
+            total.cache = self.cache.statistics.delta(cache_before)
+            meld = self.cache.meld_report(kernel_name)
+            if meld is not None:  # melding is on and the kernel compiled
+                total.melded_regions = meld.melded_regions
+                total.meld_rejections = meld.rejected_regions
+                total.meld_predicted_saving = meld.predicted_saving
+            if sanitizer is not None:
+                total.sanitizer = sanitizer.take_reports()
         return LaunchResult(
             kernel_name=kernel_name,
             geometry=geometry,

@@ -69,12 +69,13 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..api.stream import LaunchFuture
+from ..counting import added, counted, kept, logged, nested, render
 from ..errors import (
     BarrierDeadlock,
     DeadlineExpired,
@@ -778,7 +779,7 @@ class _Worker:
                 state=self.breaker.state,
                 epoch=self.epoch,
                 respawns=self.respawns,
-                consecutive_failures=self.breaker.failures,
+                failures=self.breaker.failures,
                 in_flight=len(self._pending),
                 last_cause=self.last_cause,
                 restores=self.restores,
@@ -858,46 +859,58 @@ class WeightedFairQueue:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@counted
 class TenantStatistics:
     """Per-tenant serving counters + merged launch statistics."""
 
-    tenant: str
-    worker: int
-    weight: float
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    traps: int = 0
-    timeouts: int = 0
-    rejected: int = 0
+    tenant: str = kept()
+    worker: int = kept()
+    weight: float = kept()
+    submitted: int = added()
+    completed: int = added()
+    failed: int = added()
+    traps: int = added()
+    timeouts: int = added()
+    rejected: int = added()
     #: Launches that resolved to DeviceLost (their worker's process
     #: crashed, hung, or dropped its pipe while they were in flight).
-    device_lost: int = 0
+    device_lost: int = added()
     #: Automatic RetryPolicy re-dispatches of undelivered launches.
-    retries: int = 0
+    retries: int = added()
     #: Launches that aged past their request deadline in the queue.
-    expired: int = 0
+    expired: int = added()
     #: Durability layer: completed restores onto a respawned worker,
     #: total time spent restoring, journal ops replayed, and launches
     #: that rode a restore to success instead of DeviceLost.
-    restores: int = 0
-    restore_seconds: float = 0.0
-    replayed_ops: int = 0
-    restored_launches: int = 0
+    restores: int = added()
+    restore_seconds: float = added(0.0)
+    replayed_ops: int = added()
+    restored_launches: int = added()
     #: Restores abandoned because no valid state survived.
-    restore_failures: int = 0
+    restore_failures: int = added()
     #: Checkpoints written / bytes snapshotted / attempts that failed
     #: (disk error or worker lost mid-snapshot).
-    checkpoints: int = 0
-    checkpoint_bytes: int = 0
-    checkpoint_errors: int = 0
-    host_seconds: float = 0.0
+    checkpoints: int = added()
+    checkpoint_bytes: int = added()
+    checkpoint_errors: int = added()
+    host_seconds: float = added(0.0)
     #: Merged LaunchStatistics over completed launches and the partial
     #: statistics riding on contained faults.
-    statistics: LaunchStatistics = field(default_factory=LaunchStatistics)
+    statistics: LaunchStatistics = nested(LaunchStatistics)
     #: Most recent rendered trap/timeout reports (bounded).
-    trap_reports: List[str] = field(default_factory=list)
+    trap_reports: List[str] = logged()
+
+    #: One row of the tenant table of ``DevicePool.report()``.
+    REPORT_HEADER = (
+        f"{'tenant':<16} {'worker':>6} {'weight':>6} {'done':>6} "
+        f"{'fail':>5} {'traps':>5} {'lost':>5} {'retry':>5} "
+        f"{'rest':>4} {'ckpt':>4} {'rejected':>8} {'host s':>8}"
+    )
+    REPORT = (
+        "{tenant:<16} {worker:>6} {weight:>6.1f} {completed:>6} "
+        "{failed:>5} {traps:>5} {device_lost:>5} {retries:>5} "
+        "{restores:>4} {checkpoints:>4} {rejected:>8} {host_seconds:>8.2f}",
+    )
 
     def record_trap_report(self, report: Optional[str]) -> None:
         if not report:
@@ -1444,7 +1457,10 @@ class TenantSession:
         self._worker.call("disarm_faults", tenant=self.tenant)
 
     def statistics(self) -> TenantStatistics:
-        return self.stats
+        """A snapshot: the live record keeps changing under the
+        dispatcher's hand."""
+        with self._condition:
+            return self.stats.snapshot()
 
     # -- checkpointing ------------------------------------------------------
 
@@ -2223,7 +2239,8 @@ class DevicePool:
 
     def statistics(self) -> Dict[str, TenantStatistics]:
         return {
-            session.tenant: session.stats for session in self.sessions()
+            session.tenant: session.statistics()
+            for session in self.sessions()
         }
 
     def health(self) -> List[WorkerHealth]:
@@ -2244,39 +2261,24 @@ class DevicePool:
     def report(self) -> str:
         """Pool-level serving report: per-tenant counters, worker
         health, and the aggregate."""
-        sessions = self.sessions()
+        tenants = self.statistics()
         lines = [
             f"== device pool: {self.workers} workers, "
-            f"{len(sessions)} tenants =="
+            f"{len(tenants)} tenants ==",
+            TenantStatistics.REPORT_HEADER,
         ]
-        header = (
-            f"{'tenant':<16} {'worker':>6} {'weight':>6} {'done':>6} "
-            f"{'fail':>5} {'traps':>5} {'lost':>5} {'retry':>5} "
-            f"{'rest':>4} {'ckpt':>4} {'rejected':>8} {'host s':>8}"
-        )
-        lines.append(header)
-        for session in sorted(sessions, key=lambda s: s.tenant):
-            stats = session.stats
-            lines.append(
-                f"{stats.tenant:<16} {stats.worker:>6} "
-                f"{stats.weight:>6.1f} {stats.completed:>6} "
-                f"{stats.failed:>5} {stats.traps:>5} "
-                f"{stats.device_lost:>5} {stats.retries:>5} "
-                f"{stats.restores:>4} {stats.checkpoints:>4} "
-                f"{stats.rejected:>8} {stats.host_seconds:>8.2f}"
-            )
+        total = TenantStatistics(tenant="aggregate", worker=-1, weight=0.0)
+        for _, stats in sorted(tenants.items()):
+            lines.append(render(stats))
+            total.merge(stats)
         lines.append("worker health:")
         for health in self.health():
             lines.append(f"  {health.describe()}")
-        aggregate = self.aggregate_statistics()
         lines.append(
-            f"aggregate: launches="
-            f"{sum(s.stats.completed for s in sessions)} "
-            f"failures={sum(s.stats.failed for s in sessions)} "
-            f"traps={sum(s.stats.traps for s in sessions)} "
-            f"device-lost={sum(s.stats.device_lost for s in sessions)} "
-            f"retries={sum(s.stats.retries for s in sessions)} "
-            f"instructions={aggregate.instructions} "
-            f"modeled cycles={aggregate.total_cycles}"
+            f"aggregate: launches={total.completed} "
+            f"failures={total.failed} traps={total.traps} "
+            f"device-lost={total.device_lost} retries={total.retries} "
+            f"instructions={total.statistics.instructions} "
+            f"modeled cycles={total.statistics.total_cycles}"
         )
         return "\n".join(lines)

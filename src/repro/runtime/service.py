@@ -254,29 +254,32 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- dispatch ----------------------------------------------------------
 
-    def _worker_snapshot(self) -> list:
-        return [
-            {
-                "worker": health.worker,
-                "alive": health.alive,
-                "state": health.state,
-                "epoch": health.epoch,
-                "respawns": health.respawns,
-                "failures": health.consecutive_failures,
-                "in_flight": health.in_flight,
-                "last_cause": health.last_cause,
-                "restores": health.restores,
-                "last_restore_seconds": health.last_restore_seconds,
-            }
-            for health in self.state.pool.health()
-        ]
-
     def do_GET(self):  # noqa: N802 - stdlib naming
+        pool = self.state.pool
+        if self.path == "/v1/stats":
+            # (``instructions``: what the entries carried before they
+            # carried the whole launch statistics)
+            tenants = {
+                tenant: {
+                    **stats.as_dict(),
+                    "instructions": stats.statistics.instructions,
+                }
+                for tenant, stats in pool.statistics().items()
+            }
+            self._reply(
+                200,
+                {
+                    "workers": pool.workers,
+                    "tenants": tenants,
+                    "report": pool.report(),
+                },
+            )
+            return
+        workers = [health.as_dict() for health in pool.health()]
         if self.path == "/v1/health":
             # Liveness: the process is serving HTTP — always 200. A
             # lost worker is the supervisor's problem (it respawns),
             # not a reason for an orchestrator to kill the server.
-            workers = self._worker_snapshot()
             self._reply(
                 200,
                 {
@@ -286,52 +289,22 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
             return
-        if self.path == "/v1/ready":
-            # Readiness: should a load balancer route new work here?
-            # Not while draining (launches shed with 503 anyway) and
-            # not while any breaker is open (respawns suspended — the
-            # pool cannot heal until the cooldown elapses).
-            workers = self._worker_snapshot()
-            breaker_open = any(
-                entry["state"] == "open" for entry in workers
-            )
-            ready = not self.state.draining and not breaker_open
-            self._reply(
-                200 if ready else 503,
-                {
-                    "ready": ready,
-                    "draining": self.state.draining,
-                    "breaker_open": breaker_open,
-                    "workers": workers,
-                },
-            )
-            return
-        if self.path != "/v1/stats":
+        if self.path != "/v1/ready":
             self._reply(404, {"error": f"unknown path {self.path}"})
             return
-        pool = self.state.pool
-        tenants = {
-            tenant: {
-                "worker": stats.worker,
-                "weight": stats.weight,
-                "submitted": stats.submitted,
-                "completed": stats.completed,
-                "failed": stats.failed,
-                "traps": stats.traps,
-                "rejected": stats.rejected,
-                "instructions": stats.statistics.instructions,
-                "restores": stats.restores,
-                "restored_launches": stats.restored_launches,
-                "checkpoints": stats.checkpoints,
-            }
-            for tenant, stats in pool.statistics().items()
-        }
+        # Readiness: should a load balancer route new work here?
+        # Not while draining (launches shed with 503 anyway) and
+        # not while any breaker is open (respawns suspended — the
+        # pool cannot heal until the cooldown elapses).
+        breaker_open = any(entry["state"] == "open" for entry in workers)
+        ready = not self.state.draining and not breaker_open
         self._reply(
-            200,
+            200 if ready else 503,
             {
-                "workers": pool.workers,
-                "tenants": tenants,
-                "report": pool.report(),
+                "ready": ready,
+                "draining": self.state.draining,
+                "breaker_open": breaker_open,
+                "workers": workers,
             },
         )
 

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..counting import (
+    added,
+    added_by_key,
+    counted,
+    kept,
+    logged,
+    nested,
+    render,
+)
 from ..ir.instructions import ResumeStatus
+from ..machine.interpreter import ExecutionStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sanitizer.reports import SanitizerReport
     from .translation_cache import CacheStatistics
 
 
-@dataclass
+@counted
 class WorkerHealth:
     """Supervision snapshot of one :class:`~repro.runtime.pool.
     DevicePool` worker, rendered into ``DevicePool.report()``.
@@ -24,158 +33,96 @@ class WorkerHealth:
     decides). ``epoch`` counts respawns: allocations stamped with an
     older epoch are invalid."""
 
-    worker: int
-    alive: bool
-    state: str
-    epoch: int
-    respawns: int = 0
-    consecutive_failures: int = 0
-    in_flight: int = 0
-    last_cause: Optional[str] = None
+    worker: int = kept()
+    alive: bool = kept()
+    state: str = kept()
+    epoch: int = kept()
+    respawns: int = added()
+    #: consecutive infrastructure failures (the breaker's count)
+    failures: int = kept(0)
+    in_flight: int = kept(0)
+    last_cause: Optional[str] = kept(None)
     #: durable-tenant restores completed onto this worker's epochs
-    restores: int = 0
+    restores: int = added()
     #: wall-clock seconds of the most recent restore (None if never)
-    last_restore_seconds: Optional[float] = None
+    last_restore_seconds: Optional[float] = kept(None)
+
+    REPORT = (
+        "worker {worker}: {liveness} state={state} epoch={epoch} "
+        "respawns={respawns} failures={failures} in-flight={in_flight}",
+        ("restores={restores}", "restores"),
+        ("last {last_restore_seconds:.3f}s", "last_restore_seconds"),
+        ("({last_cause})", "last_cause"),
+    )
 
     def describe(self) -> str:
-        cause = f" ({self.last_cause})" if self.last_cause else ""
-        restored = ""
-        if self.restores:
-            latency = (
-                f" last {self.last_restore_seconds:.3f}s"
-                if self.last_restore_seconds is not None
-                else ""
-            )
-            restored = f" restores={self.restores}{latency}"
-        return (
-            f"worker {self.worker}: "
-            f"{'alive' if self.alive else 'LOST'} "
-            f"state={self.state} epoch={self.epoch} "
-            f"respawns={self.respawns} "
-            f"failures={self.consecutive_failures} "
-            f"in-flight={self.in_flight}{restored}{cause}"
+        return render(
+            self, " ", liveness="alive" if self.alive else "LOST"
         )
 
 
-@dataclass
-class LaunchStatistics:
-    """Aggregated over all execution managers of one kernel launch."""
+@counted
+class LaunchStatistics(ExecutionStats):
+    """Aggregated over all execution managers of one kernel launch.
 
-    #: cycles spent inside vectorized subkernels (useful work)
-    kernel_cycles: int = 0
-    #: cycles spent in compiler-inserted yield machinery
-    #: (spill/restore/scheduler — Fig. 9's "yield" category)
-    yield_cycles: int = 0
+    What a warp execution counts itself is inherited: ``kernel_cycles``
+    (inside vectorized subkernels — useful work), ``yield_cycles``
+    (compiler-inserted yield machinery: spill/restore/scheduler —
+    Fig. 9's "yield" category), dynamic IR ``instructions`` and
+    single-precision ``flops``."""
+
     #: cycles spent in the execution manager itself (warp formation,
     #: barrier bookkeeping, status updates — Fig. 9's "EM" category)
-    em_cycles: int = 0
-    #: dynamic IR instructions executed
-    instructions: int = 0
-    #: single-precision floating point operations executed
-    flops: int = 0
+    em_cycles: int = added()
     #: kernel entries per warp size (Fig. 7)
-    warp_size_histogram: Dict[int, int] = field(default_factory=dict)
+    warp_size_histogram: Dict[int, int] = added_by_key()
     #: total threads entering kernels (sum over entries of warp size)
-    thread_entries: int = 0
+    thread_entries: int = added()
     #: total live values restored across all thread entries (Fig. 8)
-    values_restored: int = 0
+    values_restored: int = added()
     #: yields by resume status
-    yields_by_status: Dict[int, int] = field(default_factory=dict)
+    yields_by_status: Dict[int, int] = added_by_key()
     #: number of warp executions
-    warp_executions: int = 0
+    warp_executions: int = added()
     #: threads launched
-    threads_launched: int = 0
-    #: per-worker total cycles (kernel + yield + em)
-    worker_cycles: Dict[int, int] = field(default_factory=dict)
+    threads_launched: int = added()
+    #: per-worker total cycles
+    worker_cycles: Dict[int, int] = added_by_key()
     #: runtime faults contained as structured KernelTraps (a trapped
     #: launch raises, but its partial statistics still carry the count)
-    traps: int = 0
+    traps: int = added()
     #: watchdog expiries (cycle budget or wall-clock deadline)
-    watchdog_timeouts: int = 0
+    watchdog_timeouts: int = added()
     #: warp executions that ran at a narrower width than configured
     #: because a wider specialization failed and was degraded
-    degraded_warps: int = 0
+    degraded_warps: int = added()
     #: warp executions that went through the array backend's batched
     #: path (a host-efficiency counter — it does not participate in
     #: modeled-statistics equivalence between backends)
-    batched_warps: int = 0
+    batched_warps: int = added()
     #: of those, warps that left their batch through a continuation
     #: and finished sequentially (a host counter like it)
-    batch_fallbacks: int = 0
+    batch_fallbacks: int = added()
     #: divergent-branch diamonds the melding pass removed from this
     #: launch's kernel (static per-kernel count attached by the
     #: KernelLauncher; the dynamic effect shows up as fewer
     #: THREAD_BRANCH yields and lower cycle totals)
-    melded_regions: int = 0
+    melded_regions: int = added()
     #: meldable candidate regions the melding pass declined
     #: (unprofitable or structurally unsafe)
-    meld_rejections: int = 0
+    meld_rejections: int = added()
     #: cycles per region execution the profitability model predicts
     #: saved across all melded regions of the kernel
-    meld_predicted_saving: float = 0.0
+    meld_predicted_saving: float = added(0.0)
     #: translation-cache activity attributed to this launch (the delta
     #: of the device cache's counters over the launch, attached by the
     #: KernelLauncher); None until attached
-    cache: Optional["CacheStatistics"] = None
+    cache: Optional[CacheStatistics] = nested()
     #: non-fatal sanitizer findings of this launch (populated by the
     #: KernelLauncher when checked execution runs with
     #: ``sanitize_fatal=False``; always empty in fatal mode, where the
     #: first finding raises instead)
-    sanitizer: List["SanitizerReport"] = field(default_factory=list)
-
-    # -- accumulation ------------------------------------------------------
-
-    def record_entry(
-        self, worker_id: int, warp_size: int, restored_values: int
-    ) -> None:
-        self.warp_executions += 1
-        self.warp_size_histogram[warp_size] = (
-            self.warp_size_histogram.get(warp_size, 0) + 1
-        )
-        self.thread_entries += warp_size
-        self.values_restored += restored_values * warp_size
-
-    def record_yield(self, status: int) -> None:
-        self.yields_by_status[status] = (
-            self.yields_by_status.get(status, 0) + 1
-        )
-
-    def merge(self, other: "LaunchStatistics") -> None:
-        self.kernel_cycles += other.kernel_cycles
-        self.yield_cycles += other.yield_cycles
-        self.em_cycles += other.em_cycles
-        self.instructions += other.instructions
-        self.flops += other.flops
-        self.thread_entries += other.thread_entries
-        self.values_restored += other.values_restored
-        self.warp_executions += other.warp_executions
-        self.threads_launched += other.threads_launched
-        self.traps += other.traps
-        self.watchdog_timeouts += other.watchdog_timeouts
-        self.degraded_warps += other.degraded_warps
-        self.batched_warps += other.batched_warps
-        self.batch_fallbacks += other.batch_fallbacks
-        self.melded_regions += other.melded_regions
-        self.meld_rejections += other.meld_rejections
-        self.meld_predicted_saving += other.meld_predicted_saving
-        for key, value in other.warp_size_histogram.items():
-            self.warp_size_histogram[key] = (
-                self.warp_size_histogram.get(key, 0) + value
-            )
-        for key, value in other.yields_by_status.items():
-            self.yields_by_status[key] = (
-                self.yields_by_status.get(key, 0) + value
-            )
-        for key, value in other.worker_cycles.items():
-            self.worker_cycles[key] = (
-                self.worker_cycles.get(key, 0) + value
-            )
-        if other.cache is not None:
-            if self.cache is None:
-                self.cache = other.cache.snapshot()
-            else:
-                self.cache.merge(other.cache)
-        self.sanitizer.extend(other.sanitizer)
+    sanitizer: List[SanitizerReport] = logged()
 
     # -- derived metrics -----------------------------------------------------
 
@@ -242,61 +189,45 @@ class LaunchStatistics:
     def barrier_yields(self) -> int:
         return self.yields_by_status.get(ResumeStatus.THREAD_BARRIER, 0)
 
+    REPORT = (
+        "threads launched     {threads_launched}",
+        "warp executions      {warp_executions}",
+        "average warp size    {average_warp_size:.2f}",
+        "avg values restored  {average_values_restored:.2f}",
+        "cycles (EM/yld/krn)  {em_cycles}/{yield_cycles}/{kernel_cycles}",
+        "cycle fractions      em={fractions[em]:.2%} "
+        "yield={fractions[yield]:.2%} kernel={fractions[kernel]:.2%}",
+        "elapsed              {elapsed_ms:.3f} ms ({gflops:.1f} GFLOP/s)",
+        "robustness           traps={traps} watchdog={watchdog_timeouts} "
+        "degraded warps={degraded_warps}",
+        (
+            "batching             warps={batched_warps} "
+            "fell back={batch_fallbacks}",
+            "batched_warps",
+        ),
+        (
+            "melding              regions={melded_regions} "
+            "rejected={meld_rejections} "
+            "predicted saving={meld_predicted_saving:.1f} cycles",
+            "melded_regions meld_rejections",
+        ),
+        ("{cache}", "cache"),
+        ("sanitizer            {sanitizer_summary}", "sanitizer"),
+    )
+
     def report(self, clock_hz: float = 3.4e9) -> str:
-        fractions = self.cycle_fractions()
-        lines = [
-            f"threads launched     {self.threads_launched}",
-            f"warp executions      {self.warp_executions}",
-            f"average warp size    {self.average_warp_size:.2f}",
-            f"avg values restored  "
-            f"{self.average_values_restored:.2f}",
-            f"cycles (EM/yld/krn)  {self.em_cycles}/"
-            f"{self.yield_cycles}/{self.kernel_cycles}",
-            f"cycle fractions      em={fractions['em']:.2%} "
-            f"yield={fractions['yield']:.2%} "
-            f"kernel={fractions['kernel']:.2%}",
-            f"elapsed              "
-            f"{self.elapsed_seconds(clock_hz) * 1e3:.3f} ms "
-            f"({self.gflops(clock_hz):.1f} GFLOP/s)",
-            f"robustness           traps={self.traps} "
-            f"watchdog={self.watchdog_timeouts} "
-            f"degraded warps={self.degraded_warps}",
-        ]
-        if self.batched_warps:
-            lines.append(
-                f"batching             warps={self.batched_warps} "
-                f"fell back={self.batch_fallbacks}"
-            )
-        if self.melded_regions or self.meld_rejections:
-            lines.append(
-                f"melding              regions={self.melded_regions} "
-                f"rejected={self.meld_rejections} "
-                f"predicted saving="
-                f"{self.meld_predicted_saving:.1f} cycles"
-            )
-        if self.cache is not None:
-            cache = self.cache
-            lines.extend(
-                [
-                    f"cache                hits={cache.hits} "
-                    f"misses={cache.misses} "
-                    f"translations={cache.translations} "
-                    f"invalidations={cache.invalidations}",
-                    f"cache disk           hits={cache.disk_hits} "
-                    f"misses={cache.disk_misses} "
-                    f"errors={cache.disk_errors} "
-                    f"evictions={cache.evictions}",
-                    f"translation time     "
-                    f"{cache.translation_seconds * 1e3:.3f} ms",
-                ]
-            )
-        if self.sanitizer:
-            by_kind: Dict[str, int] = {}
-            for finding in self.sanitizer:
-                count = getattr(finding, "count", 1)
-                by_kind[finding.kind] = by_kind.get(finding.kind, 0) + count
-            summary = " ".join(
+        by_kind: Dict[str, int] = {}
+        for finding in self.sanitizer:
+            count = getattr(finding, "count", 1)
+            by_kind[finding.kind] = by_kind.get(finding.kind, 0) + count
+        return render(
+            self,
+            average_warp_size=self.average_warp_size,
+            average_values_restored=self.average_values_restored,
+            fractions=self.cycle_fractions(),
+            elapsed_ms=self.elapsed_seconds(clock_hz) * 1e3,
+            gflops=self.gflops(clock_hz),
+            sanitizer_summary=" ".join(
                 f"{kind}={count}" for kind, count in sorted(by_kind.items())
-            )
-            lines.append(f"sanitizer            {summary}")
-        return "\n".join(lines)
+            ),
+        )

@@ -36,9 +36,17 @@ import hashlib
 import re
 from bisect import bisect_right
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
+from ..counting import (
+    added,
+    added_by_key,
+    counted,
+    latest_by_key,
+    logged,
+    render,
+)
 from ..errors import (
     ExecutionError,
     IRVerificationError,
@@ -64,140 +72,68 @@ from .cache_store import SCHEMA_VERSION, CacheStore
 from .config import ExecutionConfig
 
 
-@dataclass
+@counted
 class CacheStatistics:
     """Observable cache activity (cumulative per cache; the launcher
-    derives per-launch deltas with :meth:`snapshot`/:meth:`delta`)."""
+    derives per-launch deltas with ``snapshot``/``delta``)."""
 
     #: specializations compiled from scratch
-    translations: int = 0
+    translations: int = added()
     #: in-memory specialization hits
-    hits: int = 0
+    hits: int = added()
     #: in-memory specialization misses (before the disk tier is tried)
-    misses: int = 0
+    misses: int = added()
     #: cached artifacts (scalar IR or specializations) dropped by
     #: invalidation (re-registration, symbol updates, or explicit)
-    invalidations: int = 0
+    invalidations: int = added()
     #: specializations loaded from the persistent tier
-    disk_hits: int = 0
+    disk_hits: int = added()
     #: persistent-tier lookups that found nothing
-    disk_misses: int = 0
+    disk_misses: int = added()
     #: corrupt/incompatible/unwritable persistent entries encountered
-    disk_errors: int = 0
+    disk_errors: int = added()
     #: persistent entries evicted by the size bound
-    evictions: int = 0
+    evictions: int = added()
     #: specialization widths degraded after a failed build (the
     #: graceful-degradation ladder: a width whose vectorization or
     #: lowering fails falls back to a narrower specialization instead
     #: of failing the launch)
-    degradations: int = 0
+    degradations: int = added()
     #: wall seconds spent translating (excludes disk-hit loads)
-    translation_seconds: float = 0.0
+    translation_seconds: float = added(0.0)
     #: per-degradation records: (kernel, failed_width, fallback_width,
     #: reason)
-    degradation_events: List[Tuple[str, int, int, str]] = field(
-        default_factory=list
-    )
+    degradation_events: List[Tuple[str, int, int, str]] = logged()
     #: per-specialization static instruction counts (for §6.2's
     #: instruction-reduction measurement)
-    instruction_counts: Dict[Tuple[str, int], int] = field(
-        default_factory=dict
-    )
+    instruction_counts: Dict[Tuple[str, int], int] = latest_by_key()
     #: per-specialization compile seconds (0.0 for disk hits)
-    compile_seconds: Dict[Tuple[str, int], float] = field(
-        default_factory=dict
-    )
+    compile_seconds: Dict[Tuple[str, int], float] = latest_by_key()
     #: per-kernel control-flow-melding outcome recorded when the scalar
     #: IR is built with ``ExecutionConfig(meld=True)``:
     #: kernel -> (melded regions, rejected candidate regions)
-    meld_decisions: Dict[str, Tuple[int, int]] = field(
-        default_factory=dict
-    )
+    meld_decisions: Dict[str, Tuple[int, int]] = latest_by_key()
     #: wall seconds per pipeline stage, summed over every compile:
     #: ``translate``, the scalar pre-passes, ``vectorize``, each
     #: cleanup pass and ``verify`` (the pass managers' own record)
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
+    stage_seconds: Dict[str, float] = added_by_key()
     #: what each pass reported changing (folds, replacements,
     #: removals, merges), summed likewise
-    stage_changes: Dict[str, int] = field(default_factory=dict)
+    stage_changes: Dict[str, int] = added_by_key()
 
-    _COUNTERS = (
-        "translations",
-        "hits",
-        "misses",
-        "invalidations",
-        "disk_hits",
-        "disk_misses",
-        "disk_errors",
-        "evictions",
-        "degradations",
+    REPORT = (
+        "cache                hits={hits} misses={misses} "
+        "translations={translations} invalidations={invalidations} "
+        "degradations={degradations}",
+        "cache disk           hits={disk_hits} misses={disk_misses} "
+        "errors={disk_errors} evictions={evictions}",
+        "translation time     {translation_seconds:.6f} s",
     )
-
-    def snapshot(self) -> "CacheStatistics":
-        """An independent copy (for before/after deltas)."""
-        copy = CacheStatistics()
-        for name, value in vars(self).items():
-            setattr(copy, name, type(value)(value))  # numbers, containers
-        return copy
-
-    def delta(self, before: "CacheStatistics") -> "CacheStatistics":
-        """Activity since ``before`` (a prior :meth:`snapshot`)."""
-        diff = CacheStatistics()
-        for name in self._COUNTERS:
-            setattr(
-                diff, name, getattr(self, name) - getattr(before, name)
-            )
-        diff.translation_seconds = (
-            self.translation_seconds - before.translation_seconds
-        )
-        diff.instruction_counts = {
-            key: count
-            for key, count in self.instruction_counts.items()
-            if before.instruction_counts.get(key) != count
-        }
-        diff.compile_seconds = {
-            key: seconds
-            for key, seconds in self.compile_seconds.items()
-            if key not in before.compile_seconds
-        }
-        diff.degradation_events = self.degradation_events[
-            len(before.degradation_events):
-        ]
-        diff.meld_decisions = {
-            key: value
-            for key, value in self.meld_decisions.items()
-            if before.meld_decisions.get(key) != value
-        }
-        if self.stage_seconds != before.stage_seconds:  # a compile ran
-            for name, seconds in self.stage_seconds.items():
-                if seconds != before.stage_seconds.get(name):
-                    diff.record_stage(
-                        name,
-                        seconds - before.stage_seconds.get(name, 0.0),
-                        self.stage_changes.get(name, 0)
-                        - before.stage_changes.get(name, 0),
-                    )
-        return diff
-
-    def merge(self, other: "CacheStatistics") -> None:
-        for name in self._COUNTERS:
-            setattr(
-                self, name, getattr(self, name) + getattr(other, name)
-            )
-        self.translation_seconds += other.translation_seconds
-        self.instruction_counts.update(other.instruction_counts)
-        self.compile_seconds.update(other.compile_seconds)
-        self.degradation_events.extend(other.degradation_events)
-        self.meld_decisions.update(other.meld_decisions)
-        for name, seconds in other.stage_seconds.items():
-            self.record_stage(name, seconds, other.stage_changes[name])
+    report = __str__ = render
 
     def record_stage(self, name: str, seconds: float, changes: int = 0):
         self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
         self.stage_changes[name] = self.stage_changes.get(name, 0) + changes
-
-    def counters(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._COUNTERS}
 
 
 _NO_WIDTHS: frozenset = frozenset()

@@ -164,7 +164,7 @@ class _ReferenceState(_WarpState):
             self.stats.kernel_cycles += cost.cycles
         self.stats.flops += cost.flops
 
-    def run(self) -> int:
+    def run(self, continuation=None) -> int:  # (never batches: always None)
         blocks = self.function.blocks
         label = self.function.entry_label
         executed = 0

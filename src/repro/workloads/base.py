@@ -52,14 +52,8 @@ class WorkloadRun:
     def statistics(self) -> LaunchStatistics:
         """Merged statistics over all launches of the run."""
         merged = LaunchStatistics()
-        worker_totals = {}
         for launch in self.launches:
             merged.merge(launch.statistics)
-            for worker, cycles in launch.statistics.worker_cycles.items():
-                worker_totals[worker] = (
-                    worker_totals.get(worker, 0) + cycles
-                )
-        merged.worker_cycles = worker_totals
         return merged
 
     @property

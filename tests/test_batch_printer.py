@@ -290,7 +290,7 @@ class TestPrintedSource:
         assert outcome.kind == "fallback" and outcome.conclusive
         for continuation in outcome.continuations:
             assert continuation.label == "sync"
-            assert continuation.executed == 2  # entry's add and branch
+            assert continuation.stats.instructions == 2  # entry add, branch
         assert executable.array_blocks["sync"] is None
 
     def test_what_the_printer_declines(self):

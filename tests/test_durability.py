@@ -720,8 +720,18 @@ class TestServeDurability:
         server.pool._workers[0].process.kill()
         out = client.read(c, np.float32, N)
         assert np.array_equal(out, _expected())
+        # The payload is the tenant record's as_dict(): the counters
+        # only the text report used to show are keys of it.
         stats = client.stats()["tenants"]["http-victim"]
         assert stats["restores"] == 1
+        assert stats["device_lost"] == 0  # the restore absorbed the loss
+        assert stats["restore_failures"] == stats["checkpoint_errors"] == 0
+        assert stats["retries"] == stats["timeouts"] == stats["expired"] == 0
+        assert stats["replayed_ops"] >= 0 and stats["checkpoints"] >= 0
+        assert stats["instructions"] == stats["statistics"]["instructions"]
+        (worker,) = client.health()["workers"]
+        assert worker["restores"] == 1 and worker["epoch"] == 1
+        assert worker["failures"] == 0 and worker["in_flight"] == 0
         reply = client.run("vecAdd", 1, N, args)
         assert reply["ok"] is True
         client.close()

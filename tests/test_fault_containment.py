@@ -752,7 +752,7 @@ class TestRobustnessReporting:
             injector.arm("vectorization_failure", width=8)
             _vecadd_launch(device)
         rendered = format_cache_statistics(device.cache.statistics)
-        assert "degradations: 1" in rendered
+        assert "degradations=1" in rendered
         assert "ws=8 -> ws=4" in rendered
 
 

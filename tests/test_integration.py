@@ -221,3 +221,58 @@ class TestOptimizationLevels:
         assert optimized.cache.instruction_count(
             "vecAdd", 4
         ) <= plain.cache.instruction_count("vecAdd", 4)
+
+
+#: ``cvt`` and ``set`` read an immediate as their *source* type.
+SOURCE_IMMEDIATE_PTX = r"""
+.version 2.3
+.target sim
+.entry k (.param .u64 inp, .param .u64 out)
+{
+  .reg .u32 %r<8>;
+  .reg .u64 %rd<8>;
+  .reg .f32 %f<4>;
+
+  mov.u32 %r1, %tid.x;
+  mul.wide.u32 %rd1, %r1, 4;
+  ld.param.u64 %rd2, [inp];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.global.f32 %f1, [%rd3];
+  cvt.rni.s32.f32 %r2, 2.7;
+  set.gt.u32.f32 %r3, %f1, 1.5;
+  mul.wide.u32 %rd4, %r1, 8;
+  ld.param.u64 %rd5, [out];
+  add.u64 %rd6, %rd5, %rd4;
+  st.global.u32 [%rd6], %r2;
+  st.global.u32 [%rd6+4], %r3;
+  exit;
+}
+"""
+
+
+class TestSourceTypedImmediates:
+    @pytest.mark.parametrize("threads", [1, 8])
+    def test_cvt_and_set_read_the_immediate_as_the_source_type(
+        self, threads
+    ):
+        # 1 thread: scalar destinations, which the optimizer folds.
+        data = np.array(
+            [1.0, 1.25, 1.5, 1.75, 2.0, -3.0, 1.4999, 7.5], np.float32
+        )[:threads]
+        expected = np.empty((threads, 2), np.uint32)
+        expected[:, 0] = np.rint(np.float32(2.7))
+        expected[:, 1] = np.where(data > np.float32(1.5), 0xFFFFFFFF, 0)
+        for config in (
+            ExecutionConfig(),
+            ExecutionConfig(optimize=False),
+            ExecutionConfig(backend="reference"),
+        ):
+            device = Device(config=config)
+            device.register_module(SOURCE_IMMEDIATE_PTX)
+            out = device.malloc(threads * 8)
+            device.launch(
+                "k", grid=1, block=threads,
+                args=[device.upload(data), out],
+            )
+            result = out.read(np.uint32, threads * 2).reshape(threads, 2)
+            assert (result == expected).all(), config

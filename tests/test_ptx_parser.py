@@ -238,6 +238,18 @@ class TestInstructionSelection:
         assert isinstance(immediate, ImmediateOperand)
         assert immediate.dtype is DataType.f32
 
+    def test_source_immediates_take_the_source_type(self):
+        # (the destination type used to be stamped on all of them:
+        # ``cvt.rni.s32.f32 %r, 2.7`` converted the integer 2)
+        cvt = first_instruction("cvt.rni.s32.f32 %r1, 2.7;")
+        assert cvt.operands[1].dtype is DataType.f32
+        compared = first_instruction("set.gt.u32.f32 %r1, %f1, 1.5;")
+        assert compared.operands[2].dtype is DataType.f32
+        slct = first_instruction("slct.f32.s32 %f1, 1.5, 2.5, 0;")
+        assert [operand.dtype for operand in slct.operands[1:]] == [
+            DataType.f32, DataType.f32, DataType.s32,
+        ]
+
     def test_and_or_not_aliases(self):
         kernel = parse_kernel_body(
             "and.b32 %r1, %r2, %r3; or.b32 %r1, %r2, %r3;"

@@ -566,6 +566,18 @@ class TestObservability:
         assert second.statistics.cache.translations == 0
         assert second.statistics.cache.hits > 0
 
+    def test_delta_reports_a_recompiled_specialization(self):
+        # The key is in compile_seconds before the launch; its value is
+        # what changed (delta used to keep new keys only).
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        _run_vecadd(device)
+        device.register_module(VECMUL_PTX)
+        _, again = _run_vecadd(device)
+        cache = again.statistics.cache
+        assert cache.translations == 1
+        assert ("vecAdd", 4) in cache.compile_seconds
+
     def test_report_includes_cache_lines(self):
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
