@@ -33,6 +33,12 @@ the executable's admission record still refuses there. The wrappers
 cost ≈ 0.2 µs an entry and hide the block from the trap PC lookup, so
 this is a measuring script, not a mode.
 
+``--lowering`` prints instead what lowering costs a first launch —
+the part of the benchmark's ``setup_s`` no span shows: per app, on a
+compiled Device (as the benchmark sets one up), over its first run,
+and per path, the blocks printed, their source lines and the seconds
+Python's ``compile()`` took for them.
+
 ``--batch-sizes`` prints instead the measurement ``MIN_BATCH_WARPS``
 (``machine/array_backend.py``) is set from: every app run once with
 every batch refused and once with batches of two warps up admitted,
@@ -44,6 +50,7 @@ Run:  python examples/hot_blocks.py Collatz
       python examples/hot_blocks.py BitonicSort Reduction --scale 0.25
       python examples/hot_blocks.py all --top 3
       python examples/hot_blocks.py all --batch-sizes
+      python examples/hot_blocks.py all --lowering
 """
 
 import argparse
@@ -372,6 +379,49 @@ def batch_sizes(names: list, scale: float) -> None:
         )
 
 
+def lowering_costs(names: list, scale: float) -> None:
+    """Blocks printed, source lines and ``compile()`` seconds per app
+    and path over a first run (see the module docstring)."""
+    #: (app, path) -> [blocks, lines, seconds]
+    rows = defaultdict(lambda: [0, 0, 0.0])
+
+    def timed(source, filename, mode):
+        start = perf_counter()
+        code = compile(source, filename, mode)
+        row = rows[app, "batch" if filename.endswith(":batch>") else "seq"]
+        row[0] += 1
+        row[1] += source.count("\n")
+        row[2] += perf_counter() - start
+        return code
+
+    # The lowering calls ``compile`` by its module-global name.
+    lowering.compile = timed
+    try:
+        for app in names:
+            workload = get_workload(app)
+            device = Device(config=vectorized_config(4))
+            device.register_module(workload.module_source())
+            device.warm()
+            workload.execute(device, scale, check=True)
+    finally:
+        del lowering.compile
+    print(
+        f"  {'app':<26}{'path':>6}{'blocks':>8}{'lines':>9}"
+        f"{'compile s':>11}"
+    )
+    for (_, path), row in list(rows.items()):
+        for total in (rows["total", path], rows["total", "all"]):
+            total[:] = [sum(pair) for pair in zip(total, row)]
+    for app in [*names, "total"]:
+        for path in ("seq", "batch", "all"):
+            if (app, path) in rows:
+                blocks, lines, seconds = rows[app, path]
+                print(
+                    f"  {app:<26}{path:>6}{blocks:>8}{lines:>9}"
+                    f"{seconds:>11.3f}"
+                )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -386,10 +436,17 @@ def main() -> None:
         "--batch-sizes", action="store_true",
         help="print host cost per warp-instruction by batch size",
     )
+    parser.add_argument(
+        "--lowering", action="store_true",
+        help="print blocks, source lines and compile() seconds per app",
+    )
     arguments = parser.parse_args()
     names = workload_names() if arguments.apps == ["all"] else arguments.apps
     if arguments.batch_sizes:
         batch_sizes(names, arguments.scale)
+        return
+    if arguments.lowering:
+        lowering_costs(names, arguments.scale)
         return
     records: list = []
     install(records)

@@ -56,6 +56,13 @@ class IRFunction:
         #: Lazily computed dense numbering (see :meth:`register_slots`).
         self._register_slots: Optional[Dict[str, int]] = None
 
+    @property
+    def frame_bytes(self) -> int:
+        """One thread's local frame: the user's ``.local`` variables,
+        then the spill area, in 16-byte units — the stride frames are
+        laid out at, the extent a constant local offset is trusted in."""
+        return -(-(self.local_segment_size + self.spill_size) // 16) * 16
+
     # -- blocks --------------------------------------------------------------
 
     def add_block(

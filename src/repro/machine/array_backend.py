@@ -160,11 +160,10 @@ class _BatchPrinter(_BlockEmitter):
     (:class:`_Unsupported`).
     """
 
-    count = "B"
-    loaded_flag = "DATA[a] != 0"
+    loaded_flag = "DATA[{}] != 0"
 
     def __init__(self, executable, block, namespace: dict):
-        super().__init__(executable, block, namespace)
+        super().__init__(executable, block, namespace, lean=True)
         #: Live-in registers are read (a 0-d value given its batch
         #: axis, an unwritten register its typed zeros) once, here.
         self.header = [
@@ -232,6 +231,9 @@ class _BatchPrinter(_BlockEmitter):
     def shape(self, width: int) -> str:
         return f"(B, {width})"
 
+    def counted(self, accesses: int) -> str:
+        return "B" if accesses == 1 else f"{accesses} * B"
+
     def lane(self, name: str, index: int) -> str:
         return f"{name}[:, {index}]"
 
@@ -277,6 +279,7 @@ class _BatchPrinter(_BlockEmitter):
         return self.bind(f"i{slot}", f"{self.raw(value)}.astype(W_i8)", slot)
 
     def segment_base(self, segment: str, lane: int) -> str:
+        self.rank = _WARP  # every warp its own segment
         return self.bind(
             f"{segment}_base{lane}",
             f"state.per_thread({segment + '_base'!r})[:, {lane}]",
@@ -285,11 +288,8 @@ class _BatchPrinter(_BlockEmitter):
     def address(self, inst) -> None:
         """``a``: one Python int when every warp accesses the same
         address, else ``(B,)`` int64."""
+        self.rank = self.rank_of(inst.base)
         super().address(inst)
-        if inst.space in (AddressSpace.shared, AddressSpace.local):
-            self.rank = _WARP
-        else:
-            self.rank = self.rank_of(inst.base)
 
     def widen(self) -> None:
         """Give a uniform address its batch axis: every warp's access
@@ -327,21 +327,27 @@ class _BatchPrinter(_BlockEmitter):
         # and the parameter segment is read-only for a launch, so the
         # same read again in the block (the lanes of a vectorized
         # ``ld.param``) is the value already here.
-        name = None
-        if inst.space is AddressSpace.param and isinstance(inst.base, Constant):
-            name = f"p{inst.base.value + inst.offset}_{inst.dtype.name}"
+        if inst.space is not AddressSpace.param or not isinstance(
+            inst.base, Constant
+        ):
+            return super().load(inst)
+        name = f"p{inst.base.value + inst.offset}_{inst.dtype.name}"
         if name in self.bound:
             self.emit("memory.load_count += B")
             self.rank = _UNIFORM
         else:
             self.address(inst)
-            loaded = self.inline_load(inst)
-            name = self.bind(name, loaded) if name else loaded
+            self.bind(name, self.inline_load(inst))
         self.define(inst.dst, name, *self.result(inst.dtype, True))
 
-    def guest_store(self, inst, value: str, exact: bool) -> None:
+    guest_load = _BlockEmitter.inline_load
+
+    def store(self, inst) -> None:
         if self.rank_of(inst.value) == _LANE:
             raise _Unsupported("a vector operand of a scalar store")
+        super().store(inst)
+
+    def guest_store(self, inst, value: str, exact: bool) -> None:
         # Duplicate addresses resolve to the highest index (numpy fancy
         # assignment): the last-writer-wins order of the batch's warps.
         self.widen()
@@ -394,11 +400,16 @@ class _BatchPrinter(_BlockEmitter):
         # A vector register holding one value per warp (or one for
         # all) has that value in every lane.
         self.rank = min(rank, _WARP)
+        if rank == _LANE and self.spilled(inst):
+            return
         self.define(
             inst.dst,
             self.lane(vector, inst.index) if rank == _LANE else vector,
             *self.known.get(self.slot(inst.src), (None, False)),
         )
+
+    def converted_lanes(self, value, code: str) -> str:
+        return f"{self.raw(value)}.astype(W_{code}, copy=False)"
 
     def broadcast(self, inst: Broadcast) -> None:
         wanted = inst.dst.dtype.numpy_dtype
@@ -662,7 +673,8 @@ class ArrayBackend(Interpreter):
         warp's sequential resume re-detects the condition with
         byte-identical accounting). What the batch did is recorded for
         admission, except a conservative exit and a fault, which say
-        nothing about the entry point."""
+        nothing about the entry point. The warps' frames must fit, as a
+        manager's run verifies (``frames_fit``)."""
         bstate = _BatchState(executable, warps, param_base)
         # Read first: the kernel's context writes update it in place.
         entry_point = warps[0].entry_point

@@ -17,24 +17,24 @@ address, the inline memory template. :class:`_WarpPrinter` prints the
 block for one warp; ``array_backend._BatchPrinter`` for every warp of a
 batch at once.
 
-Inside a generated function registers are locals (written through to
-the register file, so a trap dump is exact at every instruction), the
-bit reinterpretation PTX's untyped registers need (``max.s32`` on a
-``.u32`` value) is resolved statically where the producer's dtype is
-known in the block and is one inline guard where it is not, the
-address-space dispatch is resolved per instruction, and a warp's memory
-instructions are printed against one of three access templates: inline
-against typed views of the arena (bounds check and
-``load_count``/``store_count`` kept), late-bound ``memory.load(...)``
+Inside a generated function registers are locals, written through to
+the register file (a trap dump is exact at every instruction) unless
+private to the block; the bit reinterpretation PTX's untyped registers
+need (``max.s32`` on a ``.u32`` value) is resolved statically where the
+producer's dtype is known in the block and is one inline guard where it
+is not; and memory is printed against one of three access templates:
+inline against typed views of the arena, late-bound ``memory.load(...)``
 calls while a fault injector has the memory system patched, or the
-sanitizer's checked ``guest_*`` entry points. Cycle and flop charges
-are per-block sums added by the run loop — except in blocks that read
-``%clock``, which charge per instruction, inline. A line →
-instruction-index table per function recovers the trap PC from the
-traceback, and the source is registered with :mod:`linecache` under
-``<repro:kernel/wsN/label>`` (each line ends in the IR instruction it
-came from), so tracebacks and ``pdb`` show it;
-:meth:`ExecutableFunction.block_source` returns it.
+sanitizer's checked ``guest_*`` entry points. The inline template, like
+the batch printer, prints only what the frame layout leaves unproven: a
+local access at a constant offset inside the frame has no check, no
+alignment branch, and one count per straight-line run. Cycle and flop
+charges are per-block sums added by the run loop — except in blocks
+that read ``%clock``, which charge per instruction, inline. A line →
+instruction table recovers the trap PC from the traceback; the source
+is in :mod:`linecache` as ``<repro:kernel/wsN/label>`` (each line ends
+in its IR instruction) and :meth:`ExecutableFunction.block_source`
+returns it.
 
 ``execute`` runs a warp of thread contexts through the function,
 starting at the scheduler block, until the function yields back to the
@@ -157,6 +157,17 @@ def _locate_fault(fault, function, label, code) -> None:
     else:
         index = -1
     _annotate_fault(fault, label, index)
+
+
+def frames_fit(frame: int, first: int, stride: int, count: int, size: int):
+    """Whether ``count`` local frames of ``frame`` bytes at ``first``,
+    ``first + stride``, ... are 16-aligned and inside an arena of
+    ``size`` bytes, above its null guard: what the lean templates'
+    unchecked local accesses rest on (no frame, no such access)."""
+    return not frame or count < 1 or (
+        first % 16 == stride % 16 == 0 and _NULL_GUARD <= first
+        and first + (count - 1) * stride + frame <= size
+    )
 
 
 @dataclass
@@ -330,18 +341,19 @@ class Interpreter:
         """``executable.array_blocks``: none on the sequential base."""
         return None
 
-    def access(self) -> str:
+    def access(self, framed: bool = True) -> str:
         """The memory-access template generated code must run with
         *right now*: ``"checked"`` on a sanitized device; ``"late"``
         (calls looked up on the memory system per access) while a
         fault injector has one of ``MemorySystem.PATCH_POINTS``
-        patched; ``"inline"`` otherwise. Asked per warp execution, so
-        arming or restoring an injector takes effect whenever it
+        patched, or for warps whose frames may not fit (not
+        ``framed``); ``"inline"`` otherwise. Asked per warp execution,
+        so arming or restoring an injector takes effect whenever it
         happens relative to lowering — inline code never captures a
         patched method, late code is only run while a patch exists."""
         if self.sanitizer is not None:
             return "checked"
-        return "late" if self.memory.patched() else "inline"
+        return "inline" if framed and not self.memory.patched() else "late"
 
     def lower_block(
         self, executable: ExecutableFunction, label: str, access: str
@@ -397,6 +409,9 @@ class Interpreter:
         array backend hands over a :class:`Continuation` when a batched
         warp leaves the uniform region, carrying the register rows and
         accumulated counters of the batched prefix.
+
+        Unless the state's owner settled the template (``scoped``), the
+        warp's frames are checked here: one that does not fit runs late.
         """
         if state is None:
             state = self.new_state()
@@ -404,7 +419,11 @@ class Interpreter:
         if state.scoped:
             status = state.run(continuation)
         else:
-            state.access = self.access()
+            frame, size = executable.function.frame_bytes, self.memory.size
+            state.access = self.access(all(
+                frames_fit(frame, context.local_base, 0, 1, size)
+                for context in warp.contexts
+            ))
             with guest_errstate():
                 status = state.run(continuation)
         if stats is not None:
@@ -961,6 +980,24 @@ def _code(numpy_dtype) -> str:
     return numpy_dtype.str[1:]
 
 
+def _block_private(executable, block) -> Dict[int, object]:
+    """``slot -> reader`` of the compiler temporaries (a ``.`` in the
+    name) ``block`` defines before their one read, the function using
+    them nowhere else: only ``reader`` needs their value — a trap dump
+    lists PTX-named registers, continuations start at a block's entry."""
+    slots, once = executable.register_slots, executable.read_once
+    defined, private = set(), {}
+    for instruction in block.all_instructions():
+        for value in instruction.uses():
+            slot = slots.get(getattr(value, "name", None))
+            if slot in defined:
+                private[slot] = instruction
+        name = getattr(instruction.dst, "name", None)
+        if name is not None and "." in name and slots[name] in once:
+            defined.add(slots[name])
+    return private
+
+
 def _code_namespace(memory: MemorySystem, sanitizer) -> dict:
     """The globals every function generated against ``memory`` starts
     from — the accessors its memory templates are printed against. Per
@@ -1075,20 +1112,28 @@ class _BlockEmitter:
     #: the generated function's first lines (they belong to no
     #: instruction), set by each printer
     header: Tuple[str, ...] = ()
-    #: How the inline memory template reads for one warp: what one
-    #: scalar access adds to ``load_count``/``store_count``, the local
+    #: How the inline memory template reads for one warp: the local
     #: holding the address's low bits, the byte-wise accessors of an
-    #: unaligned address, a loaded predicate.
-    count = "1"
+    #: unaligned address, a predicate loaded from a byte.
     low = "a"
     unaligned = ("load_unaligned", "store_unaligned")
-    loaded_flag = "bool(DATA[a])"
+    loaded_flag = "bool(DATA[{}])"
 
-    def __init__(self, executable, block, namespace: dict):
+    def __init__(self, executable, block, namespace: dict, lean: bool):
         self.executable = executable
         self.slots = executable.register_slots
         self.label = block.label
         self.namespace = namespace
+        #: The lean templates (``inline``, ``batch``) print only what
+        #: the frame leaves unproven (DESIGN.md "What the frame proves"):
+        #: its size; the registers private to the block (slot -> reader),
+        #: whose locals are never rebound; and (slot -> local) a private
+        #: register that holds another's value, under that one's local
+        self.frame = executable.function.frame_bytes if lean else 0
+        self.private = _block_private(executable, block) if lean else {}
+        self.stable, self.names = {f"r{s}" for s in self.private}, {}
+        #: discharged (loads, stores) not yet counted (:meth:`flush`)
+        self.pending = [0, 0]
         self.lines: List[str] = []
         #: per source line, the index of the instruction it belongs to
         self.line_index: List[int] = []
@@ -1120,6 +1165,9 @@ class _BlockEmitter:
             raise ExecutionError(
                 f"no lowering for instruction {instruction!r}"
             )
+        quiet = isinstance(instruction, (InsertElement, ExtractElement))
+        if not quiet and self.frame_offset(instruction) is None:
+            self.flush()  # exact counts before what may raise, or exits
         self.index = index
         self.comment = f"  # {index}: {instruction}"
         emit(instruction)
@@ -1128,6 +1176,17 @@ class _BlockEmitter:
         self.lines.append(f"    {text}{self.comment}")
         self.line_index.append(self.index)
         self.comment = ""
+
+    def counted(self, accesses: int) -> str:
+        """What ``accesses`` scalar accesses add to a memory count."""
+        return str(accesses)
+
+    def flush(self) -> None:
+        """Count the discharged accesses printed since the last flush."""
+        for kind, accesses in zip(("load", "store"), self.pending):
+            if accesses:
+                self.emit(f"memory.{kind}_count += {self.counted(accesses)}")
+        self.pending = [0, 0]
 
     def function(self, filename: str) -> Callable:
         """Compile the printed block; see ``Interpreter.lower_block``."""
@@ -1178,7 +1237,7 @@ class _BlockEmitter:
             # register nobody wrote yet reads as a typed zero.
             self.loaded.add(slot)
             self.live_in(f"r{slot}", slot, value)
-        return f"r{slot}"
+        return self.names.get(slot, f"r{slot}")
 
     def operand(self, value) -> str:
         """Operand of an elementwise operator that reads it as stored."""
@@ -1235,9 +1294,15 @@ class _BlockEmitter:
         """Assign ``register``: the local, and through to the register
         file so a trap at any later instruction dumps it. ``dtype``
         (with ``exact``) is what the value is known to carry,
-        ``vector`` that it is a 1-d array."""
+        ``vector`` that it is a 1-d array. A register private to the
+        block is a local only, or the private local ``expression`` is."""
         slot = self.slots[register.name]
-        self.emit(f"regs[{slot}] = r{slot} = {expression}")
+        if slot not in self.private:
+            self.emit(f"regs[{slot}] = r{slot} = {expression}")
+        elif expression in self.stable:
+            self.names[slot] = expression
+        else:
+            self.emit(f"r{slot} = {expression}")
         self.loaded.add(slot)
         for name in self.derived.pop(slot, ()):
             self.bound.discard(name)
@@ -1402,58 +1467,94 @@ class _BlockEmitter:
             f"{self.executable.target.memory.size}: memory._check(a, {size})"
         )
 
-    def inline_load(self, inst) -> str:
-        """The inline template of a scalar load from ``a``: its check
-        and count printed, the value's expression returned."""
+    def inline_load(self, inst, address: str = "a") -> str:
+        """The inline template of a scalar load, the value's expression
+        returned: from ``a``, its check and count printed first; from
+        an address :meth:`framed` proves, neither."""
         dtype = inst.dtype
         size = dtype.size
-        self.bounds(size)
-        self.emit(f"memory.load_count += {self.count}")
+        if address == "a":
+            self.bounds(size)
+            self.emit(f"memory.load_count += {self.counted(1)}")
         if dtype.is_predicate:
-            return self.loaded_flag
-        code = _code(dtype.numpy_dtype)
-        if size == 1:
-            return f"V_{code}[a]"
+            return self.loaded_flag.format(address)
+        code, shift = _code(dtype.numpy_dtype), size.bit_length() - 1
+        index = f"{address} >> {shift}" if shift else address
+        element = f"V_{code}[{index}]"
+        if not shift or address != "a":
+            return element
         return (
-            f"V_{code}[a >> {size.bit_length() - 1}] "
-            f"if not {self.low} & {size - 1} "
+            f"{element} if not {self.low} & {size - 1} "
             f"else {self.unaligned[0]}(a, W_{code})"
         )
 
-    def inline_store(self, inst, value: str, exact: bool) -> None:
+    def inline_store(self, inst, value: str, exact: bool, address="a"):
         """The inline template of the scalar store of ``value`` (known
-        to carry the instruction's dtype when ``exact``) to ``a``."""
+        to carry the instruction's dtype when ``exact``), checked and
+        counted as :meth:`inline_load`."""
         dtype = inst.dtype
         size = dtype.size
-        self.bounds(size)
-        self.emit(f"memory.store_count += {self.count}")
+        if address == "a":
+            self.bounds(size)
+            self.emit(f"memory.store_count += {self.counted(1)}")
         if dtype.is_predicate:
-            self.emit(f"DATA[a] = {self.stored_flag(value)}")
+            self.emit(f"DATA[{address}] = {self.stored_flag(value)}")
             return
-        code = _code(dtype.numpy_dtype)
+        code, shift = _code(dtype.numpy_dtype), size.bit_length() - 1
         if not exact:
             value = self.converted(value, code)
-        if size == 1:
-            self.emit(f"V_{code}[a] = {value}")
+        index = f"{address} >> {shift}" if shift else address
+        element = f"V_{code}[{index}]"
+        if not shift or address != "a":
+            self.emit(f"{element} = {value}")
             return
         self.emit(
             f"if {self.low} & {size - 1}: {self.unaligned[1]}(a, {value})"
         )
-        self.emit(f"else: V_{code}[a >> {size.bit_length() - 1}] = {value}")
+        self.emit(f"else: {element} = {value}")
+
+    def frame_offset(self, inst) -> Optional[int]:
+        """The offset of a local access at a constant offset the frame
+        proves in bounds and aligned; else None."""
+        if not (
+            isinstance(inst, (Load, Store))
+            and inst.space is AddressSpace.local
+            and isinstance(inst.base, Constant)
+        ):
+            return None
+        offset = int(_machine_constant(inst.base)) + inst.offset
+        size = inst.dtype.size
+        fits = 0 <= offset <= self.frame - size and not offset % size
+        return offset if fits else None
+
+    def framed(self, inst) -> Optional[str]:
+        """The address of an access :meth:`frame_offset` proves (to be
+        counted at the next :meth:`flush`); else None."""
+        offset = self.frame_offset(inst)
+        if offset is None:
+            return None
+        self.pending[isinstance(inst, Store)] += 1
+        return f"({self.segment_base('local', inst.lane)} + {offset})"
 
     def load(self, inst: Load) -> None:
-        self.address(inst)
+        address = self.framed(inst)
+        if address is None:
+            self.address(inst)
+            expression = self.guest_load(inst)
+        else:
+            expression = self.inline_load(inst, address)
         # A load returns exactly its dtype (a predicate, a Python bool).
-        self.define(
-            inst.dst, self.guest_load(inst), *self.result(inst.dtype, True)
-        )
+        self.define(inst.dst, expression, *self.result(inst.dtype, True))
 
     def store(self, inst: Store) -> None:
         value = self.raw(inst.value)
-        self.address(inst)
-        self.guest_store(
-            inst, value, self.exactly(inst.value, inst.dtype.numpy_dtype)
-        )
+        exact = self.exactly(inst.value, inst.dtype.numpy_dtype)
+        address = self.framed(inst)
+        if address is None:
+            self.address(inst)
+            self.guest_store(inst, value, exact)
+        else:
+            self.inline_store(inst, value, exact, address)
 
     # -- thread context -------------------------------------------------------
 
@@ -1479,7 +1580,11 @@ class _BlockEmitter:
         code, width = _code(wanted), inst.dst.width
         target, slot = "t", self.slot(inst.src)
         if inst.src is None:
-            self.emit(f"t = np.zeros({self.shape(width)}, dtype=W_{code})")
+            if self.slots[inst.dst.name] in self.private:
+                target = f"r{self.slots[inst.dst.name]}"
+            self.emit(
+                f"{target} = np.zeros({self.shape(width)}, dtype=W_{code})"
+            )
         elif (
             slot in self.fresh
             and slot in self.executable.read_once
@@ -1495,6 +1600,27 @@ class _BlockEmitter:
         )
         self.define(inst.dst, target, wanted, True, vector=True)
         self.fresh.add(self.slots[inst.dst.name])
+
+    def spilled(self, inst: ExtractElement) -> bool:
+        """Print ``inst``, a lane one store (of a spill) converts, from
+        its vector converted once for every lane; False, printing
+        nothing, for any other extract."""
+        reader = self.private.get(self.slots[inst.dst.name])
+        if not (
+            isinstance(reader, Store)
+            and reader.value == inst.dst
+            and not reader.dtype.is_predicate
+            and not self.exactly(inst.src, reader.dtype.numpy_dtype)
+        ):
+            return False
+        wanted, slot = reader.dtype.numpy_dtype, self.slot(inst.src)
+        lanes = self.bind(
+            f"w{slot}_{_code(wanted)}",
+            self.converted_lanes(inst.src, _code(wanted)),
+            slot,
+        )
+        self.define(inst.dst, self.lane(lanes, inst.index), wanted, True)
+        return True
 
     # -- terminators ----------------------------------------------------------
 
@@ -1518,7 +1644,7 @@ class _WarpPrinter(_BlockEmitter):
     header = ("def block(state):", "    regs = state.regs")
 
     def __init__(self, executable, block, access: str, namespace: dict):
-        super().__init__(executable, block, namespace)
+        super().__init__(executable, block, namespace, access == "inline")
         self.access = access
         self.precise = _reads_clock(block)
 
@@ -1733,21 +1859,32 @@ class _WarpPrinter(_BlockEmitter):
     # -- vector packing -------------------------------------------------------
 
     def extract(self, inst: ExtractElement) -> None:
-        vector = self.raw(inst.src)
-        slot = self.slot(inst.src)
+        vector, slot = self.raw(inst.src), self.slot(inst.src)
         lane = f"{vector}[{inst.index}]"
         if slot is None:  # a constant: the same scalar in every lane
             lane = vector
+        elif self.spilled(inst):
+            return
         elif slot not in self.vectors:
-            # A vector register may hold a scalar: one shape guard per
-            # value of the register, not one per lane.
-            guard = self.bind(
-                f"v{slot}",
-                f"isinstance({vector}, ndarray) and {vector}.ndim == 1",
-                slot,
-            )
-            lane = f"{lane} if {guard} else {vector}"
+            lane = f"{lane} if {self.shaped(vector, slot)} else {vector}"
         self.define(inst.dst, lane, *self.known.get(slot, (None, False)))
+
+    def shaped(self, name: str, slot: int) -> str:
+        """A vector register may hold a scalar: one shape guard per
+        value of the register, not one per lane."""
+        return self.bind(
+            f"v{slot}", f"isinstance({name}, ndarray) and {name}.ndim == 1", slot
+        )
+
+    def converted_lanes(self, value, code: str) -> str:
+        name, slot = self.raw(value), self.slot(value)
+        lanes = f"{name}.astype(W_{code}, copy=False)"
+        if slot in self.vectors:
+            return lanes
+        return (
+            f"{lanes} if {self.shaped(name, slot)} else "
+            f"np.full({value.width}, {name}, dtype=W_{code})"
+        )
 
     def broadcast(self, inst: Broadcast) -> None:
         wanted = inst.dst.dtype.numpy_dtype

@@ -49,6 +49,7 @@ from ..machine.descriptor import MachineDescription
 from ..machine.interpreter import (
     ExecutionStats,
     Interpreter,
+    frames_fit,
     guest_errstate,
 )
 from ..machine.memory import MemorySystem
@@ -355,10 +356,8 @@ class ExecutionManager:
         self._cycle_budget = self.config.max_kernel_cycles
         self._deadline = deadline
         kernel = self.cache.kernel(kernel_name)
-        scalar = self.cache.scalar_ir(kernel_name)
-        _, spill_size = self.cache.spill_layout(kernel_name)
-        local_bytes = _align(scalar.local_segment_size + spill_size, 16)
-        shared_bytes = _align(max(kernel.shared_size, 1), 16)
+        local_bytes = self.cache.scalar_ir(kernel_name).frame_bytes
+        shared_bytes = -(-max(kernel.shared_size, 1) // 16) * 16
         window = max(1, self.config.cta_window)
         sanitizer = self.memory.sanitizer
         # Checked execution separates the per-thread local segments
@@ -383,15 +382,20 @@ class ExecutionManager:
                     self._local_slab, local_bytes, local_stride
                 )
         # What no warp of this run can change is settled here, not per
-        # warp: the watchdog's limits and — unless a trace callback
-        # runs between warps (it may do anything, in the host's numpy
-        # error state) — the guest error state and the inline access
-        # template. Checked and late-bound access stay per warp: a
-        # sanitizer report is host code, an injector may disarm itself.
+        # warp: the watchdog's limits, that every local frame the slab
+        # holds fits (frames_fit: its extremes decide), and — unless a
+        # trace callback runs between warps (it may do anything, in
+        # the host's numpy error state) — the guest error state and
+        # the inline access template. Checked and late-bound access
+        # stay per warp: a sanitizer report is host code, an injector
+        # may disarm itself.
         state = self._warp_state
         state.deadline = deadline
         state.limit = self.interpreter.instruction_limit
-        state.access = self.interpreter.access()
+        frames = geometry.threads_per_cta * min(window, len(cta_ids))
+        state.access = self.interpreter.access(frames_fit(
+            local_bytes, self._local_slab, local_stride, frames, self.memory.size
+        ))
         state.scoped = self.trace is None and state.access == "inline"
         try:
             with guest_errstate() if state.scoped else nullcontext():
@@ -985,9 +989,3 @@ class ExecutionManager:
                 window.ready.push(context)
             waiting.clear()
 
-
-def _align(value: int, alignment: int) -> int:
-    remainder = value % alignment
-    if remainder:
-        return value + alignment - remainder
-    return value

@@ -387,6 +387,8 @@ class TranslationCache:
                     meld_report.rejected_regions,
                 )
         analyses = ScalarAnalyses(translated, self._vectorize_options(1))
+        # every specialization's, so ``frame_bytes`` is the frame's
+        translated.spill_size = analyses.spill_layout[1]
         entry = (fingerprint, translated, analyses)
         self._scalar_ir[kernel_name] = entry
         return entry
@@ -405,13 +407,6 @@ class TranslationCache:
         MeldReport` for ``kernel_name``, or ``None`` when melding is
         off or the scalar IR has not been built yet."""
         return self._meld_reports.get(kernel_name)
-
-    def spill_layout(
-        self, kernel_name: str
-    ) -> Tuple[Dict[str, int], int]:
-        """``(slots, total_bytes)`` of the per-thread spill area: one
-        of the scalar IR's analyses, so computed once per scalar IR."""
-        return self._scalar(kernel_name)[2].spill_layout
 
     def get(self, kernel_name: str, warp_size: int) -> ExecutableFunction:
         """Executable specialization of ``kernel_name`` for

@@ -17,6 +17,7 @@ function more than once.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -40,12 +41,14 @@ _PURE = frozenset(
 )
 
 #: Binary operators whose operands may be exchanged bit for bit.
-_COMMUTATIVE = {"add", "mul", "and", "or", "xor"}
+_COMMUTATIVE = {"and", "or", "xor"}
 
 #: ... and those that may on integers only: the machine's
 #: ``np.minimum``/``np.maximum`` return the *second* operand on a tie,
-#: and ``0.0`` ties with ``-0.0``.
-_COMMUTATIVE_ON_INTEGERS = {"min", "max"}
+#: and ``0.0`` ties with ``-0.0``; a float ``a + b`` or ``a * b`` of
+#: two NaNs returns one operand's payload — the first's over arrays,
+#: the second's over numpy scalars.
+_COMMUTATIVE_ON_INTEGERS = {"add", "mul", "min", "max"}
 
 #: Context fields whose value changes between two reads.
 _VOLATILE_FIELDS = ("clock", "resume_point")
@@ -59,7 +62,7 @@ def _expression_key(instruction) -> Optional[Tuple[tuple, List[str]]]:
     A register is keyed by its name (the storage it names, whatever
     the width), a constant by type and *bit pattern*: ``0.0 == -0.0``
     and they hash alike, but ``x * 0.0`` and ``x * -0.0`` are different
-    values.
+    values; and ``x + NaN`` is the NaN's payload, whichever it is.
     """
     kind = instruction.__class__
     if kind not in _PURE or (
@@ -75,7 +78,7 @@ def _expression_key(instruction) -> Optional[Tuple[tuple, List[str]]]:
         elif isinstance(value, Constant):
             pattern = value.value
             if value.dtype.is_float:
-                pattern = float(pattern).hex()
+                pattern = struct.pack("<d", pattern)
             atoms.append((value.dtype.suffix, pattern))
         else:
             return None

@@ -893,6 +893,43 @@ class TestAdmissionCensus:
         assert np.array_equal(arena, sequential_arena)
 
 
+class TestMemoryCountCensus:
+    """The memory system's load and store counts, which the inline and
+    batch templates add once per straight-line run of the local accesses
+    the frame proves, are the reference's — per launch, on every app,
+    batching and one warp at a time."""
+
+    @staticmethod
+    def _counts(name, backend="interpreter"):
+        device = Device(config=replace(vectorized_config(4), backend=backend))
+        workload = type(get_workload(name))()
+        workload.prepare(device)
+        device.warm()
+        memory, launch, counts = device.memory, device.launch, []
+
+        def counted(*args, **kwargs):
+            before = memory.load_count, memory.store_count
+            result = launch(*args, **kwargs)
+            counts.append((
+                memory.load_count - before[0], memory.store_count - before[1]
+            ))
+            return result
+
+        device.launch = counted
+        workload.execute(device, scale=0.25)
+        assert counts
+        return counts
+
+    @pytest.mark.parametrize(
+        "name", sorted(workload.name for workload in all_workloads())
+    )
+    def test_counts_are_the_references(self, name):
+        expected = self._counts(name, backend="reference")
+        assert self._counts(name) == expected
+        with sequential_only():
+            assert self._counts(name) == expected
+
+
 # ---------------------------------------------------------------------------
 # Ready-pool deferred-result injection
 # ---------------------------------------------------------------------------

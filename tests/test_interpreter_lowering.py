@@ -27,6 +27,7 @@ from repro.ir import BinaryOp, Compare, IRFunction, Load, UnaryOp, Yield
 from repro.ir.instructions import (
     Branch,
     CondBranch,
+    ContextRead,
     ExtractElement,
     FusedMultiplyAdd,
     InsertElement,
@@ -43,7 +44,7 @@ from repro.runtime.context import Warp
 from repro.runtime.config import static_tie_config
 from repro.runtime.execution_manager import ExecutionManager, _ReadyPool
 from repro.workloads.registry import get_workload
-from tests.conftest import VECADD_PTX, sequential_only
+from tests.conftest import COLLATZ_PTX, VECADD_PTX, sequential_only
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +626,9 @@ class TestBlockEmitter:
         # Read once and defined once — but by another block: this
         # execution did not allocate it (a Continuation may have
         # transplanted it), so the insert copies, and the extracts of a
-        # live-in register share one shape guard.
+        # live-in register share one shape guard — and, each read by a
+        # store of a dtype the register is not known to carry, one
+        # conversion of the whole vector.
         u32 = DataType.u32
         partial, full = _reg("v.0", u32, 4), _reg("v", u32, 4)
 
@@ -648,7 +651,9 @@ class TestBlockEmitter:
         source = executable.block_source("next")
         assert "np.array(r" in source and "ndim == 0" in source
         last = executable.block_source("last")
-        assert last.count("isinstance") == 1 and last.count(" if v") == 4
+        assert last.count("isinstance") == 1 and last.count(" if v") == 1
+        assert last.count(".astype(W_u4, copy=False)") == 1
+        assert "if type(t)" not in last
 
     def test_served_vecadd_blocks_copy_nothing(self):
         # The launch benchmarks/perf/serve.py times: 64 threads of its
@@ -788,6 +793,189 @@ class TestBlockEmitter:
 
 
 # ---------------------------------------------------------------------------
+# What the frame proves: unchecked local accesses, private temporaries
+# ---------------------------------------------------------------------------
+
+
+def _frame_function(tail=()):
+    """A 4-wide block over a 16-byte frame: each lane stores ``x<l> =
+    tid + 5`` at local offsets 0 and 12 and loads ``y<l>`` back from 12
+    (all six accesses inside the frame and aligned), then ``tail``."""
+    u32, u64, local = DataType.u32, DataType.u64, AddressSpace.local
+    body, accesses = [], []
+    for lane in range(4):
+        t, x = _reg(f"t{lane}", u32), _reg(f"x{lane}", u32)
+        body += [
+            ContextRead("tid.x", u32, t, lane),
+            BinaryOp("add", u32, x, t, Constant(5, u32)),
+        ]
+        accesses += [
+            Store(u32, local, Constant(0, u64), x, lane=lane),
+            Store(u32, local, Constant(12, u64), x, lane=lane),
+            Load(u32, _reg(f"y{lane}", u32), local, Constant(12, u64),
+                 lane=lane),
+        ]
+    body += accesses
+    function = _function(
+        {"entry": [*body, *tail, Yield(status=3)]}, warp_size=4
+    )
+    function.local_segment_size = 16
+    return function
+
+
+class TestWhatTheFrameProves:
+    def test_collatz_handlers_print_only_what_is_unproven(self):
+        # Entry and exit handlers: spills and restores at constant
+        # offsets inside the frame — no bounds check, no alignment
+        # branch, one count per straight-line run, and no register-file
+        # write of a temporary the block keeps to itself; in the warp
+        # printer and in the batch printer.
+        device = Device(config=vectorized_config(4))
+        device.register_module(COLLATZ_PTX)
+        device.warm()
+        executable = device.cache.resident("collatz", 4)
+        handlers = [
+            label for label, block in executable.function.blocks.items()
+            if label.endswith(("_entry", "_exit")) and any(
+                getattr(instruction, "space", None) is AddressSpace.local
+                for instruction in block.instructions
+            )
+        ]
+        assert len(handlers) >= 4  # (melding, forced on, leaves fewer)
+        kept = 0
+        for label in handlers:
+            private = lowering._block_private(
+                executable, executable.function.blocks[label]
+            )
+            kept += len(private)
+            sources = (
+                executable.block_source(label), executable.batch_source(label)
+            )
+            for source in sources:
+                assert "local_base" in source, label
+                assert "_check" not in source and "_unaligned" not in source
+                assert "union(" not in source
+                written = re.findall(r"regs\[(\d+)\] = ", source)
+                assert not set(map(int, written)) & set(private), label
+                for count in ("load_count", "store_count"):
+                    assert source.count(count) <= 1, (label, count)
+        assert kept > 50
+
+    def test_what_the_frame_does_not_prove_keeps_its_checks(self):
+        u32, u64, local = DataType.u32, DataType.u64, AddressSpace.local
+        function = _function({"entry": [
+            Load(u32, _reg("a", u32), local, Constant(12, u64)),  # inside
+            Load(u32, _reg("b", u32), local, Constant(16, u64)),  # past it
+            Load(u32, _reg("c", u32), local, Constant(2, u64)),  # unaligned
+            Load(u32, _reg("d", u32), local, _reg("i", u64)),  # an index
+            Yield(status=3),
+        ]}, warp_size=4)
+        function.local_segment_size = 16
+        from repro.machine.array_backend import ArrayBackend
+
+        executable = ArrayBackend(
+            sandybridge(), MemorySystem(1 << 16)
+        ).load_function(function)
+        warp = executable.block_source("entry")
+        assert "V_u4[(local_base0 + 12) >> 2]" in warp
+        assert warp.count("memory._check(a, 4)") == 3
+        assert warp.count("load_unaligned") == 3
+        batch = executable.batch_source("entry")
+        assert "V_u4[(local_base0 + 12) >> 2]" in batch
+        assert batch.count("memory._check_batch(a, 4)") == 3
+
+    @pytest.mark.parametrize(
+        "lane_base", [1058, 16, (1 << 12) - 8],
+        ids=["misaligned", "below the null guard", "past the arena end"],
+    )
+    def test_a_frame_that_does_not_fit_runs_the_checked_template(
+        self, lane_base
+    ):
+        # A hand-built warp whose lane 2 brings a frame the inline
+        # template cannot trust runs late-bound, which checks every
+        # access: the same fault (address and size), trap PC and
+        # register dump as the reference — or, misaligned, the same
+        # bytes and counts.
+        from repro.runtime.traps import snapshot_registers
+        from repro.testing.reference import ReferenceInterpreter
+
+        observed = []
+        for backend in (Interpreter, ReferenceInterpreter):
+            memory = MemorySystem(1 << 12)
+            interpreter = backend(sandybridge(), memory)
+            executable = interpreter.load_function(_frame_function())
+            contexts = [_context(x) for x in range(4)]
+            for lane, context in enumerate(contexts):
+                context.local_base = 1024 + 16 * lane
+            contexts[2].local_base = lane_base
+            state = interpreter.new_state()
+            fault = None
+            try:
+                interpreter.execute(
+                    executable, Warp(contexts=contexts), 0, state=state
+                )
+            except MemoryFault as caught:
+                fault = (
+                    caught.address, caught.size,
+                    caught.trap_label, caught.trap_index,
+                )
+            observed.append((
+                fault, fault and snapshot_registers(state),
+                memory.data.tobytes(), (memory.load_count, memory.store_count),
+            ))
+            if backend is Interpreter:
+                assert set(executable.code) == {"late"}
+        assert observed[0] == observed[1]
+        assert (observed[0][0] is None) == (lane_base == 1058)
+
+    def test_a_fault_after_discharged_accesses_sees_exact_counts(self):
+        # Six unchecked accesses per lane, then a load the arena cannot
+        # serve: the counts flushed before it are the reference's.
+        from repro.runtime.traps import snapshot_registers
+        from repro.testing.reference import ReferenceInterpreter
+
+        out_of_arena = Load(
+            DataType.u32, _reg("z", DataType.u32), AddressSpace.global_,
+            Constant(1 << 20, DataType.u64),
+        )
+        observed = []
+        for backend in (Interpreter, ReferenceInterpreter):
+            memory = MemorySystem(1 << 12)
+            interpreter = backend(sandybridge(), memory)
+            executable = interpreter.load_function(
+                _frame_function([out_of_arena])
+            )
+            contexts = [_context(x) for x in range(4)]
+            for lane, context in enumerate(contexts):
+                context.local_base = 1024 + 16 * lane
+            state = interpreter.new_state()
+            with pytest.raises(MemoryFault) as caught:
+                interpreter.execute(
+                    executable, Warp(contexts=contexts), 0, state=state
+                )
+            observed.append((
+                caught.value.trap_index, snapshot_registers(state),
+                memory.load_count, memory.store_count,
+            ))
+            if backend is Interpreter:
+                assert set(executable.code) == {"inline"}
+                source = executable.block_source("entry")
+                assert "memory.store_count += 8" in source
+                assert "memory.load_count += 4" in source
+        assert observed[0] == observed[1]
+        assert observed[0][2:] == (4, 8)
+
+    def test_the_managers_check_is_the_slabs_extremes(self):
+        fits = lowering.frames_fit
+        assert fits(32, 1024, 48, 64, 1 << 16)
+        assert fits(0, 3, 5, 64, 64)  # no frame: nothing to fit
+        assert not fits(32, 1032, 48, 64, 1 << 16)  # first misaligned
+        assert not fits(32, 1024, 40, 64, 1 << 16)  # stride misaligned
+        assert not fits(32, 48, 48, 64, 1 << 16)  # below the guard
+        assert not fits(32, 1024, 48, 64, 1024 + 63 * 48 + 31)  # last out
+
+
+# ---------------------------------------------------------------------------
 # Satellite: static warp formation forms the full aligned window
 # ---------------------------------------------------------------------------
 
@@ -914,24 +1102,24 @@ class TestMemoryFree:
 
 class TestSpillLayoutCache:
     def test_computed_once_and_dropped_on_invalidate(self):
-        # The layout is one of the scalar IR's analyses: the cache
-        # hands out the one it keeps until the scalar IR goes.
+        # The layout is one of the scalar IR's analyses, and the scalar
+        # IR states the frame it gives: kept until the scalar IR goes.
         device = Device()
         device.register_module(VECADD_PTX)
-        first = device.cache.spill_layout("vecAdd")
-        assert device.cache.spill_layout("vecAdd") is first
+        first = device.cache.scalar_ir("vecAdd")
+        assert device.cache.scalar_ir("vecAdd") is first
         device.cache.invalidate("vecAdd")
-        third = device.cache.spill_layout("vecAdd")
-        assert third == first
+        third = device.cache.scalar_ir("vecAdd")
+        assert third.frame_bytes == first.frame_bytes
         assert third is not first
 
     def test_layout_shape(self):
         device = Device()
         device.register_module(VECADD_PTX)
-        slots, total = device.cache.spill_layout("vecAdd")
-        assert isinstance(slots, dict)
-        assert isinstance(total, int)
-        assert total >= 0
+        scalar = device.cache.scalar_ir("vecAdd")
+        assert scalar.spill_size > 0
+        assert scalar.frame_bytes % 16 == 0
+        assert 0 <= scalar.frame_bytes - scalar.spill_size < 16
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,135 @@ def run_fold_kernel(source, data, config, threads, record):
     return dst.read(np.uint8, threads * record)
 
 
+# A user ``.local`` array (``arr``, eight words) read and written inside
+# divergent code: at constant offsets — aligned ones the printers
+# access unchecked, misaligned ones they check — and at a register
+# index, while the yields around them spill and restore. %r1-%r4 are
+# words, %h0-%h1 halves, %rd5-%rd6 doubles; %r5-%r7 are temporaries.
+
+_LOCAL_REGISTERS = {
+    "u8": ("%h0", "%h1"), "u16": ("%h0", "%h1"),
+    "u32": ("%r1", "%r2", "%r3", "%r4"), "u64": ("%rd5", "%rd6"),
+}
+
+
+@st.composite
+def local_op(draw):
+    kind = draw(st.sampled_from(("ld", "st", "ld.index", "st.index", "alu")))
+    word = f"%r{draw(st.integers(1, 4))}"
+    if kind == "alu":
+        op = draw(st.sampled_from(("add.u32", "xor.b32", "mul.lo.u32")))
+        return f"  {op} {word}, {word}, %r{draw(st.integers(0, 4))};"
+    if kind.endswith("index"):
+        index = f"%r{draw(st.integers(0, 4))}"
+        access = (
+            f"ld.local.u32 {word}, [%r6];" if kind == "ld.index"
+            else f"st.local.u32 [%r6], {word};"
+        )
+        return (
+            f"  and.b32 %r5, {index}, 7;\n  shl.b32 %r5, %r5, 2;\n"
+            f"  mov.u32 %r6, arr;\n  add.u32 %r6, %r6, %r5;\n  {access}"
+        )
+    dtype = draw(st.sampled_from(sorted(_LOCAL_REGISTERS)))
+    size = int(dtype[1:]) // 8
+    offset = draw(st.integers(0, 32 - size))
+    register = draw(st.sampled_from(_LOCAL_REGISTERS[dtype]))
+    if kind == "ld":
+        return f"  ld.local.{dtype} {register}, [arr+{offset}];"
+    return f"  st.local.{dtype} [arr+{offset}], {register};"
+
+
+def render_local_kernel(head, then, other, loop):
+    """``head``; a branch on the datum's low bit to ``then`` or
+    ``other``; ``loop`` run ``datum & 3`` times; then every word of
+    ``arr`` and every register folded into the thread's output word."""
+    body = "\n".join
+    fold = "\n".join(
+        f"  ld.local.u32 %r5, [arr+{4 * k}];\n  xor.b32 %r4, %r4, %r5;"
+        for k in range(8)
+    )
+    return f"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{{
+  .reg .u32 %r<8>;
+  .reg .u16 %h<2>;
+  .reg .u64 %rd<8>;
+  .reg .pred %p<2>;
+  .local .u32 arr[8];
+  mov.u32 %r7, %tid.x;
+  mul.wide.u32 %rd1, %r7, 4;
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.global.u32 %r0, [%rd3];
+  xor.b32 %r1, %r0, 0x5bd1e995;
+  add.u32 %r2, %r0, %r7;
+  shr.u32 %r3, %r0, 3;
+  mul.lo.u32 %r4, %r0, 40503;
+  cvt.u16.u32 %h0, %r1;
+  cvt.u16.u32 %h1, %r2;
+  cvt.u64.u32 %rd5, %r3;
+  mul.wide.u32 %rd6, %r0, %r4;
+{body(f"  st.local.u32 [arr+{4 * k}], %r{1 + k % 4};" for k in range(8))}
+{body(head)}
+  and.b32 %r7, %r0, 1;
+  setp.eq.u32 %p1, %r7, 0;
+  @%p1 bra OTHER;
+{body(then)}
+  bra JOIN;
+OTHER:
+{body(other)}
+JOIN:
+  and.b32 %r7, %r0, 3;
+LOOP:
+  setp.eq.u32 %p1, %r7, 0;
+  @%p1 bra DONE;
+{body(loop)}
+  sub.u32 %r7, %r7, 1;
+  bra LOOP;
+DONE:
+{fold}
+  xor.b32 %r4, %r4, %r1;
+  xor.b32 %r4, %r4, %r2;
+  xor.b32 %r4, %r4, %r3;
+  cvt.u32.u16 %r5, %h0;
+  xor.b32 %r4, %r4, %r5;
+  cvt.u32.u16 %r5, %h1;
+  xor.b32 %r4, %r4, %r5;
+  xor.b64 %rd5, %rd5, %rd6;
+  cvt.u32.u64 %r5, %rd5;
+  xor.b32 %r4, %r4, %r5;
+  ld.param.u64 %rd4, [out];
+  add.u64 %rd4, %rd4, %rd1;
+  st.global.u32 [%rd4], %r4;
+  exit;
+}}
+"""
+
+
+def run_local_kernel(source, data, config):
+    """``prop`` launched as one CTA of 1, of 8 and of 64 threads, in
+    that order, on one compiled Device: per launch the output words
+    and the modeled statistics."""
+    device = Device(config=config)
+    device.register_module(source)
+    device.warm()
+    src = device.upload(np.resize(data, 64))
+    observed = []
+    for threads in (1, 8, 64):
+        dst = device.malloc(threads * 4)
+        result = device.launch(
+            "prop", grid=(1, 1, 1), block=(threads, 1, 1),
+            args=[src, dst, threads],
+        )
+        observed.append((
+            dst.read(np.uint32, threads).tolist(),
+            _modeled_statistics(result.statistics),
+        ))
+    return observed
+
+
 # One op of each kind the array backend has no lowering for: atomics
 # (every operator, shared and global, colliding addresses), %clock
 # reads, and the barriers that order them. %r0 is the thread's datum,
@@ -890,6 +1019,22 @@ class TestBackendDifferential:
               ("min.f32 {d}, 0f80000000, %f0;", "f32")]],
         data=[0] * 8,
     )
+    # ... and x + y beside y + x with x and y NaNs (which payload wins
+    # is the operand order's: here y = -x, so the sign bit tells), for
+    # add and mul; and two NaN constants that differ in their payloads
+    # only.
+    @example(
+        ops=[[("neg.f32 %f2, %f0;\n  add.f32 {d}, %f0, %f2;", "f32"),
+              ("add.f32 {d}, %f2, %f0;", "f32")],
+             [("mul.f32 {d}, %f0, %f2;", "f32"),
+              ("mul.f32 {d}, %f2, %f0;", "f32")]],
+        data=[0x7FC00001] * 8,
+    )
+    @example(
+        ops=[[("add.f32 {d}, %f0, 0f7FC00002;", "f32"),
+              ("add.f32 {d}, %f0, 0f7FC00003;", "f32")]],
+        data=[0x3F800000] * 8,
+    )
     def test_optimizer_computes_what_the_machine_computes(self, ops, data):
         # The oracle is the reference interpreter running the IR as
         # vectorized, at the same launch width.
@@ -949,6 +1094,38 @@ class TestBackendDifferential:
             )
             assert np.array_equal(memory, reference[0]), sanitize
             assert statistics == reference[1], sanitize
+
+    @_SETTINGS
+    @given(
+        head=st.lists(local_op(), max_size=4),
+        then=st.lists(local_op(), min_size=1, max_size=6),
+        other=st.lists(local_op(), min_size=1, max_size=6),
+        loop=st.lists(local_op(), max_size=4),
+        data=st.lists(st.integers(0, 2**32 - 1), min_size=8, max_size=8),
+    )
+    def test_local_arrays_agree_between_spills(
+        self, head, then, other, loop, data
+    ):
+        # What the inline and batch templates discharge rests on the
+        # frame: user .local accesses among the spills and restores of
+        # divergent code, at 1, 8 and 64 threads (8: one warp at a time
+        # on the inline template; 64: one batch). The default and the
+        # sanitized executor store the reference's words and model its
+        # statistics; unoptimized IR stores the same words.
+        source = render_local_kernel(head, then, other, loop)
+        data = np.array(data, dtype=np.uint32)
+        base = vectorized_config(4)
+        expected = run_local_kernel(
+            source, data, replace(base, backend="reference")
+        )
+        for config in (base, replace(base, sanitize=True)):
+            assert run_local_kernel(source, data, config) == expected
+        unoptimized = run_local_kernel(
+            source, data, replace(base, optimize=False)
+        )
+        assert [words for words, _ in unoptimized] == [
+            words for words, _ in expected
+        ]
 
 
 class TestMemoryProperties:

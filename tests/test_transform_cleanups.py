@@ -1,5 +1,7 @@
 """DCE / CSE / constant-folding / block-merge pass tests."""
 
+import struct
+
 import pytest
 
 from repro.ir import (
@@ -172,6 +174,34 @@ class TestCSE:
             self._store(reg("b")),
         )
         assert eliminate_common_subexpressions(function) == 1
+
+    def test_float_add_and_mul_keep_their_operand_order(self):
+        # A float add or mul of two NaNs returns one operand's payload
+        # (the first's over arrays, the second's over numpy scalars),
+        # so x + NaN and NaN + x are two words; and NaN constants are
+        # one value only when their payloads are.
+        f32 = DataType.f32
+
+        def nan(payload):
+            (value,) = struct.unpack("<f", struct.pack("<I", payload))
+            return const(value, f32)
+
+        def merged(second):
+            x = reg("x", f32)
+            function = single_block(
+                self._mov("x", 1.0, f32),
+                BinaryOp(op, f32, reg("a", f32), x, nan(0x7FC00002)),
+                BinaryOp(op, f32, reg("b", f32), *second),
+                self._store(reg("a", f32)),
+                self._store(reg("b", f32)),
+            )
+            return eliminate_common_subexpressions(function)
+
+        for op in ("add", "mul"):
+            x = reg("x", f32)
+            assert merged((nan(0x7FC00002), x)) == 0, op
+            assert merged((x, nan(0x7FC00003))) == 0, op
+            assert merged((x, nan(0x7FC00002))) == 1, op
 
     def test_redefinition_invalidates(self):
         function = single_block(

@@ -235,8 +235,8 @@ class TestScalarAnalyses:
         assert first is not None
         assert all(analyses is first for _, analyses in seen)
         assert first.function is device.cache.scalar_ir("vecAdd")
-        # ... and the manager's question is answered from it.
-        assert device.cache.spill_layout("vecAdd") is first.spill_layout
+        # ... and the frame the manager lays out is stated from it.
+        assert first.function.spill_size == first.spill_layout[1]
         assert first.spill_layout == assign_spill_slots(first.function)
 
     def test_reregistering_a_modified_kernel_drops_it(self, monkeypatch):
@@ -259,15 +259,15 @@ class TestScalarAnalyses:
         seen = self._record_analyses(monkeypatch)
         device = Device(config=vectorized_config(4))
         device.register_module(GLOBAL_SCALE_PTX)
-        layout = device.cache.spill_layout("scaled")
+        scalar = device.cache.scalar_ir("scaled")
         device.warm("scaled")
-        assert seen[0][1].spill_layout is layout
+        assert seen[0][1].function is scalar
         device.register_module(GLOBAL_SCALE_PTX)  # `scale` moves
         assert device.cache.generation("scaled") == 2
         device.warm("scaled")
         assert seen[3][1] is not seen[0][1]
-        assert device.cache.spill_layout("scaled") == layout
-        assert device.cache.spill_layout("scaled") is not layout
+        assert seen[3][1].spill_layout == seen[0][1].spill_layout
+        assert device.cache.scalar_ir("scaled") is not scalar
 
     def test_nothing_outlives_the_device(self, monkeypatch):
         # A second Device compiling the same source analyses it again.
