@@ -153,13 +153,16 @@ class DeviceLost(LaunchError):
     ``epoch``
         The device epoch that died. The respawned worker runs at
         ``epoch + 1``; a :class:`repro.runtime.pool.RemoteAllocation`
-        stamped with an older epoch fails fast when used.
+        of an older epoch that its session could not rebuild fails
+        fast when used.
     ``delivered``
         True when the request had already been handed to the worker
         (it may have started mutating guest memory — never retried
         automatically); False when the loss was detected before the
         request left the parent (safe for :class:`RetryPolicy
-        <repro.runtime.pool.RetryPolicy>` re-dispatch).
+        <repro.runtime.pool.RetryPolicy>` re-dispatch). A worker slot
+        closed for good (pool shut down, or respawn off) refuses every
+        later call with its last loss, ``delivered=False``.
 
     Sessions opened with ``durability="journal"`` or ``"checkpoint"``
     usually absorb this error instead of surfacing it: the pool
@@ -169,9 +172,9 @@ class DeviceLost(LaunchError):
     the loss. Durable sessions can still surface it with restore-
     specific causes: ``"restore pending"`` (internal — a dispatch
     raced the restore and was parked/re-queued), ``"restore timeout"``
-    (the worker did not come back within the session's
-    ``restore_timeout``), and ``"restore failed"`` (replay hit a
-    non-deterministic error; the session's durable state was reset).
+    (the worker did not come back within 60 s), and ``"restore
+    failed"`` (replay hit a non-deterministic error; the session's
+    durable state was reset).
     """
 
     def __init__(

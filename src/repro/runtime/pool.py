@@ -19,53 +19,41 @@ partial statistics, the worker device is recovered immediately
 sticky-failed until ``TenantSession.reset()`` while other tenants on
 the same worker keep launching.
 
-*Process* faults are infrastructure's: a supervisor thread detects
-crashed (exit code), hung (stuck call / missed heartbeat), and
-pipe-dropped workers, terminates them, and respawns them warm — the
-module-registration journal is replayed from the parent, and with
-``REPRO_CACHE=1`` translation restarts from the persistent cache.
-Every in-flight request on the lost worker resolves to a structured
-:class:`~repro.errors.DeviceLost` carrying the worker index, the loss
-cause, and the *device epoch* that died; the respawned worker runs at
-the next epoch, so :class:`RemoteAllocation` handles stamped with the
-old epoch fail fast instead of aliasing a stranger's memory.
-Queued-but-never-dispatched launches are re-dispatched automatically
-under an opt-in per-session :class:`RetryPolicy` (exponential backoff
-with jitter); a launch that was already delivered to the dead worker
-is *never* silently re-run — it may have mutated guest memory. A
-per-worker circuit breaker opens after repeated consecutive
-infrastructure failures, suspending respawns until a cooldown
-half-open probe succeeds.
+*Process* faults are infrastructure's. A worker slot's life is one
+state moved only through :data:`SLOT_TRANSITIONS`: a supervisor
+thread reads it and fires what the state's rule calls for — a crash,
+a hang or a dropped pipe is a loss; a lost process is reaped and
+respawned warm (the module-registration journal is replayed from the
+parent). A loss resolves every request in flight to a structured
+:class:`~repro.errors.DeviceLost` carrying the worker index, the
+cause and the *device epoch* that died; the respawned worker runs at
+the next epoch, so handles nothing could rebuild fail fast instead of
+aliasing a stranger's memory. A launch caught by a loss parks on its
+session until the session catches up with the next epoch or the
+launch's deadline passes — always under durability, otherwise only
+an undelivered one under an opt-in :class:`RetryPolicy`: a launch
+delivered to the dead worker may have mutated guest memory and is
+never silently re-run. A slot that will not come back fails what is
+parked on it with the loss.
 
 Worker processes default to the ``spawn`` start method: it is safe in
 threaded parents (the pool runs dispatcher + supervisor threads) and
 identical across platforms. ``REPRO_POOL_START=fork`` opts into
 faster startup where safe.
 
-*Durability* (opt-in per session, ``durability="journal"`` or
-``"checkpoint"``) makes DeviceLost *recoverable* instead of merely
-detectable: the session journals every state-mutating operation
-(malloc/upload/write/free and every launch known to have executed),
-and — in checkpoint mode — periodically snapshots live allocation
-contents through :class:`~repro.runtime.state_store.StateStore`,
-truncating the journal. After a respawn the supervisor restores the
-tenant onto the fresh epoch: newest valid checkpoint + journal-tail
-replay (deterministic execution makes the replay bit-identical), with
-tenant-local allocation handles re-mapped onto the new worker handles
-so callers' existing :class:`RemoteAllocation` handles keep working.
-Launches caught by the loss — even delivered ones, which the restore
-rewinds past — are parked and transparently re-dispatched, surfacing
-``restored=True`` on their results instead of DeviceLost.
-``durability="none"`` (the default) runs the same handle table and
-op applier but journals nothing, so a respawn can only drop the table:
-pre-loss handles fail fast as stale and DeviceLost is surfaced.
+*Durability* (opt-in per session; the modes are :class:`TenantSession`'s)
+makes DeviceLost *recoverable*: the session journals what it applied
+(and may checkpoint it), the supervisor replays that onto the next
+epoch bit-identically — execution is deterministic — behind the
+caller's unchanged handles, and the launches the loss caught, even
+delivered ones, ride the restore (``restored=True``) instead of
+failing.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import random
 import threading
 import time
 from collections import deque
@@ -100,6 +88,36 @@ _DURABILITY_MODES = ("none", "journal", "checkpoint")
 #: Times a parked launch may ride through a restore before its
 #: DeviceLost is surfaced (bounds kill-loop livelock).
 _RESTORE_DISPATCH_LIMIT = 3
+
+#: Seconds a durable session's memory op waits for its restore.
+_RESTORE_TIMEOUT = 60.0
+
+#: Seconds a shed client is told to wait before retrying (the
+#: ``Retry-After`` of a 503).
+RETRY_AFTER = 1.0
+
+#: Consecutive losses, with no first reply in between, that leave a
+#: worker slot ``broken`` until the pool's cooldown elapses.
+_BREAKER_THRESHOLD = 3
+
+#: A worker slot's life: state -> {event: next state}; nothing else
+#: moves :attr:`_Worker.state`, and an event a state has no entry for
+#: is ignored. DESIGN.md "Failure domains & recovery" tabulates it.
+SLOT_TRANSITIONS: Dict[str, Dict[str, str]] = {
+    "starting": {"reply": "live", "loss": "lost", "shutdown": "closed"},
+    "live": {"loss": "lost", "shutdown": "closed"},
+    "lost": {"reap": "down", "trip": "broken", "shutdown": "closed"},
+    "down": {"respawn": "starting", "shutdown": "closed"},
+    "broken": {"cooldown": "down", "shutdown": "closed"},
+    "closed": {},
+}
+
+#: The slot states that take calls.
+_SERVING = ("starting", "live")
+
+#: Request id of the one message a worker sends unasked, once its
+#: device is built: the slot's first reply (request ids start at 1).
+_BOOTED = 0
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +188,9 @@ def _pool_worker_main(
     warm: bool,
 ) -> None:
     """Entry point of one worker process: builds a Device, registers
-    the journaled modules, then serves (request_id, op, payload) RPCs
-    until shutdown or EOF. ``modules`` is the parent's full
+    the journaled modules, says so (a ``_BOOTED`` reply), then serves
+    (request_id, op, payload) RPCs until shutdown or EOF. ``modules``
+    is the parent's full
     module-registration journal, so a respawned worker comes back with
     every module its predecessor knew."""
     from ..api.device import Device
@@ -182,6 +201,7 @@ def _pool_worker_main(
         device.register_module(source)
     if warm:
         device.warm()
+    conn.send((_BOOTED, True, {"pid": os.getpid()}))
 
     allocations: Dict[int, object] = {}
     next_handle = 1
@@ -334,57 +354,6 @@ def _pool_worker_main(
 
 
 # ---------------------------------------------------------------------------
-# circuit breaker
-# ---------------------------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Per-worker breaker over consecutive *infrastructure* failures
-    (crash, hang, dropped pipe, failed respawn — never tenant traps).
-
-    ``closed`` is healthy operation. Each loss records a failure; at
-    ``threshold`` consecutive failures the breaker *opens*: respawns
-    are suspended and dispatches to the worker fail fast. After
-    ``cooldown`` seconds the breaker goes *half-open*: exactly one
-    respawn+heartbeat probe is allowed — success closes the breaker
-    (and clears the count), failure re-opens it for another cooldown.
-    """
-
-    def __init__(self, threshold: int = 3, cooldown: float = 2.0):
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self.cooldown = cooldown
-        self.failures = 0
-        self.state = "closed"
-        self._opened_at = 0.0
-
-    def record_failure(self) -> None:
-        self.failures += 1
-        if self.failures >= self.threshold:
-            self.state = "open"
-            self._opened_at = time.monotonic()
-
-    def record_success(self) -> None:
-        if self.failures or self.state != "closed":
-            self.failures = 0
-            self.state = "closed"
-
-    def allow_probe(self) -> bool:
-        """True when a respawn attempt is permitted right now."""
-        if self.state == "closed":
-            return True
-        if self.state == "half-open":
-            # The previous half-open probe is still being judged (its
-            # failure re-opens, its success closes).
-            return True
-        if time.monotonic() - self._opened_at >= self.cooldown:
-            self.state = "half-open"
-            return True
-        return False
-
-
-# ---------------------------------------------------------------------------
 # retry policy
 # ---------------------------------------------------------------------------
 
@@ -398,35 +367,20 @@ class RetryPolicy:
     guest memory and is never retried — it resolves to
     :class:`~repro.errors.DeviceLost` (``delivered=True``). Launches
     the pool still held (or whose dispatch failed before the request
-    left the parent) are safe: they are re-queued after an exponential
-    backoff ``base_delay * multiplier**(attempt-1)``, stretched by up
-    to ``jitter`` (a fraction, drawn from the pool's seeded RNG), for
-    at most ``max_attempts`` total attempts and, when ``deadline`` is
-    set, only while total elapsed time since submission stays under
-    it."""
+    left the parent) are safe: such a launch parks on its session and
+    re-enters the fair queue once the session has caught up with the
+    respawned worker's epoch, for at most ``max_attempts`` dispatches.
+    The launch's own ``deadline`` bounds how long it may stay parked,
+    and a slot that will not come back by itself (supervision or
+    respawn off, or its breaker tripped) fails it with the loss."""
 
     max_attempts: int = 3
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    deadline: Optional[float] = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_delay < 0 or self.multiplier < 1 or self.jitter < 0:
-            raise ValueError(
-                "base_delay must be >= 0, multiplier >= 1, jitter >= 0"
-            )
-
-    def backoff(self, attempt: int, rng: random.Random) -> float:
-        """Delay before retry number ``attempt`` (1-based)."""
-        delay = self.base_delay * self.multiplier ** max(0, attempt - 1)
-        if self.jitter:
-            delay *= 1.0 + self.jitter * rng.random()
-        return delay
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +388,26 @@ class RetryPolicy:
 # ---------------------------------------------------------------------------
 
 
+def _lost(worker, epoch, cause, op, delivered) -> DeviceLost:
+    return DeviceLost(
+        f"pool worker {worker} lost at epoch {epoch}: {cause} "
+        f"(during {op!r})",
+        worker=worker, cause=cause, epoch=epoch, delivered=delivered,
+    )
+
+
 class _Worker:
     """Parent-side handle of one worker process slot.
 
-    The slot outlives any single worker *process*: when the process is
-    lost the supervisor respawns a new one into the same slot, bumping
-    the device ``epoch``. RPCs are multiplexed over the pipe — the
-    lock covers only send/bookkeeping, never the reply wait, so a slow
+    The slot outlives any single worker *process*: its :attr:`state`
+    follows :data:`SLOT_TRANSITIONS` (:meth:`fire` is the one mover),
+    and each respawn starts a new process in the slot at the next
+    device ``epoch``. RPCs are multiplexed over the pipe — the lock
+    covers only send/bookkeeping, never the reply wait, so a slow
     launch cannot block ``shutdown()`` or another caller, and replies
     are correlated by request id (a stale reply left over from a
-    timed-out call is drained and discarded, never mis-attributed)."""
+    timed-out call or a lost epoch is drained and discarded, never
+    mis-attributed)."""
 
     def __init__(
         self, index, context, config, machine, memory_size, modules, warm
@@ -457,37 +421,36 @@ class _Worker:
         #: Module-registration journal: every *distinct* source ever
         #: registered on this slot (pool-wide and tenant-private),
         #: replayed into a respawned worker so it comes back warm and
-        #: complete. Deduplicated — re-registering the same source is
-        #: idempotent worker-side, so replay stays O(unique modules)
-        #: no matter how many times tenants re-register.
-        self.journal: List[str] = []
-        self._journaled = set()
-        for source in modules:
-            if source not in self._journaled:
-                self.journal.append(source)
-                self._journaled.add(source)
+        #: complete. Deduplicated (the keys of an ordered dict) —
+        #: re-registering the same source is idempotent worker-side,
+        #: so replay stays O(unique modules) no matter how many times
+        #: tenants re-register.
+        self.journal: Dict[str, None] = dict.fromkeys(modules)
+        self.state = "starting"
         self.epoch = 0
         self.respawns = 0
+        #: Losses since the last first reply (the breaker's count).
+        self.failures = 0
+        #: Monotonic time of the slot's last transition: when a boot,
+        #: a live epoch or a cooldown began.
+        self.since = time.monotonic()
         #: Tenant restores completed onto this slot (durability layer)
         #: and the duration of the most recent one.
         self.restores = 0
         self.last_restore_seconds: Optional[float] = None
         self.last_cause: Optional[str] = None
-        self.breaker = CircuitBreaker()
-        #: Pool callback fired (outside the lock) when the slot is
-        #: marked lost — wakes the supervisor immediately.
+        #: Pool callback fired (outside the lock) on a loss — wakes
+        #: the supervisor immediately.
         self._on_lost: Optional[Callable[["_Worker"], None]] = None
         self.lock = threading.RLock()
         self._reply_ready = threading.Condition(self.lock)
         self._request_ids = 0
         #: request_id -> send time (monotonic) of in-flight RPCs.
         self._pending: Dict[int, float] = {}
-        #: request_id -> (ok, result) replies awaiting their caller.
-        self._replies: Dict[int, Tuple[bool, object]] = {}
+        #: request_id -> (ok, result) replies awaiting their caller;
+        #: ``(None, (epoch, cause))`` for a request a loss resolved.
+        self._replies: Dict[int, Tuple[Optional[bool], object]] = {}
         self._reader_active = False
-        self._lost: Optional[DeviceLost] = None
-        self._swept: Optional[DeviceLost] = None
-        self._needs_reap = False
         self.process, self.conn = self._start_process()
         self.last_seen = time.monotonic()
 
@@ -500,7 +463,7 @@ class _Worker:
     def _hook_after_send(self, op: str, payload: dict) -> None:
         """No-op seam, fired after the request reached the pipe."""
 
-    # -- process lifecycle -------------------------------------------------
+    # -- the slot's life ---------------------------------------------------
 
     def _start_process(self):
         """Start one worker process on a fresh pipe; returns
@@ -519,63 +482,60 @@ class _Worker:
         child_conn.close()
         return process, parent_conn
 
-    @property
-    def lost(self) -> bool:
-        return self._lost is not None
-
-    @property
-    def needs_reap(self) -> bool:
-        return self._needs_reap
-
-    def mark_lost(self, cause: str) -> Optional[DeviceLost]:
-        """Declare this worker's process lost: every in-flight and
-        future RPC on the current epoch raises DeviceLost. Idempotent
-        per loss; returns the loss error (or None if already lost)."""
+    def fire(self, event: str, cause: Optional[str] = None) -> bool:
+        """Move the slot along :data:`SLOT_TRANSITIONS` on ``event``;
+        returns whether it moved. A ``reap`` at the breaker threshold
+        is a ``trip``. What an event counts is kept here too: a loss
+        is a failure and a first reply clears them, a respawn starts
+        the next epoch, and a slot that stops serving (a loss, or a
+        shutdown — for ``cause``) resolves every request in flight."""
         with self.lock:
-            if self._lost is not None:
-                return None
-            self.last_cause = cause
-            self._lost = DeviceLost(
-                f"pool worker {self.index} lost at epoch {self.epoch}: "
-                f"{cause}",
-                worker=self.index,
-                cause=cause,
-                epoch=self.epoch,
-            )
-            self._needs_reap = True
-            self._reply_ready.notify_all()
-            error = self._lost
-        on_lost = self._on_lost
-        if on_lost is not None:
-            on_lost(self)
-        return error
+            if event == "reap" and self.failures >= _BREAKER_THRESHOLD:
+                event = "trip"
+            state = SLOT_TRANSITIONS[self.state].get(event)
+            if state is None:
+                return False
+            serving = self.state in _SERVING
+            self.state = state
+            self.since = time.monotonic()
+            if event == "loss":
+                self.failures += 1
+            elif event == "reply":
+                self.failures = 0
+            elif event == "respawn":
+                self.epoch += 1
+                self.respawns += 1
+            if serving and state not in _SERVING:
+                self.last_cause = cause
+                for request_id in self._pending:
+                    self._replies.setdefault(
+                        request_id, (None, (self.epoch, cause))
+                    )
+                self._pending.clear()
+                self._reply_ready.notify_all()
+        if event == "loss" and self._on_lost is not None:
+            self._on_lost(self)
+        return True
 
-    def lost_error(self, op: str, delivered: bool) -> DeviceLost:
-        """A fresh DeviceLost for one failed request (the template
-        error is shared; the delivered flag is per-request)."""
-        base = self._lost
-        return DeviceLost(
-            f"{base} (during {op!r})",
-            worker=self.index,
-            cause=base.cause,
-            epoch=base.epoch,
-            delivered=delivered,
-        )
+    def lost_error(self, op: str) -> DeviceLost:
+        """The DeviceLost of a call the slot refuses: its last loss."""
+        return _lost(self.index, self.epoch, self.last_cause, op, False)
 
     def reap(self, timeout: float = 5.0) -> None:
-        """Tear down the lost process: close the pipe, terminate, and
-        escalate to kill() for a process that survives terminate.
-        Never raises — teardown during interpreter exit must be
-        silent."""
-        self._needs_reap = False
+        """Tear down a lost process and fire ``reap``."""
+        if self.state == "lost":
+            self._teardown(timeout)
+            self.fire("reap")
+
+    def _teardown(self, timeout: float) -> None:
+        """Close the pipe, terminate, and escalate to kill() for a
+        process that survives terminate. Never raises — teardown
+        during interpreter exit must be silent."""
         try:
-            if self.conn is not None:
-                self.conn.close()
+            self.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
         process = self.process
-        if process is None:
-            return
         try:
             if process.is_alive():
                 process.terminate()
@@ -586,31 +546,25 @@ class _Worker:
             if not process.is_alive():
                 process.close()
         except (ValueError, OSError):  # pragma: no cover - defensive
-            # ValueError: close() on a still-running process (it
-            # survived even kill; leave the daemon to die with us).
+            # ValueError: the handle is already closed, or close() on
+            # a still-running process (it survived even kill; leave
+            # the daemon to die with us).
             pass
 
     def respawn(self) -> None:
-        """Start a replacement process in this slot at the next device
-        epoch. The caller (supervisor) must have reaped the old
-        process first."""
+        """Start a replacement process in a ``down`` slot and fire
+        ``respawn`` (the next epoch)."""
+        if self.state != "down":
+            return
         process, conn = self._start_process()
         with self.lock:
-            self.process = process
-            self.conn = conn
-            self.epoch += 1
-            self.respawns += 1
-            # Keep the loss that invalidated the swept pending set:
-            # a caller still parked in _await_reply when the slot is
-            # recycled finds its request gone and surfaces this error
-            # instead of waiting on the fresh epoch forever.
-            self._swept = self._lost
-            self._pending.clear()
-            self._replies.clear()
-            self._reader_active = False
-            self._lost = None
-            self.last_seen = time.monotonic()
-            self._reply_ready.notify_all()
+            moved = self.fire("respawn")
+            if moved:
+                self.process, self.conn = process, conn
+        if not moved:  # closed while the process started
+            conn.close()
+            process.kill()
+            process.join()
 
     # -- RPC ---------------------------------------------------------------
 
@@ -618,15 +572,15 @@ class _Worker:
         deadline = None if timeout is None else time.monotonic() + timeout
         self._hook_before_send(op, payload)
         with self.lock:
-            if self._lost is not None:
-                raise self.lost_error(op, delivered=False)
+            if self.state not in _SERVING:
+                raise self.lost_error(op)
             self._request_ids += 1
             request_id = self._request_ids
             try:
                 self.conn.send((request_id, op, payload))
             except (OSError, ValueError) as error:
-                self.mark_lost(f"pipe dropped: {error}")
-                raise self.lost_error(op, delivered=False) from error
+                self.fire("loss", f"pipe dropped: {error}")
+                raise self.lost_error(op) from error
             self._pending[request_id] = time.monotonic()
         self._hook_after_send(op, payload)
         try:
@@ -636,81 +590,58 @@ class _Worker:
                 self._pending.pop(request_id, None)
                 self._replies.pop(request_id, None)
         if ok:
-            self.last_seen = time.monotonic()
-            self.breaker.record_success()
             return result
+        if ok is None:
+            raise _lost(self.index, *result, op, delivered=True)
         raise _rebuild_error(result)
 
     def _await_reply(self, request_id, op, deadline, timeout):
-        """Wait (lock-free) for this request's reply. One caller at a
-        time volunteers as the pipe reader and distributes replies by
-        id; replies whose request is no longer pending — e.g. left in
-        the pipe by a call that timed out — are discarded."""
+        """Wait (lock-free) for this request's reply, or for the loss
+        that resolved it. One caller at a time volunteers as the pipe
+        reader and distributes replies by id; replies whose request is
+        no longer pending — e.g. left in the pipe by a call that timed
+        out — are discarded."""
         while True:
             with self._reply_ready:
-                while True:
-                    reply = self._replies.pop(request_id, None)
-                    if reply is not None:
-                        return reply
-                    if self._lost is not None:
-                        raise self.lost_error(op, delivered=True)
-                    if request_id not in self._pending:
-                        # A respawn recycled the slot (and swept the
-                        # pending set) before this caller observed the
-                        # loss — surface the loss that invalidated it.
-                        base = self._swept
-                        raise DeviceLost(
-                            f"{base} (during {op!r})"
-                            if base is not None
-                            else f"pool worker {self.index} request "
-                            f"swept during {op!r}",
-                            worker=self.index,
-                            cause=(
-                                base.cause if base is not None
-                                else "request swept"
-                            ),
-                            epoch=(
-                                base.epoch if base is not None
-                                else max(self.epoch - 1, 0)
-                            ),
-                            delivered=True,
-                        )
-                    if (
-                        deadline is not None
-                        and time.monotonic() > deadline
-                    ):
-                        # Abandon the request: the reply, if it ever
-                        # arrives, is discarded by whoever reads it.
-                        self._pending.pop(request_id, None)
-                        raise LaunchError(
-                            f"pool worker {self.index} timed out after "
-                            f"{timeout}s during {op!r}"
-                        )
-                    if not self._reader_active:
-                        self._reader_active = True
-                        break
+                reply = self._replies.pop(request_id, None)
+                if reply is not None:
+                    return reply
+                if deadline is not None and time.monotonic() > deadline:
+                    # Abandon the request: the reply, if it ever
+                    # arrives, is discarded by whoever reads it.
+                    self._pending.pop(request_id, None)
+                    raise LaunchError(
+                        f"pool worker {self.index} timed out after "
+                        f"{timeout}s during {op!r}"
+                    )
+                if self._reader_active:
                     self._reply_ready.wait(0.05)
-            try:
-                self._read_once()
-            finally:
-                with self._reply_ready:
-                    self._reader_active = False
-                    self._reply_ready.notify_all()
+                    continue
+            self.poll(0.05)
 
-    def _read_once(self) -> None:
-        """One bounded poll of the pipe by the elected reader: deliver
-        a correlated reply, drop a stale one, or detect process
-        death."""
+    def poll(self, wait: float = 0.0) -> None:
+        """Read the pipe once, for up to ``wait`` seconds, as its one
+        reader — unless a caller is reading it already. The supervisor
+        calls it to look at a booting slot nobody is calling."""
+        with self._reply_ready:
+            if self._reader_active:
+                return
+            self._reader_active = True
+        try:
+            self._read_once(wait)
+        finally:
+            with self._reply_ready:
+                self._reader_active = False
+                self._reply_ready.notify_all()
+
+    def _read_once(self, wait: float) -> None:
+        """One poll of the pipe by its reader: deliver a correlated
+        reply, drop a stale one, or detect process death."""
         conn = self.conn
         process = self.process
         try:
-            if conn.poll(0.05):
-                reply_id, ok, result = conn.recv()
-                with self.lock:
-                    if reply_id in self._pending:
-                        self._replies[reply_id] = (ok, result)
-                        self._reply_ready.notify_all()
-                    # else: stale reply from a timed-out call — drop.
+            if conn.poll(wait):
+                self._deliver(conn.recv(), conn)
                 return
         except (EOFError, OSError) as error:
             # Only declare a loss against the pipe we actually read:
@@ -719,7 +650,9 @@ class _Worker:
             with self.lock:
                 if conn is not self.conn:
                     return
-            self.mark_lost(f"pipe closed: {error or type(error).__name__}")
+            self.fire(
+                "loss", f"pipe closed: {error or type(error).__name__}"
+            )
             return
         try:
             alive = process.is_alive()
@@ -732,26 +665,37 @@ class _Worker:
             # what's buffered before declaring the requests lost.
             try:
                 while conn.poll(0):
-                    reply_id, ok, result = conn.recv()
-                    with self.lock:
-                        if reply_id in self._pending:
-                            self._replies[reply_id] = (ok, result)
-                            self._reply_ready.notify_all()
+                    self._deliver(conn.recv(), conn)
             except (EOFError, OSError):
                 pass
             with self.lock:
                 if process is not self.process:
                     return
-            self.mark_lost(f"died (exit code {process.exitcode})")
+            self.fire("loss", f"died (exit code {process.exitcode})")
+
+    def _deliver(self, reply, conn) -> None:
+        """Take one message read from ``conn``: the worker's boot
+        message fires ``reply`` (the slot's first), a reply goes to its
+        waiting caller. A message of a process the slot no longer runs,
+        or for a request no longer pending (timed out, or resolved by a
+        loss), is dropped."""
+        reply_id, ok, result = reply
+        with self.lock:
+            if conn is not self.conn:
+                return
+            self.last_seen = time.monotonic()
+            if reply_id == _BOOTED:
+                self.fire("reply")
+            elif reply_id in self._pending:
+                self._replies[reply_id] = (ok, result)
+                self._reply_ready.notify_all()
 
     def register(self, source: str) -> List[str]:
         """Register a module and journal it for respawn replay (each
         distinct source is journaled once)."""
         kernels = self.call("register", source=source)
         with self.lock:
-            if source not in self._journaled:
-                self.journal.append(source)
-                self._journaled.add(source)
+            self.journal[source] = None
         return kernels
 
     # -- supervision probes ------------------------------------------------
@@ -761,44 +705,41 @@ class _Worker:
             return len(self._pending)
 
     def oldest_in_flight_age(self) -> Optional[float]:
+        """Age of the oldest request in flight, counted from no earlier
+        than the slot's last transition: a request sent while the
+        worker booted has not been stuck for the boot."""
         with self.lock:
             if not self._pending:
                 return None
-            return time.monotonic() - min(self._pending.values())
+            oldest = max(min(self._pending.values()), self.since)
+            return time.monotonic() - oldest
 
     def health(self) -> WorkerHealth:
         with self.lock:
-            alive = (
-                self._lost is None
-                and self.process is not None
-                and self.process.is_alive()
-            )
             return WorkerHealth(
                 worker=self.index,
-                alive=alive,
-                state=self.breaker.state,
+                alive=self.state in _SERVING and self.process.is_alive(),
+                state=self.state,
                 epoch=self.epoch,
                 respawns=self.respawns,
-                failures=self.breaker.failures,
+                failures=self.failures,
                 in_flight=len(self._pending),
                 last_cause=self.last_cause,
                 restores=self.restores,
                 last_restore_seconds=self.last_restore_seconds,
             )
 
-    # -- shutdown ----------------------------------------------------------
-
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop the worker: a graceful shutdown RPC when the pipe is
-        idle, then loss-marking (which interrupts any caller still
-        waiting on a reply) and terminate -> kill escalation."""
-        if not self.lost and self.in_flight() == 0:
+        """Close the slot for good: a graceful shutdown RPC when the
+        worker is live and idle, then ``shutdown`` (which resolves any
+        request still in flight) and terminate -> kill escalation."""
+        if self.state == "live" and self.in_flight() == 0:
             try:
                 self.call("shutdown", timeout=timeout)
             except LaunchError:
                 pass
-        self.mark_lost("pool shut down")
-        self.reap(timeout)
+        self.fire("shutdown", "pool shut down")
+        self._teardown(timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -849,9 +790,6 @@ class WeightedFairQueue:
         self._clock = virtual_pass
         self._passes[tenant] = virtual_pass + 1.0 / self._weights[tenant]
         return tenant, self._queues[tenant].popleft()
-
-    def __len__(self) -> int:
-        return sum(len(backlog) for backlog in self._queues.values())
 
 
 # ---------------------------------------------------------------------------
@@ -925,18 +863,16 @@ class RemoteAllocation:
 
     ``handle`` is tenant-local: the session's slot table maps it to
     the worker's handle, so it survives a restore onto a respawned
-    worker. ``address`` and ``epoch`` record where and at which device
-    epoch the buffer was allocated; a checkpoint restore may place it
-    elsewhere (the slot table tracks the live address). A session
-    with nothing to restore from fails a pre-loss handle fast with
-    :class:`~repro.errors.DeviceLost` instead of aliasing whatever the
-    replacement worker put there."""
+    worker. ``address`` records where the buffer was allocated; a
+    checkpoint restore may place it elsewhere (the slot table tracks
+    the live address). A session with nothing to restore from fails a
+    pre-loss handle fast with :class:`~repro.errors.DeviceLost`
+    instead of aliasing whatever the replacement worker put there."""
 
     tenant: str
     handle: int
     address: int
     size: int
-    epoch: int = 0
 
     def __int__(self):
         return self.address
@@ -969,6 +905,16 @@ class _LaunchJob:
         #: ``result.restored`` so callers can see the launch survived
         #: a worker loss.
         self.restored = False
+
+    def expired(self, tenant: str) -> Optional[DeadlineExpired]:
+        """The DeadlineExpired of a job past its deadline, else None."""
+        if self.deadline is None or time.monotonic() <= self.deadline:
+            return None
+        return DeadlineExpired(
+            f"launch of {self.kernel!r} for tenant {tenant!r} aged past "
+            f"its {self.deadline - self.submitted_at:.3f}s request "
+            f"deadline before dispatch (attempt {self.attempts + 1})"
+        )
 
 
 class TenantSession:
@@ -1021,7 +967,6 @@ class TenantSession:
         retry: Optional[RetryPolicy] = None,
         durability: str = "none",
         checkpoint_interval: int = 32,
-        restore_timeout: float = 60.0,
         store: Optional[StateStore] = None,
     ):
         if durability not in _DURABILITY_MODES:
@@ -1054,7 +999,6 @@ class TenantSession:
         self._pending = 0
         self._condition = threading.Condition()
         self._store = store if durability == "checkpoint" else None
-        self._restore_timeout = restore_timeout
         #: Operation journal: tuples in worker execution order.
         #: ("malloc", local, size, label) / ("upload", local, data,
         #: label) / ("write", local, data) / ("free", local) /
@@ -1074,7 +1018,11 @@ class TenantSession:
         #: that nothing could rebuild (durability="none").
         self._stale_below = 1
         #: Worker epoch the slot table is valid for; a respawn bumps
-        #: the worker epoch and :meth:`_restore` catches this up.
+        #: the worker epoch and :meth:`_restore` catches this up. The
+        #: tenant's whole lifecycle is this one comparison
+        #: (:meth:`_ready_now`): behind the worker's epoch, it parks
+        #: launches and waits (or, with nothing to replay, drops its
+        #: table); level with it, it serves.
         self._ready_epoch = worker.epoch
         #: Serializes operations + journal appends + restore.
         self._state_lock = threading.RLock()
@@ -1087,11 +1035,6 @@ class TenantSession:
     @property
     def worker_index(self) -> int:
         return self._worker.index
-
-    @property
-    def device_epoch(self) -> int:
-        """The worker's current device epoch (bumps on respawn)."""
-        return self._worker.epoch
 
     @property
     def pending(self) -> int:
@@ -1128,7 +1071,6 @@ class TenantSession:
                 handle=local,
                 address=slot["address"],
                 size=slot["size"],
-                epoch=self._ready_epoch,
             )
 
     def write(self, allocation: RemoteAllocation, array) -> None:
@@ -1269,11 +1211,11 @@ class TenantSession:
             self._record(entry)
 
     def _ready_now(self) -> bool:
-        """True when the slot table matches the worker's live epoch
-        (no restore pending). Lock-free: reads of these fields are
-        atomic and restore publishes ``_ready_epoch`` last."""
+        """True when the worker serves and the slot table matches its
+        epoch (no restore pending). Lock-free: reads of these fields
+        are atomic and restore publishes ``_ready_epoch`` last."""
         worker = self._worker
-        return not worker.lost and self._ready_epoch == worker.epoch
+        return worker.state in _SERVING and self._ready_epoch == worker.epoch
 
     def _await_ready_locked(self, block: bool = True) -> None:
         """Bring the slot table up to the worker's live epoch (under
@@ -1283,32 +1225,34 @@ class TenantSession:
         released) for the supervisor's restore — or, with
         ``block=False``, raises ``restore pending`` so the launch
         parks: the per-worker dispatcher is shared and must never
-        block on a restore."""
+        block on a restore. A slot that will not come back (closed, or
+        in a pool with supervision or respawn off) raises its loss at
+        once."""
         if self._ready_now():
             return
         worker = self._worker
         if not self._rides_out_loss:
             self._restore(worker)
             return
-        if not block:
-            raise DeviceLost(
-                f"tenant {self.tenant!r} is not yet restored onto "
-                f"worker {worker.index}",
-                worker=worker.index,
-                cause="restore pending",
-                epoch=worker.epoch,
-                delivered=False,
-            )
-        deadline = time.monotonic() + self._restore_timeout
+        deadline = time.monotonic() + _RESTORE_TIMEOUT
         while not self._ready_now():
-            if self.pool._closed:
-                raise LaunchError("device pool is shut down")
+            if worker.state == "closed" or not self.pool._recovers:
+                raise worker.lost_error("restore")
+            if not block:
+                raise DeviceLost(
+                    f"tenant {self.tenant!r} is not yet restored onto "
+                    f"worker {worker.index}",
+                    worker=worker.index,
+                    cause="restore pending",
+                    epoch=worker.epoch,
+                    delivered=False,
+                )
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise DeviceLost(
                     f"tenant {self.tenant!r} was not restored onto "
                     f"worker {worker.index} within "
-                    f"{self._restore_timeout}s",
+                    f"{_RESTORE_TIMEOUT}s",
                     worker=worker.index,
                     cause="restore timeout",
                     epoch=worker.epoch,
@@ -1543,8 +1487,6 @@ class TenantSession:
         safe."""
         entry = ("launch", job.kernel, job.grid, job.block, job.args)
         with self._state_lock:
-            if worker.lost:
-                raise worker.lost_error(job.kernel, delivered=False)
             self._await_ready_locked(block=False)
             fault = None
             try:
@@ -1559,140 +1501,190 @@ class TenantSession:
                 raise fault
             return result
 
-    def _park_job(self, job: _LaunchJob) -> bool:
-        """Park a launch caught by a worker loss until the restore
-        completes. Returns False when the session became ready
-        between the caller's check and here — the caller re-queues
-        immediately instead (no lost wakeups: the restore drains the
-        parked list under the same lock *after* publishing
-        readiness)."""
-        with self._parked_lock:
-            if self._ready_now():
+    def _parks(self, job: _LaunchJob, error: BaseException) -> bool:
+        """Whether a launch that failed with ``error`` waits for the
+        worker's next epoch (:meth:`_park`): every loss a durable
+        session absorbs — the restore rewinds guest state to before
+        any un-journaled launch, so even a delivered casualty is safe
+        to re-dispatch — and, under a RetryPolicy, an undelivered one
+        while its attempts last. Neither parks in a pool that does not
+        bring a lost slot back."""
+        if not self.pool._recovers:
+            return False
+        if self._absorbs(error):
+            if job.restore_attempts >= _RESTORE_DISPATCH_LIMIT:
                 return False
-            self._parked.append(job)
-            return True
-
-    def _drain_parked(self) -> List[_LaunchJob]:
-        with self._parked_lock:
-            parked = self._parked
-            self._parked = []
-            return parked
-
-    def _release_parked(self) -> None:
-        for job in self._drain_parked():
+            job.restore_attempts += 1
             job.restored = True
+            return True
+        policy = self.retry
+        if (
+            policy is None
+            or not isinstance(error, DeviceLost)
+            or error.delivered
+            # Retrying cannot resurrect the allocation's memory.
+            or error.cause == "stale allocation epoch"
+            or job.attempts + 1 >= policy.max_attempts
+        ):
+            return False
+        job.attempts += 1
+        self.stats.retries += 1
+        return True
+
+    def _park(self, job: _LaunchJob) -> None:
+        """Park a launch until the session catches up with the
+        worker's next epoch or it may wait no longer."""
+        with self._parked_lock:
+            self._parked.append(job)
+        self._release_parked()
+
+    def _parked_error(self, job: _LaunchJob) -> Optional[BaseException]:
+        """Why a parked launch may wait no longer — its slot closed,
+        its deadline passed, or (parked under a RetryPolicy) its slot's
+        breaker tripped — or None while it may."""
+        worker = self._worker
+        if worker.state == "closed" or (
+            worker.state == "broken" and not self._rides_out_loss
+        ):
+            return worker.lost_error(job.kernel)
+        return job.expired(self.tenant)
+
+    def _release_parked(self, error: Optional[BaseException] = None):
+        """Settle the parked launches: fail each with ``error``, or with
+        :meth:`_parked_error`; re-queue the rest once the session is
+        level with the worker; keep them otherwise. Everything it reads
+        is published before it is called — by :meth:`_park`, the
+        catch-up, a closing slot and every supervisor pass — so no
+        wakeup is lost."""
+        if not self._parked:
+            return
+        failed, level = [], []
+        with self._parked_lock:
+            ready = self._ready_now()
+            waiting = []
+            for job in self._parked:
+                reason = error or self._parked_error(job)
+                if reason is not None:
+                    failed.append((job, reason))
+                else:
+                    (level if ready else waiting).append(job)
+            self._parked = waiting
+        for job, reason in failed:
+            self._fail(job, reason)
+        for job in level:
             self.pool._requeue(self, job)
 
     def _restore(self, worker: _Worker) -> None:
-        """Catch this session up to a respawned worker's epoch.
+        """Catch this session up to a respawned worker's epoch, then
+        re-queue its parked launches.
 
         With nothing journaled (durability="none") there is nothing
         to rebuild from: the slot table is dropped inline — no RPC —
-        and every handle issued so far goes stale.
-
-        Otherwise (supervisor thread) the guest state is rebuilt by
-        running the same entries through the same applier the live
-        methods use: the newest valid checkpoint as one ``upload`` per
-        saved allocation (torn/corrupt ones are discarded by the
-        store — fall back to the previous, or to a full journal
-        replay), then the journal tail, in original order —
-        deterministic execution guarantees the rebuilt guest memory
-        is bit-identical. Tenant-local handles are re-mapped onto the
-        new worker handles, readiness is published, and parked
-        launches are re-queued. Raises DeviceLost when the worker
-        dies mid-restore; the next supervision pass retries on the
-        following epoch."""
+        and every handle issued so far goes stale. Otherwise
+        (supervisor thread) :meth:`_replay` rebuilds the guest state.
+        Raises DeviceLost when the worker dies mid-restore; the next
+        supervision pass retries on the following epoch."""
         with self._state_lock:
-            if self._ready_now() or worker.lost:
+            if self._ready_now() or worker.state not in _SERVING:
                 return
             epoch = worker.epoch
             if self.durability == "none":
                 self._stale_below = self._next_local
                 self._slots = {}
-                self._ready_epoch = epoch
+            elif not self._replay(worker):
                 return
-            started = time.monotonic()
-            snapshot: List[tuple] = []
-            start_index = 0
-            checkpoint = None
-            if self._store is not None:
-                checkpoint = self._store.load_latest(self.tenant)
-            if checkpoint is not None:
-                snapshot = [
-                    (
-                        "upload",
-                        saved["local"],
-                        np.frombuffer(saved["data"], dtype=np.uint8),
-                        saved.get("label"),
-                    )
-                    for saved in checkpoint.allocations
-                ]
-                start_index = checkpoint.journal_index
-            if start_index < self._journal_base:
-                self._restore_failed(
-                    worker,
-                    "the journal was truncated below the newest "
-                    "valid checkpoint (no retained checkpoint "
-                    "verifies)",
-                )
-                return
-            tail = self._journal[start_index - self._journal_base:]
-            slots: Dict[int, dict] = {}
-            try:
-                for entry in snapshot + tail:
-                    self.pool._hook_restore_step(worker, entry[0])
-                    try:
-                        self._apply(worker, entry, slots)
-                    except _FAULT_TYPES:
-                        # Deterministic replay reproduces a launch's
-                        # original contained fault (partial writes
-                        # included); the worker device already reset
-                        # itself.
-                        pass
-            except DeviceLost:
-                raise
-            except Exception as error:
-                # A non-infrastructure replay failure is
-                # deterministic: retrying cannot converge.
-                self._restore_failed(
-                    worker, f"replay error: {error}"
-                )
-                return
-            self._slots = slots
             self._ready_epoch = epoch
-            elapsed = time.monotonic() - started
-            self.stats.restores += 1
-            self.stats.restore_seconds += elapsed
-            self.stats.replayed_ops += len(tail)
-            with worker.lock:
-                worker.restores += 1
-                worker.last_restore_seconds = elapsed
             self._restored.notify_all()
         self._release_parked()
+
+    def _replay(self, worker: _Worker) -> bool:
+        """Rebuild the guest state by running the same entries
+        through the same applier the live methods use: the newest
+        valid checkpoint as one ``upload`` per saved allocation
+        (torn/corrupt ones are discarded by the store — fall back to
+        the previous, or to a full journal replay), then the journal
+        tail, in original order — deterministic execution guarantees
+        the rebuilt guest memory is bit-identical. Tenant-local
+        handles are re-mapped onto the new worker handles. False when
+        no valid state survived (:meth:`_restore_failed`)."""
+        started = time.monotonic()
+        snapshot: List[tuple] = []
+        start_index = 0
+        checkpoint = None
+        if self._store is not None:
+            checkpoint = self._store.load_latest(self.tenant)
+        if checkpoint is not None:
+            snapshot = [
+                (
+                    "upload",
+                    saved["local"],
+                    np.frombuffer(saved["data"], dtype=np.uint8),
+                    saved.get("label"),
+                )
+                for saved in checkpoint.allocations
+            ]
+            start_index = checkpoint.journal_index
+        if start_index < self._journal_base:
+            self._restore_failed(
+                worker,
+                "the journal was truncated below the newest valid "
+                "checkpoint (no retained checkpoint verifies)",
+            )
+            return False
+        tail = self._journal[start_index - self._journal_base:]
+        slots: Dict[int, dict] = {}
+        try:
+            for entry in snapshot + tail:
+                self.pool._hook_restore_step(worker, entry[0])
+                try:
+                    self._apply(worker, entry, slots)
+                except _FAULT_TYPES:
+                    # Deterministic replay reproduces a launch's
+                    # original contained fault (partial writes
+                    # included); the worker device already reset
+                    # itself.
+                    pass
+        except DeviceLost:
+            raise
+        except Exception as error:
+            # A non-infrastructure replay failure is deterministic:
+            # retrying cannot converge.
+            self._restore_failed(worker, f"replay error: {error}")
+            return False
+        self._slots = slots
+        elapsed = time.monotonic() - started
+        self.stats.restores += 1
+        self.stats.restore_seconds += elapsed
+        self.stats.replayed_ops += len(tail)
+        with worker.lock:
+            worker.restores += 1
+            worker.last_restore_seconds = elapsed
+        return True
 
     def _restore_failed(self, worker: _Worker, reason: str) -> None:
         """Give up restoring (no valid state survived): publish an
         *empty* ready state so the session stays usable, and fail the
         parked launches with a structured DeviceLost."""
-        error = DeviceLost(
-            f"tenant {self.tenant!r} could not be restored onto "
-            f"worker {worker.index}: {reason}",
-            worker=worker.index,
-            cause="restore failed",
-            epoch=worker.epoch,
-            delivered=False,
-        )
         self.stats.restore_failures += 1
         self._slots = {}
         self._journal = []
         self._journal_base = 0
         self._ready_epoch = worker.epoch
         self._restored.notify_all()
-        for job in self._drain_parked():
-            job.future._fail(error)
-            self._complete(job, None, error)
+        self._release_parked(DeviceLost(
+            f"tenant {self.tenant!r} could not be restored onto "
+            f"worker {worker.index}: {reason}",
+            worker=worker.index,
+            cause="restore failed",
+            epoch=worker.epoch,
+            delivered=False,
+        ))
 
     # -- internal accounting (called by the pool dispatcher) ---------------
+
+    def _fail(self, job: _LaunchJob, error: BaseException) -> None:
+        job.future._fail(error)
+        self._complete(job, None, error)
 
     def _complete(self, job: _LaunchJob, result, error) -> None:
         elapsed = time.monotonic() - job.submitted_at
@@ -1735,18 +1727,12 @@ def _default_start_method() -> str:
     return "spawn"
 
 
-def _retry_seed() -> int:
-    try:
-        return int(os.environ.get("REPRO_FAULT_SEED", 0))
-    except ValueError:
-        return 0
-
-
 class DevicePool:
     """Shards independent kernel launches across persistent worker
     processes, with per-tenant quotas, weighted fair queueing,
     per-tenant statistics/trap reporting, and process-level
-    self-healing (supervision, warm respawn, retry, circuit breaking).
+    self-healing (supervision, warm respawn, retry, a breaker on
+    repeated losses).
 
     ::
 
@@ -1760,13 +1746,16 @@ class DevicePool:
         pool.shutdown()
 
     Supervision knobs: ``supervise`` runs the health thread (on by
-    default); ``respawn`` re-creates lost workers warm; a worker with
-    a request in flight longer than ``hang_timeout`` seconds is
-    declared hung and recycled; an idle worker is heartbeat-pinged
-    every ``probe_interval`` seconds and declared hung after
-    ``probe_timeout`` seconds of silence; ``circuit_threshold``
-    consecutive infrastructure failures open the worker's breaker for
-    ``circuit_cooldown`` seconds."""
+    default); ``respawn`` re-creates lost workers warm (off: a lost
+    slot closes for good); a live worker is declared hung with a
+    request in flight longer than ``hang_timeout`` seconds, or when
+    idle for ``probe_interval`` seconds it misses a heartbeat within
+    ``probe_timeout`` — a starting one, when it has not booted
+    ``probe_timeout`` seconds after its spawn; a broken slot cools
+    down for ``circuit_cooldown`` seconds. A lost launch parks for the
+    next epoch only while ``supervise`` and ``respawn`` are both on.
+    The pool's own :attr:`state` is ``serving``, ``draining``
+    (:meth:`drain`) or ``closed``."""
 
     def __init__(
         self,
@@ -1782,7 +1771,6 @@ class DevicePool:
         hang_timeout: Optional[float] = 120.0,
         probe_interval: float = 5.0,
         probe_timeout: float = 30.0,
-        circuit_threshold: int = 3,
         circuit_cooldown: float = 2.0,
         state_dir: Optional[str] = None,
     ):
@@ -1791,7 +1779,11 @@ class DevicePool:
         context = multiprocessing.get_context(
             start_method or _default_start_method()
         )
+        self.state = "serving"
         self._respawn = respawn
+        #: Whether a lost slot comes back by itself: only then does a
+        #: launch caught by the loss park for the next epoch.
+        self._recovers = supervise and respawn
         #: Durability tier: built lazily when the first
         #: durability="checkpoint" session is created. ``state_dir``
         #: overrides the default (~/.cache/repro/state or
@@ -1801,7 +1793,7 @@ class DevicePool:
         self._hang_timeout = hang_timeout
         self._probe_interval = probe_interval
         self._probe_timeout = probe_timeout
-        self._retry_rng = random.Random(_retry_seed())
+        self._cooldown = circuit_cooldown
         self._workers = [
             _Worker(
                 index, context, config, machine, memory_size,
@@ -1810,16 +1802,12 @@ class DevicePool:
             for index in range(workers)
         ]
         for worker in self._workers:
-            worker.breaker = CircuitBreaker(
-                threshold=circuit_threshold, cooldown=circuit_cooldown
-            )
             worker._on_lost = self._worker_lost
         self._sessions: Dict[str, TenantSession] = {}
+        #: Guards the session table and moves of :attr:`state`.
         self._sessions_lock = threading.Lock()
         self._queues = [WeightedFairQueue() for _ in self._workers]
         self._conditions = [threading.Condition() for _ in self._workers]
-        self._closed = False
-        self._draining = False
         self._dispatchers = [
             threading.Thread(
                 target=self._dispatch_loop,
@@ -1853,7 +1841,9 @@ class DevicePool:
         """Stop admitting new launches (submissions fail with
         :class:`~repro.errors.ServiceUnavailable`), then block until
         every already-queued launch has completed."""
-        self._draining = True
+        with self._sessions_lock:
+            if self.state == "serving":
+                self.state = "draining"
         deadline = None if timeout is None else time.monotonic() + timeout
         for session in self.sessions():
             remaining = None
@@ -1862,14 +1852,15 @@ class DevicePool:
             session.synchronize(timeout=remaining)
 
     def shutdown(self) -> None:
-        """Stop supervision and dispatchers, then terminate the worker
-        processes (escalating to kill for survivors). Queued launches
-        that never ran fail fast through their futures; a dispatcher
-        blocked on a slow worker is interrupted rather than waited
-        out."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop supervision and dispatchers, then close every worker
+        slot (terminating its process, escalating to kill for
+        survivors). Queued launches that never ran fail fast through
+        their futures; a dispatcher blocked on a slow worker is
+        interrupted rather than waited out."""
+        with self._sessions_lock:
+            if self.state == "closed":
+                return
+            self.state = "closed"
         self._supervisor_wake.set()
         for condition in self._conditions:
             with condition:
@@ -1877,30 +1868,30 @@ class DevicePool:
         if self._supervisor is not None:
             self._supervisor.join(timeout=10)
         # Interrupt any dispatcher (or tenant thread) still waiting on
-        # a worker reply, then reap the processes.
+        # a worker reply, and fail what was parked on the slots.
         for worker in self._workers:
-            worker.shutdown()
+            self._close_slot(worker)
         for dispatcher in self._dispatchers:
             dispatcher.join(timeout=10)
         # Fail whatever never got dispatched.
-        for queue_, worker in zip(self._queues, self._workers):
+        for queue_ in self._queues:
             while True:
                 entry = queue_.pop()
                 if entry is None:
                     break
                 tenant, job = entry
-                session = self._sessions.get(tenant)
-                error = LaunchError("device pool was shut down")
-                job.future._fail(error)
-                if session is not None:
-                    session._complete(job, None, error)
-        # ... and whatever was parked behind a restore that will now
-        # never run.
+                self._sessions[tenant]._fail(
+                    job, LaunchError("device pool was shut down")
+                )
+
+    def _close_slot(self, worker: _Worker) -> None:
+        """Close a worker slot for good (pool shutdown, or a loss with
+        respawn off) and fail its tenants' parked launches with the
+        slot's loss."""
+        worker.shutdown()
         for session in self.sessions():
-            for job in session._drain_parked():
-                error = LaunchError("device pool was shut down")
-                job.future._fail(error)
-                session._complete(job, None, error)
+            if session._worker is worker:
+                session._release_parked()
 
     # -- tenants -----------------------------------------------------------
 
@@ -1934,16 +1925,13 @@ class DevicePool:
         retry: Optional[RetryPolicy] = None,
         durability: str = "none",
         checkpoint_interval: int = 32,
-        restore_timeout: float = 60.0,
     ) -> TenantSession:
         """Create (or fetch) the tenant's session. New tenants are
         pinned to the least-populated worker unless ``worker`` pins
         one explicitly. ``durability`` opts the session into the
         journaling/checkpoint restore layer (see
         :class:`TenantSession`); ``checkpoint_interval`` is the
-        auto-checkpoint period in executed launches and
-        ``restore_timeout`` bounds how long durable operations wait
-        for a pending restore."""
+        auto-checkpoint period in executed launches."""
         with self._sessions_lock:
             existing = self._sessions.get(tenant)
             if existing is not None:
@@ -1973,7 +1961,6 @@ class DevicePool:
                 retry=retry,
                 durability=durability,
                 checkpoint_interval=checkpoint_interval,
-                restore_timeout=restore_timeout,
                 store=self._state_store,
             )
             self._sessions[tenant] = session
@@ -1989,69 +1976,28 @@ class DevicePool:
 
     def _admit(self) -> None:
         """Gate new submissions: closed and draining pools shed."""
-        if self._closed:
+        if self.state == "closed":
             raise LaunchError("device pool is shut down")
-        if self._draining:
+        if self.state == "draining":
             raise ServiceUnavailable(
-                "device pool is draining for shutdown", retry_after=1.0
+                "device pool is draining for shutdown",
+                retry_after=RETRY_AFTER,
             )
 
     def _submit(self, session: TenantSession, job: _LaunchJob) -> None:
         self._admit()
-        index = session.worker_index
-        with self._conditions[index]:
-            self._queues[index].push(session.tenant, job)
-            self._conditions[index].notify()
+        self._requeue(session, job)
 
     def _requeue(self, session: TenantSession, job: _LaunchJob) -> None:
-        """Re-enter a retried job into its worker's fair queue (fired
-        from a backoff timer)."""
-        if self._closed:
-            error = LaunchError("device pool was shut down")
-            job.future._fail(error)
-            session._complete(job, None, error)
+        """Enter a job into its worker's fair queue: a new one, or a
+        parked one its session released."""
+        if self.state == "closed":
+            session._fail(job, LaunchError("device pool was shut down"))
             return
         index = session.worker_index
         with self._conditions[index]:
             self._queues[index].push(session.tenant, job)
             self._conditions[index].notify()
-
-    def _maybe_retry(
-        self, session: TenantSession, job: _LaunchJob, error: BaseException
-    ) -> bool:
-        """Schedule an automatic re-dispatch when the session's
-        RetryPolicy covers this failure. Only infrastructure failures
-        of *undelivered* requests qualify — a request the dead worker
-        already received may have mutated guest memory."""
-        policy = session.retry
-        if policy is None:
-            return False
-        if not isinstance(error, DeviceLost) or error.delivered:
-            return False
-        if error.cause == "stale allocation epoch":
-            # Retrying cannot resurrect the allocation's memory.
-            return False
-        if job.attempts + 1 >= policy.max_attempts:
-            return False
-        job.attempts += 1
-        delay = policy.backoff(job.attempts, self._retry_rng)
-        elapsed = time.monotonic() - job.submitted_at
-        if (
-            policy.deadline is not None
-            and elapsed + delay > policy.deadline
-        ):
-            return False
-        if job.deadline is not None and (
-            time.monotonic() + delay > job.deadline
-        ):
-            return False
-        session.stats.retries += 1
-        timer = threading.Timer(
-            delay, self._requeue, args=(session, job)
-        )
-        timer.daemon = True
-        timer.start()
-        return True
 
     def _dispatch_job(
         self, worker: _Worker, session: TenantSession, job: _LaunchJob
@@ -2059,46 +2005,23 @@ class DevicePool:
         if session.last_error is not None:
             # Sticky tenant fault: fail queued launches fast, like
             # Device.launch on a faulted device.
-            error = LaunchError(
+            session._fail(job, LaunchError(
                 f"tenant {session.tenant!r} is in a failed state "
                 f"({type(session.last_error).__name__}); call "
                 f"TenantSession.reset() to clear it"
-            )
-            job.future._fail(error)
-            session._complete(job, None, error)
+            ))
             return
-        if job.deadline is not None and time.monotonic() > job.deadline:
-            error = DeadlineExpired(
-                f"launch of {job.kernel!r} for tenant "
-                f"{session.tenant!r} aged past its "
-                f"{job.deadline - job.submitted_at:.3f}s request "
-                f"deadline before dispatch (attempt {job.attempts + 1})"
-            )
-            job.future._fail(error)
-            session._complete(job, None, error)
+        expired = job.expired(session.tenant)
+        if expired is not None:
+            session._fail(job, expired)
             return
         try:
             result = session._launch_on_worker(worker, job)
         except Exception as error:
-            if (
-                session._absorbs(error)
-                and job.restore_attempts < _RESTORE_DISPATCH_LIMIT
-            ):
-                # The session absorbs the loss: restore rewinds
-                # guest state to before any un-journaled launch, so
-                # even a delivered casualty is safe to re-dispatch
-                # once the tenant is restored.
-                job.restore_attempts += 1
-                if session._park_job(job):
-                    return
-                # Restore finished between the failure and the park:
-                # back into the fair queue immediately.
-                self._requeue(session, job)
-                return
-            if self._maybe_retry(session, job, error):
-                return
-            job.future._fail(error)
-            session._complete(job, None, error)
+            if session._parks(job, error):
+                session._park(job)
+            else:
+                session._fail(job, error)
         else:
             if job.restored:
                 result.restored = True
@@ -2114,7 +2037,7 @@ class DevicePool:
             with condition:
                 entry = queue_.pop()
                 while entry is None:
-                    if self._closed:
+                    if self.state == "closed":
                         return
                     condition.wait(0.5)
                     entry = queue_.pop()
@@ -2140,8 +2063,8 @@ class DevicePool:
         this."""
 
     def _restore_tenants(self, worker: _Worker) -> None:
-        """Catch up every tenant pinned to a (healthy) worker whose
-        slot table lags the worker's epoch. Idempotent; a worker lost
+        """Catch up every tenant pinned to a live worker whose slot
+        table lags the worker's epoch. Idempotent; a worker lost
         mid-restore is retried on the next supervision pass."""
         for session in self.sessions():
             if (
@@ -2158,82 +2081,90 @@ class DevicePool:
         while True:
             self._supervisor_wake.wait(0.1)
             self._supervisor_wake.clear()
-            if self._closed:
-                return
             for worker in self._workers:
-                if self._closed:
+                if self.state == "closed":
                     return
                 try:
                     self._supervise_worker(worker)
                 except Exception:  # pragma: no cover - must survive
                     pass
+            for session in self.sessions():
+                session._release_parked()
 
     def _supervise_worker(self, worker: _Worker) -> None:
+        """Apply the slot's rule until the slot stays put (a loss is
+        reaped and respawned in one pass), then catch its tenants up
+        if it is live."""
+        while self.state != "closed":
+            state = worker.state
+            self._supervise_step(worker, state)
+            if worker.state == state:
+                break
+        if worker.state == "live":
+            self._restore_tenants(worker)
+
+    def _supervise_step(self, worker: _Worker, state: str) -> None:
+        """Read the slot's state, fire the event its rule calls for."""
         now = time.monotonic()
-        if not worker.lost:
+        if state == "lost":
+            worker.reap()
+        elif state == "down":
+            if self._respawn:
+                worker.respawn()
+            else:
+                self._close_slot(worker)
+        elif state == "broken":
+            if now - worker.since >= self._cooldown:
+                worker.fire("cooldown")
+        elif state in _SERVING:
             process = worker.process
-            if process is None or not process.is_alive():
+            age = worker.oldest_in_flight_age()
+            if not process.is_alive():
                 # Let the elected reader drain any final replies
                 # first; if nobody is waiting, declare the loss here.
-                if worker.in_flight() == 0:
-                    worker.mark_lost(
-                        f"died (exit code "
-                        f"{process.exitcode if process else 'none'})"
+                if age is None:
+                    worker.fire(
+                        "loss", f"died (exit code {process.exitcode})"
                     )
-            else:
-                age = worker.oldest_in_flight_age()
-                if (
-                    self._hang_timeout is not None
-                    and age is not None
-                    and age > self._hang_timeout
-                ):
-                    worker.mark_lost(
-                        f"hung: request in flight for {age:.1f}s "
-                        f"(hang timeout {self._hang_timeout}s)"
+            elif state == "starting":
+                # Only the boot is judged here: the worker says it is
+                # booted, unasked, once its device is built (a caller
+                # waiting on a reply reads that; otherwise this look).
+                if now - worker.since > self._probe_timeout:
+                    worker.fire(
+                        "loss",
+                        f"hung: not booted within {self._probe_timeout}s",
                     )
-                elif (
-                    age is None
-                    and now - worker.last_seen >= self._probe_interval
-                ):
-                    try:
-                        worker.call("ping", timeout=self._probe_timeout)
-                    except DeviceLost:
-                        pass
-                    except LaunchError:
-                        # Only a worker that *should* have been idle is
-                        # declared hung on a missed heartbeat — a
-                        # launch racing in behind the ping legitimately
-                        # delays the reply.
-                        if worker.in_flight() == 0:
-                            worker.mark_lost(
-                                f"hung: missed heartbeat (no ping "
-                                f"reply in {self._probe_timeout}s)"
-                            )
-        if worker.lost and worker.needs_reap:
-            worker.reap()
-            worker.breaker.record_failure()
-        if (
-            worker.lost
-            and self._respawn
-            and not self._closed
-            and worker.breaker.allow_probe()
-        ):
-            worker.respawn()
-            try:
-                worker.call("ping", timeout=self._probe_timeout)
-                worker.breaker.record_success()
-            except DeviceLost:
-                pass  # lost again; next pass reaps and re-judges
-            except LaunchError:
-                worker.mark_lost(
-                    f"hung: no heartbeat within {self._probe_timeout}s "
-                    f"of respawn"
+                else:
+                    worker.poll()
+            elif self._hang_timeout is not None and (
+                age is not None and age > self._hang_timeout
+            ):
+                worker.fire(
+                    "loss",
+                    f"hung: request in flight for {age:.1f}s "
+                    f"(hang timeout {self._hang_timeout}s)",
                 )
-        if not worker.lost:
-            # Tenants whose slot table lags the live epoch are caught
-            # up here — right after a successful respawn probe, and
-            # again on later passes if a restore was interrupted.
-            self._restore_tenants(worker)
+            elif age is None and now - worker.last_seen >= (
+                self._probe_interval
+            ):
+                self._probe(worker)
+
+    def _probe(self, worker: _Worker) -> None:
+        """Ping an idle live worker; a timeout is a hang. Only a worker
+        that *should* have been idle is declared hung — a request
+        racing in behind the ping legitimately delays the reply."""
+        try:
+            worker.call("ping", timeout=self._probe_timeout)
+        except DeviceLost:
+            pass  # lost meanwhile; the loss is already declared
+        except LaunchError:
+            if worker.in_flight() == 0:
+                worker.fire(
+                    "loss",
+                    f"hung: missed heartbeat (no ping reply in "
+                    f"{self._probe_timeout}s)",
+                )
 
     # -- reporting ---------------------------------------------------------
 

@@ -40,9 +40,10 @@ re-dispatched collects carry ``"restored": true`` instead of a
 Health is split for load balancers: ``/v1/health`` is *liveness* —
 it always answers 200 while the process serves HTTP, reporting the
 supervision snapshot. ``/v1/ready`` is *readiness* — it answers 503
-with ``ready: false`` while the server drains or any worker's circuit
-breaker is open (respawns suspended), so balancers stop routing new
-work but keep the process alive to finish what it has.
+with ``ready: false`` while the pool drains or any worker slot is
+``broken`` (respawns suspended until a cooldown — the payload's
+``breaker_open``), so balancers stop routing new work but keep the
+process alive to finish what it has.
 
 Errors map onto status codes: quota rejections are 429, launch/usage
 errors 400, contained kernel faults arrive as ``ok: false`` collect
@@ -81,12 +82,12 @@ from ..errors import (
     ReproError,
     ServiceUnavailable,
 )
+from ..testing.fault_injection import fault_seed
 from .pool import (
+    RETRY_AFTER,
     DevicePool,
     RemoteAllocation,
-    RetryPolicy,
     TenantSession,
-    _retry_seed,
 )
 
 
@@ -99,7 +100,6 @@ class _ServiceState:
         max_queue_depth: Optional[int] = None,
         max_tenant_queue: Optional[int] = None,
         default_deadline: Optional[float] = None,
-        retry_after: float = 1.0,
         durability: str = "none",
         checkpoint_interval: int = 32,
     ):
@@ -107,11 +107,9 @@ class _ServiceState:
         self.max_queue_depth = max_queue_depth
         self.max_tenant_queue = max_tenant_queue
         self.default_deadline = default_deadline
-        self.retry_after = retry_after
         #: default session durability for tenants that don't pick one
         self.durability = durability
         self.checkpoint_interval = checkpoint_interval
-        self.draining = False
         self.lock = threading.Lock()
         self.allocations: Dict[int, RemoteAllocation] = {}
         self.futures: Dict[int, Tuple[str, object]] = {}
@@ -127,12 +125,8 @@ class _ServiceState:
 
     def admit(self, session: TenantSession) -> None:
         """Launch admission control: shed (503 + Retry-After) instead
-        of queueing without bound or accepting work mid-drain."""
-        if self.draining:
-            raise ServiceUnavailable(
-                "server is draining for shutdown",
-                retry_after=self.retry_after,
-            )
+        of queueing without bound. (A draining pool sheds on its
+        own.)"""
         if (
             self.max_tenant_queue is not None
             and session.pending >= self.max_tenant_queue
@@ -141,7 +135,7 @@ class _ServiceState:
                 f"tenant {session.tenant!r} has {session.pending} "
                 f"launches queued (limit {self.max_tenant_queue}); "
                 f"back off and retry",
-                retry_after=self.retry_after,
+                retry_after=RETRY_AFTER,
             )
         if self.max_queue_depth is not None:
             depth = sum(s.pending for s in self.pool.sessions())
@@ -149,7 +143,7 @@ class _ServiceState:
                 raise ServiceUnavailable(
                     f"server has {depth} launches queued (limit "
                     f"{self.max_queue_depth}); back off and retry",
-                    retry_after=self.retry_after,
+                    retry_after=RETRY_AFTER,
                 )
 
     def allot(self, table: Dict[int, object], value) -> int:
@@ -276,6 +270,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         workers = [health.as_dict() for health in pool.health()]
+        draining = pool.state != "serving"
         if self.path == "/v1/health":
             # Liveness: the process is serving HTTP — always 200. A
             # lost worker is the supervisor's problem (it respawns),
@@ -284,7 +279,7 @@ class _Handler(BaseHTTPRequestHandler):
                 200,
                 {
                     "ok": all(entry["alive"] for entry in workers),
-                    "draining": self.state.draining,
+                    "draining": draining,
                     "workers": workers,
                 },
             )
@@ -294,15 +289,15 @@ class _Handler(BaseHTTPRequestHandler):
             return
         # Readiness: should a load balancer route new work here?
         # Not while draining (launches shed with 503 anyway) and
-        # not while any breaker is open (respawns suspended — the
+        # not while any slot is broken (respawns suspended — the
         # pool cannot heal until the cooldown elapses).
-        breaker_open = any(entry["state"] == "open" for entry in workers)
-        ready = not self.state.draining and not breaker_open
+        breaker_open = any(entry["state"] == "broken" for entry in workers)
+        ready = not draining and not breaker_open
         self._reply(
             200 if ready else 503,
             {
                 "ready": ready,
-                "draining": self.state.draining,
+                "draining": draining,
                 "breaker_open": breaker_open,
                 "workers": workers,
             },
@@ -330,11 +325,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             self._reply(200, handler(body))
         except ServiceUnavailable as error:
-            retry_after = (
-                self.state.retry_after
-                if error.retry_after is None
-                else error.retry_after
-            )
+            retry_after = error.retry_after or RETRY_AFTER
             self._reply(
                 503,
                 {"error": _error_payload(error)},
@@ -362,11 +353,7 @@ class _Handler(BaseHTTPRequestHandler):
         kernels = session.register_module(body["source"])
         return {"kernels": kernels}
 
-    def _post_malloc(self, body: dict) -> dict:
-        session = self.state.session(body)
-        allocation = session.malloc(
-            int(body["size"]), label=body.get("label")
-        )
+    def _allotted(self, allocation: RemoteAllocation) -> dict:
         return {
             "allocation": self.state.allot(
                 self.state.allocations, allocation
@@ -375,19 +362,18 @@ class _Handler(BaseHTTPRequestHandler):
             "size": allocation.size,
         }
 
+    def _post_malloc(self, body: dict) -> dict:
+        session = self.state.session(body)
+        return self._allotted(
+            session.malloc(int(body["size"]), label=body.get("label"))
+        )
+
     def _post_upload(self, body: dict) -> dict:
         session = self.state.session(body)
         array = np.asarray(
             body["data"], dtype=np.dtype(body.get("dtype", "f4"))
         )
-        allocation = session.upload(array, label=body.get("label"))
-        return {
-            "allocation": self.state.allot(
-                self.state.allocations, allocation
-            ),
-            "address": allocation.address,
-            "size": allocation.size,
-        }
+        return self._allotted(session.upload(array, label=body.get("label")))
 
     def _post_write(self, body: dict) -> dict:
         session = self.state.session(body)
@@ -531,7 +517,6 @@ class KernelServer:
         max_queue_depth: Optional[int] = None,
         max_tenant_queue: Optional[int] = None,
         default_deadline: Optional[float] = None,
-        retry_after: float = 1.0,
         durability: str = "none",
         checkpoint_interval: int = 32,
     ):
@@ -541,7 +526,6 @@ class KernelServer:
             max_queue_depth=max_queue_depth,
             max_tenant_queue=max_tenant_queue,
             default_deadline=default_deadline,
-            retry_after=retry_after,
             durability=durability,
             checkpoint_interval=checkpoint_interval,
         )
@@ -562,16 +546,15 @@ class KernelServer:
 
     @property
     def draining(self) -> bool:
-        return self._state.draining
+        return self.pool.state != "serving"
 
     def drain(self, timeout: Optional[float] = None) -> None:
         """Stop admitting launches (new ones shed with 503) and block
-        until every already-queued launch has completed. Collects,
-        reads, and stats keep working throughout, so clients can
-        harvest in-flight results during the drain."""
-        self._state.draining = True
-        for session in self.pool.sessions():
-            session.synchronize(timeout=timeout)
+        until every already-queued launch has completed
+        (:meth:`DevicePool.drain`). Collects, reads, and stats keep
+        working throughout, so clients can harvest in-flight results
+        during the drain."""
+        self.pool.drain(timeout)
 
     def shutdown(
         self,
@@ -606,6 +589,18 @@ _IDEMPOTENT_PATHS = frozenset(
     {"/v1/session", "/v1/read", "/v1/collect", "/v1/stats"}
 )
 
+#: Attempts a ServeClient makes at an idempotent request whose
+#: connection failed, and the delay before the first resend (doubled
+#: for each one after).
+_RECONNECT_ATTEMPTS = 4
+_RECONNECT_DELAY = 0.1
+
+
+def _reconnect_backoff(attempt: int, rng: random.Random) -> float:
+    """Delay before resend number ``attempt`` (1-based): doubling from
+    ``_RECONNECT_DELAY``, stretched by up to half again from ``rng``."""
+    return _RECONNECT_DELAY * 2 ** (attempt - 1) * (1.0 + 0.5 * rng.random())
+
 
 class ServeClient:
     """Minimal blocking client of a :class:`KernelServer` (stdlib
@@ -615,9 +610,9 @@ class ServeClient:
     Idempotent requests (GETs, ``/v1/read``, ``/v1/collect`` polls,
     ``/v1/session``) that hit a connection reset/refused — typical
     while a server restarts or a respawn window drops keep-alive
-    connections — are retried with the ``retry`` policy's exponential
-    backoff instead of surfacing the raw socket error. Mutating
-    requests (launch, malloc, upload, ...) are never resent."""
+    connections — are resent after :func:`_reconnect_backoff` instead
+    of surfacing the raw socket error. Mutating requests (launch,
+    malloc, upload, ...) are never resent."""
 
     def __init__(
         self,
@@ -630,14 +625,10 @@ class ServeClient:
         worker: Optional[int] = None,
         timeout: float = 120.0,
         durability: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
     ):
         self.tenant = tenant
         self._conn = HTTPConnection(host, port, timeout=timeout)
-        self._retry = retry or RetryPolicy(
-            max_attempts=4, base_delay=0.1
-        )
-        self._rng = random.Random(_retry_seed())
+        self._rng = random.Random(fault_seed())
         self._session_body = {
             "tenant": tenant,
             "weight": weight,
@@ -691,12 +682,9 @@ class ServeClient:
                 response, raw = self._transport(method, path, payload)
                 break
             except (ConnectionError, socket.timeout, OSError):
-                if (
-                    not idempotent
-                    or attempt >= self._retry.max_attempts
-                ):
+                if not idempotent or attempt >= _RECONNECT_ATTEMPTS:
                     raise
-                time.sleep(self._retry.backoff(attempt, self._rng))
+                time.sleep(_reconnect_backoff(attempt, self._rng))
         reply = json.loads(raw)
         if not raise_for_status:
             return reply

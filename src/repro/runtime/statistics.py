@@ -26,19 +26,24 @@ class WorkerHealth:
     """Supervision snapshot of one :class:`~repro.runtime.pool.
     DevicePool` worker, rendered into ``DevicePool.report()``.
 
-    ``state`` is the worker's circuit-breaker state: ``"closed"``
-    (healthy), ``"open"`` (too many consecutive infrastructure
-    failures — respawns are suspended until the cooldown elapses),
-    or ``"half-open"`` (cooldown elapsed; the next respawn+probe
-    decides). ``epoch`` counts respawns: allocations stamped with an
-    older epoch are invalid."""
+    ``state`` is the slot's state (``repro.runtime.pool.
+    SLOT_TRANSITIONS``): ``"starting"`` (a process is booting: it
+    takes calls but has not yet said it is booted), ``"live"`` (it
+    has),
+    ``"lost"`` (a loss was declared; the process awaits its reap),
+    ``"down"`` (reaped, awaiting respawn), ``"broken"`` (three
+    consecutive losses: respawns are suspended until the cooldown
+    elapses) or ``"closed"`` (for good: the pool shut down, or
+    respawn is off). ``alive`` is a serving slot whose process runs.
+    ``epoch`` counts respawns: a handle of an older epoch that its
+    session could not rebuild is invalid."""
 
     worker: int = kept()
     alive: bool = kept()
     state: str = kept()
     epoch: int = kept()
     respawns: int = added()
-    #: consecutive infrastructure failures (the breaker's count)
+    #: losses since the last boot (the breaker's count)
     failures: int = kept(0)
     in_flight: int = kept(0)
     last_cause: Optional[str] = kept(None)

@@ -44,11 +44,7 @@ def _wait_recovered(pool, index=0, epoch=1, timeout=60.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         health = pool.health()[index]
-        if (
-            health.alive
-            and health.epoch >= epoch
-            and health.state == "closed"
-        ):
+        if health.state == "live" and health.epoch >= epoch:
             return health
         time.sleep(0.02)
     return pool.health()[index]

@@ -1,7 +1,9 @@
 """Self-healing DevicePool: reply correlation, interruptible waits,
 shutdown escalation, crash/hang/pipe chaos, warm respawn with epoch
-semantics, retry/backoff, circuit breaking, deadlines, and
-service-level load shedding + graceful drain."""
+semantics, a booting worker judged by its own rule, retry, respawn
+off, deadlines, and service-level load shedding + graceful drain.
+(The worker slot's transition table itself is driven without
+processes in tests/test_pool_lifecycle.py.)"""
 
 import os
 import threading
@@ -16,8 +18,12 @@ from repro.errors import (
     LaunchError,
     ServiceUnavailable,
 )
-from repro.runtime.pool import CircuitBreaker, DevicePool, RetryPolicy
-from repro.runtime.service import KernelServer, ServeClient
+from repro.runtime.pool import DevicePool, RetryPolicy
+from repro.runtime.service import (
+    KernelServer,
+    ServeClient,
+    _reconnect_backoff,
+)
 from repro.runtime.traps import format_device_lost
 from repro.testing.fault_injection import FaultInjector
 from tests.conftest import VECADD_PTX
@@ -51,17 +57,26 @@ def _buffers(session):
     return a, b, c
 
 
+def _hold_lost(pool, index=0):
+    """Kill worker ``index`` and keep its slot ``lost``: the supervisor
+    declares the loss but never reaps it. Returns the slot."""
+    worker = pool._workers[index]
+    worker.reap = lambda timeout=5.0: None
+    worker.process.kill()
+    deadline = time.monotonic() + 30.0
+    while worker.state != "lost" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert worker.state == "lost"
+    return worker
+
+
 def _wait_recovered(pool, index=0, epoch=1, timeout=60.0):
-    """Poll until worker ``index`` is alive again at ``epoch`` with a
-    closed breaker; returns the final WorkerHealth."""
+    """Poll until worker ``index`` is live again (it has replied) at
+    ``epoch``; returns the final WorkerHealth."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         health = pool.health()[index]
-        if (
-            health.alive
-            and health.epoch >= epoch
-            and health.state == "closed"
-        ):
+        if health.state == "live" and health.epoch >= epoch:
             return health
         time.sleep(0.02)
     return pool.health()[index]
@@ -111,7 +126,7 @@ class TestReplyCorrelation:
         worker = pool._workers[0]
         worker.call("chaos_ignore_term", timeout=30.0)
         pid = worker.process.pid
-        worker.mark_lost("test: sigterm ignored")
+        worker.fire("loss", "test: sigterm ignored")
         worker.reap(timeout=1.0)
         with pytest.raises(OSError):
             os.kill(pid, 0)
@@ -213,6 +228,62 @@ class TestCrashRecovery:
             assert health.alive and health.respawns >= 1
             session.launch("poolNoop", 1, N, [N])
 
+    def test_booting_worker_is_not_judged_by_the_stuck_call_rule(self):
+        """A hang timeout far below the worker's boot time (about half
+        a second): the ``ready`` call waits out the boot in
+        ``starting``, which only the probe timeout bounds, so it is
+        never declared hung (the flake of the test above, pinned)."""
+        with DevicePool(
+            workers=1, modules=[NOOP_PTX], hang_timeout=0.1
+        ) as pool:
+            pool.ready(timeout=300.0)
+            (health,) = pool.health()
+            assert health.respawns == 0
+            assert health.state == "live" and health.epoch == 0
+
+    def test_a_call_sent_while_booting_is_not_judged_by_the_boot(self):
+        """``starting`` measures only the boot: a call sent before the
+        worker booted is a live worker's call — it may run past the
+        probe timeout, and its hang timeout counts from the boot (the
+        boot plus the call outlast it)."""
+        with DevicePool(
+            workers=1, modules=[NOOP_PTX],
+            probe_timeout=3.0, hang_timeout=3.75,
+        ) as pool:
+            worker = pool._workers[0]
+            worker.call("chaos_hang", duration=3.5, timeout=60.0)
+            (health,) = pool.health()
+            assert health.respawns == 0 and health.state == "live"
+
+    def test_respawn_off_fails_a_journaled_launch_fast(self):
+        """With respawn off a lost slot closes for good: a durable
+        session's launch resolves to DeviceLost at once instead of
+        staying parked until shutdown, and a memory op does not wait
+        out the restore timeout."""
+        with DevicePool(
+            workers=1, modules=[VECADD_PTX], respawn=False
+        ) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session("orphan", durability="journal")
+            a, b, c = _buffers(session)
+            pool._workers[0].process.kill()
+            start = time.monotonic()
+            future = session.launch_async("vecAdd", 1, N, [a, b, c, N])
+            error = future.exception(timeout=5.0)
+            assert isinstance(error, DeviceLost)
+            assert error.worker == 0 and error.epoch == 0
+            with pytest.raises(DeviceLost):
+                session.read(c, np.float32, N)
+            assert time.monotonic() - start < 5.0
+            while (
+                pool.health()[0].state != "closed"
+                and time.monotonic() - start < 10.0
+            ):
+                time.sleep(0.01)
+            (health,) = pool.health()
+            assert health.state == "closed" and not health.alive
+            assert health.respawns == 0
+
     def test_drop_pipe_is_undelivered_loss(self):
         """A send onto a broken pipe never reached the worker: the
         loss carries delivered=False."""
@@ -237,15 +308,14 @@ class TestCrashRecovery:
 class TestRetryPolicy:
     def test_undelivered_launch_retried_to_success(self):
         """drop_pipe fails the dispatch before the request leaves the
-        parent; the session's RetryPolicy re-queues it with backoff
-        and it completes on the respawned worker."""
+        parent; the session's RetryPolicy parks it until the session
+        meets the respawned worker, and it completes there."""
         with DevicePool(
             workers=1, modules=[NOOP_PTX], circuit_cooldown=0.2
         ) as pool:
             pool.ready(timeout=300.0)
             session = pool.session(
-                "retrier",
-                retry=RetryPolicy(max_attempts=4, base_delay=0.3),
+                "retrier", retry=RetryPolicy(max_attempts=4)
             )
             injector = FaultInjector(pool, seed=0)
             injector.arm(
@@ -264,48 +334,83 @@ class TestRetryPolicy:
             assert session.stats.completed == 1
             assert session.stats.failed == 0
 
+    def test_a_parked_launch_waits_no_longer_than_its_deadline(self):
+        """The slot is held ``lost`` (never reaped): the undelivered
+        launch parks, and the supervisor fails it once its deadline
+        passes instead of leaving it parked."""
+        with DevicePool(workers=1, modules=[NOOP_PTX]) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "patient", retry=RetryPolicy(max_attempts=4)
+            )
+            worker = _hold_lost(pool)
+            start = time.monotonic()
+            future = session.launch_async(
+                "poolNoop", 1, N, [N], deadline=0.5
+            )
+            error = future.exception(timeout=30.0)
+            assert isinstance(error, DeadlineExpired)
+            assert time.monotonic() - start < 3.0
+            assert session.stats.retries == 1
+            assert session.stats.expired == 1
+            assert worker.state == "lost" and not session._parked
+
+    def test_a_parked_retry_fails_when_its_slot_breaks(self):
+        """A tripped breaker suspends respawns: a launch parked under
+        a RetryPolicy fails with the loss instead of waiting out the
+        cooldown."""
+        with DevicePool(
+            workers=1, modules=[NOOP_PTX], circuit_cooldown=60.0
+        ) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "breaker", retry=RetryPolicy(max_attempts=4)
+            )
+            worker = _hold_lost(pool)
+            future = session.launch_async("poolNoop", 1, N, [N])
+            deadline = time.monotonic() + 30.0
+            while not session._parked and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert session._parked and not future.done()
+            with worker.lock:
+                worker.failures = 3
+            del worker.reap
+            error = future.exception(timeout=30.0)
+            assert isinstance(error, DeviceLost)
+            assert error.delivered is False
+            assert pool.health()[0].state == "broken"
+
+    def test_without_supervision_a_retry_does_not_park(self):
+        """Nothing brings a lost slot back in an unsupervised pool, so
+        a launch caught by the loss fails with it at once, and a
+        durable session's memory op does not wait for a restore."""
+        with DevicePool(
+            workers=1, modules=[NOOP_PTX], supervise=False
+        ) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "alone", retry=RetryPolicy(max_attempts=4)
+            )
+            durable = pool.session("kept", durability="journal")
+            buffer = durable.upload(np.arange(N, dtype=np.float32))
+            process = pool._workers[0].process
+            process.kill()
+            process.join(30.0)  # the send then fails: undelivered
+            start = time.monotonic()
+            future = session.launch_async(
+                "poolNoop", 1, N, [N], deadline=0.5
+            )
+            error = future.exception(timeout=30.0)
+            assert isinstance(error, DeviceLost)
+            assert error.delivered is False
+            with pytest.raises(DeviceLost):
+                durable.read(buffer, np.float32, N)
+            assert time.monotonic() - start < 3.0
+            assert not session._parked
+
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(multiplier=0.5)
-
-    def test_backoff_grows_and_jitter_bounded(self):
-        import random
-
-        policy = RetryPolicy(
-            base_delay=0.1, multiplier=2.0, jitter=0.5
-        )
-        rng = random.Random(0)
-        first = policy.backoff(1, rng)
-        second = policy.backoff(2, rng)
-        assert 0.1 <= first <= 0.15
-        assert 0.2 <= second <= 0.3
-
-
-class TestCircuitBreaker:
-    def test_transitions(self):
-        breaker = CircuitBreaker(threshold=2, cooldown=0.1)
-        assert breaker.state == "closed" and breaker.allow_probe()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow_probe()
-        time.sleep(0.12)
-        assert breaker.allow_probe()
-        assert breaker.state == "half-open"
-        breaker.record_failure()  # probe failed: re-open
-        assert breaker.state == "open"
-        time.sleep(0.12)
-        assert breaker.allow_probe()
-        breaker.record_success()  # probe succeeded: close + clear
-        assert breaker.state == "closed"
-        assert breaker.failures == 0
-
-    def test_threshold_validated(self):
-        with pytest.raises(ValueError, match="threshold"):
-            CircuitBreaker(threshold=0)
 
 
 class TestDeadlines:
@@ -352,10 +457,19 @@ class TestServiceResilience:
             assert info.value.retry_after == 1.0
             health = client.health()
             assert health["ok"] is True and not health["draining"]
-            assert health["workers"][0]["state"] == "closed"
+            assert health["workers"][0]["state"] == "live"
             client.close()
         finally:
             server.shutdown(drain=False)
+
+    def test_reconnect_backoff_grows_and_jitter_bounded(self):
+        import random
+
+        rng = random.Random(0)
+        first = _reconnect_backoff(1, rng)
+        second = _reconnect_backoff(2, rng)
+        assert 0.1 <= first <= 0.15
+        assert 0.2 <= second <= 0.3
 
     def test_per_tenant_queue_bound(self):
         pool = DevicePool(workers=1, modules=[VECADD_PTX])
