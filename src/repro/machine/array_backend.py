@@ -632,9 +632,6 @@ class ArrayBackend(Interpreter):
     memory system, static formation).
     """
 
-    #: Feature-tested by the execution manager.
-    supports_batching = True
-
     def array_lowering(self, executable: ExecutableFunction):
         """An empty :class:`_ArrayBlocks` — nothing is lowered until a
         batch enters a block. A function containing atomics gets none

@@ -45,11 +45,6 @@ class ThreadContext:
         nx, ny, _ = self.ntid
         return x + nx * (y + ny * z)
 
-    @property
-    def global_linear_id(self) -> int:
-        threads_per_cta = self.ntid[0] * self.ntid[1] * self.ntid[2]
-        return self.linear_ctaid * threads_per_cta + self.linear_tid
-
     def __repr__(self):
         return (
             f"<Thread cta={self.ctaid} tid={self.tid} "
@@ -71,11 +66,6 @@ class Warp:
     @property
     def entry_point(self) -> int:
         return self.contexts[0].resume_point
-
-    def validate(self) -> bool:
-        """All member threads must wait at the same entry point."""
-        entry = self.entry_point
-        return all(c.resume_point == entry for c in self.contexts)
 
     def __repr__(self):
         return (

@@ -34,6 +34,7 @@ import time
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import (
@@ -103,31 +104,28 @@ class _ReadyPool:
 
     The key is the entry point (plus the CTA, unless cross-CTA warps
     are allowed): §5.2's "largest warp possible from other ready
-    threads with the same entry point".
+    threads with the same entry point". A key's queue may begin with
+    *pre-run* entries, ``(warp, executable, restored, continuation,
+    outcome)``: warps a batch formed from the key's first threads and
+    already ran, whose yield is still to be handled. Arrivals only
+    append, so handing them out first, one per visit, hands each out
+    exactly when the sequential former would have formed it. No key's
+    queue is ever left empty.
     """
 
     def __init__(self, cross_cta: bool = False):
         self._queues: "OrderedDict[tuple, deque]" = OrderedDict()
-        #: Deferred batch results per key (array backend): warps the
-        #: batch runner already executed but whose yield handling (and
-        #: any sequential fallback resume) must happen at the position
-        #: the round-robin would have reached them, so downstream
-        #: re-formation sees the exact sequential arrival order.
-        self._pending: Dict[tuple, deque] = {}
-        #: How many such results wait, over all keys.
-        self.deferred = 0
         self._cross_cta = cross_cta
+        #: threads queued, a pre-run warp's included
         self.size = 0
 
-    def _prune(self) -> Optional[tuple]:
-        """Drop emptied head keys; return the live head key or None."""
-        while self._queues:
-            key, queue = next(iter(self._queues.items()))
-            if queue or self._pending.get(key):
-                return key
+    def _advance(self, key: tuple, queue: deque) -> None:
+        """Round-robin: the visited key moves to the back, or goes
+        when its queue is empty."""
+        if queue:
+            self._queues.move_to_end(key)
+        else:
             del self._queues[key]
-            self._pending.pop(key, None)
-        return None
 
     def push(self, context: ThreadContext) -> None:
         key = (
@@ -142,131 +140,57 @@ class _ReadyPool:
         queue.append(context)
         self.size += 1
 
-    def head_batch(self, floor: int) -> Optional[tuple]:
-        """Peek at the head key without consuming anything:
-        ``(entry_point, linear_ctaid, queue_length)``, or None when
-        fewer than ``floor`` threads wait there (the size rule: below
-        it a batch costs more than the warps it replaces) or deferred
-        batch results are still draining. Lets the batch runner decide
-        eligibility before committing to a pop."""
-        key = self._prune()
-        if key is None:
+    def pop_ran(self) -> Optional[tuple]:
+        """The head key's first entry when it is pre-run — taken, the
+        round-robin advanced as :meth:`pop_group` advances it — else
+        None. Asked first on every visit (the pool is not empty)."""
+        queue = next(iter(self._queues.values()))
+        entry = queue[0]
+        if entry.__class__ is not tuple:
             return None
-        queue = self._queues[key]
-        if len(queue) < floor or self._pending.get(key):
-            return None
-        head = queue[0]
-        return (head.resume_point, head.linear_ctaid, len(queue))
+        queue.popleft()
+        self.size -= entry[0].size
+        self._advance(next(iter(self._queues)), queue)
+        return entry
 
-    def pop_chunks(self, limit: int) -> List[List[ThreadContext]]:
-        """Batch formation (array backend): every full ``limit``-sized
-        chunk of the head key's queue, in FIFO order — the same warp
-        compositions :meth:`pop_group` would produce across its visits
-        to this key, taken at once (arrivals always append, so the
-        chunk memberships are interleaving-independent). The remainder
-        (fewer than ``limit`` threads) stays queued for the sequential
-        former. The key keeps its round-robin position: the caller
-        has asked :meth:`head_batch` and must follow up with
-        :meth:`defer`."""
-        key = self._prune()
-        if key is None:
-            return []
-        queue = self._queues[key]
-        chunks = []
-        while len(queue) >= limit:
-            chunks.append([queue.popleft() for _ in range(limit)])
-        self.size -= limit * len(chunks)
-        return chunks
+    def head_batch(self, floor: int) -> Optional[deque]:
+        """The head key's queue, nothing taken, when at least ``floor``
+        threads wait there (the size rule: below it a batch costs more
+        than the warps it replaces), else None. Asked after
+        :meth:`pop_ran`, so the queue holds threads only."""
+        queue = next(iter(self._queues.values()))
+        return queue if len(queue) >= floor else None
 
-    def defer(self, items) -> None:
-        """Park executed-but-unhandled batch warps at the head key and
-        advance the round-robin one step, exactly as if the first warp
-        of the batch had just been popped: later pops drain these
-        deferred items (in order, ahead of the key's remainder and any
-        new arrivals) interleaved with the other keys' visits."""
-        key = next(iter(self._queues.items()))[0]
-        if items:
-            pending = self._pending.get(key)
-            if pending is None:
-                pending = deque()
-                self._pending[key] = pending
-            for item in items:
-                pending.append(item)
-                self.size += len(item[0].contexts)
-            self.deferred += len(items)
-        if self._queues[key] or self._pending.get(key):
-            self._queues.move_to_end(key)
-        else:
-            del self._queues[key]
-            self._pending.pop(key, None)
-
-    def restore(self, chunks) -> None:
-        """Push chunks popped by :meth:`pop_chunks` back onto the head
-        of their key's queue, in their original order — the exact
-        inverse of the pop (the key never moved). Used when a batch
-        attempt is abandoned so the sequential path re-executes the
-        same threads in the same formation."""
-        key = next(iter(self._queues.items()))[0]
-        queue = self._queues[key]
-        for chunk in reversed(chunks):
-            for context in reversed(chunk):
-                queue.appendleft(context)
-                self.size += 1
-
-    def pop_deferred(self):
-        """The head key's next deferred batch item, or None when the
-        head key has none. Advances the round-robin like
-        :meth:`pop_group`."""
-        key = self._prune()
-        if key is None:
-            return None
-        pending = self._pending.get(key)
-        if not pending:
-            return None
-        item = pending.popleft()
-        self.size -= len(item[0].contexts)
-        self.deferred -= 1
-        if not pending:
-            del self._pending[key]
-        if self._queues[key] or self._pending.get(key):
-            self._queues.move_to_end(key)
-        else:
-            del self._queues[key]
-        return item
+    def take_batch(self, threads: int, entries: List[tuple]) -> None:
+        """A batch ran the head key's first ``threads`` threads: they
+        leave, ``entries`` — its warps but the first, pre-run — take
+        their place at the front, and the round-robin advances one
+        step, as if the first warp had just been popped."""
+        key, queue = next(iter(self._queues.items()))
+        for _ in range(threads):
+            queue.popleft()
+        queue.extendleft(reversed(entries))
+        self.size -= threads - sum(entry[0].size for entry in entries)
+        self._advance(key, queue)
 
     def pop_group(self, limit: int) -> List[ThreadContext]:
         """Take up to ``limit`` threads waiting at the next entry point
-        in round-robin order."""
-        while self._queues:
-            key, queue = next(iter(self._queues.items()))
-            if not queue:
-                if self._pending.get(key):  # pragma: no cover -
-                    # deferred items are drained by the caller first
-                    return []
-                del self._queues[key]
-                continue
-            members = [
-                queue.popleft() for _ in range(min(limit, len(queue)))
-            ]
-            self.size -= len(members)
-            if not queue and not self._pending.get(key):
-                del self._queues[key]
-            else:
-                # Round-robin: move the group to the back.
-                self._queues.move_to_end(key)
-            return members
-        return []
+        in round-robin order (asked after :meth:`pop_ran`)."""
+        key, queue = next(iter(self._queues.items()))
+        members = [queue.popleft() for _ in range(min(limit, len(queue)))]
+        self.size -= len(members)
+        self._advance(key, queue)
+        return members
 
     def contexts(self) -> Iterator[ThreadContext]:
-        """All queued contexts, including deferred batch warps' (for
-        watchdog/deadlock reports)."""
+        """All queued contexts in queue order, a pre-run warp's in its
+        place (for watchdog/deadlock reports)."""
         for queue in self._queues.values():
-            for context in queue:
-                yield context
-        for pending in self._pending.values():
-            for item in pending:
-                for context in item[0].contexts:
-                    yield context
+            for entry in queue:
+                if entry.__class__ is tuple:
+                    yield from entry[0].contexts
+                else:
+                    yield entry
 
     def __bool__(self):
         return self.size > 0
@@ -318,18 +242,6 @@ class ExecutionManager:
         #: Pooled warp-execution state: one register file + statistics
         #: instance reused by every warp this manager runs.
         self._warp_state = interpreter.new_state()
-        #: Batched execution (array backend): discovered by feature
-        #: test, and only meaningful for dynamic formation on an
-        #: unsanitized device (checked code runs one warp at a time).
-        self._batching = bool(
-            getattr(interpreter, "supports_batching", False)
-            and interpreter.sanitizer is None
-            and not config.static_warps
-            # Cross-CTA formation keys mix CTAs inside one chunk;
-            # same-CTA keys keep each chunk's barrier/exit bookkeeping
-            # confined to a single CTA.
-            and not config.allow_cross_cta_warps
-        )
         self._shared_slabs: List[int] = []
         self._shared_slab_bytes = 0
         self._local_slab: Optional[int] = None
@@ -525,30 +437,25 @@ class ExecutionManager:
             barrier_pools,
             self._cycle_budget is not None or self._deadline is not None,
         )
-        # What decides against batching for the whole window is asked
-        # once, here: a loop iteration that cannot batch compares one
-        # length. ``threshold`` is ``floor`` (the size rule: no key
-        # holds that many threads unless the pool does), or 0 while
-        # batch results wait to be drained at their round-robin turn.
+        # Whether the window may batch is asked once, here: when it may
+        # not, the floor of the size rule is one no key reaches. Each
+        # visit asks the head entry first: a warp a batch already ran
+        # has its yield handled at the turn it would have been formed.
         batchable = self._batchable(kernel_name)
         floor = (
             _NEVER if batchable is None
             else MIN_BATCH_WARPS * self._max_warp_size
         )
-        threshold = floor
         while ready.size:
-            if ready.size >= threshold:
-                deferred = ready.pop_deferred() if ready.deferred else None
-                if deferred is not None:
-                    self._run_warp(window, *deferred)
-                    continue
-                if ready.size >= floor and self._execute_batch_round(
-                    window, batchable
-                ):
-                    threshold = 0
-                    continue
-                if not ready.deferred:
-                    threshold = floor
+            ran = ready.pop_ran()
+            if ran is not None:
+                self._run_warp(window, *ran)
+                continue
+            # (no key holds ``floor`` threads unless the pool does)
+            if ready.size >= floor and self._execute_batch_round(
+                window, batchable
+            ):
+                continue
             warp = self._form_warp(kernel_name, ready)
             size = len(warp.contexts)
             executable, width = self.cache.get_or_degrade(kernel_name, size)
@@ -558,9 +465,9 @@ class ExecutionManager:
                 # excess threads for later (narrower) warps. Formation
                 # now skips a width, which a batch's full-width chunks
                 # would not: none is formed for the rest of the window
-                # (the next iteration drains what waits, if anything).
+                # (pre-run warps still drain at their turns).
                 self.stats.degraded_warps += 1
-                floor, threshold = _NEVER, 0
+                floor = _NEVER
                 for extra in warp.contexts[width:]:
                     ready.push(extra)
                 warp = Warp(
@@ -719,17 +626,20 @@ class ExecutionManager:
     def _batchable(self, kernel_name: str):
         """The maximal-width executable whose warps this window may
         batch, or None when the batched path cannot reproduce the
-        sequential one exactly: a sanitized device, static or
-        cross-CTA formation (``_batching``), a trace callback or a
-        patched memory system (``scoped``), a cycle budget (whose
+        sequential one exactly: static formation, cross-CTA formation
+        (a batch keeps each warp's barrier and exit bookkeeping inside
+        one CTA), a trace callback or a patched memory system or a
+        sanitized device (not ``scoped``), a cycle budget (whose
         per-warp clamp is inherently sequential), an instance-patched
         ``execute`` (a fault injector), a degraded width, no
         maximal-width executable in the cache yet, or none with an
-        array lowering. None of these changes while a window runs,
-        except a width degrading, which the loop sees where it counts
-        the degraded warp."""
+        array lowering (the reference oracle, a sanitized device,
+        atomics). None of these changes while a window runs, except a
+        width degrading, which the loop sees where it counts the
+        degraded warp."""
         if (
-            not self._batching
+            self.config.static_warps
+            or self.config.allow_cross_cta_warps
             or not self._warp_state.scoped
             or self._cycle_budget is not None
             or "execute" in self.interpreter.__dict__
@@ -746,35 +656,45 @@ class ExecutionManager:
         head ready-pool key and run them all at once through the array
         lowering of ``executable`` (:meth:`_batchable`).
 
-        Scheduling parity with the sequential round-robin is preserved
-        by *deferring* the results: the chunk compositions are FIFO-
-        stable (arrivals always append, so :meth:`_ReadyPool.pop_chunks`
-        takes the same memberships :meth:`_ReadyPool.pop_group` would
-        across its visits), the warps' kernel-body effects are computed
-        in the batch, but their yield handling — the order-sensitive
-        part, where THREAD_BRANCH arrivals and barrier parks re-shape
-        downstream queues — happens one warp per round-robin visit via
-        the deferred queue, exactly when the sequential former would
-        have popped that chunk.
+        The warps are the ones :meth:`_ReadyPool.pop_group` would form
+        across its visits to the key (arrivals only append, so the
+        memberships do not depend on the interleaving). The batch runs
+        what they compute; their yield handling — the order-sensitive
+        part, where THREAD_BRANCH arrivals and barrier parks reshape
+        downstream queues — is the first warp's now, in place of the
+        pop this round replaces, and the others' at the turns the
+        sequential former would have formed them: they go back to the
+        front of the key's queue, pre-run.
 
-        Returns False, having consumed nothing (no pop, no cache
-        lookup), when fewer than ``MIN_BATCH_WARPS`` full warps wait
-        at the head key or the record of past batches refuses its entry
-        point
-        (``_ArrayBlocks.admits``); the caller then forms one warp.
-        Both read modeled state only — a queue length, batch outcomes
-        — so which warps batch is a function of the launch history."""
-        kernel_name, ready = window.kernel_name, window.ready
+        Returns False, having taken nothing, when fewer than
+        ``MIN_BATCH_WARPS`` full warps wait at the head key, when the
+        record of past batches refuses its entry point
+        (``_ArrayBlocks.admits``; neither looks anything up) or when
+        the batch faults; the caller then forms one warp. After a
+        fault the sequential path re-runs the same threads in the same
+        formation, so the trap carries the thread attribution, register
+        snapshot and partial statistics sequential execution gives.
+        (Stores the batch committed before the fault persist — a
+        trapped launch's memory is partial either way.) Both rules
+        read modeled state only — a queue length, batch outcomes — so
+        which warps batch is a function of the launch history."""
+        kernel_name = window.kernel_name
         limit = self._max_warp_size
-        peek = ready.head_batch(MIN_BATCH_WARPS * limit)
-        if peek is None or not executable.array_blocks.admits(peek[0]):
+        queue = window.ready.head_batch(MIN_BATCH_WARPS * limit)
+        if queue is None:
             return False
-        chunks = ready.pop_chunks(limit)
+        entry_point = queue[0].resume_point
+        if not executable.array_blocks.admits(entry_point):
+            return False
+        threads = iter(queue)
         warps = []
-        for chunk in chunks:
+        for _ in range(len(queue) // limit):
             # One cache access per warp, as the sequential path makes.
             self.cache.get_or_degrade(kernel_name, limit)
-            warps.append(Warp(contexts=chunk, warp_id=self._warp_counter))
+            warps.append(Warp(
+                contexts=list(islice(threads, limit)),
+                warp_id=self._warp_counter,
+            ))
             self._warp_counter += 1
         try:
             outcome = self.interpreter.execute_batch(
@@ -785,16 +705,6 @@ class ExecutionManager:
                 self._deadline,
             )
         except ExecutionError:
-            # A faulting batch is abandoned wholesale: the popped
-            # threads go back to the head of their queue in their
-            # original formation and the sequential path re-executes
-            # them, so the trap carries the exact thread attribution,
-            # register snapshot and partial statistics sequential
-            # execution would have produced. (Stores the batch
-            # committed before the fault persist — a trapped launch's
-            # memory is partial either way.) Nothing was recorded for
-            # the attempt, so nothing needs undoing.
-            ready.restore(chunks)
             return False
         self.stats.batched_warps += len(warps)
         if outcome.kind != "yield":
@@ -802,20 +712,17 @@ class ExecutionManager:
         # A warp of a batch that stopped short of a yield (divergence,
         # a precise/untranslated block, a conservative limit/deadline
         # exit) carries a continuation: it resumes on the sequential
-        # path exactly where the array program left it, when its
-        # round-robin turn comes. The key is the entry point, so one
-        # restore count serves the batch.
-        restored = executable.function.restore_counts.get(peek[0], 0)
-        items = [
+        # path exactly where the array program left it, at its turn.
+        # The key is the entry point, so one restore count serves all.
+        restored = executable.function.restore_counts.get(entry_point, 0)
+        entries = [
             (warp, executable, restored, continuation, outcome)
             for warp, continuation in zip(
                 warps, outcome.continuations or [None] * len(warps)
             )
         ]
-        # The first item stands in for the pop this round replaced; the
-        # rest drain one per later visit to this key.
-        ready.defer(items[1:])
-        self._run_warp(window, *items[0])
+        window.ready.take_batch(limit * len(warps), entries[1:])
+        self._run_warp(window, *entries[0])
         return True
 
     # -- watchdog ------------------------------------------------------------

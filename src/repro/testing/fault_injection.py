@@ -48,7 +48,8 @@ unmodified code:
 
 ``kill_worker``
     The worker process is ``kill()``-ed around a matching request
-    (``when="after_send"`` by default: the request was delivered, so
+    (``when="after_send"`` by default: the request was delivered —
+    behind a ``chaos_hang``, so the worker never answers it first — and
     its future resolves to :class:`~repro.errors.DeviceLost` with
     ``delivered=True``) — exercising crash detection, warm respawn,
     epoch bumping, and the retry path for launches still queued
@@ -93,10 +94,17 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError, MemoryFault, VectorizationError
+
+#: How long ``kill_worker`` (after the send) keeps the worker asleep
+#: ahead of the request it kills: far longer than the kill takes to
+#: land. Should the kill never come (the injector restored between the
+#: send and the kill), the worker resumes after this long.
+_KILL_STALL_S = 5.0
 
 
 def _region(allocation) -> Tuple[int, int]:
@@ -198,12 +206,17 @@ class FaultInjector:
 
     # -- internals -----------------------------------------------------------
 
-    def _fires(self, site: str, probability: float) -> bool:
-        if not self._armed:
-            return False
-        if self.rng.random() >= probability:
-            return False
+    def _draws(self, probability: float) -> bool:
+        """One seeded decision; none while disarmed."""
+        return self._armed and self.rng.random() < probability
+
+    def _count(self, site: str) -> None:
         self.fired[site] = self.fired.get(site, 0) + 1
+
+    def _fires(self, site: str, probability: float) -> bool:
+        if not self._draws(probability):
+            return False
+        self._count(site)
         return True
 
     def _patch(self, target, name: str, wrapper: Callable) -> None:
@@ -484,27 +497,51 @@ class FaultInjector:
         and ``kernel`` narrows launch requests to one kernel name;
         ``when`` is ``"after_send"`` (request delivered — the future
         fails with ``DeviceLost(delivered=True)``) or
-        ``"before_send"``."""
-        hook = (
-            "_hook_after_send" if when == "after_send"
-            else "_hook_before_send"
-        )
-        for target in self._pool_workers(worker):
-            original = getattr(target, hook)
+        ``"before_send"``. Either way the decision is taken before the
+        send: a request to be killed after it has a ``chaos_hang``
+        slipped in ahead (as ``hang_worker`` does), so the worker
+        cannot answer it before the kill lands. ``fired`` counts
+        kills."""
+        doomed = threading.local()
 
-            def fire(op_, payload, _target=target, _original=original):
-                if (
+        def kill(target) -> None:
+            doomed.kill = False
+            self._count("kill_worker")
+            target.process.kill()
+
+        for target in self._pool_workers(worker):
+
+            def decide(op_, payload, _target=target,
+                       _original=target._hook_before_send):
+                doomed.kill = (
                     (op is None or op_ == op)
-                    and (
-                        kernel is None
-                        or payload.get("kernel") == kernel
-                    )
-                    and self._fires("kill_worker", probability)
-                ):
-                    _target.process.kill()
+                    and (kernel is None or payload.get("kernel") == kernel)
+                    and self._draws(probability)
+                )
+                if doomed.kill and when == "after_send":
+                    self._slip_hang(_target, _KILL_STALL_S)
+                elif doomed.kill:
+                    kill(_target)
                 _original(op_, payload)
 
-            self._patch(target, hook, fire)
+            def fire(op_, payload, _target=target,
+                     _original=target._hook_after_send):
+                if getattr(doomed, "kill", False):
+                    kill(_target)
+                _original(op_, payload)
+
+            self._patch(target, "_hook_before_send", decide)
+            self._patch(target, "_hook_after_send", fire)
+
+    def _slip_hang(self, target, duration: float) -> None:
+        """Send ``target``'s worker a ``chaos_hang`` (request id 0 —
+        its reply is never pending, so the parent discards it as
+        stale): the worker sleeps ``duration`` seconds before it reads
+        whatever is sent next."""
+        try:
+            target.conn.send((0, "chaos_hang", {"duration": duration}))
+        except (OSError, ValueError):
+            pass
 
     def _arm_hang_worker(
         self,
@@ -514,9 +551,8 @@ class FaultInjector:
         duration: float = 5.0,
     ) -> None:
         """Wedge the worker's serve loop by slipping a ``chaos_hang``
-        request (request id 0 — its reply is never pending, so the
-        parent discards it as stale) into the pipe ahead of the real
-        request, which then sits unanswered for ``duration`` seconds."""
+        into the pipe ahead of the real request, which then sits
+        unanswered for ``duration`` seconds."""
         for target in self._pool_workers(worker):
             original = target._hook_before_send
 
@@ -524,12 +560,7 @@ class FaultInjector:
                 if (op is None or op_ == op) and self._fires(
                     "hang_worker", probability
                 ):
-                    try:
-                        _target.conn.send(
-                            (0, "chaos_hang", {"duration": duration})
-                        )
-                    except (OSError, ValueError):
-                        pass
+                    self._slip_hang(_target, duration)
                 _original(op_, payload)
 
             self._patch(target, "_hook_before_send", fire)

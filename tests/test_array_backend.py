@@ -10,13 +10,14 @@ mid-kernel. Batching is a pure host-side optimization, so every
 path (``tests.conftest.sequential_only``) and the reference oracle
 produce — these tests pin that, the admission rules as counts (size
 rule, outcome rule, no host clock), the selection surface (``"array"``
-is an alias of the default with the default's cache key), and the
-ready pool's deferred-result injection that keeps warp formation order
-exactly sequential.
+is an alias of the default with the default's cache key), the
+formation census, and the one ready queue whose pre-run entries keep
+warp formation order exactly sequential.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -92,7 +93,6 @@ class TestBackendConfig:
         for config in (None, replace(vectorized_config(4), backend="array")):
             device = Device(config=config)
             assert type(device.interpreter) is ArrayBackend
-            assert device.interpreter.supports_batching
 
     def test_create_backend_rejects_unknown(self):
         from repro.machine import sandybridge
@@ -893,6 +893,93 @@ class TestAdmissionCensus:
         assert np.array_equal(arena, sequential_arena)
 
 
+#: Per app, the first 12 hex digits of a sha256 over every warp
+#: execution of the same first runs, in order: the warp id, each
+#: member's ``(linear_ctaid, tid)`` and each member's resume point
+#: after the execution. Which threads form a warp, in what order, and
+#: where they go next is the sequential schedule; a batch must not be
+#: able to change any of it, so a change to formation, to the ready
+#: pool or to how batched warps re-enter it shows up here as a diff.
+#: (9 984 warp executions, 2 730 of them run by a batch; apps of one
+#: uniform launch of the same geometry share a digest.)
+FORMATION = {
+    "AbsDiff": "5dbf46c28b14",
+    "AlignedTypes": "1b0b52b9bf60",
+    "AsyncAPI": "1b0b52b9bf60",
+    "BicubicTexture": "1b0b52b9bf60",
+    "BinomialOptions": "882fa8e4d730",
+    "Bisect": "a573ec520d77",
+    "BitonicSort": "56a940af3db8",
+    "BlackScholes": "f68b65851e77",
+    "BoxFilter": "2a4cbdcc7da4",
+    "Clock": "563525c4c1cd",
+    "Collatz": "87f8ef0179db",
+    "ConvolutionSeparable": "2a4cbdcc7da4",
+    "DwtHaar1D": "1b0b52b9bf60",
+    "Eigenvalues": "b9790fa15295",
+    "FastWalshTransform": "e6a933bb6eb9",
+    "GradClamp": "6eeed798cad6",
+    "Histogram256": "2a4cbdcc7da4",
+    "Histogram64": "db5eba25f49a",
+    "ImageDenoising": "1b0b52b9bf60",
+    "MatrixMul": "9f6a3f488c21",
+    "MersenneTwister": "952312e715e0",
+    "MonteCarlo": "1b0b52b9bf60",
+    "Nbody": "8183af65b83c",
+    "OptionPayoff": "d12792809c83",
+    "QuasirandomGenerator": "1b0b52b9bf60",
+    "RecursiveGaussian": "6e2dd14fe6d6",
+    "Reduction": "20526fdedcc4",
+    "ScalarProd": "25e9fd2f16aa",
+    "Scan": "3985a6df8433",
+    "ScanLargeArray": "618841c7aa42",
+    "SharedToggle": "fec016bd7abc",
+    "SimpleAtomicIntrinsics": "6f6a917c50f6",
+    "SimpleVoteIntrinsics": "0f41cdb9b371",
+    "SobelFilter": "5aa1c59dfdfc",
+    "SobolQRNG": "1b0b52b9bf60",
+    "Template": "2a4cbdcc7da4",
+    "ThreadFenceReduction": "7441f0f054da",
+    "Transpose": "ad17ea7dd2e6",
+    "TransposeNew": "2a4cbdcc7da4",
+    "cp": "1b0b52b9bf60",
+    "mri-fhd": "2588132ea786",
+    "mri-q": "2588132ea786",
+    "throughput": "c17d1a517704",
+}
+
+
+class TestFormationCensus:
+    @staticmethod
+    def _formation(name, monkeypatch):
+        from repro.runtime.execution_manager import ExecutionManager
+
+        digest = hashlib.sha256()
+        run_warp = ExecutionManager._run_warp
+
+        def recorded(self, window, warp, *arguments, **options):
+            run_warp(self, window, warp, *arguments, **options)
+            digest.update(repr((
+                warp.warp_id,
+                [(c.linear_ctaid, c.tid) for c in warp.contexts],
+                [c.resume_point for c in warp.contexts],
+            )).encode())
+
+        # at class level: a trace callback would switch batching off
+        monkeypatch.setattr(ExecutionManager, "_run_warp", recorded)
+        statistics, _, _ = TestAdmissionCensus._first_run(name)
+        return digest.hexdigest()[:12], statistics.batched_warps
+
+    def test_census_covers_every_registered_app(self):
+        assert sorted(FORMATION) == sorted(CENSUS)
+
+    @pytest.mark.parametrize("name", sorted(CENSUS))
+    def test_formation_is_pinned(self, name, monkeypatch):
+        digest, batched = self._formation(name, monkeypatch)
+        assert batched == CENSUS[name][0]
+        assert digest == FORMATION[name]
+
+
 class TestMemoryCountCensus:
     """The memory system's load and store counts, which the inline and
     batch templates add once per straight-line run of the local accesses
@@ -931,7 +1018,7 @@ class TestMemoryCountCensus:
 
 
 # ---------------------------------------------------------------------------
-# Ready-pool deferred-result injection
+# One ready queue: a batch's warps wait, pre-run, in their own key's queue
 # ---------------------------------------------------------------------------
 
 
@@ -945,28 +1032,27 @@ def _context(tid, entry=0, cta=0):
     )
 
 
-def _item(contexts, tag):
-    """A fake batch-result tuple: only ``item[0].contexts`` and
-    identity matter to the pool."""
+def _pre_run(contexts, tag):
+    """A pre-run entry as a batch leaves it: only its warp's threads
+    and its identity matter to the pool."""
     return (Warp(contexts=list(contexts)), tag, None, None, None)
 
 
-class TestReadyPoolDeferral:
-    def test_head_batch_peeks_without_popping(self):
-        pool = _ReadyPool()
-        for tid in range(4):
-            pool.push(_context(tid))
-        assert pool.head_batch(4) == (0, 0, 4)
-        assert pool.size == 4
+def _tids(contexts):
+    return [context.tid[0] for context in contexts]
 
-    def test_head_batch_requires_the_floor(self):
-        # the size rule, in threads: one short and nothing is formed
+
+class TestOneReadyQueue:
+    def test_the_floor_is_asked_of_the_head_key(self):
+        # the size rule, in threads: one short and nothing is formed;
+        # at the floor the head queue is shown, nothing taken
         pool = _ReadyPool()
         for tid in range(7):
             pool.push(_context(tid))
         assert pool.head_batch(8) is None
         pool.push(_context(7))
-        assert pool.head_batch(8) == (0, 0, 8)
+        assert _tids(pool.head_batch(8)) == list(range(8))
+        assert pool.size == 8
         # only the head key is asked: a long queue behind it waits for
         # its round-robin turn
         pool = _ReadyPool()
@@ -975,65 +1061,85 @@ class TestReadyPoolDeferral:
             pool.push(_context(tid, entry=2))
         assert pool.head_batch(8) is None
 
-    def test_pop_chunks_and_defer_roundtrip(self):
+    def test_a_batch_round_advances_the_round_robin_one_step(self):
+        # A batch at key A moves A behind key B, exactly as popping the
+        # batch's first warp would: B is served before A's second warp.
         pool = _ReadyPool()
-        for tid in range(4):
-            pool.push(_context(tid))
-        chunks = pool.pop_chunks(2)
-        assert [[c.tid[0] for c in chunk] for chunk in chunks] == [
-            [0, 1], [2, 3]
-        ]
-        assert pool.size == 0
-        items = [_item(chunk, i) for i, chunk in enumerate(chunks)]
-        pool.defer(items)
-        assert pool.size == 4 and pool.deferred == 2
-        # pending results block further batching at this key
-        for tid in range(4, 8):
-            pool.push(_context(tid))
-        assert pool.head_batch(4) is None
-        drained = []
-        while True:
-            item = pool.pop_deferred()
-            if item is None:
-                break
-            drained.append(item[1])
-        assert drained == [0, 1]
-        assert pool.size == 4 and pool.deferred == 0
-        assert pool.head_batch(4) == (0, 0, 4)
-        assert [c.tid[0] for c in pool.pop_group(4)] == [4, 5, 6, 7]
-        assert pool.pop_group(4) == []
-
-    def test_defer_advances_round_robin_one_step(self):
-        # Deferring at key A must move A behind key B — exactly as if
-        # the first warp of the batch had just been popped — so B's
-        # threads are served before A's remaining results drain.
-        pool = _ReadyPool()
-        for tid in range(4):
-            pool.push(_context(tid, entry=0))
+        batched = [_context(tid, entry=0) for tid in range(4)]
+        for context in batched:
+            pool.push(context)
         for tid in range(4, 6):
             pool.push(_context(tid, entry=1))
-        chunks = pool.pop_chunks(2)
-        assert len(chunks) == 2
-        pool.defer(
-            [_item(chunk, tag) for chunk, tag in zip(chunks, "ab")]
-        )
-        # head is now B: no pending there, so nothing drains yet
-        assert pool.pop_deferred() is None
-        group = pool.pop_group(2)
-        assert [c.tid[0] for c in group] == [4, 5]
-        item = pool.pop_deferred()
-        assert item is not None and item[1] == "a"
-        item = pool.pop_deferred()
-        assert item is not None and item[1] == "b"
-        assert pool.size == 0
+        pool.take_batch(4, [_pre_run(batched[2:], "second")])
+        assert pool.size == 4
+        assert pool.pop_ran() is None
+        assert _tids(pool.pop_group(2)) == [4, 5]
+        assert pool.pop_ran()[1] == "second"
+        assert not pool
 
-    def test_contexts_reports_pending_threads(self):
-        # watchdog/deadlock reports must see threads parked in pending
-        # batch results
+    def test_pre_run_warps_drain_ahead_of_the_rest(self):
+        # Four warps of two ran as a batch (the first one's yield is
+        # the caller's); threads 8 and 9 are the key's remainder, 10
+        # and 11 arrive later. The pre-run warps come out first, in
+        # formation order, one per visit; then the threads, FIFO.
         pool = _ReadyPool()
-        for tid in range(4):
+        contexts = [_context(tid) for tid in range(10)]
+        for context in contexts:
+            pool.push(context)
+        pool.take_batch(
+            8, [_pre_run(contexts[i : i + 2], i) for i in (2, 4, 6)]
+        )
+        for tid in (10, 11):
             pool.push(_context(tid))
-        chunks = pool.pop_chunks(2)
-        pool.defer([_item(chunk, i) for i, chunk in enumerate(chunks)])
-        tids = sorted(c.tid[0] for c in pool.contexts())
-        assert tids == [0, 1, 2, 3]
+        assert pool.size == 10
+        assert [pool.pop_ran()[1] for _ in range(3)] == [2, 4, 6]
+        assert pool.pop_ran() is None and pool.size == 4
+        assert _tids(pool.pop_group(4)) == [8, 9, 10, 11]
+        assert not pool
+
+    def test_a_faulting_batch_leaves_the_queue_as_it_found_it(
+        self, monkeypatch
+    ):
+        # The batch's warps are formed from the queue, not taken off
+        # it: after a fault the sequential former finds the same
+        # threads in the same order and forms the same warps.
+        from repro.errors import MemoryFault
+        from repro.runtime.execution_manager import LaunchGeometry, _Window
+
+        device = _device(VECADD_PTX)
+        manager = device.launcher.managers[0]
+        executable = device.cache.resident("vecAdd", 4)
+        batches = []
+
+        def faulting(executable, warps, *arguments):
+            batches.append([_tids(warp.contexts) for warp in warps])
+            raise MemoryFault(0, 4, reason="injected")
+
+        monkeypatch.setattr(device.interpreter, "execute_batch", faulting)
+        ready = _ReadyPool()
+        contexts = [_context(tid) for tid in range(34)]
+        for context in contexts:
+            ready.push(context)
+        window = _Window(
+            "vecAdd", LaunchGeometry((1, 1, 1), (64, 1, 1)), 0, {},
+            ready, {0: 64}, {0: []}, False,
+        )
+        assert not manager._execute_batch_round(window, executable)
+        assert batches == [
+            [list(range(4 * i, 4 * i + 4)) for i in range(8)]
+        ]
+        assert ready.size == 34
+        assert all(a is b for a, b in zip(ready.contexts(), contexts))
+        assert len(list(ready.contexts())) == 34
+        assert ready.pop_ran() is None
+
+    def test_contexts_lists_pre_run_threads_in_queue_order(self):
+        # watchdog/deadlock reports see a pre-run warp's threads where
+        # the warp waits
+        pool = _ReadyPool()
+        contexts = [_context(tid) for tid in range(6)]
+        for context in contexts:
+            pool.push(context)
+        pool.push(_context(6, entry=1))
+        pool.take_batch(4, [_pre_run(contexts[2:4], "second")])
+        assert _tids(pool.contexts()) == [6, 2, 3, 4, 5]

@@ -17,7 +17,6 @@ from repro.runtime import (
     LaunchGeometry,
     LaunchStatistics,
     ThreadContext,
-    Warp,
     partition_ctas,
 )
 from tests.conftest import REDUCE_PTX, VECADD_PTX
@@ -82,7 +81,6 @@ class TestContexts:
         )
         assert context.linear_tid == 9
         assert context.linear_ctaid == 1
-        assert context.global_linear_id == 16 + 9
         # a plain attribute: the creator of a whole CTA's contexts may
         # pass what it has already computed
         assert "linear_ctaid" in vars(context)
@@ -92,17 +90,6 @@ class TestContexts:
         ) == ThreadContext(
             tid=(0, 0, 0), ntid=(4, 4, 1), ctaid=(1, 0, 0), nctaid=(2, 1, 1),
         )
-
-    def test_warp_validation(self):
-        contexts = [
-            ThreadContext(tid=(i, 0, 0), ntid=(4, 1, 1),
-                          ctaid=(0, 0, 0), nctaid=(1, 1, 1))
-            for i in range(2)
-        ]
-        warp = Warp(contexts=contexts)
-        assert warp.validate()
-        contexts[1].resume_point = 3
-        assert not warp.validate()
 
 
 class TestPartitioning:
