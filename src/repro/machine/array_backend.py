@@ -629,7 +629,7 @@ class ArrayBackend(Interpreter):
     that admission does not put in a batch, the fallback target for
     continuations, and all there is for launches the execution manager
     cannot batch (degraded widths, traced or sanitized runs, a patched
-    memory system, static formation).
+    guest-access seam, static formation).
     """
 
     def array_lowering(self, executable: ExecutableFunction):

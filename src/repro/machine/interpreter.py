@@ -22,10 +22,10 @@ the register file (a trap dump is exact at every instruction) unless
 private to the block; the bit reinterpretation PTX's untyped registers
 need (``max.s32`` on a ``.u32`` value) is resolved statically where the
 producer's dtype is known in the block and is one inline guard where it
-is not; and memory is printed against one of three access templates:
-inline against typed views of the arena, late-bound ``memory.load(...)``
-calls while a fault injector has the memory system patched, or the
-sanitizer's checked ``guest_*`` entry points. The inline template, like
+is not; and memory is printed against one of two access templates:
+inline against typed views of the arena, or checked — one call of the
+guest-access seam's ``guest_*`` entry points per access, which the
+sanitizer checks and a fault injector patches. The inline template, like
 the batch printer, prints only what the frame layout leaves unproven: a
 local access at a constant offset inside the frame has no check, no
 alignment branch, and one count per straight-line run. Cycle and flop
@@ -99,7 +99,7 @@ from .costmodel import (
     build_cost_table,
 )
 from .descriptor import MachineDescription
-from .memory import _NULL_GUARD, MemorySystem
+from .memory import _NULL_GUARD, GuestAccess, MemorySystem
 
 # NumPy integer wraparound is the desired machine semantics, but only
 # while guest code is executing: the error-state switch is scoped with
@@ -193,7 +193,8 @@ class ExecutableFunction:
     entry_label: str = ""
     #: access template name -> the :class:`_BlockTable` of code
     #: generated with it (one per executable unless a fault injector
-    #: patched the memory system at some point)
+    #: patched the guest-access seam, or a frame did not fit, at some
+    #: point)
     code: Dict[str, "_BlockTable"] = field(default_factory=dict, repr=False)
     #: label -> aggregated static cost, for blocks asked about so far
     block_costs: Dict[str, ExecutionStats] = field(
@@ -316,10 +317,12 @@ class Interpreter:
         self.memory = memory
         self.instruction_limit = instruction_limit
         #: Attached :class:`~repro.sanitizer.KernelSanitizer`. When set,
-        #: memory instructions are printed against its checked
-        #: ``guest_*`` entry points (see :meth:`access`).
+        #: every warp runs the checked template (see :meth:`access`).
         self.sanitizer = sanitizer
-        self._namespace = _code_namespace(memory, sanitizer)
+        #: The guest-access seam the checked template calls (``san``):
+        #: the sanitizer, or an unchecked one forwarding to ``memory``.
+        self.guest = sanitizer or GuestAccess(memory)
+        self._namespace = _code_namespace(memory, self.guest)
 
     # -- lowering ("code generation") ------------------------------------
 
@@ -343,17 +346,17 @@ class Interpreter:
 
     def access(self, framed: bool = True) -> str:
         """The memory-access template generated code must run with
-        *right now*: ``"checked"`` on a sanitized device; ``"late"``
-        (calls looked up on the memory system per access) while a
-        fault injector has one of ``MemorySystem.PATCH_POINTS``
-        patched, or for warps whose frames may not fit (not
-        ``framed``); ``"inline"`` otherwise. Asked per warp execution,
-        so arming or restoring an injector takes effect whenever it
-        happens relative to lowering — inline code never captures a
-        patched method, late code is only run while a patch exists."""
-        if self.sanitizer is not None:
-            return "checked"
-        return "inline" if framed and not self.memory.patched() else "late"
+        *right now*: ``"checked"`` (one call of the guest-access seam
+        per access) on a sanitized device, while a fault injector has
+        one of the seam's entry points patched, or for warps whose
+        frames may not fit (not ``framed``); ``"inline"`` otherwise.
+        Asked per warp execution, so arming or restoring an injector
+        takes effect whenever it happens relative to lowering — inline
+        code never reaches the seam, checked code looks its methods up
+        per call."""
+        if framed and self.sanitizer is None and not self.guest.patched():
+            return "inline"
+        return "checked"
 
     def lower_block(
         self, executable: ExecutableFunction, label: str, access: str
@@ -411,7 +414,8 @@ class Interpreter:
         accumulated counters of the batched prefix.
 
         Unless the state's owner settled the template (``scoped``), the
-        warp's frames are checked here: one that does not fit runs late.
+        warp's frames are checked here: one that does not fit runs the
+        checked template.
         """
         if state is None:
             state = self.new_state()
@@ -998,7 +1002,7 @@ def _block_private(executable, block) -> Dict[int, object]:
     return private
 
 
-def _code_namespace(memory: MemorySystem, sanitizer) -> dict:
+def _code_namespace(memory: MemorySystem, guest: GuestAccess) -> dict:
     """The globals every function generated against ``memory`` starts
     from — the accessors its memory templates are printed against. Per
     :class:`DataType`: ``D_<name>`` the type itself; per numpy dtype
@@ -1039,7 +1043,7 @@ def _code_namespace(memory: MemorySystem, sanitizer) -> dict:
         "coerce": _coerce,
         "ExecutionError": ExecutionError,
         "memory": memory,
-        "san": sanitizer,
+        "san": guest,
         "DATA": data,
         "load_unaligned": load_unaligned,
         "store_unaligned": store_unaligned,
@@ -1719,8 +1723,9 @@ class _WarpPrinter(_BlockEmitter):
     # -- memory, against the block's access template ------------------------
 
     def checked_arguments(self, inst) -> str:
-        """The program-point arguments every sanitizer entry point
-        takes after the access itself: shared?, label, index."""
+        """The program-point arguments every entry point of the
+        guest-access seam takes after the access itself: shared?,
+        label, index."""
         shared = inst.space is AddressSpace.shared
         return f"{shared}, {self.label!r}, {self.index}"
 
@@ -1734,8 +1739,6 @@ class _WarpPrinter(_BlockEmitter):
                 f"{self.checked_arguments(inst)}"
                 + (", atomic=True)" if atomic else ")")
             )
-        if self.access == "late":
-            return f"memory.load(D_{dtype.name}, a)"
         return self.inline_load(inst)
 
     def guest_store(
@@ -1749,9 +1752,6 @@ class _WarpPrinter(_BlockEmitter):
                 f"{value}, {self.checked_arguments(inst)}"
                 + (", atomic=True)" if atomic else ")")
             )
-            return
-        if self.access == "late":
-            self.emit(f"memory.store(D_{dtype.name}, a, {value})")
             return
         self.inline_store(inst, value, exact)
 
@@ -1791,8 +1791,6 @@ class _WarpPrinter(_BlockEmitter):
                 f"san.guest_read_vector(state, {inst.lane}, a, W_{code}, "
                 f"{width}, {self.checked_arguments(inst)})"
             )
-        elif self.access == "late":
-            expression = f"memory.read_array(a, W_{code}, {width})"
         else:
             self.bounds(size * width)
             self.emit(f"memory.load_count += {width}")
@@ -1821,8 +1819,6 @@ class _WarpPrinter(_BlockEmitter):
                 f"san.guest_write_vector(state, {inst.lane}, a, t, "
                 f"{self.checked_arguments(inst)})"
             )
-        elif self.access == "late":
-            self.emit("memory.write_array(a, t)")
         else:
             self.bounds("t.nbytes")
             shift = size.bit_length() - 1

@@ -209,18 +209,6 @@ class MemorySystem:
 
     # -- guest access outside the typed entry points ------------------------
 
-    #: The guest-access entry points a fault-injection harness may
-    #: override on an *instance*. Generated block code touches the
-    #: arena without calling them, so it asks :meth:`patched` first
-    #: and goes through the methods while a patch is in place (and the
-    #: execution manager forms no batch then): injected faults fire —
-    #: and stop firing — whenever the harness arms and restores.
-    PATCH_POINTS = ("load", "store", "read_array", "write_array")
-
-    def patched(self) -> bool:
-        """True while any of :attr:`PATCH_POINTS` is overridden."""
-        return not self.__dict__.keys().isdisjoint(self.PATCH_POINTS)
-
     def _check_batch(self, addresses: np.ndarray, size: int) -> None:
         """:meth:`_check` over a batch (the slow path of the batch
         printer's inline check): its extremes decide, and only a batch
@@ -266,6 +254,85 @@ class MemorySystem:
         self.data[address : address + size] = byte
         if self.sanitizer is not None:
             self.sanitizer.note_host_write(address, size)
+
+
+class GuestAccess:
+    """The guest-access seam: what the *checked* memory template of
+    generated block code calls, one call per access, with the program
+    point as arguments (the warp state, the lane, the address, ...,
+    shared?, block label, instruction index). This base class checks
+    nothing and forwards to the :class:`MemorySystem`; the kernel
+    sanitizer is the subclass that checks first (:meth:`check_access`).
+
+    A fault-injection harness overrides the four entry points on an
+    *instance*. The inline template never calls them, so the
+    interpreter asks :meth:`patched` per warp and runs the checked
+    template while a patch is in place (and the execution manager forms
+    no batch then): injected faults fire — and stop firing — whenever
+    the harness arms and restores."""
+
+    ENTRY_POINTS = (
+        "guest_load", "guest_store", "guest_read_vector",
+        "guest_write_vector",
+    )
+
+    def __init__(self, memory: MemorySystem):
+        self.memory = memory
+
+    def patched(self) -> bool:
+        """True while any of :attr:`ENTRY_POINTS` is overridden."""
+        return not self.__dict__.keys().isdisjoint(self.ENTRY_POINTS)
+
+    def check_access(
+        self, state, lane, address, size, is_write, shared, label,
+        index, atomic,
+    ) -> None:
+        """Classify one access before it is performed: nothing here."""
+
+    def guest_load(
+        self, state, lane, address, dtype, shared, label, index,
+        atomic=False,
+    ):
+        address = int(address)
+        size = 1 if dtype.is_predicate else dtype.size
+        self.check_access(
+            state, lane, address, size, False, shared, label, index,
+            atomic,
+        )
+        return self.memory.load(dtype, address)
+
+    def guest_store(
+        self, state, lane, address, dtype, value, shared, label, index,
+        atomic=False,
+    ) -> None:
+        address = int(address)
+        size = 1 if dtype.is_predicate else dtype.size
+        self.check_access(
+            state, lane, address, size, True, shared, label, index,
+            atomic,
+        )
+        self.memory.store(dtype, address, value)
+
+    def guest_read_vector(
+        self, state, lane, address, numpy_dtype, width, shared, label,
+        index,
+    ):
+        address = int(address)
+        self.check_access(
+            state, lane, address, numpy_dtype.itemsize * width, False,
+            shared, label, index, False,
+        )
+        return self.memory.read_array(address, numpy_dtype, width)
+
+    def guest_write_vector(
+        self, state, lane, address, array, shared, label, index
+    ) -> None:
+        address = int(address)
+        self.check_access(
+            state, lane, address, array.nbytes, True, shared, label,
+            index, False,
+        )
+        self.memory.write_array(address, array)
 
 
 class Allocation:

@@ -185,6 +185,10 @@ class PTXInstruction:
         Rounding modifier (``rn``, ``rz``, ``rm``, ``rp``, ``rni`` ...)
         for ``cvt`` and float arithmetic; purely informational for most
         integer ops.
+    ftz / saturate:
+        ``.ftz`` (parsed; subnormals are not flushed) and ``.sat``
+        (the validator admits it only where the conversion saturates
+        already: ``cvt`` from float to integer).
     approx / full:
         Precision modifiers on transcendentals and ``div``.
     vector_width:
@@ -204,6 +208,8 @@ class PTXInstruction:
     vote_mode: Optional[VoteMode] = None
     source_type: Optional[DataType] = None
     rounding: Optional[str] = None
+    ftz: bool = False
+    saturate: bool = False
     approx: bool = False
     full: bool = False
     vector_width: int = 1
@@ -231,6 +237,10 @@ class PTXInstruction:
             parts.append(f".{self.mul_mode}")
         if self.rounding is not None:
             parts.append(f".{self.rounding}")
+        if self.ftz:
+            parts.append(".ftz")
+        if self.saturate:
+            parts.append(".sat")
         if self.approx:
             parts.append(".approx")
         if self.full:

@@ -53,9 +53,7 @@ from .types import AddressSpace, DataType
 _SPACES = {"global", "shared", "local", "param", "const", "generic"}
 _TYPES = {t.value for t in DataType}
 _COMPARES = {c.value for c in CompareOp}
-_ROUNDINGS = {
-    "rn", "rz", "rm", "rp", "rni", "rzi", "rmi", "rpi", "ftz", "sat",
-}
+_ROUNDINGS = {"rn", "rz", "rm", "rp", "rni", "rzi", "rmi", "rpi"}
 _ATOMIC_OPS = {a.value if a.value else str(a) for a in AtomicOp} | {
     "and",
     "or",
@@ -320,6 +318,10 @@ class Parser:
                 instruction.mul_mode = MulMode(modifier)
             elif modifier in _ROUNDINGS:
                 instruction.rounding = modifier
+            elif modifier == "sat":
+                instruction.saturate = True
+            elif modifier == "ftz":
+                instruction.ftz = True
             elif modifier == "approx":
                 instruction.approx = True
             elif modifier == "full":

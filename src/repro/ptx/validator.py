@@ -162,6 +162,18 @@ def _check_instruction(kernel: Kernel, inst: PTXInstruction) -> None:
                 f"kernel {kernel.name}: setp destination must be a "
                 f"predicate register: {inst}"
             )
+    if inst.saturate and not (
+        inst.opcode is Opcode.cvt
+        and inst.source_type is not None
+        and inst.source_type.is_float
+        and not (inst.dtype.is_float or inst.dtype.is_predicate)
+    ):
+        # cvt from float to integer saturates already; nothing else
+        # implements .sat, so it is refused rather than ignored.
+        raise PTXValidationError(
+            f"kernel {kernel.name}: .sat is supported only on cvt from "
+            f"float to integer, at line {inst.line}: {inst}"
+        )
     if inst.guard is not None and not inst.guard.dtype.is_predicate:
         raise PTXValidationError(
             f"kernel {kernel.name}: guard %{inst.guard.name} is not a "

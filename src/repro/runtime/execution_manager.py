@@ -298,9 +298,8 @@ class ExecutionManager:
         # holds fits (frames_fit: its extremes decide), and — unless a
         # trace callback runs between warps (it may do anything, in
         # the host's numpy error state) — the guest error state and
-        # the inline access template. Checked and late-bound access
-        # stay per warp: a sanitizer report is host code, an injector
-        # may disarm itself.
+        # the inline access template. Checked access stays per warp: a
+        # sanitizer report is host code, an injector may disarm itself.
         state = self._warp_state
         state.deadline = deadline
         state.limit = self.interpreter.instruction_limit
@@ -628,7 +627,7 @@ class ExecutionManager:
         batch, or None when the batched path cannot reproduce the
         sequential one exactly: static formation, cross-CTA formation
         (a batch keeps each warp's barrier and exit bookkeeping inside
-        one CTA), a trace callback or a patched memory system or a
+        one CTA), a trace callback or a patched guest-access seam or a
         sanitized device (not ``scoped``), a cycle budget (whose
         per-warp clamp is inherently sequential), an instance-patched
         ``execute`` (a fault injector), a degraded width, no

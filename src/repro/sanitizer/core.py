@@ -30,6 +30,7 @@ import os
 from typing import List, Optional, Tuple
 
 from ..errors import SanitizerError
+from ..machine.memory import GuestAccess
 from .racecheck import RaceDetector
 from .reports import (
     AccessInfo,
@@ -95,8 +96,9 @@ def apply_sanitize_env(config):
     return dataclasses.replace(config, sanitize=checks)
 
 
-class KernelSanitizer:
-    """Checked-execution services for one device (see module docs)."""
+class KernelSanitizer(GuestAccess):
+    """Checked-execution services for one device (see module docs): the
+    guest-access seam, checking every access before it forwards it."""
 
     #: Guard bytes on each side of every payload (and between the
     #: per-thread local segments).
@@ -110,7 +112,7 @@ class KernelSanitizer:
         quarantine_bytes: int = 1 << 20,
         max_reports: int = 64,
     ):
-        self.memory = memory
+        super().__init__(memory)
         self.checks = normalize_checks(checks) or SANITIZE_CHECKS
         self.memcheck = "memcheck" in self.checks
         self.racecheck = "racecheck" in self.checks
@@ -170,51 +172,6 @@ class KernelSanitizer:
         return reports
 
     # -- the checked guest access path --------------------------------------
-
-    def guest_load(
-        self, state, lane, address, dtype, shared, label, index,
-        atomic=False,
-    ):
-        address = int(address)
-        size = 1 if dtype.is_predicate else dtype.size
-        self.check_access(
-            state, lane, address, size, False, shared, label, index,
-            atomic,
-        )
-        return self.memory.load(dtype, address)
-
-    def guest_store(
-        self, state, lane, address, dtype, value, shared, label, index,
-        atomic=False,
-    ) -> None:
-        address = int(address)
-        size = 1 if dtype.is_predicate else dtype.size
-        self.check_access(
-            state, lane, address, size, True, shared, label, index,
-            atomic,
-        )
-        self.memory.store(dtype, address, value)
-
-    def guest_read_vector(
-        self, state, lane, address, numpy_dtype, width, shared, label,
-        index,
-    ):
-        address = int(address)
-        self.check_access(
-            state, lane, address, numpy_dtype.itemsize * width, False,
-            shared, label, index, False,
-        )
-        return self.memory.read_array(address, numpy_dtype, width)
-
-    def guest_write_vector(
-        self, state, lane, address, array, shared, label, index
-    ) -> None:
-        address = int(address)
-        self.check_access(
-            state, lane, address, array.nbytes, True, shared, label,
-            index, False,
-        )
-        self.memory.write_array(address, array)
 
     def check_access(
         self, state, lane, address, size, is_write, shared, label,

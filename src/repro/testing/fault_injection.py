@@ -2,10 +2,17 @@
 
 A :class:`FaultInjector` patches well-defined *sites* inside one
 :class:`~repro.api.device.Device` so tests (and the CI fault matrix)
-can drive every containment path on demand:
+can drive every containment path on demand. The four memory sites
+patch the device's guest-access seam
+(:class:`~repro.machine.memory.GuestAccess`, the sanitizer on a
+sanitized device) once, sanitized or not: ``guest_load`` and
+``guest_store`` for ``memory_fault``, ``guest_store`` for
+``oob_within_arena`` and ``shared_race``, ``guest_load`` for
+``use_after_free``. The reference backend never calls the seam, so
+arming one of them there raises :class:`ValueError`.
 
 ``memory_fault``
-    Simulated loads/stores raise :class:`~repro.errors.MemoryFault`
+    Scalar guest loads/stores raise :class:`~repro.errors.MemoryFault`
     with the armed probability — exercising the KernelTrap boundary.
 ``interpreter_error``
     Warp executions raise a bare :class:`~repro.errors.ExecutionError`
@@ -35,10 +42,11 @@ can drive every containment path on demand:
     devices fault on the quarantined bytes; unsanitized devices
     silently read whatever the arena holds there.
 ``shared_race``
-    Fired shared-memory guest stores are redirected to byte 0 of the
-    storing thread's CTA shared segment, manufacturing a same-interval
-    write-write conflict between threads. Only the sanitizer's race
-    detector can see it — the stores themselves are in bounds.
+    Fired shared-memory guest stores (the seam's ``shared`` argument)
+    are redirected to byte 0 of the storing thread's CTA shared
+    segment, manufacturing a same-interval write-write conflict
+    between threads. Only the sanitizer's race detector can see it —
+    the stores themselves are in bounds.
 
 Process-level chaos sites target a
 :class:`~repro.runtime.pool.DevicePool` instead of a Device — pass
@@ -177,8 +185,8 @@ class FaultInjector:
         """Undo every patch, most recent first, and disarm the
         injector outright, so a wrapper somebody still holds a
         reference to stops firing too. Nothing the device generates
-        holds one: block code inlines its memory access only while
-        ``MemorySystem.patched()`` is false and otherwise looks the
+        holds one: block code inlines its memory access only while the
+        guest-access seam is not patched and otherwise looks the seam's
         methods up per call, so a restore takes effect with the next
         warp whatever was lowered in between."""
         self._armed = False
@@ -225,36 +233,45 @@ class FaultInjector:
         setattr(target, name, wrapper)
         self._restores.append((target, name, had_instance_attr, original))
 
+    def _redirect(self, site: str, entry_point: str, redirect) -> None:
+        """Patch the device's guest-access seam (the sanitizer on a
+        sanitized device) so that each scalar access through
+        ``entry_point`` — ``guest_load`` or ``guest_store`` — goes
+        where ``redirect(state, lane, address, dtype, shared)`` says.
+        Takes effect with the next warp execution, for kernels
+        launched before as well as after arming: the interpreter asks
+        the seam whether it is patched per warp and runs the checked
+        template while it is."""
+        if self.device.config.backend == "reference":
+            raise ValueError(
+                f"{site} cannot fire on backend='reference': the oracle "
+                "calls the memory system, not the guest-access seam"
+            )
+        seam = self.device.interpreter.guest
+        original = getattr(seam, entry_point)
+
+        def access(state, lane, address, dtype, *rest, atomic=False):
+            # rest: (value,) for a store, then shared, label, index
+            address = redirect(state, lane, int(address), dtype, rest[-3])
+            return original(
+                state, lane, address, dtype, *rest, atomic=atomic
+            )
+
+        self._patch(seam, entry_point, access)
+
     def _arm_memory_fault(
         self, probability: float, kind: str = "both"
     ) -> None:
-        """``kind``: "load", "store", or "both". Takes effect with the
-        next warp execution, for kernels launched before as well as
-        after arming: the interpreter asks ``MemorySystem.patched()``
-        per warp and runs late-bound memory code while it holds."""
-        memory = self.device.memory
-        if kind in ("load", "both"):
-            original_load = memory.load
+        """``kind``: "load", "store", or "both"."""
 
-            def load(dtype, address):
-                if self._fires("memory_fault", probability):
-                    raise MemoryFault(
-                        int(address), dtype.size, reason="injected fault"
-                    )
-                return original_load(dtype, address)
+        def fault(state, lane, address, dtype, shared):
+            if self._fires("memory_fault", probability):
+                raise MemoryFault(address, dtype.size, reason="injected fault")
+            return address
 
-            self._patch(memory, "load", load)
-        if kind in ("store", "both"):
-            original_store = memory.store
-
-            def store(dtype, address, value):
-                if self._fires("memory_fault", probability):
-                    raise MemoryFault(
-                        int(address), dtype.size, reason="injected fault"
-                    )
-                return original_store(dtype, address, value)
-
-            self._patch(memory, "store", store)
+        for side in ("load", "store"):
+            if kind in (side, "both"):
+                self._redirect("memory_fault", f"guest_{side}", fault)
 
     def _arm_interpreter_error(self, probability: float) -> None:
         interpreter = self.device.interpreter
@@ -328,137 +345,59 @@ class FaultInjector:
     def _arm_oob_within_arena(
         self, probability: float, allocation=None, delta: int = 4
     ) -> None:
-        """Redirect stores aimed inside ``allocation`` (an
+        """Redirect global stores aimed inside ``allocation`` (an
         :class:`~repro.machine.memory.Allocation` or ``(base, size)``)
-        to ``delta`` bytes past its end. On a sanitized device the
-        checked store path is patched (checked block code looks the
-        sanitizer's entry points up per call); on an unsanitized
-        device the raw ``memory.store`` is patched. Either way it may
-        be armed at any time, like ``memory_fault``."""
+        to ``delta`` bytes past its end."""
         if allocation is None:
             raise ValueError("oob_within_arena needs allocation=")
         base, size = _region(allocation)
-        sanitizer = getattr(self.device, "sanitizer", None)
-        if sanitizer is not None:
-            original = sanitizer.guest_store
 
-            def guest_store(
-                state, lane, address, dtype, value, shared, label,
-                index, atomic=False,
+        def past_the_end(state, lane, address, dtype, shared):
+            if (
+                not shared
+                and base <= address < base + size
+                and self._fires("oob_within_arena", probability)
             ):
-                address = int(address)
-                if (
-                    not shared
-                    and base <= address < base + size
-                    and self._fires("oob_within_arena", probability)
-                ):
-                    address = base + size + delta
-                return original(
-                    state, lane, address, dtype, value, shared, label,
-                    index, atomic=atomic,
-                )
+                return base + size + delta
+            return address
 
-            self._patch(sanitizer, "guest_store", guest_store)
-            return
-        memory = self.device.memory
-        original = memory.store
-
-        def store(dtype, address, value):
-            address = int(address)
-            if base <= address < base + size and self._fires(
-                "oob_within_arena", probability
-            ):
-                address = base + size + delta
-            return original(dtype, address, value)
-
-        self._patch(memory, "store", store)
+        self._redirect("oob_within_arena", "guest_store", past_the_end)
 
     def _arm_use_after_free(
         self, probability: float, allocation=None, freed=None
     ) -> None:
-        """Redirect loads aimed inside ``allocation`` to the matching
-        offset of ``freed`` — a buffer the test has already freed.
-        Same patch points as ``oob_within_arena``, on the load side."""
+        """Redirect global loads aimed inside ``allocation`` to the
+        matching offset of ``freed`` — a buffer the test has already
+        freed."""
         if allocation is None or freed is None:
             raise ValueError(
                 "use_after_free needs allocation= and freed="
             )
         base, size = _region(allocation)
         victim = int(freed)
-        sanitizer = getattr(self.device, "sanitizer", None)
-        if sanitizer is not None:
-            original = sanitizer.guest_load
 
-            def guest_load(
-                state, lane, address, dtype, shared, label, index,
-                atomic=False,
+        def into_freed(state, lane, address, dtype, shared):
+            if (
+                not shared
+                and base <= address < base + size
+                and self._fires("use_after_free", probability)
             ):
-                address = int(address)
-                if (
-                    not shared
-                    and base <= address < base + size
-                    and self._fires("use_after_free", probability)
-                ):
-                    address = victim + (address - base)
-                return original(
-                    state, lane, address, dtype, shared, label, index,
-                    atomic=atomic,
-                )
+                return victim + (address - base)
+            return address
 
-            self._patch(sanitizer, "guest_load", guest_load)
-            return
-        memory = self.device.memory
-        original = memory.load
-
-        def load(dtype, address):
-            address = int(address)
-            if base <= address < base + size and self._fires(
-                "use_after_free", probability
-            ):
-                address = victim + (address - base)
-            return original(dtype, address)
-
-        self._patch(memory, "load", load)
+        self._redirect("use_after_free", "guest_load", into_freed)
 
     def _arm_shared_race(self, probability: float) -> None:
         """Redirect fired shared-memory stores to byte 0 of the storing
         thread's CTA shared segment: two different threads firing
-        within one barrier interval manufacture a W-W race. On an
-        unsanitized device shared stores are recognized by address
-        (the managers' slab ranges) and silently complete."""
-        sanitizer = getattr(self.device, "sanitizer", None)
-        if sanitizer is not None:
-            original = sanitizer.guest_store
+        within one barrier interval manufacture a W-W race."""
 
-            def guest_store(
-                state, lane, address, dtype, value, shared, label,
-                index, atomic=False,
-            ):
-                if shared and self._fires("shared_race", probability):
-                    address = state.contexts[lane].shared_base
-                return original(
-                    state, lane, address, dtype, value, shared, label,
-                    index, atomic=atomic,
-                )
+        def to_byte_zero(state, lane, address, dtype, shared):
+            if shared and self._fires("shared_race", probability):
+                return state.contexts[lane].shared_base
+            return address
 
-            self._patch(sanitizer, "guest_store", guest_store)
-            return
-        managers = self.device.launcher.managers
-        memory = self.device.memory
-        original = memory.store
-
-        def store(dtype, address, value):
-            address = int(address)
-            for manager in managers:
-                slab_bytes = manager._shared_slab_bytes
-                for slab in manager._shared_slabs:
-                    if slab <= address < slab + slab_bytes:
-                        if self._fires("shared_race", probability):
-                            address = slab
-                        return original(dtype, address, value)
-            return original(dtype, address, value)
-
-        self._patch(memory, "store", store)
+        self._redirect("shared_race", "guest_store", to_byte_zero)
 
     def _arm_barrier_starvation(self, probability: float) -> None:
         for manager in self.device.launcher.managers:

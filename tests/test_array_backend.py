@@ -29,6 +29,7 @@ from repro.machine.array_backend import MIN_BATCH_WARPS, ArrayBackend
 from repro.machine.backend import BACKENDS, create_backend
 from repro.runtime.context import ThreadContext, Warp
 from repro.runtime.execution_manager import _ReadyPool
+from repro.testing import FaultInjector
 from repro.workloads.registry import all_workloads, get_workload
 from tests.conftest import VECADD_PTX, sequential_only
 from tests.test_interpreter_lowering import _modeled_statistics
@@ -984,14 +985,17 @@ class TestMemoryCountCensus:
     """The memory system's load and store counts, which the inline and
     batch templates add once per straight-line run of the local accesses
     the frame proves, are the reference's — per launch, on every app,
-    batching and one warp at a time."""
+    batching, one warp at a time, and through the guest-access seam."""
 
     @staticmethod
-    def _counts(name, backend="interpreter"):
+    def _counts(name, backend="interpreter", checked=False):
         device = Device(config=replace(vectorized_config(4), backend=backend))
         workload = type(get_workload(name))()
         workload.prepare(device)
         device.warm()
+        if checked:
+            # a patched seam: every warp runs the checked template
+            FaultInjector(device, seed=0).arm("memory_fault", probability=0)
         memory, launch, counts = device.memory, device.launch, []
 
         def counted(*args, **kwargs):
@@ -1005,6 +1009,13 @@ class TestMemoryCountCensus:
         device.launch = counted
         workload.execute(device, scale=0.25)
         assert counts
+        if checked:
+            tables = {
+                access
+                for key in device.cache.cached_specializations()
+                for access in device.cache.resident(*key).code
+            }
+            assert tables == {"checked"}
         return counts
 
     @pytest.mark.parametrize(
@@ -1015,6 +1026,7 @@ class TestMemoryCountCensus:
         assert self._counts(name) == expected
         with sequential_only():
             assert self._counts(name) == expected
+        assert self._counts(name, checked=True) == expected
 
 
 # ---------------------------------------------------------------------------

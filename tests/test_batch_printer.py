@@ -714,9 +714,10 @@ class TestBatchedMemoryTemplate:
         assert loaded.dtype == np.bool_ and list(loaded) == [False, True, False]
 
     def test_a_patched_memory_system_is_never_batched(self):
-        # What FaultInjector("memory_fault") does: override the scalar
-        # entry points on the instance. Printed batch code would not
-        # call them, so no batch is formed while a patch is in place.
+        # What FaultInjector("memory_fault") does: override an entry
+        # point of the guest-access seam on the instance. Printed batch
+        # code would not call it, so no batch is formed while a patch
+        # is in place.
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
         device.warm()
@@ -729,12 +730,13 @@ class TestBatchedMemoryTemplate:
 
         assert launch() == 16
         seen = []
-        load = device.memory.load
-        device.memory.load = lambda dtype, address: (
-            seen.append(address) or load(dtype, address)
+        seam = device.interpreter.guest
+        load = seam.guest_load
+        seam.guest_load = lambda state, lane, address, *rest, **atomic: (
+            seen.append(address) or load(state, lane, address, *rest, **atomic)
         )
         assert launch() == 0 and seen
-        del device.memory.load
+        del seam.guest_load
         assert launch() == 16
 
 

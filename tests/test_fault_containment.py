@@ -2,6 +2,8 @@
 watchdog, degradation fallbacks, barrier-deadlock reporting, and the
 seeded fault-injection harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -559,8 +561,11 @@ class TestFaultInjection:
         with pytest.raises(ValueError, match="unknown fault site"):
             FaultInjector(Device(), seed=0).arm("nonexistent")
 
-    def test_injected_memory_fault_traps(self):
-        device = Device(config=vectorized_config(4))
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_injected_memory_fault_traps(self, sanitize):
+        # One patch of the guest-access seam, which is the sanitizer on
+        # a sanitized device: the fault fires before its check.
+        device = Device(config=replace(vectorized_config(4), sanitize=sanitize))
         device.register_module(VECADD_PTX)
         with FaultInjector(device, seed=3) as injector:
             injector.arm("memory_fault", probability=1.0, kind="store")
@@ -569,9 +574,26 @@ class TestFaultInjection:
             assert injector.fired["memory_fault"] >= 1
         assert "injected fault" in str(excinfo.value)
         assert excinfo.value.info.block_label is not None
+        assert excinfo.value.info.sanitizer is None
         # Restored: the same device computes correctly afterwards.
         device.reset()
         _vecadd_launch(device)
+
+    @pytest.mark.parametrize(
+        "site, options",
+        [
+            ("memory_fault", {}),
+            ("oob_within_arena", {"allocation": (64, 16)}),
+            ("use_after_free", {"allocation": (64, 16), "freed": 128}),
+            ("shared_race", {}),
+        ],
+    )
+    def test_memory_sites_refuse_the_reference_backend(self, site, options):
+        # The oracle calls the memory system, never the guest-access
+        # seam: a memory site armed there could never fire.
+        device = Device(config=ExecutionConfig(backend="reference"))
+        with pytest.raises(ValueError, match="backend='reference'"):
+            FaultInjector(device, seed=0).arm(site, **options)
 
     def test_injected_interpreter_error_traps_without_pc(self):
         device = Device(config=vectorized_config(4))
@@ -669,14 +691,15 @@ class TestFaultInjection:
     def test_restore_reinstates_original_behavior(self):
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
-        original_load = device.memory.load
+        seam = device.interpreter.guest
+        original_load = seam.guest_load
         original_execute = device.interpreter.execute
         injector = FaultInjector(device, seed=0)
         injector.arm("memory_fault", kind="load")
         injector.arm("interpreter_error", probability=0.0)
-        assert device.memory.load is not original_load
+        assert seam.guest_load is not original_load and seam.patched()
         injector.restore()
-        assert device.memory.load == original_load
+        assert seam.guest_load == original_load and not seam.patched()
         assert device.interpreter.execute == original_execute
         _vecadd_launch(device)
 
@@ -707,8 +730,8 @@ class TestFaultInjection:
     def test_blocks_first_entered_while_armed_keep_no_patch(self):
         # The mirror image (a co-tenant's situation): every block is
         # first entered, i.e. lowered, while an injector is armed. The
-        # code generated then calls through the memory system and is
-        # only run while a patch exists; afterwards the same blocks
+        # code generated then calls through the guest-access seam and
+        # is only run while a patch exists; afterwards the same blocks
         # are lowered again, inline.
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
@@ -716,11 +739,11 @@ class TestFaultInjection:
             injector.arm("memory_fault", probability=0.0)
             _vecadd_launch(device)
         executable, _ = device.cache.get_or_degrade("vecAdd", 4)
-        assert set(executable.code) == {"late"}
-        assert "memory.load(" in executable.code["late"]["entry"][0].source
+        assert set(executable.code) == {"checked"}
+        assert "san.guest_load(" in executable.code["checked"]["entry"][0].source
         _vecadd_launch(device)
-        assert "memory.load(" not in executable.block_source("entry")
-        assert set(executable.code) == {"late", "inline"}
+        assert "san.guest_load(" not in executable.block_source("entry")
+        assert set(executable.code) == {"checked", "inline"}
 
 
 class TestRobustnessReporting:

@@ -892,8 +892,9 @@ class TestWhatTheFrameProves:
         self, lane_base
     ):
         # A hand-built warp whose lane 2 brings a frame the inline
-        # template cannot trust runs late-bound, which checks every
-        # access: the same fault (address and size), trap PC and
+        # template cannot trust runs the checked template, one call of
+        # the guest-access seam per access, which the memory system
+        # checks: the same fault (address and size), trap PC and
         # register dump as the reference — or, misaligned, the same
         # bytes and counts.
         from repro.runtime.traps import snapshot_registers
@@ -924,7 +925,7 @@ class TestWhatTheFrameProves:
                 memory.data.tobytes(), (memory.load_count, memory.store_count),
             ))
             if backend is Interpreter:
-                assert set(executable.code) == {"late"}
+                assert set(executable.code) == {"checked"}
         assert observed[0] == observed[1]
         assert (observed[0][0] is None) == (lane_base == 1058)
 

@@ -113,6 +113,35 @@ class TestOperands:
         with pytest.raises(PTXValidationError):
             validate_kernel(kernel)
 
+    @pytest.mark.parametrize(
+        "instruction",
+        ["add.sat.s32 %r0, %r1, 1", "cvt.sat.f32.s32 %f0, %r1",
+         "cvt.rn.sat.f32.f32 %f0, %f1"],
+    )
+    def test_sat_is_refused_where_nothing_saturates(self, instruction):
+        # add.sat.s32 of 0x7fffffff + 1 once stored -2**31: .sat was
+        # parsed into the rounding slot and ignored
+        with pytest.raises(PTXValidationError) as excinfo:
+            validate(
+                ".entry k () {\n  .reg .s32 %r<2>;\n  .reg .f32 %f<2>;\n"
+                f"  {instruction};\n  exit;\n}}"
+            )
+        assert ".sat is supported only on cvt from float to integer" in (
+            str(excinfo.value)
+        )
+        assert "at line 6" in str(excinfo.value)
+
+    def test_sat_is_accepted_on_cvt_from_float_to_integer(self):
+        module = parse(
+            HEADER + ".entry k () {\n  .reg .s32 %r<2>;\n"
+            "  .reg .f32 %f<2>;\n  cvt.rni.ftz.sat.s32.f32 %r0, %f1;\n"
+            "  exit;\n}"
+        )
+        validate_module(module)
+        cvt = module.kernels["k"].instructions[0]
+        assert (cvt.rounding, cvt.ftz, cvt.saturate) == ("rni", True, True)
+        assert str(cvt) == "cvt.rni.ftz.sat.s32.f32 %r0, %f1;"
+
     def test_valid_kernel_passes(self, vecadd_module):
         validate_module(vecadd_module)
 

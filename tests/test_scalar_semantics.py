@@ -13,6 +13,7 @@ must agree bit-for-bit.
 import numpy as np
 import pytest
 
+from repro import Device, ExecutionConfig
 from repro.ir import BinaryOp, Convert, Exit, IRFunction, Store, Yield
 from repro.ir.values import Constant, VirtualRegister
 from repro.machine import Interpreter, MemorySystem, sandybridge
@@ -224,6 +225,39 @@ class TestSaturatingConvert:
         assert self._cvt(
             mode, "rzi", DataType.u64, DataType.f64, 2.0**40
         ) == 2**40
+
+    @pytest.mark.parametrize("backend", ["interpreter", "reference"])
+    @pytest.mark.parametrize(
+        "modifiers, expected",
+        [("rni.sat", 3), ("rni.ftz.sat", 3), ("sat", 2), ("rpi.ftz", 3)],
+    )
+    def test_sat_and_ftz_keep_the_rounding_modifier(
+        self, backend, modifiers, expected
+    ):
+        # .sat and .ftz once took the rounding slot (the last modifier
+        # won), so cvt.rni.sat.s32.f32 of 2.7 rounded toward zero
+        device = Device(config=ExecutionConfig(backend=backend))
+        device.register_module(CVT_PTX.replace("MODIFIERS", modifiers))
+        out = device.malloc(4)
+        device.launch("cvt", grid=1, block=1, args=[out, np.float32(2.7)])
+        assert out.read(np.int32, 1)[0] == expected
+
+
+CVT_PTX = r"""
+.version 2.3
+.target sim
+.entry cvt (.param .u64 out, .param .f32 x)
+{
+  .reg .u64 %rd<2>;
+  .reg .f32 %f<2>;
+  .reg .s32 %r<2>;
+  ld.param.u64 %rd1, [out];
+  ld.param.f32 %f1, [x];
+  cvt.MODIFIERS.s32.f32 %r1, %f1;
+  st.global.s32 [%rd1], %r1;
+  exit;
+}
+"""
 
 
 # ---------------------------------------------------------------------------
