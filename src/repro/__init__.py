@@ -49,7 +49,7 @@ from .runtime.config import (
     static_tie_config,
     vectorized_config,
 )
-from .runtime.pool import DevicePool, RetryPolicy, TenantSession
+from .runtime.pool import DevicePool, TenantSession
 from .runtime.state_store import StateStore
 from .runtime.statistics import WorkerHealth
 from .runtime.traps import format_device_lost, format_timeout, format_trap
@@ -71,7 +71,6 @@ __all__ = [
     "LaunchTimeout",
     "MachineDescription",
     "QuotaExceeded",
-    "RetryPolicy",
     "ServiceUnavailable",
     "StateStore",
     "Stream",

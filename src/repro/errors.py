@@ -157,10 +157,10 @@ class DeviceLost(LaunchError):
         fast when used.
     ``delivered``
         True when the request had already been handed to the worker
-        (it may have started mutating guest memory — never retried
-        automatically); False when the loss was detected before the
-        request left the parent (safe for :class:`RetryPolicy
-        <repro.runtime.pool.RetryPolicy>` re-dispatch). A worker slot
+        (it may have started mutating guest memory); False when the
+        loss was detected before the request left the parent (it never
+        ran). The pool re-dispatches nothing for a non-durable session:
+        its caller reads this flag to decide whether to resubmit. A slot
         closed for good (pool shut down, or respawn off) refuses every
         later call with its last loss, ``delivered=False``.
 

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import MemoryFault
+from ..errors import LaunchError, MemoryFault
 from ..ptx.types import DataType
 
 #: Bytes reserved at the bottom of the arena (null page).
@@ -348,6 +348,8 @@ class Allocation:
         self.label = label
 
     def write(self, array: np.ndarray) -> None:
+        array = np.asarray(array)
+        self._within("write", array.nbytes)
         self.memory.write_array(self.address, array)
 
     def free(self) -> None:
@@ -355,7 +357,16 @@ class Allocation:
         self.memory.free(self.address, self.size)
 
     def read(self, dtype, count: int) -> np.ndarray:
+        self._within("read", np.dtype(dtype).itemsize * count)
         return self.memory.read_array(self.address, dtype, count)
+
+    def _within(self, verb: str, nbytes: int) -> None:
+        """Bound a host copy by the buffer (tenants share the arena)."""
+        if not 0 <= nbytes <= self.size:
+            raise LaunchError(
+                f"{verb} of {nbytes} bytes does not fit {self!r} "
+                f"(0 to {self.size} bytes)"
+            )
 
     def __int__(self):
         return self.address

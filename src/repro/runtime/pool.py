@@ -28,13 +28,13 @@ parent). A loss resolves every request in flight to a structured
 :class:`~repro.errors.DeviceLost` carrying the worker index, the
 cause and the *device epoch* that died; the respawned worker runs at
 the next epoch, so handles nothing could rebuild fail fast instead of
-aliasing a stranger's memory. A launch caught by a loss parks on its
-session until the session catches up with the next epoch or the
-launch's deadline passes — always under durability, otherwise only
-an undelivered one under an opt-in :class:`RetryPolicy`: a launch
-delivered to the dead worker may have mutated guest memory and is
-never silently re-run. A slot that will not come back fails what is
-parked on it with the loss.
+aliasing a stranger's memory. Durability is the one way a launch
+caught by a loss is re-dispatched: a durable session parks it until
+the session catches up with the next epoch or the launch's deadline
+passes; a non-durable one fails it with its loss, whose ``delivered``
+flag tells the caller whether the request reached the dead worker
+(and may have run) before it decides to resubmit. A slot that will not
+come back fails what is parked on it with the loss.
 
 Worker processes default to the ``spawn`` start method: it is safe in
 threaded parents (the pool runs dispatcher + supervisor threads) and
@@ -351,36 +351,6 @@ def _pool_worker_main(
         else:
             conn.send((request_id, True, result))
     conn.close()
-
-
-# ---------------------------------------------------------------------------
-# retry policy
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Opt-in per-session automatic re-dispatch of launches that were
-    *queued but never delivered* when their worker was lost.
-
-    A launch that already reached the dead worker may have mutated
-    guest memory and is never retried — it resolves to
-    :class:`~repro.errors.DeviceLost` (``delivered=True``). Launches
-    the pool still held (or whose dispatch failed before the request
-    left the parent) are safe: such a launch parks on its session and
-    re-enters the fair queue once the session has caught up with the
-    respawned worker's epoch, for at most ``max_attempts`` dispatches.
-    The launch's own ``deadline`` bounds how long it may stay parked,
-    and a slot that will not come back by itself (supervision or
-    respawn off, or its breaker tripped) fails it with the loss."""
-
-    max_attempts: int = 3
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +783,6 @@ class TenantStatistics:
     #: Launches that resolved to DeviceLost (their worker's process
     #: crashed, hung, or dropped its pipe while they were in flight).
     device_lost: int = added()
-    #: Automatic RetryPolicy re-dispatches of undelivered launches.
-    retries: int = added()
     #: Launches that aged past their request deadline in the queue.
     expired: int = added()
     #: Durability layer: completed restores onto a respawned worker,
@@ -841,12 +809,12 @@ class TenantStatistics:
     #: One row of the tenant table of ``DevicePool.report()``.
     REPORT_HEADER = (
         f"{'tenant':<16} {'worker':>6} {'weight':>6} {'done':>6} "
-        f"{'fail':>5} {'traps':>5} {'lost':>5} {'retry':>5} "
+        f"{'fail':>5} {'traps':>5} {'lost':>5} "
         f"{'rest':>4} {'ckpt':>4} {'rejected':>8} {'host s':>8}"
     )
     REPORT = (
         "{tenant:<16} {worker:>6} {weight:>6.1f} {completed:>6} "
-        "{failed:>5} {traps:>5} {device_lost:>5} {retries:>5} "
+        "{failed:>5} {traps:>5} {device_lost:>5} "
         "{restores:>4} {checkpoints:>4} {rejected:>8} {host_seconds:>8.2f}",
     )
 
@@ -881,7 +849,7 @@ class RemoteAllocation:
 class _LaunchJob:
     __slots__ = (
         "future", "kernel", "grid", "block", "args", "submitted_at",
-        "deadline", "attempts", "restore_attempts", "restored",
+        "deadline", "restore_attempts",
     )
 
     def __init__(self, future, kernel, grid, block, args, deadline=None):
@@ -897,14 +865,10 @@ class _LaunchJob:
         self.deadline = (
             None if deadline is None else self.submitted_at + deadline
         )
-        #: Dispatch attempts so far (RetryPolicy bookkeeping).
-        self.attempts = 0
-        #: Times this job was parked behind a restore (durability).
+        #: Times this job was parked behind a restore (durability);
+        #: once it was, ``result.restored`` shows the caller the launch
+        #: survived a worker loss.
         self.restore_attempts = 0
-        #: True once the job rode at least one restore; surfaced as
-        #: ``result.restored`` so callers can see the launch survived
-        #: a worker loss.
-        self.restored = False
 
     def expired(self, tenant: str) -> Optional[DeadlineExpired]:
         """The DeadlineExpired of a job past its deadline, else None."""
@@ -913,13 +877,13 @@ class _LaunchJob:
         return DeadlineExpired(
             f"launch of {self.kernel!r} for tenant {tenant!r} aged past "
             f"its {self.deadline - self.submitted_at:.3f}s request "
-            f"deadline before dispatch (attempt {self.attempts + 1})"
+            "deadline before dispatch"
         )
 
 
 class TenantSession:
     """One tenant's connection to the pool: pinned to a worker, with
-    its own quotas, weight, retry policy, sticky-error state, and
+    its own quotas, weight, durability, sticky-error state, and
     statistics.
 
     Every session hands out *tenant-local* allocation handles backed
@@ -937,6 +901,8 @@ class TenantSession:
         the slot table: allocations made before the loss fail fast
         with ``DeviceLost(cause="stale allocation epoch")``, and an
         operation on a lost worker raises DeviceLost without waiting.
+        A launch the loss caught fails with it, and nothing
+        re-dispatches it (its ``delivered`` says whether it may have run).
     ``"journal"``
         Every state-mutating op is journaled in the parent; after a
         respawn the supervisor replays the full journal onto the
@@ -964,7 +930,6 @@ class TenantSession:
         weight: float = 1.0,
         max_pending: Optional[int] = None,
         max_launches: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
         durability: str = "none",
         checkpoint_interval: int = 32,
         store: Optional[StateStore] = None,
@@ -984,7 +949,6 @@ class TenantSession:
         self.weight = weight
         self.max_pending = max_pending
         self.max_launches = max_launches
-        self.retry = retry
         self.durability = durability
         self.checkpoint_interval = checkpoint_interval
         self._worker = worker
@@ -1503,32 +1467,18 @@ class TenantSession:
 
     def _parks(self, job: _LaunchJob, error: BaseException) -> bool:
         """Whether a launch that failed with ``error`` waits for the
-        worker's next epoch (:meth:`_park`): every loss a durable
-        session absorbs — the restore rewinds guest state to before
-        any un-journaled launch, so even a delivered casualty is safe
-        to re-dispatch — and, under a RetryPolicy, an undelivered one
-        while its attempts last. Neither parks in a pool that does not
-        bring a lost slot back."""
-        if not self.pool._recovers:
-            return False
-        if self._absorbs(error):
-            if job.restore_attempts >= _RESTORE_DISPATCH_LIMIT:
-                return False
-            job.restore_attempts += 1
-            job.restored = True
-            return True
-        policy = self.retry
+        worker's next epoch (:meth:`_park`): a loss a durable session
+        absorbs — the restore rewinds guest state to before any
+        un-journaled launch, so even a delivered casualty is safe to
+        re-dispatch — at most ``_RESTORE_DISPATCH_LIMIT`` times, and
+        only in a pool that brings a lost slot back."""
         if (
-            policy is None
-            or not isinstance(error, DeviceLost)
-            or error.delivered
-            # Retrying cannot resurrect the allocation's memory.
-            or error.cause == "stale allocation epoch"
-            or job.attempts + 1 >= policy.max_attempts
+            not self.pool._recovers
+            or not self._absorbs(error)
+            or job.restore_attempts >= _RESTORE_DISPATCH_LIMIT
         ):
             return False
-        job.attempts += 1
-        self.stats.retries += 1
+        job.restore_attempts += 1
         return True
 
     def _park(self, job: _LaunchJob) -> None:
@@ -1539,14 +1489,10 @@ class TenantSession:
         self._release_parked()
 
     def _parked_error(self, job: _LaunchJob) -> Optional[BaseException]:
-        """Why a parked launch may wait no longer — its slot closed,
-        its deadline passed, or (parked under a RetryPolicy) its slot's
-        breaker tripped — or None while it may."""
-        worker = self._worker
-        if worker.state == "closed" or (
-            worker.state == "broken" and not self._rides_out_loss
-        ):
-            return worker.lost_error(job.kernel)
+        """Why a parked launch may wait no longer — its slot closed or
+        its deadline passed — or None while it may."""
+        if self._worker.state == "closed":
+            return self._worker.lost_error(job.kernel)
         return job.expired(self.tenant)
 
     def _release_parked(self, error: Optional[BaseException] = None):
@@ -1731,14 +1677,14 @@ class DevicePool:
     """Shards independent kernel launches across persistent worker
     processes, with per-tenant quotas, weighted fair queueing,
     per-tenant statistics/trap reporting, and process-level
-    self-healing (supervision, warm respawn, retry, a breaker on
-    repeated losses).
+    self-healing (supervision, warm respawn, a breaker on repeated
+    losses, and restore of durable sessions).
 
     ::
 
         pool = DevicePool(workers=4, modules=[PTX], warm=True)
         session = pool.session("alice", weight=2.0, max_pending=8,
-                               retry=RetryPolicy(max_attempts=3))
+                               durability="journal")
         buffer = session.upload(host_array)
         future = session.launch_async("vecAdd", grid=8, block=64,
                                       args=[buffer, buffer, out, n])
@@ -1752,8 +1698,9 @@ class DevicePool:
     idle for ``probe_interval`` seconds it misses a heartbeat within
     ``probe_timeout`` — a starting one, when it has not booted
     ``probe_timeout`` seconds after its spawn; a broken slot cools
-    down for ``circuit_cooldown`` seconds. A lost launch parks for the
-    next epoch only while ``supervise`` and ``respawn`` are both on.
+    down for ``circuit_cooldown`` seconds. A durable session's lost
+    launch parks for the next epoch only while ``supervise`` and
+    ``respawn`` are both on.
     The pool's own :attr:`state` is ``serving``, ``draining``
     (:meth:`drain`) or ``closed``."""
 
@@ -1922,7 +1869,6 @@ class DevicePool:
         max_pending: Optional[int] = None,
         max_launches: Optional[int] = None,
         worker: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
         durability: str = "none",
         checkpoint_interval: int = 32,
     ) -> TenantSession:
@@ -1958,7 +1904,6 @@ class DevicePool:
                 weight=weight,
                 max_pending=max_pending,
                 max_launches=max_launches,
-                retry=retry,
                 durability=durability,
                 checkpoint_interval=checkpoint_interval,
                 store=self._state_store,
@@ -2023,7 +1968,7 @@ class DevicePool:
             else:
                 session._fail(job, error)
         else:
-            if job.restored:
+            if job.restore_attempts:
                 result.restored = True
                 session.stats.restored_launches += 1
             job.future._resolve(result)
@@ -2208,7 +2153,7 @@ class DevicePool:
         lines.append(
             f"aggregate: launches={total.completed} "
             f"failures={total.failed} traps={total.traps} "
-            f"device-lost={total.device_lost} retries={total.retries} "
+            f"device-lost={total.device_lost} "
             f"instructions={total.statistics.instructions} "
             f"modeled cycles={total.statistics.total_cycles}"
         )

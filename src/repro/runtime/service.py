@@ -111,6 +111,9 @@ class _ServiceState:
         self.durability = durability
         self.checkpoint_interval = checkpoint_interval
         self.lock = threading.Lock()
+        #: Held across admit() and the launch_async() that raises the
+        #: counts it read (not ``lock``: ``allot`` takes that).
+        self.admission = threading.Lock()
         self.allocations: Dict[int, RemoteAllocation] = {}
         self.futures: Dict[int, Tuple[str, object]] = {}
         #: recently-collected payloads, keyed by launch id — kept so a
@@ -404,21 +407,22 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_launch(self, body: dict) -> dict:
         session = self.state.session(body)
-        self.state.admit(session)
-        args = []
-        for value in body.get("args", ()):
-            if isinstance(value, dict) and "allocation" in value:
-                args.append(self.state.allocation(value, session))
-            else:
-                args.append(value)
-        deadline = body.get("deadline", self.state.default_deadline)
-        future = session.launch_async(
-            body["kernel"],
-            body.get("grid", 1),
-            body.get("block", 1),
-            args,
-            deadline=deadline,
-        )
+        with self.state.admission:
+            self.state.admit(session)
+            args = []
+            for value in body.get("args", ()):
+                if isinstance(value, dict) and "allocation" in value:
+                    args.append(self.state.allocation(value, session))
+                else:
+                    args.append(value)
+            deadline = body.get("deadline", self.state.default_deadline)
+            future = session.launch_async(
+                body["kernel"],
+                body.get("grid", 1),
+                body.get("block", 1),
+                args,
+                deadline=deadline,
+            )
         return {
             "launch": self.state.allot(
                 self.state.futures, (session.tenant, future)

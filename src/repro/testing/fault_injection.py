@@ -60,8 +60,8 @@ unmodified code:
     behind a ``chaos_hang``, so the worker never answers it first — and
     its future resolves to :class:`~repro.errors.DeviceLost` with
     ``delivered=True``) — exercising crash detection, warm respawn,
-    epoch bumping, and the retry path for launches still queued
-    behind the casualty.
+    epoch bumping, and a durable session's restore, which
+    re-dispatches the casualty and the launches queued behind it.
 ``hang_worker``
     A ``chaos_hang`` request is slipped into the pipe ahead of the
     real one, wedging the worker's serve loop for ``duration``

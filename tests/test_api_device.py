@@ -97,6 +97,23 @@ class TestMemoryManagement:
         buffer = device.malloc(16)
         assert int(buffer) == buffer.address
 
+    def test_host_copies_are_bounded_by_the_buffer(self, device):
+        """A read or write through one buffer never reaches the next
+        one in the arena: past its size it is refused, naming the
+        buffer and the byte counts, and the neighbour is untouched."""
+        a = device.malloc(16, label="a")
+        b = device.upload(np.array([7, 8, 9, 10], dtype=np.float32))
+        with pytest.raises(LaunchError, match=r"read of 32 bytes .* a @"):
+            a.read(np.float32, 8)
+        with pytest.raises(LaunchError, match="write of 32 bytes"):
+            device.memcpy_htod(a, np.full(8, -1.0, dtype=np.float32))
+        with pytest.raises(LaunchError, match="read of -4 bytes"):
+            a.read(np.float32, -1)
+        assert list(b.read(np.float32, 4)) == [7, 8, 9, 10]
+        a.write(np.full(4, -1.0, dtype=np.float32))  # exactly fits
+        assert list(a.read(np.float32, 4)) == [-1] * 4
+        assert list(b.read(np.float32, 4)) == [7, 8, 9, 10]
+
 
 class TestArgumentPacking:
     def test_all_parameter_kinds(self, device):

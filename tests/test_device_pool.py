@@ -149,6 +149,22 @@ class TestSessions:
                 "vecAdd", 1, N, [theirs, theirs, mine, N]
             )
 
+    def test_a_tenant_cannot_reach_past_its_buffer(self, pool):
+        """Two tenants pinned to one worker share its arena: a host
+        copy through A's buffer is bounded by that buffer, so A can
+        neither read B's bytes nor overwrite them."""
+        owner = pool.session("bounds-a", worker=0)
+        neighbour = pool.session("bounds-b", worker=0)
+        a = owner.malloc(16)
+        b = neighbour.upload(np.array([7, 8, 9, 10], dtype=np.float32))
+        with pytest.raises(LaunchError, match="read of 32 bytes"):
+            owner.read(a, np.float32, 8)
+        with pytest.raises(LaunchError, match="write of 32 bytes"):
+            owner.write(a, np.full(8, -1.0, dtype=np.float32))
+        assert list(neighbour.read(b, np.float32, 4)) == [7, 8, 9, 10]
+        owner.write(a, np.full(4, -1.0, dtype=np.float32))
+        assert list(owner.read(a, np.float32, 4)) == [-1] * 4
+
     def test_pool_level_report_aggregates_tenants(self, pool):
         session = pool.session("alice")
         a, b, c = _session_buffers(session)

@@ -18,7 +18,7 @@ from repro.errors import (
     LaunchError,
     ServiceUnavailable,
 )
-from repro.runtime.pool import DevicePool, RetryPolicy
+from repro.runtime.pool import DevicePool, TenantSession
 from repro.runtime.service import (
     KernelServer,
     ServeClient,
@@ -34,9 +34,8 @@ N = 8
 #: respawn must replay it from the parent's journal.
 PRIVATE_PTX = VECADD_PTX.replace("vecAdd", "privAdd")
 
-#: A kernel with no pointer arguments: queued launches survive a
-#: respawn (nothing to go stale), so a RetryPolicy can re-dispatch
-#: them transparently.
+#: A kernel with no pointer arguments: a launch of it names nothing a
+#: respawn could make stale.
 NOOP_PTX = r"""
 .version 2.3
 .target sim
@@ -305,112 +304,113 @@ class TestCrashRecovery:
             session.launch("poolNoop", 1, N, [N])
 
 
-class TestRetryPolicy:
-    def test_undelivered_launch_retried_to_success(self):
-        """drop_pipe fails the dispatch before the request leaves the
-        parent; the session's RetryPolicy parks it until the session
-        meets the respawned worker, and it completes there."""
+class TestOneWayThroughALoss:
+    """Durability is the one way a launch caught by a worker loss is
+    re-dispatched; a non-durable session's launch fails with its
+    loss, and the caller reads ``delivered``."""
+
+    def test_undelivered_buffer_launch_restored_to_success(self):
+        """drop_pipe fails the dispatch of a three-buffer launch before
+        the request leaves the parent; the journal session parks it,
+        the restore rebuilds the buffers on the respawned worker, and
+        the launch completes there with the right output."""
         with DevicePool(
-            workers=1, modules=[NOOP_PTX], circuit_cooldown=0.2
+            workers=1, modules=[VECADD_PTX], circuit_cooldown=0.2
         ) as pool:
             pool.ready(timeout=300.0)
-            session = pool.session(
-                "retrier", retry=RetryPolicy(max_attempts=4)
-            )
+            session = pool.session("restorer", durability="journal")
+            a, b, c = _buffers(session)
             injector = FaultInjector(pool, seed=0)
             injector.arm(
                 "drop_pipe", probability=1.0, worker=0, op="launch"
             )
-            future = session.launch_async("poolNoop", 1, N, [N])
+            future = session.launch_async("vecAdd", 1, N, [a, b, c, N])
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
                 if injector.fired.get("drop_pipe"):
                     break
                 time.sleep(0.005)
-            injector.restore()  # one-shot: let the retry through
+            injector.restore()  # one-shot: let the re-dispatch through
             result = future.result(timeout=120.0)
-            assert result.kernel_name == "poolNoop"
-            assert session.stats.retries >= 1
-            assert session.stats.completed == 1
-            assert session.stats.failed == 0
+            assert result.restored is True
+            assert session.stats.restored_launches == 1
+            assert session.stats.device_lost == session.stats.failed == 0
+            assert np.allclose(
+                session.read(c, np.float32, N), np.arange(N) * 2
+            )
+
+    def test_a_non_durable_buffer_launch_fails_with_its_loss(self):
+        """Without durability nothing re-dispatches: the same launch
+        resolves to its undelivered DeviceLost, nothing parks, and the
+        buffers it named are stale on the respawned worker."""
+        with DevicePool(
+            workers=1, modules=[VECADD_PTX], circuit_cooldown=0.2
+        ) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session("plain")
+            a, b, c = _buffers(session)
+            injector = FaultInjector(pool, seed=0)
+            injector.arm(
+                "drop_pipe", probability=1.0, worker=0, op="launch"
+            )
+            future = session.launch_async("vecAdd", 1, N, [a, b, c, N])
+            error = future.exception(timeout=120.0)
+            injector.restore()
+            assert isinstance(error, DeviceLost)
+            assert error.delivered is False
+            assert not session._parked
+            assert session.stats.device_lost == 1
+            _wait_recovered(pool)
+            with pytest.raises(DeviceLost, match="re-allocate") as stale:
+                session.read(c, np.float32, N)
+            assert stale.value.cause == "stale allocation epoch"
+            with pytest.raises(DeviceLost, match="re-allocate"):
+                session.launch_async("vecAdd", 1, N, [a, b, c, N])
 
     def test_a_parked_launch_waits_no_longer_than_its_deadline(self):
-        """The slot is held ``lost`` (never reaped): the undelivered
-        launch parks, and the supervisor fails it once its deadline
-        passes instead of leaving it parked."""
-        with DevicePool(workers=1, modules=[NOOP_PTX]) as pool:
+        """The slot is held ``lost`` (never reaped): a durable
+        session's launch parks, and the supervisor fails it once its
+        deadline passes instead of leaving it parked."""
+        with DevicePool(workers=1, modules=[VECADD_PTX]) as pool:
             pool.ready(timeout=300.0)
-            session = pool.session(
-                "patient", retry=RetryPolicy(max_attempts=4)
-            )
+            session = pool.session("patient", durability="journal")
+            a, b, c = _buffers(session)
             worker = _hold_lost(pool)
             start = time.monotonic()
             future = session.launch_async(
-                "poolNoop", 1, N, [N], deadline=0.5
+                "vecAdd", 1, N, [a, b, c, N], deadline=0.5
             )
             error = future.exception(timeout=30.0)
             assert isinstance(error, DeadlineExpired)
             assert time.monotonic() - start < 3.0
-            assert session.stats.retries == 1
             assert session.stats.expired == 1
+            assert session.stats.restored_launches == 0
             assert worker.state == "lost" and not session._parked
 
-    def test_a_parked_retry_fails_when_its_slot_breaks(self):
-        """A tripped breaker suspends respawns: a launch parked under
-        a RetryPolicy fails with the loss instead of waiting out the
-        cooldown."""
-        with DevicePool(
-            workers=1, modules=[NOOP_PTX], circuit_cooldown=60.0
-        ) as pool:
-            pool.ready(timeout=300.0)
-            session = pool.session(
-                "breaker", retry=RetryPolicy(max_attempts=4)
-            )
-            worker = _hold_lost(pool)
-            future = session.launch_async("poolNoop", 1, N, [N])
-            deadline = time.monotonic() + 30.0
-            while not session._parked and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert session._parked and not future.done()
-            with worker.lock:
-                worker.failures = 3
-            del worker.reap
-            error = future.exception(timeout=30.0)
-            assert isinstance(error, DeviceLost)
-            assert error.delivered is False
-            assert pool.health()[0].state == "broken"
-
-    def test_without_supervision_a_retry_does_not_park(self):
+    def test_without_supervision_nothing_parks(self):
         """Nothing brings a lost slot back in an unsupervised pool, so
-        a launch caught by the loss fails with it at once, and a
-        durable session's memory op does not wait for a restore."""
+        a durable session's launch caught by the loss fails with it at
+        once, and its memory op does not wait for a restore."""
         with DevicePool(
-            workers=1, modules=[NOOP_PTX], supervise=False
+            workers=1, modules=[VECADD_PTX], supervise=False
         ) as pool:
             pool.ready(timeout=300.0)
-            session = pool.session(
-                "alone", retry=RetryPolicy(max_attempts=4)
-            )
             durable = pool.session("kept", durability="journal")
-            buffer = durable.upload(np.arange(N, dtype=np.float32))
+            a, b, c = _buffers(durable)
             process = pool._workers[0].process
             process.kill()
             process.join(30.0)  # the send then fails: undelivered
             start = time.monotonic()
-            future = session.launch_async(
-                "poolNoop", 1, N, [N], deadline=0.5
+            future = durable.launch_async(
+                "vecAdd", 1, N, [a, b, c, N], deadline=0.5
             )
             error = future.exception(timeout=30.0)
             assert isinstance(error, DeviceLost)
             assert error.delivered is False
             with pytest.raises(DeviceLost):
-                durable.read(buffer, np.float32, N)
+                durable.read(c, np.float32, N)
             assert time.monotonic() - start < 3.0
-            assert not session._parked
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
+            assert not durable._parked
 
 
 class TestDeadlines:
@@ -486,6 +486,59 @@ class TestServiceResilience:
         finally:
             server.shutdown(drain=False)
 
+    def test_admission_and_the_launch_are_one_step(self, monkeypatch):
+        """Two concurrent launches of one tenant against
+        max_tenant_queue=1: the bound is read and the pending count
+        raised under one lock, so exactly one is admitted and the other
+        is shed. The sleep widens the window between the two; the
+        worker is held busy so the admitted launch stays pending."""
+        launch_async = TenantSession.launch_async
+
+        def slow_launch_async(self, *args, **kwargs):
+            time.sleep(0.2)
+            return launch_async(self, *args, **kwargs)
+
+        monkeypatch.setattr(TenantSession, "launch_async", slow_launch_async)
+        pool = DevicePool(workers=1, modules=[NOOP_PTX])
+        pool.ready(timeout=300.0)
+        server = KernelServer(pool, max_tenant_queue=1)
+        server.start_background()
+        injector = FaultInjector(pool, seed=0)
+        injector.arm(
+            "hang_worker", probability=1.0, worker=0,
+            op="launch", duration=2.0,
+        )
+        clients = [
+            ServeClient(server.host, server.port, tenant="racer")
+            for _ in range(2)
+        ]
+        barrier = threading.Barrier(len(clients))
+        outcomes = []
+
+        def launch(client):
+            barrier.wait(timeout=30)
+            try:
+                client.launch("poolNoop", 1, N, [N])
+                outcomes.append("admitted")
+            except ServiceUnavailable:
+                outcomes.append("shed")
+
+        try:
+            threads = [
+                threading.Thread(target=launch, args=(client,))
+                for client in clients
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert sorted(outcomes) == ["admitted", "shed"]
+        finally:
+            injector.restore()
+            for client in clients:
+                client.close()
+            server.shutdown(drain=False)
+
     def test_graceful_drain_flushes_then_sheds(self):
         pool = DevicePool(workers=1, modules=[VECADD_PTX])
         pool.ready(timeout=300.0)
@@ -527,7 +580,6 @@ class TestExports:
             "DeviceLost",
             "DeadlineExpired",
             "ServiceUnavailable",
-            "RetryPolicy",
             "WorkerHealth",
             "format_device_lost",
         ):

@@ -1,8 +1,10 @@
 """The HTTP serving front-end (`python -m repro.serve`)."""
 
+import json
 import statistics
 import threading
 import time
+from http.client import HTTPConnection
 
 import numpy as np
 import pytest
@@ -193,6 +195,31 @@ class TestServeErrors:
         with ServeClient(server.host, server.port, "err") as client:
             with pytest.raises(LaunchError, match="allocation"):
                 client.read(987654, np.float32, N)
+
+    def test_read_past_the_buffer_is_400(self, server):
+        """A read or write is bounded by the buffer, not by the
+        worker's arena that other tenants share: past it is a 400."""
+        with ServeClient(server.host, server.port, "bounds") as client:
+            a = client.malloc(16)
+            connection = HTTPConnection(server.host, server.port)
+            try:
+                connection.request(
+                    "POST", "/v1/read",
+                    body=json.dumps({
+                        "tenant": "bounds", "allocation": a,
+                        "dtype": "<f4", "count": 8,
+                    }),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                reply = json.loads(response.read())
+            finally:
+                connection.close()
+            assert response.status == 400
+            assert reply["error"]["type"] == "LaunchError"
+            assert "read of 32 bytes" in reply["error"]["message"]
+            with pytest.raises(LaunchError, match="write of 32 bytes"):
+                client.write(a, np.full(8, -1.0, dtype=np.float32))
 
     def test_quota_maps_to_429(self, server):
         with ServeClient(
