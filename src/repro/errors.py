@@ -173,8 +173,8 @@ class DeviceLost(LaunchError):
     specific causes: ``"restore pending"`` (internal — a dispatch
     raced the restore and was parked/re-queued), ``"restore timeout"``
     (the worker did not come back within 60 s), and ``"restore
-    failed"`` (replay hit a non-deterministic error; the session's
-    durable state was reset).
+    failed"`` (no valid state survived; the session's journal was reset
+    and its pre-loss handles are stale).
     """
 
     def __init__(

@@ -119,6 +119,17 @@ _SERVING = ("starting", "live")
 #: device is built: the slot's first reply (request ids start at 1).
 _BOOTED = 0
 
+#: The worker op's payload names of a session op's fields, in the
+#: order its journal tuple holds them after the op's name.
+_ENTRY_FIELDS = {
+    "malloc": ("handle", "size", "label"),
+    "upload": ("handle", "data", "label"),
+    "write": ("handle", "data"),
+    "read": ("handle", "dtype", "count"),
+    "free": ("handle",),
+    "launch": ("kernel", "grid", "block", "args"),
+}
+
 
 # ---------------------------------------------------------------------------
 # worker process
@@ -203,66 +214,72 @@ def _pool_worker_main(
         device.warm()
     conn.send((_BOOTED, True, {"pid": os.getpid()}))
 
-    allocations: Dict[int, object] = {}
-    next_handle = 1
+    #: (tenant, handle) -> Allocation: the one table of the tenants'
+    #: buffers, keyed by the handles their sessions issue.
+    allocations: Dict[Tuple[str, int], object] = {}
     #: tenant -> (injector, [(site, probability, options), ...]). A
     #: tenant's fault sites are armed for the duration of that
     #: tenant's launches and restored after each, so tenants sharing
     #: this device never run under another tenant's faults.
     faults: Dict[str, tuple] = {}
 
-    def resolve_args(raw_args):
-        resolved = []
-        for value in raw_args:
-            if isinstance(value, dict) and "__handle__" in value:
-                handle = value["__handle__"]
-                if handle not in allocations:
-                    raise LaunchError(
-                        f"unknown allocation handle {handle}"
-                    )
-                resolved.append(allocations[handle])
-            else:
-                resolved.append(value)
-        return resolved
+    def allocation(tenant: str, handle: int):
+        found = allocations.get((tenant, handle))
+        if found is None:
+            raise LaunchError(
+                f"allocation handle {handle} of tenant {tenant!r} "
+                f"was freed (or never existed)"
+            )
+        return found
 
-    def allot(allocation) -> dict:
-        nonlocal next_handle
-        handle = next_handle
-        next_handle += 1
-        allocations[handle] = allocation
-        return {
-            "handle": handle,
-            "address": allocation.address,
-            "size": allocation.size,
-        }
+    def resolve(tenant: str, value):
+        """The allocation a ``__handle__`` marker names; else ``value``."""
+        if isinstance(value, dict) and "__handle__" in value:
+            return allocation(tenant, value["__handle__"])
+        return value
 
     def handle_request(op: str, payload: dict):
+        tenant = payload.get("tenant")
         if op == "register":
             module = device.register_module(payload["source"])
             return sorted(module.kernels)
         if op == "malloc":
-            return allot(device.malloc(
-                int(payload["size"]), label=payload.get("label")
-            ))
+            allocations[tenant, payload["handle"]] = device.malloc(
+                int(payload["size"]), label=payload["label"]
+            )
+            return None
         if op == "upload":
-            return allot(device.upload(
-                np.asarray(payload["data"]), label=payload.get("label")
-            ))
+            allocations[tenant, payload["handle"]] = device.upload(
+                np.asarray(payload["data"]), label=payload["label"]
+            )
+            return None
         if op == "write":
-            allocations[payload["handle"]].write(
+            allocation(tenant, payload["handle"]).write(
                 np.asarray(payload["data"])
             )
             return None
         if op == "read":
-            allocation = allocations[payload["handle"]]
-            return allocation.read(
+            return allocation(tenant, payload["handle"]).read(
                 np.dtype(payload["dtype"]), int(payload["count"])
             )
         if op == "free":
-            device.free(allocations.pop(payload["handle"]))
+            device.free(allocation(tenant, payload["handle"]))
+            del allocations[tenant, payload["handle"]]
             return None
+        if op == "snapshot":
+            # The tenant's live buffers, in handle order, as the
+            # checkpoint stores them.
+            return [
+                {
+                    "local": handle,
+                    "label": found.label,
+                    "data": found.read(np.uint8, found.size).tobytes(),
+                }
+                for (owner, handle), found in sorted(allocations.items())
+                if owner == tenant
+            ]
         if op == "launch":
-            injector, sites = faults.get(payload.get("tenant"), (None, ()))
+            injector, sites = faults.get(tenant, (None, ()))
             for site, probability, options in sites:
                 injector.arm(site, probability=probability, **options)
             try:
@@ -270,7 +287,7 @@ def _pool_worker_main(
                     payload["kernel"],
                     tuple(payload["grid"]),
                     tuple(payload["block"]),
-                    resolve_args(payload["args"]),
+                    [resolve(tenant, value) for value in payload["args"]],
                 )
             except _FAULT_TYPES:
                 # Recover the shared device immediately: the fault is
@@ -281,8 +298,6 @@ def _pool_worker_main(
             finally:
                 if injector is not None:
                     injector.restore()
-        if op == "warm":
-            return device.warm()
         if op == "reset":
             device.reset()
             return None
@@ -304,15 +319,18 @@ def _pool_worker_main(
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
             return {"pid": os.getpid()}
         if op == "arm_fault":
-            if payload["tenant"] not in faults:
-                faults[payload["tenant"]] = (
+            if tenant not in faults:
+                faults[tenant] = (
                     FaultInjector(device, seed=payload.get("seed")), []
                 )
-            injector, sites = faults[payload["tenant"]]
+            injector, sites = faults[tenant]
             site = (
                 payload["site"],
                 payload.get("probability", 1.0),
-                dict(payload.get("options", {})),
+                {
+                    key: resolve(tenant, value)
+                    for key, value in payload.get("options", {}).items()
+                },
             )
             # Armed once here so a bad site or option fails this call,
             # not the tenant's next launch.
@@ -323,7 +341,7 @@ def _pool_worker_main(
             sites.append(site)
             return None
         if op == "disarm_faults":
-            faults.pop(payload["tenant"], None)
+            faults.pop(tenant, None)
             return None
         if op == "statistics":
             return device.statistics_report()
@@ -734,8 +752,12 @@ class WeightedFairQueue:
         self._clock = 0.0
 
     def add(self, tenant: str, weight: float = 1.0) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
+        # NaN fails both comparisons; an infinite weight would make a
+        # stride of zero, served ahead of every co-tenant.
+        if not 0 < weight < float("inf"):
+            raise ValueError(
+                f"weight must be positive and finite, got {weight}"
+            )
         if tenant in self._queues:
             raise ValueError(f"tenant {tenant!r} already queued")
         self._queues[tenant] = deque()
@@ -829,36 +851,24 @@ class TenantStatistics:
 class RemoteAllocation:
     """A tenant's handle to a buffer living in its worker's arena.
 
-    ``handle`` is tenant-local: the session's slot table maps it to
-    the worker's handle, so it survives a restore onto a respawned
-    worker. ``address`` records where the buffer was allocated; a
-    checkpoint restore may place it elsewhere (the slot table tracks
-    the live address). A session with nothing to restore from fails a
-    pre-loss handle fast with :class:`~repro.errors.DeviceLost`
-    instead of aliasing whatever the replacement worker put there."""
+    ``handle`` is tenant-local, and the worker keys the tenant's
+    buffers by it, so it survives a restore onto a respawned worker. A
+    session with nothing to restore from fails a pre-loss handle fast
+    with :class:`~repro.errors.DeviceLost` instead of aliasing
+    whatever the replacement worker put there."""
 
     tenant: str
     handle: int
-    address: int
-    size: int
-
-    def __int__(self):
-        return self.address
 
 
 class _LaunchJob:
-    __slots__ = (
-        "future", "kernel", "grid", "block", "args", "submitted_at",
-        "deadline", "restore_attempts",
-    )
-
     def __init__(self, future, kernel, grid, block, args, deadline=None):
         self.future = future
         self.kernel = kernel
         self.grid = grid
         self.block = block
         #: Marshalled args: RemoteAllocations already replaced by
-        #: tenant-local ``__handle__`` markers.
+        #: their ``__handle__`` markers.
         self.args = args
         self.submitted_at = time.monotonic()
         #: Absolute queue deadline (monotonic), or None.
@@ -886,19 +896,19 @@ class TenantSession:
     its own quotas, weight, durability, sticky-error state, and
     statistics.
 
-    Every session hands out *tenant-local* allocation handles backed
-    by one slot table (local handle -> the worker's handle, address,
-    size, label) and runs each operation through one applier
-    (:meth:`_apply`) under its state lock, held across the worker
-    RPC. ``durability`` selects what a worker loss costs this tenant;
+    Every session hands out *tenant-local* allocation handles, which
+    the worker keys the tenant's buffers by, and runs each operation
+    through one applier (:meth:`_apply`) under its state lock, held
+    across the worker RPC. ``durability`` selects what a worker loss
+    costs this tenant;
     it decides three things — whether an applied op is journaled
     (:meth:`_record`), how the session catches up to a respawned
     worker's epoch (:meth:`_restore`), and whether a DeviceLost is
     absorbed or surfaced (:attr:`_rides_out_loss`):
 
     ``"none"``
-        The default. Nothing is journaled, so a respawn can only drop
-        the slot table: allocations made before the loss fail fast
+        The default. Nothing is journaled, so nothing rebuilds the
+        tenant's buffers: allocations made before the loss fail fast
         with ``DeviceLost(cause="stale allocation epoch")``, and an
         operation on a lost worker raises DeviceLost without waiting.
         A launch the loss caught fails with it, and nothing
@@ -907,7 +917,7 @@ class TenantSession:
         Every state-mutating op is journaled in the parent; after a
         respawn the supervisor replays the full journal onto the
         fresh epoch (deterministic execution makes the replay
-        bit-identical) and re-maps the tenant's handles, so existing
+        bit-identical) under the same handles, so existing
         ``RemoteAllocation`` handles keep working.
     ``"checkpoint"``
         Journal plus periodic snapshots of live allocation contents
@@ -973,20 +983,17 @@ class TenantSession:
         #: Absolute index of journal entry 0 (grows as checkpoints
         #: truncate the journal).
         self._journal_base = 0
-        #: Tenant-local handle -> {"handle" (worker), "address",
-        #: "size", "label"} — rebuilt by restore, so RemoteAllocations
-        #: stamped with the local handle survive respawns.
-        self._slots: Dict[int, dict] = {}
         self._next_local = 1
         #: Local handles below this were lost with a worker epoch
-        #: that nothing could rebuild (durability="none").
+        #: that nothing rebuilt (durability="none", or a failed
+        #: restore) — what the worker, a fresh process, cannot know.
         self._stale_below = 1
-        #: Worker epoch the slot table is valid for; a respawn bumps
-        #: the worker epoch and :meth:`_restore` catches this up. The
-        #: tenant's whole lifecycle is this one comparison
+        #: Worker epoch the tenant's buffers are valid for; a respawn
+        #: bumps the worker epoch and :meth:`_restore` catches this up.
+        #: The tenant's whole lifecycle is this one comparison
         #: (:meth:`_ready_now`): behind the worker's epoch, it parks
-        #: launches and waits (or, with nothing to replay, drops its
-        #: table); level with it, it serves.
+        #: launches and waits (or, with nothing to replay, lets its
+        #: handles go stale); level with it, it serves.
         self._ready_epoch = worker.epoch
         #: Serializes operations + journal appends + restore.
         self._state_lock = threading.RLock()
@@ -1029,13 +1036,7 @@ class TenantSession:
             local = self._next_local
             self._mutate((kind, local, payload, label))
             self._next_local += 1
-            slot = self._slots[local]
-            return RemoteAllocation(
-                self.tenant,
-                handle=local,
-                address=slot["address"],
-                size=slot["size"],
-            )
+            return RemoteAllocation(self.tenant, local)
 
     def write(self, allocation: RemoteAllocation, array) -> None:
         self._mutate(
@@ -1064,7 +1065,7 @@ class TenantSession:
         return (
             self._rides_out_loss
             and isinstance(error, DeviceLost)
-            and error.cause != "restore failed"
+            and error.cause not in ("restore failed", "stale allocation epoch")
         )
 
     def _record(self, entry: tuple) -> None:
@@ -1080,70 +1081,46 @@ class TenantSession:
             )
         return allocation.handle
 
-    def _slot(self, local: int, slots: Dict[int, dict]) -> dict:
-        """The one handle resolver: the slot behind a tenant-local
-        handle, or why there is none."""
-        slot = slots.get(local)
-        if slot is not None:
-            return slot
-        if local < self._stale_below:
-            worker = self._worker
-            raise DeviceLost(
-                f"allocation handle {local} of tenant {self.tenant!r} "
-                f"was created before device epoch {self._ready_epoch}, "
-                f"but worker {worker.index} was lost and respawned; "
-                f"its memory is gone — re-allocate and re-upload",
-                worker=worker.index,
-                cause="stale allocation epoch",
-                epoch=self._ready_epoch - 1,
-                delivered=False,
-            )
-        raise LaunchError(
+    def _fresh(self, local: int) -> int:
+        """``local``, unless it was lost with a worker epoch nothing
+        rebuilt. Whether a handle was freed, or never existed, the
+        worker answers."""
+        if local >= self._stale_below:
+            return local
+        worker = self._worker
+        raise DeviceLost(
             f"allocation handle {local} of tenant {self.tenant!r} "
-            f"was freed (or never existed)"
+            f"was created before device epoch {self._ready_epoch}, "
+            f"but worker {worker.index} was lost and respawned; "
+            f"its memory is gone — re-allocate and re-upload",
+            worker=worker.index,
+            cause="stale allocation epoch",
+            epoch=self._ready_epoch - 1,
+            delivered=False,
         )
 
-    def _apply(self, worker: _Worker, entry: tuple, slots: Dict[int, dict]):
-        """The one op applier: run ``entry`` (a journal tuple, or a
-        ``("read", local, dtype, count)``) on ``worker`` against the
-        slot table ``slots`` — the live table for the public methods
-        and the dispatcher, the one under construction for
-        :meth:`_restore`. ``slots`` changes only once the RPC
-        succeeded, so a failed attempt leaves nothing to undo."""
-        kind = entry[0]
-        if kind in ("malloc", "upload"):
-            _, local, payload, label = entry
-            if kind == "malloc":
-                reply = worker.call("malloc", size=payload, label=label)
-            else:
-                reply = worker.call("upload", data=payload, label=label)
-            # reply: the worker's handle, address and size.
-            slots[local] = dict(reply, label=label)
-            return None
+    def _marker(self, allocation: RemoteAllocation) -> dict:
+        """The ``__handle__`` marker the worker resolves ``allocation``
+        by: its own handle, once it is known to be this tenant's and
+        not stale."""
+        return {"__handle__": self._fresh(self._local(allocation))}
+
+    def _apply(self, worker: _Worker, entry: tuple):
+        """The one op applier: send ``entry`` (a journal tuple, or a
+        ``("read", local, dtype, count)``) to ``worker`` as recorded,
+        for the public methods, the dispatcher and :meth:`_replay`
+        alike — the worker keys the tenant's buffers by the handles in
+        it — once none of the buffers it names is stale."""
+        kind, *fields = entry
         if kind == "launch":
-            _, kernel, grid, block, args = entry
-            translated = []
-            for value in args:
+            for value in fields[3]:
                 if isinstance(value, dict) and "__handle__" in value:
-                    slot = self._slot(value["__handle__"], slots)
-                    value = {"__handle__": slot["handle"]}
-                translated.append(value)
-            return worker.call(
-                "launch", kernel=kernel, grid=grid, block=block,
-                args=translated, tenant=self.tenant,
-            )
-        local = entry[1]
-        handle = self._slot(local, slots)["handle"]
-        if kind == "read":
-            return worker.call(
-                "read", handle=handle, dtype=entry[2], count=entry[3]
-            )
-        if kind == "write":
-            worker.call("write", handle=handle, data=entry[2])
-        else:
-            worker.call("free", handle=handle)
-            del slots[local]
-        return None
+                    self._fresh(value["__handle__"])
+        elif kind not in ("malloc", "upload"):
+            self._fresh(fields[0])
+        return worker.call(
+            kind, tenant=self.tenant, **dict(zip(_ENTRY_FIELDS[kind], fields))
+        )
 
     def _run(self, entry: tuple):
         """Apply one memory op to the live worker. A DeviceLost the
@@ -1156,7 +1133,7 @@ class TenantSession:
             attempts = 0
             while True:
                 try:
-                    return self._apply(self._worker, entry, self._slots)
+                    return self._apply(self._worker, entry)
                 except DeviceLost as error:
                     attempts += 1
                     if (
@@ -1175,14 +1152,14 @@ class TenantSession:
             self._record(entry)
 
     def _ready_now(self) -> bool:
-        """True when the worker serves and the slot table matches its
-        epoch (no restore pending). Lock-free: reads of these fields
+        """True when the worker serves and the session is level with
+        its epoch (no restore pending). Lock-free: reads of these fields
         are atomic and restore publishes ``_ready_epoch`` last."""
         worker = self._worker
         return worker.state in _SERVING and self._ready_epoch == worker.epoch
 
     def _await_ready_locked(self, block: bool = True) -> None:
-        """Bring the slot table up to the worker's live epoch (under
+        """Bring the session up to the worker's live epoch (under
         ``_state_lock``). A session that surfaces losses never waits:
         it catches up inline, and if the worker is still lost the RPC
         that follows fails fast. One that rides them out waits (lock
@@ -1293,18 +1270,15 @@ class TenantSession:
         return self.launch_async(kernel, grid, block, args).result()
 
     def _serialize_args(self, args: Sequence[object]) -> List[object]:
-        """Replace RemoteAllocations by tenant-local ``__handle__``
-        markers (:meth:`_apply` translates them at dispatch, whatever
-        epoch that happens at). A handle already known to be foreign,
-        freed or stale is rejected here rather than from the queue."""
-        serialized: List[object] = []
-        for value in args:
-            if isinstance(value, RemoteAllocation):
-                local = self._local(value)
-                self._slot(local, self._slots)
-                value = {"__handle__": local}
-            serialized.append(value)
-        return serialized
+        """Replace RemoteAllocations by their ``__handle__`` markers,
+        which the worker resolves at dispatch. A handle already known
+        to be foreign or stale is rejected here rather than from the
+        queue."""
+        return [
+            self._marker(value) if isinstance(value, RemoteAllocation)
+            else value
+            for value in args
+        ]
 
     def synchronize(self, timeout: Optional[float] = None) -> None:
         """Block until every submitted launch has completed."""
@@ -1341,24 +1315,23 @@ class TenantSession:
         tenant's worker device *for this tenant's launches*: the
         worker arms the site as one of the tenant's launches starts
         and restores it as the launch ends, so tenants sharing the
-        worker never run under it. RemoteAllocation options are translated to the byte range the
-        buffer occupies on the worker *now* — a checkpoint restore
-        may have moved it since the handle was issued."""
+        worker never run under it. A RemoteAllocation option goes as
+        its marker, which the worker resolves to the buffer as it lies
+        *now* — a checkpoint restore may have moved it since the handle
+        was issued."""
         with self._state_lock:
             self._await_ready_locked()
-            translated = {}
-            for key, value in options.items():
-                if isinstance(value, RemoteAllocation):
-                    slot = self._slot(self._local(value), self._slots)
-                    value = (slot["address"], slot["size"])
-                translated[key] = value
             self._worker.call(
                 "arm_fault",
                 tenant=self.tenant,
                 site=site,
                 probability=probability,
                 seed=seed,
-                options=translated,
+                options={
+                    key: self._marker(value)
+                    if isinstance(value, RemoteAllocation) else value
+                    for key, value in options.items()
+                },
             )
 
     def disarm_faults(self) -> None:
@@ -1387,23 +1360,8 @@ class TenantSession:
             )
         with self._state_lock:
             self._await_ready_locked()
-            snapshot = []
             try:
-                for local in sorted(self._slots):
-                    slot = self._slots[local]
-                    data = self._apply(
-                        self._worker,
-                        ("read", local, "|u1", slot["size"]),
-                        self._slots,
-                    )
-                    snapshot.append({
-                        "local": local,
-                        "size": slot["size"],
-                        "label": slot["label"],
-                        "data": np.asarray(
-                            data, dtype=np.uint8
-                        ).tobytes(),
-                    })
+                snapshot = self._worker.call("snapshot", tenant=self.tenant)
             except DeviceLost:
                 self.stats.checkpoint_errors += 1
                 return None
@@ -1454,7 +1412,7 @@ class TenantSession:
             self._await_ready_locked(block=False)
             fault = None
             try:
-                result = self._apply(worker, entry, self._slots)
+                result = self._apply(worker, entry)
             except _FAULT_TYPES as error:
                 # A contained fault still executed (deterministically,
                 # partial writes included): replay must reproduce it.
@@ -1525,8 +1483,8 @@ class TenantSession:
         re-queue its parked launches.
 
         With nothing journaled (durability="none") there is nothing
-        to rebuild from: the slot table is dropped inline — no RPC —
-        and every handle issued so far goes stale. Otherwise
+        to rebuild from: every handle issued so far goes stale,
+        inline — no RPC. Otherwise
         (supervisor thread) :meth:`_replay` rebuilds the guest state.
         Raises DeviceLost when the worker dies mid-restore; the next
         supervision pass retries on the following epoch."""
@@ -1536,7 +1494,6 @@ class TenantSession:
             epoch = worker.epoch
             if self.durability == "none":
                 self._stale_below = self._next_local
-                self._slots = {}
             elif not self._replay(worker):
                 return
             self._ready_epoch = epoch
@@ -1550,9 +1507,9 @@ class TenantSession:
         (torn/corrupt ones are discarded by the store — fall back to
         the previous, or to a full journal replay), then the journal
         tail, in original order — deterministic execution guarantees
-        the rebuilt guest memory is bit-identical. Tenant-local
-        handles are re-mapped onto the new worker handles. False when
-        no valid state survived (:meth:`_restore_failed`)."""
+        the rebuilt guest memory is bit-identical, under the same
+        tenant-local handles. False when no valid state survived
+        (:meth:`_restore_failed`)."""
         started = time.monotonic()
         snapshot: List[tuple] = []
         start_index = 0
@@ -1578,12 +1535,11 @@ class TenantSession:
             )
             return False
         tail = self._journal[start_index - self._journal_base:]
-        slots: Dict[int, dict] = {}
         try:
             for entry in snapshot + tail:
                 self.pool._hook_restore_step(worker, entry[0])
                 try:
-                    self._apply(worker, entry, slots)
+                    self._apply(worker, entry)
                 except _FAULT_TYPES:
                     # Deterministic replay reproduces a launch's
                     # original contained fault (partial writes
@@ -1597,7 +1553,6 @@ class TenantSession:
             # retrying cannot converge.
             self._restore_failed(worker, f"replay error: {error}")
             return False
-        self._slots = slots
         elapsed = time.monotonic() - started
         self.stats.restores += 1
         self.stats.restore_seconds += elapsed
@@ -1608,11 +1563,13 @@ class TenantSession:
         return True
 
     def _restore_failed(self, worker: _Worker, reason: str) -> None:
-        """Give up restoring (no valid state survived): publish an
-        *empty* ready state so the session stays usable, and fail the
-        parked launches with a structured DeviceLost."""
+        """Give up restoring (no valid state survived): every handle
+        issued so far goes stale — what a partial replay left on the
+        worker stays out of reach — the session is published ready
+        with an empty journal so it stays usable, and the parked
+        launches fail with a structured DeviceLost."""
         self.stats.restore_failures += 1
-        self._slots = {}
+        self._stale_below = self._next_local
         self._journal = []
         self._journal_base = 0
         self._ready_epoch = worker.epoch
@@ -1908,9 +1865,11 @@ class DevicePool:
                 checkpoint_interval=checkpoint_interval,
                 store=self._state_store,
             )
-            self._sessions[tenant] = session
+            # The queue validates the weight: a refused one leaves no
+            # session behind.
             with self._conditions[worker]:
                 self._queues[worker].add(tenant, weight)
+            self._sessions[tenant] = session
             return session
 
     def sessions(self) -> List[TenantSession]:
@@ -2008,8 +1967,8 @@ class DevicePool:
         this."""
 
     def _restore_tenants(self, worker: _Worker) -> None:
-        """Catch up every tenant pinned to a live worker whose slot
-        table lags the worker's epoch. Idempotent; a worker lost
+        """Catch up every tenant pinned to a live worker that lags the
+        worker's epoch. Idempotent; a worker lost
         mid-restore is retried on the next supervision pass."""
         for session in self.sessions():
             if (

@@ -15,7 +15,7 @@ path             verb  action
 ===============  ====  ====================================================
 ``/v1/session``  POST  create/fetch a tenant session (weight, quotas)
 ``/v1/register`` POST  register a PTX module (tenant-private)
-``/v1/malloc``   POST  allocate ``size`` bytes → allocation handle
+``/v1/malloc``   POST  allocate ``size`` bytes → allocation id
 ``/v1/upload``   POST  allocate + write ``data`` (list + dtype)
 ``/v1/write``    POST  overwrite an allocation with ``data``
 ``/v1/read``     POST  read ``count`` items of ``dtype`` → list
@@ -29,6 +29,11 @@ path             verb  action
 ``/v1/health``   GET   liveness: supervision snapshot, always 200
 ``/v1/ready``    GET   readiness: 503 while draining / breaker open
 ===============  ====  ====================================================
+
+An allocation id is the tenant session's own handle, so ids are per
+tenant (each tenant's first buffer is 1) and the server keeps no
+allocation table: an id names the requesting tenant's buffer or none.
+Launch ids are the server's, kept per tenant until collected.
 
 ``/v1/session`` accepts an optional ``durability`` field
 (``"none"`` | ``"journal"`` | ``"checkpoint"``, default the server's
@@ -63,6 +68,7 @@ launches are shed, queued work flushes, then the workers stop.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import socket
@@ -110,21 +116,22 @@ class _ServiceState:
         #: default session durability for tenants that don't pick one
         self.durability = durability
         self.checkpoint_interval = checkpoint_interval
+        #: Guards ``futures`` and ``collected``.
         self.lock = threading.Lock()
         #: Held across admit() and the launch_async() that raises the
-        #: counts it read (not ``lock``: ``allot`` takes that).
+        #: counts it read.
         self.admission = threading.Lock()
-        self.allocations: Dict[int, RemoteAllocation] = {}
-        self.futures: Dict[int, Tuple[str, object]] = {}
-        #: recently-collected payloads, keyed by launch id — kept so a
-        #: client whose collect *response* was lost to a connection
+        #: (tenant, launch id) -> the future of a launch not collected
+        self.futures: Dict[Tuple[str, int], object] = {}
+        #: recently-collected payloads, keyed like ``futures`` — kept so
+        #: a client whose collect *response* was lost to a connection
         #: reset can retry the same id and get the same answer instead
         #: of "unknown launch id" (bounded LRU)
-        self.collected: "OrderedDict[int, Tuple[str, dict]]" = (
+        self.collected: "OrderedDict[Tuple[str, int], dict]" = (
             OrderedDict()
         )
         self.collected_limit = 256
-        self.next_id = 1
+        self.launch_ids = itertools.count(1)
 
     def admit(self, session: TenantSession) -> None:
         """Launch admission control: shed (503 + Retry-After) instead
@@ -149,13 +156,6 @@ class _ServiceState:
                     retry_after=RETRY_AFTER,
                 )
 
-    def allot(self, table: Dict[int, object], value) -> int:
-        with self.lock:
-            handle = self.next_id
-            self.next_id += 1
-            table[handle] = value
-        return handle
-
     def session(self, body: dict) -> TenantSession:
         tenant = body.get("tenant")
         if not tenant:
@@ -173,18 +173,13 @@ class _ServiceState:
             ),
         )
 
-    def allocation(self, body: dict, session: TenantSession):
-        handle = body.get("allocation")
-        with self.lock:
-            allocation = self.allocations.get(handle)
-        if allocation is None:
-            raise LaunchError(f"unknown allocation id {handle!r}")
-        if allocation.tenant != session.tenant:
-            raise LaunchError(
-                f"allocation {handle} belongs to tenant "
-                f"{allocation.tenant!r}, not {session.tenant!r}"
-            )
-        return allocation
+
+def _allocation(body: dict, session: TenantSession) -> RemoteAllocation:
+    """The session's buffer that ``body`` names by its id."""
+    handle = body.get("allocation")
+    if not isinstance(handle, int):
+        raise LaunchError(f"unknown allocation id {handle!r}")
+    return RemoteAllocation(session.tenant, handle)
 
 
 def _error_payload(error: BaseException) -> dict:
@@ -238,6 +233,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length", 0))
+        if length < 0:
+            # rfile.read(-1) would wait for the client to hang up.
+            raise LaunchError(f"negative Content-Length {length}")
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -356,33 +354,23 @@ class _Handler(BaseHTTPRequestHandler):
         kernels = session.register_module(body["source"])
         return {"kernels": kernels}
 
-    def _allotted(self, allocation: RemoteAllocation) -> dict:
-        return {
-            "allocation": self.state.allot(
-                self.state.allocations, allocation
-            ),
-            "address": allocation.address,
-            "size": allocation.size,
-        }
-
     def _post_malloc(self, body: dict) -> dict:
         session = self.state.session(body)
-        return self._allotted(
-            session.malloc(int(body["size"]), label=body.get("label"))
-        )
+        allocation = session.malloc(int(body["size"]), label=body.get("label"))
+        return {"allocation": allocation.handle}
 
     def _post_upload(self, body: dict) -> dict:
         session = self.state.session(body)
         array = np.asarray(
             body["data"], dtype=np.dtype(body.get("dtype", "f4"))
         )
-        return self._allotted(session.upload(array, label=body.get("label")))
+        allocation = session.upload(array, label=body.get("label"))
+        return {"allocation": allocation.handle}
 
     def _post_write(self, body: dict) -> dict:
         session = self.state.session(body)
-        allocation = self.state.allocation(body, session)
         session.write(
-            allocation,
+            _allocation(body, session),
             np.asarray(
                 body["data"], dtype=np.dtype(body.get("dtype", "f4"))
             ),
@@ -391,30 +379,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_read(self, body: dict) -> dict:
         session = self.state.session(body)
-        allocation = self.state.allocation(body, session)
         values = session.read(
-            allocation, np.dtype(body["dtype"]), int(body["count"])
+            _allocation(body, session),
+            np.dtype(body["dtype"]),
+            int(body["count"]),
         )
         return {"data": np.asarray(values).tolist()}
 
     def _post_free(self, body: dict) -> dict:
         session = self.state.session(body)
-        allocation = self.state.allocation(body, session)
-        session.free(allocation)
-        with self.state.lock:
-            self.state.allocations.pop(body.get("allocation"), None)
+        session.free(_allocation(body, session))
         return {"ok": True}
 
     def _post_launch(self, body: dict) -> dict:
         session = self.state.session(body)
+        args = [
+            _allocation(value, session)
+            if isinstance(value, dict) and "allocation" in value
+            else value
+            for value in body.get("args", ())
+        ]
         with self.state.admission:
             self.state.admit(session)
-            args = []
-            for value in body.get("args", ()):
-                if isinstance(value, dict) and "allocation" in value:
-                    args.append(self.state.allocation(value, session))
-                else:
-                    args.append(value)
             deadline = body.get("deadline", self.state.default_deadline)
             future = session.launch_async(
                 body["kernel"],
@@ -423,41 +409,28 @@ class _Handler(BaseHTTPRequestHandler):
                 args,
                 deadline=deadline,
             )
-        return {
-            "launch": self.state.allot(
-                self.state.futures, (session.tenant, future)
-            )
-        }
+        launch = next(self.state.launch_ids)
+        with self.state.lock:
+            self.state.futures[session.tenant, launch] = future
+        return {"launch": launch}
 
     def _post_collect(self, body: dict) -> dict:
+        """Wait for a launch and answer it. The entry is removed only
+        once answered, so a wait that times out, or an id of another
+        tenant's launch (never this tenant's key), changes nothing."""
         session = self.state.session(body)
-        handle = body.get("launch")
+        key = (session.tenant, body.get("launch"))
         with self.state.lock:
-            entry = self.state.futures.pop(handle, None)
-            if entry is None:
-                # Collect is idempotent: a client that lost the
-                # *response* to a connection reset retries the same
-                # launch id and gets the cached payload back.
-                cached = self.state.collected.get(handle)
-                if cached is not None and cached[0] == session.tenant:
-                    return cached[1]
-        if entry is None:
-            raise LaunchError(f"unknown launch id {handle!r}")
-        tenant, future = entry
-        if tenant != session.tenant:
-            with self.state.lock:
-                self.state.futures[handle] = entry
-            raise LaunchError(
-                f"launch {handle} belongs to tenant {tenant!r}"
-            )
-        try:
-            error = future.exception(timeout=body.get("timeout", 60.0))
-        except LaunchError:
-            # Wait timed out — put the future back so the client can
-            # poll the same launch id again.
-            with self.state.lock:
-                self.state.futures[handle] = entry
-            raise
+            future = self.state.futures.get(key)
+            # Collect is idempotent: a client that lost the *response*
+            # to a connection reset retries the same launch id and
+            # gets the cached payload back.
+            cached = self.state.collected.get(key)
+        if future is None:
+            if cached is not None:
+                return cached
+            raise LaunchError(f"unknown launch id {key[1]!r}")
+        error = future.exception(timeout=body.get("timeout", 60.0))
         if error is not None:
             payload = {"ok": False, "error": _error_payload(error)}
         else:
@@ -470,7 +443,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "restored": bool(getattr(result, "restored", False)),
             }
         with self.state.lock:
-            self.state.collected[handle] = (tenant, payload)
+            self.state.futures.pop(key, None)
+            self.state.collected[key] = payload
             while len(self.state.collected) > self.state.collected_limit:
                 self.state.collected.popitem(last=False)
         return payload
@@ -589,9 +563,7 @@ class KernelServer:
 #: or are idempotent by construction (collect caches its payload per
 #: launch id server-side). Launch/malloc/upload are NOT here — a
 #: resend could double-apply them.
-_IDEMPOTENT_PATHS = frozenset(
-    {"/v1/session", "/v1/read", "/v1/collect", "/v1/stats"}
-)
+_IDEMPOTENT_PATHS = frozenset({"/v1/session", "/v1/read", "/v1/collect"})
 
 #: Attempts a ServeClient makes at an idempotent request whose
 #: connection failed, and the delay before the first resend (doubled

@@ -79,6 +79,13 @@ class TestWeightedFairQueue:
         with pytest.raises(ValueError, match="positive"):
             WeightedFairQueue().add("a", weight=0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        """NaN slips past ``weight <= 0``; an infinite weight strides
+        by zero and is served ahead of every co-tenant."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            WeightedFairQueue().add("a", weight=weight)
+
 
 class TestSessions:
     def test_tenants_spread_across_workers(self, pool):
@@ -148,6 +155,30 @@ class TestSessions:
             alice.launch_async(
                 "vecAdd", 1, N, [theirs, theirs, mine, N]
             )
+
+    def test_a_refused_weight_leaves_no_session(self, pool):
+        """The fair queue refuses the weight before the tenant is
+        registered, so a retry with a good weight gets a working
+        session."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            pool.session("reweighed", weight=0)
+        session = pool.session("reweighed")
+        a, b, c = _session_buffers(session)
+        session.launch("vecAdd", 1, N, [a, b, c, N])
+        assert np.allclose(session.read(c, np.float32, N), np.arange(N) * 2)
+
+    def test_two_tenants_on_one_worker_each_hold_handle_one(self, pool):
+        """The worker keys each tenant's buffers by the session's own
+        handles: both tenants' first buffer is handle 1."""
+        first = pool.session("ones-first", worker=0)
+        second = pool.session("ones-second", worker=0)
+        mine = first.upload(np.full(N, 1.0, dtype=np.float32))
+        theirs = second.upload(np.full(N, 2.0, dtype=np.float32))
+        assert mine.handle == theirs.handle == 1
+        assert np.array_equal(first.read(mine, np.float32, N), np.full(N, 1.0))
+        assert np.array_equal(
+            second.read(theirs, np.float32, N), np.full(N, 2.0)
+        )
 
     def test_a_tenant_cannot_reach_past_its_buffer(self, pool):
         """Two tenants pinned to one worker share its arena: a host

@@ -487,6 +487,62 @@ class TestCheckpointRestore:
             assert session.stats.restores == 1
             assert session.stats.restore_failures == 0
 
+    def test_a_failed_restore_leaves_stale_handles_and_a_usable_session(
+        self, tmp_path
+    ):
+        """Two checkpoints truncate the journal; with every retained
+        manifest damaged nothing can rebuild the tenant. The launch
+        parked across the loss fails with ``restore failed``, a
+        pre-loss handle is stale (never bytes of a partial replay), and
+        a new buffer works."""
+        with DevicePool(
+            workers=1, modules=[VECADD_PTX],
+            state_dir=str(tmp_path),
+        ) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "unrestorable", durability="checkpoint",
+                checkpoint_interval=1000,
+            )
+            a, b, c = _buffers(session)
+            _vecadd(session, a, b, c)
+            assert session.checkpoint() is not None
+            _vecadd(session, a, b, c)
+            assert session.checkpoint() is not None
+            assert session._journal_base > 0
+            store = pool._state_store
+            for seq in store.sequences("unrestorable"):
+                path = store.manifest_path("unrestorable", seq)
+                with open(path, "r+b") as handle:
+                    handle.truncate(os.path.getsize(path) // 2)
+            # Hold the slot lost so the launch parks before the restore.
+            worker = pool._workers[0]
+            worker.reap = lambda timeout=5.0: None
+            worker.process.kill()
+            deadline = time.monotonic() + 30.0
+            while worker.state != "lost" and time.monotonic() < deadline:
+                time.sleep(0.01)
+            future = session.launch_async(
+                "vecAdd", (1, 1, 1), (N, 1, 1), [a, b, c, N]
+            )
+            while not session._parked and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert session._parked
+            del worker.reap  # the supervisor reaps, respawns, restores
+            error = future.exception(timeout=120.0)
+            assert isinstance(error, DeviceLost)
+            assert error.cause == "restore failed"
+            assert session.stats.restore_failures == 1
+            assert session.stats.restores == 0
+            with pytest.raises(DeviceLost) as stale:
+                session.read(c, np.float32, N)
+            assert stale.value.cause == "stale allocation epoch"
+            fresh = session.upload(np.full(N, 3.0, dtype=np.float32))
+            assert np.array_equal(
+                session.read(fresh, np.float32, N),
+                np.full(N, 3.0, dtype=np.float32),
+            )
+
     def test_restore_races_concurrent_co_tenant_launch(self):
         """A co-tenant on the SAME worker keeps submitting while the
         victim's restore runs: both must converge with correct
@@ -666,27 +722,31 @@ class TestOneStatePath:
 
     def test_each_op_and_the_handle_translation_are_written_once(self):
         """Pin the structure: within TenantSession every RPC op name
-        reaches ``.call(`` from at most one site, and the
-        ``__handle__`` marker is translated in exactly one function —
-        so replay cannot drift from the live path again."""
-        tree = ast.parse(
-            textwrap.dedent(inspect.getsource(TenantSession))
-        )
+        reaches ``.call(`` from at most one site, and the session
+        translates no handle — the one ``__handle__`` marker it builds
+        (``_marker``) holds the handle it issued, which the worker keys
+        the tenant's buffers by — so replay cannot drift from the live
+        path again, and the session keeps no per-buffer record."""
+        source = textwrap.dedent(inspect.getsource(TenantSession))
+        tree = ast.parse(source)
         called = _call_sites(tree, "call")
         for op in ("malloc", "upload", "write", "free", "launch"):
             assert called.count(op) <= 1, (op, called)
-        readers = [
+        builders = [
             function.name
             for function in ast.walk(tree)
             if isinstance(function, ast.FunctionDef)
             and any(
-                isinstance(node, ast.Subscript)
-                and isinstance(node.slice, ast.Constant)
-                and node.slice.value == "__handle__"
+                isinstance(node, ast.Dict)
+                and any(
+                    isinstance(key, ast.Constant) and key.value == "__handle__"
+                    for key in node.keys
+                )
                 for node in ast.walk(function)
             )
         ]
-        assert readers == ["_apply"]
+        assert builders == ["_marker"]
+        assert "_slots" not in source and "_slot(" not in source
 
 
 class TestServeDurability:

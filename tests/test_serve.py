@@ -1,6 +1,7 @@
 """The HTTP serving front-end (`python -m repro.serve`)."""
 
 import json
+import socket
 import statistics
 import threading
 import time
@@ -236,13 +237,74 @@ class TestServeErrors:
                 client.launch("vecAdd", 1, N, args)
 
     def test_cross_tenant_allocation_rejected(self, server):
+        """Allocation ids are per tenant: the id of another tenant's
+        buffer names the thief's own buffer of that id, or none."""
         with ServeClient(server.host, server.port, "owner") as owner:
+            owner.upload(np.arange(N, dtype=np.float32))
             theirs = owner.upload(np.arange(N, dtype=np.float32))
             with ServeClient(
                 server.host, server.port, "thief"
             ) as thief:
-                with pytest.raises(LaunchError, match="belongs to"):
+                mine = thief.upload(np.full(N, 7.0, dtype=np.float32))
+                assert mine == 1
+                assert np.array_equal(
+                    thief.read(1, np.float32, N),
+                    np.full(N, 7.0, dtype=np.float32),
+                )
+                with pytest.raises(LaunchError, match="never existed"):
                     thief.read(theirs, np.float32, N)
+
+    def test_two_tenants_on_one_worker_each_hold_id_one(self, server):
+        """Each tenant's first buffer is id 1, and each reads its own
+        bytes through it, though both live in one worker's arena."""
+        clients = [
+            ServeClient(server.host, server.port, tenant, worker=0)
+            for tenant in ("ones-a", "ones-b")
+        ]
+        try:
+            for value, client in enumerate(clients):
+                assert client.upload(np.full(N, value, np.float32)) == 1
+            for value, client in enumerate(clients):
+                assert np.array_equal(
+                    client.read(1, np.float32, N), np.full(N, value)
+                )
+        finally:
+            for client in clients:
+                client.close()
+
+    @pytest.mark.parametrize("weight", [0, -1.0, "nan", "inf"])
+    def test_a_refused_weight_leaves_no_session(self, server, weight):
+        """A weight the fair queue refuses is a 400, and leaves no
+        half-made session behind: a retry with a good weight works."""
+        tenant = f"weight-{weight}"
+        connection = HTTPConnection(server.host, server.port)
+        try:
+            connection.request(
+                "POST", "/v1/session",
+                body=json.dumps({"tenant": tenant, "weight": weight}),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            reply = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "positive and finite" in reply["error"]["message"]
+        with ServeClient(server.host, server.port, tenant) as client:
+            assert np.allclose(_vecadd_roundtrip(client), np.arange(N) * 2)
+
+    def test_a_negative_content_length_is_400(self, server):
+        """A body length of -1 would read until the client hangs up
+        while the client waits for the reply."""
+        with socket.create_connection(
+            (server.host, server.port), timeout=1.0
+        ) as raw:
+            raw.sendall(
+                b"POST /v1/session HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: -1\r\n\r\n"
+            )
+            reply = raw.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 400")
 
 
 class TestServeFaultIsolation:
