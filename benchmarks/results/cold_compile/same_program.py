@@ -34,7 +34,6 @@ CONFIGS = {
     "meld": replace(base, meld=True),
     "noopt": replace(base, optimize=False),
     "static_tie_vmem": static_tie_config(4, vector_memory=True),
-    "ifconv": replace(base, if_conversion=True),
 }
 
 for label, config in CONFIGS.items():

@@ -1,5 +1,5 @@
 """One sha256 over the printed IR of every specialization the 43 apps
-compile under five configurations (660 specializations):
+compile under four configurations (528 specializations):
 
     PYTHONPATH=src python benchmarks/results/ir_shape/digest.py
 """
@@ -15,7 +15,6 @@ CONFIGS = {
     "default": ExecutionConfig(),
     "optimize=False": ExecutionConfig(optimize=False),
     "meld": ExecutionConfig(meld=True),
-    "if_conversion": ExecutionConfig(if_conversion=True),
     "static+TIE+vector_memory": static_tie_config(4, vector_memory=True),
 }
 

@@ -195,48 +195,3 @@ def test_ablation_vector_memory(benchmark, results_dir):
     # Nothing regresses meaningfully.
     for app, gain in rows:
         assert gain > 0.95, app
-
-
-def test_ablation_if_conversion(benchmark, results_dir):
-    """Yield-on-diverge vs predication-style conditional data flow
-    (the §7 contrast with Karrenberg/Shin): if-converting short pure
-    diamonds removes divergence sites at the price of executing both
-    arms on every lane."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    plain = ExecutionConfig(warp_sizes=(1, 2, 4))
-    converted = ExecutionConfig(
-        warp_sizes=(1, 2, 4), if_conversion=True
-    )
-    rows = []
-    for app in ("MersenneTwister", "Eigenvalues", "BlackScholes",
-                "mri-q"):
-        workload = get_workload(app)
-        base = workload.run_on(plain, scale=SCALE)
-        ifcvt = workload.run_on(converted, scale=SCALE)
-        assert ifcvt.correct
-        rows.append(
-            (
-                app,
-                base.elapsed_cycles / ifcvt.elapsed_cycles,
-                base.statistics.divergent_yields,
-                ifcvt.statistics.divergent_yields,
-            )
-        )
-    lines = [
-        "Ablation: if-conversion (conditional data flow) vs "
-        "yield-on-diverge",
-        "-" * 68,
-    ]
-    for app, gain, before, after in rows:
-        lines.append(
-            f"  {app:<18} x{gain:5.2f}  divergent yields "
-            f"{before:>6} -> {after:>6}"
-        )
-    publish(results_dir, "ablation_if_conversion", "\n".join(lines))
-
-    gains = {app: gain for app, gain, _, _ in rows}
-    # Kernels whose divergence comes from pure diamonds benefit.
-    assert gains["Eigenvalues"] >= 0.95
-    # Convergent kernels are unaffected (nothing to convert or the
-    # selects are equivalent work).
-    assert gains["BlackScholes"] == pytest.approx(1.0, abs=0.1)

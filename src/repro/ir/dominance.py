@@ -6,7 +6,7 @@ analysis to reason about expressions valid at a use point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from .cfg import ControlFlowGraph
 from .function import IRFunction
@@ -73,17 +73,6 @@ class DominatorTree:
             if current == entry:
                 return a == entry
             current = self.idom[current]
-
-    def dominators_of(self, label: str) -> List[str]:
-        result = []
-        current = label
-        entry = self.function.entry_label
-        while label in self.idom:
-            result.append(current)
-            if current == entry:
-                break
-            current = self.idom[current]
-        return result
 
     def dominance_frontier(self) -> Dict[str, Set[str]]:
         """Classic dominance frontiers (per Cytron et al.)."""

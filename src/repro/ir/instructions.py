@@ -8,7 +8,7 @@ Every instruction exposes:
 - ``uses()`` — the values it reads,
 - ``rebuilt(dst, operands)`` — a copy onto another destination and
   other operands (how Algorithm 1 promotes an instruction, how
-  if-conversion and melding rename one),
+  melding renames one),
 - ``signature()`` — what two instructions must share to be the same
   computation on different registers (CSE, melding's alignment).
 
@@ -654,9 +654,9 @@ class Yield(Terminator):
 # ---------------------------------------------------------------------------
 
 #: Element-wise and pure: the vectorizer promotes these to one
-#: ``ws``-wide instruction; if-conversion and melding may execute them
-#: on a path that did not ask for them (no side effects, no faults
-#: beyond the machine's defined div-by-zero/NaN behaviour).
+#: ``ws``-wide instruction; melding may execute them on a path that
+#: did not ask for them (no side effects, no faults beyond the
+#: machine's defined div-by-zero/NaN behaviour).
 VECTORIZABLE = (
     BinaryOp,
     UnaryOp,

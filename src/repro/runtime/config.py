@@ -52,14 +52,11 @@ class ExecutionConfig:
     #: contiguous per-lane accesses become single vector loads/stores.
     #: Only effective together with static_warps.
     vector_memory: bool = False
-    #: If-convert short pure diamonds into selects before vectorizing
-    #: (the predication-style conditional data flow of Karrenberg/Shin,
-    #: §7) — trades both-arms execution for fewer divergence yields.
-    if_conversion: bool = False
     #: Control-flow melding (DARM): align and merge the arms of
-    #: divergent diamonds into predicated straight-line code before
-    #: vectorizing, guarded by a cost-model profitability check at the
-    #: maximum configured warp width. Can also be forced with
+    #: divergent diamonds and triangles into predicated straight-line
+    #: code before vectorizing (the conditional data flow of §7),
+    #: guarded by a cost-model profitability check at the maximum
+    #: configured warp width. Can also be forced with
     #: ``REPRO_MELD=1`` in the environment (resolved at Device
     #: construction). See :mod:`repro.transforms.melding`.
     meld: bool = False
@@ -185,16 +182,13 @@ class ExecutionConfig:
         ``max_kernel_cycles`` / ``launch_timeout_s`` are deliberately
         absent: they affect where code is stored or how warps are
         formed/bounded at runtime, not the code itself.
-        ``sanitize`` participates only when ON (checked calls
-        replace the inline memory access), as an appended entry —
-        the off-mode key is byte-identical to pre-sanitizer releases so
-        persistent-cache digests stay stable. ``backend`` follows the
-        same pattern: the reference oracle builds different
-        executables (its unlowered form), so it gets its own cache
-        namespace, while the default executor's key stays
-        byte-identical to earlier releases (under any of its names).
-        ``sanitize_fatal`` is runtime report routing, not codegen, and
-        stays out."""
+        ``sanitize`` (checked calls replace the inline memory access),
+        ``backend`` (the reference oracle builds its unlowered form,
+        so it gets its own cache namespace) and ``meld`` (the scalar
+        prepass) participate only when on, each as an appended entry:
+        with all three off the key is the six axes above, whatever the
+        default executor is called. ``sanitize_fatal`` is runtime
+        report routing, not codegen, and stays out."""
         key = (
             self.warp_sizes,
             self.static_warps,
@@ -202,15 +196,12 @@ class ExecutionConfig:
             self.optimize,
             self.scalar_yields_at_branches,
             self.vector_memory,
-            self.if_conversion,
         )
         if self.sanitize:
             key += (("sanitize",) + tuple(self.sanitize),)
         if self.backend != "interpreter":
             key += (("backend", self.backend),)
         if self.meld:
-            # Appended (like sanitize/backend) so meld-off digests stay
-            # byte-identical to pre-melding releases.
             key += (("meld",),)
         return key
 

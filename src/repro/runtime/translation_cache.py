@@ -373,9 +373,9 @@ class TranslationCache:
             kernel, global_symbols=self._global_symbols
         )
         self.statistics.record_stage("translate", time.perf_counter() - start)
-        # Scalar-stage transforms (if-conversion, control-flow
-        # melding): must happen before entry points are assigned so
-        # every specialization sees the same control structure.
+        # Scalar-stage transform (control-flow melding): must happen
+        # before entry points are assigned so every specialization
+        # sees the same control structure.
         prepass = scalar_prepass_pipeline(self.config, self.machine)
         if prepass is not None:
             self._run_passes(prepass, translated)

@@ -6,7 +6,6 @@ from .block_merge import merge_blocks
 from .constant_folding import fold_constants
 from .cse import eliminate_common_subexpressions
 from .dce import eliminate_dead_code
-from .if_conversion import if_convert
 from .melding import MeldDecision, MeldReport, meld_function
 from .pass_manager import (
     PassManager,
@@ -44,7 +43,6 @@ __all__ = [
     "eliminate_common_subexpressions",
     "eliminate_dead_code",
     "fold_constants",
-    "if_convert",
     "meld_function",
     "merge_blocks",
     "scalar_prepass_pipeline",

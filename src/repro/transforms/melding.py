@@ -1,4 +1,4 @@
-"""Control-flow melding: merge the arms of divergent diamonds (DARM).
+"""Control-flow melding: merge the arms of divergent regions (DARM).
 
 The yield-on-diverge execution model makes branch divergence the
 dominant modeled cost on divergence-heavy kernels: every divergent
@@ -6,16 +6,20 @@ branch costs a yield round trip plus an execution-manager re-formation
 event (Fig. 9). DARM ("Control-Flow Melding for SIMT Thread Divergence
 Reduction") observes that the two arms of a divergent branch are often
 *similar* — same loads, same multiplies, different operands — and melds
-them so both paths execute as one warp.
+them so both paths execute as one warp. Melding a region whose arms
+share nothing is the predication-style conditional data flow the paper
+contrasts yield-on-diverge with (§7, Karrenberg/Shin): both arms run on
+every lane, and the divergence site is gone.
 
 This pass implements DARM's pipeline on the scalar IR, before
-vectorization (the same stage as if-conversion, so every width
-specialization sees the melded control structure):
+vectorization (so every width specialization sees the melded control
+structure):
 
-1. **Region detection.** A meldable region is a diamond: a conditional
-   branch whose predicate the uniformity analysis cannot prove uniform,
-   with two distinct single-predecessor straight-line arms branching to
-   a common join.
+1. **Region detection.** A meldable region is a diamond or triangle: a
+   conditional branch whose predicate the uniformity analysis cannot
+   prove uniform, with single-predecessor straight-line arms branching
+   to a common join. A triangle's other successor is the join itself:
+   an empty arm.
 2. **Alignment.** The arms' instruction sequences are aligned with
    Needleman-Wunsch sequence alignment. Two instructions may pair when
    their opcode/type signatures are compatible; the pair's score is the
@@ -24,16 +28,18 @@ specialization sees the melded control structure):
    stores, atomics) participate *only* as pairs — they must find a
    compatible partner in the other arm or the region is rejected,
    because unpaired memory operations would execute speculatively on
-   the wrong path.
+   the wrong path. Against a triangle's empty arm nothing pairs, so a
+   memory operation in its one arm rejects the region.
 3. **Predicated rewrite.** Aligned pairs execute once, with a
    ``select`` per differing operand choosing between the taken and
-   fallthrough arm's value (the if-conversion machinery); a melded
-   memory operation therefore issues exactly the access the executing
-   thread's arm would have issued — same address, same value — so
-   guest memory, trap coordinates and sanitizer findings are
-   preserved. Unpaired *pure* instructions execute speculatively into
-   fresh registers. Register state merges at the join with one select
-   per register either arm defines.
+   fallthrough arm's value; a melded memory operation therefore issues
+   exactly the access the executing thread's arm would have issued —
+   same address, same value — so guest memory, trap coordinates and
+   sanitizer findings are preserved. Unpaired *pure* instructions
+   execute speculatively into fresh registers. Register state merges
+   at the join with one select per register either arm defines (a
+   plain move where only one arm defines it and nothing past the join
+   reads it first).
 4. **Profitability.** The rewrite is applied only when the cost model
    predicts the melded straight line cheaper than the divergent
    original at the configured maximum warp width:
@@ -55,7 +61,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir.basicblock import BasicBlock
 from ..ir.cfg import ControlFlowGraph
-from ..ir.dominance import DominatorTree
 from ..ir.function import IRFunction
 from ..ir.instructions import (
     VECTORIZABLE,
@@ -68,6 +73,7 @@ from ..ir.instructions import (
     Store,
     UnaryOp,
 )
+from ..ir.liveness import LivenessInfo
 from ..ir.values import VirtualRegister
 from ..machine.costmodel import divergence_penalty, scalar_instruction_cycles
 from ..machine.descriptor import MachineDescription
@@ -80,7 +86,7 @@ _ALIGN_ONLY = (Load, Store, AtomicRMW)
 
 #: Everything a meldable arm may hold. What is not ``_ALIGN_ONLY`` is
 #: pure and may stay unpaired, running speculatively on the not-taken
-#: path (the if-conversion argument).
+#: path.
 _MELDABLE = VECTORIZABLE + _ALIGN_ONLY + (ContextRead,)
 
 #: Arms longer than this are never considered (alignment is quadratic).
@@ -95,7 +101,8 @@ _ALIGN_BONUS = 1.0e6
 
 @dataclass
 class MeldDecision:
-    """Outcome for one candidate diamond region."""
+    """Outcome for one candidate region (``taken`` or ``fallthrough``
+    is ``join`` for a triangle)."""
 
     branch_block: str
     taken: str
@@ -187,34 +194,42 @@ def _arm_shape_ok(
     return len(block.instructions) <= limit
 
 
-def _match_diamond(
+def _match_region(
     function: IRFunction,
     cfg: ControlFlowGraph,
     block: BasicBlock,
     terminator: CondBranch,
     limit: int,
-) -> Optional[Tuple[BasicBlock, BasicBlock, str]]:
-    """Single-entry/single-exit divergent diamond, or ``None``."""
+) -> Optional[Tuple[Optional[BasicBlock], Optional[BasicBlock], str]]:
+    """Single-entry/single-exit divergent diamond or triangle, or
+    ``None``. A triangle's missing arm (the successor that *is* the
+    join) comes back as ``None``."""
     if terminator.taken == terminator.fallthrough:
         return None
     taken = function.blocks.get(terminator.taken)
     fallthrough = function.blocks.get(terminator.fallthrough)
     if taken is None or fallthrough is None:
         return None
-    if not (
-        isinstance(taken.terminator, Branch)
-        and isinstance(fallthrough.terminator, Branch)
-        and taken.terminator.target == fallthrough.terminator.target
+    targets = [
+        arm.terminator.target if isinstance(arm.terminator, Branch) else None
+        for arm in (taken, fallthrough)
+    ]
+    if targets[0] is not None and targets[0] == targets[1]:
+        join = targets[0]
+    elif targets[0] == fallthrough.label:
+        join = fallthrough.label
+    elif targets[1] == taken.label:
+        join = taken.label
+    else:
+        return None
+    if join == block.label:
+        return None
+    arms = [arm if arm.label != join else None for arm in (taken, fallthrough)]
+    if not all(
+        _arm_shape_ok(arm, join, cfg, limit) for arm in arms if arm
     ):
         return None
-    join = taken.terminator.target
-    if join in (taken.label, fallthrough.label, block.label):
-        return None
-    if not _arm_shape_ok(taken, join, cfg, limit):
-        return None
-    if not _arm_shape_ok(fallthrough, join, cfg, limit):
-        return None
-    return taken, fallthrough, join
+    return arms[0], arms[1], join
 
 
 def _meldable(instruction) -> bool:
@@ -371,19 +386,17 @@ def _apply_meld(
     function: IRFunction,
     block: BasicBlock,
     terminator: CondBranch,
-    taken: BasicBlock,
-    fallthrough: BasicBlock,
+    arms: Tuple[Optional[BasicBlock], Optional[BasicBlock]],
     join: str,
     alignment: _Alignment,
-    defined_before: set,
+    live_at_join: set,
 ) -> None:
     predicate = terminator.predicate
     block.terminator = None
     out = block.instructions
     left_state = _ArmState()
     right_state = _ArmState()
-    left = taken.instructions
-    right = fallthrough.instructions
+    left, right = (arm.instructions if arm else [] for arm in arms)
 
     def fresh_like(register: VirtualRegister) -> VirtualRegister:
         return function.fresh_register(
@@ -457,12 +470,11 @@ def _apply_meld(
         register = register or fall_register
         if (
             left_value is None or right_value is None
-        ) and name not in defined_before:
-            # Only one arm defines this register and it has no
-            # definition dominating the branch: the other path's value
-            # is undefined, so (in any verifier-valid program) the
-            # register is dead past the join unless this arm ran — an
-            # unconditional move of the speculative value is exact.
+        ) and name not in live_at_join:
+            # Only one arm defines this register and nothing past the
+            # join reads it before writing it: what the other path
+            # left there is never read, so an unconditional move of
+            # the speculative value is exact.
             value = left_value if left_value is not None else right_value
             out.append(
                 UnaryOp(
@@ -480,7 +492,7 @@ def _apply_meld(
             )
         )
     block.append(Branch(join))
-    function.remove_blocks((taken.label, fallthrough.label))
+    function.remove_blocks(arm.label for arm in arms if arm)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +506,10 @@ def meld_function(
     warp_size: int,
     max_arm_instructions: int = DEFAULT_MAX_ARM_INSTRUCTIONS,
 ) -> MeldReport:
-    """Meld profitable divergent diamonds of a *scalar* IR function.
+    """Meld profitable divergent diamonds and triangles of a *scalar*
+    IR function.
 
-    Iterates to a fixed point (melding an inner diamond can straighten
+    Iterates to a fixed point (melding an inner region can straighten
     the arm of an outer one); the report of every decision is also
     attached to the function as ``function.meld_report``."""
     report = MeldReport(
@@ -508,15 +521,6 @@ def meld_function(
         changed = False
         info = analyze_uniformity(function)
         cfg = ControlFlowGraph(function)
-        dominators = DominatorTree(function)
-        block_definitions = {
-            candidate.label: {
-                instruction.dst.name
-                for instruction in candidate.instructions
-                if instruction.dst is not None
-            }
-            for candidate in function.ordered_blocks()
-        }
         for block in function.ordered_blocks():
             terminator = block.terminator
             if not isinstance(terminator, CondBranch):
@@ -525,47 +529,36 @@ def meld_function(
                 continue
             if info.is_uniform(terminator.predicate):
                 continue  # uniform branches never diverge a warp
-            candidate = _match_diamond(
+            candidate = _match_region(
                 function, cfg, block, terminator, max_arm_instructions
             )
             if candidate is None:
                 continue
-            taken, fallthrough, join = candidate
+            *arms, join = candidate
             decision = MeldDecision(
                 branch_block=block.label,
-                taken=taken.label,
-                fallthrough=fallthrough.label,
+                taken=terminator.taken,
+                fallthrough=terminator.fallthrough,
                 join=join,
                 melded=False,
                 reason="",
             )
-            arms = taken.instructions + fallthrough.instructions
-            if not all(_meldable(i) for i in arms):
+            left, right = (arm.instructions if arm else [] for arm in arms)
+            if not all(_meldable(i) for i in left + right):
                 decision.reason = "unsupported-instruction"
                 rejected.add(block.label)
                 report.decisions.append(decision)
                 continue
-            alignment = _align(
-                taken.instructions, fallthrough.instructions, machine
-            )
-            paired_left = {
-                l for kind, l, _ in alignment.plan if kind == "pair"
-            }
-            paired_right = {
-                r for kind, _, r in alignment.plan if kind == "pair"
-            }
-            unaligned_effects = any(
-                isinstance(instruction, _ALIGN_ONLY)
-                for index, instruction in enumerate(taken.instructions)
-                if index not in paired_left
-            ) or any(
-                isinstance(instruction, _ALIGN_ONLY)
-                for index, instruction in enumerate(
-                    fallthrough.instructions
+            alignment = _align(left, right, machine)
+            # Paired accesses issue each thread's own; an unpaired one
+            # (every access of a triangle's arm) would be speculative.
+            if any(
+                isinstance(
+                    left[l] if kind == "left" else right[r], _ALIGN_ONLY
                 )
-                if index not in paired_right
-            )
-            if unaligned_effects:
+                for kind, l, r in alignment.plan
+                if kind != "pair"
+            ):
                 decision.reason = "unaligned-memory-op"
                 rejected.add(block.label)
                 report.decisions.append(decision)
@@ -573,17 +566,12 @@ def meld_function(
             join_registers = len(
                 {
                     instruction.dst.name
-                    for instruction in arms
+                    for instruction in left + right
                     if instruction.dst is not None
                 }
             )
             est_divergent, est_melded = _estimate(
-                taken.instructions,
-                fallthrough.instructions,
-                alignment,
-                join_registers,
-                machine,
-                warp_size,
+                left, right, alignment, join_registers, machine, warp_size
             )
             decision.aligned_pairs = alignment.pairs
             decision.est_divergent_cycles = est_divergent
@@ -593,19 +581,14 @@ def meld_function(
                 rejected.add(block.label)
                 report.decisions.append(decision)
                 continue
-            defined_before = {
-                name
-                for label in dominators.dominators_of(block.label)
-                for name in block_definitions.get(label, ())
-            }
             _apply_meld(
-                function, block, terminator, taken, fallthrough, join,
-                alignment, defined_before,
+                function, block, terminator, arms, join, alignment,
+                LivenessInfo(function).live_in[join],
             )
             decision.melded = True
             decision.reason = "profitable"
             report.decisions.append(decision)
-            # Straighten so a nested diamond's outer arms become
+            # Straighten so a nested region's outer arms become
             # single blocks for the next round.
             merge_blocks(function)
             changed = True

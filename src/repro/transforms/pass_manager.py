@@ -68,26 +68,18 @@ def scalar_prepass_pipeline(
 ) -> Optional[PassManager]:
     """Scalar-stage transforms the translation cache applies before
     entry points are assigned (so every width specialization sees the
-    same control structure): if-conversion, then control-flow melding.
-    Returns ``None`` when the config enables neither."""
-    from .if_conversion import if_convert
+    same control structure): control-flow melding. Returns ``None``
+    when the config does not enable it."""
     from .melding import meld_function
 
-    if not (config.if_conversion or config.meld):
+    if not config.meld:
         return None
-    manager = PassManager(verify=verify)
-    if config.if_conversion:
-        manager.add("if-conversion", if_convert)
-    if config.meld:
 
-        def run_meld(function: IRFunction) -> int:
-            report = meld_function(
-                function, machine, config.max_warp_size
-            )
-            return report.melded_regions
+    def run_meld(function: IRFunction) -> int:
+        report = meld_function(function, machine, config.max_warp_size)
+        return report.melded_regions
 
-        manager.add("meld", run_meld)
-    return manager
+    return PassManager(verify=verify).add("meld", run_meld)
 
 
 def standard_cleanup_pipeline(verify: bool = True) -> PassManager:

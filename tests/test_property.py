@@ -1289,11 +1289,12 @@ class TestAffineAnalysisProperty:
 
 
 class TestMeldingProperty:
-    """Randomly generated divergent diamonds (unbalanced arms, nested
-    inner diamonds, side exits, shared-memory stores in arms) must
-    produce bit-identical guest memory with the melding pass off and
-    on, across all three execution paths — and a fixed meld setting
-    must model identical statistics on every backend."""
+    """Randomly generated divergent regions (unbalanced arms, nested
+    inner diamonds, side exits, shared-memory stores in arms,
+    triangles, a diamond in a loop) must produce bit-identical guest
+    memory with the melding pass off and on, across all three
+    execution paths — and a fixed meld setting must model identical
+    statistics on every backend."""
 
     SETTINGS = settings(
         max_examples=10,
@@ -1322,7 +1323,32 @@ class TestMeldingProperty:
         taken_extra = []
         fall_extra = []
         join_extra = []
-        if variant == "nested":
+        setup = f"  setp.lt.u32 %p2, %r4, {threshold};"
+        if variant == "triangle-store":
+            # the arm overwrites the input word it read: nothing in
+            # the empty arm pairs with the store
+            taken_extra = ["  st.global.u32 [%rd3], %r2;"]
+        elif variant == "loop-carried":
+            # three trips alternating arms; %r17 and %r18 are each
+            # defined by one arm only and live at the join, so the
+            # value an earlier trip left must survive the next one
+            setup = "\n".join([
+                "  mov.u32 %r16, 0;",
+                "LOOP:",
+                "  xor.b32 %r19, %r4, %r16;",
+                "  and.b32 %r19, %r19, 1;",
+                "  setp.eq.u32 %p2, %r19, 0;",
+            ])
+            taken_extra = ["  add.u32 %r17, %r16, 100;"]
+            fall_extra = ["  add.u32 %r18, %r16, 200;"]
+            join_extra = [
+                "  add.u32 %r16, %r16, 1;",
+                "  setp.lt.u32 %p4, %r16, 3;",
+                "  @%p4 bra LOOP;",
+                "  xor.b32 %r5, %r5, %r17;",
+                "  xor.b32 %r5, %r5, %r18;",
+            ]
+        elif variant == "nested":
             # inner diamond inside the fallthrough arm: melding the
             # inner region straightens the arm, which can then make
             # the outer diamond meldable on the next fixpoint round
@@ -1360,6 +1386,14 @@ class TestMeldingProperty:
                 "  ld.shared.u32 %r15, [%r13];",
                 "  xor.b32 %r5, %r5, %r15;",
             ]
+        if variant.startswith("triangle"):
+            # the taken successor is the join: one arm, one empty
+            region = ["  @%p2 bra JOIN;", arm(taken_ops), *taken_extra]
+        else:
+            region = [
+                "  @%p2 bra TAKEN;", arm(fall_ops), *fall_extra,
+                "  bra JOIN;", "TAKEN:", arm(taken_ops), *taken_extra,
+            ]
         shared_setup = ""
         if shared:
             shared_setup = (
@@ -1372,7 +1406,7 @@ class TestMeldingProperty:
 .target sim
 .entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
 {{
-  .reg .u32 %r<16>;
+  .reg .u32 %r<20>;
   .reg .u64 %rd<6>;
   .reg .pred %p<6>;
 {shared_decl}
@@ -1391,14 +1425,8 @@ class TestMeldingProperty:
   add.u32 %r2, %r0, %r11;
   shr.u32 %r3, %r0, 5;
   and.b32 %r4, %r0, 63;
-{shared_setup}  setp.lt.u32 %p2, %r4, {threshold};
-  @%p2 bra TAKEN;
-{arm(fall_ops)}
-{chr(10).join(fall_extra)}
-  bra JOIN;
-TAKEN:
-{arm(taken_ops)}
-{chr(10).join(taken_extra)}
+{shared_setup}{setup}
+{chr(10).join(region)}
 JOIN:
   xor.b32 %r5, %r0, %r1;
   xor.b32 %r5, %r5, %r2;
@@ -1434,9 +1462,22 @@ DONE:
         fall_ops=st.lists(int_op, min_size=0, max_size=3),
         threshold=st.integers(0, 64),
         variant=st.sampled_from(
-            ("plain", "nested", "side", "shared-both", "shared-one")
+            ("plain", "nested", "side", "shared-both", "shared-one",
+             "triangle", "triangle-store", "loop-carried")
         ),
         seed=st.integers(0, 2**31),
+    )
+    @example(
+        taken_ops=[("mul.lo", 0, 1, 7), ("add", 1, 0, 2)], fall_ops=[],
+        threshold=32, variant="triangle", seed=1,
+    )
+    @example(
+        taken_ops=[("xor", 2, 1, 3)], fall_ops=[], threshold=32,
+        variant="triangle-store", seed=2,
+    )
+    @example(
+        taken_ops=[("add", 0, 0, 1)], fall_ops=[("or", 1, 2, 3)],
+        threshold=32, variant="loop-carried", seed=3,
     )
     def test_meld_differential_matrix(
         self, taken_ops, fall_ops, threshold, variant, seed
@@ -1444,6 +1485,22 @@ DONE:
         source = self.build_kernel(
             taken_ops, fall_ops, threshold, variant
         )
+        if variant.startswith("triangle"):
+            # a pure arm melds at width 4; an arm's store has nothing
+            # to pair with in the empty arm
+            from repro.frontend import translate_kernel
+            from repro.machine.descriptor import sandybridge
+            from repro.ptx import parse
+            from repro.transforms import meld_function
+
+            scalar = translate_kernel(parse(source).kernel("prop"))
+            report = meld_function(scalar, sandybridge(), warp_size=4)
+            assert [
+                d.reason for d in report.decisions if d.join == "JOIN"
+            ] == [
+                "profitable" if variant == "triangle"
+                else "unaligned-memory-op"
+            ]
         data = np.random.default_rng(seed).integers(
             0, 1 << 32, 64, dtype=np.uint32
         )
@@ -1489,9 +1546,9 @@ DONE:
         assert np.array_equal(reference[False], reference[True])
 
 
-class TestIfConversionProperty:
-    """Randomly generated pure diamonds must compute identical results
-    with and without if-conversion."""
+class TestPureDiamondProperty:
+    """Randomly generated pure diamonds (the conditional data flow of
+    §7) must compute identical results with and without melding."""
 
     @_SETTINGS
     @given(
@@ -1503,8 +1560,6 @@ class TestIfConversionProperty:
     def test_random_diamonds_equivalent(
         self, taken_ops, fall_ops, threshold, seed
     ):
-        from repro import ExecutionConfig
-
         def arm(ops):
             lines = []
             for op, dst, a, b in ops:
@@ -1562,10 +1617,7 @@ DONE:
         data = np.random.default_rng(seed).integers(
             0, 1 << 32, 64, dtype=np.uint32
         )
-        plain = run_config(source, data, vectorized_config(4))
-        converted = run_config(
-            source,
-            data,
-            ExecutionConfig(warp_sizes=(1, 2, 4), if_conversion=True),
-        )
-        assert np.array_equal(plain, converted)
+        config = vectorized_config(4)
+        plain = run_config(source, data, config)
+        melded = run_config(source, data, replace(config, meld=True))
+        assert np.array_equal(plain, melded)

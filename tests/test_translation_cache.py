@@ -294,15 +294,16 @@ class TestContentAddressedKeys:
         "overrides",
         [
             {"warp_sizes": (1, 2)},
-            {"if_conversion": True},
+            {"meld": True},
             {"optimize": False},
             {"static_warps": True},
             {"thread_invariant_elimination": True},
         ],
-        ids=["warp_sizes", "if_conversion", "optimize", "static_warps",
-             "tie"],
+        ids=["warp_sizes", "meld", "optimize", "static_warps", "tie"],
     )
-    def test_digest_depends_on_config_axes(self, overrides):
+    def test_digest_depends_on_config_axes(self, overrides, monkeypatch):
+        # the meld-off side must be off under REPRO_MELD=1 too
+        monkeypatch.delenv("REPRO_MELD", raising=False)
         base = Device(config=_isolated_config())
         other = Device(config=_isolated_config(**overrides))
         for device in (base, other):
@@ -348,16 +349,17 @@ class TestDiskTier:
         "overrides",
         [
             {"warp_sizes": (1, 2)},
-            {"if_conversion": True},
+            {"meld": True},
             {"optimize": False},
         ],
-        ids=["warp_sizes", "if_conversion", "optimize"],
+        ids=["warp_sizes", "meld", "optimize"],
     )
     def test_configs_never_exchange_specializations(
-        self, tmp_path, overrides
+        self, tmp_path, overrides, monkeypatch
     ):
         """Satellite 4: devices sharing a disk cache with different
         cache_key() axes must never exchange specializations."""
+        monkeypatch.delenv("REPRO_MELD", raising=False)
         store = self._store(tmp_path)
         first = Device(config=_isolated_config(), cache_store=store)
         first.register_module(VECADD_PTX)
