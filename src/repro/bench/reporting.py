@@ -174,10 +174,6 @@ def format_cache_statistics(
         lines.append("  (no cache activity recorded)")
         return "\n".join(lines)
     lines += [f"  {line}" for line in stats.report().splitlines()]
-    for kernel, failed, fallback, reason in stats.degradation_events:
-        lines.append(
-            f"    {kernel:<28} ws={failed} -> ws={fallback}  ({reason})"
-        )
     if stats.stage_seconds:
         # Where the translation time went, in pipeline order, with what
         # each pass reported changing.

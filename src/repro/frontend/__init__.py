@@ -1,15 +1,8 @@
-"""Frontend: PTX -> scalar IR translation and registration-time kernel
-analysis (§5.1). Predication lowering (predicated ops -> selects /
-short diamonds) and barrier block-splitting happen inside the
-translator, matching the paper's PTX->PTX pre-pass."""
+"""Frontend: PTX -> scalar IR translation (§5.1). Predication
+lowering (predicated ops -> selects / short diamonds) and barrier
+block-splitting happen inside the translator, matching the paper's
+PTX->PTX pre-pass."""
 
-from .analysis import KernelAnalysis, analyze_kernel, analyze_module
 from .translator import Translator, translate_kernel
 
-__all__ = [
-    "KernelAnalysis",
-    "Translator",
-    "analyze_kernel",
-    "analyze_module",
-    "translate_kernel",
-]
+__all__ = ["Translator", "translate_kernel"]

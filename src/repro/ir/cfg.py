@@ -67,39 +67,6 @@ class ControlFlowGraph:
         order.reverse()
         return order
 
-    def back_edges(self) -> List[tuple]:
-        """(source, target) pairs where target dominates source in a
-        DFS sense — loop back edges for simple loop detection."""
-        color: Dict[str, int] = {}
-        edges: List[tuple] = []
-
-        def dfs(root: str) -> None:
-            stack = [(root, iter(self.successors.get(root, [])))]
-            color[root] = 1
-            while stack:
-                label, successors = stack[-1]
-                advanced = False
-                for successor in successors:
-                    state = color.get(successor, 0)
-                    if state == 1:
-                        edges.append((label, successor))
-                    elif state == 0:
-                        color[successor] = 1
-                        stack.append(
-                            (
-                                successor,
-                                iter(self.successors.get(successor, [])),
-                            )
-                        )
-                        advanced = True
-                        break
-                if not advanced:
-                    color[label] = 2
-                    stack.pop()
-
-        dfs(self.function.entry_label)
-        return edges
-
 
 def _reachable(function: IRFunction, roots: List[str]) -> Set[str]:
     """Labels of the blocks reachable from ``roots``: one walk over the

@@ -6,7 +6,7 @@ analysis to reason about expressions valid at a use point.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from .cfg import ControlFlowGraph
 from .function import IRFunction
@@ -73,23 +73,3 @@ class DominatorTree:
             if current == entry:
                 return a == entry
             current = self.idom[current]
-
-    def dominance_frontier(self) -> Dict[str, Set[str]]:
-        """Classic dominance frontiers (per Cytron et al.)."""
-        frontier: Dict[str, Set[str]] = {
-            label: set() for label in self._order
-        }
-        for label in self._order:
-            predecessors = self.cfg.predecessors.get(label, [])
-            if len(predecessors) < 2:
-                continue
-            for predecessor in predecessors:
-                if predecessor not in self.idom:
-                    continue
-                runner = predecessor
-                while runner != self.idom[label]:
-                    frontier[runner].add(label)
-                    runner = self.idom.get(runner)
-                    if runner is None:
-                        break
-        return frontier

@@ -102,13 +102,3 @@ class LivenessInfo:
         return [
             self._types[name] for name in sorted(self.live_out[label])
         ]
-
-    def max_live(self) -> int:
-        """Maximum number of simultaneously live registers at any block
-        boundary — a register-pressure proxy used by the cost model."""
-        best = 0
-        for label in self.live_in:
-            best = max(
-                best, len(self.live_in[label]), len(self.live_out[label])
-            )
-        return best

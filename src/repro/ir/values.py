@@ -32,9 +32,6 @@ class VirtualRegister:
     def is_vector(self) -> bool:
         return self.width > 1
 
-    def with_width(self, width: int) -> "VirtualRegister":
-        return VirtualRegister(name=self.name, dtype=self.dtype, width=width)
-
 
 @dataclass(frozen=True)
 class Constant:

@@ -628,8 +628,8 @@ class ArrayBackend(Interpreter):
     :meth:`execute_batch`. The sequential path is where every warp runs
     that admission does not put in a batch, the fallback target for
     continuations, and all there is for launches the execution manager
-    cannot batch (degraded widths, traced or sanitized runs, a patched
-    guest-access seam, static formation).
+    cannot batch (sanitized runs, a patched guest-access seam, static
+    formation).
     """
 
     def array_lowering(self, executable: ExecutableFunction):

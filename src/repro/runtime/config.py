@@ -31,9 +31,6 @@ class ExecutionConfig:
         branches so threads can re-form wider warps (Fig. 4b). ``None``
         = automatic: True when wider specializations exist, False for
         the pure scalar baseline.
-    cta_window:
-        How many CTAs each execution manager keeps simultaneously
-        active (bounds shared/local memory footprint).
     allow_cross_cta_warps:
         Permit warps mixing threads of different CTAs (Fig. 2 draws
         the formation pool from several CTAs). Off by default: warp
@@ -46,7 +43,6 @@ class ExecutionConfig:
     thread_invariant_elimination: bool = False
     optimize: bool = True
     scalar_yields_at_branches: Optional[bool] = None
-    cta_window: int = 4
     allow_cross_cta_warps: bool = False
     #: Enable the affine vector-memory optimization (§4 future work):
     #: contiguous per-lane accesses become single vector loads/stores.
@@ -178,7 +174,7 @@ class ExecutionConfig:
         """The axes that change generated code. Part of every
         specialization digest, so two configs differing in any of these
         can never exchange cache entries. ``persistent_cache`` /
-        ``cache_dir`` / ``cta_window`` / ``allow_cross_cta_warps`` /
+        ``cache_dir`` / ``allow_cross_cta_warps`` /
         ``max_kernel_cycles`` / ``launch_timeout_s`` are deliberately
         absent: they affect where code is stored or how warps are
         formed/bounded at runtime, not the code itself.

@@ -64,6 +64,10 @@ from .traps import ProgramPoint, build_timeout, build_trap
 #: A batch floor no ready pool reaches: the window does not batch.
 _NEVER = sys.maxsize
 
+#: How many CTAs an execution manager keeps active at once: the bound
+#: on its shared/local memory footprint.
+CTA_WINDOW = 4
+
 
 @dataclass(frozen=True)
 class LaunchGeometry:
@@ -233,10 +237,6 @@ class ExecutionManager:
         self.cache = cache
         self.config = config
         self.stats = LaunchStatistics()
-        #: Optional callable receiving (event, payload) tuples:
-        #: ("warp", ...), ("yield", ...), ("barrier_release", ...).
-        #: Set through KernelLauncher.trace; None disables tracing.
-        self.trace = None
         self._warp_counter = 0
         self._max_warp_size = config.max_warp_size
         #: Pooled warp-execution state: one register file + statistics
@@ -270,7 +270,6 @@ class ExecutionManager:
         kernel = self.cache.kernel(kernel_name)
         local_bytes = self.cache.scalar_ir(kernel_name).frame_bytes
         shared_bytes = -(-max(kernel.shared_size, 1) // 16) * 16
-        window = max(1, self.config.cta_window)
         sanitizer = self.memory.sanitizer
         # Checked execution separates the per-thread local segments
         # with interior redzones so a thread overrunning its local
@@ -282,7 +281,7 @@ class ExecutionManager:
         )
         local_stride = local_bytes + pad
         self._reserve_slabs(
-            window, shared_bytes, local_stride, geometry.threads_per_cta
+            shared_bytes, local_stride, geometry.threads_per_cta
         )
         if sanitizer is not None:
             for slab in self._shared_slabs:
@@ -295,26 +294,25 @@ class ExecutionManager:
                 )
         # What no warp of this run can change is settled here, not per
         # warp: the watchdog's limits, that every local frame the slab
-        # holds fits (frames_fit: its extremes decide), and — unless a
-        # trace callback runs between warps (it may do anything, in
-        # the host's numpy error state) — the guest error state and
-        # the inline access template. Checked access stays per warp: a
-        # sanitizer report is host code, an injector may disarm itself.
+        # holds fits (frames_fit: its extremes decide), and with the
+        # inline access template the guest error state. Checked access
+        # stays per warp: a sanitizer report is host code, an injector
+        # may disarm itself.
         state = self._warp_state
         state.deadline = deadline
         state.limit = self.interpreter.instruction_limit
-        frames = geometry.threads_per_cta * min(window, len(cta_ids))
+        frames = geometry.threads_per_cta * min(CTA_WINDOW, len(cta_ids))
         state.access = self.interpreter.access(frames_fit(
             local_bytes, self._local_slab, local_stride, frames, self.memory.size
         ))
-        state.scoped = self.trace is None and state.access == "inline"
+        state.scoped = state.access == "inline"
         try:
             with guest_errstate() if state.scoped else nullcontext():
-                for start in range(0, len(cta_ids), window):
+                for start in range(0, len(cta_ids), CTA_WINDOW):
                     self._run_window(
                         kernel_name,
                         geometry,
-                        cta_ids[start : start + window],
+                        cta_ids[start : start + CTA_WINDOW],
                         param_base,
                         shared_bytes,
                         local_stride,
@@ -339,7 +337,6 @@ class ExecutionManager:
 
     def _reserve_slabs(
         self,
-        window: int,
         shared_bytes: int,
         local_stride: int,
         threads_per_cta: int,
@@ -357,7 +354,7 @@ class ExecutionManager:
                 self.memory.free(slab, self._shared_slab_bytes)
             self._shared_slabs = []
             self._shared_slab_bytes = shared_bytes
-        while len(self._shared_slabs) < window:
+        while len(self._shared_slabs) < CTA_WINDOW:
             self._shared_slabs.append(
                 self.memory.allocate(
                     self._shared_slab_bytes,
@@ -366,7 +363,7 @@ class ExecutionManager:
                     f"{len(self._shared_slabs)}",
                 )
             )
-        total_local = max(local_stride * threads_per_cta * window, 16)
+        total_local = max(local_stride * threads_per_cta * CTA_WINDOW, 16)
         if self._local_slab is None or self._local_slab_bytes < total_local:
             if self._local_slab is not None:
                 self.memory.free(self._local_slab, self._local_slab_bytes)
@@ -455,23 +452,8 @@ class ExecutionManager:
                 window, batchable
             ):
                 continue
-            warp = self._form_warp(kernel_name, ready)
-            size = len(warp.contexts)
-            executable, width = self.cache.get_or_degrade(kernel_name, size)
-            if width < size:
-                # The wider build failed and was degraded mid-launch:
-                # shrink to the width that did build and re-queue the
-                # excess threads for later (narrower) warps. Formation
-                # now skips a width, which a batch's full-width chunks
-                # would not: none is formed for the rest of the window
-                # (pre-run warps still drain at their turns).
-                self.stats.degraded_warps += 1
-                floor = _NEVER
-                for extra in warp.contexts[width:]:
-                    ready.push(extra)
-                warp = Warp(
-                    contexts=warp.contexts[:width], warp_id=warp.warp_id
-                )
+            warp = self._form_warp(ready)
+            executable = self.cache.get(kernel_name, warp.size)
             restored = executable.function.restore_counts.get(
                 warp.entry_point, 0
             )
@@ -535,18 +517,6 @@ class ExecutionManager:
             self.machine.em_event_cost
             + self.machine.em_per_thread_cost * size
         )
-        trace = self.trace
-        if trace is not None:
-            trace(
-                "warp",
-                {
-                    "worker": self.worker_id,
-                    "warp_id": warp.warp_id,
-                    "size": size,
-                    "entry": warp.entry_point,
-                    "kernel": window.kernel_name,
-                },
-            )
         if batch is None or continuation is not None:
             status = self._execute_warp(
                 window, warp, executable, continuation
@@ -559,15 +529,6 @@ class ExecutionManager:
         ExecutionStats.merge(stats, execution)
         yields = stats.yields_by_status
         yields[status] = yields.get(status, 0) + 1
-        if trace is not None:
-            trace(
-                "yield",
-                {
-                    "worker": self.worker_id,
-                    "warp_id": warp.warp_id,
-                    "status": ResumeStatus.NAMES.get(status, status),
-                },
-            )
         self._handle_yield(window, status, warp)
         if window.watched:
             self._check_watchdog(window)
@@ -627,22 +588,19 @@ class ExecutionManager:
         batch, or None when the batched path cannot reproduce the
         sequential one exactly: static formation, cross-CTA formation
         (a batch keeps each warp's barrier and exit bookkeeping inside
-        one CTA), a trace callback or a patched guest-access seam or a
-        sanitized device (not ``scoped``), a cycle budget (whose
-        per-warp clamp is inherently sequential), an instance-patched
-        ``execute`` (a fault injector), a degraded width, no
-        maximal-width executable in the cache yet, or none with an
-        array lowering (the reference oracle, a sanitized device,
-        atomics). None of these changes while a window runs, except a
-        width degrading, which the loop sees where it counts the
-        degraded warp."""
+        one CTA), a patched guest-access seam or a sanitized device
+        (not ``scoped``), a cycle budget (whose per-warp clamp is
+        inherently sequential), an instance-patched ``execute`` (a
+        fault injector), no maximal-width executable in the cache
+        yet, or none with an array lowering (the reference oracle, a
+        sanitized device, atomics). None of these changes while a
+        window runs."""
         if (
             self.config.static_warps
             or self.config.allow_cross_cta_warps
             or not self._warp_state.scoped
             or self._cycle_budget is not None
             or "execute" in self.interpreter.__dict__
-            or self.cache.degraded_widths(kernel_name)
         ):
             return None
         executable = self.cache.resident(kernel_name, self._max_warp_size)
@@ -689,7 +647,7 @@ class ExecutionManager:
         warps = []
         for _ in range(len(queue) // limit):
             # One cache access per warp, as the sequential path makes.
-            self.cache.get_or_degrade(kernel_name, limit)
+            self.cache.get(kernel_name, limit)
             warps.append(Warp(
                 contexts=list(islice(threads, limit)),
                 warp_id=self._warp_counter,
@@ -781,15 +739,14 @@ class ExecutionManager:
 
     # -- warp formation ------------------------------------------------------
 
-    def _form_warp(self, kernel_name: str, ready: _ReadyPool) -> Warp:
+    def _form_warp(self, ready: _ReadyPool) -> Warp:
         limit = self._max_warp_size
-        degraded = self.cache.degraded_widths(kernel_name)
         if self.config.static_warps:
-            members = self._form_static(ready, limit, degraded)
+            members = self._form_static(ready, limit)
         else:
             members = ready.pop_group(limit)
-            if degraded or len(members) < limit:  # else: the widest fits
-                size = self._choose_width(len(members), degraded)
+            if len(members) < limit:  # else: the widest fits
+                size = self.cache.specialization_for(len(members))
                 for extra in members[size:]:
                     ready.push(extra)
                 del members[size:]
@@ -797,16 +754,8 @@ class ExecutionManager:
         self._warp_counter += 1
         return warp
 
-    def _choose_width(self, available: int, degraded) -> int:
-        """Formation-time width query, skipping degraded widths (and
-        counting the warp as degraded when that changed the answer)."""
-        size = self.cache.specialization_for(available, exclude=degraded)
-        if degraded and size < self.cache.specialization_for(available):
-            self.stats.degraded_warps += 1
-        return size
-
     def _form_static(
-        self, ready: _ReadyPool, limit: int, degraded=frozenset()
+        self, ready: _ReadyPool, limit: int
     ) -> List[ThreadContext]:
         """Static warp formation: a run of consecutively indexed
         ``tid.x`` threads from one CTA row (§6.2)."""
@@ -838,7 +787,7 @@ class ExecutionManager:
             run.append(by_x.pop(next_x))
             next_x += 1
         rest.extend(by_x.values())
-        size = self._choose_width(len(run), degraded)
+        size = self.cache.specialization_for(len(run))
         members = run[:size]
         for extra in run[size:]:
             ready.push(extra)
@@ -882,15 +831,6 @@ class ExecutionManager:
                 # everything after: the race detector's epoch for this
                 # CTA advances, retiring the interval's access logs.
                 sanitizer.barrier_released(cta)
-            if self.trace is not None:
-                self.trace(
-                    "barrier_release",
-                    {
-                        "worker": self.worker_id,
-                        "cta": cta,
-                        "threads": len(waiting),
-                    },
-                )
             for context in waiting:
                 window.ready.push(context)
             waiting.clear()

@@ -84,9 +84,6 @@ class KernelLauncher:
         self.interpreter = interpreter
         self.cache = cache
         self.config = config
-        #: Optional trace callback (event, payload) propagated to
-        #: every execution manager; None disables tracing.
-        self.trace = None
         self.managers = [
             ExecutionManager(
                 worker_id=worker,
@@ -114,8 +111,6 @@ class KernelLauncher:
         partitions = partition_ctas(
             geometry.cta_count, self.machine.cores
         )
-        for manager in self.managers:
-            manager.trace = self.trace
         deadline = None
         if self.config.launch_timeout_s is not None:
             deadline = time.monotonic() + self.config.launch_timeout_s

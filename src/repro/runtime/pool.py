@@ -1018,8 +1018,9 @@ class TenantSession:
     def register_module(self, source: str) -> List[str]:
         """Register a tenant-private module on this tenant's worker
         (pool.register_module broadcasts to every worker instead).
-        Journaled: a respawned worker re-registers it automatically."""
-        return self._worker.register(source)
+        Once the worker answers it is in the worker's module journal,
+        so a respawned worker re-registers it automatically."""
+        return self._run(("register", source))
 
     def malloc(
         self, size: int, label: Optional[str] = None
@@ -1106,12 +1107,15 @@ class TenantSession:
         return {"__handle__": self._fresh(self._local(allocation))}
 
     def _apply(self, worker: _Worker, entry: tuple):
-        """The one op applier: send ``entry`` (a journal tuple, or a
-        ``("read", local, dtype, count)``) to ``worker`` as recorded,
+        """The one op applier: send ``entry`` (a journal tuple, a
+        ``("read", local, dtype, count)`` or a ``("register", source)``,
+        which goes into the worker's module journal) to ``worker``,
         for the public methods, the dispatcher and :meth:`_replay`
         alike — the worker keys the tenant's buffers by the handles in
         it — once none of the buffers it names is stale."""
         kind, *fields = entry
+        if kind == "register":
+            return worker.register(*fields)
         if kind == "launch":
             for value in fields[3]:
                 if isinstance(value, dict) and "__handle__" in value:
@@ -1123,11 +1127,11 @@ class TenantSession:
         )
 
     def _run(self, entry: tuple):
-        """Apply one memory op to the live worker. A DeviceLost the
-        session absorbs is waited out and retried — safe because the
-        failed attempt was never journaled: the restore rewinds the
-        worker to the journaled state, and the retry re-applies the
-        op exactly once."""
+        """Apply one memory op or module registration to the live
+        worker. A DeviceLost the session absorbs is waited out and
+        retried — safe because the failed attempt was never journaled:
+        the restore rewinds the worker to the journaled state, and the
+        retry re-applies the op exactly once."""
         with self._state_lock:
             self._await_ready_locked()
             attempts = 0
@@ -2081,13 +2085,6 @@ class DevicePool:
     def health(self) -> List[WorkerHealth]:
         """Supervision snapshot of every worker slot."""
         return [worker.health() for worker in self._workers]
-
-    def aggregate_statistics(self) -> LaunchStatistics:
-        """Pool-level merged LaunchStatistics over every tenant."""
-        merged = LaunchStatistics()
-        for session in self.sessions():
-            merged.merge(session.stats.statistics)
-        return merged
 
     def worker_reports(self) -> List[str]:
         """Each worker device's ``statistics_report()`` line."""

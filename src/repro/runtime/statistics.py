@@ -98,9 +98,6 @@ class LaunchStatistics(ExecutionStats):
     traps: int = added()
     #: watchdog expiries (cycle budget or wall-clock deadline)
     watchdog_timeouts: int = added()
-    #: warp executions that ran at a narrower width than configured
-    #: because a wider specialization failed and was degraded
-    degraded_warps: int = added()
     #: warp executions that went through the array backend's batched
     #: path (a host-efficiency counter — it does not participate in
     #: modeled-statistics equivalence between backends)
@@ -203,8 +200,7 @@ class LaunchStatistics(ExecutionStats):
         "cycle fractions      em={fractions[em]:.2%} "
         "yield={fractions[yield]:.2%} kernel={fractions[kernel]:.2%}",
         "elapsed              {elapsed_ms:.3f} ms ({gflops:.1f} GFLOP/s)",
-        "robustness           traps={traps} watchdog={watchdog_timeouts} "
-        "degraded warps={degraded_warps}",
+        "robustness           traps={traps} watchdog={watchdog_timeouts}",
         (
             "batching             warps={batched_warps} "
             "fell back={batch_fallbacks}",

@@ -37,23 +37,10 @@ import re
 from bisect import bisect_right
 import time
 from dataclasses import astuple, dataclass
-from typing import Collection, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..counting import (
-    added,
-    added_by_key,
-    counted,
-    latest_by_key,
-    logged,
-    render,
-)
-from ..errors import (
-    ExecutionError,
-    IRVerificationError,
-    TranslationCacheError,
-    TranslationError,
-    VectorizationError,
-)
+from ..counting import added, added_by_key, counted, latest_by_key, render
+from ..errors import TranslationCacheError
 from ..frontend.translator import translate_kernel
 from ..ir.function import IRFunction
 from ..machine.descriptor import MachineDescription
@@ -94,16 +81,8 @@ class CacheStatistics:
     disk_errors: int = added()
     #: persistent entries evicted by the size bound
     evictions: int = added()
-    #: specialization widths degraded after a failed build (the
-    #: graceful-degradation ladder: a width whose vectorization or
-    #: lowering fails falls back to a narrower specialization instead
-    #: of failing the launch)
-    degradations: int = added()
     #: wall seconds spent translating (excludes disk-hit loads)
     translation_seconds: float = added(0.0)
-    #: per-degradation records: (kernel, failed_width, fallback_width,
-    #: reason)
-    degradation_events: List[Tuple[str, int, int, str]] = logged()
     #: per-specialization static instruction counts (for §6.2's
     #: instruction-reduction measurement)
     instruction_counts: Dict[Tuple[str, int], int] = latest_by_key()
@@ -123,8 +102,7 @@ class CacheStatistics:
 
     REPORT = (
         "cache                hits={hits} misses={misses} "
-        "translations={translations} invalidations={invalidations} "
-        "degradations={degradations}",
+        "translations={translations} invalidations={invalidations}",
         "cache disk           hits={disk_hits} misses={disk_misses} "
         "errors={disk_errors} evictions={evictions}",
         "translation time     {translation_seconds:.6f} s",
@@ -134,9 +112,6 @@ class CacheStatistics:
     def record_stage(self, name: str, seconds: float, changes: int = 0):
         self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
         self.stage_changes[name] = self.stage_changes.get(name, 0) + changes
-
-
-_NO_WIDTHS: frozenset = frozenset()
 
 
 @dataclass
@@ -193,10 +168,6 @@ class TranslationCache:
         #: one a lookup (one per warp execution) revalidates nothing.
         self._validated: Dict[Tuple[str, int], ExecutableFunction] = {}
         self._digest_memo: Dict[Tuple[str, int], str] = {}
-        #: Per-kernel widths whose build failed and was degraded away;
-        #: warp formation avoids them and :meth:`get_or_degrade` never
-        #: retries them until the kernel is invalidated.
-        self._degraded: Dict[str, set] = {}
         #: Digest material shared by every kernel of this cache:
         #: schema + execution config + machine descriptor.
         self._environment_digest = hashlib.sha256(
@@ -335,9 +306,6 @@ class TranslationCache:
             key for key in self._digest_memo if key[0] == kernel_name
         ]:
             del self._digest_memo[key]
-        # New content may vectorize where the old content failed: give
-        # degraded widths another chance.
-        self._degraded.pop(kernel_name, None)
         self.statistics.invalidations += dropped
         self._generations[kernel_name] = (
             self._generations.get(kernel_name, 0) + 1
@@ -446,64 +414,11 @@ class TranslationCache:
         None — not a lookup: nothing is counted, validated or built."""
         return self._validated.get((kernel_name, warp_size))
 
-    def specialization_for(
-        self, available_threads: int, exclude: Collection[int] = ()
-    ) -> int:
+    def specialization_for(self, available_threads: int) -> int:
         """Largest configured warp size not exceeding
-        ``available_threads`` (§5.2's warp formation query).
-        ``exclude`` skips widths known to fail (degraded); width 1 is
-        never excluded — it is the guaranteed scalar fallback."""
+        ``available_threads`` (§5.2's warp formation query)."""
         sizes = self.config.warp_sizes  # ascending, 1 among them
-        if not exclude:
-            return sizes[bisect_right(sizes, max(available_threads, 1)) - 1]
-        chosen = 1
-        for size in sizes:
-            if size <= available_threads and (
-                size == 1 or size not in exclude
-            ):
-                chosen = size
-        return chosen
-
-    # -- graceful degradation ------------------------------------------------
-
-    def degraded_widths(self, kernel_name: str):
-        """Widths of ``kernel_name`` whose build failed and was degraded
-        away (the cache's own set — read, don't modify). Cleared by
-        :meth:`invalidate`."""
-        return self._degraded.get(kernel_name, _NO_WIDTHS)
-
-    def get_or_degrade(
-        self, kernel_name: str, warp_size: int
-    ) -> Tuple[ExecutableFunction, int]:
-        """Like :meth:`get`, but a failing build falls back down the
-        specialization ladder instead of aborting the launch: a
-        vectorization / translation / verification failure at width
-        ``w`` marks ``w`` degraded, records the event in
-        :class:`CacheStatistics`, and retries at the next narrower
-        configured width. Width 1 is the floor — a scalar build failure
-        propagates (the kernel is unrunnable). Returns
-        ``(executable, actual_width)``."""
-        width = warp_size
-        while True:
-            try:
-                return self.get(kernel_name, width), width
-            except (
-                VectorizationError,
-                TranslationError,
-                IRVerificationError,
-                ExecutionError,
-            ) as error:
-                if width <= 1:
-                    raise
-                marks = self._degraded.setdefault(kernel_name, set())
-                marks.add(width)
-                narrower = self.specialization_for(width - 1, exclude=marks)
-                reason = f"{type(error).__name__}: {error}"
-                self.statistics.degradations += 1
-                self.statistics.degradation_events.append(
-                    (kernel_name, width, narrower, reason)
-                )
-                width = narrower
+        return sizes[bisect_right(sizes, max(available_threads, 1)) - 1]
 
     # -- warm-up -------------------------------------------------------------
 
@@ -608,7 +523,7 @@ class TranslationCache:
         self.statistics.record_stage("vectorize", time.perf_counter() - start)
         if self.config.optimize:
             # Verified on every compile: a function the verifier
-            # rejects is what get_or_degrade degrades on.
+            # rejects fails the launch.
             function = self._run_passes(
                 standard_cleanup_pipeline(verify=True), function
             )

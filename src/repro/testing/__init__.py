@@ -1,5 +1,5 @@
 """Test-support utilities: deterministic fault injection for the
-containment runtime (traps, watchdog, degradation, cache recovery)."""
+containment runtime (traps, watchdog, cache recovery)."""
 
 from .fault_injection import FaultInjector, fault_seed
 

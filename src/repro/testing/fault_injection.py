@@ -17,11 +17,6 @@ arming one of them there raises :class:`ValueError`.
 ``interpreter_error``
     Warp executions raise a bare :class:`~repro.errors.ExecutionError`
     before running — a fault with no program counter attached.
-``vectorization_failure``
-    Building the specialization of one warp width raises
-    :class:`~repro.errors.VectorizationError` — exercising the
-    degradation ladder. The device's persistent cache tier is detached
-    while armed (a disk hit would otherwise serve the "failing" width).
 ``cache_corruption``
     Persistent-tier entries are corrupted on disk just before they are
     read — exercising the store's corrupt-entry recovery path.
@@ -106,7 +101,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import ExecutionError, MemoryFault, VectorizationError
+from ..errors import ExecutionError, MemoryFault
 
 #: How long ``kill_worker`` (after the send) keeps the worker asleep
 #: ahead of the request it kills: far longer than the kill takes to
@@ -138,7 +133,6 @@ class FaultInjector:
     SITES = (
         "memory_fault",
         "interpreter_error",
-        "vectorization_failure",
         "cache_corruption",
         "slow_warp",
         "barrier_starvation",
@@ -283,30 +277,6 @@ class FaultInjector:
             return original(*args, **kwargs)
 
         self._patch(interpreter, "execute", execute)
-
-    def _arm_vectorization_failure(
-        self, probability: float, width: int = 0
-    ) -> None:
-        """``width`` 0 fails every width > 1 (width 1 is the scalar
-        floor and must stay buildable)."""
-        cache = self.device.cache
-        original = cache._build_specialization
-
-        def build(kernel_name, warp_size):
-            if (
-                warp_size > 1
-                and (width == 0 or warp_size == width)
-                and self._fires("vectorization_failure", probability)
-            ):
-                raise VectorizationError(
-                    f"injected vectorization failure at width {warp_size}"
-                )
-            return original(kernel_name, warp_size)
-
-        self._patch(cache, "_build_specialization", build)
-        # A persistent-tier hit would serve the "failing" width without
-        # ever building it; detach the store while armed.
-        self._patch(cache, "store", None)
 
     def _arm_cache_corruption(self, probability: float) -> None:
         store = self.device.cache.store

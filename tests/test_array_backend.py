@@ -152,7 +152,7 @@ class TestArrayBackendEquivalence:
     def test_sequential_backend_never_batches(self):
         # What forces the sequential path on a launch that would batch:
         # the test-side leg, the sanitizer, a cycle budget, static or
-        # cross-CTA formation, a trace callback.
+        # cross-CTA formation.
         workload = get_workload("throughput")
         base = vectorized_config(4)
         assert workload.run_on(base, scale=0.25).statistics.batched_warps
@@ -167,11 +167,6 @@ class TestArrayBackendEquivalence:
         ):
             run = workload.run_on(config, scale=0.25)
             assert run.correct and run.statistics.batched_warps == 0, config
-        device = Device(config=base)
-        device.launcher.trace = lambda event, payload: None
-        workload.prepare(device)
-        run = workload.execute(device, scale=0.25)
-        assert run.correct and run.statistics.batched_warps == 0
 
     def test_batch_fault_traps_like_sequential(self, monkeypatch):
         # A fault inside a batch is re-executed sequentially, so the

@@ -203,10 +203,11 @@ class TestSessions:
         report = pool.report()
         assert "alice" in report
         assert "aggregate:" in report
-        merged = pool.aggregate_statistics()
-        assert merged.instructions >= (
-            session.stats.statistics.instructions
+        instructions = sum(
+            tenant.stats.statistics.instructions for tenant in pool.sessions()
         )
+        assert instructions >= session.stats.statistics.instructions > 0
+        assert f"instructions={instructions} " in report
         assert len(pool.worker_reports()) == pool.workers
 
     def test_register_module_after_start(self, pool):

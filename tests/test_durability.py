@@ -166,6 +166,19 @@ class TestModuleJournalDedupe:
             session.register_module(PRIVATE_PTX)
             assert len(worker.journal) == 2
 
+    def test_rejected_register_is_not_journaled(self):
+        bad = ".version 2.3\n.target sim\n.entry k () {\n  bogus;\n}"
+        with DevicePool(workers=1) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session("durable", durability="journal")
+            with pytest.raises(LaunchError, match="unknown opcode") as info:
+                session.register_module(bad)
+            assert not isinstance(info.value, DeviceLost)
+            assert bad not in pool._workers[0].journal
+            assert session.stats.restores == 0
+            assert session.register_module(PRIVATE_PTX) == ["durAdd"]
+            assert list(pool._workers[0].journal) == [PRIVATE_PTX]
+
 
 class TestJournalRestore:
     @pytest.mark.parametrize("durability", ["journal", "checkpoint"])
@@ -223,6 +236,42 @@ class TestJournalRestore:
             assert np.array_equal(
                 session.read(c, np.float32, N), _expected()
             )
+
+    def test_register_caught_by_a_loss_is_retried_and_journaled(self):
+        with DevicePool(workers=1) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session("victim", durability="journal")
+            with FaultInjector(pool, seed=0) as injector:
+                injector.arm(
+                    "kill_worker", probability=1.0, worker=0, op="register"
+                )
+                registered = []
+                thread = threading.Thread(
+                    target=lambda: registered.append(
+                        session.register_module(PRIVATE_PTX)
+                    )
+                )
+                thread.start()
+                while not injector.fired.get("kill_worker"):
+                    time.sleep(0.005)
+                injector.restore()
+                thread.join(timeout=300.0)
+            assert registered == [["durAdd"]]
+            assert PRIVATE_PTX in pool._workers[0].journal
+            assert session.stats.restores == 1
+            a, b, c = _buffers(session)
+            _vecadd(session, a, b, c, kernel="durAdd")
+            assert np.array_equal(
+                session.read(c, np.float32, N), _expected()
+            )
+            # A session that surfaces losses still sees this one.
+            plain = pool.session("plain")
+            with FaultInjector(pool, seed=0) as injector:
+                injector.arm(
+                    "kill_worker", probability=1.0, worker=0, op="register"
+                )
+                with pytest.raises(DeviceLost):
+                    plain.register_module(VECADD_PTX)
 
     def test_co_tenant_on_other_worker_unaffected(self):
         with DevicePool(workers=2, modules=[VECADD_PTX]) as pool:

@@ -18,7 +18,12 @@ from repro import (
     format_trap,
     vectorized_config,
 )
-from repro.errors import LaunchError, MemoryFault
+from repro.errors import (
+    LaunchError,
+    MemoryFault,
+    TranslationError,
+    VectorizationError,
+)
 from repro.runtime.cache_store import CacheStore
 from repro.runtime.traps import ProgramPoint, TrapInfo
 from repro.testing import FaultInjector, fault_seed
@@ -82,11 +87,14 @@ def _vecadd_launch(device, n=256, grid=2, block=128):
     da = device.upload(a)
     db = device.upload(b)
     dc = device.malloc(n * 4)
-    device.launch("vecAdd", grid=grid, block=block, args=[da, db, dc, n])
+    result = device.launch(
+        "vecAdd", grid=grid, block=block, args=[da, db, dc, n]
+    )
     out = dc.read(np.float32, n)
     np.testing.assert_allclose(out, a + b)
     for allocation in (da, db, dc):
         device.free(allocation)
+    return result
 
 
 class TestKernelTrap:
@@ -295,74 +303,13 @@ class TestWatchdog:
         _vecadd_launch(device)
 
 
-class TestDegradation:
-    def _degraded_device(self, injector_seed=0, width=8):
-        device = Device(config=vectorized_config(8))
-        device.register_module(VECADD_PTX)
-        injector = FaultInjector(device, seed=injector_seed)
-        injector.arm("vectorization_failure", width=width)
-        return device, injector
-
-    def test_failed_width_falls_back_to_narrower(self):
-        device, injector = self._degraded_device(width=8)
-        with injector:
-            _vecadd_launch(device)
-        cache = device.cache.statistics
-        assert cache.degradations == 1
-        kernel, failed, fallback, reason = cache.degradation_events[0]
-        assert kernel == "vecAdd"
-        assert failed == 8
-        assert fallback == 4
-        assert "injected vectorization failure" in reason
-        assert 8 in device.cache.degraded_widths("vecAdd")
-
-    def test_degraded_warps_counted_in_launch_statistics(self):
-        device, injector = self._degraded_device(width=8)
-        with injector:
-            a = np.arange(256, dtype=np.float32)
-            b = np.ones(256, dtype=np.float32)
-            da, db = device.upload(a), device.upload(b)
-            dc = device.malloc(256 * 4)
-            result = device.launch(
-                "vecAdd", grid=2, block=128, args=[da, db, dc, 256]
-            )
-            np.testing.assert_allclose(
-                dc.read(np.float32, 256), a + b
-            )
-        stats = result.statistics
-        assert stats.degraded_warps > 0
-        assert stats.warp_size_histogram.get(8, 0) == 0
-        assert f"degraded warps={stats.degraded_warps}" in stats.report()
-
-    def test_all_vector_widths_degrade_to_scalar(self):
-        device = Device(config=vectorized_config(4))
-        device.register_module(VECADD_PTX)
-        with FaultInjector(device, seed=0) as injector:
-            injector.arm("vectorization_failure", width=0)
-            _vecadd_launch(device)
-            cache = device.cache.statistics
-            assert cache.degradations == 2  # 4 -> 2 -> 1
-            assert device.cache.degraded_widths("vecAdd") == {4, 2}
-
-    def test_invalidate_clears_degradation_marks(self):
-        device, injector = self._degraded_device(width=8)
-        with injector:
-            _vecadd_launch(device)
-        assert device.cache.degraded_widths("vecAdd")
-        device.cache.invalidate("vecAdd")
-        assert not device.cache.degraded_widths("vecAdd")
-        # With the injector restored, width 8 builds again.
-        _vecadd_launch(device)
-        assert device.cache.statistics.degradations == 1
-
+class TestBuildFailure:
     def test_scalar_failure_propagates(self):
         device = Device(config=baseline_config())
         device.register_module(VECADD_PTX)
         original = device.cache._build_specialization
 
         def broken(kernel_name, warp_size):
-            from repro.errors import VectorizationError
-
             raise VectorizationError("nothing builds")
 
         device.cache._build_specialization = broken
@@ -370,6 +317,103 @@ class TestDegradation:
         with pytest.raises(Exception, match="nothing builds"):
             _vecadd_launch(device)
         device.cache._build_specialization = original
+
+        # A failing width-4 build fails the launch the same way. It is
+        # not a trap, so nothing is sticky: once the build is restored
+        # the next launch runs 4-wide.
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        original = device.cache._build_specialization
+
+        def broken_at_4(kernel_name, warp_size):
+            if warp_size == 4:
+                raise VectorizationError("width 4 does not build")
+            return original(kernel_name, warp_size)
+
+        device.cache._build_specialization = broken_at_4
+        device.cache.store = None
+        with pytest.raises(VectorizationError, match="width 4"):
+            _vecadd_launch(device)
+        assert device.last_error is None
+        device.cache._build_specialization = original
+        result = _vecadd_launch(device)
+        assert result.statistics.warp_size_histogram.get(4, 0) > 0
+
+    @staticmethod
+    def _break_width(device, width, error=VectorizationError):
+        """Make every build of ``width`` raise ``error``; returns the
+        original builder and the list of widths it was asked for."""
+        original = device.cache._build_specialization
+        attempts = []
+
+        def broken(kernel_name, warp_size):
+            attempts.append(warp_size)
+            if warp_size == width:
+                raise error(f"width {width} does not build")
+            return original(kernel_name, warp_size)
+
+        device.cache._build_specialization = broken
+        device.cache.store = None
+        return original, attempts
+
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_vector_build_failure_fails_the_launch(self, width):
+        device = Device(config=vectorized_config(width))
+        device.register_module(VECADD_PTX)
+        original, attempts = self._break_width(device, width)
+        with pytest.raises(VectorizationError) as info:
+            _vecadd_launch(device)
+        # The launch's partial statistics ride on the failure, and
+        # nothing narrower ran in the failed width's place.
+        assert info.value.statistics.warp_size_histogram == {}
+        assert attempts == [width]
+        assert device.cache.resident("vecAdd", width) is None
+        assert device.last_error is None
+        device.cache._build_specialization = original
+        result = _vecadd_launch(device)
+        assert set(result.statistics.warp_size_histogram) == {width}
+
+    def test_a_failed_build_is_attempted_again_by_the_next_launch(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        _, attempts = self._break_width(device, 4)
+        for _ in range(2):
+            with pytest.raises(VectorizationError):
+                _vecadd_launch(device)
+        assert attempts == [4, 4]
+
+    def test_a_translation_error_fails_the_launch_unchanged(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        self._break_width(device, 4, error=TranslationError)
+        with pytest.raises(TranslationError, match="width 4"):
+            _vecadd_launch(device)
+        assert device.last_error is None
+
+    def test_a_failed_build_leaves_other_kernels_runnable(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        device.register_module(REDUCE_PTX)
+        original = device.cache._build_specialization
+
+        def broken(kernel_name, warp_size):
+            if kernel_name == "vecAdd":
+                raise VectorizationError("vecAdd does not build")
+            return original(kernel_name, warp_size)
+
+        device.cache._build_specialization = broken
+        device.cache.store = None
+        with pytest.raises(VectorizationError):
+            _vecadd_launch(device)
+        data = np.arange(128, dtype=np.float32)
+        dst = device.malloc(2 * 4)
+        result = device.launch(
+            "reduceK", grid=2, block=64, args=[device.upload(data), dst]
+        )
+        np.testing.assert_allclose(
+            dst.read(np.float32, 2), data.reshape(2, 64).sum(axis=1)
+        )
+        assert result.statistics.warp_size_histogram.get(4, 0) > 0
 
 
 class TestBarrierDeadlock:
@@ -471,17 +515,6 @@ class TestHostErrorState:
                     "reduceK", grid=1, block=64, args=[src, device.malloc(4)]
                 )
         assert np.geterr() == self.host
-
-    def test_trace_callback_runs_in_the_host_state(self):
-        device = Device(config=vectorized_config(4))
-        device.register_module(VECADD_PTX)
-        seen = []
-        device.launcher.trace = lambda kind, payload: seen.append(
-            (kind, np.geterr())
-        )
-        self._overflowing_launch(device)
-        assert {kind for kind, _ in seen} >= {"warp", "yield"}
-        assert all(state == self.host for _, state in seen)
 
     def test_sanitizer_host_side_runs_in_the_host_state(self):
         # Non-fatal checked execution: what the sanitizer does between
@@ -738,7 +771,7 @@ class TestFaultInjection:
         with FaultInjector(device, seed=0) as injector:
             injector.arm("memory_fault", probability=0.0)
             _vecadd_launch(device)
-        executable, _ = device.cache.get_or_degrade("vecAdd", 4)
+        executable = device.cache.get("vecAdd", 4)
         assert set(executable.code) == {"checked"}
         assert "san.guest_load(" in executable.code["checked"]["entry"][0].source
         _vecadd_launch(device)
@@ -747,10 +780,6 @@ class TestFaultInjection:
 
 
 class TestRobustnessReporting:
-    def test_device_report_includes_degradations(self):
-        device = Device()
-        assert "degradations=0" in device.statistics_report()
-
     def test_launch_report_includes_robustness_line(self):
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
@@ -765,18 +794,6 @@ class TestRobustnessReporting:
         assert "robustness" in report
         assert "traps=0" in report
         assert "watchdog=0" in report
-
-    def test_bench_report_lists_degradation_events(self):
-        from repro.bench.reporting import format_cache_statistics
-
-        device = Device(config=vectorized_config(8))
-        device.register_module(VECADD_PTX)
-        with FaultInjector(device, seed=0) as injector:
-            injector.arm("vectorization_failure", width=8)
-            _vecadd_launch(device)
-        rendered = format_cache_statistics(device.cache.statistics)
-        assert "degradations=1" in rendered
-        assert "ws=8 -> ws=4" in rendered
 
 
 #: Divergent diamond whose arms both store — the odd arm far past the

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TranslationError
-from repro.frontend import analyze_kernel, translate_kernel
+from repro.frontend import translate_kernel
 from repro.ir import (
     AtomicRMW,
     BarrierTerm,
@@ -282,29 +282,29 @@ class TestPredicationLowering:
         assert len(exits) >= 2
 
 
-class TestAnalysis:
-    def test_vecadd_analysis(self, vecadd_module):
-        analysis = analyze_kernel(vecadd_module.kernel("vecAdd"))
-        assert analysis.static_instructions == 19
-        assert analysis.potential_divergence_sites == 1
-        assert not analysis.is_statically_convergent
-        assert analysis.barrier_count == 0
+class TestKernelShape:
+    """Facts about a kernel's control flow, read off its scalar IR."""
 
-    def test_barrier_counting(self):
+    def test_vecadd_has_one_divergence_site(self, vecadd_scalar_ir):
+        assert len(instructions_of(vecadd_scalar_ir, CondBranch)) == 1
+        assert instructions_of(vecadd_scalar_ir, BarrierTerm) == []
+
+    def test_each_barrier_becomes_a_barrier_terminator(self):
         source = (
             HEADER
             + ".entry k () {\n  bar.sync 0;\n  bar.sync 0;\n  exit;\n}"
         )
-        analysis = analyze_kernel(parse(source).kernel("k"))
-        assert analysis.barrier_count == 2
-        assert analysis.has_barriers
+        function = translate_kernel(parse(source).kernel("k"))
+        assert len(instructions_of(function, BarrierTerm)) == 2
 
-    def test_convergent_kernel_detected(self):
+    def test_straight_line_kernel_has_no_divergence_site(self):
         source = HEADER + ".entry k () {\n  exit;\n}"
-        analysis = analyze_kernel(parse(source).kernel("k"))
-        assert analysis.is_statically_convergent
+        function = translate_kernel(parse(source).kernel("k"))
+        assert instructions_of(function, CondBranch) == []
+        assert len(function.blocks) == 1
 
-    def test_opcode_histogram(self, vecadd_module):
-        analysis = analyze_kernel(vecadd_module.kernel("vecAdd"))
-        assert analysis.opcode_histogram["add"] == 4
-        assert analysis.opcode_histogram["ld"] == 6
+    def test_reduce_has_two_barriers_and_three_branches(
+        self, reduce_scalar_ir
+    ):
+        assert len(instructions_of(reduce_scalar_ir, BarrierTerm)) == 2
+        assert len(instructions_of(reduce_scalar_ir, CondBranch)) == 3

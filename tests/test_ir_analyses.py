@@ -103,12 +103,38 @@ class TestCFG:
         assert order.index("join") > order.index("left")
         assert order.index("join") > order.index("right")
 
-    def test_back_edges_in_loop(self):
-        edges = ControlFlowGraph(loop()).back_edges()
-        assert ("body", "header") in edges
+    def test_loop_latch_branches_back_to_its_dominator(self):
+        # The loop's back edge: body jumps to a block that dominates it.
+        function = loop()
+        cfg = ControlFlowGraph(function)
+        tree = DominatorTree(function)
+        back = [
+            (source, target)
+            for source, targets in cfg.successors.items()
+            for target in targets
+            if tree.dominates(target, source)
+        ]
+        assert back == [("body", "header")]
 
-    def test_no_back_edges_in_diamond(self):
-        assert ControlFlowGraph(diamond()).back_edges() == []
+    def test_no_diamond_edge_reaches_a_dominator(self):
+        function = diamond()
+        cfg = ControlFlowGraph(function)
+        tree = DominatorTree(function)
+        for source, targets in cfg.successors.items():
+            for target in targets:
+                assert not tree.dominates(target, source)
+
+    def test_reverse_postorder_visits_extra_entry_points(self):
+        function = diamond()
+        function.add_block("island").append(Exit())
+        function.add_entry_point("island")
+        cfg = ControlFlowGraph(function)
+        assert "island" not in cfg.reachable()
+        # The extra root is walked after the entry's region, so it
+        # comes first once the postorder is reversed.
+        assert cfg.reverse_postorder() == (
+            ["island"] + ControlFlowGraph(diamond()).reverse_postorder()
+        )
 
     def test_remove_unreachable(self):
         function = diamond()
@@ -141,10 +167,23 @@ class TestDominance:
         assert tree.dominates("header", "body")
         assert tree.immediate_dominator("body") == "header"
 
-    def test_dominance_frontier_of_branch_arms(self):
-        frontier = DominatorTree(diamond()).dominance_frontier()
-        assert frontier["left"] == {"join"}
-        assert frontier["right"] == {"join"}
+    def test_join_is_where_each_arm_stops_dominating(self):
+        function = diamond()
+        cfg = ControlFlowGraph(function)
+        tree = DominatorTree(function)
+        for arm in ("left", "right"):
+            dominated = [
+                label for label in function.blocks
+                if tree.dominates(arm, label)
+            ]
+            assert dominated == [arm]
+            edge_targets = {
+                target
+                for label in dominated
+                for target in cfg.successors[label]
+                if not tree.dominates(arm, target)
+            }
+            assert edge_targets == {"join"}
 
     def test_self_domination(self):
         tree = DominatorTree(diamond())
@@ -176,10 +215,56 @@ class TestLiveness:
             names = [r.name for r in liveness.live_in_registers(label)]
             assert names == sorted(names)
 
-    def test_max_live_counts_boundary_pressure(self, vecadd_scalar_ir):
-        # Only the guard-computed global index survives the entry
-        # block boundary in vecAdd.
-        assert LivenessInfo(vecadd_scalar_ir).max_live() == 1
+    def test_live_out_registers_sorted_and_typed(self, reduce_scalar_ir):
+        liveness = LivenessInfo(reduce_scalar_ir)
+        for label in reduce_scalar_ir.blocks:
+            registers = liveness.live_out_registers(label)
+            assert [r.name for r in registers] == sorted(
+                liveness.live_out[label]
+            )
+            for register in registers:
+                assert liveness.register(register.name) is register
 
-    def test_max_live_sees_loop_carried_state(self, reduce_scalar_ir):
-        assert LivenessInfo(reduce_scalar_ir).max_live() >= 3
+    def test_register_maps_a_name_back_to_its_type(self):
+        liveness = LivenessInfo(diamond())
+        assert liveness.register("p").dtype is DataType.pred
+        assert liveness.register("x").dtype is DataType.u32
+
+    def test_resummarized_block_solves_to_the_new_fixed_point(self):
+        function = diamond()
+        liveness = LivenessInfo(function)
+        assert "x" in liveness.live_out["left"]
+        join = function.blocks["join"]
+        join.instructions[0] = mov(reg("y"), 7)
+        liveness.summarize(join)
+        liveness.solve()
+        assert "x" not in liveness.live_in["join"]
+        assert "x" not in liveness.live_out["left"]
+        assert "x" not in liveness.live_out["right"]
+
+    def test_only_the_global_index_crosses_vecadd_boundaries(
+        self, vecadd_scalar_ir
+    ):
+        # The guard-computed global index is the one register that
+        # survives the entry block into the guarded body.
+        liveness = LivenessInfo(vecadd_scalar_ir)
+        (index,) = liveness.live_out["entry"]
+        for label in vecadd_scalar_ir.blocks:
+            assert liveness.live_in[label] <= {index}
+            assert liveness.live_out[label] <= {index}
+
+    def test_reduce_carries_its_loop_state_around_the_back_edge(
+        self, reduce_scalar_ir
+    ):
+        function = reduce_scalar_ir
+        cfg = ControlFlowGraph(function)
+        tree = DominatorTree(function)
+        liveness = LivenessInfo(function)
+        ((latch, header),) = [
+            (source, target)
+            for source, targets in cfg.successors.items()
+            for target in targets
+            if tree.dominates(target, source)
+        ]
+        carried = liveness.live_out[latch] & liveness.live_in[header]
+        assert len(carried) >= 3

@@ -32,10 +32,11 @@ class TestValues:
         assert reg("a") == reg("a")
         assert reg("a") != reg("a", width=4)
 
-    def test_register_widening(self):
-        wide = reg("a").with_width(4)
+    def test_vector_register_keeps_name_and_type(self):
+        wide = reg("a", width=4)
         assert wide.is_vector
-        assert wide.name == "a"
+        assert not reg("a").is_vector
+        assert (wide.name, wide.dtype) == (reg("a").name, reg("a").dtype)
 
     def test_constant_is_scalar(self):
         constant = Constant(5, DataType.u32)

@@ -308,3 +308,11 @@ class TestRoundTrip:
         assert [str(i) for i in copy.instructions] == [
             str(i) for i in original.instructions
         ]
+
+    def test_vecadd_opcode_census(self, vecadd_module):
+        kernel = vecadd_module.kernel("vecAdd")
+        opcodes = [str(i.opcode) for i in kernel.instructions]
+        assert len(opcodes) == 19
+        assert opcodes.count("add") == 4
+        assert opcodes.count("ld") == 6
+        assert opcodes.count("bra") == 1

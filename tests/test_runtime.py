@@ -155,6 +155,11 @@ class TestTranslationCache:
         assert device.cache.specialization_for(4) == 4
         assert device.cache.specialization_for(100) == 4
 
+    def test_specialization_for_an_empty_queue_is_scalar(self):
+        device = self._device()
+        assert device.cache.specialization_for(0) == 1
+        assert device.cache.specialization_for(-3) == 1
+
     def test_scalar_ir_shared_across_widths(self):
         device = self._device()
         first = device.cache.scalar_ir("vecAdd")
@@ -196,6 +201,30 @@ class TestWarpFormationStatistics:
         )
         # CTAs of 2 threads -> warps of at most 2 (same-CTA formation)
         assert max(result.statistics.warp_size_histogram) == 2
+
+    def test_grid_wider_than_the_window_of_ctas(self):
+        from repro.runtime.execution_manager import CTA_WINDOW
+
+        device = Device(config=vectorized_config(4))
+        device.register_module(REDUCE_PTX)
+        # Every manager gets more than two windows of CTAs.
+        ctas = (2 * CTA_WINDOW + 1) * len(device.launcher.managers)
+        data = np.random.default_rng(1).standard_normal(
+            ctas * 64
+        ).astype(np.float32)
+        dst = device.malloc(ctas * 4)
+        result = device.launch(
+            "reduceK", grid=(ctas, 1, 1), block=(64, 1, 1),
+            args=[device.upload(data), dst],
+        )
+        np.testing.assert_allclose(
+            dst.read(np.float32, ctas),
+            data.reshape(ctas, 64).sum(axis=1),
+            rtol=1e-5, atol=1e-5,
+        )
+        assert result.statistics.threads_launched == ctas * 64
+        for manager in device.launcher.managers:
+            assert len(manager._shared_slabs) <= CTA_WINDOW
 
     def test_barrier_yields_counted(self):
         device = Device(config=vectorized_config(4))
@@ -364,43 +393,3 @@ WAIT:
         # the forgiving semantics. The launch must terminate.
         result = device.launch("bad", grid=1, block=32, args=[0])
         assert result.statistics.threads_launched == 32
-
-
-class TestTracing:
-    def test_trace_receives_warp_and_yield_events(self, rng):
-        from repro import Device, vectorized_config
-        import numpy as np
-
-        device = Device(config=vectorized_config(4))
-        device.register_module(REDUCE_PTX)
-        events = []
-        device.launcher.trace = lambda kind, payload: events.append(
-            (kind, payload)
-        )
-        data = rng.standard_normal(64).astype(np.float32)
-        src = device.upload(data)
-        dst = device.malloc(4)
-        device.launch(
-            "reduceK", grid=(1, 1, 1), block=(64, 1, 1),
-            args=[src, dst],
-        )
-        kinds = {kind for kind, _ in events}
-        assert kinds == {"warp", "yield", "barrier_release"}
-        warp_events = [p for k, p in events if k == "warp"]
-        assert all(p["kernel"] == "reduceK" for p in warp_events)
-        assert any(p["size"] == 4 for p in warp_events)
-        yields = [p for k, p in events if k == "yield"]
-        assert any(p["status"] == "barrier" for p in yields)
-
-    def test_trace_disabled_by_default(self, rng):
-        from repro import Device, baseline_config
-        import numpy as np
-
-        device = Device(config=baseline_config())
-        device.register_module(VECADD_PTX)
-        a = device.upload(np.zeros(32, dtype=np.float32))
-        b = device.upload(np.zeros(32, dtype=np.float32))
-        c = device.malloc(32 * 4)
-        # No trace set: must simply not crash and keep trace None.
-        device.launch("vecAdd", grid=1, block=32, args=[a, b, c, 32])
-        assert device.launcher.trace is None

@@ -233,17 +233,22 @@ def test_the_printed_methods_keep_their_laws(cls, data):
 
 
 def test_a_merged_log_or_table_is_not_the_other_records():
+    from repro.runtime.pool import TenantStatistics
     from repro.runtime.translation_cache import CacheStatistics
 
     other = CacheStatistics()
     other.record_stage("cse", 0.25, 2)
-    other.degradation_events.append(("k", 8, 4, "why"))
     mine = CacheStatistics()
     mine.merge(other)
     mine.record_stage("cse", 0.25, 1)
-    mine.degradation_events.append(("k", 4, 2, "again"))
     assert other.stage_changes == {"cse": 2}
-    assert len(other.degradation_events) == 1
+
+    other = TenantStatistics(tenant="t", worker=0, weight=1.0)
+    other.trap_reports.append("why")
+    mine = TenantStatistics(tenant="t", worker=0, weight=1.0)
+    mine.merge(other)
+    mine.trap_reports.append("again")
+    assert other.trap_reports == ["why"]
 
 
 def test_render_shows_a_conditional_row_while_its_field_is_set():

@@ -704,7 +704,7 @@ class TestExecutionManagerMemory:
 
         def launch():
             # One CTA -> worker 0 runs a 1-CTA window inside a slab
-            # reserved for cta_window (4) CTAs.
+            # reserved for CTA_WINDOW (4) CTAs.
             device.launch(
                 "vecAdd", grid=(1, 1, 1), block=(n, 1, 1),
                 args=[a, b, c, n],
