@@ -36,10 +36,9 @@ flag tells the caller whether the request reached the dead worker
 (and may have run) before it decides to resubmit. A slot that will not
 come back fails what is parked on it with the loss.
 
-Worker processes default to the ``spawn`` start method: it is safe in
+Worker processes always use the ``spawn`` start method: it is safe in
 threaded parents (the pool runs dispatcher + supervisor threads) and
-identical across platforms. ``REPRO_POOL_START=fork`` opts into
-faster startup where safe.
+identical across platforms.
 
 *Durability* (opt-in per session; the modes are :class:`TenantSession`'s)
 makes DeviceLost *recoverable*: the session journals what it applied
@@ -52,6 +51,7 @@ failing.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
@@ -91,6 +91,9 @@ _RESTORE_DISPATCH_LIMIT = 3
 
 #: Seconds a durable session's memory op waits for its restore.
 _RESTORE_TIMEOUT = 60.0
+
+#: Seconds a live worker may sit idle before the supervisor pings it.
+_PROBE_INTERVAL = 5.0
 
 #: Seconds a shed client is told to wait before retrying (the
 #: ``Retry-After`` of a 503).
@@ -205,7 +208,6 @@ def _pool_worker_main(
     module-registration journal, so a respawned worker comes back with
     every module its predecessor knew."""
     from ..api.device import Device
-    from ..testing.fault_injection import FaultInjector
 
     device = Device(config=config, machine=machine, memory_size=memory_size)
     for source in modules:
@@ -217,11 +219,6 @@ def _pool_worker_main(
     #: (tenant, handle) -> Allocation: the one table of the tenants'
     #: buffers, keyed by the handles their sessions issue.
     allocations: Dict[Tuple[str, int], object] = {}
-    #: tenant -> (injector, [(site, probability, options), ...]). A
-    #: tenant's fault sites are armed for the duration of that
-    #: tenant's launches and restored after each, so tenants sharing
-    #: this device never run under another tenant's faults.
-    faults: Dict[str, tuple] = {}
 
     def allocation(tenant: str, handle: int):
         found = allocations.get((tenant, handle))
@@ -279,9 +276,6 @@ def _pool_worker_main(
                 if owner == tenant
             ]
         if op == "launch":
-            injector, sites = faults.get(tenant, (None, ()))
-            for site, probability, options in sites:
-                injector.arm(site, probability=probability, **options)
             try:
                 return device.launch(
                     payload["kernel"],
@@ -295,9 +289,6 @@ def _pool_worker_main(
                 # tenants on this worker must keep launching.
                 device.reset()
                 raise
-            finally:
-                if injector is not None:
-                    injector.restore()
         if op == "reset":
             device.reset()
             return None
@@ -318,31 +309,6 @@ def _pool_worker_main(
 
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
             return {"pid": os.getpid()}
-        if op == "arm_fault":
-            if tenant not in faults:
-                faults[tenant] = (
-                    FaultInjector(device, seed=payload.get("seed")), []
-                )
-            injector, sites = faults[tenant]
-            site = (
-                payload["site"],
-                payload.get("probability", 1.0),
-                {
-                    key: resolve(tenant, value)
-                    for key, value in payload.get("options", {}).items()
-                },
-            )
-            # Armed once here so a bad site or option fails this call,
-            # not the tenant's next launch.
-            try:
-                injector.arm(site[0], probability=site[1], **site[2])
-            finally:
-                injector.restore()
-            sites.append(site)
-            return None
-        if op == "disarm_faults":
-            faults.pop(tenant, None)
-            return None
         if op == "statistics":
             return device.statistics_report()
         raise LaunchError(f"unknown pool worker op {op!r}")
@@ -1220,11 +1186,21 @@ class TenantSession:
         ``Device.launch_async``. ``deadline`` (seconds) bounds queue
         wait: a launch not dispatched in time fails with
         :class:`~repro.errors.DeadlineExpired` instead of running
-        late."""
+        late. Anything but None or a finite number >= 0 is a
+        ValueError, raised before the launch is counted."""
         from ..api.device import _normalize_dim
 
         grid = _normalize_dim(grid, which="grid")
         block = _normalize_dim(block, which="block")
+        if deadline is not None and not (
+            isinstance(deadline, (int, float))
+            and not isinstance(deadline, bool)
+            and 0 <= deadline < math.inf
+        ):
+            raise ValueError(
+                f"launch deadline must be None or a finite number of "
+                f"seconds >= 0, not {deadline!r}"
+            )
         self.pool._admit()
         if self.last_error is not None:
             raise LaunchError(
@@ -1306,40 +1282,7 @@ class TenantSession:
         self._worker.call("reset")
         self.last_error = None
 
-    # -- fault injection & introspection ----------------------------------
-
-    def inject_fault(
-        self,
-        site: str,
-        probability: float = 1.0,
-        seed: Optional[int] = None,
-        **options,
-    ) -> None:
-        """Arm a :class:`repro.testing.FaultInjector` site on this
-        tenant's worker device *for this tenant's launches*: the
-        worker arms the site as one of the tenant's launches starts
-        and restores it as the launch ends, so tenants sharing the
-        worker never run under it. A RemoteAllocation option goes as
-        its marker, which the worker resolves to the buffer as it lies
-        *now* — a checkpoint restore may have moved it since the handle
-        was issued."""
-        with self._state_lock:
-            self._await_ready_locked()
-            self._worker.call(
-                "arm_fault",
-                tenant=self.tenant,
-                site=site,
-                probability=probability,
-                seed=seed,
-                options={
-                    key: self._marker(value)
-                    if isinstance(value, RemoteAllocation) else value
-                    for key, value in options.items()
-                },
-            )
-
-    def disarm_faults(self) -> None:
-        self._worker.call("disarm_faults", tenant=self.tenant)
+    # -- introspection ------------------------------------------------------
 
     def statistics(self) -> TenantStatistics:
         """A snapshot: the live record keeps changing under the
@@ -1627,13 +1570,6 @@ class TenantSession:
 # ---------------------------------------------------------------------------
 
 
-def _default_start_method() -> str:
-    override = os.environ.get("REPRO_POOL_START", "").strip()
-    if override:
-        return override
-    return "spawn"
-
-
 class DevicePool:
     """Shards independent kernel launches across persistent worker
     processes, with per-tenant quotas, weighted fair queueing,
@@ -1652,18 +1588,18 @@ class DevicePool:
         result = future.result()
         pool.shutdown()
 
-    Supervision knobs: ``supervise`` runs the health thread (on by
-    default); ``respawn`` re-creates lost workers warm (off: a lost
-    slot closes for good); a live worker is declared hung with a
-    request in flight longer than ``hang_timeout`` seconds, or when
-    idle for ``probe_interval`` seconds it misses a heartbeat within
-    ``probe_timeout`` — a starting one, when it has not booted
-    ``probe_timeout`` seconds after its spawn; a broken slot cools
-    down for ``circuit_cooldown`` seconds. A durable session's lost
-    launch parks for the next epoch only while ``supervise`` and
-    ``respawn`` are both on.
-    The pool's own :attr:`state` is ``serving``, ``draining``
-    (:meth:`drain`) or ``closed``."""
+    Workers always start with ``spawn``. Supervision knobs:
+    ``supervise`` runs the health thread (on by default); ``respawn``
+    re-creates lost workers warm (off: a lost slot closes for good); a
+    live worker is declared hung with a request in flight longer than
+    ``hang_timeout`` seconds, or when idle for ``_PROBE_INTERVAL`` (5 s)
+    it misses a heartbeat within ``probe_timeout`` — a starting one,
+    when it has not booted ``probe_timeout`` seconds after its spawn;
+    a broken slot cools down for ``circuit_cooldown`` seconds. A
+    durable session's lost launch parks for the next epoch only while
+    ``supervise`` and ``respawn`` are both on. The pool's own
+    :attr:`state` is ``serving``, ``draining`` (:meth:`drain`) or
+    ``closed``."""
 
     def __init__(
         self,
@@ -1673,20 +1609,16 @@ class DevicePool:
         memory_size: int = 1 << 26,
         modules: Sequence[str] = (),
         warm: bool = False,
-        start_method: Optional[str] = None,
         supervise: bool = True,
         respawn: bool = True,
         hang_timeout: Optional[float] = 120.0,
-        probe_interval: float = 5.0,
         probe_timeout: float = 30.0,
         circuit_cooldown: float = 2.0,
         state_dir: Optional[str] = None,
     ):
         if workers < 1:
             raise ValueError(f"invalid worker count {workers}")
-        context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
+        context = multiprocessing.get_context("spawn")
         self.state = "serving"
         self._respawn = respawn
         #: Whether a lost slot comes back by itself: only then does a
@@ -1699,7 +1631,6 @@ class DevicePool:
         self._state_dir = state_dir
         self._state_store: Optional[StateStore] = None
         self._hang_timeout = hang_timeout
-        self._probe_interval = probe_interval
         self._probe_timeout = probe_timeout
         self._cooldown = circuit_cooldown
         self._workers = [
@@ -2053,9 +1984,7 @@ class DevicePool:
                     f"hung: request in flight for {age:.1f}s "
                     f"(hang timeout {self._hang_timeout}s)",
                 )
-            elif age is None and now - worker.last_seen >= (
-                self._probe_interval
-            ):
+            elif age is None and now - worker.last_seen >= _PROBE_INTERVAL:
                 self._probe(worker)
 
     def _probe(self, worker: _Worker) -> None:

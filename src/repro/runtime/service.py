@@ -23,8 +23,6 @@ path             verb  action
 ``/v1/launch``   POST  queue an async launch → launch id
 ``/v1/collect``  POST  wait for a launch id → result or structured error
 ``/v1/reset``    POST  clear the tenant's sticky fault
-``/v1/inject``   POST  arm a fault-injection site on the tenant's worker
-``/v1/disarm``   POST  restore all fault sites on the tenant's worker
 ``/v1/stats``    GET   pool-level report + per-tenant counters
 ``/v1/health``   GET   liveness: supervision snapshot, always 200
 ``/v1/ready``    GET   readiness: 503 while draining / breaker open
@@ -318,8 +316,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "/v1/launch": self._post_launch,
                 "/v1/collect": self._post_collect,
                 "/v1/reset": self._post_reset,
-                "/v1/inject": self._post_inject,
-                "/v1/disarm": self._post_disarm,
             }.get(self.path)
             if handler is None:
                 self._reply(404, {"error": f"unknown path {self.path}"})
@@ -451,20 +447,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_reset(self, body: dict) -> dict:
         self.state.session(body).reset()
-        return {"ok": True}
-
-    def _post_inject(self, body: dict) -> dict:
-        session = self.state.session(body)
-        session.inject_fault(
-            body["site"],
-            probability=float(body.get("probability", 1.0)),
-            seed=body.get("seed"),
-            **body.get("options", {}),
-        )
-        return {"ok": True}
-
-    def _post_disarm(self, body: dict) -> dict:
-        self.state.session(body).disarm_faults()
         return {"ok": True}
 
 
@@ -604,7 +586,10 @@ class ServeClient:
     ):
         self.tenant = tenant
         self._conn = HTTPConnection(host, port, timeout=timeout)
-        self._rng = random.Random(fault_seed())
+        # Jitter seeded from the fault seed, so a CI seed reproduces,
+        # and the tenant, so clients one server restart cut off do not
+        # resend in lockstep.
+        self._rng = random.Random(f"{fault_seed()}:{tenant}")
         self._session_body = {
             "tenant": tenant,
             "weight": weight,
@@ -773,22 +758,6 @@ class ServeClient:
             error = reply["error"]
             raise LaunchError(f"{error['type']}: {error['message']}")
         return reply
-
-    def inject_fault(
-        self, site: str, probability: float = 1.0, seed=None, **options
-    ) -> None:
-        self._post(
-            "/v1/inject",
-            self._tenant_body(
-                site=site,
-                probability=probability,
-                seed=seed,
-                options=options,
-            ),
-        )
-
-    def disarm_faults(self) -> None:
-        self._post("/v1/disarm", self._tenant_body())
 
     def reset(self) -> None:
         self._post("/v1/reset", self._tenant_body())

@@ -1,8 +1,8 @@
 """Seeded, deterministic fault injection for the containment runtime.
 
 A :class:`FaultInjector` patches well-defined *sites* inside one
-:class:`~repro.api.device.Device` so tests (and the CI fault matrix)
-can drive every containment path on demand. The four memory sites
+in-process :class:`~repro.api.device.Device` (no pool tenant can arm
+one) so tests drive every containment path on demand. The four memory sites
 patch the device's guest-access seam
 (:class:`~repro.machine.memory.GuestAccess`, the sanitizer on a
 sanitized device) once, sanitized or not: ``guest_load`` and

@@ -250,56 +250,69 @@ class TestQuotas:
     def test_quota_is_launch_error_subclass(self):
         assert issubclass(QuotaExceeded, LaunchError)
 
+    @pytest.mark.parametrize(
+        "deadline", ["soon", -1.0, float("nan"), float("inf"), True]
+    )
+    def test_a_malformed_deadline_counts_nothing(self, pool, deadline):
+        """A deadline the queue cannot read is refused before the
+        launch is counted, so nothing is left pending for
+        synchronize() to wait on."""
+        session = pool.session(f"deadline-{deadline}")
+        a, b, c = _session_buffers(session)
+        with pytest.raises(ValueError, match="deadline"):
+            session.launch_async(
+                "vecAdd", 1, N, [a, b, c, N], deadline=deadline
+            )
+        assert session.pending == 0
+        assert session.stats.submitted == 0
+        session.synchronize(timeout=5.0)
+        session.launch_async(
+            "vecAdd", 1, N, [a, b, c, N], deadline=60
+        ).result(timeout=120)
+
 
 class TestFaultIsolation:
     def test_trapping_tenant_never_blocks_or_corrupts_others(self, pool):
         """The acceptance scenario: chaos tenant pinned to worker 0
-        with an armed memory_fault; a same-worker healthy tenant and
-        a cross-worker tenant keep launching correct results."""
+        stores through a null output pointer; a same-worker healthy
+        tenant and a cross-worker tenant keep launching correct
+        results."""
         same = pool.session("healthy-same", worker=0)
         other = pool.session("healthy-other", worker=1)
         sa, sb, sc = _session_buffers(same)
         oa, ob, oc = _session_buffers(other)
-        # The healthy tenants run before, while and after the chaos
-        # tenant's fault is armed (it is scoped to that tenant).
+        # The healthy tenants run before and after the chaos tenant's
+        # trap.
         same.launch("vecAdd", 1, N, [sa, sb, sc, N])
         other.launch("vecAdd", 1, N, [oa, ob, oc, N])
 
         chaos = pool.session("chaos", worker=0)
         chaos.register_module(CHAOS_PTX)
-        chaos.inject_fault("memory_fault", probability=1.0, seed=11)
         ca, cb, cc = _session_buffers(chaos)
-        try:
-            future = chaos.launch_async(
-                "chaosAdd", 1, N, [ca, cb, cc, N]
-            )
-            error = future.exception(timeout=120)
-            assert isinstance(error, KernelTrap)
-            # Structured payload survived the process boundary.
-            assert error.info is not None
-            assert error.info.kernel == "chaosAdd"
-            assert error.statistics is not None
-            assert error.remote_report
-            assert "chaosAdd" in error.remote_report
-            assert chaos.stats.traps >= 1
-            assert chaos.stats.trap_reports
+        future = chaos.launch_async("chaosAdd", 1, N, [ca, cb, 0, N])
+        error = future.exception(timeout=120)
+        assert isinstance(error, KernelTrap)
+        # Structured payload survived the process boundary.
+        assert error.info is not None
+        assert error.info.kernel == "chaosAdd"
+        assert error.statistics is not None
+        assert error.remote_report
+        assert "chaosAdd" in error.remote_report
+        assert chaos.stats.traps >= 1
+        assert chaos.stats.trap_reports
 
-            # Sticky per-tenant: chaos fails fast until reset.
-            with pytest.raises(LaunchError, match="failed state"):
-                chaos.launch_async("chaosAdd", 1, N, [ca, cb, cc, N])
+        # Sticky per-tenant: chaos fails fast until reset.
+        with pytest.raises(LaunchError, match="failed state"):
+            chaos.launch_async("chaosAdd", 1, N, [ca, cb, cc, N])
 
-            # Same-worker tenant unaffected (worker auto-recovered).
-            same.launch("vecAdd", 1, N, [sa, sb, sc, N])
-            assert np.allclose(
-                same.read(sc, np.float32, N), np.arange(N) * 2
-            )
-            # Cross-worker tenant unaffected.
-            other.launch("vecAdd", 1, N, [oa, ob, oc, N])
-            assert np.allclose(
-                other.read(oc, np.float32, N), np.arange(N) * 2
-            )
-        finally:
-            chaos.disarm_faults()
+        # Same-worker tenant unaffected (worker auto-recovered).
+        same.launch("vecAdd", 1, N, [sa, sb, sc, N])
+        assert np.allclose(same.read(sc, np.float32, N), np.arange(N) * 2)
+        # Cross-worker tenant unaffected.
+        other.launch("vecAdd", 1, N, [oa, ob, oc, N])
+        assert np.allclose(
+            other.read(oc, np.float32, N), np.arange(N) * 2
+        )
         chaos.reset()
         assert chaos.last_error is None
         chaos.launch("chaosAdd", 1, N, [ca, cb, cc, N])

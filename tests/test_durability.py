@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import DeviceLost, KernelTrap, LaunchError
+from repro.errors import DeviceLost, LaunchError
 from repro.runtime.pool import DevicePool, TenantSession
 from repro.runtime.service import KernelServer, ServeClient
 from repro.runtime.state_store import StateStore
@@ -659,14 +659,15 @@ class TestCheckpointRestore:
             assert not result.statistics.sanitizer
             assert session.stats.restores == 1
 
-    def test_inject_fault_follows_restored_buffer(
+    def test_launch_writes_restored_buffer_where_it_lies_now(
         self, tmp_path, monkeypatch
     ):
         """A checkpoint restore re-creates only the live buffers, in
         handle order, so they can land at new addresses: after
-        ``free(b)`` the restored ``c`` sits where ``b`` was. A fault
-        armed on ``c`` must target the bytes ``c`` occupies now, not
-        the range its handle was issued with."""
+        ``free(b)`` the restored ``c`` sits where ``b`` was. A launch
+        naming ``c`` must write the bytes ``c`` occupies now, not the
+        range its handle was issued with — the sanitizer would see a
+        store into freed or foreign bytes."""
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         words = 64
         with DevicePool(
@@ -689,17 +690,14 @@ class TestCheckpointRestore:
                 np.full(words, 2.0, dtype=np.float32),
             )
             assert session.stats.restores == 1
-            # Every store into c is pushed past its end, into the
-            # sanitizer's redzone — if the armed range is where c
-            # lives now.
-            session.inject_fault(
-                "oob_within_arena", probability=1.0, allocation=c
+            result = session.launch(
+                "vecAdd", (1, 1, 1), (words, 1, 1), [a, a, c, words],
             )
-            with pytest.raises(KernelTrap):
-                session.launch(
-                    "vecAdd", (1, 1, 1), (words, 1, 1),
-                    [a, a, c, words],
-                )
+            assert not result.statistics.sanitizer
+            assert np.array_equal(
+                session.read(c, np.float32, words),
+                np.arange(words, dtype=np.float32) * 2,
+            )
 
 
 def _call_sites(function, method):

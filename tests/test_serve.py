@@ -12,7 +12,12 @@ import pytest
 
 from repro import DevicePool, QuotaExceeded
 from repro.errors import LaunchError
-from repro.runtime.service import KernelServer, ServeClient
+from repro.runtime.pool import TenantSession
+from repro.runtime.service import (
+    KernelServer,
+    ServeClient,
+    _reconnect_backoff,
+)
 from tests.conftest import VECADD_PTX
 
 N = 8
@@ -27,6 +32,22 @@ def server():
     server.start_background()
     yield server
     server.shutdown()
+
+
+def _post_raw(server, path, body):
+    """POST ``body`` as JSON, bypassing ServeClient's checks; returns
+    ``(status, reply)``."""
+    connection = HTTPConnection(server.host, server.port)
+    try:
+        connection.request(
+            "POST", path,
+            body=json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def _vecadd_roundtrip(client):
@@ -96,6 +117,24 @@ class TestServeRoundtrip:
         assert len(results) == 4
         for out in results.values():
             assert np.allclose(out, np.arange(N) * 2)
+
+    def test_reconnect_jitter_is_per_tenant_and_seeded(
+        self, server, monkeypatch
+    ):
+        """Clients one server restart cut off must not resend in
+        lockstep; one tenant under one fault seed draws the same
+        delays every run."""
+        monkeypatch.setenv("REPRO_FAULT_SEED", "3")
+
+        def delays(tenant):
+            with ServeClient(server.host, server.port, tenant) as client:
+                return [
+                    _reconnect_backoff(attempt, client._rng)
+                    for attempt in (1, 2)
+                ]
+
+        assert delays("jitter-a") == delays("jitter-a")
+        assert delays("jitter-a")[0] != delays("jitter-b")[0]
 
     def test_burst_of_connecting_clients(self, server):
         """32 clients connecting in the same instant all get through
@@ -277,21 +316,46 @@ class TestServeErrors:
         """A weight the fair queue refuses is a 400, and leaves no
         half-made session behind: a retry with a good weight works."""
         tenant = f"weight-{weight}"
-        connection = HTTPConnection(server.host, server.port)
-        try:
-            connection.request(
-                "POST", "/v1/session",
-                body=json.dumps({"tenant": tenant, "weight": weight}),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            reply = json.loads(response.read())
-        finally:
-            connection.close()
-        assert response.status == 400
+        status, reply = _post_raw(
+            server, "/v1/session", {"tenant": tenant, "weight": weight}
+        )
+        assert status == 400
         assert "positive and finite" in reply["error"]["message"]
         with ServeClient(server.host, server.port, tenant) as client:
             assert np.allclose(_vecadd_roundtrip(client), np.arange(N) * 2)
+
+    @pytest.mark.parametrize("deadline", ["soon", -1.0])
+    def test_a_malformed_deadline_is_400_and_leaks_no_launch(
+        self, server, deadline
+    ):
+        """A deadline the queue cannot read is refused before the
+        launch is counted: nothing stays pending for synchronize(),
+        drain() or the server's queue bound."""
+        tenant = f"deadline-{deadline}"
+        with ServeClient(server.host, server.port, tenant) as client:
+            status, reply = _post_raw(server, "/v1/launch", {
+                "tenant": tenant, "kernel": "vecAdd", "grid": 1,
+                "block": N, "args": [], "deadline": deadline,
+            })
+            assert status == 400
+            assert "deadline" in reply["error"]["message"]
+            session = {s.tenant: s for s in server.pool.sessions()}[tenant]
+            assert session.pending == 0
+            assert session.stats.submitted == 0
+            session.synchronize(timeout=5.0)
+            assert np.allclose(_vecadd_roundtrip(client), np.arange(N) * 2)
+
+    @pytest.mark.parametrize("path", ["/v1/inject", "/v1/disarm"])
+    def test_no_request_arms_a_fault(self, server, path):
+        """A tenant gets memory copies and launches, nothing that arms
+        a fault site on a worker device other tenants share."""
+        status, _ = _post_raw(
+            server, path, {"tenant": "armer", "site": "use_after_free"}
+        )
+        assert status == 404
+        for name in ("inject_fault", "disarm_faults"):
+            assert not hasattr(ServeClient, name)
+            assert not hasattr(TenantSession, name)
 
     def test_a_negative_content_length_is_400(self, server):
         """A body length of -1 would read until the client hangs up
@@ -321,20 +385,15 @@ class TestServeFaultIsolation:
                 worker=healthy.worker,
             ) as chaos:
                 chaos.register(CHAOS_PTX)
-                chaos.inject_fault(
-                    "memory_fault", probability=1.0, seed=5
-                )
                 a = chaos.upload(np.ones(N, dtype=np.float32))
-                c = chaos.malloc(4 * N)
+                # A null output pointer: a real trap at address 0.
                 reply = chaos.collect(chaos.launch(
                     "chaosAdd", 1, N,
-                    [{"allocation": a}, {"allocation": a},
-                     {"allocation": c}, N],
+                    [{"allocation": a}, {"allocation": a}, 0, N],
                 ))
                 assert not reply["ok"]
                 assert reply["error"]["type"] == "KernelTrap"
                 assert "chaosAdd" in reply["error"]["report"]
-                chaos.disarm_faults()
                 chaos.reset()
             # Same-worker healthy client unaffected.
             assert np.allclose(
