@@ -50,7 +50,6 @@ from .runtime.config import (
     vectorized_config,
 )
 from .runtime.pool import DevicePool, TenantSession
-from .runtime.state_store import StateStore
 from .runtime.statistics import WorkerHealth
 from .runtime.traps import format_device_lost, format_timeout, format_trap
 
@@ -72,7 +71,6 @@ __all__ = [
     "MachineDescription",
     "QuotaExceeded",
     "ServiceUnavailable",
-    "StateStore",
     "Stream",
     "TenantSession",
     "SanitizerError",

@@ -42,11 +42,12 @@ identical across platforms.
 
 *Durability* (opt-in per session; the modes are :class:`TenantSession`'s)
 makes DeviceLost *recoverable*: the session journals what it applied
-(and may checkpoint it), the supervisor replays that onto the next
+in the parent's memory (a checkpoint compacts that journal to one
+upload per live buffer), the supervisor replays it onto the next
 epoch bit-identically — execution is deterministic — behind the
 caller's unchanged handles, and the launches the loss caught, even
 delivered ones, ride the restore (``restored=True``) instead of
-failing.
+failing. Nothing of a tenant's state outlives the pool.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from ..errors import (
     QuotaExceeded,
     ServiceUnavailable,
 )
-from .state_store import StateStore
 from .statistics import LaunchStatistics, WorkerHealth
 
 #: Most trap report strings retained per tenant.
@@ -265,13 +265,10 @@ def _pool_worker_main(
             return None
         if op == "snapshot":
             # The tenant's live buffers, in handle order, as the
-            # checkpoint stores them.
+            # journal entries a checkpoint compacts the journal to.
             return [
-                {
-                    "local": handle,
-                    "label": found.label,
-                    "data": found.read(np.uint8, found.size).tobytes(),
-                }
+                ("upload", handle, found.read(np.uint8, found.size),
+                 found.label)
                 for (owner, handle), found in sorted(allocations.items())
                 if owner == tenant
             ]
@@ -780,10 +777,10 @@ class TenantStatistics:
     restore_seconds: float = added(0.0)
     replayed_ops: int = added()
     restored_launches: int = added()
-    #: Restores abandoned because no valid state survived.
+    #: Restores abandoned because the replay failed.
     restore_failures: int = added()
-    #: Checkpoints written / bytes snapshotted / attempts that failed
-    #: (disk error or worker lost mid-snapshot).
+    #: Checkpoints taken / bytes snapshotted / attempts that failed
+    #: (worker lost mid-snapshot).
     checkpoints: int = added()
     checkpoint_bytes: int = added()
     checkpoint_errors: int = added()
@@ -857,6 +854,22 @@ class _LaunchJob:
         )
 
 
+def _check_int(
+    name: str, value, least: Optional[int] = None, optional: bool = False
+) -> None:
+    """Refuse a session parameter that is not an int (a bool is not
+    one) of at least ``least``; ``optional`` admits None."""
+    if value is None and optional:
+        return
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (least is not None and value < least)
+    ):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an int{bound}, not {value!r}")
+
+
 class TenantSession:
     """One tenant's connection to the pool: pinned to a worker, with
     its own quotas, weight, durability, sticky-error state, and
@@ -886,12 +899,12 @@ class TenantSession:
         bit-identical) under the same handles, so existing
         ``RemoteAllocation`` handles keep working.
     ``"checkpoint"``
-        Journal plus periodic snapshots of live allocation contents
-        through the pool's :class:`~repro.runtime.state_store.
-        StateStore` (every ``checkpoint_interval`` executed launches,
-        or explicitly via :meth:`checkpoint`); the journal is
-        truncated to the store's retention floor, so restore replays
-        only the tail.
+        Journal plus periodic compaction (every ``checkpoint_interval``
+        executed launches, or explicitly via :meth:`checkpoint`): the
+        worker snapshots the tenant's live buffers and the journal
+        becomes one ``upload`` per buffer, so restore replays the
+        snapshot and the ops since. The parent holds those bytes in
+        memory, as ``"journal"`` holds every upload.
 
     A session serializes its own operations (journal order must match
     worker execution order, and a worker serves one request at a time
@@ -908,18 +921,7 @@ class TenantSession:
         max_launches: Optional[int] = None,
         durability: str = "none",
         checkpoint_interval: int = 32,
-        store: Optional[StateStore] = None,
     ):
-        if durability not in _DURABILITY_MODES:
-            raise ValueError(
-                f"unknown durability {durability!r} "
-                f"(have {_DURABILITY_MODES})"
-            )
-        if checkpoint_interval < 1:
-            raise ValueError(
-                f"checkpoint_interval must be >= 1, "
-                f"got {checkpoint_interval}"
-            )
         self.pool = pool
         self.tenant = tenant
         self.weight = weight
@@ -938,17 +940,14 @@ class TenantSession:
         self.last_error: Optional[BaseException] = None
         self._pending = 0
         self._condition = threading.Condition()
-        self._store = store if durability == "checkpoint" else None
         #: Operation journal: tuples in worker execution order.
         #: ("malloc", local, size, label) / ("upload", local, data,
         #: label) / ("write", local, data) / ("free", local) /
         #: ("launch", kernel, grid, block, args) — args carry
         #: tenant-local ``__handle__`` markers. These are the entries
-        #: :meth:`_apply` runs; durability="none" never appends.
+        #: :meth:`_apply` runs; durability="none" never appends, and
+        #: :meth:`checkpoint` compacts it to one upload per live buffer.
         self._journal: List[tuple] = []
-        #: Absolute index of journal entry 0 (grows as checkpoints
-        #: truncate the journal).
-        self._journal_base = 0
         self._next_local = 1
         #: Local handles below this were lost with a worker epoch
         #: that nothing rebuilt (durability="none", or a failed
@@ -1293,13 +1292,14 @@ class TenantSession:
     # -- checkpointing ------------------------------------------------------
 
     def checkpoint(self) -> Optional[int]:
-        """Snapshot every live allocation to the pool's state store
-        and truncate the journal to the store's retention floor.
-        Returns the new checkpoint sequence number, or ``None`` when
-        the snapshot was abandoned (disk error, or the worker was lost
-        mid-snapshot) — the previous checkpoint stays intact either
-        way. Requires ``durability="checkpoint"``."""
-        if self._store is None:
+        """Compact the journal: snapshot every live allocation on the
+        worker and replace the journal with one ``upload`` per buffer,
+        in handle order — the entries replay runs first, so restore
+        replays the snapshot plus the ops since. Returns the number of
+        checkpoints taken so far, or ``None`` when the worker was lost
+        mid-snapshot (the journal is left as it was). Requires
+        ``durability="checkpoint"``."""
+        if self.durability != "checkpoint":
             raise LaunchError(
                 f"tenant {self.tenant!r} has durability="
                 f"{self.durability!r}; checkpoints need "
@@ -1312,33 +1312,21 @@ class TenantSession:
             except DeviceLost:
                 self.stats.checkpoint_errors += 1
                 return None
-            index = self._journal_base + len(self._journal)
-            seq = self._store.store_checkpoint(
-                self.tenant, index, snapshot
-            )
-            if seq is None:
-                self.stats.checkpoint_errors += 1
-                return None
+            self._journal = snapshot
             self.stats.checkpoints += 1
             self.stats.checkpoint_bytes += sum(
-                len(entry["data"]) for entry in snapshot
+                data.nbytes for _, _, data, _ in snapshot
             )
             self._launches_since_checkpoint = 0
-            # Truncate only below what every *retained valid*
-            # checkpoint covers: a torn newest manifest then still
-            # falls back to the previous checkpoint + a longer replay.
-            floor = self._store.journal_floor(self.tenant)
-            if floor > self._journal_base:
-                del self._journal[: floor - self._journal_base]
-                self._journal_base = floor
-            return seq
+            return self.stats.checkpoints
 
     def _maybe_checkpoint(self) -> None:
         """Auto-checkpoint trigger, fired by the dispatcher after a
         completed launch (outside the session's accounting locks)."""
-        if self._store is None:
-            return
-        if self._launches_since_checkpoint < self.checkpoint_interval:
+        if (
+            self.durability != "checkpoint"
+            or self._launches_since_checkpoint < self.checkpoint_interval
+        ):
             return
         try:
             self.checkpoint()
@@ -1448,42 +1436,14 @@ class TenantSession:
         self._release_parked()
 
     def _replay(self, worker: _Worker) -> bool:
-        """Rebuild the guest state by running the same entries
-        through the same applier the live methods use: the newest
-        valid checkpoint as one ``upload`` per saved allocation
-        (torn/corrupt ones are discarded by the store — fall back to
-        the previous, or to a full journal replay), then the journal
-        tail, in original order — deterministic execution guarantees
-        the rebuilt guest memory is bit-identical, under the same
-        tenant-local handles. False when no valid state survived
-        (:meth:`_restore_failed`)."""
+        """Rebuild the guest state by running the journal, in order,
+        through the same applier the live methods use — deterministic
+        execution guarantees the rebuilt guest memory is
+        bit-identical, under the same tenant-local handles. False when
+        the replay failed (:meth:`_restore_failed`)."""
         started = time.monotonic()
-        snapshot: List[tuple] = []
-        start_index = 0
-        checkpoint = None
-        if self._store is not None:
-            checkpoint = self._store.load_latest(self.tenant)
-        if checkpoint is not None:
-            snapshot = [
-                (
-                    "upload",
-                    saved["local"],
-                    np.frombuffer(saved["data"], dtype=np.uint8),
-                    saved.get("label"),
-                )
-                for saved in checkpoint.allocations
-            ]
-            start_index = checkpoint.journal_index
-        if start_index < self._journal_base:
-            self._restore_failed(
-                worker,
-                "the journal was truncated below the newest valid "
-                "checkpoint (no retained checkpoint verifies)",
-            )
-            return False
-        tail = self._journal[start_index - self._journal_base:]
         try:
-            for entry in snapshot + tail:
+            for entry in self._journal:
                 self.pool._hook_restore_step(worker, entry[0])
                 try:
                     self._apply(worker, entry)
@@ -1503,14 +1463,14 @@ class TenantSession:
         elapsed = time.monotonic() - started
         self.stats.restores += 1
         self.stats.restore_seconds += elapsed
-        self.stats.replayed_ops += len(tail)
+        self.stats.replayed_ops += len(self._journal)
         with worker.lock:
             worker.restores += 1
             worker.last_restore_seconds = elapsed
         return True
 
     def _restore_failed(self, worker: _Worker, reason: str) -> None:
-        """Give up restoring (no valid state survived): every handle
+        """Give up restoring (the replay failed): every handle
         issued so far goes stale — what a partial replay left on the
         worker stays out of reach — the session is published ready
         with an empty journal so it stays usable, and the parked
@@ -1518,7 +1478,6 @@ class TenantSession:
         self.stats.restore_failures += 1
         self._stale_below = self._next_local
         self._journal = []
-        self._journal_base = 0
         self._ready_epoch = worker.epoch
         self._restored.notify_all()
         self._release_parked(DeviceLost(
@@ -1599,7 +1558,10 @@ class DevicePool:
     durable session's lost launch parks for the next epoch only while
     ``supervise`` and ``respawn`` are both on. The pool's own
     :attr:`state` is ``serving``, ``draining`` (:meth:`drain`) or
-    ``closed``."""
+    ``closed``. ``state_dir`` is accepted and ignored: a checkpoint
+    lives in the parent's memory (:meth:`TenantSession.checkpoint`),
+    and the argument stays only for callers written when it named a
+    checkpoint directory."""
 
     def __init__(
         self,
@@ -1624,12 +1586,6 @@ class DevicePool:
         #: Whether a lost slot comes back by itself: only then does a
         #: launch caught by the loss park for the next epoch.
         self._recovers = supervise and respawn
-        #: Durability tier: built lazily when the first
-        #: durability="checkpoint" session is created. ``state_dir``
-        #: overrides the default (~/.cache/repro/state or
-        #: $REPRO_STATE_DIR).
-        self._state_dir = state_dir
-        self._state_store: Optional[StateStore] = None
         self._hang_timeout = hang_timeout
         self._probe_timeout = probe_timeout
         self._cooldown = circuit_cooldown
@@ -1769,15 +1725,24 @@ class DevicePool:
         one explicitly. ``durability`` opts the session into the
         journaling/checkpoint restore layer (see
         :class:`TenantSession`); ``checkpoint_interval`` is the
-        auto-checkpoint period in executed launches."""
+        auto-checkpoint period in executed launches. Parameters are
+        checked before anything is stored — ``max_pending`` an int
+        >= 1, ``max_launches`` an int >= 0, ``worker`` a worker index,
+        ``checkpoint_interval`` an int >= 1, None admitted for the
+        first three — and a bad one is a ValueError."""
+        if durability not in _DURABILITY_MODES:
+            raise ValueError(
+                f"unknown durability {durability!r} "
+                f"(have {_DURABILITY_MODES})"
+            )
+        _check_int("max_pending", max_pending, least=1, optional=True)
+        _check_int("max_launches", max_launches, least=0, optional=True)
+        _check_int("worker", worker, optional=True)
+        _check_int("checkpoint_interval", checkpoint_interval, least=1)
         with self._sessions_lock:
             existing = self._sessions.get(tenant)
             if existing is not None:
                 return existing
-            if durability == "checkpoint" and self._state_store is None:
-                self._state_store = StateStore(
-                    directory=self._state_dir
-                )
             if worker is None:
                 population = {index: 0 for index in range(self.workers)}
                 for session in self._sessions.values():
@@ -1798,7 +1763,6 @@ class DevicePool:
                 max_launches=max_launches,
                 durability=durability,
                 checkpoint_interval=checkpoint_interval,
-                store=self._state_store,
             )
             # The queue validates the weight: a refused one leaves no
             # session behind.
@@ -1896,10 +1860,9 @@ class DevicePool:
         self._supervisor_wake.set()
 
     def _hook_restore_step(self, worker: _Worker, op: str) -> None:
-        """No-op seam fired before every restore step (each saved
-        allocation of a checkpoint and each journal replay op); the
-        testing FaultInjector's ``kill_during_restore`` site patches
-        this."""
+        """No-op seam fired before every restore step (each journal
+        entry replayed); the testing FaultInjector's
+        ``kill_during_restore`` site patches this."""
 
     def _restore_tenants(self, worker: _Worker) -> None:
         """Catch up every tenant pinned to a live worker that lags the

@@ -165,9 +165,8 @@ class _ServiceState:
             max_launches=body.get("max_launches"),
             worker=body.get("worker"),
             durability=str(body.get("durability") or self.durability),
-            checkpoint_interval=int(
-                body.get("checkpoint_interval")
-                or self.checkpoint_interval
+            checkpoint_interval=body.get(
+                "checkpoint_interval", self.checkpoint_interval
             ),
         )
 

@@ -14,11 +14,13 @@ are shed, queued work flushes (bounded by ``--drain-timeout``), then
 the workers stop.
 
 With ``--durability journal|checkpoint`` tenant sessions become
-*durable*: the pool journals their state-mutating operations (and,
-in checkpoint mode, periodically snapshots allocation contents to
-``--state-dir``), so after a worker crash the supervisor restores
-each tenant's guest memory bit-identically onto the respawned worker
-and clients never observe ``DeviceLost``.
+*durable*: the pool journals their state-mutating operations in its
+own memory (and, in checkpoint mode, every ``--checkpoint-interval``
+launches compacts that journal to a snapshot of the live buffers), so
+after a worker crash the supervisor restores each tenant's guest
+memory bit-identically onto the respawned worker and clients never
+observe ``DeviceLost``. Nothing is written to disk: a tenant's state
+lives as long as the server.
 
 Example::
 
@@ -85,20 +87,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--durability", choices=("none", "journal", "checkpoint"),
         default="none",
-        help="default session durability: journal ops (and, with "
-             "'checkpoint', snapshot allocations to disk) so tenant "
-             "state is restored transparently after a worker crash "
-             "(default %(default)s)",
+        help="default session durability: journal ops in server "
+             "memory (with 'checkpoint', compacted to snapshots of the "
+             "live buffers) so tenant state is restored transparently "
+             "after a worker crash (default %(default)s)",
     )
     parser.add_argument(
         "--checkpoint-interval", type=int, default=32, metavar="N",
         help="auto-checkpoint period in executed launches for "
              "checkpoint-durable sessions (default %(default)s)",
-    )
-    parser.add_argument(
-        "--state-dir", default=None, metavar="DIR",
-        help="checkpoint directory (default $REPRO_STATE_DIR or "
-             "~/.cache/repro/state)",
     )
     args = parser.parse_args(argv)
 
@@ -112,7 +109,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         modules=modules,
         warm=args.warm,
         respawn=not args.no_respawn,
-        state_dir=args.state_dir,
     )
     server = KernelServer(
         pool,

@@ -66,18 +66,9 @@ unmodified code:
     The parent's end of the worker pipe is closed around a matching
     request — exercising broken-pipe loss detection
     (``delivered=False``: the request never left the parent).
-``torn_checkpoint``
-    A durability checkpoint that was just written is truncated to half
-    its size — a torn write. Restore must fail its checksum, discard
-    it, and fall back to the previous checkpoint (plus a longer
-    journal replay).
-``corrupt_checkpoint``
-    Bytes in the middle of a just-written checkpoint manifest are
-    overwritten — bit corruption. Same recovery contract as
-    ``torn_checkpoint``.
 ``kill_during_restore``
     The worker being restored is ``kill()``-ed after ``after_steps``
-    restore steps (checkpoint writes / journal replays) — exercising
+    restore steps (journal entries replayed) — exercising
     restore-crash recovery: the supervisor respawns again and the
     restore retries from scratch on the fresh epoch.
 
@@ -128,7 +119,10 @@ def fault_seed(default: int = 0) -> int:
 
 
 class FaultInjector:
-    """Patches fault sites on one Device; seeded and restorable."""
+    """Patches fault sites on one Device — or, for the
+    :attr:`PROCESS_SITES`, on one DevicePool's parent side, where a
+    durable tenant's journal (its checkpoints included) lives in
+    memory and no site reaches it; seeded and restorable."""
 
     SITES = (
         "memory_fault",
@@ -142,8 +136,6 @@ class FaultInjector:
         "kill_worker",
         "hang_worker",
         "drop_pipe",
-        "torn_checkpoint",
-        "corrupt_checkpoint",
         "kill_during_restore",
     )
 
@@ -153,8 +145,6 @@ class FaultInjector:
         "kill_worker",
         "hang_worker",
         "drop_pipe",
-        "torn_checkpoint",
-        "corrupt_checkpoint",
         "kill_during_restore",
     )
 
@@ -474,63 +464,6 @@ class FaultInjector:
 
             self._patch(target, "_hook_before_send", fire)
 
-    def _pool_state_store(self):
-        store = getattr(self.device, "_state_store", None)
-        if store is None:
-            raise ValueError(
-                "checkpoint chaos sites need a DevicePool that has a "
-                "checkpoint-durable session (the state store is "
-                "created with the first one)"
-            )
-        return store
-
-    def _arm_torn_checkpoint(self, probability: float) -> None:
-        """Truncate a just-written checkpoint manifest to half its
-        size: a torn write. ``load_latest`` must reject it on checksum
-        and fall back to the previous checkpoint."""
-        store = self._pool_state_store()
-        original = store.store_checkpoint
-
-        def store_checkpoint(tenant, journal_index, allocations):
-            seq = original(tenant, journal_index, allocations)
-            if seq is not None and self._fires(
-                "torn_checkpoint", probability
-            ):
-                path = store.manifest_path(tenant, seq)
-                try:
-                    size = os.path.getsize(path)
-                    with open(path, "r+b") as handle:
-                        handle.truncate(size // 2)
-                except OSError:
-                    pass
-            return seq
-
-        self._patch(store, "store_checkpoint", store_checkpoint)
-
-    def _arm_corrupt_checkpoint(self, probability: float) -> None:
-        """Overwrite bytes in the middle of a just-written checkpoint
-        manifest: bit corruption that keeps the file length intact, so
-        only the checksum can tell."""
-        store = self._pool_state_store()
-        original = store.store_checkpoint
-
-        def store_checkpoint(tenant, journal_index, allocations):
-            seq = original(tenant, journal_index, allocations)
-            if seq is not None and self._fires(
-                "corrupt_checkpoint", probability
-            ):
-                path = store.manifest_path(tenant, seq)
-                try:
-                    size = os.path.getsize(path)
-                    with open(path, "r+b") as handle:
-                        handle.seek(size // 2)
-                        handle.write(b"\x00corrupt\x00")
-                except OSError:
-                    pass
-            return seq
-
-        self._patch(store, "store_checkpoint", store_checkpoint)
-
     def _arm_kill_during_restore(
         self,
         probability: float,
@@ -539,13 +472,12 @@ class FaultInjector:
         times: int = 1,
     ) -> None:
         """Kill the worker being restored after ``after_steps``
-        restore steps (checkpoint-allocation writes or journal
-        replays) have been applied to it, at most ``times`` times
-        overall (so the retried restore eventually converges). The
-        in-progress restore fails with ``DeviceLost``; the supervisor
-        respawns the worker again and retries the restore from
-        scratch on the fresh epoch (a fresh arena — nothing is
-        double-applied)."""
+        restore steps (journal entries replayed) have been applied to
+        it, at most ``times`` times overall (so the retried restore
+        eventually converges). The in-progress restore fails with
+        ``DeviceLost``; the supervisor respawns the worker again and
+        retries the restore from scratch on the fresh epoch (a fresh
+        arena — nothing is double-applied)."""
         pool = self.device
         if not hasattr(pool, "_hook_restore_step"):
             raise ValueError(

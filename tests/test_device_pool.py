@@ -247,6 +247,37 @@ class TestQuotas:
                 session._pending = 0
         session.launch("vecAdd", 1, N, [a, b, c, N])
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_pending", "5"),
+        ("max_pending", -1),
+        ("max_pending", 0),
+        ("max_pending", True),
+        ("max_pending", 1.5),
+        ("max_launches", "5"),
+        ("max_launches", -1),
+        ("max_launches", False),
+        ("worker", "0"),
+        ("worker", True),
+        ("worker", 0.0),
+        ("checkpoint_interval", "32"),
+        ("checkpoint_interval", 1.5),
+    ])
+    def test_a_malformed_session_parameter_leaves_no_session(
+        self, pool, name, value
+    ):
+        """A quota, worker index or checkpoint interval that is not an
+        int in range is refused before the session is stored: it
+        could otherwise turn every later launch of the tenant into a
+        TypeError or a rejection."""
+        tenant = f"malformed-{name}-{value!r}"
+        with pytest.raises(ValueError, match=name):
+            pool.session(tenant, **{name: value})
+        assert tenant not in {session.tenant for session in pool.sessions()}
+        session = pool.session(tenant)
+        a, b, c = _session_buffers(session)
+        session.launch("vecAdd", 1, N, [a, b, c, N])
+        assert np.allclose(session.read(c, np.float32, N), np.arange(N) * 2)
+
     def test_quota_is_launch_error_subclass(self):
         assert issubclass(QuotaExceeded, LaunchError)
 

@@ -1,11 +1,10 @@
-"""Durable tenant sessions: operation journaling, incremental
-checkpoints (StateStore), transparent restore after DeviceLost,
-torn/corrupt-checkpoint fallback, restore-crash retry, the liveness/
+"""Durable tenant sessions: operation journaling, checkpoints that
+compact the journal in the parent's memory, transparent restore after
+DeviceLost, restore-crash retry, a failed replay, the liveness/
 readiness health split, and ServeClient idempotent-request retry."""
 
 import ast
 import inspect
-import os
 import textwrap
 import threading
 import time
@@ -16,7 +15,6 @@ import pytest
 from repro.errors import DeviceLost, LaunchError
 from repro.runtime.pool import DevicePool, TenantSession
 from repro.runtime.service import KernelServer, ServeClient
-from repro.runtime.state_store import StateStore
 from repro.testing.fault_injection import FaultInjector
 from tests.conftest import VECADD_PTX
 
@@ -48,109 +46,6 @@ def _wait_recovered(pool, index=0, epoch=1, timeout=60.0):
             return health
         time.sleep(0.02)
     return pool.health()[index]
-
-
-class TestStateStore:
-    def test_roundtrip_and_verification(self, tmp_path):
-        store = StateStore(directory=str(tmp_path))
-        data = np.arange(N, dtype=np.float32).tobytes()
-        seq = store.store_checkpoint(
-            "alice", 7,
-            [{"local": 1, "size": len(data), "label": "a",
-              "data": data}],
-        )
-        assert seq == 1
-        loaded = store.load_latest("alice")
-        assert loaded is not None
-        assert loaded.journal_index == 7
-        assert loaded.allocations[0]["data"] == data
-        assert loaded.allocations[0]["local"] == 1
-        assert store.journal_floor("alice") == 7
-
-    def test_content_addressed_blocks_dedupe(self, tmp_path):
-        store = StateStore(directory=str(tmp_path))
-        data = b"\x01" * 64
-        for index in range(2):
-            store.store_checkpoint(
-                "bob", index,
-                [{"local": 1, "size": 64, "label": None, "data": data},
-                 {"local": 2, "size": 64, "label": None, "data": data}],
-            )
-        blocks = [
-            name
-            for name in os.listdir(store.tenant_directory("bob"))
-            if name.endswith(".blk")
-        ]
-        # Two checkpoints x two allocations, all the same content:
-        # exactly one block on disk.
-        assert len(blocks) == 1
-
-    def test_torn_manifest_discarded_falls_back(self, tmp_path):
-        store = StateStore(directory=str(tmp_path))
-        store.store_checkpoint(
-            "carol", 1,
-            [{"local": 1, "size": 4, "label": None, "data": b"good"}],
-        )
-        seq = store.store_checkpoint(
-            "carol", 9,
-            [{"local": 1, "size": 4, "label": None, "data": b"newr"}],
-        )
-        path = store.manifest_path("carol", seq)
-        size = os.path.getsize(path)
-        with open(path, "r+b") as handle:
-            handle.truncate(size // 2)
-        loaded = store.load_latest("carol")
-        assert loaded is not None and loaded.journal_index == 1
-        assert loaded.allocations[0]["data"] == b"good"
-        assert store.discarded >= 1
-        # The torn manifest no longer constrains (or provides) the
-        # truncation floor.
-        assert store.journal_floor("carol") == 1
-
-    def test_corrupt_block_discards_checkpoint(self, tmp_path):
-        store = StateStore(directory=str(tmp_path))
-        store.store_checkpoint(
-            "dave", 3,
-            [{"local": 1, "size": 8, "label": None,
-              "data": b"payloadX"}],
-        )
-        directory = store.tenant_directory("dave")
-        for name in os.listdir(directory):
-            if name.endswith(".blk"):
-                with open(os.path.join(directory, name), "r+b") as f:
-                    f.write(b"\xff\xff")
-        assert store.load_latest("dave") is None
-        assert store.discarded >= 1
-
-    def test_prune_keeps_latest_and_gcs_blocks(self, tmp_path):
-        store = StateStore(directory=str(tmp_path), keep=2)
-        for index in range(4):
-            store.store_checkpoint(
-                "erin", index,
-                [{"local": 1, "size": 4, "label": None,
-                  "data": bytes([index]) * 4}],
-            )
-        assert store.sequences("erin") == [3, 4]
-        blocks = [
-            name
-            for name in os.listdir(store.tenant_directory("erin"))
-            if name.endswith(".blk")
-        ]
-        # Only the two retained checkpoints' (distinct) blocks remain.
-        assert len(blocks) == 2
-        assert store.journal_floor("erin") == 2
-
-    def test_disk_failure_degrades_to_none(self, tmp_path):
-        target = tmp_path / "blocked"
-        target.write_text("a file, not a directory")
-        store = StateStore(directory=str(target / "sub"))
-        seq = store.store_checkpoint(
-            "fred", 0,
-            [{"local": 1, "size": 1, "label": None, "data": b"x"}],
-        )
-        assert seq is None
-        assert store.disk_errors == 1
-        assert store.load_latest("fred") is None
 
 
 class TestModuleJournalDedupe:
@@ -459,52 +354,18 @@ class TestCheckpointRestore:
             ):
                 time.sleep(0.02)
             assert session.stats.checkpoints >= 2
-            store = pool._state_store
-            assert store is not None and store.stored >= 2
+            # The last checkpoint left the journal one upload per
+            # live buffer.
+            assert [entry[:2] for entry in session._journal] == [
+                ("upload", a.handle), ("upload", b.handle),
+                ("upload", c.handle),
+            ]
 
-    def test_journal_mode_needs_no_store(self):
+    def test_journal_mode_cannot_checkpoint(self):
         with DevicePool(workers=1, modules=[VECADD_PTX]) as pool:
             session = pool.session("nj", durability="journal")
-            assert pool._state_store is None
             with pytest.raises(LaunchError, match="checkpoint"):
                 session.checkpoint()
-
-    @pytest.mark.parametrize(
-        "site", ["torn_checkpoint", "corrupt_checkpoint"]
-    )
-    def test_damaged_checkpoint_falls_back(self, site, tmp_path):
-        """A torn/corrupt newest checkpoint is never loaded: restore
-        falls back to the previous one plus a longer journal replay
-        and still converges to identical guest memory."""
-        with DevicePool(
-            workers=1, modules=[VECADD_PTX],
-            state_dir=str(tmp_path),
-        ) as pool:
-            pool.ready(timeout=300.0)
-            session = pool.session(
-                "fallback", durability="checkpoint",
-                checkpoint_interval=1000,
-            )
-            a, b, c = _buffers(session)
-            _vecadd(session, a, b, c)
-            assert session.checkpoint() is not None  # good snapshot
-            d = session.upload(np.full(N, 9.0, dtype=np.float32))
-            _vecadd(session, a, d, c)
-            with FaultInjector(pool, seed=0) as injector:
-                injector.arm(site, probability=1.0)
-                assert session.checkpoint() is not None  # damaged
-            store = pool._state_store
-            pool._workers[0].process.kill()
-            out = session.read(c, np.float32, N)
-            assert np.array_equal(
-                out, np.arange(N, dtype=np.float32) + 9
-            )
-            assert session.stats.restores == 1
-            assert session.stats.restore_failures == 0
-            # The damaged newest snapshot was rejected on checksum...
-            assert store.discarded >= 1
-            # ...and the fallback needed the journal tail again.
-            assert session.stats.replayed_ops >= 2
 
     def test_kill_during_restore_retries_to_convergence(
         self, tmp_path
@@ -539,11 +400,11 @@ class TestCheckpointRestore:
     def test_a_failed_restore_leaves_stale_handles_and_a_usable_session(
         self, tmp_path
     ):
-        """Two checkpoints truncate the journal; with every retained
-        manifest damaged nothing can rebuild the tenant. The launch
-        parked across the loss fails with ``restore failed``, a
-        pre-loss handle is stale (never bytes of a partial replay), and
-        a new buffer works."""
+        """Two checkpoints compact the journal; a replay that fails
+        (here every restore step raises) cannot rebuild the tenant.
+        The launch parked across the loss fails with ``restore
+        failed``, a pre-loss handle is stale (never bytes of a partial
+        replay), and a new buffer works."""
         with DevicePool(
             workers=1, modules=[VECADD_PTX],
             state_dir=str(tmp_path),
@@ -558,12 +419,14 @@ class TestCheckpointRestore:
             assert session.checkpoint() is not None
             _vecadd(session, a, b, c)
             assert session.checkpoint() is not None
-            assert session._journal_base > 0
-            store = pool._state_store
-            for seq in store.sequences("unrestorable"):
-                path = store.manifest_path("unrestorable", seq)
-                with open(path, "r+b") as handle:
-                    handle.truncate(os.path.getsize(path) // 2)
+            assert [entry[0] for entry in session._journal] == (
+                ["upload"] * 3
+            )
+
+            def replay_error(worker, op):
+                raise RuntimeError("injected replay error")
+
+            pool._hook_restore_step = replay_error
             # Hold the slot lost so the launch parks before the restore.
             worker = pool._workers[0]
             worker.reap = lambda timeout=5.0: None
@@ -581,6 +444,7 @@ class TestCheckpointRestore:
             error = future.exception(timeout=120.0)
             assert isinstance(error, DeviceLost)
             assert error.cause == "restore failed"
+            assert "replay error" in str(error)
             assert session.stats.restore_failures == 1
             assert session.stats.restores == 0
             with pytest.raises(DeviceLost) as stale:
@@ -698,6 +562,103 @@ class TestCheckpointRestore:
                 session.read(c, np.float32, words),
                 np.arange(words, dtype=np.float32) * 2,
             )
+
+
+    def test_a_checkpoint_compacts_the_journal_to_one_upload_per_live_buffer(
+        self,
+    ):
+        with DevicePool(workers=1, modules=[VECADD_PTX]) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "compact", durability="checkpoint",
+                checkpoint_interval=1000,
+            )
+            a, b, c = _buffers(session)
+            freed = session.upload(np.full(N, 7.0, dtype=np.float32))
+            _vecadd(session, a, b, c)
+            session.write(b, np.full(N, 4.0, dtype=np.float32))
+            session.free(freed)
+            before = [
+                session.read(buffer, np.uint8, 4 * N)
+                for buffer in (a, b, c)
+            ]
+            assert session.checkpoint() == 1
+            assert [
+                (kind, handle, label)
+                for kind, handle, _, label in session._journal
+            ] == [
+                ("upload", a.handle, None),
+                ("upload", b.handle, None),
+                ("upload", c.handle, None),
+            ]
+            assert [entry[2].tobytes() for entry in session._journal] == [
+                data.tobytes() for data in before
+            ]
+            assert session.stats.checkpoint_bytes == 3 * 4 * N
+            pool._workers[0].process.kill()
+            after = [
+                session.read(buffer, np.uint8, 4 * N)
+                for buffer in (a, b, c)
+            ]
+            assert session.stats.restores == 1
+            assert session.stats.replayed_ops == 3
+            for restored, original in zip(after, before):
+                assert np.array_equal(restored, original)
+            with pytest.raises(LaunchError, match="freed"):
+                session.read(freed, np.float32, N)
+
+    def test_a_snapshot_caught_by_a_loss_leaves_the_journal_untouched(self):
+        with DevicePool(workers=1, modules=[VECADD_PTX]) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session(
+                "caught", durability="checkpoint",
+                checkpoint_interval=1000,
+            )
+            a, b, c = _buffers(session)
+            _vecadd(session, a, b, c)
+            before = session.read(c, np.float32, N)
+            journal = list(session._journal)
+            with FaultInjector(pool, seed=0) as injector:
+                injector.arm(
+                    "kill_worker", probability=1.0, worker=0,
+                    op="snapshot",
+                )
+                assert session.checkpoint() is None
+                assert injector.fired.get("kill_worker") == 1
+            assert session.stats.checkpoint_errors == 1
+            assert session.stats.checkpoints == 0
+            assert session._journal == journal
+            after = session.read(c, np.float32, N)
+            assert np.array_equal(after, before)
+            assert np.array_equal(after, _expected())
+            assert session.stats.restores == 1
+            assert session.stats.replayed_ops == len(journal)
+
+
+def test_a_new_pool_never_restores_an_earlier_pools_checkpoint(tmp_path):
+    """A checkpoint is this pool's memory, not a file under
+    ``state_dir``: a later pool given the same directory restores its
+    own tenant's bytes, never the bytes an earlier pool checkpointed
+    for a tenant of the same name."""
+    with DevicePool(
+        workers=1, modules=[VECADD_PTX], state_dir=str(tmp_path)
+    ) as first:
+        first.ready(timeout=300.0)
+        session = first.session("alice", durability="checkpoint")
+        session.upload(np.full(N, 1.0, dtype=np.float32))
+        assert session.checkpoint() is not None
+    with DevicePool(
+        workers=1, modules=[VECADD_PTX], state_dir=str(tmp_path)
+    ) as second:
+        second.ready(timeout=300.0)
+        session = second.session("alice", durability="checkpoint")
+        buffer = session.upload(np.full(N, 2.0, dtype=np.float32))
+        second._workers[0].process.kill()
+        assert np.array_equal(
+            session.read(buffer, np.float32, N),
+            np.full(N, 2.0, dtype=np.float32),
+        )
+        assert session.stats.restores == 1
 
 
 def _call_sites(function, method):
@@ -905,7 +866,7 @@ class TestExports:
     def test_durability_api_exported(self):
         import repro
 
-        assert repro.StateStore is StateStore
+        assert "StateStore" not in repro.__all__
         health = repro.WorkerHealth(
             worker=0, alive=True, state="closed", epoch=1,
             restores=2, last_restore_seconds=0.5,

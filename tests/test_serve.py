@@ -324,6 +324,30 @@ class TestServeErrors:
         with ServeClient(server.host, server.port, tenant) as client:
             assert np.allclose(_vecadd_roundtrip(client), np.arange(N) * 2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_pending", "5"),
+        ("max_pending", -1),
+        ("max_launches", -1),
+        ("max_launches", "1"),
+        ("worker", "0"),
+        ("worker", True),
+        ("checkpoint_interval", 0),
+    ])
+    def test_a_malformed_session_parameter_is_400_and_leaves_no_session(
+        self, server, field, value
+    ):
+        """A session parameter the pool cannot use is a 400 naming it,
+        and leaves no session behind: a retry without it works."""
+        tenant = f"param-{field}-{value!r}"
+        status, reply = _post_raw(
+            server, "/v1/session", {"tenant": tenant, field: value}
+        )
+        assert status == 400
+        assert field in reply["error"]["message"]
+        assert tenant not in {s.tenant for s in server.pool.sessions()}
+        with ServeClient(server.host, server.port, tenant) as client:
+            assert np.allclose(_vecadd_roundtrip(client), np.arange(N) * 2)
+
     @pytest.mark.parametrize("deadline", ["soon", -1.0])
     def test_a_malformed_deadline_is_400_and_leaks_no_launch(
         self, server, deadline
