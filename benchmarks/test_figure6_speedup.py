@@ -68,6 +68,6 @@ def test_figure6_speedups(benchmark, figure6, runner, results_dir):
         assert 0.3 < speed < 5.0, name
     # The extensions diverge by construction and lose to scalar under
     # dynamic formation (Bisect 0.28x) until a policy picks the width
-    # per kernel: ROADMAP item 3.
+    # per kernel: ROADMAP item 5.
     for name in speedups.keys() - paper.keys():
         assert speedups[name] > 0.2, name

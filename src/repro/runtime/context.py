@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadContext:
     """One light-weight PTX thread."""
 
@@ -52,20 +52,28 @@ class ThreadContext:
         )
 
 
-@dataclass
 class Warp:
-    """Threads executing one vectorized subkernel entry together."""
+    """Threads executing one vectorized subkernel entry together: a
+    slotted record carrying the ready-pool key it was formed from, so
+    nothing downstream re-reads it off a thread. ``entry_point`` (by
+    default the first thread's resume point) stays the entry the warp
+    was formed at while the resume points move on; ``cta`` is the one
+    CTA of its threads (None under cross-CTA formation, whose key is
+    the entry point alone, and for warps built elsewhere)."""
 
-    contexts: List[ThreadContext]
-    warp_id: int = 0
+    __slots__ = ("contexts", "warp_id", "size", "entry_point", "cta")
 
-    @property
-    def size(self) -> int:
-        return len(self.contexts)
-
-    @property
-    def entry_point(self) -> int:
-        return self.contexts[0].resume_point
+    def __init__(
+        self, contexts: List[ThreadContext], warp_id: int = 0,
+        entry_point: Optional[int] = None, cta: Optional[int] = None,
+    ):
+        self.contexts = contexts
+        self.warp_id = warp_id
+        self.size = len(contexts)
+        if entry_point is None:
+            entry_point = contexts[0].resume_point
+        self.entry_point = entry_point
+        self.cta = cta
 
     def __repr__(self):
         return (

@@ -4,10 +4,9 @@ One execution manager runs per worker thread. It owns the thread
 contexts of its assigned CTAs, per-CTA shared memory and per-thread
 local memory, a ready pool, and the warp former. The main loop:
 
-1. pick a ready entry point (round-robin over the pool),
-2. form the largest possible warp of threads waiting at that entry
-   (dynamic formation; or a consecutive-``tid.x`` run under static
-   formation),
+1. pick a ready formation key (round-robin over the pool),
+2. form the largest possible warp of threads waiting there (dynamic
+   formation; or a consecutive-``tid.x`` run under static formation),
 3. query the translation cache for the matching specialization and
    execute it,
 4. act on the warp's resume status: re-insert branching threads into
@@ -17,6 +16,10 @@ local memory, a ready pool, and the warp former. The main loop:
 
 This iterates until all threads of the window have terminated (§3:
 "This process iterates until all threads have terminated").
+
+Formation is data: the pool queues *chunks* (the threads one arrival
+brings to one key), a :class:`Warp` carries its key, and what a warp
+execution counts reaches the launch's statistics once per window.
 
 Fault containment: any :class:`~repro.errors.ExecutionError` escaping a
 warp execution is caught here — the warp-execution boundary — and
@@ -31,10 +34,9 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import OrderedDict, deque
 from contextlib import nullcontext
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import (
@@ -68,6 +70,10 @@ _NEVER = sys.maxsize
 #: on its shared/local memory footprint.
 CTA_WINDOW = 4
 
+_BRANCH = ResumeStatus.THREAD_BRANCH
+_BARRIER = ResumeStatus.THREAD_BARRIER
+_EXIT = ResumeStatus.THREAD_EXIT
+
 
 @dataclass(frozen=True)
 class LaunchGeometry:
@@ -89,112 +95,140 @@ class LaunchGeometry:
         return self.threads_per_cta * self.cta_count
 
     def cta_coordinates(self, linear: int) -> Tuple[int, int, int]:
-        gx, gy, _ = self.grid
-        x = linear % gx
-        y = (linear // gx) % gy
-        z = linear // (gx * gy)
-        return (x, y, z)
+        return _unflatten(linear, self.grid)
 
     def thread_coordinates(self, linear: int) -> Tuple[int, int, int]:
-        bx, by, _ = self.block
-        x = linear % bx
-        y = (linear // bx) % by
-        z = linear // (bx * by)
-        return (x, y, z)
+        return _unflatten(linear, self.block)
+
+
+def _unflatten(linear: int, dims: Tuple[int, int, int]):
+    nx, ny, _ = dims
+    return (linear % nx, (linear // nx) % ny, linear // (nx * ny))
 
 
 class _ReadyPool:
-    """Ready threads grouped by formation key, visited round-robin.
+    """Ready threads in chunks grouped by formation key, visited
+    round-robin.
 
-    The key is the entry point (plus the CTA, unless cross-CTA warps
-    are allowed): §5.2's "largest warp possible from other ready
-    threads with the same entry point". A key's queue may begin with
-    *pre-run* entries, ``(warp, executable, restored, continuation,
-    outcome)``: warps a batch formed from the key's first threads and
-    already ran, whose yield is still to be handled. Arrivals only
-    append, so handing them out first, one per visit, hands each out
-    exactly when the sequential former would have formed it. No key's
-    queue is ever left empty.
+    The key is ``(entry point, CTA)``, the CTA None when cross-CTA
+    warps are allowed: §5.2's "largest warp possible from other ready
+    threads with the same entry point". The schedulable unit is a
+    *chunk*, the threads one arrival brings to one key, in lane order:
+    a yielding warp's threads bound for one entry point, a released
+    barrier's, a new window's CTA, the extras a formation hands back.
+    Chunks queue in arrival order and a key joins the round-robin with
+    its first chunk, so the queues and the key order are exactly what
+    appending the threads one by one gives. :meth:`pop_group` takes
+    whole chunks while they fit the width and splits only the last.
+
+    A key's queue may begin with *pre-run* entries, ``(warp,
+    executable, restored, continuation, outcome)``: warps a batch
+    formed from the key's first threads and already ran, whose yield
+    is still to be handled. Arrivals only append, so handing them out
+    first, one per visit, hands each out exactly when the sequential
+    former would have formed it. No key's queue is ever left empty.
     """
 
     def __init__(self, cross_cta: bool = False):
-        self._queues: "OrderedDict[tuple, deque]" = OrderedDict()
+        #: key -> its queue; the round-robin is the dict's order (a
+        #: visited key is taken out and put back at the end)
+        self._queues: Dict[tuple, list] = {}
         self._cross_cta = cross_cta
         #: threads queued, a pre-run warp's included
         self.size = 0
+        #: pre-run entries queued: :meth:`pop_ran` is asked only then
+        self.pre_run = 0
 
-    def _advance(self, key: tuple, queue: deque) -> None:
-        """Round-robin: the visited key moves to the back, or goes
-        when its queue is empty."""
-        if queue:
-            self._queues.move_to_end(key)
-        else:
-            del self._queues[key]
-
-    def push(self, context: ThreadContext) -> None:
-        key = (
-            (context.resume_point,)
-            if self._cross_cta
-            else (context.resume_point, context.linear_ctaid)
-        )
-        queue = self._queues.get(key)
-        if queue is None:
-            queue = deque()
-            self._queues[key] = queue
-        queue.append(context)
-        self.size += 1
+    def push(self, contexts: List[ThreadContext], cta: Optional[int]) -> None:
+        """Append ``contexts``, threads of CTA ``cta``, as one chunk per
+        resume point, in order of first appearance. The pool owns the
+        list from now on; a chunk is never changed in place."""
+        point = contexts[0].resume_point
+        chunks = ((point, contexts),)
+        for context in contexts:
+            if context.resume_point != point:
+                split: Dict[int, List[ThreadContext]] = {}
+                for context in contexts:
+                    split.setdefault(context.resume_point, []).append(context)
+                chunks = split.items()
+                break
+        if self._cross_cta:
+            cta = None
+        queues = self._queues
+        for point, chunk in chunks:
+            queue = queues.get((point, cta))
+            if queue is None:
+                queues[point, cta] = [chunk]
+            else:
+                queue.append(chunk)
+        self.size += len(contexts)
 
     def pop_ran(self) -> Optional[tuple]:
         """The head key's first entry when it is pre-run — taken, the
-        round-robin advanced as :meth:`pop_group` advances it — else
-        None. Asked first on every visit (the pool is not empty)."""
-        queue = next(iter(self._queues.values()))
+        round-robin advanced as by :meth:`pop_group` — else None."""
+        queues = self._queues
+        key = next(iter(queues))
+        queue = queues[key]
         entry = queue[0]
         if entry.__class__ is not tuple:
             return None
-        queue.popleft()
+        del queue[0], queues[key]
+        if queue:
+            queues[key] = queue
         self.size -= entry[0].size
-        self._advance(next(iter(self._queues)), queue)
+        self.pre_run -= 1
         return entry
 
-    def head_batch(self, floor: int) -> Optional[deque]:
-        """The head key's queue, nothing taken, when at least ``floor``
-        threads wait there (the size rule: below it a batch costs more
-        than the warps it replaces), else None. Asked after
-        :meth:`pop_ran`, so the queue holds threads only."""
-        queue = next(iter(self._queues.values()))
-        return queue if len(queue) >= floor else None
+    def head_batch(self, floor: int) -> Optional[Tuple[tuple, Iterator]]:
+        """The head key and an iterator over its threads, nothing
+        taken, when at least ``floor`` threads wait there (the size
+        rule: below it a batch costs more than the warps it replaces),
+        else None. Asked when the head holds no pre-run entry; a key
+        holds a few chunks, and this sums their lengths."""
+        key = next(iter(self._queues))
+        queue = self._queues[key]
+        if sum(map(len, queue)) < floor:
+            return None
+        return key, chain.from_iterable(queue)
 
     def take_batch(self, threads: int, entries: List[tuple]) -> None:
         """A batch ran the head key's first ``threads`` threads: they
         leave, ``entries`` — its warps but the first, pre-run — take
         their place at the front, and the round-robin advances one
         step, as if the first warp had just been popped."""
-        key, queue = next(iter(self._queues.items()))
-        for _ in range(threads):
-            queue.popleft()
-        queue.extendleft(reversed(entries))
+        key = next(iter(self._queues))
+        rest = list(chain.from_iterable(self._queues.pop(key)))[threads:]
+        queue = entries + [rest] if rest else entries
+        if queue:
+            self._queues[key] = queue
         self.size -= threads - sum(entry[0].size for entry in entries)
-        self._advance(key, queue)
+        self.pre_run += len(entries)
 
-    def pop_group(self, limit: int) -> List[ThreadContext]:
-        """Take up to ``limit`` threads waiting at the next entry point
-        in round-robin order (asked after :meth:`pop_ran`)."""
-        key, queue = next(iter(self._queues.items()))
-        members = [queue.popleft() for _ in range(min(limit, len(queue)))]
+    def pop_group(self, limit: int) -> Tuple[tuple, List[ThreadContext]]:
+        """The next key in round-robin order and up to ``limit`` of its
+        threads, taken (asked when its head is not pre-run)."""
+        queues = self._queues
+        key = next(iter(queues))
+        queue = queues.pop(key)
+        members = queue.pop(0)
+        while queue and len(members) < limit:
+            members = members + queue.pop(0)
+        if len(members) > limit:
+            queue.insert(0, members[limit:])
+            members = members[:limit]
+        if queue:
+            queues[key] = queue
         self.size -= len(members)
-        self._advance(key, queue)
-        return members
+        return key, members
 
     def contexts(self) -> Iterator[ThreadContext]:
         """All queued contexts in queue order, a pre-run warp's in its
         place (for watchdog/deadlock reports)."""
         for queue in self._queues.values():
             for entry in queue:
-                if entry.__class__ is tuple:
-                    yield from entry[0].contexts
-                else:
-                    yield entry
+                yield from (
+                    entry[0].contexts if entry.__class__ is tuple else entry
+                )
 
     def __bool__(self):
         return self.size > 0
@@ -216,6 +250,8 @@ class _Window:
     #: a cycle budget or a deadline is set: the watchdog is asked after
     #: every warp (and not at all otherwise)
     watched: bool
+    #: what its warps counted since :meth:`ExecutionManager._flush`
+    tally: LaunchStatistics = field(default_factory=LaunchStatistics)
 
 
 class ExecutionManager:
@@ -239,6 +275,11 @@ class ExecutionManager:
         self.stats = LaunchStatistics()
         self._warp_counter = 0
         self._max_warp_size = config.max_warp_size
+        #: threads available -> the widest specialization they fill
+        self._fits = [
+            cache.specialization_for(threads)
+            for threads in range(self._max_warp_size + 1)
+        ]
         #: Pooled warp-execution state: one register file + statistics
         #: instance reused by every warp this manager runs.
         self._warp_state = interpreter.new_state()
@@ -336,10 +377,7 @@ class ExecutionManager:
     # -- memory slabs ----------------------------------------------------
 
     def _reserve_slabs(
-        self,
-        shared_bytes: int,
-        local_stride: int,
-        threads_per_cta: int,
+        self, shared_bytes: int, local_stride: int, threads_per_cta: int
     ) -> None:
         """Reuse previously reserved shared/local slabs across launches.
 
@@ -377,13 +415,8 @@ class ExecutionManager:
     # -- one window of CTAs ------------------------------------------------
 
     def _run_window(
-        self,
-        kernel_name: str,
-        geometry: LaunchGeometry,
-        cta_ids: List[int],
-        param_base: int,
-        shared_bytes: int,
-        local_stride: int,
+        self, kernel_name: str, geometry: LaunchGeometry, cta_ids: List[int],
+        param_base: int, shared_bytes: int, local_stride: int,
     ) -> None:
         ready = _ReadyPool(cross_cta=self.config.allow_cross_cta_warps)
         live_counts: Dict[int, int] = {}
@@ -396,86 +429,78 @@ class ExecutionManager:
         # local memory per live thread.
         for slab in self._shared_slabs[: len(cta_ids)]:
             self.memory.fill(slab, shared_bytes, 0)
-        live_local = local_stride * threads_per_cta * len(cta_ids)
-        if live_local:
-            self.memory.fill(self._local_slab, live_local, 0)
+        cta_local = local_stride * threads_per_cta
+        if cta_local:
+            self.memory.fill(self._local_slab, cta_local * len(cta_ids), 0)
 
-        local_cursor = self._local_slab
         tids = list(map(geometry.thread_coordinates, range(threads_per_cta)))
         for slot, cta_linear in enumerate(cta_ids):
             ctaid = geometry.cta_coordinates(cta_linear)
             shared_base = self._shared_slabs[slot]
+            local_base = self._local_slab + slot * cta_local
             live_counts[cta_linear] = threads_per_cta
             barrier_pools[cta_linear] = []
-            for tid in tids:
-                context = ThreadContext(
-                    tid=tid,
-                    ntid=geometry.block,
-                    ctaid=ctaid,
-                    nctaid=geometry.grid,
-                    shared_base=shared_base,
-                    local_base=local_cursor,
-                    resume_point=0,
-                    linear_ctaid=cta_linear,
+            ready.push([
+                ThreadContext(
+                    tid, geometry.block, ctaid, geometry.grid, shared_base,
+                    local_base + lane * local_stride, 0, cta_linear,
                 )
-                local_cursor += local_stride
-                ready.push(context)
+                for lane, tid in enumerate(tids)
+            ], cta_linear)
         self.stats.threads_launched += threads_per_cta * len(cta_ids)
 
         entry_labels = self.cache.scalar_ir(kernel_name).entry_points
         window = _Window(
-            kernel_name,
-            geometry,
-            param_base,
-            entry_labels,
-            ready,
-            live_counts,
-            barrier_pools,
+            kernel_name, geometry, param_base, entry_labels, ready,
+            live_counts, barrier_pools,
             self._cycle_budget is not None or self._deadline is not None,
         )
         # Whether the window may batch is asked once, here: when it may
-        # not, the floor of the size rule is one no key reaches. Each
-        # visit asks the head entry first: a warp a batch already ran
-        # has its yield handled at the turn it would have been formed.
+        # not, the size rule's floor is one no key reaches. While pre-run
+        # warps wait, a visit asks the head entry first: a warp a batch
+        # ran has its yield handled at the turn it would have been formed.
+        get, fits = self.cache.get, self._fits
+        limit, static = self._max_warp_size, self.config.static_warps
         batchable = self._batchable(kernel_name)
-        floor = (
-            _NEVER if batchable is None
-            else MIN_BATCH_WARPS * self._max_warp_size
-        )
-        while ready.size:
-            ran = ready.pop_ran()
-            if ran is not None:
-                self._run_warp(window, *ran)
-                continue
-            # (no key holds ``floor`` threads unless the pool does)
-            if ready.size >= floor and self._execute_batch_round(
-                window, batchable
-            ):
-                continue
-            warp = self._form_warp(ready)
-            executable = self.cache.get(kernel_name, warp.size)
-            restored = executable.function.restore_counts.get(
-                warp.entry_point, 0
-            )
-            self._run_warp(window, warp, executable, restored)
+        floor = _NEVER if batchable is None else MIN_BATCH_WARPS * limit
+        try:
+            while ready.size:
+                if ready.pre_run:
+                    ran = ready.pop_ran()
+                    if ran is not None:
+                        self._run_warp(window, *ran)
+                        continue
+                # (no key holds ``floor`` threads unless the pool does)
+                if ready.size >= floor:
+                    head = ready.head_batch(floor)
+                    if head is not None and self._execute_batch_round(
+                        window, batchable, *head
+                    ):
+                        continue
+                # Formation: the head key's threads, as many as fill the
+                # widest specialization; the rest go back as one chunk.
+                if static:
+                    key, members = self._form_static(ready, limit)
+                else:
+                    key, members = ready.pop_group(limit)
+                    size = fits[len(members)]
+                    if size < len(members):
+                        ready.push(members[size:], key[1])
+                        members = members[:size]
+                entry_point, cta = key
+                warp = Warp(members, self._warp_counter, entry_point, cta)
+                self._warp_counter += 1
+                executable = get(kernel_name, warp.size)
+                restored = executable.function.restore_counts.get(key[0], 0)
+                self._run_warp(window, warp, executable, restored)
+        finally:
+            # a launch that traps part-way counts every warp that ran
+            self._flush(window)
 
-        leftovers = {
-            cta: waiting
-            for cta, waiting in barrier_pools.items()
-            if waiting
-        }
-        if leftovers:
-            points = [
-                ProgramPoint(
-                    ctaid=context.ctaid,
-                    tid=context.tid,
-                    entry_point=context.resume_point,
-                    label=entry_labels.get(context.resume_point),
-                    state="barrier",
-                )
-                for waiting in leftovers.values()
-                for context in waiting
-            ]
+        # (the pool is empty: every thread left waits at a barrier)
+        points = self._program_points(window)
+        if points:
+            leftovers = [cta for cta, left in barrier_pools.items() if left]
             listed = "; ".join(str(point) for point in points[:16])
             suffix = (
                 f"; ... +{len(points) - 16} more" if len(points) > 16 else ""
@@ -490,111 +515,122 @@ class ExecutionManager:
     # -- warp execution (the fault-containment boundary) ---------------------
 
     def _run_warp(
-        self,
-        window: _Window,
-        warp: Warp,
-        executable,
-        restored: int,
-        continuation=None,
-        batch=None,
+        self, window: _Window, warp: Warp, executable, restored: int,
+        continuation=None, batch=None,
     ) -> None:
-        """One warp execution, accounted: its entry and the execution
-        manager's charge for it (before it runs, so a launch that traps
-        part-way has counted the warps that ran), what it executed, its
-        yield and the scheduling consequences of that; then, in a
-        ``watched`` window, the watchdog. The warp runs here, unless a
-        ``batch`` already ran it to its yield (its outcome is passed);
-        one that a batch left mid-kernel resumes from its
-        ``continuation``."""
-        stats = self.stats
+        """One warp execution, accounted (in the window's tally): its
+        entry, what it executed, its yield and the scheduling
+        consequences of that. The warp runs here — an ExecutionError
+        leaves as a KernelTrap, or a LaunchTimeout when the watchdog
+        fired — unless a ``batch`` already ran it to its yield (its
+        outcome is passed), or to its ``continuation``."""
+        tally = window.tally
         size = warp.size
-        stats.warp_executions += 1
-        histogram = stats.warp_size_histogram
+        histogram = tally.warp_size_histogram
         histogram[size] = histogram.get(size, 0) + 1
-        stats.thread_entries += size
-        stats.values_restored += restored * size
-        stats.em_cycles += (
-            self.machine.em_event_cost
-            + self.machine.em_per_thread_cost * size
-        )
+        tally.values_restored += restored * size
+        # A watched window's tally reaches the statistics around every
+        # warp: before it runs, as the cycle budget's clamp of its
+        # instruction cap reads its charge (an instruction costs a cycle
+        # at least), and after it, before the watchdog reads them.
+        clamped = False
+        if window.watched:
+            self._flush(window)
+            if self._cycle_budget is not None:
+                state = self._warp_state
+                state.limit = self.interpreter.instruction_limit
+                remaining = self._cycle_budget - self.stats.total_cycles
+                if remaining < state.limit:
+                    state.limit = max(remaining, 1)
+                    clamped = True
         if batch is None or continuation is not None:
-            status = self._execute_warp(
-                window, warp, executable, continuation
-            )
-            execution = self._warp_state.stats
+            state = self._warp_state
+            try:
+                status = self.interpreter.execute(
+                    executable, warp, window.param_base, None, state,
+                    continuation,
+                )
+            except ExecutionError as fault:
+                raise self._contain(
+                    window, warp, executable, fault, clamped
+                ) from fault
+            execution = state.stats
         else:
             status, execution = batch.status, batch.stats
-        # (the inherited merge: a launch record is an execution record
-        # and more)
-        ExecutionStats.merge(stats, execution)
-        yields = stats.yields_by_status
+        ExecutionStats.merge(tally, execution)
+        yields = tally.yields_by_status
         yields[status] = yields.get(status, 0) + 1
-        self._handle_yield(window, status, warp)
+        # The yield: branching threads go back to the pool; exited ones
+        # leave, arrivals wait in their CTA's barrier pool (released
+        # once every live thread of the CTA waits there).
+        cta = warp.cta
+        if status == _BRANCH:
+            window.ready.push(warp.contexts, cta)
+        else:
+            if status == _BARRIER:
+                tally.em_cycles += self.machine.em_barrier_cost * size
+            elif status != _EXIT:
+                raise LaunchError(f"kernel yielded unknown status {status}")
+            if cta is None:
+                self._park_across(window, status, warp)
+            else:
+                if status == _EXIT:
+                    window.live_counts[cta] -= size
+                else:
+                    window.barrier_pools[cta].extend(warp.contexts)
+                self._maybe_release_barrier(window, cta)
         if window.watched:
+            self._flush(window)
             self._check_watchdog(window)
 
-    def _execute_warp(
-        self, window: _Window, warp: Warp, executable, continuation=None
-    ) -> int:
-        """Run one warp with the watchdog armed; any escaping
-        ExecutionError is re-raised as a structured KernelTrap (or a
-        LaunchTimeout when the watchdog fired). ``continuation``
-        resumes a warp mid-kernel where the array backend's batch
-        runner left it."""
+    def _flush(self, window: _Window) -> None:
+        """Fold the window's tally into the launch's statistics (their
+        declared ``merge``) and start it over; warp executions, thread
+        entries and the per-warp manager charge derive from the
+        histogram."""
+        tally = window.tally
+        sizes = tally.warp_size_histogram
+        tally.warp_executions = sum(sizes.values())
+        tally.thread_entries = sum(size * n for size, n in sizes.items())
+        tally.em_cycles += (
+            self.machine.em_event_cost * tally.warp_executions
+            + self.machine.em_per_thread_cost * tally.thread_entries
+        )
+        self.stats.merge(tally)
+        tally.reset()
+
+    def _contain(
+        self, window: _Window, warp: Warp, executable, fault, clamped: bool
+    ) -> Exception:
+        """What ``fault``, escaping ``warp``'s execution, leaves the
+        launch as; the faulted warp's partial counters still count."""
         state = self._warp_state
-        budget_clamped = False
-        if self._cycle_budget is not None:
-            # Every kernel instruction costs at least one modeled
-            # cycle, so the remaining cycle budget bounds the
-            # instruction cap of a warp that never yields.
-            state.limit = self.interpreter.instruction_limit
-            remaining = self._cycle_budget - self.stats.total_cycles
-            if remaining < state.limit:
-                state.limit = max(remaining, 1)
-                budget_clamped = True
-        try:
-            return self.interpreter.execute(
-                executable,
-                warp,
-                window.param_base,
-                state=state,
-                continuation=continuation,
-            )
-        except ExecutionError as fault:
-            # The partial counters of the faulted warp still count.
-            ExecutionStats.merge(self.stats, state.stats)
-            deadline = isinstance(fault, DeadlineExceeded)
-            if deadline or (
-                budget_clamped and isinstance(fault, InstructionLimitExceeded)
-            ):
-                raise self._timeout(window, deadline, warp) from fault
-            # A guest fault — or the interpreter's own global runaway
-            # cap firing with no cycle budget configured: a trap.
-            self.stats.traps += 1
-            raise build_trap(
-                window.kernel_name,
-                window.geometry,
-                warp,
-                executable,
-                state,
-                fault,
-                self.worker_id,
-            ) from fault
+        ExecutionStats.merge(window.tally, state.stats)
+        deadline = isinstance(fault, DeadlineExceeded)
+        if deadline or (
+            clamped and isinstance(fault, InstructionLimitExceeded)
+        ):
+            return self._timeout(window, deadline, warp)
+        # A guest fault — or the interpreter's own global runaway cap
+        # firing with no cycle budget configured: a trap.
+        self.stats.traps += 1
+        return build_trap(
+            window.kernel_name, window.geometry, warp, executable, state,
+            fault, self.worker_id,
+        )
 
     # -- batched execution ---------------------------------------------------
 
     def _batchable(self, kernel_name: str):
         """The maximal-width executable whose warps this window may
         batch, or None when the batched path cannot reproduce the
-        sequential one exactly: static formation, cross-CTA formation
-        (a batch keeps each warp's barrier and exit bookkeeping inside
-        one CTA), a patched guest-access seam or a sanitized device
-        (not ``scoped``), a cycle budget (whose per-warp clamp is
-        inherently sequential), an instance-patched ``execute`` (a
-        fault injector), no maximal-width executable in the cache
-        yet, or none with an array lowering (the reference oracle, a
-        sanitized device, atomics). None of these changes while a
-        window runs."""
+        sequential one exactly: static or cross-CTA formation (a batch
+        keeps each warp's bookkeeping inside one CTA), a patched
+        guest-access seam or a sanitized device (not ``scoped``), a
+        cycle budget (its clamp is per warp), an instance-patched
+        ``execute`` (a fault injector), or no maximal-width executable
+        with an array lowering yet (the reference oracle, atomics).
+        None of these changes while a window runs."""
         if (
             self.config.static_warps
             or self.config.allow_cross_cta_warps
@@ -608,58 +644,51 @@ class ExecutionManager:
             return None
         return executable
 
-    def _execute_batch_round(self, window: _Window, executable) -> bool:
-        """One batched round: form every full maximal-width warp of the
-        head ready-pool key and run them all at once through the array
-        lowering of ``executable`` (:meth:`_batchable`).
+    def _execute_batch_round(
+        self, window: _Window, executable, key: tuple, threads: Iterator
+    ) -> bool:
+        """One batched round: every full maximal-width warp of the head
+        key's ``threads`` (:meth:`_ReadyPool.head_batch` found the size
+        rule's ``MIN_BATCH_WARPS`` warps there), run at once through
+        the array lowering of ``executable`` (:meth:`_batchable`).
 
         The warps are the ones :meth:`_ReadyPool.pop_group` would form
         across its visits to the key (arrivals only append, so the
         memberships do not depend on the interleaving). The batch runs
         what they compute; their yield handling — the order-sensitive
-        part, where THREAD_BRANCH arrivals and barrier parks reshape
-        downstream queues — is the first warp's now, in place of the
-        pop this round replaces, and the others' at the turns the
-        sequential former would have formed them: they go back to the
-        front of the key's queue, pre-run.
+        part, where arrivals and barrier parks reshape downstream
+        queues — is the first warp's now, in place of the pop this
+        round replaces, and the others' at the turns the sequential
+        former would have formed them: they go back to the front of the
+        key's queue, pre-run.
 
-        Returns False, having taken nothing, when fewer than
-        ``MIN_BATCH_WARPS`` full warps wait at the head key, when the
-        record of past batches refuses its entry point
-        (``_ArrayBlocks.admits``; neither looks anything up) or when
-        the batch faults; the caller then forms one warp. After a
+        Returns False, having taken nothing, when the record of past
+        batches refuses the entry point (``_ArrayBlocks.admits``) or
+        when the batch faults; the caller then forms one warp. After a
         fault the sequential path re-runs the same threads in the same
-        formation, so the trap carries the thread attribution, register
-        snapshot and partial statistics sequential execution gives.
-        (Stores the batch committed before the fault persist — a
-        trapped launch's memory is partial either way.) Both rules
-        read modeled state only — a queue length, batch outcomes — so
+        formation, so the trap carries what sequential execution gives
+        (stores the batch committed persist — a trapped launch's memory
+        is partial either way). Both rules read modeled state only, so
         which warps batch is a function of the launch history."""
         kernel_name = window.kernel_name
         limit = self._max_warp_size
-        queue = window.ready.head_batch(MIN_BATCH_WARPS * limit)
-        if queue is None:
-            return False
-        entry_point = queue[0].resume_point
+        entry_point, cta = key
         if not executable.array_blocks.admits(entry_point):
             return False
-        threads = iter(queue)
+        threads = list(threads)
         warps = []
-        for _ in range(len(queue) // limit):
+        for start in range(0, len(threads) - limit + 1, limit):
             # One cache access per warp, as the sequential path makes.
             self.cache.get(kernel_name, limit)
             warps.append(Warp(
-                contexts=list(islice(threads, limit)),
-                warp_id=self._warp_counter,
+                threads[start : start + limit], self._warp_counter,
+                entry_point, cta,
             ))
             self._warp_counter += 1
         try:
             outcome = self.interpreter.execute_batch(
-                executable,
-                warps,
-                window.param_base,
-                self.interpreter.instruction_limit,
-                self._deadline,
+                executable, warps, window.param_base,
+                self.interpreter.instruction_limit, self._deadline,
             )
         except ExecutionError:
             return False
@@ -672,11 +701,10 @@ class ExecutionManager:
         # path exactly where the array program left it, at its turn.
         # The key is the entry point, so one restore count serves all.
         restored = executable.function.restore_counts.get(entry_point, 0)
+        continuations = outcome.continuations or [None] * len(warps)
         entries = [
             (warp, executable, restored, continuation, outcome)
-            for warp, continuation in zip(
-                warps, outcome.continuations or [None] * len(warps)
-            )
+            for warp, continuation in zip(warps, continuations)
         ]
         window.ready.take_batch(limit * len(warps), entries[1:])
         self._run_warp(window, *entries[0])
@@ -715,51 +743,33 @@ class ExecutionManager:
     def _program_points(
         self, window: _Window, running: Optional[Warp] = None
     ) -> List[ProgramPoint]:
-        """Every live thread's program point, for watchdog reports."""
-        points: List[ProgramPoint] = []
-
-        def _collect(contexts, state):
-            for context in contexts:
-                points.append(
-                    ProgramPoint(
-                        ctaid=context.ctaid,
-                        tid=context.tid,
-                        entry_point=context.resume_point,
-                        label=window.entry_labels.get(context.resume_point),
-                        state=state,
-                    )
-                )
-
+        """Every live thread's program point, for watchdog and deadlock
+        reports."""
+        groups = [(window.ready.contexts(), "ready")] + [
+            (waiting, "barrier") for waiting in window.barrier_pools.values()
+        ]
         if running is not None:
-            _collect(running.contexts, "running")
-        _collect(window.ready.contexts(), "ready")
-        for waiting in window.barrier_pools.values():
-            _collect(waiting, "barrier")
-        return points
+            groups.insert(0, (running.contexts, "running"))
+        return [
+            ProgramPoint(
+                ctaid=context.ctaid,
+                tid=context.tid,
+                entry_point=context.resume_point,
+                label=window.entry_labels.get(context.resume_point),
+                state=state,
+            )
+            for contexts, state in groups
+            for context in contexts
+        ]
 
     # -- warp formation ------------------------------------------------------
 
-    def _form_warp(self, ready: _ReadyPool) -> Warp:
-        limit = self._max_warp_size
-        if self.config.static_warps:
-            members = self._form_static(ready, limit)
-        else:
-            members = ready.pop_group(limit)
-            if len(members) < limit:  # else: the widest fits
-                size = self.cache.specialization_for(len(members))
-                for extra in members[size:]:
-                    ready.push(extra)
-                del members[size:]
-        warp = Warp(contexts=members, warp_id=self._warp_counter)
-        self._warp_counter += 1
-        return warp
-
     def _form_static(
         self, ready: _ReadyPool, limit: int
-    ) -> List[ThreadContext]:
+    ) -> Tuple[tuple, List[ThreadContext]]:
         """Static warp formation: a run of consecutively indexed
-        ``tid.x`` threads from one CTA row (§6.2)."""
-        group = ready.pop_group(limit * 4)
+        ``tid.x`` threads from one CTA row (§6.2), and its key."""
+        key, group = ready.pop_group(limit * 4)
         anchor = group[0]
         window_base = (anchor.tid[0] // limit) * limit
         rest: List[ThreadContext] = []
@@ -767,11 +777,8 @@ class ExecutionManager:
         for candidate in group[1:]:
             same_row = (
                 candidate.ctaid == anchor.ctaid
-                and candidate.tid[1] == anchor.tid[1]
-                and candidate.tid[2] == anchor.tid[2]
-                and window_base
-                <= candidate.tid[0]
-                < window_base + limit
+                and candidate.tid[1:] == anchor.tid[1:]
+                and window_base <= candidate.tid[0] < window_base + limit
             )
             if same_row and candidate.tid[0] not in by_x:
                 by_x[candidate.tid[0]] = candidate
@@ -787,51 +794,35 @@ class ExecutionManager:
             run.append(by_x.pop(next_x))
             next_x += 1
         rest.extend(by_x.values())
-        size = self.cache.specialization_for(len(run))
-        members = run[:size]
-        for extra in run[size:]:
-            ready.push(extra)
-        for extra in rest:
-            ready.push(extra)
-        return members
+        size = self._fits[len(run)]
+        extras = run[size:] + rest
+        if extras:
+            ready.push(extras, key[1])
+        return key, run[:size]
 
     # -- yield handling ------------------------------------------------------
 
-    def _handle_yield(self, window: _Window, status: int, warp: Warp) -> None:
-        if status == ResumeStatus.THREAD_BRANCH:
-            push = window.ready.push
-            for context in warp.contexts:
-                push(context)
-            return
-        if status == ResumeStatus.THREAD_EXIT:
-            for context in warp.contexts:
+    def _park_across(self, window: _Window, status: int, warp: Warp) -> None:
+        """Exits or barrier arrivals of a warp that may span CTAs (cross-
+        CTA formation): booked per thread, each CTA then asked."""
+        for context in warp.contexts:
+            if status == _EXIT:
                 window.live_counts[context.linear_ctaid] -= 1
-        elif status == ResumeStatus.THREAD_BARRIER:
-            self.stats.em_cycles += (
-                self.machine.em_barrier_cost * warp.size
-            )
-            for context in warp.contexts:
+            else:
                 window.barrier_pools[context.linear_ctaid].append(context)
-        else:
-            raise LaunchError(f"kernel yielded unknown status {status}")
-        # An exit may leave, and an arrival may make, every live thread
-        # of a CTA wait at the barrier.
         for cta in {context.linear_ctaid for context in warp.contexts}:
             self._maybe_release_barrier(window, cta)
 
     def _maybe_release_barrier(self, window: _Window, cta: int) -> None:
         waiting = window.barrier_pools[cta]
         if waiting and len(waiting) == window.live_counts[cta]:
-            self.stats.em_cycles += (
-                self.machine.em_barrier_cost * len(waiting)
-            )
+            cost = self.machine.em_barrier_cost
+            window.tally.em_cycles += cost * len(waiting)
             sanitizer = self.memory.sanitizer
             if sanitizer is not None:
                 # bar.sync orders everything before it against
                 # everything after: the race detector's epoch for this
                 # CTA advances, retiring the interval's access logs.
                 sanitizer.barrier_released(cta)
-            for context in waiting:
-                window.ready.push(context)
-            waiting.clear()
-
+            window.barrier_pools[cta] = []
+            window.ready.push(waiting, cta)

@@ -1011,8 +1011,8 @@ class TestStaticFormation:
         manager = self._manager()
         ready = _ReadyPool()
         for x in (2, 0, 1, 3):
-            ready.push(_context(x))
-        members = manager._form_static(ready, limit=4)
+            ready.push([_context(x)], 0)
+        _, members = manager._form_static(ready, limit=4)
         assert [m.tid[0] for m in members] == [0, 1, 2, 3]
         assert ready.size == 0
 
@@ -1022,8 +1022,8 @@ class TestStaticFormation:
         manager = self._manager()
         ready = _ReadyPool()
         for x in (6, 7, 5):
-            ready.push(_context(x))
-        members = manager._form_static(ready, limit=4)
+            ready.push([_context(x)], 0)
+        _, members = manager._form_static(ready, limit=4)
         # warp_sizes (1, 2, 4): a 3-thread run executes as width 2.
         assert [m.tid[0] for m in members] == [5, 6]
         assert ready.size == 1
@@ -1032,8 +1032,8 @@ class TestStaticFormation:
         manager = self._manager()
         ready = _ReadyPool()
         for x in (0, 1, 3):
-            ready.push(_context(x))
-        members = manager._form_static(ready, limit=4)
+            ready.push([_context(x)], 0)
+        _, members = manager._form_static(ready, limit=4)
         assert [m.tid[0] for m in members] == [0, 1]
         assert ready.size == 1  # tid.x=3 went back to the pool
 
@@ -1134,10 +1134,10 @@ class TestReadyPoolFairness:
             for x in range(4):
                 context = _context(x)
                 context.resume_point = entry
-                pool.push(context)
+                pool.push([context], 0)
         seen = []
         while pool:
-            group = pool.pop_group(2)
+            _, group = pool.pop_group(2)
             seen.append(group[0].resume_point)
         # Three keys, two threads per pop: strict rotation.
         assert seen == [0, 5, 9, 0, 5, 9]
@@ -1147,15 +1147,14 @@ class TestReadyPoolFairness:
         for x in range(8):
             context = _context(x)
             context.resume_point = 0
-            pool.push(context)
+            pool.push([context], 0)
         straggler = _context(0)
         straggler.resume_point = 7
-        pool.push(straggler)
-        first = pool.pop_group(4)
+        pool.push([straggler], 0)
+        _, first = pool.pop_group(4)
         assert {c.resume_point for c in first} == {0}
-        for extra in first[2:]:  # the warp former returns leftovers
-            pool.push(extra)
-        second = pool.pop_group(4)
+        pool.push(first[2:], 0)  # the warp former returns leftovers
+        _, second = pool.pop_group(4)
         assert {c.resume_point for c in second} == {7}
 
 

@@ -81,9 +81,9 @@ class TestContexts:
         )
         assert context.linear_tid == 9
         assert context.linear_ctaid == 1
-        # a plain attribute: the creator of a whole CTA's contexts may
-        # pass what it has already computed
-        assert "linear_ctaid" in vars(context)
+        # a stored attribute (a slot), not a property: the creator of a
+        # whole CTA's contexts may pass what it has already computed
+        assert "linear_ctaid" in ThreadContext.__slots__
         assert ThreadContext(
             tid=(0, 0, 0), ntid=(4, 4, 1), ctaid=(1, 0, 0),
             nctaid=(2, 1, 1), linear_ctaid=1,
