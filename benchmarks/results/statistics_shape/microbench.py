@@ -11,7 +11,10 @@ the parent commit and on the change:
   executed counters, the yield — with the warp's execution and the
   yield's scheduling consequences stubbed out, so only the accounting
   is timed. The change has it as ``ExecutionManager._run_warp``; the
-  parent spells it inline in its window loop, copied here.
+  parent spells it inline in its window loop, copied here. Since the
+  manager tallies a window's statistics (and handles a branch yield
+  inline), the step stubs the interpreter's ``execute`` and the ready
+  pool's ``push`` and flushes the tally before the counts are checked.
 """
 
 from time import perf_counter
@@ -53,9 +56,17 @@ def parent_step(manager, window, warp, executable, restored):
         manager._check_watchdog(window)
 
 
+class _Ready:
+    def push(self, *args):
+        pass
+
+
 class _Window:
     watched = False
     kernel_name = "k"
+    param_base = 0
+    ready = _Ready()
+    tally = LaunchStatistics()
 
 
 def main():
@@ -101,16 +112,21 @@ def main():
         executed_stats.yield_cycles = 20
         executed_stats.instructions = 40
         executed_stats.flops = 8
-        return 3
+        return 1
 
-    manager._execute_warp = executed
-    manager._handle_yield = lambda *args: None
+    if hasattr(manager, "_execute_warp"):
+        manager._execute_warp = executed
+        manager._handle_yield = lambda *args: None
+    else:
+        manager.interpreter.execute = executed
     window = _Window()
     if hasattr(manager, "_run_warp"):
         step = lambda: manager._run_warp(window, warp, None, 2)  # noqa: E731
     else:
         step = lambda: parent_step(manager, window, warp, None, 2)  # noqa: E731
     print(f"per-warp step    {best(step, 200_000):8.3f} us")
+    if hasattr(manager, "_flush"):
+        manager._flush(window)
     assert manager.stats.instructions % 40 == 0
     assert manager.stats.warp_executions * 40 == manager.stats.instructions
 
