@@ -177,6 +177,22 @@ class TestKernelTrap:
         assert stats.traps == 1
         assert "traps=1" in stats.report()
 
+    def test_a_trapped_launch_counts_the_warp_that_ran(self):
+        # A window's statistics reach the launch's in a finally: the
+        # faulting warp's entry, its manager charge and its partial
+        # counters still count.
+        device = _oob_device()
+        machine = device.machine
+        with pytest.raises(KernelTrap) as excinfo:
+            device.launch("oob", grid=1, block=64, args=[device.malloc(16)])
+        stats = excinfo.value.statistics
+        assert stats.warp_size_histogram == {4: 1}
+        assert (stats.warp_executions, stats.thread_entries) == (1, 4)
+        assert stats.em_cycles == (
+            machine.em_event_cost + 4 * machine.em_per_thread_cost
+        )
+        assert stats.instructions > 0
+
 
 class TestStickyErrors:
     def test_fault_is_sticky_until_reset(self):
