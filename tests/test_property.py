@@ -870,6 +870,113 @@ def run_with_statistics(source, data, config, out_bytes, block=32):
     )
 
 
+# -- lane moves: every spillable type, bit for bit ---------------------------
+
+#: ``(PTX type, byte offset)`` of each register a thread of
+#: :func:`render_lane_move_kernel` loads from its input record, keeps
+#: live across a divergent branch and a barrier, and stores back at the
+#: same offset of its output record. The word at 28 seeds a predicate,
+#: which goes back as 0 or 1; the divergent arm marks the word at 64.
+_LANE_FIELDS = (
+    ("u8", 0), ("s8", 1), ("b8", 2), ("u16", 4), ("s16", 6), ("b16", 8),
+    ("u32", 12), ("s32", 16), ("b32", 20), ("f32", 24), ("u64", 32),
+    ("s64", 40), ("b64", 48), ("f64", 56),
+)
+_LANE_RECORD = 72
+
+#: Per width in bits, patterns a spill and a restore must carry
+#: unchanged: signaling and quiet NaNs with payloads (either sign),
+#: -0.0, denormals, +-inf, the top bit set (unsigned >= 2**(n-1), the
+#: signed minimum) and all ones.
+_LANE_EDGES = {
+    8: (0x80, 0xFF, 0x7F, 0x01),
+    16: (0x8000, 0xFFFF, 0x7FFF, 0x0001),
+    32: (0x7F800001, 0x7FBFFFFF, 0xFFA5A5A5, 0x7FC00001, 0xFFC0DEAD,
+         0x80000000, 0x00000001, 0x807FFFFF, 0x7F800000, 0xFF800000,
+         0xFFFFFFFF),
+    64: (0x7FF0000000000001, 0x7FF7FFFFFFFFFFFF, 0xFFF5A5A5A5A5A5A5,
+         0x7FF8000000000001, 0xFFF80000DEADBEEF, 0x8000000000000000,
+         0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x7FF0000000000000,
+         0xFFF0000000000000, 0xFFFFFFFFFFFFFFFF),
+}
+
+
+def _lane_bits(dtype: str) -> int:
+    return int(dtype[1:])
+
+
+lane_record = st.tuples(
+    *(
+        st.sampled_from(_LANE_EDGES[_lane_bits(dtype)])
+        | st.integers(0, 2 ** _lane_bits(dtype) - 1)
+        for dtype, _ in _LANE_FIELDS
+    ),
+    st.sampled_from((0, 1, 0x80000000)),  # the predicate's seed word
+)
+
+
+def render_lane_move_kernel():
+    """``prop``: each thread moves its record of :data:`_LANE_FIELDS`
+    through registers live across a divergence and a ``bar.sync``."""
+    registers, loads, stores = [], [], []
+    for k, (dtype, offset) in enumerate(_LANE_FIELDS):
+        registers.append(f"  .reg .{dtype} %x{k};")
+        loads.append(f"  ld.global.{dtype} %x{k}, [%rd3+{offset}];")
+        stores.append(f"  st.global.{dtype} [%rd5+{offset}], %x{k};")
+    lines = "\n".join
+    return f"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{{
+  .reg .u32 %r<8>;
+  .reg .u64 %rd<8>;
+  .reg .pred %p<3>;
+{lines(registers)}
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r2, %ntid.x;
+  mov.u32 %r3, %ctaid.x;
+  mad.lo.u32 %r4, %r3, %r2, %r1;
+  mul.wide.u32 %rd1, %r4, {_LANE_RECORD};
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.param.u64 %rd4, [out];
+  add.u64 %rd5, %rd4, %rd1;
+{lines(loads)}
+  ld.global.u32 %r6, [%rd3+28];
+  setp.ne.u32 %p1, %r6, 0;
+  and.b32 %r5, %r1, 1;
+  setp.eq.u32 %p2, %r5, 0;
+  @%p2 bra EVEN;
+  st.global.u32 [%rd5+64], %r1;
+EVEN:
+  bar.sync 0;
+{lines(stores)}
+  selp.u32 %r6, 1, 0, %p1;
+  st.global.u32 [%rd5+28], %r6;
+  exit;
+}}
+"""
+
+
+def lane_move_records(records, threads: int = 64):
+    """The input of :func:`render_lane_move_kernel` for ``threads``
+    threads, thread ``t`` loading ``records[t % len(records)]``, and
+    the output that carries every pattern unchanged."""
+    data = np.zeros((threads, _LANE_RECORD), dtype=np.uint8)
+    for thread, row in enumerate(data):
+        *patterns, seed = records[thread % len(records)]
+        for (dtype, offset), pattern in zip(_LANE_FIELDS, patterns):
+            size = _lane_bits(dtype) // 8
+            row[offset:offset + size] = list(pattern.to_bytes(size, "little"))
+        row[28:32] = list(seed.to_bytes(4, "little"))
+    expected = data.copy()
+    expected[:, 28:32] = 0
+    expected[:, 28] = data[:, 28:32].any(axis=1)
+    expected[1::2, 64] = np.arange(1, threads, 2) % 32  # the arm's tid
+    return data.ravel(), expected.ravel()
+
+
 class TestBackendDifferential:
     """Differential testing across the execution paths: the dispatch
     reference interpreter, the block emitter (with inline and with
@@ -1126,6 +1233,40 @@ class TestBackendDifferential:
         assert [words for words, _ in unoptimized] == [
             words for words, _ in expected
         ]
+
+    @settings(_SETTINGS, max_examples=20)
+    @given(records=st.lists(lane_record, min_size=1, max_size=8))
+    @example(records=[  # every edge of every width, in some lane
+        tuple(
+            edges[k % len(edges)]
+            for edges in (
+                _LANE_EDGES[_lane_bits(dtype)] for dtype, _ in _LANE_FIELDS
+            )
+        ) + (k % 2,)
+        for k in range(11)
+    ])
+    def test_lane_moves_carry_every_bit(self, records):
+        # A register of every spillable type, live across a divergent
+        # branch (spilled by the exit handler, restored on re-entry)
+        # and a barrier: signaling NaNs keep their payload and their
+        # signal, -0.0 its sign, u64 >= 2**63 its top bit, on every
+        # leg and on the reference.
+        source = render_lane_move_kernel()
+        data, expected = lane_move_records(records)
+        base = vectorized_config(4)
+        out_bytes = 64 * _LANE_RECORD
+        reference = run_with_statistics(
+            source, data, replace(base, backend="reference"), out_bytes
+        )
+        assert np.array_equal(reference[0], expected)
+        for name, config, leg in execution_legs(base):
+            with leg():
+                memory, statistics, batched = run_with_statistics(
+                    source, data, config, out_bytes
+                )
+            assert np.array_equal(memory, expected), name
+            assert statistics == reference[1], name
+            assert (batched > 0) == (name == "batching"), name
 
 
 class TestMemoryProperties:
