@@ -50,8 +50,10 @@ for label, config in CONFIGS.items():
             executable = device.cache.get(name, ws)
             function = executable.function
             text = str(function)
-            slots = repr(sorted(function.register_slots().items(),
-                                key=lambda item: item[1]))
+            slots = repr([  # (name, slot): first-appearance numbering
+                (register.name, slot)
+                for slot, register in enumerate(function.registers())
+            ])
             extra = repr((
                 sorted(function.entry_points.items()),
                 sorted(function.spill_slots.items()),

@@ -53,8 +53,6 @@ class IRFunction:
         #: (per thread) — the Figure 8 statistic.
         self.restore_counts: Dict[int, int] = {}
         self._register_counter = 0
-        #: Lazily computed dense numbering (see :meth:`register_slots`).
-        self._register_slots: Optional[Dict[str, int]] = None
 
     @property
     def frame_bytes(self) -> int:
@@ -154,24 +152,6 @@ class IRFunction:
                 if isinstance(used, VirtualRegister):
                     seen.setdefault(used.name, used)
         return list(seen.values())
-
-    def register_slots(self, refresh: bool = False) -> Dict[str, int]:
-        """Dense integer numbering of every virtual register.
-
-        The machine lowering uses these slot numbers to replace
-        name-keyed register dictionaries with a flat per-warp register
-        file (list indexing in the interpreter's inner loop). Numbering
-        follows first definition/use order over the block layout, so it
-        is deterministic for a given function body. The result is
-        cached; pass ``refresh=True`` after structural edits (the
-        lowering does, since it runs after all transforms).
-        """
-        if refresh or self._register_slots is None:
-            self._register_slots = {
-                register.name: slot
-                for slot, register in enumerate(self.registers())
-            }
-        return self._register_slots
 
     # -- entry points ----------------------------------------------------
 

@@ -2,8 +2,9 @@
 
 This module is the simulator's stand-in for JIT code generation, and
 like the paper's translation cache (§5.1) it generates code *when a
-warp first needs it*. ``load_function`` only numbers the function's
-registers into the slots of a flat per-warp register file. The first
+warp first needs it*. ``load_function`` does no work on the IR: the
+first warp to enter the function numbers its registers into the slots
+of a flat per-warp register file, and the first
 time a warp reaches a block label, the block is printed as ONE Python
 function — the body and the terminator — and its static cost is
 aggregated; a block no warp enters (the cold arm of a divergent kernel,
@@ -170,9 +171,50 @@ def frames_fit(frame: int, first: int, stride: int, count: int, size: int):
     )
 
 
+def _register_layout(function: IRFunction) -> tuple:
+    """``(slots, file, once, private)`` of ``function``, in one walk.
+
+    ``slots`` numbers the registers in order of first appearance, but
+    the compiler temporaries private to a block (a ``.`` in the name,
+    defined once and read once in the function, by a later instruction
+    of the defining block) after the ``file`` others, which are all a
+    lean template's register file holds; ``private`` maps a label to
+    ``slot -> reader`` of its temporaries (only ``reader`` needs their
+    value: a trap dump lists PTX-named registers, continuations start at
+    a block's entry). ``once``: the slots of the registers defined once
+    and read once (the IR is not SSA, so both are counted)."""
+    counts: Dict[str, List[int]] = {}  # name -> [defined, used]
+    readers: Dict[str, tuple] = {}  # name -> (label, a later reader)
+    for block in function.ordered_blocks():
+        here = set()
+        for instruction in block.all_instructions():
+            name = getattr(instruction.dst, "name", None)
+            counts.setdefault(name, [0, 0])[0] += 1
+            for value in instruction.uses():
+                used = getattr(value, "name", None)
+                counts.setdefault(used, [0, 0])[1] += 1
+                if used in here:
+                    readers[used] = (block.label, instruction)
+            here.add(name)
+    counts.pop(None, None)  # a store's destination, a constant operand
+    once = [name for name, count in counts.items() if count == [1, 1]]
+    temporaries = {
+        name: readers[name] for name in once
+        if "." in name and name in readers
+    }
+    order = [name for name in counts if name not in temporaries]
+    slots = {
+        name: slot for slot, name in enumerate((*order, *temporaries))
+    }
+    private: Dict[str, Dict[int, object]] = {}
+    for name, (label, reader) in temporaries.items():
+        private.setdefault(label, {})[slots[name]] = reader
+    return slots, len(order), frozenset(map(slots.get, once)), private
+
+
 @dataclass
 class ExecutableFunction:
-    """A loaded function: the IR, its register numbering, and what has
+    """A loaded function: the IR, its register layout, and what has
     been lowered of it so far.
 
     Block *cost* and block *code* are separate and both lazy:
@@ -187,9 +229,6 @@ class ExecutableFunction:
     #: its memory system and sanitizer, costs are priced for its
     #: machine.
     target: "Interpreter" = field(repr=False)
-    #: register name -> slot in the flat per-warp register file
-    register_slots: Dict[str, int] = field(repr=False)
-    register_count: int = 0
     entry_label: str = ""
     #: access template name -> the :class:`_BlockTable` of code
     #: generated with it (one per executable unless a fault injector
@@ -226,25 +265,16 @@ class ExecutableFunction:
         launched one."""
         return self.target.array_lowering(self)
 
-    @cached_property
-    def read_once(self) -> frozenset:
-        """Slots of the registers defined once and read once in the
-        whole function (the IR is not SSA, so both are counted): what
-        such a register holds concerns its one reader only. Counted
-        when the first block that asks is lowered."""
-        defined: Dict[str, int] = {}
-        used: Dict[str, int] = {}
-        for instruction in self.function.instructions():
-            name = getattr(instruction.dst, "name", None)
-            defined[name] = defined.get(name, 0) + 1
-            for value in instruction.uses():
-                name = getattr(value, "name", None)
-                used[name] = used.get(name, 0) + 1
-        return frozenset(
-            self.register_slots[name]
-            for name, count in defined.items()
-            if name is not None and count == 1 and used.get(name) == 1
-        )
+    #: The register layout (:func:`_register_layout`), laid out when a
+    #: warp first enters the function: register name -> slot, the
+    #: length of the lean templates' register file (the checked one,
+    #: like the reference, keeps every slot), the slots read once and,
+    #: per label, the block's private temporaries.
+    layout = cached_property(lambda self: _register_layout(self.function))
+    register_slots = cached_property(lambda self: self.layout[0])
+    register_count = cached_property(lambda self: self.layout[1])
+    read_once = cached_property(lambda self: self.layout[2])
+    private = cached_property(lambda self: self.layout[3])
 
     def block_cost(self, label: str) -> ExecutionStats:
         """Aggregated static cost of block ``label`` (body plus
@@ -327,17 +357,12 @@ class Interpreter:
     # -- lowering ("code generation") ------------------------------------
 
     def load_function(self, function: IRFunction) -> ExecutableFunction:
-        """Number ``function``'s registers; nothing is lowered until a
-        warp enters a block (see :class:`ExecutableFunction`). The
-        translation cache keeps the returned executable, so a block is
-        lowered once per specialization, not per launch."""
-        slots = function.register_slots(refresh=True)
+        """``function``, laid out and lowered as warps enter it (see
+        :class:`ExecutableFunction`). The translation cache keeps the
+        returned executable, so a block is lowered once per
+        specialization, not per launch."""
         return ExecutableFunction(
-            function=function,
-            target=self,
-            register_slots=slots,
-            register_count=len(slots),
-            entry_label=function.entry_label,
+            function=function, target=self, entry_label=function.entry_label
         )
 
     def array_lowering(self, executable: ExecutableFunction):
@@ -419,15 +444,16 @@ class Interpreter:
         """
         if state is None:
             state = self.new_state()
-        state.reset(executable, warp, param_base)
-        if state.scoped:
-            status = state.run(continuation)
-        else:
+        if not state.scoped:
             frame, size = executable.function.frame_bytes, self.memory.size
             state.access = self.access(all(
                 frames_fit(frame, context.local_base, 0, 1, size)
                 for context in warp.contexts
             ))
+        state.reset(executable, warp, param_base)
+        if state.scoped:
+            status = state.run(continuation)
+        else:
             with guest_errstate():
                 status = state.run(continuation)
         if stats is not None:
@@ -494,7 +520,10 @@ class _WarpState:
         self.param_base = param_base
         self.warp_size = executable.warp_size
         self.stats.reset()
-        self.regs = [None] * executable.register_count
+        self.regs = [None] * (
+            executable.register_count if self.access == "inline"
+            else len(executable.register_slots)
+        )
         if len(self.contexts) != self.warp_size:
             raise ExecutionError(
                 f"{executable.name}: warp of {len(self.contexts)} threads "
@@ -985,21 +1014,9 @@ def _code(numpy_dtype) -> str:
 
 
 def _block_private(executable, block) -> Dict[int, object]:
-    """``slot -> reader`` of the compiler temporaries (a ``.`` in the
-    name) ``block`` defines before their one read, the function using
-    them nowhere else: only ``reader`` needs their value — a trap dump
-    lists PTX-named registers, continuations start at a block's entry."""
-    slots, once = executable.register_slots, executable.read_once
-    defined, private = set(), {}
-    for instruction in block.all_instructions():
-        for value in instruction.uses():
-            slot = slots.get(getattr(value, "name", None))
-            if slot in defined:
-                private[slot] = instruction
-        name = getattr(instruction.dst, "name", None)
-        if name is not None and "." in name and slots[name] in once:
-            defined.add(slots[name])
-    return private
+    """``slot -> reader`` of the compiler temporaries private to
+    ``block``, from the function's layout (:func:`_register_layout`)."""
+    return executable.private.get(block.label, {})
 
 
 def _code_namespace(memory: MemorySystem, guest: GuestAccess) -> dict:
@@ -1060,6 +1077,8 @@ def _code_namespace(memory: MemorySystem, guest: GuestAccess) -> dict:
         namespace[f"W_{code}"] = numpy_dtype
         namespace[f"T_{code}"] = numpy_dtype.type
         namespace[f"V_{code}"] = data[:usable].view(numpy_dtype)
+        if dtype.is_unsigned:
+            namespace[f"M_{code}"] = memoryview(namespace[f"V_{code}"])
     return namespace
 
 
@@ -1405,7 +1424,10 @@ class _BlockEmitter:
         else:
             impl = self.constant(_COMPARE_IMPL[inst.op])
             expression = f"{impl}({a}, {b})"
-        self.define(inst.dst, expression)
+        self.define(
+            inst.dst, expression,
+            *self.result(DataType.pred, False, inst.a, inst.b),
+        )
 
     def select(self, inst: Select) -> None:
         wanted = inst.dtype.numpy_dtype
@@ -1651,9 +1673,16 @@ class _WarpPrinter(_BlockEmitter):
         super().__init__(executable, block, namespace, access == "inline")
         self.access = access
         self.precise = _reads_clock(block)
+        #: The chains :meth:`packs` finds, and the slots whose local is
+        #: a Python int: a spilled lane's word, a count, a resume point.
+        self.packed = self.packs(block.instructions) if self.private else {}
+        self.ints: set = set()
 
     def instruction(self, index: int, instruction) -> None:
-        super().instruction(index, instruction)
+        if self.packed.get(index, ()) is None:  # its chain's end moves it
+            self.index, self.comment = index, f"  # {index}: {instruction}"
+        else:
+            super().instruction(index, instruction)
         if self.precise and not instruction.is_terminator:
             cost = self.executable.cost_table.cost_of(instruction)
             stats = self.bind("stats", "state.stats")
@@ -1665,6 +1694,58 @@ class _WarpPrinter(_BlockEmitter):
             self.emit(f"{stats}.{bucket} += {cost.cycles}")
             if cost.flops:
                 self.emit(f"{stats}.flops += {cost.flops}")
+
+    def packs(self, instructions) -> Dict[int, Optional[tuple]]:
+        """The full ``insertelement`` chains the vectorizer emits right
+        after the lanes they pack, lane by lane, each a word of the
+        chain's dtype — a framed ``load.local`` (a restore) or a context
+        coordinate — and each lane and link read by the next link only:
+        per index, None for a lane or a link, the lanes at the last."""
+        packed: Dict[int, Optional[tuple]] = {}
+        for end, last in enumerate(instructions, 1):
+            width = last.dst.width if isinstance(last, InsertElement) else 0
+            start, wanted = end - 2 * width, getattr(last.dst, "dtype", None)
+            lanes = instructions[start:end - width]
+            links = instructions[end - width:end]
+            if width and start >= 0 and not wanted.is_predicate and all(
+                isinstance(link, InsertElement) and link.index == k
+                and link.scalar == lane.dst and link.dst.dtype == wanted
+                and link.src == (links[k - 1].dst if k else None)
+                and self.private.get(self.slot(lane.dst)) is link
+                and (not k or self.private.get(self.slot(link.src)) is link)
+                and getattr(lane, "dtype", None) == wanted and (
+                    isinstance(lane, Load)
+                    and self.frame_offset(lane) is not None
+                    or isinstance(lane, ContextRead) and wanted.is_integer
+                    and lane.field_name in _CONTEXT_COORDINATES
+                )
+                for k, (lane, link) in enumerate(zip(lanes, links))
+            ):
+                packed.update(dict.fromkeys(range(start, end - 1)))
+                packed[end - 1] = lanes
+        return packed
+
+    def word(self, inst) -> str:
+        """The word a framed access or a context coordinate moves, a
+        Python int (through the arena's unsigned memoryview)."""
+        if isinstance(inst, ContextRead):
+            name, axis = _CONTEXT_COORDINATES[inst.field_name]
+            contexts = self.bind("contexts", "state.contexts")
+            return f"{contexts}[{inst.lane}].{name}[{axis}]"
+        size = inst.dtype.size
+        index, shift = self.framed(inst), size.bit_length() - 1
+        return f"M_u{size}[{index} >> {shift}]" if shift else f"M_u1[{index}]"
+
+    def store(self, inst: Store) -> None:
+        if self.slot(inst.value) in self.ints:  # a spilled lane's word
+            self.emit(f"{self.word(inst)} = {self.raw(inst.value)}")
+        else:
+            super().store(inst)
+
+    def integer(self, value) -> str:
+        if self.slot(value) in self.ints:
+            return self.raw(value)
+        return super().integer(value)
 
     # -- how one warp's values are laid out ---------------------------------
 
@@ -1854,6 +1935,50 @@ class _WarpPrinter(_BlockEmitter):
 
     # -- vector packing -------------------------------------------------------
 
+    def insert(self, inst: InsertElement) -> None:
+        lanes = self.packed.get(self.index)
+        if lanes is None:
+            return super().insert(inst)
+        # The words in one array of the same-size unsigned dtype, whose
+        # bits the register's dtype views: a NaN's payload, -0.0.
+        wanted = inst.dst.dtype.numpy_dtype
+        expression = (
+            f"np.array(({', '.join(map(self.word, lanes))}), "
+            f"dtype=W_u{wanted.itemsize})"
+        )
+        if wanted.kind != "u":
+            expression += f".view(W_{_code(wanted)})"
+        self.define(inst.dst, expression, wanted, True, vector=True)
+
+    def spilled(self, inst: ExtractElement) -> bool:
+        """Print ``inst`` from one ``tolist()`` of its vector for every
+        lane when its one reader is a framed store of a spill (a list of
+        the same-size unsigned words, so the bits move) or a context
+        write of an integer vector's lane; else as the base class
+        does."""
+        reader = self.private.get(self.slots[inst.dst.name])
+        known, exact = self.known.get(self.slot(inst.src), (None, False))
+        if isinstance(reader, ContextWrite) and exact and known.kind in "iu":
+            prefix, wanted, listed = "j", known, known
+        elif (
+            isinstance(reader, Store) and not reader.dtype.is_predicate
+            and self.frame_offset(reader) is not None
+        ):
+            prefix, wanted = "u", reader.dtype.numpy_dtype
+            listed = np.dtype(f"u{wanted.itemsize}")
+        else:
+            return super().spilled(inst)
+        slot, code = self.slot(inst.src), _code(wanted)
+        lanes = self.raw(inst.src)
+        if not (self.exactly(inst.src, wanted) and slot in self.vectors):
+            lanes = f"({self.converted_lanes(inst.src, code)})"
+        if listed != wanted:
+            lanes += f".view(W_{_code(listed)})"
+        lanes = self.bind(f"{prefix}{slot}_{code}", f"{lanes}.tolist()", slot)
+        self.define(inst.dst, self.lane(lanes, inst.index))
+        self.ints.add(self.slots[inst.dst.name])
+        return True
+
     def extract(self, inst: ExtractElement) -> None:
         vector, slot = self.raw(inst.src), self.slot(inst.src)
         lane = f"{vector}[{inst.index}]"
@@ -1897,11 +2022,23 @@ class _WarpPrinter(_BlockEmitter):
         impl = _REDUCE_IMPL.get(inst.op)
         if impl is None:
             raise ExecutionError(f"unknown reduction {inst.op}")
-        wanted = inst.dst.dtype.numpy_dtype
+        wanted, source = inst.dst.dtype.numpy_dtype, self.raw(inst.src)
+        dst, slot = self.slots[inst.dst.name], self.slot(inst.src)
+        if inst.op == "add" and isinstance(self.private.get(dst), Switch) and (
+            slot is not None and inst.src.dtype.is_predicate
+        ):
+            # A branch sum only its switch reads: one Python int (a
+            # predicate's 1-d array is a bool one; a scalar counts 1).
+            count = f"{source}.tolist().count(True)"
+            if slot not in self.vectors:
+                shaped = self.shaped(source, slot)
+                count += f" if {shaped} else 1 if {source} else 0"
+            self.define(inst.dst, count)
+            self.ints.add(dst)
+            return
         self.define(
             inst.dst,
-            f"T_{_code(wanted)}({self.constant(impl)}"
-            f"(np.asarray({self.raw(inst.src)})))",
+            f"T_{_code(wanted)}({self.constant(impl)}(np.asarray({source})))",
             wanted,
             True,
         )

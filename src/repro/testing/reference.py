@@ -101,11 +101,12 @@ class ReferenceInterpreter(Interpreter):
 
 class _ReferenceState(_WarpState):
     """A warp state whose registers live in ``registers``, keyed by
-    name; the inherited slot file is only filled in when a fault needs
-    a snapshot."""
+    name; the inherited slot file, every slot of it, is only filled in
+    when a fault needs a snapshot."""
 
     def reset(self, executable, warp, param_base) -> None:
         super().reset(executable, warp, param_base)
+        self.regs = [None] * len(executable.register_slots)
         self.registers: Dict[str, object] = {}
 
     # -- value plumbing ------------------------------------------------------

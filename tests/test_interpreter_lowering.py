@@ -31,6 +31,7 @@ from repro.ir.instructions import (
     ExtractElement,
     FusedMultiplyAdd,
     InsertElement,
+    Reduce,
     Select,
     Store,
 )
@@ -43,7 +44,7 @@ from repro.runtime import ThreadContext
 from repro.runtime.context import Warp
 from repro.runtime.config import static_tie_config
 from repro.runtime.execution_manager import ExecutionManager, _ReadyPool
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import all_workloads, get_workload
 from tests.conftest import COLLATZ_PTX, VECADD_PTX, sequential_only
 
 
@@ -198,8 +199,9 @@ class TestBlockEmitter:
             width: device.cache.get("vecAdd", width) for width in (1, 2, 4)
         }
         assert compiles == []
-        assert all(
+        assert all(  # nothing lowered, priced, or numbered
             executable.code == {} and executable.block_costs == {}
+            and "layout" not in vars(executable)
             for executable in executables.values()
         )
         def launch(n):  # whole warps only: none fails the bounds check
@@ -860,6 +862,39 @@ class TestWhatTheFrameProves:
                     assert source.count(count) <= 1, (label, count)
         assert kept > 50
 
+    def test_collatz_moves_whole_registers(self):
+        # In the inline template a framed spill is one tolist() of the
+        # vector's unsigned words, stored through the arena's unsigned
+        # memoryview; a restore and a packed launch coordinate are one
+        # unsigned array; a branch sum is one count. The checked
+        # template moves lane by lane, as before.
+        device = Device(config=vectorized_config(4))
+        device.register_module(COLLATZ_PTX)
+        device.warm()
+        executable = device.cache.resident("collatz", 4)
+        moved = {"spill": 0, "restore": 0, "count": 0}
+        for label, block in executable.function.blocks.items():
+            source = executable.block_source(label)
+            checked = executable.blocks("checked")[label][0].source
+            assert "M_u" not in checked and ".tolist()" not in checked
+            local = [
+                instruction for instruction in block.instructions
+                if getattr(instruction, "space", None) is AddressSpace.local
+            ]
+            if any(isinstance(access, Store) for access in local):
+                assert ".tolist()" in source and "V_u" not in source
+                moved["spill"] += source.count("M_u")
+            if any(isinstance(access, Load) for access in local):
+                assert "np.zeros" not in source, label
+                moved["restore"] += source.count("np.array((M_u")
+            if any(isinstance(i, Reduce) for i in block.instructions):
+                assert "np.asarray" not in source, label
+                moved["count"] += source.count(".tolist().count(True)")
+        assert min(moved.values()) > 0, moved
+        assert "np.array((contexts[0].tid[0], contexts[1].tid[0]," in (
+            executable.block_source("entry")
+        )
+
     def test_what_the_frame_does_not_prove_keeps_its_checks(self):
         u32, u64, local = DataType.u32, DataType.u64, AddressSpace.local
         function = _function({"entry": [
@@ -990,6 +1025,49 @@ def _context(x: int, y: int = 0, cta=(0, 0, 0)) -> ThreadContext:
         local_base=0,
         resume_point=0,
     )
+
+
+class TestRegisterFileLayout:
+    def test_every_printed_block_keeps_to_the_file(self):
+        # The lean templates' register file holds the registers that
+        # cross a block: on every block of the 43 apps at widths 1, 2
+        # and 4, every regs[n] a printed inline or batch block names is
+        # below its length, and the compiler temporaries private to a
+        # block are numbered after it; the numbering is otherwise
+        # first appearance.
+        config = ExecutionConfig(warp_sizes=(1, 2, 4))
+        blocks = 0
+        for registered in all_workloads():
+            device = Device(config=config)
+            device.register_module(type(registered)().module_source())
+            device.warm()
+            for specialization in device.cache.cached_specializations():
+                executable = device.cache.resident(*specialization)
+                slots, file = (
+                    executable.register_slots, executable.register_count
+                )
+                private = {
+                    slot for block in executable.private.values()
+                    for slot in block
+                }
+                assert private == set(range(file, len(slots)))
+                names = [
+                    register.name
+                    for register in executable.function.registers()
+                ]
+                assert sorted(slots, key=slots.get) == sorted(
+                    names, key=lambda name: slots[name] >= file
+                )
+                for label in executable.function.blocks:
+                    sources = (
+                        executable.block_source(label),
+                        executable.batch_source(label),
+                    )
+                    for source in filter(None, sources):
+                        named = re.findall(r"regs\[(\d+)\]", source)
+                        assert max(map(int, named), default=-1) < file
+                    blocks += 1
+        assert blocks > 1000
 
 
 class TestStaticFormation:
