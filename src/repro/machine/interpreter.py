@@ -4,12 +4,11 @@ This module is the simulator's stand-in for JIT code generation, and
 like the paper's translation cache (§5.1) it generates code *when a
 warp first needs it*. ``load_function`` does no work on the IR: the
 first warp to enter the function numbers its registers into the slots
-of a flat per-warp register file, and the first
-time a warp reaches a block label, the block is printed as ONE Python
-function — the body and the terminator — and its static cost is
-aggregated; a block no warp enters (the cold arm of a divergent kernel,
-a width nobody forms) is never priced or compiled, and ``warm()`` costs
-IR only.
+of a flat per-warp register file, and the first time a warp reaches a
+block label, the block is printed as ONE Python function — the body and
+the terminator — and its static cost is aggregated; a block no warp
+enters (the cold arm of a divergent kernel, a width nobody forms) is
+never priced or compiled, and ``warm()`` costs IR only.
 
 One opcode table (``_EMITTERS``) is printed by two printers that share
 :class:`_BlockEmitter` — what an instruction computes: its operands,
