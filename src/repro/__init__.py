@@ -19,7 +19,6 @@ Quick start::
 """
 
 from .api.device import Device
-from .api.stream import Event, LaunchFuture, Stream
 from .errors import (
     BarrierDeadlock,
     DeadlineExpired,
@@ -32,6 +31,7 @@ from .errors import (
     ServiceUnavailable,
 )
 from .runtime.cache_store import CacheStore
+from .runtime.launcher import LaunchFuture
 from .sanitizer import (
     SanitizerReport,
     format_sanitizer_report,
@@ -62,7 +62,6 @@ __all__ = [
     "Device",
     "DeviceLost",
     "DevicePool",
-    "Event",
     "ExecutionConfig",
     "KernelTrap",
     "LaunchError",
@@ -71,7 +70,6 @@ __all__ = [
     "MachineDescription",
     "QuotaExceeded",
     "ServiceUnavailable",
-    "Stream",
     "TenantSession",
     "SanitizerError",
     "SanitizerReport",

@@ -1,6 +1,5 @@
 """Public heterogeneous-computing API front-end (CUDA-Runtime-like)."""
 
 from .device import Device
-from .stream import Event, LaunchFuture, Stream
 
-__all__ = ["Device", "Event", "LaunchFuture", "Stream"]
+__all__ = ["Device"]

@@ -11,12 +11,6 @@ translation cache and the launcher:
 >>> result = device.launch("vecAdd", grid=(4, 1, 1),
 ...                        block=(64, 1, 1), args=[a, b, c, 256])
 >>> out = device.memcpy_dtoh(c, np.float32, 256)
-
-Asynchronous launches go through CUDA-style streams
-(:mod:`repro.api.stream`): ``device.launch_async(...)`` returns a
-:class:`~repro.api.stream.LaunchFuture` ordered FIFO within its
-stream, and :class:`~repro.api.stream.Event` objects order work
-across streams.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ from ..runtime.config import (
 from ..sanitizer.core import KernelSanitizer, apply_sanitize_env
 from ..runtime.launcher import KernelLauncher, LaunchResult
 from ..runtime.translation_cache import TranslationCache
-from .stream import LaunchFuture, Stream
 
 _PACK_FORMATS = {
     DataType.u8: "<B",
@@ -74,34 +67,37 @@ Dim = Union[int, Tuple[int, ...]]
 def _normalize_dim(value: Dim, which: str = "dim") -> Tuple[int, int, int]:
     """Normalize a launch dimension to exactly three components.
 
-    Accepts an int (``n`` -> ``(n, 1, 1)``) or a tuple of up to three
-    components, which is padded with 1s. More than three dimensions or
-    any non-positive component is a :class:`LaunchError` naming the
-    offending axis — silent truncation would launch a different grid
-    than the caller asked for."""
-    if isinstance(value, (int, np.integer)):
-        dims: Tuple[int, ...] = (int(value),)
-    else:
-        try:
-            dims = tuple(int(component) for component in value)
-        except (TypeError, ValueError) as error:
-            raise LaunchError(
-                f"{which} must be an int or a tuple of ints, "
-                f"got {value!r}"
-            ) from error
+    Accepts an int (``n`` -> ``(n, 1, 1)``) or a sequence of up to
+    three components, which is padded with 1s. More than three
+    dimensions, a component that is not an ``int`` or a numpy integer
+    (a bool, a float or a character of a string) or a non-positive one
+    is a :class:`LaunchError` naming the offending axis — truncating
+    or splitting would launch a different grid than the caller asked
+    for."""
+    try:
+        dims = tuple(value)
+    except TypeError:
+        dims = (value,)
     if len(dims) > 3:
         raise LaunchError(
             f"{which} has {len(dims)} dimensions {dims}; "
             f"launch dimensions are at most 3-D (x, y, z)"
         )
-    dims = dims + (1,) * (3 - len(dims))
+    dims += (1,) * (3 - len(dims))
     for axis, component in zip("xyz", dims):
+        if isinstance(component, bool) or not isinstance(
+            component, (int, np.integer)
+        ):
+            raise LaunchError(
+                f"{which}.{axis} must be an int, got {component!r} "
+                f"(in {which}={value!r})"
+            )
         if component < 1:
             raise LaunchError(
                 f"{which}.{axis} must be >= 1, got {component} "
                 f"(in {which}={value!r})"
             )
-    return dims
+    return tuple(int(component) for component in dims)
 
 
 class Device:
@@ -149,12 +145,10 @@ class Device:
         )
         self.modules: List[Module] = []
         self._allocations: List[Allocation] = []
-        #: Serializes kernel execution: synchronous launches and every
-        #: stream's worker thread funnel through this lock, so the
-        #: single simulated machine never runs two kernels at once.
+        #: Serializes kernel execution: callers launching from several
+        #: threads take turns, so the single simulated machine never
+        #: runs two kernels at once.
         self._launch_lock = threading.Lock()
-        self._streams: List[Stream] = []
-        self._default_stream: Optional[Stream] = None
         #: CUDA-style sticky error: a contained runtime fault
         #: (KernelTrap / LaunchTimeout / BarrierDeadlock) is recorded
         #: here and blocks further launches until :meth:`reset` —
@@ -252,62 +246,46 @@ class Device:
 
         A previous launch's contained fault is sticky: launching again
         before :meth:`reset` re-raises a LaunchError naming it.
-
-        If streams have pending asynchronous work the launch first
-        drains them (legacy-default-stream semantics), so a
-        synchronous launch always observes prior async results.
         """
         grid = _normalize_dim(grid, "grid")
         block = _normalize_dim(block, "block")
-        self._drain_streams()
         with self._launch_lock:
-            return self._launch_impl(kernel_name, grid, block, args)
-
-    def _launch_impl(
-        self,
-        kernel_name: str,
-        grid: Tuple[int, int, int],
-        block: Tuple[int, int, int],
-        args: Sequence[object],
-    ) -> LaunchResult:
-        """The locked launch body (shared by the synchronous path and
-        every stream's worker thread). ``grid``/``block`` are already
-        normalized."""
-        if self.last_error is not None:
-            raise LaunchError(
-                f"device is in a failed state from a previous launch "
-                f"({type(self.last_error).__name__}: {self.last_error}); "
-                f"call Device.reset() to clear it"
+            if self.last_error is not None:
+                raise LaunchError(
+                    f"device is in a failed state from a previous launch "
+                    f"({type(self.last_error).__name__}: {self.last_error}); "
+                    f"call Device.reset() to clear it"
+                )
+            kernel = self.cache.kernel(kernel_name)
+            parameters = kernel.parameters
+            if len(args) != len(parameters):
+                raise LaunchError(
+                    f"{kernel_name} expects {len(parameters)} arguments "
+                    f"({[p.name for p in parameters]}), got {len(args)}"
+                )
+            param_size = max(kernel.param_size, 1)
+            param_base = self.memory.allocate(
+                param_size, kind="param", label=f"{kernel_name} params"
             )
-        kernel = self.cache.kernel(kernel_name)
-        parameters = kernel.parameters
-        if len(args) != len(parameters):
-            raise LaunchError(
-                f"{kernel_name} expects {len(parameters)} arguments "
-                f"({[p.name for p in parameters]}), got {len(args)}"
-            )
-        param_size = max(kernel.param_size, 1)
-        param_base = self.memory.allocate(
-            param_size, kind="param", label=f"{kernel_name} params"
-        )
-        try:
-            # Marshalling runs inside the reclaim scope: a bad argument
-            # value must not leak the parameter segment (the arena
-            # break has to stay stable across repeated failed
-            # launches).
-            for parameter, value in zip(parameters, args):
-                self._write_parameter(param_base, parameter, value)
-            return self.launcher.launch(
-                kernel_name, grid, block, param_base
-            )
-        except (KernelTrap, LaunchTimeout, BarrierDeadlock) as fault:
-            self.last_error = fault
-            raise
-        finally:
-            # Launches are synchronous; the parameter segment can be
-            # reclaimed immediately so repeated launches don't leak —
-            # including when marshalling failed or the launch trapped.
-            self.memory.free(param_base, param_size)
+            try:
+                # Marshalling runs inside the reclaim scope: a bad
+                # argument value must not leak the parameter segment
+                # (the arena break has to stay stable across repeated
+                # failed launches).
+                for parameter, value in zip(parameters, args):
+                    self._write_parameter(param_base, parameter, value)
+                return self.launcher.launch(
+                    kernel_name, grid, block, param_base
+                )
+            except (KernelTrap, LaunchTimeout, BarrierDeadlock) as fault:
+                self.last_error = fault
+                raise
+            finally:
+                # Launches are synchronous; the parameter segment can be
+                # reclaimed immediately so repeated launches don't leak
+                # — including when marshalling failed or the launch
+                # trapped.
+                self.memory.free(param_base, param_size)
 
     def _write_parameter(self, base: int, parameter, value) -> None:
         fmt = _PACK_FORMATS.get(parameter.dtype)
@@ -354,62 +332,6 @@ class Device:
                 np.frombuffer(raw, dtype=np.uint8),
             )
 
-    # -- streams & asynchronous launches ---------------------------------
-
-    @property
-    def default_stream(self) -> Stream:
-        """The stream :meth:`launch_async` uses when none is given
-        (created on first use)."""
-        if self._default_stream is None:
-            self._default_stream = self.create_stream(name="default")
-        return self._default_stream
-
-    def create_stream(self, name: Optional[str] = None) -> Stream:
-        """Create an independent FIFO work queue (cudaStreamCreate).
-        Work on different streams may interleave; work within one
-        stream executes in submission order."""
-        stream = Stream(self, name=name)
-        self._streams.append(stream)
-        return stream
-
-    def launch_async(
-        self,
-        kernel_name: str,
-        grid: Dim,
-        block: Dim,
-        args: Sequence[object] = (),
-        stream: Optional[Stream] = None,
-    ) -> LaunchFuture:
-        """Enqueue a launch on ``stream`` (default: the default
-        stream) and return a :class:`~repro.api.stream.LaunchFuture`.
-
-        Dimension validation happens at submit time; everything else
-        (including a contained fault) is delivered through the future
-        with the same sticky-error semantics as :meth:`launch` —
-        except a device already in a failed state, which rejects the
-        submission immediately (fail fast)."""
-        grid = _normalize_dim(grid, "grid")
-        block = _normalize_dim(block, "block")
-        if self.last_error is not None:
-            raise LaunchError(
-                f"device is in a failed state from a previous launch "
-                f"({type(self.last_error).__name__}: {self.last_error}); "
-                f"call Device.reset() to clear it"
-            )
-        target = stream if stream is not None else self.default_stream
-        return target.launch_async(kernel_name, grid, block, args)
-
-    def synchronize(self) -> None:
-        """Block until every stream's queued work has completed
-        (cudaDeviceSynchronize). Launch failures stay on their
-        futures; synchronize itself never raises for them."""
-        self._drain_streams()
-
-    def _drain_streams(self) -> None:
-        for stream in self._streams:
-            if stream.pending:
-                stream.synchronize()
-
     # -- warm-up ---------------------------------------------------------
 
     def warm(
@@ -434,11 +356,7 @@ class Device:
 
         The launcher already restored every execution manager's pooled
         state when the fault was contained; reset re-runs that recovery
-        defensively and clears :attr:`last_error`. Streams carry no
-        sticky state of their own, so after reset every existing
-        stream is launch-ready again (queued launches that arrived
-        while the device was failed have already failed fast through
-        their futures). Under checked
+        defensively and clears :attr:`last_error`. Under checked
         execution the sanitizer's leak check runs here, recording
         device buffers that were never freed on
         ``device.sanitizer.leak_reports``."""

@@ -12,6 +12,7 @@ measure on real hardware.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -51,6 +52,70 @@ class LaunchResult:
             f"<LaunchResult {self.kernel_name} "
             f"{self.elapsed_seconds * 1e3:.3f} ms modeled>"
         )
+
+
+class LaunchFuture:
+    """The pending result of one asynchronous launch
+    (``TenantSession.launch_async``).
+
+    Resolves to the launch's :class:`LaunchResult`, or to the exception
+    the synchronous path would have raised (a KernelTrap carries
+    ``info`` for :func:`repro.format_trap` and partial
+    ``statistics``)."""
+
+    def __init__(self, kernel_name: str):
+        self.kernel_name = kernel_name
+        self._completed = threading.Event()
+        self._result: Optional[LaunchResult] = None
+        self._error: Optional[BaseException] = None
+
+    # -- producer side (the pool's dispatcher) ----------------------------
+
+    def _resolve(self, result: LaunchResult) -> None:
+        self._result = result
+        self._completed.set()
+
+    def _fail(self, error: BaseException) -> None:
+        self._error = error
+        self._completed.set()
+
+    # -- consumer side ----------------------------------------------------
+
+    def done(self) -> bool:
+        """True once the launch has completed (successfully or not)."""
+        return self._completed.is_set()
+
+    def _wait(self, timeout: Optional[float]) -> None:
+        if not self._completed.wait(timeout):
+            raise LaunchError(
+                f"timed out after {timeout}s waiting for async launch "
+                f"of {self.kernel_name!r}"
+            )
+
+    def result(self, timeout: Optional[float] = None) -> LaunchResult:
+        """Block until the launch completes; return its LaunchResult
+        or re-raise the launch's exception."""
+        self._wait(timeout)
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+    def exception(
+        self, timeout: Optional[float] = None
+    ) -> Optional[BaseException]:
+        """Block until the launch completes; return its exception (or
+        None on success) without raising."""
+        self._wait(timeout)
+        return self._error
+
+    def __repr__(self):
+        if not self.done():
+            state = "pending"
+        elif self._error is not None:
+            state = f"failed: {type(self._error).__name__}"
+        else:
+            state = "completed"
+        return f"<LaunchFuture {self.kernel_name} {state}>"
 
 
 def partition_ctas(cta_count: int, workers: int) -> List[List[int]]:

@@ -63,7 +63,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.stream import LaunchFuture
 from ..counting import added, counted, kept, logged, nested, render
 from ..errors import (
     BarrierDeadlock,
@@ -75,6 +74,7 @@ from ..errors import (
     QuotaExceeded,
     ServiceUnavailable,
 )
+from .launcher import LaunchFuture
 from .statistics import LaunchStatistics, WorkerHealth
 
 #: Most trap report strings retained per tenant.
@@ -1181,9 +1181,9 @@ class TenantSession:
         deadline: Optional[float] = None,
     ) -> LaunchFuture:
         """Queue one launch through the pool's fair scheduler; returns
-        a LaunchFuture with the same delivery semantics as
-        ``Device.launch_async``. ``deadline`` (seconds) bounds queue
-        wait: a launch not dispatched in time fails with
+        a LaunchFuture of what :meth:`launch` would return or raise (a
+        trap is sticky until :meth:`reset`). ``deadline`` (seconds)
+        bounds queue wait: a launch not dispatched in time fails with
         :class:`~repro.errors.DeadlineExpired` instead of running
         late. Anything but None or a finite number >= 0 is a
         ValueError, raised before the launch is counted."""

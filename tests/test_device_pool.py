@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from repro import DevicePool, KernelTrap, QuotaExceeded
+from repro import DevicePool, KernelTrap, QuotaExceeded, format_trap
 from repro.errors import LaunchError
 from repro.runtime.pool import WeightedFairQueue
 from tests.conftest import VECADD_PTX
@@ -329,6 +329,9 @@ class TestFaultIsolation:
         assert error.statistics is not None
         assert error.remote_report
         assert "chaosAdd" in error.remote_report
+        report = format_trap(error)
+        assert "chaosAdd" in report
+        assert "cta" in report.lower()
         assert chaos.stats.traps >= 1
         assert chaos.stats.trap_reports
 
@@ -350,6 +353,30 @@ class TestFaultIsolation:
         assert np.allclose(
             chaos.read(cc, np.float32, N), np.arange(N) * 2
         )
+
+    def test_launches_queued_behind_a_trap_fail_fast(self, pool):
+        """Launches already queued when an earlier one of the tenant
+        traps fail with a LaunchError at dispatch; none runs or hangs.
+        Holding the worker's queue condition while submitting keeps
+        the dispatcher from taking the trap before the rest are in."""
+        chaos = pool.session("chaos-queued", worker=0)
+        chaos.register_module(CHAOS_PTX)
+        ca, cb, cc = _session_buffers(chaos)
+        with pool._conditions[chaos.worker_index]:
+            trap = chaos.launch_async("chaosAdd", 1, N, [ca, cb, 0, N])
+            behind = [
+                chaos.launch_async("vecAdd", 1, N, [ca, cb, cc, N])
+                for _ in range(3)
+            ]
+        assert isinstance(trap.exception(timeout=120), KernelTrap)
+        for future in behind:
+            error = future.exception(timeout=120)
+            assert type(error) is LaunchError
+            assert "failed state" in str(error)
+        assert chaos.stats.traps == 1
+        assert chaos.stats.failed == 4
+        assert chaos.stats.completed == 0
+        chaos.reset()
 
 
 class TestWarmStart:

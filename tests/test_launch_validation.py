@@ -176,6 +176,26 @@ class TestDimensionValidation:
         with pytest.raises(LaunchError, match="grid"):
             vec_device.launch("vecAdd", 1.5, 8, [a, b, c, 8])
 
+    @pytest.mark.parametrize(
+        "grid,axis",
+        [
+            ((2.5, 1), "grid.x"),
+            ([4, 1.9], "grid.y"),
+            ("12", "grid.x"),
+            (True, "grid.x"),
+            ((True, 2), "grid.x"),
+            ((2, np.bool_(True)), "grid.y"),
+        ],
+    )
+    def test_only_integer_components_accepted(self, vec_device, grid, axis):
+        """A float is not rounded, a string is not split into digits
+        and a bool is not taken as 1: each is refused, by axis."""
+        a, b, c = _vecadd_buffers(vec_device)
+        with pytest.raises(
+            LaunchError, match=axis.replace(".", r"\.") + " must be an int"
+        ):
+            vec_device.launch("vecAdd", grid, 8, [a, b, c, 8])
+
     def test_validation_rejects_before_any_allocation(self, vec_device):
         a, b, c = _vecadd_buffers(vec_device)
         break_before = vec_device.memory._brk

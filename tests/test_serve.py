@@ -230,6 +230,10 @@ class TestServeErrors:
         with ServeClient(server.host, server.port, "err") as client:
             with pytest.raises(LaunchError, match="dimensions"):
                 client.launch("vecAdd", [1, 1, 1, 1], N, [])
+            with pytest.raises(LaunchError, match=r"grid\.x must be an int"):
+                client.launch("vecAdd", "12", N, [])
+            with pytest.raises(LaunchError, match=r"block\.x must be an int"):
+                client.launch("vecAdd", 1, [2.5], [])
 
     def test_unknown_allocation_rejected(self, server):
         with ServeClient(server.host, server.port, "err") as client:
