@@ -8,7 +8,7 @@ pool pins the tenant to a worker process and schedules its launches
 through the weighted fair queue, so one client's trapping kernel
 never blocks or corrupts another client's work.
 
-Endpoints (all bodies JSON):
+Endpoints:
 
 ===============  ====  ====================================================
 path             verb  action
@@ -16,17 +16,25 @@ path             verb  action
 ``/v1/session``  POST  create/fetch a tenant session (weight, quotas)
 ``/v1/register`` POST  register a PTX module (tenant-private)
 ``/v1/malloc``   POST  allocate ``size`` bytes → allocation id
-``/v1/upload``   POST  allocate + write ``data`` (list + dtype)
+``/v1/upload``   POST  allocate + write ``data`` of ``dtype``
 ``/v1/write``    POST  overwrite an allocation with ``data``
-``/v1/read``     POST  read ``count`` items of ``dtype`` → list
+``/v1/read``     POST  read ``count`` items of ``dtype``
 ``/v1/free``     POST  release an allocation
 ``/v1/launch``   POST  queue an async launch → launch id
 ``/v1/collect``  POST  wait for a launch id → result or structured error
+``/v1/run``      POST  launch + collect in one request
 ``/v1/reset``    POST  clear the tenant's sticky fault
 ``/v1/stats``    GET   pool-level report + per-tenant counters
 ``/v1/health``   GET   liveness: supervision snapshot, always 200
 ``/v1/ready``    GET   readiness: 503 while draining / breaker open
 ===============  ====  ====================================================
+
+Bodies are JSON, or for an upload or write the buffer's raw bytes
+(``application/octet-stream``) with the JSON fields in the
+``X-Repro-Fields`` header. A read with ``Accept:
+application/octet-stream`` gets raw bytes back, else ``{"data":
+[...]}``. :class:`ServeClient` always sends raw bytes and runs a
+launch in one ``/v1/run`` request.
 
 An allocation id is the tenant session's own handle, so ids are per
 tenant (each tenant's first buffer is 1) and the server keeps no
@@ -68,6 +76,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import socket
 import threading
@@ -92,7 +101,12 @@ from .pool import (
     DevicePool,
     RemoteAllocation,
     TenantSession,
+    _check_int,
 )
+
+#: The header that carries an octet-stream request's JSON fields.
+FIELDS_HEADER = "X-Repro-Fields"
+_OCTETS = "application/octet-stream"
 
 
 class _ServiceState:
@@ -179,6 +193,59 @@ def _allocation(body: dict, session: TenantSession) -> RemoteAllocation:
     return RemoteAllocation(session.tenant, handle)
 
 
+def _dtype(name) -> np.dtype:
+    """The numeric dtype a buffer request names (bool, int, uint or
+    float: the kinds guest memory holds and both encodings carry)."""
+    try:
+        dtype = np.dtype(name) if isinstance(name, str) else None
+    except TypeError:
+        dtype = None
+    if dtype is None or dtype.kind not in "biuf":
+        raise ValueError(f"dtype must name a numeric type, not {name!r}")
+    return dtype
+
+
+def _array(body: dict) -> np.ndarray:
+    """The contents an upload or write carries, as its ``dtype``: the
+    raw bytes of an octet-stream body, or a JSON ``data`` list."""
+    dtype = _dtype(body.get("dtype", "f4"))
+    data = body["data"]
+    if not isinstance(data, bytes):
+        try:
+            return np.asarray(data, dtype=dtype)
+        except TypeError as error:
+            raise ValueError(f"data is not a list of numbers: {error}")
+    if len(data) % dtype.itemsize:
+        raise LaunchError(
+            f"a body of {len(data)} bytes is not a whole number of "
+            f"{dtype.str} items"
+        )
+    return np.frombuffer(data, dtype=dtype)
+
+
+def _timeout(body: dict) -> float:
+    """A collect's wait, checked like a launch's ``deadline``."""
+    timeout = body.get("timeout", 60.0)
+    if isinstance(timeout, bool) or not (
+        isinstance(timeout, (int, float)) and 0 <= timeout < math.inf
+    ):
+        raise ValueError(
+            f"timeout must be a finite number of seconds >= 0, not "
+            f"{timeout!r}"
+        )
+    return timeout
+
+
+def _json_object(text, what: str) -> dict:
+    try:
+        body = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise LaunchError(f"{what} is not JSON: {error}")
+    if not isinstance(body, dict):
+        raise LaunchError(f"{what} must be a JSON object")
+    return body
+
+
 def _error_payload(error: BaseException) -> dict:
     payload = {
         "type": type(error).__name__,
@@ -195,6 +262,9 @@ def _error_payload(error: BaseException) -> dict:
         payload["cause"] = error.cause
         payload["epoch"] = error.epoch
         payload["delivered"] = error.delivered
+    launch = getattr(error, "launch", None)
+    if launch is not None:
+        payload["launch"] = launch
     return payload
 
 
@@ -216,12 +286,14 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # keep the server silent; stats go through /v1/stats
 
-    def _reply(
-        self, status: int, payload: dict, headers: Optional[dict] = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _reply(self, status: int, payload, headers: Optional[dict] = None):
+        """Send ``payload``, a dict as JSON or bytes as they are."""
+        kind, body = (
+            (_OCTETS, payload) if isinstance(payload, bytes)
+            else ("application/json", json.dumps(payload).encode("utf-8"))
+        )
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", kind)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
@@ -233,15 +305,15 @@ class _Handler(BaseHTTPRequestHandler):
         if length < 0:
             # rfile.read(-1) would wait for the client to hang up.
             raise LaunchError(f"negative Content-Length {length}")
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            body = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise LaunchError(f"request body is not JSON: {error}")
-        if not isinstance(body, dict):
-            raise LaunchError("request body must be a JSON object")
+        raw = self.rfile.read(length) if length else b""
+        if self.headers.get_content_type() != _OCTETS:
+            return _json_object(raw, "request body") if raw else {}
+        # A buffer's raw bytes: the request's fields ride in a header.
+        fields = self.headers.get(FIELDS_HEADER)
+        if fields is None:
+            raise LaunchError(f"an {_OCTETS} body needs {FIELDS_HEADER}")
+        body = _json_object(fields, f"the {FIELDS_HEADER} header")
+        body["data"] = raw
         return body
 
     # -- dispatch ----------------------------------------------------------
@@ -314,6 +386,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "/v1/free": self._post_free,
                 "/v1/launch": self._post_launch,
                 "/v1/collect": self._post_collect,
+                "/v1/run": self._post_run,
                 "/v1/reset": self._post_reset,
             }.get(self.path)
             if handler is None:
@@ -351,35 +424,28 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_malloc(self, body: dict) -> dict:
         session = self.state.session(body)
-        allocation = session.malloc(int(body["size"]), label=body.get("label"))
+        _check_int("size", body.get("size"), least=0)
+        allocation = session.malloc(body["size"], label=body.get("label"))
         return {"allocation": allocation.handle}
 
     def _post_upload(self, body: dict) -> dict:
         session = self.state.session(body)
-        array = np.asarray(
-            body["data"], dtype=np.dtype(body.get("dtype", "f4"))
-        )
-        allocation = session.upload(array, label=body.get("label"))
+        allocation = session.upload(_array(body), label=body.get("label"))
         return {"allocation": allocation.handle}
 
     def _post_write(self, body: dict) -> dict:
         session = self.state.session(body)
-        session.write(
-            _allocation(body, session),
-            np.asarray(
-                body["data"], dtype=np.dtype(body.get("dtype", "f4"))
-            ),
-        )
+        session.write(_allocation(body, session), _array(body))
         return {"ok": True}
 
-    def _post_read(self, body: dict) -> dict:
+    def _post_read(self, body: dict):
         session = self.state.session(body)
-        values = session.read(
-            _allocation(body, session),
-            np.dtype(body["dtype"]),
-            int(body["count"]),
-        )
-        return {"data": np.asarray(values).tolist()}
+        _check_int("count", body.get("count"), least=0)
+        dtype = _dtype(body.get("dtype"))
+        values = session.read(_allocation(body, session), dtype, body["count"])
+        if _OCTETS in self.headers.get("Accept", ""):
+            return values.tobytes()
+        return {"data": values.tolist()}
 
     def _post_free(self, body: dict) -> dict:
         session = self.state.session(body)
@@ -387,6 +453,10 @@ class _Handler(BaseHTTPRequestHandler):
         return {"ok": True}
 
     def _post_launch(self, body: dict) -> dict:
+        return {"launch": self._launch(body)[1]}
+
+    def _launch(self, body: dict) -> Tuple[str, int]:
+        """Submit a launch; its future waits under the returned key."""
         session = self.state.session(body)
         args = [
             _allocation(value, session)
@@ -404,17 +474,33 @@ class _Handler(BaseHTTPRequestHandler):
                 args,
                 deadline=deadline,
             )
-        launch = next(self.state.launch_ids)
+        key = (session.tenant, next(self.state.launch_ids))
         with self.state.lock:
-            self.state.futures[session.tenant, launch] = future
-        return {"launch": launch}
+            self.state.futures[key] = future
+        return key
 
     def _post_collect(self, body: dict) -> dict:
+        session = self.state.session(body)
+        key = (session.tenant, body.get("launch"))
+        return self._collect(key, _timeout(body))
+
+    def _post_run(self, body: dict) -> dict:
+        """``/v1/launch`` and ``/v1/collect`` in one request. A wait
+        that times out leaves the launch running: the 400 names its
+        id, and ``/v1/collect`` of that id finishes it."""
+        timeout = _timeout(body)  # refused before anything is queued
+        key = self._launch(body)
+        try:
+            return self._collect(key, timeout)
+        except LaunchError as error:
+            pending = LaunchError(f"{error}; collect launch {key[1]}")
+            pending.launch = key[1]
+            raise pending from error
+
+    def _collect(self, key: Tuple[str, int], timeout: float) -> dict:
         """Wait for a launch and answer it. The entry is removed only
         once answered, so a wait that times out, or an id of another
         tenant's launch (never this tenant's key), changes nothing."""
-        session = self.state.session(body)
-        key = (session.tenant, body.get("launch"))
         with self.state.lock:
             future = self.state.futures.get(key)
             # Collect is idempotent: a client that lost the *response*
@@ -425,7 +511,7 @@ class _Handler(BaseHTTPRequestHandler):
             if cached is not None:
                 return cached
             raise LaunchError(f"unknown launch id {key[1]!r}")
-        error = future.exception(timeout=body.get("timeout", 60.0))
+        error = future.exception(timeout=timeout)
         if error is not None:
             payload = {"ok": False, "error": _error_payload(error)}
         else:
@@ -542,8 +628,8 @@ class KernelServer:
 #: POST paths a ServeClient may safely re-send after a connection
 #: reset: they either don't mutate server state (read, session fetch)
 #: or are idempotent by construction (collect caches its payload per
-#: launch id server-side). Launch/malloc/upload are NOT here — a
-#: resend could double-apply them.
+#: launch id server-side). Launch/run/malloc/upload/write are NOT
+#: here — a resend could double-apply them.
 _IDEMPOTENT_PATHS = frozenset({"/v1/session", "/v1/read", "/v1/collect"})
 
 #: Attempts a ServeClient makes at an idempotent request whose
@@ -559,6 +645,23 @@ def _reconnect_backoff(attempt: int, rng: random.Random) -> float:
     return _RECONNECT_DELAY * 2 ** (attempt - 1) * (1.0 + 0.5 * rng.random())
 
 
+def _raise_for(response, reply: dict) -> None:
+    """Raise a non-200 reply as the client's exception."""
+    error = reply.get("error", {})
+    if response.status == 429:
+        raise QuotaExceeded(error["message"])
+    if response.status == 503:
+        header = response.getheader("Retry-After")
+        raise ServiceUnavailable(
+            error["message"],
+            retry_after=None if header is None else float(header),
+        )
+    raise LaunchError(
+        f"{error.get('type', 'ServeError')}: "
+        f"{error.get('message', str(reply)[:200])}"
+    )
+
+
 class ServeClient:
     """Minimal blocking client of a :class:`KernelServer` (stdlib
     ``http.client``, HTTP/1.1 keep-alive — one TCP connection per
@@ -569,7 +672,8 @@ class ServeClient:
     while a server restarts or a respawn window drops keep-alive
     connections — are resent after :func:`_reconnect_backoff` instead
     of surfacing the raw socket error. Mutating requests (launch,
-    malloc, upload, ...) are never resent."""
+    run, malloc, upload, ...) are never resent. Buffers move as raw
+    bytes; :meth:`run` is one request."""
 
     def __init__(
         self,
@@ -605,67 +709,49 @@ class ServeClient:
     # -- plumbing ----------------------------------------------------------
 
     def _transport(
-        self, method: str, path: str, payload: Optional[bytes]
+        self, method: str, path: str, payload: Optional[bytes], headers: dict
     ):
         """One request/response over the keep-alive connection;
         returns ``(response, raw_body)``. Connection-level failures
         close the socket (the next attempt reconnects) and re-raise."""
         try:
-            headers = {}
-            if payload is not None:
-                headers["Content-Type"] = "application/json"
-            self._conn.request(
-                method, path, body=payload, headers=headers
-            )
+            self._conn.request(method, path, body=payload, headers=headers)
             response = self._conn.getresponse()
             return response, response.read()
         except (ConnectionError, socket.timeout, OSError):
             self._conn.close()
             raise
 
-    def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict],
-        raise_for_status: bool = True,
-    ) -> dict:
-        payload = (
-            None if body is None
-            else json.dumps(body).encode("utf-8")
-        )
+    def _request(self, method: str, path: str, body: Optional[dict],
+                 raise_for_status: bool = True, data=None, octets=False):
+        """Send ``body`` as JSON — or, given ``data``, ``data``'s raw
+        bytes with ``body`` in the fields header. Returns the JSON
+        reply, or with ``octets`` the raw bytes of the reply."""
+        headers = {"Accept": _OCTETS} if octets else {}
+        payload = None if body is None else json.dumps(body)
+        if data is not None:
+            headers[FIELDS_HEADER] = payload
+            headers["Content-Type"], payload = _OCTETS, data.tobytes()
+        elif payload is not None:
+            headers["Content-Type"] = "application/json"
+            payload = payload.encode("utf-8")
         idempotent = method == "GET" or path in _IDEMPOTENT_PATHS
         attempt = 0
         while True:
             attempt += 1
             try:
-                response, raw = self._transport(method, path, payload)
+                response, raw = self._transport(method, path, payload, headers)
                 break
             except (ConnectionError, socket.timeout, OSError):
                 if not idempotent or attempt >= _RECONNECT_ATTEMPTS:
                     raise
                 time.sleep(_reconnect_backoff(attempt, self._rng))
-        reply = json.loads(raw)
-        if not raise_for_status:
-            return reply
-        if response.status == 429:
-            raise QuotaExceeded(reply["error"]["message"])
-        if response.status == 503:
-            header = response.getheader("Retry-After")
-            raise ServiceUnavailable(
-                reply["error"]["message"],
-                retry_after=None if header is None else float(header),
-            )
-        if response.status != 200:
-            error = reply.get("error", {})
-            raise LaunchError(
-                f"{error.get('type', 'ServeError')}: "
-                f"{error.get('message', raw[:200])}"
-            )
-        return reply
+        if raise_for_status and response.status != 200:
+            _raise_for(response, json.loads(raw))
+        return raw if octets else json.loads(raw)
 
-    def _post(self, path: str, body: dict) -> dict:
-        return self._request("POST", path, body)
+    def _post(self, path: str, body: dict, data=None) -> dict:
+        return self._request("POST", path, body, data=data)
 
     def _get(self, path: str) -> dict:
         return self._request("GET", path, None)
@@ -688,58 +774,43 @@ class ServeClient:
         )["allocation"]
 
     def upload(self, array, dtype: Optional[str] = None) -> int:
-        array = np.asarray(array)
+        array = np.ascontiguousarray(array, dtype=dtype)
         return self._post(
-            "/v1/upload",
-            self._tenant_body(
-                data=array.tolist(), dtype=dtype or array.dtype.str
-            ),
+            "/v1/upload", self._tenant_body(dtype=array.dtype.str), array
         )["allocation"]
 
     def write(self, allocation: int, array, dtype=None) -> None:
-        array = np.asarray(array)
-        self._post(
-            "/v1/write",
-            self._tenant_body(
-                allocation=allocation,
-                data=array.tolist(),
-                dtype=dtype or array.dtype.str,
-            ),
-        )
+        array = np.ascontiguousarray(array, dtype=dtype)
+        body = self._tenant_body(allocation=allocation, dtype=array.dtype.str)
+        self._post("/v1/write", body, array)
 
     def read(self, allocation: int, dtype, count: int) -> np.ndarray:
-        reply = self._post(
-            "/v1/read",
-            self._tenant_body(
-                allocation=allocation,
-                dtype=np.dtype(dtype).str,
-                count=count,
-            ),
+        dtype = np.dtype(dtype)
+        body = self._tenant_body(
+            allocation=allocation, dtype=dtype.str, count=count
         )
-        return np.asarray(reply["data"], dtype=np.dtype(dtype))
+        raw = self._request("POST", "/v1/read", body, octets=True)
+        return np.frombuffer(bytearray(raw), dtype=dtype)
 
     def free(self, allocation: int) -> None:
         self._post("/v1/free", self._tenant_body(allocation=allocation))
 
-    def launch(self, kernel: str, grid, block, args=()) -> int:
-        """Queue a launch; returns an id for :meth:`collect`.
-        Allocation ids must be wrapped: ``{"allocation": id}``."""
-        encoded = []
+    def _launch_body(self, kernel: str, grid, block, args) -> dict:
         for value in args:
-            if isinstance(value, dict):
-                encoded.append(value)
-            elif isinstance(value, (int, float)):
-                encoded.append(value)
-            else:
+            if not isinstance(value, (dict, int, float)):
                 raise LaunchError(
                     f"cannot encode launch argument {value!r}; pass "
                     f"numbers or {{'allocation': id}} references"
                 )
+        return self._tenant_body(
+            kernel=kernel, grid=grid, block=block, args=list(args)
+        )
+
+    def launch(self, kernel: str, grid, block, args=()) -> int:
+        """Queue a launch; returns an id for :meth:`collect`.
+        Allocation ids must be wrapped: ``{"allocation": id}``."""
         return self._post(
-            "/v1/launch",
-            self._tenant_body(
-                kernel=kernel, grid=grid, block=block, args=encoded
-            ),
+            "/v1/launch", self._launch_body(kernel, grid, block, args)
         )["launch"]
 
     def collect(self, launch: int, timeout: float = 60.0) -> dict:
@@ -751,8 +822,11 @@ class ServeClient:
         )
 
     def run(self, kernel: str, grid, block, args=()) -> dict:
-        """launch + collect; raises LaunchError if the launch failed."""
-        reply = self.collect(self.launch(kernel, grid, block, args))
+        """Launch and wait in one request (``/v1/run``); raises
+        LaunchError if the launch failed."""
+        reply = self._post(
+            "/v1/run", self._launch_body(kernel, grid, block, args)
+        )
         if not reply["ok"]:
             error = reply["error"]
             raise LaunchError(f"{error['type']}: {error['message']}")

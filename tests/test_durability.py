@@ -835,12 +835,12 @@ class TestServeDurability:
         real = client._transport
         dropped = {"count": 0}
 
-        def flaky(method, path, payload):
+        def flaky(method, path, payload, headers):
             if path == "/v1/read" and dropped["count"] < 2:
                 dropped["count"] += 1
                 client._conn.close()
                 raise ConnectionResetError("injected reset")
-            return real(method, path, payload)
+            return real(method, path, payload, headers)
 
         client._transport = flaky
         out = client.read(c, np.float32, N)
@@ -853,7 +853,7 @@ class TestServeDurability:
     def test_client_never_resends_mutations(self, server):
         client = ServeClient(server.host, server.port, "http-mut")
 
-        def always_down(method, path, payload):
+        def always_down(method, path, payload, headers):
             raise ConnectionResetError("injected reset")
 
         client._transport = always_down

@@ -5,6 +5,7 @@ import socket
 import statistics
 import threading
 import time
+from functools import partial
 from http.client import HTTPConnection
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro import DevicePool, QuotaExceeded
 from repro.errors import LaunchError
 from repro.runtime.pool import TenantSession
 from repro.runtime.service import (
+    FIELDS_HEADER,
     KernelServer,
     ServeClient,
     _reconnect_backoff,
@@ -48,6 +50,72 @@ def _post_raw(server, path, body):
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def _post_octets(server, path, fields, data):
+    """POST ``data`` as an octet-stream body with ``fields`` (a JSON
+    string, or None for no header); returns ``(status, reply)``."""
+    headers = {"Content-Type": "application/octet-stream"}
+    if fields is not None:
+        headers[FIELDS_HEADER] = fields
+    connection = HTTPConnection(server.host, server.port)
+    try:
+        connection.request("POST", path, body=data, headers=headers)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+class _JsonOnlyClient:
+    """A client frozen at the server's JSON-only forms: buffers move
+    as lists of values both ways, and a launch is /v1/launch then
+    /v1/collect. One keep-alive connection."""
+
+    def __init__(self, server, tenant, **session):
+        self.connection = HTTPConnection(server.host, server.port)
+        self.fields = {"tenant": tenant, **session}
+
+    def post(self, path, **fields):
+        self.connection.request(
+            "POST", path,
+            body=json.dumps({**self.fields, **fields}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = self.connection.getresponse()
+        reply = json.loads(response.read())
+        assert response.status == 200, reply
+        return reply
+
+    def upload(self, array):
+        return self.post(
+            "/v1/upload", data=array.tolist(), dtype=array.dtype.str
+        )["allocation"]
+
+    def write(self, allocation, array):
+        self.post(
+            "/v1/write", allocation=allocation,
+            data=array.tolist(), dtype=array.dtype.str,
+        )
+
+    def read(self, allocation, dtype, count):
+        dtype = np.dtype(dtype)
+        reply = self.post(
+            "/v1/read", allocation=allocation, dtype=dtype.str, count=count
+        )
+        return np.asarray(reply["data"], dtype=dtype)
+
+    def run(self, kernel, grid, block, args):
+        launch = self.post(
+            "/v1/launch", kernel=kernel, grid=grid, block=block, args=args
+        )["launch"]
+        return self.post("/v1/collect", launch=launch, timeout=60.0)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.connection.close()
 
 
 def _vecadd_roundtrip(client):
@@ -172,10 +240,13 @@ class TestServeLatency:
     def test_round_trips_do_not_wait_on_delayed_ack(self, server):
         """No reply may sit in the server's socket until the client's
         delayed-ACK timer (40 ms) fires: every kind of round trip —
-        200 replies small and large, a 400, a GET — has a median far
-        under it on one keep-alive connection."""
+        200 replies small and large, raw bytes and JSON, a 400, a
+        GET — has a median far under it on one keep-alive connection.
+        A run is one round trip; launch + collect is two."""
         rounds = 20
-        with ServeClient(server.host, server.port, "latency") as client:
+        with ServeClient(
+            server.host, server.port, "latency"
+        ) as client, _JsonOnlyClient(server, "latency") as legacy:
             small = np.arange(16, dtype=np.float32)
             large = np.arange(1024, dtype=np.float32)
             small_buffer = client.upload(small)
@@ -197,14 +268,22 @@ class TestServeLatency:
             calls = {
                 "health": (client.health, 1),
                 "ready": (client.ready, 1),
-                "write 16": (lambda: client.write(small_buffer, small), 1),
-                "read 16": (lambda: client.read(small_buffer, f32, 16), 1),
-                "write 1024": (lambda: client.write(large_buffer, large), 1),
-                "read 1024": (lambda: client.read(large_buffer, f32, 1024), 1),
-                "launch+collect": (
-                    lambda: client.run("vecAdd", 1, small.size, args), 2),
                 "error 400": (unknown_allocation, 1),
+                "run": (lambda: client.run("vecAdd", 1, small.size, args), 1),
+                "launch+collect": (lambda: client.collect(
+                    client.launch("vecAdd", 1, small.size, args)), 2),
             }
+            for n, buffer, values in (
+                (16, small_buffer, small), (1024, large_buffer, large)
+            ):
+                calls.update({
+                    f"write {n}": (partial(client.write, buffer, values), 1),
+                    f"read {n}": (partial(client.read, buffer, f32, n), 1),
+                    f"json write {n}": (
+                        partial(legacy.write, buffer, values), 1),
+                    f"json read {n}": (
+                        partial(legacy.read, buffer, f32, n), 1),
+                })
             medians = {}
             for name, (call, round_trips) in calls.items():
                 samples = []
@@ -397,6 +476,192 @@ class TestServeErrors:
             )
             reply = raw.recv(4096)
         assert reply.startswith(b"HTTP/1.1 400")
+
+    @pytest.mark.parametrize("path, fields, named", [
+        ("/v1/read", {"dtype": "V4", "count": 1}, "dtype"),
+        ("/v1/read", {"dtype": "c8", "count": 1}, "dtype"),
+        ("/v1/read", {"dtype": "<f4", "count": "3"}, "count"),
+        ("/v1/write", {"dtype": "U2", "data": ["ab"]}, "dtype"),
+        ("/v1/upload", {"dtype": "U2", "data": ["ab"]}, "dtype"),
+        ("/v1/write", {"dtype": "<f4", "data": {"a": 1}}, "data"),
+        ("/v1/malloc", {"size": 2.7}, "size"),
+        ("/v1/malloc", {"size": True}, "size"),
+        ("/v1/collect", {"timeout": "soon"}, "timeout"),
+        ("/v1/collect", {"timeout": -1.0}, "timeout"),
+        ("/v1/collect", {"timeout": True}, "timeout"),
+        ("/v1/run", {"timeout": "soon"}, "timeout"),
+        ("/v1/run", {"timeout": float("inf")}, "timeout"),
+    ])
+    def test_a_malformed_buffer_or_wait_field_is_400(
+        self, server, path, fields, named
+    ):
+        """A dtype guest memory cannot hold, a size or count that is
+        not an int, or a wait that is not a finite number of seconds
+        is a 400 naming the field: never a 500, never truncated. A
+        refused collect keeps its launch; a refused run queues none."""
+        tenant = "fields"
+        with ServeClient(server.host, server.port, tenant) as client:
+            buffer = client.upload(np.arange(4, dtype=np.float32))
+            launch = client.launch("vecAdd", 1, 1, [])
+            session = {s.tenant: s for s in server.pool.sessions()}[tenant]
+            submitted = session.stats.submitted
+            status, reply = _post_raw(server, path, {
+                "tenant": tenant, "allocation": buffer, "launch": launch,
+                "kernel": "vecAdd", "grid": 1, "block": 1, "args": [],
+                **fields,
+            })
+            assert status == 400
+            assert named in reply["error"]["message"]
+            assert session.stats.submitted == submitted
+            assert "ok" in client.collect(launch)
+
+    @pytest.mark.parametrize("fields, size, message", [
+        ({"dtype": "<f4"}, 6, "not a whole number of <f4 items"),
+        (None, 4, f"needs {FIELDS_HEADER}"),
+        ("{not json", 4, f"{FIELDS_HEADER} header is not JSON"),
+        ("[1, 2]", 4, f"{FIELDS_HEADER} header must be a JSON object"),
+        ({"dtype": "<f4"}, 32, "write of 32 bytes does not fit"),
+    ])
+    def test_a_misframed_octet_stream_write_is_400(
+        self, server, fields, size, message
+    ):
+        with ServeClient(server.host, server.port, "framing") as client:
+            buffer = client.malloc(16)
+            if isinstance(fields, dict):
+                fields = json.dumps({
+                    "tenant": "framing", "allocation": buffer, **fields
+                })
+            status, reply = _post_octets(
+                server, "/v1/write", fields, b"\x01" * size
+            )
+            assert status == 400
+            assert message in reply["error"]["message"]
+            assert client.read(buffer, np.uint8, 16).tobytes() == bytes(16)
+
+    def test_a_run_that_times_out_keeps_its_launch(self, server):
+        """The 400 of a run whose wait ran out names the launch, and
+        /v1/collect of that id still finishes it."""
+        with ServeClient(server.host, server.port, "run-late") as client:
+            a = client.upload(np.arange(N, dtype=np.float32))
+            c = client.malloc(4 * N)
+            status, reply = _post_raw(server, "/v1/run", {
+                "tenant": "run-late", "kernel": "vecAdd", "grid": 1,
+                "block": N, "timeout": 0,
+                "args": [{"allocation": a}, {"allocation": a},
+                         {"allocation": c}, N],
+            })
+            assert status == 400
+            launch = reply["error"]["launch"]
+            assert f"collect launch {launch}" in reply["error"]["message"]
+            assert client.collect(launch)["ok"]
+            assert np.array_equal(
+                client.read(c, np.float32, N), np.arange(N) * 2
+            )
+
+
+class TestServeWire:
+    def test_run_is_one_request_and_buffers_move_as_bytes(self, server):
+        with ServeClient(server.host, server.port, "wire") as client:
+            real = client._transport
+            sent = []
+
+            def recording(method, path, payload, headers):
+                response, raw = real(method, path, payload, headers)
+                sent.append((
+                    path, headers.get("Content-Type"), payload,
+                    response.getheader("Content-Type"),
+                ))
+                return response, raw
+
+            client._transport = recording
+            values = np.arange(N, dtype=np.float32)
+            a = client.upload(values)
+            client.write(a, values)
+            out = client.read(a, np.float32, N)
+            assert out.flags.writeable and np.array_equal(out, values)
+            octets = "application/octet-stream"
+            assert [entry[:2] for entry in sent[:2]] == [
+                ("/v1/upload", octets), ("/v1/write", octets)
+            ]
+            assert sent[0][2] == sent[1][2] == values.tobytes()
+            assert sent[2][0] == "/v1/read" and sent[2][3] == octets
+            assert b'"data"' not in sent[2][2]
+            c = client.malloc(4 * N)
+            del sent[:]
+            client.run("vecAdd", 1, N, [
+                {"allocation": a}, {"allocation": a}, {"allocation": c}, N
+            ])
+            assert [entry[0] for entry in sent] == ["/v1/run"]
+
+            def reset(method, path, payload, headers):
+                sent.append(path)
+                raise ConnectionResetError("injected reset")
+
+            client._transport = reset
+            del sent[:]
+            with pytest.raises(ConnectionResetError):
+                client.run("vecAdd", 1, N, [])
+            assert sent == ["/v1/run"]  # a run mutates: never resent
+
+
+class TestOldClient:
+    """A client that speaks only the JSON forms keeps working, and sees
+    the bytes and payloads the raw-bytes client sees."""
+
+    def test_json_only_client_against_the_new_server(self, server):
+        rng = np.random.default_rng(0)
+        values = rng.random(N, dtype=np.float32)
+        with _JsonOnlyClient(server, "legacy") as old, ServeClient(
+            server.host, server.port, "legacy"
+        ) as new:
+            a, b = old.upload(values), new.upload(values)
+            for buffer in (a, b):
+                for client in (old, new):
+                    out = client.read(buffer, np.float32, N)
+                    assert out.tobytes() == values.tobytes()
+            c = new.malloc(4 * N)
+            args = [{"allocation": a}, {"allocation": b},
+                    {"allocation": c}, N]
+            assert old.run("vecAdd", 1, N, args) == new.run(
+                "vecAdd", 1, N, args
+            )
+            assert (
+                old.read(c, np.float32, N).tobytes()
+                == new.read(c, np.float32, N).tobytes()
+                == (values + values).tobytes()
+            )
+            old.write(c, values * 3)
+            assert new.read(c, np.float32, N).tobytes() == (
+                values * 3
+            ).tobytes()
+            for dtype in (np.bool_, np.uint8, np.int32, np.float64):
+                typed = (rng.random(N) * 100).astype(dtype)
+                for writer, reader in ((old, new), (new, old)):
+                    buffer = writer.upload(typed)
+                    assert reader.read(buffer, dtype, N).tobytes() == (
+                        typed.tobytes()
+                    )
+
+    def test_a_raw_write_replays_after_a_worker_loss(self):
+        """A durable tenant's journal keeps a raw-bytes write: after a
+        worker loss the JSON path reads back the same bytes."""
+        pool = DevicePool(workers=1, modules=[VECADD_PTX])
+        pool.ready(timeout=300.0)
+        server = KernelServer(pool, port=0, durability="journal")
+        server.start_background()
+        values = np.random.default_rng(1).random(N, dtype=np.float32)
+        try:
+            with _JsonOnlyClient(server, "journaled") as old, ServeClient(
+                server.host, server.port, "journaled"
+            ) as new:
+                buffer = new.malloc(values.nbytes)
+                new.write(buffer, values)
+                pool._workers[0].process.kill()
+                out = old.read(buffer, np.float32, N)
+                assert out.tobytes() == values.tobytes()
+                assert new.stats()["tenants"]["journaled"]["restores"] == 1
+        finally:
+            server.shutdown(drain=False)
 
 
 class TestServeFaultIsolation:
