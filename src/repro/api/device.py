@@ -41,7 +41,9 @@ from ..runtime.config import (
     apply_meld_env,
 )
 from ..sanitizer.core import KernelSanitizer, apply_sanitize_env
-from ..runtime.launcher import KernelLauncher, LaunchResult
+from ..runtime.launcher import (
+    Dim, KernelLauncher, LaunchResult, _normalize_dim,
+)
 from ..runtime.translation_cache import TranslationCache
 
 _PACK_FORMATS = {
@@ -60,45 +62,6 @@ _PACK_FORMATS = {
     DataType.b32: "<I",
     DataType.b64: "<Q",
 }
-
-Dim = Union[int, Tuple[int, ...]]
-
-
-def _normalize_dim(value: Dim, which: str = "dim") -> Tuple[int, int, int]:
-    """Normalize a launch dimension to exactly three components.
-
-    Accepts an int (``n`` -> ``(n, 1, 1)``) or a sequence of up to
-    three components, which is padded with 1s. More than three
-    dimensions, a component that is not an ``int`` or a numpy integer
-    (a bool, a float or a character of a string) or a non-positive one
-    is a :class:`LaunchError` naming the offending axis — truncating
-    or splitting would launch a different grid than the caller asked
-    for."""
-    try:
-        dims = tuple(value)
-    except TypeError:
-        dims = (value,)
-    if len(dims) > 3:
-        raise LaunchError(
-            f"{which} has {len(dims)} dimensions {dims}; "
-            f"launch dimensions are at most 3-D (x, y, z)"
-        )
-    dims += (1,) * (3 - len(dims))
-    for axis, component in zip("xyz", dims):
-        if isinstance(component, bool) or not isinstance(
-            component, (int, np.integer)
-        ):
-            raise LaunchError(
-                f"{which}.{axis} must be an int, got {component!r} "
-                f"(in {which}={value!r})"
-            )
-        if component < 1:
-            raise LaunchError(
-                f"{which}.{axis} must be >= 1, got {component} "
-                f"(in {which}={value!r})"
-            )
-    return tuple(int(component) for component in dims)
-
 
 class Device:
     """A simulated vector-processor device with a CUDA-like runtime."""
@@ -247,8 +210,8 @@ class Device:
         A previous launch's contained fault is sticky: launching again
         before :meth:`reset` re-raises a LaunchError naming it.
         """
-        grid = _normalize_dim(grid, "grid")
-        block = _normalize_dim(block, "block")
+        grid = _normalize_dim("grid", grid)
+        block = _normalize_dim("block", block)
         with self._launch_lock:
             if self.last_error is not None:
                 raise LaunchError(
