@@ -107,6 +107,9 @@ class Device:
             self.config,
         )
         self.modules: List[Module] = []
+        #: Each source registered (its text, or a Module's identity) ->
+        #: its module and that module's variable addresses.
+        self._registered: Dict[object, Tuple[Module, Dict[str, int]]] = {}
         self._allocations: List[Allocation] = []
         #: Serializes kernel execution: callers launching from several
         #: threads take turns, so the single simulated machine never
@@ -122,17 +125,21 @@ class Device:
     # -- module management ---------------------------------------------------
 
     def register_module(self, source: Union[str, Module]) -> Module:
-        """Register a PTX module (text or already-parsed). Parsing and
-        validation are eager (§3); translation is lazy."""
-        if isinstance(source, str):
-            module = parse(source)
-        else:
-            module = source
-        validate_module(module)
-        global_symbols = self._materialize_module_variables(module)
-        self.cache.register_module(module, global_symbols)
-        self.modules.append(module)
-        return module
+        """Register a PTX module (text or already-parsed). The first
+        registration of a source parses and validates it (§3) and
+        allocates its .global/.const variables; a later one re-binds
+        its kernels to that module and those variables. Translation is
+        lazy."""
+        key = source if isinstance(source, str) else id(source)
+        held = self._registered.get(key)
+        if held is None:
+            module = parse(source) if isinstance(source, str) else source
+            validate_module(module)
+            held = (module, self._materialize_module_variables(module))
+            self._registered[key] = self._registered[id(module)] = held
+            self.modules.append(module)
+        self.cache.register_module(*held)
+        return held[0]
 
     def _materialize_module_variables(
         self, module: Module

@@ -12,7 +12,7 @@ ROADMAP item. Design points:
 
 - **Content addressing.** The file name is the specialization digest
   computed by :class:`~repro.runtime.translation_cache.TranslationCache`
-  (kernel PTX body + referenced global symbols + ``ExecutionConfig.
+  (kernel PTX body + its module's global symbols + ``ExecutionConfig.
   cache_key()`` + warp size + machine descriptor), so stores shared by
   several devices/configs can never exchange incompatible code.
 - **Versioning.** Every payload carries ``SCHEMA_VERSION``; entries

@@ -348,13 +348,10 @@ class _Worker:
         self._machine = machine
         self._memory_size = memory_size
         self._warm = warm
-        #: Module-registration journal: every *distinct* source ever
-        #: registered on this slot (pool-wide and tenant-private),
-        #: replayed into a respawned worker so it comes back warm and
-        #: complete. Deduplicated (the keys of an ordered dict) —
-        #: re-registering the same source is idempotent worker-side,
-        #: so replay stays O(unique modules) no matter how many times
-        #: tenants re-register.
+        #: Module-registration journal: every distinct source ever
+        #: registered on this slot (pool-wide or by a tenant), replayed
+        #: into a respawned worker. A Device re-binds a source it holds
+        #: (no parse, no allocation), so each is journaled once.
         self.journal: Dict[str, None] = dict.fromkeys(modules)
         self.state = "starting"
         self.epoch = 0
@@ -1056,10 +1053,10 @@ class TenantSession:
     # -- memory & modules -------------------------------------------------
 
     def register_module(self, source: str) -> List[str]:
-        """Register a tenant-private module on this tenant's worker
-        (pool.register_module broadcasts to every worker instead). The
-        worker slot journals it, not the session: a respawned worker
-        re-registers it, whatever the session's durability."""
+        """Register a module on this tenant's worker. Kernel names are
+        the worker's, not the tenant's: the last registration of a name
+        binds it for every tenant there. The slot journals the source,
+        whatever the session's durability."""
         _, source = self._entry("register", (source,))
         return self._run(lambda worker: worker.register(source))
 
@@ -1727,10 +1724,7 @@ class DevicePool:
             dispatcher.join(timeout=10)
         # Fail whatever never got dispatched.
         for queue_ in self._queues:
-            while True:
-                entry = queue_.pop()
-                if entry is None:
-                    break
+            while (entry := queue_.pop()) is not None:
                 tenant, job = entry
                 self._sessions[tenant]._fail(
                     job, LaunchError("device pool was shut down")
@@ -1752,12 +1746,21 @@ class DevicePool:
         return len(self._workers)
 
     def register_module(self, source: str) -> List[str]:
-        """Register a module on every worker (pool-wide kernels).
-        Journaled per worker: respawned workers re-register it."""
-        kernels: List[str] = []
+        """Register a module on every worker (pool-wide kernels). Once
+        any worker took it, every slot journals it, so a lost worker's
+        respawn registers it; raises only when no worker took it."""
+        taken = []
         for worker in self._workers:
-            kernels = worker.register(source)
-        return kernels
+            try:
+                taken.append(worker.register(source))
+            except LaunchError as error:
+                refusal = error
+        if not taken:
+            raise refusal
+        for worker in self._workers:
+            with worker.lock:
+                worker.journal[source] = None
+        return taken[0]
 
     def ready(self, timeout: Optional[float] = None) -> None:
         """Block until every worker process has finished starting up
@@ -1894,15 +1897,12 @@ class DevicePool:
         condition = self._conditions[worker.index]
         while True:
             with condition:
-                entry = queue_.pop()
-                while entry is None:
+                while (entry := queue_.pop()) is None:
                     if self.state == "closed":
                         return
                     condition.wait(0.5)
-                    entry = queue_.pop()
             tenant, job = entry
-            session = self._sessions[tenant]
-            self._dispatch_job(worker, session, job)
+            self._dispatch_job(worker, self._sessions[tenant], job)
 
     def synchronize(self) -> None:
         """Block until every tenant's submitted launches completed."""

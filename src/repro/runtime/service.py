@@ -14,7 +14,7 @@ Endpoints:
 path             verb  action
 ===============  ====  ====================================================
 ``/v1/session``  POST  create/fetch a tenant session (weight, quotas)
-``/v1/register`` POST  register a PTX module (tenant-private)
+``/v1/register`` POST  register a PTX module on the tenant's worker
 ``/v1/malloc``   POST  allocate ``size`` bytes → allocation id
 ``/v1/upload``   POST  allocate + write ``data`` of ``dtype``
 ``/v1/write``    POST  overwrite an allocation with ``data``

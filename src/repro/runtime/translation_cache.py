@@ -11,15 +11,14 @@ Beyond the paper's in-memory memoization the cache is:
 
 - **Content-addressed.** Every specialization is identified by a
   SHA-256 digest over the kernel's PTX body, the arena addresses of
-  the module-scope symbols it references, ``ExecutionConfig.
+  its own module's .global/.const symbols, ``ExecutionConfig.
   cache_key()``, the warp size, and the machine descriptor. Distinct
   configs/devices can therefore share one persistent store without
   ever exchanging incompatible code.
-- **Precisely invalidated.** Re-registering a kernel whose body or
-  referenced global symbols changed bumps its *generation* and drops
-  the stale scalar IR and specializations; re-registering identical
-  content keeps everything. :meth:`invalidate` forces the same drop
-  explicitly.
+- **Precisely invalidated.** Binding a kernel name to another
+  module's body or symbols bumps its *generation* and drops the stale
+  scalar IR and specializations; re-binding the same content keeps
+  everything. :meth:`invalidate` forces the same drop explicitly.
 - **Optionally persistent.** With a :class:`~repro.runtime.cache_store.
   CacheStore` attached, misses consult the disk tier (pickled
   vectorized IR) before compiling, and fresh compilations are written
@@ -33,11 +32,10 @@ Beyond the paper's in-memory memoization the cache is:
 from __future__ import annotations
 
 import hashlib
-import re
 from bisect import bisect_right
 import time
 from dataclasses import astuple, dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..counting import added, added_by_key, counted, latest_by_key, render
 from ..errors import TranslationCacheError
@@ -71,7 +69,7 @@ class CacheStatistics:
     #: in-memory specialization misses (before the disk tier is tried)
     misses: int = added()
     #: cached artifacts (scalar IR or specializations) dropped by
-    #: invalidation (re-registration, symbol updates, or explicit)
+    #: invalidation (re-binding to other content, or explicit)
     invalidations: int = added()
     #: specializations loaded from the persistent tier
     disk_hits: int = added()
@@ -143,11 +141,9 @@ class TranslationCache:
             config
         )
         self._kernels: Dict[str, Kernel] = {}
-        self._global_symbols: Dict[str, int] = {}
-        #: Rendered PTX body per kernel (fingerprint + symbol-reference
-        #: scanning input).
-        self._kernel_text: Dict[str, str] = {}
-        #: Content fingerprint per kernel: PTX body + referenced
+        #: Per kernel, its module's global-symbol addresses.
+        self._symbols: Dict[str, Dict[str, int]] = {}
+        #: Content fingerprint per kernel: PTX body + its module's
         #: global-symbol addresses.
         self._fingerprints: Dict[str, str] = {}
         #: Monotonic generation per kernel, bumped by every
@@ -185,78 +181,33 @@ class TranslationCache:
     def register_module(
         self, module: Module, global_symbols: Optional[Dict[str, int]] = None
     ) -> None:
-        """Add a module's kernels. ``global_symbols`` maps module-scope
-        .global/.const variable names to arena addresses (assigned by
-        the device at registration).
+        """Bind a module's kernels to ``global_symbols``: the arena
+        addresses of that module's own .global/.const variables
+        (assigned by the device when it first registered the module).
 
-        Re-registering a kernel whose content changed — or updating the
-        address of a global symbol an already-registered kernel
-        references — invalidates the affected scalar IR and
-        specializations so stale code is never served.
+        A kernel name bound before to other content — another body, or
+        another module's symbols — is invalidated, so stale code is
+        never served.
         """
         self._validated.clear()
-        changed_symbols = set()
-        if global_symbols:
-            for name, address in global_symbols.items():
-                if self._global_symbols.get(name) != address:
-                    changed_symbols.add(name)
-            self._global_symbols.update(global_symbols)
-        if changed_symbols:
-            for kernel_name in list(self._kernel_text):
-                if kernel_name in module.kernels:
-                    continue  # refreshed below anyway
-                if self._references_any(
-                    self._kernel_text[kernel_name], changed_symbols
-                ):
-                    self._refresh_fingerprint(kernel_name)
-        for kernel in module.kernels.values():
-            self._register_kernel(kernel)
-
-    def _register_kernel(self, kernel: Kernel) -> None:
-        name = kernel.name
-        text = str(kernel)
-        fingerprint = self._fingerprint_of(text)
-        previous = self._fingerprints.get(name)
-        if previous is not None and previous != fingerprint:
-            self.invalidate(name)
-        self._kernels[name] = kernel
-        self._kernel_text[name] = text
-        self._fingerprints[name] = fingerprint
-        self._generations.setdefault(name, 1)
-
-    def _refresh_fingerprint(self, kernel_name: str) -> None:
-        """Recompute a kernel's fingerprint after a global-symbol
-        change, invalidating its cached code when it differs."""
-        fingerprint = self._fingerprint_of(self._kernel_text[kernel_name])
-        if self._fingerprints.get(kernel_name) != fingerprint:
-            self.invalidate(kernel_name)
-            self._fingerprints[kernel_name] = fingerprint
+        symbols = dict(global_symbols or {})
+        table = repr(sorted(symbols.items()))
+        for name, kernel in module.kernels.items():
+            material = f"{kernel}|{table}"
+            fingerprint = hashlib.sha256(material.encode()).hexdigest()
+            previous = self._fingerprints.get(name)
+            if previous is not None and previous != fingerprint:
+                self.invalidate(name)
+            self._kernels[name] = kernel
+            self._symbols[name] = symbols
+            self._fingerprints[name] = fingerprint
+            self._generations.setdefault(name, 1)
 
     # -- fingerprints / digests ---------------------------------------------
 
-    @staticmethod
-    def _references_any(text: str, names: Iterable[str]) -> bool:
-        return any(
-            re.search(rf"\b{re.escape(name)}\b", text) for name in names
-        )
-
-    def _referenced_symbols(self, text: str) -> List[Tuple[str, int]]:
-        """(name, address) of the registered global symbols the kernel
-        body mentions — only these make it into the fingerprint, so an
-        unrelated symbol update cannot invalidate this kernel."""
-        return sorted(
-            (name, address)
-            for name, address in self._global_symbols.items()
-            if re.search(rf"\b{re.escape(name)}\b", text)
-        )
-
-    def _fingerprint_of(self, text: str) -> str:
-        material = text + "|" + repr(self._referenced_symbols(text))
-        return hashlib.sha256(material.encode()).hexdigest()
-
     def fingerprint(self, kernel_name: str) -> str:
         """Content fingerprint of a registered kernel (PTX body plus
-        referenced global-symbol addresses)."""
+        its module's global-symbol addresses)."""
         self.kernel(kernel_name)
         return self._fingerprints[kernel_name]
 
@@ -338,7 +289,7 @@ class TranslationCache:
         kernel = self.kernel(kernel_name)
         start = time.perf_counter()
         translated = translate_kernel(
-            kernel, global_symbols=self._global_symbols
+            kernel, global_symbols=self._symbols[kernel_name]
         )
         self.statistics.record_stage("translate", time.perf_counter() - start)
         # Scalar-stage transform (control-flow melding): must happen

@@ -196,6 +196,30 @@ DONE:
 """
 
 
+def scale_reader_ptx(kernel: str, scale: float) -> str:
+    """A module with its own ``.global .f32 scale`` initialized to
+    ``scale``, and a kernel that stores it to ``dst[tid.x]``."""
+    return f"""
+.version 2.3
+.target sim
+.global .f32 scale = {scale};
+.entry {kernel} (.param .u64 dst)
+{{
+  .reg .u32 %r<2>;
+  .reg .u64 %rd<4>;
+  .reg .f32 %f<2>;
+  mov.u32 %r1, %tid.x;
+  mov.u64 %rd1, scale;
+  ld.global.f32 %f1, [%rd1];
+  mul.wide.u32 %rd2, %r1, 4;
+  ld.param.u64 %rd3, [dst];
+  add.u64 %rd3, %rd3, %rd2;
+  st.global.f32 [%rd3], %f1;
+  exit;
+}}
+"""
+
+
 def collatz_steps(value: int) -> int:
     steps = 0
     while value > 1:

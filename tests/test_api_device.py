@@ -67,9 +67,9 @@ class TestModuleRegistration:
             ".entry k () { exit; }"
         )
         device.register_module(source)
-        # initializer written into the arena
-        symbols = device.cache._global_symbols
-        address = symbols["lut"]
+        # initializer written into the arena, at the address in the
+        # module's own table
+        address = device._registered[source][1]["lut"]
         values = device.memory.read_array(address, np.float32, 2)
         assert list(values) == [1.5, 2.5]
 

@@ -9,7 +9,7 @@ import pytest
 from repro import DevicePool, KernelTrap, QuotaExceeded, format_trap
 from repro.errors import LaunchError
 from repro.runtime.pool import WeightedFairQueue
-from tests.conftest import VECADD_PTX
+from tests.conftest import VECADD_PTX, scale_reader_ptx
 
 N = 8
 
@@ -430,6 +430,27 @@ class TestFaultIsolation:
         assert chaos.stats.failed == 4
         assert chaos.stats.completed == 0
         chaos.reset()
+
+    def test_a_cotenants_module_does_not_retarget_a_kernel(self):
+        """Two tenants of one worker register modules that each declare
+        ``scale``: the second never points the first's kernel at its
+        own, and registering the first text again adds no module and
+        drops no code."""
+        alice_ptx = scale_reader_ptx("readA", 3.0)
+        with DevicePool(workers=1) as pool:
+            alice, bob = pool.session("alice"), pool.session("bob")
+            alice.register_module(alice_ptx)
+            out = alice.malloc(4 * N)
+            alice.launch("readA", 1, N, [out])
+            bob.register_module(scale_reader_ptx("readB", 7.0))
+            alice.launch("readA", 1, N, [out])
+            assert list(alice.read(out, np.float32, N)) == [3.0] * N
+            for _ in range(3):
+                alice.register_module(alice_ptx)
+            alice.launch("readA", 1, N, [out])
+            report = pool.worker_reports()[0]
+            assert "modules=2 " in report
+            assert "invalidations=0 " in report
 
 
 class TestWarmStart:

@@ -413,6 +413,28 @@ class TestOneWayThroughALoss:
             assert not durable._parked
 
 
+class TestPoolWideRegistration:
+    def test_a_lost_worker_does_not_stop_a_registration(self):
+        """Worker 0 is dead when a pool-wide module arrives: worker 1
+        still takes it, and both slots journal it, so a respawn of
+        worker 0 registers it too. A source no worker takes is an
+        error, journaled nowhere."""
+        with DevicePool(workers=2, supervise=False) as pool:
+            pool.ready(timeout=300.0)
+            process = pool._workers[0].process
+            process.kill()
+            process.join(30.0)
+            assert pool.register_module(NOOP_PTX) == ["poolNoop"]
+            journals = [list(worker.journal) for worker in pool._workers]
+            assert journals == [[NOOP_PTX], [NOOP_PTX]]
+            session = pool.session("survivor", worker=1)
+            session.launch("poolNoop", 1, N, [N])
+            bad = ".version 2.3\n.target sim\n.entry k () {\n  bogus;\n}"
+            with pytest.raises(LaunchError, match="unknown opcode"):
+                pool.register_module(bad)
+            assert all(bad not in worker.journal for worker in pool._workers)
+
+
 class TestDeadlines:
     def test_queued_launch_expires_before_dispatch(self):
         """A wedged worker holds the queue; a deadline-bearing launch

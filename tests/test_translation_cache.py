@@ -1,5 +1,5 @@
 """Translation-cache subsystem tests: content-addressed keys, precise
-invalidation (re-registration + global-symbol updates), the persistent
+invalidation (re-binding a kernel name to other content), the persistent
 disk tier (config isolation, corruption recovery, eviction,
 cold-process reuse), warm-up, observability, and the execution-manager
 memory fixes (slab reuse, live-region zeroing)."""
@@ -19,7 +19,7 @@ from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import TranslationCacheError
 from repro.runtime.cache_store import SCHEMA_VERSION, CacheStore
 from repro.transforms.vectorize import assign_spill_slots
-from tests.conftest import VECADD_PTX
+from tests.conftest import VECADD_PTX, scale_reader_ptx
 
 #: vecAdd with the add replaced by a multiply — same name, same
 #: signature, different behaviour. The staleness regression swaps
@@ -59,6 +59,17 @@ DONE:
   exit;
 }
 """
+
+#: The same module with one more variable ahead of ``scale``: a
+#: different source, so registering it allocates ``scale`` anew.
+MOVED_SCALE_PTX = GLOBAL_SCALE_PTX.replace(
+    ".global .f32 scale;", ".global .f32 bias;\n.global .f32 scale;"
+)
+
+
+def _symbol(device, source, name):
+    """``name``'s address in the table of the module ``source`` made."""
+    return device._registered[source][1][name]
 
 
 def _isolated_config(**overrides) -> ExecutionConfig:
@@ -165,7 +176,7 @@ class TestStalenessInvalidation:
     def test_global_symbol_update_invalidates_referencing_kernel(self):
         device = Device(config=vectorized_config(4))
         device.register_module(GLOBAL_SCALE_PTX)
-        first_address = device.cache._global_symbols["scale"]
+        first_address = _symbol(device, GLOBAL_SCALE_PTX, "scale")
         device.memory.write_array(
             first_address, np.array([3.0], dtype=np.float32)
         )
@@ -176,11 +187,11 @@ class TestStalenessInvalidation:
             "scaled", grid=(1, 1, 1), block=(n, 1, 1), args=[src, dst, n]
         )
         assert np.allclose(dst.read(np.float32, n), 3.0)
-        # Re-registering the module materializes `scale` at a new
-        # address: the translated IR baked in the old one, so cached
-        # code must be invalidated.
-        device.register_module(GLOBAL_SCALE_PTX)
-        second_address = device.cache._global_symbols["scale"]
+        # Re-binding `scaled` from another source binds it to that
+        # module's `scale`, at a new address: the translated IR baked
+        # in the old one, so cached code must be invalidated.
+        device.register_module(MOVED_SCALE_PTX)
+        second_address = _symbol(device, MOVED_SCALE_PTX, "scale")
         assert second_address != first_address
         assert device.cache.generation("scaled") == 2
         device.memory.write_array(
@@ -192,6 +203,50 @@ class TestStalenessInvalidation:
         assert np.allclose(dst.read(np.float32, n), 5.0), (
             "scalar IR kept the stale global-symbol address"
         )
+
+    def test_repeat_registration_only_rebinds(self):
+        # A source is parsed, validated and allocated once: registering
+        # it again neither moves its variables nor drops its code.
+        source = GLOBAL_SCALE_PTX.replace(
+            ".global .f32 scale;",
+            ".global .b8 pad[1024];\n.global .f32 scale;",
+        )
+        device = Device(config=vectorized_config(4))
+
+        def state():
+            device.register_module(source)
+            device.warm("scaled")
+            return (
+                len(device.modules),
+                _symbol(device, source, "scale"),
+                device.cache.generation("scaled"),
+                device.cache.statistics.translations,
+                device.memory.bytes_allocated,
+            )
+
+        first = state()
+        assert [state() for _ in range(3)] == [first] * 3
+
+    def test_another_modules_symbol_does_not_retarget_a_kernel(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(scale_reader_ptx("readA", 3.0))
+        out = device.malloc(16)
+        device.launch("readA", 1, 4, [out])
+        assert list(out.read(np.float32, 4)) == [3.0] * 4
+        device.register_module(scale_reader_ptx("readB", 7.0))
+        device.launch("readA", 1, 4, [out])
+        assert list(out.read(np.float32, 4)) == [3.0] * 4
+        assert device.cache.generation("readA") == 1
+        device.launch("readB", 1, 4, [out])
+        assert list(out.read(np.float32, 4)) == [7.0] * 4
+
+    def test_a_parsed_module_is_held_by_identity(self):
+        device = Device(config=vectorized_config(4))
+        module = device.register_module(GLOBAL_SCALE_PTX)
+        allocated = device.memory.bytes_allocated
+        assert device.register_module(module) is module
+        assert device.modules == [module]
+        assert device.memory.bytes_allocated == allocated
 
     def test_unrelated_symbol_update_does_not_invalidate(self):
         device = Device(config=vectorized_config(4))
@@ -262,7 +317,7 @@ class TestScalarAnalyses:
         scalar = device.cache.scalar_ir("scaled")
         device.warm("scaled")
         assert seen[0][1].function is scalar
-        device.register_module(GLOBAL_SCALE_PTX)  # `scale` moves
+        device.register_module(MOVED_SCALE_PTX)  # `scale` moves
         assert device.cache.generation("scaled") == 2
         device.warm("scaled")
         assert seen[3][1] is not seen[0][1]
@@ -479,7 +534,7 @@ class TestColdProcessReuse:
         """
         import numpy as np
         from repro import Device, vectorized_config
-        from tests.conftest import VECADD_PTX
+        from tests.conftest import VECADD_PTX, scale_reader_ptx
 
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
