@@ -8,6 +8,8 @@ scheduler block.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..errors import IRVerificationError
@@ -140,7 +142,11 @@ class IRFunction:
             yield from block.all_instructions()
 
     def instruction_count(self) -> int:
-        return sum(len(block) for block in self.ordered_blocks())
+        """Static instructions, a spill or restore as its lane moves."""
+        blocks, ws = self.ordered_blocks(), self.warp_size
+        body = chain.from_iterable(block.instructions for block in blocks)
+        moves = filter(attrgetter("moves"), body)
+        return sum(map(len, blocks)) + sum(sum(i.moves(ws)) - 1 for i in moves)
 
     def registers(self) -> List[VirtualRegister]:
         seen = {}

@@ -69,6 +69,8 @@ class IRInstruction:
     __slots__ = ()
 
     is_terminator = False
+    #: Yield machinery (Fig. 9's overhead bucket), set by the vectorizer.
+    overhead = False
 
     #: Names of the fields that hold read values, in ``uses()`` order.
     #: A field typed ``List[...]`` (last, if any) contributes all its
@@ -93,6 +95,10 @@ class IRInstruction:
         Two instructions with equal signatures differ only in where
         they read and write."""
         raise NotImplementedError
+
+    #: ``moves(warp_size)`` of a whole-register spill or restore: the
+    #: (local accesses, shuffles) it stands for; None for the others.
+    moves = None
 
 
 def _instruction(cls):
@@ -422,6 +428,73 @@ class AtomicRMW(IRInstruction):
             f"{dst}atomic.{self.op}.{self.space.value}.{self.dtype.value} "
             f"[{self.base}+{self.offset}], {self.value} lane={self.lane}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Whole-register moves of the yield handlers (Algorithms 3 and 4): each
+# lane's value goes to or comes from its own thread's spill ``slot``, a
+# constant offset into local memory.
+# ---------------------------------------------------------------------------
+
+
+@_instruction
+class Restore(IRInstruction):
+    """Lane i of ``dst`` is loaded from lane i's spill slot: ``w`` local
+    loads and ``w`` insertelements, or one lane-0 load for a width-1
+    register."""
+
+    dtype: DataType
+    dst: VirtualRegister
+    slot: object
+
+    OPERANDS = ("slot",)
+
+    def moves(self, warp_size):
+        width = self.dst.width
+        return width, width if width > 1 else 0
+
+    def lanes(self, warp_size) -> List[Load]:
+        """The scalar loads it stands for, lane k's from its own slot."""
+        return [
+            Load(self.dtype, self.dst, AddressSpace.local, self.slot, lane=k)
+            for k in range(self.dst.width)
+        ]
+
+    def __str__(self):
+        return f"{self.dst} = restore.{self.dtype.value} [{self.slot}]"
+
+
+@_instruction
+class Spill(IRInstruction):
+    """Lane i's slot gets lane i of ``values``: one vector register
+    (``w`` extractelements and ``w`` local stores), one width-1 register
+    (stored to every lane) or the ``w`` lane scalars the block holds."""
+
+    dtype: DataType
+    slot: object
+    values: List[object] = field(default_factory=list)
+
+    dst = None
+
+    OPERANDS = ("slot", "values")
+
+    def moves(self, warp_size):
+        first, *rest = self.values
+        return warp_size, 0 if rest or first.width == 1 else warp_size
+
+    def lanes(self, warp_size) -> List[Store]:
+        """The scalar stores it stands for, lane k's value (a vector's
+        lane k) to its own slot."""
+        values = self.values
+        return [
+            Store(self.dtype, AddressSpace.local, self.slot,
+                  values[k % len(values)], lane=k)
+            for k in range(warp_size)
+        ]
+
+    def __str__(self):
+        values = ", ".join(str(value) for value in self.values)
+        return f"spill.{self.dtype.value} [{self.slot}], {values}"
 
 
 # ---------------------------------------------------------------------------

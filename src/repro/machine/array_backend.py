@@ -221,7 +221,7 @@ class _BatchPrinter(_BlockEmitter):
         if self.rank == _LANE and register.width == 1:
             raise _Unsupported("a per-lane value in a scalar register")
         super().define(register, expression, dtype, exact, vector)
-        self.ranks[self.slots[register.name]] = self.rank
+        self.ranks[self.slots[register.name]] = _LANE if vector else self.rank
 
     def array_of(self, inst, *operands) -> bool:
         return self.rank > _UNIFORM and self.rank == max(
@@ -342,10 +342,10 @@ class _BatchPrinter(_BlockEmitter):
 
     guest_load = _BlockEmitter.inline_load
 
-    def store(self, inst) -> None:
-        if self.rank_of(inst.value) == _LANE:
+    def store(self, inst, value=None, exact=False) -> None:
+        if value is None and self.rank_of(inst.value) == _LANE:
             raise _Unsupported("a vector operand of a scalar store")
-        super().store(inst)
+        super().store(inst, value, exact)
 
     def guest_store(self, inst, value: str, exact: bool) -> None:
         # Duplicate addresses resolve to the highest index (numpy fancy
@@ -395,21 +395,15 @@ class _BatchPrinter(_BlockEmitter):
         self.rank = _LANE
         super().insert(inst)
 
-    def extract(self, inst: ExtractElement) -> None:
-        vector, rank = self.raw(inst.src), self.rank_of(inst.src)
-        # A vector register holding one value per warp (or one for
-        # all) has that value in every lane.
-        self.rank = min(rank, _WARP)
-        if rank == _LANE and self.spilled(inst):
-            return
-        self.define(
-            inst.dst,
-            self.lane(vector, inst.index) if rank == _LANE else vector,
-            *self.known.get(self.slot(inst.src), (None, False)),
-        )
+    def element(self, value, index: int) -> str:
+        # A per-warp (or uniform) value in a vector register is every lane's.
+        vector, rank = self.raw(value), self.rank_of(value)
+        return self.lane(vector, index) if rank == _LANE else vector
 
-    def converted_lanes(self, value, code: str) -> str:
-        return f"{self.raw(value)}.astype(W_{code}, copy=False)"
+    def extract(self, inst: ExtractElement) -> None:
+        self.rank = min(self.rank_of(inst.src), _WARP)
+        known = self.known.get(self.slot(inst.src), (None, False))
+        self.define(inst.dst, self.element(inst.src, inst.index), *known)
 
     def broadcast(self, inst: Broadcast) -> None:
         wanted = inst.dst.dtype.numpy_dtype

@@ -37,7 +37,9 @@ from ..ir.instructions import (
     Intrinsic,
     Load,
     Reduce,
+    Restore,
     Select,
+    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -86,10 +88,12 @@ def vector_register_pressure(
 
 @dataclass
 class InstructionCost:
-    """Static cycles and floating-point work of one instruction."""
+    """Static cycles, floating-point work and instruction count of one
+    instruction (a spill or restore counts its lane operations)."""
 
     cycles: int
     flops: int = 0
+    instructions: int = 1
 
 
 @dataclass
@@ -102,13 +106,14 @@ class FunctionCostTable:
     pressure: int
     spilling: bool
     machine: MachineDescription
+    warp_size: int = 1
     costs: Dict[int, InstructionCost] = field(default_factory=dict)
 
     def cost_of(self, instruction) -> InstructionCost:
         cost = self.costs.get(id(instruction))
         if cost is None:
             cost = self.costs[id(instruction)] = _instruction_cost(
-                instruction, self.machine, self.spilling
+                instruction, self.machine, self.spilling, self.warp_size
             )
         return cost
 
@@ -137,18 +142,19 @@ def aggregate_block_cost(
     block, table: FunctionCostTable
 ) -> ExecutionStats:
     """Fold ``table``'s per-instruction charges over ``block``."""
-    total = ExecutionStats(instructions=len(block.instructions) + 1)
+    total = ExecutionStats(instructions=1)
     for instruction in block.instructions:
         cost = table.cost_of(instruction)
-        if getattr(instruction, "overhead", False):
+        if instruction.overhead:
             total.yield_cycles += cost.cycles
         else:
             total.kernel_cycles += cost.cycles
         total.flops += cost.flops
+        total.instructions += cost.instructions
     terminator = block.terminator
     if terminator is not None:
         cost = table.cost_of(terminator)
-        if getattr(terminator, "overhead", False):
+        if terminator.overhead:
             total.yield_cycles += cost.cycles
         else:
             total.kernel_cycles += cost.cycles
@@ -179,6 +185,7 @@ def build_cost_table(
         pressure=pressure,
         spilling=pressure > machine.vector_registers,
         machine=machine,
+        warp_size=function.warp_size,
     )
 
 
@@ -214,7 +221,7 @@ def divergence_penalty(
 
 
 def _instruction_cost(
-    instruction, machine: MachineDescription, spilling: bool
+    instruction, machine: MachineDescription, spilling: bool, warp_size=1
 ) -> InstructionCost:
     width = _width_of(instruction)
     chunks = machine.vector_chunks(width)
@@ -251,6 +258,11 @@ def _instruction_cost(
         if instruction.space is AddressSpace.local:
             return InstructionCost(cycles=machine.local_memory_cost)
         return InstructionCost(cycles=machine.memory_cost)
+    if isinstance(instruction, (Spill, Restore)):  # its lane sequence
+        accesses, shuffles = instruction.moves(warp_size)
+        cycles = accesses * machine.local_memory_cost
+        cycles += shuffles * machine.shuffle_cost
+        return InstructionCost(cycles, instructions=accesses + shuffles)
     if isinstance(instruction, (VectorLoad, VectorStore)):
         # One access per machine-width chunk (movups-style).
         return InstructionCost(cycles=machine.memory_cost * chunks)

@@ -81,8 +81,10 @@ from ..ir.instructions import (
     Intrinsic,
     Load,
     Reduce,
+    Restore,
     ResumeStatus,
     Select,
+    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -1104,8 +1106,7 @@ class _BlockTable(dict):
         if precise:
             terminator = block.terminator
             cycles = executable.cost_table.cost_of(terminator).cycles
-            overhead = getattr(terminator, "overhead", False)
-            charged = (0, cycles, 0) if overhead else (cycles, 0, 0)
+            charged = (0, cycles, 0) if terminator.overhead else (cycles, 0, 0)
         else:
             charged = (cost.kernel_cycles, cost.yield_cycles, cost.flops)
         entry = self[label] = (code, *charged, cost.instructions, precise)
@@ -1539,8 +1540,10 @@ class _BlockEmitter:
         self.emit(f"else: {element} = {value}")
 
     def frame_offset(self, inst) -> Optional[int]:
-        """The offset of a local access at a constant offset the frame
-        proves in bounds and aligned; else None."""
+        """The constant offset of a local access (each lane's, of a spill
+        or restore) that the frame proves in bounds and aligned; else None."""
+        if isinstance(inst, (Spill, Restore)):
+            inst = inst.lanes(1)[0]
         if not (
             isinstance(inst, (Load, Store))
             and inst.space is AddressSpace.local
@@ -1561,25 +1564,51 @@ class _BlockEmitter:
         self.pending[isinstance(inst, Store)] += 1
         return f"({self.segment_base('local', inst.lane)} + {offset})"
 
-    def load(self, inst: Load) -> None:
+    def read(self, inst: Load) -> str:
+        """The expression of what scalar load ``inst`` reads."""
         address = self.framed(inst)
         if address is None:
             self.address(inst)
-            expression = self.guest_load(inst)
-        else:
-            expression = self.inline_load(inst, address)
-        # A load returns exactly its dtype (a predicate, a Python bool).
-        self.define(inst.dst, expression, *self.result(inst.dtype, True))
+            return self.guest_load(inst)
+        return self.inline_load(inst, address)
 
-    def store(self, inst: Store) -> None:
-        value = self.raw(inst.value)
-        exact = self.exactly(inst.value, inst.dtype.numpy_dtype)
+    def load(self, inst: Load) -> None:
+        # A load returns exactly its dtype (a predicate, a Python bool).
+        self.define(inst.dst, self.read(inst), *self.result(inst.dtype, True))
+
+    def store(self, inst: Store, value=None, exact=False) -> None:
+        """Print ``inst``, or a store of expression ``value`` instead."""
+        if value is None:
+            value = self.raw(inst.value)
+            exact = self.exactly(inst.value, inst.dtype.numpy_dtype)
         address = self.framed(inst)
         if address is None:
             self.address(inst)
             self.guest_store(inst, value, exact)
         else:
             self.inline_store(inst, value, exact, address)
+
+    def restore(self, inst: Restore) -> None:
+        """Lane by lane, into one array (a width-1 register: lane 0)."""
+        loads, wanted = inst.lanes(1), inst.dtype.numpy_dtype
+        if len(loads) == 1:
+            return self.load(loads[0])
+        shape, code = self.shape(len(loads)), _code(wanted)
+        self.emit(f"t = np.zeros({shape}, dtype=W_{code})")
+        for load in loads:
+            self.emit(f"{self.lane('t', load.lane)} = {self.read(load)}")
+        self.define(inst.dst, "t", wanted, True, vector=True)
+
+    def spill(self, inst: Spill) -> None:
+        """Lane by lane: a width-1 register, lane scalar or vector lane."""
+        wanted = inst.dtype.numpy_dtype
+        for store in inst.lanes(self.executable.warp_size):
+            value = store.value
+            if value.width == 1:
+                self.store(store)
+                continue
+            lane = f"({self.element(value, store.lane)})"
+            self.store(store, lane, self.exactly(value, wanted))
 
     # -- thread context -------------------------------------------------------
 
@@ -1626,27 +1655,6 @@ class _BlockEmitter:
         self.define(inst.dst, target, wanted, True, vector=True)
         self.fresh.add(self.slots[inst.dst.name])
 
-    def spilled(self, inst: ExtractElement) -> bool:
-        """Print ``inst``, a lane one store (of a spill) converts, from
-        its vector converted once for every lane; False, printing
-        nothing, for any other extract."""
-        reader = self.private.get(self.slots[inst.dst.name])
-        if not (
-            isinstance(reader, Store)
-            and reader.value == inst.dst
-            and not reader.dtype.is_predicate
-            and not self.exactly(inst.src, reader.dtype.numpy_dtype)
-        ):
-            return False
-        wanted, slot = reader.dtype.numpy_dtype, self.slot(inst.src)
-        lanes = self.bind(
-            f"w{slot}_{_code(wanted)}",
-            self.converted_lanes(inst.src, _code(wanted)),
-            slot,
-        )
-        self.define(inst.dst, self.lane(lanes, inst.index), wanted, True)
-        return True
-
     # -- terminators ----------------------------------------------------------
 
     def branch(self, inst: Branch) -> None:
@@ -1673,7 +1681,7 @@ class _WarpPrinter(_BlockEmitter):
         self.access = access
         self.precise = _reads_clock(block)
         #: The chains :meth:`packs` finds, and the slots whose local is
-        #: a Python int: a spilled lane's word, a count, a resume point.
+        #: a Python int: a count, a resume point.
         self.packed = self.packs(block.instructions) if self.private else {}
         self.ints: set = set()
 
@@ -1685,20 +1693,15 @@ class _WarpPrinter(_BlockEmitter):
         if self.precise and not instruction.is_terminator:
             cost = self.executable.cost_table.cost_of(instruction)
             stats = self.bind("stats", "state.stats")
-            bucket = (
-                "yield_cycles"
-                if getattr(instruction, "overhead", False)
-                else "kernel_cycles"
-            )
-            self.emit(f"{stats}.{bucket} += {cost.cycles}")
+            bucket = ("kernel", "yield")[instruction.overhead]
+            self.emit(f"{stats}.{bucket}_cycles += {cost.cycles}")
             if cost.flops:
                 self.emit(f"{stats}.flops += {cost.flops}")
 
     def packs(self, instructions) -> Dict[int, Optional[tuple]]:
         """The full ``insertelement`` chains the vectorizer emits right
-        after the lanes they pack, lane by lane, each a word of the
-        chain's dtype — a framed ``load.local`` (a restore) or a context
-        coordinate — and each lane and link read by the next link only:
+        after the lanes they pack, lane by lane, each an integer context
+        coordinate, and each lane and link read by the next link only:
         per index, None for a lane or a link, the lanes at the last."""
         packed: Dict[int, Optional[tuple]] = {}
         for end, last in enumerate(instructions, 1):
@@ -1706,18 +1709,14 @@ class _WarpPrinter(_BlockEmitter):
             start, wanted = end - 2 * width, getattr(last.dst, "dtype", None)
             lanes = instructions[start:end - width]
             links = instructions[end - width:end]
-            if width and start >= 0 and not wanted.is_predicate and all(
+            if width and start >= 0 and wanted.is_integer and all(
                 isinstance(link, InsertElement) and link.index == k
                 and link.scalar == lane.dst and link.dst.dtype == wanted
                 and link.src == (links[k - 1].dst if k else None)
                 and self.private.get(self.slot(lane.dst)) is link
                 and (not k or self.private.get(self.slot(link.src)) is link)
-                and getattr(lane, "dtype", None) == wanted and (
-                    isinstance(lane, Load)
-                    and self.frame_offset(lane) is not None
-                    or isinstance(lane, ContextRead) and wanted.is_integer
-                    and lane.field_name in _CONTEXT_COORDINATES
-                )
+                and isinstance(lane, ContextRead) and lane.dtype == wanted
+                and lane.field_name in _CONTEXT_COORDINATES
                 for k, (lane, link) in enumerate(zip(lanes, links))
             ):
                 packed.update(dict.fromkeys(range(start, end - 1)))
@@ -1725,8 +1724,8 @@ class _WarpPrinter(_BlockEmitter):
         return packed
 
     def word(self, inst) -> str:
-        """The word a framed access or a context coordinate moves, a
-        Python int (through the arena's unsigned memoryview)."""
+        """The word a framed lane access or a context coordinate moves,
+        a Python int (through the arena's unsigned memoryview)."""
         if isinstance(inst, ContextRead):
             name, axis = _CONTEXT_COORDINATES[inst.field_name]
             contexts = self.bind("contexts", "state.contexts")
@@ -1734,12 +1733,6 @@ class _WarpPrinter(_BlockEmitter):
         size = inst.dtype.size
         index, shift = self.framed(inst), size.bit_length() - 1
         return f"M_u{size}[{index} >> {shift}]" if shift else f"M_u1[{index}]"
-
-    def store(self, inst: Store) -> None:
-        if self.slot(inst.value) in self.ints:  # a spilled lane's word
-            self.emit(f"{self.word(inst)} = {self.raw(inst.value)}")
-        else:
-            super().store(inst)
 
     def integer(self, value) -> str:
         if self.slot(value) in self.ints:
@@ -1938,72 +1931,83 @@ class _WarpPrinter(_BlockEmitter):
         lanes = self.packed.get(self.index)
         if lanes is None:
             return super().insert(inst)
-        # The words in one array of the same-size unsigned dtype, whose
-        # bits the register's dtype views: a NaN's payload, -0.0.
-        wanted = inst.dst.dtype.numpy_dtype
+        self.gathered(inst.dst, lanes)
+
+    def gathered(self, register, lanes) -> None:
+        """``register`` from ``lanes``' words: one array of the unsigned
+        dtype whose bits the register's views (NaN payloads, -0.0)."""
+        wanted = register.dtype.numpy_dtype
         expression = (
             f"np.array(({', '.join(map(self.word, lanes))}), "
             f"dtype=W_u{wanted.itemsize})"
         )
         if wanted.kind != "u":
             expression += f".view(W_{_code(wanted)})"
-        self.define(inst.dst, expression, wanted, True, vector=True)
+        self.define(register, expression, wanted, True, vector=True)
 
-    def spilled(self, inst: ExtractElement) -> bool:
-        """Print ``inst`` from one ``tolist()`` of its vector for every
-        lane when its one reader is a framed store of a spill (a list of
-        the same-size unsigned words, so the bits move) or a context
-        write of an integer vector's lane; else as the base class
-        does."""
+    def words(self, source, wanted, prefix: str) -> str:
+        """One ``tolist()`` of vector ``source``'s lanes as ``wanted``;
+        for a spill (``prefix`` u) its unsigned words, so bits move."""
+        name, slot, code = self.raw(source), self.slot(source), _code(wanted)
+        lanes = f"{name}.astype(W_{code}, copy=False)"
+        if slot not in self.vectors:  # one guard; a scalar fills them
+            lanes = (
+                f"({lanes} if {self.shaped(name, slot)} else "
+                f"np.full({source.width}, {name}, dtype=W_{code}))"
+            )
+        elif self.exactly(source, wanted):
+            lanes = name
+        if prefix == "u" and wanted.kind != "u":
+            lanes += f".view(W_u{wanted.itemsize})"
+        return self.bind(f"{prefix}{slot}_{code}", f"{lanes}.tolist()", slot)
+
+    def wordwise(self, inst) -> bool:
+        """Whether spill or restore ``inst`` moves framed words."""
+        framed = self.frame_offset(inst) is not None
+        return framed and not inst.dtype.is_predicate
+
+    def restore(self, inst: Restore) -> None:
+        """Framed words: one array, as a packed chain's (:meth:`insert`)."""
+        if inst.dst.width == 1 or not self.wordwise(inst):
+            return super().restore(inst)
+        self.gathered(inst.dst, inst.lanes(1))
+
+    def spill(self, inst: Spill) -> None:
+        """A vector to framed lanes: one ``tolist()`` of its words, each
+        stored through the arena's unsigned memoryview."""
+        source, *rest = inst.values
+        if rest or source.width == 1 or not self.wordwise(inst):
+            return super().spill(inst)
+        words = self.words(source, inst.dtype.numpy_dtype, "u")
+        for store in inst.lanes(self.executable.warp_size):
+            self.emit(f"{self.word(store)} = {words}[{store.lane}]")
+
+    def element(self, value, index: int) -> str:
+        """Lane ``index`` of vector ``value`` (a constant, or a scalar a
+        vector register holds, is the same in every lane)."""
+        vector, slot = self.raw(value), self.slot(value)
+        if slot is None:
+            return vector
+        if slot in self.vectors:
+            return f"{vector}[{index}]"
+        shaped = self.shaped(vector, slot)
+        return f"{vector}[{index}] if {shaped} else {vector}"
+
+    def extract(self, inst: ExtractElement) -> None:
         reader = self.private.get(self.slots[inst.dst.name])
         known, exact = self.known.get(self.slot(inst.src), (None, False))
         if isinstance(reader, ContextWrite) and exact and known.kind in "iu":
-            prefix, wanted, listed = "j", known, known
-        elif (
-            isinstance(reader, Store) and not reader.dtype.is_predicate
-            and self.frame_offset(reader) is not None
-        ):
-            prefix, wanted = "u", reader.dtype.numpy_dtype
-            listed = np.dtype(f"u{wanted.itemsize}")
-        else:
-            return super().spilled(inst)
-        slot, code = self.slot(inst.src), _code(wanted)
-        lanes = self.raw(inst.src)
-        if not (self.exactly(inst.src, wanted) and slot in self.vectors):
-            lanes = f"({self.converted_lanes(inst.src, code)})"
-        if listed != wanted:
-            lanes += f".view(W_{_code(listed)})"
-        lanes = self.bind(f"{prefix}{slot}_{code}", f"{lanes}.tolist()", slot)
-        self.define(inst.dst, self.lane(lanes, inst.index))
-        self.ints.add(self.slots[inst.dst.name])
-        return True
-
-    def extract(self, inst: ExtractElement) -> None:
-        vector, slot = self.raw(inst.src), self.slot(inst.src)
-        lane = f"{vector}[{inst.index}]"
-        if slot is None:  # a constant: the same scalar in every lane
-            lane = vector
-        elif self.spilled(inst):
-            return
-        elif slot not in self.vectors:
-            lane = f"{lane} if {self.shaped(vector, slot)} else {vector}"
-        self.define(inst.dst, lane, *self.known.get(slot, (None, False)))
+            # A resume point: one tolist() of the vector for every lane.
+            words = self.words(inst.src, known, "j")
+            self.define(inst.dst, f"{words}[{inst.index}]")
+            return self.ints.add(self.slots[inst.dst.name])
+        self.define(inst.dst, self.element(inst.src, inst.index), known, exact)
 
     def shaped(self, name: str, slot: int) -> str:
         """A vector register may hold a scalar: one shape guard per
         value of the register, not one per lane."""
         return self.bind(
             f"v{slot}", f"isinstance({name}, ndarray) and {name}.ndim == 1", slot
-        )
-
-    def converted_lanes(self, value, code: str) -> str:
-        name, slot = self.raw(value), self.slot(value)
-        lanes = f"{name}.astype(W_{code}, copy=False)"
-        if slot in self.vectors:
-            return lanes
-        return (
-            f"{lanes} if {self.shaped(name, slot)} else "
-            f"np.full({value.width}, {name}, dtype=W_{code})"
         )
 
     def broadcast(self, inst: Broadcast) -> None:
@@ -2078,6 +2082,8 @@ _EMITTERS = {
     Intrinsic: "intrinsic",
     Load: "load",
     Store: "store",
+    Spill: "spill",
+    Restore: "restore",
     VectorLoad: "vector_load",
     VectorStore: "vector_store",
     AtomicRMW: "atomic",

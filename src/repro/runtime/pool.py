@@ -350,8 +350,8 @@ class _Worker:
         self._warm = warm
         #: Module-registration journal: every distinct source ever
         #: registered on this slot (pool-wide or by a tenant), replayed
-        #: into a respawned worker. A Device re-binds a source it holds
-        #: (no parse, no allocation), so each is journaled once.
+        #: into a respawned worker, each once and where it was last
+        #: registered: a worker binds a kernel name to the last source.
         self.journal: Dict[str, None] = dict.fromkeys(modules)
         self.state = "starting"
         self.epoch = 0
@@ -619,10 +619,10 @@ class _Worker:
 
     def register(self, source: str) -> List[str]:
         """Register a module and journal it for respawn replay (each
-        distinct source is journaled once)."""
+        distinct source once, where it was last registered)."""
         kernels = self.call("register", source=source)
         with self.lock:
-            self.journal[source] = None
+            self.journal[source] = self.journal.pop(source, None)
         return kernels
 
     # -- supervision probes ------------------------------------------------
@@ -1759,7 +1759,7 @@ class DevicePool:
             raise refusal
         for worker in self._workers:
             with worker.lock:
-                worker.journal[source] = None
+                worker.journal[source] = worker.journal.pop(source, None)
         return taken[0]
 
     def ready(self, timeout: Optional[float] = None) -> None:

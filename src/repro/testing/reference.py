@@ -49,8 +49,10 @@ from ..ir.instructions import (
     Intrinsic,
     Load,
     Reduce,
+    Restore,
     ResumeStatus,
     Select,
+    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -159,7 +161,7 @@ class _ReferenceState(_WarpState):
 
     def _charge(self, instruction) -> None:
         cost = self.executable.cost_table.cost_of(instruction)
-        if getattr(instruction, "overhead", False):
+        if instruction.overhead:
             self.stats.yield_cycles += cost.cycles
         else:
             self.stats.kernel_cycles += cost.cycles
@@ -182,7 +184,7 @@ class _ReferenceState(_WarpState):
                     _HANDLERS[type(instruction)](self, instruction)
                     self._charge(instruction)
                 position = len(body)
-                executed += len(body) + 1
+                executed += self.executable.block_cost(label).instructions
                 if executed > self.limit:
                     raise InstructionLimitExceeded(
                         f"{self.executable.name}: instruction limit "
@@ -277,6 +279,19 @@ class _ReferenceState(_WarpState):
     def _store(self, inst: Store) -> None:
         address = self.resolve_address(inst)
         self.memory.store(inst.dtype, address, self.fetch(inst.value))
+
+    def _restore(self, inst: Restore) -> None:
+        lanes = [self.memory.load(inst.dtype, self.resolve_address(load))
+                 for load in inst.lanes(self.warp_size)]
+        vector = np.array(lanes, dtype=inst.dtype.numpy_dtype)
+        self.set(inst.dst, lanes[0] if len(lanes) == 1 else vector)
+
+    def _spill(self, inst: Spill) -> None:
+        for store in inst.lanes(self.warp_size):
+            value = self.fetch(store.value)
+            if isinstance(value, np.ndarray) and value.ndim == 1:
+                value = value[store.lane]
+            self.memory.store(inst.dtype, self.resolve_address(store), value)
 
     def _vector_load(self, inst: VectorLoad) -> None:
         address = self.resolve_address(inst)
@@ -407,6 +422,8 @@ _HANDLERS = {
     Intrinsic: _ReferenceState._intrinsic,
     Load: _ReferenceState._load,
     Store: _ReferenceState._store,
+    Restore: _ReferenceState._restore,
+    Spill: _ReferenceState._spill,
     VectorLoad: _ReferenceState._vector_load,
     VectorStore: _ReferenceState._vector_store,
     AtomicRMW: _ReferenceState._atomic,

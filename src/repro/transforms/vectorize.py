@@ -52,8 +52,10 @@ from ..ir.instructions import (
     InsertElement,
     Load,
     Reduce,
+    Restore,
     ResumeStatus,
     Select,
+    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -553,37 +555,24 @@ class Vectorizer:
                 f"unsupported terminator {terminator!r}"
             )
 
-    def _spill_address(self, register: VirtualRegister) -> int:
-        """Absolute offset of a register's spill slot within each
-        thread's local memory (user .local variables come first)."""
-        return (
-            self.out.local_segment_size
-            + self.out.spill_slots[register.name]
-        )
+    def _spill_slot(self, register: VirtualRegister) -> Constant:
+        """A register's spill slot: its offset within each thread's
+        local memory (user .local variables come first)."""
+        slot = self.out.spill_slots[register.name]
+        return Constant(self.out.local_segment_size + slot, DataType.u64)
 
     def _spill_live_out(self, scalar_block: BasicBlock) -> None:
         """Store live-out values to each thread's local spill area
-        (Algorithm 4's first step)."""
-        for register in self.liveness.live_out_registers(
-            scalar_block.label
-        ):
-            mapped = self.map_register(register)
-            slot = Constant(self._spill_address(register), DataType.u64)
-            for lane in range(self.ws):
-                value = (
-                    mapped
-                    if mapped.width == 1
-                    else self.lane_value(register, lane)
-                )
-                self.block.append(
-                    Store(
-                        dtype=register.dtype,
-                        space=AddressSpace.local,
-                        base=slot,
-                        value=value,
-                        lane=lane,
-                    )
-                )
+        (Algorithm 4's first step), one :class:`Spill` a register. A
+        vector whose lanes the block already holds stores those, so a
+        pack only the spill would read stays dead."""
+        live_out = self.liveness.live_out_registers(scalar_block.label)
+        for register in live_out:
+            values = [self.map_register(register)]
+            if values[0].name in self._lane_cache:
+                values = [self.lane_value(register, k) for k in range(self.ws)]
+            slot = self._spill_slot(register)
+            self.block.append(Spill(register.dtype, slot, values))
 
     def _set_resume_points(self, value_per_lane) -> None:
         for lane in range(self.ws):
@@ -679,32 +668,21 @@ class Vectorizer:
     ) -> None:
         """Algorithm 4 body for a (potentially) divergent branch."""
         self._spill_live_out(scalar_block)
-        if isinstance(predicate, VirtualRegister) and predicate.width > 1:
-            selected = self._temp(DataType.u32, width=self.ws)
-            self.block.append(
-                Select(
-                    dtype=DataType.u32,
-                    dst=selected,
-                    a=Constant(taken_id, DataType.u32),
-                    b=Constant(fall_id, DataType.u32),
-                    predicate=predicate,
-                )
+        width = getattr(predicate, "width", 1)
+        selected = self._temp(DataType.u32, width=width)
+        self.block.append(
+            Select(
+                dtype=DataType.u32,
+                dst=selected,
+                a=Constant(taken_id, DataType.u32),
+                b=Constant(fall_id, DataType.u32),
+                predicate=predicate,
             )
-            self._set_resume_points(
-                lambda lane: self.lane_value(selected, lane)
-            )
-        else:
-            selected = self._temp(DataType.u32)
-            self.block.append(
-                Select(
-                    dtype=DataType.u32,
-                    dst=selected,
-                    a=Constant(taken_id, DataType.u32),
-                    b=Constant(fall_id, DataType.u32),
-                    predicate=predicate,
-                )
-            )
-            self._set_resume_points(lambda lane: selected)
+        )
+        self._set_resume_points(
+            lambda lane: self.lane_value(selected, lane)
+            if width > 1 else selected
+        )
         self.block.append(Yield(status=ResumeStatus.THREAD_BRANCH))
 
     # -- Algorithm 3: scheduler and entry handlers --------------------------
@@ -769,36 +747,12 @@ class Vectorizer:
             self._flag_overhead(block, 0)
 
     def _emit_restores(self, label: str) -> None:
-        """Loads reconstructing the live-in registers of ``label`` from
+        """One :class:`Restore` per live-in register of ``label``, from
         each lane's spill area."""
         for register in self.liveness.live_in_registers(label):
             mapped = self.map_register(register)
-            slot = Constant(self._spill_address(register), DataType.u64)
-            if mapped.width == 1:
-                self.block.append(
-                    Load(
-                        dtype=register.dtype,
-                        dst=mapped,
-                        space=AddressSpace.local,
-                        base=slot,
-                        lane=0,
-                    )
-                )
-                continue
-            lanes = []
-            for lane in range(self.ws):
-                scalar = self._temp(register.dtype)
-                self.block.append(
-                    Load(
-                        dtype=register.dtype,
-                        dst=scalar,
-                        space=AddressSpace.local,
-                        base=slot,
-                        lane=lane,
-                    )
-                )
-                lanes.append(scalar)
-            self._pack_lanes(mapped, lanes)
+            slot = self._spill_slot(register)
+            self.block.append(Restore(register.dtype, mapped, slot))
 
 
 def vectorize_kernel(

@@ -12,7 +12,9 @@ from repro.ir import (
     Constant,
     Convert,
     Exit,
+    ExtractElement,
     FusedMultiplyAdd,
+    InsertElement,
     Intrinsic,
     IRFunction,
     Load,
@@ -23,6 +25,7 @@ from repro.ir import (
     VirtualRegister,
     Yield,
 )
+from repro.ir.instructions import Restore, Spill
 from repro.machine import (
     Interpreter,
     MemorySystem,
@@ -32,6 +35,7 @@ from repro.machine import (
     sandybridge,
     vector_register_pressure,
 )
+from repro.machine.costmodel import aggregate_block_cost
 from repro.ptx.types import AddressSpace, DataType
 from repro.runtime.context import ThreadContext, Warp
 
@@ -215,6 +219,56 @@ class TestCostModel:
         fma = function.blocks["entry"].instructions[0]
         # base 2 chunks + spill penalty 2 * 2 chunks
         assert table.cost_of(fma).cycles == 6
+
+    @pytest.mark.parametrize("form", ["restore", "restore w1", "vector",
+                                      "width-1", "lanes"])
+    def test_a_lane_move_costs_its_lane_sequence(self, form):
+        # A Restore or Spill prices and counts exactly the per-lane
+        # loads/stores and inserts/extracts it stands for, in the
+        # overhead bucket; so does IRFunction.instruction_count().
+        u32, u64, local, ws = DataType.u32, DataType.u64, AddressSpace.local, 4
+        slot, vector = const(24, u64), reg("v", u32, ws)
+        scalar = reg("s", u32)
+        lanes = [reg(f"l.{k}", u32) for k in range(ws)]
+        link = [reg(f"t.{k}", u32, ws) for k in range(ws - 1)] + [vector]
+
+        def store(k, value):
+            return Store(u32, local, slot, value, lane=k)
+
+        if form == "restore":
+            move = [Restore(u32, vector, slot)]
+            sequence = [Load(u32, lanes[k], local, slot, lane=k)
+                        for k in range(ws)] + [
+                InsertElement(link[k], link[k - 1] if k else None,
+                              lanes[k], k) for k in range(ws)]
+        elif form == "restore w1":
+            move = [Restore(u32, scalar, slot)]
+            sequence = [Load(u32, scalar, local, slot, lane=0)]
+        elif form == "vector":
+            move = [Spill(u32, slot, [vector])]
+            sequence = [instruction for k in range(ws) for instruction in (
+                ExtractElement(lanes[k], vector, k), store(k, lanes[k]))]
+        elif form == "width-1":
+            move = [Spill(u32, slot, [scalar])]
+            sequence = [store(k, scalar) for k in range(ws)]
+        else:
+            move = [Spill(u32, slot, lanes)]
+            sequence = [store(k, lanes[k]) for k in range(ws)]
+        totals = []
+        for body in (move, sequence):
+            function = IRFunction("f", warp_size=ws)
+            block = function.add_block("entry")
+            block.extend([*body, Yield(status=3)])
+            for instruction in block.all_instructions():
+                instruction.overhead = True
+            table = build_cost_table(function, sandybridge())
+            cost = aggregate_block_cost(block, table)
+            totals.append((
+                cost.kernel_cycles, cost.yield_cycles, cost.flops,
+                cost.instructions, function.instruction_count(),
+            ))
+        assert totals[0] == totals[1]
+        assert totals[0][0] == 0 and totals[0][3] == len(sequence) + 1
 
     def test_memory_op_cost(self):
         machine = sandybridge()

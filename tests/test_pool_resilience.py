@@ -26,7 +26,7 @@ from repro.runtime.service import (
 )
 from repro.runtime.traps import format_device_lost
 from repro.testing.fault_injection import FaultInjector
-from tests.conftest import VECADD_PTX
+from tests.conftest import VECADD_PTX, scale_reader_ptx
 
 N = 8
 
@@ -433,6 +433,35 @@ class TestPoolWideRegistration:
             with pytest.raises(LaunchError, match="unknown opcode"):
                 pool.register_module(bad)
             assert all(bad not in worker.journal for worker in pool._workers)
+
+
+class TestModuleJournal:
+    def test_a_respawn_binds_a_kernel_to_its_last_registration(self):
+        """A, B, A each define ``readK``: the worker binds it to A's
+        (its last registration), and so must the respawn that replays
+        the module journal."""
+        first, second = scale_reader_ptx("readK", 3.0), scale_reader_ptx(
+            "readK", 7.0
+        )
+        with DevicePool(workers=1) as pool:
+            pool.ready(timeout=300.0)
+            session = pool.session("t", durability="journal")
+            for source in (first, second, first):
+                session.register_module(source)
+            out = session.malloc(4)
+            session.launch("readK", 1, 1, [out])
+            assert session.read(out, np.float32, 1)[0] == 3.0
+            assert list(pool._workers[0].journal) == [second, first]
+            pool._workers[0].process.kill()
+            deadline = time.monotonic() + 120.0
+            while not (
+                pool.health()[0].state == "live"
+                and pool.health()[0].epoch >= 1
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            session.launch("readK", 1, 1, [out])
+            assert session.read(out, np.float32, 1)[0] == 3.0
 
 
 class TestDeadlines:

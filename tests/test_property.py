@@ -1269,6 +1269,82 @@ class TestBackendDifferential:
             assert (batched > 0) == (name == "batching"), name
 
 
+#: ``prop`` with a register of each Spill form live across a barrier
+#: (spilled in the barrier's own block) and a divergent branch (spilled
+#: by its exit handler): ``%r7`` is thread-invariant (width 1 under
+#: thread-invariant elimination), ``%r8`` per-lane loads whose lanes
+#: the block holds at the barrier, ``%r9`` a fresh vector.
+SPILL_FORMS_PTX = r"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{
+  .reg .u32 %r<12>;
+  .reg .u64 %rd<8>;
+  .reg .pred %p<3>;
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r2, %ntid.x;
+  mov.u32 %r3, %ctaid.x;
+  mad.lo.u32 %r4, %r3, %r2, %r1;
+  mul.wide.u32 %rd1, %r4, 4;
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.param.u64 %rd4, [out];
+  add.u64 %rd5, %rd4, %rd1;
+  ld.param.u32 %r7, [n];
+  ld.global.u32 %r8, [%rd3];
+  xor.b32 %r9, %r8, %r4;
+  bar.sync 0;
+  and.b32 %r5, %r8, 1;
+  setp.eq.u32 %p2, %r5, 0;
+  @%p2 bra EVEN;
+  add.u32 %r9, %r9, %r7;
+EVEN:
+  bar.sync 0;
+  add.u32 %r10, %r9, %r8;
+  add.u32 %r10, %r10, %r7;
+  add.u32 %r10, %r10, %r1;
+  st.global.u32 [%rd5], %r10;
+  exit;
+}
+"""
+
+
+def test_every_spill_form_stores_the_same_bytes():
+    # A width-1 register, a fresh vector and a vector from the lanes
+    # the block holds, spilled and restored: the batched, one-warp-at-
+    # a-time and checked paths store the reference's bytes and model
+    # its statistics.
+    from repro.ir.instructions import Spill
+
+    base = replace(vectorized_config(4), thread_invariant_elimination=True)
+    data = (np.arange(64, dtype=np.uint32) * 2654435761) >> 7
+    tid, gid = np.arange(64) % 32, np.arange(64)
+    r9 = (data ^ gid) + np.where(data & 1, 64, 0)
+    expected = (r9 + data + 64 + tid).astype(np.uint32)
+    reference = run_with_statistics(
+        SPILL_FORMS_PTX, data, replace(base, backend="reference"), 256
+    )
+    assert np.array_equal(reference[0].view(np.uint32), expected)
+    for name, config, leg in execution_legs(base):
+        with leg():
+            memory, statistics, batched = run_with_statistics(
+                SPILL_FORMS_PTX, data, config, 256
+            )
+        assert np.array_equal(memory, reference[0]), name
+        assert statistics == reference[1], name
+        assert (batched > 0) == (name == "batching"), name
+    device = Device(config=base)
+    device.register_module(SPILL_FORMS_PTX)
+    function = device.cache.get("prop", 4).function
+    forms = {
+        "lanes" if len(spill.values) > 1 else
+        "width-1" if spill.values[0].width == 1 else "vector"
+        for spill in function.instructions() if isinstance(spill, Spill)
+    }
+    assert forms == {"width-1", "vector", "lanes"}
+
+
 class TestMemoryProperties:
     @_SETTINGS
     @given(

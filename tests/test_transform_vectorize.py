@@ -19,6 +19,8 @@ from repro.ir import (
     Yield,
     verify_function,
 )
+from repro.ir.instructions import Restore, Spill
+from repro.ir.liveness import LivenessInfo
 from repro.frontend import translate_kernel
 from repro.ptx import parse
 from repro.transforms import (
@@ -155,16 +157,26 @@ class TestAlgorithm2:
 
     def test_exit_handler_spills_and_yields(self, vecadd_scalar_ir):
         function = vectorize(vecadd_scalar_ir, warp_size=4)
+        liveness = LivenessInfo(vecadd_scalar_ir)
         exit_blocks = [
             b for b in function.ordered_blocks()
             if "_exit" in b.label
         ]
         assert exit_blocks
         handler = exit_blocks[0]
-        spills = [
-            i for i in handler.instructions
-            if isinstance(i, Store) and i.space.value == "local"
-        ]
+        # One whole-register Spill per live-out register of the branch's
+        # block, no per-lane store.
+        live_out = liveness.live_out_registers(handler.label.split("_exit")[0])
+        spills = [i for i in handler.instructions if isinstance(i, Spill)]
+        assert live_out
+        assert sorted(spill.values[0].name for spill in spills) == sorted(
+            register.name for register in live_out
+        )
+        assert all(
+            len(spill.values) == 1 and spill.values[0].width == 4
+            for spill in spills
+        )
+        assert not any(isinstance(i, Store) for i in handler.instructions)
         writes = [
             i for i in handler.instructions
             if isinstance(i, ContextWrite)
@@ -226,15 +238,26 @@ class TestAlgorithm3:
             if entry_id != 0
         ]
         assert handler_labels
+        liveness = LivenessInfo(reduce_scalar_ir)
         restores_seen = False
-        for label in handler_labels:
+        for entry_id, label in function.entry_points.items():
+            if entry_id == 0:
+                continue
             block = function.blocks[label]
-            loads = [
-                i for i in block.instructions
-                if isinstance(i, Load) and i.space.value == "local"
+            # One whole-register Restore per live-in register of the
+            # resumed block, as many as restore_counts says; no
+            # per-lane load.
+            live_in = liveness.live_in_registers(block.terminator.target)
+            restores = [
+                i for i in block.instructions if isinstance(i, Restore)
             ]
-            if loads:
-                restores_seen = True
+            assert len(restores) == function.restore_counts[entry_id]
+            assert [r.dst.name for r in restores] == [
+                register.name for register in live_in
+            ]
+            assert all(r.dst.width == 4 for r in restores)
+            assert not any(isinstance(i, Load) for i in block.instructions)
+            restores_seen = restores_seen or bool(restores)
         assert restores_seen
 
     def test_restore_counts_recorded(self, reduce_scalar_ir):
