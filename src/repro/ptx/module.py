@@ -56,6 +56,15 @@ class Variable:
     def alignment(self) -> int:
         return self.align if self.align else self.dtype.size
 
+    def __str__(self):
+        align = f" .align {self.align}" if self.align else ""
+        count = f"[{self.count}]" if self.count > 1 else ""
+        text = f"{self.space}{align} {self.dtype} {self.name}{count}"
+        if self.initializer is not None:
+            values = ", ".join(repr(value) for value in self.initializer)
+            text += f" = {{ {values} }}"
+        return text + ";"
+
 
 @dataclass
 class RegisterDeclaration:
@@ -214,11 +223,7 @@ class Kernel:
             rendered = ", ".join(f"%{name}" for name in names)
             lines.append(f"  .reg {dtype} {rendered};")
         for variable in self.variables:
-            suffix = f"[{variable.count}]" if variable.count > 1 else ""
-            lines.append(
-                f"  {variable.space} {variable.dtype} "
-                f"{variable.name}{suffix};"
-            )
+            lines.append(f"  {variable}")
         for statement in self.statements:
             if isinstance(statement, Label):
                 lines.append(f"{statement}")
@@ -273,12 +278,7 @@ class Module:
 
     def __str__(self):
         lines = [f".version {self.version}", f".target {self.target}", ""]
-        for variable in self.variables:
-            suffix = f"[{variable.count}]" if variable.count > 1 else ""
-            lines.append(
-                f"{variable.space} {variable.dtype} "
-                f"{variable.name}{suffix};"
-            )
+        lines.extend(str(variable) for variable in self.variables)
         for kernel in self.kernels.values():
             lines.append("")
             lines.append(str(kernel))

@@ -8,6 +8,7 @@ the :class:`~repro.ptx.builder.KernelBuilder` both construct them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Tuple
 
 from .types import DataType
@@ -31,10 +32,28 @@ class RegisterOperand:
 
 @dataclass(frozen=True)
 class ImmediateOperand:
-    """A literal constant, e.g. ``0f3F800000`` parsed to a Python number."""
+    """A literal constant, e.g. ``0f3F800000`` parsed to a Python number.
+
+    On an integer type (``.uN``/``.sN``/``.bN``) the value is what PTX
+    converts an integer constant to at its use: reduced modulo 2**N, two's
+    complement on ``.sN`` (``-1`` on ``.u32`` is 0xFFFFFFFF). Anything else
+    there, or an integer outside the 64-bit range, raises ValueError.
+    """
 
     value: object  # int or float
     dtype: DataType
+
+    def __post_init__(self):
+        dtype, value = self.dtype, self.value
+        if dtype is None or not dtype.is_integer:
+            return
+        if not isinstance(value, Integral) or not -2**63 <= value < 2**64:
+            raise ValueError(f"{value!r} is not an integer of at most 64 bits")
+        bits = 8 * dtype.size
+        value = int(value) & (1 << bits) - 1
+        if dtype.is_signed and value >> bits - 1:
+            value -= 1 << bits
+        object.__setattr__(self, "value", value)
 
     def __str__(self):
         return repr(self.value)
