@@ -502,25 +502,6 @@ class Spill(IRInstruction):
 # accessed via a context object identifying the executing thread")
 # ---------------------------------------------------------------------------
 
-#: Context fields a kernel may read.
-CONTEXT_FIELDS = (
-    "tid.x",
-    "tid.y",
-    "tid.z",
-    "ntid.x",
-    "ntid.y",
-    "ntid.z",
-    "ctaid.x",
-    "ctaid.y",
-    "ctaid.z",
-    "nctaid.x",
-    "nctaid.y",
-    "nctaid.z",
-    "laneid",
-    "warpid",
-    "clock",
-)
-
 
 @_instruction
 class ContextRead(IRInstruction):

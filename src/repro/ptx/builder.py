@@ -155,18 +155,6 @@ class KernelBuilder:
         )
         return dst
 
-    def address_of(self, symbol: str, dtype=DataType.u32) -> RegisterOperand:
-        """``mov`` the segment-relative address of a declared variable."""
-        dst = self.reg(dtype)
-        self.emit(
-            PTXInstruction(
-                opcode=Opcode.mov,
-                dtype=dtype,
-                operands=[dst, SymbolOperand(symbol)],
-            )
-        )
-        return dst
-
     def _binary(
         self, opcode: Opcode, dtype: DataType, a, b, mul_mode=None, **kw
     ) -> RegisterOperand:
@@ -441,12 +429,6 @@ class KernelBuilder:
                 operands=[LabelOperand(target)],
             )
         )
-
-    def branch_if_not(self, predicate: RegisterOperand, target: str) -> None:
-        negated = RegisterOperand(
-            name=predicate.name, dtype=predicate.dtype, negated=True
-        )
-        self.branch(target, predicate=negated)
 
     def barrier(self) -> None:
         self.emit(

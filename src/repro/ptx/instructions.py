@@ -149,10 +149,6 @@ class AtomicOp(enum.Enum):
 #: Opcodes that terminate a basic block.
 TERMINATORS = frozenset({Opcode.bra, Opcode.exit, Opcode.ret})
 
-#: Opcodes that force a block split because every thread of a CTA must
-#: reach them together (the frontend splits blocks at barriers; §5.1).
-BARRIERS = frozenset({Opcode.bar})
-
 
 @dataclass
 class PTXInstruction:

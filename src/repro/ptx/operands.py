@@ -7,6 +7,8 @@ the :class:`~repro.ptx.builder.KernelBuilder` both construct them.
 
 from __future__ import annotations
 
+import struct
+from contextlib import suppress
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Optional, Tuple
@@ -56,7 +58,21 @@ class ImmediateOperand:
         object.__setattr__(self, "value", value)
 
     def __str__(self):
-        return repr(self.value)
+        """The literal that parses back to the same bits: a float in
+        PTX's hex form at its type (``0f%08X`` for an f32 value f32
+        holds exactly, else ``0d%016X``), so ``inf``, ``-0.0`` and
+        every NaN payload print apart."""
+        value = self.value
+        if not isinstance(value, float):
+            return repr(value)
+        exact = struct.pack(">d", value)
+        with suppress(OverflowError):  # finite, beyond f32's range
+            single = struct.pack(">f", value)
+            if self.dtype is not DataType.f64 and exact == struct.pack(
+                ">d", *struct.unpack(">f", single)
+            ):
+                return f"0f{single.hex().upper()}"
+        return f"0d{exact.hex().upper()}"
 
 
 @dataclass(frozen=True)

@@ -157,6 +157,13 @@ def _expected(what: str, text: str, offset: int) -> _Refusal:
     return _Refusal(f"expected {what}, found {found}", offset)
 
 
+def _type(match: re.Match) -> DataType:
+    """The type ``match``'s first group names, refused where it stands."""
+    if match.group(1) not in _TYPES:
+        raise _expected("a type", match.string, match.start(1) - 1)
+    return DataType(match.group(1))
+
+
 def _integer(text: str) -> int:
     text = text.rstrip("uU")
     return int(text, 16) if "x" in text or "X" in text else int(text)
@@ -376,7 +383,7 @@ class _Parser:
             match = _PARAM.match(text, position)
             if match is None:
                 raise _expected(".param and a type", text, position)
-            dtype = DataType.parse(match.group(1))
+            dtype = _type(match)
             if match.group(2) is None:
                 raise _expected("parameter name", text, match.end())
             count = match.group(3)
@@ -398,7 +405,7 @@ class _Parser:
         match = _DIRECTIVE.match(text, position)
         if match is None:
             raise _expected("type", text, position)
-        dtype = DataType.parse(match.group(1))
+        dtype = _type(match)
         while True:
             position = match.end()
             match = _DECLARED.match(text, position)

@@ -24,8 +24,8 @@ class ExecutionConfig:
     thread_invariant_elimination:
         Scalarize provably thread-invariant expressions (§6.2).
     optimize:
-        Run the traditional cleanup pipeline (constant folding, CSE,
-        DCE, block fusion) after vectorization (§5.1).
+        Run the traditional cleanups (§5.1): CSE and DCE once per
+        kernel, constant folding and block fusion per width.
     scalar_yields_at_branches:
         Whether the width-1 specialization yields at conditional
         branches so threads can re-form wider warps (Fig. 4b). ``None``

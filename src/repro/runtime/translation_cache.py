@@ -1,11 +1,11 @@
 """The dynamic translation cache (§5.1).
 
 Responsible for producing executable specializations of each kernel:
-PTX -> scalar IR (translation), vectorization for the requested warp
-size, the traditional cleanup passes, and lowering for the machine
-("JIT compilation"). Execution managers query by (kernel, warp size)
-exactly as the paper describes, and translations happen lazily on
-first request.
+PTX -> scalar IR (translation, cleaned once per kernel), vectorization
+for the requested warp size, the per-width cleanup passes, and
+lowering for the machine ("JIT compilation"). Execution managers
+query by (kernel, warp size) exactly as the paper describes, and
+translations happen lazily on first request.
 
 Beyond the paper's in-memory memoization the cache is:
 
@@ -91,8 +91,8 @@ class CacheStatistics:
     #: kernel -> (melded regions, rejected candidate regions)
     meld_decisions: Dict[str, Tuple[int, int]] = latest_by_key()
     #: wall seconds per pipeline stage, summed over every compile:
-    #: ``translate``, the scalar pre-passes, ``vectorize``, each
-    #: cleanup pass and ``verify`` (the pass managers' own record)
+    #: ``translate``, the scalar passes (``meld``, ``cse``, ``dce``),
+    #: ``vectorize``, each cleanup pass and ``verify`` (their record)
     stage_seconds: Dict[str, float] = added_by_key()
     #: what each pass reported changing (folds, replacements,
     #: removals, merges), summed likewise
@@ -292,8 +292,8 @@ class TranslationCache:
             kernel, global_symbols=self._symbols[kernel_name]
         )
         self.statistics.record_stage("translate", time.perf_counter() - start)
-        # Scalar-stage transform (control-flow melding): must happen
-        # before entry points are assigned so every specialization
+        # Scalar-stage transforms (melding, CSE, DCE), once per kernel
+        # and before entry points are assigned, so every specialization
         # sees the same control structure.
         prepass = scalar_prepass_pipeline(self.config, self.machine)
         if prepass is not None:

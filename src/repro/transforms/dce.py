@@ -31,34 +31,20 @@ def _has_side_effects(instruction) -> bool:
 def eliminate_dead_code(function: IRFunction) -> int:
     """Remove dead instructions. Returns the number removed.
 
-    Iterates to a fixed point because removing one dead instruction can
-    make its operands' definitions dead too. Within a block the
-    backward sweep already follows such chains; across blocks they
-    show as a smaller live-out set, so after a sweep that removed
-    something only the blocks whose live-out shrank are swept again.
+    Within a block the backward sweep follows a chain of dead
+    definitions; across blocks a removal shows as a smaller live-out
+    set, so sweeps repeat until one removes nothing.
     """
-    liveness = LivenessInfo(function)
-    pending = blocks = function.ordered_blocks()
     total_removed = 0
-    while pending:
-        shrunk = []
-        for block in pending:
-            removed = _sweep(block, liveness.live_out[block.label])
-            if removed:
-                total_removed += removed
-                shrunk.append(block)
-        if not shrunk:
-            break
-        before = liveness.live_out
-        for block in shrunk:
-            liveness.summarize(block)
-        liveness.solve()
-        pending = [
-            block
-            for block in blocks
-            if liveness.live_out[block.label] != before[block.label]
-        ]
-    return total_removed
+    while True:
+        live_out = LivenessInfo(function).live_out
+        removed = sum(
+            _sweep(block, live_out[block.label])
+            for block in function.ordered_blocks()
+        )
+        if not removed:
+            return total_removed
+        total_removed += removed
 
 
 def _sweep(block: BasicBlock, live_out: Set[str]) -> int:

@@ -37,9 +37,8 @@ structure):
    same address, same value — so guest memory, trap coordinates and
    sanitizer findings are preserved. Unpaired *pure* instructions
    execute speculatively into fresh registers. Register state merges
-   at the join with one select per register either arm defines (a
-   plain move where only one arm defines it and nothing past the join
-   reads it first).
+   at the join with one select per register either arm defines and
+   something past the join reads.
 4. **Profitability.** The rewrite is applied only when the cost model
    predicts the melded straight line cheaper than the divergent
    original at the configured maximum warp width:
@@ -71,7 +70,6 @@ from ..ir.instructions import (
     Load,
     Select,
     Store,
-    UnaryOp,
 )
 from ..ir.liveness import LivenessInfo
 from ..ir.values import VirtualRegister
@@ -454,10 +452,14 @@ def _apply_meld(
             emit_gap(right[r_index], right_state)
 
     # Merge register state at the join: one select per register either
-    # arm defines, writing the *original* register. A join write may
-    # target the branch predicate's own register, so that one is
-    # ordered last (all other selects must still read the old value).
-    defined = sorted(set(left_state.final) | set(right_state.final))
+    # arm defines and something past the join reads (what the other
+    # registers hold is never read), writing the *original* register.
+    # A join write may target the branch predicate's own register, so
+    # that one is ordered last (all other selects must still read the
+    # old value).
+    defined = sorted(
+        (set(left_state.final) | set(right_state.final)) & live_at_join
+    )
     predicate_name = (
         predicate.name if isinstance(predicate, VirtualRegister) else None
     )
@@ -468,20 +470,6 @@ def _apply_meld(
             name, (None, None)
         )
         register = register or fall_register
-        if (
-            left_value is None or right_value is None
-        ) and name not in live_at_join:
-            # Only one arm defines this register and nothing past the
-            # join reads it before writing it: what the other path
-            # left there is never read, so an unconditional move of
-            # the speculative value is exact.
-            value = left_value if left_value is not None else right_value
-            out.append(
-                UnaryOp(
-                    op="mov", dtype=register.dtype, dst=register, a=value
-                )
-            )
-            continue
         out.append(
             Select(
                 dtype=register.dtype,

@@ -3,6 +3,7 @@ literals, source layout, refusals and round trips."""
 
 import enum
 import re
+import struct
 from contextlib import nullcontext
 from dataclasses import fields, is_dataclass, replace
 
@@ -369,6 +370,34 @@ class TestRoundTrip:
         reparsed = parse(str(module))
         assert module_shape(reparsed) == module_shape(module)
 
+    def test_special_float_immediates_round_trip(self):
+        # Each prints in its exact hex form, so none re-parses as a
+        # symbol ("inf") or as another value (two NaN payloads).
+        source = (
+            ".version 2.3\n.target sim\n.entry k ()\n{\n"
+            "  .reg .f32 %f<8>;\n  .reg .f64 %fd<4>;\n"
+            "  mov.f32 %f1, 0f7F800000;\n  mov.f32 %f2, 0fFF800000;\n"
+            "  mov.f32 %f3, 0f80000000;\n  mov.f32 %f4, 0f7FC00001;\n"
+            "  mov.f32 %f5, 0f7FC00002;\n  add.f32 %f6, %f5, 0.1;\n"
+            "  mov.f64 %fd1, 0d8000000000000000;\n"
+            "  mov.f64 %fd2, 0dFFF8000000000123;\n  exit;\n}\n"
+        )
+
+        def immediates(module):
+            return [
+                struct.pack(">d", operand.value).hex()
+                for instruction in module.kernel("k").instructions
+                for operand in instruction.operands
+                if isinstance(operand, ImmediateOperand)
+            ]
+
+        module = parse(source)
+        reparsed = parse(str(module))
+        assert str(reparsed) == str(module)
+        assert immediates(reparsed) == immediates(module)
+        assert len(set(immediates(module))) == 7  # -0.0 twice
+        assert "0f7F800000" in str(module) and "0f7FC00002" in str(module)
+
     def test_vecadd_opcode_census(self, vecadd_module):
         kernel = vecadd_module.kernel("vecAdd")
         opcodes = [str(i.opcode) for i in kernel.instructions]
@@ -379,9 +408,11 @@ class TestRoundTrip:
 
 
 #: What a token of printed PTX is, for re-spacing: a register, a
-#: directive, a number (its sign with it), a name, or one character.
+#: directive, a hex float, a number (its sign with it), a name, or one
+#: character.
 _PIECE = re.compile(
-    r"%[\w$]+|\.[A-Za-z_]\w*|[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
+    r"%[\w$]+|\.[A-Za-z_]\w*|0[fF][0-9a-fA-F]{8}|0[dD][0-9a-fA-F]{16}"
+    r"|[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?"
     r"|[A-Za-z_$][\w$]*|\S"
 )
 _SEPARATORS = (" ", "", "\n", "\t ", " /* a comment */ ", "/**/",
@@ -640,14 +671,19 @@ REFUSALS = {
     "missing semicolon": ("add.u32 %r1, %r2, %r3\n  exit", 11, 3),
     "bad register range": (".reg .u32 %q<x>;", 10, 15),
     "bad initializer": (".shared .f32 t[2] = { 1.0, x };", 10, 30),
+    "bad register type": (".reg .foo %r;", 10, 8),
+    "bad parameter type": ("", 4, 18, {"params": ".param .foo a"}),
+    "bad second parameter type": (
+        "", 4, 33, {"params": ".param .u32 a, .param .bar b"}
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_every_refusal_is_located(case):
-    body, line, column = REFUSALS[case]
+    body, line, column, *options = REFUSALS[case]
     with pytest.raises(PTXSyntaxError) as excinfo:
-        parse_kernel_body(body)
+        parse_kernel_body(body, **(options[0] if options else {}))
     assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
 
