@@ -1,32 +1,42 @@
 """Dominator analysis (Cooper-Harvey-Kennedy iterative algorithm).
 
-Used by the verifier, by block merging, and by the thread-invariant
-analysis to reason about expressions valid at a use point.
+Common-subexpression elimination reuses an expression in the blocks
+its block dominates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Collection, Dict, Optional
 
 from .cfg import ControlFlowGraph
 from .function import IRFunction
 
 
 class DominatorTree:
-    """Immediate-dominator map for the blocks reachable from entry."""
+    """Immediate-dominator map for the blocks reachable from entry.
 
-    def __init__(self, function: IRFunction):
+    ``entries`` are blocks also entered from outside the function (the
+    resume entry points a vectorized kernel's scheduler re-enters):
+    each gets one more predecessor, a root above the entry block, so
+    no block dominates an entry, nor a block that a path from its
+    dominator reaches through one.
+    """
+
+    def __init__(self, function: IRFunction, entries: Collection[str] = ()):
         self.function = function
         cfg = ControlFlowGraph(function)
         self.cfg = cfg
-        order = cfg.reverse_postorder()
         reachable = cfg.reachable()
-        order = [label for label in order if label in reachable]
+        # ``None`` is the root: the immediate dominator of the entry
+        # block and of every block in ``entries``.
+        order = [None] + [
+            label for label in cfg.reverse_postorder() if label in reachable
+        ]
         index = {label: position for position, label in enumerate(order)}
-        entry = function.entry_label
-        idom: Dict[str, Optional[str]] = {entry: entry}
+        entries = {function.entry_label, *entries}
+        idom: Dict[Optional[str], Optional[str]] = {None: None}
 
-        def intersect(a: str, b: str) -> str:
+        def intersect(a: Optional[str], b: Optional[str]) -> Optional[str]:
             while a != b:
                 while index[a] > index[b]:
                     a = idom[a]
@@ -37,39 +47,34 @@ class DominatorTree:
         changed = True
         while changed:
             changed = False
-            for label in order:
-                if label == entry:
-                    continue
+            for label in order[1:]:
                 candidates = [
-                    p
-                    for p in cfg.predecessors.get(label, [])
-                    if p in idom and p in index
+                    p for p in cfg.predecessors.get(label, []) if p in idom
                 ]
+                if label in entries:
+                    candidates.append(None)
                 if not candidates:
                     continue
                 new_idom = candidates[0]
                 for other in candidates[1:]:
                     new_idom = intersect(new_idom, other)
-                if idom.get(label) != new_idom:
+                if label not in idom or idom[label] != new_idom:
                     idom[label] = new_idom
                     changed = True
         self.idom = idom
-        self._order = order
 
     def immediate_dominator(self, label: str) -> Optional[str]:
-        if label == self.function.entry_label:
-            return None
+        """None for the entry block, a block in ``entries`` and a block
+        no path from the entry reaches."""
         return self.idom.get(label)
 
     def dominates(self, a: str, b: str) -> bool:
         """True if block ``a`` dominates block ``b``."""
         if b not in self.idom:
             return False
-        current = b
-        entry = self.function.entry_label
-        while True:
+        current: Optional[str] = b
+        while current is not None:
             if current == a:
                 return True
-            if current == entry:
-                return a == entry
             current = self.idom[current]
+        return False

@@ -189,6 +189,24 @@ class TestDominance:
         tree = DominatorTree(diamond())
         assert tree.dominates("join", "join")
 
+    def test_entries_are_dominated_by_nothing_nor_what_they_reach(self):
+        # Both arms entered from outside: every path to join can start
+        # past entry, so entry no longer dominates join either.
+        tree = DominatorTree(diamond(), {"left", "right"})
+        for label in ("left", "right", "join"):
+            assert tree.immediate_dominator(label) is None
+            assert not tree.dominates("entry", label)
+        assert tree.dominates("entry", "entry")
+        # One arm only: join is still reached around entry.
+        tree = DominatorTree(diamond(), {"left"})
+        assert tree.immediate_dominator("right") == "entry"
+        assert tree.immediate_dominator("join") is None
+
+    def test_entries_keep_a_loop_header_over_its_body(self):
+        tree = DominatorTree(loop(), {"header"})
+        assert tree.immediate_dominator("header") is None
+        assert tree.immediate_dominator("body") == "header"
+
 
 class TestLiveness:
     def test_value_live_across_diamond(self):
@@ -229,18 +247,6 @@ class TestLiveness:
         liveness = LivenessInfo(diamond())
         assert liveness.register("p").dtype is DataType.pred
         assert liveness.register("x").dtype is DataType.u32
-
-    def test_resummarized_block_solves_to_the_new_fixed_point(self):
-        function = diamond()
-        liveness = LivenessInfo(function)
-        assert "x" in liveness.live_out["left"]
-        join = function.blocks["join"]
-        join.instructions[0] = mov(reg("y"), 7)
-        liveness.summarize(join)
-        liveness.solve()
-        assert "x" not in liveness.live_in["join"]
-        assert "x" not in liveness.live_out["left"]
-        assert "x" not in liveness.live_out["right"]
 
     def test_only_the_global_index_crosses_vecadd_boundaries(
         self, vecadd_scalar_ir

@@ -228,6 +228,54 @@ DONE:
         got = out.read(np.uint32, 8)
         assert list(got) == [0, 1, 2, 3, 0, 1, 2, 3]
 
+    def test_laneid_after_a_divergent_join_is_read_again(self):
+        # Odd and even threads part and meet again at JOIN, where the
+        # scheduler may have re-formed the warps: the second %laneid
+        # is the thread's lane there, not a copy of the first.
+        from repro.runtime.config import ExecutionConfig
+
+        source = """
+.entry k (.param .u64 out)
+{
+  .reg .u32 %r<8>;
+  .reg .u64 %rd<4>;
+  .reg .pred %p;
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r2, %laneid;
+  and.b32 %r3, %r1, 1;
+  setp.eq.u32 %p, %r3, 0;
+  @%p bra EVEN;
+  add.u32 %r6, %r1, 1000;
+  bra JOIN;
+EVEN:
+  add.u32 %r6, %r1, 2000;
+JOIN:
+  mov.u32 %r4, %laneid;
+  mul.lo.u32 %r5, %r2, 100;
+  add.u32 %r5, %r5, %r4;
+  mul.wide.u32 %rd1, %r1, 4;
+  ld.param.u64 %rd2, [out];
+  add.u64 %rd3, %rd2, %rd1;
+  st.global.u32 [%rd3], %r5;
+  exit;
+}
+"""
+        results = []
+        for config in (
+            ExecutionConfig(),
+            ExecutionConfig(optimize=False),
+            ExecutionConfig(backend="reference"),
+        ):
+            device = Device(config=config)
+            device.register_module(HEADER + source)
+            out = device.malloc(8 * 4)
+            device.launch("k", grid=1, block=8, args=[out])
+            results.append(list(out.read(np.uint32, 8)))
+        optimized, unoptimized, reference = results
+        assert optimized == unoptimized == reference
+        # The lanes moved: some thread's two reads differ.
+        assert any(value // 100 != value % 100 for value in optimized)
+
 
 class TestMemorySystemEdgeCases:
     """Arena allocator corner cases backing the fault-containment
