@@ -9,7 +9,6 @@ scheduler block.
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..errors import IRVerificationError
@@ -142,11 +141,12 @@ class IRFunction:
             yield from block.all_instructions()
 
     def instruction_count(self) -> int:
-        """Static instructions, a spill or restore as its lane moves."""
+        """Static instructions, a spill, a restore or a lane group as
+        its lane operations and shuffles."""
         blocks, ws = self.ordered_blocks(), self.warp_size
         body = chain.from_iterable(block.instructions for block in blocks)
-        moves = filter(attrgetter("moves"), body)
-        return sum(map(len, blocks)) + sum(sum(i.moves(ws)) - 1 for i in moves)
+        moves = filter(None, (i.moves(ws) for i in body if i.moves))
+        return sum(map(len, blocks)) + sum(sum(m) - 1 for m in moves)
 
     def registers(self) -> List[VirtualRegister]:
         seen = {}

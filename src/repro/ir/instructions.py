@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..ptx.types import AddressSpace, DataType
-from .values import VirtualRegister
+from .values import Constant, VirtualRegister
 
 # ---------------------------------------------------------------------------
 # Resume statuses (§4.1: "three classes of kernel yields")
@@ -96,8 +96,11 @@ class IRInstruction:
         they read and write."""
         raise NotImplementedError
 
-    #: ``moves(warp_size)`` of a whole-register spill or restore: the
-    #: (local accesses, shuffles) it stands for; None for the others.
+    #: ``moves(warp_size)`` of an instruction that stands for a lane
+    #: sequence (a spill, a restore, a lane group): the scalar
+    #: operations ``lanes(warp_size)`` lists and the shuffles
+    #: (extractelements, insertelements) beside them; None (or a method
+    #: returning None) for one that stands for itself.
     moves = None
 
 
@@ -313,8 +316,49 @@ class Intrinsic(IRInstruction):
 # ---------------------------------------------------------------------------
 
 
+class _PerLane(IRInstruction):
+    """A memory or context access of one thread, ``lane``. With
+    ``lane=None`` it is a *lane group*: at warp size w it stands for the
+    w copies Algorithm 1 replicates (``lanes()``), lane k reading lane k
+    of each vector operand and writing lane k of its destination, and
+    for the shuffles around them — ``extracts`` extractelements of
+    operand lanes the block did not hold yet and, where ``pack``, the w
+    insertelements packing the destination. Without its pack only the
+    block's later groups and spills read the destination, lane by lane.
+    Any per-lane instruction reading a vector operand reads its lane."""
+
+    __slots__ = ()
+
+    pack = False
+
+    def moves(self, warp_size):
+        if self.lane is not None:
+            return None
+        return warp_size, self.extracts + (warp_size if self.pack else 0)
+
+    def lanes(self, warp_size) -> list:
+        """The scalar instructions it stands for, lane k's with
+        ``lane=k`` (itself, outside a group)."""
+        if self.lane is not None:
+            return [self]
+        lanes = []
+        for k in range(warp_size):
+            lane = self.rebuilt(self.dst, self.uses())
+            lane.lane, lane.extracts = k, 0
+            if lane.pack:
+                lane.pack = False
+            lanes.append(lane)
+        return lanes
+
+    def lane_text(self) -> str:
+        if self.lane is not None:
+            return f" lane={self.lane}"
+        extracts = f" extracts={self.extracts}" if self.extracts else ""
+        return f" lane=*{extracts}{' pack' if self.pack else ''}"
+
+
 @_instruction
-class Load(IRInstruction):
+class Load(_PerLane):
     """Scalar load. ``lane`` selects whose thread-private segments
     (local) / CTA segments (shared) the address resolves against."""
 
@@ -323,20 +367,22 @@ class Load(IRInstruction):
     space: AddressSpace
     base: object  # register or Constant address / segment offset
     offset: int = 0
-    lane: int = 0
+    lane: Optional[int] = 0
     volatile: bool = False
+    extracts: int = 0
+    pack: bool = False
 
     OPERANDS = ("base",)
 
     def __str__(self):
         return (
             f"{self.dst} = load.{self.space.value}.{self.dtype.value} "
-            f"[{self.base}+{self.offset}] lane={self.lane}"
+            f"[{self.base}+{self.offset}]{self.lane_text()}"
         )
 
 
 @_instruction
-class Store(IRInstruction):
+class Store(_PerLane):
     """Scalar store; see :class:`Load` for lane semantics."""
 
     dtype: DataType
@@ -344,8 +390,9 @@ class Store(IRInstruction):
     base: object
     value: object
     offset: int = 0
-    lane: int = 0
+    lane: Optional[int] = 0
     volatile: bool = False
+    extracts: int = 0
 
     dst = None
 
@@ -354,7 +401,7 @@ class Store(IRInstruction):
     def __str__(self):
         return (
             f"store.{self.space.value}.{self.dtype.value} "
-            f"[{self.base}+{self.offset}], {self.value} lane={self.lane}"
+            f"[{self.base}+{self.offset}], {self.value}{self.lane_text()}"
         )
 
 
@@ -504,34 +551,59 @@ class Spill(IRInstruction):
 
 
 @_instruction
-class ContextRead(IRInstruction):
-    """Read a field of lane ``lane``'s thread context object."""
+class ContextRead(_PerLane):
+    """Read a field of lane ``lane``'s thread context object. A group's
+    lanes read their own contexts, except ``laneid`` (lane k moves the
+    constant k) and an ``affine`` ``tid.x`` (static warps: lane k adds k
+    to lane 0's)."""
 
     field_name: str
     dtype: DataType
     dst: VirtualRegister
-    lane: int = 0
+    lane: Optional[int] = 0
+    affine: bool = False
+    extracts: int = 0
+    pack: bool = False
+
+    def lanes(self, warp_size) -> list:
+        if self.lane is not None:
+            return [self]
+        dtype, name = self.dtype, self.field_name
+        scalar = VirtualRegister(self.dst.name, dtype)
+        if name == "laneid":
+            return [
+                UnaryOp("mov", dtype, scalar, Constant(k, dtype))
+                for k in range(warp_size)
+            ]
+        if self.affine:
+            return [ContextRead(name, dtype, scalar)] + [
+                BinaryOp("add", dtype, scalar, scalar, Constant(k, dtype))
+                for k in range(1, warp_size)
+            ]
+        return [
+            ContextRead(name, dtype, scalar, lane=k) for k in range(warp_size)
+        ]
 
     def __str__(self):
-        return (
-            f"{self.dst} = ctx.{self.field_name} lane={self.lane}"
-        )
+        affine = " affine" if self.affine else ""
+        return f"{self.dst} = ctx.{self.field_name}{affine}{self.lane_text()}"
 
 
 @_instruction
-class ContextWrite(IRInstruction):
+class ContextWrite(_PerLane):
     """Write a field of lane ``lane``'s context (resume point, §4.1)."""
 
     field_name: str  # resume_point
     value: object
-    lane: int = 0
+    lane: Optional[int] = 0
+    extracts: int = 0
 
     dst = None
 
     OPERANDS = ("value",)
 
     def __str__(self):
-        return f"ctx.{self.field_name} lane={self.lane} = {self.value}"
+        return f"ctx.{self.field_name}{self.lane_text()} = {self.value}"
 
 
 # ---------------------------------------------------------------------------

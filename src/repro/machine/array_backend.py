@@ -65,6 +65,7 @@ from ..ir.instructions import (
 from ..ir.values import Constant
 from ..ptx.types import AddressSpace
 from .interpreter import (
+    _CONTEXT_COORDINATES,
     _DEADLINE_CHECK_STRIDE,
     _REDUCE_IMPL,
     Continuation,
@@ -305,9 +306,10 @@ class _BatchPrinter(_BlockEmitter):
         only a batch with an address out looks for the first one."""
         if self.rank == _UNIFORM:
             return super().bounds(size)
-        self.emit("o = int(union(a))")
+        axis = ", None" * (self.rank == _LANE)  # a lane group's (B, w)
+        self.emit(f"o = int(union(a{axis}))")
         self.emit(
-            f"if lowest(a) < {_NULL_GUARD} or o + {size} > "
+            f"if lowest(a{axis}) < {_NULL_GUARD} or o + {size} > "
             f"{self.executable.target.memory.size}: "
             f"memory._check_batch(a, {size})"
         )
@@ -325,27 +327,81 @@ class _BatchPrinter(_BlockEmitter):
     def load(self, inst) -> None:
         # From one address for all warps, one guest load serves them;
         # and the parameter segment is read-only for a launch, so the
-        # same read again in the block (the lanes of a vectorized
-        # ``ld.param``) is the value already here.
+        # same read again in the block is the value already here.
+        accesses = 1 if inst.lane is not None else self.executable.warp_size
         if inst.space is not AddressSpace.param or not isinstance(
             inst.base, Constant
         ):
-            return super().load(inst)
+            if inst.lane is not None:
+                return super().load(inst)
+            self.group_address(inst)
+            expression = self.inline_load(inst, accesses=accesses)
+            return self.grouped(inst, expression, _LANE)
         name = f"p{inst.base.value + inst.offset}_{inst.dtype.name}"
         if name in self.bound:
-            self.emit("memory.load_count += B")
+            self.emit(f"memory.load_count += {self.counted(accesses)}")
             self.rank = _UNIFORM
         else:
             self.address(inst)
-            self.bind(name, self.inline_load(inst))
+            self.bind(name, self.inline_load(inst, accesses=accesses))
+        if inst.lane is None:
+            return self.grouped(inst, name, _UNIFORM)
         self.define(inst.dst, name, *self.result(inst.dtype, True))
 
     guest_load = _BlockEmitter.inline_load
 
     def store(self, inst, value=None, exact=False) -> None:
+        if inst.lane is None:
+            self.group_address(inst)
+            value = self.operand(inst.value)
+            exact = self.exactly(inst.value, inst.dtype.numpy_dtype)
+            accesses = self.executable.warp_size
+            return self.inline_store(inst, value, exact, accesses=accesses)
         if value is None and self.rank_of(inst.value) == _LANE:
             raise _Unsupported("a vector operand of a scalar store")
         super().store(inst, value, exact)
+
+    # -- lane groups: one (B, w) access --------------------------------------
+
+    def group_address(self, inst) -> None:
+        """``a``: the ``(B, w)`` addresses of a lane group's accesses,
+        warp-major (so a scatter's last writer is the last warp's last
+        lane)."""
+        base, width = inst.base, self.executable.warp_size
+        rank = self.rank_of(base)
+        if rank == _LANE:
+            slot = self.slots[base.name]
+            term = self.bind(f"i{slot}", f"{self.raw(base)}.astype(W_i8)", slot)
+        else:
+            term = self.integer(base) + "[:, None]" * (rank == _WARP)
+        if inst.offset:
+            term = f"{term} + {inst.offset}"
+        space = inst.space
+        if space is AddressSpace.param:
+            term = f"{self.bind('param_base', 'state.param_base')} + {term}"
+        elif space in (AddressSpace.shared, AddressSpace.local):
+            segment = f"{space.value}_base"
+            bases = self.bind(f"{segment}s", f"state.per_thread({segment!r})")
+            term, rank = f"{bases} + {term}", _LANE
+        if rank < _LANE:
+            term = f"np.broadcast_to({term}, (B, {width}))"
+        self.emit(f"a = {term}")
+        self.rank = _LANE
+
+    def grouped(self, inst, expression: str, rank: int) -> None:
+        """Define a lane group's destination from ``expression`` of
+        ``rank`` (a uniform value is every lane's), as its pack would
+        have: ``(B, w)`` in the register's dtype."""
+        register = inst.dst
+        wanted = register.dtype.numpy_dtype
+        self.rank = rank
+        if rank < _LANE:
+            if not inst.pack:  # its lanes are read as they are
+                return self.define(register, expression, inst.dtype.numpy_dtype, True)
+            expression = self.expand(expression, rank, register.width, wanted)
+        else:
+            expression = self.packed(expression, inst.dtype.numpy_dtype, wanted)
+        self.define(register, expression, wanted, True, vector=True)
 
     def guest_store(self, inst, value: str, exact: bool) -> None:
         # Duplicate addresses resolve to the highest index (numpy fancy
@@ -376,9 +432,29 @@ class _BatchPrinter(_BlockEmitter):
             raise _Unsupported(f"context field {name}")
         return f"state.per_thread({name!r}, {axis})[:, {lane}].astype(W_{code})"
 
+    def context_read(self, inst) -> None:
+        if inst.lane is not None:
+            return super().context_read(inst)
+        # (An affine tid.x is read as it is: static warps, whose lanes
+        # it describes, never batch.)
+        wanted, name = inst.dtype.numpy_dtype, inst.field_name
+        field, axis = _CONTEXT_COORDINATES.get(name, (name, None))
+        if name == "laneid":
+            lanes = np.arange(self.executable.warp_size, dtype=wanted)
+            expression = f"np.tile({self.constant(lanes)}, (B, 1))"
+        elif axis is not None:
+            expression = (
+                f"state.per_thread({field!r}, {axis}).astype(W_{_code(wanted)})"
+            )
+        else:
+            raise _Unsupported(f"a lane group of context field {name}")
+        self.grouped(inst, expression, _LANE)
+
     def context_write(self, inst: ContextWrite) -> None:
         if inst.field_name != "resume_point":
             raise _Unsupported(f"context field {inst.field_name}")
+        if inst.lane is None:
+            return self.resume_points(inst.value)
         target = f"c[{inst.lane}].resume_point"
         if self.rank_of(inst.value) == _UNIFORM:
             value = self.integer(inst.value)
@@ -388,6 +464,16 @@ class _BatchPrinter(_BlockEmitter):
                 f"for c, v in zip(state.contexts, "
                 f"{self.int_list(inst.value)}): {target} = v"
             )
+
+    def resume_points(self, value) -> None:
+        """Every lane's resume point, lane k's of ``value``."""
+        width, self.rank = self.executable.warp_size, _LANE
+        rows = f"np.broadcast_to({self.operand(value)}, (B, {width}))"
+        known, exact = self.known.get(self.slot(value), (None, False))
+        if not (exact and known.kind in "iu"):
+            rows += ".astype(W_i8)"
+        targets = ", ".join(f"c[{k}].resume_point" for k in range(width))
+        self.emit(f"for c, v in zip(state.contexts, {rows}.tolist()): {targets} = v")
 
     # -- vector packing -------------------------------------------------------
 

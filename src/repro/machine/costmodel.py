@@ -37,9 +37,7 @@ from ..ir.instructions import (
     Intrinsic,
     Load,
     Reduce,
-    Restore,
     Select,
-    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -89,7 +87,8 @@ def vector_register_pressure(
 @dataclass
 class InstructionCost:
     """Static cycles, floating-point work and instruction count of one
-    instruction (a spill or restore counts its lane operations)."""
+    instruction (a spill, a restore or a lane group counts its lane
+    operations and shuffles)."""
 
     cycles: int
     flops: int = 0
@@ -254,15 +253,18 @@ def _instruction_cost(
             cycles=machine.intrinsic_cost * chunks + spill_extra,
             flops=flops,
         )
+    moves = instruction.moves and instruction.moves(warp_size)
+    if moves:  # its lane sequence and the shuffles beside it
+        operations, shuffles = moves
+        cycles, flops = shuffles * machine.shuffle_cost, 0
+        for lane in instruction.lanes(warp_size):
+            cost = _instruction_cost(lane, machine, spilling)
+            cycles, flops = cycles + cost.cycles, flops + cost.flops
+        return InstructionCost(cycles, flops, operations + shuffles)
     if isinstance(instruction, (Load, Store)):
         if instruction.space is AddressSpace.local:
             return InstructionCost(cycles=machine.local_memory_cost)
         return InstructionCost(cycles=machine.memory_cost)
-    if isinstance(instruction, (Spill, Restore)):  # its lane sequence
-        accesses, shuffles = instruction.moves(warp_size)
-        cycles = accesses * machine.local_memory_cost
-        cycles += shuffles * machine.shuffle_cost
-        return InstructionCost(cycles, instructions=accesses + shuffles)
     if isinstance(instruction, (VectorLoad, VectorStore)):
         # One access per machine-width chunk (movups-style).
         return InstructionCost(cycles=machine.memory_cost * chunks)

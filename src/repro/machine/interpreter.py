@@ -127,16 +127,18 @@ _DEFAULT_INSTRUCTION_LIMIT = 200_000_000
 _DEADLINE_CHECK_STRIDE = 4096
 
 
-def _annotate_fault(fault, label, index) -> None:
-    """Attach the program counter (block label + instruction index) to
-    an escaping ExecutionError, so the execution manager can build a
-    structured trap. First writer wins (the innermost frame knows the
-    true fault site); exceptions with __slots__ are left unannotated."""
+def _annotate_fault(fault, label, index, lane=None) -> None:
+    """Attach the program counter (block label + instruction index, and
+    the lane of a lane group's access that faulted) to an escaping
+    ExecutionError, so the execution manager can build a structured
+    trap. First writer wins (the innermost frame knows the true fault
+    site); exceptions with __slots__ are left unannotated."""
     if getattr(fault, "trap_label", None) is not None:
         return
     try:
         fault.trap_label = label
         fault.trap_index = index
+        fault.trap_lane = lane
     except (AttributeError, TypeError):  # pragma: no cover
         pass
 
@@ -150,15 +152,15 @@ def _locate_fault(fault, function, label, code) -> None:
     limit, the deadline — sits past the body, at the terminator; one
     from anywhere else (lowering the block failed) has no
     instruction."""
-    frame = fault.__traceback__.tb_next
+    frame, lane = fault.__traceback__.tb_next, None
     if frame is None:
         block = function.blocks.get(label)
         index = len(block.instructions) if block is not None else -1
     elif code is not None and frame.tb_frame.f_code is code.__code__:
-        index = code.line_index[frame.tb_lineno]
+        index, lane = code.line_index[frame.tb_lineno]
     else:
         index = -1
-    _annotate_fault(fault, label, index)
+    _annotate_fault(fault, label, index, lane)
 
 
 def frames_fit(frame: int, first: int, stride: int, count: int, size: int):
@@ -391,7 +393,8 @@ class Interpreter:
         template ``access``: ``code(state)`` returns the next block
         label (str) or a resume status (int).
         ``code.line_index[lineno]`` is the index of the instruction a
-        source line belongs to, ``code.source`` the text."""
+        source line belongs to and the lane of a lane group's line,
+        ``code.source`` the text."""
         block = executable.function.blocks[label]
         printer = self.printer(executable, block, access)
         # (a block without a terminator has no lowering: None has none)
@@ -1045,14 +1048,14 @@ def _code_namespace(memory: MemorySystem, guest: GuestAccess) -> dict:
     def gather_unaligned(addresses, numpy_dtype):
         return np.array([
             load_unaligned(address, numpy_dtype)
-            for address in addresses.tolist()
-        ])
+            for address in addresses.ravel().tolist()
+        ]).reshape(addresses.shape)
 
     def scatter_unaligned(addresses, values):
         # In index order: the last writer of an address wins, as the
         # warps of the batch would have stored in sequence.
-        values = np.broadcast_to(values, addresses.shape)
-        for address, value in zip(addresses.tolist(), values):
+        values = np.broadcast_to(values, addresses.shape).ravel()
+        for address, value in zip(addresses.ravel().tolist(), values):
             store_unaligned(address, value)
 
     namespace = {
@@ -1159,8 +1162,10 @@ class _BlockEmitter:
         self.pending = [0, 0]
         self.lines: List[str] = []
         #: per source line, the index of the instruction it belongs to
-        self.line_index: List[int] = []
+        #: and the lane of a lane group it prints (else None)
+        self.line_index: List[tuple] = []
         self.index = 0
+        self.lane_now: Optional[int] = None
         self.comment = ""
         #: slots whose register already has a local in this block
         self.loaded: set = set()
@@ -1177,6 +1182,9 @@ class _BlockEmitter:
         self.bound: set = set()
         #: slot -> bound names derived from the slot's current value
         self.derived: Dict[int, List[str]] = {}
+        #: slot -> (lane locals, their numpy dtype) of a register a lane
+        #: group of this block wrote
+        self.held: Dict[int, tuple] = {}
         self.constants: Dict[object, str] = {}
 
     # -- source ------------------------------------------------------------
@@ -1197,7 +1205,7 @@ class _BlockEmitter:
 
     def emit(self, text: str) -> None:
         self.lines.append(f"    {text}{self.comment}")
-        self.line_index.append(self.index)
+        self.line_index.append((self.index, self.lane_now))
         self.comment = ""
 
     def counted(self, accesses: int) -> str:
@@ -1218,7 +1226,10 @@ class _BlockEmitter:
         code = self.namespace["block"]
         # Line numbers are 1-based and the header lines belong to no
         # instruction.
-        code.line_index = (-1, *(-1 for _ in self.header), *self.line_index)
+        code.line_index = (
+            *((-1, None) for _ in range(len(self.header) + 1)),
+            *self.line_index,
+        )
         code.source = source
         linecache.cache[filename] = (
             len(source), None, source.splitlines(True), filename
@@ -1300,6 +1311,27 @@ class _BlockEmitter:
             return value.dtype.numpy_dtype == wanted
         return self.known.get(self.slots[value.name]) == (wanted, True)
 
+    def packed(self, expression: str, dtype, wanted) -> str:
+        """``expression``, an array of numpy ``dtype``, as a register
+        of ``wanted`` holds it: the same bits (a register is untyped),
+        converted where the sizes differ."""
+        if dtype == wanted:
+            return expression
+        cast = "view" if dtype.itemsize == wanted.itemsize else "astype"
+        return f"({expression}).{cast}(W_{_code(wanted)})"
+
+    def lane_exactly(self, value, wanted) -> bool:
+        """:meth:`exactly`, of each lane of ``value``."""
+        held = self.held.get(self.slot(value))
+        return held[1] == wanted if held else self.exactly(value, wanted)
+
+    def at_lane(self, value, lane: int) -> str:
+        """Operand ``value`` as lane ``lane`` reads it: a vector
+        register's lane, anything else itself."""
+        if getattr(value, "width", 1) > 1:
+            return self.element(value, lane)
+        return self.raw(value)
+
     def slot(self, value) -> Optional[int]:
         """Slot of a register operand; None for a constant or undef."""
         return self.slots.get(getattr(value, "name", None))
@@ -1320,6 +1352,7 @@ class _BlockEmitter:
         ``vector`` that it is a 1-d array. A register private to the
         block is a local only, or the private local ``expression`` is."""
         slot = self.slots[register.name]
+        self.held.pop(slot, None)
         if slot not in self.private:
             self.emit(f"regs[{slot}] = r{slot} = {expression}")
         elif expression in self.stable:
@@ -1475,7 +1508,14 @@ class _BlockEmitter:
     # ``a``; the printer's guest_* methods then print the access itself.
 
     def address(self, inst) -> None:
-        term = self.integer(inst.base)
+        base = inst.base
+        if getattr(base, "width", 1) > 1:  # a lane's, of a vector
+            slot, lane = self.slots[base.name], inst.lane
+            term = self.bind(
+                f"i{slot}_{lane}", f"int({self.element(base, lane)})", slot
+            )
+        else:
+            term = self.integer(base)
         if inst.offset:
             term = f"{term} + {inst.offset}"
         space = inst.space
@@ -1493,15 +1533,16 @@ class _BlockEmitter:
             f"{self.executable.target.memory.size}: memory._check(a, {size})"
         )
 
-    def inline_load(self, inst, address: str = "a") -> str:
-        """The inline template of a scalar load, the value's expression
-        returned: from ``a``, its check and count printed first; from
-        an address :meth:`framed` proves, neither."""
+    def inline_load(self, inst, address: str = "a", accesses: int = 1) -> str:
+        """The inline template of a scalar load (``accesses`` of them, a
+        batch printer's lane group), the value's expression returned:
+        from ``a``, its check and count printed first; from an address
+        :meth:`framed` proves, neither."""
         dtype = inst.dtype
         size = dtype.size
         if address == "a":
             self.bounds(size)
-            self.emit(f"memory.load_count += {self.counted(1)}")
+            self.emit(f"memory.load_count += {self.counted(accesses)}")
         if dtype.is_predicate:
             return self.loaded_flag.format(address)
         code, shift = _code(dtype.numpy_dtype), size.bit_length() - 1
@@ -1514,7 +1555,9 @@ class _BlockEmitter:
             f"else {self.unaligned[0]}(a, W_{code})"
         )
 
-    def inline_store(self, inst, value: str, exact: bool, address="a"):
+    def inline_store(
+        self, inst, value: str, exact: bool, address="a", accesses: int = 1
+    ):
         """The inline template of the scalar store of ``value`` (known
         to carry the instruction's dtype when ``exact``), checked and
         counted as :meth:`inline_load`."""
@@ -1522,7 +1565,7 @@ class _BlockEmitter:
         size = dtype.size
         if address == "a":
             self.bounds(size)
-            self.emit(f"memory.store_count += {self.counted(1)}")
+            self.emit(f"memory.store_count += {self.counted(accesses)}")
         if dtype.is_predicate:
             self.emit(f"DATA[{address}] = {self.stored_flag(value)}")
             return
@@ -1540,9 +1583,10 @@ class _BlockEmitter:
         self.emit(f"else: {element} = {value}")
 
     def frame_offset(self, inst) -> Optional[int]:
-        """The constant offset of a local access (each lane's, of a spill
-        or restore) that the frame proves in bounds and aligned; else None."""
-        if isinstance(inst, (Spill, Restore)):
+        """The constant offset of a local access (each lane's, of a
+        spill, a restore or a lane group) that the frame proves in
+        bounds and aligned; else None."""
+        if inst.moves:
             inst = inst.lanes(1)[0]
         if not (
             isinstance(inst, (Load, Store))
@@ -1579,8 +1623,8 @@ class _BlockEmitter:
     def store(self, inst: Store, value=None, exact=False) -> None:
         """Print ``inst``, or a store of expression ``value`` instead."""
         if value is None:
-            value = self.raw(inst.value)
-            exact = self.exactly(inst.value, inst.dtype.numpy_dtype)
+            value = self.at_lane(inst.value, inst.lane)
+            exact = self.lane_exactly(inst.value, inst.dtype.numpy_dtype)
         address = self.framed(inst)
         if address is None:
             self.address(inst)
@@ -1608,7 +1652,7 @@ class _BlockEmitter:
                 self.store(store)
                 continue
             lane = f"({self.element(value, store.lane)})"
-            self.store(store, lane, self.exactly(value, wanted))
+            self.store(store, lane, self.lane_exactly(value, wanted))
 
     # -- thread context -------------------------------------------------------
 
@@ -1680,16 +1724,11 @@ class _WarpPrinter(_BlockEmitter):
         super().__init__(executable, block, namespace, access == "inline")
         self.access = access
         self.precise = _reads_clock(block)
-        #: The chains :meth:`packs` finds, and the slots whose local is
-        #: a Python int: a count, a resume point.
-        self.packed = self.packs(block.instructions) if self.private else {}
+        #: the slots whose local is a Python int (a branch count)
         self.ints: set = set()
 
     def instruction(self, index: int, instruction) -> None:
-        if self.packed.get(index, ()) is None:  # its chain's end moves it
-            self.index, self.comment = index, f"  # {index}: {instruction}"
-        else:
-            super().instruction(index, instruction)
+        super().instruction(index, instruction)
         if self.precise and not instruction.is_terminator:
             cost = self.executable.cost_table.cost_of(instruction)
             stats = self.bind("stats", "state.stats")
@@ -1698,41 +1737,94 @@ class _WarpPrinter(_BlockEmitter):
             if cost.flops:
                 self.emit(f"{stats}.flops += {cost.flops}")
 
-    def packs(self, instructions) -> Dict[int, Optional[tuple]]:
-        """The full ``insertelement`` chains the vectorizer emits right
-        after the lanes they pack, lane by lane, each an integer context
-        coordinate, and each lane and link read by the next link only:
-        per index, None for a lane or a link, the lanes at the last."""
-        packed: Dict[int, Optional[tuple]] = {}
-        for end, last in enumerate(instructions, 1):
-            width = last.dst.width if isinstance(last, InsertElement) else 0
-            start, wanted = end - 2 * width, getattr(last.dst, "dtype", None)
-            lanes = instructions[start:end - width]
-            links = instructions[end - width:end]
-            if width and start >= 0 and wanted.is_integer and all(
-                isinstance(link, InsertElement) and link.index == k
-                and link.scalar == lane.dst and link.dst.dtype == wanted
-                and link.src == (links[k - 1].dst if k else None)
-                and self.private.get(self.slot(lane.dst)) is link
-                and (not k or self.private.get(self.slot(link.src)) is link)
-                and isinstance(lane, ContextRead) and lane.dtype == wanted
-                and lane.field_name in _CONTEXT_COORDINATES
-                for k, (lane, link) in enumerate(zip(lanes, links))
-            ):
-                packed.update(dict.fromkeys(range(start, end - 1)))
-                packed[end - 1] = lanes
-        return packed
-
     def word(self, inst) -> str:
-        """The word a framed lane access or a context coordinate moves,
-        a Python int (through the arena's unsigned memoryview)."""
-        if isinstance(inst, ContextRead):
-            name, axis = _CONTEXT_COORDINATES[inst.field_name]
-            contexts = self.bind("contexts", "state.contexts")
-            return f"{contexts}[{inst.lane}].{name}[{axis}]"
+        """The word a framed lane access moves, a Python int (through
+        the arena's unsigned memoryview)."""
         size = inst.dtype.size
         index, shift = self.framed(inst), size.bit_length() - 1
         return f"M_u{size}[{index} >> {shift}]" if shift else f"M_u1[{index}]"
+
+    # -- lane groups: each lane's access, then the pack where kept -------
+
+    def lanes_of(self, inst):
+        """``inst``'s lanes, each printed with its lines tagged (a trap
+        names that lane)."""
+        for lane in inst.lanes(self.executable.warp_size):
+            self.lane_now = getattr(lane, "lane", None)
+            yield lane
+        self.lane_now = None
+
+    def grouped(self, inst, lanes: List[str], dtype) -> None:
+        """Group ``inst`` computed ``lanes`` (locals or constants of
+        numpy ``dtype``) for its destination: held for the block's later
+        lane reads, and packed into one array where the pack is kept."""
+        register = inst.dst
+        wanted = register.dtype.numpy_dtype
+        if inst.pack:
+            expression = f"np.array(({', '.join(lanes)}), dtype=W_{_code(dtype)})"
+            expression = self.packed(expression, dtype, wanted)
+            self.define(register, expression, wanted, True, vector=True)
+        slot = self.slots[register.name]
+        for name in self.derived.pop(slot, ()):
+            self.bound.discard(name)
+        self.held[slot] = (lanes, dtype)
+
+    def load(self, inst: Load) -> None:
+        if inst.lane is not None:
+            return super().load(inst)
+        slot, width = self.slots[inst.dst.name], self.executable.warp_size
+        lanes = [f"h{slot}_{k}" for k in range(width)]
+        if self.access == "inline" and inst.space is AddressSpace.param \
+                and isinstance(inst.base, Constant):
+            # Every lane reads the one word: read it once, count all.
+            first, self.lane_now = inst.lanes(1)[0], 0
+            self.address(first)
+            self.emit(f"{lanes[0]} = {self.inline_load(first, 'a', width)}")
+            self.lane_now, lanes = None, lanes[:1] * width
+        else:
+            for load, name in zip(self.lanes_of(inst), lanes):
+                self.emit(f"{name} = {self.read(load)}")
+        self.grouped(inst, lanes, inst.dtype.numpy_dtype)
+
+    def store(self, inst: Store, value=None, exact=False) -> None:
+        if inst.lane is not None or value is not None:
+            return super().store(inst, value, exact)
+        for store in self.lanes_of(inst):
+            super().store(store)
+
+    def context_read(self, inst: ContextRead) -> None:
+        if inst.lane is not None:
+            return super().context_read(inst)
+        wanted, name = inst.dtype.numpy_dtype, inst.field_name
+        width = self.executable.warp_size
+        if name == "laneid":
+            lanes = [self.constant(wanted.type(k)) for k in range(width)]
+            return self.grouped(inst, lanes, wanted)
+        field, axis = _CONTEXT_COORDINATES.get(name, (name, None))
+        contexts = self.bind("contexts", "state.contexts")
+        if (
+            inst.pack and axis is not None and not inst.affine
+            and wanted == inst.dst.dtype.numpy_dtype
+        ):
+            # The coordinates as Python ints, into one array.
+            words = ", ".join(
+                f"{contexts}[{k}].{field}[{axis}]" for k in range(width)
+            )
+            expression = f"np.array(({words}), dtype=W_{_code(wanted)})"
+            return self.define(inst.dst, expression, wanted, True, vector=True)
+        slot, lanes = self.slots[inst.dst.name], []
+        for k, lane in enumerate(self.lanes_of(inst)):
+            lanes.append(f"h{slot}_{k}")
+            if inst.affine and k:
+                step = self.constant(wanted.type(k))
+                expression = f"{lanes[0]} + {step}"
+            else:
+                expression = self.context_field(field, axis, k, _code(wanted))
+            if name == "clock" and k:  # after the lanes before it
+                cost = self.executable.target.machine.context_cost
+                expression += f" + {k * cost}"
+            self.emit(f"{lanes[-1]} = {expression}")
+        self.grouped(inst, lanes, wanted)
 
     def integer(self, value) -> str:
         if self.slot(value) in self.ints:
@@ -1842,8 +1934,10 @@ class _WarpPrinter(_BlockEmitter):
         impl = _ATOMIC_IMPL.get(inst.op)
         if impl is None:
             raise ExecutionError(f"unknown atomic op {inst.op}")
-        operand = self.raw(inst.value)
-        compare = self.raw(inst.compare) if inst.op == "cas" else "None"
+        operand = self.at_lane(inst.value, inst.lane)
+        compare = (
+            self.at_lane(inst.compare, inst.lane) if inst.op == "cas" else "None"
+        )
         self.address(inst)
         self.emit(f"o = {self.guest_load(inst, atomic=True)}")
         self.guest_store(
@@ -1921,29 +2015,24 @@ class _WarpPrinter(_BlockEmitter):
             raise ExecutionError(
                 f"unwritable context field {inst.field_name}"
             )
-        value = self.integer(inst.value)
         contexts = self.bind("contexts", "state.contexts")
-        self.emit(f"{contexts}[{inst.lane}].resume_point = {value}")
-
-    # -- vector packing -------------------------------------------------------
-
-    def insert(self, inst: InsertElement) -> None:
-        lanes = self.packed.get(self.index)
-        if lanes is None:
-            return super().insert(inst)
-        self.gathered(inst.dst, lanes)
-
-    def gathered(self, register, lanes) -> None:
-        """``register`` from ``lanes``' words: one array of the unsigned
-        dtype whose bits the register's views (NaN payloads, -0.0)."""
-        wanted = register.dtype.numpy_dtype
-        expression = (
-            f"np.array(({', '.join(map(self.word, lanes))}), "
-            f"dtype=W_u{wanted.itemsize})"
-        )
-        if wanted.kind != "u":
-            expression += f".view(W_{_code(wanted)})"
-        self.define(register, expression, wanted, True, vector=True)
+        value, slot = inst.value, self.slot(inst.value)
+        known, exact = self.known.get(slot, (None, False))
+        words = None
+        if getattr(value, "width", 1) > 1 and slot not in self.held and (
+            exact and known.kind in "iu" and self.access == "inline"
+        ):
+            # One tolist() of the vector for every lane.
+            words = self.words(value, known, "j")
+        for write in self.lanes_of(inst):
+            lane = write.lane
+            if words is not None:
+                expression = f"{words}[{lane}]"
+            elif getattr(value, "width", 1) > 1:
+                expression = f"int({self.element(value, lane)})"
+            else:
+                expression = self.integer(value)
+            self.emit(f"{contexts}[{lane}].resume_point = {expression}")
 
     def words(self, source, wanted, prefix: str) -> str:
         """One ``tolist()`` of vector ``source``'s lanes as ``wanted``;
@@ -1967,10 +2056,16 @@ class _WarpPrinter(_BlockEmitter):
         return framed and not inst.dtype.is_predicate
 
     def restore(self, inst: Restore) -> None:
-        """Framed words: one array, as a packed chain's (:meth:`insert`)."""
+        """Framed words: one array of the unsigned dtype whose bits the
+        register's views (NaN payloads, -0.0)."""
         if inst.dst.width == 1 or not self.wordwise(inst):
             return super().restore(inst)
-        self.gathered(inst.dst, inst.lanes(1))
+        wanted = inst.dst.dtype.numpy_dtype
+        words = ", ".join(map(self.word, inst.lanes(1)))
+        expression = f"np.array(({words}), dtype=W_u{wanted.itemsize})"
+        if wanted.kind != "u":
+            expression += f".view(W_{_code(wanted)})"
+        self.define(inst.dst, expression, wanted, True, vector=True)
 
     def spill(self, inst: Spill) -> None:
         """A vector to framed lanes: one ``tolist()`` of its words, each
@@ -1985,6 +2080,9 @@ class _WarpPrinter(_BlockEmitter):
     def element(self, value, index: int) -> str:
         """Lane ``index`` of vector ``value`` (a constant, or a scalar a
         vector register holds, is the same in every lane)."""
+        held = self.held.get(self.slot(value))
+        if held is not None:
+            return held[0][index]
         vector, slot = self.raw(value), self.slot(value)
         if slot is None:
             return vector
@@ -1994,13 +2092,7 @@ class _WarpPrinter(_BlockEmitter):
         return f"{vector}[{index}] if {shaped} else {vector}"
 
     def extract(self, inst: ExtractElement) -> None:
-        reader = self.private.get(self.slots[inst.dst.name])
         known, exact = self.known.get(self.slot(inst.src), (None, False))
-        if isinstance(reader, ContextWrite) and exact and known.kind in "iu":
-            # A resume point: one tolist() of the vector for every lane.
-            words = self.words(inst.src, known, "j")
-            self.define(inst.dst, f"{words}[{inst.index}]")
-            return self.ints.add(self.slots[inst.dst.name])
         self.define(inst.dst, self.element(inst.src, inst.index), known, exact)
 
     def shaped(self, name: str, slot: int) -> str:

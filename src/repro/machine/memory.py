@@ -221,7 +221,7 @@ class MemorySystem:
             bad = (addresses < _NULL_GUARD) | (
                 addresses + size > self.size
             )
-            self._check(int(addresses[int(np.argmax(bad))]), size)
+            self._check(int(addresses.flat[int(np.argmax(bad))]), size)
 
     # -- bulk host access (the cudaMemcpy analogues) ----------------------
 

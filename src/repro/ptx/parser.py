@@ -266,6 +266,13 @@ def _shape(name: str, chain: str) -> tuple:
             elif modifier in _FLAGS:
                 fields[_FLAGS[modifier]] = True
             elif modifier[0] == "v" and modifier[1:].isdigit():
+                if modifier not in ("v2", "v4") or opcode not in (
+                    Opcode.ld, Opcode.st
+                ):
+                    raise _Refusal(
+                        f"unsupported vector width .{modifier} on {opcode} "
+                        "(ld and st take .v2 and .v4)", offset
+                    )
                 fields["vector_width"] = int(modifier[1:])
             elif modifier not in _TYPES:
                 raise _Refusal(

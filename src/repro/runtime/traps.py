@@ -179,9 +179,12 @@ def build_trap(
     if index is None:
         index = -1
     instruction = _faulting_instruction(executable, label, index)
-    # A memory/context instruction names the lane it operates on; only
-    # that lane faulted. Anything else implicates the whole warp.
-    faulting_lane = getattr(instruction, "lane", None)
+    # A memory/context instruction names the lane it operates on (a
+    # lane group, the run loop the lane whose access faulted); only that
+    # lane faulted. Anything else implicates the whole warp.
+    faulting_lane = getattr(cause, "trap_lane", None)
+    if faulting_lane is None:
+        faulting_lane = getattr(instruction, "lane", None)
     lanes = [
         LaneState(
             lane=position,

@@ -74,6 +74,7 @@ from ..machine.interpreter import (
     _UNARY_IMPL,
     Interpreter,
     _annotate_fault,
+    _coerce,
     _convert_impl,
     _WarpState,
 )
@@ -110,6 +111,8 @@ class _ReferenceState(_WarpState):
         super().reset(executable, warp, param_base)
         self.regs = [None] * len(executable.register_slots)
         self.registers: Dict[str, object] = {}
+        #: the lane of a lane group being executed (a trap names it)
+        self.lane = None
 
     # -- value plumbing ------------------------------------------------------
 
@@ -144,8 +147,22 @@ class _ReferenceState(_WarpState):
     def set(self, register: VirtualRegister, value) -> None:
         self.registers[register.name] = value
 
+    def fetch_lane(self, value, lane):
+        """``value`` as an instruction of lane ``lane`` reads it: a
+        vector's lane, anything else whole."""
+        fetched = self.fetch(value)
+        if isinstance(fetched, np.ndarray) and fetched.ndim == 1:
+            return fetched[lane]
+        return fetched
+
+    def grouped(self, inst, lanes) -> None:
+        """Lane group ``inst``'s destination from its ``lanes``' values:
+        their bits, converted where the register's size differs."""
+        vector = np.array(lanes, dtype=inst.dtype.numpy_dtype)
+        self.set(inst.dst, _coerce(vector, inst.dst.dtype.numpy_dtype))
+
     def resolve_address(self, inst) -> int:
-        address = int(self.fetch(inst.base)) + inst.offset
+        address = int(self.fetch_lane(inst.base, inst.lane)) + inst.offset
         space = inst.space
         if space is AddressSpace.global_:
             return address
@@ -207,7 +224,7 @@ class _ReferenceState(_WarpState):
                     return next_label
                 label = next_label
         except ExecutionError as fault:
-            _annotate_fault(fault, label, position)
+            _annotate_fault(fault, label, position, self.lane)
             # Trap snapshots read the slot file.
             slots = self.executable.register_slots
             for name, value in self.registers.items():
@@ -273,12 +290,23 @@ class _ReferenceState(_WarpState):
         self.set(inst.dst, result[()] if result.ndim == 0 else result)
 
     def _load(self, inst: Load) -> None:
-        address = self.resolve_address(inst)
-        self.set(inst.dst, self.memory.load(inst.dtype, address))
+        values = []
+        for load in inst.lanes(self.warp_size):
+            self.lane = load.lane
+            address = self.resolve_address(load)
+            values.append(self.memory.load(inst.dtype, address))
+        self.lane = None
+        if inst.lane is None:
+            return self.grouped(inst, values)
+        self.set(inst.dst, values[0])
 
     def _store(self, inst: Store) -> None:
-        address = self.resolve_address(inst)
-        self.memory.store(inst.dtype, address, self.fetch(inst.value))
+        for store in inst.lanes(self.warp_size):
+            self.lane = store.lane
+            address = self.resolve_address(store)
+            value = self.fetch_lane(store.value, store.lane)
+            self.memory.store(inst.dtype, address, value)
+        self.lane = None
 
     def _restore(self, inst: Restore) -> None:
         lanes = [self.memory.load(inst.dtype, self.resolve_address(load))
@@ -288,9 +316,7 @@ class _ReferenceState(_WarpState):
 
     def _spill(self, inst: Spill) -> None:
         for store in inst.lanes(self.warp_size):
-            value = self.fetch(store.value)
-            if isinstance(value, np.ndarray) and value.ndim == 1:
-                value = value[store.lane]
+            value = self.fetch_lane(store.value, store.lane)
             self.memory.store(inst.dtype, self.resolve_address(store), value)
 
     def _vector_load(self, inst: VectorLoad) -> None:
@@ -317,18 +343,37 @@ class _ReferenceState(_WarpState):
         address = self.resolve_address(inst)
         old = self.memory.load(inst.dtype, address)
         compare = (
-            self.fetch(inst.compare) if inst.op == "cas" else None
+            self.fetch_lane(inst.compare, inst.lane)
+            if inst.op == "cas" else None
         )
-        new = impl(old, self.fetch(inst.value), compare)
+        new = impl(old, self.fetch_lane(inst.value, inst.lane), compare)
         self.memory.store(inst.dtype, address, new)
         if inst.dst is not None:
             self.set(inst.dst, old)
 
     def _context_read(self, inst: ContextRead) -> None:
-        context = self.contexts[inst.lane]
+        if inst.lane is not None:
+            return self.set(inst.dst, self.context_field(inst, inst.lane))
+        values = [
+            self.context_field(inst, lane) for lane in range(self.warp_size)
+        ]
+        if inst.affine:  # lane k is lane 0's plus k
+            values = [
+                _BINARY_IMPL["add"](values[0], inst.dtype.numpy_dtype.type(k),
+                                    inst.dtype)
+                for k in range(self.warp_size)
+            ]
+        elif inst.field_name == "clock":  # the lanes before it were charged
+            cost = self.executable.target.machine.context_cost
+            values = [value + k * cost for k, value in enumerate(values)]
+        self.grouped(inst, values)
+
+    def context_field(self, inst: ContextRead, lane: int):
+        """What lane ``lane`` reads of ``inst``'s context field."""
+        context = self.contexts[lane]
         field_name = inst.field_name
         if field_name == "laneid":
-            value = inst.lane
+            value = lane
         elif field_name == "warpid":
             value = self.warp.warp_id
         elif field_name == "clock":
@@ -340,16 +385,16 @@ class _ReferenceState(_WarpState):
             value = getattr(context, attribute)[axis]
         else:
             raise ExecutionError(f"unknown context field {field_name}")
-        self.set(inst.dst, inst.dtype.numpy_dtype.type(value))
+        return inst.dtype.numpy_dtype.type(value)
 
     def _context_write(self, inst: ContextWrite) -> None:
         if inst.field_name != "resume_point":
             raise ExecutionError(
                 f"unwritable context field {inst.field_name}"
             )
-        self.contexts[inst.lane].resume_point = int(
-            self.fetch(inst.value)
-        )
+        for write in inst.lanes(self.warp_size):
+            value = int(self.fetch_lane(write.value, write.lane))
+            self.contexts[write.lane].resume_point = value
 
     def _insert(self, inst: InsertElement) -> None:
         numpy_dtype = inst.dst.dtype.numpy_dtype

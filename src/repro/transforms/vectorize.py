@@ -10,7 +10,11 @@ the scalar block:
   transcendental intrinsics) are promoted to vector-typed operators.
   Non-vectorizable instructions (loads, stores, atomics, context
   accesses) are replicated once per lane, with ``extractelement`` /
-  ``insertelement`` packing at the scalar/vector boundary (Fig. 3).
+  ``insertelement`` packing at the scalar/vector boundary (Fig. 3). A
+  replicated load, store or context access is built as one *lane
+  group* (``lane=None``) that stands for its copies and counts the
+  extracts and the pack beside them; only atomics are copied lane by
+  lane.
 - **Algorithm 2**: conditional branches become a predicate *sum* plus a
   three-way switch: uniformly not-taken, uniformly taken, or divergent
   — the divergent case enters a compiler-inserted exit handler.
@@ -41,7 +45,6 @@ from ..ir.function import IRFunction
 from ..ir.instructions import (
     AtomicRMW,
     BarrierTerm,
-    BinaryOp,
     Branch,
     Broadcast,
     CondBranch,
@@ -234,11 +237,14 @@ class Vectorizer:
         self.out.local_segment_size = scalar_function.local_segment_size
         #: scalar register name -> specialized register
         self.register_map: Dict[str, VirtualRegister] = {}
-        #: per-block memo of extracted lanes: name -> [lane scalars]
-        self._lane_cache: Dict[str, List[VirtualRegister]] = {}
-        #: per block, the insertelement chains nothing has read yet, by
-        #: the register they pack, and those a redefinition left dead
-        self._unread_packs: Dict[str, list] = {}
+        #: per-block memo of the lanes the block holds: name -> per lane
+        #: None, a scalar (an extract, an atomic's lane) or the register
+        #: itself (a lane group's lane, or one a group counted extracting)
+        self._lane_cache: Dict[str, list] = {}
+        #: per block, the packs nothing has read yet, by the register
+        #: they pack (a lane group, or an atomic's insertelement chain),
+        #: and the chains a redefinition left dead
+        self._unread_packs: Dict[str, object] = {}
         self._dead_packs: list = []
         #: labels whose instructions are yield overhead (Fig. 9)
         self._overhead_blocks: Set[str] = set()
@@ -261,7 +267,8 @@ class Vectorizer:
         """``value`` as an operand that reads the whole register (so a
         pack of it is kept)."""
         if isinstance(value, VirtualRegister):
-            self._unread_packs.pop(value.name, None)
+            if value.name in self._unread_packs:
+                self._keep_pack(value.name)
             return self.map_register(value)
         return value
 
@@ -284,7 +291,7 @@ class Vectorizer:
         if cached is None:
             cached = [None] * self.ws
             self._lane_cache[mapped.name] = cached
-        self._unread_packs.pop(mapped.name, None)
+        self._keep_pack(mapped.name)
         scalar = self._temp(mapped.dtype)
         self.block.append(
             ExtractElement(dst=scalar, src=mapped, index=lane)
@@ -292,22 +299,66 @@ class Vectorizer:
         cached[lane] = scalar
         return scalar
 
+    def _extracts(self, value) -> int:
+        """The extractelements a lane group reading specialized operand
+        ``value`` stands for: the lanes of a vector the block does not
+        hold yet, held from then on. A vector the block holds as an
+        atomic's lanes is read whole, so its pack is kept."""
+        if not isinstance(value, VirtualRegister) or value.width == 1:
+            return 0
+        cached = self._lane_cache.setdefault(value.name, [None] * self.ws)
+        if any(lane is not value for lane in cached):
+            self._keep_pack(value.name)
+        missing = cached.count(None)
+        cached[:] = [value if lane is None else lane for lane in cached]
+        return missing
+
+    def _group(self, instruction, **fields) -> None:
+        """Append ``instruction`` as a lane group over its operands,
+        specialized (at width 1, as lane 0's copy); a destination's pack
+        is kept once something reads it whole."""
+        values = [
+            self.map_register(value)
+            if isinstance(value, VirtualRegister) else value
+            for value in instruction.uses()
+        ]
+        extracts = sum(map(self._extracts, values))
+        destination = fields.pop("dst", instruction.dst)
+        group = instruction.rebuilt(destination, values)
+        group.lane = None if self.ws > 1 else 0
+        group.extracts = extracts
+        for name, value in fields.items():
+            setattr(group, name, value)
+        self.block.append(group)
+        if destination is not None:
+            self._invalidate_lanes(destination)
+            self._unread_packs[destination.name] = group
+            self._lane_cache[destination.name] = [destination] * self.ws
+
+    def _keep_pack(self, name: str) -> None:
+        """Register ``name`` is read whole: a pack of it is kept."""
+        pack = self._unread_packs.pop(name, None)
+        if pack is not None and not isinstance(pack, list):
+            pack.pack = True
+
     def _invalidate_lanes(self, register: VirtualRegister) -> None:
         """``register`` is (re)defined: its cached lanes are stale, and
         a pack of it nothing read is dead."""
-        self._lane_cache.pop(register.name, None)
-        self._dead_packs += self._unread_packs.pop(register.name, ())
+        name = register.name
+        if name in self._lane_cache:
+            del self._lane_cache[name]
+        if name in self._unread_packs:
+            pack = self._unread_packs.pop(name)
+            if isinstance(pack, list):
+                self._dead_packs += pack
 
     def _pack_lanes(
         self, destination: VirtualRegister, lanes: List[VirtualRegister]
     ) -> None:
-        """insertelement chain producing ``destination`` from per-lane
-        scalars (Fig. 3's packing), emitted in place and kept only if
-        the vector is read (§4 leaves that to dead-code elimination)."""
-        if destination.width == 1:
-            raise VectorizationError(
-                f"packing into scalar register {destination}"
-            )
+        """insertelement chain producing ``destination`` from an
+        atomic's per-lane scalars (Fig. 3's packing), emitted in place
+        and kept only if the vector is read (§4 leaves that to dead-code
+        elimination)."""
         start = len(self.block.instructions)
         current = None
         for index, scalar in enumerate(lanes):
@@ -328,7 +379,7 @@ class Vectorizer:
         self._lane_cache[destination.name] = list(lanes)
 
     def _drop_unread_packs(self, scalar_block: BasicBlock) -> None:
-        """At the end of a block, drop the chains whose vector nothing
+        """At the end of a block, drop the packs whose vector nothing
         reads: no later instruction, and no successor the block reaches
         without yielding (a spill in the block takes the cached lanes,
         a divergent exit handler the register)."""
@@ -336,8 +387,11 @@ class Vectorizer:
         if unread and not isinstance(self.block.terminator, Yield):
             live_out = self.liveness.live_out[scalar_block.label]
             for name in live_out.intersection(unread):
-                del unread[name]
-        dead = {id(i) for chain in unread.values() for i in chain}
+                self._keep_pack(name)
+        dead = {
+            id(i) for chain in unread.values()
+            if isinstance(chain, list) for i in chain
+        }
         dead.update(map(id, self._dead_packs))
         if dead:
             self.block.instructions = [
@@ -367,7 +421,7 @@ class Vectorizer:
         elif isinstance(instruction, ContextRead):
             self._replicate_context_read(instruction)
         elif isinstance(instruction, ContextWrite):
-            self._replicate(instruction)
+            self._group(instruction)
         elif isinstance(instruction, Load):
             self._replicate_load(instruction)
         elif isinstance(instruction, Store):
@@ -383,7 +437,7 @@ class Vectorizer:
                     )
                 )
             else:
-                self._replicate(instruction)
+                self._group(instruction)
         elif isinstance(instruction, AtomicRMW):
             self._replicate_atomic(instruction)
         elif isinstance(instruction, Reduce):
@@ -397,79 +451,27 @@ class Vectorizer:
         """Promote a vectorizable instruction (or keep it scalar when
         its destination is uniform — §6.2's scalarization)."""
         destination = self.map_register(instruction.dst)
+        map_value = self.map_value
         self.block.append(
             instruction.rebuilt(
-                destination,
-                [self.map_value(v) for v in instruction.uses()],
+                destination, [map_value(v) for v in instruction.uses()]
             )
         )
         if destination.width > 1:
             self._invalidate_lanes(destination)
 
-    def _for_lane(self, instruction, lane: int, destination=None):
-        """The copy of a non-vectorizable instruction that one lane
-        executes (§4: such instructions are replicated per lane)."""
-        clone = instruction.rebuilt(
-            destination,
-            [self.lane_value(v, lane) for v in instruction.uses()],
-        )
-        clone.lane = lane
-        return clone
-
-    def _replicate(self, instruction) -> list:
-        """One copy of ``instruction`` per lane, each writing a fresh
-        scalar if it writes at all; returns those scalars."""
-        lanes = []
-        for lane in range(self.ws):
-            scalar = instruction.dst and self._temp(instruction.dtype)
-            self.block.append(self._for_lane(instruction, lane, scalar))
-            lanes.append(scalar)
-        return lanes
-
     def _replicate_context_read(self, instruction: ContextRead) -> None:
         destination = self.map_register(instruction.dst)
-        field = instruction.field_name
         if destination.width == 1:
             self.block.append(instruction.rebuilt(destination, []))
             return
-        lanes: List[VirtualRegister] = []
-        if field == "laneid":
-            # The lane index is a compile-time constant per lane.
-            for lane in range(self.ws):
-                scalar = self._temp(instruction.dtype)
-                self.block.append(
-                    UnaryOp(
-                        op="mov",
-                        dtype=instruction.dtype,
-                        dst=scalar,
-                        a=Constant(lane, instruction.dtype),
-                    )
-                )
-                lanes.append(scalar)
-        elif (
-            field == "tid.x"
+        # Under static warps with TIE, lane i's tid.x is lane 0's + i.
+        affine = (
+            instruction.field_name == "tid.x"
             and self.options.static_warps
             and self.options.thread_invariant_elimination
-        ):
-            # Affine rewrite: lane i's tid.x = lane 0's tid.x + i.
-            base = self._temp(instruction.dtype)
-            self.block.append(instruction.rebuilt(base, []))
-            lanes.append(base)
-            for lane in range(1, self.ws):
-                scalar = self._temp(instruction.dtype)
-                self.block.append(
-                    BinaryOp(
-                        op="add",
-                        dtype=instruction.dtype,
-                        dst=scalar,
-                        a=base,
-                        b=Constant(lane, instruction.dtype),
-                    )
-                )
-                lanes.append(scalar)
-        else:
-            lanes = self._replicate(instruction)
-        self._pack_lanes(destination, lanes)
+        )
+        self._group(instruction, dst=destination, affine=affine)
 
     def _contiguous_across_warp(self, instruction) -> bool:
         """True when the access's per-lane addresses are provably
@@ -512,10 +514,20 @@ class Vectorizer:
                 )
             )
             return
-        self._pack_lanes(destination, self._replicate(instruction))
+        self._group(instruction, dst=destination)
 
     def _replicate_atomic(self, instruction: AtomicRMW) -> None:
-        lanes = self._replicate(instruction)
+        """One copy per lane, in lane order, each writing a fresh scalar
+        if it writes at all (§4: replicated per lane)."""
+        lanes = []
+        for lane in range(self.ws):
+            scalar = instruction.dst and self._temp(instruction.dtype)
+            copy = instruction.rebuilt(
+                scalar, [self.lane_value(v, lane) for v in instruction.uses()]
+            )
+            copy.lane = lane
+            self.block.append(copy)
+            lanes.append(scalar)
         if instruction.dst is None:
             return
         destination = self.map_register(instruction.dst)
@@ -594,15 +606,14 @@ class Vectorizer:
             slot = self._spill_slot(register)
             self.block.append(Spill(register.dtype, slot, values))
 
-    def _set_resume_points(self, value_per_lane) -> None:
-        for lane in range(self.ws):
-            self.block.append(
-                ContextWrite(
-                    field_name="resume_point",
-                    value=value_per_lane(lane),
-                    lane=lane,
-                )
+    def _set_resume_points(self, value) -> None:
+        """Each lane's resume point: lane k's of ``value``."""
+        self.block.append(
+            ContextWrite(
+                "resume_point", value, None if self.ws > 1 else 0,
+                self._extracts(value),
             )
+        )
 
     def _emit_barrier_exit(
         self, scalar_block: BasicBlock, terminator: BarrierTerm
@@ -610,9 +621,7 @@ class Vectorizer:
         successor_id = self.entry_ids[terminator.successor]
         start = len(self.block.instructions)
         self._spill_live_out(scalar_block)
-        self._set_resume_points(
-            lambda lane: Constant(successor_id, DataType.u32)
-        )
+        self._set_resume_points(Constant(successor_id, DataType.u32))
         self.block.append(Yield(status=ResumeStatus.THREAD_BARRIER))
         self._flag_overhead(self.block, start)
 
@@ -699,10 +708,7 @@ class Vectorizer:
                 predicate=predicate,
             )
         )
-        self._set_resume_points(
-            lambda lane: self.lane_value(selected, lane)
-            if width > 1 else selected
-        )
+        self._set_resume_points(selected)
         self.block.append(Yield(status=ResumeStatus.THREAD_BRANCH))
 
     # -- Algorithm 3: scheduler and entry handlers --------------------------

@@ -194,6 +194,58 @@ class TestKernelTrap:
         assert stats.instructions > 0
 
 
+#: Lane 2 of every warp of four (thread 2) reads or writes far past the
+#: arena; the other lanes access their own word of ``out``.
+WILD_LANE_PTX = r"""
+.version 2.3
+.target sim
+.entry wild (.param .u64 out)
+{
+  .reg .u32 %r<4>;
+  .reg .u64 %rd<6>;
+  .reg .pred %p<2>;
+  mov.u32 %r1, %tid.x;
+  mul.wide.u32 %rd1, %r1, 4;
+  ld.param.u64 %rd2, [out];
+  add.u64 %rd3, %rd2, %rd1;
+  setp.eq.u32 %p1, %r1, 2;
+  selp.u64 %rd4, 1099511627776, 0, %p1;
+  add.u64 %rd5, %rd3, %rd4;
+  ACCESS
+  exit;
+}
+"""
+
+
+class TestFaultingLane:
+    @pytest.mark.parametrize("access", [
+        "ld.global.u32 %r2, [%rd5];\n  st.global.u32 [%rd3], %r2;",
+        "st.global.u32 [%rd5], %r1;",
+    ])
+    @pytest.mark.parametrize("path", ["default", "sequential", "checked"])
+    def test_a_wild_lane_is_the_only_faulting_lane(self, access, path):
+        # One access of the warp's four has a wild address: the trap
+        # names that lane only, whichever path ran the warp.
+        from contextlib import nullcontext
+
+        from tests.conftest import sequential_only
+
+        config = vectorized_config(4)
+        if path == "checked":
+            config = replace(config, sanitize=True)
+        device = Device(config=config)
+        device.register_module(WILD_LANE_PTX.replace("ACCESS", access))
+        device.warm()
+        out = device.upload(np.zeros(32, dtype=np.uint32))
+        leg = sequential_only() if path == "sequential" else nullcontext()
+        with leg, pytest.raises(KernelTrap) as excinfo:
+            device.launch("wild", grid=1, block=32, args=[out])
+        info = excinfo.value.info
+        assert info.warp_size == 4
+        assert [lane.tid for lane in info.faulting_lanes] == [(2, 0, 0)]
+        assert [lane.lane for lane in info.faulting_lanes] == [2]
+
+
 class TestStickyErrors:
     def test_fault_is_sticky_until_reset(self):
         device = _oob_device()

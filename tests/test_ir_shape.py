@@ -39,6 +39,7 @@ SAMPLES = {
     "DataType": (DataType.f32, DataType.u32),
     "AddressSpace": (AddressSpace.global_, AddressSpace.shared),
     "Optional[str]": (None, "rz"),
+    "Optional[int]": (0, None),
     "Dict[int, str]": ({1: "a"}, {1: "a", 2: "b"}),
 }
 

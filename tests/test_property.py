@@ -1345,6 +1345,149 @@ def test_every_spill_form_stores_the_same_bytes():
     assert forms == {"width-1", "vector", "lanes"}
 
 
+LANE_GROUP_FORMS_PTX = r"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{
+  .reg .u32 %r<16>;
+  .reg .u64 %rd<8>;
+  .reg .pred %p<3>;
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r2, %ntid.x;
+  mov.u32 %r3, %ctaid.x;
+  mad.lo.u32 %r4, %r3, %r2, %r1;
+  mul.wide.u32 %rd1, %r4, 16;
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.param.u64 %rd4, [out];
+  add.u64 %rd5, %rd4, %rd1;
+  ld.param.u32 %r7, [n];
+  ld.global.u32 %r8, [%rd3];
+  ld.global.u32 %r11, [%rd3+4];
+  ld.global.u32 %r13, [%rd2];
+  xor.b32 %r9, %r8, %r4;
+  st.global.u32 [%rd5], %r11;
+  st.global.u32 [%rd5+4], %r7;
+  st.global.u32 [%rd5+12], %r13;
+  bar.sync 0;
+  and.b32 %r5, %r8, 1;
+  setp.eq.u32 %p2, %r5, 0;
+  @%p2 bra EVEN;
+  add.u32 %r9, %r9, %r7;
+EVEN:
+  st.global.u32 [%rd5+8], %r9;
+  exit;
+}
+"""
+
+
+def _lane_group_forms(function) -> set:
+    """The operand forms of ``function``'s lane groups."""
+    from repro.ir.instructions import ContextWrite, Load, Store
+
+    forms = set()
+    for group in function.instructions():
+        if getattr(group, "lane", 0) is not None:
+            continue
+        if isinstance(group, Load):
+            forms.add("kept pack" if group.pack else "dropped pack")
+            if group.space.value == "param":
+                forms.add("param load")
+            elif group.base.width > 1:
+                forms.add("address extracted" if group.extracts
+                          else "address held")
+        elif isinstance(group, Store) and group.value.width == 1:
+            forms.add("width-1 operand")
+        elif isinstance(group, ContextWrite):
+            forms.add("branch exit" if group.extracts else "barrier exit")
+    return forms
+
+
+def test_every_lane_group_form_stores_the_same_bytes():
+    # Each operand form of a lane group (a kept and a dropped pack,
+    # address lanes extracted or held, a width-1 operand, a param load,
+    # a branch exit's and a barrier exit's resume points): the batched,
+    # one-warp-at-a-time and checked paths store the reference's bytes
+    # and model its statistics.
+    data = (np.arange(256, dtype=np.uint32) * 2654435761) >> 7
+    gid = np.arange(64)
+    r8 = data[4 * gid]
+    expected = np.stack([
+        data[4 * gid + 1],
+        np.full(64, 256),
+        (r8 ^ gid) + np.where(r8 & 1, 256, 0),
+        np.full(64, data[0]),
+    ], axis=1).astype(np.uint32).ravel()
+    forms = set()
+    for base in (
+        vectorized_config(4),
+        replace(vectorized_config(4), thread_invariant_elimination=True),
+    ):
+        reference = run_with_statistics(
+            LANE_GROUP_FORMS_PTX, data, replace(base, backend="reference"),
+            1024,
+        )
+        assert np.array_equal(reference[0].view(np.uint32), expected)
+        for name, config, leg in execution_legs(base):
+            with leg():
+                memory, statistics, batched = run_with_statistics(
+                    LANE_GROUP_FORMS_PTX, data, config, 1024
+                )
+            assert np.array_equal(memory, reference[0]), name
+            assert statistics == reference[1], name
+            assert (batched > 0) == (name == "batching"), name
+        device = Device(config=base)
+        device.register_module(LANE_GROUP_FORMS_PTX)
+        forms |= _lane_group_forms(device.cache.get("prop", 4).function)
+    assert forms == {
+        "kept pack", "dropped pack", "param load", "address extracted",
+        "address held", "width-1 operand", "branch exit", "barrier exit",
+    }
+
+
+SIGNED_LOAD_PTX = r"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 in, .param .u64 out, .param .u32 n)
+{
+  .reg .s32 %r<4>;
+  .reg .u64 %rd<6>;
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r2, %ctaid.x;
+  mad.lo.u32 %r1, %r2, 32, %r1;
+  mul.wide.u32 %rd1, %r1, 4;
+  ld.param.u64 %rd2, [in];
+  add.u64 %rd3, %rd2, %rd1;
+  ld.param.u64 %rd4, [out];
+  add.u64 %rd5, %rd4, %rd1;
+  ld.global.u32 %r2, [%rd3];
+  add.s32 %r3, %r2, 1;
+  st.global.u32 [%rd5], %r3;
+  exit;
+}
+"""
+
+
+def test_a_load_into_a_differently_typed_register_keeps_its_bits():
+    # ld.u32 into a .s32 register: the packed lanes are the loaded bits
+    # (a word past 2**31 included), on every path.
+    data = np.arange(64, dtype=np.uint32) * np.uint32(0x04000001)
+    expected = (data + np.uint32(1)).view(np.uint8)
+    base = vectorized_config(4)
+    reference = run_with_statistics(
+        SIGNED_LOAD_PTX, data, replace(base, backend="reference"), 256
+    )
+    assert np.array_equal(reference[0], expected)
+    for name, config, leg in execution_legs(base):
+        with leg():
+            memory, statistics, _ = run_with_statistics(
+                SIGNED_LOAD_PTX, data, config, 256
+            )
+        assert np.array_equal(memory, expected), name
+        assert statistics == reference[1], name
+
+
 class TestMemoryProperties:
     @_SETTINGS
     @given(

@@ -676,6 +676,13 @@ REFUSALS = {
     "bad second parameter type": (
         "", 4, 33, {"params": ".param .u32 a, .param .bar b"}
     ),
+    "three-wide store": ("st.global.v3.f32 [%rd1], {%f1, %f2, %f3};", 10, 12),
+    "one-wide load": ("ld.global.v1.f32 {%f1}, [%rd1];", 10, 12),
+    "eight-wide load": (
+        "ld.global.v8.f32 {%f1, %f2, %f3, %f4, %f5, %f6, %f7, %f8}, [%rd1];",
+        10, 12,
+    ),
+    "vector add": ("add.v2.f32 %f1, %f2, %f3;", 10, 6),
 }
 
 

@@ -115,18 +115,31 @@ class TestAlgorithm1:
         assert adds
 
     def test_loads_replicated_per_lane(self, vecadd_scalar_ir):
+        # One lane group a load, standing for a load per lane.
         function = vectorize(vecadd_scalar_ir, warp_size=4)
         global_loads = [
             i for i in instructions_of(function, Load)
             if i.space.value == "global"
         ]
-        lanes = {load.lane for load in global_loads}
-        assert lanes == {0, 1, 2, 3}
+        assert len(global_loads) == 2
+        for load in global_loads:
+            assert load.lane is None and load.moves(4)[0] == 4
+            assert [lane.lane for lane in load.lanes(4)] == [0, 1, 2, 3]
 
     def test_packing_instructions_emitted(self, vecadd_scalar_ir):
+        # The packing is counted on the groups, not built: each global
+        # load extracts its address lanes and packs its result, the
+        # store extracts its address and value lanes.
         function = vectorize(vecadd_scalar_ir, warp_size=4)
-        assert instructions_of(function, InsertElement)
-        assert instructions_of(function, ExtractElement)
+        assert not instructions_of(function, InsertElement)
+        assert not instructions_of(function, ExtractElement)
+        loads = [i for i in instructions_of(function, Load)
+                 if i.space.value == "global"]
+        assert [(load.extracts, load.pack) for load in loads] == [
+            (4, True), (4, True)
+        ]
+        (store,) = instructions_of(function, Store)
+        assert store.extracts == 8 and store.moves(4) == (4, 8)
 
     def test_ws1_has_no_packing(self, vecadd_scalar_ir):
         function = vectorize(vecadd_scalar_ir, warp_size=1)
@@ -139,7 +152,8 @@ class TestAlgorithm1:
             i for i in instructions_of(function, ContextRead)
             if i.field_name == "tid.x"
         ]
-        assert {read.lane for read in tid_reads} == {0, 1}
+        assert [read.lane for read in tid_reads] == [None]
+        assert [lane.lane for lane in tid_reads[0].lanes(2)] == [0, 1]
 
 
 class TestAlgorithm2:
@@ -181,7 +195,8 @@ class TestAlgorithm2:
             i for i in handler.instructions
             if isinstance(i, ContextWrite)
         ]
-        assert len(writes) == 4  # one resume point per lane
+        # one group writing each lane's resume point, extracting them
+        assert len(writes) == 1 and writes[0].moves(4) == (4, 4)
         assert isinstance(handler.terminator, Yield)
         assert handler.terminator.status == ResumeStatus.THREAD_BRANCH
 
@@ -378,8 +393,12 @@ class TestThreadInvariantElimination:
             if i.field_name == "tid.x"
         ]
         # only lane 0 reads tid.x; lanes 1-3 are computed as +1/+2/+3
-        assert len(tid_reads) == 1
-        assert tid_reads[0].lane == 0
+        assert len(tid_reads) == 1 and tid_reads[0].affine
+        lanes = tid_reads[0].lanes(4)
+        assert [type(lane).__name__ for lane in lanes] == [
+            "ContextRead", "BinaryOp", "BinaryOp", "BinaryOp"
+        ]
+        assert lanes[0].lane == 0
 
     def test_uniform_branch_stays_conditional(self):
         source = """
