@@ -47,12 +47,14 @@ on the sequential path, and by batch size for batches that reached
 their yield and for those that left early.
 
 ``--manager`` prints instead what the execution manager costs the host
-around the generated code: per app, over a second run on a compiled
+around the generated code: per app, over a third run on a compiled
 Device, µs per warp execution of each manager step — pop/form (the
 ready pool's pop and warp formation), cache lookup, accounting (the
 warp's statistics and the execution call around the generated code),
 yield handling, barrier release, batch formation and the rest of the
-window loop — beside the generated code's own µs per warp execution.
+window loop — beside the generated code's own µs per warp execution,
+and how the batches were cut: ``execute_batch`` calls per launch and
+warps per call (a launch's opening round is one call across workers).
 Each step is the self time of wrappers installed on the manager's
 methods at class level, less what a wrapper costs the step that
 calls it (measured once, on an empty function).
@@ -76,6 +78,7 @@ from repro.ir import instructions as ir
 from repro.machine import interpreter as lowering
 from repro.machine.array_backend import ArrayBackend, _ArrayBlocks
 from repro.runtime.execution_manager import ExecutionManager, _ReadyPool
+from repro.runtime.launcher import KernelLauncher
 from repro.runtime.translation_cache import TranslationCache
 from repro.workloads.registry import get_workload, workload_names
 
@@ -422,6 +425,10 @@ _STEPS = {
     "barrier": ((ExecutionManager, "_maybe_release_barrier"),),
     "batch": (
         (ExecutionManager, "_execute_batch_round"),
+        (ExecutionManager, "_batch_warps"),
+        (ExecutionManager, "_file_batch"),
+        (ExecutionManager, "_opening"),
+        (KernelLauncher, "_opening_round"),
         (_ReadyPool, "head_batch"),
         (_ReadyPool, "take_batch"),
     ),
@@ -475,6 +482,14 @@ def manager_costs(names: list, scale: float) -> None:
     (see the module docstring)."""
     clock = StepClock()
     clock.calibrate()
+    batches = []  # warps per execute_batch call
+    execute_batch = ArrayBackend.execute_batch
+
+    def counted(self, executable, warps, *args, **kwargs):
+        batches.append(len(warps))
+        return execute_batch(self, executable, warps, *args, **kwargs)
+
+    ArrayBackend.execute_batch = counted
     for step, methods in _STEPS.items():
         for owner, name in methods:
             if hasattr(owner, name):
@@ -487,27 +502,37 @@ def manager_costs(names: list, scale: float) -> None:
     print(
         f"  {'app':<24}{'warps':>6}"
         + "".join(f"{step:>11}" for step in steps)
-        + f"{'manager':>9}{'code':>8}{'ratio':>7}"
+        + f"{'manager':>9}{'code':>8}{'ratio':>7}{'calls':>7}{'w/call':>7}"
     )
-    total_seconds, total_warps = Counter(), 0
+    total_seconds, total_warps, total_launches, total_batches = (
+        Counter(), 0, 0, []
+    )
     for name in [*names, "total"]:
         if name == "total":
             seconds, warps = total_seconds, total_warps
+            launches, batches[:] = total_launches, total_batches
         else:
             app = get_workload(name)
             device = Device(config=vectorized_config(4))
             device.register_module(app.module_source())
             device.warm()
-            # The first run lowers what it enters; the second counts.
-            app.execute(device, scale, check=True)
+            # The first runs lower what they enter and give admission
+            # its record (an opening round merges at full credit); the
+            # third counts.
+            for _ in range(2):
+                app.execute(device, scale, check=True)
             clock.seconds.clear()
+            batches.clear()
             run = app.execute(device, scale, check=True)
             seconds = dict(clock.seconds)
             warps = sum(
                 launch.statistics.warp_executions for launch in run.launches
             )
+            launches = len(run.launches)
             total_seconds.update(seconds)
             total_warps += warps
+            total_launches += launches
+            total_batches += batches
         manager = sum(seconds.get(step, 0.0) for step in steps)
         code = seconds.get("code", 0.0)
         each = 1e6 / max(warps, 1)
@@ -518,6 +543,8 @@ def manager_costs(names: list, scale: float) -> None:
             f"  {name:<24}{warps:>6}{columns}"
             f"{each * manager:>9.2f}{each * code:>8.2f}"
             f"{manager / max(code, 1e-12):>7.2f}"
+            f"{len(batches) / max(launches, 1):>7.2f}"
+            f"{sum(batches) / max(len(batches), 1):>7.1f}"
         )
 
 

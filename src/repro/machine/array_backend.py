@@ -640,6 +640,14 @@ class _ArrayBlocks(_BlockTable):
         record[1] -= 1
         return False
 
+    def merges(self, entry_point: int) -> bool:
+        """Whether batches from ``entry_point`` hold the full credit:
+        what a batch of every worker's first round, which stops where
+        any of its warps disagree, asks (completing, it leaves the
+        record where the workers' own batches would)."""
+        record = self.outcomes.get(entry_point)
+        return record is not None and record[0] == -_CREDIT
+
     def record(self, entry_point: int, completed: bool) -> None:
         """A batch from ``entry_point`` reached its yield, or left at a
         divergent terminator or an untranslated block."""

@@ -1693,9 +1693,12 @@ class _BlockEmitter:
             target = self.raw(inst.src)
         else:
             self.copy_of(inst.src, width, wanted)
-        self.emit(
-            f"{self.lane(target, inst.index)} = {self.raw(inst.scalar)}"
+        # the lane's bits, as a load group packs them (an atomic's old
+        # value may be typed other than the register it lands in)
+        scalar = self.packed(
+            self.raw(inst.scalar), inst.scalar.dtype.numpy_dtype, wanted
         )
+        self.emit(f"{self.lane(target, inst.index)} = {scalar}")
         self.define(inst.dst, target, wanted, True, vector=True)
         self.fresh.add(self.slots[inst.dst.name])
 

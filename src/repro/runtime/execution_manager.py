@@ -15,7 +15,9 @@ local memory, a ready pool, and the warp former. The main loop:
    discard exited threads.
 
 This iterates until all threads of the window have terminated (§3:
-"This process iterates until all threads have terminated").
+"This process iterates until all threads have terminated"). The
+launcher opens every worker's first window before any worker runs, so
+their first batch rounds can run as one (``KernelLauncher``).
 
 Formation is data: the pool queues *chunks* (the threads one arrival
 brings to one key), a :class:`Warp` carries its key, and what a warp
@@ -191,16 +193,18 @@ class _ReadyPool:
             return None
         return key, chain.from_iterable(queue)
 
-    def take_batch(self, threads: int, entries: List[tuple]) -> None:
-        """A batch ran the head key's first ``threads`` threads: they
-        leave, ``entries`` — its warps but the first, pre-run — take
-        their place at the front, and the round-robin advances one
-        step, as if the first warp had just been popped."""
-        key = next(iter(self._queues))
-        rest = list(chain.from_iterable(self._queues.pop(key)))[threads:]
-        queue = entries + [rest] if rest else entries
-        if queue:
-            self._queues[key] = queue
+    def keys(self) -> List[Tuple[tuple, Iterator]]:
+        """Every key and its threads in round-robin order, nothing taken."""
+        return [(key, chain(*queue)) for key, queue in self._queues.items()]
+
+    def take_batch(self, key: tuple, threads: int, entries: List[tuple]):
+        """A batch ran ``key``'s first ``threads`` threads: they leave
+        and ``entries``, its warps, take their place at the front of the
+        key's queue, pre-run. The round-robin does not move: the key's
+        next visit hands out the first warp."""
+        queue = self._queues[key]
+        rest = list(chain.from_iterable(queue))[threads:]
+        queue[:] = entries + [rest] if rest else entries
         self.size -= threads - sum(entry[0].size for entry in entries)
         self.pre_run += len(entries)
 
@@ -290,18 +294,18 @@ class ExecutionManager:
         #: Watchdog state of the current launch (installed by run()).
         self._cycle_budget: Optional[int] = None
         self._deadline: Optional[float] = None
+        #: (kernel, geometry, param base, shared bytes, local stride) of
+        #: the current launch (installed by open()).
+        self._launch: Optional[tuple] = None
 
     # -- public --------------------------------------------------------------
 
-    def run(
-        self,
-        kernel_name: str,
-        geometry: LaunchGeometry,
-        cta_ids: List[int],
-        param_base: int,
-        deadline: Optional[float] = None,
-    ) -> LaunchStatistics:
-        """Execute the assigned CTAs to completion.
+    def open(
+        self, kernel_name: str, geometry: LaunchGeometry, cta_ids: List[int],
+        param_base: int, deadline: Optional[float] = None,
+    ) -> "_Window":
+        """Ready the assigned CTAs for :meth:`run` and open the window
+        of the first of them.
 
         ``deadline`` is an absolute ``time.monotonic`` value installed
         by the launcher when ``launch_timeout_s`` is configured; it is
@@ -336,9 +340,9 @@ class ExecutionManager:
         # What no warp of this run can change is settled here, not per
         # warp: the watchdog's limits, that every local frame the slab
         # holds fits (frames_fit: its extremes decide), and with the
-        # inline access template the guest error state. Checked access
-        # stays per warp: a sanitizer report is host code, an injector
-        # may disarm itself.
+        # inline access template the guest error state (entered by
+        # run()). Checked access stays per warp: a sanitizer report is
+        # host code, an injector may disarm itself.
         state = self._warp_state
         state.deadline = deadline
         state.limit = self.interpreter.instruction_limit
@@ -347,16 +351,22 @@ class ExecutionManager:
             local_bytes, self._local_slab, local_stride, frames, self.memory.size
         ))
         state.scoped = state.access == "inline"
+        self._launch = (
+            kernel_name, geometry, param_base, shared_bytes, local_stride
+        )
+        return self._open_window(cta_ids[:CTA_WINDOW])
+
+    def run(self, window: "_Window", cta_ids: List[int]) -> LaunchStatistics:
+        """Execute the assigned CTAs ``cta_ids`` to completion:
+        ``window``, which :meth:`open` opened on the first of them, then
+        the rest a window at a time."""
+        state = self._warp_state
         try:
             with guest_errstate() if state.scoped else nullcontext():
-                for start in range(0, len(cta_ids), CTA_WINDOW):
-                    self._run_window(
-                        kernel_name,
-                        geometry,
-                        cta_ids[start : start + CTA_WINDOW],
-                        param_base,
-                        shared_bytes,
-                        local_stride,
+                self._drain(window)
+                for start in range(CTA_WINDOW, len(cta_ids), CTA_WINDOW):
+                    self._drain(
+                        self._open_window(cta_ids[start : start + CTA_WINDOW])
                     )
         finally:
             state.scoped = False
@@ -368,7 +378,7 @@ class ExecutionManager:
         The pooled warp state is replaced (its register file may hold
         the faulted warp's values) and the watchdog disarmed. Reserved
         shared/local slabs are deliberately kept: they are reset per
-        window by :meth:`_run_window`, and keeping them means a
+        window by :meth:`_open_window`, and keeping them means a
         trap-then-relaunch sequence does not grow the arena."""
         self._warp_state = self.interpreter.new_state()
         self._cycle_budget = None
@@ -414,10 +424,12 @@ class ExecutionManager:
 
     # -- one window of CTAs ------------------------------------------------
 
-    def _run_window(
-        self, kernel_name: str, geometry: LaunchGeometry, cta_ids: List[int],
-        param_base: int, shared_bytes: int, local_stride: int,
-    ) -> None:
+    def _open_window(self, cta_ids: List[int]) -> "_Window":
+        """A window of the CTAs ``cta_ids``: their slabs cleared, their
+        threads queued at the kernel's entry, one chunk per CTA."""
+        kernel_name, geometry, param_base, shared_bytes, local_stride = (
+            self._launch
+        )
         ready = _ReadyPool(cross_cta=self.config.allow_cross_cta_warps)
         live_counts: Dict[int, int] = {}
         barrier_pools: Dict[int, List[ThreadContext]] = {}
@@ -448,13 +460,16 @@ class ExecutionManager:
                 for lane, tid in enumerate(tids)
             ], cta_linear)
         self.stats.threads_launched += threads_per_cta * len(cta_ids)
-
-        entry_labels = self.cache.scalar_ir(kernel_name).entry_points
-        window = _Window(
-            kernel_name, geometry, param_base, entry_labels, ready,
+        return _Window(
+            kernel_name, geometry, param_base,
+            self.cache.scalar_ir(kernel_name).entry_points, ready,
             live_counts, barrier_pools,
             self._cycle_budget is not None or self._deadline is not None,
         )
+
+    def _drain(self, window: "_Window") -> None:
+        """Run ``window``'s threads until none is ready (§3's loop)."""
+        ready, kernel_name = window.ready, window.kernel_name
         # Whether the window may batch is asked once, here: when it may
         # not, the size rule's floor is one no key reaches. While pre-run
         # warps wait, a visit asks the head entry first: a warp a batch
@@ -500,7 +515,9 @@ class ExecutionManager:
         # (the pool is empty: every thread left waits at a barrier)
         points = self._program_points(window)
         if points:
-            leftovers = [cta for cta, left in barrier_pools.items() if left]
+            leftovers = [
+                cta for cta, left in window.barrier_pools.items() if left
+            ]
             listed = "; ".join(str(point) for point in points[:16])
             suffix = (
                 f"; ... +{len(points) - 16} more" if len(points) > 16 else ""
@@ -650,17 +667,8 @@ class ExecutionManager:
         """One batched round: every full maximal-width warp of the head
         key's ``threads`` (:meth:`_ReadyPool.head_batch` found the size
         rule's ``MIN_BATCH_WARPS`` warps there), run at once through
-        the array lowering of ``executable`` (:meth:`_batchable`).
-
-        The warps are the ones :meth:`_ReadyPool.pop_group` would form
-        across its visits to the key (arrivals only append, so the
-        memberships do not depend on the interleaving). The batch runs
-        what they compute; their yield handling — the order-sensitive
-        part, where arrivals and barrier parks reshape downstream
-        queues — is the first warp's now, in place of the pop this
-        round replaces, and the others' at the turns the sequential
-        former would have formed them: they go back to the front of the
-        key's queue, pre-run.
+        the array lowering of ``executable`` (:meth:`_batchable`) and
+        filed at the front of the key's queue (:meth:`_file_batch`).
 
         Returns False, having taken nothing, when the record of past
         batches refuses the entry point (``_ArrayBlocks.admits``) or
@@ -670,21 +678,9 @@ class ExecutionManager:
         (stores the batch committed persist — a trapped launch's memory
         is partial either way). Both rules read modeled state only, so
         which warps batch is a function of the launch history."""
-        kernel_name = window.kernel_name
-        limit = self._max_warp_size
-        entry_point, cta = key
-        if not executable.array_blocks.admits(entry_point):
+        if not executable.array_blocks.admits(key[0]):
             return False
-        threads = list(threads)
-        warps = []
-        for start in range(0, len(threads) - limit + 1, limit):
-            # One cache access per warp, as the sequential path makes.
-            self.cache.get(kernel_name, limit)
-            warps.append(Warp(
-                threads[start : start + limit], self._warp_counter,
-                entry_point, cta,
-            ))
-            self._warp_counter += 1
+        warps = self._batch_warps(key, threads, self._warp_counter)
         try:
             outcome = self.interpreter.execute_batch(
                 executable, warps, window.param_base,
@@ -692,23 +688,72 @@ class ExecutionManager:
             )
         except ExecutionError:
             return False
-        self.stats.batched_warps += len(warps)
+        self._file_batch(window, executable, warps, outcome)
+        return True
+
+    def _batch_warps(self, key: tuple, threads: Iterator, first: int):
+        """The full maximal-width warps of ``threads``, ``key``'s queue
+        in order, numbered from ``first``: the warps ``pop_group`` would
+        form across its visits to the key (arrivals only append, so the
+        memberships do not depend on the interleaving)."""
+        limit, threads = self._max_warp_size, list(threads)
+        starts = range(0, len(threads) - limit + 1, limit)
+        return [
+            Warp(threads[start : start + limit], first + n, *key)
+            for n, start in enumerate(starts)
+        ]
+
+    def _opening(self, window: _Window) -> List[List[Warp]]:
+        """The launch's opening round's share of ``window``, opened and
+        not yet drained: per key in visit order (one per CTA, at the
+        entry), the warps its first batch round would form — none when
+        a CTA is below the size rule, the window may not batch or the
+        entry does not hold the full credit (``_ArrayBlocks.merges``)."""
+        floor = MIN_BATCH_WARPS * self._max_warp_size
+        groups, first = [], self._warp_counter
+        executable = self._batchable(window.kernel_name)
+        if (
+            window.geometry.threads_per_cta < floor
+            or executable is None
+            or not executable.array_blocks.merges(0)  # 0: the entry
+        ):
+            return groups
+        for key, threads in window.ready.keys():
+            groups.append(self._batch_warps(key, threads, first))
+            first += len(groups[-1])
+        return groups
+
+    def _file_batch(
+        self, window: _Window, executable, warps: List[Warp], outcome,
+        position: int = 0,
+    ) -> None:
+        """File ``warps``, one key's warps of a batch from ``position``
+        on, as pre-run entries at the front of the key's queue: the
+        batch ran what they compute; their yield handling — where
+        arrivals and barrier parks reshape downstream queues — comes at
+        the turns the sequential former would have formed them. Each is
+        numbered and makes one cache access, as the sequential path
+        does. A warp of a batch that stopped short of a yield carries a
+        continuation: it resumes on the sequential path where the array
+        program left it. One restore count serves all: the key is the
+        entry point."""
+        limit, count = self._max_warp_size, len(warps)
+        for _ in warps:
+            self.cache.get(window.kernel_name, limit)
+        self._warp_counter += count
+        self.stats.batched_warps += count
         if outcome.kind != "yield":
-            self.stats.batch_fallbacks += len(warps)
-        # A warp of a batch that stopped short of a yield (divergence,
-        # a precise/untranslated block, a conservative limit/deadline
-        # exit) carries a continuation: it resumes on the sequential
-        # path exactly where the array program left it, at its turn.
-        # The key is the entry point, so one restore count serves all.
-        restored = executable.function.restore_counts.get(entry_point, 0)
-        continuations = outcome.continuations or [None] * len(warps)
-        entries = [
+            self.stats.batch_fallbacks += count
+        first = warps[0]
+        restored = executable.function.restore_counts.get(first.entry_point, 0)
+        continuations = (
+            outcome.continuations[position : position + count]
+            or [None] * count
+        )
+        window.ready.take_batch((first.entry_point, first.cta), limit * count, [
             (warp, executable, restored, continuation, outcome)
             for warp, continuation in zip(warps, continuations)
-        ]
-        window.ready.take_batch(limit * len(warps), entries[1:])
-        self._run_warp(window, *entries[0])
-        return True
+        ])
 
     # -- watchdog ------------------------------------------------------------
 

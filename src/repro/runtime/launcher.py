@@ -7,7 +7,9 @@ The workers model the paper's four hardware threads. They are executed
 sequentially here (CPython cannot run interpreters concurrently), but
 each worker accumulates its own cycle count and the launch's elapsed
 time is the maximum across workers — the quantity a wall clock would
-measure on real hardware.
+measure on real hardware. Every worker's first window is opened before
+any worker runs, so the batch rounds their loops would run first can
+run as one (:meth:`KernelLauncher._opening_round`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import LaunchError
+from ..errors import ExecutionError, LaunchError
 from ..machine.descriptor import MachineDescription
 from ..machine.interpreter import Interpreter
 from ..machine.memory import MemorySystem
@@ -222,18 +224,19 @@ class KernelLauncher:
         total = LaunchStatistics()
         ran = []
         try:
+            opened = []
             for manager, cta_ids in zip(self.managers, partitions):
-                if not cta_ids:
-                    continue
-                manager.stats = LaunchStatistics()
+                if cta_ids:
+                    manager.stats = LaunchStatistics()
+                    window = manager.open(
+                        kernel_name, geometry, cta_ids, param_base,
+                        deadline=deadline,
+                    )
+                    opened.append((manager, cta_ids, window))
+            self._opening_round(kernel_name, opened, param_base, deadline)
+            for manager, cta_ids, window in opened:
                 ran.append(manager)
-                manager.run(
-                    kernel_name,
-                    geometry,
-                    cta_ids,
-                    param_base,
-                    deadline=deadline,
-                )
+                manager.run(window, cta_ids)
         except Exception as error:
             # Containment: every manager's pooled state is restored to
             # launch-ready and the partial launch statistics ride on
@@ -269,3 +272,42 @@ class KernelLauncher:
             statistics=total,
             clock_hz=self.machine.clock_hz,
         )
+
+    def _opening_round(
+        self, kernel_name: str, opened: list, param_base: int,
+        deadline: Optional[float],
+    ) -> None:
+        """The opening round: the warps every opened window's loop would
+        batch first (``ExecutionManager._opening``), in worker order,
+        run through one ``execute_batch`` call and filed as pre-run
+        entries of their keys; the workers then drain their windows in
+        order, as if each had batched its own.
+
+        A window takes part only while the entry holds its full credit
+        (``_ArrayBlocks.merges``: a merged batch stops where any of its
+        warps disagree). Admission is asked once: at full credit it
+        refuses nothing and its record does not change, so it would
+        admit each key. When it refuses or the batch faults, nothing is
+        taken: each worker's loop batches its own keys."""
+        batches = [
+            (manager, window, warps)
+            for manager, _, window in opened
+            for warps in manager._opening(window)
+        ]
+        if not batches:
+            return
+        warps = [warp for _, _, group in batches for warp in group]
+        executable = self.cache.resident(kernel_name, self.config.max_warp_size)
+        if not executable.array_blocks.admits(warps[0].entry_point):
+            return
+        try:
+            outcome = self.interpreter.execute_batch(
+                executable, warps, param_base,
+                self.interpreter.instruction_limit, deadline,
+            )
+        except ExecutionError:
+            return
+        position = 0
+        for manager, window, group in batches:
+            manager._file_batch(window, executable, group, outcome, position)
+            position += len(group)

@@ -406,7 +406,7 @@ class _ReferenceState(_WarpState):
                 vector = np.full(
                     inst.dst.width, vector, dtype=numpy_dtype
                 )
-        vector[inst.index] = self.fetch(inst.scalar)
+        vector[inst.index] = _coerce(self.fetch(inst.scalar), numpy_dtype)
         self.set(inst.dst, vector)
 
     def _extract(self, inst: ExtractElement) -> None:

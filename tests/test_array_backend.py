@@ -30,8 +30,10 @@ from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import KernelTrap
 from repro.machine.array_backend import MIN_BATCH_WARPS, ArrayBackend
 from repro.machine.backend import BACKENDS, create_backend
+from repro.machine.descriptor import sandybridge
 from repro.runtime.context import ThreadContext, Warp
 from repro.runtime.execution_manager import _ReadyPool
+from repro.runtime.launcher import partition_ctas
 from repro.testing import FaultInjector
 from repro.workloads.registry import all_workloads, get_workload
 from tests.conftest import VECADD_PTX, sequential_only
@@ -741,6 +743,178 @@ class TestWatchdogParity:
             assert timed_out() == (message, points, 0)
 
 
+def _batch_calls(monkeypatch):
+    """Per ``execute_batch`` call from now on, the CTA of each warp."""
+    calls = []
+    run = ArrayBackend.execute_batch
+
+    def recorded(self, executable, warps, *arguments):
+        calls.append([warp.cta for warp in warps])
+        return run(self, executable, warps, *arguments)
+
+    monkeypatch.setattr(ArrayBackend, "execute_batch", recorded)
+    return calls
+
+
+def _workers(ctas):
+    """The worker of each CTA of a grid of ``ctas`` on four cores."""
+    return {
+        cta: worker
+        for worker, share in enumerate(partition_ctas(ctas, 4))
+        for cta in share
+    }
+
+
+#: Four CTAs of 64 threads, one a worker. ``flag`` 1: CTA 1 branches
+#: to a wild store, so a batch of its warps leaves at the branch and
+#: they fault on the sequential path; ``flag`` 2: CTA 1's first store
+#: is wild, so a batch holding its warps faults. Either way CTA 0
+#: stores wild after the barrier.
+TRAP_ORDER_PTX = r"""
+.version 2.3
+.target sim
+.entry order (.param .u64 out, .param .u32 flag)
+{
+  .reg .u32 %r<6>;
+  .reg .u64 %rd<7>;
+  .reg .pred %p<4>;
+  mov.u32 %r1, %ctaid.x;
+  mov.u32 %r2, %tid.x;
+  ld.param.u32 %r3, [flag];
+  ld.param.u64 %rd1, [out];
+  mad.lo.u32 %r4, %r1, 64, %r2;
+  mul.wide.u32 %rd2, %r4, 4;
+  add.u64 %rd3, %rd1, %rd2;
+  setp.eq.u32 %p1, %r1, 1;
+  setp.eq.u32 %p2, %r3, 2;
+  and.pred %p3, %p1, %p2;
+  selp.u32 %r5, 67108864, 0, %p3;
+  cvt.u64.u32 %rd4, %r5;
+  add.u64 %rd5, %rd3, %rd4;
+  st.global.u32 [%rd5], %r4;
+  setp.eq.u32 %p2, %r3, 1;
+  and.pred %p3, %p1, %p2;
+  @%p3 bra WILD;
+  bar.sync 0;
+  setp.eq.u32 %p1, %r1, 0;
+  setp.ne.u32 %p2, %r3, 0;
+  and.pred %p3, %p1, %p2;
+  selp.u32 %r5, 67108864, 0, %p3;
+  cvt.u64.u32 %rd4, %r5;
+  add.u64 %rd5, %rd3, %rd4;
+  st.global.u32 [%rd5], %r2;
+  exit;
+WILD:
+  add.u64 %rd6, %rd3, 67108864;
+  st.global.u32 [%rd6], %r2;
+  exit;
+}
+"""
+
+
+class TestOpeningRound:
+    """Every worker's first window opens before any worker runs, and
+    the warps their loops would batch first at the entry point run as
+    one batch, once the entry point's record holds full credit."""
+
+    def test_a_uniform_launch_opens_with_one_batch(self, monkeypatch):
+        device = _device(VECADD_PTX)
+        calls = _batch_calls(monkeypatch)
+        # a fresh record merges nothing: four batches a launch, one a
+        # worker, until eight completed batches give the full credit
+        for _ in range(2):
+            _vecadd(device, 4, 64, 256)
+            assert len(calls) == 4
+            calls.clear()
+        statistics = _vecadd(device, 4, 64, 256)
+        assert len(calls) == 1 and len(calls[0]) == 4 * 16
+        assert {_workers(4)[cta] for cta in calls[0]} == {0, 1, 2, 3}
+        assert statistics.batched_warps == 64
+        assert statistics.batch_fallbacks == 0
+
+    def test_two_ctas_a_worker_open_with_one_batch(self, monkeypatch):
+        # throughput at scale 0.5: eight CTAs of 72 threads, two a
+        # worker in one window, eighteen warps a CTA
+        workload = type(get_workload("throughput"))()
+        device = Device(config=vectorized_config(4))
+        workload.prepare(device)
+        device.warm()
+        for _ in range(2):
+            workload.execute(device, scale=0.5)
+        calls = _batch_calls(monkeypatch)
+        run = workload.execute(device, scale=0.5)
+        assert len(run.launches) == 1
+        assert run.launches[0].geometry.cta_count == 8
+        assert len(calls) == 1
+        assert sorted(set(calls[0])) == list(range(8))
+        assert run.statistics.batched_warps == len(calls[0])
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_every_app_matches_its_sequential_run(self, cores, monkeypatch):
+        # three runs a Device, so uniform entry points reach the full
+        # credit and open with one batch; every run's bytes and
+        # modeled statistics are the forced-sequential run's
+        machine = replace(sandybridge(), cores=cores)
+
+        def history(name):
+            workload = type(get_workload(name))()
+            device = Device(machine=machine, config=vectorized_config(4))
+            workload.prepare(device)
+            device.warm()
+            runs = []
+            for _ in range(3):
+                statistics = workload.execute(device, scale=0.25).statistics
+                used = device.memory.bytes_allocated
+                runs.append((
+                    _modeled_statistics(statistics),
+                    device.memory.data[:used].tobytes(),
+                ))
+            return runs
+
+        calls = _batch_calls(monkeypatch)
+        merged = []
+        for workload in all_workloads():
+            calls.clear()
+            batching = history(workload.name)
+            if any(len(set(ctas)) > 1 for ctas in calls):
+                merged.append(workload.name)
+            with sequential_only():
+                assert history(workload.name) == batching, workload.name
+        assert {"BoxFilter", "MatrixMul", "Reduction"} <= set(merged)
+
+    @pytest.mark.parametrize("flag", [1, 2])
+    def test_the_first_worker_to_trap_is_reported(self, flag, monkeypatch):
+        # CTA 1 (worker 1) faults in the opening round: flag 1 on the
+        # sequential path after the batch left, flag 2 inside it (the
+        # round takes nothing). CTA 0 (worker 0) faults later, after
+        # its barrier. Worker 0 drains first, so its trap is the one.
+        def trapped():
+            device = _device(TRAP_ORDER_PTX)
+            out = device.malloc(4 * 256)
+            for _ in range(3):
+                device.launch("order", grid=4, block=64, args=[out, 0])
+            calls.clear()
+            with pytest.raises(KernelTrap) as excinfo:
+                device.launch("order", grid=4, block=64, args=[out, flag])
+            info = excinfo.value.info
+            return (
+                info.worker_id, info.warp_id, info.block_label,
+                info.instruction_index, info.registers,
+                [lane.tid for lane in info.faulting_lanes],
+                _modeled_statistics(excinfo.value.statistics),
+            )
+
+        calls = _batch_calls(monkeypatch)
+        batching = trapped()
+        assert batching[0] == 0
+        # the opening round ran all four workers' warps as one batch
+        assert sorted(set(calls[0])) == [0, 1, 2, 3]
+        if flag == 2:  # it faulted: worker 0's loop batches its own
+            assert set(calls[1]) == {0}
+        with sequential_only():
+            assert trapped() == batching
+
+
 #: ``(batched_warps, batch_fallbacks)`` of every registered app's first
 #: run (default seed, scale 0.25) on a compiled Device under
 #: ``vectorized_config(4)``. Admission reads queue lengths and batch
@@ -1132,7 +1306,8 @@ def _tids(contexts):
 
 class _PerThreadPool:
     """The reference model: the ready pool as it was before chunks, one
-    queue entry per thread (verbatim but for the docstrings). The
+    queue entry per thread (verbatim but for the docstrings, and a
+    batch filing every warp it ran without moving the round-robin). The
     chunked pool must hand out the same threads in the same order."""
 
     def __init__(self, cross_cta: bool = False):
@@ -1174,12 +1349,11 @@ class _PerThreadPool:
         return queue if len(queue) >= floor else None
 
     def take_batch(self, threads: int, entries) -> None:
-        key, queue = next(iter(self._queues.items()))
+        queue = next(iter(self._queues.values()))
         for _ in range(threads):
             queue.popleft()
         queue.extendleft(reversed(entries))
         self.size -= threads - sum(entry[0].size for entry in entries)
-        self._advance(key, queue)
 
     def pop_group(self, limit: int):
         key, queue = next(iter(self._queues.items()))
@@ -1235,15 +1409,21 @@ class TestOneReadyQueue:
         assert pool.head_batch(8) is None
 
     def test_a_batch_round_advances_the_round_robin_one_step(self):
-        # A batch at key A moves A behind key B, exactly as popping the
-        # batch's first warp would: B is served before A's second warp.
+        # A batch at key A leaves A at the head with every warp it ran
+        # pre-run; the loop's next visit hands out the first, which
+        # moves A behind key B, exactly as popping the batch's first
+        # warp would: B is served before A's second warp.
         pool = _ReadyPool()
         batched = [_context(tid, entry=0) for tid in range(4)]
         for context in batched:
             pool.push([context], 0)
         for tid in range(4, 6):
             pool.push([_context(tid, entry=1)], 0)
-        pool.take_batch(4, [_pre_run(batched[2:], "second")])
+        pool.take_batch((0, 0), 4, [
+            _pre_run(batched[:2], "first"), _pre_run(batched[2:], "second")
+        ])
+        assert pool.size == 6
+        assert pool.pop_ran()[1] == "first"
         assert pool.size == 4
         assert pool.pop_ran() is None
         assert _tids(pool.pop_group(2)[1]) == [4, 5]
@@ -1251,21 +1431,21 @@ class TestOneReadyQueue:
         assert not pool
 
     def test_pre_run_warps_drain_ahead_of_the_rest(self):
-        # Four warps of two ran as a batch (the first one's yield is
-        # the caller's); threads 8 and 9 are the key's remainder, 10
-        # and 11 arrive later. The pre-run warps come out first, in
-        # formation order, one per visit; then the threads, FIFO.
+        # Four warps of two ran as a batch; threads 8 and 9 are the
+        # key's remainder, 10 and 11 arrive later. The pre-run warps
+        # come out first, in formation order, one per visit; then the
+        # threads, FIFO.
         pool = _ReadyPool()
         contexts = [_context(tid) for tid in range(10)]
         for context in contexts:
             pool.push([context], 0)
         pool.take_batch(
-            8, [_pre_run(contexts[i : i + 2], i) for i in (2, 4, 6)]
+            (0, 0), 8, [_pre_run(contexts[i : i + 2], i) for i in (0, 2, 4, 6)]
         )
         for tid in (10, 11):
             pool.push([_context(tid)], 0)
-        assert pool.size == 10
-        assert [pool.pop_ran()[1] for _ in range(3)] == [2, 4, 6]
+        assert pool.size == 12
+        assert [pool.pop_ran()[1] for _ in range(4)] == [0, 2, 4, 6]
         assert pool.pop_ran() is None and pool.size == 4
         assert _tids(pool.pop_group(4)[1]) == [8, 9, 10, 11]
         assert not pool
@@ -1316,7 +1496,11 @@ class TestOneReadyQueue:
         for context in contexts:
             pool.push([context], 0)
         pool.push([_context(6, entry=1)], 0)
-        pool.take_batch(4, [_pre_run(contexts[2:4], "second")])
+        pool.take_batch((0, 0), 4, [
+            _pre_run(contexts[:2], "first"), _pre_run(contexts[2:4], "second")
+        ])
+        assert _tids(pool.contexts()) == [0, 1, 2, 3, 4, 5, 6]
+        pool.pop_ran()
         assert _tids(pool.contexts()) == [6, 2, 3, 4, 5]
 
     @settings(max_examples=150, deadline=None)
@@ -1374,8 +1558,8 @@ class TestOneReadyQueue:
                             _pre_run(threads[i : i + width], i)
                             for i in range(0, width * warps, width)
                         ]
-                        pool.take_batch(width * warps, ran[1:])
-                        model.take_batch(width * warps, ran[1:])
+                        pool.take_batch(head[0], width * warps, ran)
+                        model.take_batch(width * warps, ran)
             queued, expected = list(pool.contexts()), list(model.contexts())
             assert len(queued) == len(expected) == pool.size == model.size
             assert all(a is b for a, b in zip(queued, expected))

@@ -1488,6 +1488,41 @@ def test_a_load_into_a_differently_typed_register_keeps_its_bits():
         assert statistics == reference[1], name
 
 
+SIGNED_ATOMIC_PTX = r"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 word, .param .u64 out)
+{
+  .reg .s32 %r<3>;
+  .reg .u64 %rd<5>;
+  mov.u32 %r1, %tid.x;
+  ld.param.u64 %rd1, [word];
+  atom.global.add.u32 %r2, [%rd1], 1;
+  mul.wide.u32 %rd2, %r1, 4;
+  ld.param.u64 %rd3, [out];
+  add.u64 %rd4, %rd3, %rd2;
+  st.global.u32 [%rd4], %r2;
+  exit;
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["array", "reference"])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_an_atomic_into_a_differently_typed_register_keeps_its_bits(
+    width, backend
+):
+    # atom.u32 into a .s32 register, old values past 2**31: each lane's
+    # old value goes into the register's pack as its bits.
+    device = Device(config=replace(vectorized_config(width), backend=backend))
+    device.register_module(SIGNED_ATOMIC_PTX)
+    word = device.upload(np.array([0xFFFFFFF0], dtype=np.uint32))
+    out = device.upload(np.zeros(4, dtype=np.uint32))
+    device.launch("prop", grid=1, block=4, args=[word, out])
+    assert sorted(out.read(np.uint32, 4)) == [0xFFFFFFF0 + k for k in range(4)]
+    assert word.read(np.uint32, 1)[0] == 0xFFFFFFF4
+
+
 class TestMemoryProperties:
     @_SETTINGS
     @given(
