@@ -10,11 +10,15 @@
   widens warps for tiny CTAs.
 - **Cleanup pipeline**: the traditional optimizations (§5.1) earn
   their place by shrinking the vectorized kernels.
+- **Control-flow melding** (DARM): melding divergent arms never fires
+  where the pass's own cost model predicts a loss.
 """
 
 import pytest
 
 from repro import Device, ExecutionConfig
+from repro.bench.figures import run_meld_ablation
+from repro.bench.reporting import format_meld_ablation
 from repro.workloads import get_workload
 
 from conftest import publish
@@ -195,3 +199,17 @@ def test_ablation_vector_memory(benchmark, results_dir):
     # Nothing regresses meaningfully.
     for app, gain in rows:
         assert gain > 0.95, app
+
+
+def test_ablation_melding(benchmark, results_dir, monkeypatch):
+    # The off leg must stay off: REPRO_MELD=1 overrides every config.
+    monkeypatch.delenv("REPRO_MELD", raising=False)
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    ablation = run_meld_ablation(scale=SCALE)
+    publish(results_dir, "meld_ablation", format_meld_ablation(ablation))
+
+    # DARM's claim: a region is melded only where the profitability
+    # model predicts a saving.
+    assert ablation.mispredicted == []
+    # Melding pays on the diamonds and triangles it takes.
+    assert ablation.improved_count >= len(ablation.rows) // 2

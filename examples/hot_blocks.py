@@ -47,8 +47,9 @@ on the sequential path, and by batch size for batches that reached
 their yield and for those that left early.
 
 ``--manager`` prints instead what the execution manager costs the host
-around the generated code: per app, over a third run on a compiled
-Device, µs per warp execution of each manager step — pop/form (the
+around the generated code: per app, over five timed runs on a compiled
+Device after two warm-up runs, the median of each column — µs per warp
+execution of each manager step — pop/form (the
 ready pool's pop and warp formation), cache lookup, accounting (the
 warp's statistics and the execution call around the generated code),
 yield handling, barrier release, batch formation and the rest of the
@@ -57,7 +58,7 @@ and how the batches were cut: ``execute_batch`` calls per launch and
 warps per call (a launch's opening round is one call across workers).
 Each step is the self time of wrappers installed on the manager's
 methods at class level, less what a wrapper costs the step that
-calls it (measured once, on an empty function).
+calls it (the median of nine measurements on an empty function).
 
 Run:  python examples/hot_blocks.py Collatz
       python examples/hot_blocks.py BitonicSort Reduction --scale 0.25
@@ -435,6 +436,9 @@ _STEPS = {
     "loop": ((ExecutionManager, "run"),),
     "code": ((ArrayBackend, "execute"), (ArrayBackend, "execute_batch")),
 }
+_MANAGER_STEPS = [step for step in _STEPS if step != "code"]
+#: Timed runs per app of ``--manager``; each column prints their median.
+_TIMED_RUNS = 5
 
 
 class StepClock:
@@ -467,13 +471,19 @@ class StepClock:
         return timed
 
     def calibrate(self, repeats: int = 20000) -> None:
+        """Set ``overhead`` to the median of nine measurements: one
+        alone moves by a factor of two from run to run."""
         inner = self.wrap(lambda: None, "calibration")
         outer = self.wrap(lambda: [inner() for _ in range(repeats)], "outer")
-        bare = perf_counter()
-        [(lambda: None)() for _ in range(repeats)]
-        bare = perf_counter() - bare
-        outer()
-        self.overhead = max(self.seconds["outer"] - bare, 0.0) / repeats
+        estimates = []
+        for _ in range(9):
+            bare = perf_counter()
+            [(lambda: None)() for _ in range(repeats)]
+            bare = perf_counter() - bare
+            self.seconds.clear()
+            outer()
+            estimates.append(max(self.seconds["outer"] - bare, 0.0) / repeats)
+        self.overhead = float(np.median(estimates))
         self.seconds.clear()
 
 
@@ -494,58 +504,76 @@ def manager_costs(names: list, scale: float) -> None:
         for owner, name in methods:
             if hasattr(owner, name):
                 setattr(owner, name, clock.wrap(getattr(owner, name), step))
-    steps = [step for step in _STEPS if step != "code"]
     print(
         f"  wrapper overhead {1e6 * clock.overhead:.2f} us per call, "
-        f"taken out; us per warp execution:"
+        f"taken out; us per warp execution, median of {_TIMED_RUNS} runs:"
     )
     print(
         f"  {'app':<24}{'warps':>6}"
-        + "".join(f"{step:>11}" for step in steps)
+        + "".join(f"{step:>11}" for step in _MANAGER_STEPS)
         + f"{'manager':>9}{'code':>8}{'ratio':>7}{'calls':>7}{'w/call':>7}"
     )
-    total_seconds, total_warps, total_launches, total_batches = (
-        Counter(), 0, 0, []
-    )
-    for name in [*names, "total"]:
-        if name == "total":
-            seconds, warps = total_seconds, total_warps
-            launches, batches[:] = total_launches, total_batches
-        else:
-            app = get_workload(name)
-            device = Device(config=vectorized_config(4))
-            device.register_module(app.module_source())
-            device.warm()
-            # The first runs lower what they enter and give admission
-            # its record (an opening round merges at full credit); the
-            # third counts.
-            for _ in range(2):
-                app.execute(device, scale, check=True)
+    # Per timed run, summed over the apps: seconds, warps, launches,
+    # warps per execute_batch call.
+    totals = [[Counter(), 0, 0, []] for _ in range(_TIMED_RUNS)]
+    for name in names:
+        app = get_workload(name)
+        device = Device(config=vectorized_config(4))
+        device.register_module(app.module_source())
+        device.warm()
+        # The first runs lower what they enter and give admission its
+        # record (an opening round merges at full credit); the timed
+        # runs after them count.
+        for _ in range(2):
+            app.execute(device, scale, check=True)
+        rows = []
+        for total in totals:
             clock.seconds.clear()
             batches.clear()
             run = app.execute(device, scale, check=True)
-            seconds = dict(clock.seconds)
             warps = sum(
                 launch.statistics.warp_executions for launch in run.launches
             )
             launches = len(run.launches)
-            total_seconds.update(seconds)
-            total_warps += warps
-            total_launches += launches
-            total_batches += batches
-        manager = sum(seconds.get(step, 0.0) for step in steps)
-        code = seconds.get("code", 0.0)
-        each = 1e6 / max(warps, 1)
-        columns = "".join(
-            f"{each * seconds.get(step, 0.0):>11.2f}" for step in steps
-        )
-        print(
-            f"  {name:<24}{warps:>6}{columns}"
-            f"{each * manager:>9.2f}{each * code:>8.2f}"
-            f"{manager / max(code, 1e-12):>7.2f}"
-            f"{len(batches) / max(launches, 1):>7.2f}"
-            f"{sum(batches) / max(len(batches), 1):>7.1f}"
-        )
+            rows.append(
+                _manager_columns(clock.seconds, warps, launches, batches)
+            )
+            total[0].update(clock.seconds)
+            total[1] += warps
+            total[2] += launches
+            total[3] += batches
+        _print_manager_row(name, rows)
+    _print_manager_row("total", [_manager_columns(*t) for t in totals])
+
+
+def _manager_columns(seconds, warps: int, launches: int, batches) -> list:
+    """One run's ``--manager`` columns: warps, µs per warp execution of
+    each step, the manager's sum and the code's, their ratio,
+    ``execute_batch`` calls per launch and warps per call."""
+    manager = sum(seconds.get(step, 0.0) for step in _MANAGER_STEPS)
+    code = seconds.get("code", 0.0)
+    each = 1e6 / max(warps, 1)
+    return [
+        warps,
+        *(each * seconds.get(step, 0.0) for step in _MANAGER_STEPS),
+        each * manager,
+        each * code,
+        manager / max(code, 1e-12),
+        len(batches) / max(launches, 1),
+        sum(batches) / max(len(batches), 1),
+    ]
+
+
+def _print_manager_row(name: str, rows: list) -> None:
+    warps, *steps, manager, code, ratio, calls, per_call = np.median(
+        rows, axis=0
+    )
+    print(
+        f"  {name:<24}{warps:>6.0f}"
+        + "".join(f"{value:>11.2f}" for value in steps)
+        + f"{manager:>9.2f}{code:>8.2f}{ratio:>7.2f}{calls:>7.2f}"
+        f"{per_call:>7.1f}"
+    )
 
 
 def lowering_costs(names: list, scale: float) -> None:

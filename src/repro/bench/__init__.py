@@ -1,6 +1,8 @@
 """Benchmark harness regenerating every table and figure of §6.
 
-``python -m repro.bench`` prints the full reproduction report.
+``PYTHONPATH=src python -m pytest benchmarks --ignore=benchmarks/perf``
+runs each experiment, asserts its shape and writes its table to
+``benchmarks/results/``.
 """
 
 from .figures import (

@@ -21,6 +21,7 @@ from .harness import (
     SuiteRunner,
     application_workloads,
     average,
+    suite_average,
 )
 
 # ---------------------------------------------------------------------------
@@ -35,9 +36,6 @@ class Table1Result:
     paper_gflops: Dict[int, float] = field(
         default_factory=lambda: dict(paper.TABLE1_GFLOPS)
     )
-    #: Host wall-clock seconds per configuration (the real cost of the
-    #: run, next to the modeled GFLOP/s).
-    host_seconds: Dict[int, float] = field(default_factory=dict)
 
     @property
     def fraction_of_peak(self) -> Dict[int, float]:
@@ -55,18 +53,12 @@ def run_table1(
     machine = machine or sandybridge()
     workload = get_workload("throughput")
     gflops: Dict[int, float] = {}
-    host_seconds: Dict[int, float] = {}
     for max_ws in warp_sizes:
         sizes = tuple(s for s in (1, 2, 4, 8, 16) if s <= max_ws)
         config = ExecutionConfig(warp_sizes=sizes)
         run = workload.run_on(config, scale=scale, machine=machine)
         gflops[max_ws] = run.statistics.gflops(machine.clock_hz)
-        host_seconds[max_ws] = run.host_seconds
-    return Table1Result(
-        gflops=gflops,
-        peak=machine.peak_vector_gflops,
-        host_seconds=host_seconds,
-    )
+    return Table1Result(gflops=gflops, peak=machine.peak_vector_gflops)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +72,11 @@ class Figure6Result:
 
     @property
     def average(self) -> float:
-        return average(self.speedups.values())
+        return suite_average(self.speedups)
+
+    @property
+    def extension_average(self) -> float:
+        return suite_average(self.speedups, "extension")
 
     @property
     def best(self) -> Tuple[str, float]:
@@ -125,7 +121,11 @@ class Figure8Result:
 
     @property
     def average(self) -> float:
-        return average(self.restored.values())
+        return suite_average(self.restored)
+
+    @property
+    def extension_average(self) -> float:
+        return suite_average(self.restored, "extension")
 
 
 def run_figure8(runner: SuiteRunner) -> Figure8Result:
@@ -166,7 +166,11 @@ class Figure10Result:
 
     @property
     def average_relative(self) -> float:
-        return average(self.relative.values())
+        return suite_average(self.relative)
+
+    @property
+    def extension_average_relative(self) -> float:
+        return suite_average(self.relative, "extension")
 
 
 def run_figure10(runner: SuiteRunner) -> Figure10Result:
@@ -183,9 +187,9 @@ def run_figure10(runner: SuiteRunner) -> Figure10Result:
 
 @dataclass
 class InstructionReductionResult:
-    #: per (workload, warp size): 1 - tie_count / dynamic_count
+    #: per ("workload:kernel", warp size): 1 - tie_count / dynamic_count
     reductions: Dict[Tuple[str, int], float]
-    #: fraction of registers proven thread-invariant per workload
+    #: fraction of registers proven thread-invariant per "workload:kernel"
     invariant_fractions: Dict[str, float]
 
     def average_reduction(self, warp_size: int) -> float:
@@ -200,19 +204,18 @@ class InstructionReductionResult:
         return average(self.invariant_fractions.values())
 
 
-def run_instruction_reduction(
-    warp_sizes: Tuple[int, ...] = (2, 4)
-) -> InstructionReductionResult:
+def run_instruction_reduction() -> InstructionReductionResult:
     """Compare static instruction counts of specializations compiled
-    with and without TIE (the §6.2 measurement)."""
+    with and without TIE at warp sizes 2 and 4 (the §6.2
+    measurement)."""
     from ..api.device import Device
     from ..runtime.config import static_tie_config, vectorized_config
 
     reductions: Dict[Tuple[str, int], float] = {}
     invariant_fractions: Dict[str, float] = {}
     for workload in application_workloads():
-        plain_device = Device(config=vectorized_config(max(warp_sizes)))
-        tie_device = Device(config=static_tie_config(max(warp_sizes)))
+        plain_device = Device(config=vectorized_config())
+        tie_device = Device(config=static_tie_config())
         workload.prepare(plain_device)
         workload.prepare(tie_device)
         kernel_names = [
@@ -221,19 +224,18 @@ def run_instruction_reduction(
             for kernel in module.kernels
         ]
         for kernel_name in kernel_names:
+            key = f"{workload.name}:{kernel_name}"
             scalar = plain_device.cache.scalar_ir(kernel_name)
             uniform, total = count_thread_invariant_operands(scalar)
-            invariant_fractions[workload.name] = (
-                uniform / total if total else 0.0
-            )
-            for warp_size in warp_sizes:
+            invariant_fractions[key] = uniform / total if total else 0.0
+            for warp_size in (2, 4):
                 plain = plain_device.cache.instruction_count(
                     kernel_name, warp_size
                 )
                 tie = tie_device.cache.instruction_count(
                     kernel_name, warp_size
                 )
-                reductions[(f"{workload.name}:{kernel_name}", warp_size)] = (
+                reductions[(key, warp_size)] = (
                     1.0 - tie / plain if plain else 0.0
                 )
     return InstructionReductionResult(
@@ -289,18 +291,16 @@ class MeldAblationResult:
         return sum(1 for row in self.rows if row.improved)
 
 
-def run_meld_ablation(
-    scale: float = 1.0, max_warp_size: int = 4
-) -> MeldAblationResult:
-    """The --meld ablation axis: every divergent workload with the
-    melding pass off vs on, plus an audit of every meld decision."""
+def run_meld_ablation(scale: float = 1.0) -> MeldAblationResult:
+    """Every divergent workload at max warp size 4 with the melding
+    pass off vs on, plus an audit of every meld decision."""
     from dataclasses import replace
 
     from ..api.device import Device
     from ..runtime.config import vectorized_config
     from ..workloads.base import Category
 
-    off_config = vectorized_config(max_warp_size)
+    off_config = vectorized_config()
     on_config = replace(off_config, meld=True)
     rows: List[MeldAblationRow] = []
     mispredicted: List[str] = []

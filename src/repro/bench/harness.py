@@ -7,8 +7,8 @@ executes each (workload, config) pair once and caches the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List
 
 from ..runtime.config import (
     ExecutionConfig,
@@ -16,9 +16,8 @@ from ..runtime.config import (
     static_tie_config,
     vectorized_config,
 )
-from ..runtime.statistics import LaunchStatistics
 from ..workloads.base import Workload, WorkloadRun
-from ..workloads.registry import all_workloads
+from ..workloads.registry import all_workloads, get_workload
 
 #: Config labels used throughout the harness.
 BASELINE = "baseline"
@@ -43,30 +42,17 @@ class SuiteRunner:
     """Runs (and memoizes) every workload under the standard configs."""
 
     scale: float = 1.0
-    check: bool = True
-    max_warp_size: int = 4
-    #: run every config with the control-flow melding pass enabled
-    #: (the --meld ablation axis of ``python -m repro.bench``)
-    meld: bool = False
     _cache: Dict[tuple, WorkloadRun] = field(default_factory=dict)
 
     def config(self, label: str) -> ExecutionConfig:
-        factory = _CONFIG_FACTORIES[label]
-        if label == BASELINE:
-            config = factory()
-        else:
-            config = factory(self.max_warp_size)
-        if self.meld:
-            config = replace(config, meld=True)
-        return config
+        """The label's configuration, at max warp size 4."""
+        return _CONFIG_FACTORIES[label]()
 
     def run(self, workload: Workload, label: str) -> WorkloadRun:
         key = (workload.name, label)
         cached = self._cache.get(key)
         if cached is None:
-            cached = workload.run_on(
-                self.config(label), scale=self.scale, check=self.check
-            )
+            cached = workload.run_on(self.config(label), scale=self.scale)
             self._cache[key] = cached
         return cached
 
@@ -114,16 +100,6 @@ class SuiteRunner:
             for workload in application_workloads()
         }
 
-    def host_seconds(
-        self, config: str = VECTORIZED
-    ) -> Dict[str, float]:
-        """Per-application host wall-clock seconds under ``config``
-        (the real cost of each run, next to the modeled cycles)."""
-        return {
-            workload.name: self.run(workload, config).host_seconds
-            for workload in application_workloads()
-        }
-
     def cycle_fractions(
         self, config: str = VECTORIZED
     ) -> Dict[str, Dict[str, float]]:
@@ -134,18 +110,20 @@ class SuiteRunner:
             for workload in application_workloads()
         }
 
-    def cache_statistics(self):
-        """Translation-cache activity aggregated over every run this
-        harness has executed (None before the first run). With the
-        persistent tier enabled, disk hits show up here."""
-        merged = LaunchStatistics()
-        for run in self._cache.values():
-            merged.merge(run.statistics)
-        return merged.cache
-
 
 def average(values) -> float:
     values = list(values)
     if not values:
         return 0.0
     return sum(values) / len(values)
+
+
+def suite_average(values: Dict[str, float], suite: str = "paper") -> float:
+    """Mean of per-application ``values`` over one ``Workload.suite``:
+    the paper's figures average its own applications, so the
+    extensions are averaged apart."""
+    return average(
+        value
+        for name, value in values.items()
+        if get_workload(name).suite == suite
+    )

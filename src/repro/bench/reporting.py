@@ -1,11 +1,11 @@
 """Text rendering of reproduction results (the rows/series the paper
-reports), used by the benchmark suite and ``python -m repro.bench``."""
+reports): what the benchmark suite writes to ``benchmarks/results/``.
+Each Figure's ``AVERAGE`` is over the paper's applications, set against
+the paper's value; the extension applications are averaged on a line of
+their own."""
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
-from ..runtime.translation_cache import CacheStatistics
 from . import paper_reference as paper
 from .figures import (
     Figure6Result,
@@ -17,6 +17,10 @@ from .figures import (
     MeldAblationResult,
     Table1Result,
 )
+
+
+#: Row label of the extension applications' average (``Workload.suite``).
+_EXTENSIONS = "AVERAGE, extension apps"
 
 
 def _rule(width: int = 72) -> str:
@@ -38,13 +42,6 @@ def format_table1(result: Table1Result) -> str:
             for ws in sorted(result.gflops)
         ),
     ]
-    if result.host_seconds:
-        lines.append(
-            f"{'host secs':<12}" + "".join(
-                f"{result.host_seconds.get(ws, 0.0):>10.2f}"
-                for ws in sorted(result.gflops)
-            )
-        )
     lines.append(
         f"machine peak: {result.peak:.1f} GFLOP/s "
         f"(paper estimate: {paper.TABLE1_PEAK:.1f})"
@@ -66,10 +63,11 @@ def format_figure6(result: Figure6Result) -> str:
         lines.append(
             f"  {name:<26} {result.speedups[name]:>6.2f}x{marker}"
         )
-    lines.append(
+    lines += [
         f"  {'AVERAGE':<26} {result.average:>6.2f}x"
-        f"   (paper: {paper.FIGURE6_AVERAGE:.2f}x)"
-    )
+        f"   (paper: {paper.FIGURE6_AVERAGE:.2f}x)",
+        f"  {_EXTENSIONS:<26} {result.extension_average:>6.2f}x",
+    ]
     return "\n".join(lines)
 
 
@@ -97,10 +95,11 @@ def format_figure8(result: Figure8Result) -> str:
     ]
     for name in sorted(result.restored):
         lines.append(f"  {name:<26} {result.restored[name]:>6.2f}")
-    lines.append(
+    lines += [
         f"  {'AVERAGE':<26} {result.average:>6.2f}"
-        f"   (paper: {paper.FIGURE8_AVERAGE_RESTORED:.2f})"
-    )
+        f"   (paper: {paper.FIGURE8_AVERAGE_RESTORED:.2f})",
+        f"  {_EXTENSIONS:<26} {result.extension_average:>6.2f}",
+    ]
     return "\n".join(lines)
 
 
@@ -130,10 +129,11 @@ def format_figure10(result: Figure10Result) -> str:
             f"  {name:<26} {result.relative[name]:>6.2f}x relative "
             f"({result.absolute[name]:>5.2f}x over scalar)"
         )
-    lines.append(
+    lines += [
         f"  {'AVERAGE':<26} {result.average_relative:>6.2f}x"
-        f"   (paper: {paper.FIGURE10_AVERAGE_GAIN:.3f}x)"
-    )
+        f"   (paper: {paper.FIGURE10_AVERAGE_GAIN:.3f}x)",
+        f"  {_EXTENSIONS:<26} {result.extension_average_relative:>6.2f}x",
+    ]
     return "\n".join(lines)
 
 
@@ -158,41 +158,6 @@ def format_instruction_reduction(
         f"(Collange et al.: ~{paper.THREAD_INVARIANT_OPERAND_FRACTION:.0%}"
         f" of operands)"
     )
-    return "\n".join(lines)
-
-
-def format_cache_statistics(
-    stats: Optional[CacheStatistics],
-    title: str = "Translation-cache activity",
-    slowest: int = 8,
-) -> str:
-    """Render the cache counters, the time per pipeline stage and the
-    slowest specializations (compile-time hot spots). Accepts ``None``
-    (no launches yet)."""
-    lines = [title, _rule()]
-    if stats is None:
-        lines.append("  (no cache activity recorded)")
-        return "\n".join(lines)
-    lines += [f"  {line}" for line in stats.report().splitlines()]
-    if stats.stage_seconds:
-        # Where the translation time went, in pipeline order, with what
-        # each pass reported changing.
-        lines.append("  stages:")
-        for stage, seconds in stats.stage_seconds.items():
-            changes = stats.stage_changes.get(stage)
-            lines.append(
-                f"    {stage:<28} {seconds * 1e3:11.2f} ms"
-                + (f"  {changes} changes" if changes else "")
-            )
-    timed = sorted(
-        stats.compile_seconds.items(), key=lambda item: -item[1]
-    )[:slowest]
-    for (kernel, warp_size), seconds in timed:
-        if seconds <= 0.0:
-            continue
-        lines.append(
-            f"    {kernel:<28} ws={warp_size}  {seconds * 1e3:7.2f} ms"
-        )
     return "\n".join(lines)
 
 
@@ -222,6 +187,3 @@ def format_meld_ablation(result: MeldAblationResult) -> str:
         lines.append(f"  MISPREDICTED {entry}")
     return "\n".join(lines)
 
-
-def join_sections(sections: Iterable[str]) -> str:
-    return "\n\n".join(sections)

@@ -11,7 +11,6 @@ correctness check.
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -43,10 +42,6 @@ class WorkloadRun:
     correct: bool = True
     checked: bool = False
     notes: str = ""
-    #: Host wall-clock seconds of the whole execution (upload, compile,
-    #: run, verify) — the *real* cost of the run, next to the modeled
-    #: cycle counts. 0.0 when the run was not timed.
-    host_seconds: float = 0.0
 
     @property
     def statistics(self) -> LaunchStatistics:
@@ -108,14 +103,10 @@ class Workload(abc.ABC):
         check: bool = True,
         machine=None,
     ) -> WorkloadRun:
-        """Convenience: build a fresh device with ``config`` and run.
-        The run is wall-clock timed (``WorkloadRun.host_seconds``)."""
+        """Convenience: build a fresh device with ``config`` and run."""
         device = Device(machine=machine, config=config)
         self.prepare(device)
-        start = time.perf_counter()
-        run = self.execute(device, scale=scale, check=check)
-        run.host_seconds = time.perf_counter() - start
-        return run
+        return self.execute(device, scale=scale, check=check)
 
     def _finish(
         self,

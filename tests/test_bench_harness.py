@@ -1,6 +1,8 @@
 """Bench harness tests: the SuiteRunner caching, figure drivers and
 text reporting that regenerate the paper's tables/figures."""
 
+import pathlib
+
 import pytest
 
 from repro.bench import (
@@ -14,8 +16,10 @@ from repro.bench import (
     run_figure8,
     run_figure9,
     run_figure10,
+    run_instruction_reduction,
     run_table1,
 )
+from repro.bench.figures import Figure6Result
 from repro.bench.harness import average
 from repro.bench.reporting import (
     format_figure6,
@@ -24,8 +28,9 @@ from repro.bench.reporting import (
     format_figure9,
     format_figure10,
     format_table1,
-    join_sections,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -105,26 +110,50 @@ class TestFigureDrivers:
         assert set(result.relative) == set(result.absolute)
         assert "relative" in format_figure10(result)
 
-    def test_join_sections(self):
-        assert join_sections(["a", "b"]) == "a\n\nb"
+    def test_suites_are_averaged_apart(self):
+        # The paper's figures average its own applications; the
+        # extensions (Workload.suite) get a line of their own.
+        result = Figure6Result(
+            speedups={"cp": 3.0, "Nbody": 2.0, "Bisect": 0.5}
+        )
+        assert result.average == 2.5
+        assert result.extension_average == 0.5
+        lines = format_figure6(result).splitlines()
+        assert lines[-2].split()[:2] == ["AVERAGE", "2.50x"]
+        assert lines[-1].split()[-1] == "0.50x"
 
 
-class TestMainEntry:
-    def test_cli_single_experiment(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["--scale", "0.1", "--only", "table1"]) == 0
-        captured = capsys.readouterr()
-        assert "Table 1" in captured.out
-        assert "completed" in captured.out
+class TestInstructionReductionDriver:
+    def test_each_kernel_of_an_app_is_counted(self):
+        # ScanLargeArray has two kernels: scanBlock's fraction must not
+        # be overwritten by addOffsets'.
+        result = run_instruction_reduction()
+        fractions = result.invariant_fractions
+        assert set(fractions) == {key for key, _ in result.reductions}
+        assert fractions["ScanLargeArray:scanBlock"] == pytest.approx(6 / 31)
+        assert fractions["ScanLargeArray:addOffsets"] == pytest.approx(
+            13 / 19
+        )
 
 
 class TestDocsQuoteResults:
+    # EXPERIMENTS.md quotes benchmarks/results/ verbatim; regenerating
+    # one without the other is the drift these pin.
     def test_experiments_table1_is_the_committed_result(self):
-        # EXPERIMENTS.md quotes benchmarks/results/table1.txt verbatim;
-        # regenerating one without the other is the drift this pins.
-        import pathlib
+        table = (ROOT / "benchmarks/results/table1.txt").read_text()
+        assert table.strip() in (ROOT / "EXPERIMENTS.md").read_text()
 
-        root = pathlib.Path(__file__).resolve().parent.parent
-        table = (root / "benchmarks/results/table1.txt").read_text()
-        assert table.strip() in (root / "EXPERIMENTS.md").read_text()
+    @pytest.mark.parametrize(
+        "name", ["figure6", "figure8", "figure10", "instruction_reduction"]
+    )
+    def test_experiments_quotes_the_averages(self, name):
+        lines = (ROOT / f"benchmarks/results/{name}.txt").read_text()
+        quoted = [
+            line
+            for line in lines.splitlines()[2:]
+            if "AVERAGE" in line or name == "instruction_reduction"
+        ]
+        assert quoted
+        experiments = (ROOT / "EXPERIMENTS.md").read_text()
+        for line in quoted:
+            assert line in experiments, line

@@ -665,20 +665,7 @@ class TestObservability:
         assert "cache " in report
         assert "cache disk" in report
 
-    def test_format_cache_statistics(self):
-        from repro.bench.reporting import format_cache_statistics
-
-        device = Device(config=vectorized_config(4))
-        device.register_module(VECADD_PTX)
-        _, result = _run_vecadd(device)
-        text = format_cache_statistics(result.statistics.cache)
-        assert "Translation-cache activity" in text
-        assert "translations" in text
-        assert format_cache_statistics(None)  # no-activity rendering
-
     def test_stage_record_is_kept(self):
-        from repro.bench.reporting import format_cache_statistics
-
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
         _, first = _run_vecadd(device)  # compiles the 4-wide kernel
@@ -694,8 +681,6 @@ class TestObservability:
         assert "verify" in stages
         assert all(seconds > 0 for seconds in cache.stage_seconds.values())
         assert set(cache.stage_changes) <= set(cache.stage_seconds)
-        text = format_cache_statistics(cache)
-        assert "stages:" in text and "block-merge" in text
         # Per launch it is a delta like the counters: no compile, no row.
         _, second = _run_vecadd(device)
         assert second.statistics.cache.stage_seconds == {}
@@ -716,7 +701,7 @@ class TestObservability:
             assert total.stage_seconds[stage] == cache.stage_seconds[stage]
         assert total.stage_changes["block-merge"] > 0
         assert total.stage_changes["verify"] == 0
-        assert "2 changes" in format_cache_statistics(total)
+        assert 2 in total.stage_changes.values()  # block-merge's two
 
     def test_statistics_merge_accumulates_cache(self):
         device = Device(config=vectorized_config(4))
