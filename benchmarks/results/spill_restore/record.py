@@ -1,4 +1,5 @@
-"""What a Spill/Restore change must leave equal, and what it shrinks.
+"""What a change to the yield handlers' moves must leave equal, and
+what it shrinks.
 
     python3 record.py counts <checkout>    # modeled counters + output bytes
     python3 record.py objects <checkout>   # IR instruction objects per width
@@ -13,7 +14,7 @@ after the run. Two checkouts are equal when the outputs are.
 ``objects`` warms every app under the default configuration and prints,
 per warp width, the instruction objects the blocks hold (terminators
 included), the static instruction count (``instruction_count()``, which
-counts a Spill/Restore as its lane operations) and the objects flagged
+counts a lane group as its lane operations) and the objects flagged
 ``overhead``.
 
 ``pairs`` summarizes the runs ``pairs.sh`` appended (one

@@ -87,8 +87,8 @@ _MEMORY = (ir.Load, ir.Store, ir.VectorLoad, ir.VectorStore, ir.AtomicRMW)
 _NAMES = {
     ir.FusedMultiplyAdd: "fma", ir.Compare: "cmp", ir.Select: "select",
     ir.Convert: "convert", ir.ContextRead: "ctx.read",
-    ir.ContextWrite: "ctx.write", ir.InsertElement: "insertelement",
-    ir.ExtractElement: "extractelement", ir.Broadcast: "broadcast",
+    ir.ContextWrite: "ctx.write", ir.ExtractElement: "extractelement",
+    ir.Broadcast: "broadcast",
     ir.Reduce: "reduce", ir.Branch: "br", ir.CondBranch: "cbr",
     ir.Switch: "switch", ir.Yield: "yield", ir.Exit: "exit",
 }

@@ -163,8 +163,7 @@ def format_instruction_reduction(
 
 def format_meld_ablation(result: MeldAblationResult) -> str:
     lines = [
-        "Control-flow melding ablation (divergent suite, "
-        "--no-meld vs --meld)",
+        "Control-flow melding ablation (divergent suite, meld off vs on)",
         _rule(),
     ]
     for row in result.rows:

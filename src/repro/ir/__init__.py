@@ -22,7 +22,6 @@ from .instructions import (
     Exit,
     ExtractElement,
     FusedMultiplyAdd,
-    InsertElement,
     Intrinsic,
     IRInstruction,
     Load,
@@ -60,7 +59,6 @@ __all__ = [
     "Exit",
     "ExtractElement",
     "FusedMultiplyAdd",
-    "InsertElement",
     "Intrinsic",
     "IRFunction",
     "IRInstruction",

@@ -20,8 +20,9 @@ Terminators additionally expose ``successors()``.
 The set mirrors the LLVM subset the paper's transformation manipulates:
 element-wise arithmetic, comparisons, selects, conversions, intrinsic
 calls (transcendentals with vector built-ins), memory operations that
-are *not* vectorizable and stay per-lane, ``insertelement`` /
-``extractelement`` for packing at scalar/vector boundaries, warp-wide
+are *not* vectorizable and stay per-lane (a lane group counts the
+``insertelement`` / ``extractelement`` packing at its scalar/vector
+boundary), ``extractelement`` for a lane of a vector, warp-wide
 reductions for branch-condition sums, and context-object accesses
 through which threads observe their identity (§4, Fig. 3/5).
 """
@@ -97,10 +98,10 @@ class IRInstruction:
         raise NotImplementedError
 
     #: ``moves(warp_size)`` of an instruction that stands for a lane
-    #: sequence (a spill, a restore, a lane group): the scalar
-    #: operations ``lanes(warp_size)`` lists and the shuffles
-    #: (extractelements, insertelements) beside them; None (or a method
-    #: returning None) for one that stands for itself.
+    #: sequence (a lane group): the scalar operations
+    #: ``lanes(warp_size)`` lists and the shuffles (extractelements,
+    #: insertelements) beside them; None (or a method returning None)
+    #: for one that stands for itself.
     moves = None
 
 
@@ -317,15 +318,17 @@ class Intrinsic(IRInstruction):
 
 
 class _PerLane(IRInstruction):
-    """A memory or context access of one thread, ``lane``. With
+    """A memory, atomic or context access of one thread, ``lane``. With
     ``lane=None`` it is a *lane group*: at warp size w it stands for the
     w copies Algorithm 1 replicates (``lanes()``), lane k reading lane k
     of each vector operand and writing lane k of its destination, and
     for the shuffles around them — ``extracts`` extractelements of
     operand lanes the block did not hold yet and, where ``pack``, the w
     insertelements packing the destination. Without its pack only the
-    block's later groups and spills read the destination, lane by lane.
-    Any per-lane instruction reading a vector operand reads its lane."""
+    block's later groups read the destination, lane by lane. A yield
+    handler's spills and restores are local groups at a register's
+    spill slot. Any per-lane instruction reading a vector operand reads
+    its lane."""
 
     __slots__ = ()
 
@@ -454,8 +457,9 @@ class VectorStore(IRInstruction):
 
 
 @_instruction
-class AtomicRMW(IRInstruction):
-    """Atomic read-modify-write; serialized per lane by the machine."""
+class AtomicRMW(_PerLane):
+    """Atomic read-modify-write, writing the old value (if ``dst``); a
+    group's lanes run one after another, in lane order."""
 
     op: str  # add min max exch and or xor cas inc dec
     dtype: DataType
@@ -465,7 +469,9 @@ class AtomicRMW(IRInstruction):
     value: object
     compare: Optional[object] = None  # for cas
     offset: int = 0
-    lane: int = 0
+    lane: Optional[int] = 0
+    extracts: int = 0
+    pack: bool = False
 
     OPERANDS = ("base", "value", "compare")
 
@@ -473,75 +479,8 @@ class AtomicRMW(IRInstruction):
         dst = f"{self.dst} = " if self.dst is not None else ""
         return (
             f"{dst}atomic.{self.op}.{self.space.value}.{self.dtype.value} "
-            f"[{self.base}+{self.offset}], {self.value} lane={self.lane}"
+            f"[{self.base}+{self.offset}], {self.value}{self.lane_text()}"
         )
-
-
-# ---------------------------------------------------------------------------
-# Whole-register moves of the yield handlers (Algorithms 3 and 4): each
-# lane's value goes to or comes from its own thread's spill ``slot``, a
-# constant offset into local memory.
-# ---------------------------------------------------------------------------
-
-
-@_instruction
-class Restore(IRInstruction):
-    """Lane i of ``dst`` is loaded from lane i's spill slot: ``w`` local
-    loads and ``w`` insertelements, or one lane-0 load for a width-1
-    register."""
-
-    dtype: DataType
-    dst: VirtualRegister
-    slot: object
-
-    OPERANDS = ("slot",)
-
-    def moves(self, warp_size):
-        width = self.dst.width
-        return width, width if width > 1 else 0
-
-    def lanes(self, warp_size) -> List[Load]:
-        """The scalar loads it stands for, lane k's from its own slot."""
-        return [
-            Load(self.dtype, self.dst, AddressSpace.local, self.slot, lane=k)
-            for k in range(self.dst.width)
-        ]
-
-    def __str__(self):
-        return f"{self.dst} = restore.{self.dtype.value} [{self.slot}]"
-
-
-@_instruction
-class Spill(IRInstruction):
-    """Lane i's slot gets lane i of ``values``: one vector register
-    (``w`` extractelements and ``w`` local stores), one width-1 register
-    (stored to every lane) or the ``w`` lane scalars the block holds."""
-
-    dtype: DataType
-    slot: object
-    values: List[object] = field(default_factory=list)
-
-    dst = None
-
-    OPERANDS = ("slot", "values")
-
-    def moves(self, warp_size):
-        first, *rest = self.values
-        return warp_size, 0 if rest or first.width == 1 else warp_size
-
-    def lanes(self, warp_size) -> List[Store]:
-        """The scalar stores it stands for, lane k's value (a vector's
-        lane k) to its own slot."""
-        values = self.values
-        return [
-            Store(self.dtype, AddressSpace.local, self.slot,
-                  values[k % len(values)], lane=k)
-            for k in range(warp_size)
-        ]
-
-    def __str__(self):
-        values = ", ".join(str(value) for value in self.values)
-        return f"spill.{self.dtype.value} [{self.slot}], {values}"
 
 
 # ---------------------------------------------------------------------------
@@ -607,27 +546,8 @@ class ContextWrite(_PerLane):
 
 
 # ---------------------------------------------------------------------------
-# Vector packing (Fig. 3: insertelement / extractelement)
+# Lane access and warp-wide operations (Fig. 3's extractelement)
 # ---------------------------------------------------------------------------
-
-
-@_instruction
-class InsertElement(IRInstruction):
-    """dst = vector ``src`` with lane ``index`` replaced by ``scalar``.
-    ``src`` may be ``None`` for a fresh (undef) vector."""
-
-    dst: VirtualRegister
-    src: Optional[object]
-    scalar: object
-    index: int
-
-    OPERANDS = ("scalar", "src")
-
-    def __str__(self):
-        src = self.src if self.src is not None else "undef"
-        return (
-            f"{self.dst} = insertelement {src}, {self.scalar}, {self.index}"
-        )
 
 
 @_instruction

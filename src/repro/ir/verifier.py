@@ -15,15 +15,9 @@ from typing import Set
 from ..errors import IRVerificationError
 from .cfg import addressable_labels
 from .function import IRFunction
-from .instructions import (
-    Broadcast,
-    ExtractElement,
-    InsertElement,
-    Reduce,
-)
+from .instructions import Broadcast, ExtractElement, Reduce
 from .values import VirtualRegister
 
-_LANE_INDEXED = (InsertElement, ExtractElement)
 _VECTOR_ONLY = (Reduce, Broadcast)
 
 
@@ -80,7 +74,7 @@ def _verify_registers(function: IRFunction) -> None:
                 if target.width not in widths:
                     _bad_width(function, target, instruction)
                 defined.add(target.name)
-            if isinstance(instruction, _LANE_INDEXED):
+            if isinstance(instruction, ExtractElement):
                 if instruction.index >= warp_size:
                     raise IRVerificationError(
                         f"{function.name}: lane index {instruction.index} "

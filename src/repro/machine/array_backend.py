@@ -235,9 +235,6 @@ class _BatchPrinter(_BlockEmitter):
     def counted(self, accesses: int) -> str:
         return "B" if accesses == 1 else f"{accesses} * B"
 
-    def lane(self, name: str, index: int) -> str:
-        return f"{name}[:, {index}]"
-
     def expand(self, name: str, rank: int, width: int, wanted) -> str:
         """``t``: a fresh ``(B, width)`` array every lane of which
         holds the per-warp (or uniform) value ``name``."""
@@ -250,15 +247,6 @@ class _BatchPrinter(_BlockEmitter):
         if self.rank == _LANE:
             return name
         return self.expand(name, self.rank, width, wanted)
-
-    def copy_of(self, source, width: int, wanted) -> None:
-        name, rank = self.raw(source), self.rank_of(source)
-        if rank < _LANE:
-            self.expand(name, rank, width, wanted)
-        elif self.exactly(source, wanted):
-            self.emit(f"t = {name}.copy()")
-        else:
-            self.emit(f"t = {name}.astype(W_{_code(wanted)})")
 
     def int_list(self, value) -> str:
         """Per-warp operand as a list of Python ints."""
@@ -279,12 +267,15 @@ class _BatchPrinter(_BlockEmitter):
         slot = self.slots[value.name]
         return self.bind(f"i{slot}", f"{self.raw(value)}.astype(W_i8)", slot)
 
-    def segment_base(self, segment: str, lane: int) -> str:
+    def segment_base(self, segment: str, lane: Optional[int]) -> str:
+        """Every warp's segment base of lane ``lane``, ``(B,)``; of a
+        lane group (``lane`` None) every lane's, ``(B, w)``."""
+        bases = f"state.per_thread({segment + '_base'!r})"
+        if lane is None:
+            self.rank = _LANE
+            return self.bind(f"{segment}_bases", bases)
         self.rank = _WARP  # every warp its own segment
-        return self.bind(
-            f"{segment}_base{lane}",
-            f"state.per_thread({segment + '_base'!r})[:, {lane}]",
-        )
+        return self.bind(f"{segment}_base{lane}", f"{bases}[:, {lane}]")
 
     def address(self, inst) -> None:
         """``a``: one Python int when every warp accesses the same
@@ -334,8 +325,8 @@ class _BatchPrinter(_BlockEmitter):
         ):
             if inst.lane is not None:
                 return super().load(inst)
-            self.group_address(inst)
-            expression = self.inline_load(inst, accesses=accesses)
+            address = self.group_address(inst)
+            expression = self.inline_load(inst, address, accesses)
             return self.grouped(inst, expression, _LANE)
         name = f"p{inst.base.value + inst.offset}_{inst.dtype.name}"
         if name in self.bound:
@@ -350,23 +341,27 @@ class _BatchPrinter(_BlockEmitter):
 
     guest_load = _BlockEmitter.inline_load
 
-    def store(self, inst, value=None, exact=False) -> None:
+    def store(self, inst) -> None:
         if inst.lane is None:
-            self.group_address(inst)
+            address = self.group_address(inst)
             value = self.operand(inst.value)
             exact = self.exactly(inst.value, inst.dtype.numpy_dtype)
             accesses = self.executable.warp_size
-            return self.inline_store(inst, value, exact, accesses=accesses)
-        if value is None and self.rank_of(inst.value) == _LANE:
+            return self.inline_store(inst, value, exact, address, accesses)
+        if self.rank_of(inst.value) == _LANE:
             raise _Unsupported("a vector operand of a scalar store")
-        super().store(inst, value, exact)
+        super().store(inst)
 
     # -- lane groups: one (B, w) access --------------------------------------
 
-    def group_address(self, inst) -> None:
-        """``a``: the ``(B, w)`` addresses of a lane group's accesses,
+    def group_address(self, inst) -> str:
+        """The ``(B, w)`` addresses of a lane group's accesses,
         warp-major (so a scatter's last writer is the last warp's last
-        lane)."""
+        lane): ``a``, or the unchecked expression of those the frame
+        proves (:meth:`framed`)."""
+        framed = self.framed(inst)
+        if framed is not None:
+            return framed
         base, width = inst.base, self.executable.warp_size
         rank = self.rank_of(base)
         if rank == _LANE:
@@ -380,13 +375,13 @@ class _BatchPrinter(_BlockEmitter):
         if space is AddressSpace.param:
             term = f"{self.bind('param_base', 'state.param_base')} + {term}"
         elif space in (AddressSpace.shared, AddressSpace.local):
-            segment = f"{space.value}_base"
-            bases = self.bind(f"{segment}s", f"state.per_thread({segment!r})")
-            term, rank = f"{bases} + {term}", _LANE
+            term = f"{self.segment_base(space.value, None)} + {term}"
+            rank = _LANE
         if rank < _LANE:
             term = f"np.broadcast_to({term}, (B, {width}))"
         self.emit(f"a = {term}")
         self.rank = _LANE
+        return "a"
 
     def grouped(self, inst, expression: str, rank: int) -> None:
         """Define a lane group's destination from ``expression`` of
@@ -475,16 +470,12 @@ class _BatchPrinter(_BlockEmitter):
         targets = ", ".join(f"c[{k}].resume_point" for k in range(width))
         self.emit(f"for c, v in zip(state.contexts, {rows}.tolist()): {targets} = v")
 
-    # -- vector packing -------------------------------------------------------
-
-    def insert(self, inst) -> None:
-        self.rank = _LANE
-        super().insert(inst)
+    # -- lanes -----------------------------------------------------------------
 
     def element(self, value, index: int) -> str:
         # A per-warp (or uniform) value in a vector register is every lane's.
         vector, rank = self.raw(value), self.rank_of(value)
-        return self.lane(vector, index) if rank == _LANE else vector
+        return f"{vector}[:, {index}]" if rank == _LANE else vector
 
     def extract(self, inst: ExtractElement) -> None:
         self.rank = min(self.rank_of(inst.src), _WARP)

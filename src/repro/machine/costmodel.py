@@ -33,7 +33,6 @@ from ..ir.instructions import (
     Exit,
     ExtractElement,
     FusedMultiplyAdd,
-    InsertElement,
     Intrinsic,
     Load,
     Reduce,
@@ -272,7 +271,7 @@ def _instruction_cost(
         return InstructionCost(cycles=machine.atomic_cost)
     if isinstance(instruction, (ContextRead, ContextWrite)):
         return InstructionCost(cycles=machine.context_cost)
-    if isinstance(instruction, (InsertElement, ExtractElement)):
+    if isinstance(instruction, ExtractElement):
         return InstructionCost(cycles=machine.shuffle_cost)
     if isinstance(instruction, Broadcast):
         return InstructionCost(cycles=machine.shuffle_cost)

@@ -77,14 +77,11 @@ from ..ir.instructions import (
     Exit,
     ExtractElement,
     FusedMultiplyAdd,
-    InsertElement,
     Intrinsic,
     Load,
     Reduce,
-    Restore,
     ResumeStatus,
     Select,
-    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -175,7 +172,7 @@ def frames_fit(frame: int, first: int, stride: int, count: int, size: int):
 
 
 def _register_layout(function: IRFunction) -> tuple:
-    """``(slots, file, once, private)`` of ``function``, in one walk.
+    """``(slots, file, private)`` of ``function``, in one walk.
 
     ``slots`` numbers the registers in order of first appearance, but
     the compiler temporaries private to a block (a ``.`` in the name,
@@ -184,8 +181,8 @@ def _register_layout(function: IRFunction) -> tuple:
     lean template's register file holds; ``private`` maps a label to
     ``slot -> reader`` of its temporaries (only ``reader`` needs their
     value: a trap dump lists PTX-named registers, continuations start at
-    a block's entry). ``once``: the slots of the registers defined once
-    and read once (the IR is not SSA, so both are counted)."""
+    a block's entry). The IR is not SSA, so both definitions and reads
+    are counted."""
     counts: Dict[str, List[int]] = {}  # name -> [defined, used]
     readers: Dict[str, tuple] = {}  # name -> (label, a later reader)
     for block in function.ordered_blocks():
@@ -212,7 +209,7 @@ def _register_layout(function: IRFunction) -> tuple:
     private: Dict[str, Dict[int, object]] = {}
     for name, (label, reader) in temporaries.items():
         private.setdefault(label, {})[slots[name]] = reader
-    return slots, len(order), frozenset(map(slots.get, once)), private
+    return slots, len(order), private
 
 
 @dataclass
@@ -271,13 +268,12 @@ class ExecutableFunction:
     #: The register layout (:func:`_register_layout`), laid out when a
     #: warp first enters the function: register name -> slot, the
     #: length of the lean templates' register file (the checked one,
-    #: like the reference, keeps every slot), the slots read once and,
-    #: per label, the block's private temporaries.
+    #: like the reference, keeps every slot) and, per label, the
+    #: block's private temporaries.
     layout = cached_property(lambda self: _register_layout(self.function))
     register_slots = cached_property(lambda self: self.layout[0])
     register_count = cached_property(lambda self: self.layout[1])
-    read_once = cached_property(lambda self: self.layout[2])
-    private = cached_property(lambda self: self.layout[3])
+    private = cached_property(lambda self: self.layout[2])
 
     def block_cost(self, label: str) -> ExecutionStats:
         """Aggregated static cost of block ``label`` (body plus
@@ -1174,10 +1170,8 @@ class _BlockEmitter:
         #: when ``exact`` it is known to carry exactly it, so a
         #: differently typed reader is resolved statically.
         self.known: Dict[int, tuple] = {}
-        #: slots whose local is known to be a 1-d array, and of those
-        #: the ones an ``insertelement`` of this block allocated
+        #: slots whose local is known to be a 1-d array
         self.vectors: set = set()
-        self.fresh: set = set()
         #: names of locals bound so far by :meth:`bind`
         self.bound: set = set()
         #: slot -> bound names derived from the slot's current value
@@ -1196,7 +1190,7 @@ class _BlockEmitter:
             raise ExecutionError(
                 f"no lowering for instruction {instruction!r}"
             )
-        quiet = isinstance(instruction, (InsertElement, ExtractElement))
+        quiet = isinstance(instruction, ExtractElement)
         if not quiet and self.frame_offset(instruction) is None:
             self.flush()  # exact counts before what may raise, or exits
         self.index = index
@@ -1362,7 +1356,6 @@ class _BlockEmitter:
         self.loaded.add(slot)
         for name in self.derived.pop(slot, ()):
             self.bound.discard(name)
-        self.fresh.discard(slot)
         (self.vectors.add if vector else self.vectors.discard)(slot)
         if dtype is None:
             self.known.pop(slot, None)
@@ -1584,8 +1577,8 @@ class _BlockEmitter:
 
     def frame_offset(self, inst) -> Optional[int]:
         """The constant offset of a local access (each lane's, of a
-        spill, a restore or a lane group) that the frame proves in
-        bounds and aligned; else None."""
+        lane group) that the frame proves in bounds and aligned; else
+        None."""
         if inst.moves:
             inst = inst.lanes(1)[0]
         if not (
@@ -1601,11 +1594,13 @@ class _BlockEmitter:
 
     def framed(self, inst) -> Optional[str]:
         """The address of an access :meth:`frame_offset` proves (to be
-        counted at the next :meth:`flush`); else None."""
+        counted at the next :meth:`flush`; a lane group's, each lane's
+        at once); else None."""
         offset = self.frame_offset(inst)
         if offset is None:
             return None
-        self.pending[isinstance(inst, Store)] += 1
+        lanes = self.executable.warp_size if inst.lane is None else 1
+        self.pending[isinstance(inst, Store)] += lanes
         return f"({self.segment_base('local', inst.lane)} + {offset})"
 
     def read(self, inst: Load) -> str:
@@ -1620,39 +1615,15 @@ class _BlockEmitter:
         # A load returns exactly its dtype (a predicate, a Python bool).
         self.define(inst.dst, self.read(inst), *self.result(inst.dtype, True))
 
-    def store(self, inst: Store, value=None, exact=False) -> None:
-        """Print ``inst``, or a store of expression ``value`` instead."""
-        if value is None:
-            value = self.at_lane(inst.value, inst.lane)
-            exact = self.lane_exactly(inst.value, inst.dtype.numpy_dtype)
+    def store(self, inst: Store) -> None:
+        value = self.at_lane(inst.value, inst.lane)
+        exact = self.lane_exactly(inst.value, inst.dtype.numpy_dtype)
         address = self.framed(inst)
         if address is None:
             self.address(inst)
             self.guest_store(inst, value, exact)
         else:
             self.inline_store(inst, value, exact, address)
-
-    def restore(self, inst: Restore) -> None:
-        """Lane by lane, into one array (a width-1 register: lane 0)."""
-        loads, wanted = inst.lanes(1), inst.dtype.numpy_dtype
-        if len(loads) == 1:
-            return self.load(loads[0])
-        shape, code = self.shape(len(loads)), _code(wanted)
-        self.emit(f"t = np.zeros({shape}, dtype=W_{code})")
-        for load in loads:
-            self.emit(f"{self.lane('t', load.lane)} = {self.read(load)}")
-        self.define(inst.dst, "t", wanted, True, vector=True)
-
-    def spill(self, inst: Spill) -> None:
-        """Lane by lane: a width-1 register, lane scalar or vector lane."""
-        wanted = inst.dtype.numpy_dtype
-        for store in inst.lanes(self.executable.warp_size):
-            value = store.value
-            if value.width == 1:
-                self.store(store)
-                continue
-            lane = f"({self.element(value, store.lane)})"
-            self.store(store, lane, self.lane_exactly(value, wanted))
 
     # -- thread context -------------------------------------------------------
 
@@ -1670,37 +1641,6 @@ class _BlockEmitter:
                 name, axis, inst.lane, _code(wanted)
             )
         self.define(inst.dst, expression, wanted, True)
-
-    # -- vector packing -------------------------------------------------------
-
-    def insert(self, inst: InsertElement) -> None:
-        wanted = inst.dst.dtype.numpy_dtype
-        code, width = _code(wanted), inst.dst.width
-        target, slot = "t", self.slot(inst.src)
-        if inst.src is None:
-            if self.slots[inst.dst.name] in self.private:
-                target = f"r{self.slots[inst.dst.name]}"
-            self.emit(
-                f"{target} = np.zeros({self.shape(width)}, dtype=W_{code})"
-            )
-        elif (
-            slot in self.fresh
-            and slot in self.executable.read_once
-            and self.exactly(inst.src, wanted)
-        ):
-            # An array this execution of the block allocated, in a
-            # register only this instruction reads: build on in place.
-            target = self.raw(inst.src)
-        else:
-            self.copy_of(inst.src, width, wanted)
-        # the lane's bits, as a load group packs them (an atomic's old
-        # value may be typed other than the register it lands in)
-        scalar = self.packed(
-            self.raw(inst.scalar), inst.scalar.dtype.numpy_dtype, wanted
-        )
-        self.emit(f"{self.lane(target, inst.index)} = {scalar}")
-        self.define(inst.dst, target, wanted, True, vector=True)
-        self.fresh.add(self.slots[inst.dst.name])
 
     # -- terminators ----------------------------------------------------------
 
@@ -1775,7 +1715,19 @@ class _WarpPrinter(_BlockEmitter):
     def load(self, inst: Load) -> None:
         if inst.lane is not None:
             return super().load(inst)
-        slot, width = self.slots[inst.dst.name], self.executable.warp_size
+        width = self.executable.warp_size
+        size, wanted = inst.dtype.size, inst.dst.dtype.numpy_dtype
+        if inst.pack and size == wanted.itemsize and not (
+            inst.dtype.is_predicate or self.frame_offset(inst) is None
+        ):
+            # Framed words: one array of the unsigned dtype whose bits
+            # the register's views (NaN payloads, -0.0).
+            words = ", ".join(map(self.word, inst.lanes(width)))
+            expression = f"np.array(({words}), dtype=W_u{size})"
+            if wanted.kind != "u":
+                expression += f".view(W_{_code(wanted)})"
+            return self.define(inst.dst, expression, wanted, True, vector=True)
+        slot = self.slots[inst.dst.name]
         lanes = [f"h{slot}_{k}" for k in range(width)]
         if self.access == "inline" and inst.space is AddressSpace.param \
                 and isinstance(inst.base, Constant):
@@ -1789,9 +1741,20 @@ class _WarpPrinter(_BlockEmitter):
                 self.emit(f"{name} = {self.read(load)}")
         self.grouped(inst, lanes, inst.dtype.numpy_dtype)
 
-    def store(self, inst: Store, value=None, exact=False) -> None:
-        if inst.lane is not None or value is not None:
-            return super().store(inst, value, exact)
+    def store(self, inst: Store) -> None:
+        if inst.lane is not None:
+            return super().store(inst)
+        source = inst.value
+        if getattr(source, "width", 1) > 1 and not (
+            self.slot(source) in self.held or inst.dtype.is_predicate
+            or self.frame_offset(inst) is None
+        ):
+            # A vector to framed lanes: one tolist() of its words, each
+            # stored through the arena's unsigned memoryview.
+            words = self.words(source, inst.dtype.numpy_dtype, "u")
+            for store in inst.lanes(self.executable.warp_size):
+                self.emit(f"{self.word(store)} = {words}[{store.lane}]")
+            return
         for store in self.lanes_of(inst):
             super().store(store)
 
@@ -1864,24 +1827,6 @@ class _WarpPrinter(_BlockEmitter):
             f"else np.full({width}, {name}, dtype=W_{_code(wanted)})"
         )
 
-    def shape(self, width: int) -> str:
-        return str(width)
-
-    def lane(self, name: str, index: int) -> str:
-        return f"{name}[{index}]"
-
-    def copy_of(self, source, width: int, wanted) -> None:
-        """``t``: a fresh ``wanted`` array of what vector register
-        ``source`` holds."""
-        name, code = self.raw(source), _code(wanted)
-        copy = (
-            f"{name}.copy()"
-            if self.exactly(source, wanted)
-            else f"np.array({name}, dtype=W_{code})"
-        )
-        self.emit(f"t = {copy}")
-        self.emit(f"if t.ndim == 0: t = np.full({width}, t, dtype=W_{code})")
-
     def segment_base(self, segment: str, lane: int) -> str:
         contexts = self.bind("contexts", "state.contexts")
         return self.bind(
@@ -1934,22 +1879,35 @@ class _WarpPrinter(_BlockEmitter):
         return "t"
 
     def atomic(self, inst: AtomicRMW) -> None:
+        """Each lane's read-modify-write in turn; a group's old values
+        are its lanes."""
         impl = _ATOMIC_IMPL.get(inst.op)
         if impl is None:
             raise ExecutionError(f"unknown atomic op {inst.op}")
-        operand = self.at_lane(inst.value, inst.lane)
-        compare = (
-            self.at_lane(inst.compare, inst.lane) if inst.op == "cas" else "None"
-        )
-        self.address(inst)
-        self.emit(f"o = {self.guest_load(inst, atomic=True)}")
-        self.guest_store(
-            inst,
-            f"{self.constant(impl)}(o, {operand}, {compare})",
-            False,
-            atomic=True,
-        )
-        if inst.dst is not None:
+        group, olds = inst.lane is None, []
+        for atomic in self.lanes_of(inst):
+            lane = atomic.lane
+            operand = self.at_lane(atomic.value, lane)
+            compare = (
+                self.at_lane(atomic.compare, lane) if inst.op == "cas"
+                else "None"
+            )
+            self.address(atomic)
+            self.emit(f"o = {self.guest_load(atomic, atomic=True)}")
+            self.guest_store(
+                atomic,
+                f"{self.constant(impl)}(o, {operand}, {compare})",
+                False,
+                atomic=True,
+            )
+            if group and inst.dst is not None:
+                olds.append(f"h{self.slots[inst.dst.name]}_{lane}")
+                self.emit(f"{olds[-1]} = o")
+        if inst.dst is None:
+            return
+        if group:
+            self.grouped(inst, olds, inst.dtype.numpy_dtype)
+        else:
             self.define(inst.dst, "o", *self.result(inst.dtype, True))
 
     def vector_load(self, inst: VectorLoad) -> None:
@@ -2039,7 +1997,8 @@ class _WarpPrinter(_BlockEmitter):
 
     def words(self, source, wanted, prefix: str) -> str:
         """One ``tolist()`` of vector ``source``'s lanes as ``wanted``;
-        for a spill (``prefix`` u) its unsigned words, so bits move."""
+        for a local store (``prefix`` u) its unsigned words, so bits
+        move."""
         name, slot, code = self.raw(source), self.slot(source), _code(wanted)
         lanes = f"{name}.astype(W_{code}, copy=False)"
         if slot not in self.vectors:  # one guard; a scalar fills them
@@ -2053,33 +2012,6 @@ class _WarpPrinter(_BlockEmitter):
             lanes += f".view(W_u{wanted.itemsize})"
         return self.bind(f"{prefix}{slot}_{code}", f"{lanes}.tolist()", slot)
 
-    def wordwise(self, inst) -> bool:
-        """Whether spill or restore ``inst`` moves framed words."""
-        framed = self.frame_offset(inst) is not None
-        return framed and not inst.dtype.is_predicate
-
-    def restore(self, inst: Restore) -> None:
-        """Framed words: one array of the unsigned dtype whose bits the
-        register's views (NaN payloads, -0.0)."""
-        if inst.dst.width == 1 or not self.wordwise(inst):
-            return super().restore(inst)
-        wanted = inst.dst.dtype.numpy_dtype
-        words = ", ".join(map(self.word, inst.lanes(1)))
-        expression = f"np.array(({words}), dtype=W_u{wanted.itemsize})"
-        if wanted.kind != "u":
-            expression += f".view(W_{_code(wanted)})"
-        self.define(inst.dst, expression, wanted, True, vector=True)
-
-    def spill(self, inst: Spill) -> None:
-        """A vector to framed lanes: one ``tolist()`` of its words, each
-        stored through the arena's unsigned memoryview."""
-        source, *rest = inst.values
-        if rest or source.width == 1 or not self.wordwise(inst):
-            return super().spill(inst)
-        words = self.words(source, inst.dtype.numpy_dtype, "u")
-        for store in inst.lanes(self.executable.warp_size):
-            self.emit(f"{self.word(store)} = {words}[{store.lane}]")
-
     def element(self, value, index: int) -> str:
         """Lane ``index`` of vector ``value`` (a constant, or a scalar a
         vector register holds, is the same in every lane)."""
@@ -2092,7 +2024,7 @@ class _WarpPrinter(_BlockEmitter):
         if slot in self.vectors:
             return f"{vector}[{index}]"
         shaped = self.shaped(vector, slot)
-        return f"{vector}[{index}] if {shaped} else {vector}"
+        return f"({vector}[{index}] if {shaped} else {vector})"
 
     def extract(self, inst: ExtractElement) -> None:
         known, exact = self.known.get(self.slot(inst.src), (None, False))
@@ -2177,14 +2109,11 @@ _EMITTERS = {
     Intrinsic: "intrinsic",
     Load: "load",
     Store: "store",
-    Spill: "spill",
-    Restore: "restore",
     VectorLoad: "vector_load",
     VectorStore: "vector_store",
     AtomicRMW: "atomic",
     ContextRead: "context_read",
     ContextWrite: "context_write",
-    InsertElement: "insert",
     ExtractElement: "extract",
     Broadcast: "broadcast",
     Reduce: "reduce",

@@ -122,8 +122,8 @@ def snapshot_registers(state, limit: int = SNAPSHOT_LIMIT) -> Dict[str, str]:
     order. Compiler temporaries are left out (every ``fresh_register``
     name contains a ``.``, which no PTX register name can): the bound
     goes to what the user wrote, and a lowering may leave anything in
-    a dead temporary (a partial vector built in place aliases the
-    finished one)."""
+    a dead temporary (one private to a block is never written to the
+    register file at all)."""
     def natural(name: str) -> list:  # r2 before r10
         parts = re.split("([0-9]+)", name)  # text, digits, text, ...
         parts[1::2] = map(int, parts[1::2])

@@ -45,14 +45,11 @@ from ..ir.instructions import (
     Exit,
     ExtractElement,
     FusedMultiplyAdd,
-    InsertElement,
     Intrinsic,
     Load,
     Reduce,
-    Restore,
     ResumeStatus,
     Select,
-    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -308,17 +305,6 @@ class _ReferenceState(_WarpState):
             self.memory.store(inst.dtype, address, value)
         self.lane = None
 
-    def _restore(self, inst: Restore) -> None:
-        lanes = [self.memory.load(inst.dtype, self.resolve_address(load))
-                 for load in inst.lanes(self.warp_size)]
-        vector = np.array(lanes, dtype=inst.dtype.numpy_dtype)
-        self.set(inst.dst, lanes[0] if len(lanes) == 1 else vector)
-
-    def _spill(self, inst: Spill) -> None:
-        for store in inst.lanes(self.warp_size):
-            value = self.fetch_lane(store.value, store.lane)
-            self.memory.store(inst.dtype, self.resolve_address(store), value)
-
     def _vector_load(self, inst: VectorLoad) -> None:
         address = self.resolve_address(inst)
         self.set(
@@ -340,16 +326,24 @@ class _ReferenceState(_WarpState):
         impl = _ATOMIC_IMPL.get(inst.op)
         if impl is None:
             raise ExecutionError(f"unknown atomic op {inst.op}")
-        address = self.resolve_address(inst)
-        old = self.memory.load(inst.dtype, address)
-        compare = (
-            self.fetch_lane(inst.compare, inst.lane)
-            if inst.op == "cas" else None
-        )
-        new = impl(old, self.fetch_lane(inst.value, inst.lane), compare)
-        self.memory.store(inst.dtype, address, new)
-        if inst.dst is not None:
-            self.set(inst.dst, old)
+        olds = []
+        for atomic in inst.lanes(self.warp_size):
+            self.lane = atomic.lane
+            address = self.resolve_address(atomic)
+            old = self.memory.load(inst.dtype, address)
+            compare = (
+                self.fetch_lane(atomic.compare, atomic.lane)
+                if inst.op == "cas" else None
+            )
+            value = self.fetch_lane(atomic.value, atomic.lane)
+            self.memory.store(inst.dtype, address, impl(old, value, compare))
+            olds.append(old)
+        self.lane = None
+        if inst.dst is None:
+            return
+        if inst.lane is None:
+            return self.grouped(inst, olds)
+        self.set(inst.dst, olds[0])
 
     def _context_read(self, inst: ContextRead) -> None:
         if inst.lane is not None:
@@ -395,19 +389,6 @@ class _ReferenceState(_WarpState):
         for write in inst.lanes(self.warp_size):
             value = int(self.fetch_lane(write.value, write.lane))
             self.contexts[write.lane].resume_point = value
-
-    def _insert(self, inst: InsertElement) -> None:
-        numpy_dtype = inst.dst.dtype.numpy_dtype
-        if inst.src is None:
-            vector = np.zeros(inst.dst.width, dtype=numpy_dtype)
-        else:
-            vector = np.array(self.fetch(inst.src), dtype=numpy_dtype)
-            if vector.ndim == 0:
-                vector = np.full(
-                    inst.dst.width, vector, dtype=numpy_dtype
-                )
-        vector[inst.index] = _coerce(self.fetch(inst.scalar), numpy_dtype)
-        self.set(inst.dst, vector)
 
     def _extract(self, inst: ExtractElement) -> None:
         vector = self.fetch(inst.src)
@@ -467,14 +448,11 @@ _HANDLERS = {
     Intrinsic: _ReferenceState._intrinsic,
     Load: _ReferenceState._load,
     Store: _ReferenceState._store,
-    Restore: _ReferenceState._restore,
-    Spill: _ReferenceState._spill,
     VectorLoad: _ReferenceState._vector_load,
     VectorStore: _ReferenceState._vector_store,
     AtomicRMW: _ReferenceState._atomic,
     ContextRead: _ReferenceState._context_read,
     ContextWrite: _ReferenceState._context_write,
-    InsertElement: _ReferenceState._insert,
     ExtractElement: _ReferenceState._extract,
     Broadcast: _ReferenceState._broadcast,
     Reduce: _ReferenceState._reduce,

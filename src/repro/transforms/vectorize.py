@@ -10,19 +10,18 @@ the scalar block:
   transcendental intrinsics) are promoted to vector-typed operators.
   Non-vectorizable instructions (loads, stores, atomics, context
   accesses) are replicated once per lane, with ``extractelement`` /
-  ``insertelement`` packing at the scalar/vector boundary (Fig. 3). A
-  replicated load, store or context access is built as one *lane
-  group* (``lane=None``) that stands for its copies and counts the
-  extracts and the pack beside them; only atomics are copied lane by
-  lane.
+  ``insertelement`` packing at the scalar/vector boundary (Fig. 3).
+  Each is built as one *lane group* (``lane=None``) that stands for its
+  copies and counts the extracts and the pack beside them.
 - **Algorithm 2**: conditional branches become a predicate *sum* plus a
   three-way switch: uniformly not-taken, uniformly taken, or divergent
   — the divergent case enters a compiler-inserted exit handler.
 - **Algorithm 3** (``CreateScheduler``): a scheduler block switches on
   the warp's entry ID and jumps to per-entry handlers that restore live
-  state from thread-local memory.
+  state from thread-local memory (a local load group a register).
 - **Algorithm 4** (``CreateExits``): exit handlers spill live values to
-  thread-local memory, write each thread's resume point (a conditional
+  thread-local memory (a local store group a register), write each
+  thread's resume point (a conditional
   select over the branch targets), and yield to the execution manager
   with a resume status (branch / barrier / exit).
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..errors import VectorizationError
 from ..ir.basicblock import BasicBlock
@@ -52,13 +51,10 @@ from ..ir.instructions import (
     ContextWrite,
     Exit,
     ExtractElement,
-    InsertElement,
     Load,
     Reduce,
-    Restore,
     ResumeStatus,
     Select,
-    Spill,
     Store,
     Switch,
     UnaryOp,
@@ -238,14 +234,12 @@ class Vectorizer:
         #: scalar register name -> specialized register
         self.register_map: Dict[str, VirtualRegister] = {}
         #: per-block memo of the lanes the block holds: name -> per lane
-        #: None, a scalar (an extract, an atomic's lane) or the register
-        #: itself (a lane group's lane, or one a group counted extracting)
+        #: None, a scalar (an extract) or the register itself (a lane
+        #: group's lane, or one a group counted extracting)
         self._lane_cache: Dict[str, list] = {}
-        #: per block, the packs nothing has read yet, by the register
-        #: they pack (a lane group, or an atomic's insertelement chain),
-        #: and the chains a redefinition left dead
+        #: per block, the lane groups whose pack nothing has read yet, by
+        #: the register they write
         self._unread_packs: Dict[str, object] = {}
-        self._dead_packs: list = []
         #: labels whose instructions are yield overhead (Fig. 9)
         self._overhead_blocks: Set[str] = set()
         self.block: Optional[BasicBlock] = None
@@ -302,14 +296,14 @@ class Vectorizer:
     def _extracts(self, value) -> int:
         """The extractelements a lane group reading specialized operand
         ``value`` stands for: the lanes of a vector the block does not
-        hold yet, held from then on. A vector the block holds as an
-        atomic's lanes is read whole, so its pack is kept."""
+        hold yet, held from then on. Those are extracted from the whole
+        register, so its pack is kept."""
         if not isinstance(value, VirtualRegister) or value.width == 1:
             return 0
         cached = self._lane_cache.setdefault(value.name, [None] * self.ws)
-        if any(lane is not value for lane in cached):
-            self._keep_pack(value.name)
         missing = cached.count(None)
+        if missing:
+            self._keep_pack(value.name)
         cached[:] = [value if lane is None else lane for lane in cached]
         return missing
 
@@ -338,66 +332,27 @@ class Vectorizer:
     def _keep_pack(self, name: str) -> None:
         """Register ``name`` is read whole: a pack of it is kept."""
         pack = self._unread_packs.pop(name, None)
-        if pack is not None and not isinstance(pack, list):
+        if pack is not None:
             pack.pack = True
 
     def _invalidate_lanes(self, register: VirtualRegister) -> None:
         """``register`` is (re)defined: its cached lanes are stale, and
-        a pack of it nothing read is dead."""
-        name = register.name
-        if name in self._lane_cache:
-            del self._lane_cache[name]
-        if name in self._unread_packs:
-            pack = self._unread_packs.pop(name)
-            if isinstance(pack, list):
-                self._dead_packs += pack
+        a pack of it nothing read is never built."""
+        self._lane_cache.pop(register.name, None)
+        self._unread_packs.pop(register.name, None)
 
-    def _pack_lanes(
-        self, destination: VirtualRegister, lanes: List[VirtualRegister]
-    ) -> None:
-        """insertelement chain producing ``destination`` from an
-        atomic's per-lane scalars (Fig. 3's packing), emitted in place
-        and kept only if the vector is read (§4 leaves that to dead-code
-        elimination)."""
-        start = len(self.block.instructions)
-        current = None
-        for index, scalar in enumerate(lanes):
-            if index == len(lanes) - 1:
-                target = destination
-            else:
-                target = self._temp(destination.dtype, width=self.ws)
-            self.block.append(
-                InsertElement(
-                    dst=target, src=current, scalar=scalar, index=index
-                )
-            )
-            current = target
-        self._invalidate_lanes(destination)
-        self._unread_packs[destination.name] = self.block.instructions[start:]
-        # Memoize the lanes we just packed so immediate consumers skip
-        # the round trip through the vector register.
-        self._lane_cache[destination.name] = list(lanes)
-
-    def _drop_unread_packs(self, scalar_block: BasicBlock) -> None:
-        """At the end of a block, drop the packs whose vector nothing
-        reads: no later instruction, and no successor the block reaches
-        without yielding (a spill in the block takes the cached lanes,
-        a divergent exit handler the register)."""
+    def _keep_live_out_packs(self, scalar_block: BasicBlock) -> None:
+        """At the end of a block, keep the packs of the registers a
+        successor the block reaches without yielding reads (a spill in
+        the block reads the held lanes, a divergent exit handler the
+        register); the packs nothing reads stay unbuilt (§4 leaves
+        that to dead-code elimination)."""
         unread = self._unread_packs
         if unread and not isinstance(self.block.terminator, Yield):
             live_out = self.liveness.live_out[scalar_block.label]
             for name in live_out.intersection(unread):
                 self._keep_pack(name)
-        dead = {
-            id(i) for chain in unread.values()
-            if isinstance(chain, list) for i in chain
-        }
-        dead.update(map(id, self._dead_packs))
-        if dead:
-            self.block.instructions = [
-                i for i in self.block.instructions if id(i) not in dead
-            ]
-        self._unread_packs, self._dead_packs = {}, []
+        self._unread_packs = {}
 
     # -- main loop ---------------------------------------------------------
 
@@ -408,7 +363,7 @@ class Vectorizer:
             for instruction in block.instructions:
                 self._vectorize_instruction(instruction)
             self._rewrite_terminator(block)
-            self._drop_unread_packs(block)
+            self._keep_live_out_packs(block)
         self._create_scheduler()
         self._mark_overhead()
         return self.out
@@ -517,28 +472,14 @@ class Vectorizer:
         self._group(instruction, dst=destination)
 
     def _replicate_atomic(self, instruction: AtomicRMW) -> None:
-        """One copy per lane, in lane order, each writing a fresh scalar
-        if it writes at all (§4: replicated per lane)."""
-        lanes = []
-        for lane in range(self.ws):
-            scalar = instruction.dst and self._temp(instruction.dtype)
-            copy = instruction.rebuilt(
-                scalar, [self.lane_value(v, lane) for v in instruction.uses()]
-            )
-            copy.lane = lane
-            self.block.append(copy)
-            lanes.append(scalar)
+        """A lane group, its lanes run in lane order (§4: replicated per
+        lane)."""
         if instruction.dst is None:
-            return
+            return self._group(instruction)
         destination = self.map_register(instruction.dst)
-        if destination.width > 1:
-            self._pack_lanes(destination, lanes)
-        elif self.ws != 1:
+        if destination.width < self.ws:
             raise VectorizationError("atomic destination cannot be uniform")
-        else:
-            # Width-1 specialization: the single lane's result is the
-            # register itself.
-            self.block.instructions[-1].dst = destination
+        self._group(instruction, dst=destination)
 
     def _vectorize_vote(self, instruction: Reduce) -> None:
         source = self.map_value(instruction.src)
@@ -594,17 +535,14 @@ class Vectorizer:
 
     def _spill_live_out(self, scalar_block: BasicBlock) -> None:
         """Store live-out values to each thread's local spill area
-        (Algorithm 4's first step), one :class:`Spill` a register. A
+        (Algorithm 4's first step), one local store group a register. A
         vector whose lanes the block already holds stores those, so a
-        pack only the spill would read is dropped."""
-        live_out = self.liveness.live_out_registers(scalar_block.label)
-        for register in live_out:
-            if register.name in self._lane_cache:
-                values = [self.lane_value(register, k) for k in range(self.ws)]
-            else:
-                values = [self.map_value(register)]
+        pack only the spill would read is never built."""
+        for register in self.liveness.live_out_registers(scalar_block.label):
             slot = self._spill_slot(register)
-            self.block.append(Spill(register.dtype, slot, values))
+            self._group(
+                Store(register.dtype, AddressSpace.local, slot, register)
+            )
 
     def _set_resume_points(self, value) -> None:
         """Each lane's resume point: lane k's of ``value``."""
@@ -773,12 +711,17 @@ class Vectorizer:
             self._flag_overhead(block, 0)
 
     def _emit_restores(self, label: str) -> None:
-        """One :class:`Restore` per live-in register of ``label``, from
-        each lane's spill area."""
+        """One local load group per live-in register of ``label``, each
+        lane from its own spill area, packing the register (a width-1
+        one: lane 0's load)."""
         for register in self.liveness.live_in_registers(label):
             mapped = self.map_register(register)
-            slot = self._spill_slot(register)
-            self.block.append(Restore(register.dtype, mapped, slot))
+            wide = mapped.width > 1
+            self.block.append(Load(
+                register.dtype, mapped, AddressSpace.local,
+                self._spill_slot(register), lane=None if wide else 0,
+                pack=wide,
+            ))
 
 
 def vectorize_kernel(

@@ -224,10 +224,10 @@ class TestArrayBackendEquivalence:
 # ---------------------------------------------------------------------------
 
 #: A Collatz walk whose every step also gathers from a table at a
-#: data-dependent index: the vectorizer scalarizes that load and packs
-#: the lanes with an ``insertelement`` chain (built in place by the
-#: block emitter), so the blocks around every divergent ``Switch`` hold
-#: chains on both sides of the batched/sequential seam.
+#: data-dependent index: the vectorizer replicates that load as a lane
+#: group and packs its lanes, so the blocks around every divergent
+#: ``Switch`` hold packed vectors on both sides of the
+#: batched/sequential seam.
 WALK_PTX = r"""
 .version 2.3
 .target sim
@@ -277,8 +277,8 @@ DONE:
 """
 
 #: A uniform loop (``trips`` iterations, each gathering from ``table``
-#: at a data-dependent index — an in-place ``insertelement`` chain per
-#: iteration), then a block that reads ``%clock``: no batched lowering,
+#: at a data-dependent index — a packed load group per iteration),
+#: then a block that reads ``%clock``: no batched lowering,
 #: and what it reads depends on the cycles the batched prefix charged.
 #: With a small instruction limit the batch instead stops, mid-loop,
 #: at the conservative limit check.
@@ -355,7 +355,7 @@ def _observe(backend, ptx, kernel, grid, block, make_args, limit=None):
 
 class TestBatchFallback:
     """Each way a batch hands its warps to the sequential path, on a
-    kernel with in-place vector chains on both sides of the hand-off
+    kernel with packed load groups on both sides of the hand-off
     and CTAs of 32 threads (one batch of ``MIN_BATCH_WARPS`` each, so
     what leaves a batch cannot form another): guest memory and modeled
     statistics must not be able to tell."""

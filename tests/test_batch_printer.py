@@ -29,7 +29,6 @@ from repro.ir.instructions import (
     Convert,
     ExtractElement,
     FusedMultiplyAdd,
-    InsertElement,
     Reduce,
     Select,
     Store,
@@ -74,24 +73,13 @@ def const(value, dtype=u32):
     return Constant(value, dtype)
 
 
-def pack(name, dtype, scalars):
-    """``insertelement`` chain packing ``scalars`` into vector ``name``."""
-    chain, source = [], None
-    for index, scalar in enumerate(scalars):
-        last = index == len(scalars) - 1
-        link = vec(name if last else f"{name}.{index}", dtype)
-        chain.append(InsertElement(link, source, scalar, index))
-        source = link
-    return chain
-
-
 def prelude(out):
     """``tid`` (per lane, u32), ``t0..`` (its lanes, per warp) and
     ``a0..``: per lane the address of the thread's output record."""
-    code = [
-        ContextRead("tid.x", u32, reg(f"t{lane}"), lane) for lane in range(WS)
+    code = [ContextRead("tid.x", u32, vec("tid"), lane=None, pack=True)]
+    code += [
+        ExtractElement(reg(f"t{lane}"), vec("tid"), lane) for lane in range(WS)
     ]
-    code += pack("tid", u32, [reg(f"t{lane}") for lane in range(WS)])
     code += [
         Convert(u64, u32, vec("tid64", u64), vec("tid")),
         BinaryOp("mul", u64, vec("off", u64), vec("tid64", u64),
@@ -239,15 +227,13 @@ class TestPrintedSource:
         # only the register amount still goes through the clamped shift
         assert body.count(", D_") == 1 and ", D_u32)" in body
 
-    def test_insert_chain_prints_one_allocation(self):
+    def test_packed_context_group_prints_one_read(self):
         source = batch_source([*prelude(1024), Yield(status=3)])
-        chain = source[: source.index("convert.u64.u32")]
-        assert chain.count("np.zeros((B, 4)") == 1
-        assert ".copy()" not in chain and ".astype" not in chain.replace(
-            ".astype(W_u4)  #", ""
-        )
+        packed = source[: source.index("convert.u64.u32")]
+        assert packed.count("state.per_thread('tid', 0)") == 1
+        assert "np.zeros" not in packed and ".copy()" not in packed
         for lane in range(WS):
-            assert f"[:, {lane}] = r" in chain
+            assert f"[:, {lane}]  # " in packed
 
     def test_exact_dtype_operand_prints_no_coerce(self):
         source = batch_source([

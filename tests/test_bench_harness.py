@@ -2,6 +2,7 @@
 text reporting that regenerate the paper's tables/figures."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -139,6 +140,24 @@ class TestInstructionReductionDriver:
 class TestDocsQuoteResults:
     # EXPERIMENTS.md quotes benchmarks/results/ verbatim; regenerating
     # one without the other is the drift these pin.
+    def test_docs_state_the_app_count(self):
+        # Each line of README.md and DESIGN.md that describes the suite
+        # (it names the workloads package) states the registry's count:
+        # the paper's 36, the extensions and the microbenchmark.
+        from repro.workloads.registry import workload_names
+
+        described = [
+            line
+            for doc in ("README.md", "DESIGN.md")
+            for line in (ROOT / doc).read_text().splitlines()
+            if "repro.workloads`" in line
+            or line.startswith("src/repro/workloads ")
+        ]
+        assert len(described) == 4
+        for line in described:
+            (stated, *_) = re.findall(r"(\d+) app(?:lication)?s", line)
+            assert int(stated) == len(workload_names()), line
+
     def test_experiments_table1_is_the_committed_result(self):
         table = (ROOT / "benchmarks/results/table1.txt").read_text()
         assert table.strip() in (ROOT / "EXPERIMENTS.md").read_text()

@@ -30,11 +30,8 @@ from repro.ir.instructions import (
     ContextRead,
     ExtractElement,
     FusedMultiplyAdd,
-    InsertElement,
     Reduce,
-    Restore,
     Select,
-    Spill,
     Store,
 )
 from repro.ir.values import Constant, VirtualRegister
@@ -404,24 +401,27 @@ class TestBlockEmitter:
         assert "memory._check(a, 4)" in rendered
         assert "load.global.f32" in executable.block_source("entry")
 
-    # -- the handler idioms: constant shifts, in-place chains, extracts ------
+    # -- the handler idioms: constant shifts, extracts ----------------------
 
     _SHIFT_TYPES = ("b16", "b32", "b64", "u32", "s32", "u64", "s64")
 
     @staticmethod
     def _pack(name, dtype, values):
-        """``name`` = the 4-wide vector of ``values``, packed the way
-        the vectorizer does it: one insertelement chain over fresh
-        partial vectors."""
-        chain, source = [], None
-        for lane, value in enumerate(values):
-            partial = _reg(name if lane == 3 else f"{name}.{lane}", dtype, 4)
-            chain.append(InsertElement(
-                dst=partial, src=source, index=lane,
-                scalar=Constant(value, dtype),
-            ))
-            source = partial
-        return chain
+        """``name`` = the 4-wide vector of ``values``: the first one
+        splat, each later one selected into its lane by ``laneid``."""
+        u32 = DataType.u32
+        lane, vector = _reg(f"{name}.lane", u32, 4), _reg(name, dtype, 4)
+        body = [
+            ContextRead("laneid", u32, lane, lane=None, pack=True),
+            UnaryOp("mov", dtype, vector, Constant(values[0], dtype)),
+        ]
+        for k, value in enumerate(values[1:], 1):
+            hit = _reg(f"{name}.is{k}", DataType.pred, 4)
+            body += [
+                Compare("eq", u32, hit, lane, Constant(k, u32)),
+                Select(dtype, vector, Constant(value, dtype), vector, hit),
+            ]
+        return body
 
     @staticmethod
     def _emitter_and_reference(sanitize=False):
@@ -563,98 +563,27 @@ class TestBlockEmitter:
             body.append(_store(scalar, out + 4 * lane, dtype))
         return body
 
-    def test_chain_builds_in_place_only_on_its_own_fresh_links(self):
+    def test_extracts_of_a_live_in_vector_share_one_shape_guard(self):
+        # A vector from another block (a Continuation may have
+        # transplanted it) may hold a scalar: its extracts share one
+        # shape guard, and each is read by a store of a dtype the
+        # register is not known to carry, which converts its lane (a
+        # whole-vector conversion is a local store group's).
         u32 = DataType.u32
         full = _reg("v", u32, 4)
 
         def function(out):
-            return _function({"entry": [
-                *self._pack("v", u32, [7, 8, 9, 10]),
-                *self._stores_of(full, out),
-                Yield(status=3),
-            ]}, warp_size=4)
-
-        image, reference, executable = self._run_both(function, 16)
-        np.testing.assert_array_equal(image, reference)
-        assert list(image.view(np.uint32)) == [7, 8, 9, 10]
-        source = executable.block_source("entry")
-        assert ".copy()" not in source and "ndim" not in source
-        assert "np.array(" not in source and source.count("np.zeros(") == 1
-        # the finished vector indexes directly, lane by lane
-        assert "isinstance" not in source
-
-    def test_forked_chain_still_copies(self):
-        # v.0 is read by two inserts: neither may write into it.
-        u32 = DataType.u32
-        first, left, right = (
-            _reg("v.0", u32, 4), _reg("l", u32, 4), _reg("r", u32, 4)
-        )
-
-        def function(out):
-            return _function({"entry": [
-                InsertElement(first, None, Constant(1, u32), 0),
-                InsertElement(left, first, Constant(2, u32), 1),
-                InsertElement(right, first, Constant(3, u32), 1),
-                *self._stores_of(left, out),
-                *self._stores_of(right, out + 16),
-                Yield(status=3),
-            ]}, warp_size=4)
-
-        image, reference, executable = self._run_both(function, 32)
-        np.testing.assert_array_equal(image, reference)
-        assert list(image.view(np.uint32)) == [1, 2, 0, 0, 1, 3, 0, 0]
-        assert executable.block_source("entry").count(".copy()") == 2
-
-    def test_redefined_link_still_copies(self):
-        # The IR is not SSA: a partial vector defined twice (here, in a
-        # loop-free way, by two inserts) is not the chain's alone.
-        u32 = DataType.u32
-        partial, full = _reg("v.0", u32, 4), _reg("v", u32, 4)
-
-        def function(out):
-            return _function({"entry": [
-                InsertElement(partial, None, Constant(1, u32), 0),
-                InsertElement(partial, None, Constant(4, u32), 0),
-                InsertElement(full, partial, Constant(2, u32), 1),
-                *self._stores_of(full, out),
-                Yield(status=3),
-            ]}, warp_size=4)
-
-        image, reference, executable = self._run_both(function, 16)
-        np.testing.assert_array_equal(image, reference)
-        assert list(image.view(np.uint32)) == [4, 2, 0, 0]
-        assert executable.block_source("entry").count(".copy()") == 1
-
-    def test_chain_source_live_in_from_another_block_still_copies(self):
-        # Read once and defined once — but by another block: this
-        # execution did not allocate it (a Continuation may have
-        # transplanted it), so the insert copies, and the extracts of a
-        # live-in register share one shape guard; each is read by a
-        # store of a dtype the register is not known to carry, which
-        # converts its lane (a whole-vector conversion is a Spill's).
-        u32 = DataType.u32
-        partial, full = _reg("v.0", u32, 4), _reg("v", u32, 4)
-
-        def function(out):
             return _function({
-                "entry": [
-                    InsertElement(partial, None, Constant(5, u32), 0),
-                    Branch("next"),
-                ],
-                "next": [
-                    InsertElement(full, partial, Constant(6, u32), 3),
-                    Branch("last"),
-                ],
+                "entry": [*self._pack("v", u32, [5, 0, 0, 6]), Branch("last")],
                 "last": [*self._stores_of(full, out), Yield(status=3)],
             }, warp_size=4)
 
         image, reference, executable = self._run_both(function, 16)
         np.testing.assert_array_equal(image, reference)
         assert list(image.view(np.uint32)) == [5, 0, 0, 6]
-        source = executable.block_source("next")
-        assert "np.array(r" in source and "ndim == 0" in source
         last = executable.block_source("last")
-        assert last.count("isinstance") == 1 and last.count(" if v1") == 4
+        assert last.count("isinstance") == 1
+        assert len(re.findall(r" if v\d+ else", last)) == 4
         assert ".astype(W_u4, copy=False)" not in last
         assert last.count("if type(t)") == 4
 
@@ -757,10 +686,11 @@ class TestBlockEmitter:
         assert re.search(row.format("completed", r"\d+\+"), printed, re.M)
 
     @pytest.mark.parametrize("sanitize", [False, True])
-    def test_fault_after_a_chain_reports_its_own_index(self, sanitize):
-        # The load faults with the chain's dead links aliasing the
-        # finished vector; the dump lists what the PTX names, and
-        # equals the reference's.
+    def test_fault_after_a_packed_vector_reports_its_own_index(
+        self, sanitize
+    ):
+        # The load faults after a vector built from lane selects; the
+        # dump lists what the PTX names, and equals the reference's.
         from repro.runtime.traps import snapshot_registers
 
         u32 = DataType.u32
@@ -786,10 +716,10 @@ class TestBlockEmitter:
                     state=state,
                 )
             assert excinfo.value.trap_label == "entry"
-            assert excinfo.value.trap_index == 5
+            assert excinfo.value.trap_index == 9
             dumps.append(snapshot_registers(state))
         assert dumps[0] == dumps[1]
-        # natural order, compiler temporaries (r10.0, ...) left out
+        # natural order, compiler temporaries (r10.lane, ...) left out
         assert list(dumps[0].items()) == [
             ("r2", "[2, 3, 4, 5]"), ("r10", "[1, 2, 3, 4]"),
         ]
@@ -826,23 +756,32 @@ def _frame_function(tail=()):
     return function
 
 
+def _moves(block, kinds=(Load, Store)):
+    """A yield handler's spills and restores in ``block``: its local
+    accesses of ``kinds`` at a constant slot."""
+    return [
+        instruction for instruction in block.instructions
+        if isinstance(instruction, kinds)
+        and instruction.space is AddressSpace.local
+        and isinstance(instruction.base, Constant)
+    ]
+
+
 class TestWhatTheFrameProves:
     def test_collatz_handlers_print_only_what_is_unproven(self):
         # Entry and exit handlers: spills and restores at constant
         # offsets inside the frame — no bounds check, no alignment
         # branch, one count per straight-line run, and no register-file
         # write of a temporary the block keeps to itself; in the warp
-        # printer and in the batch printer.
+        # printer and in the batch printer, where each move is one
+        # (B, w) access over every lane's frame base.
         device = Device(config=vectorized_config(4))
         device.register_module(COLLATZ_PTX)
         device.warm()
         executable = device.cache.resident("collatz", 4)
         handlers = [
             label for label, block in executable.function.blocks.items()
-            if label.endswith(("_entry", "_exit")) and any(
-                isinstance(instruction, (Spill, Restore))
-                for instruction in block.instructions
-            )
+            if label.endswith(("_entry", "_exit")) and _moves(block)
         ]
         assert len(handlers) >= 4  # (melding, forced on, leaves fewer)
         kept = 0
@@ -862,16 +801,20 @@ class TestWhatTheFrameProves:
                 assert not set(map(int, written)) & set(private), label
                 for count in ("load_count", "store_count"):
                     assert source.count(count) <= 1, (label, count)
+            moves = _moves(executable.function.blocks[label])
+            assert sources[1].count("[(local_bases + ") == len(moves)
+            assert "local_base0" not in sources[1], label
         # The private temporaries left are the resume points' lanes; a
-        # Spill or Restore has no per-lane temporary.
+        # local load or store group has no per-lane temporary.
         assert kept > 0
 
     def test_collatz_moves_whole_registers(self):
-        # In the inline template a framed spill is one tolist() of the
-        # vector's unsigned words, stored through the arena's unsigned
-        # memoryview; a restore and a packed launch coordinate are one
-        # unsigned array; a branch sum is one count. The checked
-        # template moves lane by lane, as before.
+        # In the inline template a framed spill (a local store group)
+        # is one tolist() of the vector's unsigned words, stored through
+        # the arena's unsigned memoryview; a restore (a packed local
+        # load group) and a packed launch coordinate are one unsigned
+        # array; a branch sum is one count. The checked template moves
+        # lane by lane, as before.
         device = Device(config=vectorized_config(4))
         device.register_module(COLLATZ_PTX)
         device.warm()
@@ -881,14 +824,10 @@ class TestWhatTheFrameProves:
             source = executable.block_source(label)
             checked = executable.blocks("checked")[label][0].source
             assert "M_u" not in checked and ".tolist()" not in checked
-            moves = [
-                instruction for instruction in block.instructions
-                if isinstance(instruction, (Spill, Restore))
-            ]
-            if any(isinstance(move, Spill) for move in moves):
+            if _moves(block, Store):
                 assert ".tolist()" in source and "V_u" not in source
                 moved["spill"] += source.count("M_u")
-            if any(isinstance(move, Restore) for move in moves):
+            if _moves(block, Load):
                 assert "np.zeros" not in source, label
                 moved["restore"] += source.count("np.array((M_u")
             if any(isinstance(i, Reduce) for i in block.instructions):

@@ -14,7 +14,6 @@ from repro.ir import (
     Exit,
     ExtractElement,
     FusedMultiplyAdd,
-    InsertElement,
     Intrinsic,
     IRFunction,
     Load,
@@ -25,7 +24,6 @@ from repro.ir import (
     VirtualRegister,
     Yield,
 )
-from repro.ir.instructions import Restore, Spill
 from repro.machine import (
     Interpreter,
     MemorySystem,
@@ -220,39 +218,40 @@ class TestCostModel:
         # base 2 chunks + spill penalty 2 * 2 chunks
         assert table.cost_of(fma).cycles == 6
 
-    @pytest.mark.parametrize("form", ["restore", "restore w1", "vector",
-                                      "width-1", "lanes"])
+    @pytest.mark.parametrize("form", ["restore", "vector", "width-1",
+                                      "lanes"])
     def test_a_lane_move_costs_its_lane_sequence(self, form):
-        # A Restore or Spill prices and counts exactly the per-lane
-        # loads/stores and inserts/extracts it stands for, in the
-        # overhead bucket; so does IRFunction.instruction_count().
+        # A spill or restore (a local store or load group at a spill
+        # slot) prices and counts exactly the per-lane loads/stores and
+        # shuffles it stands for, in the overhead bucket; so does
+        # IRFunction.instruction_count(). (A pack's insertelements are
+        # priced as the shuffles extractelements are.)
         u32, u64, local, ws = DataType.u32, DataType.u64, AddressSpace.local, 4
         slot, vector = const(24, u64), reg("v", u32, ws)
         scalar = reg("s", u32)
         lanes = [reg(f"l.{k}", u32) for k in range(ws)]
-        link = [reg(f"t.{k}", u32, ws) for k in range(ws - 1)] + [vector]
+        shuffles = [ExtractElement(lanes[k], vector, k) for k in range(ws)]
 
         def store(k, value):
             return Store(u32, local, slot, value, lane=k)
 
+        def spill(value, extracts):
+            return [Store(u32, local, slot, value, lane=None,
+                          extracts=extracts)]
+
         if form == "restore":
-            move = [Restore(u32, vector, slot)]
+            move = [Load(u32, vector, local, slot, lane=None, pack=True)]
             sequence = [Load(u32, lanes[k], local, slot, lane=k)
-                        for k in range(ws)] + [
-                InsertElement(link[k], link[k - 1] if k else None,
-                              lanes[k], k) for k in range(ws)]
-        elif form == "restore w1":
-            move = [Restore(u32, scalar, slot)]
-            sequence = [Load(u32, scalar, local, slot, lane=0)]
+                        for k in range(ws)] + shuffles
         elif form == "vector":
-            move = [Spill(u32, slot, [vector])]
+            move = spill(vector, ws)
             sequence = [instruction for k in range(ws) for instruction in (
-                ExtractElement(lanes[k], vector, k), store(k, lanes[k]))]
+                shuffles[k], store(k, lanes[k]))]
         elif form == "width-1":
-            move = [Spill(u32, slot, [scalar])]
+            move = spill(scalar, 0)
             sequence = [store(k, scalar) for k in range(ws)]
-        else:
-            move = [Spill(u32, slot, lanes)]
+        else:  # the lanes the block holds
+            move = spill(vector, 0)
             sequence = [store(k, lanes[k]) for k in range(ws)]
         totals = []
         for body in (move, sequence):

@@ -1269,7 +1269,7 @@ class TestBackendDifferential:
             assert (batched > 0) == (name == "batching"), name
 
 
-#: ``prop`` with a register of each Spill form live across a barrier
+#: ``prop`` with a register of each spill form live across a barrier
 #: (spilled in the barrier's own block) and a divergent branch (spilled
 #: by its exit handler): ``%r7`` is thread-invariant (width 1 under
 #: thread-invariant elimination), ``%r8`` per-lane loads whose lanes
@@ -1312,10 +1312,10 @@ EVEN:
 
 def test_every_spill_form_stores_the_same_bytes():
     # A width-1 register, a fresh vector and a vector from the lanes
-    # the block holds, spilled and restored: the batched, one-warp-at-
-    # a-time and checked paths store the reference's bytes and model
-    # its statistics.
-    from repro.ir.instructions import Spill
+    # the block holds, spilled (a local store group reading each) and
+    # restored: the batched, one-warp-at-a-time and checked paths store
+    # the reference's bytes and model its statistics.
+    from repro.ir.instructions import Store
 
     base = replace(vectorized_config(4), thread_invariant_elimination=True)
     data = (np.arange(64, dtype=np.uint32) * 2654435761) >> 7
@@ -1338,9 +1338,10 @@ def test_every_spill_form_stores_the_same_bytes():
     device.register_module(SPILL_FORMS_PTX)
     function = device.cache.get("prop", 4).function
     forms = {
-        "lanes" if len(spill.values) > 1 else
-        "width-1" if spill.values[0].width == 1 else "vector"
-        for spill in function.instructions() if isinstance(spill, Spill)
+        "width-1" if spill.value.width == 1 else
+        "lanes" if spill.extracts == 0 else "vector"
+        for spill in function.instructions()
+        if isinstance(spill, Store) and spill.space.value == "local"
     }
     assert forms == {"width-1", "vector", "lanes"}
 
@@ -1507,20 +1508,111 @@ SIGNED_ATOMIC_PTX = r"""
 """
 
 
+#: ``SIGNED_ATOMIC_PTX`` with the old value read whole (sign-extended to
+#: 64 bits by a vector conversion), so the atomic group's pack is kept.
+SIGNED_ATOMIC_PACKED_PTX = SIGNED_ATOMIC_PTX.replace(
+    "mul.wide.u32 %rd2, %r1, 4;", "mul.wide.u32 %rd2, %r1, 8;"
+).replace(
+    "st.global.u32 [%rd4], %r2;",
+    "cvt.s64.s32 %rd1, %r2;\n  st.global.u64 [%rd4], %rd1;",
+)
+
+
 @pytest.mark.parametrize("backend", ["array", "reference"])
 @pytest.mark.parametrize("width", [1, 2, 4])
+@pytest.mark.parametrize("read", ["lanes", "pack"])
 def test_an_atomic_into_a_differently_typed_register_keeps_its_bits(
-    width, backend
+    read, width, backend
 ):
     # atom.u32 into a .s32 register, old values past 2**31: each lane's
-    # old value goes into the register's pack as its bits.
+    # old value is the register's lane as its bits, read lane by lane by
+    # a store group or whole, from the atomic group's pack.
+    from repro.ir.instructions import AtomicRMW
+
+    source, dtype, top = {
+        "lanes": (SIGNED_ATOMIC_PTX, np.uint32, 0),
+        "pack": (SIGNED_ATOMIC_PACKED_PTX, np.uint64, 0xFFFFFFFF << 32),
+    }[read]
     device = Device(config=replace(vectorized_config(width), backend=backend))
+    device.register_module(source)
+    word = device.upload(np.array([0xFFFFFFF0], dtype=np.uint32))
+    out = device.upload(np.zeros(4, dtype=dtype))
+    device.launch("prop", grid=1, block=4, args=[word, out])
+    assert sorted(out.read(dtype, 4)) == [
+        top | 0xFFFFFFF0 + k for k in range(4)
+    ]
+    assert word.read(np.uint32, 1)[0] == 0xFFFFFFF4
+    (atomic,) = [
+        i for i in device.cache.get("prop", width).function.instructions()
+        if isinstance(i, AtomicRMW)
+    ]
+    assert atomic.lane == (None if width > 1 else 0)
+    if width > 1:
+        assert atomic.pack == (read == "pack")
+
+
+def test_an_atomic_read_by_a_later_group_builds_no_pack():
+    # SIGNED_ATOMIC_PTX's store group reads the atomic's old value lane
+    # by lane in the same block: the atomic group's pack is not built.
+    # (When the atomic was w lane copies, the store read their scalars
+    # and kept the insertelement chain beside them: 4 more instructions
+    # at width 4, 43 executed, 149 kernel cycles.)
+    device = Device(config=vectorized_config(4))
     device.register_module(SIGNED_ATOMIC_PTX)
     word = device.upload(np.array([0xFFFFFFF0], dtype=np.uint32))
     out = device.upload(np.zeros(4, dtype=np.uint32))
-    device.launch("prop", grid=1, block=4, args=[word, out])
-    assert sorted(out.read(np.uint32, 4)) == [0xFFFFFFF0 + k for k in range(4)]
-    assert word.read(np.uint32, 1)[0] == 0xFFFFFFF4
+    statistics = device.launch(
+        "prop", grid=1, block=4, args=[word, out]
+    ).statistics
+    assert (statistics.instructions, statistics.kernel_cycles) == (39, 145)
+    assert device.cache.get("prop", 4).function.instruction_count() == 39
+
+
+FAULTING_ATOMIC_PTX = r"""
+.version 2.3
+.target sim
+.entry prop (.param .u64 word, .param .u32 lane)
+{
+  .reg .u32 %r<4>;
+  .reg .u64 %rd<4>;
+  .reg .pred %p<2>;
+  mov.u32 %r1, %tid.x;
+  ld.param.u64 %rd1, [word];
+  ld.param.u32 %r2, [lane];
+  mov.u64 %rd2, 1099511627776;
+  setp.eq.u32 %p1, %r1, %r2;
+  selp.b64 %rd3, %rd2, %rd1, %p1;
+  atom.global.add.u32 %r3, [%rd3], 1;
+  exit;
+}
+"""
+
+
+@pytest.mark.parametrize("backend", ["array", "reference"])
+@pytest.mark.parametrize("width", [2, 4])
+def test_a_fault_in_an_atomic_lane_names_that_lane(width, backend):
+    # One AtomicRMW stands for the warp's atomics; when lane k's
+    # address is out of bounds the trap names lane k alone, after the
+    # lanes before it (and none after) have added.
+    from repro.errors import KernelTrap
+    from repro.ir.instructions import AtomicRMW
+
+    config = replace(vectorized_config(width), backend=backend)
+    for lane in range(width):
+        device = Device(config=config)
+        device.register_module(FAULTING_ATOMIC_PTX)
+        word = device.upload(np.zeros(1, dtype=np.uint32))
+        with pytest.raises(KernelTrap) as caught:
+            device.launch("prop", grid=1, block=width, args=[word, lane])
+        info = caught.value.info
+        assert [state.lane for state in info.faulting_lanes] == [lane]
+        assert info.instruction.startswith("AtomicRMW(")
+        assert word.read(np.uint32, 1)[0] == lane
+    atomics = [
+        i for i in device.cache.get("prop", width).function.instructions()
+        if isinstance(i, AtomicRMW)
+    ]
+    assert len(atomics) == 1 and atomics[0].lane is None
 
 
 class TestMemoryProperties:

@@ -796,15 +796,15 @@ class TestPassCensus:
 
 
 class TestLaneGroups:
-    """Past width 1 a replicated load, store or context access is one
-    lane group: the only insertelements and extractelements the 43 apps
-    keep are an atomic's (its lanes stay copies) and a vector memory
-    operation's base."""
+    """Past width 1 every replicated access is one lane group (an
+    atomic, a spill and a restore too): the only extractelements the 43
+    apps keep are a vector memory operation's base's, and no
+    insertelement is built."""
 
     @pytest.mark.parametrize(
         "configuration", ["default", "optimize=False", "meld", "static"]
     )
-    def test_no_pack_outside_atomics_and_vector_bases(
+    def test_no_extract_outside_vector_bases(
         self, configuration, monkeypatch
     ):
         for name in ("REPRO_MELD", "REPRO_CACHE"):
@@ -814,7 +814,6 @@ class TestLaneGroups:
         from repro.ir.instructions import (
             AtomicRMW,
             ExtractElement,
-            InsertElement,
             VectorLoad,
             VectorStore,
         )
@@ -827,7 +826,7 @@ class TestLaneGroups:
             "meld": ExecutionConfig(meld=True),
             "static": static_tie_config(4, vector_memory=True),
         }[configuration]
-        stray, groups = [], 0
+        stray, groups, atomics = [], 0, 0
         for registered in all_workloads():
             device = Device(config=config)
             device.register_module(registered.module_source())
@@ -840,42 +839,22 @@ class TestLaneGroups:
                     i for block in function.ordered_blocks()
                     for i in block.instructions
                 ]
-                # an atomic's result lanes and their insertelement chain
-                chain = {
-                    i.dst.name for i in body
-                    if isinstance(i, AtomicRMW) and i.dst is not None
-                }
-                # the lanes an atomic reads, and the vectors a vector
-                # memory operation's base is extracted from (a spill of
-                # such a vector takes its lanes, so extracts the rest)
-                lanes = {
-                    value.name for i in body if isinstance(i, AtomicRMW)
-                    for value in i.uses() if hasattr(value, "name")
-                }
                 bases = {
                     i.base.name for i in body
                     if isinstance(i, (VectorLoad, VectorStore))
                     and hasattr(i.base, "name")
                 }
-                based = {
-                    i.src.name for i in body
-                    if isinstance(i, ExtractElement) and i.dst.name in bases
-                }
                 for i in body:
                     groups += getattr(i, "lane", 0) is None
-                    if isinstance(i, InsertElement) and (
-                        i.scalar.name in chain
-                        or i.src is not None and i.src.name in chain
-                    ):
-                        chain.add(i.dst.name)
+                    if isinstance(i, AtomicRMW):
+                        atomics += 1
+                        assert i.lane is None, (registered.name, key, str(i))
                     elif isinstance(i, ExtractElement) and (
-                        i.dst.name in lanes or i.src.name in based
+                        i.dst.name not in bases
                     ):
-                        continue
-                    elif isinstance(i, (InsertElement, ExtractElement)):
                         stray.append((registered.name, key, str(i)))
         assert stray == []
-        assert groups > 0
+        assert groups > 0 and atomics > 0
 
 
 class TestNothingLeftToClean:

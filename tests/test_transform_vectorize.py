@@ -9,7 +9,6 @@ from repro.ir import (
     ContextRead,
     ContextWrite,
     ExtractElement,
-    InsertElement,
     Load,
     Reduce,
     ResumeStatus,
@@ -19,7 +18,6 @@ from repro.ir import (
     Yield,
     verify_function,
 )
-from repro.ir.instructions import Restore, Spill
 from repro.ir.liveness import LivenessInfo
 from repro.frontend import translate_kernel
 from repro.ptx import parse
@@ -131,20 +129,23 @@ class TestAlgorithm1:
         # load extracts its address lanes and packs its result, the
         # store extracts its address and value lanes.
         function = vectorize(vecadd_scalar_ir, warp_size=4)
-        assert not instructions_of(function, InsertElement)
         assert not instructions_of(function, ExtractElement)
         loads = [i for i in instructions_of(function, Load)
                  if i.space.value == "global"]
         assert [(load.extracts, load.pack) for load in loads] == [
             (4, True), (4, True)
         ]
-        (store,) = instructions_of(function, Store)
+        (store,) = [i for i in instructions_of(function, Store)
+                    if i.space.value == "global"]
         assert store.extracts == 8 and store.moves(4) == (4, 8)
 
     def test_ws1_has_no_packing(self, vecadd_scalar_ir):
+        # and no lane group: every access is lane 0's
         function = vectorize(vecadd_scalar_ir, warp_size=1)
-        assert not instructions_of(function, InsertElement)
         assert not instructions_of(function, ExtractElement)
+        assert all(
+            getattr(i, "lane", 0) == 0 for i in function.instructions()
+        )
 
     def test_context_reads_per_lane(self, vecadd_scalar_ir):
         function = vectorize(vecadd_scalar_ir, warp_size=2)
@@ -178,19 +179,22 @@ class TestAlgorithm2:
         ]
         assert exit_blocks
         handler = exit_blocks[0]
-        # One whole-register Spill per live-out register of the branch's
-        # block, no per-lane store.
+        # One local store group per live-out register of the branch's
+        # block, at its spill slot, extracting every lane (the handler
+        # holds none); no per-lane store.
         live_out = liveness.live_out_registers(handler.label.split("_exit")[0])
-        spills = [i for i in handler.instructions if isinstance(i, Spill)]
+        spills = [i for i in handler.instructions if isinstance(i, Store)]
         assert live_out
-        assert sorted(spill.values[0].name for spill in spills) == sorted(
+        assert sorted(spill.value.name for spill in spills) == sorted(
             register.name for register in live_out
         )
         assert all(
-            len(spill.values) == 1 and spill.values[0].width == 4
+            spill.space.value == "local" and spill.lane is None
+            and spill.value.width == 4 and spill.moves(4) == (4, 4)
+            and spill.base.value == function.local_segment_size
+            + function.spill_slots[spill.value.name]
             for spill in spills
         )
-        assert not any(isinstance(i, Store) for i in handler.instructions)
         writes = [
             i for i in handler.instructions
             if isinstance(i, ContextWrite)
@@ -259,19 +263,20 @@ class TestAlgorithm3:
             if entry_id == 0:
                 continue
             block = function.blocks[label]
-            # One whole-register Restore per live-in register of the
+            # One packed local load group per live-in register of the
             # resumed block, as many as restore_counts says; no
             # per-lane load.
             live_in = liveness.live_in_registers(block.terminator.target)
-            restores = [
-                i for i in block.instructions if isinstance(i, Restore)
-            ]
+            restores = [i for i in block.instructions if isinstance(i, Load)]
             assert len(restores) == function.restore_counts[entry_id]
             assert [r.dst.name for r in restores] == [
                 register.name for register in live_in
             ]
-            assert all(r.dst.width == 4 for r in restores)
-            assert not any(isinstance(i, Load) for i in block.instructions)
+            assert all(
+                r.space.value == "local" and r.lane is None and r.pack
+                and r.dst.width == 4 and r.moves(4) == (4, 4)
+                for r in restores
+            )
             restores_seen = restores_seen or bool(restores)
         assert restores_seen
 
