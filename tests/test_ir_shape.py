@@ -12,7 +12,7 @@ import pytest
 
 import repro.ir
 import repro.transforms
-from repro.ir.instructions import VECTORIZABLE, IRInstruction
+from repro.ir.instructions import VECTORIZABLE, IRInstruction, _PerLane
 from repro.ir.values import Constant, VirtualRegister
 from repro.ptx.types import AddressSpace, DataType
 
@@ -64,15 +64,29 @@ def build(cls, optional=True, **overrides):
     return cls(**values)
 
 
+def group(cls):
+    """The overrides that make a per-lane class a lane group: every
+    lane, some extracts and, where it has one, its pack."""
+    names = {field.name for field in fields(cls)}
+    return {"lane": None, "extracts": 2,
+            **({"pack": True} if "pack" in names else {})}
+
+
+LANE_CLASSES = [cls for cls in CLASSES if issubclass(cls, _PerLane)]
+
+
 def cases():
     for cls in CLASSES:
-        yield pytest.param(cls, True, id=cls.__name__)
+        yield pytest.param(cls, True, {}, id=cls.__name__)
         if any(
             field.type.startswith("Optional[")
             for field in fields(cls)
             if field.name == "dst" or field.name in cls.OPERANDS
         ):
-            yield pytest.param(cls, False, id=cls.__name__ + "-bare")
+            yield pytest.param(cls, False, {}, id=cls.__name__ + "-bare")
+        if cls in LANE_CLASSES:
+            yield pytest.param(cls, True, group(cls),
+                               id=cls.__name__ + "-group")
 
 
 def test_the_walk_finds_the_instruction_set():
@@ -83,12 +97,12 @@ def test_the_walk_finds_the_instruction_set():
     assert all(cls.uses is not IRInstruction.uses for cls in CLASSES)
 
 
-@pytest.mark.parametrize("cls,optional", list(cases()))
+@pytest.mark.parametrize("cls,optional,form", list(cases()))
 class TestDerivedMethods:
     def test_rebuilt_on_its_own_parts_is_an_equal_unshared_copy(
-        self, cls, optional
+        self, cls, optional, form
     ):
-        original = build(cls, optional)
+        original = build(cls, optional, **form)
         copy = original.rebuilt(original.dst, original.uses())
         assert copy == original and copy is not original
         for field in fields(cls):
@@ -97,9 +111,9 @@ class TestDerivedMethods:
                 assert getattr(copy, field.name) is not value
 
     def test_rebuilt_reads_the_operands_in_uses_order(
-        self, cls, optional
+        self, cls, optional, form
     ):
-        original = build(cls, optional)
+        original = build(cls, optional, **form)
         fresh = [
             Constant(index, DataType.u32)
             for index in range(len(original.uses()))
@@ -111,8 +125,10 @@ class TestDerivedMethods:
         assert copy.signature() == original.signature()
         assert hash(copy.signature()) == hash(original.signature())
 
-    def test_uses_lists_the_declared_fields_in_order(self, cls, optional):
-        original = build(cls, optional)
+    def test_uses_lists_the_declared_fields_in_order(
+        self, cls, optional, form
+    ):
+        original = build(cls, optional, **form)
         expected = []
         for name in cls.OPERANDS:
             value = getattr(original, name)
@@ -124,15 +140,17 @@ class TestDerivedMethods:
         assert original.uses() is not original.uses()
 
     def test_signature_tells_every_other_field_apart(
-        self, cls, optional
+        self, cls, optional, form
     ):
-        original = build(cls, optional)
+        original = build(cls, optional, **form)
         for field in fields(cls):
             if field.name == "dst" or field.name in cls.OPERANDS:
                 continue
-            other = build(
-                cls, optional, **{field.name: SAMPLES[field.type][1]}
+            value = next(
+                sample for sample in SAMPLES[field.type]
+                if sample != getattr(original, field.name)
             )
+            other = build(cls, optional, **{**form, field.name: value})
             assert other.signature() != original.signature(), field.name
 
 
@@ -161,6 +179,34 @@ def test_the_orders_that_bite():
     assert bare.rebuilt(None, [1, 2]).compare is None
     with pytest.raises(ValueError):
         bare.rebuilt(None, [1, 2, 3])
+
+
+@pytest.mark.parametrize("cls", LANE_CLASSES,
+                         ids=[cls.__name__ for cls in LANE_CLASSES])
+def test_a_group_stands_for_one_copy_per_lane(cls):
+    """A lane group's ``lanes(w)`` are w copies of it, lane k's with
+    ``lane=k`` and no shuffles of its own; the group keeps its fields
+    and prices its shuffles in ``moves(w)``. One lane stands for
+    itself and moves nothing."""
+    original = build(cls, **group(cls))
+    before = original.signature()
+    for width in (1, 2, 4):
+        lanes = original.lanes(width)
+        assert [lane.lane for lane in lanes] == list(range(width))
+        for lane in lanes:
+            assert lane is not original and type(lane) is cls
+            assert lane.extracts == 0 and lane.pack is False
+            # (A context read's lane writes the scalar of that name.)
+            assert getattr(lane.dst, "name", None) == getattr(
+                original.dst, "name", None)
+            assert lane.uses() == original.uses()
+            assert lane.lanes(width) == [lane]
+            assert lane.moves(width) is None
+        packed = width if getattr(original, "pack", False) else 0
+        assert original.moves(width) == (width, 2 + packed)
+    assert original.signature() == before and original.lane is None
+    single = build(cls)
+    assert single.lanes(4) == [single] and single.moves(4) is None
 
 
 def test_the_purity_tuple_exists_once():
