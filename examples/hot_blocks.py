@@ -52,10 +52,13 @@ Device after two warm-up runs, the median of each column — µs per warp
 execution of each manager step — pop/form (the
 ready pool's pop and warp formation), cache lookup, accounting (the
 warp's statistics and the execution call around the generated code),
-yield handling, barrier release, batch formation and the rest of the
+yield handling, barrier release, batch formation, opening a window
+(its slabs cleared, its threads' contexts built) and the rest of the
 window loop — beside the generated code's own µs per warp execution,
-and how the batches were cut: ``execute_batch`` calls per launch and
-warps per call (a launch's opening round is one call across workers).
+of which ``contexts`` is a batch's context arrays (``_BatchState.
+per_thread``), and how the batches were cut: ``execute_batch`` calls
+per launch and warps per call (a launch's opening round is one call
+across workers).
 Each step is the self time of wrappers installed on the manager's
 methods at class level, less what a wrapper costs the step that
 calls it (the median of nine measurements on an empty function).
@@ -77,7 +80,7 @@ import numpy as np
 from repro import Device, vectorized_config
 from repro.ir import instructions as ir
 from repro.machine import interpreter as lowering
-from repro.machine.array_backend import ArrayBackend, _ArrayBlocks
+from repro.machine.array_backend import ArrayBackend, _ArrayBlocks, _BatchState
 from repro.runtime.execution_manager import ExecutionManager, _ReadyPool
 from repro.runtime.launcher import KernelLauncher
 from repro.runtime.translation_cache import TranslationCache
@@ -400,7 +403,8 @@ def batch_sizes(names: list, scale: float) -> None:
         )
 
 
-#: Manager step -> the methods whose self time it sums; a method the
+#: Step -> the methods whose self time it sums (the generated code's
+#: steps are ``_CODE_STEPS``, the others the manager's); a method the
 #: checkout does not have is skipped, so the parent's per-thread pool
 #: and its formation and yield methods are measured too. The pool's
 #: appends are yield handling wherever they come from (a branch, a
@@ -433,10 +437,16 @@ _STEPS = {
         (_ReadyPool, "head_batch"),
         (_ReadyPool, "take_batch"),
     ),
+    "window": ((ExecutionManager, "_open_window"),),
     "loop": ((ExecutionManager, "run"),),
+    "contexts": ((_BatchState, "per_thread"),),
     "code": ((ArrayBackend, "execute"), (ArrayBackend, "execute_batch")),
 }
-_MANAGER_STEPS = [step for step in _STEPS if step != "code"]
+#: The steps inside the generated code's time, summed as ``code``.
+_CODE_STEPS = ("contexts", "code")
+_MANAGER_STEPS = [step for step in _STEPS if step not in _CODE_STEPS]
+#: The steps printed as columns of their own.
+_COLUMNS = [step for step in _STEPS if step != "code"]
 #: Timed runs per app of ``--manager``; each column prints their median.
 _TIMED_RUNS = 5
 
@@ -510,7 +520,7 @@ def manager_costs(names: list, scale: float) -> None:
     )
     print(
         f"  {'app':<24}{'warps':>6}"
-        + "".join(f"{step:>11}" for step in _MANAGER_STEPS)
+        + "".join(f"{step:>11}" for step in _COLUMNS)
         + f"{'manager':>9}{'code':>8}{'ratio':>7}{'calls':>7}{'w/call':>7}"
     )
     # Per timed run, summed over the apps: seconds, warps, launches,
@@ -551,11 +561,11 @@ def _manager_columns(seconds, warps: int, launches: int, batches) -> list:
     each step, the manager's sum and the code's, their ratio,
     ``execute_batch`` calls per launch and warps per call."""
     manager = sum(seconds.get(step, 0.0) for step in _MANAGER_STEPS)
-    code = seconds.get("code", 0.0)
+    code = sum(seconds.get(step, 0.0) for step in _CODE_STEPS)
     each = 1e6 / max(warps, 1)
     return [
         warps,
-        *(each * seconds.get(step, 0.0) for step in _MANAGER_STEPS),
+        *(each * seconds.get(step, 0.0) for step in _COLUMNS),
         each * manager,
         each * code,
         manager / max(code, 1e-12),

@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -118,16 +120,21 @@ class _BatchState:
 
     def per_thread(self, attribute: str, axis: Optional[int] = None):
         """``(B, ws)`` int64 array of a context attribute (of its
-        component ``axis``): launch geometry and segment bases are
-        immutable per batch, so every lane's read shares one array."""
+        component ``axis``): read at the field's rank (a launch's from
+        the first context, a CTA's from lane 0 of each warp), broadcast
+        to a read-only view that every lane's read shares."""
         cached = self._cached.get(attribute)
         if cached is None:
-            cached = self._cached[attribute] = np.array(
-                [
-                    [getattr(context, attribute) for context in contexts]
-                    for contexts in self.contexts
-                ],
-                dtype=np.int64,
+            rank, tail = _FIELD_RANKS[attribute]
+            warps = self.contexts[: 1 if rank == _UNIFORM else None]
+            if rank != _LANE:
+                warps = [lanes[:1] for lanes in warps]
+            values = map(attrgetter(attribute), chain.from_iterable(warps))
+            values = np.fromiter(
+                chain.from_iterable(values) if tail else values, np.int64
+            ).reshape((len(warps), len(warps[0])) + tail)
+            cached = self._cached[attribute] = np.broadcast_to(
+                values, (self.size, len(self.contexts[0])) + tail
             )
         return cached if axis is None else cached[:, :, axis]
 
@@ -141,6 +148,14 @@ class _BatchState:
 #: loads fed it; numpy broadcasts it where it meets the batch axis),
 #: one value per warp ``(B,)``, one per lane ``(B, ws)``.
 _UNIFORM, _WARP, _LANE = 0, 1, 2
+
+#: Per context field a batch reads: its rank (a batch never spans
+#: launches; each of its warps lies in one CTA) and its shape per thread.
+_FIELD_RANKS = {
+    "ntid": (_UNIFORM, (3,)), "nctaid": (_UNIFORM, (3,)),
+    "ctaid": (_WARP, (3,)), "shared_base": (_WARP, ()),
+    "tid": (_LANE, (3,)), "local_base": (_LANE, ()),
+}
 
 
 class _BatchPrinter(_BlockEmitter):

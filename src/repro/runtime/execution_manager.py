@@ -38,6 +38,7 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -106,6 +107,13 @@ class LaunchGeometry:
 def _unflatten(linear: int, dims: Tuple[int, int, int]):
     nx, ny, _ = dims
     return (linear % nx, (linear // nx) % ny, linear // (nx * ny))
+
+
+@lru_cache(maxsize=64)
+def _thread_ids(block: Tuple[int, int, int]) -> tuple:
+    """Every ``tid`` of a CTA of ``block``: once per shape, not window."""
+    nx, ny, nz = block
+    return tuple(_unflatten(linear, block) for linear in range(nx * ny * nz))
 
 
 class _ReadyPool:
@@ -445,7 +453,7 @@ class ExecutionManager:
         if cta_local:
             self.memory.fill(self._local_slab, cta_local * len(cta_ids), 0)
 
-        tids = list(map(geometry.thread_coordinates, range(threads_per_cta)))
+        tids = _thread_ids(geometry.block)
         for slot, cta_linear in enumerate(cta_ids):
             ctaid = geometry.cta_coordinates(cta_linear)
             shared_base = self._shared_slabs[slot]

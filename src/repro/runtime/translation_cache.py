@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..counting import added, added_by_key, counted, latest_by_key, render
@@ -171,7 +171,7 @@ class TranslationCache:
                 [
                     f"schema={SCHEMA_VERSION}",
                     repr(config.cache_key()),
-                    repr(astuple(machine)),
+                    repr(machine),
                 ]
             ).encode()
         ).hexdigest()

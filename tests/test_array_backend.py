@@ -18,8 +18,9 @@ warp formation order exactly sequential.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,15 @@ from hypothesis import strategies as st
 
 from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import KernelTrap
-from repro.machine.array_backend import MIN_BATCH_WARPS, ArrayBackend
+from repro.machine.array_backend import (
+    _FIELD_RANKS,
+    _LANE,
+    _UNIFORM,
+    _WARP,
+    MIN_BATCH_WARPS,
+    ArrayBackend,
+    _BatchState,
+)
 from repro.machine.backend import BACKENDS, create_backend
 from repro.machine.descriptor import sandybridge
 from repro.runtime.context import ThreadContext, Warp
@@ -913,6 +922,163 @@ class TestOpeningRound:
             assert set(calls[1]) == {0}
         with sequential_only():
             assert trapped() == batching
+
+
+#: Every thread stores its twelve coordinates, then its global index
+#: after a round trip through its local frame and through its CTA's
+#: shared segment: 14 words at ``out + 56 * index``.
+COORDINATES_PTX = r"""
+.version 2.3
+.target sim
+.entry coords (.param .u64 out)
+{
+  .reg .u32 %r<19>;
+  .reg .u64 %rd<4>;
+  .local .u32 frame[1];
+  .shared .u32 slots[64];
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r2, %tid.y;
+  mov.u32 %r3, %tid.z;
+  mov.u32 %r4, %ntid.x;
+  mov.u32 %r5, %ntid.y;
+  mov.u32 %r6, %ntid.z;
+  mov.u32 %r7, %ctaid.x;
+  mov.u32 %r8, %ctaid.y;
+  mov.u32 %r9, %ctaid.z;
+  mov.u32 %r10, %nctaid.x;
+  mov.u32 %r11, %nctaid.y;
+  mov.u32 %r12, %nctaid.z;
+  mad.lo.u32 %r13, %r5, %r3, %r2;
+  mad.lo.u32 %r13, %r4, %r13, %r1;
+  mad.lo.u32 %r14, %r11, %r9, %r8;
+  mad.lo.u32 %r14, %r10, %r14, %r7;
+  mul.lo.u32 %r15, %r4, %r5;
+  mul.lo.u32 %r15, %r15, %r6;
+  mad.lo.u32 %r16, %r14, %r15, %r13;
+  shl.b32 %r18, %r13, 2;
+  st.local.u32 [frame], %r16;
+  ld.local.u32 %r13, [frame];
+  mov.u32 %r17, slots;
+  add.u32 %r17, %r17, %r18;
+  st.shared.u32 [%r17], %r16;
+  ld.shared.u32 %r14, [%r17];
+  ld.param.u64 %rd1, [out];
+  mul.wide.u32 %rd2, %r16, 56;
+  add.u64 %rd3, %rd1, %rd2;
+""" + "".join(
+    f"  st.global.u32 [%rd3+{4 * k}], %r{k + 1};\n" for k in range(14)
+) + "  exit;\n}\n"
+
+
+def _coordinates(grid, block):
+    """What ``coords`` stores, one row per thread in global order."""
+    rows = []
+    for cta in range(int(np.prod(grid))):
+        ctaid = (cta % grid[0], cta // grid[0] % grid[1], 0)
+        for thread in range(int(np.prod(block))):
+            tid = (
+                thread % block[0],
+                thread // block[0] % block[1],
+                thread // (block[0] * block[1]),
+            )
+            index = cta * int(np.prod(block)) + thread
+            rows.append([*tid, *block, *ctaid, *grid, index, index])
+    return np.array(rows, dtype=np.uint32)
+
+
+class _CountedContext:
+    """A thread context that counts the reads of its fields."""
+
+    def __init__(self, context, reads):
+        self._context, self._reads = context, reads
+
+    def __getattr__(self, name):
+        self._reads[name, id(self)] += 1
+        return getattr(self._context, name)
+
+
+class TestContextRanks:
+    """A batch reads each context field at its rank (``_FIELD_RANKS``):
+    the launch geometry from one context, a CTA's coordinates and
+    shared segment from lane 0 of each warp, a thread's coordinates
+    and local frame from every lane — and stores what one warp at a
+    time stores."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_every_field_of_a_3d_launch_batched(self, width, monkeypatch):
+        # 20 CTAs of a 3-D block on four workers: every CTA one batch,
+        # then opening rounds that merge the first window's 16 CTAs
+        # and a later window of one CTA a worker; then a second
+        # geometry on the same Device
+        launches = [((5, 4, 1), (8, 4, 2))] * 2 + [((6, 3, 1), (4, 4, 4))]
+
+        def stored():
+            device = Device(config=vectorized_config(width))
+            device.register_module(COORDINATES_PTX)
+            device.warm()
+            runs = []
+            for grid, block in launches:
+                threads = int(np.prod(grid) * np.prod(block))
+                out = device.malloc(56 * threads)
+                statistics = device.launch(
+                    "coords", grid=grid, block=block, args=[out]
+                ).statistics
+                runs.append((
+                    out.read(np.uint32, 14 * threads).reshape(threads, 14),
+                    statistics.batched_warps * width,
+                ))
+                device.free(out)
+            return runs
+
+        calls = _batch_calls(monkeypatch)
+        batched = stored()
+        assert [len(set(ctas)) for ctas in calls] == (
+            [1] * 20 + [16] + [1] * 4 + [16, 1, 1]
+        )
+        with sequential_only():
+            sequential = stored()
+        for (grid, block), (values, threads), (expected, none) in zip(
+            launches, batched, sequential
+        ):
+            assert threads == len(values) and none == 0
+            assert values.tobytes() == expected.tobytes()
+            assert np.array_equal(values, _coordinates(grid, block))
+
+    def test_each_field_is_read_at_its_rank(self):
+        reads = Counter()
+        warps = [
+            Warp([
+                _CountedContext(ThreadContext(
+                    (lane, warp, 0), (4, 3, 1), (warp % 2, warp, 0),
+                    (2, 3, 1), 64 * warp, 1024 + 16 * (4 * warp + lane),
+                ), reads)
+                for lane in range(4)
+            ], warp, 0, warp)
+            for warp in range(3)
+        ]
+        state = _BatchState(SimpleNamespace(register_count=0), warps, 0)
+        contexts = [context for warp in warps for context in warp.contexts]
+        assert {field: rank for field, (rank, _) in _FIELD_RANKS.items()} == {
+            "ntid": _UNIFORM, "nctaid": _UNIFORM,
+            "ctaid": _WARP, "shared_base": _WARP,
+            "tid": _LANE, "local_base": _LANE,
+        }
+        # per context, in warp order: how often a field of each rank
+        # is read
+        pattern = {
+            _UNIFORM: [1] + [0] * 11, _WARP: [1, 0, 0, 0] * 3, _LANE: [1] * 12,
+        }
+        for field, (rank, _) in _FIELD_RANKS.items():
+            expected = np.array([
+                [getattr(context._context, field) for context in warp.contexts]
+                for warp in warps
+            ])
+            for _ in range(2):  # the second is the first one's array
+                values = state.per_thread(field)
+                assert values.shape == expected.shape
+                assert np.array_equal(values, expected)
+                assert not values.flags.writeable
+            assert [reads[field, id(c)] for c in contexts] == pattern[rank]
 
 
 #: ``(batched_warps, batch_fallbacks)`` of every registered app's first
