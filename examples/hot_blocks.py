@@ -86,12 +86,11 @@ from repro.runtime.launcher import KernelLauncher
 from repro.runtime.translation_cache import TranslationCache
 from repro.workloads.registry import get_workload, workload_names
 
-_MEMORY = (ir.Load, ir.Store, ir.VectorLoad, ir.VectorStore, ir.AtomicRMW)
+_MEMORY = (ir.Load, ir.Store, ir.AtomicRMW)
 _NAMES = {
     ir.FusedMultiplyAdd: "fma", ir.Compare: "cmp", ir.Select: "select",
     ir.Convert: "convert", ir.ContextRead: "ctx.read",
-    ir.ContextWrite: "ctx.write", ir.ExtractElement: "extractelement",
-    ir.Broadcast: "broadcast",
+    ir.ContextWrite: "ctx.write", ir.Broadcast: "broadcast",
     ir.Reduce: "reduce", ir.Branch: "br", ir.CondBranch: "cbr",
     ir.Switch: "switch", ir.Yield: "yield", ir.Exit: "exit",
 }
@@ -100,6 +99,8 @@ _NAMES = {
 def opcode(instruction) -> str:
     if isinstance(instruction, _MEMORY):
         kind = type(instruction).__name__.lower().replace("rmw", "")
+        if instruction.contiguous:  # one vector access
+            kind = f"v{kind}"
         return f"{kind}.{instruction.space.value}"
     if isinstance(instruction, (ir.BinaryOp, ir.UnaryOp)):
         return instruction.op

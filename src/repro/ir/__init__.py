@@ -20,7 +20,6 @@ from .instructions import (
     ContextWrite,
     Convert,
     Exit,
-    ExtractElement,
     FusedMultiplyAdd,
     Intrinsic,
     IRInstruction,
@@ -32,8 +31,6 @@ from .instructions import (
     Switch,
     Terminator,
     UnaryOp,
-    VectorLoad,
-    VectorStore,
     Yield,
 )
 from .liveness import LivenessInfo
@@ -57,7 +54,6 @@ __all__ = [
     "Convert",
     "DominatorTree",
     "Exit",
-    "ExtractElement",
     "FusedMultiplyAdd",
     "Intrinsic",
     "IRFunction",
@@ -72,8 +68,6 @@ __all__ = [
     "Terminator",
     "UnaryOp",
     "VECTORIZABLE",
-    "VectorLoad",
-    "VectorStore",
     "VirtualRegister",
     "Yield",
     "is_constant",

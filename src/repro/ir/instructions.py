@@ -22,9 +22,9 @@ element-wise arithmetic, comparisons, selects, conversions, intrinsic
 calls (transcendentals with vector built-ins), memory operations that
 are *not* vectorizable and stay per-lane (a lane group counts the
 ``insertelement`` / ``extractelement`` packing at its scalar/vector
-boundary), ``extractelement`` for a lane of a vector, warp-wide
-reductions for branch-condition sums, and context-object accesses
-through which threads observe their identity (§4, Fig. 3/5).
+boundary; a contiguous one is a vector access), warp-wide reductions
+for branch-condition sums, and context-object accesses through which
+threads observe their identity (§4, Fig. 3/5).
 """
 
 from __future__ import annotations
@@ -328,15 +328,25 @@ class _PerLane(IRInstruction):
     block's later groups read the destination, lane by lane. A yield
     handler's spills and restores are local groups at a register's
     spill slot. Any per-lane instruction reading a vector operand reads
-    its lane."""
+    its lane.
+
+    A ``contiguous`` load or store group is one whose lanes access lane
+    0's address plus k elements (the affine analysis proves it, §4
+    future work: "arbitrary loads may be replaced with vector loads").
+    Its lanes are run like any group's; it is priced as one vector
+    access after ``extracts`` (0 or 1) shuffles for lane 0 of the base,
+    its data moving whole (a load's destination is its vector)."""
 
     __slots__ = ()
 
     pack = False
+    contiguous = False
 
     def moves(self, warp_size):
         if self.lane is not None:
             return None
+        if self.contiguous:
+            return 1, self.extracts
         return warp_size, self.extracts + (warp_size if self.pack else 0)
 
     def lanes(self, warp_size) -> list:
@@ -350,6 +360,8 @@ class _PerLane(IRInstruction):
             lane.lane, lane.extracts = k, 0
             if lane.pack:
                 lane.pack = False
+            if lane.contiguous:
+                lane.contiguous = False
             lanes.append(lane)
         return lanes
 
@@ -357,7 +369,8 @@ class _PerLane(IRInstruction):
         if self.lane is not None:
             return f" lane={self.lane}"
         extracts = f" extracts={self.extracts}" if self.extracts else ""
-        return f" lane=*{extracts}{' pack' if self.pack else ''}"
+        flags = " pack" * self.pack + " contiguous" * self.contiguous
+        return f" lane=*{extracts}{flags}"
 
 
 @_instruction
@@ -374,6 +387,7 @@ class Load(_PerLane):
     volatile: bool = False
     extracts: int = 0
     pack: bool = False
+    contiguous: bool = False
 
     OPERANDS = ("base",)
 
@@ -396,6 +410,7 @@ class Store(_PerLane):
     lane: Optional[int] = 0
     volatile: bool = False
     extracts: int = 0
+    contiguous: bool = False
 
     dst = None
 
@@ -405,54 +420,6 @@ class Store(_PerLane):
         return (
             f"store.{self.space.value}.{self.dtype.value} "
             f"[{self.base}+{self.offset}], {self.value}{self.lane_text()}"
-        )
-
-
-@_instruction
-class VectorLoad(IRInstruction):
-    """Contiguous vector load: lane i reads ``base + offset + i*size``.
-
-    Emitted only when affine analysis proves the per-lane addresses
-    contiguous (the paper's §4 future-work optimization: "arbitrary
-    loads may be replaced with vector loads"). ``base`` is the lane-0
-    address; the machine services all lanes with one access.
-    """
-
-    dtype: DataType
-    dst: VirtualRegister  # vector register
-    space: AddressSpace
-    base: object  # scalar lane-0 address value
-    offset: int = 0
-    lane: int = 0  # segment resolution lane (static warps: lane 0)
-
-    OPERANDS = ("base",)
-
-    def __str__(self):
-        return (
-            f"{self.dst} = vload.{self.space.value}.{self.dtype.value} "
-            f"[{self.base}+{self.offset}]"
-        )
-
-
-@_instruction
-class VectorStore(IRInstruction):
-    """Contiguous vector store; see :class:`VectorLoad`."""
-
-    dtype: DataType
-    space: AddressSpace
-    base: object
-    value: object  # vector register (or scalar broadcast)
-    offset: int = 0
-    lane: int = 0
-
-    dst = None
-
-    OPERANDS = ("base", "value")
-
-    def __str__(self):
-        return (
-            f"vstore.{self.space.value}.{self.dtype.value} "
-            f"[{self.base}+{self.offset}], {self.value}"
         )
 
 
@@ -546,22 +513,8 @@ class ContextWrite(_PerLane):
 
 
 # ---------------------------------------------------------------------------
-# Lane access and warp-wide operations (Fig. 3's extractelement)
+# Warp-wide operations
 # ---------------------------------------------------------------------------
-
-
-@_instruction
-class ExtractElement(IRInstruction):
-    """dst = lane ``index`` of vector ``src``."""
-
-    dst: VirtualRegister
-    src: object
-    index: int
-
-    OPERANDS = ("src",)
-
-    def __str__(self):
-        return f"{self.dst} = extractelement {self.src}, {self.index}"
 
 
 @_instruction

@@ -15,7 +15,7 @@ from typing import Set
 from ..errors import IRVerificationError
 from .cfg import addressable_labels
 from .function import IRFunction
-from .instructions import Broadcast, ExtractElement, Reduce
+from .instructions import Broadcast, Reduce
 from .values import VirtualRegister
 
 _VECTOR_ONLY = (Reduce, Broadcast)
@@ -47,8 +47,8 @@ def verify_function(function: IRFunction) -> None:
 
 def _verify_registers(function: IRFunction) -> None:
     """One walk over the instructions: every register is scalar or
-    warp-wide, lane indices fit the warp, and every register used in a
-    block control can reach is defined somewhere in the function.
+    warp-wide, and every register used in a block control can reach is
+    defined somewhere in the function.
 
     (Path-sensitivity is not enforced: the translator may produce
     registers defined on one path and used after a merge, matching PTX
@@ -74,13 +74,7 @@ def _verify_registers(function: IRFunction) -> None:
                 if target.width not in widths:
                     _bad_width(function, target, instruction)
                 defined.add(target.name)
-            if isinstance(instruction, ExtractElement):
-                if instruction.index >= warp_size:
-                    raise IRVerificationError(
-                        f"{function.name}: lane index {instruction.index} "
-                        f">= warp size {warp_size} in {instruction}"
-                    )
-            elif isinstance(instruction, _VECTOR_ONLY) and warp_size == 0:
+            if isinstance(instruction, _VECTOR_ONLY) and warp_size == 0:
                 raise IRVerificationError(
                     f"{function.name}: vector op in zero-width function"
                 )

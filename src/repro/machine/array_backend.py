@@ -19,8 +19,7 @@ batch. The points where control leaves the region are explicit exits:
   exactly ``n_warps`` sequential executions);
 - a divergent CondBranch/Switch, or a successor block the printer
   declines (``%clock``, a per-lane branch predicate or address, a
-  barrier, the vector memory operations only static formation — which
-  never batches — emits), hands each warp a
+  barrier), hands each warp a
   :class:`~repro.machine.interpreter.Continuation` and the sequential
   path finishes it — correctness is inherited, the batched region only
   ever *accelerates* uniform prefixes.
@@ -60,7 +59,6 @@ from ..ir.instructions import (
     Broadcast,
     CondBranch,
     ContextWrite,
-    ExtractElement,
     Reduce,
     Switch,
 )
@@ -491,11 +489,6 @@ class _BatchPrinter(_BlockEmitter):
         # A per-warp (or uniform) value in a vector register is every lane's.
         vector, rank = self.raw(value), self.rank_of(value)
         return f"{vector}[:, {index}]" if rank == _LANE else vector
-
-    def extract(self, inst: ExtractElement) -> None:
-        self.rank = min(self.rank_of(inst.src), _WARP)
-        known = self.known.get(self.slot(inst.src), (None, False))
-        self.define(inst.dst, self.element(inst.src, inst.index), *known)
 
     def broadcast(self, inst: Broadcast) -> None:
         wanted = inst.dst.dtype.numpy_dtype

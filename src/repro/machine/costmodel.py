@@ -31,7 +31,6 @@ from ..ir.instructions import (
     ContextWrite,
     Convert,
     Exit,
-    ExtractElement,
     FusedMultiplyAdd,
     Intrinsic,
     Load,
@@ -40,8 +39,6 @@ from ..ir.instructions import (
     Store,
     Switch,
     UnaryOp,
-    VectorLoad,
-    VectorStore,
     Yield,
 )
 from ..ir.liveness import LivenessInfo
@@ -256,6 +253,12 @@ def _instruction_cost(
     if moves:  # its lane sequence and the shuffles beside it
         operations, shuffles = moves
         cycles, flops = shuffles * machine.shuffle_cost, 0
+        if instruction.contiguous:  # one access per machine-width chunk
+            data = instruction.dst or instruction.value
+            cycles += machine.memory_cost * machine.vector_chunks(
+                getattr(data, "width", 1)
+            )
+            return InstructionCost(cycles, 0, operations + shuffles)
         for lane in instruction.lanes(warp_size):
             cost = _instruction_cost(lane, machine, spilling)
             cycles, flops = cycles + cost.cycles, flops + cost.flops
@@ -264,15 +267,10 @@ def _instruction_cost(
         if instruction.space is AddressSpace.local:
             return InstructionCost(cycles=machine.local_memory_cost)
         return InstructionCost(cycles=machine.memory_cost)
-    if isinstance(instruction, (VectorLoad, VectorStore)):
-        # One access per machine-width chunk (movups-style).
-        return InstructionCost(cycles=machine.memory_cost * chunks)
     if isinstance(instruction, AtomicRMW):
         return InstructionCost(cycles=machine.atomic_cost)
     if isinstance(instruction, (ContextRead, ContextWrite)):
         return InstructionCost(cycles=machine.context_cost)
-    if isinstance(instruction, ExtractElement):
-        return InstructionCost(cycles=machine.shuffle_cost)
     if isinstance(instruction, Broadcast):
         return InstructionCost(cycles=machine.shuffle_cost)
     if isinstance(instruction, Reduce):

@@ -75,7 +75,6 @@ from ..ir.instructions import (
     ContextWrite,
     Convert,
     Exit,
-    ExtractElement,
     FusedMultiplyAdd,
     Intrinsic,
     Load,
@@ -85,8 +84,6 @@ from ..ir.instructions import (
     Store,
     Switch,
     UnaryOp,
-    VectorLoad,
-    VectorStore,
     Yield,
 )
 from ..ir.values import Constant
@@ -1190,8 +1187,7 @@ class _BlockEmitter:
             raise ExecutionError(
                 f"no lowering for instruction {instruction!r}"
             )
-        quiet = isinstance(instruction, ExtractElement)
-        if not quiet and self.frame_offset(instruction) is None:
+        if self.frame_offset(instruction) is None:
             self.flush()  # exact counts before what may raise, or exits
         self.index = index
         self.comment = f"  # {index}: {instruction}"
@@ -1910,52 +1906,6 @@ class _WarpPrinter(_BlockEmitter):
         else:
             self.define(inst.dst, "o", *self.result(inst.dtype, True))
 
-    def vector_load(self, inst: VectorLoad) -> None:
-        wanted = inst.dtype.numpy_dtype
-        code, size, width = _code(wanted), wanted.itemsize, inst.dst.width
-        self.address(inst)
-        if self.access == "checked":
-            expression = (
-                f"san.guest_read_vector(state, {inst.lane}, a, W_{code}, "
-                f"{width}, {self.checked_arguments(inst)})"
-            )
-        else:
-            self.bounds(size * width)
-            self.emit(f"memory.load_count += {width}")
-            expression = (
-                f"DATA[a:a + {size * width}].view(W_{code}).copy()"
-            )
-            if size > 1:
-                shift = size.bit_length() - 1
-                expression = (
-                    f"V_{code}[a >> {shift}:(a >> {shift}) + {width}].copy() "
-                    f"if not a & {size - 1} else {expression}"
-                )
-        self.define(inst.dst, expression, wanted, True, vector=True)
-
-    def vector_store(self, inst: VectorStore) -> None:
-        wanted = inst.dtype.numpy_dtype
-        code, size = _code(wanted), wanted.itemsize
-        self.emit(f"t = np.asarray({self.raw(inst.value)}, dtype=W_{code})")
-        self.emit(
-            f"if t.ndim == 0: t = np.full({self.executable.warp_size}, t, "
-            f"dtype=W_{code})"
-        )
-        self.address(inst)
-        if self.access == "checked":
-            self.emit(
-                f"san.guest_write_vector(state, {inst.lane}, a, t, "
-                f"{self.checked_arguments(inst)})"
-            )
-        else:
-            self.bounds("t.nbytes")
-            shift = size.bit_length() - 1
-            self.emit(f"if a & {size - 1}: store_unaligned(a, t)")
-            self.emit(
-                f"else: V_{code}[a >> {shift}:(a >> {shift}) + t.size] = t"
-            )
-            self.emit("memory.store_count += t.size")
-
     # -- thread context -------------------------------------------------------
 
     def context_field(self, name: str, axis, lane: int, code: str) -> str:
@@ -2025,10 +1975,6 @@ class _WarpPrinter(_BlockEmitter):
             return f"{vector}[{index}]"
         shaped = self.shaped(vector, slot)
         return f"({vector}[{index}] if {shaped} else {vector})"
-
-    def extract(self, inst: ExtractElement) -> None:
-        known, exact = self.known.get(self.slot(inst.src), (None, False))
-        self.define(inst.dst, self.element(inst.src, inst.index), known, exact)
 
     def shaped(self, name: str, slot: int) -> str:
         """A vector register may hold a scalar: one shape guard per
@@ -2109,12 +2055,9 @@ _EMITTERS = {
     Intrinsic: "intrinsic",
     Load: "load",
     Store: "store",
-    VectorLoad: "vector_load",
-    VectorStore: "vector_store",
     AtomicRMW: "atomic",
     ContextRead: "context_read",
     ContextWrite: "context_write",
-    ExtractElement: "extract",
     Broadcast: "broadcast",
     Reduce: "reduce",
     Branch: "branch",

@@ -231,7 +231,7 @@ class MemorySystem:
         self._check(address, raw.size)
         self.data[address : address + raw.size] = raw
         # Host-copy traffic counts like scalar traffic: one store per
-        # element written (vector guest stores route through here too).
+        # element written.
         self.store_count += int(source.size)
         if self.sanitizer is not None:
             self.sanitizer.note_host_write(address, raw.size)
@@ -264,17 +264,14 @@ class GuestAccess:
     nothing and forwards to the :class:`MemorySystem`; the kernel
     sanitizer is the subclass that checks first (:meth:`check_access`).
 
-    A fault-injection harness overrides the four entry points on an
+    A fault-injection harness overrides the two entry points on an
     *instance*. The inline template never calls them, so the
     interpreter asks :meth:`patched` per warp and runs the checked
     template while a patch is in place (and the execution manager forms
     no batch then): injected faults fire — and stop firing — whenever
     the harness arms and restores."""
 
-    ENTRY_POINTS = (
-        "guest_load", "guest_store", "guest_read_vector",
-        "guest_write_vector",
-    )
+    ENTRY_POINTS = ("guest_load", "guest_store")
 
     def __init__(self, memory: MemorySystem):
         self.memory = memory
@@ -312,27 +309,6 @@ class GuestAccess:
             atomic,
         )
         self.memory.store(dtype, address, value)
-
-    def guest_read_vector(
-        self, state, lane, address, numpy_dtype, width, shared, label,
-        index,
-    ):
-        address = int(address)
-        self.check_access(
-            state, lane, address, numpy_dtype.itemsize * width, False,
-            shared, label, index, False,
-        )
-        return self.memory.read_array(address, numpy_dtype, width)
-
-    def guest_write_vector(
-        self, state, lane, address, array, shared, label, index
-    ) -> None:
-        address = int(address)
-        self.check_access(
-            state, lane, address, array.nbytes, True, shared, label,
-            index, False,
-        )
-        self.memory.write_array(address, array)
 
 
 class Allocation:

@@ -43,10 +43,12 @@ from typing import List, Optional
 #: changes incompatibly, or the same source compiles to different IR
 #: (2: constant folding and CSE stopped merging what the machine keeps
 #: apart; 3: a replicated load, store or context access is one lane
-#: group; 4: so is an atomic, a spill and a restore); old entries are then discarded on load. The version is part
-#: of every entry's digest, so an older schema's entry is never even
-#: opened: it is a miss.
-SCHEMA_VERSION = 4
+#: group; 4: so is an atomic, a spill and a restore; 5: and a
+#: contiguous access, a load or store group with ``contiguous``); old
+#: entries are then discarded on load. The version is part of every
+#: entry's digest, so an older schema's entry is never even opened: it
+#: is a miss.
+SCHEMA_VERSION = 5
 
 #: Default location of the persistent tier.
 DEFAULT_CACHE_DIR = "~/.cache/repro"

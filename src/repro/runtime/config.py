@@ -45,8 +45,9 @@ class ExecutionConfig:
     scalar_yields_at_branches: Optional[bool] = None
     allow_cross_cta_warps: bool = False
     #: Enable the affine vector-memory optimization (§4 future work):
-    #: contiguous per-lane accesses become single vector loads/stores.
-    #: Only effective together with static_warps.
+    #: a per-lane access whose addresses are provably contiguous is one
+    #: vector access. Requires static_warps (the proof rests on a warp
+    #: being consecutive tid.x threads).
     vector_memory: bool = False
     #: Control-flow melding (DARM): align and merge the arms of
     #: divergent diamonds and triangles into predicated straight-line
@@ -113,6 +114,8 @@ class ExecutionConfig:
                 f"unknown backend {self.backend!r} "
                 f"(expected one of {BACKENDS})"
             )
+        if self.vector_memory and not self.static_warps:
+            raise ValueError("vector_memory requires static_warps")
         if not self.warp_sizes:
             raise ValueError("warp_sizes must not be empty")
         if sorted(self.warp_sizes) != list(self.warp_sizes):
@@ -242,8 +245,8 @@ def static_tie_config(
 ) -> ExecutionConfig:
     """Static warp formation + thread-invariant elimination
     (Figure 10's configuration). ``vector_memory=True`` additionally
-    enables the affine vector load/store optimization the paper left
-    as future work."""
+    enables the affine vector-access optimization the paper left as
+    future work."""
     sizes = [1]
     while sizes[-1] * 2 <= max_warp_size:
         sizes.append(sizes[-1] * 2)

@@ -43,7 +43,6 @@ from ..ir.instructions import (
     ContextWrite,
     Convert,
     Exit,
-    ExtractElement,
     FusedMultiplyAdd,
     Intrinsic,
     Load,
@@ -53,8 +52,6 @@ from ..ir.instructions import (
     Store,
     Switch,
     UnaryOp,
-    VectorLoad,
-    VectorStore,
     Yield,
 )
 from ..ir.values import VirtualRegister
@@ -286,50 +283,47 @@ class _ReferenceState(_WarpState):
         )
         self.set(inst.dst, result[()] if result.ndim == 0 else result)
 
-    def _load(self, inst: Load) -> None:
-        values = []
-        for load in inst.lanes(self.warp_size):
-            self.lane = load.lane
-            address = self.resolve_address(load)
-            values.append(self.memory.load(inst.dtype, address))
+    def accesses(self, inst):
+        """``(lane, address)`` of each lane of ``inst`` in lane order,
+        ``self.lane`` set to it meanwhile. A contiguous group's lane k
+        must access lane 0's address plus k elements: the affine proof
+        its one-access price rests on is checked here."""
+        first = None
+        for access in inst.lanes(self.warp_size):
+            self.lane = access.lane
+            address = self.resolve_address(access)
+            if first is None:
+                first = address
+            elif inst.contiguous and (
+                address != first + access.lane * inst.dtype.size
+            ):
+                raise ExecutionError(
+                    f"contiguous group {inst}: lane {access.lane} accesses "
+                    f"{address:#x}, not {first:#x} + {access.lane} elements"
+                )
+            yield access, address
         self.lane = None
+
+    def _load(self, inst: Load) -> None:
+        values = [
+            self.memory.load(inst.dtype, address)
+            for _, address in self.accesses(inst)
+        ]
         if inst.lane is None:
             return self.grouped(inst, values)
         self.set(inst.dst, values[0])
 
     def _store(self, inst: Store) -> None:
-        for store in inst.lanes(self.warp_size):
-            self.lane = store.lane
-            address = self.resolve_address(store)
+        for store, address in self.accesses(inst):
             value = self.fetch_lane(store.value, store.lane)
             self.memory.store(inst.dtype, address, value)
-        self.lane = None
-
-    def _vector_load(self, inst: VectorLoad) -> None:
-        address = self.resolve_address(inst)
-        self.set(
-            inst.dst,
-            self.memory.read_array(
-                address, inst.dtype.numpy_dtype, inst.dst.width
-            ),
-        )
-
-    def _vector_store(self, inst: VectorStore) -> None:
-        address = self.resolve_address(inst)
-        numpy_dtype = inst.dtype.numpy_dtype
-        array = np.asarray(self.fetch(inst.value), dtype=numpy_dtype)
-        if array.ndim == 0:
-            array = np.full(self.warp_size, array, dtype=numpy_dtype)
-        self.memory.write_array(address, array)
 
     def _atomic(self, inst: AtomicRMW) -> None:
         impl = _ATOMIC_IMPL.get(inst.op)
         if impl is None:
             raise ExecutionError(f"unknown atomic op {inst.op}")
         olds = []
-        for atomic in inst.lanes(self.warp_size):
-            self.lane = atomic.lane
-            address = self.resolve_address(atomic)
+        for atomic, address in self.accesses(inst):
             old = self.memory.load(inst.dtype, address)
             compare = (
                 self.fetch_lane(atomic.compare, atomic.lane)
@@ -338,7 +332,6 @@ class _ReferenceState(_WarpState):
             value = self.fetch_lane(atomic.value, atomic.lane)
             self.memory.store(inst.dtype, address, impl(old, value, compare))
             olds.append(old)
-        self.lane = None
         if inst.dst is None:
             return
         if inst.lane is None:
@@ -389,12 +382,6 @@ class _ReferenceState(_WarpState):
         for write in inst.lanes(self.warp_size):
             value = int(self.fetch_lane(write.value, write.lane))
             self.contexts[write.lane].resume_point = value
-
-    def _extract(self, inst: ExtractElement) -> None:
-        vector = self.fetch(inst.src)
-        if isinstance(vector, np.ndarray) and vector.ndim == 1:
-            vector = vector[inst.index]
-        self.set(inst.dst, vector)
 
     def _broadcast(self, inst: Broadcast) -> None:
         self.set(
@@ -448,12 +435,9 @@ _HANDLERS = {
     Intrinsic: _ReferenceState._intrinsic,
     Load: _ReferenceState._load,
     Store: _ReferenceState._store,
-    VectorLoad: _ReferenceState._vector_load,
-    VectorStore: _ReferenceState._vector_store,
     AtomicRMW: _ReferenceState._atomic,
     ContextRead: _ReferenceState._context_read,
     ContextWrite: _ReferenceState._context_write,
-    ExtractElement: _ReferenceState._extract,
     Broadcast: _ReferenceState._broadcast,
     Reduce: _ReferenceState._reduce,
 }

@@ -6,7 +6,7 @@ expressions via a conservative analysis." This pass implements local
 value numbering per block, extended across the dominator tree
 (an expression computed in a dominating block is reusable), over the
 pure instruction set: arithmetic, compares, selects, conversions,
-intrinsics, context reads and extract/broadcast shuffles.
+intrinsics, context reads and broadcasts.
 
 Because the IR is not SSA, an available expression dies when any of its
 source registers — or its destination — is redefined. The pass tracks
@@ -28,14 +28,13 @@ from ..ir.instructions import (
     BinaryOp,
     Broadcast,
     ContextRead,
-    ExtractElement,
     UnaryOp,
 )
 from ..ir.values import Constant, VirtualRegister
 
 #: Instruction classes whose result depends on their operands (and
 #: their :meth:`signature`) alone.
-_PURE = frozenset(VECTORIZABLE + (ContextRead, ExtractElement, Broadcast))
+_PURE = frozenset(VECTORIZABLE + (ContextRead, Broadcast))
 
 #: Binary operators whose operands may be exchanged bit for bit.
 _COMMUTATIVE = {"and", "or", "xor"}

@@ -12,7 +12,9 @@ the scalar block:
   accesses) are replicated once per lane, with ``extractelement`` /
   ``insertelement`` packing at the scalar/vector boundary (Fig. 3).
   Each is built as one *lane group* (``lane=None``) that stands for its
-  copies and counts the extracts and the pack beside them.
+  copies and counts the extracts and the pack beside them; a load or
+  store whose addresses are provably contiguous is a ``contiguous``
+  group, priced as one vector access (§4 future work).
 - **Algorithm 2**: conditional branches become a predicate *sum* plus a
   three-way switch: uniformly not-taken, uniformly taken, or divergent
   — the divergent case enters a compiler-inserted exit handler.
@@ -50,7 +52,6 @@ from ..ir.instructions import (
     ContextRead,
     ContextWrite,
     Exit,
-    ExtractElement,
     Load,
     Reduce,
     ResumeStatus,
@@ -59,8 +60,6 @@ from ..ir.instructions import (
     Switch,
     UnaryOp,
     VECTORIZABLE,
-    VectorLoad,
-    VectorStore,
     Yield,
 )
 from ..ir.liveness import LivenessInfo
@@ -94,10 +93,11 @@ class VectorizeOptions:
     yield_at_branches: bool = False
     static_warps: bool = False
     thread_invariant_elimination: bool = False
-    #: Replace replicated loads/stores whose addresses are provably
-    #: contiguous across the warp (affine stride == element size) with
-    #: single vector memory operations — the paper's §4 future work.
-    #: Requires static warp formation for the tid.x affinity.
+    #: Mark replicated loads/stores whose addresses are provably
+    #: contiguous across the warp (affine stride == element size) as
+    #: contiguous groups, one vector access each — the paper's §4
+    #: future work. Requires static warp formation for the tid.x
+    #: affinity.
     vector_memory: bool = False
 
 
@@ -181,7 +181,7 @@ class ScalarAnalyses:
     @cached_property
     def affine_strides(self) -> Dict[str, int]:
         """Register name -> per-lane address stride; empty unless
-        vector memory operations are enabled."""
+        vector memory is enabled."""
         options = self.options
         if not (options.vector_memory and options.static_warps):
             return {}
@@ -233,10 +233,10 @@ class Vectorizer:
         self.out.local_segment_size = scalar_function.local_segment_size
         #: scalar register name -> specialized register
         self.register_map: Dict[str, VirtualRegister] = {}
-        #: per-block memo of the lanes the block holds: name -> per lane
-        #: None, a scalar (an extract) or the register itself (a lane
-        #: group's lane, or one a group counted extracting)
-        self._lane_cache: Dict[str, list] = {}
+        #: per block, how many lanes of a vector register, from lane 0,
+        #: the block holds (a group's, or ones a group counted
+        #: extracting): name -> 1 (a contiguous access's base) or ws
+        self._held: Dict[str, int] = {}
         #: per block, the lane groups whose pack nothing has read yet, by
         #: the register they write
         self._unread_packs: Dict[str, object] = {}
@@ -271,28 +271,6 @@ class Vectorizer:
 
     # -- lane access (the memoized mapping of Algorithm 1) ----------------
 
-    def lane_value(self, value, lane: int):
-        """Scalar view of ``value`` for one lane, emitting (and
-        memoizing) an extractelement when the value is a vector."""
-        if isinstance(value, Constant):
-            return value
-        mapped = self.map_register(value)
-        if mapped.width == 1:
-            return mapped
-        cached = self._lane_cache.get(mapped.name)
-        if cached is not None and cached[lane] is not None:
-            return cached[lane]
-        if cached is None:
-            cached = [None] * self.ws
-            self._lane_cache[mapped.name] = cached
-        self._keep_pack(mapped.name)
-        scalar = self._temp(mapped.dtype)
-        self.block.append(
-            ExtractElement(dst=scalar, src=mapped, index=lane)
-        )
-        cached[lane] = scalar
-        return scalar
-
     def _extracts(self, value) -> int:
         """The extractelements a lane group reading specialized operand
         ``value`` stands for: the lanes of a vector the block does not
@@ -300,11 +278,10 @@ class Vectorizer:
         register, so its pack is kept."""
         if not isinstance(value, VirtualRegister) or value.width == 1:
             return 0
-        cached = self._lane_cache.setdefault(value.name, [None] * self.ws)
-        missing = cached.count(None)
+        missing = self.ws - self._held.get(value.name, 0)
         if missing:
             self._keep_pack(value.name)
-        cached[:] = [value if lane is None else lane for lane in cached]
+            self._held[value.name] = self.ws
         return missing
 
     def _group(self, instruction, **fields) -> None:
@@ -327,7 +304,25 @@ class Vectorizer:
         if destination is not None:
             self._invalidate_lanes(destination)
             self._unread_packs[destination.name] = group
-            self._lane_cache[destination.name] = [destination] * self.ws
+            self._held[destination.name] = self.ws
+
+    def _contiguous(self, instruction, destination=None) -> None:
+        """Append ``instruction`` as a contiguous lane group: one vector
+        access, which reads lane 0 of the base (an extract where the
+        block does not hold it) and moves its data whole — the value
+        stored is read whole, the destination is written whole."""
+        base = self.map_register(instruction.base)
+        extracts = 0
+        if base.width > 1 and not self._held.get(base.name):
+            self._keep_pack(base.name)
+            self._held[base.name] = extracts = 1
+        operands = [base, *map(self.map_value, instruction.uses()[1:])]
+        group = instruction.rebuilt(destination, operands)
+        group.lane, group.extracts, group.contiguous = None, extracts, True
+        if destination is not None:
+            group.pack = True
+            self._invalidate_lanes(destination)
+        self.block.append(group)
 
     def _keep_pack(self, name: str) -> None:
         """Register ``name`` is read whole: a pack of it is kept."""
@@ -338,7 +333,7 @@ class Vectorizer:
     def _invalidate_lanes(self, register: VirtualRegister) -> None:
         """``register`` is (re)defined: its cached lanes are stale, and
         a pack of it nothing read is never built."""
-        self._lane_cache.pop(register.name, None)
+        self._held.pop(register.name, None)
         self._unread_packs.pop(register.name, None)
 
     def _keep_live_out_packs(self, scalar_block: BasicBlock) -> None:
@@ -359,7 +354,7 @@ class Vectorizer:
     def run(self) -> IRFunction:
         for block in self.scalar.ordered_blocks():
             self.block = self.out.add_block(block.label)
-            self._lane_cache = {}
+            self._held = {}
             for instruction in block.instructions:
                 self._vectorize_instruction(instruction)
             self._rewrite_terminator(block)
@@ -381,16 +376,7 @@ class Vectorizer:
             self._replicate_load(instruction)
         elif isinstance(instruction, Store):
             if self._contiguous_across_warp(instruction):
-                self.block.append(
-                    VectorStore(
-                        dtype=instruction.dtype,
-                        space=instruction.space,
-                        base=self.lane_value(instruction.base, 0),
-                        value=self.map_value(instruction.value),
-                        offset=instruction.offset,
-                        lane=0,
-                    )
-                )
+                self._contiguous(instruction)
             else:
                 self._group(instruction)
         elif isinstance(instruction, AtomicRMW):
@@ -431,7 +417,7 @@ class Vectorizer:
     def _contiguous_across_warp(self, instruction) -> bool:
         """True when the access's per-lane addresses are provably
         ``lane0 + i * element_size`` (affine analysis, §4 future
-        work), so one vector memory operation services the warp."""
+        work), so one vector access services the warp."""
         if self.ws == 1 or not self.affine_strides:
             return False
         if instruction.space not in (
@@ -450,18 +436,7 @@ class Vectorizer:
         if destination.width > 1 and self._contiguous_across_warp(
             instruction
         ):
-            self.block.append(
-                VectorLoad(
-                    dtype=instruction.dtype,
-                    dst=destination,
-                    space=instruction.space,
-                    base=self.lane_value(instruction.base, 0),
-                    offset=instruction.offset,
-                    lane=0,
-                )
-            )
-            self._invalidate_lanes(destination)
-            return
+            return self._contiguous(instruction, destination)
         if destination.width == 1:
             self.block.append(
                 instruction.rebuilt(
@@ -614,16 +589,14 @@ class Vectorizer:
                 default=exit_label,
             )
         )
-        saved = self.block
-        saved_cache = self._lane_cache
+        saved, saved_held = self.block, self._held
         self.block = self.out.add_block(exit_label)
-        self._lane_cache = {}
+        self._held = {}
         self._emit_divergent_exit(
             scalar_block, predicate, taken_id, fall_id, inline=False
         )
         self._overhead_blocks.add(exit_label)
-        self.block = saved
-        self._lane_cache = saved_cache
+        self.block, self._held = saved, saved_held
 
     def _emit_divergent_exit(
         self,
@@ -662,7 +635,7 @@ class Vectorizer:
             handler_label = self.out.fresh_label(f"{label}_entry")
             handler = self.out.add_block(handler_label)
             self.block = handler
-            self._lane_cache = {}
+            self._held = {}
             self._emit_restores(label)
             handler.append(Branch(label))
             handler_labels[entry_id] = handler_label

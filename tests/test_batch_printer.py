@@ -27,14 +27,11 @@ from repro.ir.instructions import (
     ContextRead,
     ContextWrite,
     Convert,
-    ExtractElement,
     FusedMultiplyAdd,
     Reduce,
     Select,
     Store,
     Switch,
-    VectorLoad,
-    VectorStore,
 )
 from repro.ir.values import Constant, VirtualRegister
 from repro.machine import sandybridge
@@ -74,39 +71,37 @@ def const(value, dtype=u32):
 
 
 def prelude(out):
-    """``tid`` (per lane, u32), ``t0..`` (its lanes, per warp) and
-    ``a0..``: per lane the address of the thread's output record."""
-    code = [ContextRead("tid.x", u32, vec("tid"), lane=None, pack=True)]
-    code += [
-        ExtractElement(reg(f"t{lane}"), vec("tid"), lane) for lane in range(WS)
-    ]
-    code += [
+    """``tid`` (per lane, u32), ``addr`` (per lane, the address of the
+    thread's output record) and ``t0..``: lane k's ``tid``, per warp
+    (lane k's own context read)."""
+    return [
+        ContextRead("tid.x", u32, vec("tid"), lane=None, pack=True),
         Convert(u64, u32, vec("tid64", u64), vec("tid")),
         BinaryOp("mul", u64, vec("off", u64), vec("tid64", u64),
                  const(RECORD, u64)),
         BinaryOp("add", u64, vec("addr", u64), vec("off", u64),
                  const(out, u64)),
+        *(ContextRead("tid.x", u32, reg(f"t{lane}"), lane=lane)
+          for lane in range(WS)),
     ]
-    code += [
-        ExtractElement(reg(f"a{lane}", u64), vec("addr", u64), lane)
-        for lane in range(WS)
+
+
+def record_of(lane, out):
+    """``a<lane>``: the address of lane ``lane``'s record, per warp."""
+    wide, offset = reg(f"t{lane}w", u64), reg(f"o{lane}", u64)
+    return [
+        Convert(u64, u32, wide, reg(f"t{lane}")),
+        BinaryOp("mul", u64, offset, wide, const(RECORD, u64)),
+        BinaryOp("add", u64, reg(f"a{lane}", u64), offset, const(out, u64)),
     ]
-    return code
 
 
 def keep(value, dtype, slot):
-    """Store ``value`` in slot ``slot`` of every thread's record: a
-    vector lane by lane, a scalar (or constant) as it is."""
-    code = []
-    for lane in range(WS):
-        stored = value
-        if getattr(value, "width", 1) > 1:
-            stored = reg(f"k{slot}.{lane}", value.dtype)
-            code.append(ExtractElement(stored, value, lane))
-        code.append(Store(
-            dtype, GLOBAL, reg(f"a{lane}", u64), stored, offset=4 * slot
-        ))
-    return code
+    """Store ``value`` in slot ``slot`` of every thread's record: one
+    store group, lane k storing lane k of a vector (a scalar, or a
+    constant, as it is)."""
+    return [Store(dtype, GLOBAL, vec("addr", u64), value, offset=4 * slot,
+                  lane=None)]
 
 
 def function_of(blocks):
@@ -232,8 +227,9 @@ class TestPrintedSource:
         packed = source[: source.index("convert.u64.u32")]
         assert packed.count("state.per_thread('tid', 0)") == 1
         assert "np.zeros" not in packed and ".copy()" not in packed
+        # a lane's own read is that lane's column of the one read
         for lane in range(WS):
-            assert f"[:, {lane}]  # " in packed
+            assert f"state.per_thread('tid', 0)[:, {lane}]" in source
 
     def test_exact_dtype_operand_prints_no_coerce(self):
         source = batch_source([
@@ -290,15 +286,6 @@ class TestPrintedSource:
             "per-lane address": [
                 Load(u32, reg("x"), GLOBAL, vec("a", u64)), Yield(status=3)
             ],
-            # emitted under static formation only, which never batches
-            "vector load": [
-                VectorLoad(u32, vec("v"), GLOBAL, reg("a", u64)),
-                Yield(status=3),
-            ],
-            "vector store": [
-                VectorStore(u32, GLOBAL, reg("a", u64), vec("v")),
-                Yield(status=3),
-            ],
         }
         for reason, instructions in declined.items():
             blocks = {"entry": instructions, "a": [Yield(3)], "b": [Yield(3)]}
@@ -343,7 +330,7 @@ class TestBatchedSemantics:
             return {"entry": [
                 *prelude(out),
                 Convert(f32, u32, vec("f", f32), vec("tid")),       # per lane
-                ExtractElement(reg("w", f32), vec("f", f32), 1),    # per warp
+                Convert(f32, u32, reg("w", f32), reg("t1")),        # per warp
                 Load(f32, reg("u", f32), PARAM, const(4, u64)),     # uniform
                 FusedMultiplyAdd(f32, vec("r1", f32), reg("u", f32),
                                  reg("w", f32), vec("f", f32)),
@@ -405,7 +392,9 @@ class TestBatchedSemantics:
                 *prelude(out),
                 BinaryOp("add", u64, vec("x", u64), vec("tid64", u64),
                          const((1 << 63) - 2, u64)),
-                ExtractElement(reg("xw", u64), vec("x", u64), 3),
+                Convert(u64, u32, reg("t3w", u64), reg("t3")),
+                BinaryOp("add", u64, reg("xw", u64), reg("t3w", u64),
+                         const((1 << 63) - 2, u64)),
                 BinaryOp("mulhi", u64, vec("h1", u64), vec("x", u64),
                          const(6, u64)),
                 BinaryOp("mulhi", s64, vec("h2", s64), vec("x", u64),
@@ -503,7 +492,13 @@ class TestBatchedSemantics:
                 Compare("eq", u32, vec("odd", pred), vec("tid"), const(5)),
                 Select(f32, vec("h", f32), const(float("nan"), f32),
                        vec("g", f32), vec("odd", pred)),
-                ExtractElement(reg("hw", f32), vec("h", f32), 1),
+                # lane 1's h, per warp
+                Convert(f32, u32, reg("fw", f32), reg("t1")),
+                FusedMultiplyAdd(f32, reg("gw", f32), reg("fw", f32),
+                                 const(5.0e8, f32), const(-4.0e9, f32)),
+                Compare("eq", u32, reg("oddw", pred), reg("t1"), const(5)),
+                Select(f32, reg("hw", f32), const(float("nan"), f32),
+                       reg("gw", f32), reg("oddw", pred)),
             ]
             cases = (
                 (s32, "rzi", vec("h", f32)), (u32, "rni", vec("h", f32)),
@@ -529,7 +524,7 @@ class TestBatchedSemantics:
         # bytes off alignment takes the element-by-element path
         def blocks(out):
             return {"entry": [
-                *prelude(out),
+                *prelude(out), *record_of(1, out), *record_of(2, out),
                 Store(u32, GLOBAL, reg("a1", u64), reg("t1"),
                       offset=32 + skew),
                 Store(f32, GLOBAL, reg("a2", u64), const(1.5, f32),
@@ -548,8 +543,9 @@ class TestBatchedSemantics:
 
     def test_broadcast_and_vector_registers_holding_one_value(self):
         # a converted constant in a vector register has no lanes: it
-        # reduces and extracts as the one value it is, and a successor
-        # block that finds it live in leaves the batch before running
+        # reduces and a group reads its lanes as the one value it is,
+        # and a successor block that finds it live in leaves the batch
+        # before running
         def blocks(out):
             return {
                 "entry": [
@@ -557,13 +553,11 @@ class TestBatchedSemantics:
                     Convert(u64, u32, vec("four", u64), const(4)),
                     BinaryOp("add", u32, vec("wide"), reg("t1"), const(7)),
                     Broadcast(vec("splat"), reg("t3")),
-                    ExtractElement(reg("e1", u64), vec("four", u64), 2),
-                    ExtractElement(reg("e2"), vec("wide"), 3),
                     Reduce("add", reg("sum", s32), vec("wide")),
                     Reduce("add", reg("lanes", s32), vec("splat")),
                     BinaryOp("mul", u64, vec("scaled", u64),
                              vec("tid64", u64), vec("four", u64)),
-                    *keep(reg("e1", u64), u64, 0), *keep(reg("e2"), u32, 2),
+                    *keep(vec("four", u64), u64, 0), *keep(vec("wide"), u32, 2),
                     *keep(reg("sum", s32), s32, 3),
                     *keep(reg("lanes", s32), s32, 4),
                     *keep(vec("scaled", u64), u64, 6),

@@ -28,7 +28,7 @@ from repro.ir.instructions import (
     Branch,
     CondBranch,
     ContextRead,
-    ExtractElement,
+    Convert,
     FusedMultiplyAdd,
     Reduce,
     Select,
@@ -91,6 +91,52 @@ class TestInterpreterModeEquivalence:
         assert observed["interpreter"] == observed["reference"]
         assert _modeled_statistics(run.statistics) == observed["reference"]
 
+    @pytest.mark.parametrize(
+        "name", [workload.name for workload in all_workloads()]
+    )
+    def test_vector_memory_modes_bit_identical(self, name):
+        # The oracle runs a contiguous group's lanes and checks they
+        # access lane 0's address plus k elements: the affine proof the
+        # group's one-access price rests on, on every app.
+        workload = get_workload(name)
+        config = static_tie_config(4, vector_memory=True)
+        observed = {}
+        for backend in ("interpreter", "reference"):
+            run = workload.run_on(replace(config, backend=backend), scale=0.25)
+            assert run.correct, f"{name} incorrect under {backend}"
+            observed[backend] = _modeled_statistics(run.statistics)
+        assert observed["interpreter"] == observed["reference"]
+
+    @pytest.mark.parametrize("stride", [4, 8, 0])
+    def test_reference_checks_a_contiguous_group(self, stride):
+        # A hand-built contiguous store group whose lanes are `stride`
+        # bytes apart: the oracle runs it only if they are contiguous.
+        from repro.testing.reference import ReferenceInterpreter
+
+        u32, u64 = DataType.u32, DataType.u64
+        memory = MemorySystem(1 << 12)
+        out = memory.allocate(64) + 16
+        tid, wide = _reg("tid", u32, 4), _reg("tid64", u64, 4)
+        offset, address = _reg("off", u64, 4), _reg("a", u64, 4)
+        function = _function({"entry": [
+            ContextRead("tid.x", u32, tid, lane=None, pack=True),
+            Convert(u64, u32, wide, tid),
+            BinaryOp("mul", u64, offset, wide, Constant(stride, u64)),
+            BinaryOp("add", u64, address, offset, Constant(out, u64)),
+            Store(u32, AddressSpace.global_, address, tid, lane=None,
+                  extracts=1, contiguous=True),
+            Yield(status=3),
+        ]}, warp_size=4)
+        reference = ReferenceInterpreter(sandybridge(), memory)
+        loaded = reference.load_function(function)
+        warp = Warp(contexts=[_context(x) for x in range(4)])
+        if stride != 4:
+            with pytest.raises(ExecutionError, match="contiguous group"):
+                reference.execute(loaded, warp, param_base=0)
+            return
+        reference.execute(loaded, warp, param_base=0)
+        assert list(memory.read_array(out, np.uint32, 4)) == [0, 1, 2, 3]
+
     def test_dispatch_mode_end_to_end(self, rng):
         from repro.testing.reference import ReferenceInterpreter
 
@@ -134,10 +180,11 @@ def _add(dst, a):
     )
 
 
-def _store(value, address, dtype):
+def _store(value, address, dtype, lane=0):
+    """A store of lane ``lane``: of a vector ``value``, that lane."""
     return Store(
         dtype=dtype, space=AddressSpace.global_,
-        base=Constant(address, DataType.u64), value=value,
+        base=Constant(address, DataType.u64), value=value, lane=lane,
     )
 
 
@@ -491,12 +538,8 @@ class TestBlockEmitter:
                 y = _reg(f"y{index}", dtype, width)
                 body.append(BinaryOp(op, dtype, y, x, amount))
                 for lane in range(width):
-                    scalar = y
-                    if width > 1:
-                        scalar = _reg(f"y{index}.{lane}", dtype)
-                        body.append(ExtractElement(scalar, y, lane))
                     body.append(_store(
-                        scalar, out + (index * width + lane) * 8, dtype
+                        y, out + (index * width + lane) * 8, dtype, lane
                     ))
             return _function(
                 {"entry": body + [Yield(status=3)]}, warp_size=width
@@ -555,18 +598,16 @@ class TestBlockEmitter:
         assert code.__globals__[constant] is lowering._BINARY_IMPL["shl"]
 
     def _stores_of(self, register, out, dtype=DataType.u32):
-        """Store every lane of the 4-wide ``register`` at ``out``."""
-        body = []
-        for lane in range(4):
-            scalar = _reg(f"{register.name}.s{lane}", dtype)
-            body.append(ExtractElement(scalar, register, lane))
-            body.append(_store(scalar, out + 4 * lane, dtype))
-        return body
+        """Store every lane of the 4-wide ``register`` at ``out``, each
+        by a store of that lane."""
+        return [
+            _store(register, out + 4 * lane, dtype, lane) for lane in range(4)
+        ]
 
-    def test_extracts_of_a_live_in_vector_share_one_shape_guard(self):
+    def test_lane_reads_of_a_live_in_vector_share_one_shape_guard(self):
         # A vector from another block (a Continuation may have
-        # transplanted it) may hold a scalar: its extracts share one
-        # shape guard, and each is read by a store of a dtype the
+        # transplanted it) may hold a scalar: the lanes the stores read
+        # share one shape guard, and each store is of a dtype the
         # register is not known to carry, which converts its lane (a
         # whole-vector conversion is a local store group's).
         u32 = DataType.u32

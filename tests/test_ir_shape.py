@@ -12,6 +12,7 @@ import pytest
 
 import repro.ir
 import repro.transforms
+from repro.ir import IRFunction, Yield
 from repro.ir.instructions import VECTORIZABLE, IRInstruction, _PerLane
 from repro.ir.values import Constant, VirtualRegister
 from repro.ptx.types import AddressSpace, DataType
@@ -73,6 +74,16 @@ def group(cls):
 
 
 LANE_CLASSES = [cls for cls in CLASSES if issubclass(cls, _PerLane)]
+#: The lane classes a vector access can stand for (loads and stores).
+CONTIGUOUS_CLASSES = [
+    cls for cls in LANE_CLASSES
+    if "contiguous" in {field.name for field in fields(cls)}
+]
+
+
+def contiguous_group(cls, extracts=1):
+    """The overrides that make a load or store a contiguous group."""
+    return {**group(cls), "extracts": extracts, "contiguous": True}
 
 
 def cases():
@@ -87,13 +98,17 @@ def cases():
         if cls in LANE_CLASSES:
             yield pytest.param(cls, True, group(cls),
                                id=cls.__name__ + "-group")
+        if cls in CONTIGUOUS_CLASSES:
+            yield pytest.param(cls, True, contiguous_group(cls),
+                               id=cls.__name__ + "-contiguous")
 
 
 def test_the_walk_finds_the_instruction_set():
     names = {cls.__name__ for cls in CLASSES}
-    assert len(CLASSES) >= 23
-    assert {"BinaryOp", "AtomicRMW", "ExtractElement", "Switch",
-            "Exit"} <= names
+    # 20 since a contiguous access is a load or store group: the vector
+    # load, the vector store and the extractelement of its base went.
+    assert len(CLASSES) >= 20
+    assert {"BinaryOp", "AtomicRMW", "Load", "Switch", "Exit"} <= names
     assert all(cls.uses is not IRInstruction.uses for cls in CLASSES)
 
 
@@ -196,6 +211,7 @@ def test_a_group_stands_for_one_copy_per_lane(cls):
         for lane in lanes:
             assert lane is not original and type(lane) is cls
             assert lane.extracts == 0 and lane.pack is False
+            assert lane.contiguous is False
             # (A context read's lane writes the scalar of that name.)
             assert getattr(lane.dst, "name", None) == getattr(
                 original.dst, "name", None)
@@ -207,6 +223,25 @@ def test_a_group_stands_for_one_copy_per_lane(cls):
     assert original.signature() == before and original.lane is None
     single = build(cls)
     assert single.lanes(4) == [single] and single.moves(4) is None
+
+
+@pytest.mark.parametrize("cls", CONTIGUOUS_CLASSES,
+                         ids=[cls.__name__ for cls in CONTIGUOUS_CLASSES])
+def test_a_contiguous_group_is_one_access(cls):
+    """A contiguous group moves one vector access and, where the block
+    did not hold lane 0 of its base, one extract: at every width, and
+    so does ``IRFunction.instruction_count()``. Its lanes are plain
+    lanes."""
+    for extracts in (0, 1):
+        original = build(cls, **contiguous_group(cls, extracts))
+        for width in (1, 2, 4):
+            assert original.moves(width) == (1, extracts)
+            lanes = original.lanes(width)
+            assert [lane.lane for lane in lanes] == list(range(width))
+            assert not any(lane.contiguous for lane in lanes)
+            function = IRFunction("f", warp_size=width)
+            function.add_block("entry").extend([original, Yield(status=3)])
+            assert function.instruction_count() == 1 + extracts + 1
 
 
 def test_the_purity_tuple_exists_once():

@@ -7,12 +7,12 @@ from repro.errors import ExecutionError, MemoryFault
 from repro.ir import (
     BinaryOp,
     Branch,
+    Broadcast,
     Compare,
     CondBranch,
     Constant,
     Convert,
     Exit,
-    ExtractElement,
     FusedMultiplyAdd,
     Intrinsic,
     IRFunction,
@@ -224,13 +224,15 @@ class TestCostModel:
         # A spill or restore (a local store or load group at a spill
         # slot) prices and counts exactly the per-lane loads/stores and
         # shuffles it stands for, in the overhead bucket; so does
-        # IRFunction.instruction_count(). (A pack's insertelements are
-        # priced as the shuffles extractelements are.)
+        # IRFunction.instruction_count(). (An extractelement and a
+        # pack's insertelement are each priced as a broadcast is: one
+        # shuffle.)
         u32, u64, local, ws = DataType.u32, DataType.u64, AddressSpace.local, 4
         slot, vector = const(24, u64), reg("v", u32, ws)
         scalar = reg("s", u32)
         lanes = [reg(f"l.{k}", u32) for k in range(ws)]
-        shuffles = [ExtractElement(lanes[k], vector, k) for k in range(ws)]
+        shuffles = [Broadcast(reg(f"b.{k}", u32, ws), lanes[k])
+                    for k in range(ws)]
 
         def store(k, value):
             return Store(u32, local, slot, value, lane=k)
@@ -245,8 +247,9 @@ class TestCostModel:
                         for k in range(ws)] + shuffles
         elif form == "vector":
             move = spill(vector, ws)
+            # lane k's store reads lane k of the vector
             sequence = [instruction for k in range(ws) for instruction in (
-                shuffles[k], store(k, lanes[k]))]
+                shuffles[k], store(k, vector))]
         elif form == "width-1":
             move = spill(scalar, 0)
             sequence = [store(k, scalar) for k in range(ws)]
@@ -285,6 +288,35 @@ class TestCostModel:
         table = build_cost_table(function, machine)
         load = function.blocks["entry"].instructions[0]
         assert table.cost_of(load).cycles == machine.memory_cost
+
+    @pytest.mark.parametrize("ws", [2, 4, 8])
+    def test_a_contiguous_group_costs_one_vector_access(self, ws):
+        # One access per machine-width chunk of the data moved (a
+        # stored scalar is one chunk), after one shuffle for lane 0 of
+        # the base where the block did not hold it; no lane extracts,
+        # no pack.
+        machine = sandybridge()
+        u32, space = DataType.u32, AddressSpace.global_
+        base, data = reg("a", DataType.u64, ws), reg("v", u32, ws)
+        chunks = machine.vector_chunks(ws)
+        for extracts in (0, 1):
+            groups = [
+                (Load(u32, data, space, base, lane=None, extracts=extracts,
+                      pack=True, contiguous=True), chunks),
+                (Store(u32, space, base, data, lane=None, extracts=extracts,
+                       contiguous=True), chunks),
+                (Store(u32, space, base, reg("s", u32), lane=None,
+                       extracts=extracts, contiguous=True), 1),
+            ]
+            for group, moved in groups:
+                function = IRFunction("f", warp_size=ws)
+                function.add_block("entry").extend([group, Exit()])
+                cost = build_cost_table(function, machine).cost_of(group)
+                assert cost.cycles == (
+                    machine.memory_cost * moved
+                    + extracts * machine.shuffle_cost
+                ), (str(group), ws)
+                assert cost.instructions == 1 + extracts
 
 
 class TestInterpreter:

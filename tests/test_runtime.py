@@ -36,6 +36,13 @@ class TestExecutionConfig:
         with pytest.raises(ValueError):
             ExecutionConfig(warp_sizes=(4, 1))
 
+    def test_vector_memory_requires_static_warps(self):
+        # Without static formation no address is proven contiguous: the
+        # setting would only compile the same code under another key.
+        with pytest.raises(ValueError, match="static_warps"):
+            ExecutionConfig(vector_memory=True)
+        assert static_tie_config(4, vector_memory=True).vector_memory
+
     def test_baseline_never_yields_at_branches(self):
         config = baseline_config()
         assert not config.yields_at_branches(1)

@@ -18,6 +18,7 @@ from repro import (
     format_sanitizer_report,
     format_sanitizer_reports,
     format_trap,
+    static_tie_config,
     vectorized_config,
 )
 from repro.errors import MemoryFault
@@ -910,3 +911,76 @@ class TestMeldSanitizerParity:
         assert sites(plain), "race not detected without melding"
         assert sites(plain) == sites(melded)
         assert all(f.kind == "race" for f in plain.sanitizer)
+
+
+#: Each thread writes its own shared slot at a contiguous (affine)
+#: address, then reads it back through one the affine analysis cannot
+#: prove (``tid & 0xffff``): no thread touches another's slot.
+SELF_READ_PTX = r"""
+.version 2.3
+.target sim
+.entry selfRead (.param .u64 out)
+{
+  .reg .u32 %r<10>;
+  .reg .u64 %rd<4>;
+  .shared .u32 sdata[32];
+  mov.u32 %r1, %tid.x;
+  mov.u32 %r2, sdata;
+  shl.b32 %r3, %r1, 2;
+  add.u32 %r4, %r2, %r3;
+  st.shared.u32 [%r4], %r1;
+  and.b32 %r6, %r1, 65535;
+  shl.b32 %r7, %r6, 2;
+  add.u32 %r8, %r2, %r7;
+  ld.shared.u32 %r9, [%r8];
+  mul.wide.u32 %rd1, %r1, 4;
+  ld.param.u64 %rd2, [out];
+  add.u64 %rd3, %rd2, %rd1;
+  st.global.u32 [%rd3], %r9;
+  exit;
+}
+"""
+
+
+class TestContiguousAccessParity:
+    """A contiguous access (static formation with vector memory) is
+    checked lane by lane at each lane's own address: its findings are
+    those of the replicated accesses it stands for — kind, space,
+    thread, address and size."""
+
+    def _run(self, source, kernel, words, block, vector_memory):
+        """The launch's findings, and how many contiguous groups the
+        width-4 specialization holds."""
+        config = dataclasses.replace(
+            static_tie_config(4, vector_memory=vector_memory),
+            sanitize=True,
+            sanitize_fatal=False,
+        )
+        device = Device(config=config)
+        device.register_module(source)
+        out = device.malloc(words * 4, label="out")
+        result = device.launch(kernel, grid=1, block=block, args=[out])
+        findings = sorted(
+            (f.kind, f.space, f.tid, f.address, f.size)
+            for f in result.statistics.sanitizer
+        )
+        function = device.cache.get(kernel, 4).function
+        return findings, sum(
+            getattr(i, "contiguous", False) for i in function.instructions()
+        )
+
+    def test_a_thread_reading_its_own_slot_is_no_race(self):
+        plain, replicated = self._run(SELF_READ_PTX, "selfRead", 8, 8, False)
+        vector, contiguous = self._run(SELF_READ_PTX, "selfRead", 8, 8, True)
+        assert plain == [] and vector == plain
+        assert replicated == 0 and contiguous == 2
+
+    def test_an_overflowing_store_names_its_thread_and_word(self):
+        # 8 threads into 7 words: thread 7's 4-byte store, one word
+        # past the buffer
+        plain, replicated = self._run(FILL_PTX, "fill", 7, 8, False)
+        vector, contiguous = self._run(FILL_PTX, "fill", 7, 8, True)
+        assert vector == plain
+        ((kind, space, tid, _, size),) = plain
+        assert (kind, space, tid, size) == ("oob", "global", (7, 0, 0), 4)
+        assert replicated == 0 and contiguous == 1

@@ -797,26 +797,21 @@ class TestPassCensus:
 
 class TestLaneGroups:
     """Past width 1 every replicated access is one lane group (an
-    atomic, a spill and a restore too): the only extractelements the 43
-    apps keep are a vector memory operation's base's, and no
-    insertelement is built."""
+    atomic, a spill, a restore and a contiguous access too): no
+    extractelement or insertelement is built, the groups count them.
+    Contiguous groups are static formation's alone."""
 
     @pytest.mark.parametrize(
         "configuration", ["default", "optimize=False", "meld", "static"]
     )
-    def test_no_extract_outside_vector_bases(
+    def test_atomics_and_contiguous_accesses_are_groups(
         self, configuration, monkeypatch
     ):
         for name in ("REPRO_MELD", "REPRO_CACHE"):
             monkeypatch.delenv(name, raising=False)
 
         from repro import Device
-        from repro.ir.instructions import (
-            AtomicRMW,
-            ExtractElement,
-            VectorLoad,
-            VectorStore,
-        )
+        from repro.ir.instructions import AtomicRMW
         from repro.runtime.config import ExecutionConfig, static_tie_config
         from repro.workloads.registry import all_workloads
 
@@ -826,7 +821,7 @@ class TestLaneGroups:
             "meld": ExecutionConfig(meld=True),
             "static": static_tie_config(4, vector_memory=True),
         }[configuration]
-        stray, groups, atomics = [], 0, 0
+        groups, atomics, contiguous = 0, 0, 0
         for registered in all_workloads():
             device = Device(config=config)
             device.register_module(registered.module_source())
@@ -835,26 +830,18 @@ class TestLaneGroups:
                 function = device.cache.get(*key).function
                 if function.warp_size == 1:
                     continue
-                body = [
-                    i for block in function.ordered_blocks()
-                    for i in block.instructions
-                ]
-                bases = {
-                    i.base.name for i in body
-                    if isinstance(i, (VectorLoad, VectorStore))
-                    and hasattr(i.base, "name")
-                }
-                for i in body:
-                    groups += getattr(i, "lane", 0) is None
-                    if isinstance(i, AtomicRMW):
-                        atomics += 1
-                        assert i.lane is None, (registered.name, key, str(i))
-                    elif isinstance(i, ExtractElement) and (
-                        i.dst.name not in bases
-                    ):
-                        stray.append((registered.name, key, str(i)))
-        assert stray == []
+                for block in function.ordered_blocks():
+                    for i in block.instructions:
+                        where = (registered.name, key, str(i))
+                        groups += getattr(i, "lane", 0) is None
+                        if isinstance(i, AtomicRMW):
+                            atomics += 1
+                            assert i.lane is None, where
+                        if getattr(i, "contiguous", False):
+                            contiguous += 1
+                            assert i.lane is None and i.extracts <= 1, where
         assert groups > 0 and atomics > 0
+        assert (contiguous > 0) == (configuration == "static")
 
 
 class TestNothingLeftToClean:

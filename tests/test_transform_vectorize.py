@@ -8,7 +8,6 @@ from repro.ir import (
     CondBranch,
     ContextRead,
     ContextWrite,
-    ExtractElement,
     Load,
     Reduce,
     ResumeStatus,
@@ -32,6 +31,11 @@ from repro.transforms import (
 
 def instructions_of(function, kind):
     return [i for i in function.instructions() if isinstance(i, kind)]
+
+
+def contiguous(function, kind):
+    """The contiguous lane groups of class ``kind``."""
+    return [i for i in instructions_of(function, kind) if i.contiguous]
 
 
 def vectorize(scalar, **kw):
@@ -129,7 +133,6 @@ class TestAlgorithm1:
         # load extracts its address lanes and packs its result, the
         # store extracts its address and value lanes.
         function = vectorize(vecadd_scalar_ir, warp_size=4)
-        assert not instructions_of(function, ExtractElement)
         loads = [i for i in instructions_of(function, Load)
                  if i.space.value == "global"]
         assert [(load.extracts, load.pack) for load in loads] == [
@@ -142,7 +145,9 @@ class TestAlgorithm1:
     def test_ws1_has_no_packing(self, vecadd_scalar_ir):
         # and no lane group: every access is lane 0's
         function = vectorize(vecadd_scalar_ir, warp_size=1)
-        assert not instructions_of(function, ExtractElement)
+        assert not any(
+            getattr(i, "extracts", 0) for i in function.instructions()
+        )
         assert all(
             getattr(i, "lane", 0) == 0 for i in function.instructions()
         )
@@ -490,28 +495,29 @@ class TestAffineVectorMemory:
     def test_contiguous_loads_become_vector_loads(
         self, vecadd_scalar_ir
     ):
-        from repro.ir import VectorLoad, VectorStore
-
         function = self._vectorize_vmem(vecadd_scalar_ir)
-        vloads = instructions_of(function, VectorLoad)
-        vstores = instructions_of(function, VectorStore)
+        vloads = contiguous(function, Load)
+        vstores = contiguous(function, Store)
         # both input streams and the output stream are contiguous
         assert len(vloads) == 2
         assert len(vstores) == 1
         # no replicated global accesses remain
         replicated_global = [
-            i for i in instructions_of(function, Load)
-            if i.space.value == "global"
+            i for i in instructions_of(function, (Load, Store))
+            if i.space.value == "global" and not i.contiguous
         ]
         assert not replicated_global
+        # one vector access each, after lane 0 of a base the block did
+        # not hold; the loaded vectors are whole registers
+        for group in vloads + vstores:
+            assert group.lane is None and group.moves(4) == (1, 1)
+        assert all(load.pack for load in vloads)
 
     def test_disabled_without_static_warps(self, vecadd_scalar_ir):
-        from repro.ir import VectorLoad
-
         function = vectorize(
             vecadd_scalar_ir, warp_size=4, vector_memory=True
         )
-        assert not instructions_of(function, VectorLoad)
+        assert not contiguous(function, Load)
 
     def test_non_contiguous_stays_replicated(self):
         # stride 8 (gid * 8) != element size 4 -> no vector load
@@ -535,13 +541,11 @@ class TestAffineVectorMemory:
   exit;
 }
 """
-        from repro.ir import VectorLoad, VectorStore
-
         scalar = translate_kernel(parse(source).kernel("gather"))
         function = self._vectorize_vmem(scalar)
-        assert not instructions_of(function, VectorLoad)
+        assert not contiguous(function, Load)
         # the store is still contiguous
-        assert instructions_of(function, VectorStore)
+        assert contiguous(function, Store)
 
     def test_end_to_end_correct(self, vecadd_scalar_ir):
         import numpy as np
