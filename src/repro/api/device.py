@@ -314,7 +314,8 @@ class Device:
         kernel) for ``warp_sizes`` (default: all configured widths)
         before the first launch. With the persistent cache enabled this
         also populates the disk tier. Returns per-specialization
-        compile seconds (0.0 for already-cached entries)."""
+        compile seconds of this call (0.0 for one served from memory or
+        disk)."""
         return self.cache.warm(kernel_name, warp_sizes)
 
     # -- fault recovery --------------------------------------------------

@@ -14,12 +14,12 @@ become gather/scatter on typed views of the arena, and control flow
 stays in the batched region only while it is *uniform* across the
 batch. The points where control leaves the region are explicit exits:
 
-- a Yield/Exit terminator ends the batch with one status for all warps
+- a Yield terminator ends the batch with one status for all warps
   (every warp took the same exit handler, so one batched walk modeled
   exactly ``n_warps`` sequential executions);
 - a divergent CondBranch/Switch, or a successor block the printer
-  declines (``%clock``, a per-lane branch predicate or address, a
-  barrier), hands each warp a
+  declines (``%clock``, a per-lane branch predicate or address), hands
+  each warp a
   :class:`~repro.machine.interpreter.Continuation` and the sequential
   path finishes it — correctness is inherited, the batched region only
   ever *accelerates* uniform prefixes.

@@ -65,7 +65,6 @@ from ..errors import (
 from ..ir.function import IRFunction
 from ..ir.instructions import (
     AtomicRMW,
-    BarrierTerm,
     BinaryOp,
     Branch,
     Broadcast,
@@ -74,12 +73,10 @@ from ..ir.instructions import (
     ContextRead,
     ContextWrite,
     Convert,
-    Exit,
     FusedMultiplyAdd,
     Intrinsic,
     Load,
     Reduce,
-    ResumeStatus,
     Select,
     Store,
     Switch,
@@ -1646,9 +1643,6 @@ class _BlockEmitter:
     def yield_(self, inst: Yield) -> None:
         self.emit(f"return {int(inst.status)}")
 
-    def exit(self, inst: Exit) -> None:
-        self.emit(f"return {ResumeStatus.THREAD_EXIT}")
-
 
 class _WarpPrinter(_BlockEmitter):
     """Prints a block as ``block(state)`` over one warp: a register is
@@ -2034,17 +2028,10 @@ class _WarpPrinter(_BlockEmitter):
             f"{inst.default!r})"
         )
 
-    def barrier(self, inst: BarrierTerm) -> None:
-        self.emit(
-            "raise ExecutionError('raw barrier terminator reached the "
-            "machine; kernels must be specialized through the vectorizer "
-            "first')"
-        )
-
 
 #: The opcode table: instruction type -> name of the method printing
 #: it. A printer without the method has no form for the instruction
-#: (the batch printer: atomics, barriers).
+#: (the batch printer: atomics; no printer: Exit and BarrierTerm).
 _EMITTERS = {
     BinaryOp: "binary",
     UnaryOp: "unary",
@@ -2064,6 +2051,4 @@ _EMITTERS = {
     CondBranch: "cond_branch",
     Switch: "switch",
     Yield: "yield_",
-    Exit: "exit",
-    BarrierTerm: "barrier",
 }

@@ -9,20 +9,20 @@ translations happen lazily on first request.
 
 Beyond the paper's in-memory memoization the cache is:
 
-- **Content-addressed.** Every specialization is identified by a
-  SHA-256 digest over the kernel's PTX body, the arena addresses of
-  its own module's .global/.const symbols, ``ExecutionConfig.
-  cache_key()``, the warp size, and the machine descriptor. Distinct
-  configs/devices can therefore share one persistent store without
-  ever exchanging incompatible code.
-- **Precisely invalidated.** Binding a kernel name to another
-  module's body or symbols bumps its *generation* and drops the stale
-  scalar IR and specializations; re-binding the same content keeps
-  everything. :meth:`invalidate` forces the same drop explicitly.
+- **Keyed by registration.** Each kernel name has one record: the
+  kernel object and symbol table its last registration bound, the
+  scalar IR built from them and the executables by warp size. The
+  same pair registered again keeps everything; any other pair drops
+  it. :meth:`invalidate` forces the same drop explicitly.
 - **Optionally persistent.** With a :class:`~repro.runtime.cache_store.
   CacheStore` attached, misses consult the disk tier (pickled
   vectorized IR) before compiling, and fresh compilations are written
-  back — cold processes skip translation entirely.
+  back — cold processes skip translation entirely. An entry is named
+  by a SHA-256 digest over the kernel's PTX body, the arena addresses
+  of its own module's .global/.const symbols, ``ExecutionConfig.
+  cache_key()``, the warp size and the machine descriptor, so
+  configs and devices sharing one store never exchange incompatible
+  code.
 - **Observable.** :class:`CacheStatistics` counts hits, misses,
   invalidations, disk hits/misses/errors, evictions, and records
   per-specialization compile times; the launcher attaches per-launch
@@ -34,7 +34,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..counting import added, added_by_key, counted, latest_by_key, render
@@ -113,15 +113,23 @@ class CacheStatistics:
 
 
 @dataclass
-class _Specialization:
-    """One cached executable plus the digest it was built under."""
+class _Record:
+    """One kernel name: what its last registration bound, and what was
+    built from that."""
 
-    digest: str
-    executable: ExecutableFunction
+    kernel: Kernel
+    symbols: Optional[Dict[str, int]]
+    #: the scalar IR and its analyses (liveness, uniformity, spill
+    #: layout ...): what every width is specialized from, built once
+    scalar: Optional[Tuple[IRFunction, ScalarAnalyses]] = None
+    executables: Dict[int, ExecutableFunction] = field(default_factory=dict)
+    #: sha256 of the printed kernel and its symbol table, the part of
+    #: a disk entry's name every width shares; taken on first use
+    content_digest: Optional[str] = None
 
 
 class TranslationCache:
-    """Content-addressed cache of lowered kernel specializations."""
+    """Per-kernel cache of lowered specializations, one per warp size."""
 
     def __init__(
         self,
@@ -140,41 +148,7 @@ class TranslationCache:
         self.store = store if store is not None else CacheStore.from_config(
             config
         )
-        self._kernels: Dict[str, Kernel] = {}
-        #: Per kernel, its module's global-symbol addresses.
-        self._symbols: Dict[str, Dict[str, int]] = {}
-        #: Content fingerprint per kernel: PTX body + its module's
-        #: global-symbol addresses.
-        self._fingerprints: Dict[str, str] = {}
-        #: Monotonic generation per kernel, bumped by every
-        #: invalidation (observability + staleness assertions).
-        self._generations: Dict[str, int] = {}
-        #: Per kernel ``(fingerprint, scalar IR, its analyses)``: what
-        #: every width is specialized from. The analyses (liveness,
-        #: uniformity, spill layout ...) run once here, not per width.
-        self._scalar_ir: Dict[
-            str, Tuple[str, IRFunction, ScalarAnalyses]
-        ] = {}
-        #: Meld-pass reports per kernel (populated by scalar_ir when
-        #: ``config.meld``; dropped with the scalar IR on invalidation).
-        self._meld_reports: Dict[str, object] = {}
-        self._specializations: Dict[Tuple[str, int], _Specialization] = {}
-        #: Entries :meth:`get` has checked since the last registration
-        #: or invalidation. Only those move a digest, so until the next
-        #: one a lookup (one per warp execution) revalidates nothing.
-        self._validated: Dict[Tuple[str, int], ExecutableFunction] = {}
-        self._digest_memo: Dict[Tuple[str, int], str] = {}
-        #: Digest material shared by every kernel of this cache:
-        #: schema + execution config + machine descriptor.
-        self._environment_digest = hashlib.sha256(
-            "|".join(
-                [
-                    f"schema={SCHEMA_VERSION}",
-                    repr(config.cache_key()),
-                    repr(machine),
-                ]
-            ).encode()
-        ).hexdigest()
+        self._records: Dict[str, _Record] = {}
 
     # -- registration --------------------------------------------------------
 
@@ -185,111 +159,90 @@ class TranslationCache:
         addresses of that module's own .global/.const variables
         (assigned by the device when it first registered the module).
 
-        A kernel name bound before to other content — another body, or
-        another module's symbols — is invalidated, so stale code is
-        never served.
+        A registration is its kernel's identity: the kernel object and
+        symbol table a name was bound to before keep what was built
+        from them; any other pair drops it, so stale code is never
+        served.
         """
-        self._validated.clear()
-        symbols = dict(global_symbols or {})
-        table = repr(sorted(symbols.items()))
         for name, kernel in module.kernels.items():
-            material = f"{kernel}|{table}"
-            fingerprint = hashlib.sha256(material.encode()).hexdigest()
-            previous = self._fingerprints.get(name)
-            if previous is not None and previous != fingerprint:
+            record = self._records.get(name)
+            if record is not None:
+                if record.kernel is kernel and (
+                    record.symbols is global_symbols
+                ):
+                    continue
                 self.invalidate(name)
-            self._kernels[name] = kernel
-            self._symbols[name] = symbols
-            self._fingerprints[name] = fingerprint
-            self._generations.setdefault(name, 1)
-
-    # -- fingerprints / digests ---------------------------------------------
-
-    def fingerprint(self, kernel_name: str) -> str:
-        """Content fingerprint of a registered kernel (PTX body plus
-        its module's global-symbol addresses)."""
-        self.kernel(kernel_name)
-        return self._fingerprints[kernel_name]
-
-    def generation(self, kernel_name: str) -> int:
-        """How many times ``kernel_name`` has been (re)validated: 1 at
-        first registration, +1 per invalidation."""
-        self.kernel(kernel_name)
-        return self._generations[kernel_name]
+            self._records[name] = _Record(kernel, global_symbols)
 
     def specialization_digest(self, kernel_name: str, warp_size: int) -> str:
-        """Content-addressed key of one specialization: kernel
-        fingerprint x execution config x machine x warp size. This is
-        the persistent tier's file name."""
-        key = (kernel_name, warp_size)
-        digest = self._digest_memo.get(key)
-        if digest is None:
-            material = "|".join(
+        """The persistent tier's name for one specialization: a SHA-256
+        over the kernel's PTX body and its module's global-symbol
+        addresses, the execution config, the machine and the warp
+        size."""
+
+        def sha256(text: str) -> str:
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        record = self._record(kernel_name)
+        if record.content_digest is None:
+            table = repr(sorted((record.symbols or {}).items()))
+            record.content_digest = sha256(f"{record.kernel}|{table}")
+        environment = [
+            f"schema={SCHEMA_VERSION}",
+            repr(self.config.cache_key()),
+            repr(self.machine),
+        ]
+        return sha256(
+            "|".join(
                 [
-                    self.fingerprint(kernel_name),
-                    self._environment_digest,
+                    record.content_digest,
+                    sha256("|".join(environment)),
                     f"ws={warp_size}",
                 ]
             )
-            digest = hashlib.sha256(material.encode()).hexdigest()
-            self._digest_memo[key] = digest
-        return digest
+        )
 
     # -- invalidation --------------------------------------------------------
 
     def invalidate(self, kernel_name: str) -> int:
         """Drop every cached artifact of ``kernel_name`` (scalar IR and
-        all specializations) and bump its generation. Returns the
-        number of artifacts dropped. The persistent tier is left
-        untouched: its entries are content-addressed, so stale code is
-        unreachable once the fingerprint moves."""
-        dropped = 0
-        self._validated.clear()
-        if self._scalar_ir.pop(kernel_name, None) is not None:
-            dropped += 1
-        self._meld_reports.pop(kernel_name, None)
-        for key in [
-            key for key in self._specializations if key[0] == kernel_name
-        ]:
-            del self._specializations[key]
-            dropped += 1
-        for key in [
-            key for key in self._digest_memo if key[0] == kernel_name
-        ]:
-            del self._digest_memo[key]
+        all specializations). Returns the number of artifacts dropped.
+        The persistent tier is left untouched: its entries are named by
+        content, so another body or symbol table names others."""
+        record = self._records.get(kernel_name)
+        if record is None:
+            return 0
+        dropped = (record.scalar is not None) + len(record.executables)
+        record.scalar = None
+        record.executables = {}
         self.statistics.invalidations += dropped
-        self._generations[kernel_name] = (
-            self._generations.get(kernel_name, 0) + 1
-        )
         return dropped
 
     # -- queries -------------------------------------------------------------
 
-    def kernel(self, name: str) -> Kernel:
+    def _record(self, name: str) -> _Record:
         try:
-            return self._kernels[name]
+            return self._records[name]
         except KeyError:
             raise TranslationCacheError(
                 f"kernel {name!r} is not registered; "
-                f"have {sorted(self._kernels)}"
+                f"have {sorted(self._records)}"
             ) from None
 
-    def scalar_ir(self, kernel_name: str) -> IRFunction:
-        """The scalar IR translation (shared by all specializations),
-        revalidated against the kernel's current fingerprint."""
-        return self._scalar(kernel_name)[1]
+    def kernel(self, name: str) -> Kernel:
+        return self._record(name).kernel
 
-    def _scalar(
-        self, kernel_name: str
-    ) -> Tuple[str, IRFunction, ScalarAnalyses]:
-        fingerprint = self.fingerprint(kernel_name)
-        entry = self._scalar_ir.get(kernel_name)
-        if entry is not None and entry[0] == fingerprint:
-            return entry
-        kernel = self.kernel(kernel_name)
+    def scalar_ir(self, kernel_name: str) -> IRFunction:
+        """The scalar IR translation (shared by all specializations)."""
+        return self._scalar(kernel_name)[0]
+
+    def _scalar(self, kernel_name: str) -> Tuple[IRFunction, ScalarAnalyses]:
+        record = self._record(kernel_name)
+        if record.scalar is not None:
+            return record.scalar
         start = time.perf_counter()
         translated = translate_kernel(
-            kernel, global_symbols=self._symbols[kernel_name]
+            record.kernel, global_symbols=record.symbols
         )
         self.statistics.record_stage("translate", time.perf_counter() - start)
         # Scalar-stage transforms (melding, CSE, DCE), once per kernel
@@ -300,7 +253,6 @@ class TranslationCache:
             self._run_passes(prepass, translated)
             meld_report = getattr(translated, "meld_report", None)
             if meld_report is not None:
-                self._meld_reports[kernel_name] = meld_report
                 self.statistics.meld_decisions[kernel_name] = (
                     meld_report.melded_regions,
                     meld_report.rejected_regions,
@@ -308,9 +260,8 @@ class TranslationCache:
         analyses = ScalarAnalyses(translated, self._vectorize_options(1))
         # every specialization's, so ``frame_bytes`` is the frame's
         translated.spill_size = analyses.spill_layout[1]
-        entry = (fingerprint, translated, analyses)
-        self._scalar_ir[kernel_name] = entry
-        return entry
+        record.scalar = (translated, analyses)
+        return record.scalar
 
     def _run_passes(self, manager, function: IRFunction) -> IRFunction:
         """Run a pass manager and keep its per-pass record."""
@@ -325,15 +276,20 @@ class TranslationCache:
         """The melding pass's :class:`~repro.transforms.melding.
         MeldReport` for ``kernel_name``, or ``None`` when melding is
         off or the scalar IR has not been built yet."""
-        return self._meld_reports.get(kernel_name)
+        record = self._records.get(kernel_name)
+        if record is None or record.scalar is None:
+            return None
+        return getattr(record.scalar[0], "meld_report", None)
 
     def get(self, kernel_name: str, warp_size: int) -> ExecutableFunction:
         """Executable specialization of ``kernel_name`` for
-        ``warp_size`` threads. Lookup order: in-memory entry (validated
-        by digest), persistent tier, full translation."""
-        key = (kernel_name, warp_size)
-        executable = self._validated.get(key)
-        if executable is not None:
+        ``warp_size`` threads. Lookup order: the kernel's record, the
+        persistent tier, full translation."""
+        try:
+            executable = self._records[kernel_name].executables[warp_size]
+        except KeyError:
+            pass
+        else:
             self.statistics.hits += 1
             return executable
         if warp_size not in self.config.warp_sizes:
@@ -341,29 +297,23 @@ class TranslationCache:
                 f"no warp-size-{warp_size} specialization configured "
                 f"(have {self.config.warp_sizes})"
             )
-        digest = self.specialization_digest(kernel_name, warp_size)
-        entry = self._specializations.get(key)
-        if entry is not None and entry.digest != digest:
-            # Safety net: a stale entry that escaped invalidation.
-            del self._specializations[key]
-            self.statistics.invalidations += 1
-            entry = None
-        if entry is not None:
-            self.statistics.hits += 1
-            executable = entry.executable
-        else:
-            self.statistics.misses += 1
+        record = self._record(kernel_name)
+        self.statistics.misses += 1
+        key = (kernel_name, warp_size)
+        digest = executable = None
+        if self.store is not None:
+            digest = self.specialization_digest(kernel_name, warp_size)
             executable = self._load_from_store(key, digest)
-            if executable is None:
-                executable = self._compile(key, digest)
-            self._specializations[key] = _Specialization(digest, executable)
-        self._validated[key] = executable
+        if executable is None:
+            executable = self._compile(key, digest)
+        record.executables[warp_size] = executable
         return executable
 
     def resident(self, kernel_name: str, warp_size: int):
         """The specialization a :meth:`get` would hit right now, or
-        None — not a lookup: nothing is counted, validated or built."""
-        return self._validated.get((kernel_name, warp_size))
+        None — not a lookup: nothing is counted or built."""
+        record = self._records.get(kernel_name)
+        return None if record is None else record.executables.get(warp_size)
 
     def specialization_for(self, available_threads: int) -> int:
         """Largest configured warp size not exceeding
@@ -380,10 +330,10 @@ class TranslationCache:
     ) -> Dict[Tuple[str, int], float]:
         """Compile-ahead: materialize specializations before the first
         launch (and populate the persistent tier when attached).
-        Returns per-specialization compile seconds (0.0 for entries
-        served from memory or disk)."""
+        Returns per-specialization compile seconds of this call (0.0
+        for entries served from memory or disk)."""
         names = (
-            [kernel_name] if kernel_name is not None else sorted(self._kernels)
+            [kernel_name] if kernel_name is not None else sorted(self._records)
         )
         sizes = (
             tuple(warp_sizes)
@@ -393,9 +343,12 @@ class TranslationCache:
         compiled: Dict[Tuple[str, int], float] = {}
         for name in names:
             for size in sizes:
+                translations = self.statistics.translations
                 self.get(name, size)
-                compiled[(name, size)] = self.statistics.compile_seconds.get(
-                    (name, size), 0.0
+                compiled[(name, size)] = (
+                    self.statistics.compile_seconds[(name, size)]
+                    if self.statistics.translations > translations
+                    else 0.0
                 )
         return compiled
 
@@ -404,8 +357,6 @@ class TranslationCache:
     def _load_from_store(
         self, key: Tuple[str, int], digest: str
     ) -> Optional[ExecutableFunction]:
-        if self.store is None:
-            return None
         payload = self.store.load(digest, statistics=self.statistics)
         if payload is None:
             self.statistics.disk_misses += 1
@@ -425,7 +376,7 @@ class TranslationCache:
         return executable
 
     def _compile(
-        self, key: Tuple[str, int], digest: str
+        self, key: Tuple[str, int], digest: Optional[str]
     ) -> ExecutableFunction:
         kernel_name, warp_size = key
         start = time.perf_counter()
@@ -466,7 +417,7 @@ class TranslationCache:
     ) -> IRFunction:
         """The translation pipeline proper: scalar IR -> vectorized,
         cleaned IR for one warp size (not yet lowered)."""
-        _, scalar, analyses = self._scalar(kernel_name)
+        scalar, analyses = self._scalar(kernel_name)
         start = time.perf_counter()
         function = vectorize_kernel(
             scalar, self._vectorize_options(warp_size), analyses
@@ -483,7 +434,11 @@ class TranslationCache:
     # -- introspection -------------------------------------------------------
 
     def cached_specializations(self):
-        return sorted(self._specializations)
+        return sorted(
+            (name, warp_size)
+            for name, record in self._records.items()
+            for warp_size in record.executables
+        )
 
     def instruction_count(self, kernel_name: str, warp_size: int) -> int:
         self.get(kernel_name, warp_size)

@@ -33,7 +33,6 @@ from ..errors import (
 )
 from ..ir.instructions import (
     AtomicRMW,
-    BarrierTerm,
     BinaryOp,
     Branch,
     Broadcast,
@@ -42,12 +41,10 @@ from ..ir.instructions import (
     ContextRead,
     ContextWrite,
     Convert,
-    Exit,
     FusedMultiplyAdd,
     Intrinsic,
     Load,
     Reduce,
-    ResumeStatus,
     Select,
     Store,
     Switch,
@@ -211,9 +208,12 @@ class _ReferenceState(_WarpState):
                 stats.instructions = executed
                 terminator = block.terminator
                 self._charge(terminator)
-                next_label = _TERMINATORS[type(terminator)](
-                    self, terminator
-                )
+                step = _TERMINATORS.get(type(terminator))
+                if step is None:  # Exit, BarrierTerm: vectorized away
+                    raise ExecutionError(
+                        f"no reference semantics for {terminator!r}"
+                    )
+                next_label = step(self, terminator)
                 if isinstance(next_label, int):
                     return next_label
                 label = next_label
@@ -415,15 +415,6 @@ class _ReferenceState(_WarpState):
     def _yield(self, inst: Yield):
         return inst.status
 
-    def _exit(self, inst: Exit):
-        return ResumeStatus.THREAD_EXIT
-
-    def _barrier_term(self, inst: BarrierTerm):
-        raise ExecutionError(
-            "raw barrier terminator reached the machine; kernels must be "
-            "specialized through the vectorizer first"
-        )
-
 
 _HANDLERS = {
     BinaryOp: _ReferenceState._binary,
@@ -447,6 +438,4 @@ _TERMINATORS = {
     CondBranch: _ReferenceState._cond_branch,
     Switch: _ReferenceState._switch,
     Yield: _ReferenceState._yield,
-    Exit: _ReferenceState._exit,
-    BarrierTerm: _ReferenceState._barrier_term,
 }

@@ -20,7 +20,6 @@ from repro import Device, vectorized_config
 from repro.errors import KernelTrap, MemoryFault
 from repro.ir import BinaryOp, Compare, Load, UnaryOp, Yield
 from repro.ir.instructions import (
-    BarrierTerm,
     Branch,
     Broadcast,
     CondBranch,
@@ -253,27 +252,26 @@ class TestPrintedSource:
         assert "is None: r1 = regs[1] = np.zeros((B, 4), dtype=W_f4)" in source
 
     def test_declined_block_returns_none_and_batch_leaves_at_entry(self):
-        # a barrier has no batched form; the block before it does
+        # a %clock read has no batched form; the block before it does
         blocks = {
             "entry": [
                 BinaryOp("add", u32, reg("x"), const(1), const(2)),
-                Branch("sync"),
+                Branch("clocked"),
             ],
-            "sync": [BarrierTerm("after")],
-            "after": [Yield(status=3)],
+            "clocked": [ContextRead("clock", u32, reg("c")), Yield(status=3)],
         }
         backend = ArrayBackend(sandybridge(), MemorySystem(1 << 16))
         executable = backend.load_function(function_of(blocks))
         assert executable.batch_source("entry") is not None
-        assert executable.batch_source("sync") is None
+        assert executable.batch_source("clocked") is None
         outcome = backend.execute_batch(
             executable, warps(MIN_BATCH_WARPS), 0, backend.instruction_limit
         )
         assert outcome.kind == "fallback" and outcome.conclusive
         for continuation in outcome.continuations:
-            assert continuation.label == "sync"
+            assert continuation.label == "clocked"
             assert continuation.stats.instructions == 2  # entry add, branch
-        assert executable.array_blocks["sync"] is None
+        assert executable.array_blocks["clocked"] is None
 
     def test_what_the_printer_declines(self):
         backend = ArrayBackend(sandybridge(), MemorySystem(1 << 16))

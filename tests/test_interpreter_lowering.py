@@ -25,10 +25,12 @@ from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import ExecutionError, MemoryFault
 from repro.ir import BinaryOp, Compare, IRFunction, Load, UnaryOp, Yield
 from repro.ir.instructions import (
+    BarrierTerm,
     Branch,
     CondBranch,
     ContextRead,
     Convert,
+    Exit,
     FusedMultiplyAdd,
     Reduce,
     Select,
@@ -391,6 +393,26 @@ class TestBlockEmitter:
         assert ".view(W_i4)" in first and ".astype(W_u4)" in first
         # Successor: one guard per (register, dtype) read.
         assert second.count("coerce(") == 4
+
+    @pytest.mark.parametrize(
+        "terminator", [Exit(), BarrierTerm("after")], ids=["exit", "barrier"]
+    )
+    def test_a_scalar_only_terminator_does_not_run(self, terminator):
+        # The vectorizer turns every Exit into a thread-exit yield and
+        # every BarrierTerm into a barrier exit handler: neither the
+        # printer nor the oracle has a form for a raw one.
+        from repro.testing.reference import ReferenceInterpreter
+
+        function = _function(
+            {"entry": [terminator], "after": [Yield(status=3)]}
+        )
+        for backend in (Interpreter, ReferenceInterpreter):
+            interpreter = backend(sandybridge(), MemorySystem(1 << 16))
+            executable = interpreter.load_function(function)
+            with pytest.raises(ExecutionError, match="^no "):
+                interpreter.execute(
+                    executable, Warp(contexts=[_context(0)]), 0
+                )
 
     def _faulting_block(self):
         return [

@@ -1,5 +1,5 @@
-"""Translation-cache subsystem tests: content-addressed keys, precise
-invalidation (re-binding a kernel name to other content), the persistent
+"""Translation-cache subsystem tests: registration identity (re-binding
+a kernel name to another kernel or symbol table), the persistent
 disk tier (config isolation, corruption recovery, eviction,
 cold-process reuse), warm-up, observability, and the execution-manager
 memory fixes (slab reuse, live-region zeroing)."""
@@ -17,6 +17,7 @@ import pytest
 
 from repro import Device, ExecutionConfig, vectorized_config
 from repro.errors import TranslationCacheError
+from repro.ptx.module import Kernel
 from repro.runtime.cache_store import SCHEMA_VERSION, CacheStore
 from repro.transforms.vectorize import assign_spill_slots
 from tests.conftest import VECADD_PTX, scale_reader_ptx
@@ -110,8 +111,9 @@ class TestStalenessInvalidation:
         )
 
     def test_reregistering_another_nan_payload_runs_it(self):
-        # The two kernels differ only in a NaN payload; a fingerprint
-        # over printed text that showed both as "nan" kept the first.
+        # The two kernels differ only in a NaN payload: an identity
+        # taken from printed text that showed both as "nan" kept the
+        # first.
         def store_nan(payload):
             return (
                 ".version 2.3\n.target sim\n"
@@ -131,15 +133,14 @@ class TestStalenessInvalidation:
             )
             assert hex(out.read(np.uint32, 1)[0]) == hex(int(payload, 16))
 
-    def test_reregistration_bumps_generation_and_counts(self):
+    def test_reregistration_invalidates_and_counts(self):
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
         device.warm("vecAdd")
-        assert device.cache.generation("vecAdd") == 1
-        fingerprint = device.cache.fingerprint("vecAdd")
+        assert device.cache.statistics.invalidations == 0
+        digest = device.cache.specialization_digest("vecAdd", 4)
         device.register_module(VECMUL_PTX)
-        assert device.cache.generation("vecAdd") == 2
-        assert device.cache.fingerprint("vecAdd") != fingerprint
+        assert device.cache.specialization_digest("vecAdd", 4) != digest
         # scalar IR + one specialization per configured width dropped
         assert device.cache.statistics.invalidations == 1 + len(
             device.config.warp_sizes
@@ -152,14 +153,12 @@ class TestStalenessInvalidation:
         device.warm("vecAdd")
         specializations = device.cache.cached_specializations()
         device.register_module(VECADD_PTX)
-        assert device.cache.generation("vecAdd") == 1
         assert device.cache.statistics.invalidations == 0
         assert device.cache.cached_specializations() == specializations
 
-    def test_lookups_revalidate_once_per_registration(self, monkeypatch):
-        # get() is asked once per warp execution: the digest of an
-        # entry is recomputed on the first lookup after a registration
-        # or invalidation (nothing else can move it), not on every hit.
+    def test_lookups_never_revalidate(self, monkeypatch):
+        # get() is asked once per warp execution: a hit is a lookup and
+        # the hits bump, right after an identical registration too.
         device = Device(config=vectorized_config(4))
         device.register_module(VECADD_PTX)
         cache = device.cache
@@ -175,14 +174,7 @@ class TestStalenessInvalidation:
         assert cache.statistics.hits == hits + 3 and digests == []
         device.register_module(VECADD_PTX)  # identical: nothing dropped
         assert all(cache.get("vecAdd", 4) is executable for _ in range(3))
-        assert cache.statistics.hits == hits + 6 and len(digests) == 1
-        # ... which is when the safety net looks: an entry whose digest
-        # no longer matches is dropped and rebuilt, never served.
-        cache._specializations[("vecAdd", 4)].digest = "stale"
-        device.register_module(VECADD_PTX)
-        assert cache.get("vecAdd", 4) is not executable
-        assert cache.statistics.invalidations == 1
-        assert cache.statistics.hits == hits + 6
+        assert cache.statistics.hits == hits + 6 and digests == []
 
     def test_explicit_invalidate(self):
         device = Device(config=vectorized_config(4))
@@ -191,7 +183,7 @@ class TestStalenessInvalidation:
         translations = device.cache.statistics.translations
         dropped = device.cache.invalidate("vecAdd")
         assert dropped == 1 + len(device.config.warp_sizes)
-        assert device.cache.generation("vecAdd") == 2
+        assert device.cache.statistics.invalidations == dropped
         device.warm("vecAdd")
         assert device.cache.statistics.translations == 2 * translations
 
@@ -212,10 +204,11 @@ class TestStalenessInvalidation:
         # Re-binding `scaled` from another source binds it to that
         # module's `scale`, at a new address: the translated IR baked
         # in the old one, so cached code must be invalidated.
+        cached = len(device.cache.cached_specializations())
         device.register_module(MOVED_SCALE_PTX)
         second_address = _symbol(device, MOVED_SCALE_PTX, "scale")
         assert second_address != first_address
-        assert device.cache.generation("scaled") == 2
+        assert device.cache.statistics.invalidations == 1 + cached
         device.memory.write_array(
             second_address, np.array([5.0], dtype=np.float32)
         )
@@ -241,7 +234,7 @@ class TestStalenessInvalidation:
             return (
                 len(device.modules),
                 _symbol(device, source, "scale"),
-                device.cache.generation("scaled"),
+                device.cache.statistics.invalidations,
                 device.cache.statistics.translations,
                 device.memory.bytes_allocated,
             )
@@ -258,7 +251,7 @@ class TestStalenessInvalidation:
         device.register_module(scale_reader_ptx("readB", 7.0))
         device.launch("readA", 1, 4, [out])
         assert list(out.read(np.float32, 4)) == [3.0] * 4
-        assert device.cache.generation("readA") == 1
+        assert device.cache.statistics.invalidations == 0
         device.launch("readB", 1, 4, [out])
         assert list(out.read(np.float32, 4)) == [7.0] * 4
 
@@ -280,8 +273,62 @@ class TestStalenessInvalidation:
             ".entry other () { exit; }"
         )
         device.register_module(unrelated)
-        assert device.cache.generation("vecAdd") == 1
         assert device.cache.statistics.invalidations == 0
+        assert device.cache.cached_specializations() == [
+            ("vecAdd", size) for size in device.config.warp_sizes
+        ]
+
+
+class TestRegistrationIdentity:
+    """A registration is its kernel's identity: the kernel object and
+    symbol table it binds, not the text the kernel prints."""
+
+    def test_registering_the_same_module_again_keeps_its_code(self):
+        device = Device(config=vectorized_config(4))
+        module = device.register_module(VECADD_PTX)
+        device.warm("vecAdd")
+        translations = device.cache.statistics.translations
+        assert device.register_module(module) is module
+        device.warm("vecAdd")
+        assert device.cache.statistics.translations == translations
+        assert device.cache.statistics.invalidations == 0
+
+    def test_a_second_text_of_the_same_kernel_recompiles_it(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        device.warm("vecAdd")
+        translations = device.cache.statistics.translations
+        device.register_module(VECADD_PTX + "\n")  # prints the same
+        assert device.cache.statistics.invalidations == 1 + translations
+        device.warm("vecAdd")
+        assert device.cache.statistics.translations == 2 * translations
+        values, _ = _run_vecadd(device)
+        assert np.allclose(values, np.arange(64) + 2.0)
+
+    def test_only_the_disk_tier_prints_a_kernel(self, monkeypatch, tmp_path):
+        printed = []
+        original = Kernel.__str__
+        monkeypatch.setattr(
+            Kernel, "__str__",
+            lambda kernel: printed.append(kernel.name) or original(kernel),
+        )
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        device.warm()
+        _run_vecadd(device)
+        assert printed == []
+        stored = Device(
+            config=vectorized_config(4),
+            cache_store=CacheStore(directory=str(tmp_path)),
+        )
+        stored.register_module(VECADD_PTX)
+        stored.warm()
+        _run_vecadd(stored)
+        # once for the entry names of all widths
+        assert printed == ["vecAdd"]
+        assert len(stored.cache.store.entries()) == len(
+            stored.config.warp_sizes
+        )
 
 
 class TestScalarAnalyses:
@@ -340,7 +387,7 @@ class TestScalarAnalyses:
         device.warm("scaled")
         assert seen[0][1].function is scalar
         device.register_module(MOVED_SCALE_PTX)  # `scale` moves
-        assert device.cache.generation("scaled") == 2
+        assert device.cache.statistics.invalidations == 1 + 3
         device.warm("scaled")
         assert seen[3][1] is not seen[0][1]
         assert seen[3][1].spill_layout == seen[0][1].spill_layout
@@ -617,6 +664,16 @@ class TestWarmUp:
         translations = device.cache.statistics.translations
         _run_vecadd(device)
         assert device.cache.statistics.translations == translations
+
+    def test_warm_reports_only_what_it_compiled(self):
+        device = Device(config=vectorized_config(4))
+        device.register_module(VECADD_PTX)
+        first = device.warm()
+        assert all(seconds > 0.0 for seconds in first.values())
+        assert device.warm() == dict.fromkeys(first, 0.0)
+        device.register_module(VECMUL_PTX)  # re-binds vecAdd
+        assert all(seconds > 0.0 for seconds in device.warm().values())
+        assert device.warm() == dict.fromkeys(first, 0.0)
 
     def test_warm_subset(self):
         device = Device(config=vectorized_config(4))
